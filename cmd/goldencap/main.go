@@ -18,6 +18,7 @@ import (
 	"rckalign/internal/core"
 	"rckalign/internal/dist"
 	"rckalign/internal/mcpsc"
+	"rckalign/internal/pairstore"
 	"rckalign/internal/sched"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
@@ -89,7 +90,7 @@ func main() {
 	// native TM-align pass stays fast while exercising realistic job-size
 	// variance.
 	coreDS := synth.Small(8, 77)
-	pr := core.ComputeAllPairs(coreDS, tmalign.FastOptions(), 0)
+	pr := core.ComputeAllPairsShared(coreDS, tmalign.FastOptions(), pairstore.New(0))
 	g := Golden{CoreDataset: "Small(8,77)", MCPSCDataset: "Small(6,72)"}
 
 	farmRun := func(name string, r core.RunResult) FarmRun {
@@ -153,13 +154,14 @@ func main() {
 	}
 	// Out-of-core tiled run: budget forces several blocks.
 	{
-		budget := coreDS.TotalResidues() * 2 / 5
-		r, err := core.RunTiled(pr, 4, core.DefaultTiledConfig(budget))
+		cfg := core.DefaultConfig()
+		cfg.MemoryBudgetResidues = coreDS.TotalResidues() * 2 / 5
+		r, err := core.Run(pr, 4, cfg)
 		check(err)
-		fr := farmRun("core-tiled-s4", r.RunResult)
-		fr.Blocks = r.Blocks
-		fr.BlockLoads = r.BlockLoads
-		fr.ReloadSeconds = r.ReloadSeconds
+		fr := farmRun("core-tiled-s4", r)
+		fr.Blocks = r.Tiled.Blocks
+		fr.BlockLoads = r.Tiled.BlockLoads
+		fr.ReloadSeconds = r.Tiled.ReloadSeconds
 		g.Farm = append(g.Farm, fr)
 	}
 	// Distributed MCPC baseline.

@@ -17,6 +17,7 @@ import (
 
 	"rckalign/internal/cluster"
 	"rckalign/internal/core"
+	"rckalign/internal/pairstore"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
 )
@@ -39,7 +40,7 @@ func main() {
 	if *cacheDir != "" {
 		cachePath = filepath.Join(*cacheDir, ds.Name+".gob")
 	}
-	pr, err := core.ComputeOrLoad(ds, tmalign.DefaultOptions(), cachePath, 0)
+	pr, err := core.ComputeOrLoadShared(ds, tmalign.DefaultOptions(), cachePath, pairstore.New(0))
 	if err != nil {
 		fatal(err)
 	}

@@ -9,7 +9,17 @@
 //	rckalign [-dataset CK34|RS119] [-slaves N | -sweep] [-order FIFO|LPT|Random]
 //	         [-hierarchy H] [-cache DIR] [-fast] [-csv] [-faults SPEC]
 //	         [-structcache N] [-batch K] [-tile T] [-affinity] [-hostpar N]
+//	         [-threads T] [-membudget R] [-chips N]
 //	         [-metrics-out FILE] [-trace-out FILE] [-scores-out FILE] [-heatmap]
+//
+// Every run goes through core's one pipeline, so the flags compose:
+// ordering, the wire model, threads and faults are properties of the
+// planned workload and apply whether it is farmed flat, in memory-
+// budgeted stages (-membudget) or sharded across chips (-chips). The few
+// combinations no run path supports (see core's MultiChipConfig.Validate:
+// -hierarchy with -faults, the wire model, -threads, -membudget or
+// -chips; -affinity with -faults; -membudget with -faults or -chips) exit
+// 2 with a one-line diagnostic before the dataset loads.
 //
 // -structcache enables the slave-side structure-cache model (-1 derives
 // the per-slave capacity from the default memory budget), -batch bundles
@@ -59,11 +69,15 @@
 // selects the interconnect cost profile: a name (board, cluster, ideal)
 // or "lat=2e-6,bw=1.6e9[,recv=5e-7][,ports=1]" (unset keys inherit the
 // board profile). -faults (global core ids, chip = id/48) and -affinity
-// work per chip; only -hierarchy and -membudget remain single-chip
-// features rejected at -chips > 1.
+// work per chip.
+//
+// -membudget R caps the residues resident at the master: the dataset is
+// loaded in blocks and farmed stage by stage, and a "tiled" stderr line
+// reports the block schedule.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -115,81 +129,98 @@ type cliFlags struct {
 // whole story and the simulation only burns memory.
 const maxChips = 64
 
-// validateFlags rejects out-of-range flag values with a one-line
-// diagnostic before the dataset is even loaded, resolving the job
-// ordering, the interchip profile and the gather topology. Values with
+// flagOf names the flag behind each core.Config feature a
+// core.ConflictError can mention.
+var flagOf = map[string]string{
+	"Hierarchy":                   "-hierarchy",
+	"Faults":                      "-faults",
+	"CacheStructs/Batch/Affinity": "-structcache/-batch/-affinity",
+	"ThreadsPerWorker":            "-threads",
+	"MemoryBudgetResidues":        "-membudget",
+	"Chips":                       "-chips",
+	"Affinity":                    "-affinity",
+}
+
+// validateFlags rejects out-of-range flag values and flag combinations
+// no run path supports with a one-line diagnostic before the dataset is
+// even loaded, and resolves the flags into the run configuration (job
+// ordering, fault plan, interchip profile, gather topology). Values with
 // documented sentinel semantics (-structcache -1, -tile -1, -batch 0,
-// -polling 0) stay valid. The remaining single-chip-only features
-// (-hierarchy, -membudget) are rejected in combination with -chips > 1
-// here, so the conflict costs one line instead of a loaded dataset.
-func validateFlags(f cliFlags) (sched.Order, interchip.Config, farm.GatherConfig, error) {
-	var icfg interchip.Config
-	var gcfg farm.GatherConfig
+// -polling 0) stay valid.
+func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
+	cfg := core.MultiChipConfig{Config: core.DefaultConfig(), Chips: f.Chips}
 	ord, ok := map[string]sched.Order{
 		"FIFO": sched.FIFO, "LPT": sched.LPT, "SPT": sched.SPT, "RANDOM": sched.Random,
 	}[strings.ToUpper(f.Order)]
 	if !ok {
-		return 0, icfg, gcfg, fmt.Errorf("-order %q is not FIFO, LPT, SPT or Random", f.Order)
+		return cfg, fmt.Errorf("-order %q is not FIFO, LPT, SPT or Random", f.Order)
 	}
 	if !f.Sweep && (f.Slaves < 1 || f.Slaves > 47) {
-		return 0, icfg, gcfg, fmt.Errorf("-slaves %d outside [1,47]", f.Slaves)
+		return cfg, fmt.Errorf("-slaves %d outside [1,47]", f.Slaves)
 	}
 	if f.Hierarchy < 0 {
-		return 0, icfg, gcfg, fmt.Errorf("-hierarchy %d is negative", f.Hierarchy)
+		return cfg, fmt.Errorf("-hierarchy %d is negative", f.Hierarchy)
 	}
 	if f.Threads < 1 {
-		return 0, icfg, gcfg, fmt.Errorf("-threads %d below 1", f.Threads)
+		return cfg, fmt.Errorf("-threads %d below 1", f.Threads)
 	}
 	if f.MemBudget < 0 {
-		return 0, icfg, gcfg, fmt.Errorf("-membudget %d is negative", f.MemBudget)
+		return cfg, fmt.Errorf("-membudget %d is negative", f.MemBudget)
 	}
 	if f.Deadline < 0 {
-		return 0, icfg, gcfg, fmt.Errorf("-deadline %g is negative", f.Deadline)
+		return cfg, fmt.Errorf("-deadline %g is negative", f.Deadline)
 	}
 	if f.Polling < 0 {
-		return 0, icfg, gcfg, fmt.Errorf("-polling %g is negative", f.Polling)
+		return cfg, fmt.Errorf("-polling %g is negative", f.Polling)
 	}
 	if f.StructCache < -1 {
-		return 0, icfg, gcfg, fmt.Errorf("-structcache %d below -1 (-1 = derive, 0 = off)", f.StructCache)
+		return cfg, fmt.Errorf("-structcache %d below -1 (-1 = derive, 0 = off)", f.StructCache)
 	}
 	if f.Batch < 0 {
-		return 0, icfg, gcfg, fmt.Errorf("-batch %d is negative (0 or 1 = one message per job)", f.Batch)
+		return cfg, fmt.Errorf("-batch %d is negative (0 or 1 = one message per job)", f.Batch)
 	}
 	if f.Tile < -1 {
-		return 0, icfg, gcfg, fmt.Errorf("-tile %d below -1 (-1 = force off, 0 = auto)", f.Tile)
+		return cfg, fmt.Errorf("-tile %d below -1 (-1 = force off, 0 = auto)", f.Tile)
 	}
 	if f.HostPar < 0 {
-		return 0, icfg, gcfg, fmt.Errorf("-hostpar %d is negative (0 = serial host evaluation)", f.HostPar)
+		return cfg, fmt.Errorf("-hostpar %d is negative (0 = serial host evaluation)", f.HostPar)
 	}
 	if f.PruneTM < 0 || f.PruneTM > 1 {
-		return 0, icfg, gcfg, fmt.Errorf("-prune-tm %g outside [0,1] (0 = no pruning)", f.PruneTM)
+		return cfg, fmt.Errorf("-prune-tm %g outside [0,1] (0 = no pruning)", f.PruneTM)
 	}
 	if f.Chips < 1 || f.Chips > maxChips {
-		return 0, icfg, gcfg, fmt.Errorf("-chips %d outside [1,%d]", f.Chips, maxChips)
+		return cfg, fmt.Errorf("-chips %d outside [1,%d]", f.Chips, maxChips)
 	}
-	if f.Interchip == "" {
-		icfg = interchip.DefaultConfig()
-	} else {
-		var err error
-		if icfg, err = interchip.ParseSpec(f.Interchip); err != nil {
-			return 0, icfg, gcfg, fmt.Errorf("-interchip %q: %v", f.Interchip, err)
-		}
-	}
+	cfg.Order = ord
+	cfg.Hierarchy = f.Hierarchy
+	cfg.ThreadsPerWorker = f.Threads
+	cfg.MemoryBudgetResidues = f.MemBudget
+	cfg.PollingScale = f.Polling
+	cfg.CacheStructs = f.StructCache
+	cfg.Batch = f.Batch
+	cfg.Tile = f.Tile
+	cfg.Affinity = f.Affinity
 	var err error
-	if gcfg, err = farm.ParseGatherSpec(f.Gather); err != nil {
-		return 0, icfg, gcfg, fmt.Errorf("-gather %q: %v", f.Gather, err)
+	if f.FaultSpec != "" {
+		if cfg.Faults, err = fault.ParseSpec(f.FaultSpec); err != nil {
+			return cfg, fmt.Errorf("-faults %q: %v", f.FaultSpec, err)
+		}
+		cfg.FT.JobDeadlineSeconds = f.Deadline
 	}
-	if f.Chips > 1 {
-		switch {
-		case f.Hierarchy > 0:
-			return 0, icfg, gcfg, fmt.Errorf("-chips %d with -hierarchy is unsupported (the chips are the hierarchy)", f.Chips)
-		case f.MemBudget > 0:
-			return 0, icfg, gcfg, fmt.Errorf("-chips %d with -membudget is unsupported (tiled runs are single-chip)", f.Chips)
-		case f.Affinity && f.FaultSpec != "":
-			return 0, icfg, gcfg, fmt.Errorf("-chips %d with -affinity and -faults is unsupported (dynamic farms have no fault-tolerant variant)", f.Chips)
+	cfg.Interchip = interchip.DefaultConfig()
+	if f.Interchip != "" {
+		if cfg.Interchip, err = interchip.ParseSpec(f.Interchip); err != nil {
+			return cfg, fmt.Errorf("-interchip %q: %v", f.Interchip, err)
 		}
 	}
-	return ord, icfg, gcfg, nil
+	if cfg.Gather, err = farm.ParseGatherSpec(f.Gather); err != nil {
+		return cfg, fmt.Errorf("-gather %q: %v", f.Gather, err)
+	}
+	err = cfg.Validate()
+	if c := (core.ConflictError{}); errors.As(err, &c) {
+		err = fmt.Errorf("%s with %s is unsupported", flagOf[c.A], flagOf[c.B])
+	}
+	return cfg, err
 }
 
 func main() {
@@ -223,7 +254,7 @@ func main() {
 	float32Flag := flag.Bool("float32", false, "use the float32 DP-matrix fast path when (re)computing pair results (scores may drift on near-tied alignments; off = bit-exact float64)")
 	flag.Parse()
 
-	ord, icfg, gcfg, err := validateFlags(cliFlags{
+	cfg, err := validateFlags(cliFlags{
 		Slaves: *slaves, Sweep: *sweep, Order: *order, Hierarchy: *hierarchy,
 		Threads: *threads, MemBudget: *memBudget, Deadline: *deadline,
 		Polling: *polling, StructCache: *structCache, Batch: *batch,
@@ -279,22 +310,6 @@ func main() {
 		}
 	}
 
-	cfg := core.DefaultConfig()
-	cfg.Hierarchy = *hierarchy
-	cfg.PollingScale = *polling
-	cfg.CacheStructs = *structCache
-	cfg.Batch = *batch
-	cfg.Tile = *tile
-	cfg.Affinity = *affinity
-	if *faultSpec != "" {
-		plan, err := fault.ParseSpec(*faultSpec)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Faults = plan
-		cfg.FT.JobDeadlineSeconds = *deadline
-	}
-	cfg.Order = ord
 	cfg.Prune = pruneRep
 
 	baseline := pr.SerialSeconds(costmodel.P54C())
@@ -306,7 +321,6 @@ func main() {
 	tb := stats.NewTable(
 		fmt.Sprintf("rckAlign all-vs-all on %s (serial P54C baseline: %.0f s)", ds.Name, baseline),
 		"Slave Cores", "Time (s)", "Speedup", "Efficiency", "Peak Mbox", "Worst Link Util")
-	cfg.ThreadsPerWorker = *threads
 	// Results travel the simulated farm as *tmalign.Result pointers, so a
 	// reverse index recovers each collected result's pair for -scores-out.
 	pairOf := make(map[*tmalign.Result]sched.Pair, len(pr.Pairs))
@@ -334,31 +348,11 @@ func main() {
 		// unchanged) and feed the mailbox/link columns of every run.
 		reg = metrics.New()
 		cfg.Metrics = reg
-		var rep farm.Report
-		if *chips > 1 {
-			r, err := core.RunMultiChip(pr, n, core.MultiChipConfig{
-				Config: cfg, Chips: *chips, Interchip: icfg, Gather: gcfg,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			rep = r.Report
-		} else if *memBudget > 0 {
-			tcfg := core.DefaultTiledConfig(*memBudget)
-			tcfg.Config = cfg
-			tcfg.MemoryBudgetResidues = *memBudget
-			r, err := core.RunTiled(pr, n, tcfg)
-			if err != nil {
-				fatal(err)
-			}
-			rep = r.Report
-		} else {
-			r, err := core.Run(pr, n, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			rep = r.Report
+		r, err := core.RunMultiChip(pr, n, cfg)
+		if err != nil {
+			fatal(err)
 		}
+		rep := r.Report
 		if rep.DroppedCores > 0 {
 			fmt.Fprintf(os.Stderr, "note: %d of %d slave cores idle (%d is not a multiple of %d threads/worker)\n",
 				rep.DroppedCores, n, n, *threads)
@@ -380,6 +374,10 @@ func main() {
 				n, float64(w.BaselineInputBytes)/1e6, float64(w.ShippedInputBytes)/1e6, w.InputReduction,
 				w.CacheCapacity, 100*w.CacheHitRate, w.CacheEvictions,
 				w.Batches, w.MeanBatchJobs, w.MaxBatchJobs)
+		}
+		if tl := rep.Tiled; tl != nil {
+			fmt.Fprintf(os.Stderr, "tiled (%d slaves): blocks=%d loads=%d reload=%.4f s\n",
+				n, tl.Blocks, tl.BlockLoads, tl.ReloadSeconds)
 		}
 		if ic := rep.Interchip; ic != nil {
 			fmt.Fprintf(os.Stderr,

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rckalign/internal/core"
 	"rckalign/internal/farm"
 	"rckalign/internal/interchip"
 	"rckalign/internal/sched"
@@ -57,6 +58,13 @@ func TestValidateFlags(t *testing.T) {
 		}, "-affinity"},
 		{"chips with hierarchy", func(f *cliFlags) { f.Chips = 2; f.Hierarchy = 4 }, "-hierarchy"},
 		{"chips with membudget", func(f *cliFlags) { f.Chips = 2; f.MemBudget = 5000 }, "-membudget"},
+		{"membudget with hierarchy", func(f *cliFlags) { f.MemBudget = 3000; f.Hierarchy = 2 }, "-hierarchy with -membudget"},
+		{"membudget with faults", func(f *cliFlags) { f.MemBudget = 3000; f.FaultSpec = "seed=1;kill=12@10" }, "-membudget with -faults"},
+		{"hierarchy with threads", func(f *cliFlags) { f.Hierarchy = 2; f.Threads = 2 }, "-hierarchy with -threads"},
+		{"hierarchy with faults", func(f *cliFlags) { f.Hierarchy = 2; f.FaultSpec = "kill=3@10" }, "-hierarchy with -faults"},
+		{"hierarchy with batch", func(f *cliFlags) { f.Hierarchy = 2; f.Batch = 8 }, "-hierarchy with -structcache/-batch/-affinity"},
+		{"affinity with faults", func(f *cliFlags) { f.Affinity = true; f.FaultSpec = "kill=3@10" }, "-affinity with -faults"},
+		{"faults unparseable", func(f *cliFlags) { f.FaultSpec = "bogus" }, "-faults"},
 		{"single chip keeps faults", func(f *cliFlags) { f.Chips = 1; f.FaultSpec = "kill=3@10" }, ""},
 		{"gather tree", func(f *cliFlags) { f.Chips = 8; f.Gather = "tree" }, ""},
 		{"gather tree with arity", func(f *cliFlags) { f.Chips = 8; f.Gather = "tree:2" }, ""},
@@ -68,7 +76,7 @@ func TestValidateFlags(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := valid()
 			tc.mut(&f)
-			_, _, _, err := validateFlags(f)
+			_, err := validateFlags(f)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("validateFlags(%+v) = %v, want ok", f, err)
@@ -88,36 +96,69 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
+// TestValidateFlagsComposeUnderMembudget: the flags the tiled path used
+// to drop silently each reach the one run configuration next to the
+// memory budget (core's composition matrix pins that the run then
+// honours them).
+func TestValidateFlagsComposeUnderMembudget(t *testing.T) {
+	cases := []struct {
+		flag string
+		mut  func(*cliFlags)
+		set  func(core.MultiChipConfig) bool
+	}{
+		{"-structcache", func(f *cliFlags) { f.StructCache = -1 }, func(c core.MultiChipConfig) bool { return c.CacheStructs == -1 }},
+		{"-batch", func(f *cliFlags) { f.Batch = 8 }, func(c core.MultiChipConfig) bool { return c.Batch == 8 }},
+		{"-tile", func(f *cliFlags) { f.Tile = 4 }, func(c core.MultiChipConfig) bool { return c.Tile == 4 }},
+		{"-affinity", func(f *cliFlags) { f.Affinity = true }, func(c core.MultiChipConfig) bool { return c.Affinity }},
+		{"-order", func(f *cliFlags) { f.Order = "LPT" }, func(c core.MultiChipConfig) bool { return c.Order == sched.LPT }},
+		{"-threads", func(f *cliFlags) { f.Threads = 2 }, func(c core.MultiChipConfig) bool { return c.ThreadsPerWorker == 2 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.flag, func(t *testing.T) {
+			f := valid()
+			f.MemBudget = 3000
+			tc.mut(&f)
+			cfg, err := validateFlags(f)
+			if err != nil {
+				t.Fatalf("-membudget with %s rejected: %v", tc.flag, err)
+			}
+			if cfg.MemoryBudgetResidues != 3000 || !tc.set(cfg) {
+				t.Errorf("-membudget with %s resolved to %+v", tc.flag, cfg.Config)
+			}
+		})
+	}
+}
+
 func TestValidateFlagsResolvesInterchip(t *testing.T) {
 	f := valid()
-	_, got, _, err := validateFlags(f)
-	if err != nil || got != interchip.DefaultConfig() {
-		t.Errorf("empty -interchip resolved to %+v (err %v), want the board profile", got, err)
+	cfg, err := validateFlags(f)
+	if err != nil || cfg.Interchip != interchip.DefaultConfig() {
+		t.Errorf("empty -interchip resolved to %+v (err %v), want the board profile", cfg.Interchip, err)
 	}
 	f.Interchip = "cluster"
-	_, got, _, err = validateFlags(f)
+	cfg, err = validateFlags(f)
 	cluster, _ := interchip.Profile("cluster")
-	if err != nil || got != cluster {
-		t.Errorf("-interchip cluster resolved to %+v (err %v), want %+v", got, err, cluster)
+	if err != nil || cfg.Interchip != cluster {
+		t.Errorf("-interchip cluster resolved to %+v (err %v), want %+v", cfg.Interchip, err, cluster)
 	}
 }
 
 func TestValidateFlagsResolvesGather(t *testing.T) {
 	f := valid()
-	_, _, gcfg, err := validateFlags(f)
+	cfg, err := validateFlags(f)
 	want := farm.GatherConfig{Mode: farm.GatherTree, Arity: farm.DefaultGatherArity}
-	if err != nil || gcfg != want {
-		t.Errorf("empty -gather resolved to %+v (err %v), want %+v", gcfg, err, want)
+	if err != nil || cfg.Gather != want {
+		t.Errorf("empty -gather resolved to %+v (err %v), want %+v", cfg.Gather, err, want)
 	}
 	f.Gather = "tree:2"
-	_, _, gcfg, err = validateFlags(f)
-	if err != nil || gcfg.Mode != farm.GatherTree || gcfg.Arity != 2 {
-		t.Errorf("-gather tree:2 resolved to %+v (err %v)", gcfg, err)
+	cfg, err = validateFlags(f)
+	if err != nil || cfg.Gather.Mode != farm.GatherTree || cfg.Gather.Arity != 2 {
+		t.Errorf("-gather tree:2 resolved to %+v (err %v)", cfg.Gather, err)
 	}
 	f.Gather = "flat"
-	_, _, gcfg, err = validateFlags(f)
-	if err != nil || gcfg.Mode != farm.GatherFlat {
-		t.Errorf("-gather flat resolved to %+v (err %v)", gcfg, err)
+	cfg, err = validateFlags(f)
+	if err != nil || cfg.Gather.Mode != farm.GatherFlat {
+		t.Errorf("-gather flat resolved to %+v (err %v)", cfg.Gather, err)
 	}
 }
 
@@ -128,13 +169,13 @@ func TestValidateFlagsResolvesOrder(t *testing.T) {
 	} {
 		f := valid()
 		f.Order = in
-		got, _, _, err := validateFlags(f)
+		cfg, err := validateFlags(f)
 		if err != nil {
 			t.Errorf("order %q rejected: %v", in, err)
 			continue
 		}
-		if got != want {
-			t.Errorf("order %q resolved to %v, want %v", in, got, want)
+		if cfg.Order != want {
+			t.Errorf("order %q resolved to %v, want %v", in, cfg.Order, want)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"rckalign/internal/core"
 	"rckalign/internal/costmodel"
+	"rckalign/internal/pairstore"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
 )
@@ -27,7 +28,7 @@ func main() {
 
 	// Native TM-align over all pairs (computed once; the simulator
 	// replays the measured per-job costs).
-	pr := core.ComputeAllPairs(ds, tmalign.DefaultOptions(), 0)
+	pr := core.ComputeAllPairsShared(ds, tmalign.DefaultOptions(), pairstore.New(0))
 
 	// Fold assignment from the scores: pairs with TM > 0.5 share a fold.
 	sameFold := 0

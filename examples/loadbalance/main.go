@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"rckalign/internal/core"
+	"rckalign/internal/pairstore"
 	"rckalign/internal/sched"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
@@ -23,7 +24,7 @@ func main() {
 	// Two families with very different chain lengths make the job-cost
 	// spread large, which is where scheduling matters.
 	ds := synth.Small(14, 7001)
-	pr := core.ComputeAllPairs(ds, tmalign.FastOptions(), 0)
+	pr := core.ComputeAllPairsShared(ds, tmalign.FastOptions(), pairstore.New(0))
 	fmt.Printf("dataset: %d chains, %d jobs\n\n", ds.Len(), ds.Pairs())
 
 	orders := []sched.Order{sched.FIFO, sched.LPT, sched.SPT, sched.Random}

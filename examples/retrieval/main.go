@@ -15,6 +15,7 @@ import (
 
 	"rckalign/internal/cluster"
 	"rckalign/internal/core"
+	"rckalign/internal/pairstore"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
 	"rckalign/internal/trace"
@@ -22,7 +23,7 @@ import (
 
 func main() {
 	ds := synth.Small(12, 808) // two synthetic fold families
-	pr := core.ComputeAllPairs(ds, tmalign.FastOptions(), 0)
+	pr := core.ComputeAllPairsShared(ds, tmalign.FastOptions(), pairstore.New(0))
 
 	// Simulate the all-vs-all run on the SCC with tracing enabled.
 	cfg := core.DefaultConfig()

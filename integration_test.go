@@ -12,6 +12,7 @@ import (
 	"rckalign/internal/core"
 	"rckalign/internal/costmodel"
 	"rckalign/internal/dist"
+	"rckalign/internal/pairstore"
 	"rckalign/internal/pdb"
 	"rckalign/internal/sched"
 	"rckalign/internal/synth"
@@ -21,7 +22,7 @@ import (
 // pipelinePR computes one shared small-pair set for the integration
 // tests.
 var pipelinePR = func() *core.PairResults {
-	return core.ComputeAllPairs(synth.Small(8, 2013), tmalign.FastOptions(), 0)
+	return core.ComputeAllPairsShared(synth.Small(8, 2013), tmalign.FastOptions(), pairstore.New(0))
 }()
 
 func TestPipelineScalingShape(t *testing.T) {

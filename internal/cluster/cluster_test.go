@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rckalign/internal/core"
+	"rckalign/internal/pairstore"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
 )
@@ -130,7 +131,7 @@ func TestTopKAccuracy(t *testing.T) {
 
 func TestEndToEndOnSyntheticFamilies(t *testing.T) {
 	ds := synth.Small(8, 404) // fa* and fb* families
-	pr := core.ComputeAllPairs(ds, tmalign.FastOptions(), 0)
+	pr := core.ComputeAllPairsShared(ds, tmalign.FastOptions(), pairstore.New(0))
 	m := FromPairResults(pr)
 
 	labels := make([]string, ds.Len())

@@ -119,18 +119,13 @@ func LoadPairResults(ds *synth.Dataset, path string) (*PairResults, error) {
 	return pr, nil
 }
 
-// ComputeOrLoad returns cached pair results when a valid cache exists at
-// path, otherwise computes natively and writes the cache. An empty path
-// disables caching.
-func ComputeOrLoad(ds *synth.Dataset, opt tmalign.Options, path string, parallelism int) (*PairResults, error) {
-	return ComputeOrLoadShared(ds, opt, path, pairstore.New(parallelism))
-}
-
-// ComputeOrLoadShared is ComputeOrLoad backed by a shared pair store:
-// on a disk-cache miss the pairs are evaluated through the store (see
-// ComputeAllPairsShared), so repeated calls — other datasets'
-// overlapping keys, other option sweeps, other experiment drivers —
-// pay for each native comparison at most once per process.
+// ComputeOrLoadShared returns cached pair results when a valid cache
+// exists at path, otherwise computes natively and writes the cache. An
+// empty path disables caching. On a disk-cache miss the pairs are
+// evaluated through the store (see ComputeAllPairsShared), so repeated
+// calls — other datasets' overlapping keys, other option sweeps, other
+// experiment drivers — pay for each native comparison at most once per
+// process.
 func ComputeOrLoadShared(ds *synth.Dataset, opt tmalign.Options, path string, store *pairstore.Store) (*PairResults, error) {
 	if path != "" {
 		if pr, err := LoadPairResults(ds, path); err == nil {

@@ -10,9 +10,9 @@
 // measured operation counts as simulated compute time on the modelled
 // P54C cores — see DESIGN.md.
 //
-// All run variants (flat, hierarchical, tiled) are thin compositions of
-// the internal/farm run harness, which owns runtime construction, slave
-// placement, result collection and reporting.
+// Every run — flat, memory-budgeted, sharded across chips, or under a
+// sub-master hierarchy — goes through one pipeline (pipeline.go): plan
+// the workload once, stage it, shard it, farm the same farm.Work, report.
 package core
 
 import (
@@ -87,16 +87,6 @@ func (pr *PairResults) lengths() []int {
 	return out
 }
 
-// ComputeAllPairs runs TM-align natively for every all-vs-all pair of
-// the dataset, using up to `parallelism` host goroutines (0 = GOMAXPROCS).
-// The comparisons themselves are deterministic, so the parallelism only
-// affects wall-clock time, never results. It is ComputeAllPairsShared
-// with a private, throwaway store; use the shared variant to reuse
-// results across sweeps and configurations.
-func ComputeAllPairs(ds *synth.Dataset, opt tmalign.Options, parallelism int) *PairResults {
-	return ComputeAllPairsShared(ds, opt, pairstore.New(parallelism))
-}
-
 // PairKeys returns the pairstore keys of the dataset's all-vs-all pairs
 // under the given TM-align options, aligned with sched.AllVsAll order.
 func PairKeys(ds *synth.Dataset, opt tmalign.Options) []pairstore.Key {
@@ -120,8 +110,9 @@ func PairKeysFor(ds *synth.Dataset, opt tmalign.Options, pairs []sched.Pair) []p
 }
 
 // ComputeAllPairsShared assembles the dataset's all-vs-all pair results
-// from the store, prefetching every missing pair on the store's host
-// worker pool first. Pairs already memoized (by a previous sweep point,
+// from the store, natively evaluating every missing pair on the store's
+// host worker pool first (the comparisons are deterministic, so the
+// pool size only moves wall-clock time, never results). Pairs already memoized (by a previous sweep point,
 // experiment configuration or dataset pass under the same options) are
 // reused, so N configurations cost one native evaluation per pair
 // instead of N. A nil store computes serially with no memoization.
@@ -238,7 +229,9 @@ func SynthPairResults(name string, lengths []int) *PairResults {
 	return pr
 }
 
-// Config tunes an rckAlign simulation run.
+// Config tunes an rckAlign simulation run. The fields compose freely;
+// the few combinations no run shape supports are listed in one place,
+// MultiChipConfig.Validate.
 type Config struct {
 	// Chip is the SCC model (DefaultConfig = Table I).
 	Chip scc.Config
@@ -288,12 +281,12 @@ type Config struct {
 	// capacity from the per-core cache budget
 	// (costmodel.DefaultCacheBudgetBytes over the dataset's mean chain
 	// size); 0 disables the model — the paper's ship-both-structures
-	// wire. Flat path only (hierarchical/tiled runs reject it).
+	// wire.
 	CacheStructs int
 	// Batch bundles up to Batch consecutive jobs into one request
 	// message with one batched result, amortizing the master's
 	// dispatch/collect overhead (0 or 1 = the paper's one message per
-	// job). Flat path only.
+	// job).
 	Batch int
 	// Tile is the blocked pair-ordering tile size in structures: after
 	// Order is applied, pairs are regrouped into Tile x Tile blocks of
@@ -304,13 +297,11 @@ type Config struct {
 	// Affinity assigns whole tile blocks to slaves (heaviest-first onto
 	// the least-loaded queue) and farms per-slave queues, so each
 	// block's structures ship to exactly one slave — maximum cache
-	// reuse at the price of coarser load balance. Fault-free flat path
-	// only (the per-slave-queue farm has no fault-tolerant variant).
+	// reuse at the price of coarser load balance.
 	Affinity bool
 	// Faults, when non-nil, arms the deterministic fault injector for
-	// the run and switches the master onto the fault-tolerant farm
-	// protocol. Only the flat single-master path supports faults; the
-	// hierarchical and tiled paths reject a plan up front.
+	// the run and switches the master (every chip's master, on a
+	// multi-chip run) onto the fault-tolerant farm protocol.
 	Faults *fault.Plan
 	// FT tunes the fault-tolerant protocol (only consulted when Faults
 	// is set). A zero JobDeadlineSeconds derives a deadline from the
@@ -322,28 +313,25 @@ type Config struct {
 	// not itself filter anything — pass PrunePairs' survivors as the
 	// PairResults.
 	Prune *prune.Report
+	// MemoryBudgetResidues, when positive and below the dataset's total,
+	// caps the residues resident at the master — the paper's closing
+	// concern, "datasets too large to be loaded into memory at once".
+	// The dataset is loaded in blocks of at most half the budget (so any
+	// two co-reside, and the budget must hold the two largest chains)
+	// and the run becomes a list of stages, each loading one block and
+	// farming the pairs it completes; see Report.Tiled.
+	MemoryBudgetResidues int
+	// ReloadSecondsPerResidue is the master's cost to (re)load one
+	// residue from storage when a block is swapped in (NFS/disk, not
+	// mesh). Only consulted under a memory budget.
+	ReloadSecondsPerResidue float64
 }
 
-// DefaultConfig returns the paper's setup.
+// DefaultConfig returns the paper's setup (with a disk-like reload cost
+// for budgeted runs: ~80 bytes/residue at ~20 MB/s NFS).
 func DefaultConfig() Config {
-	return Config{Chip: scc.DefaultConfig(), MasterCore: 0, Order: sched.FIFO, PollingScale: 1}
-}
-
-// session maps an rckAlign config onto the farm harness.
-func (cfg Config) session(slaves int) farm.Config {
-	return farm.Config{
-		Backend:          farm.SCCSim{Chip: cfg.Chip},
-		MasterCore:       cfg.MasterCore,
-		Slaves:           slaves,
-		ThreadsPerWorker: cfg.ThreadsPerWorker,
-		ThreadEfficiency: cfg.ThreadEfficiency,
-		PollingScale:     cfg.PollingScale,
-		Trace:            cfg.Trace,
-		Metrics:          cfg.Metrics,
-		Collector:        cfg.Collector,
-		Faults:           cfg.Faults,
-		FT:               cfg.FT,
-	}
+	return Config{Chip: scc.DefaultConfig(), MasterCore: 0, Order: sched.FIFO, PollingScale: 1,
+		ReloadSecondsPerResidue: 4e-6}
 }
 
 // RunResult reports one simulated rckAlign execution: the unified farm
@@ -356,211 +344,15 @@ type RunResult struct {
 // Speedup returns base/this in time.
 func (r RunResult) Speedup(baseSeconds float64) float64 { return baseSeconds / r.TotalSeconds }
 
-// wireEnabled reports whether the run uses the cache/batch wire model.
-func (cfg Config) wireEnabled() bool {
-	return cfg.CacheStructs != 0 || cfg.Batch > 1 || cfg.Affinity
-}
-
-// cacheCapacity resolves Config.CacheStructs: positive capacities pass
-// through, negative ones derive from the default per-core cache budget
-// and the dataset's mean chain length, 0 stays disabled.
-func (cfg Config) cacheCapacity(lengths []int) int {
-	if cfg.CacheStructs >= 0 {
-		return cfg.CacheStructs
-	}
-	total := 0
-	for _, l := range lengths {
-		total += l
-	}
-	mean := 0
-	if len(lengths) > 0 {
-		mean = total / len(lengths)
-	}
-	return costmodel.CacheCapacityStructs(costmodel.DefaultCacheBudgetBytes, mean)
-}
-
-// tileSize resolves Config.Tile given the resolved cache capacity:
-// explicit values pass through, negative forces blocking off, and 0
-// auto-selects sched.DefaultTile when the wire model is on.
-func (cfg Config) tileSize(cacheCap int) int {
-	switch {
-	case cfg.Tile > 0:
-		return cfg.Tile
-	case cfg.Tile < 0:
-		return 0
-	case cacheCap > 0 || cfg.Batch > 1 || cfg.Affinity:
-		return sched.DefaultTile
-	}
-	return 0
-}
-
-// pairBytes is the classic request wire size of one pair: both
-// structures' coordinates.
-func pairBytes(lengths []int) func(sched.Pair) int {
-	return func(p sched.Pair) int {
-		return StructBytes(lengths[p.I]) + StructBytes(lengths[p.J])
-	}
-}
-
-// orderedPairs applies the config's ordering policy and then the
-// optional blocked tiling (tile > 1) to the pair list.
-func (cfg Config) orderedPairs(pr *PairResults, lengths []int, tile int) ([]sched.Pair, error) {
-	ordered, err := sched.Apply(pr.Pairs, cfg.Order, sched.LengthProductCost(lengths), cfg.OrderSeed)
-	if err != nil {
-		return nil, err
-	}
-	if tile > 1 {
-		ordered = sched.Blocked(ordered, tile)
-	}
-	return ordered, nil
-}
-
-// buildJobs orders the pair list per the config and converts it to
-// sized farm jobs.
-func (cfg Config) buildJobs(pr *PairResults, lengths []int, tile int) ([]rckskel.Job, error) {
-	ordered, err := cfg.orderedPairs(pr, lengths, tile)
-	if err != nil {
-		return nil, err
-	}
-	return farm.BuildJobs(ordered, 0, pairBytes(lengths))
-}
-
 // Run simulates rckAlign on `slaves` slave cores (1..NumCores-1) and
 // returns the simulated timing. Results are replayed from pr, so the
 // PSC output is identical to the serial baseline by construction.
 // With cfg.ThreadsPerWorker = 2, the `slaves` cores are grouped into
 // slaves/2 dual-threaded tile workers (an odd count leaves one core
-// unused; see RunResult.DroppedCores).
+// unused; see RunResult.DroppedCores). It is the one-chip case of
+// RunMultiChip.
 func Run(pr *PairResults, slaves int, cfg Config) (RunResult, error) {
-	maxSlaves := cfg.Chip.NumCores() - 1
-	if slaves < 1 || slaves > maxSlaves {
-		return RunResult{}, fmt.Errorf("core: slave count %d outside [1,%d]", slaves, maxSlaves)
-	}
-	if cfg.Hierarchy > 0 {
-		if cfg.Faults != nil {
-			return RunResult{}, fmt.Errorf("core: hierarchical run: %w", farm.ErrFaultsUnsupported)
-		}
-		if cfg.wireEnabled() {
-			return RunResult{}, fmt.Errorf("core: hierarchical run does not support the cache/batch wire model")
-		}
-		return runHierarchical(pr, slaves, cfg)
-	}
-	if cfg.Affinity && cfg.Faults != nil {
-		return RunResult{}, fmt.Errorf("core: affinity farming: %w", farm.ErrFaultsUnsupported)
-	}
-	lengths := pr.lengths()
-	cacheCap := cfg.cacheCapacity(lengths)
-	tile := cfg.tileSize(cacheCap)
-	fcfg := cfg.session(slaves)
-	fcfg.Batch = cfg.Batch
-	fcfg.CacheStructs = cacheCap
-	// The affinity path farms per-slave queues through FarmDynamic,
-	// which has no fault-tolerant variant; declaring it lets the farm
-	// layer reject a fault plan at construction.
-	fcfg.Dynamic = cfg.Affinity
-	s, err := farm.NewSession(fcfg)
-	if err != nil {
-		return RunResult{}, err
-	}
-	opScale := s.Placement().OpScale
-	if cfg.Faults != nil && cfg.FT.JobDeadlineSeconds == 0 {
-		d := DeriveJobDeadline(pr, cfg.Chip.CPU, opScale)
-		if cfg.Batch > 1 {
-			// A batch is one fault-tolerance unit of up to Batch jobs:
-			// its deadline must cover them back to back.
-			d *= float64(cfg.Batch)
-		}
-		s.SetJobDeadline(d)
-	}
-	handler := func(job rckskel.Job) (any, costmodel.Counter, int) {
-		p := job.Payload.(sched.Pair)
-		res := pr.Get(p)
-		return res, res.Ops.Scaled(opScale), ResultBytes(res.Len2)
-	}
-	if cfg.Batch > 1 {
-		s.StartSlaves(farm.BatchHandler(handler))
-	} else {
-		s.StartSlaves(handler)
-	}
-	ordered, err := cfg.orderedPairs(pr, lengths, tile)
-	if err != nil {
-		return RunResult{}, err
-	}
-	sizes := make([]int, len(lengths))
-	for i, l := range lengths {
-		sizes[i] = StructBytes(l)
-	}
-	wm := farm.WireModel{
-		StructsOf: func(j rckskel.Job) []int {
-			p := j.Payload.(sched.Pair)
-			return []int{p.I, p.J}
-		},
-		Sizes: sizes,
-	}
-	if cfg.Affinity {
-		queues, err := affinityQueues(s, ordered, lengths, tile, wm)
-		if err != nil {
-			return RunResult{}, err
-		}
-		var farmErr error
-		rep, err := s.Run("", func(m *farm.Master) {
-			m.LoadResidues(pr.Dataset.TotalResidues())
-			queueOf := map[int]int{}
-			for w, lead := range s.Placement().WorkerLeads {
-				queueOf[lead] = w
-			}
-			heads := make([]int, len(queues))
-			_, farmErr = m.FarmDynamic(func(slave int) (rckskel.Job, bool) {
-				w := queueOf[slave]
-				if heads[w] >= len(queues[w]) {
-					return rckskel.Job{}, false
-				}
-				j := queues[w][heads[w]]
-				heads[w]++
-				return j, true
-			}, nil)
-			m.Terminate()
-		})
-		if err == nil {
-			err = farmErr
-		}
-		rep.Prune = cfg.Prune
-		return RunResult{Report: rep}, err
-	}
-	jobs, err := farm.BuildJobs(ordered, 0, pairBytes(lengths))
-	if err != nil {
-		return RunResult{}, err
-	}
-	jobs = s.PrepareJobs(jobs, wm)
-	rep, err := s.Run("", func(m *farm.Master) {
-		// One-time load of every structure by the master (the design
-		// choice Experiment I validates).
-		m.LoadResidues(pr.Dataset.TotalResidues())
-		m.Farm(jobs, nil)
-		m.Terminate()
-	})
-	rep.Prune = cfg.Prune
-	return RunResult{Report: rep}, err
-}
-
-// affinityQueues deals the tile blocks of the ordered pair list onto
-// one job queue per placed worker and applies the session's wire shape
-// (cache sizing, batching) to each queue. Job IDs stay globally unique
-// across queues.
-func affinityQueues(s *farm.Session, ordered []sched.Pair, lengths []int, tile int, wm farm.WireModel) ([][]rckskel.Job, error) {
-	workers := len(s.Placement().WorkerLeads)
-	assign := sched.AffinityAssign(ordered, workers, tile, sched.LengthProductCost(lengths))
-	queues := make([][]rckskel.Job, len(assign))
-	idBase := 0
-	for w, ps := range assign {
-		jobs, err := farm.BuildJobs(ps, idBase, pairBytes(lengths))
-		if err != nil {
-			return nil, err
-		}
-		idBase += len(ps)
-		queues[w] = s.PrepareJobs(jobs, wm)
-	}
-	return queues, nil
+	return RunMultiChip(pr, slaves, MultiChipConfig{Config: cfg})
 }
 
 // RunSweep simulates rckAlign for each slave count and returns the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rckalign/internal/costmodel"
+	"rckalign/internal/pairstore"
 	"rckalign/internal/sched"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
@@ -16,7 +17,7 @@ import (
 // whole test package (the native compute is the slow part).
 var smallPR = func() *PairResults {
 	ds := synth.Small(8, 77)
-	return ComputeAllPairs(ds, tmalign.FastOptions(), 0)
+	return ComputeAllPairsShared(ds, tmalign.FastOptions(), pairstore.New(0))
 }()
 
 func TestComputeAllPairsComplete(t *testing.T) {
@@ -249,11 +250,11 @@ func TestCacheRejectsWrongDataset(t *testing.T) {
 func TestComputeOrLoad(t *testing.T) {
 	ds := synth.Small(4, 5)
 	path := filepath.Join(t.TempDir(), "c.gob")
-	a, err := ComputeOrLoad(ds, tmalign.FastOptions(), path, 0)
+	a, err := ComputeOrLoadShared(ds, tmalign.FastOptions(), path, pairstore.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ComputeOrLoad(ds, tmalign.FastOptions(), path, 0)
+	b, err := ComputeOrLoadShared(ds, tmalign.FastOptions(), path, pairstore.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,18 +29,17 @@ func synthScoredCK34() *PairResults {
 	return pr
 }
 
-// scoresDump runs the workload and renders every collected result as a
+// scoresRun runs the workload and renders every collected result as a
 // -scores-out style line at full float precision, sorted by pair so the
 // dump is arrival-order independent (the determinism rule each gather
 // level must honour).
-func scoresDump(t *testing.T, pr *PairResults, chips int, mutate func(*MultiChipConfig)) string {
+func scoresRun(t *testing.T, pr *PairResults, cfg MultiChipConfig) (string, RunResult, error) {
 	t.Helper()
 	pairOf := map[*tmalign.Result]sched.Pair{}
 	for k, p := range pr.Pairs {
 		pairOf[pr.Results[k]] = p
 	}
 	var lines []string
-	cfg := MultiChipConfig{Config: DefaultConfig(), Chips: chips}
 	cfg.Collector = farm.CollectorFunc(func(r rckskel.Result) {
 		res, ok := r.Payload.(*tmalign.Result)
 		if !ok {
@@ -55,14 +54,24 @@ func scoresDump(t *testing.T, pr *PairResults, chips int, mutate func(*MultiChip
 		lines = append(lines, fmt.Sprintf("%d %d %.17g %.17g %.17g %d\n",
 			p.I, p.J, res.TM1, res.TM2, res.RMSD, res.AlignedLen))
 	})
+	r, err := RunMultiChip(pr, 12, cfg)
+	sort.Strings(lines)
+	return strings.Join(lines, ""), r, err
+}
+
+// scoresDump is scoresRun on the default config at the given chip
+// count, for runs that must succeed.
+func scoresDump(t *testing.T, pr *PairResults, chips int, mutate func(*MultiChipConfig)) string {
+	t.Helper()
+	cfg := MultiChipConfig{Config: DefaultConfig(), Chips: chips}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	if _, err := RunMultiChip(pr, 12, cfg); err != nil {
+	dump, _, err := scoresRun(t, pr, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, "")
+	return dump
 }
 
 // TestGatherScoresByteIdenticalToFlat is the aggregation correctness

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"fmt"
-
-	"rckalign/internal/costmodel"
 	"rckalign/internal/farm"
 	"rckalign/internal/rckskel"
-	"rckalign/internal/sched"
 	"rckalign/internal/sim"
 )
 
@@ -16,51 +12,32 @@ import (
 // slave partition. The root then gathers per-partition aggregates. This
 // removes the single master from every job's critical path at the cost
 // of dedicating sub-master cores.
-func runHierarchical(pr *PairResults, slaves int, cfg Config) (RunResult, error) {
-	h := cfg.Hierarchy
-	if h < 1 {
-		h = 1
-	}
-	if h > slaves {
-		h = slaves
-	}
-	need := 1 + h + slaves
-	if need > cfg.Chip.NumCores() {
-		return RunResult{}, fmt.Errorf("core: hierarchy needs %d cores, chip has %d", need, cfg.Chip.NumCores())
-	}
-
+func (p *plan) runHierarchical() (farm.Report, error) {
 	// The session places h+slaves cores in id order (root skipped): the
 	// first h become sub-masters, the rest are dealt round-robin into the
-	// h slave partitions. Thread grouping does not apply to the
-	// hierarchical tree.
-	fcfg := cfg.session(h + slaves)
-	fcfg.ThreadsPerWorker = 0
-	fcfg.ThreadEfficiency = 0
-	s, err := farm.NewSession(fcfg)
+	// h slave partitions.
+	h := p.subMasters
+	s, err := farm.NewSession(p.session)
 	if err != nil {
-		return RunResult{}, err
+		return farm.Report{}, err
 	}
 	cores := s.Placement().Cores
 	subMasters := cores[:h]
 	slavesOf := farm.PartitionRoundRobin(cores[h:], h)
 
-	ds := pr.Dataset
-	lengths := pr.lengths()
-	allJobs, err := cfg.buildJobs(pr, lengths, 0)
+	ordered, err := p.order(p.pr.Pairs)
 	if err != nil {
-		return RunResult{}, err
+		return farm.Report{}, err
+	}
+	all, err := p.work(s, ordered, 0)
+	if err != nil {
+		return farm.Report{}, err
 	}
 
 	// Round-robin partition of the job list over sub-masters.
 	jobsOf := make([][]rckskel.Job, h)
-	for k, j := range allJobs {
+	for k, j := range all.Jobs {
 		jobsOf[k%h] = append(jobsOf[k%h], j)
-	}
-
-	handler := func(job rckskel.Job) (any, costmodel.Counter, int) {
-		p := job.Payload.(sched.Pair)
-		res := pr.Get(p)
-		return res, res.Ops, ResultBytes(res.Len2)
 	}
 
 	type partitionDone struct {
@@ -70,26 +47,26 @@ func runHierarchical(pr *PairResults, slaves int, cfg Config) (RunResult, error)
 	teams := make([]*rckskel.Team, h)
 	for i := 0; i < h; i++ {
 		teams[i] = s.NewTeam(subMasters[i], slavesOf[i])
-		teams[i].StartSlaves(handler)
+		teams[i].StartSlaves(p.handler)
 	}
 
 	rt := s.Runtime()
-	root := cfg.MasterCore
+	root := p.cfg.MasterCore
 	// Sub-master processes: receive their job batch from the root, farm
 	// it, report completion.
 	for i := 0; i < h; i++ {
 		i := i
-		rt.Chip.SpawnCore(subMasters[i], func(p *sim.Process) {
-			m := rt.Comm.Recv(p, root, subMasters[i])
+		rt.Chip.SpawnCore(subMasters[i], func(sp *sim.Process) {
+			m := rt.Comm.Recv(sp, root, subMasters[i])
 			jobs := m.Payload.([]rckskel.Job)
-			stats := teams[i].FARM(p, jobs, func(r rckskel.Result) { s.Collect(r) })
-			teams[i].Terminate(p)
-			rt.Comm.Send(p, subMasters[i], root, 64, partitionDone{stats: stats})
+			stats := teams[i].FARM(sp, jobs, func(r rckskel.Result) { s.Collect(r) })
+			teams[i].Terminate(sp)
+			rt.Comm.Send(sp, subMasters[i], root, 64, partitionDone{stats: stats})
 		})
 	}
 
 	rep, err := s.Run("", func(m *farm.Master) {
-		m.LoadResidues(ds.TotalResidues())
+		m.LoadResidues(p.pr.Dataset.TotalResidues())
 		// Forward each partition's structures+jobs descriptor. The data
 		// volume is the same structure bytes the flat master would send,
 		// but it moves once per partition, off the per-job critical path.
@@ -111,6 +88,5 @@ func runHierarchical(pr *PairResults, slaves int, cfg Config) (RunResult, error)
 		}
 	})
 	rep.FarmStats.MakespanSeconds = rep.TotalSeconds - rep.LoadSeconds
-	rep.Prune = cfg.Prune
-	return RunResult{Report: rep}, err
+	return rep, err
 }

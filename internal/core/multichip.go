@@ -1,19 +1,14 @@
 // Multi-chip rckAlign: shard the all-vs-all pair matrix across N SCC
 // chips and farm each shard on its own chip, coordinated by the root
 // master over the board-level interconnect (see internal/farm's
-// MultiSession and internal/interchip). The single-chip configuration
-// is not a special case of the machinery — it IS the flat path: a
-// 1-chip run delegates to Run, so its reports and scores are
-// bit-identical to the paper's single-master farm by construction.
+// MultiSession and internal/interchip). One chip is one shard on one
+// plain Session, so a 1-chip run is the paper's single-master farm by
+// construction.
 package core
 
 import (
-	"fmt"
-
-	"rckalign/internal/costmodel"
 	"rckalign/internal/farm"
 	"rckalign/internal/interchip"
-	"rckalign/internal/rckskel"
 	"rckalign/internal/sched"
 )
 
@@ -26,7 +21,7 @@ const ShardJobHeaderBytes = 16
 // (every chip's master is its core 0, the root is chip 0's).
 type MultiChipConfig struct {
 	Config
-	// Chips is the chip count (<= 1 runs the flat single-chip path).
+	// Chips is the chip count (<= 1 is the paper's single chip).
 	Chips int
 	// Interchip is the board-level interconnect cost profile (zero value
 	// = interchip.DefaultConfig, the board profile).
@@ -59,14 +54,14 @@ func (cfg MultiChipConfig) shardTileSize(orderTile int) int {
 // distinct structure's coordinates exactly once — the board-tier
 // analogue of the on-chip structure-cache model (a chip never receives
 // the same coordinates twice in one scatter).
-func shardWireBytes(shard []sched.Pair, lengths []int) int64 {
+func shardWireBytes(shard []sched.Pair, sizes []int) int64 {
 	bytes := int64(farm.ShardHeaderBytes) + int64(len(shard))*ShardJobHeaderBytes
 	seen := map[int]bool{}
 	for _, p := range shard {
 		for _, i := range []int{p.I, p.J} {
 			if !seen[i] {
 				seen[i] = true
-				bytes += int64(StructBytes(lengths[i]))
+				bytes += int64(sizes[i])
 			}
 		}
 	}
@@ -74,145 +69,28 @@ func shardWireBytes(shard []sched.Pair, lengths []int) int64 {
 }
 
 // RunMultiChip simulates rckAlign on cfg.Chips SCC chips with
-// slavesPerChip slave cores each. With Chips <= 1 it delegates to the
-// flat Run (including fault plans and every flat-only feature), so a
-// 1-chip multi-chip run is the flat run. At Chips > 1 the pair list is
-// ordered exactly as the flat path would order it, sharded into whole
-// tile blocks across chips (heaviest block first onto the least loaded
-// chip), and farmed hierarchically: root master on chip 0 scatters the
-// shards over the interchip fabric, each chip's sub-master farms its
-// shard on its own mesh, and results return as aggregate blobs up the
-// configured gather topology. Fault plans (core ids global across the
-// board) run FARMFT per chip; affinity farming deals each shard onto
-// that chip's workers. Only the on-chip master hierarchy stays a
-// single-chip feature (the chips are the hierarchy), and — as on the
-// flat path — affinity and faults are mutually exclusive.
+// slavesPerChip slave cores each. The pair list is ordered once, sharded
+// into whole tile blocks across chips (heaviest block first onto the
+// least loaded chip; one chip gets the list unchanged), and each shard is
+// farmed by its chip's master. At Chips > 1 the root master on chip 0
+// scatters the shards over the interchip fabric and results return as
+// aggregate blobs up the configured gather topology; fault plans (core
+// ids global across the board) run FARMFT per chip and affinity deals
+// each shard onto that chip's workers. See Validate for the feature
+// combinations that do not compose.
 func RunMultiChip(pr *PairResults, slavesPerChip int, cfg MultiChipConfig) (RunResult, error) {
-	if cfg.Chips <= 1 {
-		return Run(pr, slavesPerChip, cfg.Config)
+	if err := cfg.Validate(); err != nil {
+		return RunResult{}, err
 	}
-	if cfg.Hierarchy > 0 {
-		return RunResult{}, fmt.Errorf("core: multi-chip run does not support the on-chip master hierarchy (chips are the hierarchy)")
-	}
-	if cfg.Affinity && cfg.Faults != nil {
-		return RunResult{}, fmt.Errorf("core: affinity farming: %w", farm.ErrFaultsUnsupported)
-	}
-
-	lengths := pr.lengths()
-	cacheCap := cfg.cacheCapacity(lengths)
-	tile := cfg.tileSize(cacheCap)
-	ordered, err := cfg.orderedPairs(pr, lengths, tile)
+	p, err := newPlan(pr, slavesPerChip, cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
-	shards, err := sched.ShardPairs(ordered, cfg.Chips, cfg.shardTileSize(tile), sched.LengthProductCost(lengths))
-	if err != nil {
-		return RunResult{}, err
+	run := p.run
+	if p.subMasters > 0 {
+		run = p.runHierarchical
 	}
-
-	ms, err := farm.NewMultiSession(farm.MultiConfig{
-		Backend:          farm.MultiChip{Chips: cfg.Chips, Chip: cfg.Chip, Interchip: cfg.Interchip},
-		SlavesPerChip:    slavesPerChip,
-		ThreadsPerWorker: cfg.ThreadsPerWorker,
-		ThreadEfficiency: cfg.ThreadEfficiency,
-		PollingScale:     cfg.PollingScale,
-		Trace:            cfg.Trace,
-		Metrics:          cfg.Metrics,
-		Collector:        cfg.Collector,
-		Batch:            cfg.Batch,
-		CacheStructs:     cacheCap,
-		Gather:           cfg.Gather,
-		Faults:           cfg.Faults,
-		FT:               cfg.FT,
-		Dynamic:          cfg.Affinity,
-	})
-	if err != nil {
-		return RunResult{}, err
-	}
-	opScale := ms.ChipSession(0).Placement().OpScale
-	if cfg.Faults != nil && cfg.FT.JobDeadlineSeconds == 0 {
-		d := DeriveJobDeadline(pr, cfg.Chip.CPU, opScale)
-		if cfg.Batch > 1 {
-			// A batch is one fault-tolerance unit of up to Batch jobs:
-			// its deadline must cover them back to back.
-			d *= float64(cfg.Batch)
-		}
-		ms.SetJobDeadline(d)
-	}
-	handler := func(job rckskel.Job) (any, costmodel.Counter, int) {
-		p := job.Payload.(sched.Pair)
-		res := pr.Get(p)
-		return res, res.Ops.Scaled(opScale), ResultBytes(res.Len2)
-	}
-	if cfg.Batch > 1 {
-		ms.StartSlaves(farm.BatchHandler(handler))
-	} else {
-		ms.StartSlaves(handler)
-	}
-
-	sizes := make([]int, len(lengths))
-	for i, l := range lengths {
-		sizes[i] = StructBytes(l)
-	}
-	wm := farm.WireModel{
-		StructsOf: func(j rckskel.Job) []int {
-			p := j.Payload.(sched.Pair)
-			return []int{p.I, p.J}
-		},
-		Sizes: sizes,
-	}
-	shardBytes := make([]int64, cfg.Chips)
-	for c, shard := range shards {
-		if len(shard) > 0 {
-			shardBytes[c] = shardWireBytes(shard, lengths)
-		}
-	}
-
-	load := pr.Dataset.TotalResidues()
-	if cfg.Affinity {
-		// Deal each shard onto its own chip's workers, exactly as the
-		// flat affinity path deals the whole pair list; job IDs stay
-		// globally unique across chips and queues.
-		queues := make([][][]rckskel.Job, cfg.Chips)
-		idBase := 0
-		for c, shard := range shards {
-			if len(shard) == 0 {
-				continue
-			}
-			sess := ms.ChipSession(c)
-			workers := len(sess.Placement().WorkerLeads)
-			assign := sched.AffinityAssign(shard, workers, tile, sched.LengthProductCost(lengths))
-			qs := make([][]rckskel.Job, len(assign))
-			for w, ps := range assign {
-				jobs, err := farm.BuildJobs(ps, idBase, pairBytes(lengths))
-				if err != nil {
-					return RunResult{}, err
-				}
-				idBase += len(ps)
-				qs[w] = sess.PrepareJobs(jobs, wm)
-			}
-			queues[c] = qs
-		}
-		rep, err := ms.RunAffinity(load, queues, shardBytes)
-		rep.Prune = cfg.Prune
-		return RunResult{Report: rep}, err
-	}
-
-	queues := make([][]rckskel.Job, cfg.Chips)
-	idBase := 0
-	for c, shard := range shards {
-		if len(shard) == 0 {
-			continue
-		}
-		jobs, err := farm.BuildJobs(shard, idBase, pairBytes(lengths))
-		if err != nil {
-			return RunResult{}, err
-		}
-		idBase += len(shard)
-		queues[c] = ms.ChipSession(c).PrepareJobs(jobs, wm)
-	}
-
-	rep, err := ms.Run(load, queues, shardBytes)
+	rep, err := run()
 	rep.Prune = cfg.Prune
 	return RunResult{Report: rep}, err
 }

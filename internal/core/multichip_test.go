@@ -12,10 +12,11 @@ import (
 )
 
 // TestMultiChipOneChipIsFlat is the contract that makes the multi-chip
-// axis safe to expose everywhere: a 1-chip (or unset) MultiChipConfig
-// reproduces the flat run identically — reports DeepEqual, same
-// collection sequence — in the classic, wire-model and fault-tolerant
-// configurations alike.
+// and memory-budget axes safe to expose everywhere: a 1-chip (or unset)
+// MultiChipConfig reproduces the flat run identically — reports
+// DeepEqual, same collection sequence — in the classic, wire-model and
+// fault-tolerant configurations alike, and so does a budget the whole
+// dataset fits in: flat is the one-stage, one-shard case.
 func TestMultiChipOneChipIsFlat(t *testing.T) {
 	pr := synthCK34PR()
 	base, err := Run(pr, 12, DefaultConfig())
@@ -41,12 +42,20 @@ func TestMultiChipOneChipIsFlat(t *testing.T) {
 			}
 			return cfg
 		}},
+		{"resident budget", func() Config {
+			cfg := DefaultConfig()
+			cfg.MemoryBudgetResidues = pr.Dataset.TotalResidues()
+			return cfg
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(multi bool) (RunResult, []int) {
 				var order []int
 				cfg := tc.cfg()
+				if !multi {
+					cfg.MemoryBudgetResidues = 0
+				}
 				cfg.Collector = farm.CollectorFunc(func(r rckskel.Result) { order = append(order, r.JobID) })
 				var r RunResult
 				var err error

@@ -1,0 +1,132 @@
+package core
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"rckalign/internal/farm"
+	"rckalign/internal/fault"
+	"rckalign/internal/sched"
+)
+
+// TestCompositionMatrix is the contract of the one run pipeline: every
+// {run shape} x {feature} cell either collects every pair with scores
+// byte-identical to the flat run's and shows the feature's trace in the
+// report, or returns the documented ConflictError. No cell may silently
+// ignore its feature. DESIGN.md's composition table is this test's
+// table.
+func TestCompositionMatrix(t *testing.T) {
+	pr := synthScoredCK34()
+	want := scoresDump(t, pr, 1, nil)
+	base, err := Run(pr, 12, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	shapes := []struct {
+		name string
+		mut  func(*MultiChipConfig)
+	}{
+		{"flat", func(*MultiChipConfig) {}},
+		{"budget", func(c *MultiChipConfig) { c.MemoryBudgetResidues = pr.Dataset.TotalResidues() / 3 }},
+		{"chips=2", func(c *MultiChipConfig) { c.Chips = 2 }},
+		{"hierarchy=2", func(c *MultiChipConfig) { c.Hierarchy = 2 }},
+	}
+	kill := fault.Plan{Seed: 3, Kills: []fault.CoreFailure{{Core: 5, At: 0.25 * base.TotalSeconds}}}
+	features := []struct {
+		name string
+		mut  func(*MultiChipConfig)
+		// applied reports whether the run visibly honoured the feature,
+		// given the same shape's featureless run.
+		applied func(plain, r RunResult) bool
+		// conflicts names, per shape, the Config field the feature
+		// conflicts with (its own field is ConflictError.B, or .A for
+		// Affinity x Faults).
+		conflicts map[string]ConflictError
+	}{
+		{"cache+batch",
+			func(c *MultiChipConfig) { c.CacheStructs = -1; c.Batch = 8 },
+			func(_, r RunResult) bool { return r.Wire != nil && r.Wire.Batches > 0 && r.Wire.CacheHits > 0 },
+			map[string]ConflictError{"hierarchy=2": {"Hierarchy", "CacheStructs/Batch/Affinity"}}},
+		{"affinity",
+			func(c *MultiChipConfig) { c.Affinity = true; c.CacheStructs = 8 },
+			func(plain, r RunResult) bool {
+				return r.Wire != nil && r.Wire.CacheHits > 0 && !reflect.DeepEqual(r.FarmStats.JobsPerSlave, plain.FarmStats.JobsPerSlave)
+			},
+			map[string]ConflictError{"hierarchy=2": {"Hierarchy", "CacheStructs/Batch/Affinity"}}},
+		{"empty fault plan",
+			func(c *MultiChipConfig) { c.Faults = &fault.Plan{} },
+			func(_, r RunResult) bool { return r.Faults != nil },
+			map[string]ConflictError{
+				"budget":      {"MemoryBudgetResidues", "Faults"},
+				"hierarchy=2": {"Hierarchy", "Faults"},
+			}},
+		{"kill plan",
+			func(c *MultiChipConfig) { plan := kill; c.Faults = &plan },
+			func(_, r RunResult) bool { return r.Faults != nil && r.Faults.Injected.CoresKilled == 1 },
+			map[string]ConflictError{
+				"budget":      {"MemoryBudgetResidues", "Faults"},
+				"hierarchy=2": {"Hierarchy", "Faults"},
+			}},
+		{"threads=2",
+			func(c *MultiChipConfig) { c.ThreadsPerWorker = 2 },
+			func(plain, r RunResult) bool { return r.Workers*2 == plain.Workers },
+			map[string]ConflictError{"hierarchy=2": {"Hierarchy", "ThreadsPerWorker"}}},
+		{"LPT",
+			func(c *MultiChipConfig) { c.Order = sched.LPT },
+			func(plain, r RunResult) bool { return r.TotalSeconds != plain.TotalSeconds },
+			nil},
+	}
+
+	for _, shape := range shapes {
+		cfg := MultiChipConfig{Config: DefaultConfig()}
+		shape.mut(&cfg)
+		dump, plain, err := scoresRun(t, pr, cfg)
+		if err != nil || dump != want {
+			t.Fatalf("%s: featureless run: err %v, scores identical to flat: %t", shape.name, err, dump == want)
+		}
+		if (shape.name == "budget") != (plain.Tiled != nil) || (shape.name == "chips=2") != (plain.Interchip != nil) {
+			t.Errorf("%s: report blocks Tiled=%v Interchip=%v do not match the shape", shape.name, plain.Tiled, plain.Interchip)
+		}
+		for _, feat := range features {
+			t.Run(shape.name+"/"+feat.name, func(t *testing.T) {
+				cfg := cfg
+				feat.mut(&cfg)
+				dump, r, err := scoresRun(t, pr, cfg)
+				if conflict, ok := feat.conflicts[shape.name]; ok {
+					if !errors.Is(err, conflict) {
+						t.Fatalf("err = %v, want %v", err, conflict)
+					}
+					if (conflict.B == "Faults") != errors.Is(err, farm.ErrFaultsUnsupported) {
+						t.Errorf("errors.Is(%v, ErrFaultsUnsupported) = %t", err, conflict.B != "Faults")
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Collected != len(pr.Pairs) || dump != want {
+					t.Errorf("collected %d of %d pairs, scores identical to flat: %t", r.Collected, len(pr.Pairs), dump == want)
+				}
+				if !feat.applied(plain, r) {
+					t.Errorf("feature left no trace in the report:\nplain %+v\n  got %+v", plain.Report, r.Report)
+				}
+			})
+		}
+	}
+}
+
+// TestValidateIsConfigOnly pins that the conflicts are decided from the
+// config alone — before any workload exists — which is what lets the
+// CLI reject them before loading a dataset.
+func TestValidateIsConfigOnly(t *testing.T) {
+	cfg := MultiChipConfig{Config: DefaultConfig(), Chips: 2}
+	cfg.MemoryBudgetResidues = 1 << 30 // would cover any dataset
+	if err := cfg.Validate(); !errors.Is(err, ConflictError{"MemoryBudgetResidues", "Chips"}) {
+		t.Errorf("Validate() = %v, want the budget x chips conflict", err)
+	}
+	if _, err := RunMultiChip(nil, 8, cfg); !reflect.DeepEqual(err, cfg.Validate()) {
+		t.Errorf("RunMultiChip did not return Validate's error first: %v", err)
+	}
+}

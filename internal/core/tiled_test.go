@@ -1,8 +1,16 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 )
+
+// budgeted returns the default config under a master memory budget.
+func budgeted(residues int) Config {
+	cfg := DefaultConfig()
+	cfg.MemoryBudgetResidues = residues
+	return cfg
+}
 
 func totalResidues(pr *PairResults) int {
 	n := 0
@@ -47,21 +55,23 @@ func TestBlockPartition(t *testing.T) {
 func TestRunTiledCompletesAllPairs(t *testing.T) {
 	pr := smallPR
 	budget := totalResidues(pr) / 2 // forces multiple blocks
-	cfg := DefaultTiledConfig(budget)
-	r, err := RunTiled(pr, 4, cfg)
+	r, err := Run(pr, 4, budgeted(budget))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Collected != len(pr.Pairs) {
 		t.Fatalf("collected %d of %d pairs", r.Collected, len(pr.Pairs))
 	}
-	if r.Blocks < 2 {
-		t.Errorf("expected multiple blocks, got %d", r.Blocks)
+	if r.Tiled == nil {
+		t.Fatal("budgeted run has no Tiled report block")
 	}
-	if r.BlockLoads <= r.Blocks {
-		t.Errorf("off-diagonal tiles should force reloads: %d loads for %d blocks", r.BlockLoads, r.Blocks)
+	if r.Tiled.Blocks < 2 {
+		t.Errorf("expected multiple blocks, got %d", r.Tiled.Blocks)
 	}
-	if r.ReloadSeconds <= 0 {
+	if r.Tiled.BlockLoads <= r.Tiled.Blocks {
+		t.Errorf("off-diagonal tiles should force reloads: %d loads for %d blocks", r.Tiled.BlockLoads, r.Tiled.Blocks)
+	}
+	if r.Tiled.ReloadSeconds <= 0 {
 		t.Error("no reload time recorded")
 	}
 }
@@ -72,16 +82,18 @@ func TestRunTiledUnlimitedBudgetMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultTiledConfig(0) // 0 = unlimited
-	r, err := RunTiled(pr, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Blocks != 1 {
-		t.Errorf("unlimited budget used %d blocks", r.Blocks)
-	}
-	if r.TotalSeconds != flat.TotalSeconds {
-		t.Errorf("unlimited tiled (%v) != flat (%v)", r.TotalSeconds, flat.TotalSeconds)
+	// 0 = unlimited; a budget the whole dataset fits in is the same run.
+	for _, budget := range []int{0, totalResidues(pr)} {
+		r, err := Run(pr, 4, budgeted(budget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Tiled != nil {
+			t.Errorf("budget %d: resident dataset reported a block schedule %+v", budget, r.Tiled)
+		}
+		if !reflect.DeepEqual(r, flat) {
+			t.Errorf("budget %d: report differs from flat:\n got %+v\nwant %+v", budget, r.Report, flat.Report)
+		}
 	}
 }
 
@@ -93,8 +105,7 @@ func TestRunTiledOverheadBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultTiledConfig(totalResidues(pr) / 2)
-	r, err := RunTiled(pr, 4, cfg)
+	r, err := Run(pr, 4, budgeted(totalResidues(pr)/2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,28 +123,27 @@ func TestRunTiledOverheadBounded(t *testing.T) {
 
 func TestRunTiledValidation(t *testing.T) {
 	pr := smallPR
-	if _, err := RunTiled(pr, 0, DefaultTiledConfig(1000)); err == nil {
+	if _, err := Run(pr, 0, budgeted(1000)); err == nil {
 		t.Error("0 slaves accepted")
 	}
 	// Budget smaller than twice the largest chain must fail.
-	cfg := DefaultTiledConfig(10)
-	if _, err := RunTiled(pr, 4, cfg); err == nil {
+	if _, err := Run(pr, 4, budgeted(10)); err == nil {
 		t.Error("tiny budget accepted")
 	}
 }
 
 func TestRunTiledDeterministic(t *testing.T) {
 	pr := smallPR
-	cfg := DefaultTiledConfig(totalResidues(pr) / 2)
-	a, err := RunTiled(pr, 3, cfg)
+	cfg := budgeted(totalResidues(pr) / 2)
+	a, err := Run(pr, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTiled(pr, 3, cfg)
+	b, err := Run(pr, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.TotalSeconds != b.TotalSeconds || a.BlockLoads != b.BlockLoads {
+	if !reflect.DeepEqual(a, b) {
 		t.Error("tiled run not deterministic")
 	}
 }

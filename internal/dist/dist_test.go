@@ -5,13 +5,14 @@ import (
 
 	"rckalign/internal/core"
 	"rckalign/internal/costmodel"
+	"rckalign/internal/pairstore"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
 )
 
 var smallPR = func() *core.PairResults {
 	ds := synth.Small(8, 77)
-	return core.ComputeAllPairs(ds, tmalign.FastOptions(), 0)
+	return core.ComputeAllPairsShared(ds, tmalign.FastOptions(), pairstore.New(0))
 }()
 
 func TestRunCollectsAll(t *testing.T) {

@@ -113,7 +113,7 @@ func LoadCK34Only(cacheDir string, opt tmalign.Options) (*Env, error) {
 	if cacheDir != "" {
 		path = filepath.Join(cacheDir, "CK34.gob")
 	}
-	pr, err := core.ComputeOrLoad(ds, opt, path, 0)
+	pr, err := core.ComputeOrLoadShared(ds, opt, path, pairstore.New(0))
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rckalign/internal/core"
+	"rckalign/internal/pairstore"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
 )
@@ -13,7 +14,7 @@ import (
 // be exercised without the full CK34/RS119 native compute.
 func smallEnv() *Env {
 	ds := synth.Small(8, 31)
-	pr := core.ComputeAllPairs(ds, tmalign.FastOptions(), 0)
+	pr := core.ComputeAllPairsShared(ds, tmalign.FastOptions(), pairstore.New(0))
 	return &Env{CK34: pr}
 }
 

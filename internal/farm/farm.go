@@ -1,12 +1,12 @@
 // Package farm is the unified run harness beneath every master–slaves
-// execution path in this repository (core.Run, the hierarchical and
-// tiled variants, the distributed MCPC baseline and the multi-criteria
-// PSC farms). It owns the pieces those paths used to duplicate:
-// simulation runtime construction (engine + chip + comm) behind a
-// pluggable Backend, slave placement (master skip, thread-grouped tile
-// workers, contiguous method partitions), job building, master spawn,
-// result collection through a pluggable Collector, termination, and a
-// uniform Report with per-core utilization derived from trace.
+// execution path in this repository (core's run pipeline, the
+// distributed MCPC baseline and the multi-criteria PSC farms). It owns
+// the pieces those paths used to duplicate: simulation runtime
+// construction (engine + chip + comm) behind a pluggable Backend, slave
+// placement (master skip, thread-grouped tile workers, contiguous method
+// partitions), job building, master spawn, result collection through a
+// pluggable Collector, termination, and a uniform Report with per-core
+// utilization derived from trace.
 //
 // A path composes a Session instead of copying a 150-line run function:
 //
@@ -218,6 +218,23 @@ type Report struct {
 	// workload before farming (nil when pruning was off): pairs examined
 	// and skipped, the bound distribution and the filter's own DP cost.
 	Prune *prune.Report
+	// Tiled summarises the out-of-core block schedule of a run under a
+	// master memory budget (nil when the whole dataset was resident).
+	Tiled *TiledReport
+}
+
+// TiledReport is the Report block for runs whose master holds only part
+// of the dataset at a time: the load schedule replaces the one-time
+// load, so Report.LoadSeconds stays 0 and ReloadSeconds carries the
+// loading cost instead.
+type TiledReport struct {
+	// Blocks is the number of dataset blocks the budget forced.
+	Blocks int
+	// BlockLoads counts block load events (including reloads).
+	BlockLoads int
+	// ReloadSeconds is the total simulated time spent (re)loading
+	// blocks from storage.
+	ReloadSeconds float64
 }
 
 // ChipReport is one chip's slice of a multi-chip Report.
@@ -467,11 +484,6 @@ func (s *Session) FaultTolerant() bool { return s.cfg.Faults != nil }
 
 // Injector returns the armed fault injector (nil on the classic path).
 func (s *Session) Injector() *fault.Injector { return s.injector }
-
-// SetJobDeadline overrides the fault-tolerant job deadline after
-// construction; core.Run uses it to install a workload-derived deadline
-// when the config left JobDeadlineSeconds at zero.
-func (s *Session) SetJobDeadline(seconds float64) { s.cfg.FT.JobDeadlineSeconds = seconds }
 
 // ValidateJobs rejects nil or empty job lists with ErrNoJobs and jobs
 // with a non-positive static wire size with rckskel.ErrJobBytes; run
@@ -773,6 +785,47 @@ func (m *Master) FarmDynamic(next func(slave int) (rckskel.Job, bool), collect f
 	})
 	m.s.mergeStats(st)
 	return st, nil
+}
+
+// Work is one master's prepared workload: a single job queue every
+// slave draws from (Jobs: the paper's FARM, FARMFT under a fault plan)
+// or one pull queue per slave group (Queues: cache-affinity deals,
+// per-method partitions). An empty Work farms nothing.
+type Work struct {
+	Jobs   []rckskel.Job
+	Queues [][]rckskel.Job
+	// QueueOf maps a slave core to its index in Queues; nil gives worker
+	// w of the placement queue w.
+	QueueOf map[int]int
+}
+
+// FarmWork farms w on the default team, routing every result through
+// the session's collection bookkeeping and then collect (may be nil).
+func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) error {
+	if w.Queues == nil {
+		if len(w.Jobs) > 0 {
+			m.Farm(w.Jobs, collect)
+		}
+		return nil
+	}
+	queueOf := w.QueueOf
+	if queueOf == nil {
+		queueOf = map[int]int{}
+		for i, lead := range m.s.place.WorkerLeads {
+			queueOf[lead] = i
+		}
+	}
+	heads := make([]int, len(w.Queues))
+	_, err := m.FarmDynamic(func(slave int) (rckskel.Job, bool) {
+		q := queueOf[slave]
+		if heads[q] >= len(w.Queues[q]) {
+			return rckskel.Job{}, false
+		}
+		j := w.Queues[q][heads[q]]
+		heads[q]++
+		return j, true
+	}, collect)
+	return err
 }
 
 // MergeStats folds an externally executed farm's statistics into the

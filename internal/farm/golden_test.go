@@ -21,6 +21,7 @@ import (
 	"rckalign/internal/farm"
 	"rckalign/internal/fault"
 	"rckalign/internal/mcpsc"
+	"rckalign/internal/pairstore"
 	"rckalign/internal/sched"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
@@ -92,7 +93,7 @@ var (
 // dataset (deterministic, shared across subtests).
 func goldenPairs() *core.PairResults {
 	goldenPROnce.Do(func() {
-		goldenPR = core.ComputeAllPairs(synth.Small(8, 77), tmalign.FastOptions(), 0)
+		goldenPR = core.ComputeAllPairsShared(synth.Small(8, 77), tmalign.FastOptions(), pairstore.New(0))
 	})
 	return goldenPR
 }
@@ -191,9 +192,13 @@ func TestGoldenCoreRuns(t *testing.T) {
 			return r, 0, 0, 0, err
 		},
 		"core-tiled-s4": func() (core.RunResult, int, int, float64, error) {
-			budget := pr.Dataset.TotalResidues() * 2 / 5
-			r, err := core.RunTiled(pr, 4, core.DefaultTiledConfig(budget))
-			return r.RunResult, r.Blocks, r.BlockLoads, r.ReloadSeconds, err
+			cfg := core.DefaultConfig()
+			cfg.MemoryBudgetResidues = pr.Dataset.TotalResidues() * 2 / 5
+			r, err := core.Run(pr, 4, cfg)
+			if err != nil {
+				return r, 0, 0, 0, err
+			}
+			return r, r.Tiled.Blocks, r.Tiled.BlockLoads, r.Tiled.ReloadSeconds, nil
 		},
 	}
 	for _, want := range g.Farm {
@@ -403,9 +408,10 @@ func TestGoldenZeroPlanEquivalence(t *testing.T) {
 		}
 	})
 	t.Run("core-tiled-s4", func(t *testing.T) {
-		tcfg := core.DefaultTiledConfig(pr.Dataset.TotalResidues() * 2 / 5)
+		tcfg := core.DefaultConfig()
+		tcfg.MemoryBudgetResidues = pr.Dataset.TotalResidues() * 2 / 5
 		tcfg.Faults = &fault.Plan{}
-		if _, err := core.RunTiled(pr, 4, tcfg); !errors.Is(err, farm.ErrFaultsUnsupported) {
+		if _, err := core.Run(pr, 4, tcfg); !errors.Is(err, farm.ErrFaultsUnsupported) {
 			t.Errorf("tiled run with a plan: err = %v, want ErrFaultsUnsupported", err)
 		}
 	})

@@ -26,7 +26,7 @@ func BuildJobs(pairs []sched.Pair, idBase int, bytes func(p sched.Pair) int) ([]
 
 // Sweep runs one farm execution per slave count and collects the
 // results in order, stopping at the first error — the shared shape of
-// the paper's Experiment II sweeps (core, dist and tiled).
+// the paper's Experiment II sweeps (core and dist).
 func Sweep[R any](slaveCounts []int, run func(slaves int) (R, error)) ([]R, error) {
 	out := make([]R, 0, len(slaveCounts))
 	for _, n := range slaveCounts {

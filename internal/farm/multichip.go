@@ -21,7 +21,6 @@ import (
 
 	"rckalign/internal/fault"
 	"rckalign/internal/interchip"
-	"rckalign/internal/metrics"
 	"rckalign/internal/rcce"
 	"rckalign/internal/rckskel"
 	"rckalign/internal/scc"
@@ -99,57 +98,28 @@ func (b MultiChip) NewRuntime() Runtime {
 
 // MultiConfig describes one multi-chip farm session.
 type MultiConfig struct {
-	// Backend is the chip topology (Chips >= 2).
-	Backend MultiChip
-	// SlavesPerChip is the slave-core count on every chip (the chip
-	// master occupies core 0, so at most NumCores-1).
-	SlavesPerChip int
-	// ThreadsPerWorker / ThreadEfficiency / PollingScale as in Config,
-	// applied identically on every chip.
-	ThreadsPerWorker int
-	ThreadEfficiency float64
-	PollingScale     float64
-	// Trace / Metrics / Collector as in Config, shared by all chips
-	// (metric keys are scoped per chip).
-	Trace     *trace.Recorder
-	Metrics   *metrics.Registry
-	Collector Collector
-	// Batch / CacheStructs as in Config, applied per chip — each chip
-	// session owns an independent cache model, so the wire accounting
-	// splits naturally per interconnect tier.
-	Batch        int
-	CacheStructs int
+	// Config is the per-chip session template, applied identically on
+	// every chip: Slaves is the per-chip slave count (each chip's master
+	// occupies its core 0, so at most NumCores-1), Trace / Metrics /
+	// Collector are shared by all chips (metric keys are scoped per
+	// chip), and each chip session owns an independent cache model, so
+	// the wire accounting splits naturally per interconnect tier.
+	// Backend and MasterCore are set per chip from Board. Faults, when
+	// non-nil, carries global core ids (chip = id / coresPerChip) and is
+	// split per chip with fault.SplitPlan; every chip — faulted or not —
+	// then runs the fault-tolerant protocol, keeping the shards'
+	// dispatch machinery uniform.
+	Config
+	// Board is the chip topology (Chips >= 2).
+	Board MultiChip
 	// Gather selects the result-aggregation topology (zero value = a
 	// gather tree of DefaultGatherArity, one blob per shard).
 	Gather GatherConfig
-	// Faults, when non-nil, runs every chip session fault-tolerantly:
-	// the plan's core ids are global across the board (chip = id /
-	// coresPerChip) and are split per chip with fault.SplitPlan, so
-	// FARMFT runs on each shard with that chip's slice of the plan.
-	// Every chip — faulted or not — runs the fault-tolerant protocol,
-	// keeping the shards' dispatch machinery uniform.
-	Faults *fault.Plan
-	// FT tunes the fault-tolerant farm on every chip (ignored when
-	// Faults is nil).
-	FT rckskel.FTConfig
-	// Dynamic declares that shards will be farmed through RunAffinity
-	// (per-worker pull queues); Dynamic and Faults together are
-	// rejected at construction, exactly as on the flat path.
-	Dynamic bool
-}
-
-// shardWork is one chip's prepared workload: either a single job queue
-// (classic FARM) or per-worker queues (affinity / FarmDynamic). An
-// empty shardWork farms nothing.
-type shardWork struct {
-	jobs   []rckskel.Job
-	queues [][]rckskel.Job
 }
 
 // MultiSession is a constructed multi-chip farm: one chip-level Session
-// per chip on a shared runtime. Start slaves per chip, prepare each
-// chip's job queue through its session (ChipSession(c).PrepareJobs),
-// then call Run (or RunAffinity).
+// per chip on a shared runtime. Through each ChipSession(c), start the
+// chip's slaves and prepare its Work (PrepareJobs); then call Run.
 type MultiSession struct {
 	cfg      MultiConfig
 	gather   GatherConfig
@@ -170,8 +140,8 @@ type MultiSession struct {
 // and per-chip sessions (each with its slice of the fault plan, when
 // one is configured).
 func NewMultiSession(cfg MultiConfig) (*MultiSession, error) {
-	if cfg.Backend.Chips < 2 {
-		return nil, fmt.Errorf("%w (got %d)", ErrChipCount, cfg.Backend.Chips)
+	if cfg.Board.Chips < 2 {
+		return nil, fmt.Errorf("%w (got %d)", ErrChipCount, cfg.Board.Chips)
 	}
 	gather, err := cfg.Gather.resolved()
 	if err != nil {
@@ -179,7 +149,7 @@ func NewMultiSession(cfg MultiConfig) (*MultiSession, error) {
 	}
 	var plans []*fault.Plan
 	if cfg.Faults != nil {
-		plans, err = fault.SplitPlan(cfg.Faults, cfg.Backend.Chips, cfg.Backend.Chip.NumCores())
+		plans, err = fault.SplitPlan(cfg.Faults, cfg.Board.Chips, cfg.Board.Chip.NumCores())
 		if err != nil {
 			return nil, fmt.Errorf("farm: %w: %v", ErrFaultPlan, err)
 		}
@@ -188,33 +158,22 @@ func NewMultiSession(cfg MultiConfig) (*MultiSession, error) {
 	if rec == nil {
 		rec = trace.New()
 	}
-	rt := cfg.Backend.NewRuntime()
+	rt := cfg.Board.NewRuntime()
 	if cfg.Metrics != nil {
 		rt.Fabric.SetMetrics(cfg.Metrics)
 	}
 	ms := &MultiSession{
 		cfg: cfg, gather: gather, rt: rt, rec: rec,
-		shardBytes:   make([]int64, cfg.Backend.Chips),
-		resultBytes:  make([]int64, cfg.Backend.Chips),
-		perPairBytes: make([]int64, cfg.Backend.Chips),
+		shardBytes:   make([]int64, cfg.Board.Chips),
+		resultBytes:  make([]int64, cfg.Board.Chips),
+		perPairBytes: make([]int64, cfg.Board.Chips),
 		gatherLat:    map[int][]float64{},
 	}
-	for c := 0; c < cfg.Backend.Chips; c++ {
-		scfg := Config{
-			Backend:          SCCSim{Chip: rt.Chips[c].Config()},
-			MasterCore:       0,
-			Slaves:           cfg.SlavesPerChip,
-			ThreadsPerWorker: cfg.ThreadsPerWorker,
-			ThreadEfficiency: cfg.ThreadEfficiency,
-			PollingScale:     cfg.PollingScale,
-			Trace:            rec,
-			Metrics:          cfg.Metrics,
-			Collector:        cfg.Collector,
-			Batch:            cfg.Batch,
-			CacheStructs:     cfg.CacheStructs,
-			Dynamic:          cfg.Dynamic,
-			FT:               cfg.FT,
-		}
+	for c := 0; c < cfg.Board.Chips; c++ {
+		scfg := cfg.Config
+		scfg.Backend = SCCSim{Chip: rt.Chips[c].Config()}
+		scfg.MasterCore = 0
+		scfg.Trace = rec
 		if plans != nil {
 			scfg.Faults = plans[c]
 		}
@@ -233,7 +192,7 @@ func NewMultiSession(cfg MultiConfig) (*MultiSession, error) {
 }
 
 // Chips returns the chip count.
-func (ms *MultiSession) Chips() int { return ms.cfg.Backend.Chips }
+func (ms *MultiSession) Chips() int { return ms.cfg.Board.Chips }
 
 // Gather returns the resolved gather topology.
 func (ms *MultiSession) Gather() GatherConfig { return ms.gather }
@@ -241,35 +200,9 @@ func (ms *MultiSession) Gather() GatherConfig { return ms.gather }
 // Runtime returns the shared runtime (engine, chips, fabric).
 func (ms *MultiSession) Runtime() Runtime { return ms.rt }
 
-// ChipSession returns chip c's Session (for PrepareJobs, placement
-// inspection and custom slave start).
+// ChipSession returns chip c's Session (for slave start, PrepareJobs and
+// placement inspection).
 func (ms *MultiSession) ChipSession(c int) *Session { return ms.sessions[c] }
-
-// SetJobDeadline installs the fault-tolerant job deadline on every chip
-// session (multi-chip analogue of Session.SetJobDeadline).
-func (ms *MultiSession) SetJobDeadline(seconds float64) {
-	for _, s := range ms.sessions {
-		s.SetJobDeadline(seconds)
-	}
-}
-
-// StartSlaves spawns every chip's slave loops with the same handler
-// (the fault-tolerant variant on every chip when a fault plan is
-// configured).
-func (ms *MultiSession) StartSlaves(h rckskel.Handler) {
-	for _, s := range ms.sessions {
-		s.StartSlaves(h)
-	}
-}
-
-// shardMsg hands a chip its workload; the modelled fabric bytes are the
-// shard descriptor plus the structure payloads (computed by the caller,
-// who owns the wire model). Exactly one of jobs/queues is set (queues
-// for affinity farming).
-type shardMsg struct {
-	jobs   []rckskel.Job
-	queues [][]rckskel.Job
-}
 
 // aggMsg is one aggregate result blob travelling up the gather
 // topology: origin chip, summarised result count and their payload
@@ -350,80 +283,27 @@ func (ms *MultiSession) noteErr(err error) {
 	}
 }
 
-// farmShard runs one chip's workload on its own team: classic FARM (or
-// FARMFT) for a single queue, FarmDynamic pull scheduling for per-worker
-// affinity queues. collect observes every result (may be nil).
-func farmShard(m *Master, w shardWork, collect func(rckskel.Result)) error {
-	if w.queues != nil {
-		queueOf := map[int]int{}
-		for i, lead := range m.Session().Placement().WorkerLeads {
-			queueOf[lead] = i
-		}
-		heads := make([]int, len(w.queues))
-		_, err := m.FarmDynamic(func(slave int) (rckskel.Job, bool) {
-			q := queueOf[slave]
-			if heads[q] >= len(w.queues[q]) {
-				return rckskel.Job{}, false
-			}
-			j := w.queues[q][heads[q]]
-			heads[q]++
-			return j, true
-		}, collect)
-		return err
-	}
-	if len(w.jobs) > 0 {
-		m.Farm(w.jobs, collect)
-	}
-	return nil
-}
-
-// Run executes the multi-chip farm: queues[c] is chip c's prepared job
-// queue (possibly empty), shardBytes[c] the fabric cost of handing
+// Run executes the multi-chip farm: work[c] is chip c's prepared
+// workload (possibly empty), shardBytes[c] the fabric cost of handing
 // chip c its shard (ignored for chip 0), loadResidues the root's
 // one-time dataset load. It spawns every sub-master and the root,
 // drives the shared engine to completion, and returns the combined
 // report.
-func (ms *MultiSession) Run(loadResidues int, queues [][]rckskel.Job, shardBytes []int64) (Report, error) {
-	n := ms.Chips()
-	if len(queues) != n || len(shardBytes) != n {
-		return Report{}, fmt.Errorf("farm: multi-chip run wants %d queues and shard sizes, got %d and %d",
-			n, len(queues), len(shardBytes))
-	}
-	work := make([]shardWork, n)
-	for c := range queues {
-		work[c] = shardWork{jobs: queues[c]}
-	}
-	return ms.run(loadResidues, work, shardBytes)
-}
-
-// RunAffinity is Run with per-worker pull queues: queues[c][w] is the
-// job queue of chip c's worker w (the cache-affinity deal). The session
-// must have been constructed with Dynamic set.
-func (ms *MultiSession) RunAffinity(loadResidues int, queues [][][]rckskel.Job, shardBytes []int64) (Report, error) {
-	n := ms.Chips()
-	if len(queues) != n || len(shardBytes) != n {
-		return Report{}, fmt.Errorf("farm: multi-chip run wants %d queue sets and shard sizes, got %d and %d",
-			n, len(queues), len(shardBytes))
-	}
-	work := make([]shardWork, n)
-	for c := range queues {
-		work[c] = shardWork{queues: queues[c]}
-	}
-	return ms.run(loadResidues, work, shardBytes)
-}
-
-// run spawns the sub-masters and the root and drives the shared engine.
 //
-// Protocol: the root scatters one shardMsg per remote chip, then farms
-// its own shard. A sub-master receives its shard (always the first
-// message in its FIFO inbox: the root scatters in chip order before any
-// results can flow), farms it while aggregating results, flushes its
-// blob(s) toward its gather parent, then relays its children's blobs
-// upward and forwards a gatherDone once every child subtree reported.
-// The root drains blobs and gatherDone markers from its direct children
-// only — O(arity) flows instead of one stream per chip per pair.
-func (ms *MultiSession) run(loadResidues int, work []shardWork, shardBytes []int64) (Report, error) {
+// Protocol: the root scatters one Work per remote chip, then farms its
+// own shard. A sub-master receives its shard (always the first message
+// in its FIFO inbox: the root scatters in chip order before any results
+// can flow), farms it while aggregating results, flushes its blob(s)
+// toward its gather parent, then relays its children's blobs upward and
+// forwards a gatherDone once every child subtree reported. The root
+// drains blobs and gatherDone markers from its direct children only —
+// O(arity) flows instead of one stream per chip per pair.
+func (ms *MultiSession) Run(loadResidues int, work []Work, shardBytes []int64) (Report, error) {
 	n := ms.Chips()
+	if len(work) != n || len(shardBytes) != n {
+		return Report{}, fmt.Errorf("farm: multi-chip run wants %d shards and shard sizes, got %d and %d",
+			n, len(work), len(shardBytes))
+	}
 	fabric := ms.rt.Fabric
 	copy(ms.shardBytes, shardBytes)
 	ms.shardBytes[0] = 0
@@ -435,9 +315,8 @@ func (ms *MultiSession) run(loadResidues int, work []shardWork, shardBytes []int
 		kids := ms.gather.Children(c, n)
 		sess.SpawnMaster("", func(m *Master) {
 			msg := fabric.Recv(m.P, c)
-			sm := msg.Payload.(shardMsg)
 			agg := &aggregator{ms: ms, m: m, chip: c, parent: parent}
-			ms.noteErr(farmShard(m, shardWork{jobs: sm.jobs, queues: sm.queues}, agg.collect))
+			ms.noteErr(m.FarmWork(msg.Payload.(Work), agg.collect))
 			agg.flush()
 			m.Terminate()
 			for pending := len(kids); pending > 0; {
@@ -462,9 +341,9 @@ func (ms *MultiSession) run(loadResidues int, work []shardWork, shardBytes []int
 			m.LoadResidues(loadResidues)
 		}
 		for c := 1; c < n; c++ {
-			fabric.Send(m.P, 0, c, int(ms.shardBytes[c]), shardMsg{jobs: work[c].jobs, queues: work[c].queues})
+			fabric.Send(m.P, 0, c, int(ms.shardBytes[c]), work[c])
 		}
-		ms.noteErr(farmShard(m, work[0], nil))
+		ms.noteErr(m.FarmWork(work[0], nil))
 		m.Terminate()
 		// Gather: aggregate blobs and gather-done markers arrive through
 		// the root inbox from the root's direct children only; per-pair
@@ -493,11 +372,11 @@ func (ms *MultiSession) run(loadResidues int, work []shardWork, shardBytes []int
 func (ms *MultiSession) finalize() Report {
 	n := ms.Chips()
 	root := ms.sessions[0]
-	coresPerChip := ms.cfg.Backend.Chip.NumCores()
+	coresPerChip := ms.cfg.Board.Chip.NumCores()
 
 	rep := Report{
-		Backend:              ms.cfg.Backend.Name(),
-		Slaves:               n * ms.cfg.SlavesPerChip,
+		Backend:              ms.cfg.Board.Name(),
+		Slaves:               n * ms.cfg.Slaves,
 		Chips:                n,
 		LoadSeconds:          root.rep.LoadSeconds,
 		TotalSeconds:         root.rep.TotalSeconds,

@@ -19,27 +19,45 @@ func multiChipRun(t *testing.T, chips, slaves int, queues [][]rckskel.Job, reg *
 	t.Helper()
 	var collected []int
 	ms, err := NewMultiSession(MultiConfig{
-		Backend:       MultiChip{Chips: chips, Chip: scc.DefaultConfig()},
-		SlavesPerChip: slaves,
-		PollingScale:  1,
-		Metrics:       reg,
-		Collector:     CollectorFunc(func(r rckskel.Result) { collected = append(collected, r.JobID) }),
+		Board: MultiChip{Chips: chips, Chip: scc.DefaultConfig()},
+		Config: Config{
+			Slaves:       slaves,
+			PollingScale: 1,
+			Metrics:      reg,
+			Collector:    CollectorFunc(func(r rckskel.Result) { collected = append(collected, r.JobID) }),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
+	startSlaves(ms, func(job rckskel.Job) (any, costmodel.Counter, int) {
 		return job.Payload, costmodel.Counter{ScoreEvals: 1e6}, 64
 	})
 	shardBytes := make([]int64, chips)
 	for c := range shardBytes {
 		shardBytes[c] = ShardHeaderBytes + int64(len(queues[c]))*512
 	}
-	rep, err := ms.Run(1000, queues, shardBytes)
+	rep, err := ms.Run(1000, asWork(queues), shardBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rep, collected
+}
+
+// startSlaves starts every chip's slave loops with the same handler.
+func startSlaves(ms *MultiSession, h rckskel.Handler) {
+	for c := 0; c < ms.Chips(); c++ {
+		ms.ChipSession(c).StartSlaves(h)
+	}
+}
+
+// asWork wraps per-chip job queues as classic single-queue shards.
+func asWork(queues [][]rckskel.Job) []Work {
+	work := make([]Work, len(queues))
+	for c, q := range queues {
+		work[c] = Work{Jobs: q}
+	}
+	return work
 }
 
 func synthQueues(chips, perChip int) [][]rckskel.Job {
@@ -198,25 +216,25 @@ func TestMultiChipDeterminism(t *testing.T) {
 
 func TestMultiChipValidation(t *testing.T) {
 	_, err := NewMultiSession(MultiConfig{
-		Backend:       MultiChip{Chips: 1, Chip: scc.DefaultConfig()},
-		SlavesPerChip: 3,
+		Board:  MultiChip{Chips: 1, Chip: scc.DefaultConfig()},
+		Config: Config{Slaves: 3},
 	})
 	if !errors.Is(err, ErrChipCount) {
 		t.Errorf("chips=1 error = %v, want ErrChipCount", err)
 	}
 	ms, err := NewMultiSession(MultiConfig{
-		Backend:       MultiChip{Chips: 2, Chip: scc.DefaultConfig()},
-		SlavesPerChip: 3,
+		Board:  MultiChip{Chips: 2, Chip: scc.DefaultConfig()},
+		Config: Config{Slaves: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ms.Run(0, make([][]rckskel.Job, 3), make([]int64, 3)); err == nil {
+	if _, err := ms.Run(0, make([]Work, 3), make([]int64, 3)); err == nil {
 		t.Error("expected error for mismatched queue count")
 	}
 	if _, err := NewMultiSession(MultiConfig{
-		Backend:       MultiChip{Chips: 2, Chip: scc.DefaultConfig()},
-		SlavesPerChip: 48,
+		Board:  MultiChip{Chips: 2, Chip: scc.DefaultConfig()},
+		Config: Config{Slaves: 48},
 	}); err == nil {
 		t.Error("expected per-chip slave-count error")
 	}
@@ -227,18 +245,17 @@ func TestMultiChipInterchipProfile(t *testing.T) {
 	// help. Uses the same workload at both profiles.
 	runWith := func(cfg interchip.Config) Report {
 		ms, err := NewMultiSession(MultiConfig{
-			Backend:       MultiChip{Chips: 2, Chip: scc.DefaultConfig(), Interchip: cfg},
-			SlavesPerChip: 3,
-			PollingScale:  1,
+			Board:  MultiChip{Chips: 2, Chip: scc.DefaultConfig(), Interchip: cfg},
+			Config: Config{Slaves: 3, PollingScale: 1},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
+		startSlaves(ms, func(job rckskel.Job) (any, costmodel.Counter, int) {
 			return nil, costmodel.Counter{ScoreEvals: 1e6}, 64
 		})
 		queues := synthQueues(2, 8)
-		rep, err := ms.Run(1000, queues, []int64{0, ShardHeaderBytes + 8*512})
+		rep, err := ms.Run(1000, asWork(queues), []int64{0, ShardHeaderBytes + 8*512})
 		if err != nil {
 			t.Fatal(err)
 		}

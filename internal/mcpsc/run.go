@@ -173,7 +173,6 @@ func RunOneVsAll(ds *synth.Dataset, query int, methods []Method, slaves int, cfg
 			})
 		}
 	}
-	heads := make([]int, len(methods))
 	rb := cfg.resultBytes()
 	prefetchQueues(cfg.Store, ds, methods, queues, func(pl any) (*pdb.Structure, *pdb.Structure) {
 		p := pl.(payload)
@@ -201,15 +200,7 @@ func RunOneVsAll(ds *synth.Dataset, query int, methods []Method, slaves int, cfg
 	var farmErr error
 	rep, err := s.Run("", func(m *farm.Master) {
 		m.LoadResidues(ds.TotalResidues())
-		_, farmErr = m.FarmDynamic(func(slave int) (rckskel.Job, bool) {
-			mi := methodOf[slave]
-			if heads[mi] >= len(queues[mi]) {
-				return rckskel.Job{}, false
-			}
-			j := queues[mi][heads[mi]]
-			heads[mi]++
-			return j, true
-		}, func(r rckskel.Result) {
+		farmErr = m.FarmWork(farm.Work{Queues: queues, QueueOf: methodOf}, func(r rckskel.Result) {
 			sc := r.Payload.(Score)
 			pl := payloadOf(r.JobID, len(targets))
 			out.PerMethod[sc.Method][pl] = sc.Value
