@@ -18,8 +18,8 @@
 // budgeted stages (-membudget) or sharded across chips (-chips). The few
 // combinations no run path supports (see core's MultiChipConfig.Validate:
 // -hierarchy with -faults, the wire model, -threads, -membudget or
-// -chips; -affinity with -faults; -membudget with -faults or -chips) exit
-// 2 with a one-line diagnostic before the dataset loads.
+// -chips; -membudget with -chips) exit 2 with a one-line diagnostic
+// before the dataset loads.
 //
 // -structcache enables the slave-side structure-cache model (-1 derives
 // the per-slave capacity from the default memory budget), -batch bundles
@@ -54,8 +54,13 @@
 // both describe the last run.
 //
 // -faults takes a fault-injection spec (see internal/fault.ParseSpec),
-// e.g. "seed=1;kill=12@40;kill=30@90;drop=*>0@p0.01", and switches the
-// run onto the fault-tolerant farm protocol.
+// e.g. "seed=1;kill=12@40;kill=30@90;drop=*>0@p0.01". There is one farm
+// protocol: a spec that injects something arms its per-job deadline
+// (-deadline, or derived from the workload), retry and blacklisting,
+// while an empty one ("seed=1") leaves the run, its metrics and its
+// scores byte-identical to the plain run's. A failed job returns to the
+// queue it came from, so under -affinity a dead slave's remaining blocks
+// have no other taker and are reported lost.
 //
 // -chips N shards the pair matrix across N simulated SCC chips joined
 // by a board-level interconnect: a root master on chip 0 scatters whole
@@ -138,7 +143,6 @@ var flagOf = map[string]string{
 	"ThreadsPerWorker":            "-threads",
 	"MemoryBudgetResidues":        "-membudget",
 	"Chips":                       "-chips",
-	"Affinity":                    "-affinity",
 }
 
 // validateFlags rejects out-of-range flag values and flag combinations
@@ -241,7 +245,7 @@ func main() {
 	structCache := flag.Int("structcache", 0, "slave-side structure-cache capacity in structures (0 = off, the paper's wire; -1 = derive from the per-core memory budget)")
 	batch := flag.Int("batch", 0, "bundle up to this many jobs per request message (0 or 1 = one message per job)")
 	tile := flag.Int("tile", 0, "blocked pair-ordering tile size (0 = auto when caching/batching/affinity is on; -1 = force off)")
-	affinity := flag.Bool("affinity", false, "pin whole tile blocks to slaves (max cache reuse, coarser balance; fault-free runs only)")
+	affinity := flag.Bool("affinity", false, "pin whole tile blocks to slaves (max cache reuse, coarser balance; under -faults a dead slave's blocks are lost)")
 	scoresOut := flag.String("scores-out", "", "write the (last) run's per-pair TM-align scores, sorted by pair, to this file")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry snapshot of the (last) run as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON of the (last) run to this file")
@@ -407,9 +411,10 @@ func main() {
 				f.Injected.Delayed, f.Injected.Corrupted, f.DeadCores, f.Timeouts,
 				f.Retries, f.Reassigned, f.DetectedCorrupt, f.DuplicatesDropped,
 				f.LostJobs, f.Blacklisted)
-			if f.LostJobs > 0 {
+			// A lost job is a whole batch under -batch: count pairs.
+			if lost := len(pr.Pairs) - rep.Collected; lost > 0 {
 				fmt.Fprintf(os.Stderr, "warning: degraded completion, %d of %d pairs lost\n",
-					f.LostJobs, ds.Pairs())
+					lost, len(pr.Pairs))
 			}
 		}
 	}

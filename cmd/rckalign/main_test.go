@@ -55,15 +55,15 @@ func TestValidateFlags(t *testing.T) {
 			f.Chips = 2
 			f.Affinity = true
 			f.FaultSpec = "kill=3@10"
-		}, "-affinity"},
+		}, ""},
 		{"chips with hierarchy", func(f *cliFlags) { f.Chips = 2; f.Hierarchy = 4 }, "-hierarchy"},
 		{"chips with membudget", func(f *cliFlags) { f.Chips = 2; f.MemBudget = 5000 }, "-membudget"},
 		{"membudget with hierarchy", func(f *cliFlags) { f.MemBudget = 3000; f.Hierarchy = 2 }, "-hierarchy with -membudget"},
-		{"membudget with faults", func(f *cliFlags) { f.MemBudget = 3000; f.FaultSpec = "seed=1;kill=12@10" }, "-membudget with -faults"},
+		{"membudget with faults", func(f *cliFlags) { f.MemBudget = 3000; f.FaultSpec = "seed=1;kill=12@10" }, ""},
 		{"hierarchy with threads", func(f *cliFlags) { f.Hierarchy = 2; f.Threads = 2 }, "-hierarchy with -threads"},
 		{"hierarchy with faults", func(f *cliFlags) { f.Hierarchy = 2; f.FaultSpec = "kill=3@10" }, "-hierarchy with -faults"},
 		{"hierarchy with batch", func(f *cliFlags) { f.Hierarchy = 2; f.Batch = 8 }, "-hierarchy with -structcache/-batch/-affinity"},
-		{"affinity with faults", func(f *cliFlags) { f.Affinity = true; f.FaultSpec = "kill=3@10" }, "-affinity with -faults"},
+		{"affinity with faults", func(f *cliFlags) { f.Affinity = true; f.FaultSpec = "kill=3@10" }, ""},
 		{"faults unparseable", func(f *cliFlags) { f.FaultSpec = "bogus" }, "-faults"},
 		{"single chip keeps faults", func(f *cliFlags) { f.Chips = 1; f.FaultSpec = "kill=3@10" }, ""},
 		{"gather tree", func(f *cliFlags) { f.Chips = 8; f.Gather = "tree" }, ""},

@@ -178,6 +178,11 @@ func PrunePairs(ds *synth.Dataset, threshold float64) ([]sched.Pair, *prune.Repo
 // and discovery latency so a healthy slave never trips its deadline.
 const DeadlineMargin = 3.0
 
+// DefaultMaxAttempts bounds the dispatches of one job under a fault
+// plan when Config.FT leaves MaxAttempts zero: a link that corrupts
+// every result must lose the job, not retry it forever.
+const DefaultMaxAttempts = 10
+
 // DeriveJobDeadline returns the default fault-tolerant job deadline for
 // a workload: DeadlineMargin times the compute seconds of the most
 // expensive pair at the given per-core op scale.
@@ -300,12 +305,15 @@ type Config struct {
 	// reuse at the price of coarser load balance.
 	Affinity bool
 	// Faults, when non-nil, arms the deterministic fault injector for
-	// the run and switches the master (every chip's master, on a
-	// multi-chip run) onto the fault-tolerant farm protocol.
+	// the run (global core ids on a multi-chip run) and adds the Faults
+	// block to the report. Under Affinity a slave's work returns to its
+	// own queue: a dead worker's remaining blocks are reported lost.
 	Faults *fault.Plan
-	// FT tunes the fault-tolerant protocol (only consulted when Faults
-	// is set). A zero JobDeadlineSeconds derives a deadline from the
-	// most expensive job in the workload (see DeriveJobDeadline).
+	// FT arms the farm's failure detection (deadline, retry, blacklist).
+	// A zero JobDeadlineSeconds under a plan that injects something
+	// derives a deadline from the most expensive job in the workload
+	// (see DeriveJobDeadline) and a zero MaxAttempts becomes
+	// DefaultMaxAttempts; without such a plan, nothing is armed.
 	FT rckskel.FTConfig
 	// Prune, when non-nil, is the pre-filter accounting of the pruning
 	// pass that produced the workload (see PrunePairs); the run attaches

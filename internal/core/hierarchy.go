@@ -59,7 +59,7 @@ func (p *plan) runHierarchical() (farm.Report, error) {
 		rt.Chip.SpawnCore(subMasters[i], func(sp *sim.Process) {
 			m := rt.Comm.Recv(sp, root, subMasters[i])
 			jobs := m.Payload.([]rckskel.Job)
-			stats := teams[i].FARM(sp, jobs, func(r rckskel.Result) { s.Collect(r) })
+			stats, _ := teams[i].FARM(sp, [][]rckskel.Job{jobs}, nil, rckskel.FTConfig{}, s.Collect)
 			teams[i].Terminate(sp)
 			rt.Comm.Send(sp, subMasters[i], root, 64, partitionDone{stats: stats})
 		})

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rckalign/internal/farm"
+	"rckalign/internal/fault"
 	"rckalign/internal/metrics"
 	"rckalign/internal/trace"
 )
@@ -123,5 +124,42 @@ func TestMetricsGoldenSnapshot(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("snapshot differs from %s (%d vs %d bytes); run with UPDATE_GOLDEN=1 if the change is intentional",
 			golden, len(got), len(want))
+	}
+}
+
+// TestMetricsUnderFaultPlans pins that observability does not depend on
+// whether a plan is armed: a kill run records every stage of the per-job
+// latency decomposition, and an empty plan leaves the registry snapshot
+// byte-identical to the plan-free run's.
+func TestMetricsUnderFaultPlans(t *testing.T) {
+	snapshot := func(plan *fault.Plan) ([]byte, RunResult) {
+		cfg := DefaultConfig()
+		cfg.Metrics = metrics.New()
+		cfg.Faults = plan
+		r, err := Run(smallPR, 7, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := cfg.Metrics.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), r
+	}
+	plain, base := snapshot(nil)
+	if empty, _ := snapshot(&fault.Plan{Seed: 1}); !bytes.Equal(plain, empty) {
+		t.Error("an empty fault plan changed the metrics snapshot")
+	}
+	_, killed := snapshot(&fault.Plan{Kills: []fault.CoreFailure{{Core: 3, At: 0.25 * base.TotalSeconds}}})
+	if killed.Faults == nil || killed.Faults.Retries == 0 {
+		t.Fatalf("kill left no recovery trace: %+v", killed.Faults)
+	}
+	for stage, agg := range killed.Metrics.JobStages {
+		if agg.Count == 0 {
+			t.Errorf("kill run observed no %s samples", stage)
+		}
+	}
+	if len(killed.Metrics.JobStages) != 5 {
+		t.Errorf("job stages = %v, want all five", killed.Metrics.JobStages)
 	}
 }

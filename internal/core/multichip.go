@@ -75,7 +75,7 @@ func shardWireBytes(shard []sched.Pair, sizes []int) int64 {
 // farmed by its chip's master. At Chips > 1 the root master on chip 0
 // scatters the shards over the interchip fabric and results return as
 // aggregate blobs up the configured gather topology; fault plans (core
-// ids global across the board) run FARMFT per chip and affinity deals
+// ids global across the board) are split per chip and affinity deals
 // each shard onto that chip's workers. See Validate for the feature
 // combinations that do not compose.
 func RunMultiChip(pr *PairResults, slavesPerChip int, cfg MultiChipConfig) (RunResult, error) {

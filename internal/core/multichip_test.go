@@ -201,19 +201,13 @@ func TestMultiChipRejections(t *testing.T) {
 	}
 	reject("hierarchy", func(cfg *MultiChipConfig) { cfg.Hierarchy = 4 })
 	reject("slaves", func(cfg *MultiChipConfig) { cfg.Config.Chip.TilesX = 1; cfg.Config.Chip.TilesY = 2 })
-	// Affinity and faults stay mutually exclusive (FarmDynamic has no
-	// fault-tolerant variant), and a plan must not kill any chip's
-	// master (every chip's local core 0).
-	reject("affinity+faults", func(cfg *MultiChipConfig) {
-		cfg.Affinity = true
-		cfg.Faults = &fault.Plan{}
-	})
+	// A plan must not kill any chip's master (every chip's local core 0).
 	reject("kill sub-master", func(cfg *MultiChipConfig) {
 		cfg.Faults = &fault.Plan{Kills: []fault.CoreFailure{{Core: 48, At: 1}}}
 	})
 }
 
-// TestMultiChipFaults: a fault plan with global core ids runs FARMFT
+// TestMultiChipFaults: a fault plan with global core ids is split
 // per chip — kills on two different chips are recovered, every pair
 // still completes exactly once, and the merged fault block reports
 // global ids.

@@ -40,24 +40,20 @@ func (e ConflictError) Unwrap() error {
 // Validate rejects the feature combinations that stay unsupported; every
 // other combination of Config fields composes. The sub-master hierarchy
 // runs the paper's plain FARM on single-threaded partitions of one chip
-// with the whole dataset resident; per-slave affinity queues and the
-// per-stage farms of a budgeted run have no fault-tolerant protocol; and
-// a budgeted run's load schedule belongs to a single master.
+// with the whole dataset resident and reliable sub-masters, and a
+// budgeted run's load schedule belongs to a single master.
 func (cfg MultiChipConfig) Validate() error {
 	hier, budget := cfg.Hierarchy > 0, cfg.MemoryBudgetResidues > 0
-	faults, chips := cfg.Faults != nil, cfg.Chips > 1
 	for _, c := range []struct {
 		hit  bool
 		a, b string
 	}{
-		{hier && faults, "Hierarchy", "Faults"},
+		{hier && cfg.Faults != nil, "Hierarchy", "Faults"},
 		{hier && (cfg.CacheStructs != 0 || cfg.Batch > 1 || cfg.Affinity), "Hierarchy", "CacheStructs/Batch/Affinity"},
 		{hier && cfg.ThreadsPerWorker > 1, "Hierarchy", "ThreadsPerWorker"},
 		{hier && budget, "Hierarchy", "MemoryBudgetResidues"},
-		{hier && chips, "Hierarchy", "Chips"},
-		{cfg.Affinity && faults, "Affinity", "Faults"},
-		{budget && faults, "MemoryBudgetResidues", "Faults"},
-		{budget && chips, "MemoryBudgetResidues", "Chips"},
+		{hier && cfg.Chips > 1, "Hierarchy", "Chips"},
+		{budget && cfg.Chips > 1, "MemoryBudgetResidues", "Chips"},
 	} {
 		if c.hit {
 			return ConflictError{A: c.a, B: c.b}
@@ -136,12 +132,8 @@ func newPlan(pr *PairResults, slaves int, cfg MultiChipConfig) (*plan, error) {
 		Collector:        cfg.Collector,
 		Batch:            cfg.Batch,
 		CacheStructs:     cacheCap,
-		// Affinity farms per-worker queues through FarmDynamic, which has
-		// no fault-tolerant variant; declaring it lets the farm layer
-		// reject a fault plan at construction.
-		Dynamic: cfg.Affinity,
-		Faults:  cfg.Faults,
-		FT:      cfg.FT,
+		Faults:           cfg.Faults,
+		FT:               cfg.FT,
 	}
 	place, err := farm.Place(p.session)
 	if err != nil {
@@ -151,14 +143,17 @@ func newPlan(pr *PairResults, slaves int, cfg MultiChipConfig) (*plan, error) {
 		return nil, err
 	}
 	opScale := place.OpScale
-	if cfg.Faults != nil && cfg.FT.JobDeadlineSeconds == 0 {
-		d := DeriveJobDeadline(pr, cfg.Chip.CPU, opScale)
-		if cfg.Batch > 1 {
-			// A batch is one fault-tolerance unit of up to Batch jobs:
-			// its deadline must cover them back to back.
-			d *= float64(cfg.Batch)
+	if !cfg.Faults.Empty() {
+		// Only a plan that injects something arms the farm's failure
+		// detection; an empty one leaves every timer unscheduled.
+		if cfg.FT.JobDeadlineSeconds == 0 {
+			// A batch is one fault-tolerance unit of up to Batch jobs: its
+			// deadline must cover them back to back.
+			p.session.FT.JobDeadlineSeconds = DeriveJobDeadline(pr, cfg.Chip.CPU, opScale) * float64(max(cfg.Batch, 1))
 		}
-		p.session.FT.JobDeadlineSeconds = d
+		if cfg.FT.MaxAttempts == 0 {
+			p.session.FT.MaxAttempts = DefaultMaxAttempts
+		}
 	}
 	p.handler = func(job rckskel.Job) (any, costmodel.Counter, int) {
 		res := pr.Get(job.Payload.(sched.Pair))
@@ -348,7 +343,6 @@ func (p *plan) run() (farm.Report, error) {
 		return ms.Run(stages[0].residues, works[0], shardBytes)
 	}
 
-	var farmErr error
 	rep, err := sessions[0].Run("", func(m *farm.Master) {
 		for k, st := range stages {
 			if tiled == nil {
@@ -359,15 +353,10 @@ func (p *plan) run() (farm.Report, error) {
 				m.P.Wait(float64(st.residues) * p.cfg.ReloadSecondsPerResidue)
 				m.Chip().Compute(m.P, costmodel.Counter{ResiduesLoaded: uint64(st.residues)})
 			}
-			if err := m.FarmWork(works[k][0], nil); err != nil && farmErr == nil {
-				farmErr = err
-			}
+			m.FarmWork(works[k][0], nil)
 		}
 		m.Terminate()
 	})
-	if err == nil {
-		err = farmErr
-	}
 	if tiled != nil {
 		// The per-stage farms run back to back; the end-to-end wall clock
 		// is the meaningful makespan for the schedule.

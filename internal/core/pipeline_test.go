@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rckalign/internal/farm"
@@ -10,12 +11,24 @@ import (
 	"rckalign/internal/sched"
 )
 
+// withoutFaults strips the Faults blocks a fault plan adds to a report.
+func withoutFaults(r farm.Report) farm.Report {
+	r.Faults = nil
+	r.PerChip = append([]farm.ChipReport(nil), r.PerChip...)
+	for c := range r.PerChip {
+		r.PerChip[c].Faults = nil
+	}
+	return r
+}
+
 // TestCompositionMatrix is the contract of the one run pipeline: every
-// {run shape} x {feature} cell either collects every pair with scores
-// byte-identical to the flat run's and shows the feature's trace in the
-// report, or returns the documented ConflictError. No cell may silently
-// ignore its feature. DESIGN.md's composition table is this test's
-// table.
+// {run shape} x {feature} cell either accounts for every pair — collected
+// with scores byte-identical to the flat run's, or reported lost under
+// an injected kill — and shows the feature's trace in the report, or
+// returns the documented ConflictError. No cell may silently ignore its
+// feature, and an empty fault plan must be invisible: the report equals
+// the plan-free run's but for the Faults blocks. DESIGN.md's composition
+// table is this test's table.
 func TestCompositionMatrix(t *testing.T) {
 	pr := synthScoredCK34()
 	want := scoresDump(t, pr, 1, nil)
@@ -34,47 +47,50 @@ func TestCompositionMatrix(t *testing.T) {
 		{"hierarchy=2", func(c *MultiChipConfig) { c.Hierarchy = 2 }},
 	}
 	kill := fault.Plan{Seed: 3, Kills: []fault.CoreFailure{{Core: 5, At: 0.25 * base.TotalSeconds}}}
+	affinity := func(c *MultiChipConfig) { c.Affinity = true; c.CacheStructs = 8 }
+	emptyPlan := func(c *MultiChipConfig) { c.Faults = &fault.Plan{} }
+	killPlan := func(c *MultiChipConfig) { plan := kill; c.Faults = &plan }
+	killed := func(_, r RunResult) bool { return r.Faults != nil && r.Faults.Injected.CoresKilled == 1 }
+	hierOnly := map[string]ConflictError{"hierarchy=2": {"Hierarchy", "Faults"}}
+	wantLines := map[string]bool{}
+	for _, line := range strings.SplitAfter(want, "\n") {
+		wantLines[line] = true
+	}
 	features := []struct {
 		name string
 		mut  func(*MultiChipConfig)
+		// invisible marks an empty fault plan: stripped of its Faults
+		// blocks, the report must equal the same run's without the plan.
+		invisible bool
 		// applied reports whether the run visibly honoured the feature,
 		// given the same shape's featureless run.
 		applied func(plain, r RunResult) bool
-		// conflicts names, per shape, the Config field the feature
-		// conflicts with (its own field is ConflictError.B, or .A for
-		// Affinity x Faults).
+		// conflicts names, per shape, the Config fields Validate rejects.
 		conflicts map[string]ConflictError
 	}{
 		{"cache+batch",
-			func(c *MultiChipConfig) { c.CacheStructs = -1; c.Batch = 8 },
+			func(c *MultiChipConfig) { c.CacheStructs = -1; c.Batch = 8 }, false,
 			func(_, r RunResult) bool { return r.Wire != nil && r.Wire.Batches > 0 && r.Wire.CacheHits > 0 },
 			map[string]ConflictError{"hierarchy=2": {"Hierarchy", "CacheStructs/Batch/Affinity"}}},
-		{"affinity",
-			func(c *MultiChipConfig) { c.Affinity = true; c.CacheStructs = 8 },
+		{"affinity", affinity, false,
 			func(plain, r RunResult) bool {
 				return r.Wire != nil && r.Wire.CacheHits > 0 && !reflect.DeepEqual(r.FarmStats.JobsPerSlave, plain.FarmStats.JobsPerSlave)
 			},
 			map[string]ConflictError{"hierarchy=2": {"Hierarchy", "CacheStructs/Batch/Affinity"}}},
-		{"empty fault plan",
-			func(c *MultiChipConfig) { c.Faults = &fault.Plan{} },
-			func(_, r RunResult) bool { return r.Faults != nil },
-			map[string]ConflictError{
-				"budget":      {"MemoryBudgetResidues", "Faults"},
-				"hierarchy=2": {"Hierarchy", "Faults"},
-			}},
-		{"kill plan",
-			func(c *MultiChipConfig) { plan := kill; c.Faults = &plan },
-			func(_, r RunResult) bool { return r.Faults != nil && r.Faults.Injected.CoresKilled == 1 },
-			map[string]ConflictError{
-				"budget":      {"MemoryBudgetResidues", "Faults"},
-				"hierarchy=2": {"Hierarchy", "Faults"},
-			}},
+		{"empty fault plan", emptyPlan, true,
+			func(_, r RunResult) bool { return r.Faults != nil }, hierOnly},
+		{"kill plan", killPlan, false, killed, hierOnly},
+		{"affinity+empty fault plan",
+			func(c *MultiChipConfig) { affinity(c); emptyPlan(c) }, true,
+			func(_, r RunResult) bool { return r.Faults != nil && r.Wire != nil }, hierOnly},
+		{"affinity+kill plan",
+			func(c *MultiChipConfig) { affinity(c); killPlan(c) }, false, killed, hierOnly},
 		{"threads=2",
-			func(c *MultiChipConfig) { c.ThreadsPerWorker = 2 },
+			func(c *MultiChipConfig) { c.ThreadsPerWorker = 2 }, false,
 			func(plain, r RunResult) bool { return r.Workers*2 == plain.Workers },
 			map[string]ConflictError{"hierarchy=2": {"Hierarchy", "ThreadsPerWorker"}}},
 		{"LPT",
-			func(c *MultiChipConfig) { c.Order = sched.LPT },
+			func(c *MultiChipConfig) { c.Order = sched.LPT }, false,
 			func(plain, r RunResult) bool { return r.TotalSeconds != plain.TotalSeconds },
 			nil},
 	}
@@ -106,11 +122,33 @@ func TestCompositionMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if r.Collected != len(pr.Pairs) || dump != want {
-					t.Errorf("collected %d of %d pairs, scores identical to flat: %t", r.Collected, len(pr.Pairs), dump == want)
+				lost := 0
+				if r.Faults != nil {
+					lost = r.Faults.LostJobs
+				}
+				if r.Collected+lost != len(pr.Pairs) || strings.Count(dump, "\n") != r.Collected {
+					t.Errorf("collected %d + lost %d of %d pairs (%d score lines)", r.Collected, lost, len(pr.Pairs), strings.Count(dump, "\n"))
+				}
+				if lost == 0 && dump != want {
+					t.Error("scores differ from the flat run's")
+				}
+				for _, line := range strings.SplitAfter(dump, "\n") {
+					if !wantLines[line] {
+						t.Errorf("collected score line %q is not the flat run's", line)
+					}
 				}
 				if !feat.applied(plain, r) {
 					t.Errorf("feature left no trace in the report:\nplain %+v\n  got %+v", plain.Report, r.Report)
+				}
+				if feat.invisible {
+					cfg.Faults = nil
+					_, twin, err := scoresRun(t, pr, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := withoutFaults(r.Report); !reflect.DeepEqual(got, twin.Report) {
+						t.Errorf("an empty plan changed the report:\n got %+v\nwant %+v", got, twin.Report)
+					}
 				}
 			})
 		}

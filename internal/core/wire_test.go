@@ -128,7 +128,7 @@ func TestBatchingRelievesMasterMailbox(t *testing.T) {
 }
 
 // TestWireEquivalenceUnderFaults runs the cached+batched wire through
-// FARMFT with mid-run core kills: a batch is one fault-tolerance unit,
+// a farm with mid-run core kills: a batch is one fault-tolerance unit,
 // and recovery must still deliver every pair exactly once.
 func TestWireEquivalenceUnderFaults(t *testing.T) {
 	pr := synthCK34PR()
@@ -162,9 +162,8 @@ func TestWireEquivalenceUnderFaults(t *testing.T) {
 	}
 }
 
-// TestWireModelRejections pins the config-surface errors: the
-// hierarchical path has no cache/batch support, and affinity farming
-// has no fault-tolerant variant.
+// TestWireModelRejections pins the config-surface error: the
+// hierarchical path has no cache/batch support.
 func TestWireModelRejections(t *testing.T) {
 	pr := synthCK34PR()
 	cfg := DefaultConfig()
@@ -172,11 +171,5 @@ func TestWireModelRejections(t *testing.T) {
 	cfg.CacheStructs = -1
 	if _, err := Run(pr, 8, cfg); err == nil {
 		t.Error("hierarchical run accepted the wire model")
-	}
-	cfg = DefaultConfig()
-	cfg.Affinity = true
-	cfg.Faults = &fault.Plan{}
-	if _, err := Run(pr, 8, cfg); err == nil {
-		t.Error("affinity farming accepted a fault plan")
 	}
 }

@@ -165,7 +165,7 @@ func runScores(t *testing.T, pr *core.PairResults, mut func(*core.Config)) ([]st
 // TestReproductionWireGoldenScores is this PR's acceptance test on the
 // real CK34 dataset: the cached/batched/affinity wire model must
 // produce byte-identical TM-align score dumps to the classic farm —
-// fault-free and under a FARMFT fault plan — while shipping >= 5x fewer
+// fault-free and under a kill plan — while shipping >= 5x fewer
 // input bytes and relieving the master's mailbox in the heavy-polling
 // regime.
 func TestReproductionWireGoldenScores(t *testing.T) {

@@ -6,9 +6,9 @@
 // the same pair payloads, and collection unwraps batched results back
 // into per-job results, so application output (TM-align scores) is
 // bit-identical to the classic one-message-per-job farm. Because a
-// batch is just a Job with a BatchPayload, the classic FARM and the
-// fault-tolerant FARMFT run it unchanged — a batch times out, retries
-// and reassigns as one unit.
+// batch is just a Job with a BatchPayload, FARM runs it unchanged —
+// under an armed deadline a batch times out, retries and reassigns as
+// one unit.
 package farm
 
 import (

@@ -87,51 +87,88 @@ func TestNewSessionRejectsBadFaultPlan(t *testing.T) {
 	}
 }
 
-func TestNewSessionRejectsDynamicWithFaults(t *testing.T) {
-	// A dynamic (pull-based) session has no fault-tolerant farm variant,
-	// so configuring both used to panic deep inside FarmDynamic at run
-	// time. The combination is now a typed construction error.
-	cfg := farm.Config{
-		MasterCore: 0,
-		Slaves:     4,
-		Dynamic:    true,
-		Faults:     &fault.Plan{},
-	}
-	if _, err := farm.NewSession(cfg); !errors.Is(err, farm.ErrDynamicFaults) {
-		t.Errorf("NewSession error = %v, want errors.Is ErrDynamicFaults", err)
-	}
-	// Dynamic without faults is fine.
-	cfg.Faults = nil
-	if _, err := farm.NewSession(cfg); err != nil {
-		t.Errorf("dynamic session without faults rejected: %v", err)
-	}
-}
-
-func TestFarmDynamicOnFaultTolerantSessionErrors(t *testing.T) {
-	// Backstop for sessions that configured faults without declaring
-	// Dynamic: calling FarmDynamic mid-run returns the typed error
-	// instead of panicking, and the run still terminates cleanly.
+// TestPartitionedFarmRecoversInsideItsPartition: two queues x two slaves
+// (Work.QueueOf), one slave of the first partition killed mid-run. Its
+// job returns to the queue it came from and is redone by the
+// partition's surviving slave — never by the other partition, whose
+// slaves may not even run the same method.
+func TestPartitionedFarmRecoversInsideItsPartition(t *testing.T) {
+	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
 	s, err := farm.NewSession(farm.Config{
 		MasterCore: 0,
 		Slaves:     4,
-		Faults:     &fault.Plan{},
-		FT:         rckskel.FTConfig{JobDeadlineSeconds: 1},
+		Faults:     &fault.Plan{Kills: []fault.CoreFailure{{Core: 1, At: 1.5 * js}}},
+		FT:         rckskel.FTConfig{JobDeadlineSeconds: 3 * js},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.StartSlaves(countJobs)
-	var farmErr error
-	if _, err := s.Run("", func(m *farm.Master) {
-		_, farmErr = m.FarmDynamic(
-			func(int) (rckskel.Job, bool) { return rckskel.Job{}, false },
-			nil)
+	all := intJobs(24)
+	queueOf := map[int]int{1: 0, 2: 0, 3: 1, 4: 1}
+	ranOn := map[int]int{}
+	rep, err := s.Run("", func(m *farm.Master) {
+		m.FarmWork(farm.Work{Queues: [][]rckskel.Job{all[:12], all[12:]}, QueueOf: queueOf}, func(r rckskel.Result) {
+			if _, dup := ranOn[r.JobID]; dup {
+				t.Errorf("job %d collected twice", r.JobID)
+			}
+			ranOn[r.JobID] = r.Slave
+		})
 		m.Terminate()
-	}); err != nil {
-		t.Fatalf("run failed: %v", err)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(farmErr, farm.ErrDynamicFaults) {
-		t.Errorf("FarmDynamic error = %v, want errors.Is ErrDynamicFaults", farmErr)
+	if len(ranOn) != 24 || rep.Faults.LostJobs != 0 {
+		t.Fatalf("collected %d of 24 jobs, lost %d", len(ranOn), rep.Faults.LostJobs)
+	}
+	for id, slave := range ranOn {
+		if want := id / 12; queueOf[slave] != want {
+			t.Errorf("job %d of queue %d ran on slave %d of queue %d", id, want, slave, queueOf[slave])
+		}
+	}
+	if rep.Faults.Retries == 0 || rep.Faults.Reassigned == 0 {
+		t.Errorf("kill left no recovery trace: %+v", rep.Faults)
+	}
+}
+
+// TestOrphanedQueueIsLost: both slaves of one partition die, so its
+// remaining jobs have no healthy slave left and are written off — the
+// other partition still completes, and no job crosses over.
+func TestOrphanedQueueIsLost(t *testing.T) {
+	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
+	s, err := farm.NewSession(farm.Config{
+		MasterCore: 0,
+		Slaves:     4,
+		Faults:     &fault.Plan{Kills: []fault.CoreFailure{{Core: 1, At: 1.5 * js}, {Core: 2, At: 1.5 * js}}},
+		FT:         rckskel.FTConfig{JobDeadlineSeconds: 3 * js},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StartSlaves(countJobs)
+	all := intJobs(24)
+	got := map[int]bool{}
+	rep, err := s.Run("", func(m *farm.Master) {
+		m.FarmWork(farm.Work{Queues: [][]rckskel.Job{all[:12], all[12:]}, QueueOf: map[int]int{1: 0, 2: 0, 3: 1, 4: 1}},
+			func(r rckskel.Result) { got[r.JobID] = true })
+		m.Terminate()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Collected+rep.Faults.LostJobs != 24 || rep.Faults.LostJobs == 0 {
+		t.Errorf("collected %d + lost %d, want 24 with some lost", rep.Collected, rep.Faults.LostJobs)
+	}
+	for id := 12; id < 24; id++ {
+		if !got[id] {
+			t.Errorf("job %d of the healthy partition was not collected", id)
+		}
+	}
+	for _, n := range []int{3, 4} {
+		if rep.FarmStats.JobsPerSlave[n] != 6 {
+			t.Errorf("slave %d ran %d jobs, want its partition's even share of 6", n, rep.FarmStats.JobsPerSlave[n])
+		}
 	}
 }
 
@@ -163,7 +200,7 @@ func TestSessionFaultTolerantKillRun(t *testing.T) {
 	s.StartSlaves(countJobs)
 	got := map[int]int{}
 	rep, err := s.Run("", func(m *farm.Master) {
-		m.Farm(intJobs(24), func(r rckskel.Result) { got[r.JobID]++ })
+		m.FarmWork(farm.Work{Jobs: intJobs(24)}, func(r rckskel.Result) { got[r.JobID]++ })
 		m.Terminate()
 	})
 	if err != nil {
@@ -201,7 +238,7 @@ func TestSessionClassicRunHasNoFaultsBlock(t *testing.T) {
 	}
 	s.StartSlaves(countJobs)
 	rep, err := s.Run("", func(m *farm.Master) {
-		m.Farm(intJobs(6), nil)
+		m.FarmWork(farm.Work{Jobs: intJobs(6)}, nil)
 		m.Terminate()
 	})
 	if err != nil {

@@ -14,7 +14,7 @@
 //	s.StartSlaves(handler)
 //	rep, err := s.Run("", func(m *farm.Master) {
 //	        m.LoadResidues(ds.TotalResidues())
-//	        m.Farm(jobs, nil)
+//	        m.FarmWork(farm.Work{Jobs: jobs}, nil)
 //	        m.Terminate()
 //	})
 package farm
@@ -146,21 +146,15 @@ type Config struct {
 	// model (the paper's ship-both-structures wire). Applied by
 	// PrepareJobs.
 	CacheStructs int
-	// Dynamic declares that the session's master will pull jobs through
-	// FarmDynamic (per-slave queues, partitioned multi-method farms).
-	// Dynamic farming has no fault-tolerant variant, so a session that
-	// sets both Dynamic and Faults is rejected at construction with
-	// ErrDynamicFaults — instead of failing at farm time.
-	Dynamic bool
-	// Faults, when non-nil, runs the session fault-tolerantly: the plan
-	// is injected (kills, stalls, link faults) and the farm uses
-	// deadline-based detection with retry, reassignment and
-	// blacklisting. A non-nil but empty plan exercises the
-	// fault-tolerant machinery with nothing injected — the report must
-	// come out identical to the classic path.
+	// Faults, when non-nil, is injected into the run (kills, stalls, link
+	// faults through the wire interposer) and summarised in
+	// Report.Faults. A non-nil but empty plan injects nothing: the
+	// report is identical to the plan-free run's but for that block.
 	Faults *fault.Plan
-	// FT tunes the fault-tolerant farm (deadlines, blacklisting).
-	// Ignored when Faults is nil.
+	// FT arms every farm's failure detection (per-job deadlines, retry,
+	// blacklisting). The zero value arms nothing; a deadline is only
+	// useful under a fault plan, whose wire model lets sends to dead
+	// cores vanish instead of hanging.
 	FT rckskel.FTConfig
 }
 
@@ -197,8 +191,8 @@ type Report struct {
 	// BusySecondsPerMethod sums compute seconds per comparison method
 	// (multi-criteria farms only).
 	BusySecondsPerMethod map[string]float64
-	// Faults summarises fault injection and recovery (nil on the
-	// classic, fault-free path).
+	// Faults summarises fault injection and recovery (nil without a
+	// fault plan).
 	Faults *FaultStats
 	// Metrics summarises the run's key observability signals (nil unless
 	// Config.Metrics was set).
@@ -429,9 +423,6 @@ func newSession(cfg Config, rt Runtime, labels []string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Dynamic && cfg.Faults != nil {
-		return nil, fmt.Errorf("farm: %w", ErrDynamicFaults)
-	}
 	rec := cfg.Trace
 	if rec == nil {
 		rec = trace.New()
@@ -478,11 +469,7 @@ func newSession(cfg Config, rt Runtime, labels []string) (*Session, error) {
 	return s, nil
 }
 
-// FaultTolerant reports whether the session runs the fault-tolerant
-// farm path (a fault plan was configured, possibly empty).
-func (s *Session) FaultTolerant() bool { return s.cfg.Faults != nil }
-
-// Injector returns the armed fault injector (nil on the classic path).
+// Injector returns the armed fault injector (nil without a fault plan).
 func (s *Session) Injector() *fault.Injector { return s.injector }
 
 // ValidateJobs rejects nil or empty job lists with ErrNoJobs and jobs
@@ -539,31 +526,20 @@ func (s *Session) NewTeam(master int, slaves []int) *rckskel.Team {
 // Metrics returns the session's metrics registry (nil when disabled).
 func (s *Session) Metrics() *metrics.Registry { return s.cfg.Metrics }
 
-// StartSlaves spawns the default team's slave loops with one handler
-// (the fault-tolerant variant when a fault plan is configured).
-func (s *Session) StartSlaves(h rckskel.Handler) {
-	if s.FaultTolerant() {
-		s.Team().StartSlavesFT(h)
-		return
-	}
-	s.Team().StartSlaves(h)
-}
+// StartSlaves spawns the default team's slave loops with one handler.
+func (s *Session) StartSlaves(h rckskel.Handler) { s.Team().StartSlaves(h) }
 
 // StartSlavesWith spawns the default team's slave loops with a per-core
 // handler (different cores may run different comparison methods).
 func (s *Session) StartSlavesWith(h func(core int) rckskel.Handler) {
-	if s.FaultTolerant() {
-		s.Team().StartSlavesFTWith(h)
-		return
-	}
 	s.Team().StartSlavesWith(h)
 }
 
 // Collect performs the session's result bookkeeping: batched results
 // are unwrapped into their per-job sub-results, each result is
-// counted, and forwarded to the configured Collector. Farm and
-// FarmDynamic call it for every result; run paths with bespoke
-// collection loops (the distributed baseline) call it directly.
+// counted, and forwarded to the configured Collector. FarmWork calls it
+// for every result; run paths with bespoke collection loops (the
+// distributed baseline, sub-master partitions) call it directly.
 func (s *Session) Collect(r rckskel.Result) { s.deliver(r, nil) }
 
 // deliver unwraps BatchResults (attributing sub-results to the
@@ -740,57 +716,10 @@ func (m *Master) LoadResidues(n int) {
 	m.s.rep.LoadSeconds = m.P.Now()
 }
 
-// Farm executes the jobs on the default team (the paper's FARM
-// construct; FARMFT when a fault plan is configured), routing every
-// result through the session's collection bookkeeping and then collect
-// (may be nil). It returns this farm's statistics; the report
-// accumulates them across calls.
-func (m *Master) Farm(jobs []rckskel.Job, collect func(rckskel.Result)) rckskel.Stats {
-	wrapped := func(r rckskel.Result) { m.s.deliver(r, collect) }
-	if m.s.FaultTolerant() {
-		st, ft := m.s.Team().FARMFT(m.P, jobs, m.s.cfg.FT, wrapped)
-		m.s.mergeStats(st)
-		m.s.mergeFT(ft)
-		return st
-	}
-	st := m.s.Team().FARM(m.P, jobs, wrapped)
-	m.s.mergeStats(st)
-	return st
-}
-
-// mergeFT folds one FARMFT execution's fault statistics into the
-// session.
-func (s *Session) mergeFT(ft rckskel.FTStats) {
-	s.ft.Timeouts += ft.Timeouts
-	s.ft.CorruptDetected += ft.CorruptDetected
-	s.ft.Retries += ft.Retries
-	s.ft.Reassigned += ft.Reassigned
-	s.ft.DuplicatesDropped += ft.DuplicatesDropped
-	s.ft.LostJobs += ft.LostJobs
-	s.ft.Blacklisted = append(s.ft.Blacklisted, ft.Blacklisted...)
-}
-
-// FarmDynamic is Farm with a pull-based job source: next(slave) supplies
-// the next job for that slave (partitioned multi-method farms). It has
-// no fault-tolerant variant: sessions built on it declare Config.Dynamic
-// so a fault plan is rejected at construction; as a backstop, calling it
-// on a fault-tolerant session returns ErrDynamicFaults before any job
-// is dispatched (the master body should still Terminate normally).
-func (m *Master) FarmDynamic(next func(slave int) (rckskel.Job, bool), collect func(rckskel.Result)) (rckskel.Stats, error) {
-	if m.s.FaultTolerant() {
-		return rckskel.Stats{}, fmt.Errorf("farm: %w", ErrDynamicFaults)
-	}
-	st := m.s.Team().FARMDynamic(m.P, next, func(r rckskel.Result) {
-		m.s.deliver(r, collect)
-	})
-	m.s.mergeStats(st)
-	return st, nil
-}
-
 // Work is one master's prepared workload: a single job queue every
-// slave draws from (Jobs: the paper's FARM, FARMFT under a fault plan)
-// or one pull queue per slave group (Queues: cache-affinity deals,
-// per-method partitions). An empty Work farms nothing.
+// slave draws from (Jobs: the paper's FARM) or one pull queue per slave
+// group (Queues: cache-affinity deals, per-method partitions). An empty
+// Work farms nothing.
 type Work struct {
 	Jobs   []rckskel.Job
 	Queues [][]rckskel.Job
@@ -799,33 +728,34 @@ type Work struct {
 	QueueOf map[int]int
 }
 
-// FarmWork farms w on the default team, routing every result through
+// FarmWork farms w on the default team (the paper's FARM construct, its
+// failure detection armed by Config.FT), routing every result through
 // the session's collection bookkeeping and then collect (may be nil).
-func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) error {
-	if w.Queues == nil {
-		if len(w.Jobs) > 0 {
-			m.Farm(w.Jobs, collect)
-		}
-		return nil
-	}
-	queueOf := w.QueueOf
-	if queueOf == nil {
-		queueOf = map[int]int{}
+// The report accumulates the farm's statistics across calls.
+func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) {
+	queues, queueOf := w.Queues, []int(nil)
+	if queues == nil {
+		queues = [][]rckskel.Job{w.Jobs}
+	} else {
+		queueOf = make([]int, len(m.s.place.WorkerLeads))
 		for i, lead := range m.s.place.WorkerLeads {
-			queueOf[lead] = i
+			queueOf[i] = i
+			if w.QueueOf != nil {
+				queueOf[i] = w.QueueOf[lead]
+			}
 		}
 	}
-	heads := make([]int, len(w.Queues))
-	_, err := m.FarmDynamic(func(slave int) (rckskel.Job, bool) {
-		q := queueOf[slave]
-		if heads[q] >= len(w.Queues[q]) {
-			return rckskel.Job{}, false
-		}
-		j := w.Queues[q][heads[q]]
-		heads[q]++
-		return j, true
-	}, collect)
-	return err
+	st, ft := m.s.Team().FARM(m.P, queues, queueOf, m.s.cfg.FT, func(r rckskel.Result) {
+		m.s.deliver(r, collect)
+	})
+	m.s.mergeStats(st)
+	m.s.ft.Timeouts += ft.Timeouts
+	m.s.ft.CorruptDetected += ft.CorruptDetected
+	m.s.ft.Retries += ft.Retries
+	m.s.ft.Reassigned += ft.Reassigned
+	m.s.ft.DuplicatesDropped += ft.DuplicatesDropped
+	m.s.ft.LostJobs += ft.LostJobs
+	m.s.ft.Blacklisted = append(m.s.ft.Blacklisted, ft.Blacklisted...)
 }
 
 // MergeStats folds an externally executed farm's statistics into the
@@ -842,15 +772,8 @@ func (m *Master) AddMethodBusy(method string, seconds float64) {
 	m.s.rep.BusySecondsPerMethod[method] += seconds
 }
 
-// Terminate shuts down the default team's slaves (via the stop latch
-// and straggler drain on the fault-tolerant path).
-func (m *Master) Terminate() {
-	if m.s.FaultTolerant() {
-		m.s.Team().TerminateFT(m.P)
-		return
-	}
-	m.s.Team().Terminate(m.P)
-}
+// Terminate shuts down the default team's slaves.
+func (m *Master) Terminate() { m.s.Team().Terminate(m.P) }
 
 // String renders a one-line report summary.
 func (r Report) String() string {

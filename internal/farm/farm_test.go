@@ -167,7 +167,7 @@ func TestSessionRunsAFarm(t *testing.T) {
 	})
 	rep, err := s.Run("", func(m *Master) {
 		m.LoadResidues(1000)
-		m.Farm(jobs, nil)
+		m.FarmWork(Work{Jobs: jobs}, nil)
 		m.Terminate()
 	})
 	if err != nil {

@@ -332,12 +332,12 @@ func TestScoreBytesChargesContent(t *testing.T) {
 	}
 }
 
-// TestGoldenZeroPlanEquivalence re-runs every flat golden scenario with
-// an empty fault plan and demands a bit-identical Report: the
-// fault-tolerant machinery (interposer, deadlines, ring-based
-// discovery) must cost nothing when no faults are injected. The
-// hierarchical and tiled scenarios reject fault plans up front, which
-// is asserted instead.
+// TestGoldenZeroPlanEquivalence re-runs every golden scenario — plus
+// the cache-affinity (per-worker queues) one — with an empty fault plan
+// and demands a bit-identical Report: there is one FARM, so an installed
+// interposer and an armed but never-firing deadline must cost nothing.
+// Only the sub-master hierarchy rejects fault plans up front, which is
+// asserted instead.
 func TestGoldenZeroPlanEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("native TM-align pass in -short mode")
@@ -353,6 +353,10 @@ func TestGoldenZeroPlanEquivalence(t *testing.T) {
 	poll0.PollingScale = 0
 	threads2 := core.DefaultConfig()
 	threads2.ThreadsPerWorker = 2
+	tiled := core.DefaultConfig()
+	tiled.MemoryBudgetResidues = pr.Dataset.TotalResidues() * 2 / 5
+	affinity := core.DefaultConfig()
+	affinity.Affinity, affinity.CacheStructs, affinity.Batch = true, -1, 2
 
 	scenarios := map[string]struct {
 		slaves int
@@ -366,6 +370,8 @@ func TestGoldenZeroPlanEquivalence(t *testing.T) {
 		"core-poll0-s4":    {4, poll0},
 		"core-threads2-s6": {6, threads2},
 		"core-threads2-s7": {7, threads2},
+		"core-tiled-s4":    {4, tiled},
+		"core-affinity-s5": {5, affinity},
 	}
 	for name, sc := range scenarios {
 		sc := sc
@@ -382,7 +388,7 @@ func TestGoldenZeroPlanEquivalence(t *testing.T) {
 			}
 			f := ft.Faults
 			if f == nil {
-				t.Fatal("fault-tolerant run produced no Faults block")
+				t.Fatal("a run under a fault plan produced no Faults block")
 			}
 			if f.Injected.Total() != 0 || len(f.DeadCores) != 0 ||
 				f.Timeouts != 0 || f.DetectedCorrupt != 0 || f.Retries != 0 ||
@@ -405,14 +411,6 @@ func TestGoldenZeroPlanEquivalence(t *testing.T) {
 		cfg.Faults = &fault.Plan{}
 		if _, err := core.Run(pr, 6, cfg); !errors.Is(err, farm.ErrFaultsUnsupported) {
 			t.Errorf("hierarchical run with a plan: err = %v, want ErrFaultsUnsupported", err)
-		}
-	})
-	t.Run("core-tiled-s4", func(t *testing.T) {
-		tcfg := core.DefaultConfig()
-		tcfg.MemoryBudgetResidues = pr.Dataset.TotalResidues() * 2 / 5
-		tcfg.Faults = &fault.Plan{}
-		if _, err := core.Run(pr, 4, tcfg); !errors.Is(err, farm.ErrFaultsUnsupported) {
-			t.Errorf("tiled run with a plan: err = %v, want ErrFaultsUnsupported", err)
 		}
 	})
 }

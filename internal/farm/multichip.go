@@ -107,8 +107,8 @@ type MultiConfig struct {
 	// Backend and MasterCore are set per chip from Board. Faults, when
 	// non-nil, carries global core ids (chip = id / coresPerChip) and is
 	// split per chip with fault.SplitPlan; every chip — faulted or not —
-	// then runs the fault-tolerant protocol, keeping the shards'
-	// dispatch machinery uniform.
+	// arms the same deadline (FT), so every shard's report carries a
+	// Faults block.
 	Config
 	// Board is the chip topology (Chips >= 2).
 	Board MultiChip
@@ -133,7 +133,6 @@ type MultiSession struct {
 	aggWireBytes int64
 	aggMessages  int64
 	gatherLat    map[int][]float64
-	runErr       error
 }
 
 // NewMultiSession validates the configuration and builds the runtime
@@ -276,13 +275,6 @@ func (ms *MultiSession) noteGatherHop(now float64, msg interchip.Message) {
 	}
 }
 
-// noteErr keeps the first farm error raised inside a master body.
-func (ms *MultiSession) noteErr(err error) {
-	if err != nil && ms.runErr == nil {
-		ms.runErr = err
-	}
-}
-
 // Run executes the multi-chip farm: work[c] is chip c's prepared
 // workload (possibly empty), shardBytes[c] the fabric cost of handing
 // chip c its shard (ignored for chip 0), loadResidues the root's
@@ -316,7 +308,7 @@ func (ms *MultiSession) Run(loadResidues int, work []Work, shardBytes []int64) (
 		sess.SpawnMaster("", func(m *Master) {
 			msg := fabric.Recv(m.P, c)
 			agg := &aggregator{ms: ms, m: m, chip: c, parent: parent}
-			ms.noteErr(m.FarmWork(msg.Payload.(Work), agg.collect))
+			m.FarmWork(msg.Payload.(Work), agg.collect)
 			agg.flush()
 			m.Terminate()
 			for pending := len(kids); pending > 0; {
@@ -343,7 +335,7 @@ func (ms *MultiSession) Run(loadResidues int, work []Work, shardBytes []int64) (
 		for c := 1; c < n; c++ {
 			fabric.Send(m.P, 0, c, int(ms.shardBytes[c]), work[c])
 		}
-		ms.noteErr(m.FarmWork(work[0], nil))
+		m.FarmWork(work[0], nil)
 		m.Terminate()
 		// Gather: aggregate blobs and gather-done markers arrive through
 		// the root inbox from the root's direct children only; per-pair
@@ -362,9 +354,6 @@ func (ms *MultiSession) Run(loadResidues int, work []Work, shardBytes []int64) (
 	})
 
 	err := ms.rt.Engine.Run()
-	if err == nil {
-		err = ms.runErr
-	}
 	return ms.finalize(), err
 }
 

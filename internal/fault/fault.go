@@ -12,6 +12,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -94,6 +95,11 @@ func (pl *Plan) Validate(numCores, master int) error {
 		}
 		return nil
 	}
+	for _, v := range pl.numbers() {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("fault: plan has a non-finite time or probability (%g)", v)
+		}
+	}
 	for _, k := range pl.Kills {
 		if err := checkCore("kill", k.Core, false); err != nil {
 			return err
@@ -134,6 +140,21 @@ func (pl *Plan) Validate(numCores, master int) error {
 		}
 	}
 	return nil
+}
+
+// numbers lists every time, duration and probability in the plan.
+func (pl *Plan) numbers() []float64 {
+	var out []float64
+	for _, k := range pl.Kills {
+		out = append(out, k.At)
+	}
+	for _, s := range pl.Stalls {
+		out = append(out, s.At, s.Duration)
+	}
+	for _, l := range pl.Links {
+		out = append(out, l.From, l.Until, l.DropProb, l.CorruptProb, l.DelaySeconds)
+	}
+	return out
 }
 
 // SplitPlan cuts a plan whose core ids are global across a multi-chip

@@ -158,10 +158,9 @@ func RunAllVsAll(ds *synth.Dataset, methods []Method, partition []int, cfg RunCo
 		}
 	})
 
-	var farmErr error
 	rep, err := s.Run("", func(m *farm.Master) {
 		m.LoadResidues(ds.TotalResidues())
-		farmErr = m.FarmWork(farm.Work{Queues: queues, QueueOf: methodOf}, func(r rckskel.Result) {
+		m.FarmWork(farm.Work{Queues: queues, QueueOf: methodOf}, func(r rckskel.Result) {
 			sc := r.Payload.(Score)
 			pair := pairs[r.JobID%len(pairs)]
 			mat := out.Similarity[sc.Method]
@@ -171,9 +170,6 @@ func RunAllVsAll(ds *synth.Dataset, methods []Method, partition []int, cfg RunCo
 		})
 		m.Terminate()
 	})
-	if err == nil {
-		err = farmErr
-	}
 	out.Report = rep
 	return out, err
 }

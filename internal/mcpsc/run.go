@@ -49,16 +49,14 @@ func DefaultRunConfig() RunConfig {
 }
 
 // session maps an MC-PSC config onto the farm harness. MC-PSC always
-// uses the paper's busy polling (PollingScale 1) and pulls jobs through
-// FarmDynamic, so the session is declared Dynamic (fault plans are
-// rejected at construction rather than mid-run).
+// uses the paper's busy polling (PollingScale 1); its farms are
+// partitioned, one job queue per method.
 func (cfg RunConfig) session(slaves int) farm.Config {
 	return farm.Config{
 		Backend:      farm.SCCSim{Chip: cfg.Chip},
 		MasterCore:   cfg.MasterCore,
 		Slaves:       slaves,
 		PollingScale: 1,
-		Dynamic:      true,
 		Trace:        cfg.Trace,
 		Collector:    cfg.Collector,
 	}
@@ -197,19 +195,15 @@ func RunOneVsAll(ds *synth.Dataset, query int, methods []Method, slaves int, cfg
 		out.PerMethod[m.Name()] = make([]float64, len(targets))
 	}
 
-	var farmErr error
 	rep, err := s.Run("", func(m *farm.Master) {
 		m.LoadResidues(ds.TotalResidues())
-		farmErr = m.FarmWork(farm.Work{Queues: queues, QueueOf: methodOf}, func(r rckskel.Result) {
+		m.FarmWork(farm.Work{Queues: queues, QueueOf: methodOf}, func(r rckskel.Result) {
 			sc := r.Payload.(Score)
 			pl := payloadOf(r.JobID, len(targets))
 			out.PerMethod[sc.Method][pl] = sc.Value
 		})
 		m.Terminate()
 	})
-	if err == nil {
-		err = farmErr
-	}
 	out.Report = rep
 	out.Report.Prune = pruneRep
 	if err != nil {

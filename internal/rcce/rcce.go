@@ -15,6 +15,7 @@ package rcce
 
 import (
 	"fmt"
+	"math"
 
 	"rckalign/internal/metrics"
 	"rckalign/internal/scc"
@@ -203,64 +204,47 @@ type RecvTiming struct {
 // arrives and its transfer completes, then returns it. Check
 // Message.Corrupt before trusting the payload when faults are modelled.
 func (c *Comm) Recv(p *sim.Process, src, dst int) Message {
-	m, _ := c.RecvTimed(p, src, dst)
+	m, _, _ := c.RecvTimeout(p, src, dst, math.Inf(1))
 	return m
 }
 
-// RecvTimed is Recv with the wait/transfer split reported alongside the
-// message; the farm layers use it to decompose per-job latencies.
-func (c *Comm) RecvTimed(p *sim.Process, src, dst int) (Message, RecvTiming) {
-	p.SetBlockDetail(fmt.Sprintf("rcce recv %d<-%d", dst, src))
-	pc := c.pair(src, dst)
-	start := p.Now()
-	m := pc.req.Recv(p).(Message)
-	rdv := p.Now()
-	m.done.Wait(p)
-	p.SetBlockDetail("")
-	c.recvBytes[dst].Add(float64(m.Bytes))
-	return m, RecvTiming{WaitSeconds: rdv - start, XferSeconds: p.Now() - rdv}
-}
-
 // RecvTimeout is Recv with a deadline over the whole operation (waiting
-// for the sender plus the transfer). It returns ok=false when the
-// deadline passes first — the sender may still be mid-transfer; its
-// completion latch fires into the void.
-func (c *Comm) RecvTimeout(p *sim.Process, src, dst int, d float64) (Message, bool) {
-	p.SetBlockDetail(fmt.Sprintf("rcce recv %d<-%d (timeout %.3gs)", dst, src, d))
-	defer p.SetBlockDetail("")
-	pc := c.pair(src, dst)
+// for the sender plus the transfer) and the wait/transfer split reported
+// alongside the message. It returns ok=false when the deadline passes
+// first — the sender may still be mid-transfer; its completion latch
+// fires into the void. d = +Inf never gives up and schedules no timer.
+func (c *Comm) RecvTimeout(p *sim.Process, src, dst int, d float64) (Message, RecvTiming, bool) {
+	p.SetBlockDetail(fmt.Sprintf("rcce recv %d<-%d", dst, src))
 	start := p.Now()
-	v, ok := pc.req.RecvTimeout(p, d)
-	if !ok {
-		return Message{}, false
-	}
-	m := v.(Message)
-	remaining := d - (p.Now() - start)
-	if remaining < 0 {
-		remaining = 0
-	}
-	if !m.done.WaitTimeout(p, remaining) {
-		return Message{}, false
-	}
-	c.recvBytes[dst].Add(float64(m.Bytes))
-	return m, true
+	v, ok := c.pair(src, dst).req.RecvTimeout(p, d)
+	return c.join(p, dst, v, ok, start, d)
 }
 
-// RecvOrLatch is Recv aborted by a latch: it returns ok=false once l
-// fires with no message rendezvous yet. The slave loops of fault-
-// tolerant farms use it to observe the master's broadcast stop flag.
-func (c *Comm) RecvOrLatch(p *sim.Process, src, dst int, l *sim.Latch) (Message, bool) {
-	p.SetBlockDetail(fmt.Sprintf("rcce recv %d<-%d (or stop)", dst, src))
+// RecvOrStop is Recv bounded by a broadcast stop flag: once stop has
+// fired, the wait for the sender's rendezvous gives up stop.Grace
+// seconds later (ok=false). The slave loops use it so a shutdown
+// sentinel lost on a faulty link cannot park a core forever.
+func (c *Comm) RecvOrStop(p *sim.Process, src, dst int, stop *sim.Latch) (Message, RecvTiming, bool) {
+	p.SetBlockDetail(fmt.Sprintf("rcce recv %d<-%d", dst, src))
+	start := p.Now()
+	v, ok := c.pair(src, dst).req.RecvOrLatch(p, stop)
+	return c.join(p, dst, v, ok, start, math.Inf(1))
+}
+
+// join completes a receive whose rendezvous (v, ok) was reached: wait
+// for the chunked transfer, until d seconds after start at the latest.
+func (c *Comm) join(p *sim.Process, dst int, v any, ok bool, start, d float64) (Message, RecvTiming, bool) {
 	defer p.SetBlockDetail("")
-	pc := c.pair(src, dst)
-	v, ok := pc.req.RecvOrLatch(p, l)
 	if !ok {
-		return Message{}, false
+		return Message{}, RecvTiming{}, false
 	}
 	m := v.(Message)
-	m.done.Wait(p)
+	rdv := p.Now()
+	if !m.done.WaitTimeout(p, d-(rdv-start)) {
+		return Message{}, RecvTiming{}, false
+	}
 	c.recvBytes[dst].Add(float64(m.Bytes))
-	return m, true
+	return m, RecvTiming{WaitSeconds: rdv - start, XferSeconds: p.Now() - rdv}, true
 }
 
 // Probe reports whether a sender on (src, dst) is already blocked in
@@ -269,6 +253,12 @@ func (c *Comm) RecvOrLatch(p *sim.Process, src, dst int, l *sim.Latch) (Message,
 // PollCost. Senders that died mid-handshake are not reported.
 func (c *Comm) Probe(src, dst int) bool {
 	return c.pair(src, dst).req.Pending() > 0
+}
+
+// Listening reports whether core dst is already blocked in a receive
+// from src: a Send to it completes its rendezvous without waiting.
+func (c *Comm) Listening(src, dst int) bool {
+	return c.pair(src, dst).req.Pending() < 0
 }
 
 // PollCost returns the simulated time for core `at` to read the MPB flag

@@ -10,35 +10,13 @@ import (
 	"rckalign/internal/sim"
 )
 
-// setupFT is setup with the fault-tolerant slave loop.
-func setupFT(slaves int, h Handler) (*sim.Engine, *Team) {
-	e := sim.NewEngine()
-	chip := scc.New(e, scc.DefaultConfig())
-	comm := rcce.New(chip)
-	ids := make([]int, slaves)
-	for i := range ids {
-		ids[i] = i + 1
-	}
-	t := NewTeam(comm, 0, ids)
-	t.StartSlavesFT(h)
-	return e, t
-}
-
-func runMasterFT(e *sim.Engine, t *Team, body func(p *sim.Process)) error {
-	t.Comm.Chip().SpawnCore(t.Master, func(p *sim.Process) {
-		body(p)
-		t.TerminateFT(p)
-	})
-	return e.Run()
-}
-
 // jobSeconds returns the simulated compute time of one doubler(cost) job.
 func jobSeconds(cost uint64) float64 {
 	return scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: cost})
 }
 
 // deadCoreWire drops messages to fail-stopped cores, the minimal wire
-// model FARMFT's detection relies on (fault.Injector provides it in
+// model FARM's failure detection relies on (fault.Injector provides it in
 // production).
 type deadCoreWire struct {
 	dead map[int]bool
@@ -55,54 +33,38 @@ func (w *deadCoreWire) kill(e *sim.Engine, chip *scc.Chip, core int, at float64)
 	})
 }
 
-func TestFARMFTFaultFreeMatchesFARM(t *testing.T) {
+// TestFARMArmedDeadlineMatchesUnarmed: on a fault-free run a generous
+// deadline never fires, so arming it changes neither statistics nor
+// collection order.
+func TestFARMArmedDeadlineMatchesUnarmed(t *testing.T) {
 	const cost, nJobs, nSlaves = 50000, 40, 5
-	run := func(ft bool) (Stats, []int) {
-		e := sim.NewEngine()
-		chip := scc.New(e, scc.DefaultConfig())
-		comm := rcce.New(chip)
-		ids := make([]int, nSlaves)
-		for i := range ids {
-			ids[i] = i + 1
-		}
-		team := NewTeam(comm, 0, ids)
+	run := func(cfg FTConfig) (Stats, FTStats, []int) {
+		e, team := setup(nSlaves, doubler(cost))
 		var st Stats
+		var ft FTStats
 		var order []int
-		collect := func(r Result) { order = append(order, r.JobID) }
-		if ft {
-			team.StartSlavesFT(doubler(cost))
-			err := runMasterFT(e, team, func(p *sim.Process) {
-				cfg := FTConfig{JobDeadlineSeconds: 1e6}
-				st, _ = team.FARMFT(p, intJobs(nJobs), cfg, collect)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			team.StartSlaves(doubler(cost))
-			err := runMaster(e, team, func(p *sim.Process) {
-				st = team.FARM(p, intJobs(nJobs), collect)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+		err := runMaster(e, team, func(p *sim.Process) {
+			st, ft = team.FARM(p, [][]Job{intJobs(nJobs)}, nil, cfg, func(r Result) { order = append(order, r.JobID) })
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return st, order
+		return st, ft, order
 	}
-	classicSt, classicOrder := run(false)
-	ftSt, ftOrder := run(true)
-	if !reflect.DeepEqual(classicSt, ftSt) {
-		t.Errorf("stats diverge:\nclassic %+v\nft      %+v", classicSt, ftSt)
+	plainSt, plainFT, plainOrder := run(FTConfig{})
+	armedSt, armedFT, armedOrder := run(FTConfig{JobDeadlineSeconds: 1e6})
+	if !reflect.DeepEqual(plainSt, armedSt) || !reflect.DeepEqual(plainFT, armedFT) {
+		t.Errorf("stats diverge:\nunarmed %+v %+v\narmed   %+v %+v", plainSt, plainFT, armedSt, armedFT)
 	}
-	if !reflect.DeepEqual(classicOrder, ftOrder) {
-		t.Errorf("collection order diverges:\nclassic %v\nft      %v", classicOrder, ftOrder)
+	if !reflect.DeepEqual(plainOrder, armedOrder) {
+		t.Errorf("collection order diverges:\nunarmed %v\narmed   %v", plainOrder, armedOrder)
 	}
 }
 
-func TestFARMFTRecoversFromKill(t *testing.T) {
+func TestFARMRecoversFromKill(t *testing.T) {
 	const cost, nJobs = 200000, 30
 	js := jobSeconds(cost)
-	e, team := setupFT(4, doubler(cost))
+	e, team := setup(4, doubler(cost))
 	chip := team.Comm.Chip()
 	wire := &deadCoreWire{dead: map[int]bool{}}
 	team.Comm.SetInterposer(wire)
@@ -110,9 +72,9 @@ func TestFARMFTRecoversFromKill(t *testing.T) {
 
 	got := map[int]int{}
 	var ft FTStats
-	err := runMasterFT(e, team, func(p *sim.Process) {
+	err := runMaster(e, team, func(p *sim.Process) {
 		cfg := FTConfig{JobDeadlineSeconds: 3 * js}
-		_, ft = team.FARMFT(p, intJobs(nJobs), cfg, func(r Result) {
+		_, ft = team.FARM(p, [][]Job{intJobs(nJobs)}, nil, cfg, func(r Result) {
 			if _, dup := got[r.JobID]; dup {
 				t.Errorf("job %d collected twice", r.JobID)
 			}
@@ -152,14 +114,14 @@ func (w *corruptOnceWire) Deliver(p *sim.Process, m *rcce.Message) rcce.Outcome 
 	return rcce.Outcome{}
 }
 
-func TestFARMFTRetriesCorruptResult(t *testing.T) {
+func TestFARMRetriesCorruptResult(t *testing.T) {
 	const cost, nJobs = 50000, 12
-	e, team := setupFT(3, doubler(cost))
+	e, team := setup(3, doubler(cost))
 	team.Comm.SetInterposer(&corruptOnceWire{src: 2, dst: 0})
 	got := map[int]int{}
 	var ft FTStats
-	err := runMasterFT(e, team, func(p *sim.Process) {
-		_, ft = team.FARMFT(p, intJobs(nJobs), FTConfig{}, func(r Result) {
+	err := runMaster(e, team, func(p *sim.Process) {
+		_, ft = team.FARM(p, [][]Job{intJobs(nJobs)}, nil, FTConfig{}, func(r Result) {
 			got[r.JobID] = r.Payload.(int)
 		})
 	})
@@ -174,16 +136,16 @@ func TestFARMFTRetriesCorruptResult(t *testing.T) {
 	}
 }
 
-func TestFARMFTResendsCorruptJob(t *testing.T) {
+func TestFARMResendsCorruptJob(t *testing.T) {
 	const cost, nJobs = 50000, 12
 	js := jobSeconds(cost)
-	e, team := setupFT(3, doubler(cost))
+	e, team := setup(3, doubler(cost))
 	team.Comm.SetInterposer(&corruptOnceWire{src: 0, dst: 2})
 	got := map[int]int{}
 	var ft FTStats
-	err := runMasterFT(e, team, func(p *sim.Process) {
+	err := runMaster(e, team, func(p *sim.Process) {
 		cfg := FTConfig{JobDeadlineSeconds: 2 * js}
-		_, ft = team.FARMFT(p, intJobs(nJobs), cfg, func(r Result) {
+		_, ft = team.FARM(p, [][]Job{intJobs(nJobs)}, nil, cfg, func(r Result) {
 			got[r.JobID] = r.Payload.(int)
 		})
 	})
@@ -200,10 +162,10 @@ func TestFARMFTResendsCorruptJob(t *testing.T) {
 	}
 }
 
-func TestFARMFTBlacklistsRepeatOffender(t *testing.T) {
+func TestFARMBlacklistsRepeatOffender(t *testing.T) {
 	const cost, nJobs = 200000, 20
 	js := jobSeconds(cost)
-	e, team := setupFT(4, doubler(cost))
+	e, team := setup(4, doubler(cost))
 	chip := team.Comm.Chip()
 	wire := &deadCoreWire{dead: map[int]bool{}}
 	team.Comm.SetInterposer(wire)
@@ -211,9 +173,9 @@ func TestFARMFTBlacklistsRepeatOffender(t *testing.T) {
 
 	var ft FTStats
 	got := map[int]bool{}
-	err := runMasterFT(e, team, func(p *sim.Process) {
+	err := runMaster(e, team, func(p *sim.Process) {
 		cfg := FTConfig{JobDeadlineSeconds: 2 * js, MaxFailures: 1}
-		_, ft = team.FARMFT(p, intJobs(nJobs), cfg, func(r Result) { got[r.JobID] = true })
+		_, ft = team.FARM(p, [][]Job{intJobs(nJobs)}, nil, cfg, func(r Result) { got[r.JobID] = true })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,10 +188,10 @@ func TestFARMFTBlacklistsRepeatOffender(t *testing.T) {
 	}
 }
 
-func TestFARMFTDegradedWhenAllSlavesDie(t *testing.T) {
+func TestFARMDegradedWhenAllSlavesDie(t *testing.T) {
 	const cost, nJobs = 200000, 20
 	js := jobSeconds(cost)
-	e, team := setupFT(3, doubler(cost))
+	e, team := setup(3, doubler(cost))
 	chip := team.Comm.Chip()
 	wire := &deadCoreWire{dead: map[int]bool{}}
 	team.Comm.SetInterposer(wire)
@@ -238,9 +200,9 @@ func TestFARMFTDegradedWhenAllSlavesDie(t *testing.T) {
 	}
 	collected := 0
 	var ft FTStats
-	err := runMasterFT(e, team, func(p *sim.Process) {
+	err := runMaster(e, team, func(p *sim.Process) {
 		cfg := FTConfig{JobDeadlineSeconds: 2 * js}
-		_, ft = team.FARMFT(p, intJobs(nJobs), cfg, func(Result) { collected++ })
+		_, ft = team.FARM(p, [][]Job{intJobs(nJobs)}, nil, cfg, func(Result) { collected++ })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +215,7 @@ func TestFARMFTDegradedWhenAllSlavesDie(t *testing.T) {
 	}
 }
 
-func TestFARMFTDropsDuplicateFromStalledSlave(t *testing.T) {
+func TestFARMDropsDuplicateFromStalledSlave(t *testing.T) {
 	// Slave 1 stalls past its deadline, so job 0 is reassigned to an
 	// idle slave; the stall ends while that copy is still computing, so
 	// the original slave rings first (its late result is accepted) and
@@ -269,14 +231,14 @@ func TestFARMFTDropsDuplicateFromStalledSlave(t *testing.T) {
 		}
 		return 2 * job.Payload.(int), costmodel.Counter{DPCells: c}, 8
 	}
-	e, team := setupFT(4, vary)
+	e, team := setup(4, vary)
 	chip := team.Comm.Chip()
 	e.Schedule(0.5*js, func() { e.StallUntil(chip.Proc(1), 2.5*js) })
 	got := map[int]int{}
 	var ft FTStats
-	err := runMasterFT(e, team, func(p *sim.Process) {
+	err := runMaster(e, team, func(p *sim.Process) {
 		cfg := FTConfig{JobDeadlineSeconds: 2 * js}
-		_, ft = team.FARMFT(p, intJobs(nJobs), cfg, func(r Result) {
+		_, ft = team.FARM(p, [][]Job{intJobs(nJobs)}, nil, cfg, func(r Result) {
 			if _, dup := got[r.JobID]; dup {
 				t.Errorf("job %d collected twice", r.JobID)
 			}

@@ -40,6 +40,12 @@ func intJobs(n int) []Job {
 	return jobs
 }
 
+// farmAll runs the paper's plain FARM: one shared queue, nothing armed.
+func farmAll(t *Team, p *sim.Process, jobs []Job, collect func(Result)) Stats {
+	st, _ := t.FARM(p, [][]Job{jobs}, nil, FTConfig{}, collect)
+	return st
+}
+
 func runMaster(e *sim.Engine, t *Team, body func(p *sim.Process)) error {
 	t.Comm.Chip().SpawnCore(t.Master, func(p *sim.Process) {
 		body(p)
@@ -54,7 +60,7 @@ func TestFarmProcessesAllJobs(t *testing.T) {
 	got := map[int]int{}
 	var stats Stats
 	err := runMaster(e, team, func(p *sim.Process) {
-		stats = team.FARM(p, jobs, func(r Result) {
+		stats = farmAll(team, p, jobs, func(r Result) {
 			got[r.JobID] = r.Payload.(int)
 		})
 	})
@@ -86,7 +92,7 @@ func TestFarmBalancesUniformJobs(t *testing.T) {
 	jobs := intJobs(40)
 	var stats Stats
 	err := runMaster(e, team, func(p *sim.Process) {
-		stats = team.FARM(p, jobs, nil)
+		stats = farmAll(team, p, jobs, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +117,7 @@ func TestFarmSpeedupNearLinear(t *testing.T) {
 		e, team := setup(slaves, doubler(50_000_000)) // ~3 s/job on P54C
 		var stats Stats
 		if err := runMaster(e, team, func(p *sim.Process) {
-			stats = team.FARM(p, intJobs(60), nil)
+			stats = farmAll(team, p, intJobs(60), nil)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +135,7 @@ func TestFarmFewerJobsThanSlaves(t *testing.T) {
 	e, team := setup(10, doubler(100))
 	collected := 0
 	err := runMaster(e, team, func(p *sim.Process) {
-		team.FARM(p, intJobs(3), func(Result) { collected++ })
+		farmAll(team, p, intJobs(3), func(Result) { collected++ })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +148,7 @@ func TestFarmFewerJobsThanSlaves(t *testing.T) {
 func TestFarmNoJobs(t *testing.T) {
 	e, team := setup(3, doubler(100))
 	err := runMaster(e, team, func(p *sim.Process) {
-		st := team.FARM(p, nil, func(Result) { t.Error("unexpected result") })
+		st := farmAll(team, p, nil, func(Result) { t.Error("unexpected result") })
 		if st.PollProbes != 0 {
 			t.Errorf("poll probes = %d for empty farm", st.PollProbes)
 		}
@@ -224,7 +230,7 @@ func TestSlaveComputeTimeCharged(t *testing.T) {
 	wantMin := cpu.Seconds(costmodel.Counter{DPCells: 100_000_000})
 	var stats Stats
 	err := runMaster(e, team, func(p *sim.Process) {
-		stats = team.FARM(p, intJobs(1), nil)
+		stats = farmAll(team, p, intJobs(1), nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +266,7 @@ func TestVariableJobsDynamicBalance(t *testing.T) {
 	}
 	var stats Stats
 	if err := runMaster(e, team, func(p *sim.Process) {
-		stats = team.FARM(p, jobs, nil)
+		stats = farmAll(team, p, jobs, nil)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +299,7 @@ func TestFarmToleratesStragglerCore(t *testing.T) {
 	})
 	var stats Stats
 	if err := runMaster(e, team, func(p *sim.Process) {
-		stats = team.FARM(p, intJobs(40), nil)
+		stats = farmAll(team, p, intJobs(40), nil)
 	}); err != nil {
 		t.Fatal(err)
 	}

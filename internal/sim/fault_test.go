@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -180,6 +181,65 @@ func TestRecvOrLatchAborts(t *testing.T) {
 	}
 	if ok2 {
 		t.Error("recv against a fired latch should abort immediately")
+	}
+}
+
+// TestRecvOrLatchGrace: a receive bounded by a latch outlives the
+// latch's Set by its grace period — and forever under an infinite
+// grace, where Set neither wakes the receiver nor schedules an event.
+func TestRecvOrLatchGrace(t *testing.T) {
+	e := NewEngine()
+	c, idle := NewChan("c"), NewChan("idle")
+	stop, never := NewLatch("stop"), NewLatch("never")
+	stop.Grace, never.Grace = 2, math.Inf(1)
+	var ok, idleOK bool
+	var at float64
+	e.Spawn("r", func(p *Process) {
+		_, ok = c.RecvOrLatch(p, stop)
+		at = p.Now()
+	})
+	e.Spawn("patient", func(p *Process) { _, idleOK = idle.RecvOrLatch(p, never) })
+	e.Schedule(4, stop.Set)
+	e.Schedule(4, never.Set)
+	e.Spawn("s", func(p *Process) {
+		p.Wait(10)
+		idle.Send(p, "late")
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ok || at != 6 {
+		t.Errorf("bounded recv: ok=%v at=%v, want false at 6 (set 4 + grace 2)", ok, at)
+	}
+	if !idleOK {
+		t.Error("infinite-grace recv gave up")
+	}
+}
+
+// TestRecvOrLatchDropsCompletedRegistrations: a slave loop parks on the
+// team's stop latch once per job; completed receives must not pile up
+// on the latch.
+func TestRecvOrLatchDropsCompletedRegistrations(t *testing.T) {
+	e := NewEngine()
+	c := NewChan("c")
+	stop := NewLatch("stop")
+	const n = 1000
+	e.Spawn("r", func(p *Process) {
+		for i := 0; i < n; i++ {
+			c.RecvOrLatch(p, stop)
+			if len(stop.aborts) != 0 {
+				t.Fatalf("cycle %d left %d registrations on the latch", i, len(stop.aborts))
+			}
+		}
+	})
+	e.Spawn("s", func(p *Process) {
+		for i := 0; i < n; i++ {
+			p.Wait(1)
+			c.Send(p, i)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 

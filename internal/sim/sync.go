@@ -6,7 +6,7 @@ import "math"
 // Send blocks until a matching Recv and vice versa, both resuming at the
 // rendezvous time. Waiters are served FIFO, so behaviour is deterministic.
 // Waiters belonging to killed processes are skipped lazily, and receives
-// can carry a timeout or be aborted by a latch (fault-tolerant protocols).
+// can carry a timeout or be bounded by a latch (fault-tolerant protocols).
 type Chan struct {
 	name      string
 	senders   []*sendReq
@@ -19,13 +19,22 @@ type sendReq struct {
 }
 
 type recvReq struct {
-	p    *Process
-	slot *any
+	p *Process
+	v any
 	// fulfilled is set when a sender matches this request; cancelled when
 	// a timeout or abort latch claimed it first. A request has exactly
 	// one of the two outcomes.
 	fulfilled bool
 	cancelled bool
+}
+
+// cancel abandons a still-pending request and wakes its process.
+func (r *recvReq) cancel() {
+	if r.fulfilled || r.cancelled || r.p.dead() {
+		return
+	}
+	r.cancelled = true
+	r.p.unblock()
 }
 
 // NewChan returns an empty rendezvous channel.
@@ -63,7 +72,7 @@ func (c *Chan) liveReceiver() *recvReq {
 func (c *Chan) Send(p *Process, v any) {
 	if r := c.liveReceiver(); r != nil {
 		c.receivers = c.receivers[1:]
-		*r.slot = v
+		r.v = v
 		r.fulfilled = true
 		r.p.unblock()
 		return
@@ -84,45 +93,43 @@ func (c *Chan) RecvTimeout(p *Process, d float64) (any, bool) {
 	return c.recv(p, d, nil)
 }
 
-// RecvOrLatch is Recv aborted by a latch: it returns (value, true) on a
-// rendezvous, or (nil, false) once l fires with no rendezvous yet (or
-// immediately, if l has already fired).
+// RecvOrLatch is Recv bounded by a latch: it returns (value, true) on a
+// rendezvous, or (nil, false) l.Grace seconds after l fires with no
+// rendezvous yet (immediately, by default).
 func (c *Chan) RecvOrLatch(p *Process, l *Latch) (any, bool) {
+	if l.set {
+		return c.recv(p, l.Grace, nil)
+	}
 	return c.recv(p, math.Inf(1), l)
 }
 
 // recv implements the receive variants: a plain receive (d = +Inf,
-// l = nil), a deadline, an abort latch, or both.
+// l = nil), a deadline, or an unset latch bounding the wait.
 func (c *Chan) recv(p *Process, d float64, l *Latch) (any, bool) {
 	if s := c.liveSender(); s != nil {
 		c.senders = c.senders[1:]
 		s.p.unblock()
 		return s.v, true
 	}
-	if l != nil && l.IsSet() {
+	if d <= 0 {
 		return nil, false
 	}
-	var slot any
-	req := &recvReq{p: p, slot: &slot}
+	req := &recvReq{p: p}
 	c.receivers = append(c.receivers, req)
-	cancel := func() {
-		if req.fulfilled || req.cancelled || p.dead() {
-			return
-		}
-		req.cancelled = true
-		p.unblock()
-	}
 	if !math.IsInf(d, 1) {
-		p.e.After(d, cancel)
+		p.e.After(d, req.cancel)
 	}
 	if l != nil {
-		l.onSet = append(l.onSet, cancel)
+		l.aborts = append(l.aborts, req)
 	}
 	p.block("recv:" + c.name)
+	if l != nil {
+		l.drop(req)
+	}
 	if req.cancelled {
 		return nil, false
 	}
-	return slot, true
+	return req.v, true
 }
 
 // TrySend delivers v if a receiver is already waiting and reports whether
@@ -156,13 +163,18 @@ type latchWaiter struct {
 
 // Latch is a one-shot completion flag: Wait blocks until Set has been
 // called (immediately returning if it already was). Multiple waiters
-// are all released at the Set time. Callbacks registered internally
-// (channel aborts) run at Set time as well.
+// are all released at the Set time. Receives bounded by the latch
+// (Chan.RecvOrLatch) are registered only while they block.
 type Latch struct {
+	// Grace is how long a receive bounded by the latch outlives Set
+	// (0 = aborted at Set, +Inf = never abandoned: Set then neither wakes
+	// the receiver nor schedules an event).
+	Grace float64
+
 	name    string
 	set     bool
 	waiting []*latchWaiter
-	onSet   []func()
+	aborts  []*recvReq
 }
 
 // NewLatch returns an unset latch.
@@ -183,40 +195,50 @@ func (l *Latch) Set() {
 		w.p.unblock()
 	}
 	l.waiting = nil
-	for _, fn := range l.onSet {
-		fn()
+	for _, r := range l.aborts {
+		if l.Grace <= 0 {
+			r.cancel()
+		} else if !math.IsInf(l.Grace, 1) {
+			r.p.e.After(l.Grace, r.cancel)
+		}
 	}
-	l.onSet = nil
+	l.aborts = nil
+}
+
+// drop forgets a bounded receive that has completed, keeping the order
+// of the rest (it decides the wake-up order at Set).
+func (l *Latch) drop(r *recvReq) {
+	for i, x := range l.aborts {
+		if x == r {
+			l.aborts = append(l.aborts[:i], l.aborts[i+1:]...)
+			return
+		}
+	}
 }
 
 // IsSet reports whether the latch has fired.
 func (l *Latch) IsSet() bool { return l.set }
 
 // Wait blocks p until the latch is set.
-func (l *Latch) Wait(p *Process) {
-	if l.set {
-		return
-	}
-	w := &latchWaiter{p: p}
-	l.waiting = append(l.waiting, w)
-	p.block("latch:" + l.name)
-}
+func (l *Latch) Wait(p *Process) { l.WaitTimeout(p, math.Inf(1)) }
 
 // WaitTimeout blocks p until the latch fires (true) or d seconds pass
-// (false).
+// (false); d = +Inf is Wait.
 func (l *Latch) WaitTimeout(p *Process, d float64) bool {
 	if l.set {
 		return true
 	}
 	w := &latchWaiter{p: p}
 	l.waiting = append(l.waiting, w)
-	p.e.After(d, func() {
-		if w.released || w.cancelled || p.dead() {
-			return
-		}
-		w.cancelled = true
-		p.unblock()
-	})
+	if !math.IsInf(d, 1) {
+		p.e.After(d, func() {
+			if w.released || w.cancelled || p.dead() {
+				return
+			}
+			w.cancelled = true
+			p.unblock()
+		})
+	}
 	p.block("latch:" + l.name)
 	return !w.cancelled
 }
@@ -243,7 +265,7 @@ func (q *Queue) Put(v any) {
 		if r.p.dead() || r.cancelled {
 			continue
 		}
-		*r.slot = v
+		r.v = v
 		r.fulfilled = true
 		r.p.unblock()
 		return
@@ -265,23 +287,16 @@ func (q *Queue) GetTimeout(p *Process, d float64) (any, bool) {
 		q.items = q.items[1:]
 		return v, true
 	}
-	var slot any
-	req := &recvReq{p: p, slot: &slot}
+	req := &recvReq{p: p}
 	q.getters = append(q.getters, req)
 	if !math.IsInf(d, 1) {
-		p.e.After(d, func() {
-			if req.fulfilled || req.cancelled || p.dead() {
-				return
-			}
-			req.cancelled = true
-			p.unblock()
-		})
+		p.e.After(d, req.cancel)
 	}
 	p.block("queue:" + q.name)
 	if req.cancelled {
 		return nil, false
 	}
-	return slot, true
+	return req.v, true
 }
 
 // Len returns the number of queued (undelivered) items.
