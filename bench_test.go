@@ -19,6 +19,7 @@ import (
 	"rckalign/internal/costmodel"
 	"rckalign/internal/dist"
 	"rckalign/internal/experiments"
+	"rckalign/internal/interchip"
 	"rckalign/internal/mcpsc"
 	"rckalign/internal/pairstore"
 	"rckalign/internal/prune"
@@ -190,27 +191,30 @@ func BenchmarkPolling(b *testing.B) {
 	b.ReportMetric(eventDriven, "eventdriven_sim_s")
 }
 
-// BenchmarkHierarchy is the master-tree ablation the paper proposes for
-// master-bottleneck relief: flat vs 2-level masters, CK34, 40 workers.
-func BenchmarkHierarchy(b *testing.B) {
+// BenchmarkMasterTree is the master-tree ablation the paper proposes for
+// master-bottleneck relief: flat vs a 4-master tree (4 chips x 10 slaves
+// under the ideal interconnect), CK34, 40 workers.
+func BenchmarkMasterTree(b *testing.B) {
 	env := loadEnv(b)
+	ideal, err := interchip.Profile("ideal")
+	if err != nil {
+		b.Fatal(err)
+	}
 	var flat, tree float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		r1, err := core.Run(env.CK34, 40, cfg)
+		r1, err := core.Run(env.CK34, 40, core.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg.Hierarchy = 4
-		r2, err := core.Run(env.CK34, 40, cfg)
+		r2, err := core.RunMultiChip(env.CK34, 10, core.MultiChipConfig{Config: core.DefaultConfig(), Chips: 4, Interchip: ideal})
 		if err != nil {
 			b.Fatal(err)
 		}
 		flat, tree = r1.TotalSeconds, r2.TotalSeconds
 	}
 	b.ReportMetric(flat, "flat_sim_s")
-	b.ReportMetric(tree, "hierarchy4_sim_s")
+	b.ReportMetric(tree, "tree4_sim_s")
 }
 
 // BenchmarkCacheBatch is the structure-cache + batched-dispatch
@@ -361,20 +365,6 @@ func BenchmarkPairCompare(b *testing.B) {
 	ds := synth.CK34()
 	x, y := ds.Structures[0], ds.Structures[1]
 	opt := tmalign.DefaultOptions()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tmalign.Compare(x, y, opt)
-	}
-}
-
-// BenchmarkPairCompareFloat32 is BenchmarkPairCompare under the opt-in
-// float32 DP fast path (-float32).
-func BenchmarkPairCompareFloat32(b *testing.B) {
-	ds := synth.CK34()
-	x, y := ds.Structures[0], ds.Structures[1]
-	opt := tmalign.DefaultOptions()
-	opt.Float32 = true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,7 +6,7 @@
 //
 //	benchtables                      # all tables, CK34 + RS119
 //	benchtables -table 2             # a single table (1-5)
-//	benchtables -ablations           # scheduling + hierarchy ablations
+//	benchtables -ablations           # scheduling, master-tree and faster-cores ablations
 //	benchtables -cache DIR           # pair-result cache location
 //	benchtables -ck34only            # skip RS119 (fast path)
 package main
@@ -23,7 +23,7 @@ import (
 
 func main() {
 	table := flag.Int("table", 0, "regenerate one table (1-5); 0 = all")
-	ablations := flag.Bool("ablations", false, "also run the scheduling and hierarchy ablations")
+	ablations := flag.Bool("ablations", false, "also run the scheduling, master-tree and faster-cores ablations")
 	figures := flag.Bool("figures", false, "also render Figures 5 and 6 as ASCII plots")
 	cacheDir := flag.String("cache", "testdata/paircache", "pair-result cache directory")
 	ck34only := flag.Bool("ck34only", false, "skip RS119 (Table III/IV/V show CK34 rows only)")
@@ -74,7 +74,7 @@ func main() {
 		}
 		if *ablations {
 			emit(env.SchedulingAblation())
-			emit(env.HierarchyAblation())
+			emit(env.MasterTreeAblation())
 			emit(env.FasterCoresAblation())
 			emit(experiments.MCPSCPartitionAblation())
 		}
@@ -91,7 +91,7 @@ func main() {
 	}
 	if *ablations && *table != 0 {
 		emit(env.SchedulingAblation())
-		emit(env.HierarchyAblation())
+		emit(env.MasterTreeAblation())
 		emit(env.FasterCoresAblation())
 	}
 }

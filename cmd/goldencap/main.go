@@ -17,6 +17,7 @@ import (
 
 	"rckalign/internal/core"
 	"rckalign/internal/dist"
+	"rckalign/internal/interchip"
 	"rckalign/internal/mcpsc"
 	"rckalign/internal/pairstore"
 	"rckalign/internal/sched"
@@ -144,13 +145,13 @@ func main() {
 		check(err)
 		g.Farm = append(g.Farm, farmRun(fmt.Sprintf("core-threads2-s%d", n), r))
 	}
-	// Hierarchical master tree.
+	// The master tree: a sub-master per chip, ideal interconnect.
 	{
-		cfg := core.DefaultConfig()
-		cfg.Hierarchy = 2
-		r, err := core.Run(pr, 6, cfg)
+		ideal, err := interchip.Profile("ideal")
 		check(err)
-		g.Farm = append(g.Farm, farmRun("core-hier2-s6", r))
+		r, err := core.RunMultiChip(pr, 3, core.MultiChipConfig{Config: core.DefaultConfig(), Chips: 2, Interchip: ideal})
+		check(err)
+		g.Farm = append(g.Farm, farmRun("core-chips2-ideal-s3", r))
 	}
 	// Out-of-core tiled run: budget forces several blocks.
 	{

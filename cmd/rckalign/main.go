@@ -7,7 +7,7 @@
 // Usage:
 //
 //	rckalign [-dataset CK34|RS119] [-slaves N | -sweep] [-order FIFO|LPT|Random]
-//	         [-hierarchy H] [-cache DIR] [-fast] [-csv] [-faults SPEC]
+//	         [-cache DIR] [-fast] [-csv] [-faults SPEC]
 //	         [-structcache N] [-batch K] [-tile T] [-affinity] [-hostpar N]
 //	         [-threads T] [-membudget R] [-chips N]
 //	         [-metrics-out FILE] [-trace-out FILE] [-scores-out FILE] [-heatmap]
@@ -15,11 +15,11 @@
 // Every run goes through core's one pipeline, so the flags compose:
 // ordering, the wire model, threads and faults are properties of the
 // planned workload and apply whether it is farmed flat, in memory-
-// budgeted stages (-membudget) or sharded across chips (-chips). The few
-// combinations no run path supports (see core's MultiChipConfig.Validate:
-// -hierarchy with -faults, the wire model, -threads, -membudget or
-// -chips; -membudget with -chips) exit 2 with a one-line diagnostic
-// before the dataset loads.
+// budgeted stages (-membudget) or sharded across chips (-chips). The one
+// combination no run path supports (core's MultiChipConfig.Validate:
+// -membudget with -chips > 1) and flags that could not take effect
+// (-deadline without -faults, -interchip or -gather at -chips 1) exit 2
+// with a one-line diagnostic before the dataset loads.
 //
 // -structcache enables the slave-side structure-cache model (-1 derives
 // the per-slave capacity from the default memory budget), -batch bundles
@@ -41,10 +41,7 @@
 // sequence alignment — falls below T are skipped entirely, never
 // reaching the TM-align kernel, the farm or the -scores-out dump. At
 // T=0 (default) every pair is compared and output is byte-identical to
-// previous releases. -float32 switches the kernel's DP score matrix to
-// single-precision arithmetic (a measurable speedup on cache-bound
-// chains); superposition and TM-scores stay float64, but near-tied
-// alignment choices may drift, so it is off by default.
+// previous releases.
 //
 // -metrics-out dumps the run's metrics registry (counters, histograms,
 // time series from every simulation layer) as deterministic JSON;
@@ -68,13 +65,14 @@
 // own mesh and aggregates its results locally, and the aggregate blobs
 // travel back up the -gather topology ("tree" — a fan-in tree of
 // configurable arity, "tree:2" — or "flat", every chip straight to the
-// root). -chips 1 (the default) is the classic single-chip run,
-// byte-identical in reports and -scores-out dumps; scores stay
-// byte-identical at every chip count and gather mode. -interchip
-// selects the interconnect cost profile: a name (board, cluster, ideal)
-// or "lat=2e-6,bw=1.6e9[,recv=5e-7][,ports=1]" (unset keys inherit the
-// board profile). -faults (global core ids, chip = id/48) and -affinity
-// work per chip.
+// root) — the hierarchy of masters the paper proposes for when the
+// single master becomes the bottleneck. -chips 1 (the default) is the
+// classic single-chip run, byte-identical in reports and -scores-out
+// dumps; scores stay byte-identical at every chip count and gather mode.
+// -interchip selects the interconnect cost profile: a name (board,
+// cluster, ideal) or "lat=2e-6,bw=1.6e9[,recv=5e-7][,ports=1]" (unset
+// keys inherit the board profile). -faults (global core ids, chip =
+// id/48) and -affinity work per chip.
 //
 // -membudget R caps the residues resident at the master: the dataset is
 // loaded in blocks and farmed stage by stage, and a "tiled" stderr line
@@ -113,7 +111,6 @@ type cliFlags struct {
 	Slaves      int
 	Sweep       bool
 	Order       string
-	Hierarchy   int
 	Threads     int
 	MemBudget   int
 	Deadline    float64
@@ -134,23 +131,12 @@ type cliFlags struct {
 // whole story and the simulation only burns memory.
 const maxChips = 64
 
-// flagOf names the flag behind each core.Config feature a
-// core.ConflictError can mention.
-var flagOf = map[string]string{
-	"Hierarchy":                   "-hierarchy",
-	"Faults":                      "-faults",
-	"CacheStructs/Batch/Affinity": "-structcache/-batch/-affinity",
-	"ThreadsPerWorker":            "-threads",
-	"MemoryBudgetResidues":        "-membudget",
-	"Chips":                       "-chips",
-}
-
-// validateFlags rejects out-of-range flag values and flag combinations
-// no run path supports with a one-line diagnostic before the dataset is
-// even loaded, and resolves the flags into the run configuration (job
-// ordering, fault plan, interchip profile, gather topology). Values with
-// documented sentinel semantics (-structcache -1, -tile -1, -batch 0,
-// -polling 0) stay valid.
+// validateFlags rejects out-of-range flag values, flags that could not
+// take effect and the one combination no run path supports with a
+// one-line diagnostic before the dataset is even loaded, and resolves
+// the flags into the run configuration (job ordering, fault plan,
+// interchip profile, gather topology). Values with documented sentinel
+// semantics (-structcache -1, -tile -1, -batch 0, -polling 0) stay valid.
 func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
 	cfg := core.MultiChipConfig{Config: core.DefaultConfig(), Chips: f.Chips}
 	ord, ok := map[string]sched.Order{
@@ -161,9 +147,6 @@ func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
 	}
 	if !f.Sweep && (f.Slaves < 1 || f.Slaves > 47) {
 		return cfg, fmt.Errorf("-slaves %d outside [1,47]", f.Slaves)
-	}
-	if f.Hierarchy < 0 {
-		return cfg, fmt.Errorf("-hierarchy %d is negative", f.Hierarchy)
 	}
 	if f.Threads < 1 {
 		return cfg, fmt.Errorf("-threads %d below 1", f.Threads)
@@ -196,7 +179,6 @@ func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
 		return cfg, fmt.Errorf("-chips %d outside [1,%d]", f.Chips, maxChips)
 	}
 	cfg.Order = ord
-	cfg.Hierarchy = f.Hierarchy
 	cfg.ThreadsPerWorker = f.Threads
 	cfg.MemoryBudgetResidues = f.MemBudget
 	cfg.PollingScale = f.Polling
@@ -210,19 +192,26 @@ func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
 			return cfg, fmt.Errorf("-faults %q: %v", f.FaultSpec, err)
 		}
 		cfg.FT.JobDeadlineSeconds = f.Deadline
+	} else if f.Deadline > 0 {
+		return cfg, fmt.Errorf("-deadline %g without -faults has no effect", f.Deadline)
 	}
 	cfg.Interchip = interchip.DefaultConfig()
 	if f.Interchip != "" {
 		if cfg.Interchip, err = interchip.ParseSpec(f.Interchip); err != nil {
 			return cfg, fmt.Errorf("-interchip %q: %v", f.Interchip, err)
 		}
+		if f.Chips == 1 {
+			return cfg, fmt.Errorf("-interchip %q has no effect at -chips 1", f.Interchip)
+		}
 	}
 	if cfg.Gather, err = farm.ParseGatherSpec(f.Gather); err != nil {
 		return cfg, fmt.Errorf("-gather %q: %v", f.Gather, err)
 	}
-	err = cfg.Validate()
-	if c := (core.ConflictError{}); errors.As(err, &c) {
-		err = fmt.Errorf("%s with %s is unsupported", flagOf[c.A], flagOf[c.B])
+	if f.Gather != "" && f.Chips == 1 {
+		return cfg, fmt.Errorf("-gather %q has no effect at -chips 1", f.Gather)
+	}
+	if err = cfg.Validate(); errors.Is(err, core.ErrBudgetAcrossChips) {
+		err = errors.New("-membudget with -chips > 1 is unsupported")
 	}
 	return cfg, err
 }
@@ -232,7 +221,6 @@ func main() {
 	slaves := flag.Int("slaves", 47, "number of slave cores (1-47)")
 	sweep := flag.Bool("sweep", false, "sweep slave counts 1,3,...,47 (the paper's Experiment II)")
 	order := flag.String("order", "FIFO", "job ordering: FIFO, LPT, SPT or Random")
-	hierarchy := flag.Int("hierarchy", 0, "number of sub-masters (0 = single master, the paper's setup)")
 	cacheDir := flag.String("cache", "testdata/paircache", "pair-result cache directory (empty = always recompute)")
 	fast := flag.Bool("fast", false, "use the fast TM-align profile when (re)computing pair results")
 	csv := flag.Bool("csv", false, "emit CSV instead of a text table")
@@ -240,7 +228,7 @@ func main() {
 	threads := flag.Int("threads", 1, "threads per worker (2 = dual-core tile workers; paper future work)")
 	memBudget := flag.Int("membudget", 0, "master memory budget in residues (0 = unlimited; >0 = out-of-core tiled run)")
 	faultSpec := flag.String("faults", "", "fault-injection spec, e.g. \"seed=1;kill=12@40;drop=*>0@p0.01\" (empty = no faults)")
-	deadline := flag.Float64("deadline", 0, "fault-tolerant per-job deadline in seconds (0 = derive from workload)")
+	deadline := flag.Float64("deadline", 0, "fault-tolerant per-job deadline in seconds (0 = derive from workload; needs -faults)")
 	polling := flag.Float64("polling", 1, "scale the master's per-collection polling discovery cost (0 = ideal event-driven, 1 = the paper's busy polling; large values emulate fine-grained jobs saturating the master)")
 	structCache := flag.Int("structcache", 0, "slave-side structure-cache capacity in structures (0 = off, the paper's wire; -1 = derive from the per-core memory budget)")
 	batch := flag.Int("batch", 0, "bundle up to this many jobs per request message (0 or 1 = one message per job)")
@@ -252,14 +240,13 @@ func main() {
 	heatmap := flag.Bool("heatmap", false, "print the mesh link heatmap of the (last) run")
 	hostpar := flag.Int("hostpar", runtime.GOMAXPROCS(0), "host worker goroutines for native pair evaluation on a cache miss (0 = serial; simulated results are identical either way)")
 	chips := flag.Int("chips", 1, "shard the pair matrix across this many SCC chips (1 = the classic single-chip run, byte-identical reports and scores)")
-	interchipSpec := flag.String("interchip", "", "inter-chip interconnect profile: board, cluster, ideal, or \"lat=S,bw=B[,recv=S][,ports=N]\" (empty = board; only meaningful with -chips > 1)")
-	gatherSpec := flag.String("gather", "", "multi-chip result gather topology: tree, tree:ARITY, or flat (empty = tree of arity 4; only meaningful with -chips > 1)")
+	interchipSpec := flag.String("interchip", "", "inter-chip interconnect profile: board, cluster, ideal, or \"lat=S,bw=B[,recv=S][,ports=N]\" (empty = board; needs -chips > 1)")
+	gatherSpec := flag.String("gather", "", "multi-chip result gather topology: tree, tree:ARITY, or flat (empty = tree of arity 4; needs -chips > 1)")
 	pruneTM := flag.Float64("prune-tm", 0, "skip pairs whose conservative TM upper bound falls below this threshold (0 = compare every pair; pruned pairs are absent from -scores-out)")
-	float32Flag := flag.Bool("float32", false, "use the float32 DP-matrix fast path when (re)computing pair results (scores may drift on near-tied alignments; off = bit-exact float64)")
 	flag.Parse()
 
 	cfg, err := validateFlags(cliFlags{
-		Slaves: *slaves, Sweep: *sweep, Order: *order, Hierarchy: *hierarchy,
+		Slaves: *slaves, Sweep: *sweep, Order: *order,
 		Threads: *threads, MemBudget: *memBudget, Deadline: *deadline,
 		Polling: *polling, StructCache: *structCache, Batch: *batch,
 		Tile: *tile, HostPar: *hostpar, Chips: *chips, Interchip: *interchipSpec,
@@ -278,15 +265,9 @@ func main() {
 	if *fast {
 		opt = tmalign.FastOptions()
 	}
-	opt.Float32 = *float32Flag
 	cachePath := ""
 	if *cacheDir != "" {
 		cachePath = filepath.Join(*cacheDir, ds.Name+".gob")
-		if *float32Flag {
-			// The float32 fast path may produce (slightly) different scores,
-			// so it must not share the float64 cache file.
-			cachePath = filepath.Join(*cacheDir, ds.Name+".f32.gob")
-		}
 	}
 	// -hostpar 0 means serial host evaluation; the store still memoizes.
 	workers := *hostpar

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -28,10 +31,11 @@ func TestValidateFlags(t *testing.T) {
 		{"slaves zero", func(f *cliFlags) { f.Slaves = 0 }, "-slaves"},
 		{"slaves too many", func(f *cliFlags) { f.Slaves = 48 }, "-slaves"},
 		{"slaves ignored under sweep", func(f *cliFlags) { f.Slaves = 0; f.Sweep = true }, ""},
-		{"hierarchy negative", func(f *cliFlags) { f.Hierarchy = -1 }, "-hierarchy"},
 		{"threads zero", func(f *cliFlags) { f.Threads = 0 }, "-threads"},
 		{"membudget negative", func(f *cliFlags) { f.MemBudget = -5 }, "-membudget"},
 		{"deadline negative", func(f *cliFlags) { f.Deadline = -1 }, "-deadline"},
+		{"deadline with faults", func(f *cliFlags) { f.Deadline = 5; f.FaultSpec = "kill=3@10" }, ""},
+		{"deadline without faults", func(f *cliFlags) { f.Deadline = 5 }, "-deadline 5 without -faults"},
 		{"polling negative", func(f *cliFlags) { f.Polling = -0.5 }, "-polling"},
 		{"polling zero is the event-driven ablation", func(f *cliFlags) { f.Polling = 0 }, ""},
 		{"structcache derive sentinel", func(f *cliFlags) { f.StructCache = -1 }, ""},
@@ -56,13 +60,10 @@ func TestValidateFlags(t *testing.T) {
 			f.Affinity = true
 			f.FaultSpec = "kill=3@10"
 		}, ""},
-		{"chips with hierarchy", func(f *cliFlags) { f.Chips = 2; f.Hierarchy = 4 }, "-hierarchy"},
-		{"chips with membudget", func(f *cliFlags) { f.Chips = 2; f.MemBudget = 5000 }, "-membudget"},
-		{"membudget with hierarchy", func(f *cliFlags) { f.MemBudget = 3000; f.Hierarchy = 2 }, "-hierarchy with -membudget"},
+		{"chips with membudget", func(f *cliFlags) { f.Chips = 2; f.MemBudget = 5000 }, "-membudget with -chips"},
+		{"interchip at one chip", func(f *cliFlags) { f.Interchip = "cluster" }, "-interchip \"cluster\" has no effect at -chips 1"},
+		{"gather at one chip", func(f *cliFlags) { f.Gather = "flat" }, "-gather \"flat\" has no effect at -chips 1"},
 		{"membudget with faults", func(f *cliFlags) { f.MemBudget = 3000; f.FaultSpec = "seed=1;kill=12@10" }, ""},
-		{"hierarchy with threads", func(f *cliFlags) { f.Hierarchy = 2; f.Threads = 2 }, "-hierarchy with -threads"},
-		{"hierarchy with faults", func(f *cliFlags) { f.Hierarchy = 2; f.FaultSpec = "kill=3@10" }, "-hierarchy with -faults"},
-		{"hierarchy with batch", func(f *cliFlags) { f.Hierarchy = 2; f.Batch = 8 }, "-hierarchy with -structcache/-batch/-affinity"},
 		{"affinity with faults", func(f *cliFlags) { f.Affinity = true; f.FaultSpec = "kill=3@10" }, ""},
 		{"faults unparseable", func(f *cliFlags) { f.FaultSpec = "bogus" }, "-faults"},
 		{"single chip keeps faults", func(f *cliFlags) { f.Chips = 1; f.FaultSpec = "kill=3@10" }, ""},
@@ -135,6 +136,7 @@ func TestValidateFlagsResolvesInterchip(t *testing.T) {
 	if err != nil || cfg.Interchip != interchip.DefaultConfig() {
 		t.Errorf("empty -interchip resolved to %+v (err %v), want the board profile", cfg.Interchip, err)
 	}
+	f.Chips = 2
 	f.Interchip = "cluster"
 	cfg, err = validateFlags(f)
 	cluster, _ := interchip.Profile("cluster")
@@ -150,6 +152,7 @@ func TestValidateFlagsResolvesGather(t *testing.T) {
 	if err != nil || cfg.Gather != want {
 		t.Errorf("empty -gather resolved to %+v (err %v), want %+v", cfg.Gather, err, want)
 	}
+	f.Chips = 2
 	f.Gather = "tree:2"
 	cfg, err = validateFlags(f)
 	if err != nil || cfg.Gather.Mode != farm.GatherTree || cfg.Gather.Arity != 2 {
@@ -159,6 +162,33 @@ func TestValidateFlagsResolvesGather(t *testing.T) {
 	cfg, err = validateFlags(f)
 	if err != nil || cfg.Gather.Mode != farm.GatherFlat {
 		t.Errorf("-gather flat resolved to %+v (err %v)", cfg.Gather, err)
+	}
+}
+
+// TestMain lets the test binary stand in for the rckalign command: with
+// RCKALIGN_TEST_MAIN set it runs main on its own arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("RCKALIGN_TEST_MAIN") != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestRemovedFlagsAreUndefined: -hierarchy and -float32 are gone with no
+// alias, so the flag package itself rejects them with exit status 2.
+func TestRemovedFlagsAreUndefined(t *testing.T) {
+	for _, args := range [][]string{{"-hierarchy", "2"}, {"-float32"}} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "RCKALIGN_TEST_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("rckalign %v: err = %v, want exit status 2", args, err)
+		}
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
+			t.Errorf("rckalign %v printed %q, want %q", args, out, want)
+		}
 	}
 }
 

@@ -54,17 +54,15 @@ func TestPipelineScalingShape(t *testing.T) {
 }
 
 func TestAllExecutionPathsAgreeOnBiology(t *testing.T) {
-	// Serial, flat farm, hierarchical farm and the distributed baseline
-	// all replay the same native results; their timing differs but the
+	// Serial, flat farm, a two-chip master tree and the distributed
+	// baseline all replay the same native results; their timing differs but the
 	// collected result count and the underlying scores must agree.
 	pr := pipelinePR
 	flat, err := core.Run(pr, 6, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hcfg := core.DefaultConfig()
-	hcfg.Hierarchy = 2
-	tree, err := core.Run(pr, 6, hcfg)
+	tree, err := core.RunMultiChip(pr, 3, core.MultiChipConfig{Config: core.DefaultConfig(), Chips: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

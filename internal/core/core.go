@@ -10,9 +10,10 @@
 // measured operation counts as simulated compute time on the modelled
 // P54C cores — see DESIGN.md.
 //
-// Every run — flat, memory-budgeted, sharded across chips, or under a
-// sub-master hierarchy — goes through one pipeline (pipeline.go): plan
-// the workload once, stage it, shard it, farm the same farm.Work, report.
+// Every run — flat, memory-budgeted or sharded across chips (a
+// sub-master per chip: the paper's proposed master tree) — goes through
+// one pipeline (pipeline.go): plan the workload once, stage it, shard it,
+// farm the same farm.Work, report.
 package core
 
 import (
@@ -235,8 +236,7 @@ func SynthPairResults(name string, lengths []int) *PairResults {
 }
 
 // Config tunes an rckAlign simulation run. The fields compose freely;
-// the few combinations no run shape supports are listed in one place,
-// MultiChipConfig.Validate.
+// the one combination no run shape supports is MultiChipConfig.Validate.
 type Config struct {
 	// Chip is the SCC model (DefaultConfig = Table I).
 	Chip scc.Config
@@ -247,10 +247,6 @@ type Config struct {
 	Order sched.Order
 	// OrderSeed drives sched.Random.
 	OrderSeed int64
-	// Hierarchy enables the paper's proposed two-level master tree with
-	// the given number of sub-masters (0 = single master, the paper's
-	// implementation).
-	Hierarchy int
 	// PollingScale scales the master's round-robin polling discovery
 	// cost (1 = the paper's busy polling, 0 = ideal event-driven
 	// notification; used by the polling ablation). Values below zero are

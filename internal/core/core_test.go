@@ -168,39 +168,6 @@ func TestLPTOrderingNotWorse(t *testing.T) {
 	}
 }
 
-func TestHierarchicalRun(t *testing.T) {
-	pr := smallPR
-	cfg := DefaultConfig()
-	cfg.Hierarchy = 2
-	r, err := Run(pr, 6, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Collected != len(pr.Pairs) {
-		t.Errorf("hierarchical collected %d of %d", r.Collected, len(pr.Pairs))
-	}
-	if r.TotalSeconds <= 0 {
-		t.Error("no simulated time")
-	}
-	// Sanity: comparable to flat within 2x (it spends 2 extra cores).
-	flat, err := Run(pr, 6, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.TotalSeconds > flat.TotalSeconds*2 {
-		t.Errorf("hierarchy %v vs flat %v", r.TotalSeconds, flat.TotalSeconds)
-	}
-}
-
-func TestHierarchyCapacityValidation(t *testing.T) {
-	pr := smallPR
-	cfg := DefaultConfig()
-	cfg.Hierarchy = 10
-	if _, err := Run(pr, 47, cfg); err == nil {
-		t.Error("hierarchy exceeding core count accepted")
-	}
-}
-
 func TestCacheRoundTrip(t *testing.T) {
 	pr := smallPR
 	path := filepath.Join(t.TempDir(), "cache.gob")

@@ -76,8 +76,8 @@ func shardWireBytes(shard []sched.Pair, sizes []int) int64 {
 // scatters the shards over the interchip fabric and results return as
 // aggregate blobs up the configured gather topology; fault plans (core
 // ids global across the board) are split per chip and affinity deals
-// each shard onto that chip's workers. See Validate for the feature
-// combinations that do not compose.
+// each shard onto that chip's workers. See Validate for the one feature
+// combination that does not compose.
 func RunMultiChip(pr *PairResults, slavesPerChip int, cfg MultiChipConfig) (RunResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return RunResult{}, err
@@ -86,11 +86,7 @@ func RunMultiChip(pr *PairResults, slavesPerChip int, cfg MultiChipConfig) (RunR
 	if err != nil {
 		return RunResult{}, err
 	}
-	run := p.run
-	if p.subMasters > 0 {
-		run = p.runHierarchical
-	}
-	rep, err := run()
+	rep, err := p.run()
 	rep.Prune = cfg.Prune
 	return RunResult{Report: rep}, err
 }

@@ -199,7 +199,6 @@ func TestMultiChipRejections(t *testing.T) {
 			t.Errorf("%s: expected a rejection at chips > 1", name)
 		}
 	}
-	reject("hierarchy", func(cfg *MultiChipConfig) { cfg.Hierarchy = 4 })
 	reject("slaves", func(cfg *MultiChipConfig) { cfg.Config.Chip.TilesX = 1; cfg.Config.Chip.TilesY = 2 })
 	// A plan must not kill any chip's master (every chip's local core 0).
 	reject("kill sub-master", func(cfg *MultiChipConfig) {

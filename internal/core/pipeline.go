@@ -11,6 +11,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"rckalign/internal/costmodel"
@@ -19,45 +20,17 @@ import (
 	"rckalign/internal/sched"
 )
 
-// ConflictError is Validate's typed error: Config features A and B
-// (named by their fields) are not composed by any run path. Values are
-// comparable, so errors.Is(err, ConflictError{A: ..., B: ...}) matches.
-type ConflictError struct{ A, B string }
+// ErrBudgetAcrossChips is Validate's error: a memory budget on a
+// multi-chip run.
+var ErrBudgetAcrossChips = errors.New("core: MemoryBudgetResidues does not compose with Chips > 1")
 
-func (e ConflictError) Error() string {
-	return fmt.Sprintf("core: %s does not compose with %s", e.A, e.B)
-}
-
-// Unwrap lets errors.Is match farm.ErrFaultsUnsupported when a fault
-// plan is the feature the run path cannot honour.
-func (e ConflictError) Unwrap() error {
-	if e.B == "Faults" {
-		return farm.ErrFaultsUnsupported
-	}
-	return nil
-}
-
-// Validate rejects the feature combinations that stay unsupported; every
-// other combination of Config fields composes. The sub-master hierarchy
-// runs the paper's plain FARM on single-threaded partitions of one chip
-// with the whole dataset resident and reliable sub-masters, and a
-// budgeted run's load schedule belongs to a single master.
+// Validate rejects the one feature combination that stays unsupported;
+// every other combination of Config fields composes. A budgeted run's
+// load schedule interleaves block loads with farms on a single master's
+// clock, while a multi-chip run scatters every shard once, up front.
 func (cfg MultiChipConfig) Validate() error {
-	hier, budget := cfg.Hierarchy > 0, cfg.MemoryBudgetResidues > 0
-	for _, c := range []struct {
-		hit  bool
-		a, b string
-	}{
-		{hier && cfg.Faults != nil, "Hierarchy", "Faults"},
-		{hier && (cfg.CacheStructs != 0 || cfg.Batch > 1 || cfg.Affinity), "Hierarchy", "CacheStructs/Batch/Affinity"},
-		{hier && cfg.ThreadsPerWorker > 1, "Hierarchy", "ThreadsPerWorker"},
-		{hier && budget, "Hierarchy", "MemoryBudgetResidues"},
-		{hier && cfg.Chips > 1, "Hierarchy", "Chips"},
-		{budget && cfg.Chips > 1, "MemoryBudgetResidues", "Chips"},
-	} {
-		if c.hit {
-			return ConflictError{A: c.a, B: c.b}
-		}
+	if cfg.MemoryBudgetResidues > 0 && cfg.Chips > 1 {
+		return ErrBudgetAcrossChips
 	}
 	return nil
 }
@@ -71,8 +44,6 @@ type plan struct {
 	cost    func(sched.Pair) float64
 	// tile is the resolved blocked-ordering tile (0 = no blocking).
 	tile int
-	// subMasters is the resolved Config.Hierarchy (at most one per slave).
-	subMasters int
 	// session is the farm session template: placement, wire shape
 	// (resolved cache capacity, batch) and fault-tolerance deadline.
 	session farm.Config
@@ -116,14 +87,10 @@ func newPlan(pr *PairResults, slaves int, cfg MultiChipConfig) (*plan, error) {
 		p.tile = sched.DefaultTile
 	}
 
-	// Sub-masters are placed like slaves: the first cores after the root.
-	if cfg.Hierarchy > 0 {
-		p.subMasters = min(cfg.Hierarchy, slaves)
-	}
 	p.session = farm.Config{
-		Backend:          farm.SCCSim{Chip: cfg.Chip},
+		Chip:             cfg.Chip,
 		MasterCore:       cfg.MasterCore,
-		Slaves:           slaves + p.subMasters,
+		Slaves:           slaves,
 		ThreadsPerWorker: cfg.ThreadsPerWorker,
 		ThreadEfficiency: cfg.ThreadEfficiency,
 		PollingScale:     cfg.PollingScale,
@@ -137,9 +104,6 @@ func newPlan(pr *PairResults, slaves int, cfg MultiChipConfig) (*plan, error) {
 	}
 	place, err := farm.Place(p.session)
 	if err != nil {
-		if p.subMasters > 0 {
-			err = fmt.Errorf("core: %d slaves + %d sub-masters: %w", slaves, p.subMasters, err)
-		}
 		return nil, err
 	}
 	opScale := place.OpScale

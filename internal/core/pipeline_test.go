@@ -22,11 +22,10 @@ func withoutFaults(r farm.Report) farm.Report {
 }
 
 // TestCompositionMatrix is the contract of the one run pipeline: every
-// {run shape} x {feature} cell either accounts for every pair — collected
-// with scores byte-identical to the flat run's, or reported lost under
-// an injected kill — and shows the feature's trace in the report, or
-// returns the documented ConflictError. No cell may silently ignore its
-// feature, and an empty fault plan must be invisible: the report equals
+// {run shape} x {feature} cell accounts for every pair — collected with
+// scores byte-identical to the flat run's, or reported lost under an
+// injected kill — and shows the feature's trace in the report. No cell
+// may silently ignore its feature, and an empty fault plan must be invisible: the report equals
 // the plan-free run's but for the Faults blocks. DESIGN.md's composition
 // table is this test's table.
 func TestCompositionMatrix(t *testing.T) {
@@ -44,14 +43,12 @@ func TestCompositionMatrix(t *testing.T) {
 		{"flat", func(*MultiChipConfig) {}},
 		{"budget", func(c *MultiChipConfig) { c.MemoryBudgetResidues = pr.Dataset.TotalResidues() / 3 }},
 		{"chips=2", func(c *MultiChipConfig) { c.Chips = 2 }},
-		{"hierarchy=2", func(c *MultiChipConfig) { c.Hierarchy = 2 }},
 	}
 	kill := fault.Plan{Seed: 3, Kills: []fault.CoreFailure{{Core: 5, At: 0.25 * base.TotalSeconds}}}
 	affinity := func(c *MultiChipConfig) { c.Affinity = true; c.CacheStructs = 8 }
 	emptyPlan := func(c *MultiChipConfig) { c.Faults = &fault.Plan{} }
 	killPlan := func(c *MultiChipConfig) { plan := kill; c.Faults = &plan }
 	killed := func(_, r RunResult) bool { return r.Faults != nil && r.Faults.Injected.CoresKilled == 1 }
-	hierOnly := map[string]ConflictError{"hierarchy=2": {"Hierarchy", "Faults"}}
 	wantLines := map[string]bool{}
 	for _, line := range strings.SplitAfter(want, "\n") {
 		wantLines[line] = true
@@ -65,34 +62,28 @@ func TestCompositionMatrix(t *testing.T) {
 		// applied reports whether the run visibly honoured the feature,
 		// given the same shape's featureless run.
 		applied func(plain, r RunResult) bool
-		// conflicts names, per shape, the Config fields Validate rejects.
-		conflicts map[string]ConflictError
 	}{
 		{"cache+batch",
 			func(c *MultiChipConfig) { c.CacheStructs = -1; c.Batch = 8 }, false,
-			func(_, r RunResult) bool { return r.Wire != nil && r.Wire.Batches > 0 && r.Wire.CacheHits > 0 },
-			map[string]ConflictError{"hierarchy=2": {"Hierarchy", "CacheStructs/Batch/Affinity"}}},
+			func(_, r RunResult) bool { return r.Wire != nil && r.Wire.Batches > 0 && r.Wire.CacheHits > 0 }},
 		{"affinity", affinity, false,
 			func(plain, r RunResult) bool {
 				return r.Wire != nil && r.Wire.CacheHits > 0 && !reflect.DeepEqual(r.FarmStats.JobsPerSlave, plain.FarmStats.JobsPerSlave)
-			},
-			map[string]ConflictError{"hierarchy=2": {"Hierarchy", "CacheStructs/Batch/Affinity"}}},
+			}},
 		{"empty fault plan", emptyPlan, true,
-			func(_, r RunResult) bool { return r.Faults != nil }, hierOnly},
-		{"kill plan", killPlan, false, killed, hierOnly},
+			func(_, r RunResult) bool { return r.Faults != nil }},
+		{"kill plan", killPlan, false, killed},
 		{"affinity+empty fault plan",
 			func(c *MultiChipConfig) { affinity(c); emptyPlan(c) }, true,
-			func(_, r RunResult) bool { return r.Faults != nil && r.Wire != nil }, hierOnly},
+			func(_, r RunResult) bool { return r.Faults != nil && r.Wire != nil }},
 		{"affinity+kill plan",
-			func(c *MultiChipConfig) { affinity(c); killPlan(c) }, false, killed, hierOnly},
+			func(c *MultiChipConfig) { affinity(c); killPlan(c) }, false, killed},
 		{"threads=2",
 			func(c *MultiChipConfig) { c.ThreadsPerWorker = 2 }, false,
-			func(plain, r RunResult) bool { return r.Workers*2 == plain.Workers },
-			map[string]ConflictError{"hierarchy=2": {"Hierarchy", "ThreadsPerWorker"}}},
+			func(plain, r RunResult) bool { return r.Workers*2 == plain.Workers }},
 		{"LPT",
 			func(c *MultiChipConfig) { c.Order = sched.LPT }, false,
-			func(plain, r RunResult) bool { return r.TotalSeconds != plain.TotalSeconds },
-			nil},
+			func(plain, r RunResult) bool { return r.TotalSeconds != plain.TotalSeconds }},
 	}
 
 	for _, shape := range shapes {
@@ -110,15 +101,6 @@ func TestCompositionMatrix(t *testing.T) {
 				cfg := cfg
 				feat.mut(&cfg)
 				dump, r, err := scoresRun(t, pr, cfg)
-				if conflict, ok := feat.conflicts[shape.name]; ok {
-					if !errors.Is(err, conflict) {
-						t.Fatalf("err = %v, want %v", err, conflict)
-					}
-					if (conflict.B == "Faults") != errors.Is(err, farm.ErrFaultsUnsupported) {
-						t.Errorf("errors.Is(%v, ErrFaultsUnsupported) = %t", err, conflict.B != "Faults")
-					}
-					return
-				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -155,16 +137,16 @@ func TestCompositionMatrix(t *testing.T) {
 	}
 }
 
-// TestValidateIsConfigOnly pins that the conflicts are decided from the
-// config alone — before any workload exists — which is what lets the
-// CLI reject them before loading a dataset.
+// TestValidateIsConfigOnly pins that the one conflict (budget x chips)
+// is decided from the config alone — before any workload exists — which
+// is what lets the CLI reject it before loading a dataset.
 func TestValidateIsConfigOnly(t *testing.T) {
 	cfg := MultiChipConfig{Config: DefaultConfig(), Chips: 2}
 	cfg.MemoryBudgetResidues = 1 << 30 // would cover any dataset
-	if err := cfg.Validate(); !errors.Is(err, ConflictError{"MemoryBudgetResidues", "Chips"}) {
-		t.Errorf("Validate() = %v, want the budget x chips conflict", err)
+	if err := cfg.Validate(); !errors.Is(err, ErrBudgetAcrossChips) {
+		t.Errorf("Validate() = %v, want ErrBudgetAcrossChips", err)
 	}
-	if _, err := RunMultiChip(nil, 8, cfg); !reflect.DeepEqual(err, cfg.Validate()) {
+	if _, err := RunMultiChip(nil, 8, cfg); !errors.Is(err, ErrBudgetAcrossChips) {
 		t.Errorf("RunMultiChip did not return Validate's error first: %v", err)
 	}
 }

@@ -161,15 +161,3 @@ func TestWireEquivalenceUnderFaults(t *testing.T) {
 		t.Errorf("wire block missing on a batched FT run: %+v", res.Wire)
 	}
 }
-
-// TestWireModelRejections pins the config-surface error: the
-// hierarchical path has no cache/batch support.
-func TestWireModelRejections(t *testing.T) {
-	pr := synthCK34PR()
-	cfg := DefaultConfig()
-	cfg.Hierarchy = 2
-	cfg.CacheStructs = -1
-	if _, err := Run(pr, 8, cfg); err == nil {
-		t.Error("hierarchical run accepted the wire model")
-	}
-}

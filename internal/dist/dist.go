@@ -74,7 +74,7 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("dist: slave count %d outside [1,%d]", slaves, cfg.Chip.NumCores())
 	}
 	s, err := farm.NewSession(farm.Config{
-		Backend:    farm.SCCSim{Chip: cfg.Chip},
+		Chip:       cfg.Chip,
 		MasterCore: farm.HostMaster,
 		Slaves:     slaves,
 		Trace:      cfg.Trace,

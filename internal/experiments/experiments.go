@@ -3,7 +3,7 @@
 // rckAlign-vs-distributed comparison on CK34 (Table II / Figure 5), the
 // scaling sweep on both datasets (Table IV / Figure 6) and the summary
 // (Table V), plus the ablations DESIGN.md calls out (job ordering,
-// hierarchical masters). Each function returns a stats.Table whose rows
+// the master tree). Each function returns a stats.Table whose rows
 // place the reproduction next to the paper's published numbers.
 package experiments
 
@@ -16,6 +16,7 @@ import (
 	"rckalign/internal/costmodel"
 	"rckalign/internal/dist"
 	"rckalign/internal/fault"
+	"rckalign/internal/interchip"
 	"rckalign/internal/mcpsc"
 	"rckalign/internal/metrics"
 	"rckalign/internal/pairstore"
@@ -332,19 +333,31 @@ func (e *Env) SchedulingAblation() (*stats.Table, error) {
 	return tb, nil
 }
 
-// HierarchyAblation compares the flat single master against two-level
-// master trees (CK34), the paper's proposed fix for the master
+// masterTree runs pr with `workers` slave cores spread evenly over
+// `chips` chips — one master per chip, results aggregated up the default
+// gather tree — joined by the ideal interconnect, so the board tier
+// costs what an on-die hop would: the paper's proposed hierarchy of
+// masters with nothing but the tree itself changed. One chip is the
+// flat single master.
+func masterTree(pr *core.PairResults, workers, chips int, cfg core.Config) (core.RunResult, error) {
+	ideal, err := interchip.Profile("ideal")
+	if err != nil {
+		return core.RunResult{}, err
+	}
+	return core.RunMultiChip(pr, workers/chips, core.MultiChipConfig{Config: cfg, Chips: chips, Interchip: ideal})
+}
+
+// MasterTreeAblation compares the flat single master against two- and
+// four-master trees (CK34), the paper's proposed fix for the master
 // bottleneck.
-func (e *Env) HierarchyAblation() (*stats.Table, error) {
+func (e *Env) MasterTreeAblation() (*stats.Table, error) {
 	tb := stats.NewTable(
-		"Ablation: hierarchical masters (CK34 all-vs-all, seconds; worker-slave count held equal)",
-		"Workers", "Flat", "2 sub-masters", "4 sub-masters")
+		"Ablation: master tree (CK34 all-vs-all, seconds; worker-slave count held equal, ideal interconnect)",
+		"Workers", "Flat", "2 masters", "4 masters")
 	for _, n := range []int{8, 16, 32, 40} {
 		row := []any{n}
-		for _, h := range []int{0, 2, 4} {
-			cfg := core.DefaultConfig()
-			cfg.Hierarchy = h
-			r, err := core.Run(e.CK34, n, cfg)
+		for _, chips := range []int{1, 2, 4} {
+			r, err := masterTree(e.CK34, n, chips, core.DefaultConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -359,9 +372,9 @@ func (e *Env) HierarchyAblation() (*stats.Table, error) {
 // is possible that the single master strategy would become the
 // bottleneck, if slave processes were running on faster cores", and
 // that a hierarchy of masters would relieve it. Core clocks are scaled
-// 1x..32x while the mesh stays fixed; efficiency at 47 slaves is
-// reported for the flat farm and a 4-sub-master tree (with the same 47
-// total cores: 43 workers + 4 sub-masters).
+// 1x..65536x while the mesh stays fixed; efficiency at 47 slaves is
+// reported for the flat farm next to a 4-master tree on the same 48
+// total cores (4 masters + 44 workers).
 func (e *Env) FasterCoresAblation() (*stats.Table, error) {
 	tb := stats.NewTable(
 		"Ablation: faster cores (CK34, 47 slave cores, mesh speed fixed)",
@@ -382,14 +395,14 @@ func (e *Env) FasterCoresAblation() (*stats.Table, error) {
 		}
 		tcfg := cfg
 		tcfg.Trace = nil
-		tcfg.Hierarchy = 4
-		rt, err := core.Run(e.CK34, 43, tcfg)
+		rt, err := masterTree(e.CK34, 44, 4, tcfg)
 		if err != nil {
 			return nil, err
 		}
 		eff := serial / r.TotalSeconds / 47
+		// Four significant digits: the makespans span five decades.
 		tb.AddRowf(fmt.Sprintf("%.1f GHz", cfg.Chip.CPU.FreqHz/1e9),
-			r.TotalSeconds, eff, fmt.Sprintf("%.1f%%", 100*masterBusy), rt.TotalSeconds)
+			fmt.Sprintf("%.4g", r.TotalSeconds), eff, fmt.Sprintf("%.1f%%", 100*masterBusy), fmt.Sprintf("%.4g", rt.TotalSeconds))
 	}
 	return tb, nil
 }
@@ -636,7 +649,7 @@ func (e *Env) WriteAll(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(w, sa.String())
-	ha, err := e.HierarchyAblation()
+	ha, err := e.MasterTreeAblation()
 	if err != nil {
 		return err
 	}

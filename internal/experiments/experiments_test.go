@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"rckalign/internal/core"
+	"rckalign/internal/fault"
 	"rckalign/internal/pairstore"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
@@ -109,14 +111,45 @@ func TestSchedulingAblation(t *testing.T) {
 	}
 }
 
-func TestHierarchyAblation(t *testing.T) {
+func TestMasterTreeAblation(t *testing.T) {
 	env := smallEnv()
-	tb, err := env.HierarchyAblation()
+	tb, err := env.MasterTreeAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tb.NumRows() != 4 {
-		t.Errorf("hierarchy rows = %d", tb.NumRows())
+		t.Errorf("master-tree rows = %d", tb.NumRows())
+	}
+	pairs := len(env.CK34.Pairs)
+	var flat8 core.RunResult
+	for _, n := range []int{8, 16, 32, 40} {
+		for _, chips := range []int{1, 2, 4} {
+			r, err := masterTree(env.CK34, n, chips, core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Collected != pairs {
+				t.Errorf("%d workers on %d chips collected %d of %d pairs", n, chips, r.Collected, pairs)
+			}
+			if n == 8 && chips == 1 {
+				flat8 = r
+			}
+		}
+	}
+	// What the deleted on-chip sub-master protocol rejected: the same
+	// tree under a fault plan recovers the dead slave's job.
+	plan, err := fault.ParseSpec(fmt.Sprintf("seed=1;kill=2@%g", 0.25*flat8.TotalSeconds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Faults = plan
+	r, err := masterTree(env.CK34, 8, 2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Faults == nil || r.Faults.Injected.CoresKilled != 1 || r.Collected != pairs {
+		t.Errorf("tree under a kill: collected %d of %d, faults %+v", r.Collected, pairs, r.Faults)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"rckalign/internal/costmodel"
 	"rckalign/internal/rckskel"
+	"rckalign/internal/scc"
 	"rckalign/internal/sched"
 )
 
@@ -71,7 +72,7 @@ func TestBatchHandlerRunsSubJobs(t *testing.T) {
 }
 
 func TestPrepareJobsClassicNoop(t *testing.T) {
-	s, err := NewSession(Config{MasterCore: 0, Slaves: 3})
+	s, err := NewSession(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestPrepareJobsClassicNoop(t *testing.T) {
 }
 
 func TestPrepareJobsBatchAssembly(t *testing.T) {
-	s, err := NewSession(Config{MasterCore: 0, Slaves: 3, Batch: 4})
+	s, err := NewSession(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3, Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestPrepareJobsBatchAssembly(t *testing.T) {
 }
 
 func TestPrepareJobsCachedSingles(t *testing.T) {
-	s, err := NewSession(Config{MasterCore: 0, Slaves: 3, CacheStructs: 4})
+	s, err := NewSession(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3, CacheStructs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +166,7 @@ func TestPrepareJobsCachedSingles(t *testing.T) {
 func TestBatchedCachedFarmEndToEnd(t *testing.T) {
 	var collected []int
 	s, err := NewSession(Config{
+		Chip:         scc.DefaultConfig(),
 		MasterCore:   0,
 		Slaves:       3,
 		Batch:        3,

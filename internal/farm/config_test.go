@@ -12,35 +12,33 @@ import (
 )
 
 func TestPlaceTypedErrors(t *testing.T) {
-	backend := farm.SCCSim{Chip: scc.DefaultConfig()} // 48 cores
+	chip := scc.DefaultConfig() // 48 cores
 	cases := []struct {
 		name string
 		cfg  farm.Config
 		want error
 	}{
-		{"no backend", farm.Config{Slaves: 4}, farm.ErrNoBackend},
-		{"master below range", farm.Config{Backend: backend, MasterCore: -2, Slaves: 4}, farm.ErrMasterCore},
-		{"master above range", farm.Config{Backend: backend, MasterCore: 48, Slaves: 4}, farm.ErrMasterCore},
-		{"zero slaves", farm.Config{Backend: backend, Slaves: 0}, farm.ErrSlaveCount},
-		{"negative slaves", farm.Config{Backend: backend, Slaves: -3}, farm.ErrSlaveCount},
-		{"too many slaves", farm.Config{Backend: backend, Slaves: 48}, farm.ErrSlaveCount},
-		{"too many for host master", farm.Config{Backend: backend, MasterCore: farm.HostMaster, Slaves: 49}, farm.ErrSlaveCount},
-		{"incomplete worker", farm.Config{Backend: backend, Slaves: 1, ThreadsPerWorker: 2}, farm.ErrWorkerGrouping},
+		{"no chip", farm.Config{Slaves: 4}, farm.ErrMasterCore},
+		{"master below range", farm.Config{Chip: chip, MasterCore: -2, Slaves: 4}, farm.ErrMasterCore},
+		{"master above range", farm.Config{Chip: chip, MasterCore: 48, Slaves: 4}, farm.ErrMasterCore},
+		{"zero slaves", farm.Config{Chip: chip, Slaves: 0}, farm.ErrSlaveCount},
+		{"negative slaves", farm.Config{Chip: chip, Slaves: -3}, farm.ErrSlaveCount},
+		{"too many slaves", farm.Config{Chip: chip, Slaves: 48}, farm.ErrSlaveCount},
+		{"too many for host master", farm.Config{Chip: chip, MasterCore: farm.HostMaster, Slaves: 49}, farm.ErrSlaveCount},
+		{"incomplete worker", farm.Config{Chip: chip, Slaves: 1, ThreadsPerWorker: 2}, farm.ErrWorkerGrouping},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := farm.Place(tc.cfg); !errors.Is(err, tc.want) {
 				t.Errorf("Place error = %v, want errors.Is %v", err, tc.want)
 			}
-			if _, err := farm.NewSession(tc.cfg); tc.cfg.Backend != nil && !errors.Is(err, tc.want) {
-				// NewSession substitutes a default backend, so the
-				// no-backend case is only reachable through Place.
+			if _, err := farm.NewSession(tc.cfg); !errors.Is(err, tc.want) {
 				t.Errorf("NewSession error = %v, want errors.Is %v", err, tc.want)
 			}
 		})
 	}
 	// Host master allows exactly all cores as slaves.
-	if _, err := farm.Place(farm.Config{Backend: backend, MasterCore: farm.HostMaster, Slaves: 48}); err != nil {
+	if _, err := farm.Place(farm.Config{Chip: chip, MasterCore: farm.HostMaster, Slaves: 48}); err != nil {
 		t.Errorf("48 slaves under a host master rejected: %v", err)
 	}
 }
@@ -72,14 +70,14 @@ func TestValidateJobs(t *testing.T) {
 }
 
 func TestNewSessionRejectsBadFaultPlan(t *testing.T) {
-	backend := farm.SCCSim{Chip: scc.DefaultConfig()}
+	chip := scc.DefaultConfig()
 	for name, plan := range map[string]*fault.Plan{
 		"kill master":       {Kills: []fault.CoreFailure{{Core: 0, At: 1}}},
 		"kill out of range": {Kills: []fault.CoreFailure{{Core: 99, At: 1}}},
 		"bad probability":   {Links: []fault.LinkFault{{Src: 1, Dst: 2, DropProb: 2}}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfg := farm.Config{Backend: backend, MasterCore: 0, Slaves: 4, Faults: plan}
+			cfg := farm.Config{Chip: chip, MasterCore: 0, Slaves: 4, Faults: plan}
 			if _, err := farm.NewSession(cfg); !errors.Is(err, farm.ErrFaultPlan) {
 				t.Errorf("NewSession error = %v, want errors.Is ErrFaultPlan", err)
 			}
@@ -95,6 +93,7 @@ func TestNewSessionRejectsBadFaultPlan(t *testing.T) {
 func TestPartitionedFarmRecoversInsideItsPartition(t *testing.T) {
 	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
 	s, err := farm.NewSession(farm.Config{
+		Chip:       scc.DefaultConfig(),
 		MasterCore: 0,
 		Slaves:     4,
 		Faults:     &fault.Plan{Kills: []fault.CoreFailure{{Core: 1, At: 1.5 * js}}},
@@ -138,6 +137,7 @@ func TestPartitionedFarmRecoversInsideItsPartition(t *testing.T) {
 func TestOrphanedQueueIsLost(t *testing.T) {
 	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
 	s, err := farm.NewSession(farm.Config{
+		Chip:       scc.DefaultConfig(),
 		MasterCore: 0,
 		Slaves:     4,
 		Faults:     &fault.Plan{Kills: []fault.CoreFailure{{Core: 1, At: 1.5 * js}, {Core: 2, At: 1.5 * js}}},
@@ -189,6 +189,7 @@ func TestSessionFaultTolerantKillRun(t *testing.T) {
 	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
 	plan := &fault.Plan{Kills: []fault.CoreFailure{{Core: 2, At: 1.5 * js}}}
 	s, err := farm.NewSession(farm.Config{
+		Chip:       scc.DefaultConfig(),
 		MasterCore: 0,
 		Slaves:     4,
 		Faults:     plan,
@@ -232,7 +233,7 @@ func TestSessionFaultTolerantKillRun(t *testing.T) {
 }
 
 func TestSessionClassicRunHasNoFaultsBlock(t *testing.T) {
-	s, err := farm.NewSession(farm.Config{MasterCore: 0, Slaves: 3})
+	s, err := farm.NewSession(farm.Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,15 @@
 // execution path in this repository (core's run pipeline, the
 // distributed MCPC baseline and the multi-criteria PSC farms). It owns
 // the pieces those paths used to duplicate: simulation runtime
-// construction (engine + chip + comm) behind a pluggable Backend, slave
-// placement (master skip, thread-grouped tile workers, contiguous method
-// partitions), job building, master spawn, result collection through a
-// pluggable Collector, termination, and a uniform Report with per-core
-// utilization derived from trace.
+// construction (engine + chip + comm), slave placement (master skip,
+// thread-grouped tile workers, contiguous method partitions), job
+// building, master spawn, result collection through a pluggable
+// Collector, termination, and a uniform Report with per-core utilization
+// derived from trace.
 //
 // A path composes a Session instead of copying a 150-line run function:
 //
-//	s, _ := farm.NewSession(farm.Config{Backend: farm.SCCSim{Chip: chip}, Slaves: n})
+//	s, _ := farm.NewSession(farm.Config{Chip: chip, Slaves: n})
 //	s.StartSlaves(handler)
 //	rep, err := s.Run("", func(m *farm.Master) {
 //	        m.LoadResidues(ds.TotalResidues())
@@ -21,12 +21,10 @@ package farm
 
 import (
 	"fmt"
-
 	"strings"
 
 	"rckalign/internal/costmodel"
 	"rckalign/internal/fault"
-	"rckalign/internal/interchip"
 	"rckalign/internal/metrics"
 	"rckalign/internal/prune"
 	"rckalign/internal/rcce"
@@ -36,51 +34,12 @@ import (
 	"rckalign/internal/trace"
 )
 
-// Runtime bundles the simulated platform objects a farm executes on.
-// Chip and Comm are the first (often only) chip; a multi-chip backend
-// additionally fills Chips/Comms with every chip and Fabric with the
-// board-level interconnect joining them.
+// Runtime bundles the simulated platform objects one chip's farm
+// executes on.
 type Runtime struct {
 	Engine *sim.Engine
 	Chip   *scc.Chip
 	Comm   *rcce.Comm
-	// Chips and Comms list every chip of a multi-chip runtime
-	// (Chips[0] == Chip); nil on single-chip backends.
-	Chips []*scc.Chip
-	Comms []*rcce.Comm
-	// Fabric is the inter-chip interconnect (nil on single-chip
-	// backends).
-	Fabric *interchip.Fabric
-}
-
-// Backend constructs fresh runtimes. The simulated SCC is the only
-// implementation today; the interface is the seam for a future
-// host-parallel or sharded backend.
-type Backend interface {
-	// Name identifies the backend in reports.
-	Name() string
-	// NewRuntime builds an independent runtime for one execution.
-	NewRuntime() Runtime
-	// NumCores is the number of cores the runtime will expose.
-	NumCores() int
-}
-
-// SCCSim is the default backend: the discrete-event SCC model.
-type SCCSim struct {
-	Chip scc.Config
-}
-
-// Name implements Backend.
-func (b SCCSim) Name() string { return "scc-sim" }
-
-// NumCores implements Backend.
-func (b SCCSim) NumCores() int { return b.Chip.NumCores() }
-
-// NewRuntime implements Backend.
-func (b SCCSim) NewRuntime() Runtime {
-	engine := sim.NewEngine()
-	chip := scc.New(engine, b.Chip)
-	return Runtime{Engine: engine, Chip: chip, Comm: rcce.New(chip)}
 }
 
 // Collector receives every result gathered by the master, after the
@@ -104,8 +63,8 @@ const HostMaster = -1
 
 // Config describes one farm session.
 type Config struct {
-	// Backend builds the runtime (nil = SCCSim with the default chip).
-	Backend Backend
+	// Chip is the simulated SCC the session runs on.
+	Chip scc.Config
 	// MasterCore hosts the master process (HostMaster = off-chip).
 	MasterCore int
 	// Slaves is the number of slave cores to place.
@@ -160,7 +119,8 @@ type Config struct {
 
 // Report is the uniform outcome of a farm execution.
 type Report struct {
-	// Backend names the runtime backend used.
+	// Backend names the runtime: "scc-sim" on one chip, "multichip-N"
+	// on a board.
 	Backend string
 	// Slaves is the requested slave-core count.
 	Slaves int
@@ -409,46 +369,36 @@ type Session struct {
 // the slaves and, when a fault plan is configured, arms the injector
 // (kill/stall events scheduled, wire interposer installed).
 func NewSession(cfg Config) (*Session, error) {
-	if cfg.Backend == nil {
-		cfg.Backend = SCCSim{Chip: scc.DefaultConfig()}
-	}
-	return newSession(cfg, cfg.Backend.NewRuntime(), nil)
+	return newSession(cfg, sim.NewEngine(), nil)
 }
 
-// newSession is NewSession on an injected runtime: a multi-chip session
+// newSession is NewSession on a given engine: a multi-chip session
 // builds one chip-level Session per chip, all sharing one engine and
 // trace recorder, each scoped by labels ("chip"/"cN").
-func newSession(cfg Config, rt Runtime, labels []string) (*Session, error) {
+func newSession(cfg Config, engine *sim.Engine, labels []string) (*Session, error) {
 	place, err := Place(cfg)
 	if err != nil {
 		return nil, err
 	}
+	chip := scc.New(engine, cfg.Chip)
+	rt := Runtime{Engine: engine, Chip: chip, Comm: rcce.New(chip)}
 	rec := cfg.Trace
 	if rec == nil {
 		rec = trace.New()
 	}
 	s := &Session{cfg: cfg, rt: rt, place: place, rec: rec, labels: labels}
 	if cfg.Metrics != nil {
-		if s.rt.Engine != nil {
-			s.rt.Engine.SetMetrics(cfg.Metrics)
-		}
-		if s.rt.Chip != nil {
-			s.rt.Chip.Mesh().SetMetrics(cfg.Metrics, labels...)
-		}
-		if s.rt.Comm != nil {
-			s.rt.Comm.SetMetrics(cfg.Metrics, labels...)
-		}
+		s.rt.Engine.SetMetrics(cfg.Metrics)
+		s.rt.Chip.Mesh().SetMetrics(cfg.Metrics, labels...)
+		s.rt.Comm.SetMetrics(cfg.Metrics, labels...)
 	}
 	if cfg.Faults != nil {
-		if s.rt.Chip == nil || s.rt.Comm == nil {
-			return nil, fmt.Errorf("farm: %w: backend %s has no simulated chip", ErrFaultsUnsupported, cfg.Backend.Name())
-		}
 		master := cfg.MasterCore
 		if master == HostMaster {
 			// Off-chip master: no core is exempt from faults.
 			master = -1
 		}
-		if err := cfg.Faults.Validate(cfg.Backend.NumCores(), master); err != nil {
+		if err := cfg.Faults.Validate(cfg.Chip.NumCores(), master); err != nil {
 			return nil, fmt.Errorf("farm: %w: %v", ErrFaultPlan, err)
 		}
 		s.injector = fault.NewInjector(cfg.Faults)
@@ -456,7 +406,7 @@ func newSession(cfg Config, rt Runtime, labels []string) (*Session, error) {
 		s.rt.Comm.SetInterposer(s.injector)
 	}
 	s.rep = Report{
-		Backend:              cfg.Backend.Name(),
+		Backend:              "scc-sim",
 		Slaves:               cfg.Slaves,
 		Workers:              len(place.WorkerLeads),
 		EffectiveCores:       place.EffectiveCores,
@@ -505,22 +455,15 @@ func (s *Session) Team() *rckskel.Team {
 		if s.cfg.MasterCore == HostMaster {
 			panic("farm: the default team requires an on-chip master")
 		}
-		s.team = s.NewTeam(s.cfg.MasterCore, s.place.WorkerLeads)
+		t := rckskel.NewTeam(s.rt.Comm, s.cfg.MasterCore, s.place.WorkerLeads)
+		if s.cfg.PollingScale >= 0 {
+			t.DiscoveryCostScale = s.cfg.PollingScale
+		}
+		t.Trace = s.rec
+		t.SetMetrics(s.cfg.Metrics, s.labels...)
+		s.team = t
 	}
 	return s.team
-}
-
-// NewTeam builds an additional team (e.g. a sub-master partition of a
-// hierarchical farm) with the session's polling and trace settings
-// applied.
-func (s *Session) NewTeam(master int, slaves []int) *rckskel.Team {
-	t := rckskel.NewTeam(s.rt.Comm, master, slaves)
-	if s.cfg.PollingScale >= 0 {
-		t.DiscoveryCostScale = s.cfg.PollingScale
-	}
-	t.Trace = s.rec
-	t.SetMetrics(s.cfg.Metrics, s.labels...)
-	return t
 }
 
 // Metrics returns the session's metrics registry (nil when disabled).
@@ -539,7 +482,7 @@ func (s *Session) StartSlavesWith(h func(core int) rckskel.Handler) {
 // are unwrapped into their per-job sub-results, each result is
 // counted, and forwarded to the configured Collector. FarmWork calls it
 // for every result; run paths with bespoke collection loops (the
-// distributed baseline, sub-master partitions) call it directly.
+// distributed baseline) call it directly.
 func (s *Session) Collect(r rckskel.Result) { s.deliver(r, nil) }
 
 // deliver unwraps BatchResults (attributing sub-results to the
@@ -614,10 +557,7 @@ func (s *Session) SpawnMaster(name string, body func(m *Master)) {
 // session of a multi-chip run shares the recorder with its siblings,
 // so it keeps only the tracks matching its own chip's core-name prefix.
 func (s *Session) finalize() {
-	prefix := ""
-	if s.rt.Chip != nil {
-		prefix = s.rt.Chip.Config().NamePrefix
-	}
+	prefix := s.rt.Chip.Config().NamePrefix
 	for _, track := range s.rec.Tracks() {
 		if prefix != "" && !strings.HasPrefix(track, prefix) {
 			continue
@@ -642,17 +582,15 @@ func (s *Session) finalize() {
 				MaxSeconds:   h.MaxValue(),
 			}
 		}
-		if s.rt.Chip != nil {
-			mesh := s.rt.Chip.Mesh()
-			mesh.PublishMetrics()
-			if worst := mesh.WorstLink(); worst.BusySeconds > 0 {
-				mr.WorstLink = fmt.Sprintf("%v->%v", worst.From, worst.To)
-				mr.WorstLinkBusySeconds = worst.BusySeconds
-				if s.rep.TotalSeconds > 0 {
-					mr.WorstLinkUtilization = worst.BusySeconds / s.rep.TotalSeconds
-				}
-				mr.LinkHeatmap = mesh.LinkHeatmap()
+		mesh := s.rt.Chip.Mesh()
+		mesh.PublishMetrics()
+		if worst := mesh.WorstLink(); worst.BusySeconds > 0 {
+			mr.WorstLink = fmt.Sprintf("%v->%v", worst.From, worst.To)
+			mr.WorstLinkBusySeconds = worst.BusySeconds
+			if s.rep.TotalSeconds > 0 {
+				mr.WorstLinkUtilization = worst.BusySeconds / s.rep.TotalSeconds
 			}
+			mr.LinkHeatmap = mesh.LinkHeatmap()
 		}
 		s.rep.Metrics = mr
 	}
@@ -757,14 +695,6 @@ func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) {
 	m.s.ft.LostJobs += ft.LostJobs
 	m.s.ft.Blacklisted = append(m.s.ft.Blacklisted, ft.Blacklisted...)
 }
-
-// MergeStats folds an externally executed farm's statistics into the
-// report (hierarchical sub-master partitions).
-func (m *Master) MergeStats(st rckskel.Stats) { m.s.mergeStats(st) }
-
-// SetLoadSeconds overrides Report.LoadSeconds for paths whose loading
-// is not a single LoadResidues call.
-func (m *Master) SetLoadSeconds(t float64) { m.s.rep.LoadSeconds = t }
 
 // AddMethodBusy accumulates compute seconds for one comparison method
 // into Report.BusySecondsPerMethod.

@@ -11,10 +11,8 @@ import (
 	"rckalign/internal/sched"
 )
 
-func sccBackend() Backend { return SCCSim{Chip: scc.DefaultConfig()} }
-
 func TestPlaceSkipsMaster(t *testing.T) {
-	p, err := Place(Config{Backend: sccBackend(), MasterCore: 2, Slaves: 4})
+	p, err := Place(Config{Chip: scc.DefaultConfig(), MasterCore: 2, Slaves: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +29,7 @@ func TestPlaceSkipsMaster(t *testing.T) {
 }
 
 func TestPlaceHostMaster(t *testing.T) {
-	p, err := Place(Config{Backend: sccBackend(), MasterCore: HostMaster, Slaves: 48})
+	p, err := Place(Config{Chip: scc.DefaultConfig(), MasterCore: HostMaster, Slaves: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,13 +37,13 @@ func TestPlaceHostMaster(t *testing.T) {
 		t.Errorf("host-master placement should use every core: %v", p.Cores)
 	}
 	// On-chip master caps slaves at NumCores-1.
-	if _, err := Place(Config{Backend: sccBackend(), MasterCore: 0, Slaves: 48}); err == nil {
+	if _, err := Place(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 48}); err == nil {
 		t.Error("expected error for 48 slaves with an on-chip master")
 	}
 }
 
 func TestPlaceThreadGrouping(t *testing.T) {
-	p, err := Place(Config{Backend: sccBackend(), MasterCore: 0, Slaves: 7, ThreadsPerWorker: 2})
+	p, err := Place(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 7, ThreadsPerWorker: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,20 +58,20 @@ func TestPlaceThreadGrouping(t *testing.T) {
 		t.Errorf("OpScale = %v, want %v", p.OpScale, want)
 	}
 	// A single core cannot form a 2-thread worker.
-	if _, err := Place(Config{Backend: sccBackend(), MasterCore: 0, Slaves: 1, ThreadsPerWorker: 2}); err == nil {
+	if _, err := Place(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 1, ThreadsPerWorker: 2}); err == nil {
 		t.Error("expected error for 1 slave with 2-thread workers")
 	}
 }
 
 func TestPlaceValidation(t *testing.T) {
-	if _, err := Place(Config{Backend: sccBackend(), MasterCore: 48, Slaves: 1}); err == nil {
+	if _, err := Place(Config{Chip: scc.DefaultConfig(), MasterCore: 48, Slaves: 1}); err == nil {
 		t.Error("expected error for out-of-range master core")
 	}
-	if _, err := Place(Config{Backend: sccBackend(), MasterCore: 0, Slaves: 0}); err == nil {
+	if _, err := Place(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 0}); err == nil {
 		t.Error("expected error for zero slaves")
 	}
 	if _, err := Place(Config{Slaves: 1}); err == nil {
-		t.Error("expected error for nil backend")
+		t.Error("expected error for a zero-value chip")
 	}
 }
 
@@ -149,7 +147,7 @@ func TestSweepStopsOnError(t *testing.T) {
 func TestSessionRunsAFarm(t *testing.T) {
 	var collected []int
 	s, err := NewSession(Config{
-		Backend:      sccBackend(),
+		Chip:         scc.DefaultConfig(),
 		MasterCore:   0,
 		Slaves:       3,
 		PollingScale: 1,

@@ -9,7 +9,6 @@ package farm_test
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -18,8 +17,8 @@ import (
 
 	"rckalign/internal/core"
 	"rckalign/internal/dist"
-	"rckalign/internal/farm"
 	"rckalign/internal/fault"
+	"rckalign/internal/interchip"
 	"rckalign/internal/mcpsc"
 	"rckalign/internal/pairstore"
 	"rckalign/internal/sched"
@@ -185,10 +184,12 @@ func TestGoldenCoreRuns(t *testing.T) {
 			r, err := core.Run(pr, 7, cfg)
 			return r, 0, 0, 0, err
 		},
-		"core-hier2-s6": func() (core.RunResult, int, int, float64, error) {
-			cfg := core.DefaultConfig()
-			cfg.Hierarchy = 2
-			r, err := core.Run(pr, 6, cfg)
+		"core-chips2-ideal-s3": func() (core.RunResult, int, int, float64, error) {
+			ideal, err := interchip.Profile("ideal")
+			if err != nil {
+				return core.RunResult{}, 0, 0, 0, err
+			}
+			r, err := core.RunMultiChip(pr, 3, core.MultiChipConfig{Config: core.DefaultConfig(), Chips: 2, Interchip: ideal})
 			return r, 0, 0, 0, err
 		},
 		"core-tiled-s4": func() (core.RunResult, int, int, float64, error) {
@@ -336,8 +337,6 @@ func TestScoreBytesChargesContent(t *testing.T) {
 // the cache-affinity (per-worker queues) one — with an empty fault plan
 // and demands a bit-identical Report: there is one FARM, so an installed
 // interposer and an armed but never-firing deadline must cost nothing.
-// Only the sub-master hierarchy rejects fault plans up front, which is
-// asserted instead.
 func TestGoldenZeroPlanEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("native TM-align pass in -short mode")
@@ -404,15 +403,6 @@ func TestGoldenZeroPlanEquivalence(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("core-hier2-s6", func(t *testing.T) {
-		cfg := core.DefaultConfig()
-		cfg.Hierarchy = 2
-		cfg.Faults = &fault.Plan{}
-		if _, err := core.Run(pr, 6, cfg); !errors.Is(err, farm.ErrFaultsUnsupported) {
-			t.Errorf("hierarchical run with a plan: err = %v, want ErrFaultsUnsupported", err)
-		}
-	})
 }
 
 // TestReportDeterminism runs the same configuration twice and demands

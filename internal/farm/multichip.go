@@ -1,4 +1,4 @@
-// Multi-chip farming: N SCC chips behind one Backend, joined by the
+// Multi-chip farming: N SCC chips on one engine, joined by the
 // interchip fabric, farmed hierarchically — a root master on chip 0
 // core 0 ships each remote chip its shard of the job list over the
 // fabric, that chip's sub-master (its core 0) FARMs the shard to its
@@ -21,7 +21,6 @@ import (
 
 	"rckalign/internal/fault"
 	"rckalign/internal/interchip"
-	"rckalign/internal/rcce"
 	"rckalign/internal/rckskel"
 	"rckalign/internal/scc"
 	"rckalign/internal/sim"
@@ -48,7 +47,7 @@ const (
 	InterchipControlBytes = 64
 )
 
-// MultiChip is the multi-chip Backend: Chips copies of one scc.Config
+// MultiChip is the board topology: Chips copies of one scc.Config
 // joined by an interchip fabric. Core names are prefixed per chip
 // ("c1.rck00"), so traces, reports and per-core metrics stay
 // distinguishable.
@@ -62,38 +61,12 @@ type MultiChip struct {
 	Interchip interchip.Config
 }
 
-// Name implements Backend.
-func (b MultiChip) Name() string { return fmt.Sprintf("multichip-%d", b.Chips) }
-
-// NumCores implements Backend (total across chips).
-func (b MultiChip) NumCores() int { return b.Chips * b.Chip.NumCores() }
-
 // interconnect resolves the zero-value default.
 func (b MultiChip) interconnect() interchip.Config {
 	if b.Interchip == (interchip.Config{}) {
 		return interchip.DefaultConfig()
 	}
 	return b.Interchip
-}
-
-// NewRuntime implements Backend: one engine, Chips prefixed chips with
-// their comms, and the fabric joining them. Chip/Comm alias chip 0.
-func (b MultiChip) NewRuntime() Runtime {
-	engine := sim.NewEngine()
-	chips := make([]*scc.Chip, b.Chips)
-	comms := make([]*rcce.Comm, b.Chips)
-	for c := 0; c < b.Chips; c++ {
-		ccfg := b.Chip
-		ccfg.NamePrefix = fmt.Sprintf("c%d.%s", c, b.Chip.NamePrefix)
-		chips[c] = scc.New(engine, ccfg)
-		comms[c] = rcce.New(chips[c])
-	}
-	return Runtime{
-		Engine: engine,
-		Chip:   chips[0], Comm: comms[0],
-		Chips: chips, Comms: comms,
-		Fabric: interchip.New(b.Chips, b.interconnect()),
-	}
 }
 
 // MultiConfig describes one multi-chip farm session.
@@ -104,7 +77,7 @@ type MultiConfig struct {
 	// Collector are shared by all chips (metric keys are scoped per
 	// chip), and each chip session owns an independent cache model, so
 	// the wire accounting splits naturally per interconnect tier.
-	// Backend and MasterCore are set per chip from Board. Faults, when
+	// Chip and MasterCore are set per chip from Board. Faults, when
 	// non-nil, carries global core ids (chip = id / coresPerChip) and is
 	// split per chip with fault.SplitPlan; every chip — faulted or not —
 	// arms the same deadline (FT), so every shard's report carries a
@@ -118,13 +91,14 @@ type MultiConfig struct {
 }
 
 // MultiSession is a constructed multi-chip farm: one chip-level Session
-// per chip on a shared runtime. Through each ChipSession(c), start the
-// chip's slaves and prepare its Work (PrepareJobs); then call Run.
+// per chip, all on one engine, joined by the fabric. Through each
+// ChipSession(c), start the chip's slaves and prepare its Work
+// (PrepareJobs); then call Run.
 type MultiSession struct {
 	cfg      MultiConfig
 	gather   GatherConfig
-	rt       Runtime
-	rec      *trace.Recorder
+	engine   *sim.Engine
+	fabric   *interchip.Fabric
 	sessions []*Session
 
 	shardBytes   []int64
@@ -157,31 +131,28 @@ func NewMultiSession(cfg MultiConfig) (*MultiSession, error) {
 	if rec == nil {
 		rec = trace.New()
 	}
-	rt := cfg.Board.NewRuntime()
-	if cfg.Metrics != nil {
-		rt.Fabric.SetMetrics(cfg.Metrics)
-	}
 	ms := &MultiSession{
-		cfg: cfg, gather: gather, rt: rt, rec: rec,
+		cfg: cfg, gather: gather,
+		engine:       sim.NewEngine(),
+		fabric:       interchip.New(cfg.Board.Chips, cfg.Board.interconnect()),
 		shardBytes:   make([]int64, cfg.Board.Chips),
 		resultBytes:  make([]int64, cfg.Board.Chips),
 		perPairBytes: make([]int64, cfg.Board.Chips),
 		gatherLat:    map[int][]float64{},
 	}
+	if cfg.Metrics != nil {
+		ms.fabric.SetMetrics(cfg.Metrics)
+	}
 	for c := 0; c < cfg.Board.Chips; c++ {
 		scfg := cfg.Config
-		scfg.Backend = SCCSim{Chip: rt.Chips[c].Config()}
+		scfg.Chip = cfg.Board.Chip
+		scfg.Chip.NamePrefix = fmt.Sprintf("c%d.%s", c, cfg.Board.Chip.NamePrefix)
 		scfg.MasterCore = 0
 		scfg.Trace = rec
 		if plans != nil {
 			scfg.Faults = plans[c]
 		}
-		chipRT := Runtime{
-			Engine: rt.Engine,
-			Chip:   rt.Chips[c], Comm: rt.Comms[c],
-			Chips: rt.Chips, Comms: rt.Comms, Fabric: rt.Fabric,
-		}
-		s, err := newSession(scfg, chipRT, []string{"chip", fmt.Sprintf("c%d", c)})
+		s, err := newSession(scfg, ms.engine, []string{"chip", fmt.Sprintf("c%d", c)})
 		if err != nil {
 			return nil, fmt.Errorf("farm: chip %d: %w", c, err)
 		}
@@ -195,9 +166,6 @@ func (ms *MultiSession) Chips() int { return ms.cfg.Board.Chips }
 
 // Gather returns the resolved gather topology.
 func (ms *MultiSession) Gather() GatherConfig { return ms.gather }
-
-// Runtime returns the shared runtime (engine, chips, fabric).
-func (ms *MultiSession) Runtime() Runtime { return ms.rt }
 
 // ChipSession returns chip c's Session (for slave start, PrepareJobs and
 // placement inspection).
@@ -246,7 +214,7 @@ func (a *aggregator) flush() {
 	b := AggregateHeaderBytes + int(a.payload)
 	a.ms.resultBytes[a.chip] += int64(b)
 	a.ms.noteAggSend(b)
-	a.ms.rt.Fabric.Send(a.m.P, a.chip, a.parent, b, aggMsg{
+	a.ms.fabric.Send(a.m.P, a.chip, a.parent, b, aggMsg{
 		origin: a.chip, results: a.count, payload: a.payload,
 	})
 	a.count, a.payload = 0, 0
@@ -296,7 +264,7 @@ func (ms *MultiSession) Run(loadResidues int, work []Work, shardBytes []int64) (
 		return Report{}, fmt.Errorf("farm: multi-chip run wants %d shards and shard sizes, got %d and %d",
 			n, len(work), len(shardBytes))
 	}
-	fabric := ms.rt.Fabric
+	fabric := ms.fabric
 	copy(ms.shardBytes, shardBytes)
 	ms.shardBytes[0] = 0
 
@@ -353,7 +321,7 @@ func (ms *MultiSession) Run(loadResidues int, work []Work, shardBytes []int64) (
 		}
 	})
 
-	err := ms.rt.Engine.Run()
+	err := ms.engine.Run()
 	return ms.finalize(), err
 }
 
@@ -364,7 +332,7 @@ func (ms *MultiSession) finalize() Report {
 	coresPerChip := ms.cfg.Board.Chip.NumCores()
 
 	rep := Report{
-		Backend:              ms.cfg.Board.Name(),
+		Backend:              fmt.Sprintf("multichip-%d", n),
 		Slaves:               n * ms.cfg.Slaves,
 		Chips:                n,
 		LoadSeconds:          root.rep.LoadSeconds,
@@ -405,7 +373,7 @@ func (ms *MultiSession) finalize() Report {
 		}
 		cr := ChipReport{
 			Chip:         c,
-			Master:       ms.rt.Chips[c].CoreName(0),
+			Master:       s.rt.Chip.CoreName(0),
 			Collected:    s.rep.Collected,
 			TotalSeconds: s.rep.TotalSeconds,
 			FarmStats:    s.rep.FarmStats,
@@ -550,9 +518,9 @@ func (ms *MultiSession) mergeMetrics() *MetricsReport {
 // interchipReport distills the fabric accounting into the Report block.
 func (ms *MultiSession) interchipReport() *InterchipReport {
 	n := ms.Chips()
-	st := ms.rt.Fabric.Stats()
+	st := ms.fabric.Stats()
 	out := &InterchipReport{
-		Profile:         ms.rt.Fabric.Config().String(),
+		Profile:         ms.fabric.Config().String(),
 		Transfers:       st.Transfers,
 		Bytes:           st.Bytes,
 		SendWaitSeconds: st.SendWaitSeconds,

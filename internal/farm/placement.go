@@ -8,12 +8,10 @@ import (
 // Typed configuration errors, matchable with errors.Is. Place and
 // NewSession wrap them with the offending values.
 var (
-	// ErrNoBackend reports a Config with no runtime backend.
-	ErrNoBackend = errors.New("no backend")
 	// ErrMasterCore reports an on-chip master core outside the chip.
 	ErrMasterCore = errors.New("master core out of range")
 	// ErrSlaveCount reports a slave count below 1 or beyond the cores
-	// the backend can offer.
+	// the chip can offer.
 	ErrSlaveCount = errors.New("slave count out of range")
 	// ErrWorkerGrouping reports too few slave cores to form even one
 	// thread-grouped worker.
@@ -26,9 +24,6 @@ var (
 	// ErrFaultPlan reports an invalid fault plan (out-of-range cores,
 	// faults aimed at the master, bad probabilities).
 	ErrFaultPlan = errors.New("invalid fault plan")
-	// ErrFaultsUnsupported reports a run path that cannot execute under
-	// a fault plan (the sub-master hierarchy).
-	ErrFaultsUnsupported = errors.New("fault injection unsupported for this path")
 )
 
 // Placement assigns slave cores and groups them into worker processes.
@@ -56,10 +51,7 @@ type Placement struct {
 // id order, skipping the master core when it is on-chip, grouped into
 // workers of cfg.ThreadsPerWorker cores.
 func Place(cfg Config) (Placement, error) {
-	if cfg.Backend == nil {
-		return Placement{}, fmt.Errorf("farm: %w", ErrNoBackend)
-	}
-	numCores := cfg.Backend.NumCores()
+	numCores := cfg.Chip.NumCores()
 	maxSlaves := numCores
 	if cfg.MasterCore != HostMaster {
 		if cfg.MasterCore < 0 || cfg.MasterCore >= numCores {
@@ -136,7 +128,7 @@ func PartitionContiguous(cores []int, sizes []int) ([][]int, error) {
 
 // PartitionRoundRobin deals cores one by one into n groups (group i
 // receives cores i, i+n, i+2n, ...), the assignment used by the
-// hierarchical master tree and the one-vs-all method split.
+// one-vs-all method split.
 func PartitionRoundRobin(cores []int, n int) [][]int {
 	out := make([][]int, n)
 	for k, c := range cores {

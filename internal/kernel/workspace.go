@@ -43,10 +43,6 @@ type Workspace struct {
 	// loads).
 	YX, YY, YZ []float64
 
-	// YX32/YY32/YZ32 mirror YX/YY/YZ in single precision for the opt-in
-	// float32 fast path (Reserve32).
-	YX32, YY32, YZ32 []float32
-
 	// Mat is the xlen x ylen score matrix of the DP refinement loops.
 	Mat []float64
 
@@ -102,14 +98,6 @@ func (w *Workspace) ReservePairs(n int) {
 	w.YX = grow(w.YX, n)
 	w.YY = grow(w.YY, n)
 	w.YZ = grow(w.YZ, n)
-}
-
-// Reserve32 sizes the float32 SoA mirrors (only the float32 fast path
-// pays for them).
-func (w *Workspace) Reserve32(n int) {
-	w.YX32 = grow(w.YX32, n)
-	w.YY32 = grow(w.YY32, n)
-	w.YZ32 = grow(w.YZ32, n)
 }
 
 // ReserveMat sizes the score matrix for an xlen x ylen problem.

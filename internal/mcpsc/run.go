@@ -53,7 +53,7 @@ func DefaultRunConfig() RunConfig {
 // partitioned, one job queue per method.
 func (cfg RunConfig) session(slaves int) farm.Config {
 	return farm.Config{
-		Backend:      farm.SCCSim{Chip: cfg.Chip},
+		Chip:         cfg.Chip,
 		MasterCore:   cfg.MasterCore,
 		Slaves:       slaves,
 		PollingScale: 1,

@@ -161,14 +161,9 @@ func abs(x float64) float64 {
 // fixed chain through its SoA mirror (one contiguous stream per axis).
 // With ssBonus, pairs with matching secondary structure score +0.5
 // (get_initial_ssplus's mixed matrix). The distance arithmetic follows
-// Vec3.Dist2's evaluation order, so the default float64 fill is
-// bit-identical to the naive xt[i].Dist2(y[j]) loop; the opt-in float32
-// path trades that exactness for narrower arithmetic.
+// Vec3.Dist2's evaluation order, so the fill is bit-identical to the
+// naive xt[i].Dist2(y[j]) loop.
 func (c *ctx) fillDistMatrix(xt []geom.Vec3, d2 float64, ssBonus bool) {
-	if c.opt.Float32 {
-		c.fillDistMatrix32(xt, d2, ssBonus)
-		return
-	}
 	ylen := c.ylen
 	yx := c.w.YX[:ylen]
 	yy := c.w.YY[:ylen]
@@ -194,42 +189,6 @@ func (c *ctx) fillDistMatrix(xt []geom.Vec3, d2 float64, ssBonus bool) {
 				dx, dy, dz := px-yx[j], py-yy[j], pz-yz[j]
 				di := dx*dx + dy*dy + dz*dz
 				row[j] = 1 / (1 + di/d2)
-			}
-		}
-	}
-}
-
-// fillDistMatrix32 is the float32 fast path of fillDistMatrix: distances
-// and scores are computed in single precision and widened on store. Only
-// the DP score matrix is affected — superposition and TM-scores stay
-// float64 — so drift is bounded to near-tied alignment choices.
-func (c *ctx) fillDistMatrix32(xt []geom.Vec3, d2 float64, ssBonus bool) {
-	ylen := c.ylen
-	yx := c.w.YX32[:ylen]
-	yy := c.w.YY32[:ylen]
-	yz := c.w.YZ32[:ylen]
-	d232 := float32(d2)
-	for i := 0; i < c.xlen; i++ {
-		p := &xt[i]
-		px, py, pz := float32(p[0]), float32(p[1]), float32(p[2])
-		row := c.scoreMat[i*ylen : i*ylen+ylen]
-		if ssBonus {
-			s1 := c.sec1[i]
-			sec2 := c.sec2
-			for j := range row {
-				dx, dy, dz := px-yx[j], py-yy[j], pz-yz[j]
-				di := dx*dx + dy*dy + dz*dz
-				s := 1 / (1 + di/d232)
-				if s1 == sec2[j] {
-					s += 0.5
-				}
-				row[j] = float64(s)
-			}
-		} else {
-			for j := range row {
-				dx, dy, dz := px-yx[j], py-yy[j], pz-yz[j]
-				di := dx*dx + dy*dy + dz*dz
-				row[j] = float64(1 / (1 + di/d232))
 			}
 		}
 	}

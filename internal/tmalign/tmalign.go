@@ -49,12 +49,6 @@ type Options struct {
 	// D0 overrides the automatic d0 for the extra normalisation (the -d
 	// flag); 0 keeps the length-derived value.
 	D0 float64
-	// Float32, when set, computes the O(L^2) distance score matrices of
-	// the DP refinement in single precision (the final superposition and
-	// TM-scores stay float64). This is an opt-in fast path: scores can
-	// drift slightly from the default bit-exact float64 pipeline because
-	// the DP may pick a different (near-tied) alignment. Off by default.
-	Float32 bool
 }
 
 // DefaultOptions returns TM-align's standard search settings.
@@ -74,15 +68,8 @@ func FastOptions() Options {
 // identically under them.
 func (o Options) Key() string {
 	o = o.withDefaults()
-	k := fmt.Sprintf("tmalign/s%d:f%d:i%d:l%t:n%d:a%t:d%g",
+	return fmt.Sprintf("tmalign/s%d:f%d:i%d:l%t:n%d:a%t:d%g",
 		o.SimplifyStep, o.FinalStep, o.MaxDPIters, o.SkipLocalInit, o.NormLength, o.NormAvg, o.D0)
-	// The float32 marker is appended only when the fast path is enabled
-	// so default-option keys (and the memoized pair caches committed
-	// under them) are unchanged.
-	if o.Float32 {
-		k += ":f32"
-	}
-	return k
 }
 
 func (o Options) withDefaults() Options {
@@ -220,13 +207,6 @@ func CompareCAWS(w *kernel.Workspace, x, y []geom.Vec3, seq1, seq2 string, opt O
 	for j := 0; j < ylen; j++ {
 		p := &y[j]
 		yx[j], yy[j], yz[j] = p[0], p[1], p[2]
-	}
-	if opt.Float32 {
-		w.Reserve32(ylen)
-		yx32, yy32, yz32 := w.YX32[:ylen], w.YY32[:ylen], w.YZ32[:ylen]
-		for j := 0; j < ylen; j++ {
-			yx32[j], yy32[j], yz32[j] = float32(yx[j]), float32(yy[j]), float32(yz[j])
-		}
 	}
 
 	invmap0 := c.run()
