@@ -7,7 +7,7 @@
 //
 //	rckserve [-addr HOST:PORT] [-dataset NAME] [-fast]
 //	         [-batch N] [-maxwait DUR] [-workers N] [-queuecap N]
-//	         [-access-log FILE]
+//	         [-access-log FILE] [-prune-tm T] [-debug-addr HOST:PORT]
 //
 // -dataset preloads a built-in synthetic dataset (CK34 or RS119) in
 // canonical order, so served scores are bit-identical to a batch
@@ -20,6 +20,10 @@
 // outcome) — the structured feed the load generator's SLO reports and
 // DESIGN.md §15 build on. "-" logs to stderr.
 //
+// -debug-addr serves net/http/pprof (/debug/pprof/...) on a listener
+// of its own — bind it to loopback. It is off when empty, and the
+// profiler is never reachable through -addr.
+//
 // SIGINT/SIGTERM shut down gracefully: the listener stops accepting,
 // in-flight requests finish, queued batches drain, then the process
 // exits 0.
@@ -30,7 +34,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -51,6 +57,7 @@ type cliFlags struct {
 	QueueCap  int
 	AccessLog string
 	PruneTM   float64
+	DebugAddr string
 }
 
 func validateFlags(f cliFlags) error {
@@ -72,12 +79,28 @@ func validateFlags(f cliFlags) error {
 	if f.PruneTM < 0 || f.PruneTM > 1 {
 		return fmt.Errorf("-prune-tm %g: must be in [0,1] (0 = no pruning)", f.PruneTM)
 	}
+	if f.DebugAddr == f.Addr {
+		return fmt.Errorf("-debug-addr %s: must differ from -addr (the profiler gets its own listener)", f.DebugAddr)
+	}
 	if f.Dataset != "" {
 		if _, err := synth.ByName(f.Dataset); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// debugHandler is what -debug-addr serves: the pprof endpoints on a mux
+// of their own, so nothing else the process registers rides along and
+// the public handler never carries them.
+func debugHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 func main() {
@@ -90,11 +113,12 @@ func main() {
 	queueCap := flag.Int("queuecap", 0, "submission queue capacity (0 = default 4*batch)")
 	accessLog := flag.String("access-log", "", "append one JSON line per request to this file (\"-\" = stderr)")
 	pruneTM := flag.Float64("prune-tm", 0, "pre-filter /onevsall and /topk sweeps: skip pairs whose conservative TM upper bound is below this threshold (0 = off; /score is never pruned)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address, on its own listener (empty = off; never on -addr)")
 	flag.Parse()
 
 	f := cliFlags{Addr: *addr, Dataset: *dataset, Batch: *batch,
 		MaxWait: *maxWait, Workers: *workers, QueueCap: *queueCap,
-		AccessLog: *accessLog, PruneTM: *pruneTM}
+		AccessLog: *accessLog, PruneTM: *pruneTM, DebugAddr: *debugAddr}
 	if err := validateFlags(f); err != nil {
 		usageFatal(err)
 	}
@@ -151,6 +175,16 @@ func main() {
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "rckserve: listening on %s (kernel %s, batch %d)\n",
 		f.Addr, opt.Key(), cfg.Batch.BatchSize)
+	if f.DebugAddr != "" {
+		ln, err := net.Listen("tcp", f.DebugAddr)
+		if err != nil {
+			fatal(err)
+		}
+		debugSrv := &http.Server{Handler: debugHandler()}
+		go debugSrv.Serve(ln) // returns when Close below shuts the listener
+		defer debugSrv.Close()
+		fmt.Fprintf(os.Stderr, "rckserve: pprof on http://%s/debug/pprof/\n", ln.Addr())
+	}
 
 	select {
 	case err := <-errCh:

@@ -131,9 +131,10 @@ type Result[R any] struct {
 }
 
 // Stats counts what the batcher has done so far. Pending is the number
-// of items submitted but not yet answered (queue + assembling batch +
-// executing batches); PeakPending is its high-water mark over the
-// batcher's lifetime.
+// of items submitted whose batch has not finished executing (queue +
+// assembling batch + executing batches); PeakPending is its high-water
+// mark over the batcher's lifetime. An item moves from Pending to
+// Completed just before its result is delivered.
 type Stats struct {
 	Enqueued     int64
 	Completed    int64
@@ -361,6 +362,12 @@ func (b *Batcher[T, R]) worker(id int) {
 			err = fmt.Errorf("batcher: run returned %d results for %d items", len(vals), len(items))
 		}
 		done := time.Now()
+		// Count the batch before delivering it, so a caller holding its
+		// result never reads Stats that do not include it yet.
+		b.mu.Lock()
+		b.stats.Completed += int64(len(bt.reqs))
+		b.stats.Pending -= int64(len(bt.reqs))
+		b.mu.Unlock()
 		for i, r := range bt.reqs {
 			res := Result[R]{
 				BatchSize:  len(bt.reqs),
@@ -382,9 +389,5 @@ func (b *Batcher[T, R]) worker(id int) {
 			}
 			r.resp <- res
 		}
-		b.mu.Lock()
-		b.stats.Completed += int64(len(bt.reqs))
-		b.stats.Pending -= int64(len(bt.reqs))
-		b.mu.Unlock()
 	}
 }

@@ -32,7 +32,8 @@ type Key struct {
 // Stats counts what the store did.
 type Stats struct {
 	// Hits counts Get calls answered from an existing entry (including
-	// waits on an in-flight computation).
+	// waits on an in-flight computation) and Probes that found a
+	// resident value.
 	Hits int64
 	// Misses counts Get calls (or prefetched keys) that ran the compute
 	// function.
@@ -165,6 +166,34 @@ func (s *Store) GetHit(k Key, compute func() any) (v any, hit bool) {
 	e.value = compute()
 	close(e.ready)
 	return e.value, false
+}
+
+// Probe returns k's value only when it is resident: the entry exists
+// and its computation has finished. It counts a hit, never computes and
+// never waits — an absent key and one still in flight both report
+// ok=false and touch no counter, so a caller that follows a failed
+// probe with GetHit counts each lookup once. This is the serving fast
+// path: a resident pair is answered without a trip through the request
+// coalescer. A nil store holds nothing.
+func (s *Store) Probe(k Key) (v any, ok bool) {
+	if s == nil {
+		return nil, false
+	}
+	s.mu.Lock()
+	e := s.entries[k]
+	if e != nil {
+		select {
+		case <-e.ready:
+			s.stats.Hits++
+			ok = true
+		default:
+		}
+	}
+	s.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	return e.value, true
 }
 
 // Prefetch evaluates all keys on the store's worker pool and memoizes

@@ -223,3 +223,82 @@ func TestGetHitOutcome(t *testing.T) {
 		t.Errorf("nil-store GetHit = (%v, %v) after %d calls, want (5, false) after 1", v, hit, calls)
 	}
 }
+
+// TestProbe pins the non-blocking residency probe: it answers only a
+// finished entry, counts that as a hit, and otherwise — absent key,
+// in-flight computation, nil store — reports not-resident without
+// computing, waiting or touching a counter.
+func TestProbe(t *testing.T) {
+	s := New(2)
+	if v, ok := s.Probe(key(1)); ok || v != nil {
+		t.Fatalf("Probe of an absent key = (%v, %v), want (nil, false)", v, ok)
+	}
+	if s.Len() != 0 || (s.Stats() != Stats{}) {
+		t.Errorf("failed probe left a trace: len %d, stats %+v", s.Len(), s.Stats())
+	}
+
+	// In flight: the entry exists but its value is not ready. Probe must
+	// return at once (the compute is parked until release).
+	begun := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Get(key(2), func() any { close(begun); <-release; return "slow" })
+	}()
+	<-begun
+	if v, ok := s.Probe(key(2)); ok || v != nil {
+		t.Errorf("Probe of an in-flight key = (%v, %v), want (nil, false)", v, ok)
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Errorf("stats after in-flight probe = %+v, want 0 hits / 1 miss", st)
+	}
+	close(release)
+	<-done
+
+	// Ready: every probe is one hit and never a recompute.
+	for i := 1; i <= 3; i++ {
+		if v, ok := s.Probe(key(2)); !ok || v != "slow" {
+			t.Fatalf("Probe of a ready key = (%v, %v), want (slow, true)", v, ok)
+		}
+		if st := s.Stats(); st.Hits != int64(i) || st.Misses != 1 {
+			t.Errorf("stats after %d ready probes = %+v", i, st)
+		}
+	}
+
+	var nilStore *Store
+	if v, ok := nilStore.Probe(key(2)); ok || v != nil {
+		t.Errorf("nil-store Probe = (%v, %v), want (nil, false)", v, ok)
+	}
+}
+
+// TestProbeRacesGet: probes racing the computation of their key either
+// miss or see the finished value, never a half-written one (run with
+// -race), and hits + misses stays one count per successful lookup.
+func TestProbeRacesGet(t *testing.T) {
+	s := New(4)
+	var wg sync.WaitGroup
+	var probeHits atomic.Int64
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if v, ok := s.Probe(key(i)); ok {
+					probeHits.Add(1)
+					if v != i {
+						t.Errorf("Probe(%d) = %v", i, v)
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		i := i
+		s.Get(key(i), func() any { return i })
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Misses != 50 || st.Hits != probeHits.Load() {
+		t.Errorf("stats = %+v, want 50 misses / %d hits", st, probeHits.Load())
+	}
+}

@@ -4,17 +4,21 @@
 // structure database, serving pairwise scores, one-vs-all sweeps and
 // top-K neighbor queries to many concurrent clients.
 //
-// Request coalescing: every query expands into per-pair work items that
-// flow through one internal/batcher instance (bounded queue, batch-size
-// and max-wait flush triggers), and every pair evaluation runs through
-// the single-flight memoized internal/pairstore keyed by
-// (dataset, kernel, pair). Concurrent bursts of one-vs-all queries
-// against the same target therefore compute each pair exactly once,
-// and — because pairs are always compared in canonical index order
-// (lower index first) — every served score is bit-identical to what
-// the batch CLI (cmd/rckalign -scores-out) produces for the same
-// structures in the same order under the same kernel options. See
-// DESIGN.md §14.
+// Probe, then coalesce: every query expands into per-pair work items,
+// and residency is the first thing an item meets. A pair already
+// resident in the single-flight memoized internal/pairstore (keyed by
+// (dataset, kernel, pair)) is answered inline — a lookup, no queue, no
+// batch timer. Only the misses (absent or still in flight) flow through
+// one internal/batcher instance (bounded queue, batch-size and max-wait
+// flush triggers), and every evaluation there runs through the same
+// store. Concurrent bursts of one-vs-all queries against the same
+// target therefore compute each pair exactly once, and — because pairs
+// are always compared in canonical index order (lower index first) —
+// every served score is bit-identical to what the batch CLI
+// (cmd/rckalign -scores-out) produces for the same structures in the
+// same order under the same kernel options. A reply answered entirely
+// inline reports memo hits, batch_size 0, no trigger, and the handler
+// time as its only timing. See DESIGN.md §14.
 //
 // Endpoints:
 //
@@ -130,12 +134,15 @@ type Server struct {
 	mux     *http.ServeMux
 	start   time.Time
 	seq     atomic.Int64 // request-ID sequence for requests without one
+	closed  atomic.Bool  // set by Close: queries get 503, resident or not
 
 	// The metrics registry is not internally synchronized (it was built
-	// for the single-goroutine simulator), so every access goes through
-	// metricsMu.
+	// for the single-goroutine simulator), so every access — through the
+	// registry or through a handle it returned — goes under metricsMu.
+	// endpoints holds the per-endpoint handles, resolved once in New.
 	metricsMu sync.Mutex
 	reg       *metrics.Registry
+	endpoints map[string]endpointMetrics
 
 	// accessMu serializes access-log lines (accessLog is nil when
 	// logging is off).
@@ -153,6 +160,13 @@ type Server struct {
 // endpoints instrumented with latency histograms, in /statsz order.
 var observedEndpoints = []string{"healthz", "list", "onevsall", "score", "statsz", "structures", "topk"}
 
+// endpointMetrics is one endpoint's latency histogram and request
+// counter: observe updates them per request, /statsz reads them.
+type endpointMetrics struct {
+	latency  *metrics.Histogram
+	requests *metrics.Counter
+}
+
 // New builds and starts a server (its batcher goroutines run until
 // Close).
 func New(cfg Config) *Server {
@@ -168,6 +182,13 @@ func New(cfg Config) *Server {
 		reg:       metrics.New(),
 		start:     time.Now(),
 		accessLog: cfg.AccessLog,
+		endpoints: make(map[string]endpointMetrics, len(observedEndpoints)),
+	}
+	for _, ep := range observedEndpoints {
+		s.endpoints[ep] = endpointMetrics{
+			latency:  s.reg.Histogram("server.latency_seconds", metrics.TimeBuckets, "endpoint", ep),
+			requests: s.reg.Counter("server.requests", "endpoint", ep),
+		}
 	}
 	if s.store == nil && !cfg.DisableMemo {
 		s.store = pairstore.New(0)
@@ -219,8 +240,12 @@ func (s *Server) BatcherStats() batcher.Stats { return s.bat.Stats() }
 // Close drains the coalescer: queued and assembling batches execute,
 // their responses are delivered, then Close returns. In-flight HTTP
 // handlers should be drained first (http.Server.Shutdown), and new
-// queries after Close receive 503.
-func (s *Server) Close() { s.bat.Close() }
+// queries after Close receive 503 — including those the store could
+// have answered inline.
+func (s *Server) Close() {
+	s.closed.Store(true)
+	s.bat.Close()
+}
 
 // Preload parses nothing — it adds already-parsed structures in order,
 // for wiring a built-in dataset at startup.
@@ -250,18 +275,72 @@ func (s *Server) runBatch(jobs []pairJob) ([]pairOut, error) {
 			}
 			return r
 		})
-		switch t := v.(type) {
-		case *tmalign.Result:
-			out[k] = pairOut{res: t, hit: hit}
-		case error:
-			out[k] = pairOut{err: t, hit: hit}
-		}
+		out[k] = outOf(v, hit)
 		reqs[j.req] = struct{}{}
 	}
 	s.metricsMu.Lock()
 	s.reg.Histogram("server.batch.requests", metrics.CountBuckets).Observe(float64(len(reqs)))
 	s.metricsMu.Unlock()
 	return out, nil
+}
+
+// outOf types a stored value: the store holds a *tmalign.Result or the
+// kernel's rejection of the pair.
+func outOf(v any, hit bool) pairOut {
+	if err, ok := v.(error); ok {
+		return pairOut{err: err, hit: hit}
+	}
+	return pairOut{res: v.(*tmalign.Result), hit: hit}
+}
+
+// evalPairs evaluates a request's canonical pairs, residency first.
+// Every job whose pair is resident in the store is answered inline — a
+// lookup, never a trip through the coalescer — and only the misses
+// (absent or still in flight, which single-flight still owns) go
+// through one SubmitAll, so batch assembly is paid in proportion to a
+// request's misses, not its width. Results are index-aligned with jobs.
+// An inline result is a memo hit with BatchSize 0, no batch worker (-1),
+// zero timing, and the request's arrival as its enqueue time. With
+// memoization disabled the nil store never probes and every job is a
+// miss. The first pair-level error fails the request; on success the
+// results are folded into the request's trace record (recordItems).
+func (s *Server) evalPairs(info *reqInfo, jobs []pairJob) ([]batcher.Result[pairOut], error) {
+	if s.closed.Load() {
+		return nil, batcher.ErrClosed
+	}
+	results := make([]batcher.Result[pairOut], len(jobs))
+	var misses []pairJob
+	var missAt []int // misses[n] is jobs[missAt[n]]
+	for k, j := range jobs {
+		v, ok := s.store.Probe(s.keyFor(j))
+		if !ok {
+			if misses == nil {
+				misses, missAt = make([]pairJob, 0, len(jobs)-k), make([]int, 0, len(jobs)-k)
+			}
+			misses, missAt = append(misses, j), append(missAt, k)
+			continue
+		}
+		results[k] = batcher.Result[pairOut]{Value: outOf(v, true), Worker: -1, EnqueuedAt: info.t0}
+	}
+	if len(misses) > 0 {
+		computed, err := s.bat.SubmitAll(misses)
+		if err != nil {
+			return nil, err
+		}
+		for n, k := range missAt {
+			results[k] = computed[n]
+		}
+	}
+	for _, r := range results {
+		if r.Err != nil {
+			return nil, r.Err
+		}
+		if r.Value.err != nil {
+			return nil, r.Value.err
+		}
+	}
+	recordItems(info, results)
+	return results, nil
 }
 
 func (s *Server) keyFor(j pairJob) pairstore.Key {
@@ -300,6 +379,17 @@ type reqInfo struct {
 	memoHit  int
 	memoMiss int
 	errMsg   string
+}
+
+// replyTiming is the timing a reply carries: the coalescer breakdown
+// when the request rode it, otherwise — errors, non-query endpoints,
+// queries answered inline from the store — the handler time so far,
+// which is then the whole story.
+func (info *reqInfo) replyTiming() TimingBreakdown {
+	if info.timing.TotalS == 0 {
+		info.timing.TotalS = time.Since(info.t0).Seconds()
+	}
+	return info.timing
 }
 
 type reqInfoKey struct{}
@@ -349,6 +439,7 @@ type AccessEntry struct {
 // handler, records the per-endpoint latency histogram, and emits one
 // access-log line when configured.
 func (s *Server) observe(endpoint string, fn http.HandlerFunc) http.HandlerFunc {
+	m := s.endpoints[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
 		info := &reqInfo{
 			id:       r.Header.Get("X-Request-ID"),
@@ -364,13 +455,11 @@ func (s *Server) observe(endpoint string, fn http.HandlerFunc) http.HandlerFunc 
 		fn(sw, r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, info)))
 		sec := time.Since(info.t0).Seconds()
 		if info.timing.TotalS == 0 {
-			// No coalescer trip (errors, non-query endpoints): the handler
-			// time is the whole story.
-			info.timing.TotalS = sec
+			info.timing.TotalS = sec // no reply stamped it (see replyTiming)
 		}
 		s.metricsMu.Lock()
-		s.reg.Histogram("server.latency_seconds", metrics.TimeBuckets, "endpoint", endpoint).Observe(sec)
-		s.reg.Counter("server.requests", "endpoint", endpoint).Inc()
+		m.latency.Observe(sec)
+		m.requests.Inc()
 		s.metricsMu.Unlock()
 		if s.accessLog != nil {
 			line, err := json.Marshal(AccessEntry{
@@ -408,10 +497,7 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, code int, err erro
 	s.metricsMu.Unlock()
 	info := infoFrom(r)
 	info.errMsg = err.Error()
-	if info.timing.TotalS == 0 {
-		info.timing.TotalS = time.Since(info.t0).Seconds()
-	}
-	writeJSON(w, code, ErrorResponse{Error: err.Error(), ReqID: info.id, Timing: info.timing})
+	writeJSON(w, code, ErrorResponse{Error: err.Error(), ReqID: info.id, Timing: info.replyTiming()})
 }
 
 // failErr maps an error to its HTTP status by type.
@@ -546,7 +632,10 @@ func timingOf(t batcher.Timing) TimingBreakdown {
 // came from the memo store, the coalescer backlog it saw on arrival,
 // and when (as an offset from server start) it entered the queue — the
 // coordinates a load generator needs to rebuild server-side trace
-// spans.
+// spans. A resident pair is answered inline and never meets the
+// coalescer: MemoHit with BatchSize 0, an empty Trigger, Worker -1,
+// QueueDepth 0, the request's arrival as EnqueueOffsetS, and a Timing
+// that is only the handler time in TotalS.
 type ScoreResponse struct {
 	ScoreRow
 	ReqID          string          `json:"req_id"`
@@ -582,26 +671,12 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job := canonicalJob(info.id, ai, a, bi, b)
-	res, err := s.bat.Submit(job)
+	results, err := s.evalPairs(info, []pairJob{job})
 	if err != nil {
 		s.failErr(w, r, err)
 		return
 	}
-	if res.Err != nil {
-		s.failErr(w, r, res.Err)
-		return
-	}
-	if res.Value.err != nil {
-		s.failErr(w, r, res.Value.err)
-		return
-	}
-	info.timing = timingOf(res.Timing)
-	info.batch, info.trigger = res.BatchSize, res.Trigger.String()
-	if res.Value.hit {
-		info.memoHit++
-	} else {
-		info.memoMiss++
-	}
+	res := results[0]
 	if q.Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		io.WriteString(w, ScoreLine(job.i, job.j, res.Value.res))
@@ -611,8 +686,8 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		ScoreRow:       rowOf(job, res.Value.res),
 		ReqID:          info.id,
 		BatchSize:      res.BatchSize,
-		Trigger:        res.Trigger.String(),
-		Timing:         timingOf(res.Timing),
+		Trigger:        info.trigger,
+		Timing:         info.replyTiming(),
 		Worker:         res.Worker,
 		MemoHit:        res.Value.hit,
 		QueueDepth:     res.QueueDepth,
@@ -622,10 +697,11 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 
 // oneVsAll resolves the target, expands it against every other stored
 // structure (snapshot at request time), applies the optional prune
-// pre-filter, and runs the surviving pairs through the coalescer under
-// the given request ID. Rows come back sorted by canonical pair; the
-// int alongside them counts pairs the pre-filter removed.
-func (s *Server) oneVsAll(req, targetID string) (int, []pairJob, []batcher.Result[pairOut], int, error) {
+// pre-filter, and evaluates the surviving pairs (evalPairs: resident
+// ones inline, the rest through the coalescer) under the request's ID.
+// Rows come back sorted by canonical pair; the int alongside them
+// counts pairs the pre-filter removed.
+func (s *Server) oneVsAll(info *reqInfo, targetID string) (int, []pairJob, []batcher.Result[pairOut], int, error) {
 	ti, _, err := s.db.Lookup(targetID)
 	if err != nil {
 		return 0, nil, nil, 0, err
@@ -636,7 +712,7 @@ func (s *Server) oneVsAll(req, targetID string) (int, []pairJob, []batcher.Resul
 		if o == ti {
 			continue
 		}
-		jobs = append(jobs, canonicalJob(req, ti, structs[ti], o, st))
+		jobs = append(jobs, canonicalJob(info.id, ti, structs[ti], o, st))
 	}
 	pruned := 0
 	if s.pruneF != nil {
@@ -657,17 +733,9 @@ func (s *Server) oneVsAll(req, targetID string) (int, []pairJob, []batcher.Resul
 			s.metricsMu.Unlock()
 		}
 	}
-	results, err := s.bat.SubmitAll(jobs)
+	results, err := s.evalPairs(info, jobs)
 	if err != nil {
 		return 0, nil, nil, pruned, err
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			return 0, nil, nil, pruned, r.Err
-		}
-		if r.Value.err != nil {
-			return 0, nil, nil, pruned, r.Value.err
-		}
 	}
 	return ti, jobs, results, pruned, nil
 }
@@ -683,11 +751,12 @@ func (s *Server) featuresOfLocked(st *pdb.Structure) *prune.Features {
 	return &f
 }
 
-// recordItems folds a multi-pair request's batcher results into the
-// trace record: memo hit/miss counts, the slowest item's breakdown (the
-// request's critical path through the coalescer), and the largest batch
-// any item rode in.
-func recordItems(info *reqInfo, results []batcher.Result[pairOut]) batcher.Timing {
+// recordItems folds a request's pair results into the trace record:
+// memo hit/miss counts, the slowest item's breakdown (the request's
+// critical path through the coalescer), and the largest batch any item
+// rode in. Inline results contribute a hit and nothing else, so a fully
+// resident request records batch 0, no trigger and zero timing.
+func recordItems(info *reqInfo, results []batcher.Result[pairOut]) {
 	var maxT batcher.Timing
 	for _, res := range results {
 		if res.Value.hit {
@@ -695,7 +764,7 @@ func recordItems(info *reqInfo, results []batcher.Result[pairOut]) batcher.Timin
 		} else {
 			info.memoMiss++
 		}
-		if res.BatchSize > info.batch {
+		if res.BatchSize > info.batch { // never an inline result: their zero Trigger would read "size"
 			info.batch, info.trigger = res.BatchSize, res.Trigger.String()
 		}
 		if res.Timing.Total > maxT.Total {
@@ -703,7 +772,6 @@ func recordItems(info *reqInfo, results []batcher.Result[pairOut]) batcher.Timin
 		}
 	}
 	info.timing = timingOf(maxT)
-	return maxT
 }
 
 // OneVsAllResponse is the /onevsall reply.
@@ -714,7 +782,8 @@ type OneVsAllResponse struct {
 	ReqID  string     `json:"req_id"`
 	Rows   []ScoreRow `json:"rows"`
 	// MaxTiming is the slowest item's breakdown — the request's critical
-	// path through the coalescer.
+	// path through the coalescer. When every pair was resident nothing
+	// rode the coalescer and it is the handler time in TotalS alone.
 	MaxTiming TimingBreakdown `json:"max_timing"`
 	// MemoHits/MemoMisses count this request's pairs by memo outcome.
 	MemoHits   int `json:"memo_hits"`
@@ -723,7 +792,7 @@ type OneVsAllResponse struct {
 	// compute (0 unless the server runs with Config.PruneTM > 0).
 	Pruned int `json:"pruned"`
 	// Workers lists the distinct batch workers that computed this
-	// request's pairs, ascending.
+	// request's pairs, ascending; empty when every pair was resident.
 	Workers []int `json:"workers"`
 }
 
@@ -731,8 +800,11 @@ type OneVsAllResponse struct {
 // request's batcher results.
 func distinctWorkers(results []batcher.Result[pairOut]) []int {
 	seen := map[int]struct{}{}
-	var out []int
+	out := []int{}
 	for _, res := range results {
+		if res.Worker < 0 {
+			continue // answered inline
+		}
 		if _, ok := seen[res.Worker]; !ok {
 			seen[res.Worker] = struct{}{}
 			out = append(out, res.Worker)
@@ -749,13 +821,12 @@ func (s *Server) handleOneVsAll(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusBadRequest, errors.New("need target= structure id"))
 		return
 	}
-	ti, jobs, results, pruned, err := s.oneVsAll(info.id, targetID)
+	ti, jobs, results, pruned, err := s.oneVsAll(info, targetID)
 	if err != nil {
 		s.failErr(w, r, err)
 		return
 	}
 	if r.URL.Query().Get("format") == "text" {
-		recordItems(info, results)
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		for k, job := range jobs {
 			io.WriteString(w, ScoreLine(job.i, job.j, results[k].Value.res))
@@ -766,8 +837,7 @@ func (s *Server) handleOneVsAll(w http.ResponseWriter, r *http.Request) {
 	for k, job := range jobs {
 		resp.Rows[k] = rowOf(job, results[k].Value.res)
 	}
-	maxT := recordItems(info, results)
-	resp.MaxTiming = timingOf(maxT)
+	resp.MaxTiming = info.replyTiming()
 	resp.MemoHits, resp.MemoMisses = info.memoHit, info.memoMiss
 	resp.Pruned = pruned
 	resp.Workers = distinctWorkers(results)
@@ -803,12 +873,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ti, jobs, results, pruned, err := s.oneVsAll(info.id, targetID)
+	ti, jobs, results, pruned, err := s.oneVsAll(info, targetID)
 	if err != nil {
 		s.failErr(w, r, err)
 		return
 	}
-	maxT := recordItems(info, results)
 	neighbors := make([]Neighbor, len(jobs))
 	for i, job := range jobs {
 		res := results[i].Value.res
@@ -844,7 +913,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		MemoHits   int             `json:"memo_hits"`
 		MemoMisses int             `json:"memo_misses"`
 		Pruned     int             `json:"pruned"`
-	}{targetID, ti, k, info.id, neighbors[:k], timingOf(maxT), info.memoHit, info.memoMiss, pruned})
+	}{targetID, ti, k, info.id, neighbors[:k], info.replyTiming(), info.memoHit, info.memoMiss, pruned})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -927,7 +996,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for _, ep := range observedEndpoints {
-		lh := s.reg.Histogram("server.latency_seconds", metrics.TimeBuckets, "endpoint", ep)
+		lh := s.endpoints[ep].latency
 		if lh.Count() == 0 {
 			continue
 		}
