@@ -84,6 +84,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -156,6 +157,9 @@ func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
 	}
 	if f.Deadline < 0 {
 		return cfg, fmt.Errorf("-deadline %g is negative", f.Deadline)
+	}
+	if math.IsNaN(f.Deadline) || math.IsInf(f.Deadline, 0) {
+		return cfg, fmt.Errorf("-deadline %g is not a finite number of seconds", f.Deadline)
 	}
 	if f.Polling < 0 {
 		return cfg, fmt.Errorf("-polling %g is negative", f.Polling)
@@ -312,32 +316,46 @@ func main() {
 	for k, r := range pr.Results {
 		pairOf[r] = pr.Pairs[k]
 	}
-	var rec *trace.Recorder
-	var reg *metrics.Registry
-	var lastRep farm.Report
-	var scores map[sched.Pair]*tmalign.Result
-	for _, n := range counts {
+	// Every point records into sinks of its own, so the points are
+	// independent and farm.Sweep may run them concurrently; rows, notes and
+	// files are then written in point order. Only the last point's sinks
+	// reach -scores-out, -metrics-out, -trace-out and -util.
+	type point struct {
+		rep    farm.Report
+		rec    *trace.Recorder
+		reg    *metrics.Registry
+		scores map[sched.Pair]*tmalign.Result
+	}
+	points, err := farm.Sweep(counts, false, func(n int) (point, error) {
+		var pt point
+		cfg := cfg
 		if *scoresOut != "" {
-			scores = make(map[sched.Pair]*tmalign.Result, len(pr.Pairs))
+			pt.scores = make(map[sched.Pair]*tmalign.Result, len(pr.Pairs))
 			cfg.Collector = farm.CollectorFunc(func(r rckskel.Result) {
 				if res, ok := r.Payload.(*tmalign.Result); ok {
-					scores[pairOf[res]] = res
+					pt.scores[pairOf[res]] = res
 				}
 			})
 		}
 		if *util || *traceOut != "" {
-			rec = trace.New()
+			pt.rec = trace.New()
 		}
-		cfg.Trace = rec
+		cfg.Trace = pt.rec
 		// Metrics are always on in the CLI: they are passive (timings are
 		// unchanged) and feed the mailbox/link columns of every run.
-		reg = metrics.New()
-		cfg.Metrics = reg
+		pt.reg = metrics.New()
+		cfg.Metrics = pt.reg
 		r, err := core.RunMultiChip(pr, n, cfg)
-		if err != nil {
-			fatal(err)
+		pt.rep = r.Report
+		if n != counts[len(counts)-1] {
+			pt.rec, pt.reg, pt.scores = nil, nil, nil
 		}
-		rep := r.Report
+		return pt, err
+	})
+	var last point
+	for i, pt := range points {
+		n, rep := counts[i], pt.rep
+		last = pt
 		if rep.DroppedCores > 0 {
 			fmt.Fprintf(os.Stderr, "note: %d of %d slave cores idle (%d is not a multiple of %d threads/worker)\n",
 				rep.DroppedCores, n, n, *threads)
@@ -351,7 +369,6 @@ func main() {
 		}
 		tb.AddRowf(n, rep.TotalSeconds, sp, sp/float64(rep.EffectiveCores),
 			fmt.Sprintf("%.0f", peakMbox), fmt.Sprintf("%.2e", worstUtil))
-		lastRep = rep
 		if w := rep.Wire; w != nil {
 			fmt.Fprintf(os.Stderr,
 				"wire (%d slaves): input %.2f MB -> %.2f MB (%.2fx reduction); cache cap=%d hit-rate=%.1f%% evictions=%d; "+
@@ -399,6 +416,10 @@ func main() {
 			}
 		}
 	}
+	if err != nil {
+		fatal(err)
+	}
+	rec, reg, scores, lastRep := last.rec, last.reg, last.scores, last.rep
 	// Host-side pair-store effectiveness: across a sweep every run after
 	// the first replays memoized results, so hits/misses show how much
 	// native TM-align work the store saved this invocation.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"strings"
@@ -34,6 +35,8 @@ func TestValidateFlags(t *testing.T) {
 		{"threads zero", func(f *cliFlags) { f.Threads = 0 }, "-threads"},
 		{"membudget negative", func(f *cliFlags) { f.MemBudget = -5 }, "-membudget"},
 		{"deadline negative", func(f *cliFlags) { f.Deadline = -1 }, "-deadline"},
+		{"deadline NaN", func(f *cliFlags) { f.Deadline = math.NaN(); f.FaultSpec = "kill=3@10" }, "-deadline NaN is not a finite"},
+		{"deadline infinite", func(f *cliFlags) { f.Deadline = math.Inf(1); f.FaultSpec = "kill=3@10" }, "-deadline +Inf is not a finite"},
 		{"deadline with faults", func(f *cliFlags) { f.Deadline = 5; f.FaultSpec = "kill=3@10" }, ""},
 		{"deadline without faults", func(f *cliFlags) { f.Deadline = 5 }, "-deadline 5 without -faults"},
 		{"polling negative", func(f *cliFlags) { f.Polling = -0.5 }, "-polling"},

@@ -94,7 +94,7 @@ func RunMultiChip(pr *PairResults, slavesPerChip int, cfg MultiChipConfig) (RunR
 // RunChipSweep simulates RunMultiChip at each chip count and returns
 // the results in order (the scaling-curve axis of ChipScalingSweep).
 func RunChipSweep(pr *PairResults, slavesPerChip int, chipCounts []int, cfg MultiChipConfig) ([]RunResult, error) {
-	return farm.Sweep(chipCounts, func(n int) (RunResult, error) {
+	return farm.Sweep(chipCounts, cfg.sharesSinks(), func(n int) (RunResult, error) {
 		c := cfg
 		c.Chips = n
 		return RunMultiChip(pr, slavesPerChip, c)

@@ -2,11 +2,14 @@ package core
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"rckalign/internal/farm"
 	"rckalign/internal/fault"
 	"rckalign/internal/interchip"
+	"rckalign/internal/metrics"
 	"rckalign/internal/rckskel"
 	"rckalign/internal/tmalign"
 )
@@ -272,5 +275,55 @@ func TestRunChipSweep(t *testing.T) {
 	}
 	if results[1].Chips != 2 || results[2].Chips != 4 {
 		t.Errorf("chip counts = %d, %d, want 2, 4", results[1].Chips, results[2].Chips)
+	}
+}
+
+// TestSweepHostParallelism: how many host cores run a sweep's points is
+// invisible in its results. Points with sinks of their own run
+// concurrently at GOMAXPROCS 4 and one by one at 1, with deeply equal
+// reports (a fault plan rides along: it is shared, read-only); a Metrics
+// registry shared across the points keeps them on one goroutine — under
+// -race a concurrent write to it would be reported — and ends up with the
+// same contents either way.
+func TestSweepHostParallelism(t *testing.T) {
+	pr := synthCK34PR()
+	counts, chips := []int{1, 3, 8, 12, 20, 47}, []int{1, 2, 4}
+	sweep := func(procs int, reg *metrics.Registry) (slaves, boards []RunResult, snapshot string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		cfg := DefaultConfig()
+		cfg.Metrics = reg
+		cfg.Faults = &fault.Plan{Seed: 7, Kills: []fault.CoreFailure{{Core: 3, At: 5}}}
+		slaves, err := RunSweep(pr, counts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boards, err = RunChipSweep(pr, 8, chips, MultiChipConfig{Config: cfg, Interchip: interchip.DefaultConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf strings.Builder
+		if err := reg.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return slaves, boards, buf.String()
+	}
+	for _, shared := range []bool{false, true} {
+		newReg := func() *metrics.Registry {
+			if shared {
+				return metrics.New()
+			}
+			return nil
+		}
+		slaves1, boards1, snap1 := sweep(1, newReg())
+		slaves4, boards4, snap4 := sweep(4, newReg())
+		if !reflect.DeepEqual(slaves1, slaves4) {
+			t.Errorf("shared registry %v: RunSweep differs between GOMAXPROCS 1 and 4", shared)
+		}
+		if !reflect.DeepEqual(boards1, boards4) {
+			t.Errorf("shared registry %v: RunChipSweep differs between GOMAXPROCS 1 and 4", shared)
+		}
+		if snap1 != snap4 {
+			t.Errorf("shared registry %v: registry contents differ between GOMAXPROCS 1 and 4", shared)
+		}
 	}
 }

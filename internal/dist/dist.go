@@ -166,7 +166,7 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 
 // RunSweep simulates the baseline across slave counts.
 func RunSweep(pr *core.PairResults, slaveCounts []int, cfg Config) ([]RunResult, error) {
-	return farm.Sweep(slaveCounts, func(n int) (RunResult, error) {
+	return farm.Sweep(slaveCounts, cfg.Trace != nil || cfg.Collector != nil, func(n int) (RunResult, error) {
 		return Run(pr, n, cfg)
 	})
 }

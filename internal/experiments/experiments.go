@@ -15,6 +15,7 @@ import (
 	"rckalign/internal/core"
 	"rckalign/internal/costmodel"
 	"rckalign/internal/dist"
+	"rckalign/internal/farm"
 	"rckalign/internal/fault"
 	"rckalign/internal/interchip"
 	"rckalign/internal/mcpsc"
@@ -427,7 +428,8 @@ func ResilienceSweep(pr *core.PairResults) (*stats.Table, error) {
 		fmt.Sprintf("Resilience: %s all-vs-all, %d slaves, k cores killed mid-run (fault-free makespan %.1f s)",
 			pr.Dataset.Name, slaves, t0),
 		"Killed", "Time (s)", "Slowdown", "Timeouts", "Retries", "Reassigned", "Lost")
-	for _, k := range []int{0, 1, 2, 4, 8} {
+	killed := []int{0, 1, 2, 4, 8}
+	runs, err := farm.Sweep(killed, false, func(k int) (core.RunResult, error) {
 		plan := &fault.Plan{Seed: 1}
 		for i := 0; i < k; i++ {
 			// Victims spread over the slave range, deaths staggered over
@@ -439,12 +441,14 @@ func ResilienceSweep(pr *core.PairResults) (*stats.Table, error) {
 		}
 		cfg := core.DefaultConfig()
 		cfg.Faults = plan
-		r, err := core.Run(pr, slaves, cfg)
-		if err != nil {
-			return nil, err
-		}
+		return core.Run(pr, slaves, cfg)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range runs {
 		f := r.Faults
-		tb.AddRowf(k, r.TotalSeconds, r.TotalSeconds/t0,
+		tb.AddRowf(killed[i], r.TotalSeconds, r.TotalSeconds/t0,
 			f.Timeouts, f.Retries, f.Reassigned, f.LostJobs)
 	}
 	return tb, nil
@@ -557,15 +561,25 @@ func ChipScalingSweep(pr *core.PairResults, slavesPerChip int, chipCounts []int)
 			pr.Dataset.Name, slavesPerChip),
 		"Chips", "Slaves", "Time (s)", "Speedup", "Efficiency",
 		"Peak Mbox", "Root Inbox", "Inter MB", "Intra MB")
-	base, baseChips := 0.0, 0
-	for _, n := range chipCounts {
+	// Each point fills a registry of its own (the one-chip wire volume
+	// comes from it), so the points are independent.
+	type point struct {
+		core.RunResult
+		sendBytes float64
+	}
+	points, err := farm.Sweep(chipCounts, false, func(n int) (point, error) {
 		reg := metrics.New()
 		cfg := core.MultiChipConfig{Config: core.DefaultConfig(), Chips: n}
 		cfg.Metrics = reg
 		r, err := core.RunMultiChip(pr, slavesPerChip, cfg)
-		if err != nil {
-			return nil, err
-		}
+		return point{r, reg.Counter("rcce.send.bytes").Value()}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	base, baseChips := 0.0, 0
+	for i, n := range chipCounts {
+		r := points[i].RunResult
 		if base == 0 {
 			base, baseChips = r.TotalSeconds, n
 		}
@@ -576,7 +590,7 @@ func ChipScalingSweep(pr *core.PairResults, slavesPerChip int, chipCounts []int)
 			peakMbox = r.Metrics.PeakMailboxDepth
 		}
 		rootInbox, interMB := "-", "-"
-		intraMB := float64(reg.Counter("rcce.send.bytes").Value()) / 1e6
+		intraMB := points[i].sendBytes / 1e6
 		if ic := r.Interchip; ic != nil {
 			rootInbox = fmt.Sprintf("%d", ic.PeakRootInbox)
 			interMB = fmt.Sprintf("%.2f", float64(ic.Bytes)/1e6)

@@ -3,6 +3,7 @@ package farm
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rckalign/internal/costmodel"
@@ -120,10 +121,12 @@ func TestBuildJobs(t *testing.T) {
 	}
 }
 
+// TestSweepStopsOnError: points that share state run one after another
+// on the calling goroutine and stop at the first failure.
 func TestSweepStopsOnError(t *testing.T) {
 	boom := errors.New("boom")
 	var seen []int
-	out, err := Sweep([]int{1, 2, 3}, func(n int) (int, error) {
+	out, err := Sweep([]int{1, 2, 3}, true, func(n int) (int, error) {
 		seen = append(seen, n)
 		if n == 2 {
 			return 0, boom
@@ -138,6 +141,49 @@ func TestSweepStopsOnError(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, []int{1}) {
 		t.Errorf("out = %v, want [1]", out)
+	}
+}
+
+// TestSweepConcurrentOrder: independent points run on several
+// goroutines, yet results come back in input order, and when point k and
+// a later one both fail the outcome is the serial one — exactly the k
+// earlier results and point k's error.
+func TestSweepConcurrentOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	points := make([]int, 40)
+	for i := range points {
+		points[i] = i
+	}
+	square := func(n int) (int, error) { return n * n, nil }
+	out, err := Sweep(points, false, square)
+	if err != nil || len(out) != len(points) {
+		t.Fatalf("Sweep = %d results, %v", len(out), err)
+	}
+	for i, v := range out {
+		if v != i*i {
+			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
+		}
+	}
+
+	const k = 7
+	first, later := errors.New("first"), errors.New("later")
+	laterFailed := make(chan struct{})
+	out, err = Sweep(points, false, func(n int) (int, error) {
+		switch n {
+		case k:
+			<-laterFailed // the later failure lands first
+			return 0, first
+		case k + 1:
+			close(laterFailed)
+			return 0, later
+		}
+		return square(n)
+	})
+	if !errors.Is(err, first) {
+		t.Fatalf("err = %v, want the error of the earliest failing point", err)
+	}
+	if !reflect.DeepEqual(out, []int{0, 1, 4, 9, 16, 25, 36}) {
+		t.Errorf("out = %v, want the %d results before the failure", out, k)
 	}
 }
 

@@ -56,13 +56,16 @@ func DefaultConfig() Config {
 type Mesh struct {
 	cfg Config
 	// Directed links: right/left between horizontal neighbours, up/down
-	// between vertical neighbours. Indexed by [from][to-direction].
-	links map[linkKey]*sim.Resource
+	// between vertical neighbours. links[r][d] leaves router r (row-major)
+	// in direction d; nil where the mesh ends.
+	links [][numDirs]*sim.Resource
+	// paths[a*routers+b] lists the links of Route(a, b), in order.
+	paths [][]link
 
 	// Observability (nil/zero unless SetMetrics installed a registry).
 	reg       *metrics.Registry
 	labels    []string
-	linkStats map[linkKey]*linkMetrics
+	linkStats [][numDirs]*linkMetrics
 	cXfers    *metrics.Counter
 	cBytes    *metrics.Counter
 	hHops     *metrics.Histogram
@@ -70,12 +73,47 @@ type Mesh struct {
 	active    int
 }
 
-type linkKey struct {
-	from Coord
-	to   Coord
+// Link directions, in the order links are built and reported.
+const (
+	east = iota
+	west
+	south
+	north
+	numDirs
+)
+
+// link names one directed link: it leaves router (row-major index) in
+// direction dir.
+type link struct {
+	router, dir int
 }
 
-func (k linkKey) String() string { return fmt.Sprintf("%v->%v", k.from, k.to) }
+// steps maps a direction to its coordinate offset (row 0 is the top).
+var steps = [numDirs]Coord{east: {1, 0}, west: {-1, 0}, south: {0, 1}, north: {0, -1}}
+
+// ends returns the routers a link connects.
+func (m *Mesh) ends(l link) (from, to Coord) {
+	from = m.coord(l.router)
+	return from, Coord{from.X + steps[l.dir].X, from.Y + steps[l.dir].Y}
+}
+
+// label renders a link as its metric label, "(x,y)->(x,y)".
+func (m *Mesh) label(l link) string {
+	from, to := m.ends(l)
+	return fmt.Sprintf("%v->%v", from, to)
+}
+
+// eachLink calls fn for every directed link of the mesh, router by router
+// in row-major order.
+func (m *Mesh) eachLink(fn func(l link, res *sim.Resource)) {
+	for r := range m.links {
+		for d, res := range m.links[r] {
+			if res != nil {
+				fn(link{r, d}, res)
+			}
+		}
+	}
+}
 
 // linkMetrics holds one directed link's instrument handles.
 type linkMetrics struct {
@@ -103,24 +141,15 @@ func (m *Mesh) SetMetrics(reg *metrics.Registry, labels ...string) {
 	m.cBytes = reg.Counter("noc.transfer.bytes", labels...)
 	m.hHops = reg.Histogram("noc.transfer.hops", metrics.HopBuckets, labels...)
 	m.sActive = reg.Series("noc.links.active", labels...)
-	m.linkStats = map[linkKey]*linkMetrics{}
-	for y := 0; y < m.cfg.Height; y++ {
-		for x := 0; x < m.cfg.Width; x++ {
-			c := Coord{x, y}
-			for _, n := range []Coord{{x + 1, y}, {x - 1, y}, {x, y + 1}, {x, y - 1}} {
-				k := linkKey{c, n}
-				if _, ok := m.links[k]; !ok {
-					continue
-				}
-				ll := append(append([]string(nil), m.labels...), "link", k.String())
-				m.linkStats[k] = &linkMetrics{
-					msgs:  reg.Counter("noc.link.messages", ll...),
-					bytes: reg.Counter("noc.link.bytes", ll...),
-					wait:  reg.Counter("noc.link.wait_seconds", ll...),
-				}
-			}
+	m.linkStats = make([][numDirs]*linkMetrics, len(m.links))
+	m.eachLink(func(l link, _ *sim.Resource) {
+		ll := append(append([]string(nil), m.labels...), "link", m.label(l))
+		m.linkStats[l.router][l.dir] = &linkMetrics{
+			msgs:  reg.Counter("noc.link.messages", ll...),
+			bytes: reg.Counter("noc.link.bytes", ll...),
+			wait:  reg.Counter("noc.link.wait_seconds", ll...),
 		}
-	}
+	})
 }
 
 // PublishMetrics exports end-of-run per-link busy seconds as gauges
@@ -131,49 +160,44 @@ func (m *Mesh) PublishMetrics() {
 	if m.reg == nil {
 		return
 	}
-	for k, l := range m.links {
-		ll := append(append([]string(nil), m.labels...), "link", k.String())
-		m.reg.Gauge("noc.link.busy_seconds", ll...).Set(l.BusySeconds())
-	}
+	m.eachLink(func(l link, res *sim.Resource) {
+		ll := append(append([]string(nil), m.labels...), "link", m.label(l))
+		m.reg.Gauge("noc.link.busy_seconds", ll...).Set(res.BusySeconds())
+	})
 }
 
 // recordLinkTraffic attributes one message's bytes to every directed
 // link on its route (any contention mode).
-func (m *Mesh) recordLinkTraffic(a Coord, route []Coord, bytes int) {
+func (m *Mesh) recordLinkTraffic(path []link, bytes int) {
 	if m.linkStats == nil {
 		return
 	}
-	cur := a
-	for _, next := range route {
-		if ls := m.linkStats[linkKey{cur, next}]; ls != nil {
-			ls.msgs.Inc()
-			ls.bytes.Add(float64(bytes))
-		}
-		cur = next
+	for _, l := range path {
+		ls := m.linkStats[l.router][l.dir]
+		ls.msgs.Inc()
+		ls.bytes.Add(float64(bytes))
 	}
 }
 
 // acquireTimed wraps Resource.Acquire, charging the blocked time to the
 // link's contention-wait counter and maintaining the active-links
 // series.
-func (m *Mesh) acquireTimed(p *sim.Process, k linkKey) {
-	link := m.links[k]
+func (m *Mesh) acquireTimed(p *sim.Process, l link) {
+	res := m.links[l.router][l.dir]
 	if m.linkStats == nil {
-		link.Acquire(p)
+		res.Acquire(p)
 		return
 	}
 	t0 := p.Now()
-	link.Acquire(p)
-	if ls := m.linkStats[k]; ls != nil {
-		ls.wait.Add(p.Now() - t0)
-	}
+	res.Acquire(p)
+	m.linkStats[l.router][l.dir].wait.Add(p.Now() - t0)
 	m.active++
 	m.sActive.Append(p.Now(), float64(m.active))
 }
 
 // releaseTimed is the matching release for acquireTimed.
-func (m *Mesh) releaseTimed(p *sim.Process, k linkKey) {
-	m.links[k].Release(p)
+func (m *Mesh) releaseTimed(p *sim.Process, l link) {
+	m.links[l.router][l.dir].Release(p)
 	if m.linkStats == nil {
 		return
 	}
@@ -190,20 +214,51 @@ func New(cfg Config) *Mesh {
 	if cfg.PacketBytes <= 0 {
 		cfg.PacketBytes = 256
 	}
-	m := &Mesh{cfg: cfg, links: map[linkKey]*sim.Resource{}}
-	for y := 0; y < cfg.Height; y++ {
-		for x := 0; x < cfg.Width; x++ {
-			c := Coord{x, y}
-			for _, n := range []Coord{{x + 1, y}, {x - 1, y}, {x, y + 1}, {x, y - 1}} {
-				if n.X < 0 || n.X >= cfg.Width || n.Y < 0 || n.Y >= cfg.Height {
-					continue
-				}
-				k := linkKey{c, n}
-				m.links[k] = sim.NewResource(fmt.Sprintf("link%v->%v", c, n), 1)
+	routers := cfg.Width * cfg.Height
+	m := &Mesh{cfg: cfg, links: make([][numDirs]*sim.Resource, routers), paths: make([][]link, routers*routers)}
+	for r := range m.links {
+		for d := 0; d < numDirs; d++ {
+			if from, to := m.ends(link{r, d}); m.InBounds(to) {
+				m.links[r][d] = sim.NewResource(fmt.Sprintf("link%v->%v", from, to), 1)
 			}
 		}
 	}
+	// Every route is walked once here, not once per transfer.
+	for a := 0; a < routers; a++ {
+		for b := 0; b < routers; b++ {
+			cur := m.coord(a)
+			route := m.Route(cur, m.coord(b))
+			path := make([]link, len(route))
+			for i, next := range route {
+				path[i] = m.linkBetween(cur, next)
+				cur = next
+			}
+			m.paths[a*routers+b] = path
+		}
+	}
 	return m
+}
+
+// index is a router's row-major position, coord its inverse.
+func (m *Mesh) index(c Coord) int { return c.Y*m.cfg.Width + c.X }
+func (m *Mesh) coord(r int) Coord { return Coord{r % m.cfg.Width, r / m.cfg.Width} }
+
+// linkBetween names the link from a router to its neighbour.
+func (m *Mesh) linkBetween(from, to Coord) link {
+	for d := 0; d < numDirs; d++ {
+		if _, end := m.ends(link{m.index(from), d}); end == to {
+			return link{m.index(from), d}
+		}
+	}
+	panic("noc: routers are not neighbours")
+}
+
+// path returns the links of Route(a, b) from the table New built.
+func (m *Mesh) path(a, b Coord) []link {
+	if !m.InBounds(a) || !m.InBounds(b) {
+		panic("noc: route endpoint outside mesh")
+	}
+	return m.paths[m.index(a)*len(m.links)+m.index(b)]
 }
 
 // Config returns the mesh configuration.
@@ -282,13 +337,13 @@ func (m *Mesh) Transfer(p *sim.Process, a, b Coord, bytes int) {
 	m.hHops.Observe(float64(m.Hops(a, b)))
 	if !m.cfg.ModelContention {
 		if m.linkStats != nil {
-			m.recordLinkTraffic(a, m.Route(a, b), bytes)
+			m.recordLinkTraffic(m.path(a, b), bytes)
 		}
 		p.Wait(m.LatencySeconds(a, b, bytes))
 		return
 	}
-	route := m.Route(a, b)
-	m.recordLinkTraffic(a, route, bytes)
+	route := m.path(a, b)
+	m.recordLinkTraffic(route, bytes)
 	if len(route) == 0 {
 		// Same router (e.g. both cores on one tile): local MIU copy.
 		p.Wait(m.cfg.HopSeconds + float64(bytes)/m.cfg.BytesPerSecond)
@@ -298,26 +353,19 @@ func (m *Mesh) Transfer(p *sim.Process, a, b Coord, bytes int) {
 	if m.cfg.Wormhole {
 		// Acquire every link on the route in XY order (a total order, so
 		// no deadlock), stream the message once, release.
-		keys := make([]linkKey, len(route))
-		cur := a
-		for i, next := range route {
-			keys[i] = linkKey{cur, next}
-			m.acquireTimed(p, keys[i])
-			cur = next
+		for _, l := range route {
+			m.acquireTimed(p, l)
 		}
 		p.Wait(float64(len(route))*m.cfg.HopSeconds + ser)
-		for _, k := range keys {
-			m.releaseTimed(p, k)
+		for _, l := range route {
+			m.releaseTimed(p, l)
 		}
 		return
 	}
-	cur := a
-	for _, next := range route {
-		k := linkKey{cur, next}
-		m.acquireTimed(p, k)
+	for _, l := range route {
+		m.acquireTimed(p, l)
 		p.Wait(m.cfg.HopSeconds + ser)
-		m.releaseTimed(p, k)
-		cur = next
+		m.releaseTimed(p, l)
 	}
 }
 
@@ -325,9 +373,7 @@ func (m *Mesh) Transfer(p *sim.Process, a, b Coord, bytes int) {
 // links (contention mode only).
 func (m *Mesh) LinkUtilization() float64 {
 	var total float64
-	for _, l := range m.links {
-		total += l.BusySeconds()
-	}
+	m.eachLink(func(_ link, res *sim.Resource) { total += res.BusySeconds() })
 	return total
 }
 
@@ -341,10 +387,11 @@ type LinkLoad struct {
 // the mesh hot-spot analysis. Ties break deterministically by
 // coordinate.
 func (m *Mesh) TopLinks(n int) []LinkLoad {
-	loads := make([]LinkLoad, 0, len(m.links))
-	for k, l := range m.links {
-		loads = append(loads, LinkLoad{From: k.from, To: k.to, BusySeconds: l.BusySeconds()})
-	}
+	loads := make([]LinkLoad, 0, numDirs*len(m.links))
+	m.eachLink(func(l link, res *sim.Resource) {
+		from, to := m.ends(l)
+		loads = append(loads, LinkLoad{From: from, To: to, BusySeconds: res.BusySeconds()})
+	})
 	sort.Slice(loads, func(a, b int) bool {
 		if loads[a].BusySeconds != loads[b].BusySeconds {
 			return loads[a].BusySeconds > loads[b].BusySeconds
@@ -388,11 +435,12 @@ func (m *Mesh) LinkHeatmap() string {
 	peak := 0.0
 	// pairBusy returns the busier direction of the a<->b link pair.
 	pairBusy := func(a, b Coord) float64 {
+		if !m.InBounds(a) || !m.InBounds(b) {
+			return 0
+		}
 		busy := 0.0
-		for _, k := range [2]linkKey{{a, b}, {b, a}} {
-			if l := m.links[k]; l != nil && l.BusySeconds() > busy {
-				busy = l.BusySeconds()
-			}
+		for _, l := range [2]link{m.linkBetween(a, b), m.linkBetween(b, a)} {
+			busy = max(busy, m.links[l.router][l.dir].BusySeconds())
 		}
 		return busy
 	}
@@ -443,15 +491,13 @@ func (m *Mesh) LinkHeatmap() string {
 func (m *Mesh) Heatmap() string {
 	heat := make([]float64, m.cfg.Width*m.cfg.Height)
 	peak := 0.0
-	for k, l := range m.links {
-		for _, c := range [2]Coord{k.from, k.to} {
-			i := c.Y*m.cfg.Width + c.X
-			heat[i] += l.BusySeconds() / 2
-			if heat[i] > peak {
-				peak = heat[i]
-			}
+	m.eachLink(func(l link, res *sim.Resource) {
+		from, to := m.ends(l)
+		for _, i := range [2]int{m.index(from), m.index(to)} {
+			heat[i] += res.BusySeconds() / 2
+			peak = max(peak, heat[i])
 		}
-	}
+	})
 	var b []byte
 	for y := 0; y < m.cfg.Height; y++ {
 		for x := 0; x < m.cfg.Width; x++ {

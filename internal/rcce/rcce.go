@@ -36,10 +36,16 @@ type Message struct {
 	// it via the chunk checksums (the payload itself is preserved in the
 	// simulation, only the flag is raised).
 	Corrupt bool
+}
+
+// transfer is a message on the wire: what the sender hands the receiver
+// at rendezvous, one allocation per Send.
+type transfer struct {
+	msg Message
 	// done fires when the chunked transfer completes; the receiver joins
 	// it. A latch (not a rendezvous) so a sender never blocks on a
 	// receiver that died or stalled mid-transfer.
-	done *sim.Latch
+	done sim.Latch
 }
 
 // Outcome is an Interposer's verdict on one message.
@@ -62,9 +68,9 @@ type Interposer interface {
 // Comm provides RCCE-style communication on one chip.
 type Comm struct {
 	chip *scc.Chip
-	// pairs[src][dst]: req carries the message (with its completion
-	// latch) at rendezvous.
-	pairs map[[2]int]*pairChans
+	// pairs[src*NumCores+dst] carries the transfer (message plus
+	// completion latch) from src to dst at rendezvous; built on first use.
+	pairs []*sim.Chan
 	// inter, when non-nil, is consulted for every Send.
 	inter   Interposer
 	barrier *sim.Barrier
@@ -104,13 +110,9 @@ func (c *Comm) SetMetrics(reg *metrics.Registry, labels ...string) {
 	}
 }
 
-type pairChans struct {
-	req *sim.Chan
-}
-
 // New builds a Comm for the chip.
 func New(chip *scc.Chip) *Comm {
-	return &Comm{chip: chip, pairs: map[[2]int]*pairChans{}}
+	return &Comm{chip: chip, pairs: make([]*sim.Chan, chip.NumCores()*chip.NumCores())}
 }
 
 // Chip returns the underlying chip.
@@ -119,14 +121,12 @@ func (c *Comm) Chip() *scc.Chip { return c.chip }
 // SetInterposer installs the wire-fault interposer (nil = perfect wire).
 func (c *Comm) SetInterposer(i Interposer) { c.inter = i }
 
-func (c *Comm) pair(src, dst int) *pairChans {
-	k := [2]int{src, dst}
-	pc, ok := c.pairs[k]
-	if !ok {
-		pc = &pairChans{req: sim.NewChan(fmt.Sprintf("rcce.req.%d->%d", src, dst))}
-		c.pairs[k] = pc
+func (c *Comm) pair(src, dst int) *sim.Chan {
+	k := src*c.chip.NumCores() + dst
+	if c.pairs[k] == nil {
+		c.pairs[k] = sim.NewChan(fmt.Sprintf("rcce.req.%d->%d", src, dst))
 	}
-	return pc
+	return c.pairs[k]
 }
 
 // chunkOverhead is the per-chunk protocol cost beyond raw transfer: MPB
@@ -161,14 +161,17 @@ func (c *Comm) Send(p *sim.Process, src, dst, bytes int, payload any) {
 	if bytes < 1 {
 		bytes = 1
 	}
-	m := Message{Src: src, Dst: dst, Bytes: bytes, Payload: payload, SentAt: p.Now(), done: sim.NewLatch("rcce.done")}
+	t := &transfer{
+		msg:  Message{Src: src, Dst: dst, Bytes: bytes, Payload: payload, SentAt: p.Now()},
+		done: sim.Latch{Name: "rcce.done"},
+	}
 	c.cSendMsgs.Inc()
 	c.cSendBytes.Add(float64(bytes))
 	c.hMsgBytes.Observe(float64(bytes))
 	c.sentBytes[src].Add(float64(bytes))
 	var out Outcome
 	if c.inter != nil {
-		out = c.inter.Deliver(p, &m)
+		out = c.inter.Deliver(p, &t.msg)
 	}
 	if out.Drop {
 		// The bits leave the sender and cross the mesh, then vanish
@@ -177,9 +180,9 @@ func (c *Comm) Send(p *sim.Process, src, dst, bytes int, payload any) {
 		c.transferChunks(p, src, dst, bytes)
 		return
 	}
-	m.Corrupt = m.Corrupt || out.Corrupt
-	p.SetBlockDetail(fmt.Sprintf("rcce send %d->%d (%d bytes)", src, dst, bytes))
-	c.pair(src, dst).req.Send(p, m)
+	t.msg.Corrupt = t.msg.Corrupt || out.Corrupt
+	p.SetBlockDetail("rcce send %d->%d (%d bytes)", src, dst, bytes)
+	c.pair(src, dst).Send(p, t)
 	// Rendezvous reached: the receiver is joined on the message's done
 	// latch. The sender stages the payload out of its DRAM (through its
 	// quadrant's iMC), then drives the chunked MPB transfer.
@@ -188,7 +191,7 @@ func (c *Comm) Send(p *sim.Process, src, dst, bytes int, payload any) {
 		p.Wait(out.DelaySeconds)
 	}
 	c.transferChunks(p, src, dst, bytes)
-	m.done.Set()
+	t.done.Set()
 	p.SetBlockDetail("")
 }
 
@@ -214,9 +217,9 @@ func (c *Comm) Recv(p *sim.Process, src, dst int) Message {
 // first — the sender may still be mid-transfer; its completion latch
 // fires into the void. d = +Inf never gives up and schedules no timer.
 func (c *Comm) RecvTimeout(p *sim.Process, src, dst int, d float64) (Message, RecvTiming, bool) {
-	p.SetBlockDetail(fmt.Sprintf("rcce recv %d<-%d", dst, src))
+	p.SetBlockDetail("rcce recv %d<-%d", dst, src)
 	start := p.Now()
-	v, ok := c.pair(src, dst).req.RecvTimeout(p, d)
+	v, ok := c.pair(src, dst).RecvTimeout(p, d)
 	return c.join(p, dst, v, ok, start, d)
 }
 
@@ -225,9 +228,9 @@ func (c *Comm) RecvTimeout(p *sim.Process, src, dst int, d float64) (Message, Re
 // seconds later (ok=false). The slave loops use it so a shutdown
 // sentinel lost on a faulty link cannot park a core forever.
 func (c *Comm) RecvOrStop(p *sim.Process, src, dst int, stop *sim.Latch) (Message, RecvTiming, bool) {
-	p.SetBlockDetail(fmt.Sprintf("rcce recv %d<-%d", dst, src))
+	p.SetBlockDetail("rcce recv %d<-%d", dst, src)
 	start := p.Now()
-	v, ok := c.pair(src, dst).req.RecvOrLatch(p, stop)
+	v, ok := c.pair(src, dst).RecvOrLatch(p, stop)
 	return c.join(p, dst, v, ok, start, math.Inf(1))
 }
 
@@ -238,13 +241,13 @@ func (c *Comm) join(p *sim.Process, dst int, v any, ok bool, start, d float64) (
 	if !ok {
 		return Message{}, RecvTiming{}, false
 	}
-	m := v.(Message)
+	t := v.(*transfer)
 	rdv := p.Now()
-	if !m.done.WaitTimeout(p, d-(rdv-start)) {
+	if !t.done.WaitTimeout(p, d-(rdv-start)) {
 		return Message{}, RecvTiming{}, false
 	}
-	c.recvBytes[dst].Add(float64(m.Bytes))
-	return m, RecvTiming{WaitSeconds: rdv - start, XferSeconds: p.Now() - rdv}, true
+	c.recvBytes[dst].Add(float64(t.msg.Bytes))
+	return t.msg, RecvTiming{WaitSeconds: rdv - start, XferSeconds: p.Now() - rdv}, true
 }
 
 // Probe reports whether a sender on (src, dst) is already blocked in
@@ -252,13 +255,13 @@ func (c *Comm) join(p *sim.Process, dst int, v any, ok bool, start, d float64) (
 // It consumes no simulated time; callers model the flag-read cost with
 // PollCost. Senders that died mid-handshake are not reported.
 func (c *Comm) Probe(src, dst int) bool {
-	return c.pair(src, dst).req.Pending() > 0
+	return c.pair(src, dst).Pending() > 0
 }
 
 // Listening reports whether core dst is already blocked in a receive
 // from src: a Send to it completes its rendezvous without waiting.
 func (c *Comm) Listening(src, dst int) bool {
-	return c.pair(src, dst).req.Pending() < 0
+	return c.pair(src, dst).Pending() < 0
 }
 
 // PollCost returns the simulated time for core `at` to read the MPB flag

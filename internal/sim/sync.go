@@ -2,6 +2,104 @@ package sim
 
 import "math"
 
+// fifo is a first-in-first-out queue that keeps its backing array: a
+// steady push/pop cycle allocates nothing, where re-slicing the head off
+// a plain slice gives the capacity away and reallocates on a later push.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (f *fifo[T]) len() int { return len(f.items) - f.head }
+
+func (f *fifo[T]) push(v T) { f.items = append(f.items, v) }
+
+// front returns the oldest item in place.
+func (f *fifo[T]) front() *T { return &f.items[f.head] }
+
+func (f *fifo[T]) pop() T {
+	v := f.items[f.head]
+	var zero T
+	f.items[f.head] = zero
+	f.head++
+	switch {
+	case f.head == len(f.items):
+		f.items, f.head = f.items[:0], 0
+	case f.head >= 32 && 2*f.head >= len(f.items):
+		// A queue that never quite drains must not grow with every item
+		// that ever passed through it.
+		n := copy(f.items, f.items[f.head:])
+		clear(f.items[n:])
+		f.items, f.head = f.items[:n], 0
+	}
+	return v
+}
+
+// drain removes and returns everything queued.
+func (f *fifo[T]) drain() []T {
+	out := f.items[f.head:]
+	f.items, f.head = nil, 0
+	return out
+}
+
+// waiter is one process parked in a receive, a queue get or a latch
+// wait, from when it blocks until it has read the outcome.
+type waiter struct {
+	p *Process
+	v any
+	// fulfilled is set when a sender, a Put or the latch's Set released
+	// the waiter; cancelled when a timeout or abort latch claimed it
+	// first. A waiter has exactly one of the two outcomes.
+	fulfilled bool
+	cancelled bool
+	// timed marks a waiter a scheduled cancellation refers to, possibly
+	// long after the wait is over.
+	timed bool
+}
+
+// newWaiter takes a wait record for p from the engine's free list.
+func (e *Engine) newWaiter(p *Process) *waiter {
+	n := len(e.freeWaiters)
+	if n == 0 {
+		return &waiter{p: p}
+	}
+	w := e.freeWaiters[n-1]
+	e.freeWaiters = e.freeWaiters[:n-1]
+	w.p = p
+	return w
+}
+
+// cancel abandons a still-pending wait and wakes its process.
+func (w *waiter) cancel() {
+	if w.fulfilled || w.cancelled || w.p.dead() {
+		return
+	}
+	w.cancelled = true
+	w.p.unblock()
+}
+
+// cancelAfter schedules cancel in d seconds.
+func (w *waiter) cancelAfter(d float64) {
+	w.timed = true
+	w.p.e.After(d, w.cancel)
+}
+
+// outcome reads the result of a wait once its process has resumed:
+// (value, true) when fulfilled, (nil, false) when cancelled. A fulfilled
+// waiter left its primitive's list when it was matched, so unless a
+// cancellation is still scheduled nothing refers to it any more and it
+// goes back to the free list; a cancelled one stays behind in that list
+// (skipped lazily) and is left to the collector.
+func (w *waiter) outcome() (any, bool) {
+	v, ok := w.v, !w.cancelled
+	if ok && !w.timed {
+		e := w.p.e
+		*w = waiter{}
+		e.freeWaiters = append(e.freeWaiters, w)
+	}
+	return v, ok
+}
+
 // Chan is a rendezvous (unbuffered) channel between simulated processes:
 // Send blocks until a matching Recv and vice versa, both resuming at the
 // rendezvous time. Waiters are served FIFO, so behaviour is deterministic.
@@ -9,8 +107,8 @@ import "math"
 // can carry a timeout or be bounded by a latch (fault-tolerant protocols).
 type Chan struct {
 	name      string
-	senders   []*sendReq
-	receivers []*recvReq
+	senders   fifo[sendReq]
+	receivers fifo[*waiter]
 }
 
 type sendReq struct {
@@ -18,67 +116,44 @@ type sendReq struct {
 	v any
 }
 
-type recvReq struct {
-	p *Process
-	v any
-	// fulfilled is set when a sender matches this request; cancelled when
-	// a timeout or abort latch claimed it first. A request has exactly
-	// one of the two outcomes.
-	fulfilled bool
-	cancelled bool
-}
-
-// cancel abandons a still-pending request and wakes its process.
-func (r *recvReq) cancel() {
-	if r.fulfilled || r.cancelled || r.p.dead() {
-		return
-	}
-	r.cancelled = true
-	r.p.unblock()
-}
-
 // NewChan returns an empty rendezvous channel.
 func NewChan(name string) *Chan { return &Chan{name: name} }
 
-// liveSender pops dead senders and returns the first live one (nil when
-// none).
-func (c *Chan) liveSender() *sendReq {
-	for len(c.senders) > 0 {
-		s := c.senders[0]
-		if s.p.dead() {
-			c.senders = c.senders[1:]
-			continue
+// liveSender drops dead senders off the head and reports whether a live
+// one is waiting there.
+func (c *Chan) liveSender() bool {
+	for c.senders.len() > 0 {
+		if !c.senders.front().p.dead() {
+			return true
 		}
-		return s
+		c.senders.pop()
 	}
-	return nil
+	return false
 }
 
-// liveReceiver pops dead or cancelled receivers and returns the first
-// live one (nil when none).
-func (c *Chan) liveReceiver() *recvReq {
-	for len(c.receivers) > 0 {
-		r := c.receivers[0]
-		if r.p.dead() || r.cancelled {
-			c.receivers = c.receivers[1:]
-			continue
+// liveReceiver drops dead or cancelled receivers off the head and
+// reports whether a live one is waiting there.
+func (c *Chan) liveReceiver() bool {
+	for c.receivers.len() > 0 {
+		if r := *c.receivers.front(); !r.p.dead() && !r.cancelled {
+			return true
 		}
-		return r
+		c.receivers.pop()
 	}
-	return nil
+	return false
 }
 
 // Send delivers v to a receiver, blocking p until one arrives.
 func (c *Chan) Send(p *Process, v any) {
-	if r := c.liveReceiver(); r != nil {
-		c.receivers = c.receivers[1:]
+	if c.liveReceiver() {
+		r := c.receivers.pop()
 		r.v = v
 		r.fulfilled = true
 		r.p.unblock()
 		return
 	}
-	c.senders = append(c.senders, &sendReq{p: p, v: v})
-	p.block("send:" + c.name)
+	c.senders.push(sendReq{p: p, v: v})
+	p.block("send:", c.name)
 }
 
 // Recv returns the next value, blocking p until a sender arrives.
@@ -106,36 +181,33 @@ func (c *Chan) RecvOrLatch(p *Process, l *Latch) (any, bool) {
 // recv implements the receive variants: a plain receive (d = +Inf,
 // l = nil), a deadline, or an unset latch bounding the wait.
 func (c *Chan) recv(p *Process, d float64, l *Latch) (any, bool) {
-	if s := c.liveSender(); s != nil {
-		c.senders = c.senders[1:]
+	if c.liveSender() {
+		s := c.senders.pop()
 		s.p.unblock()
 		return s.v, true
 	}
 	if d <= 0 {
 		return nil, false
 	}
-	req := &recvReq{p: p}
-	c.receivers = append(c.receivers, req)
+	req := p.e.newWaiter(p)
+	c.receivers.push(req)
 	if !math.IsInf(d, 1) {
-		p.e.After(d, req.cancel)
+		req.cancelAfter(d)
 	}
 	if l != nil {
 		l.aborts = append(l.aborts, req)
 	}
-	p.block("recv:" + c.name)
+	p.block("recv:", c.name)
 	if l != nil {
 		l.drop(req)
 	}
-	if req.cancelled {
-		return nil, false
-	}
-	return req.v, true
+	return req.outcome()
 }
 
 // TrySend delivers v if a receiver is already waiting and reports whether
 // it did; it never blocks.
 func (c *Chan) TrySend(p *Process, v any) bool {
-	if c.liveReceiver() == nil {
+	if !c.liveReceiver() {
 		return false
 	}
 	c.Send(p, v)
@@ -145,40 +217,37 @@ func (c *Chan) TrySend(p *Process, v any) bool {
 // Pending reports waiting senders (>0) or receivers (<0); 0 = idle.
 // Dead waiters are not counted.
 func (c *Chan) Pending() int {
-	if s := c.liveSender(); s != nil {
-		return len(c.senders)
+	if c.liveSender() {
+		return c.senders.len()
 	}
-	if r := c.liveReceiver(); r != nil {
-		return -len(c.receivers)
+	if c.liveReceiver() {
+		return -c.receivers.len()
 	}
 	return 0
-}
-
-// latchWaiter tracks one process parked in Latch.Wait/WaitTimeout.
-type latchWaiter struct {
-	p         *Process
-	released  bool // latch fired
-	cancelled bool // timeout fired first
 }
 
 // Latch is a one-shot completion flag: Wait blocks until Set has been
 // called (immediately returning if it already was). Multiple waiters
 // are all released at the Set time. Receives bounded by the latch
-// (Chan.RecvOrLatch) are registered only while they block.
+// (Chan.RecvOrLatch) are registered only while they block. A Latch with
+// only Name set is ready to use, so a per-message latch can live inside
+// the message instead of being allocated beside it; it must not be
+// copied after first use.
 type Latch struct {
+	// Name identifies the latch in deadlock reports.
+	Name string
 	// Grace is how long a receive bounded by the latch outlives Set
 	// (0 = aborted at Set, +Inf = never abandoned: Set then neither wakes
 	// the receiver nor schedules an event).
 	Grace float64
 
-	name    string
 	set     bool
-	waiting []*latchWaiter
-	aborts  []*recvReq
+	waiting []*waiter
+	aborts  []*waiter
 }
 
 // NewLatch returns an unset latch.
-func NewLatch(name string) *Latch { return &Latch{name: name} }
+func NewLatch(name string) *Latch { return &Latch{Name: name} }
 
 // Set releases the latch; all current and future waiters proceed.
 // Calling Set twice is a no-op.
@@ -191,7 +260,7 @@ func (l *Latch) Set() {
 		if w.cancelled || w.p.dead() {
 			continue
 		}
-		w.released = true
+		w.fulfilled = true
 		w.p.unblock()
 	}
 	l.waiting = nil
@@ -199,7 +268,7 @@ func (l *Latch) Set() {
 		if l.Grace <= 0 {
 			r.cancel()
 		} else if !math.IsInf(l.Grace, 1) {
-			r.p.e.After(l.Grace, r.cancel)
+			r.cancelAfter(l.Grace)
 		}
 	}
 	l.aborts = nil
@@ -207,7 +276,7 @@ func (l *Latch) Set() {
 
 // drop forgets a bounded receive that has completed, keeping the order
 // of the rest (it decides the wake-up order at Set).
-func (l *Latch) drop(r *recvReq) {
+func (l *Latch) drop(r *waiter) {
 	for i, x := range l.aborts {
 		if x == r {
 			l.aborts = append(l.aborts[:i], l.aborts[i+1:]...)
@@ -228,19 +297,14 @@ func (l *Latch) WaitTimeout(p *Process, d float64) bool {
 	if l.set {
 		return true
 	}
-	w := &latchWaiter{p: p}
+	w := p.e.newWaiter(p)
 	l.waiting = append(l.waiting, w)
 	if !math.IsInf(d, 1) {
-		p.e.After(d, func() {
-			if w.released || w.cancelled || p.dead() {
-				return
-			}
-			w.cancelled = true
-			p.unblock()
-		})
+		w.cancelAfter(d)
 	}
-	p.block("latch:" + l.name)
-	return !w.cancelled
+	p.block("latch:", l.Name)
+	_, ok := w.outcome()
+	return ok
 }
 
 // Queue is an unbounded asynchronous FIFO between simulated processes:
@@ -249,8 +313,8 @@ func (l *Latch) WaitTimeout(p *Process, d float64) bool {
 // delivered in Put order, so behaviour is deterministic.
 type Queue struct {
 	name    string
-	items   []any
-	getters []*recvReq
+	items   fifo[any]
+	getters fifo[*waiter]
 }
 
 // NewQueue returns an empty queue.
@@ -259,9 +323,8 @@ func NewQueue(name string) *Queue { return &Queue{name: name} }
 // Put appends v; if a getter is parked, it receives v at the current
 // time. Put is callable from any process or callback context.
 func (q *Queue) Put(v any) {
-	for len(q.getters) > 0 {
-		r := q.getters[0]
-		q.getters = q.getters[1:]
+	for q.getters.len() > 0 {
+		r := q.getters.pop()
 		if r.p.dead() || r.cancelled {
 			continue
 		}
@@ -270,7 +333,7 @@ func (q *Queue) Put(v any) {
 		r.p.unblock()
 		return
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 }
 
 // Get returns the next item, blocking p until one is Put.
@@ -282,32 +345,23 @@ func (q *Queue) Get(p *Process) any {
 // GetTimeout is Get with a deadline: (item, true) when one arrives
 // within d seconds, else (nil, false).
 func (q *Queue) GetTimeout(p *Process, d float64) (any, bool) {
-	if len(q.items) > 0 {
-		v := q.items[0]
-		q.items = q.items[1:]
-		return v, true
+	if q.items.len() > 0 {
+		return q.items.pop(), true
 	}
-	req := &recvReq{p: p}
-	q.getters = append(q.getters, req)
+	req := p.e.newWaiter(p)
+	q.getters.push(req)
 	if !math.IsInf(d, 1) {
-		p.e.After(d, req.cancel)
+		req.cancelAfter(d)
 	}
-	p.block("queue:" + q.name)
-	if req.cancelled {
-		return nil, false
-	}
-	return req.v, true
+	p.block("queue:", q.name)
+	return req.outcome()
 }
 
 // Len returns the number of queued (undelivered) items.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return q.items.len() }
 
 // Drain removes and returns all queued items.
-func (q *Queue) Drain() []any {
-	out := q.items
-	q.items = nil
-	return out
-}
+func (q *Queue) Drain() []any { return q.items.drain() }
 
 // Barrier blocks processes until n of them have arrived, then releases
 // all of them at the arrival time of the last.
@@ -335,7 +389,7 @@ func (b *Barrier) Wait(p *Process) {
 		return
 	}
 	b.waiting = append(b.waiting, p)
-	p.block("barrier:" + b.name)
+	p.block("barrier:", b.name)
 }
 
 // Waiting returns the number of processes currently parked at the
@@ -349,10 +403,16 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []*Process
-	// Busy time accounting for utilisation reports.
-	busyStart map[*Process]float64
+	queue    fifo[*Process]
+	// Busy time accounting for utilisation reports: who holds a slot since
+	// when (at most capacity entries, so a scan beats hashing).
+	holders   []holding
 	busyTotal float64
+}
+
+type holding struct {
+	p     *Process
+	since float64
 }
 
 // NewResource returns a resource with the given slot count (>= 1).
@@ -360,31 +420,40 @@ func NewResource(name string, capacity int) *Resource {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Resource{name: name, capacity: capacity, busyStart: map[*Process]float64{}}
+	return &Resource{name: name, capacity: capacity}
+}
+
+// hold starts p's busy interval.
+func (r *Resource) hold(p *Process) {
+	r.holders = append(r.holders, holding{p, p.Now()})
 }
 
 // Acquire takes a slot, blocking until one frees up.
 func (r *Resource) Acquire(p *Process) {
 	if r.inUse < r.capacity {
 		r.inUse++
-		r.busyStart[p] = p.Now()
+		r.hold(p)
 		return
 	}
-	r.queue = append(r.queue, p)
-	p.block("acquire:" + r.name)
+	r.queue.push(p)
+	p.block("acquire:", r.name)
 	// Woken by Release, which already transferred the slot to us.
-	r.busyStart[p] = p.Now()
+	r.hold(p)
 }
 
 // Release frees p's slot; the longest live waiter (if any) inherits it.
 func (r *Resource) Release(p *Process) {
-	if start, ok := r.busyStart[p]; ok {
-		r.busyTotal += p.Now() - start
-		delete(r.busyStart, p)
+	for i, h := range r.holders {
+		if h.p == p {
+			r.busyTotal += p.Now() - h.since
+			last := len(r.holders) - 1
+			r.holders[i] = r.holders[last]
+			r.holders = r.holders[:last]
+			break
+		}
 	}
-	for len(r.queue) > 0 {
-		next := r.queue[0]
-		r.queue = r.queue[1:]
+	for r.queue.len() > 0 {
+		next := r.queue.pop()
 		if next.dead() {
 			continue
 		}
@@ -406,7 +475,7 @@ func (r *Resource) Use(p *Process, d float64) {
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of blocked waiters.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return r.queue.len() }
 
 // BusySeconds returns the total slot-seconds consumed so far (completed
 // holds only).
