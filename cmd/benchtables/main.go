@@ -1,102 +1,75 @@
-// Command benchtables regenerates every table and figure of the paper's
-// evaluation section, printing the reproduction's numbers next to the
-// published ones.
+// Command benchtables regenerates EXPERIMENTS.md's tables and figures —
+// the paper's evaluation section next to the published numbers, plus the
+// ablations and scale-out sweeps — from the one registry in
+// internal/experiments. Its default output is byte-for-byte
+// internal/experiments/testdata/experiments.golden.txt.
 //
 // Usage:
 //
-//	benchtables                      # all tables, CK34 + RS119
-//	benchtables -table 2             # a single table (1-5)
-//	benchtables -ablations           # scheduling, master-tree and faster-cores ablations
+//	benchtables                      # every deterministic experiment, registry order
+//	benchtables -only table2,polling # the named experiments only
+//	benchtables -only serveload      # host-timed entries run only when named
+//	benchtables -list                # names, datasets, host-timed marks
 //	benchtables -cache DIR           # pair-result cache location
-//	benchtables -ck34only            # skip RS119 (fast path)
+//	benchtables -fast                # fast TM-align profile on a cache miss
+//
+// Exit status: 0 on success, 1 on a failed experiment, 2 on bad usage.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"rckalign/internal/experiments"
-	"rckalign/internal/stats"
 	"rckalign/internal/tmalign"
 )
 
 func main() {
-	table := flag.Int("table", 0, "regenerate one table (1-5); 0 = all")
-	ablations := flag.Bool("ablations", false, "also run the scheduling, master-tree and faster-cores ablations")
-	figures := flag.Bool("figures", false, "also render Figures 5 and 6 as ASCII plots")
+	only := flag.String("only", "", "comma-separated experiment names (default: every deterministic one)")
+	list := flag.Bool("list", false, "list the experiments and exit")
 	cacheDir := flag.String("cache", "testdata/paircache", "pair-result cache directory")
-	ck34only := flag.Bool("ck34only", false, "skip RS119 (Table III/IV/V show CK34 rows only)")
 	fast := flag.Bool("fast", false, "fast TM-align profile when (re)computing pair results")
 	flag.Parse()
 
-	if *table == 1 {
-		fmt.Println(experiments.TableI().String())
+	if *list {
+		for _, x := range experiments.Registry() {
+			datasets := "-"
+			if len(x.Datasets) > 0 {
+				datasets = strings.Join(x.Datasets, "+")
+			}
+			if x.HostTimed {
+				datasets += "  (host-timed: only when named)"
+			}
+			fmt.Printf("%-12s %s\n", x.Name, datasets)
+		}
 		return
+	}
+	var names []string
+	if *only != "" {
+		names = strings.Split(*only, ",")
+	}
+	exps, err := experiments.Select(names)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchtables:", err)
+		os.Exit(2)
 	}
 
 	opt := tmalign.DefaultOptions()
 	if *fast {
 		opt = tmalign.FastOptions()
 	}
-	var env *experiments.Env
-	var err error
-	if *ck34only {
-		env, err = experiments.LoadCK34Only(*cacheDir, opt)
-	} else {
-		env, err = experiments.Load(*cacheDir, opt)
+	var datasets []string
+	for _, x := range exps {
+		datasets = append(datasets, x.Datasets...)
+	}
+	env, err := experiments.Load(*cacheDir, opt, datasets...)
+	if err == nil {
+		err = experiments.Run(os.Stdout, env, exps)
 	}
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "benchtables:", err)
+		os.Exit(1)
 	}
-
-	emit := func(tb *stats.Table, err error) {
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(tb.String())
-	}
-
-	switch *table {
-	case 0:
-		fmt.Println(experiments.TableI().String())
-		emit(env.TableII())
-		emit(env.TableIII(), nil)
-		emit(env.TableIV())
-		emit(env.TableV())
-		if *figures {
-			if fig, err := env.Figure5(64, 20); err == nil {
-				fmt.Println(fig)
-			}
-			if fig, err := env.Figure6(64, 20); err == nil {
-				fmt.Println(fig)
-			}
-		}
-		if *ablations {
-			emit(env.SchedulingAblation())
-			emit(env.MasterTreeAblation())
-			emit(env.FasterCoresAblation())
-			emit(experiments.MCPSCPartitionAblation())
-		}
-	case 2:
-		emit(env.TableII())
-	case 3:
-		emit(env.TableIII(), nil)
-	case 4:
-		emit(env.TableIV())
-	case 5:
-		emit(env.TableV())
-	default:
-		fatal(fmt.Errorf("unknown table %d", *table))
-	}
-	if *ablations && *table != 0 {
-		emit(env.SchedulingAblation())
-		emit(env.MasterTreeAblation())
-		emit(env.FasterCoresAblation())
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchtables:", err)
-	os.Exit(1)
 }

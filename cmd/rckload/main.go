@@ -14,21 +14,18 @@
 //	        [-mix "score=0.9,onevsall=0.07,topk=0.03"] [-k N] [-slo DUR]
 //	        [-report-out FILE] [-trace-out FILE] [-sched-out FILE]
 //	rckload -dry-run [-pool N] [shape flags] [-sched-out FILE]
-//	rckload -sweep [-report-out FILE]
 //
 // -dry-run synthesizes and prints the schedule without a server (the
 // target pool is -pool placeholder ids); two dry runs with the same
 // flags emit byte-identical -sched-out files — the determinism contract
-// CI pins. -sweep ignores -addr and runs the in-process
-// experiments.ServeLoadSweep grid (RPS ramp × batch size × workers),
-// printing the offered-RPS-vs-p99 table EXPERIMENTS.md quotes.
+// CI pins. (The in-process config-grid sweep EXPERIMENTS.md quotes is
+// `benchtables -only serveload`.)
 //
 // Exit status: 0 on success (even if some requests failed — the report
 // carries the error counts), 1 on operational failure, 2 on bad usage.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,7 +35,6 @@ import (
 	"strings"
 	"time"
 
-	"rckalign/internal/experiments"
 	"rckalign/internal/loadgen"
 	"rckalign/internal/stats"
 )
@@ -66,18 +62,11 @@ type cliFlags struct {
 	SchedOut  string
 	DryRun    bool
 	Pool      int
-	Sweep     bool
 }
 
 // validateFlags checks the flag set and returns the selected mode:
-// "sweep", "dry" or "run".
+// "dry" or "run".
 func validateFlags(f cliFlags) (string, error) {
-	if f.Sweep {
-		if f.DryRun {
-			return "", errors.New("-sweep and -dry-run are mutually exclusive")
-		}
-		return "sweep", nil
-	}
 	switch f.Shape {
 	case "constant", "ramp", "burst", "diurnal":
 	default:
@@ -209,7 +198,6 @@ func main() {
 	schedOut := flag.String("sched-out", "", "write the deterministic schedule (JSON lines) here")
 	dryRun := flag.Bool("dry-run", false, "synthesize the schedule without contacting a server")
 	pool := flag.Int("pool", 8, "placeholder structure-id pool size for -dry-run")
-	sweep := flag.Bool("sweep", false, "run the in-process experiments.ServeLoadSweep grid instead of hitting -addr")
 	flag.Parse()
 
 	f := cliFlags{Addr: *addr, Shape: *shape, RPS: *rps, Start: *start,
@@ -217,15 +205,10 @@ func main() {
 		Period: *period, BurstRPS: *burstRPS, BurstDur: *burstDur,
 		Amplitude: *amplitude, Arrival: *arrival, Seed: *seed, Mix: *mix,
 		K: *k, SLO: *slo, ReportOut: *reportOut, TraceOut: *traceOut,
-		SchedOut: *schedOut, DryRun: *dryRun, Pool: *pool, Sweep: *sweep}
+		SchedOut: *schedOut, DryRun: *dryRun, Pool: *pool}
 	mode, err := validateFlags(f)
 	if err != nil {
 		usageFatal(err)
-	}
-
-	if mode == "sweep" {
-		runSweep(f)
-		return
 	}
 
 	mixv, err := parseMix(f.Mix)
@@ -288,28 +271,6 @@ func main() {
 		}
 	}
 	printReport(rep, f.SLO)
-}
-
-// runSweep runs the in-process config grid and prints its table.
-func runSweep(f cliFlags) {
-	tb, reports, err := experiments.ServeLoadSweep(
-		experiments.DefaultServeLoadSpec(), experiments.DefaultServeLoadConfigs())
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(tb.String())
-	if f.ReportOut != "" {
-		if err := writeFile(f.ReportOut, func(w io.Writer) error {
-			buf, err := json.MarshalIndent(reports, "", "  ")
-			if err != nil {
-				return err
-			}
-			_, err = w.Write(append(buf, '\n'))
-			return err
-		}); err != nil {
-			fatal(err)
-		}
-	}
 }
 
 // printReport renders the run's SLO summary on stdout.

@@ -30,8 +30,6 @@ func TestValidateFlags(t *testing.T) {
 		{"ramp defaults", func(f *cliFlags) {}, "run", ""},
 		{"dry run", func(f *cliFlags) { f.DryRun = true }, "dry", ""},
 		{"dry run ignores addr", func(f *cliFlags) { f.DryRun = true; f.Addr = "" }, "dry", ""},
-		{"sweep", func(f *cliFlags) { f.Sweep = true }, "sweep", ""},
-		{"sweep plus dry-run", func(f *cliFlags) { f.Sweep = true; f.DryRun = true }, "", "mutually exclusive"},
 		{"empty addr", func(f *cliFlags) { f.Addr = "" }, "", "-addr"},
 		{"bad shape", func(f *cliFlags) { f.Shape = "sawtooth" }, "", "-shape"},
 		{"bad arrival", func(f *cliFlags) { f.Arrival = "pareto" }, "", "-arrival"},

@@ -1,6 +1,6 @@
 // Command tmalign compares two protein structures with the TM-align
-// algorithm and prints a TM-align-style report: the serial baseline of
-// the paper.
+// algorithm and prints a TM-align-style report, three-line alignment
+// included: the serial baseline of the paper.
 //
 // Usage:
 //
@@ -75,6 +75,8 @@ func main() {
 				r.Transform.R[i][0], r.Transform.R[i][1], r.Transform.R[i][2], i, r.Transform.T[i])
 		}
 	}
+	fmt.Println("\n(\":\" denotes residue pairs of d < 5.0 Angstrom, \".\" denotes other aligned residues)")
+	fmt.Print(tmalign.FormatAlignment(r, s1, s2))
 	fmt.Printf("\nOperation counts: %s\n", r.Ops.String())
 }
 

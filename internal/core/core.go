@@ -266,15 +266,12 @@ type Config struct {
 	// ThreadsPerWorker is the paper's closing future-work item
 	// ("building support for threading into the base library"): when 2,
 	// each worker process uses both cores of its tile, finishing each
-	// job in 1/(2*ThreadEfficiency) of the serial time while occupying
-	// two cores. 0 or 1 = the paper's single-threaded slaves. When the
-	// slave count is not a multiple, the leftover cores are not used;
-	// the rounding is reported in RunResult.EffectiveCores and
-	// RunResult.DroppedCores.
+	// job in 1/(2*0.9) of the serial time (DP and scoring parallelise
+	// well, the Kabsch solves less so) while occupying two cores. 0 or
+	// 1 = the paper's single-threaded slaves. When the slave count is
+	// not a multiple, the leftover cores are not used; the rounding is
+	// reported in RunResult.EffectiveCores and RunResult.DroppedCores.
 	ThreadsPerWorker int
-	// ThreadEfficiency is the per-thread scaling efficiency (default
-	// 0.9; DP and scoring parallelise well, the Kabsch solves less so).
-	ThreadEfficiency float64
 	// CacheStructs models the slave-side structure cache: the master
 	// ships a structure to a slave only when the slave's bounded LRU
 	// (of this many structures) does not already hold it, so a job's
@@ -323,19 +320,19 @@ type Config struct {
 	// The dataset is loaded in blocks of at most half the budget (so any
 	// two co-reside, and the budget must hold the two largest chains)
 	// and the run becomes a list of stages, each loading one block and
-	// farming the pairs it completes; see Report.Tiled.
+	// farming the pairs it completes, each swap costing
+	// reloadSecondsPerResidue; see Report.Tiled.
 	MemoryBudgetResidues int
-	// ReloadSecondsPerResidue is the master's cost to (re)load one
-	// residue from storage when a block is swapped in (NFS/disk, not
-	// mesh). Only consulted under a memory budget.
-	ReloadSecondsPerResidue float64
 }
 
-// DefaultConfig returns the paper's setup (with a disk-like reload cost
-// for budgeted runs: ~80 bytes/residue at ~20 MB/s NFS).
+// reloadSecondsPerResidue is the master's cost to (re)load one residue
+// from storage when a block is swapped in under a memory budget — disk,
+// not mesh: ~80 bytes/residue at ~20 MB/s NFS.
+const reloadSecondsPerResidue = 4e-6
+
+// DefaultConfig returns the paper's setup.
 func DefaultConfig() Config {
-	return Config{Chip: scc.DefaultConfig(), MasterCore: 0, Order: sched.FIFO, PollingScale: 1,
-		ReloadSecondsPerResidue: 4e-6}
+	return Config{Chip: scc.DefaultConfig(), MasterCore: 0, Order: sched.FIFO, PollingScale: 1}
 }
 
 // RunResult reports one simulated rckAlign execution: the unified farm
@@ -344,9 +341,6 @@ func DefaultConfig() Config {
 type RunResult struct {
 	farm.Report
 }
-
-// Speedup returns base/this in time.
-func (r RunResult) Speedup(baseSeconds float64) float64 { return baseSeconds / r.TotalSeconds }
 
 // Run simulates rckAlign on `slaves` slave cores (1..NumCores-1) and
 // returns the simulated timing. Results are replayed from pr, so the

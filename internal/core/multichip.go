@@ -29,21 +29,14 @@ type MultiChipConfig struct {
 	// Gather selects the result-aggregation topology across chips (zero
 	// value = a gather tree of farm.DefaultGatherArity).
 	Gather farm.GatherConfig
-	// ShardTile is the block granularity, in structures, for sharding
-	// the pair grid across chips: whole Tile x Tile blocks move
-	// together so each structure lands on few chips. 0 derives it from
-	// the run's blocked-ordering tile (or sched.DefaultTile when
-	// blocking is off).
-	ShardTile int
 }
 
-// shardTileSize resolves MultiChipConfig.ShardTile against the run's
-// ordering tile.
-func (cfg MultiChipConfig) shardTileSize(orderTile int) int {
-	switch {
-	case cfg.ShardTile > 0:
-		return cfg.ShardTile
-	case orderTile > 1:
+// shardTileSize is the block granularity, in structures, for sharding
+// the pair grid across chips — whole Tile x Tile blocks move together so
+// each structure lands on few chips: the run's blocked-ordering tile, or
+// sched.DefaultTile when blocking is off.
+func shardTileSize(orderTile int) int {
+	if orderTile > 1 {
 		return orderTile
 	}
 	return sched.DefaultTile
@@ -92,7 +85,8 @@ func RunMultiChip(pr *PairResults, slavesPerChip int, cfg MultiChipConfig) (RunR
 }
 
 // RunChipSweep simulates RunMultiChip at each chip count and returns
-// the results in order (the scaling-curve axis of ChipScalingSweep).
+// the results in order (the scaling-curve axis of the chip-scaling
+// experiment).
 func RunChipSweep(pr *PairResults, slavesPerChip int, chipCounts []int, cfg MultiChipConfig) ([]RunResult, error) {
 	return farm.Sweep(chipCounts, cfg.sharesSinks(), func(n int) (RunResult, error) {
 		c := cfg

@@ -92,7 +92,6 @@ func newPlan(pr *PairResults, slaves int, cfg MultiChipConfig) (*plan, error) {
 		MasterCore:       cfg.MasterCore,
 		Slaves:           slaves,
 		ThreadsPerWorker: cfg.ThreadsPerWorker,
-		ThreadEfficiency: cfg.ThreadEfficiency,
 		PollingScale:     cfg.PollingScale,
 		Trace:            cfg.Trace,
 		Metrics:          cfg.Metrics,
@@ -244,7 +243,7 @@ func (p *plan) stages() ([]stage, *farm.TiledReport, error) {
 		for bj := bi; bj < nb; bj++ {
 			out = append(out, stage{residues[bj], tiles[bi*nb+bj]})
 			rep.BlockLoads++
-			rep.ReloadSeconds += float64(residues[bj]) * p.cfg.ReloadSecondsPerResidue
+			rep.ReloadSeconds += float64(residues[bj]) * reloadSecondsPerResidue
 		}
 	}
 	return out, rep, nil
@@ -278,7 +277,7 @@ func (p *plan) run() (farm.Report, error) {
 		s.StartSlaves(p.handler)
 	}
 
-	shardTile := p.cfg.shardTileSize(p.tile)
+	shardTile := shardTileSize(p.tile)
 	works := make([][]farm.Work, len(stages)) // [stage][chip]
 	shardBytes := make([]int64, chips)
 	idBase := 0
@@ -314,7 +313,7 @@ func (p *plan) run() (farm.Report, error) {
 				// design choice Experiment I validates).
 				m.LoadResidues(st.residues)
 			} else {
-				m.P.Wait(float64(st.residues) * p.cfg.ReloadSecondsPerResidue)
+				m.P.Wait(float64(st.residues) * reloadSecondsPerResidue)
 				m.Chip().Compute(m.P, costmodel.Counter{ResiduesLoaded: uint64(st.residues)})
 			}
 			m.FarmWork(works[k][0], nil)

@@ -68,13 +68,6 @@ func (c *Counter) AddSS(n int) {
 	}
 }
 
-// AddLoad records n residues loaded.
-func (c *Counter) AddLoad(n int) {
-	if c != nil {
-		c.ResiduesLoaded += uint64(n)
-	}
-}
-
 // Add accumulates another counter into c.
 func (c *Counter) Add(o Counter) {
 	if c == nil {

@@ -12,7 +12,6 @@ func TestNilCounterSafe(t *testing.T) {
 	c.AddScore(3)
 	c.AddRotate(2)
 	c.AddSS(1)
-	c.AddLoad(9)
 	c.Add(Counter{DPCells: 1})
 	// Reaching here without panic is the assertion.
 }
@@ -26,7 +25,7 @@ func TestCounterAccumulation(t *testing.T) {
 	c.AddScore(7)
 	c.AddRotate(8)
 	c.AddSS(9)
-	c.AddLoad(10)
+	c.Add(Counter{ResiduesLoaded: 10})
 	if c.DPCells != 150 {
 		t.Errorf("DPCells = %d", c.DPCells)
 	}

@@ -1,16 +1,20 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (Section V): the serial baselines (Table III), the
-// rckAlign-vs-distributed comparison on CK34 (Table II / Figure 5), the
+// Package experiments is the one registry of every table and figure in
+// EXPERIMENTS.md: the paper's evaluation (Section V) — the SCC
+// configuration (Table I), the serial baselines (Table III), rckAlign
+// against the distributed baseline on CK34 (Table II / Figure 5), the
 // scaling sweep on both datasets (Table IV / Figure 6) and the summary
-// (Table V), plus the ablations DESIGN.md calls out (job ordering,
-// the master tree). Each function returns a stats.Table whose rows
-// place the reproduction next to the paper's published numbers.
+// (Table V) — plus the ablations and scale-out sweeps DESIGN.md calls
+// out. cmd/benchtables is the only runner; the registry's full
+// deterministic output is committed as testdata/experiments.golden.txt
+// and every block of it appears verbatim in EXPERIMENTS.md (both
+// test-enforced), so a new table is one more Experiment here.
 package experiments
 
 import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"strings"
 
 	"rckalign/internal/core"
 	"rckalign/internal/costmodel"
@@ -28,6 +32,197 @@ import (
 	"rckalign/internal/tmalign"
 	"rckalign/internal/trace"
 )
+
+// Experiment is one regenerable block of EXPERIMENTS.md.
+type Experiment struct {
+	// Name selects the entry (benchtables -only).
+	Name string
+	// Datasets names the pair results Run dereferences ("CK34",
+	// "RS119"); the runner loads exactly these.
+	Datasets []string
+	// HostTimed marks output that depends on host wall-clock time: it
+	// runs only when named and is not part of the golden.
+	HostTimed bool
+	// Run renders the entry's tables or figure.
+	Run func(*Env) (string, error)
+}
+
+var (
+	ck34 = []string{"CK34"}
+	both = []string{"CK34", "RS119"}
+)
+
+// registry lists every experiment, in the order benchtables prints them.
+var registry = []Experiment{
+	{Name: "table1", Run: func(*Env) (string, error) { return tableI(), nil }},
+	{Name: "table2", Datasets: ck34, Run: (*Env).tableII},
+	{Name: "table3", Datasets: both, Run: (*Env).tableIII},
+	{Name: "table4", Datasets: both, Run: (*Env).tableIV},
+	{Name: "table5", Datasets: both, Run: (*Env).tableV},
+	{Name: "figure5", Datasets: ck34, Run: (*Env).figure5},
+	{Name: "figure6", Datasets: both, Run: (*Env).figure6},
+	{Name: "ordering", Datasets: ck34, Run: (*Env).orderingAblation},
+	{Name: "polling", Datasets: ck34, Run: (*Env).pollingAblation},
+	{Name: "mastertree", Datasets: ck34, Run: (*Env).masterTreeAblation},
+	{Name: "fastercores", Datasets: ck34, Run: (*Env).fasterCoresAblation},
+	{Name: "mcpsc", Run: func(*Env) (string, error) { return mcpscPartitionAblation() }},
+	{Name: "resilience", Datasets: ck34, Run: func(e *Env) (string, error) { return resilienceSweep(e.CK34) }},
+	{Name: "cachebatch", Datasets: both, Run: func(e *Env) (string, error) {
+		return e.perDataset(cacheBatchAblation)
+	}},
+	{Name: "chipscaling", Datasets: both, Run: func(e *Env) (string, error) {
+		return e.perDataset(func(pr *core.PairResults) (string, error) { return chipScalingSweep(pr, 47, []int{1, 2, 4, 8}) })
+	}},
+	{Name: "serveload", HostTimed: true, Run: func(*Env) (string, error) {
+		out, _, err := serveLoadSweep(defaultServeLoadSpec(), defaultServeLoadConfigs())
+		return out, err
+	}},
+}
+
+// Registry returns every experiment, in the order benchtables prints
+// them.
+func Registry() []Experiment { return registry }
+
+// Select resolves experiment names to entries, in registry order. No
+// names selects every deterministic entry; HostTimed ones run only when
+// named. An unknown name is an error that lists the names.
+func Select(names []string) ([]Experiment, error) {
+	want := map[string]bool{}
+	for _, n := range names {
+		want[n] = true
+	}
+	var sel []Experiment
+	var all []string
+	for _, x := range registry {
+		all = append(all, x.Name)
+		if want[x.Name] || len(names) == 0 && !x.HostTimed {
+			sel = append(sel, x)
+		}
+		delete(want, x.Name)
+	}
+	for _, n := range names {
+		if want[n] {
+			return nil, fmt.Errorf("unknown experiment %q (have %s)", n, strings.Join(all, ", "))
+		}
+	}
+	return sel, nil
+}
+
+// Env holds the pair results the selected experiments replay, and the
+// slave-count sweeps several of them share.
+type Env struct {
+	CK34, RS119 *core.PairResults
+
+	sweeps map[*core.PairResults][]core.RunResult
+	dist   []dist.RunResult
+}
+
+// Load computes or loads the named datasets' pair results ("CK34",
+// "RS119"; repeats are loaded once) into a fresh Env. cacheDir may be
+// empty to force recomputation (slow: minutes of host CPU).
+func Load(cacheDir string, opt tmalign.Options, datasets ...string) (*Env, error) {
+	env := &Env{}
+	store := pairstore.New(0)
+	for _, name := range datasets {
+		var dst **core.PairResults
+		switch name {
+		case "CK34":
+			dst = &env.CK34
+		case "RS119":
+			dst = &env.RS119
+		default:
+			return nil, fmt.Errorf("experiments: no dataset %q", name)
+		}
+		if *dst != nil {
+			continue
+		}
+		ds, err := synth.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		path := ""
+		if cacheDir != "" {
+			path = filepath.Join(cacheDir, name+".gob")
+		}
+		if *dst, err = core.ComputeOrLoadShared(ds, opt, path, store); err != nil {
+			return nil, err
+		}
+	}
+	return env, nil
+}
+
+// Run renders the experiments to w in order, one blank line between
+// blocks, trailing blanks trimmed from every line (the golden and
+// EXPERIMENTS.md hold exactly these bytes).
+func Run(w io.Writer, env *Env, exps []Experiment) error {
+	for i, x := range exps {
+		out, err := x.Run(env)
+		if err != nil {
+			return fmt.Errorf("%s: %w", x.Name, err)
+		}
+		lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+		for k, l := range lines {
+			lines[k] = strings.TrimRight(l, " ")
+		}
+		sep := ""
+		if i > 0 {
+			sep = "\n"
+		}
+		if _, err := fmt.Fprintf(w, "%s%s\n", sep, strings.Join(lines, "\n")); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sweepCounts is the paper's slave-count sweep 1, 3, ..., 47.
+var sweepCounts = core.OddSlaveCounts(47)
+
+// sweep returns pr's rckAlign run at every sweepCounts point, simulated
+// once per Env: Tables II and IV and Figures 5 and 6 all read it.
+func (e *Env) sweep(pr *core.PairResults) ([]core.RunResult, error) {
+	if rs, ok := e.sweeps[pr]; ok {
+		return rs, nil
+	}
+	rs, err := core.RunSweep(pr, sweepCounts, core.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	if e.sweeps == nil {
+		e.sweeps = map[*core.PairResults][]core.RunResult{}
+	}
+	e.sweeps[pr] = rs
+	return rs, nil
+}
+
+// distSweep is sweep for the distributed baseline on CK34 (Table II and
+// Figure 5).
+func (e *Env) distSweep() ([]dist.RunResult, error) {
+	if e.dist == nil {
+		rs, err := dist.RunSweep(e.CK34, sweepCounts, dist.DefaultConfig())
+		if err != nil {
+			return nil, err
+		}
+		e.dist = rs
+	}
+	return e.dist, nil
+}
+
+// perDataset renders one table per dataset, CK34 then RS119.
+func (e *Env) perDataset(table func(*core.PairResults) (string, error)) (string, error) {
+	var b strings.Builder
+	for i, pr := range []*core.PairResults{e.CK34, e.RS119} {
+		out, err := table(pr)
+		if err != nil {
+			return "", err
+		}
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		b.WriteString(out)
+	}
+	return b.String(), nil
+}
 
 // Paper-published values (seconds / speedups), keyed by slave count.
 var (
@@ -67,63 +262,8 @@ var (
 	}
 )
 
-// Env holds the precomputed pair results for both datasets.
-type Env struct {
-	CK34, RS119 *core.PairResults
-}
-
-// Load computes or loads both datasets' pair results. cacheDir may be
-// empty to force recomputation (slow: minutes of host CPU).
-func Load(cacheDir string, opt tmalign.Options) (*Env, error) {
-	return LoadShared(cacheDir, opt, pairstore.New(0))
-}
-
-// LoadShared is Load backed by a caller-supplied pair store: on a
-// disk-cache miss the native comparisons run through the store, so
-// drivers that sweep several option sets or datasets in one process
-// (see EXPERIMENTS.md) pay for each pair at most once.
-func LoadShared(cacheDir string, opt tmalign.Options, store *pairstore.Store) (*Env, error) {
-	env := &Env{}
-	for _, d := range []struct {
-		name string
-		dst  **core.PairResults
-	}{{"CK34", &env.CK34}, {"RS119", &env.RS119}} {
-		ds, err := synth.ByName(d.name)
-		if err != nil {
-			return nil, err
-		}
-		path := ""
-		if cacheDir != "" {
-			path = filepath.Join(cacheDir, d.name+".gob")
-		}
-		pr, err := core.ComputeOrLoadShared(ds, opt, path, store)
-		if err != nil {
-			return nil, err
-		}
-		*d.dst = pr
-	}
-	return env, nil
-}
-
-// LoadCK34Only is Load for experiments that do not need RS119.
-func LoadCK34Only(cacheDir string, opt tmalign.Options) (*Env, error) {
-	ds, err := synth.ByName("CK34")
-	if err != nil {
-		return nil, err
-	}
-	path := ""
-	if cacheDir != "" {
-		path = filepath.Join(cacheDir, "CK34.gob")
-	}
-	pr, err := core.ComputeOrLoadShared(ds, opt, path, pairstore.New(0))
-	if err != nil {
-		return nil, err
-	}
-	return &Env{CK34: pr}, nil
-}
-
-// TableI renders the SCC configuration (the paper's Table I).
-func TableI() *stats.Table {
+// tableI renders the SCC configuration (the paper's Table I).
+func tableI() string {
 	cfg := scc.DefaultConfig()
 	tb := stats.NewTable("Table I: salient features of the SCC chip", "Feature", "Value")
 	tb.AddRow("Core architecture", fmt.Sprintf("%dx%d mesh, %d %s cores per tile",
@@ -133,130 +273,112 @@ func TableI() *stats.Table {
 	tb.AddRow("MPB", fmt.Sprintf("%dKB shared MPB per tile (%dKB total)",
 		cfg.MPBBytesPerTile/1024, cfg.MPBTotal()/1024))
 	tb.AddRow("Memory controllers", fmt.Sprintf("%d iMCs", cfg.MemControllers))
-	return tb
+	return tb.String()
 }
 
-// TableII reproduces Table II / Figure 5: CK34 all-vs-all times for
-// rckAlign vs the MCPC-driven distributed TM-align, by slave count.
-func (e *Env) TableII() (*stats.Table, error) {
+// tableII reproduces Table II: CK34 all-vs-all times for rckAlign vs the
+// MCPC-driven distributed TM-align, by slave count.
+func (e *Env) tableII() (string, error) {
 	tb := stats.NewTable(
 		"Table II / Figure 5: CK34 all-vs-all, rckAlign vs distributed TM-align (seconds)",
 		"Slaves", "rckAlign", "paper", "distributed", "paper", "dist/rck")
-	counts := core.OddSlaveCounts(47)
-	rck, err := core.RunSweep(e.CK34, counts, core.DefaultConfig())
+	rck, err := e.sweep(e.CK34)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	dst, err := dist.RunSweep(e.CK34, counts, dist.DefaultConfig())
+	dst, err := e.distSweep()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	for i, n := range counts {
+	for i, n := range sweepCounts {
 		tb.AddRowf(n,
 			rck[i].TotalSeconds, paperT2RckAlign[n],
 			dst[i].TotalSeconds, paperT2Dist[n],
 			dst[i].TotalSeconds/rck[i].TotalSeconds)
 	}
-	return tb, nil
+	return tb.String(), nil
 }
 
-// TableIII reproduces the serial baselines on both CPU profiles.
-func (e *Env) TableIII() *stats.Table {
+// tableIII reproduces the serial baselines on both CPU profiles.
+func (e *Env) tableIII() (string, error) {
 	tb := stats.NewTable(
 		"Table III: serial all-vs-all TM-align baselines (seconds)",
 		"Processor", "Dataset", "Measured", "Paper")
 	for _, row := range []struct {
-		cpu  costmodel.CPU
-		key  string
-		pr   *core.PairResults
-		name string
+		cpu costmodel.CPU
+		key string
+		pr  *core.PairResults
 	}{
-		{costmodel.AMD24(), "AMD", e.CK34, "CK34"},
-		{costmodel.AMD24(), "AMD", e.RS119, "RS119"},
-		{costmodel.P54C(), "P54C", e.CK34, "CK34"},
-		{costmodel.P54C(), "P54C", e.RS119, "RS119"},
+		{costmodel.AMD24(), "AMD", e.CK34},
+		{costmodel.AMD24(), "AMD", e.RS119},
+		{costmodel.P54C(), "P54C", e.CK34},
+		{costmodel.P54C(), "P54C", e.RS119},
 	} {
-		if row.pr == nil {
-			continue
-		}
-		tb.AddRowf(row.cpu.Name, row.name, row.pr.SerialSeconds(row.cpu), paperT3[row.key][row.name])
+		name := row.pr.Dataset.Name
+		tb.AddRowf(row.cpu.Name, name, row.pr.SerialSeconds(row.cpu), paperT3[row.key][name])
 	}
-	return tb
+	return tb.String(), nil
 }
 
-// TableIV reproduces Table IV / Figure 6: rckAlign time and speedup by
-// slave count for both datasets (speedup relative to one SCC core).
-func (e *Env) TableIV() (*stats.Table, error) {
+// tableIV reproduces Table IV: rckAlign time and speedup by slave count
+// for both datasets (speedup relative to one SCC core).
+func (e *Env) tableIV() (string, error) {
 	tb := stats.NewTable(
 		"Table IV / Figure 6: rckAlign scaling (speedup vs 1 SCC core)",
 		"Slaves",
 		"CK34 s", "CK34 speedup", "paper",
 		"RS119 s", "RS119 speedup", "paper")
-	counts := core.OddSlaveCounts(47)
-	cfg := core.DefaultConfig()
-	ck, err := core.RunSweep(e.CK34, counts, cfg)
+	ck, err := e.sweep(e.CK34)
 	if err != nil {
-		return nil, err
+		return "", err
+	}
+	rs, err := e.sweep(e.RS119)
+	if err != nil {
+		return "", err
 	}
 	baseCK := e.CK34.SerialSeconds(costmodel.P54C())
-	var rs []core.RunResult
-	baseRS := 0.0
-	if e.RS119 != nil {
-		rs, err = core.RunSweep(e.RS119, counts, cfg)
-		if err != nil {
-			return nil, err
-		}
-		baseRS = e.RS119.SerialSeconds(costmodel.P54C())
+	baseRS := e.RS119.SerialSeconds(costmodel.P54C())
+	for i, n := range sweepCounts {
+		tb.AddRowf(n,
+			ck[i].TotalSeconds, baseCK/ck[i].TotalSeconds, paperT4CK34Speedup[n],
+			rs[i].TotalSeconds, baseRS/rs[i].TotalSeconds, paperT4RS119Speedup[n])
 	}
-	for i, n := range counts {
-		row := []any{n, ck[i].TotalSeconds, baseCK / ck[i].TotalSeconds, paperT4CK34Speedup[n]}
-		if rs != nil {
-			row = append(row, rs[i].TotalSeconds, baseRS/rs[i].TotalSeconds, paperT4RS119Speedup[n])
-		} else {
-			row = append(row, "-", "-", paperT4RS119Speedup[n])
-		}
-		tb.AddRowf(row...)
-	}
-	return tb, nil
+	return tb.String(), nil
 }
 
-// TableV reproduces the summary comparison (Table V): serial AMD, serial
+// tableV reproduces the summary comparison (Table V): serial AMD, serial
 // P54C and rckAlign with all 47 slaves.
-func (e *Env) TableV() (*stats.Table, error) {
+func (e *Env) tableV() (string, error) {
 	tb := stats.NewTable(
 		"Table V: all-vs-all summary (seconds)",
 		"Dataset", "AMD@2.4GHz", "paper", "P54C@800MHz", "paper", "SCC 47 slaves", "paper",
 		"speedup vs AMD", "speedup vs P54C")
-	for _, d := range []struct {
-		name string
-		pr   *core.PairResults
-	}{{"CK34", e.CK34}, {"RS119", e.RS119}} {
-		if d.pr == nil {
-			continue
-		}
-		r, err := core.Run(d.pr, 47, core.DefaultConfig())
+	for _, pr := range []*core.PairResults{e.CK34, e.RS119} {
+		r, err := core.Run(pr, 47, core.DefaultConfig())
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		amd := d.pr.SerialSeconds(costmodel.AMD24())
-		p54 := d.pr.SerialSeconds(costmodel.P54C())
-		ref := paperT5[d.name]
-		tb.AddRowf(d.name, amd, ref[0], p54, ref[1], r.TotalSeconds, ref[2],
+		amd := pr.SerialSeconds(costmodel.AMD24())
+		p54 := pr.SerialSeconds(costmodel.P54C())
+		ref := paperT5[pr.Dataset.Name]
+		tb.AddRowf(pr.Dataset.Name, amd, ref[0], p54, ref[1], r.TotalSeconds, ref[2],
 			amd/r.TotalSeconds, p54/r.TotalSeconds)
 	}
-	return tb, nil
+	return tb.String(), nil
 }
 
-// Figure5 renders the paper's Figure 5 as an ASCII plot: CK34
+// figureW x figureH is the interior plotting area of Figures 5 and 6.
+const figureW, figureH = 64, 20
+
+// figure5 renders the paper's Figure 5 as an ASCII plot: CK34
 // all-vs-all time (log scale) vs slave cores for rckAlign and the
 // distributed baseline.
-func (e *Env) Figure5(width, height int) (string, error) {
-	counts := core.OddSlaveCounts(47)
-	rck, err := core.RunSweep(e.CK34, counts, core.DefaultConfig())
+func (e *Env) figure5() (string, error) {
+	rck, err := e.sweep(e.CK34)
 	if err != nil {
 		return "", err
 	}
-	dst, err := dist.RunSweep(e.CK34, counts, dist.DefaultConfig())
+	dst, err := e.distSweep()
 	if err != nil {
 		return "", err
 	}
@@ -264,7 +386,7 @@ func (e *Env) Figure5(width, height int) (string, error) {
 		"number of cores", "time in sec")
 	p.LogY = true
 	var xs, yr, yd []float64
-	for i, n := range counts {
+	for i, n := range sweepCounts {
 		xs = append(xs, float64(n))
 		yr = append(yr, rck[i].TotalSeconds)
 		yd = append(yd, dst[i].TotalSeconds)
@@ -275,44 +397,39 @@ func (e *Env) Figure5(width, height int) (string, error) {
 	if err := p.Add(stats.Series{Name: "rckAlign", Marker: '*', X: xs, Y: yr}); err != nil {
 		return "", err
 	}
-	return p.Render(width, height), nil
+	return p.Render(figureW, figureH), nil
 }
 
-// Figure6 renders the paper's Figure 6: rckAlign speedup vs slave cores
+// figure6 renders the paper's Figure 6: rckAlign speedup vs slave cores
 // for both datasets.
-func (e *Env) Figure6(width, height int) (string, error) {
-	counts := core.OddSlaveCounts(47)
+func (e *Env) figure6() (string, error) {
 	p := stats.NewPlot("Figure 6: rckAlign speedup vs slave cores",
 		"number of cores", "speedup factor")
 	for _, d := range []struct {
-		name   string
 		marker byte
 		pr     *core.PairResults
-	}{{"RS119", '#', e.RS119}, {"CK34", '*', e.CK34}} {
-		if d.pr == nil {
-			continue
-		}
-		rs, err := core.RunSweep(d.pr, counts, core.DefaultConfig())
+	}{{'#', e.RS119}, {'*', e.CK34}} {
+		rs, err := e.sweep(d.pr)
 		if err != nil {
 			return "", err
 		}
 		base := d.pr.SerialSeconds(costmodel.P54C())
 		var xs, ys []float64
-		for i, n := range counts {
+		for i, n := range sweepCounts {
 			xs = append(xs, float64(n))
 			ys = append(ys, base/rs[i].TotalSeconds)
 		}
-		if err := p.Add(stats.Series{Name: d.name, Marker: d.marker, X: xs, Y: ys}); err != nil {
+		if err := p.Add(stats.Series{Name: d.pr.Dataset.Name, Marker: d.marker, X: xs, Y: ys}); err != nil {
 			return "", err
 		}
 	}
-	return p.Render(width, height), nil
+	return p.Render(figureW, figureH), nil
 }
 
-// SchedulingAblation quantifies the paper's load-balancing future-work
+// orderingAblation quantifies the paper's load-balancing future-work
 // item: FIFO vs LPT vs SPT vs Random job ordering at several core
 // counts (CK34).
-func (e *Env) SchedulingAblation() (*stats.Table, error) {
+func (e *Env) orderingAblation() (string, error) {
 	tb := stats.NewTable(
 		"Ablation: job ordering (CK34 all-vs-all, seconds)",
 		"Slaves", "FIFO", "LPT", "SPT", "Random", "LPT gain")
@@ -324,14 +441,47 @@ func (e *Env) SchedulingAblation() (*stats.Table, error) {
 			cfg.OrderSeed = 1
 			r, err := core.Run(e.CK34, n, cfg)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			times[o] = r.TotalSeconds
 		}
 		tb.AddRowf(n, times[sched.FIFO], times[sched.LPT], times[sched.SPT], times[sched.Random],
 			fmt.Sprintf("%.1f%%", 100*(times[sched.FIFO]-times[sched.LPT])/times[sched.FIFO]))
 	}
-	return tb, nil
+	return tb.String(), nil
+}
+
+// pollingAblation scales the master's round-robin polling discovery
+// cost on CK34 at 47 slaves: 0 is an ideal event-driven master, 1 the
+// paper's busy polling, and the large scales emulate ever finer-grained
+// jobs until the single master is the bottleneck.
+func (e *Env) pollingAblation() (string, error) {
+	const slaves = 47
+	tb := stats.NewTable(
+		fmt.Sprintf("Ablation: master polling cost (CK34 all-vs-all, %d slaves)", slaves),
+		"Polling scale", "Time (s)", "Efficiency", "Peak Mbox", "Collect wait (s)", "Master busy (s)")
+	serial := e.CK34.SerialSeconds(costmodel.P54C())
+	for _, scale := range []float64{0, 1, 2e4, 1e5} {
+		cfg := core.DefaultConfig()
+		cfg.PollingScale = scale
+		cfg.Metrics = metrics.New()
+		r, err := core.Run(e.CK34, slaves, cfg)
+		if err != nil {
+			return "", err
+		}
+		label := fmt.Sprintf("%g", scale)
+		switch scale {
+		case 0:
+			label += " (event-driven)"
+		case 1:
+			label += " (paper)"
+		}
+		tb.AddRowf(label, r.TotalSeconds, serial/r.TotalSeconds/slaves,
+			fmt.Sprintf("%.0f", r.Metrics.PeakMailboxDepth),
+			r.Metrics.JobStages["collect_wait"].TotalSeconds,
+			r.CoreBusySeconds[cfg.Chip.CoreName(cfg.MasterCore)])
+	}
+	return tb.String(), nil
 }
 
 // masterTree runs pr with `workers` slave cores spread evenly over
@@ -348,10 +498,10 @@ func masterTree(pr *core.PairResults, workers, chips int, cfg core.Config) (core
 	return core.RunMultiChip(pr, workers/chips, core.MultiChipConfig{Config: cfg, Chips: chips, Interchip: ideal})
 }
 
-// MasterTreeAblation compares the flat single master against two- and
+// masterTreeAblation compares the flat single master against two- and
 // four-master trees (CK34), the paper's proposed fix for the master
 // bottleneck.
-func (e *Env) MasterTreeAblation() (*stats.Table, error) {
+func (e *Env) masterTreeAblation() (string, error) {
 	tb := stats.NewTable(
 		"Ablation: master tree (CK34 all-vs-all, seconds; worker-slave count held equal, ideal interconnect)",
 		"Workers", "Flat", "2 masters", "4 masters")
@@ -360,23 +510,23 @@ func (e *Env) MasterTreeAblation() (*stats.Table, error) {
 		for _, chips := range []int{1, 2, 4} {
 			r, err := masterTree(e.CK34, n, chips, core.DefaultConfig())
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			row = append(row, r.TotalSeconds)
 		}
 		tb.AddRowf(row...)
 	}
-	return tb, nil
+	return tb.String(), nil
 }
 
-// FasterCoresAblation tests the conjecture the paper closes with: "it
+// fasterCoresAblation tests the conjecture the paper closes with: "it
 // is possible that the single master strategy would become the
 // bottleneck, if slave processes were running on faster cores", and
 // that a hierarchy of masters would relieve it. Core clocks are scaled
 // 1x..65536x while the mesh stays fixed; efficiency at 47 slaves is
 // reported for the flat farm next to a 4-master tree on the same 48
 // total cores (4 masters + 44 workers).
-func (e *Env) FasterCoresAblation() (*stats.Table, error) {
+func (e *Env) fasterCoresAblation() (string, error) {
 	tb := stats.NewTable(
 		"Ablation: faster cores (CK34, 47 slave cores, mesh speed fixed)",
 		"Core clock", "Flat time (s)", "Flat efficiency", "Master busy", "Tree time (s)")
@@ -388,7 +538,7 @@ func (e *Env) FasterCoresAblation() (*stats.Table, error) {
 		serial := e.CK34.SerialSeconds(cfg.Chip.CPU)
 		r, err := core.Run(e.CK34, 47, cfg)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		masterBusy := 0.0
 		if r.TotalSeconds > 0 {
@@ -398,30 +548,26 @@ func (e *Env) FasterCoresAblation() (*stats.Table, error) {
 		tcfg.Trace = nil
 		rt, err := masterTree(e.CK34, 44, 4, tcfg)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		eff := serial / r.TotalSeconds / 47
 		// Four significant digits: the makespans span five decades.
 		tb.AddRowf(fmt.Sprintf("%.1f GHz", cfg.Chip.CPU.FreqHz/1e9),
 			fmt.Sprintf("%.4g", r.TotalSeconds), eff, fmt.Sprintf("%.1f%%", 100*masterBusy), fmt.Sprintf("%.4g", rt.TotalSeconds))
 	}
-	return tb, nil
+	return tb.String(), nil
 }
 
-// ResilienceSweep quantifies the fault-tolerant farm's degradation on
-// e.CK34: the all-vs-all task on 47 slaves with k slave cores
-// fail-stopped at staggered points of the run. While any slave
-// survives, every pair must still be scored (Lost stays 0); the
-// makespan shows what the deadline-driven recovery costs.
-func (e *Env) ResilienceSweep() (*stats.Table, error) { return ResilienceSweep(e.CK34) }
-
-// ResilienceSweep is the underlying sweep over any workload (tests use
-// a synthetic CK34-sized one, see core.SynthPairResults).
-func ResilienceSweep(pr *core.PairResults) (*stats.Table, error) {
+// resilienceSweep quantifies the fault-tolerant farm's degradation on
+// pr: the all-vs-all task on 47 slaves with k slave cores fail-stopped
+// at staggered points of the run. While any slave survives, every pair
+// must still be scored (Lost stays 0); the makespan shows what the
+// deadline-driven recovery costs.
+func resilienceSweep(pr *core.PairResults) (string, error) {
 	const slaves = 47
 	base, err := core.Run(pr, slaves, core.DefaultConfig())
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	t0 := base.TotalSeconds
 	tb := stats.NewTable(
@@ -444,39 +590,22 @@ func ResilienceSweep(pr *core.PairResults) (*stats.Table, error) {
 		return core.Run(pr, slaves, cfg)
 	})
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	for i, r := range runs {
 		f := r.Faults
 		tb.AddRowf(killed[i], r.TotalSeconds, r.TotalSeconds/t0,
 			f.Timeouts, f.Retries, f.Reassigned, f.LostJobs)
 	}
-	return tb, nil
+	return tb.String(), nil
 }
 
-// CacheBatchAblation quantifies the structure-cache + batched-dispatch
-// wire model on e.CK34 (and e.RS119 when loaded): input bytes over the
-// NoC, cache hit rate, and the makespan/mailbox effect at both the
-// paper's polling cost and the master-bottleneck regime (polling 1e5).
-func (e *Env) CacheBatchAblation() ([]*stats.Table, error) {
-	var out []*stats.Table
-	for _, pr := range []*core.PairResults{e.CK34, e.RS119} {
-		if pr == nil {
-			continue
-		}
-		tb, err := CacheBatchAblation(pr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tb)
-	}
-	return out, nil
-}
-
-// CacheBatchAblation is the underlying sweep over any workload (tests
-// use a synthetic CK34-sized one, see core.SynthPairResults): baseline
-// vs cached vs cached+batched vs cached+batched+affinity at 47 slaves.
-func CacheBatchAblation(pr *core.PairResults) (*stats.Table, error) {
+// cacheBatchAblation quantifies the structure-cache + batched-dispatch
+// wire model on pr at 47 slaves — baseline vs cached vs cached+batched
+// vs cached+batched+affinity: input bytes over the NoC, cache hit rate,
+// and the makespan/mailbox effect at both the paper's polling cost and
+// the master-bottleneck regime (polling 1e5).
+func cacheBatchAblation(pr *core.PairResults) (string, error) {
 	const slaves = 47
 	// The classic wire ships both structures' coordinates per pair.
 	classicBytes := int64(0)
@@ -501,14 +630,14 @@ func CacheBatchAblation(pr *core.PairResults) (*stats.Table, error) {
 		row.mut(&cfg)
 		r, err := core.Run(pr, slaves, cfg)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		cfgP := cfg
 		cfgP.PollingScale = 1e5
 		cfgP.Metrics = metrics.New()
 		rp, err := core.Run(pr, slaves, cfgP)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		peak := 0.0
 		if rp.Metrics != nil {
@@ -524,38 +653,17 @@ func CacheBatchAblation(pr *core.PairResults) (*stats.Table, error) {
 		tb.AddRowf(row.name, r.TotalSeconds, rp.TotalSeconds,
 			fmt.Sprintf("%.0f", peak), inputMB, reduction, hitRate)
 	}
-	return tb, nil
+	return tb.String(), nil
 }
 
-// ChipScalingSweep runs the multi-chip sharded farm over both datasets
-// at 1/2/4/8 chips (47 slaves each), the scale-out scaling curve.
-func (e *Env) ChipScalingSweep() ([]*stats.Table, error) {
-	var out []*stats.Table
-	for _, pr := range []*core.PairResults{e.CK34, e.RS119} {
-		if pr == nil {
-			continue
-		}
-		tb, err := ChipScalingSweep(pr, 47, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tb)
-	}
-	return out, nil
-}
-
-// ChipScalingSweep is the underlying sweep over any workload: the same
-// all-vs-all task sharded across each chip count (nil = 1, 2, 4, 8) at
-// slavesPerChip slaves per chip. Speedup and efficiency are relative to
+// chipScalingSweep shards pr's all-vs-all task across each chip count at
+// slavesPerChip slaves per chip, the scale-out scaling curve. Speedup and efficiency are relative to
 // the first (usually 1-chip) point, so efficiency reads directly as
 // "how much of the added silicon the root master wastes"; the peak
 // mailbox and root inbox columns show where the single root saturates,
 // and the inter-/intra-chip MB columns split the wire volume by
 // interconnect tier.
-func ChipScalingSweep(pr *core.PairResults, slavesPerChip int, chipCounts []int) (*stats.Table, error) {
-	if len(chipCounts) == 0 {
-		chipCounts = []int{1, 2, 4, 8}
-	}
+func chipScalingSweep(pr *core.PairResults, slavesPerChip int, chipCounts []int) (string, error) {
 	tb := stats.NewTable(
 		fmt.Sprintf("Scaling: multi-chip sharded farm (%s all-vs-all, %d slaves/chip)",
 			pr.Dataset.Name, slavesPerChip),
@@ -575,7 +683,7 @@ func ChipScalingSweep(pr *core.PairResults, slavesPerChip int, chipCounts []int)
 		return point{r, reg.Counter("rcce.send.bytes").Value()}, err
 	})
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	base, baseChips := 0.0, 0
 	for i, n := range chipCounts {
@@ -599,15 +707,15 @@ func ChipScalingSweep(pr *core.PairResults, slavesPerChip int, chipCounts []int)
 		tb.AddRowf(n, n*slavesPerChip, r.TotalSeconds, speedup, efficiency,
 			fmt.Sprintf("%.0f", peakMbox), rootInbox, interMB, intraMB)
 	}
-	return tb, nil
+	return tb.String(), nil
 }
 
-// MCPSCPartitionAblation studies the paper's MC-PSC open question —
+// mcpscPartitionAblation studies the paper's MC-PSC open question —
 // how to split the chip's cores among comparison methods of very
 // different complexity — by running a multi-criteria all-vs-all task
 // (TM-align + gapless-RMSD + contact-overlap) under equal and
 // cost-proportional partitions of 12 slave cores.
-func MCPSCPartitionAblation() (*stats.Table, error) {
+func mcpscPartitionAblation() (string, error) {
 	ds := synth.Small(10, 2468)
 	methods := []mcpsc.Method{
 		mcpsc.TMAlign{Opt: tmalign.FastOptions()},
@@ -631,64 +739,9 @@ func MCPSCPartitionAblation() (*stats.Table, error) {
 	} {
 		r, err := mcpsc.RunAllVsAll(ds, methods, strat.part, cfg)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		tb.AddRowf(strat.name, fmt.Sprintf("%v", strat.part), r.TotalSeconds)
 	}
-	return tb, nil
-}
-
-// WriteAll regenerates every table (and the figure series, which share
-// the tables' data) to w.
-func (e *Env) WriteAll(w io.Writer) error {
-	fmt.Fprintln(w, TableI().String())
-	t2, err := e.TableII()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, t2.String())
-	fmt.Fprintln(w, e.TableIII().String())
-	t4, err := e.TableIV()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, t4.String())
-	t5, err := e.TableV()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, t5.String())
-	sa, err := e.SchedulingAblation()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, sa.String())
-	ha, err := e.MasterTreeAblation()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, ha.String())
-	fc, err := e.FasterCoresAblation()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, fc.String())
-	mp, err := MCPSCPartitionAblation()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, mp.String())
-	rs, err := e.ResilienceSweep()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, rs.String())
-	cb, err := e.CacheBatchAblation()
-	if err != nil {
-		return err
-	}
-	for _, tb := range cb {
-		fmt.Fprintln(w, tb.String())
-	}
-	return nil
+	return tb.String(), nil
 }

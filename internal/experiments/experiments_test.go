@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"rckalign/internal/core"
@@ -12,58 +13,39 @@ import (
 	"rckalign/internal/tmalign"
 )
 
-// smallEnv builds an Env over a small dataset so the table drivers can
-// be exercised without the full CK34/RS119 native compute.
+// smallPairs are two small datasets' pair results, computed once, so the
+// table drivers can be exercised without the full CK34/RS119 native
+// compute.
+var smallPairs = sync.OnceValue(func() [2]*core.PairResults {
+	store := pairstore.New(0)
+	return [2]*core.PairResults{
+		core.ComputeAllPairsShared(synth.Small(8, 31), tmalign.FastOptions(), store),
+		core.ComputeAllPairsShared(synth.Small(9, 32), tmalign.FastOptions(), store),
+	}
+})
+
+// smallEnv is a fresh Env over smallPairs.
 func smallEnv() *Env {
-	ds := synth.Small(8, 31)
-	pr := core.ComputeAllPairsShared(ds, tmalign.FastOptions(), pairstore.New(0))
-	return &Env{CK34: pr}
+	prs := smallPairs()
+	return &Env{CK34: prs[0], RS119: prs[1]}
 }
 
-func TestTableI(t *testing.T) {
-	tb := TableI()
-	out := tb.String()
-	for _, want := range []string{"6x4 mesh", "48 @ 800 MHz", "16KB", "384KB", "4 iMCs"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Table I missing %q:\n%s", want, out)
+// wantRows fails unless every label starts a line of the rendered table.
+func wantRows(t *testing.T, out string, labels ...string) {
+	t.Helper()
+	for _, l := range labels {
+		if !strings.Contains(out, "\n"+l+" ") {
+			t.Errorf("no %q row in:\n%s", l, out)
 		}
 	}
 }
 
-func TestTableIIShape(t *testing.T) {
-	env := smallEnv()
-	tb, err := env.TableII()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.NumRows() != 24 {
-		t.Errorf("Table II rows = %d, want 24 (slaves 1..47 odd)", tb.NumRows())
-	}
-	out := tb.String()
-	if !strings.Contains(out, "rckAlign") || !strings.Contains(out, "distributed") {
-		t.Error("Table II missing columns")
-	}
-}
-
-func TestTableIIIAndIVAndVWithMissingRS119(t *testing.T) {
-	env := smallEnv()
-	t3 := env.TableIII()
-	if t3.NumRows() != 2 { // only CK34 rows when RS119 is nil
-		t.Errorf("Table III rows = %d, want 2", t3.NumRows())
-	}
-	t4, err := env.TableIV()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t4.NumRows() != 24 {
-		t.Errorf("Table IV rows = %d", t4.NumRows())
-	}
-	t5, err := env.TableV()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t5.NumRows() != 1 {
-		t.Errorf("Table V rows = %d, want 1 (CK34 only)", t5.NumRows())
+func TestTableI(t *testing.T) {
+	out := tableI()
+	for _, want := range []string{"6x4 mesh", "48 @ 800 MHz", "16KB", "384KB", "4 iMCs"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Table I missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -101,25 +83,20 @@ func TestPaperReferenceSeries(t *testing.T) {
 }
 
 func TestSchedulingAblation(t *testing.T) {
-	env := smallEnv()
-	tb, err := env.SchedulingAblation()
+	out, err := smallEnv().orderingAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 4 {
-		t.Errorf("ablation rows = %d", tb.NumRows())
-	}
+	wantRows(t, out, "7", "15", "31", "47")
 }
 
 func TestMasterTreeAblation(t *testing.T) {
 	env := smallEnv()
-	tb, err := env.MasterTreeAblation()
+	out, err := env.masterTreeAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 4 {
-		t.Errorf("master-tree rows = %d", tb.NumRows())
-	}
+	wantRows(t, out, "8", "16", "32", "40")
 	pairs := len(env.CK34.Pairs)
 	var flat8 core.RunResult
 	for _, n := range []int{8, 16, 32, 40} {
@@ -153,65 +130,20 @@ func TestMasterTreeAblation(t *testing.T) {
 	}
 }
 
-func TestWriteAll(t *testing.T) {
-	env := smallEnv()
-	var sb strings.Builder
-	if err := env.WriteAll(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"Table I", "Table II", "Table III", "Table IV", "Table V", "Ablation"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("WriteAll missing %q", want)
-		}
-	}
-}
-
 func TestFasterCoresAblation(t *testing.T) {
-	env := smallEnv()
-	tb, err := env.FasterCoresAblation()
+	out, err := smallEnv().fasterCoresAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 5 {
-		t.Errorf("faster-cores rows = %d", tb.NumRows())
-	}
+	wantRows(t, out, "0.8 GHz", "12.8 GHz", "204.8 GHz", "3276.8 GHz", "52428.8 GHz")
 }
 
 func TestMCPSCPartitionAblation(t *testing.T) {
-	tb, err := MCPSCPartitionAblation()
+	out, err := mcpscPartitionAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 2 {
-		t.Errorf("MC-PSC ablation rows = %d", tb.NumRows())
-	}
-}
-
-func TestFigureRenderers(t *testing.T) {
-	env := smallEnv()
-	f5, err := env.Figure5(50, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Figure 5", "rckAlign", "distributed", "log scale"} {
-		if !strings.Contains(f5, want) {
-			t.Errorf("Figure 5 missing %q", want)
-		}
-	}
-	f6, err := env.Figure6(50, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Figure 6", "CK34", "speedup"} {
-		if !strings.Contains(f6, want) {
-			t.Errorf("Figure 6 missing %q", want)
-		}
-	}
-	// RS119 nil: Figure 6 renders the CK34 series only, without error.
-	if strings.Contains(f6, "RS119") {
-		t.Error("Figure 6 should omit the missing RS119 series")
-	}
+	wantRows(t, out, "equal", "proportional")
 }
 
 // synthCK34 fabricates a CK34-sized workload (34 chains, 561 pairs)
@@ -226,15 +158,12 @@ func synthCK34() *core.PairResults {
 }
 
 func TestCacheBatchAblation(t *testing.T) {
-	tb, err := CacheBatchAblation(synthCK34())
+	out, err := cacheBatchAblation(synthCK34())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 4 {
-		t.Errorf("cache/batch ablation rows = %d, want 4", tb.NumRows())
-	}
-	out := tb.String()
-	for _, want := range []string{"baseline", "cached+batched+affinity", "Reduction", "Hit rate", "Peak Mbox"} {
+	wantRows(t, out, "baseline", "cached", "cached+batched", "cached+batched+affinity")
+	for _, want := range []string{"Reduction", "Hit rate", "Peak Mbox"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cache/batch table missing %q:\n%s", want, out)
 		}
@@ -242,14 +171,11 @@ func TestCacheBatchAblation(t *testing.T) {
 }
 
 func TestResilienceSweep(t *testing.T) {
-	tb, err := ResilienceSweep(synthCK34())
+	out, err := resilienceSweep(synthCK34())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 5 {
-		t.Errorf("resilience rows = %d, want 5 (k = 0,1,2,4,8)", tb.NumRows())
-	}
-	out := tb.String()
+	wantRows(t, out, "0", "1", "2", "4", "8")
 	for _, want := range []string{"Killed", "Slowdown", "Lost"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("resilience table missing %q:\n%s", want, out)
@@ -258,14 +184,11 @@ func TestResilienceSweep(t *testing.T) {
 }
 
 func TestChipScalingSweep(t *testing.T) {
-	tb, err := ChipScalingSweep(synthCK34(), 12, []int{1, 2, 4})
+	out, err := chipScalingSweep(synthCK34(), 12, []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 3 {
-		t.Errorf("chip scaling rows = %d, want 3", tb.NumRows())
-	}
-	out := tb.String()
+	wantRows(t, out, "1", "2", "4")
 	for _, want := range []string{"Chips", "Efficiency", "Root Inbox", "Inter MB", "Intra MB", "slaves/chip"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("chip scaling table missing %q:\n%s", want, out)

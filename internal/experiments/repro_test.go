@@ -36,7 +36,7 @@ func cacheDir(t *testing.T) string {
 }
 
 func TestReproductionCK34Calibration(t *testing.T) {
-	env, err := LoadCK34Only(cacheDir(t), tmalign.DefaultOptions())
+	env, err := Load(cacheDir(t), tmalign.DefaultOptions(), "CK34")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestReproductionCK34Calibration(t *testing.T) {
 }
 
 func TestReproductionSpeedupShape(t *testing.T) {
-	env, err := LoadCK34Only(cacheDir(t), tmalign.DefaultOptions())
+	env, err := Load(cacheDir(t), tmalign.DefaultOptions(), "CK34")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestReproductionSpeedupShape(t *testing.T) {
 }
 
 func TestReproductionDistributedGap(t *testing.T) {
-	env, err := LoadCK34Only(cacheDir(t), tmalign.DefaultOptions())
+	env, err := Load(cacheDir(t), tmalign.DefaultOptions(), "CK34")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestReproductionRS119ScalesBetter(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "RS119.gob")); err != nil {
 		t.Skipf("RS119 cache missing: %v", err)
 	}
-	env, err := Load(dir, tmalign.DefaultOptions())
+	env, err := Load(dir, tmalign.DefaultOptions(), "CK34", "RS119")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func runScores(t *testing.T, pr *core.PairResults, mut func(*core.Config)) ([]st
 // input bytes and relieving the master's mailbox in the heavy-polling
 // regime.
 func TestReproductionWireGoldenScores(t *testing.T) {
-	env, err := LoadCK34Only(cacheDir(t), tmalign.DefaultOptions())
+	env, err := Load(cacheDir(t), tmalign.DefaultOptions(), "CK34")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 // Serve load sweep: the rckload methodology (seeded stepped-ramp open
 // loop against a live server, DESIGN.md §15) packaged as an experiment
-// grid over server configurations, so the EXPERIMENTS.md
-// offered-RPS-vs-p99 tables regenerate from one command
-// (`rckload -sweep` or this package's tests).
+// grid over server configurations — the registry's one HostTimed entry
+// (`benchtables -only serveload`).
 
 package experiments
 
@@ -22,17 +21,17 @@ import (
 	"rckalign/internal/tmalign"
 )
 
-// ServeLoadConfig is one server configuration of the sweep grid.
-type ServeLoadConfig struct {
+// serveLoadConfig is one server configuration of the sweep grid.
+type serveLoadConfig struct {
 	Name  string
 	Batch batcher.Config
 }
 
-// DefaultServeLoadConfigs spans the coalescing axis of the grid: no
+// defaultServeLoadConfigs spans the coalescing axis of the grid: no
 // coalescing on a single executor versus full coalescing across four —
 // the two ends the knee comparison in EXPERIMENTS.md quotes.
-func DefaultServeLoadConfigs() []ServeLoadConfig {
-	return []ServeLoadConfig{
+func defaultServeLoadConfigs() []serveLoadConfig {
+	return []serveLoadConfig{
 		{Name: "batch=1 workers=1", Batch: batcher.Config{
 			BatchSize: 1, MaxWait: time.Millisecond, Workers: 1}},
 		{Name: "batch=16 workers=4", Batch: batcher.Config{
@@ -40,10 +39,10 @@ func DefaultServeLoadConfigs() []ServeLoadConfig {
 	}
 }
 
-// ServeLoadSpec fixes the workload side of the grid: one synthetic
+// serveLoadSpec fixes the workload side of the grid: one synthetic
 // database and one seeded arrival trace, replayed identically against
 // every server configuration.
-type ServeLoadSpec struct {
+type serveLoadSpec struct {
 	Structures int            // synthetic database size
 	Seed       int64          // dataset + trace seed
 	Slots      []loadgen.Slot // offered-rate schedule (a stepped ramp)
@@ -56,12 +55,12 @@ type ServeLoadSpec struct {
 	Prewarm bool
 }
 
-// DefaultServeLoadSpec is the published sweep: a prewarmed 12-structure
+// defaultServeLoadSpec is the published sweep: a prewarmed 12-structure
 // database under a 500→6000 RPS ramp in 500-RPS steps, so the knee it
 // finds is the steady-state serving limit — HTTP handling plus
 // coalescer dispatch over a converged memo store.
-func DefaultServeLoadSpec() ServeLoadSpec {
-	return ServeLoadSpec{
+func defaultServeLoadSpec() serveLoadSpec {
+	return serveLoadSpec{
 		Structures: 12,
 		Seed:       1,
 		Slots:      loadgen.Ramp(500, 500, 6000, time.Second),
@@ -71,9 +70,9 @@ func DefaultServeLoadSpec() ServeLoadSpec {
 	}
 }
 
-// RunServeLoad replays the spec's trace against one in-process server
+// runServeLoad replays the spec's trace against one in-process server
 // configuration and returns the run's SLO report.
-func RunServeLoad(cfg ServeLoadConfig, spec ServeLoadSpec) (*loadgen.Report, error) {
+func runServeLoad(cfg serveLoadConfig, spec serveLoadSpec) (*loadgen.Report, error) {
 	srv := server.New(server.Config{
 		Dataset: "serveload",
 		Options: tmalign.FastOptions(),
@@ -118,20 +117,20 @@ func RunServeLoad(cfg ServeLoadConfig, spec ServeLoadSpec) (*loadgen.Report, err
 	return loadgen.BuildReport(synthSpec, samples, wall, spec.SLO), nil
 }
 
-// ServeLoadSweep runs every config against the same seeded trace and
+// serveLoadSweep runs every config against the same seeded trace and
 // renders one table: offered RPS vs goodput and latency quantiles per
 // slot, the knee slot marked, one block of rows per configuration. The
 // per-config reports ride along for callers that want the full JSON.
-func ServeLoadSweep(spec ServeLoadSpec, cfgs []ServeLoadConfig) (*stats.Table, []*loadgen.Report, error) {
+func serveLoadSweep(spec serveLoadSpec, cfgs []serveLoadConfig) (string, []*loadgen.Report, error) {
 	tb := stats.NewTable(
 		fmt.Sprintf("Serve load sweep: offered RPS vs p99 latency (seed %d, SLO p99 <= %v)",
 			spec.Seed, spec.SLO),
 		"Config", "Offered RPS", "Goodput", "p50 ms", "p99 ms", "Errors", "")
 	reports := make([]*loadgen.Report, 0, len(cfgs))
 	for _, cfg := range cfgs {
-		rep, err := RunServeLoad(cfg, spec)
+		rep, err := runServeLoad(cfg, spec)
 		if err != nil {
-			return nil, nil, fmt.Errorf("config %q: %w", cfg.Name, err)
+			return "", nil, fmt.Errorf("config %q: %w", cfg.Name, err)
 		}
 		reports = append(reports, rep)
 		for _, sl := range rep.Slots {
@@ -148,5 +147,5 @@ func ServeLoadSweep(spec ServeLoadSpec, cfgs []ServeLoadConfig) (*stats.Table, [
 				mark)
 		}
 	}
-	return tb, reports, nil
+	return tb.String(), reports, nil
 }

@@ -10,8 +10,8 @@ import (
 
 // tinyServeLoadSpec keeps the sweep under a second of wall time: two
 // short slots over a small database.
-func tinyServeLoadSpec() ServeLoadSpec {
-	return ServeLoadSpec{
+func tinyServeLoadSpec() serveLoadSpec {
+	return serveLoadSpec{
 		Structures: 6,
 		Seed:       2,
 		Slots: []loadgen.Slot{
@@ -26,16 +26,16 @@ func tinyServeLoadSpec() ServeLoadSpec {
 
 func TestServeLoadSweep(t *testing.T) {
 	spec := tinyServeLoadSpec()
-	cfgs := DefaultServeLoadConfigs()
-	tb, reports, err := ServeLoadSweep(spec, cfgs)
+	cfgs := defaultServeLoadConfigs()
+	out, reports, err := serveLoadSweep(spec, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) != len(cfgs) {
 		t.Fatalf("%d reports for %d configs", len(reports), len(cfgs))
 	}
-	if want := len(cfgs) * len(spec.Slots); tb.NumRows() != want {
-		t.Errorf("table has %d rows, want %d (one per config x slot)", tb.NumRows(), want)
+	if got, want := strings.Count(out, "workers="), len(cfgs)*len(spec.Slots); got != want {
+		t.Errorf("table has %d rows, want %d (one per config x slot):\n%s", got, want, out)
 	}
 	for i, rep := range reports {
 		if rep.Requests == 0 {
@@ -54,7 +54,6 @@ func TestServeLoadSweep(t *testing.T) {
 		t.Errorf("configs saw different offered loads: %d vs %d",
 			reports[0].Requests, reports[1].Requests)
 	}
-	out := tb.String()
 	for _, cfg := range cfgs {
 		if !strings.Contains(out, cfg.Name) {
 			t.Errorf("table missing config %q:\n%s", cfg.Name, out)

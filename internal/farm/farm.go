@@ -74,9 +74,6 @@ type Config struct {
 	// is not a multiple, the leftover cores are not used; the rounding is
 	// reported in Report.EffectiveCores / Report.DroppedCores.
 	ThreadsPerWorker int
-	// ThreadEfficiency is the per-thread scaling efficiency of grouped
-	// workers (default 0.9).
-	ThreadEfficiency float64
 	// PollingScale scales the master's round-robin polling discovery
 	// cost on every team (1 = the paper's busy polling, 0 = ideal
 	// event-driven notification). Values below zero are treated as 1.
@@ -419,9 +416,6 @@ func newSession(cfg Config, engine *sim.Engine, labels []string) (*Session, erro
 	return s, nil
 }
 
-// Injector returns the armed fault injector (nil without a fault plan).
-func (s *Session) Injector() *fault.Injector { return s.injector }
-
 // ValidateJobs rejects nil or empty job lists with ErrNoJobs and jobs
 // with a non-positive static wire size with rckskel.ErrJobBytes; run
 // paths call it before farming so a misconfigured experiment fails
@@ -465,9 +459,6 @@ func (s *Session) Team() *rckskel.Team {
 	}
 	return s.team
 }
-
-// Metrics returns the session's metrics registry (nil when disabled).
-func (s *Session) Metrics() *metrics.Registry { return s.cfg.Metrics }
 
 // StartSlaves spawns the default team's slave loops with one handler.
 func (s *Session) StartSlaves(h rckskel.Handler) { s.Team().StartSlaves(h) }
@@ -643,9 +634,6 @@ func (m *Master) Session() *Session { return m.s }
 
 // Chip returns the runtime's chip model.
 func (m *Master) Chip() *scc.Chip { return m.s.rt.Chip }
-
-// Comm returns the runtime's communication layer.
-func (m *Master) Comm() *rcce.Comm { return m.s.rt.Comm }
 
 // LoadResidues charges the one-time cost of parsing n residues into
 // memory and records Report.LoadSeconds.

@@ -37,19 +37,14 @@ const AggregateHeaderBytes = 64
 var ErrGatherSpec = errors.New("farm: bad gather spec (want flat, tree, or tree:ARITY)")
 
 // GatherConfig selects how a multi-chip run collects results. The zero
-// value resolves to a gather tree of DefaultGatherArity with one blob
-// per shard.
+// value resolves to a gather tree of DefaultGatherArity. Every chip
+// ships one aggregate blob per shard, after its local farm finishes.
 type GatherConfig struct {
 	// Mode is GatherTree or GatherFlat ("" = GatherTree).
 	Mode string
 	// Arity is the tree fan-in (<= 0 = DefaultGatherArity; ignored in
 	// flat mode).
 	Arity int
-	// ChunkResults flushes an aggregate blob to the parent every this
-	// many results while the shard is still farming (streaming partial
-	// aggregates); <= 0 ships one blob per shard after the local farm
-	// finishes.
-	ChunkResults int
 }
 
 // resolved normalises the zero values and validates Mode.
@@ -62,9 +57,6 @@ func (g GatherConfig) resolved() (GatherConfig, error) {
 	}
 	if g.Arity <= 0 {
 		g.Arity = DefaultGatherArity
-	}
-	if g.ChunkResults < 0 {
-		g.ChunkResults = 0
 	}
 	return g, nil
 }

@@ -1,14 +1,19 @@
 package farm_test
 
-// The golden equivalence test: every run path ported onto the farm
-// harness must reproduce the simulated timings captured from the
-// pre-refactor code bit-for-bit (same seed => identical TotalSeconds,
-// farm statistics and similarity matrices). testdata/golden.json was
-// written by cmd/goldencap against the hand-rolled run functions;
+// The golden equivalence test: every run path on the farm harness must
+// reproduce the captured simulated timings bit-for-bit (same seed =>
+// identical TotalSeconds, farm statistics and similarity matrices).
+// The scenarios below are the golden's one definition — they both check
+// testdata/golden.json and, only when a timing-model change is intended,
+// rewrite it:
+//
+//	go test ./internal/farm -run TestGolden -update
+//
 // encoding/json round-trips float64 exactly, so comparisons use ==.
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"reflect"
@@ -25,6 +30,10 @@ import (
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/golden.json from the golden scenarios")
+
+const goldenPath = "testdata/golden.json"
 
 type farmRun struct {
 	Name            string         `json:"name"`
@@ -72,7 +81,7 @@ type golden struct {
 
 func loadGolden(t *testing.T) golden {
 	t.Helper()
-	buf, err := os.ReadFile("testdata/golden.json")
+	buf, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("read golden: %v", err)
 	}
@@ -81,6 +90,20 @@ func loadGolden(t *testing.T) golden {
 		t.Fatalf("parse golden: %v", err)
 	}
 	return g
+}
+
+// rewriteGolden replaces one test's section of the golden file (-update).
+func rewriteGolden(t *testing.T, set func(*golden)) {
+	t.Helper()
+	g := loadGolden(t)
+	set(&g)
+	buf, err := json.MarshalIndent(g, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 var (
@@ -105,116 +128,89 @@ func jobsKey(m map[int]int) map[string]int {
 	return out
 }
 
-func checkFarmRun(t *testing.T, want farmRun, r core.RunResult, blocks, blockLoads int, reload float64) {
-	t.Helper()
-	if r.TotalSeconds != want.TotalSeconds {
-		t.Errorf("%s: TotalSeconds = %v, golden %v", want.Name, r.TotalSeconds, want.TotalSeconds)
-	}
-	if r.LoadSeconds != want.LoadSeconds {
-		t.Errorf("%s: LoadSeconds = %v, golden %v", want.Name, r.LoadSeconds, want.LoadSeconds)
-	}
-	if r.Collected != want.Collected {
-		t.Errorf("%s: Collected = %d, golden %d", want.Name, r.Collected, want.Collected)
-	}
-	if got := jobsKey(r.FarmStats.JobsPerSlave); !reflect.DeepEqual(got, want.JobsPerSlave) {
-		t.Errorf("%s: JobsPerSlave = %v, golden %v", want.Name, got, want.JobsPerSlave)
-	}
-	if r.FarmStats.PollProbes != want.PollProbes {
-		t.Errorf("%s: PollProbes = %d, golden %d", want.Name, r.FarmStats.PollProbes, want.PollProbes)
-	}
-	if r.FarmStats.MakespanSeconds != want.MakespanSeconds {
-		t.Errorf("%s: MakespanSeconds = %v, golden %v", want.Name, r.FarmStats.MakespanSeconds, want.MakespanSeconds)
-	}
-	if blocks != want.Blocks || blockLoads != want.BlockLoads || reload != want.ReloadSeconds {
-		t.Errorf("%s: blocks/loads/reload = %d/%d/%v, golden %d/%d/%v",
-			want.Name, blocks, blockLoads, reload, want.Blocks, want.BlockLoads, want.ReloadSeconds)
+// flat runs the one-chip farm with DefaultConfig after mut.
+func flat(slaves int, mut func(*core.Config)) func(*core.PairResults) (core.RunResult, error) {
+	return func(pr *core.PairResults) (core.RunResult, error) {
+		cfg := core.DefaultConfig()
+		if mut != nil {
+			mut(&cfg)
+		}
+		return core.Run(pr, slaves, cfg)
 	}
 }
 
-// TestGoldenCoreRuns re-executes every captured core scenario on the
-// farm-based harness and demands bit-for-bit identical reports.
+// coreScenarios are the captured core runs, in golden.json order.
+var coreScenarios = []struct {
+	name string
+	run  func(*core.PairResults) (core.RunResult, error)
+}{
+	{"core-flat-s1", flat(1, nil)},
+	{"core-flat-s4", flat(4, nil)},
+	{"core-flat-s7", flat(7, nil)},
+	{"core-lpt-s5", flat(5, func(c *core.Config) { c.Order = sched.LPT })},
+	{"core-random-s5", flat(5, func(c *core.Config) { c.Order, c.OrderSeed = sched.Random, 42 })},
+	// Event-driven polling ablation.
+	{"core-poll0-s4", flat(4, func(c *core.Config) { c.PollingScale = 0 })},
+	// Dual-threaded tile workers, even and odd (core-dropping) counts.
+	{"core-threads2-s6", flat(6, func(c *core.Config) { c.ThreadsPerWorker = 2 })},
+	{"core-threads2-s7", flat(7, func(c *core.Config) { c.ThreadsPerWorker = 2 })},
+	// The master tree: a sub-master per chip, ideal interconnect.
+	{"core-chips2-ideal-s3", func(pr *core.PairResults) (core.RunResult, error) {
+		ideal, err := interchip.Profile("ideal")
+		if err != nil {
+			return core.RunResult{}, err
+		}
+		return core.RunMultiChip(pr, 3, core.MultiChipConfig{Config: core.DefaultConfig(), Chips: 2, Interchip: ideal})
+	}},
+	// Out-of-core tiled run: the budget forces several blocks.
+	{"core-tiled-s4", func(pr *core.PairResults) (core.RunResult, error) {
+		return flat(4, func(c *core.Config) { c.MemoryBudgetResidues = pr.Dataset.TotalResidues() * 2 / 5 })(pr)
+	}},
+}
+
+// TestGoldenCoreRuns re-executes every core scenario on the farm-based
+// harness and demands bit-for-bit identical reports.
 func TestGoldenCoreRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("native TM-align pass in -short mode")
 	}
-	g := loadGolden(t)
+	want := loadGolden(t).Farm
 	pr := goldenPairs()
-
-	runs := map[string]func() (core.RunResult, int, int, float64, error){
-		"core-flat-s1": func() (core.RunResult, int, int, float64, error) {
-			r, err := core.Run(pr, 1, core.DefaultConfig())
-			return r, 0, 0, 0, err
-		},
-		"core-flat-s4": func() (core.RunResult, int, int, float64, error) {
-			r, err := core.Run(pr, 4, core.DefaultConfig())
-			return r, 0, 0, 0, err
-		},
-		"core-flat-s7": func() (core.RunResult, int, int, float64, error) {
-			r, err := core.Run(pr, 7, core.DefaultConfig())
-			return r, 0, 0, 0, err
-		},
-		"core-lpt-s5": func() (core.RunResult, int, int, float64, error) {
-			cfg := core.DefaultConfig()
-			cfg.Order = sched.LPT
-			r, err := core.Run(pr, 5, cfg)
-			return r, 0, 0, 0, err
-		},
-		"core-random-s5": func() (core.RunResult, int, int, float64, error) {
-			cfg := core.DefaultConfig()
-			cfg.Order = sched.Random
-			cfg.OrderSeed = 42
-			r, err := core.Run(pr, 5, cfg)
-			return r, 0, 0, 0, err
-		},
-		"core-poll0-s4": func() (core.RunResult, int, int, float64, error) {
-			cfg := core.DefaultConfig()
-			cfg.PollingScale = 0
-			r, err := core.Run(pr, 4, cfg)
-			return r, 0, 0, 0, err
-		},
-		"core-threads2-s6": func() (core.RunResult, int, int, float64, error) {
-			cfg := core.DefaultConfig()
-			cfg.ThreadsPerWorker = 2
-			r, err := core.Run(pr, 6, cfg)
-			return r, 0, 0, 0, err
-		},
-		"core-threads2-s7": func() (core.RunResult, int, int, float64, error) {
-			cfg := core.DefaultConfig()
-			cfg.ThreadsPerWorker = 2
-			r, err := core.Run(pr, 7, cfg)
-			return r, 0, 0, 0, err
-		},
-		"core-chips2-ideal-s3": func() (core.RunResult, int, int, float64, error) {
-			ideal, err := interchip.Profile("ideal")
-			if err != nil {
-				return core.RunResult{}, 0, 0, 0, err
-			}
-			r, err := core.RunMultiChip(pr, 3, core.MultiChipConfig{Config: core.DefaultConfig(), Chips: 2, Interchip: ideal})
-			return r, 0, 0, 0, err
-		},
-		"core-tiled-s4": func() (core.RunResult, int, int, float64, error) {
-			cfg := core.DefaultConfig()
-			cfg.MemoryBudgetResidues = pr.Dataset.TotalResidues() * 2 / 5
-			r, err := core.Run(pr, 4, cfg)
-			if err != nil {
-				return r, 0, 0, 0, err
-			}
-			return r, r.Tiled.Blocks, r.Tiled.BlockLoads, r.Tiled.ReloadSeconds, nil
-		},
-	}
-	for _, want := range g.Farm {
-		want := want
-		t.Run(want.Name, func(t *testing.T) {
-			run, ok := runs[want.Name]
-			if !ok {
-				t.Fatalf("golden scenario %q has no runner; update golden_test.go", want.Name)
-			}
-			r, blocks, loads, reload, err := run()
+	var got []farmRun
+	for i, sc := range coreScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			r, err := sc.run(pr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkFarmRun(t, want, r, blocks, loads, reload)
+			fr := farmRun{
+				Name:            sc.name,
+				TotalSeconds:    r.TotalSeconds,
+				LoadSeconds:     r.LoadSeconds,
+				Collected:       r.Collected,
+				JobsPerSlave:    jobsKey(r.FarmStats.JobsPerSlave),
+				PollProbes:      r.FarmStats.PollProbes,
+				MakespanSeconds: r.FarmStats.MakespanSeconds,
+			}
+			if td := r.Tiled; td != nil {
+				fr.Blocks, fr.BlockLoads, fr.ReloadSeconds = td.Blocks, td.BlockLoads, td.ReloadSeconds
+			}
+			got = append(got, fr)
+			if *update {
+				return
+			}
+			if i >= len(want) {
+				t.Fatalf("golden has %d core runs, this is scenario %d", len(want), i)
+			}
+			if !reflect.DeepEqual(fr, want[i]) {
+				t.Errorf("run diverges from golden:\n got %+v\nwant %+v", fr, want[i])
+			}
 		})
+	}
+	if *update {
+		rewriteGolden(t, func(g *golden) { g.Farm = got })
+	} else if len(want) != len(coreScenarios) {
+		t.Errorf("golden has %d core runs, the test defines %d", len(want), len(coreScenarios))
 	}
 }
 
@@ -223,36 +219,31 @@ func TestGoldenDistRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("native TM-align pass in -short mode")
 	}
-	g := loadGolden(t)
+	want := loadGolden(t).Dist
 	pr := goldenPairs()
-	slavesOf := map[string]int{"dist-s1": 1, "dist-s5": 5}
-	for _, want := range g.Dist {
-		want := want
-		t.Run(want.Name, func(t *testing.T) {
-			n, ok := slavesOf[want.Name]
-			if !ok {
-				t.Fatalf("golden scenario %q has no runner; update golden_test.go", want.Name)
-			}
+	var got []distRun
+	for i, n := range []int{1, 5} {
+		name := fmt.Sprintf("dist-s%d", n)
+		t.Run(name, func(t *testing.T) {
 			r, err := dist.Run(pr, n, dist.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.TotalSeconds != want.TotalSeconds {
-				t.Errorf("TotalSeconds = %v, golden %v", r.TotalSeconds, want.TotalSeconds)
-			}
-			if r.DiskBusySeconds != want.DiskBusySeconds {
-				t.Errorf("DiskBusySeconds = %v, golden %v", r.DiskBusySeconds, want.DiskBusySeconds)
-			}
-			if r.Collected != want.Collected {
-				t.Errorf("Collected = %d, golden %d", r.Collected, want.Collected)
+			dr := distRun{Name: name, TotalSeconds: r.TotalSeconds, DiskBusySeconds: r.DiskBusySeconds, Collected: r.Collected}
+			got = append(got, dr)
+			if !*update && (i >= len(want) || dr != want[i]) {
+				t.Errorf("run diverges from golden entry %d of %d: got %+v", i, len(want), dr)
 			}
 		})
+	}
+	if *update {
+		rewriteGolden(t, func(g *golden) { g.Dist = got })
 	}
 }
 
 // legacyMCPSCConfig pins the pre-refactor flat 64-byte result size, so
-// the comparison isolates the harness port from the intentional
-// ScoreBytes wire-model change.
+// the golden isolates harness refactors from the content-sized
+// ScoreBytes wire model.
 func legacyMCPSCConfig() mcpsc.RunConfig {
 	cfg := mcpsc.DefaultRunConfig()
 	cfg.ResultBytes = func(mcpsc.Score) int { return 64 }
@@ -260,48 +251,38 @@ func legacyMCPSCConfig() mcpsc.RunConfig {
 }
 
 // TestGoldenMCPSC checks the multi-criteria scenarios (PSC output and
-// timing).
+// timing); cheap methods keep the native compute fast.
 func TestGoldenMCPSC(t *testing.T) {
-	g := loadGolden(t)
+	want := loadGolden(t)
 	mds := synth.Small(6, 72)
 	methods := []mcpsc.Method{mcpsc.GaplessRMSD{}, mcpsc.ContactOverlap{}}
-	for _, want := range g.AllVsAll {
-		want := want
-		t.Run(want.Name, func(t *testing.T) {
-			r, err := mcpsc.RunAllVsAll(mds, methods, []int{3, 3}, legacyMCPSCConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.TotalSeconds != want.TotalSeconds {
-				t.Errorf("TotalSeconds = %v, golden %v", r.TotalSeconds, want.TotalSeconds)
-			}
-			if !reflect.DeepEqual(r.Similarity, want.Similarity) {
-				t.Errorf("Similarity diverges from golden")
-			}
-			if !reflect.DeepEqual(r.BusySecondsPerMethod, want.BusySecondsPerMethod) {
-				t.Errorf("BusySecondsPerMethod = %v, golden %v", r.BusySecondsPerMethod, want.BusySecondsPerMethod)
-			}
-		})
-	}
-	for _, want := range g.OneVsAll {
-		want := want
-		t.Run(want.Name, func(t *testing.T) {
-			r, err := mcpsc.RunOneVsAll(mds, 0, methods, 5, legacyMCPSCConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.TotalSeconds != want.TotalSeconds {
-				t.Errorf("TotalSeconds = %v, golden %v", r.TotalSeconds, want.TotalSeconds)
-			}
-			if !reflect.DeepEqual(r.PerMethod, want.PerMethod) {
-				t.Errorf("PerMethod diverges from golden")
-			}
-			if !reflect.DeepEqual(r.Consensus, want.Consensus) {
-				t.Errorf("Consensus diverges from golden")
-			}
-			if !reflect.DeepEqual(r.Ranking, want.Ranking) {
-				t.Errorf("Ranking = %v, golden %v", r.Ranking, want.Ranking)
-			}
+	var ava mcpscAllVsAll
+	t.Run("mcpsc-allvsall-3+3", func(t *testing.T) {
+		r, err := mcpsc.RunAllVsAll(mds, methods, []int{3, 3}, legacyMCPSCConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ava = mcpscAllVsAll{Name: "mcpsc-allvsall-3+3", TotalSeconds: r.TotalSeconds,
+			Similarity: r.Similarity, BusySecondsPerMethod: r.BusySecondsPerMethod}
+		if !*update && !reflect.DeepEqual([]mcpscAllVsAll{ava}, want.AllVsAll) {
+			t.Errorf("all-vs-all diverges from golden: TotalSeconds %v, busy %v", ava.TotalSeconds, ava.BusySecondsPerMethod)
+		}
+	})
+	var ova mcpscOneVsAll
+	t.Run("mcpsc-onevsall-q0-s5", func(t *testing.T) {
+		r, err := mcpsc.RunOneVsAll(mds, 0, methods, 5, legacyMCPSCConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ova = mcpscOneVsAll{Name: "mcpsc-onevsall-q0-s5", TotalSeconds: r.TotalSeconds,
+			PerMethod: r.PerMethod, Consensus: r.Consensus, Ranking: r.Ranking}
+		if !*update && !reflect.DeepEqual([]mcpscOneVsAll{ova}, want.OneVsAll) {
+			t.Errorf("one-vs-all diverges from golden:\n got %+v\nwant %+v", ova, want.OneVsAll)
+		}
+	})
+	if *update {
+		rewriteGolden(t, func(g *golden) {
+			g.AllVsAll, g.OneVsAll = []mcpscAllVsAll{ava}, []mcpscOneVsAll{ova}
 		})
 	}
 }
@@ -389,7 +370,7 @@ func TestGoldenZeroPlanEquivalence(t *testing.T) {
 			if f == nil {
 				t.Fatal("a run under a fault plan produced no Faults block")
 			}
-			if f.Injected.Total() != 0 || len(f.DeadCores) != 0 ||
+			if f.Injected != (fault.Stats{}) || len(f.DeadCores) != 0 ||
 				f.Timeouts != 0 || f.DetectedCorrupt != 0 || f.Retries != 0 ||
 				f.Reassigned != 0 || f.DuplicatesDropped != 0 || f.LostJobs != 0 ||
 				len(f.Blacklisted) != 0 {

@@ -164,9 +164,6 @@ func NewMultiSession(cfg MultiConfig) (*MultiSession, error) {
 // Chips returns the chip count.
 func (ms *MultiSession) Chips() int { return ms.cfg.Board.Chips }
 
-// Gather returns the resolved gather topology.
-func (ms *MultiSession) Gather() GatherConfig { return ms.gather }
-
 // ChipSession returns chip c's Session (for slave start, PrepareJobs and
 // placement inspection).
 func (ms *MultiSession) ChipSession(c int) *Session { return ms.sessions[c] }
@@ -186,10 +183,9 @@ type aggMsg struct {
 type gatherDone struct{ chip int }
 
 // aggregator accumulates one chip's shard results and flushes them to
-// the chip's gather parent as aggregate blobs: one blob per shard by
-// default, or every ChunkResults results when streaming chunks are
-// configured. It also prices the per-pair counterfactual so reports can
-// show what aggregation saved.
+// the chip's gather parent as one aggregate blob per shard. It also
+// prices the per-pair counterfactual so reports can show what
+// aggregation saved.
 type aggregator struct {
 	ms           *MultiSession
 	m            *Master
@@ -202,9 +198,6 @@ func (a *aggregator) collect(r rckskel.Result) {
 	a.ms.perPairBytes[a.chip] += int64(r.Bytes + InterchipResultHeaderBytes)
 	a.count++
 	a.payload += int64(r.Bytes)
-	if chunk := a.ms.gather.ChunkResults; chunk > 0 && a.count >= chunk {
-		a.flush()
-	}
 }
 
 func (a *aggregator) flush() {

@@ -38,7 +38,7 @@ type Placement struct {
 	// Threads is the per-worker thread count (>= 1).
 	Threads int
 	// OpScale scales a job's operation counts on a multi-threaded
-	// worker: 1/(Threads*efficiency), 1 for single-threaded workers.
+	// worker: 1/(Threads*threadEfficiency), 1 for single-threaded workers.
 	OpScale float64
 	// EffectiveCores = len(WorkerLeads) * Threads.
 	EffectiveCores int
@@ -46,6 +46,10 @@ type Placement struct {
 	// worker (Slaves mod Threads leftovers).
 	DroppedCores int
 }
+
+// threadEfficiency is the per-thread scaling efficiency of a grouped
+// worker: DP and scoring parallelise well, the Kabsch solves less so.
+const threadEfficiency = 0.9
 
 // Place computes the slave placement for a config: cfg.Slaves cores in
 // id order, skipping the master core when it is on-chip, grouped into
@@ -66,17 +70,13 @@ func Place(cfg Config) (Placement, error) {
 	if threads < 1 {
 		threads = 1
 	}
-	eff := cfg.ThreadEfficiency
-	if eff <= 0 || eff > 1 {
-		eff = 0.9
-	}
 	workers := cfg.Slaves / threads
 	if workers < 1 {
 		return Placement{}, fmt.Errorf("farm: %w: %d cores for a %d-thread worker", ErrWorkerGrouping, cfg.Slaves, threads)
 	}
 	opScale := 1.0
 	if threads > 1 {
-		opScale = 1.0 / (float64(threads) * eff)
+		opScale = 1.0 / (float64(threads) * threadEfficiency)
 	}
 	cores := make([]int, 0, cfg.Slaves)
 	for c := 0; len(cores) < cfg.Slaves; c++ {

@@ -255,11 +255,6 @@ type Stats struct {
 	Corrupted int
 }
 
-// Total returns the number of injected fault events.
-func (s Stats) Total() int {
-	return s.CoresKilled + s.CoresStalled + s.Dropped + s.Delayed + s.Corrupted
-}
-
 // Host is what an Injector arms itself on: a chip-like object that can
 // resolve core ids to simulated processes. *scc.Chip satisfies it.
 type Host interface {

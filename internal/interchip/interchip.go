@@ -15,7 +15,6 @@ package interchip
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -219,9 +218,6 @@ func New(n int, cfg Config) *Fabric {
 // Config returns the interconnect profile.
 func (f *Fabric) Config() Config { return f.cfg }
 
-// NumChips returns the number of attached chips.
-func (f *Fabric) NumChips() int { return f.n }
-
 // SetMetrics installs a metrics registry: every Send records transfer
 // count, bytes, a size histogram and port-queueing wait
 // ("interchip.transfers", "interchip.bytes", "interchip.message.bytes",
@@ -320,10 +316,6 @@ func (f *Fabric) Recv(p *sim.Process, dst int) Message {
 	return m
 }
 
-// InboxDepth returns the number of undelivered messages queued for a
-// chip.
-func (f *Fabric) InboxDepth(dst int) int { return f.inbox[dst].Len() }
-
 // noteInbox samples chip dst's inbox depth into the stats/metrics after
 // a put or get.
 func (f *Fabric) noteInbox(dst int, now float64) {
@@ -345,42 +337,6 @@ func (f *Fabric) Stats() Stats {
 	out.LinkBytes = make([][]int64, f.n)
 	for c := range out.LinkBytes {
 		out.LinkBytes[c] = append([]int64(nil), f.stats.LinkBytes[c]...)
-	}
-	return out
-}
-
-// BusySeconds returns total port-seconds consumed per chip (egress +
-// ingress), sorted output for deterministic debugging dumps.
-func (f *Fabric) BusySeconds() []float64 {
-	out := make([]float64, f.n)
-	for c := 0; c < f.n; c++ {
-		out[c] = f.egress[c].BusySeconds() + f.ingress[c].BusySeconds()
-	}
-	return out
-}
-
-// TopLinks renders the k busiest directed chip pairs ("c0->c1: N B"),
-// heaviest first with deterministic ties, for report footers.
-func (f *Fabric) TopLinks(k int) []string {
-	type link struct {
-		s, d  int
-		bytes int64
-	}
-	var links []link
-	for s := 0; s < f.n; s++ {
-		for d := 0; d < f.n; d++ {
-			if f.stats.LinkBytes[s][d] > 0 {
-				links = append(links, link{s, d, f.stats.LinkBytes[s][d]})
-			}
-		}
-	}
-	sort.SliceStable(links, func(a, b int) bool { return links[a].bytes > links[b].bytes })
-	if k > 0 && len(links) > k {
-		links = links[:k]
-	}
-	out := make([]string, len(links))
-	for i, l := range links {
-		out[i] = fmt.Sprintf("c%d->c%d: %d B", l.s, l.d, l.bytes)
 	}
 	return out
 }

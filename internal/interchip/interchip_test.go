@@ -3,7 +3,6 @@ package interchip
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"rckalign/internal/metrics"
@@ -116,11 +115,8 @@ func TestIngressContention(t *testing.T) {
 	if math.Abs(st.SendWaitSeconds-1e-3) > 1e-12 {
 		t.Fatalf("SendWaitSeconds = %g, want 1ms of queueing", st.SendWaitSeconds)
 	}
-	if f.InboxDepth(0) != 2 {
-		t.Fatalf("inbox depth = %d, want 2 undelivered", f.InboxDepth(0))
-	}
 	if st.PeakInboxDepth[0] != 2 {
-		t.Fatalf("peak inbox = %d, want 2", st.PeakInboxDepth[0])
+		t.Fatalf("peak inbox = %d, want 2 undelivered", st.PeakInboxDepth[0])
 	}
 }
 
@@ -183,10 +179,6 @@ func TestMetricsAndStats(t *testing.T) {
 	st := f.Stats()
 	if st.Transfers != 2 || st.Bytes != 8000 || st.LinkBytes[0][1] != 8000 {
 		t.Fatalf("stats = %+v", st)
-	}
-	top := f.TopLinks(3)
-	if len(top) != 1 || !strings.Contains(top[0], "c0->c1") {
-		t.Fatalf("TopLinks = %v", top)
 	}
 }
 

@@ -200,17 +200,6 @@ func (s SynthSpec) TotalDuration() time.Duration {
 	return total
 }
 
-// OfferedRequests returns the scheduled request count of the trace (the
-// exact count for uniform arrivals; for Poisson the realized count is
-// seed-dependent but fixed per seed).
-func OfferedRequests(slots []Slot) int {
-	n := 0
-	for _, sl := range slots {
-		n += int(math.Round(sl.RPS * sl.Dur.Seconds()))
-	}
-	return n
-}
-
 // Synthesize expands the spec into a deterministic arrival schedule:
 // same spec, same seed, same slice. Uniform mode places round(RPS*dur)
 // arrivals evenly in each slot; Poisson mode draws exponential gaps at

@@ -173,43 +173,3 @@ func RunAllVsAll(ds *synth.Dataset, methods []Method, partition []int, cfg RunCo
 	out.Report = rep
 	return out, err
 }
-
-// ConsensusMatrix fuses the per-method matrices of an all-vs-all run
-// into one consensus similarity matrix (z-score averaged per pair
-// vector across methods, rescaled to rank order only — use for
-// clustering/retrieval, not as a calibrated score).
-func (r AllVsAllResult) ConsensusMatrix() [][]float64 {
-	var names []string
-	for name := range r.Similarity {
-		names = append(names, name)
-	}
-	if len(names) == 0 {
-		return nil
-	}
-	n := len(r.Similarity[names[0]])
-	// Flatten upper triangles per method, z-score, average, refill.
-	var vectors [][]float64
-	var order [][2]int
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			order = append(order, [2]int{i, j})
-		}
-	}
-	for _, name := range names {
-		v := make([]float64, len(order))
-		for k, ij := range order {
-			v[k] = r.Similarity[name][ij[0]][ij[1]]
-		}
-		vectors = append(vectors, v)
-	}
-	cons := Consensus(vectors)
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, n)
-	}
-	for k, ij := range order {
-		out[ij[0]][ij[1]] = cons[k]
-		out[ij[1]][ij[0]] = cons[k]
-	}
-	return out
-}

@@ -1,9 +1,11 @@
 package mcpsc
 
 import (
+	"reflect"
 	"testing"
 
 	"rckalign/internal/costmodel"
+	"rckalign/internal/pairstore"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
 )
@@ -71,15 +73,28 @@ func TestRunAllVsAll(t *testing.T) {
 		if r.BusySecondsPerMethod[m.Name()] <= 0 {
 			t.Errorf("%s recorded no busy time", m.Name())
 		}
+		// Family structure must be visible to every method: fa pairs
+		// (0,1,2) out-score cross-family pairs.
+		if mat[0][1] <= mat[0][3] || mat[1][2] <= mat[2][4] {
+			t.Errorf("%s does not separate families: %v", m.Name(), mat)
+		}
 	}
-	// Family structure must be visible in the consensus.
-	cons := r.ConsensusMatrix()
-	if len(cons) != 6 {
-		t.Fatal("consensus size")
+
+	// The memoized pair store moves host time only: the same run through
+	// a store, cold and then warm, reports and scores identically.
+	cfg := DefaultRunConfig()
+	cfg.Store = pairstore.New(2)
+	for _, pass := range []string{"cold", "warm"} {
+		rs, err := RunAllVsAll(ds, methods, []int{3, 3}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rs.Report, r.Report) || !reflect.DeepEqual(rs.Similarity, r.Similarity) {
+			t.Errorf("%s store changed the run:\n with %+v\n without %+v", pass, rs.Report, r.Report)
+		}
 	}
-	// fa pairs (0,1,2) should out-score cross pairs under consensus.
-	if cons[0][1] <= cons[0][3] || cons[1][2] <= cons[2][4] {
-		t.Errorf("consensus does not separate families: %v", cons)
+	if st := cfg.Store.Stats(); st.Misses != int64(len(methods)*15) || st.Hits == 0 {
+		t.Errorf("store stats %+v, want one miss per (method, pair) and the warm pass all hits", st)
 	}
 }
 

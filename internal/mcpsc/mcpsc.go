@@ -5,11 +5,10 @@
 // fused into a consensus ranking (Section V, "the approach developed in
 // this work can be extended to the more general MC-PSC problem").
 //
-// Besides TM-align, three further comparison methods are implemented so
-// the multi-method machinery is exercised by real algorithms: a CE-style
-// distance-matrix fragment chainer (ce.go), a gapless
-// optimal-superposition RMSD comparator and a contact-map overlap
-// comparator.
+// Besides TM-align, two further comparison methods of very different
+// cost are implemented so the multi-method machinery is exercised by
+// real algorithms: a gapless optimal-superposition RMSD comparator and a
+// contact-map overlap comparator.
 package mcpsc
 
 import (
@@ -165,13 +164,6 @@ func (m ContactOverlap) Compare(a, b *pdb.Structure) Score {
 		}
 	}
 	return Score{Method: m.Name(), Value: float64(best) / float64(small), Ops: ops}
-}
-
-// DefaultMethods returns the built-in methods with default settings:
-// TM-align (iterative superposition), CE (distance-matrix fragment
-// chaining), gapless-RMSD and contact-map overlap.
-func DefaultMethods() []Method {
-	return []Method{TMAlign{Opt: tmalign.FastOptions()}, CE{}, GaplessRMSD{}, ContactOverlap{}}
 }
 
 // ZScores standardises a sample ((x-mean)/std); a zero-variance sample

@@ -8,10 +8,15 @@ import (
 	"rckalign/internal/tmalign"
 )
 
+// testMethods is the three-method set the commands and tables run.
+func testMethods() []Method {
+	return []Method{TMAlign{Opt: tmalign.FastOptions()}, GaplessRMSD{}, ContactOverlap{}}
+}
+
 func TestMethodsSelfSimilarity(t *testing.T) {
 	ds := synth.Small(4, 9)
 	s := ds.Structures[0]
-	for _, m := range DefaultMethods() {
+	for _, m := range testMethods() {
 		sc := m.Compare(s, s)
 		if sc.Method == "" {
 			t.Errorf("%T has empty name", m)
@@ -30,7 +35,7 @@ func TestMethodsDiscriminate(t *testing.T) {
 	// method.
 	ds := synth.Small(6, 10) // fa01..fa03, fb01..fb03
 	base, member, other := ds.Structures[0], ds.Structures[1], ds.Structures[3]
-	for _, m := range DefaultMethods() {
+	for _, m := range testMethods() {
 		same := m.Compare(base, member).Value
 		diff := m.Compare(base, other).Value
 		if same <= diff {
@@ -41,7 +46,7 @@ func TestMethodsDiscriminate(t *testing.T) {
 
 func TestMethodsChargeOps(t *testing.T) {
 	ds := synth.Small(4, 11)
-	for _, m := range DefaultMethods() {
+	for _, m := range testMethods() {
 		sc := m.Compare(ds.Structures[0], ds.Structures[2])
 		total := sc.Ops.DPCells + sc.Ops.KabschCalls + sc.Ops.ScoreEvals
 		if total == 0 {
@@ -144,7 +149,7 @@ func TestRunOneVsAll(t *testing.T) {
 
 func TestRunOneVsAllValidation(t *testing.T) {
 	ds := synth.Small(4, 13)
-	methods := DefaultMethods()
+	methods := testMethods()
 	if _, err := RunOneVsAll(ds, -1, methods, 6, DefaultRunConfig()); err == nil {
 		t.Error("bad query accepted")
 	}

@@ -8,7 +8,6 @@ import (
 	"rckalign/internal/farm"
 	"rckalign/internal/pairstore"
 	"rckalign/internal/pdb"
-	"rckalign/internal/prune"
 	"rckalign/internal/rckskel"
 	"rckalign/internal/scc"
 	"rckalign/internal/synth"
@@ -33,14 +32,6 @@ type RunConfig struct {
 	// sweeps). Nil keeps the classic inline-compute path. Simulated
 	// timing is unchanged either way — see the pairstore package.
 	Store *pairstore.Store
-	// PruneTM, when positive, pre-filters the TM-align method's job
-	// queue: targets whose conservative TM upper bound against the query
-	// (see internal/prune) falls below the threshold are never farmed,
-	// and their tmalign PerMethod score stays 0 — the consensus treats
-	// them as dissimilar. Other methods are unaffected (the filter is
-	// calibrated for TM-score only). The skip accounting lands in
-	// Report.Prune.
-	PruneTM float64
 }
 
 // DefaultRunConfig mirrors the rckAlign setup (master on core 0).
@@ -131,39 +122,16 @@ func RunOneVsAll(ds *synth.Dataset, query int, methods []Method, slaves int, cfg
 		}
 	}
 
-	// The opt-in pre-filter marks targets the TM-align method may skip:
-	// their bound against the query cannot reach the threshold.
-	var pruneSkip map[int]bool // keyed by position in targets
-	var pruneRep *prune.Report
-	if cfg.PruneTM > 0 {
-		f := prune.New(cfg.PruneTM)
-		qf := prune.Extract(ds.Structures[query].CAs(), ds.Structures[query].Sequence())
-		pruneSkip = map[int]bool{}
-		for pos, tgt := range targets {
-			tf := prune.Extract(ds.Structures[tgt].CAs(), ds.Structures[tgt].Sequence())
-			if f.Skip(&qf, &tf) {
-				pruneSkip[pos] = true
-			}
-		}
-		rep := f.Report
-		pruneRep = &rep
-	}
-
-	// Per-method job queues over the same target list. Job IDs keep the
-	// dense m*len(targets)+pos layout even when pruning leaves gaps, so
-	// payloadOf stays a pure function of the ID.
+	// Per-method job queues over the same target list; payloadOf inverts
+	// the ID layout.
 	type payload struct {
 		method int
 		pos    int // index into targets
 	}
 	queues := make([][]rckskel.Job, len(methods))
 	for m := range methods {
-		_, isTM := methods[m].(TMAlign)
 		queues[m] = make([]rckskel.Job, 0, len(targets))
 		for pos, tgt := range targets {
-			if isTM && pruneSkip[pos] {
-				continue
-			}
 			queues[m] = append(queues[m], rckskel.Job{
 				ID:      m*len(targets) + pos,
 				Payload: payload{method: m, pos: pos},
@@ -205,7 +173,6 @@ func RunOneVsAll(ds *synth.Dataset, query int, methods []Method, slaves int, cfg
 		m.Terminate()
 	})
 	out.Report = rep
-	out.Report.Prune = pruneRep
 	if err != nil {
 		return out, err
 	}

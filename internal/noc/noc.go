@@ -369,14 +369,6 @@ func (m *Mesh) Transfer(p *sim.Process, a, b Coord, bytes int) {
 	}
 }
 
-// LinkUtilization returns total busy link-seconds accumulated across all
-// links (contention mode only).
-func (m *Mesh) LinkUtilization() float64 {
-	var total float64
-	m.eachLink(func(_ link, res *sim.Resource) { total += res.BusySeconds() })
-	return total
-}
-
 // LinkLoad describes one directed link's accumulated traffic.
 type LinkLoad struct {
 	From, To    Coord
@@ -484,32 +476,6 @@ func (m *Mesh) LinkHeatmap() string {
 	}
 	fmt.Fprintf(&b, "peak link busy: %.6gs\n", peak)
 	return b.String()
-}
-
-// Heatmap renders per-router total adjacent-link busy seconds as a text
-// grid (row 0 at the top), normalised to the hottest router: digits 0-9.
-func (m *Mesh) Heatmap() string {
-	heat := make([]float64, m.cfg.Width*m.cfg.Height)
-	peak := 0.0
-	m.eachLink(func(l link, res *sim.Resource) {
-		from, to := m.ends(l)
-		for _, i := range [2]int{m.index(from), m.index(to)} {
-			heat[i] += res.BusySeconds() / 2
-			peak = max(peak, heat[i])
-		}
-	})
-	var b []byte
-	for y := 0; y < m.cfg.Height; y++ {
-		for x := 0; x < m.cfg.Width; x++ {
-			d := byte('0')
-			if peak > 0 {
-				d = '0' + byte(9*heat[y*m.cfg.Width+x]/peak)
-			}
-			b = append(b, d)
-		}
-		b = append(b, '\n')
-	}
-	return string(b)
 }
 
 func minInt(a, b int) int {

@@ -185,65 +185,3 @@ func TestUnmatchedRecvDeadlocks(t *testing.T) {
 		t.Error("expected deadlock error for unmatched Recv")
 	}
 }
-
-func TestSharedMemAccessCosts(t *testing.T) {
-	e, c := newComm()
-	shm := c.Shmalloc("table", 0, 1<<20)
-	if shm.Size() != 1<<20 {
-		t.Errorf("size = %d", shm.Size())
-	}
-	var near, far float64
-	c.Chip().SpawnCore(1, func(p *sim.Process) {
-		start := p.Now()
-		shm.Get(p, 1, 64*1024) // core 1 is near the home controller
-		near = p.Now() - start
-	})
-	c.Chip().SpawnCore(47, func(p *sim.Process) {
-		p.Wait(0.01) // avoid controller contention with core 1
-		start := p.Now()
-		shm.Get(p, 47, 64*1024) // opposite corner
-		far = p.Now() - start
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if near <= 0 || far <= near {
-		t.Errorf("shared mem costs: near=%v far=%v", near, far)
-	}
-}
-
-func TestSharedMemContention(t *testing.T) {
-	// Many cores hitting one shared region serialise at its home
-	// controller — the bottleneck the paper's master-loads-once design
-	// avoids.
-	run := func(regions int) float64 {
-		e := sim.NewEngine()
-		cfg := scc.DefaultConfig()
-		cfg.MemBandwidth = 1e8 // slow DRAM so the controller dominates the mesh
-		c := New(scc.New(e, cfg))
-		shms := make([]*SharedMem, regions)
-		homes := []int{0, 10, 36, 46}
-		for i := range shms {
-			shms[i] = c.Shmalloc("r", homes[i], 1<<24)
-		}
-		var last float64
-		for w := 0; w < 4; w++ {
-			w := w
-			c.Chip().SpawnCore(20+w, func(p *sim.Process) {
-				shms[w%regions].Get(p, 20+w, 8<<20)
-				if p.Now() > last {
-					last = p.Now()
-				}
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return last
-	}
-	shared := run(1)
-	spread := run(4)
-	if shared <= spread*1.5 {
-		t.Errorf("single-region (%v) should be slower than spread regions (%v)", shared, spread)
-	}
-}

@@ -70,14 +70,3 @@ func (c *Chip) MemAccess(p *sim.Process, core, bytes int) {
 	service := float64(bytes)/c.cfg.MemBandwidth + c.cfg.MemLatencySeconds
 	c.mcRes[idx].Use(p, service)
 }
-
-// MemBusySeconds reports each controller's accumulated service time,
-// for bottleneck analysis.
-func (c *Chip) MemBusySeconds() []float64 {
-	c.ensureMCs()
-	out := make([]float64, len(c.mcRes))
-	for i, r := range c.mcRes {
-		out[i] = r.BusySeconds()
-	}
-	return out
-}

@@ -181,10 +181,6 @@ func TestMemAccessTakesTimeAndScales(t *testing.T) {
 	if small <= 0 || big <= small {
 		t.Errorf("mem access times: small=%v big=%v", small, big)
 	}
-	busy := chip.MemBusySeconds()
-	if busy[0] <= 0 {
-		t.Error("iMC 0 recorded no service time")
-	}
 }
 
 func TestMemControllerContention(t *testing.T) {

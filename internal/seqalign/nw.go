@@ -34,9 +34,6 @@ type Aligner struct {
 	// Affine (Gotoh) DP state, lazily sized by AlignAffine.
 	am, ax, ay    []float64
 	atm, atx, aty []int8
-
-	// Smith-Waterman traceback directions, lazily sized by AlignLocal.
-	dir []int8
 }
 
 // NewAligner returns an Aligner with no pre-allocated capacity; buffers

@@ -64,9 +64,7 @@ func TestAlignerReuseNoAllocs(t *testing.T) {
 	}
 	invmap := make([]int, len2)
 
-	// Warm every variant so all lazily-sized buffers exist. AlignLocal is
-	// exempt from the zero-alloc contract: it returns a freshly-built
-	// Pairs slice by design.
+	// Warm every variant so all lazily-sized buffers exist.
 	a.Align(len1, len2, score, -0.6, invmap, nil)
 	a.AlignMatrix(len1, len2, mat, -0.6, invmap, nil)
 	a.AlignAffine(len1, len2, score, -1.0, -0.1, invmap, nil)

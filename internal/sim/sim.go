@@ -195,12 +195,6 @@ type Process struct {
 	detailN      int
 }
 
-// Name returns the process name.
-func (p *Process) Name() string { return p.name }
-
-// Engine returns the owning engine.
-func (p *Process) Engine() *Engine { return p.e }
-
 // Now returns the current simulated time.
 func (p *Process) Now() float64 { return p.e.now }
 

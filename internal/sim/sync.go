@@ -392,10 +392,6 @@ func (b *Barrier) Wait(p *Process) {
 	p.block("barrier:", b.name)
 }
 
-// Waiting returns the number of processes currently parked at the
-// barrier.
-func (b *Barrier) Waiting() int { return len(b.waiting) }
-
 // Resource is a counted FIFO resource (disk controller, mesh link, ...):
 // Acquire blocks while all slots are busy; Release hands a slot to the
 // longest waiter. Killed waiters are skipped when a slot frees up.
@@ -470,12 +466,6 @@ func (r *Resource) Use(p *Process, d float64) {
 	p.Wait(d)
 	r.Release(p)
 }
-
-// InUse returns the number of occupied slots.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of blocked waiters.
-func (r *Resource) QueueLen() int { return r.queue.len() }
 
 // BusySeconds returns the total slot-seconds consumed so far (completed
 // holds only).

@@ -103,9 +103,6 @@ func (t *Table) AddRowf(values ...any) {
 	t.AddRow(row...)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table with a title line, a header row and aligned
 // columns.
 func (t *Table) String() string {
