@@ -82,6 +82,19 @@ func (c *Counter) Add(o Counter) {
 	c.ResiduesLoaded += o.ResiduesLoaded
 }
 
+// Sub returns the work charged to c since the snapshot o was taken.
+func (c Counter) Sub(o Counter) Counter {
+	return Counter{
+		DPCells:        c.DPCells - o.DPCells,
+		KabschCalls:    c.KabschCalls - o.KabschCalls,
+		KabschPoints:   c.KabschPoints - o.KabschPoints,
+		ScoreEvals:     c.ScoreEvals - o.ScoreEvals,
+		RotationOps:    c.RotationOps - o.RotationOps,
+		SSAssign:       c.SSAssign - o.SSAssign,
+		ResiduesLoaded: c.ResiduesLoaded - o.ResiduesLoaded,
+	}
+}
+
 // String summarises the counter.
 func (c Counter) String() string {
 	return fmt.Sprintf("dp=%d kabsch=%d/%dpts score=%d rot=%d ss=%d load=%d",

@@ -198,14 +198,3 @@ func (t Transform) ApplyAll(dst, pts []Vec3) {
 		}
 	}
 }
-
-// Compose returns the transform equivalent to applying u first, then t.
-func (t Transform) Compose(u Transform) Transform {
-	return Transform{R: t.R.Mul(u.R), T: t.R.MulVec(u.T).Add(t.T)}
-}
-
-// Inverse returns the inverse rigid motion.
-func (t Transform) Inverse() Transform {
-	rt := t.R.Transpose()
-	return Transform{R: rt, T: rt.MulVec(t.T).Scale(-1)}
-}

@@ -143,34 +143,6 @@ func TestAxisAngleMatchesRotZ(t *testing.T) {
 	}
 }
 
-func TestTransformApplyInverse(t *testing.T) {
-	tr := Transform{R: RotY(0.9), T: V(1, 2, 3)}
-	inv := tr.Inverse()
-	f := func(x, y, z float64) bool {
-		// Bound inputs: quick generates extreme floats that overflow.
-		p := V(math.Mod(x, 1e6), math.Mod(y, 1e6), math.Mod(z, 1e6))
-		if math.IsNaN(p[0]) || math.IsNaN(p[1]) || math.IsNaN(p[2]) {
-			return true
-		}
-		return vecAlmostEq(inv.Apply(tr.Apply(p)), p, 1e-7*(1+p.Norm()))
-	}
-	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(2))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTransformCompose(t *testing.T) {
-	a := Transform{R: RotX(0.4), T: V(1, 0, 0)}
-	b := Transform{R: RotZ(-0.2), T: V(0, 2, 0)}
-	p := V(0.5, -1, 2)
-	got := a.Compose(b).Apply(p)
-	want := a.Apply(b.Apply(p))
-	if !vecAlmostEq(got, want, 1e-12) {
-		t.Errorf("Compose mismatch: %v vs %v", got, want)
-	}
-}
-
 func TestApplyAll(t *testing.T) {
 	tr := Transform{R: RotZ(math.Pi / 2), T: V(0, 0, 1)}
 	pts := []Vec3{V(1, 0, 0), V(0, 1, 0)}

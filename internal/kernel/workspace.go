@@ -18,6 +18,7 @@ package kernel
 import (
 	"sync"
 
+	"rckalign/internal/costmodel"
 	"rckalign/internal/geom"
 	"rckalign/internal/seqalign"
 )
@@ -46,13 +47,28 @@ type Workspace struct {
 	// Mat is the xlen x ylen score matrix of the DP refinement loops.
 	Mat []float64
 
-	// SearchXt/SearchR1/SearchR2/SearchIAli/SearchKAli/SearchDis2 are
-	// the TM-score rotation search's private scratch (tmscore.SearchWS).
-	// They are distinct from the pair buffers because the search runs
-	// while the comparison layer's own buffers hold live data.
+	// SearchXt/SearchR1/SearchR2/SearchDis2/SearchSet are the TM-score
+	// rotation search's private scratch (tmscore.SearchWS); SearchSet is
+	// the bitset of the pairs its last scoring pass collected. They are
+	// distinct from the pair buffers because the search runs while the
+	// comparison layer's own buffers hold live data.
 	SearchXt, SearchR1, SearchR2 []geom.Vec3
-	SearchIAli, SearchKAli       []int
 	SearchDis2                   []float64
+	SearchSet                    []int32
+
+	// The compare-scoped memo tables (DESIGN.md §17). SearchGraph belongs
+	// to one SearchWS call, the rest to one comparison, which resets them
+	// at entry: a comparison that panicked leaves nothing behind.
+	// Searched is keyed by alignment (staged in AlignKey), DPRounds by
+	// (rotation bits, gap setting) with round id's alignment at
+	// DPInvmaps[id*ylen:], and Diagonals is indexed by gapless offset +
+	// ylen.
+	SearchGraph Table[SearchNode]
+	Searched    Table[SearchedAlignment]
+	DPRounds    Table[costmodel.Counter]
+	DPInvmaps   []int
+	Diagonals   []DiagonalScore
+	AlignKey    []int32
 
 	// nw is the worker's DP aligner (its own val/path/Gotoh tables),
 	// created on first use via Aligner.
@@ -111,9 +127,19 @@ func (w *Workspace) ReserveSearch(n int) {
 	w.SearchXt = grow(w.SearchXt, n)
 	w.SearchR1 = grow(w.SearchR1, n)
 	w.SearchR2 = grow(w.SearchR2, n)
-	w.SearchIAli = grow(w.SearchIAli, n)
-	w.SearchKAli = grow(w.SearchKAli, n)
 	w.SearchDis2 = grow(w.SearchDis2, n)
+	w.SearchSet = grow(w.SearchSet, (n+31)/32)
+}
+
+// ReserveMemo empties the comparison-layer memo tables and sizes them
+// for chains of xlen and ylen residues.
+func (w *Workspace) ReserveMemo(xlen, ylen int) {
+	w.Searched.Reset(MemoWords)
+	w.DPRounds.Reset(MemoWords)
+	w.DPInvmaps = w.DPInvmaps[:0]
+	w.Diagonals = grow(w.Diagonals, xlen+ylen)
+	clear(w.Diagonals)
+	w.AlignKey = grow(w.AlignKey, ylen)
 }
 
 var pool = sync.Pool{New: func() any { return new(Workspace) }}

@@ -70,14 +70,6 @@ func New(workers int) *Store {
 	return &Store{workers: workers, entries: map[Key]*entry{}}
 }
 
-// Workers returns the prefetch worker-pool size (0 for a nil store).
-func (s *Store) Workers() int {
-	if s == nil {
-		return 0
-	}
-	return s.workers
-}
-
 // Len returns the number of memoized entries (including in-flight ones).
 func (s *Store) Len() int {
 	if s == nil {

@@ -115,11 +115,11 @@ func TestPrefetchParallelDeterministic(t *testing.T) {
 }
 
 func TestWorkersDefault(t *testing.T) {
-	if w := New(0).Workers(); w < 1 {
-		t.Errorf("New(0).Workers() = %d, want >= 1 (GOMAXPROCS)", w)
+	if w := New(0).workers; w < 1 {
+		t.Errorf("New(0) has %d prefetch workers, want >= 1 (GOMAXPROCS)", w)
 	}
-	if w := New(3).Workers(); w != 3 {
-		t.Errorf("Workers() = %d, want 3", w)
+	if w := New(3).workers; w != 3 {
+		t.Errorf("New(3) has %d prefetch workers, want 3", w)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestNilStore(t *testing.T) {
 		t.Errorf("nil store memoized (%d calls)", calls)
 	}
 	s.Prefetch([]Key{key(1)}, func(int) any { t.Fatal("nil Prefetch computed"); return nil })
-	if s.Len() != 0 || s.Workers() != 0 || (s.Stats() != Stats{}) {
+	if s.Len() != 0 || (s.Stats() != Stats{}) {
 		t.Error("nil store accessors not zero")
 	}
 }

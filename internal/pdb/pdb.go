@@ -292,25 +292,3 @@ func FromCAs(id string, pts []geom.Vec3, seq string) *Structure {
 	}
 	return s
 }
-
-// WriteFASTA emits the structures' sequences in FASTA format (60-column
-// wrapped), for feeding the datasets to external sequence tools.
-func WriteFASTA(w io.Writer, structures ...*Structure) error {
-	bw := bufio.NewWriter(w)
-	for _, s := range structures {
-		if _, err := fmt.Fprintf(bw, ">%s\n", s.ID); err != nil {
-			return err
-		}
-		seq := s.Sequence()
-		for len(seq) > 60 {
-			if _, err := fmt.Fprintln(bw, seq[:60]); err != nil {
-				return err
-			}
-			seq = seq[60:]
-		}
-		if _, err := fmt.Fprintln(bw, seq); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

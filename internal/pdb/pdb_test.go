@@ -256,30 +256,3 @@ END
 		t.Errorf("Sequence = %q", got)
 	}
 }
-
-func TestWriteFASTA(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randomStructure(rng, 70)
-	a.ID = "protA"
-	b := randomStructure(rng, 10)
-	b.ID = "protB"
-	var buf bytes.Buffer
-	if err := WriteFASTA(&buf, a, b); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// protA: header + 2 sequence lines (60 + 10); protB: header + 1.
-	if len(lines) != 5 {
-		t.Fatalf("FASTA lines = %d:\n%s", len(lines), out)
-	}
-	if lines[0] != ">protA" || lines[3] != ">protB" {
-		t.Errorf("headers wrong:\n%s", out)
-	}
-	if len(lines[1]) != 60 || len(lines[2]) != 10 {
-		t.Errorf("wrapping wrong: %d/%d", len(lines[1]), len(lines[2]))
-	}
-	if lines[1]+lines[2] != a.Sequence() {
-		t.Error("sequence mangled")
-	}
-}

@@ -34,18 +34,6 @@ func AllVsAll(n int) []Pair {
 	return pairs
 }
 
-// OneVsAll returns the n-1 pairs comparing query q against every other
-// structure.
-func OneVsAll(q, n int) []Pair {
-	var pairs []Pair
-	for j := 0; j < n; j++ {
-		if j != q {
-			pairs = append(pairs, Pair{q, j})
-		}
-	}
-	return pairs
-}
-
 // Order selects a job ordering policy.
 type Order int
 

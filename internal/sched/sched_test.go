@@ -79,18 +79,6 @@ func TestAllVsAll(t *testing.T) {
 	}
 }
 
-func TestOneVsAll(t *testing.T) {
-	pairs := OneVsAll(2, 5)
-	if len(pairs) != 4 {
-		t.Fatalf("pairs = %v", pairs)
-	}
-	for _, p := range pairs {
-		if p.I != 2 || p.J == 2 {
-			t.Errorf("bad pair %v", p)
-		}
-	}
-}
-
 func TestApplyFIFOKeepsOrder(t *testing.T) {
 	in := AllVsAll(6)
 	out := mustApply(t, in, FIFO, nil, 0)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -352,7 +353,7 @@ func TestLatch(t *testing.T) {
 	var waited []float64
 	for i := 0; i < 3; i++ {
 		e.Spawn("w", func(p *Process) {
-			l.Wait(p)
+			l.WaitTimeout(p, math.Inf(1))
 			waited = append(waited, p.Now())
 		})
 	}
@@ -381,7 +382,7 @@ func TestLatch(t *testing.T) {
 	l2.Set()
 	ok := false
 	e2.Spawn("w", func(p *Process) {
-		l2.Wait(p)
+		l2.WaitTimeout(p, math.Inf(1))
 		ok = true
 	})
 	if err := e2.Run(); err != nil {

@@ -288,11 +288,8 @@ func (l *Latch) drop(r *waiter) {
 // IsSet reports whether the latch has fired.
 func (l *Latch) IsSet() bool { return l.set }
 
-// Wait blocks p until the latch is set.
-func (l *Latch) Wait(p *Process) { l.WaitTimeout(p, math.Inf(1)) }
-
 // WaitTimeout blocks p until the latch fires (true) or d seconds pass
-// (false); d = +Inf is Wait.
+// (false); d = +Inf waits without a timer.
 func (l *Latch) WaitTimeout(p *Process, d float64) bool {
 	if l.set {
 		return true

@@ -1,75 +1,12 @@
-// Package stats provides the small statistics and table-rendering
-// helpers used by the experiment drivers: run summaries, speedup series
-// and fixed-width text tables matching the paper's presentation.
+// Package stats provides the table-rendering and plotting helpers used
+// by the experiment drivers: fixed-width text tables matching the
+// paper's presentation.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
-
-// Summary describes a sample of float64 values.
-type Summary struct {
-	N                   int
-	Mean, Std, Min, Max float64
-}
-
-// Summarize computes a Summary; an empty sample yields zeros.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Std = math.Sqrt(ss / float64(s.N-1))
-	}
-	return s
-}
-
-// String renders the summary.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g", s.N, s.Mean, s.Std, s.Min, s.Max)
-}
-
-// SpeedupSeries converts a time series to speedups relative to base.
-func SpeedupSeries(base float64, times []float64) []float64 {
-	out := make([]float64, len(times))
-	for i, t := range times {
-		if t > 0 {
-			out[i] = base / t
-		}
-	}
-	return out
-}
-
-// Efficiency returns speedup/workers for each point.
-func Efficiency(speedups []float64, workers []int) []float64 {
-	out := make([]float64, len(speedups))
-	for i := range speedups {
-		if i < len(workers) && workers[i] > 0 {
-			out[i] = speedups[i] / float64(workers[i])
-		}
-	}
-	return out
-}
 
 // Table accumulates rows and renders them with aligned columns.
 type Table struct {

@@ -2,56 +2,9 @@ package stats
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Mean != 5 {
-		t.Errorf("summary %+v", s)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Errorf("min/max %v/%v", s.Min, s.Max)
-	}
-	// Sample std of this classic set is ~2.138.
-	if math.Abs(s.Std-2.1380899) > 1e-5 {
-		t.Errorf("std = %v", s.Std)
-	}
-	if z := Summarize(nil); z.N != 0 || z.Mean != 0 {
-		t.Errorf("empty summary %+v", z)
-	}
-	one := Summarize([]float64{3})
-	if one.Std != 0 || one.Mean != 3 {
-		t.Errorf("single summary %+v", one)
-	}
-	if Summarize([]float64{1, 2}).String() == "" {
-		t.Error("String empty")
-	}
-}
-
-func TestSpeedupSeries(t *testing.T) {
-	s := SpeedupSeries(100, []float64{100, 50, 25, 0})
-	want := []float64{1, 2, 4, 0}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Errorf("speedup[%d] = %v, want %v", i, s[i], want[i])
-		}
-	}
-}
-
-func TestEfficiency(t *testing.T) {
-	e := Efficiency([]float64{1, 1.8, 3.6}, []int{1, 2, 4})
-	if e[0] != 1 || e[1] != 0.9 || e[2] != 0.9 {
-		t.Errorf("efficiency = %v", e)
-	}
-	// Mismatched lengths and zero workers must not panic.
-	e2 := Efficiency([]float64{1, 2}, []int{0})
-	if e2[0] != 0 || e2[1] != 0 {
-		t.Errorf("edge efficiency = %v", e2)
-	}
-}
 
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Table X", "Cores", "Time (s)", "Speedup")

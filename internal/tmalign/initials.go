@@ -2,34 +2,45 @@ package tmalign
 
 import (
 	"rckalign/internal/geom"
+	"rckalign/internal/kernel"
 	"rckalign/internal/seqalign"
 	"rckalign/internal/ss"
 )
+
+// scoreDiagonal leaves the full-overlap gapless alignment i = j + k in
+// c.invTmp and returns its fast score. get_initial and get_initial_fgt
+// rank the same diagonals, so each offset is scored once per comparison;
+// a repeat charges the recorded ops.
+func (c *ctx) scoreDiagonal(k int) float64 {
+	for j := range c.invTmp {
+		if i := j + k; i >= 0 && i < c.xlen {
+			c.invTmp[j] = i
+		} else {
+			c.invTmp[j] = -1
+		}
+	}
+	d := &c.w.Diagonals[k+c.ylen]
+	if d.Known {
+		c.ops.Add(d.Ops)
+		return d.Score
+	}
+	before := c.ops
+	s := c.scoreFast(c.invTmp)
+	*d = kernel.DiagonalScore{Known: true, Score: s, Ops: c.ops.Sub(before)}
+	return s
+}
 
 // initialGapless is TM-align's get_initial: try every diagonal (ungapped)
 // offset of the two chains, rank with the fast score, and write the best
 // into dst (all -1 when no offset qualifies).
 func (c *ctx) initialGapless(dst []int) {
-	minLen := c.xlen
-	if c.ylen < minLen {
-		minLen = c.ylen
-	}
-	minAli := minLen / 2
-	if minAli < 5 {
-		minAli = 5
-	}
+	minAli := max(min(c.xlen, c.ylen)/2, 5)
 	for j := range dst {
 		dst[j] = -1
 	}
 	bestScore := -1.0
 	seqalign.GaplessThreading(c.xlen, c.ylen, minAli, func(k, lo, hi int) {
-		for j := range c.invTmp {
-			c.invTmp[j] = -1
-		}
-		for j := lo; j < hi; j++ {
-			c.invTmp[j] = j + k
-		}
-		if s := c.scoreFast(c.invTmp); s > bestScore {
+		if s := c.scoreDiagonal(k); s > bestScore {
 			bestScore = s
 			copy(dst, c.invTmp)
 		}
@@ -40,7 +51,7 @@ func (c *ctx) initialGapless(dst []int) {
 // structure strings (match=1, mismatch=0, gap open -1). The result is
 // written into invmap.
 func (c *ctx) initialSS(invmap []int) {
-	c.nw.AlignSS(c.sec1, c.sec2, invmap, c.ops)
+	c.nw.AlignSS(c.sec1, c.sec2, invmap, &c.ops)
 }
 
 // initialLocal is get_initial5: superpose pairs of short fragments, score
@@ -75,7 +86,7 @@ func (c *ctx) initialLocal(invmap []int) bool {
 			c.ops.AddRotate(c.xlen)
 			c.fillDistMatrix(xt, d012, false)
 			c.ops.AddScore(c.xlen * c.ylen)
-			c.nw.AlignMatrix(c.xlen, c.ylen, c.scoreMat, 0, c.invTmp, c.ops)
+			c.nw.AlignMatrix(c.xlen, c.ylen, c.scoreMat, 0, c.invTmp, &c.ops)
 			if s := c.scoreFast(c.invTmp); s > bestScore {
 				bestScore = s
 				copy(invmap, c.invTmp)
@@ -96,7 +107,7 @@ func (c *ctx) initialSSPlus(invmap []int, tr geom.Transform) {
 	c.ops.AddRotate(c.xlen)
 	c.fillDistMatrix(xt, d02, true)
 	c.ops.AddScore(c.xlen * c.ylen)
-	c.nw.AlignMatrix(c.xlen, c.ylen, c.scoreMat, -1, invmap, c.ops)
+	c.nw.AlignMatrix(c.xlen, c.ylen, c.scoreMat, -1, invmap, &c.ops)
 }
 
 // initialFragment is a compact form of get_initial_fgt (fragment gapless
@@ -119,24 +130,13 @@ func (c *ctx) initialFragment(invmap []int) bool {
 	bestScore := -1.0
 	found := false
 	// Slide the fragment over chain 2; offset k aligns x[fs+t] to
-	// y[k+t]. Extend the diagonal to the full overlap.
+	// y[k+t]. Extend the diagonal i = j + fs - k to the full overlap.
 	for k := 0; k+flen <= c.ylen; k++ {
-		shift := fs - k // i = j + shift on this diagonal
-		for j := range c.invTmp {
-			c.invTmp[j] = -1
-		}
-		n := 0
-		for j := 0; j < c.ylen; j++ {
-			i := j + shift
-			if i >= 0 && i < c.xlen {
-				c.invTmp[j] = i
-				n++
-			}
-		}
-		if n < 5 {
+		shift := fs - k
+		if min(c.ylen, c.xlen-shift)-max(0, -shift) < 5 {
 			continue
 		}
-		if s := c.scoreFast(c.invTmp); s > bestScore {
+		if s := c.scoreDiagonal(shift); s > bestScore {
 			bestScore = s
 			copy(invmap, c.invTmp)
 			found = true

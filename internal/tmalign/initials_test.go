@@ -3,50 +3,17 @@ package tmalign
 import (
 	"testing"
 
-	"rckalign/internal/costmodel"
 	"rckalign/internal/geom"
 	"rckalign/internal/kernel"
 	"rckalign/internal/seqalign"
 	"rckalign/internal/ss"
 	"rckalign/internal/synth"
-	"rckalign/internal/tmscore"
 )
 
-// newCtx builds a comparison context the way CompareCA does, for
+// testCtx builds a comparison context the way CompareCAWS does, for
 // white-box testing of the initial alignment generators.
-func newCtx(t *testing.T, x, y []geom.Vec3) *ctx {
-	t.Helper()
-	w := new(kernel.Workspace)
-	c := &ctx{
-		x: x, y: y,
-		xlen: len(x), ylen: len(y),
-		sp:  tmscore.SearchParams(len(x), len(y)),
-		opt: DefaultOptions(),
-		nw:  w.Aligner(),
-		ops: &costmodel.Counter{},
-		w:   w,
-	}
-	c.sec1 = ss.Assign(x)
-	c.sec2 = ss.Assign(y)
-	n := c.xlen
-	if c.ylen > n {
-		n = c.ylen
-	}
-	w.ReservePairs(n)
-	w.ReserveMat(c.xlen * c.ylen)
-	c.r1 = w.R1[:n]
-	c.r2 = w.R2[:n]
-	c.xtm = w.PairX[:n]
-	c.ytm = w.PairY[:n]
-	c.xt = w.PairT[:n]
-	c.dis2 = w.Dis2[:n]
-	c.invTmp = w.InvTmp[:c.ylen]
-	c.scoreMat = w.Mat[:c.xlen*c.ylen]
-	for j := 0; j < c.ylen; j++ {
-		p := &y[j]
-		w.YX[j], w.YY[j], w.YZ[j] = p[0], p[1], p[2]
-	}
-	return c
+func testCtx(x, y []geom.Vec3) *ctx {
+	return newCtx(new(kernel.Workspace), x, y, "", "", DefaultOptions())
 }
 
 func shiftedCopy(x []geom.Vec3, drop int) []geom.Vec3 {
@@ -73,7 +40,7 @@ func testProtein(n int, seed int64) []geom.Vec3 {
 func TestInitialGaplessFindsShift(t *testing.T) {
 	x := testProtein(90, 1)
 	y := shiftedCopy(x, 7) // y[j] corresponds to x[j+7]
-	c := newCtx(t, x, y)
+	c := testCtx(x, y)
 	inv := make([]int, len(y))
 	c.initialGapless(inv)
 	// The winning diagonal must be k=7: most aligned js map to j+7.
@@ -91,7 +58,7 @@ func TestInitialGaplessFindsShift(t *testing.T) {
 func TestInitialSSMonotonicAndSane(t *testing.T) {
 	x := testProtein(80, 2)
 	y := testProtein(70, 3)
-	c := newCtx(t, x, y)
+	c := testCtx(x, y)
 	inv := make([]int, len(y))
 	c.initialSS(inv)
 	if !seqalign.IsMonotonic(inv, len(x)) {
@@ -105,7 +72,7 @@ func TestInitialSSMonotonicAndSane(t *testing.T) {
 func TestInitialLocalRecoversRigidCopy(t *testing.T) {
 	x := testProtein(80, 4)
 	y := shiftedCopy(x, 0)
-	c := newCtx(t, x, y)
+	c := testCtx(x, y)
 	inv := make([]int, len(y))
 	if !c.initialLocal(inv) {
 		t.Fatal("initialLocal found nothing")
@@ -124,7 +91,7 @@ func TestInitialLocalRecoversRigidCopy(t *testing.T) {
 func TestInitialLocalTooShort(t *testing.T) {
 	x := testProtein(80, 5)
 	y := x[:8]
-	c := newCtx(t, x, y)
+	c := testCtx(x, y)
 	inv := make([]int, len(y))
 	if c.initialLocal(inv) {
 		t.Error("initialLocal should refuse chains shorter than a fragment")
@@ -136,7 +103,7 @@ func TestInitialSSPlusUsesRotation(t *testing.T) {
 	g := geom.Transform{R: geom.RotX(1.2), T: geom.V(4, 4, 4)}
 	y := make([]geom.Vec3, len(x))
 	g.ApplyAll(y, x)
-	c := newCtx(t, x, y)
+	c := testCtx(x, y)
 	inv := make([]int, len(y))
 	// With the true rotation supplied, SS+distance must recover the
 	// identity alignment.
@@ -155,7 +122,7 @@ func TestInitialSSPlusUsesRotation(t *testing.T) {
 func TestInitialFragment(t *testing.T) {
 	x := testProtein(90, 7)
 	y := shiftedCopy(x, 5)
-	c := newCtx(t, x, y)
+	c := testCtx(x, y)
 	inv := make([]int, len(y))
 	if !c.initialFragment(inv) {
 		t.Fatal("initialFragment found nothing")
@@ -208,7 +175,7 @@ func TestScoreFastRanksCorrectly(t *testing.T) {
 	// scoreFast must rank the true alignment above a wrong diagonal.
 	x := testProtein(80, 8)
 	y := shiftedCopy(x, 0)
-	c := newCtx(t, x, y)
+	c := testCtx(x, y)
 	good := make([]int, len(y))
 	bad := make([]int, len(y))
 	for j := range good {
@@ -228,7 +195,7 @@ func TestDPIterImproves(t *testing.T) {
 	// refinement must reach a near-perfect TM-score.
 	x := testProtein(80, 9)
 	y := shiftedCopy(x, 0)
-	c := newCtx(t, x, y)
+	c := testCtx(x, y)
 	start := make([]int, len(y))
 	for j := range start {
 		start[j] = -1

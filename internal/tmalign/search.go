@@ -1,19 +1,41 @@
 package tmalign
 
 import (
+	"math"
+
 	"rckalign/internal/geom"
+	"rckalign/internal/kernel"
 )
 
 // detailedSearch gathers the aligned pairs of invmap and runs the
 // TM-score rotation search over them (TM-align's detailed_search with the
 // configured simplify step). Returns the TM-score (search normalization)
 // and the rotation achieving it.
+//
+// The result is a pure function of the alignment, and the two gap
+// settings of dpIter, converged DP iterations and different initials keep
+// producing alignments already searched, so each distinct alignment is
+// searched once per comparison; a repeat returns the recorded result and
+// charges the recorded ops.
 func (c *ctx) detailedSearch(invmap []int) (float64, geom.Transform) {
-	n := alignedPairs(c.x, c.y, invmap, c.xtm, c.ytm)
-	if n == 0 {
-		return 0, geom.IdentityTransform()
+	key := c.w.AlignKey[:len(invmap)]
+	for j, i := range invmap {
+		key[j] = int32(i)
 	}
-	return c.sp.SearchWS(c.w, c.xtm[:n], c.ytm[:n], c.opt.SimplifyStep, c.ops)
+	_, memo, hit := c.w.Searched.Slot(key)
+	if hit {
+		c.ops.Add(memo.Ops)
+		return memo.TM, memo.Tr
+	}
+	before := c.ops
+	tm, tr := 0.0, geom.IdentityTransform()
+	if n := alignedPairs(c.x, c.y, invmap, c.xtm, c.ytm); n > 0 {
+		tm, tr = c.sp.SearchWS(c.w, c.xtm[:n], c.ytm[:n], c.opt.SimplifyStep, &c.ops)
+	}
+	if memo != nil {
+		*memo = kernel.SearchedAlignment{TM: tm, Tr: tr, Ops: c.ops.Sub(before)}
+	}
+	return tm, tr
 }
 
 // scoreFast is TM-align's get_score_fast: a cheap three-round estimate of
@@ -21,21 +43,12 @@ func (c *ctx) detailedSearch(invmap []int) (float64, geom.Transform) {
 // value is un-normalised; only comparisons against other scoreFast values
 // are meaningful).
 func (c *ctx) scoreFast(invmap []int) float64 {
-	n := 0
-	for j, i := range invmap {
-		if i >= 0 {
-			c.r1[n] = c.x[i]
-			c.r2[n] = c.y[j]
-			n++
-		}
-	}
+	n := alignedPairs(c.x, c.y, invmap, c.xtm, c.ytm)
 	if n < 3 {
 		return 0
 	}
 	xtm := c.xtm[:n]
 	ytm := c.ytm[:n]
-	copy(xtm, c.r1[:n])
-	copy(ytm, c.r2[:n])
 
 	d02 := c.sp.D0 * c.sp.D0
 	d002 := c.sp.D0Search * c.sp.D0Search
@@ -65,7 +78,7 @@ func (c *ctx) scoreFast(invmap []int) float64 {
 		return s
 	}
 
-	tr, _ := geom.Superpose(c.r1[:n], c.r2[:n])
+	tr, _ := geom.Superpose(xtm, ytm)
 	c.ops.AddKabsch(n)
 	score := scorePass(tr)
 
@@ -112,6 +125,11 @@ func (c *ctx) scoreFast(invmap []int) float64 {
 // inter-chain distances and run NWDP, and (b) re-search the rotation for
 // the new alignment, keeping the best TM-score seen. Both gap-opening
 // settings (-0.6 and 0) are explored.
+//
+// Step (a) is a pure function of the rotation's bits and the gap
+// setting, and rounds converge onto rotations already seen, so each
+// distinct (rotation, gap) is aligned once per comparison; a repeat
+// copies the recorded alignment and charges the recorded ops.
 func (c *ctx) dpIter(invmap0 []int, tr geom.Transform, maxIter int) (float64, geom.Transform, []int) {
 	bestTM := -1.0
 	bestTr := tr
@@ -120,18 +138,37 @@ func (c *ctx) dpIter(invmap0 []int, tr geom.Transform, maxIter int) (float64, ge
 
 	d02 := c.sp.D0 * c.sp.D0
 	xt := c.xt[:c.xlen]
+	var key [25]int32 // the rotation's 12 float64 bit patterns, then the gap setting
 
-	for _, gapOpen := range [2]float64{-0.6, 0} {
+	for g, gapOpen := range [2]float64{-0.6, 0} {
 		cur := tr
 		tmOld := 0.0
 		for iter := 0; iter < maxIter; iter++ {
-			// Score matrix from current rotation.
-			cur.ApplyAll(xt, c.x)
-			c.ops.AddRotate(c.xlen)
-			c.fillDistMatrix(xt, d02, false)
-			c.ops.AddScore(c.xlen * c.ylen)
-
-			c.nw.AlignMatrix(c.xlen, c.ylen, c.scoreMat, gapOpen, c.invTmp, c.ops)
+			for k, v := range [12]float64{
+				cur.R[0][0], cur.R[0][1], cur.R[0][2], cur.R[1][0], cur.R[1][1], cur.R[1][2],
+				cur.R[2][0], cur.R[2][1], cur.R[2][2], cur.T[0], cur.T[1], cur.T[2],
+			} {
+				b := math.Float64bits(v)
+				key[2*k], key[2*k+1] = int32(b), int32(b>>32)
+			}
+			key[24] = int32(g)
+			id, round, hit := c.w.DPRounds.Slot(key[:])
+			if hit {
+				copy(c.invTmp, c.w.DPInvmaps[id*c.ylen:])
+				c.ops.Add(*round)
+			} else {
+				// Score matrix from current rotation.
+				before := c.ops
+				cur.ApplyAll(xt, c.x)
+				c.ops.AddRotate(c.xlen)
+				c.fillDistMatrix(xt, d02, false)
+				c.ops.AddScore(c.xlen * c.ylen)
+				c.nw.AlignMatrix(c.xlen, c.ylen, c.scoreMat, gapOpen, c.invTmp, &c.ops)
+				if round != nil {
+					*round = c.ops.Sub(before)
+					c.w.DPInvmaps = append(c.w.DPInvmaps, c.invTmp...)
+				}
+			}
 
 			tm, trNew := c.detailedSearch(c.invTmp)
 			if tm > bestTM {

@@ -132,7 +132,7 @@ type ctx struct {
 	sp         tmscore.Params
 	opt        Options
 	nw         *seqalign.Aligner
-	ops        *costmodel.Counter
+	ops        costmodel.Counter
 	w          *kernel.Workspace
 
 	// Scratch views into w, sized to the current problem.
@@ -165,32 +165,34 @@ func CompareCA(x, y []geom.Vec3, seq1, seq2 string, opt Options) *Result {
 // O(L) and O(L^2) scratch lives in w and is reused across comparisons.
 // The returned Result does not alias w.
 func CompareCAWS(w *kernel.Workspace, x, y []geom.Vec3, seq1, seq2 string, opt Options) *Result {
-	opt = opt.withDefaults()
-	ops := &costmodel.Counter{}
-	xlen, ylen := len(x), len(y)
-	if xlen < 3 || ylen < 3 {
+	if len(x) < 3 || len(y) < 3 {
 		// Degenerate chains cannot be aligned meaningfully; report an
 		// empty alignment rather than guessing.
-		return &Result{Len1: xlen, Len2: ylen, Invmap: emptyInvmap(ylen), Transform: geom.IdentityTransform(), Ops: *ops}
+		return &Result{Len1: len(x), Len2: len(y), Invmap: emptyInvmap(len(y)), Transform: geom.IdentityTransform()}
 	}
+	c := newCtx(w, x, y, seq1, seq2, opt)
+	return c.finalize(c.run())
+}
 
+// newCtx readies w for one comparison of x against y: buffers sized,
+// the fixed chain mirrored, secondary structure assigned, and every
+// compare-scoped memo table emptied — whatever the workspace's last
+// comparison left behind, a panic included, this one starts clean.
+func newCtx(w *kernel.Workspace, x, y []geom.Vec3, seq1, seq2 string, opt Options) *ctx {
+	xlen, ylen := len(x), len(y)
 	c := &ctx{
 		x: x, y: y, seq1: seq1, seq2: seq2,
 		xlen: xlen, ylen: ylen,
 		sp:  tmscore.SearchParams(xlen, ylen),
-		opt: opt,
+		opt: opt.withDefaults(),
 		nw:  w.Aligner(),
-		ops: ops,
 		w:   w,
 	}
 	c.sec1 = ss.Assign(x)
 	c.sec2 = ss.Assign(y)
-	ops.AddSS(xlen + ylen)
+	c.ops.AddSS(xlen + ylen)
 
-	n := xlen
-	if ylen > n {
-		n = ylen
-	}
+	n := max(xlen, ylen)
 	w.ReservePairs(n)
 	w.ReserveMat(xlen * ylen)
 	c.r1 = w.R1[:n]
@@ -202,15 +204,15 @@ func CompareCAWS(w *kernel.Workspace, x, y []geom.Vec3, seq1, seq2 string, opt O
 	c.invTmp = w.InvTmp[:ylen]
 	c.scoreMat = w.Mat[:xlen*ylen]
 
+	w.ReserveMemo(xlen, ylen)
+
 	// SoA mirror of the fixed chain for the fused matrix fills.
 	yx, yy, yz := w.YX[:ylen], w.YY[:ylen], w.YZ[:ylen]
 	for j := 0; j < ylen; j++ {
 		p := &y[j]
 		yx[j], yy[j], yz[j] = p[0], p[1], p[2]
 	}
-
-	invmap0 := c.run()
-	return c.finalize(invmap0)
+	return c
 }
 
 func emptyInvmap(n int) []int {
@@ -289,60 +291,53 @@ func (c *ctx) finalize(invmap []int) *Result {
 	res := &Result{
 		Len1: c.xlen, Len2: c.ylen,
 		Transform: geom.IdentityTransform(),
-		Ops:       *c.ops,
+		Invmap:    emptyInvmap(c.ylen),
 	}
-	// Gather aligned pairs.
-	nAli := 0
-	type pairIdx struct{ i, j int }
-	idx := make([]pairIdx, 0, c.ylen)
-	for j, i := range invmap {
-		if i >= 0 {
-			c.xtm[nAli] = c.x[i]
-			c.ytm[nAli] = c.y[j]
-			idx = append(idx, pairIdx{i, j})
-			nAli++
-		}
-	}
+	nAli := alignedPairs(c.x, c.y, invmap, c.xtm, c.ytm)
 	if nAli < 3 {
-		res.Invmap = emptyInvmap(c.ylen)
-		res.Ops = *c.ops
+		res.Ops = c.ops
 		return res
 	}
 
 	// Detailed search on the full aligned set with the search params.
-	_, tr := c.sp.SearchWS(c.w, c.xtm[:nAli], c.ytm[:nAli], c.opt.FinalStep, c.ops)
+	_, tr := c.sp.SearchWS(c.w, c.xtm[:nAli], c.ytm[:nAli], c.opt.FinalStep, &c.ops)
 
-	// Filter pairs with d <= d8 under the best rotation (n_ali8).
+	// Keep the pairs with d <= d8 under the best rotation (n_ali8),
+	// compacting them to the front of xtm/ytm.
 	d8sq := c.sp.ScoreD8 * c.sp.ScoreD8
 	tr.ApplyAll(c.xt[:nAli], c.xtm[:nAli])
 	c.ops.AddRotate(nAli)
-	n8 := 0
-	identical := 0
-	final := emptyInvmap(c.ylen)
-	xt, ytm := c.xt[:nAli], c.ytm[:nAli]
-	for k := 0; k < nAli; k++ {
-		a, b := &xt[k], &ytm[k]
+	n8, k := 0, 0
+	xt := c.xt[:nAli]
+	for j, i := range invmap {
+		if i < 0 {
+			continue
+		}
+		a, b := &xt[k], &c.ytm[k]
 		dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
 		if dx*dx+dy*dy+dz*dz <= d8sq {
 			c.xtm[n8] = c.xtm[k]
 			c.ytm[n8] = c.ytm[k]
-			p := idx[k]
-			final[p.j] = p.i
-			if p.i < len(c.seq1) && p.j < len(c.seq2) && c.seq1[p.i] == c.seq2[p.j] {
-				identical++
-			}
+			res.Invmap[j] = i
 			n8++
 		}
+		k++
 	}
 	c.ops.AddScore(nAli)
 	if n8 < 3 {
-		// Pathological: keep the unfiltered alignment.
-		n8 = nAli
-		copy(final, invmap)
+		// Pathological: keep the unfiltered alignment, re-gathered because
+		// the compaction above overwrote the front of xtm/ytm.
+		copy(res.Invmap, invmap)
+		n8 = alignedPairs(c.x, c.y, invmap, c.xtm, c.ytm)
+	}
+	identical := 0
+	for j, i := range res.Invmap {
+		if i >= 0 && i < len(c.seq1) && j < len(c.seq2) && c.seq1[i] == c.seq2[j] {
+			identical++
+		}
 	}
 
 	res.AlignedLen = n8
-	res.Invmap = final
 	res.SeqID = float64(identical) / float64(n8)
 
 	// RMSD over the kept pairs.
@@ -353,9 +348,9 @@ func (c *ctx) finalize(invmap []int) *Result {
 	// Final TM-scores normalised by each chain length, searched at the
 	// final (fine) step over the kept pairs.
 	pA := tmscore.FinalParams(float64(c.xlen))
-	tmA, trA := pA.SearchWS(c.w, c.xtm[:n8], c.ytm[:n8], c.opt.FinalStep, c.ops)
+	tmA, trA := pA.SearchWS(c.w, c.xtm[:n8], c.ytm[:n8], c.opt.FinalStep, &c.ops)
 	pB := tmscore.FinalParams(float64(c.ylen))
-	tmB, _ := pB.SearchWS(c.w, c.xtm[:n8], c.ytm[:n8], c.opt.FinalStep, c.ops)
+	tmB, _ := pB.SearchWS(c.w, c.xtm[:n8], c.ytm[:n8], c.opt.FinalStep, &c.ops)
 	res.TM1 = tmA
 	res.TM2 = tmB
 
@@ -370,13 +365,13 @@ func (c *ctx) finalize(invmap []int) *Result {
 		if c.opt.D0 > 0 {
 			pN.D0 = c.opt.D0
 		}
-		res.TMNorm, _ = pN.SearchWS(c.w, c.xtm[:n8], c.ytm[:n8], c.opt.FinalStep, c.ops)
+		res.TMNorm, _ = pN.SearchWS(c.w, c.xtm[:n8], c.ytm[:n8], c.opt.FinalStep, &c.ops)
 	}
 	if c.xlen >= c.ylen {
 		res.Transform = trA
 	} else {
 		res.Transform = trFit
 	}
-	res.Ops = *c.ops
+	res.Ops = c.ops
 	return res
 }

@@ -2,7 +2,6 @@ package tmscore
 
 import (
 	"fmt"
-	"math"
 
 	"rckalign/internal/costmodel"
 	"rckalign/internal/geom"
@@ -183,19 +182,4 @@ func MaxSub(x, y []geom.Vec3, ops *costmodel.Counter) float64 {
 		}
 	}
 	return best
-}
-
-// RMSDCurve returns, for each prefix size cutoff in cutoffs (A), the
-// largest fraction of the correspondence superposable within it — a
-// compact summary used in model-quality plots. NaN-free: cutoffs <= 0
-// yield 0.
-func RMSDCurve(x, y []geom.Vec3, cutoffs []float64, ops *costmodel.Counter) []float64 {
-	out := make([]float64, len(cutoffs))
-	for i, d := range cutoffs {
-		if d <= 0 || math.IsNaN(d) {
-			continue
-		}
-		out[i] = fractionUnder(x, y, d, ops)
-	}
-	return out
 }

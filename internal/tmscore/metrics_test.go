@@ -100,25 +100,6 @@ func TestMetricsChargeOps(t *testing.T) {
 	}
 }
 
-func TestRMSDCurve(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	x := randomTrace(rng, 50)
-	y := make([]geom.Vec3, len(x))
-	for i := range x {
-		y[i] = x[i].Add(geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()))
-	}
-	curve := RMSDCurve(x, y, []float64{0.5, 2, 8, -1}, nil)
-	if len(curve) != 4 {
-		t.Fatal("curve length")
-	}
-	if curve[0] > curve[1]+1e-9 || curve[1] > curve[2]+1e-9 {
-		t.Errorf("curve not monotone: %v", curve)
-	}
-	if curve[3] != 0 {
-		t.Errorf("negative cutoff should yield 0, got %v", curve[3])
-	}
-}
-
 func TestEmptyInputs(t *testing.T) {
 	if MaxSub(nil, nil, nil) != 0 {
 		t.Error("MaxSub(nil)")

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"rckalign/internal/costmodel"
 	"rckalign/internal/geom"
@@ -95,9 +96,10 @@ func FinalParams(l float64) Params {
 
 // scoreFun8 is TM-align's score_fun8: given already-transformed aligned
 // coordinates, it sums 1/(1+(d/d0)^2) (optionally only over pairs with
-// d <= score_d8) and collects into iAli the indices with d < d; if fewer
-// than 3 pairs qualify the cutoff is relaxed by 0.5 A steps. It returns
-// the TM-score (sum/LNorm) and the number of collected pairs.
+// d <= score_d8) and collects into the bitset set the indices with
+// distance < d; if fewer than 3 pairs qualify the cutoff is relaxed by
+// 0.5 A steps. It returns the TM-score (sum/LNorm), the number of
+// collected pairs and the score evaluations to charge.
 //
 // The squared distances are computed once into dis2 (the score does not
 // depend on the collection cutoff) and the relaxation rounds re-scan the
@@ -107,7 +109,7 @@ func FinalParams(l float64) Params {
 // The op charge still mirrors the reference score_fun8, which rescans
 // all n pairs (distances and scores) on every relaxation round — the
 // simulated kernel cost is unchanged.
-func (p Params) scoreFun8(xt, y []geom.Vec3, d float64, iAli []int, dis2 []float64, ops *costmodel.Counter) (float64, int) {
+func (p Params) scoreFun8(xt, y []geom.Vec3, d float64, set []int32, dis2 []float64) (score float64, nCut, evals int) {
 	n := len(xt)
 	d02 := p.D0 * p.D0
 	var scoreSum float64
@@ -134,16 +136,16 @@ func (p Params) scoreFun8(xt, y []geom.Vec3, d float64, iAli []int, dis2 []float
 		}
 	}
 	dTmp := d * d
-	nCut := 0
 	for inc := 0; ; inc++ {
+		clear(set)
 		nCut = 0
 		for i, di := range dis2 {
 			if di < dTmp {
-				iAli[nCut] = i
+				set[i>>5] |= 1 << uint(i&31)
 				nCut++
 			}
 		}
-		ops.AddScore(n)
+		evals += n
 		if nCut < 3 && n > 3 {
 			dinc := d + float64(inc+1)*0.5
 			dTmp = dinc * dinc
@@ -151,11 +153,30 @@ func (p Params) scoreFun8(xt, y []geom.Vec3, d float64, iAli []int, dis2 []float
 		}
 		break
 	}
-	return scoreSum / p.LNorm, nCut
+	return scoreSum / p.LNorm, nCut, evals
+}
+
+// gatherSet copies the pairs whose indices are in the bitset set into
+// r1, r2 and returns how many there are.
+func gatherSet(set []int32, x, y, r1, r2 []geom.Vec3) int {
+	ka := 0
+	for wi, word := range set {
+		for b := uint32(word); b != 0; b &= b - 1 {
+			m := wi<<5 + bits.TrailingZeros32(b)
+			r1[ka] = x[m]
+			r2[ka] = y[m]
+			ka++
+		}
+	}
+	return ka
 }
 
 // searchIterations is TM-align's n_it: refinement steps per seed fragment.
 const searchIterations = 20
+
+// maxGraphWords bounds the key arena of one search's trajectory graph
+// (a variable so the tests can exercise the flush at the bound).
+var maxGraphWords = kernel.MemoWords
 
 // Search finds the rigid transform of x that maximises the TM-score of
 // the fixed alignment (x[i] <-> y[i]): TM-align's TMscore8_search. Seed
@@ -176,6 +197,17 @@ func (p Params) Search(x, y []geom.Vec3, simplifyStep int, ops *costmodel.Counte
 // SearchWS is Search running on the caller's workspace (the Search*
 // buffer group; every other group is left untouched, so a caller may be
 // mid-flight in the comparison layer).
+//
+// An extension step is a pure function of the aligned-index set it
+// superposes: the same set always yields the same score, transform and
+// successor set. Neighbouring seeds fall into the same basins, so every
+// set is interned as a node of a per-call trajectory graph and
+// superposed once; a seed that reaches a node already expanded walks the
+// recorded chain, charging ops the reference algorithm would have spent
+// (one iteration tick, one Kabsch solve, one rotation and the scoring
+// rounds per node) without redoing them. That is exact: a revisited step
+// would offer scoreMax the very (score, transform) it was already
+// offered, and the comparison is a strict >. DESIGN.md §17.
 func (p Params) SearchWS(w *kernel.Workspace, x, y []geom.Vec3, simplifyStep int, ops *costmodel.Counter) (float64, geom.Transform) {
 	n := len(x)
 	if n != len(y) {
@@ -190,84 +222,99 @@ func (p Params) SearchWS(w *kernel.Workspace, x, y []geom.Vec3, simplifyStep int
 
 	// Fragment-length ladder: n, n/2, n/4, ... down to min(n, 4).
 	const nInitMax = 6
-	liniMin := 4
-	if n < liniMin {
-		liniMin = n
+	liniMin := min(n, 4)
+	var ladder [nInitMax]int
+	rungs := 0
+	for ; rungs < nInitMax-1 && n>>uint(rungs) > liniMin; rungs++ {
+		ladder[rungs] = n >> uint(rungs)
 	}
-	var ladder []int
-	for i := 0; i < nInitMax-1; i++ {
-		l := n >> uint(i)
-		if l > liniMin {
-			ladder = append(ladder, l)
-		} else {
-			break
-		}
-	}
-	ladder = append(ladder, liniMin)
+	ladder[rungs] = liniMin
 
 	scoreMax := -1.0
 	bestT := geom.IdentityTransform()
 	w.ReserveSearch(n)
 	xt := w.SearchXt[:n]
-	iAli := w.SearchIAli[:n]
-	kAli := w.SearchKAli[:n]
 	r1 := w.SearchR1[:n]
 	r2 := w.SearchR2[:n]
 	dis2 := w.SearchDis2[:n]
+	set := w.SearchSet[:(n+31)/32]
 
-	for _, lInit := range ladder {
+	// A seed interns its first set and at most one more per iteration;
+	// the graph is flushed between seeds when it could not hold them, so
+	// interning never fails while node numbers are live.
+	g := &w.SearchGraph
+	seedWords := (searchIterations + 1) * len(set)
+	limit := max(maxGraphWords, seedWords)
+	g.Reset(limit)
+	node := func(size int) int {
+		id, v, hit := g.Slot(set)
+		if !hit {
+			*v = kernel.SearchNode{Next: -1, Size: int32(size)}
+		}
+		return id
+	}
+	// expand takes the extension step of a set for the first time:
+	// superpose it, score with the looser cutoff, offer the result to the
+	// incumbent, record what the step costs and where it leads.
+	expand := func(cur int) {
+		ka := gatherSet(g.Key(cur), x, y, r1, r2)
+		tr, _ := geom.Superpose(r1[:ka], r2[:ka])
+		tr.ApplyAll(xt, x)
+		score, nCut, evals := p.scoreFun8(xt, y, p.D0Search+1, set, dis2)
+		if score > scoreMax {
+			scoreMax = score
+			bestT = tr
+		}
+		next := node(nCut)
+		g.Vals[cur].Next, g.Vals[cur].Evals = int32(next), int64(evals)
+	}
+
+	// Charged locally and added to ops on return, so ops may be nil.
+	var c costmodel.Counter
+	for _, lInit := range ladder[:rungs+1] {
 		iLMax := n - lInit + 1
 		for iL := 0; iL < iLMax; iL += simplifyStep {
+			if g.Free() < seedWords {
+				g.Reset(limit)
+			}
 			tr, _ := geom.Superpose(x[iL:iL+lInit], y[iL:iL+lInit])
-			ops.AddKabsch(lInit)
+			c.AddKabsch(lInit)
 			tr.ApplyAll(xt, x)
-			ops.AddRotate(n)
+			c.AddRotate(n)
 
-			score, nCut := p.scoreFun8(xt, y, p.D0Search-1, iAli, dis2, ops)
+			score, nCut, evals := p.scoreFun8(xt, y, p.D0Search-1, set, dis2)
+			c.AddScore(evals)
 			if score > scoreMax {
 				scoreMax = score
 				bestT = tr
 			}
-
-			// Iterative extension with a looser cutoff.
-			d := p.D0Search + 1
-			for it := 0; it < searchIterations; it++ {
-				ka := 0
-				for k := 0; k < nCut; k++ {
-					m := iAli[k]
-					r1[ka] = x[m]
-					r2[ka] = y[m]
-					kAli[ka] = m
-					ka++
-				}
-				if ka < 1 {
-					break
-				}
-				tr, _ = geom.Superpose(r1[:ka], r2[:ka])
-				ops.AddKabsch(ka)
-				tr.ApplyAll(xt, x)
-				ops.AddRotate(n)
-				score, nCut = p.scoreFun8(xt, y, d, iAli, dis2, ops)
-				if score > scoreMax {
-					scoreMax = score
-					bestT = tr
-				}
-				if nCut == ka {
-					same := true
-					for k := 0; k < nCut; k++ {
-						if iAli[k] != kAli[k] {
-							same = false
-							break
-						}
-					}
-					if same {
-						break // converged
-					}
-				}
-			}
+			extend(g, node(nCut), n, &c, expand)
 		}
 	}
+	ops.Add(c)
 	return scoreMax, bestT
+}
+
+// extend is the iterative extension of one seed: from node cur it takes
+// up to searchIterations steps along the trajectory graph, one node per
+// step, until a set reproduces itself or is empty. A node not superposed
+// yet is expanded first; every step, computed now or by an earlier seed,
+// charges c what the reference algorithm spends on it: one Kabsch solve
+// over the set, one rotation of all n pairs and the scoring rounds.
+func extend(g *kernel.Table[kernel.SearchNode], cur, n int, c *costmodel.Counter, expand func(cur int)) {
+	for it := 0; it < searchIterations && g.Vals[cur].Size > 0; it++ {
+		if g.Vals[cur].Next < 0 {
+			expand(cur)
+		}
+		nd := g.Vals[cur]
+		c.AddKabsch(int(nd.Size))
+		c.AddRotate(n)
+		c.AddScore(int(nd.Evals))
+		if int(nd.Next) == cur {
+			return // converged
+		}
+		cur = int(nd.Next)
+	}
 }
 
 // ScoreWithTransform returns the TM-score of the fixed alignment under a
@@ -302,11 +349,4 @@ func (p Params) ScoreWithTransform(x, y []geom.Vec3, tr geom.Transform, ops *cos
 	ops.AddScore(len(x))
 	ops.AddRotate(len(x))
 	return sum / p.LNorm
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,5 +1,5 @@
-// Chrome trace-event export: the same recorder that feeds the ASCII
-// Gantt chart can be written as Chrome's trace-event JSON and loaded
+// Chrome trace-event export: the same recorder that feeds the
+// utilization table can be written as Chrome's trace-event JSON and loaded
 // into Perfetto (ui.perfetto.dev) or chrome://tracing for interactive
 // zooming over a 48-core run — one thread track per recorded core, plus
 // counter tracks for time series like the master's mailbox depth.

@@ -37,12 +37,13 @@ func TestSpanMarksOnly(t *testing.T) {
 }
 
 // TestSingleMarkGantt: one instantaneous mark gives a zero-width span;
-// the Gantt chart must degrade gracefully instead of dividing by zero.
+// the utilization chart (rckalign -util) must degrade gracefully instead
+// of dividing by zero.
 func TestSingleMarkGantt(t *testing.T) {
 	r := New()
 	r.AddMark("rck01", 3, "kill")
-	if got := r.Gantt(40); got != "(empty trace)\n" {
-		t.Errorf("single-mark gantt = %q", got)
+	if got := r.UtilizationTable(40); !strings.Contains(got, "rck01") || !strings.Contains(got, "  0.0% |") {
+		t.Errorf("single-mark utilization table = %q", got)
 	}
 	if got := r.Utilization("rck01", 3, 3); got != 0 {
 		t.Errorf("zero-window utilization = %v", got)
@@ -55,7 +56,7 @@ func TestNameColumnWidth(t *testing.T) {
 	r := New()
 	r.Add("rck00", 0, 1, "compute")
 	r.Add("a-very-long-track-name", 0, 2, "compute")
-	for _, out := range []string{r.Gantt(20), r.UtilizationTable(20)} {
+	for _, out := range []string{r.UtilizationTable(20)} {
 		lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 		var rows []string
 		for _, l := range lines {

@@ -1,8 +1,8 @@
 // Package trace records per-core activity intervals from a simulated
-// execution and renders them as utilization summaries or an ASCII Gantt
-// chart — the instrumentation behind the "almost linear speedup"
-// analysis: it shows directly whether slave cores sit idle waiting for
-// the master.
+// execution and renders them as utilization summaries or a Chrome /
+// Perfetto trace — the instrumentation behind the "almost linear
+// speedup" analysis: it shows directly whether slave cores sit idle
+// waiting for the master.
 package trace
 
 import (
@@ -19,7 +19,7 @@ type Interval struct {
 }
 
 // Mark is an instantaneous event on a track (a fault injection, a
-// checkpoint), rendered as 'X' in the Gantt chart.
+// checkpoint), exported as an instant event on the track.
 type Mark struct {
 	T     float64
 	Label string
@@ -57,7 +57,7 @@ func (r *Recorder) Add(track string, start, end float64, label string) {
 
 // AddMark records an instantaneous event on a track (e.g. "kill",
 // "drop"); fault injections use it so failures show up visually in
-// Gantt output.
+// the exported trace.
 func (r *Recorder) AddMark(track string, t float64, label string) {
 	r.ensureTrack(track)
 	r.marks[track] = append(r.marks[track], Mark{T: t, Label: label})
@@ -189,54 +189,6 @@ func (r *Recorder) UtilizationTable(width int) string {
 		n := int(u*float64(width) + 0.5)
 		fmt.Fprintf(&b, "%-*s %5.1f%% |%s%s|\n", nw, track, 100*u,
 			strings.Repeat("#", n), strings.Repeat(" ", width-n))
-	}
-	return b.String()
-}
-
-// Gantt renders an ASCII chart: one row per track, '#' where the track
-// is busy, '.' where idle, 'X' at fault/event marks, over the
-// recorder's span quantised to the given width. Marks overwrite busy
-// cells so injected failures stay visible.
-func (r *Recorder) Gantt(width int) string {
-	if width < 10 {
-		width = 10
-	}
-	t0, t1 := r.Span()
-	if t1 <= t0 {
-		return "(empty trace)\n"
-	}
-	dt := (t1 - t0) / float64(width)
-	nw := r.nameWidth()
-	var b strings.Builder
-	for _, track := range r.order {
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = '.'
-		}
-		for _, iv := range r.tracks[track] {
-			lo := int((iv.Start - t0) / dt)
-			hi := int((iv.End-t0)/dt + 0.999999)
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > width {
-				hi = width
-			}
-			for i := lo; i < hi; i++ {
-				row[i] = '#'
-			}
-		}
-		for _, m := range r.marks[track] {
-			i := int((m.T - t0) / dt)
-			if i < 0 {
-				i = 0
-			}
-			if i >= width {
-				i = width - 1
-			}
-			row[i] = 'X'
-		}
-		fmt.Fprintf(&b, "%-*s %s\n", nw, track, row)
 	}
 	return b.String()
 }

@@ -63,27 +63,6 @@ func TestUtilizationTable(t *testing.T) {
 	}
 }
 
-func TestGantt(t *testing.T) {
-	r := New()
-	r.Add("a", 0, 5, "")
-	r.Add("b", 5, 10, "")
-	out := r.Gantt(10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("gantt:\n%s", out)
-	}
-	// Track a busy in the first half, b in the second.
-	if !strings.Contains(lines[0], "#####.....") {
-		t.Errorf("row a: %q", lines[0])
-	}
-	if !strings.Contains(lines[1], ".....#####") {
-		t.Errorf("row b: %q", lines[1])
-	}
-	if New().Gantt(10) != "(empty trace)\n" {
-		t.Error("empty gantt")
-	}
-}
-
 func TestMarks(t *testing.T) {
 	r := New()
 	r.AddMark("c", 3, "kill")
@@ -102,17 +81,5 @@ func TestMarks(t *testing.T) {
 	}
 	if tracks := r.Tracks(); len(tracks) != 1 || tracks[0] != "c" {
 		t.Errorf("tracks = %v", tracks)
-	}
-}
-
-func TestGanttRendersMarks(t *testing.T) {
-	r := New()
-	r.Add("a", 0, 10, "compute")
-	r.AddMark("a", 5, "kill")
-	r.AddMark("a", 10, "late") // clamps to the last cell
-	out := r.Gantt(10)
-	line := strings.SplitN(out, "\n", 2)[0]
-	if !strings.Contains(line, "#####X###X") {
-		t.Errorf("gantt row with marks: %q", line)
 	}
 }
