@@ -18,6 +18,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"rckalign/internal/costmodel"
 	"rckalign/internal/farm"
@@ -157,20 +160,51 @@ func ComputePairsShared(ds *synth.Dataset, opt tmalign.Options, store *pairstore
 // preserved) feeds ComputePairsShared so skipped pairs never run the
 // TM-align kernel; the report carries the skip accounting for
 // farm.Report.Prune.
+//
+// Pairs are independent, so they are decided on every host core: one
+// prune.Filter per goroutine, blocks of the canonical list claimed in
+// order. Decisions land in a slice indexed by pair and the per-worker
+// reports are sums, so neither the survivors nor the report depends on
+// the worker count.
 func PrunePairs(ds *synth.Dataset, threshold float64) ([]sched.Pair, *prune.Report) {
-	f := prune.New(threshold)
 	feats := make([]prune.Features, ds.Len())
 	for i, s := range ds.Structures {
 		feats[i] = prune.Extract(s.CAs(), s.Sequence())
 	}
 	all := sched.AllVsAll(ds.Len())
-	kept := make([]sched.Pair, 0, len(all))
-	for _, p := range all {
-		if !f.Skip(&feats[p.I], &feats[p.J]) {
+	const block = 64
+	skip := make([]bool, len(all))
+	filters := make([]*prune.Filter, max(1, min(runtime.GOMAXPROCS(0), (len(all)+block-1)/block)))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range filters {
+		f := prune.New(threshold)
+		filters[w] = f
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(block)) - block
+				if lo >= len(all) {
+					return
+				}
+				for k := lo; k < min(lo+block, len(all)); k++ {
+					skip[k] = f.Skip(&feats[all[k].I], &feats[all[k].J])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	rep := filters[0].Report
+	for _, f := range filters[1:] {
+		rep.Add(&f.Report)
+	}
+	kept := make([]sched.Pair, 0, rep.Total-rep.Skipped)
+	for k, p := range all {
+		if !skip[k] {
 			kept = append(kept, p)
 		}
 	}
-	rep := f.Report
 	return kept, &rep
 }
 

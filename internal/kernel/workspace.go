@@ -1,7 +1,7 @@
 // Package kernel provides the per-worker scratch workspace shared by the
 // TM-align numeric kernels (geom, tmscore, seqalign, tmalign).
 //
-// The kernels' hot loops — the TM-score fragment search, the NW/Gotoh DP
+// The kernels' hot loops — the TM-score fragment search, the NW DP
 // rows, the Kabsch superposition — all need O(n) and O(n^2) scratch.
 // Allocating it per call puts hundreds of allocations on the path of a
 // single pairwise comparison; a Workspace owns every buffer once and is
@@ -70,7 +70,7 @@ type Workspace struct {
 	Diagonals   []DiagonalScore
 	AlignKey    []int32
 
-	// nw is the worker's DP aligner (its own val/path/Gotoh tables),
+	// nw is the worker's DP aligner (its own val/path tables),
 	// created on first use via Aligner.
 	nw *seqalign.Aligner
 }

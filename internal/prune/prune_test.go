@@ -4,6 +4,8 @@
 package prune_test
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -101,6 +103,9 @@ func TestBoundCompositionCap(t *testing.T) {
 
 func TestSkipReportAccounting(t *testing.T) {
 	f := prune.New(0.5)
+	if f.Report.Threshold != 0.5 {
+		t.Errorf("fresh filter reports threshold %v, want 0.5 before any Skip", f.Report.Threshold)
+	}
 	a := flatFeatures(40, ss.Helix, strings.Repeat("A", 40))   // vs b: length cap 2/3, kept
 	b := flatFeatures(120, ss.Helix, strings.Repeat("A", 120)) // vs g: seq cap 0.35, skipped
 	g := flatFeatures(120, ss.Helix, strings.Repeat("G", 120))
@@ -124,11 +129,66 @@ func TestSkipReportAccounting(t *testing.T) {
 	if r.BoundHist[6] != 1 || r.BoundHist[3] != 1 {
 		t.Errorf("BoundHist = %v, want one pair in [0.6,0.7) and one in [0.3,0.4)", r.BoundHist)
 	}
-	if r.DPCells == 0 {
-		t.Error("DPCells = 0, want the sequence DP cost recorded")
+	const wantCells = 3*40*120 + 3*120*120
+	if r.DPCells != wantCells {
+		t.Errorf("DPCells = %d, want %d (three states per cell of both sequence DPs)", r.DPCells, wantCells)
 	}
 	if got := r.SkipFraction(); got != 0.5 {
 		t.Errorf("SkipFraction = %v, want 0.5", got)
+	}
+
+	// A pair the composition cap has already floored is decided without
+	// the sequence DP: counted, skipped, and no cells billed.
+	e := flatFeatures(120, ss.Strand, strings.Repeat("A", 120))
+	if !f.Skip(&b, &e) {
+		t.Error("Skip(b, e) = false, want true (opposite composition, bound 0.35)")
+	}
+	if r = f.Report; r.Total != 3 || r.Skipped != 2 || r.BoundHist[3] != 2 || r.DPCells != wantCells {
+		t.Errorf("after a floored pair: report %+v, want total 3, skipped 2, two pairs in [0.3,0.4), still %d cells", r, wantCells)
+	}
+
+	// Add sums everything but the threshold.
+	twice := prune.New(0.5).Report
+	twice.Add(&r)
+	twice.Add(&r)
+	want := r
+	want.Total, want.Skipped, want.DPCells = 2*r.Total, 2*r.Skipped, 2*r.DPCells
+	for k := range want.BoundHist {
+		want.BoundHist[k] *= 2
+	}
+	if twice != want {
+		t.Errorf("Add: got %+v, want %+v", twice, want)
+	}
+}
+
+// TestAffineChargesOps: the filter bills three DP states per cell of
+// the sequence DP it runs, and nothing for a pair it short-circuits.
+func TestAffineChargesOps(t *testing.T) {
+	a, b := flatFeatures(5, ss.Helix, "AAAAA"), flatFeatures(4, ss.Helix, "AAAA")
+	f := prune.New(0.5)
+	f.Bound(&a, &b)
+	if f.Ops.DPCells != 60 { // 3 states x 20 cells
+		t.Errorf("DPCells = %d, want 60", f.Ops.DPCells)
+	}
+	// Opposite composition floors the bound before the sequence cap.
+	c := flatFeatures(4, ss.Strand, "AAAA")
+	if got := f.Bound(&a, &c); got != 0.35 {
+		t.Fatalf("opposite-composition bound = %v, want the 0.35 cap floor", got)
+	}
+	if f.Ops.DPCells != 60 {
+		t.Errorf("DPCells = %d after a floored pair, want still 60", f.Ops.DPCells)
+	}
+}
+
+// TestBoundWarmNoAllocs: a filter that has seen its longest chain owns
+// all the scratch it needs; scratch is per filter, never per pair.
+func TestBoundWarmNoAllocs(t *testing.T) {
+	f := prune.New(0.5)
+	a := flatFeatures(150, ss.Helix, strings.Repeat("ACDE", 40))
+	b := flatFeatures(120, ss.Helix, strings.Repeat("ADCG", 30))
+	f.Bound(&b, &a)
+	if allocs := testing.AllocsPerRun(10, func() { f.Skip(&a, &b); f.Skip(&b, &a) }); allocs != 0 {
+		t.Errorf("warm Skip: %.1f allocs/run, want 0", allocs)
 	}
 }
 
@@ -162,6 +222,33 @@ func TestPrunePairsPreservesOrder(t *testing.T) {
 	keptAll, repAll := core.PrunePairs(ds, 0)
 	if len(keptAll) != len(all) || repAll.Skipped != 0 {
 		t.Errorf("threshold 0: kept %d skipped %d, want all %d kept", len(keptAll), repAll.Skipped, len(all))
+	}
+	// A dataset with no pairs still reports the threshold it was asked for.
+	one := &synth.Dataset{Name: "one", Structures: ds.Structures[:1]}
+	if keptOne, repOne := core.PrunePairs(one, 0.5); len(keptOne) != 0 || repOne.Threshold != 0.5 || repOne.Total != 0 {
+		t.Errorf("one structure: kept %d, report %+v, want nothing kept at threshold 0.5", len(keptOne), repOne)
+	}
+
+	// The pairs are decided on GOMAXPROCS goroutines; the survivors, their
+	// order and the whole report must not depend on how many.
+	rs := synth.RS119()
+	var wantKept []sched.Pair
+	var wantRep *prune.Report
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		gotKept, gotRep := core.PrunePairs(rs, 0.5)
+		runtime.GOMAXPROCS(prev)
+		if wantRep == nil {
+			wantKept, wantRep = gotKept, gotRep
+			continue
+		}
+		if !reflect.DeepEqual(gotKept, wantKept) || !reflect.DeepEqual(gotRep, wantRep) {
+			t.Errorf("GOMAXPROCS=%d: %d survivors, report %+v; at GOMAXPROCS=1 %d survivors, report %+v",
+				procs, len(gotKept), gotRep, len(wantKept), wantRep)
+		}
+	}
+	if len(wantKept) != 373 {
+		t.Errorf("RS119 at 0.5: %d survivors, want golden 373", len(wantKept))
 	}
 }
 

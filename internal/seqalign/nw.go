@@ -30,10 +30,6 @@ type Aligner struct {
 	val  []float64 // (len1+1) x (len2+1) DP values, row-major
 	path []bool    // true = cell reached by a diagonal (match) move
 	cols int
-
-	// Affine (Gotoh) DP state, lazily sized by AlignAffine.
-	am, ax, ay    []float64
-	atm, atx, aty []int8
 }
 
 // NewAligner returns an Aligner with no pre-allocated capacity; buffers

@@ -67,7 +67,6 @@ func TestAlignerReuseNoAllocs(t *testing.T) {
 	// Warm every variant so all lazily-sized buffers exist.
 	a.Align(len1, len2, score, -0.6, invmap, nil)
 	a.AlignMatrix(len1, len2, mat, -0.6, invmap, nil)
-	a.AlignAffine(len1, len2, score, -1.0, -0.1, invmap, nil)
 
 	cases := []struct {
 		name string
@@ -76,7 +75,6 @@ func TestAlignerReuseNoAllocs(t *testing.T) {
 		{"Align", func() { a.Align(len1, len2, score, -0.6, invmap, nil) }},
 		{"AlignSmaller", func() { a.Align(30, 20, score, -0.6, invmap[:20], nil) }},
 		{"AlignMatrix", func() { a.AlignMatrix(len1, len2, mat, -0.6, invmap, nil) }},
-		{"AlignAffine", func() { a.AlignAffine(len1, len2, score, -1.0, -0.1, invmap, nil) }},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(10, tc.run); allocs != 0 {

@@ -149,11 +149,11 @@ type Server struct {
 	accessMu  sync.Mutex
 	accessLog io.Writer
 
-	// pruneMu guards the pre-filter state: the prune.Filter owns DP
-	// scratch (not safe for concurrent use) and the features cache is a
-	// plain map. Both are nil when pruning is off.
+	// pruneTM is Config.PruneTM (0 = pruning off). Each sweep bounds its
+	// pairs with a prune.Filter of its own; pruneMu guards only the
+	// features cache they share, a plain map.
+	pruneTM    float64
 	pruneMu    sync.Mutex
-	pruneF     *prune.Filter
 	pruneFeats map[*pdb.Structure]*prune.Features
 }
 
@@ -194,7 +194,7 @@ func New(cfg Config) *Server {
 		s.store = pairstore.New(0)
 	}
 	if cfg.PruneTM > 0 {
-		s.pruneF = prune.New(cfg.PruneTM)
+		s.pruneTM = cfg.PruneTM
 		s.pruneFeats = map[*pdb.Structure]*prune.Features{}
 	}
 	bcfg := cfg.Batch
@@ -715,17 +715,16 @@ func (s *Server) oneVsAll(info *reqInfo, targetID string) (int, []pairJob, []bat
 		jobs = append(jobs, canonicalJob(info.id, ti, structs[ti], o, st))
 	}
 	pruned := 0
-	if s.pruneF != nil {
-		s.pruneMu.Lock()
+	if s.pruneTM > 0 {
+		f := prune.New(s.pruneTM)
 		kept := jobs[:0]
 		for _, j := range jobs {
-			if s.pruneF.Skip(s.featuresOfLocked(j.a), s.featuresOfLocked(j.b)) {
+			if f.Skip(s.featuresOf(j.a), s.featuresOf(j.b)) {
 				pruned++
 				continue
 			}
 			kept = append(kept, j)
 		}
-		s.pruneMu.Unlock()
 		jobs = kept
 		if pruned > 0 {
 			s.metricsMu.Lock()
@@ -740,9 +739,11 @@ func (s *Server) oneVsAll(info *reqInfo, targetID string) (int, []pairJob, []bat
 	return ti, jobs, results, pruned, nil
 }
 
-// featuresOfLocked returns the cached prune features of a stored
-// structure, extracting them on first use. Callers hold pruneMu.
-func (s *Server) featuresOfLocked(st *pdb.Structure) *prune.Features {
+// featuresOf returns the cached prune features of a stored structure,
+// extracting them on first use.
+func (s *Server) featuresOf(st *pdb.Structure) *prune.Features {
+	s.pruneMu.Lock()
+	defer s.pruneMu.Unlock()
 	if f, ok := s.pruneFeats[st]; ok {
 		return f
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -493,4 +494,63 @@ func TestDegenerateStoredStructureServes422(t *testing.T) {
 	if w := do(t, s, "GET", "/score?a="+structs[0].ID+"&b="+structs[1].ID, nil); w.Code != http.StatusOK {
 		t.Errorf("healthy pair after poison queries = %d, want 200", w.Code)
 	}
+}
+
+// TestConcurrentPrunedOneVsAll: under -prune-tm every sweep bounds its
+// pairs with its own prune.Filter and only the features cache is shared,
+// so concurrent /onevsall requests neither serialise nor disturb each
+// other: four at a time return the rows and pruned counts a serial
+// client gets. Run under -race.
+func TestConcurrentPrunedOneVsAll(t *testing.T) {
+	const n, clients = 10, 4
+	cfg := Config{PruneTM: 0.5, Batch: batcher.Config{BatchSize: 8, MaxWait: time.Millisecond, Workers: 2}}
+	sweep := func(s *Server, id string) (OneVsAllResponse, error) {
+		var resp OneVsAllResponse
+		w := do(t, s, "POST", "/onevsall?target="+id, nil)
+		if w.Code != http.StatusOK {
+			return resp, fmt.Errorf("onevsall %s = %d: %s", id, w.Code, w.Body.String())
+		}
+		return resp, json.Unmarshal(w.Body.Bytes(), &resp)
+	}
+
+	serial, structs := newTestServer(t, n, cfg)
+	want := make([]OneVsAllResponse, n)
+	prunedTotal := 0
+	for i, st := range structs {
+		var err error
+		if want[i], err = sweep(serial, st.ID); err != nil {
+			t.Fatal(err)
+		}
+		if want[i].Count+want[i].Pruned != n-1 {
+			t.Fatalf("serial %s: %d rows + %d pruned, want %d pairs", st.ID, want[i].Count, want[i].Pruned, n-1)
+		}
+		prunedTotal += want[i].Pruned
+	}
+	if prunedTotal == 0 || prunedTotal == n*(n-1) {
+		t.Fatalf("serial sweeps pruned %d of %d pairs: the test needs both outcomes", prunedTotal, n*(n-1))
+	}
+
+	s, _ := newTestServer(t, n, cfg)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			// Each client starts on a different target, so the four
+			// sweeps in flight fill the features cache concurrently.
+			for k := 0; k < n; k++ {
+				i := (k + c*n/clients) % n
+				got, err := sweep(s, structs[i].ID)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.Pruned != want[i].Pruned || !reflect.DeepEqual(got.Rows, want[i].Rows) {
+					t.Errorf("client %d, target %s: %d rows, %d pruned; serial answer %d rows, %d pruned",
+						c, structs[i].ID, len(got.Rows), got.Pruned, len(want[i].Rows), want[i].Pruned)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }
