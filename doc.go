@@ -15,8 +15,10 @@
 //   - internal/core: rckAlign, the master-slaves all-vs-all comparison
 //     application;
 //   - internal/dist, mcpsc, sched, experiments: the distributed baseline,
-//     the multi-criteria extension, scheduling policies and the drivers
-//     that regenerate every table and figure of the paper's evaluation.
+//     the multi-criteria extension (mcpsc.Compute one score table,
+//     mcpsc.Run replays it under any core partition), scheduling policies
+//     and the drivers that regenerate every table and figure of the
+//     paper's evaluation.
 //
 // Entry points: cmd/tmalign (pairwise CLI), cmd/rckalign (all-vs-all on
 // the simulated SCC), cmd/benchtables (regenerates Tables I-V and

@@ -10,7 +10,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"rckalign/internal/core"
 )
@@ -288,24 +287,4 @@ func FormatClusters(m *Matrix, clusters [][]int) string {
 		out += "\n"
 	}
 	return out
-}
-
-// CSV renders the full similarity matrix as CSV with a name header row
-// and column, for external analysis or plotting.
-func (m *Matrix) CSV() string {
-	var b strings.Builder
-	b.WriteString("name")
-	for i := 0; i < m.Len(); i++ {
-		b.WriteByte(',')
-		b.WriteString(m.Name(i))
-	}
-	b.WriteByte('\n')
-	for i := 0; i < m.Len(); i++ {
-		b.WriteString(m.Name(i))
-		for j := 0; j < m.Len(); j++ {
-			fmt.Fprintf(&b, ",%.4f", m.At(i, j))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

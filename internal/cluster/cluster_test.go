@@ -179,18 +179,3 @@ func TestDendrogram(t *testing.T) {
 		t.Errorf("single dendrogram = %q", single.Dendrogram())
 	}
 }
-
-func TestMatrixCSV(t *testing.T) {
-	m := toy()
-	csv := m.CSV()
-	lines := strings.Split(strings.TrimRight(csv, "\n"), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("CSV lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "name,a1,a2") {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "1.0000") || !strings.Contains(lines[1], "0.8000") {
-		t.Errorf("row = %q", lines[1])
-	}
-}

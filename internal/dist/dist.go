@@ -21,7 +21,6 @@ import (
 	"rckalign/internal/scc"
 	"rckalign/internal/sched"
 	"rckalign/internal/sim"
-	"rckalign/internal/trace"
 )
 
 // Config models the MCPC-side costs.
@@ -40,10 +39,6 @@ type Config struct {
 	NFSSeekSeconds float64
 	// NFSBytesPerSecond is the NFS data bandwidth (shared).
 	NFSBytesPerSecond float64
-	// Trace, when non-nil, receives per-core compute intervals.
-	Trace *trace.Recorder
-	// Collector, when non-nil, observes every collected result.
-	Collector farm.Collector
 }
 
 // DefaultConfig returns values calibrated so the CK34 curve lands in the
@@ -77,8 +72,6 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 		Chip:       cfg.Chip,
 		MasterCore: farm.HostMaster,
 		Slaves:     slaves,
-		Trace:      cfg.Trace,
-		Collector:  cfg.Collector,
 	})
 	if err != nil {
 		return RunResult{}, err
@@ -166,7 +159,7 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 
 // RunSweep simulates the baseline across slave counts.
 func RunSweep(pr *core.PairResults, slaveCounts []int, cfg Config) ([]RunResult, error) {
-	return farm.Sweep(slaveCounts, cfg.Trace != nil || cfg.Collector != nil, func(n int) (RunResult, error) {
+	return farm.Sweep(slaveCounts, false, func(n int) (RunResult, error) {
 		return Run(pr, n, cfg)
 	})
 }

@@ -725,19 +725,25 @@ func mcpscPartitionAblation() (string, error) {
 	tb := stats.NewTable(
 		"Ablation: MC-PSC core partitioning (10 chains, 3 methods, 12 slaves)",
 		"Strategy", "Partition", "Makespan (s)")
-	// One pair store across both strategies: every (method, pair) kernel
-	// is evaluated natively once, then the second run replays memoized
-	// scores — O(strategies x pairs) native work becomes O(pairs).
-	cfg := mcpsc.DefaultRunConfig()
-	cfg.Store = pairstore.New(0)
+	// One score table under both strategies: every (method, pair) kernel
+	// is evaluated natively once, each run replays it, and the
+	// proportional strategy reads its probe cost from it.
+	sc, err := mcpsc.Compute(ds, sched.AllVsAll(ds.Len()), methods, pairstore.New(0))
+	if err != nil {
+		return "", err
+	}
+	proportional, err := mcpsc.ProportionalPartition(sc, 12)
+	if err != nil {
+		return "", err
+	}
 	for _, strat := range []struct {
 		name string
 		part []int
 	}{
 		{"equal", mcpsc.EqualPartition(len(methods), 12)},
-		{"proportional", mcpsc.ProportionalPartition(ds, methods, 12, costmodel.P54C())},
+		{"proportional", proportional},
 	} {
-		r, err := mcpsc.RunAllVsAll(ds, methods, strat.part, cfg)
+		r, err := mcpsc.Run(sc, mcpsc.Contiguous(strat.part), mcpsc.RunConfig{})
 		if err != nil {
 			return "", err
 		}

@@ -3,10 +3,9 @@
 // distributed MCPC baseline and the multi-criteria PSC farms). It owns
 // the pieces those paths used to duplicate: simulation runtime
 // construction (engine + chip + comm), slave placement (master skip,
-// thread-grouped tile workers, contiguous method partitions), job
-// building, master spawn, result collection through a pluggable
-// Collector, termination, and a uniform Report with per-core utilization
-// derived from trace.
+// thread-grouped tile workers), job building, master spawn, result
+// collection through a pluggable Collector, termination, and a uniform
+// Report with per-core utilization derived from trace.
 //
 // A path composes a Session instead of copying a 150-line run function:
 //
@@ -145,9 +144,6 @@ type Report struct {
 	// CoreUtilization maps each traced core to its busy fraction of the
 	// run window [0, TotalSeconds].
 	CoreUtilization map[string]float64
-	// BusySecondsPerMethod sums compute seconds per comparison method
-	// (multi-criteria farms only).
-	BusySecondsPerMethod map[string]float64
 	// Faults summarises fault injection and recovery (nil without a
 	// fault plan).
 	Faults *FaultStats
@@ -403,15 +399,14 @@ func newSession(cfg Config, engine *sim.Engine, labels []string) (*Session, erro
 		s.rt.Comm.SetInterposer(s.injector)
 	}
 	s.rep = Report{
-		Backend:              "scc-sim",
-		Slaves:               cfg.Slaves,
-		Workers:              len(place.WorkerLeads),
-		EffectiveCores:       place.EffectiveCores,
-		DroppedCores:         place.DroppedCores,
-		FarmStats:            rckskel.Stats{JobsPerSlave: map[int]int{}},
-		CoreBusySeconds:      map[string]float64{},
-		CoreUtilization:      map[string]float64{},
-		BusySecondsPerMethod: map[string]float64{},
+		Backend:         "scc-sim",
+		Slaves:          cfg.Slaves,
+		Workers:         len(place.WorkerLeads),
+		EffectiveCores:  place.EffectiveCores,
+		DroppedCores:    place.DroppedCores,
+		FarmStats:       rckskel.Stats{JobsPerSlave: map[int]int{}},
+		CoreBusySeconds: map[string]float64{},
+		CoreUtilization: map[string]float64{},
 	}
 	return s, nil
 }
@@ -462,12 +457,6 @@ func (s *Session) Team() *rckskel.Team {
 
 // StartSlaves spawns the default team's slave loops with one handler.
 func (s *Session) StartSlaves(h rckskel.Handler) { s.Team().StartSlaves(h) }
-
-// StartSlavesWith spawns the default team's slave loops with a per-core
-// handler (different cores may run different comparison methods).
-func (s *Session) StartSlavesWith(h func(core int) rckskel.Handler) {
-	s.Team().StartSlavesWith(h)
-}
 
 // Collect performs the session's result bookkeeping: batched results
 // are unwrapped into their per-job sub-results, each result is
@@ -682,12 +671,6 @@ func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) {
 	m.s.ft.DuplicatesDropped += ft.DuplicatesDropped
 	m.s.ft.LostJobs += ft.LostJobs
 	m.s.ft.Blacklisted = append(m.s.ft.Blacklisted, ft.Blacklisted...)
-}
-
-// AddMethodBusy accumulates compute seconds for one comparison method
-// into Report.BusySecondsPerMethod.
-func (m *Master) AddMethodBusy(method string, seconds float64) {
-	m.s.rep.BusySecondsPerMethod[method] += seconds
 }
 
 // Terminate shuts down the default team's slaves.

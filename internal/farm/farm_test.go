@@ -76,34 +76,6 @@ func TestPlaceValidation(t *testing.T) {
 	}
 }
 
-func TestPartitionContiguous(t *testing.T) {
-	cores := []int{1, 2, 3, 4, 5, 6}
-	got, err := PartitionContiguous(cores, []int{2, 1, 3})
-	if err != nil {
-		t.Fatalf("PartitionContiguous: %v", err)
-	}
-	want := [][]int{{1, 2}, {3}, {4, 5, 6}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("PartitionContiguous = %v, want %v", got, want)
-	}
-	// Undersized, oversized (would previously slice out of bounds
-	// before the diagnostic) and negative partitions are all rejected
-	// up front with the typed error.
-	for _, sizes := range [][]int{{2, 1}, {2, 1, 9}, {7, -1}} {
-		if _, err := PartitionContiguous(cores, sizes); !errors.Is(err, ErrPartitionSizes) {
-			t.Errorf("PartitionContiguous(%v) err = %v, want ErrPartitionSizes", sizes, err)
-		}
-	}
-}
-
-func TestPartitionRoundRobin(t *testing.T) {
-	got := PartitionRoundRobin([]int{1, 2, 3, 4, 5}, 2)
-	want := [][]int{{1, 3, 5}, {2, 4}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("PartitionRoundRobin = %v, want %v", got, want)
-	}
-}
-
 func TestBuildJobs(t *testing.T) {
 	pairs := []sched.Pair{{I: 0, J: 1}, {I: 0, J: 2}}
 	jobs, err := BuildJobs(pairs, 10, func(p sched.Pair) int { return p.I + p.J })

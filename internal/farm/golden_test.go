@@ -56,10 +56,10 @@ type distRun struct {
 }
 
 type mcpscAllVsAll struct {
-	Name                 string                 `json:"name"`
-	TotalSeconds         float64                `json:"total_seconds"`
-	Similarity           map[string][][]float64 `json:"similarity"`
-	BusySecondsPerMethod map[string]float64     `json:"busy_seconds_per_method"`
+	Name         string                 `json:"name"`
+	TotalSeconds float64                `json:"total_seconds"`
+	Similarity   map[string][][]float64 `json:"similarity"`
+	BusySeconds  map[string]float64     `json:"busy_seconds_per_method"`
 }
 
 type mcpscOneVsAll struct {
@@ -241,41 +241,90 @@ func TestGoldenDistRuns(t *testing.T) {
 	}
 }
 
-// legacyMCPSCConfig pins the pre-refactor flat 64-byte result size, so
-// the golden isolates harness refactors from the content-sized
-// ScoreBytes wire model.
-func legacyMCPSCConfig() mcpsc.RunConfig {
-	cfg := mcpsc.DefaultRunConfig()
-	cfg.ResultBytes = func(mcpsc.Score) int { return 64 }
-	return cfg
+// legacyMCPSC pins the pre-refactor flat 64-byte result size, so the
+// golden isolates harness refactors from the content-sized ScoreBytes
+// wire model.
+var legacyMCPSC = mcpsc.RunConfig{ResultBytes: func(mcpsc.Score) int { return 64 }}
+
+// The multi-criteria scenarios run cheap methods (fast native compute)
+// on their own small dataset.
+var (
+	mcpscDS      = synth.Small(6, 72)
+	mcpscMethods = []mcpsc.Method{mcpsc.GaplessRMSD{}, mcpsc.ContactOverlap{}}
+)
+
+// mcpscTable scores pairs of the golden MC-PSC dataset; queryZero is its
+// one-vs-all table for structure 0.
+func mcpscTable(t *testing.T, pairs []sched.Pair) *mcpsc.Scores {
+	t.Helper()
+	sc, err := mcpsc.Compute(mcpscDS, pairs, mcpscMethods, pairstore.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+func queryZero(t *testing.T) *mcpsc.Scores {
+	t.Helper()
+	pairs, err := mcpsc.QueryPairs(mcpscDS, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mcpscTable(t, pairs)
+}
+
+// similarity scatters method m's all-vs-all scores into the symmetric
+// unit-diagonal matrix golden.json records.
+func similarity(sc *mcpsc.Scores, m int) [][]float64 {
+	mat := make([][]float64, sc.Dataset.Len())
+	for i := range mat {
+		mat[i] = make([]float64, len(mat))
+		mat[i][i] = 1
+	}
+	for k, v := range sc.Values(m) {
+		p := sc.Pairs[k]
+		mat[p.I][p.J], mat[p.J][p.I] = v, v
+	}
+	return mat
+}
+
+// byName keys per-method values by method name, as golden.json does.
+func byName[V any](vals func(m int) V) map[string]V {
+	out := map[string]V{}
+	for m, method := range mcpscMethods {
+		out[method.Name()] = vals(m)
+	}
+	return out
 }
 
 // TestGoldenMCPSC checks the multi-criteria scenarios (PSC output and
-// timing); cheap methods keep the native compute fast.
+// timing).
 func TestGoldenMCPSC(t *testing.T) {
 	want := loadGolden(t)
-	mds := synth.Small(6, 72)
-	methods := []mcpsc.Method{mcpsc.GaplessRMSD{}, mcpsc.ContactOverlap{}}
 	var ava mcpscAllVsAll
 	t.Run("mcpsc-allvsall-3+3", func(t *testing.T) {
-		r, err := mcpsc.RunAllVsAll(mds, methods, []int{3, 3}, legacyMCPSCConfig())
+		sc := mcpscTable(t, sched.AllVsAll(mcpscDS.Len()))
+		r, err := mcpsc.Run(sc, mcpsc.Contiguous([]int{3, 3}), legacyMCPSC)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ava = mcpscAllVsAll{Name: "mcpsc-allvsall-3+3", TotalSeconds: r.TotalSeconds,
-			Similarity: r.Similarity, BusySecondsPerMethod: r.BusySecondsPerMethod}
+			Similarity:  byName(func(m int) [][]float64 { return similarity(sc, m) }),
+			BusySeconds: byName(func(m int) float64 { return r.BusySeconds[m] })}
 		if !*update && !reflect.DeepEqual([]mcpscAllVsAll{ava}, want.AllVsAll) {
-			t.Errorf("all-vs-all diverges from golden: TotalSeconds %v, busy %v", ava.TotalSeconds, ava.BusySecondsPerMethod)
+			t.Errorf("all-vs-all diverges from golden: TotalSeconds %v, busy %v", ava.TotalSeconds, ava.BusySeconds)
 		}
 	})
 	var ova mcpscOneVsAll
 	t.Run("mcpsc-onevsall-q0-s5", func(t *testing.T) {
-		r, err := mcpsc.RunOneVsAll(mds, 0, methods, 5, legacyMCPSCConfig())
+		sc := queryZero(t)
+		r, err := mcpsc.Run(sc, mcpsc.RoundRobin(2, 5), legacyMCPSC)
 		if err != nil {
 			t.Fatal(err)
 		}
+		consensus := mcpsc.Consensus([][]float64{sc.Values(0), sc.Values(1)})
 		ova = mcpscOneVsAll{Name: "mcpsc-onevsall-q0-s5", TotalSeconds: r.TotalSeconds,
-			PerMethod: r.PerMethod, Consensus: r.Consensus, Ranking: r.Ranking}
+			PerMethod: byName(sc.Values), Consensus: consensus, Ranking: mcpsc.Rank(consensus)}
 		if !*update && !reflect.DeepEqual([]mcpscOneVsAll{ova}, want.OneVsAll) {
 			t.Errorf("one-vs-all diverges from golden:\n got %+v\nwant %+v", ova, want.OneVsAll)
 		}
@@ -291,20 +340,20 @@ func TestGoldenMCPSC(t *testing.T) {
 // model must charge more than the old flat 64 bytes (it carries the
 // method label, the value and the full operation-counter block).
 func TestScoreBytesChargesContent(t *testing.T) {
-	mds := synth.Small(6, 72)
-	for _, m := range []mcpsc.Method{mcpsc.GaplessRMSD{}, mcpsc.ContactOverlap{}} {
-		s := m.Compare(mds.Structures[0], mds.Structures[1])
-		if got := mcpsc.ScoreBytes(s); got <= 64 {
-			t.Errorf("ScoreBytes(%s) = %d, want > 64", m.Name(), got)
+	sc := queryZero(t)
+	for m, method := range mcpscMethods {
+		if got := mcpsc.ScoreBytes(sc.Row(m)[0]); got <= 64 {
+			t.Errorf("ScoreBytes(%s) = %d, want > 64", method.Name(), got)
 		}
 	}
 	// And the default (nil ResultBytes) run must therefore be slower than
 	// the pinned legacy run: more result bytes on the same mesh.
-	legacy, err := mcpsc.RunOneVsAll(mds, 0, []mcpsc.Method{mcpsc.GaplessRMSD{}, mcpsc.ContactOverlap{}}, 5, legacyMCPSCConfig())
+	assign := mcpsc.RoundRobin(2, 5)
+	legacy, err := mcpsc.Run(sc, assign, legacyMCPSC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	modeled, err := mcpsc.RunOneVsAll(mds, 0, []mcpsc.Method{mcpsc.GaplessRMSD{}, mcpsc.ContactOverlap{}}, 5, mcpsc.DefaultRunConfig())
+	modeled, err := mcpsc.Run(sc, assign, mcpsc.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

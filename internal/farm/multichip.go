@@ -325,15 +325,14 @@ func (ms *MultiSession) finalize() Report {
 	coresPerChip := ms.cfg.Board.Chip.NumCores()
 
 	rep := Report{
-		Backend:              fmt.Sprintf("multichip-%d", n),
-		Slaves:               n * ms.cfg.Slaves,
-		Chips:                n,
-		LoadSeconds:          root.rep.LoadSeconds,
-		TotalSeconds:         root.rep.TotalSeconds,
-		FarmStats:            rckskel.Stats{JobsPerSlave: map[int]int{}},
-		CoreBusySeconds:      map[string]float64{},
-		CoreUtilization:      map[string]float64{},
-		BusySecondsPerMethod: map[string]float64{},
+		Backend:         fmt.Sprintf("multichip-%d", n),
+		Slaves:          n * ms.cfg.Slaves,
+		Chips:           n,
+		LoadSeconds:     root.rep.LoadSeconds,
+		TotalSeconds:    root.rep.TotalSeconds,
+		FarmStats:       rckskel.Stats{JobsPerSlave: map[int]int{}},
+		CoreBusySeconds: map[string]float64{},
+		CoreUtilization: map[string]float64{},
 	}
 
 	for c, s := range ms.sessions {

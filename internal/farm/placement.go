@@ -18,9 +18,6 @@ var (
 	ErrWorkerGrouping = errors.New("cannot form a worker")
 	// ErrNoJobs reports a nil or empty job list handed to a farm.
 	ErrNoJobs = errors.New("no jobs")
-	// ErrPartitionSizes reports a contiguous partition whose sizes do
-	// not cover the core list exactly.
-	ErrPartitionSizes = errors.New("partition sizes do not cover cores")
 	// ErrFaultPlan reports an invalid fault plan (out-of-range cores,
 	// faults aimed at the master, bad probabilities).
 	ErrFaultPlan = errors.New("invalid fault plan")
@@ -98,41 +95,4 @@ func Place(cfg Config) (Placement, error) {
 		EffectiveCores: workers * threads,
 		DroppedCores:   cfg.Slaves - workers*threads,
 	}, nil
-}
-
-// PartitionContiguous splits cores into len(sizes) contiguous groups
-// (sizes must be non-negative and sum to len(cores)): the placement
-// used to dedicate core ranges to different comparison methods. The
-// sizes are validated before any slicing, so a misconfigured partition
-// comes back as an ErrPartitionSizes diagnostic instead of a
-// slice-bounds panic.
-func PartitionContiguous(cores []int, sizes []int) ([][]int, error) {
-	total := 0
-	for i, n := range sizes {
-		if n < 0 {
-			return nil, fmt.Errorf("farm: %w: size[%d] = %d is negative", ErrPartitionSizes, i, n)
-		}
-		total += n
-	}
-	if total != len(cores) {
-		return nil, fmt.Errorf("farm: %w: sizes %v cover %d of %d cores", ErrPartitionSizes, sizes, total, len(cores))
-	}
-	out := make([][]int, len(sizes))
-	idx := 0
-	for i, n := range sizes {
-		out[i] = cores[idx : idx+n]
-		idx += n
-	}
-	return out, nil
-}
-
-// PartitionRoundRobin deals cores one by one into n groups (group i
-// receives cores i, i+n, i+2n, ...), the assignment used by the
-// one-vs-all method split.
-func PartitionRoundRobin(cores []int, n int) [][]int {
-	out := make([][]int, n)
-	for k, c := range cores {
-		out[k%n] = append(out[k%n], c)
-	}
-	return out
 }

@@ -5,6 +5,16 @@
 // fused into a consensus ranking (Section V, "the approach developed in
 // this work can be extended to the more general MC-PSC problem").
 //
+// It has the shape of core: Compute evaluates every (method, pair) once
+// through the pair store into a Scores table, and the one Run replays
+// the table through the simulated farm under any slave -> method
+// assignment. One-vs-all is a pair list (QueryPairs) plus Consensus and
+// Rank, all-vs-all is sched.AllVsAll. The paper asks for "assessment of
+// optimal strategies for the partitioning of the cores dedicated to
+// different PSC algorithms, since the algorithm complexities may vary":
+// EqualPartition and ProportionalPartition are two, RoundRobin and
+// Contiguous two ways of laying slaves out.
+//
 // Besides TM-align, two further comparison methods of very different
 // cost are implemented so the multi-method machinery is exercised by
 // real algorithms: a gapless optimal-superposition RMSD comparator and a
@@ -73,17 +83,11 @@ func (m GaplessRMSD) Compare(a, b *pdb.Structure) Score {
 	}
 	x, y := a.CAs(), b.CAs()
 	var ops costmodel.Counter
-	minLen := len(x)
-	if len(y) < minLen {
-		minLen = len(y)
-	}
+	minLen := min(len(x), len(y))
 	if minLen < 3 {
 		return Score{Method: m.Name(), Ops: ops}
 	}
-	minOverlap := minLen / 2
-	if minOverlap < 3 {
-		minOverlap = 3
-	}
+	minOverlap := max(minLen/2, 3)
 	best := 0.0
 	bufX := make([]geom.Vec3, minLen)
 	bufY := make([]geom.Vec3, minLen)
@@ -144,10 +148,6 @@ func (m ContactOverlap) Compare(a, b *pdb.Structure) Score {
 	if len(ca) == 0 || len(cb) == 0 {
 		return Score{Method: m.Name(), Ops: ops}
 	}
-	small := len(ca)
-	if len(cb) < small {
-		small = len(cb)
-	}
 	best := 0
 	// Slide chain b over chain a: offset k maps b residue j to a residue
 	// j+k.
@@ -159,11 +159,9 @@ func (m ContactOverlap) Compare(a, b *pdb.Structure) Score {
 			}
 		}
 		ops.AddScore(len(cb))
-		if n > best {
-			best = n
-		}
+		best = max(best, n)
 	}
-	return Score{Method: m.Name(), Value: float64(best) / float64(small), Ops: ops}
+	return Score{Method: m.Name(), Value: float64(best) / float64(min(len(ca), len(cb))), Ops: ops}
 }
 
 // ZScores standardises a sample ((x-mean)/std); a zero-variance sample

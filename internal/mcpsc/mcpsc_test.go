@@ -108,74 +108,3 @@ func TestRank(t *testing.T) {
 		t.Errorf("tie rank = %v", r2)
 	}
 }
-
-func TestRunOneVsAll(t *testing.T) {
-	ds := synth.Small(6, 12)
-	methods := []Method{TMAlign{Opt: tmalign.FastOptions()}, GaplessRMSD{}}
-	r, err := RunOneVsAll(ds, 0, methods, 4, DefaultRunConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Targets) != 5 {
-		t.Fatalf("targets = %v", r.Targets)
-	}
-	if r.TotalSeconds <= 0 {
-		t.Error("no simulated time")
-	}
-	for _, m := range methods {
-		scores := r.PerMethod[m.Name()]
-		if len(scores) != 5 {
-			t.Fatalf("%s scores = %v", m.Name(), scores)
-		}
-		for i, s := range scores {
-			if s < 0 || s > 1.000001 {
-				t.Errorf("%s score[%d] = %v", m.Name(), i, s)
-			}
-		}
-	}
-	if len(r.Consensus) != 5 || len(r.Ranking) != 5 {
-		t.Fatal("consensus missing")
-	}
-	// Query fa01 (index 0): family members fa02, fa03 (dataset indices
-	// 1, 2) must rank above the fb structures.
-	top2 := map[int]bool{r.RankedTargets()[0]: true, r.RankedTargets()[1]: true}
-	if !top2[1] || !top2[2] {
-		t.Errorf("family members not ranked top: %v (per-method %v)", r.RankedTargets(), r.PerMethod)
-	}
-	if r.SlavesPerMethod["tmalign"] == 0 || r.SlavesPerMethod["gapless-rmsd"] == 0 {
-		t.Errorf("slave partition: %v", r.SlavesPerMethod)
-	}
-}
-
-func TestRunOneVsAllValidation(t *testing.T) {
-	ds := synth.Small(4, 13)
-	methods := testMethods()
-	if _, err := RunOneVsAll(ds, -1, methods, 6, DefaultRunConfig()); err == nil {
-		t.Error("bad query accepted")
-	}
-	if _, err := RunOneVsAll(ds, 0, nil, 6, DefaultRunConfig()); err == nil {
-		t.Error("no methods accepted")
-	}
-	if _, err := RunOneVsAll(ds, 0, methods, 2, DefaultRunConfig()); err == nil {
-		t.Error("fewer slaves than methods accepted")
-	}
-	if _, err := RunOneVsAll(ds, 0, methods, 99, DefaultRunConfig()); err == nil {
-		t.Error("too many slaves accepted")
-	}
-}
-
-func TestRunOneVsAllMoreSlavesFaster(t *testing.T) {
-	ds := synth.Small(6, 14)
-	methods := []Method{GaplessRMSD{}, ContactOverlap{}}
-	slow, err := RunOneVsAll(ds, 0, methods, 2, DefaultRunConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := RunOneVsAll(ds, 0, methods, 8, DefaultRunConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.TotalSeconds >= slow.TotalSeconds {
-		t.Errorf("8 slaves (%v) not faster than 2 (%v)", fast.TotalSeconds, slow.TotalSeconds)
-	}
-}

@@ -2,200 +2,169 @@ package mcpsc
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"unsafe"
 
 	"rckalign/internal/core"
 	"rckalign/internal/costmodel"
 	"rckalign/internal/farm"
-	"rckalign/internal/pairstore"
-	"rckalign/internal/pdb"
 	"rckalign/internal/rckskel"
 	"rckalign/internal/scc"
-	"rckalign/internal/synth"
-	"rckalign/internal/trace"
+	"rckalign/internal/sched"
 )
 
-// RunConfig tunes a simulated MC-PSC execution.
+// RunConfig tunes the replay.
 type RunConfig struct {
-	Chip       scc.Config
-	MasterCore int
 	// ResultBytes models the wire size of one result message (nil =
 	// ScoreBytes). Override to study the result-traffic sensitivity or
 	// to pin the legacy flat 64-byte model.
 	ResultBytes func(Score) int
-	// Trace, when non-nil, receives per-core activity intervals.
-	Trace *trace.Recorder
-	// Collector, when non-nil, observes every collected result.
-	Collector farm.Collector
-	// Store, when non-nil, memoizes native method evaluations: every
-	// (method parameters, pair) is computed once on the host worker pool
-	// and reused across runs sharing the store (partition ablations,
-	// sweeps). Nil keeps the classic inline-compute path. Simulated
-	// timing is unchanged either way — see the pairstore package.
-	Store *pairstore.Store
 }
 
-// DefaultRunConfig mirrors the rckAlign setup (master on core 0).
-func DefaultRunConfig() RunConfig {
-	return RunConfig{Chip: scc.DefaultConfig(), MasterCore: 0}
+// ScoreBytes models the wire size of one multi-criteria result as a
+// slave returns it to the master: a small header, the method label, the
+// score value and the operation counters that travel with it for the
+// master's per-method accounting.
+func ScoreBytes(s Score) int {
+	const (
+		header   = 16                        // framing: method length + job routing
+		value    = 8                         // float64 score
+		counters = int(unsafe.Sizeof(s.Ops)) // the full Counter block
+	)
+	return header + len(s.Method) + value + counters
 }
 
-// session maps an MC-PSC config onto the farm harness. MC-PSC always
-// uses the paper's busy polling (PollingScale 1); its farms are
-// partitioned, one job queue per method.
-func (cfg RunConfig) session(slaves int) farm.Config {
-	return farm.Config{
-		Chip:         cfg.Chip,
-		MasterCore:   cfg.MasterCore,
-		Slaves:       slaves,
-		PollingScale: 1,
-		Trace:        cfg.Trace,
-		Collector:    cfg.Collector,
-	}
-}
-
-// resultBytes returns the configured result wire-size model.
-func (cfg RunConfig) resultBytes() func(Score) int {
-	if cfg.ResultBytes != nil {
-		return cfg.ResultBytes
-	}
-	return ScoreBytes
-}
-
-// RunResult is the outcome of a simulated multi-criteria one-vs-all
-// query.
+// RunResult reports one simulated multi-criteria run: what the partition
+// cost. The scores are the table's.
 type RunResult struct {
 	farm.Report
-	// Targets lists the dataset indices compared against the query.
-	Targets []int
-	// PerMethod maps method name to similarity scores (aligned with
-	// Targets).
-	PerMethod map[string][]float64
-	// Consensus is the z-score-fused similarity (aligned with Targets).
-	Consensus []float64
-	// Ranking orders positions in Targets by descending consensus.
-	Ranking []int
-	// SlavesPerMethod records the core partition sizes.
-	SlavesPerMethod map[string]int
+	// Slaves[m] counts the cores assigned to Methods[m].
+	Slaves []int
+	// BusySeconds[m] sums the compute seconds of Methods[m]'s jobs, in
+	// the order the master collected them.
+	BusySeconds []float64
 }
 
-// RunOneVsAll simulates a multi-criteria one-vs-all query on the SCC:
-// the master broadcasts the query and each target structure; the slave
-// cores are partitioned among the methods (round-robin), so every method
-// processes every target on its own cores, concurrently with the other
-// methods — the paper's MC-PSC proposal. Comparisons execute natively
-// inside the simulation and charge their measured operation counts to
-// the simulated cores.
-func RunOneVsAll(ds *synth.Dataset, query int, methods []Method, slaves int, cfg RunConfig) (RunResult, error) {
-	if query < 0 || query >= ds.Len() {
-		return RunResult{}, fmt.Errorf("mcpsc: query %d outside dataset", query)
+// RoundRobin deals slaves to methods one at a time: slave k serves
+// method k mod methods (Run's assignment, slave -> method).
+func RoundRobin(methods, slaves int) []int {
+	if methods < 1 {
+		return nil
 	}
-	if len(methods) == 0 {
-		return RunResult{}, fmt.Errorf("mcpsc: no methods")
+	assign := make([]int, max(slaves, 0))
+	for k := range assign {
+		assign[k] = k % methods
 	}
-	if slaves < len(methods) {
-		return RunResult{}, fmt.Errorf("mcpsc: need at least one slave per method (%d methods, %d slaves)", len(methods), slaves)
-	}
-	if slaves > cfg.Chip.NumCores()-1 {
-		return RunResult{}, fmt.Errorf("mcpsc: %d slaves exceed chip capacity %d", slaves, cfg.Chip.NumCores()-1)
-	}
+	return assign
+}
 
-	s, err := farm.NewSession(cfg.session(slaves))
-	if err != nil {
-		return RunResult{}, err
+// EqualPartition is the shares RoundRobin deals (earlier methods take
+// the remainder). Neither strategy hands out more than slaves: with
+// fewer slaves than methods some shares are 0, which Run rejects.
+func EqualPartition(methods, slaves int) []int {
+	sizes := make([]int, max(methods, 0))
+	for _, m := range RoundRobin(methods, slaves) {
+		sizes[m]++
 	}
-	slaveIDs := s.Placement().Cores
+	return sizes
+}
 
-	// Partition slaves among methods round-robin.
-	methodOf := map[int]int{}
-	perMethodSlaves := map[string]int{}
-	for m, group := range farm.PartitionRoundRobin(slaveIDs, len(methods)) {
-		perMethodSlaves[methods[m].Name()] = len(group)
-		for _, c := range group {
-			methodOf[c] = m
+// ProportionalPartition reads each method's cost on a probe pair (the
+// first structure against the middle one) from the table and hands out
+// the slaves one at a time to the method with the highest cost per
+// slave it already has, a method without one first. This is the "assess
+// the algorithm complexities" strategy the paper anticipates.
+func ProportionalPartition(sc *Scores, slaves int) ([]int, error) {
+	probe := slices.Index(sc.Pairs, sched.Pair{I: 0, J: sc.Dataset.Len() / 2})
+	if probe < 0 {
+		return nil, fmt.Errorf("mcpsc: probe pair (0,%d) is not in the score table", sc.Dataset.Len()/2)
+	}
+	cpu := scc.DefaultConfig().CPU
+	costs := make([]float64, len(sc.Methods))
+	for m := range costs {
+		costs[m] = max(cpu.Seconds(sc.Row(m)[probe].Ops), 1e-9)
+	}
+	out := make([]int, len(costs))
+	for assigned := 0; assigned < slaves; assigned++ {
+		best, bestLoad := 0, -1.0
+		for m, n := range out {
+			load := math.Inf(1)
+			if n > 0 {
+				load = costs[m] / float64(n)
+			}
+			if load > bestLoad {
+				best, bestLoad = m, load
+			}
 		}
+		out[best]++
 	}
-
-	var targets []int
-	for i := 0; i < ds.Len(); i++ {
-		if i != query {
-			targets = append(targets, i)
-		}
-	}
-
-	// Per-method job queues over the same target list; payloadOf inverts
-	// the ID layout.
-	type payload struct {
-		method int
-		pos    int // index into targets
-	}
-	queues := make([][]rckskel.Job, len(methods))
-	for m := range methods {
-		queues[m] = make([]rckskel.Job, 0, len(targets))
-		for pos, tgt := range targets {
-			queues[m] = append(queues[m], rckskel.Job{
-				ID:      m*len(targets) + pos,
-				Payload: payload{method: m, pos: pos},
-				Bytes:   core.StructBytes(ds.Structures[query].Len()) + core.StructBytes(ds.Structures[tgt].Len()),
-			})
-		}
-	}
-	rb := cfg.resultBytes()
-	prefetchQueues(cfg.Store, ds, methods, queues, func(pl any) (*pdb.Structure, *pdb.Structure) {
-		p := pl.(payload)
-		return ds.Structures[query], ds.Structures[targets[p.pos]]
-	})
-
-	s.StartSlavesWith(func(slave int) rckskel.Handler {
-		m := methods[methodOf[slave]]
-		return func(job rckskel.Job) (any, costmodel.Counter, int) {
-			pl := job.Payload.(payload)
-			sc := memoizedScore(cfg.Store, m, ds.Name, ds.Structures[query], ds.Structures[targets[pl.pos]])
-			return sc, sc.Ops, rb(sc)
-		}
-	})
-
-	out := RunResult{
-		Targets:         targets,
-		PerMethod:       map[string][]float64{},
-		SlavesPerMethod: perMethodSlaves,
-	}
-	for _, m := range methods {
-		out.PerMethod[m.Name()] = make([]float64, len(targets))
-	}
-
-	rep, err := s.Run("", func(m *farm.Master) {
-		m.LoadResidues(ds.TotalResidues())
-		m.FarmWork(farm.Work{Queues: queues, QueueOf: methodOf}, func(r rckskel.Result) {
-			sc := r.Payload.(Score)
-			pl := payloadOf(r.JobID, len(targets))
-			out.PerMethod[sc.Method][pl] = sc.Value
-		})
-		m.Terminate()
-	})
-	out.Report = rep
-	if err != nil {
-		return out, err
-	}
-
-	var vectors [][]float64
-	for _, m := range methods {
-		vectors = append(vectors, out.PerMethod[m.Name()])
-	}
-	out.Consensus = Consensus(vectors)
-	out.Ranking = Rank(out.Consensus)
 	return out, nil
 }
 
-// payloadOf recovers the target position from a job id (inverse of the
-// ID layout in RunOneVsAll).
-func payloadOf(jobID, numTargets int) int { return jobID % numTargets }
-
-// RankedTargets maps a ranking (positions into Targets) to dataset
-// indices.
-func (r RunResult) RankedTargets() []int {
-	out := make([]int, len(r.Ranking))
-	for i, pos := range r.Ranking {
-		out[i] = r.Targets[pos]
+// Contiguous lays a partition onto the slaves as dedicated core ranges
+// instead: method m gets the next sizes[m] slaves.
+func Contiguous(sizes []int) []int {
+	var assign []int
+	for m, n := range sizes {
+		for ; n > 0; n-- {
+			assign = append(assign, m)
+		}
 	}
-	return out
+	return assign
+}
+
+// Run simulates the table's multi-criteria task on the SCC (master on
+// core 0, the paper's busy polling): slave k of the placement serves
+// method assign[k], so every method works through the whole pair list on
+// its own cores, concurrently with the others — the paper's MC-PSC
+// proposal. It is a replay: job m*len(Pairs)+k looks its score up and
+// charges the measured operation counts to the simulated core.
+func Run(sc *Scores, assign []int, cfg RunConfig) (RunResult, error) {
+	out := RunResult{Slaves: make([]int, len(sc.Methods)), BusySeconds: make([]float64, len(sc.Methods))}
+	for k, m := range assign {
+		if m < 0 || m >= len(sc.Methods) {
+			return out, fmt.Errorf("mcpsc: slave %d assigned to method %d of %d", k, m, len(sc.Methods))
+		}
+		out.Slaves[m]++
+	}
+	if m := slices.Index(out.Slaves, 0); m >= 0 {
+		return out, fmt.Errorf("mcpsc: need at least one slave per method: %s (method %d) has none of the %d",
+			sc.Methods[m].Name(), m, len(assign))
+	}
+	chip := scc.DefaultConfig()
+	s, err := farm.NewSession(farm.Config{Chip: chip, Slaves: len(assign), PollingScale: 1})
+	if err != nil {
+		return out, err
+	}
+	queueOf := make(map[int]int, len(assign))
+	for k, c := range s.Placement().Cores {
+		queueOf[c] = assign[k]
+	}
+	ds, np := sc.Dataset, len(sc.Pairs)
+	queues := make([][]rckskel.Job, len(sc.Methods))
+	for m := range queues {
+		queues[m], err = farm.BuildJobs(sc.Pairs, m*np, func(p sched.Pair) int {
+			return core.StructBytes(ds.Structures[p.I].Len()) + core.StructBytes(ds.Structures[p.J].Len())
+		})
+		if err != nil {
+			return out, err
+		}
+	}
+	resultBytes := cfg.ResultBytes
+	if resultBytes == nil {
+		resultBytes = ScoreBytes
+	}
+	s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
+		score := sc.byJob[job.ID]
+		return score, score.Ops, resultBytes(score)
+	})
+	out.Report, err = s.Run("", func(m *farm.Master) {
+		m.LoadResidues(ds.TotalResidues())
+		m.FarmWork(farm.Work{Queues: queues, QueueOf: queueOf}, func(r rckskel.Result) {
+			out.BusySeconds[r.JobID/np] += chip.CPU.Seconds(sc.byJob[r.JobID].Ops)
+		})
+		m.Terminate()
+	})
+	return out, err
 }
