@@ -11,7 +11,7 @@
 //	benchtables -only serveload      # host-timed entries run only when named
 //	benchtables -list                # names, datasets, host-timed marks
 //	benchtables -cache DIR           # pair-result cache location
-//	benchtables -fast                # fast TM-align profile on a cache miss
+//	benchtables -fast                # fast TM-align profile, every pair computed natively
 //
 // Exit status: 0 on success, 1 on a failed experiment, 2 on bad usage.
 package main
@@ -30,7 +30,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment names (default: every deterministic one)")
 	list := flag.Bool("list", false, "list the experiments and exit")
 	cacheDir := flag.String("cache", "testdata/paircache", "pair-result cache directory")
-	fast := flag.Bool("fast", false, "fast TM-align profile when (re)computing pair results")
+	fast := flag.Bool("fast", false, "fast TM-align profile: every pair is computed natively (-cache holds default-profile results only)")
 	flag.Parse()
 
 	if *list {

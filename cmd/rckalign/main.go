@@ -18,8 +18,9 @@
 // budgeted stages (-membudget) or sharded across chips (-chips). The one
 // combination no run path supports (core's MultiChipConfig.Validate:
 // -membudget with -chips > 1) and flags that could not take effect
-// (-deadline without -faults, -interchip or -gather at -chips 1) exit 2
-// with a one-line diagnostic before the dataset loads.
+// (-deadline without -faults, -interchip or -gather at -chips 1, -slaves
+// below -threads) exit 2 with a one-line diagnostic before the dataset
+// loads; -sweep starts at the first slave count that forms a worker.
 //
 // -structcache enables the slave-side structure-cache model (-1 derives
 // the per-slave capacity from the default memory budget), -batch bundles
@@ -53,11 +54,11 @@
 // -faults takes a fault-injection spec (see internal/fault.ParseSpec),
 // e.g. "seed=1;kill=12@40;kill=30@90;drop=*>0@p0.01". There is one farm
 // protocol: a spec that injects something arms its per-job deadline
-// (-deadline, or derived from the workload), retry and blacklisting,
-// while an empty one ("seed=1") leaves the run, its metrics and its
-// scores byte-identical to the plain run's. A failed job returns to the
-// queue it came from, so under -affinity a dead slave's remaining blocks
-// have no other taker and are reported lost.
+// (-deadline, or derived from the workload) and retry, while an empty
+// one ("seed=1") leaves the run, its metrics and its scores
+// byte-identical to the plain run's. A failed job returns to the queue
+// it came from, so under -affinity a dead slave's remaining blocks have
+// no other taker and are reported lost.
 //
 // -chips N shards the pair matrix across N simulated SCC chips joined
 // by a board-level interconnect: a root master on chip 0 scatters whole
@@ -88,6 +89,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 
 	"rckalign/internal/core"
@@ -97,7 +99,6 @@ import (
 	"rckalign/internal/interchip"
 	"rckalign/internal/metrics"
 	"rckalign/internal/pairstore"
-	"rckalign/internal/prune"
 	"rckalign/internal/rckskel"
 	"rckalign/internal/sched"
 	"rckalign/internal/stats"
@@ -149,8 +150,11 @@ func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
 	if !f.Sweep && (f.Slaves < 1 || f.Slaves > 47) {
 		return cfg, fmt.Errorf("-slaves %d outside [1,47]", f.Slaves)
 	}
-	if f.Threads < 1 {
-		return cfg, fmt.Errorf("-threads %d below 1", f.Threads)
+	if f.Threads < 1 || f.Threads > 47 {
+		return cfg, fmt.Errorf("-threads %d outside [1,47]", f.Threads)
+	}
+	if !f.Sweep && f.Slaves < f.Threads {
+		return cfg, fmt.Errorf("-slaves %d cannot form one -threads %d worker", f.Slaves, f.Threads)
 	}
 	if f.MemBudget < 0 {
 		return cfg, fmt.Errorf("-membudget %d is negative", f.MemBudget)
@@ -195,7 +199,7 @@ func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
 		if cfg.Faults, err = fault.ParseSpec(f.FaultSpec); err != nil {
 			return cfg, fmt.Errorf("-faults %q: %v", f.FaultSpec, err)
 		}
-		cfg.FT.JobDeadlineSeconds = f.Deadline
+		cfg.JobDeadlineSeconds = f.Deadline
 	} else if f.Deadline > 0 {
 		return cfg, fmt.Errorf("-deadline %g without -faults has no effect", f.Deadline)
 	}
@@ -226,7 +230,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "sweep slave counts 1,3,...,47 (the paper's Experiment II)")
 	order := flag.String("order", "FIFO", "job ordering: FIFO, LPT, SPT or Random")
 	cacheDir := flag.String("cache", "testdata/paircache", "pair-result cache directory (empty = always recompute)")
-	fast := flag.Bool("fast", false, "use the fast TM-align profile when (re)computing pair results")
+	fast := flag.Bool("fast", false, "use the fast TM-align profile: every pair is computed natively (-cache holds default-profile results only)")
 	csv := flag.Bool("csv", false, "emit CSV instead of a text table")
 	util := flag.Bool("util", false, "print the per-core utilization of the (last) run")
 	threads := flag.Int("threads", 1, "threads per worker (2 = dual-core tile workers; paper future work)")
@@ -281,13 +285,11 @@ func main() {
 	store := pairstore.New(workers)
 	fmt.Fprintf(os.Stderr, "loading %s (%d chains, %d pairs)...\n", ds.Name, ds.Len(), ds.Pairs())
 	var pr *core.PairResults
-	var pruneRep *prune.Report
 	if *pruneTM > 0 {
 		// Pruning changes the workload, so the full-matrix disk cache does
 		// not apply: survivors are computed through the (memoized) pair
 		// store and skipped pairs never reach the TM-align kernel.
 		kept, rep := core.PrunePairs(ds, *pruneTM)
-		pruneRep = rep
 		fmt.Fprintf(os.Stderr, "prune: %d of %d pairs below TM bound %g (%.1f%% skipped, filter cost %d DP cells)\n",
 			rep.Skipped, rep.Total, rep.Threshold, 100*rep.SkipFraction(), rep.DPCells)
 		pr = core.ComputePairsShared(ds, opt, store, kept)
@@ -299,12 +301,16 @@ func main() {
 		}
 	}
 
-	cfg.Prune = pruneRep
-
 	baseline := pr.SerialSeconds(costmodel.P54C())
 	counts := []int{*slaves}
 	if *sweep {
 		counts = core.OddSlaveCounts(47)
+		if *threads > 1 {
+			// Fewer slaves than threads cannot form one worker.
+			i := sort.SearchInts(counts, *threads)
+			fmt.Fprintf(os.Stderr, "note: -sweep starts at %d slaves: fewer cannot form a %d-thread worker\n", counts[i], *threads)
+			counts = counts[i:]
+		}
 	}
 
 	tb := stats.NewTable(
@@ -404,11 +410,11 @@ func main() {
 		if f := rep.Faults; f != nil {
 			fmt.Fprintf(os.Stderr,
 				"faults (%d slaves): injected kills=%d stalls=%d drops=%d delays=%d corruptions=%d; "+
-					"dead=%v timeouts=%d retries=%d reassigned=%d corrupt-detected=%d duplicates=%d lost=%d blacklisted=%v\n",
+					"dead=%v timeouts=%d retries=%d reassigned=%d corrupt-detected=%d duplicates=%d lost=%d\n",
 				n, f.Injected.CoresKilled, f.Injected.CoresStalled, f.Injected.Dropped,
 				f.Injected.Delayed, f.Injected.Corrupted, f.DeadCores, f.Timeouts,
 				f.Retries, f.Reassigned, f.DetectedCorrupt, f.DuplicatesDropped,
-				f.LostJobs, f.Blacklisted)
+				f.LostJobs)
 			// A lost job is a whole batch under -batch: count pairs.
 			if lost := len(pr.Pairs) - rep.Collected; lost > 0 {
 				fmt.Fprintf(os.Stderr, "warning: degraded completion, %d of %d pairs lost\n",
@@ -440,7 +446,7 @@ func main() {
 			fmt.Println("\nmesh link heatmap (last run):")
 			fmt.Print(lastRep.Metrics.LinkHeatmap)
 		} else {
-			fmt.Fprintln(os.Stderr, "note: no link heatmap (mesh ran without contention modelling)")
+			fmt.Fprintln(os.Stderr, "note: no link heatmap (no link carried traffic)")
 		}
 	}
 	if *scoresOut != "" {

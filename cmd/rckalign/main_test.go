@@ -33,6 +33,11 @@ func TestValidateFlags(t *testing.T) {
 		{"slaves too many", func(f *cliFlags) { f.Slaves = 48 }, "-slaves"},
 		{"slaves ignored under sweep", func(f *cliFlags) { f.Slaves = 0; f.Sweep = true }, ""},
 		{"threads zero", func(f *cliFlags) { f.Threads = 0 }, "-threads"},
+		{"threads above a chip", func(f *cliFlags) { f.Threads = 48 }, "-threads 48 outside [1,47]"},
+		{"threads above a chip under sweep", func(f *cliFlags) { f.Threads = 48; f.Sweep = true }, "-threads 48 outside [1,47]"},
+		{"slaves below threads", func(f *cliFlags) { f.Slaves = 2; f.Threads = 3 }, "-slaves 2 cannot form one -threads 3 worker"},
+		{"slaves equal threads", func(f *cliFlags) { f.Slaves = 3; f.Threads = 3 }, ""},
+		{"sweep starts at threads", func(f *cliFlags) { f.Slaves = 1; f.Sweep = true; f.Threads = 2 }, ""},
 		{"membudget negative", func(f *cliFlags) { f.MemBudget = -5 }, "-membudget"},
 		{"deadline negative", func(f *cliFlags) { f.Deadline = -1 }, "-deadline"},
 		{"deadline NaN", func(f *cliFlags) { f.Deadline = math.NaN(); f.FaultSpec = "kill=3@10" }, "-deadline NaN is not a finite"},
@@ -192,6 +197,22 @@ func TestRemovedFlagsAreUndefined(t *testing.T) {
 		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
 			t.Errorf("rckalign %v printed %q, want %q", args, out, want)
 		}
+	}
+}
+
+// TestThreadsAboveSlavesExitsBeforeLoading: the usage error comes from
+// validateFlags (exit 2) before the dataset loads, not from the farm
+// (exit 1) after it.
+func TestThreadsAboveSlavesExitsBeforeLoading(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-slaves", "2", "-threads", "3")
+	cmd.Env = append(os.Environ(), "RCKALIGN_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("rckalign -slaves 2 -threads 3: err = %v, want exit status 2", err)
+	}
+	if strings.Contains(string(out), "loading") {
+		t.Errorf("rckalign -slaves 2 -threads 3 loaded the dataset before failing:\n%s", out)
 	}
 }
 

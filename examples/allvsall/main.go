@@ -44,7 +44,7 @@ func main() {
 
 	fmt.Println("slaves  time(s)  speedup  efficiency  slave-busy")
 	cfg := core.DefaultConfig()
-	masterTrack := cfg.Chip.CoreName(cfg.MasterCore)
+	masterTrack := cfg.Chip.CoreName(0)
 	for _, n := range []int{1, 2, 4, 8, 16, 32, 47} {
 		r, err := core.Run(pr, n, cfg)
 		if err != nil {

@@ -121,12 +121,17 @@ func LoadPairResults(ds *synth.Dataset, path string) (*PairResults, error) {
 
 // ComputeOrLoadShared returns cached pair results when a valid cache
 // exists at path, otherwise computes natively and writes the cache. An
-// empty path disables caching. On a disk-cache miss the pairs are
+// empty path disables caching, and so do options other than
+// tmalign.DefaultOptions: a cache file records no kernel, so it holds
+// default-profile results only. On a disk-cache miss the pairs are
 // evaluated through the store (see ComputeAllPairsShared), so repeated
 // calls — other datasets' overlapping keys, other option sweeps, other
 // experiment drivers — pay for each native comparison at most once per
 // process.
 func ComputeOrLoadShared(ds *synth.Dataset, opt tmalign.Options, path string, store *pairstore.Store) (*PairResults, error) {
+	if opt.Key() != tmalign.DefaultOptions().Key() {
+		path = ""
+	}
 	if path != "" {
 		if pr, err := LoadPairResults(ds, path); err == nil {
 			return pr, nil

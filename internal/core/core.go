@@ -29,7 +29,6 @@ import (
 	"rckalign/internal/pairstore"
 	"rckalign/internal/pdb"
 	"rckalign/internal/prune"
-	"rckalign/internal/rckskel"
 	"rckalign/internal/scc"
 	"rckalign/internal/sched"
 	"rckalign/internal/synth"
@@ -158,8 +157,7 @@ func ComputePairsShared(ds *synth.Dataset, opt tmalign.Options, store *pairstore
 // conservative TM upper bound is evaluated, and pairs bounded below
 // threshold are dropped. The returned pair list (canonical order
 // preserved) feeds ComputePairsShared so skipped pairs never run the
-// TM-align kernel; the report carries the skip accounting for
-// farm.Report.Prune.
+// TM-align kernel; the report carries the skip accounting.
 //
 // Pairs are independent, so they are decided on every host core: one
 // prune.Filter per goroutine, blocks of the canonical list claimed in
@@ -212,11 +210,6 @@ func PrunePairs(ds *synth.Dataset, threshold float64) ([]sched.Pair, *prune.Repo
 // of the most expensive job's compute time, covering staging, transfer
 // and discovery latency so a healthy slave never trips its deadline.
 const DeadlineMargin = 3.0
-
-// DefaultMaxAttempts bounds the dispatches of one job under a fault
-// plan when Config.FT leaves MaxAttempts zero: a link that corrupts
-// every result must lose the job, not retry it forever.
-const DefaultMaxAttempts = 10
 
 // DeriveJobDeadline returns the default fault-tolerant job deadline for
 // a workload: DeadlineMargin times the compute seconds of the most
@@ -272,11 +265,9 @@ func SynthPairResults(name string, lengths []int) *PairResults {
 // Config tunes an rckAlign simulation run. The fields compose freely;
 // the one combination no run shape supports is MultiChipConfig.Validate.
 type Config struct {
-	// Chip is the SCC model (DefaultConfig = Table I).
+	// Chip is the SCC model (DefaultConfig = Table I). The master runs on
+	// its core 0 (paper: "the first core supplied to the program").
 	Chip scc.Config
-	// MasterCore runs the master process (paper: core 0, "the first core
-	// supplied to the program").
-	MasterCore int
 	// Order is the job ordering policy (paper: FIFO).
 	Order sched.Order
 	// OrderSeed drives sched.Random.
@@ -336,18 +327,11 @@ type Config struct {
 	// block to the report. Under Affinity a slave's work returns to its
 	// own queue: a dead worker's remaining blocks are reported lost.
 	Faults *fault.Plan
-	// FT arms the farm's failure detection (deadline, retry, blacklist).
-	// A zero JobDeadlineSeconds under a plan that injects something
-	// derives a deadline from the most expensive job in the workload
-	// (see DeriveJobDeadline) and a zero MaxAttempts becomes
-	// DefaultMaxAttempts; without such a plan, nothing is armed.
-	FT rckskel.FTConfig
-	// Prune, when non-nil, is the pre-filter accounting of the pruning
-	// pass that produced the workload (see PrunePairs); the run attaches
-	// it to Report.Prune so reports carry the skip statistics. It does
-	// not itself filter anything — pass PrunePairs' survivors as the
-	// PairResults.
-	Prune *prune.Report
+	// JobDeadlineSeconds is the fault-tolerant per-job deadline (see
+	// rckskel.FARM). Zero under a plan that injects something derives
+	// one from the most expensive job in the workload (see
+	// DeriveJobDeadline); without such a plan, nothing is armed.
+	JobDeadlineSeconds float64
 	// MemoryBudgetResidues, when positive and below the dataset's total,
 	// caps the residues resident at the master — the paper's closing
 	// concern, "datasets too large to be loaded into memory at once".
@@ -366,7 +350,7 @@ const reloadSecondsPerResidue = 4e-6
 
 // DefaultConfig returns the paper's setup.
 func DefaultConfig() Config {
-	return Config{Chip: scc.DefaultConfig(), MasterCore: 0, Order: sched.FIFO, PollingScale: 1}
+	return Config{Chip: scc.DefaultConfig(), Order: sched.FIFO, PollingScale: 1}
 }
 
 // RunResult reports one simulated rckAlign execution: the unified farm

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"rckalign/internal/costmodel"
@@ -214,14 +216,29 @@ func TestCacheRejectsWrongDataset(t *testing.T) {
 	}
 }
 
+// TestComputeOrLoad: the disk cache round-trips default-profile results
+// and is neither read nor written under any other profile, whose results
+// it cannot tell apart.
 func TestComputeOrLoad(t *testing.T) {
 	ds := synth.Small(4, 5)
-	path := filepath.Join(t.TempDir(), "c.gob")
-	a, err := ComputeOrLoadShared(ds, tmalign.FastOptions(), path, pairstore.New(0))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "c.gob")
+	fast, err := ComputeOrLoadShared(ds, tmalign.FastOptions(), path, pairstore.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ComputeOrLoadShared(ds, tmalign.FastOptions(), path, pairstore.New(0))
+	if want := ComputeAllPairsShared(ds, tmalign.FastOptions(), nil); !reflect.DeepEqual(fast, want) {
+		t.Error("fast results differ from ComputeAllPairsShared(FastOptions)")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("fast run left %v in the cache dir (err %v)", entries, err)
+	}
+
+	a, err := ComputeOrLoadShared(ds, tmalign.DefaultOptions(), path, pairstore.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ComputeOrLoadShared(ds, tmalign.DefaultOptions(), path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +246,16 @@ func TestComputeOrLoad(t *testing.T) {
 		t.Fatal("reload mismatch")
 	}
 	for k := range a.Results {
-		if a.Results[k].TM1 != b.Results[k].TM1 {
+		if a.Results[k].TM1 != b.Results[k].TM1 || a.Results[k].Ops != b.Results[k].Ops {
 			t.Fatal("reload score mismatch")
 		}
+		if b.Results[k].Invmap != nil {
+			t.Fatal("second default run recomputed instead of loading the cache (which omits Invmap)")
+		}
+	}
+	// A fast run must not read the default-profile file back either.
+	if fast2, err := ComputeOrLoadShared(ds, tmalign.FastOptions(), path, nil); err != nil || !reflect.DeepEqual(fast2, fast) {
+		t.Errorf("fast run after a default cache write = %v (err %v), want the fast results", fast2, err)
 	}
 }
 

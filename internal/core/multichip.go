@@ -17,8 +17,8 @@ import (
 const ShardJobHeaderBytes = 16
 
 // MultiChipConfig extends Config with the multi-chip axes. The embedded
-// Config's Chip describes each chip; MasterCore is ignored at chips > 1
-// (every chip's master is its core 0, the root is chip 0's).
+// Config's Chip describes each chip (every chip's master is its core 0,
+// the root is chip 0's).
 type MultiChipConfig struct {
 	Config
 	// Chips is the chip count (<= 1 is the paper's single chip).
@@ -80,7 +80,6 @@ func RunMultiChip(pr *PairResults, slavesPerChip int, cfg MultiChipConfig) (RunR
 		return RunResult{}, err
 	}
 	rep, err := p.run()
-	rep.Prune = cfg.Prune
 	return RunResult{Report: rep}, err
 }
 

@@ -88,35 +88,29 @@ func newPlan(pr *PairResults, slaves int, cfg MultiChipConfig) (*plan, error) {
 	}
 
 	p.session = farm.Config{
-		Chip:             cfg.Chip,
-		MasterCore:       cfg.MasterCore,
-		Slaves:           slaves,
-		ThreadsPerWorker: cfg.ThreadsPerWorker,
-		PollingScale:     cfg.PollingScale,
-		Trace:            cfg.Trace,
-		Metrics:          cfg.Metrics,
-		Collector:        cfg.Collector,
-		Batch:            cfg.Batch,
-		CacheStructs:     cacheCap,
-		Faults:           cfg.Faults,
-		FT:               cfg.FT,
+		Chip:               cfg.Chip,
+		Slaves:             slaves,
+		ThreadsPerWorker:   cfg.ThreadsPerWorker,
+		PollingScale:       cfg.PollingScale,
+		Trace:              cfg.Trace,
+		Metrics:            cfg.Metrics,
+		Collector:          cfg.Collector,
+		Batch:              cfg.Batch,
+		CacheStructs:       cacheCap,
+		Faults:             cfg.Faults,
+		JobDeadlineSeconds: cfg.JobDeadlineSeconds,
 	}
 	place, err := farm.Place(p.session)
 	if err != nil {
 		return nil, err
 	}
 	opScale := place.OpScale
-	if !cfg.Faults.Empty() {
+	if !cfg.Faults.Empty() && cfg.JobDeadlineSeconds == 0 {
 		// Only a plan that injects something arms the farm's failure
-		// detection; an empty one leaves every timer unscheduled.
-		if cfg.FT.JobDeadlineSeconds == 0 {
-			// A batch is one fault-tolerance unit of up to Batch jobs: its
-			// deadline must cover them back to back.
-			p.session.FT.JobDeadlineSeconds = DeriveJobDeadline(pr, cfg.Chip.CPU, opScale) * float64(max(cfg.Batch, 1))
-		}
-		if cfg.FT.MaxAttempts == 0 {
-			p.session.FT.MaxAttempts = DefaultMaxAttempts
-		}
+		// detection; an empty one leaves every timer unscheduled. A batch
+		// is one fault-tolerance unit of up to Batch jobs: its deadline
+		// must cover them back to back.
+		p.session.JobDeadlineSeconds = DeriveJobDeadline(pr, cfg.Chip.CPU, opScale) * float64(max(cfg.Batch, 1))
 	}
 	p.handler = func(job rckskel.Job) (any, costmodel.Counter, int) {
 		res := pr.Get(job.Payload.(sched.Pair))
@@ -260,9 +254,10 @@ func (p *plan) run() (farm.Report, error) {
 	var ms *farm.MultiSession
 	if chips > 1 {
 		ms, err = farm.NewMultiSession(farm.MultiConfig{
-			Config: p.session,
-			Board:  farm.MultiChip{Chips: chips, Chip: p.cfg.Chip, Interchip: p.cfg.Interchip},
-			Gather: p.cfg.Gather,
+			Config:    p.session,
+			Chips:     chips,
+			Interchip: p.cfg.Interchip,
+			Gather:    p.cfg.Gather,
 		})
 		if err != nil {
 			return farm.Report{}, err

@@ -479,7 +479,7 @@ func (e *Env) pollingAblation() (string, error) {
 		tb.AddRowf(label, r.TotalSeconds, serial/r.TotalSeconds/slaves,
 			fmt.Sprintf("%.0f", r.Metrics.PeakMailboxDepth),
 			r.Metrics.JobStages["collect_wait"].TotalSeconds,
-			r.CoreBusySeconds[cfg.Chip.CoreName(cfg.MasterCore)])
+			r.CoreBusySeconds[cfg.Chip.CoreName(0)])
 	}
 	return tb.String(), nil
 }
@@ -542,7 +542,7 @@ func (e *Env) fasterCoresAblation() (string, error) {
 		}
 		masterBusy := 0.0
 		if r.TotalSeconds > 0 {
-			masterBusy = r.CoreBusySeconds[cfg.Chip.CoreName(cfg.MasterCore)] / r.TotalSeconds
+			masterBusy = r.CoreBusySeconds[cfg.Chip.CoreName(0)] / r.TotalSeconds
 		}
 		tcfg := cfg
 		tcfg.Trace = nil

@@ -93,11 +93,11 @@ func TestNewSessionRejectsBadFaultPlan(t *testing.T) {
 func TestPartitionedFarmRecoversInsideItsPartition(t *testing.T) {
 	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
 	s, err := farm.NewSession(farm.Config{
-		Chip:       scc.DefaultConfig(),
-		MasterCore: 0,
-		Slaves:     4,
-		Faults:     &fault.Plan{Kills: []fault.CoreFailure{{Core: 1, At: 1.5 * js}}},
-		FT:         rckskel.FTConfig{JobDeadlineSeconds: 3 * js},
+		Chip:               scc.DefaultConfig(),
+		MasterCore:         0,
+		Slaves:             4,
+		Faults:             &fault.Plan{Kills: []fault.CoreFailure{{Core: 1, At: 1.5 * js}}},
+		JobDeadlineSeconds: 3 * js,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,11 +137,11 @@ func TestPartitionedFarmRecoversInsideItsPartition(t *testing.T) {
 func TestOrphanedQueueIsLost(t *testing.T) {
 	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
 	s, err := farm.NewSession(farm.Config{
-		Chip:       scc.DefaultConfig(),
-		MasterCore: 0,
-		Slaves:     4,
-		Faults:     &fault.Plan{Kills: []fault.CoreFailure{{Core: 1, At: 1.5 * js}, {Core: 2, At: 1.5 * js}}},
-		FT:         rckskel.FTConfig{JobDeadlineSeconds: 3 * js},
+		Chip:               scc.DefaultConfig(),
+		MasterCore:         0,
+		Slaves:             4,
+		Faults:             &fault.Plan{Kills: []fault.CoreFailure{{Core: 1, At: 1.5 * js}, {Core: 2, At: 1.5 * js}}},
+		JobDeadlineSeconds: 3 * js,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,11 +189,11 @@ func TestSessionFaultTolerantKillRun(t *testing.T) {
 	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
 	plan := &fault.Plan{Kills: []fault.CoreFailure{{Core: 2, At: 1.5 * js}}}
 	s, err := farm.NewSession(farm.Config{
-		Chip:       scc.DefaultConfig(),
-		MasterCore: 0,
-		Slaves:     4,
-		Faults:     plan,
-		FT:         rckskel.FTConfig{JobDeadlineSeconds: 3 * js},
+		Chip:               scc.DefaultConfig(),
+		MasterCore:         0,
+		Slaves:             4,
+		Faults:             plan,
+		JobDeadlineSeconds: 3 * js,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,6 @@ import (
 	"rckalign/internal/costmodel"
 	"rckalign/internal/fault"
 	"rckalign/internal/metrics"
-	"rckalign/internal/prune"
 	"rckalign/internal/rcce"
 	"rckalign/internal/rckskel"
 	"rckalign/internal/scc"
@@ -106,11 +105,12 @@ type Config struct {
 	// Report.Faults. A non-nil but empty plan injects nothing: the
 	// report is identical to the plan-free run's but for that block.
 	Faults *fault.Plan
-	// FT arms every farm's failure detection (per-job deadlines, retry,
-	// blacklisting). The zero value arms nothing; a deadline is only
-	// useful under a fault plan, whose wire model lets sends to dead
-	// cores vanish instead of hanging.
-	FT rckskel.FTConfig
+	// JobDeadlineSeconds arms every farm's failure detection: a job not
+	// collected this long after its dispatch is presumed lost and retried
+	// (see rckskel.FARM). 0 arms nothing; a deadline is only useful under
+	// a fault plan, whose wire model lets sends to dead cores vanish
+	// instead of hanging.
+	JobDeadlineSeconds float64
 }
 
 // Report is the uniform outcome of a farm execution.
@@ -161,10 +161,6 @@ type Report struct {
 	// Interchip summarises the board-level interconnect traffic of a
 	// multi-chip run (nil otherwise).
 	Interchip *InterchipReport
-	// Prune summarises the opt-in pre-filter that removed pairs from the
-	// workload before farming (nil when pruning was off): pairs examined
-	// and skipped, the bound distribution and the filter's own DP cost.
-	Prune *prune.Report
 	// Tiled summarises the out-of-core block schedule of a run under a
 	// master memory budget (nil when the whole dataset was resident).
 	Tiled *TiledReport
@@ -286,7 +282,7 @@ type MetricsReport struct {
 	// with a ready result for the master to collect.
 	PeakMailboxDepth float64
 	// WorstLink names the busiest directed mesh link ("(x,y)->(x,y)");
-	// empty when the mesh ran without contention modelling.
+	// empty when no link carried traffic.
 	WorstLink string
 	// WorstLinkBusySeconds is that link's accumulated busy time.
 	WorstLinkBusySeconds float64
@@ -296,7 +292,7 @@ type MetricsReport struct {
 	// dispatch_wait, input_xfer, compute, result_xfer, collect_wait.
 	JobStages map[string]StageAgg
 	// LinkHeatmap is the mesh's per-link busy-time grid rendered as text
-	// (empty without contention modelling); see noc.Mesh.LinkHeatmap.
+	// (empty when no link carried traffic); see noc.Mesh.LinkHeatmap.
 	LinkHeatmap string
 }
 
@@ -321,15 +317,14 @@ type FaultStats struct {
 	// DeadCores lists fail-stopped cores, sorted.
 	DeadCores []int
 	// Timeouts, Retries, Reassigned, DetectedCorrupt, Duplicates
-	// Dropped, LostJobs and Blacklisted mirror rckskel.FTStats,
-	// accumulated over every farm the master executed.
+	// Dropped and LostJobs mirror rckskel.FTStats, accumulated over
+	// every farm the master executed.
 	Timeouts          int
 	DetectedCorrupt   int
 	Retries           int
 	Reassigned        int
 	DuplicatesDropped int
 	LostJobs          int
-	Blacklisted       []int
 }
 
 // Session is a constructed farm: runtime, placement and report
@@ -585,7 +580,6 @@ func (s *Session) finalize() {
 			Reassigned:        s.ft.Reassigned,
 			DuplicatesDropped: s.ft.DuplicatesDropped,
 			LostJobs:          s.ft.LostJobs,
-			Blacklisted:       s.ft.Blacklisted,
 		}
 	}
 }
@@ -644,8 +638,9 @@ type Work struct {
 }
 
 // FarmWork farms w on the default team (the paper's FARM construct, its
-// failure detection armed by Config.FT), routing every result through
-// the session's collection bookkeeping and then collect (may be nil).
+// failure detection armed by Config.JobDeadlineSeconds), routing every
+// result through the session's collection bookkeeping and then collect
+// (may be nil).
 // The report accumulates the farm's statistics across calls.
 func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) {
 	queues, queueOf := w.Queues, []int(nil)
@@ -660,7 +655,7 @@ func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) {
 			}
 		}
 	}
-	st, ft := m.s.Team().FARM(m.P, queues, queueOf, m.s.cfg.FT, func(r rckskel.Result) {
+	st, ft := m.s.Team().FARM(m.P, queues, queueOf, m.s.cfg.JobDeadlineSeconds, func(r rckskel.Result) {
 		m.s.deliver(r, collect)
 	})
 	m.s.mergeStats(st)
@@ -670,7 +665,6 @@ func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) {
 	m.s.ft.Reassigned += ft.Reassigned
 	m.s.ft.DuplicatesDropped += ft.DuplicatesDropped
 	m.s.ft.LostJobs += ft.LostJobs
-	m.s.ft.Blacklisted = append(m.s.ft.Blacklisted, ft.Blacklisted...)
 }
 
 // Terminate shuts down the default team's slaves.

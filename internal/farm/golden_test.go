@@ -421,8 +421,7 @@ func TestGoldenZeroPlanEquivalence(t *testing.T) {
 			}
 			if f.Injected != (fault.Stats{}) || len(f.DeadCores) != 0 ||
 				f.Timeouts != 0 || f.DetectedCorrupt != 0 || f.Retries != 0 ||
-				f.Reassigned != 0 || f.DuplicatesDropped != 0 || f.LostJobs != 0 ||
-				len(f.Blacklisted) != 0 {
+				f.Reassigned != 0 || f.DuplicatesDropped != 0 || f.LostJobs != 0 {
 				t.Errorf("empty plan left nonzero fault stats: %+v", f)
 			}
 			got := ft.Report

@@ -22,7 +22,6 @@ import (
 	"rckalign/internal/fault"
 	"rckalign/internal/interchip"
 	"rckalign/internal/rckskel"
-	"rckalign/internal/scc"
 	"rckalign/internal/sim"
 	"rckalign/internal/trace"
 )
@@ -47,47 +46,39 @@ const (
 	InterchipControlBytes = 64
 )
 
-// MultiChip is the board topology: Chips copies of one scc.Config
-// joined by an interchip fabric. Core names are prefixed per chip
-// ("c1.rck00"), so traces, reports and per-core metrics stay
+// MultiConfig describes one multi-chip farm session: Chips copies of
+// one chip joined by an interchip fabric. Core names are prefixed per
+// chip ("c1.rck00"), so traces, reports and per-core metrics stay
 // distinguishable.
-type MultiChip struct {
-	// Chips is the chip count (>= 2 for a MultiSession).
+type MultiConfig struct {
+	// Config is the per-chip session template, applied identically on
+	// every chip: Chip describes each chip, Slaves is the per-chip slave
+	// count (each chip's master occupies its core 0, so at most
+	// NumCores-1; MasterCore is ignored), Trace / Metrics / Collector are
+	// shared by all chips (metric keys are scoped per chip), and each
+	// chip session owns an independent cache model, so the wire
+	// accounting splits naturally per interconnect tier. Faults, when
+	// non-nil, carries global core ids (chip = id / coresPerChip) and is
+	// split per chip with fault.SplitPlan; every chip — faulted or not —
+	// arms the same JobDeadlineSeconds, so every shard's report carries a
+	// Faults block.
+	Config
+	// Chips is the chip count (>= 2).
 	Chips int
-	// Chip is the per-chip configuration (DefaultConfig = Table I).
-	Chip scc.Config
 	// Interchip is the board-level interconnect profile (zero value =
 	// interchip.DefaultConfig).
 	Interchip interchip.Config
-}
-
-// interconnect resolves the zero-value default.
-func (b MultiChip) interconnect() interchip.Config {
-	if b.Interchip == (interchip.Config{}) {
-		return interchip.DefaultConfig()
-	}
-	return b.Interchip
-}
-
-// MultiConfig describes one multi-chip farm session.
-type MultiConfig struct {
-	// Config is the per-chip session template, applied identically on
-	// every chip: Slaves is the per-chip slave count (each chip's master
-	// occupies its core 0, so at most NumCores-1), Trace / Metrics /
-	// Collector are shared by all chips (metric keys are scoped per
-	// chip), and each chip session owns an independent cache model, so
-	// the wire accounting splits naturally per interconnect tier.
-	// Chip and MasterCore are set per chip from Board. Faults, when
-	// non-nil, carries global core ids (chip = id / coresPerChip) and is
-	// split per chip with fault.SplitPlan; every chip — faulted or not —
-	// arms the same deadline (FT), so every shard's report carries a
-	// Faults block.
-	Config
-	// Board is the chip topology (Chips >= 2).
-	Board MultiChip
 	// Gather selects the result-aggregation topology (zero value = a
 	// gather tree of DefaultGatherArity, one blob per shard).
 	Gather GatherConfig
+}
+
+// interconnect resolves the zero-value default.
+func (cfg MultiConfig) interconnect() interchip.Config {
+	if cfg.Interchip == (interchip.Config{}) {
+		return interchip.DefaultConfig()
+	}
+	return cfg.Interchip
 }
 
 // MultiSession is a constructed multi-chip farm: one chip-level Session
@@ -113,8 +104,8 @@ type MultiSession struct {
 // and per-chip sessions (each with its slice of the fault plan, when
 // one is configured).
 func NewMultiSession(cfg MultiConfig) (*MultiSession, error) {
-	if cfg.Board.Chips < 2 {
-		return nil, fmt.Errorf("%w (got %d)", ErrChipCount, cfg.Board.Chips)
+	if cfg.Chips < 2 {
+		return nil, fmt.Errorf("%w (got %d)", ErrChipCount, cfg.Chips)
 	}
 	gather, err := cfg.Gather.resolved()
 	if err != nil {
@@ -122,7 +113,7 @@ func NewMultiSession(cfg MultiConfig) (*MultiSession, error) {
 	}
 	var plans []*fault.Plan
 	if cfg.Faults != nil {
-		plans, err = fault.SplitPlan(cfg.Faults, cfg.Board.Chips, cfg.Board.Chip.NumCores())
+		plans, err = fault.SplitPlan(cfg.Faults, cfg.Chips, cfg.Chip.NumCores())
 		if err != nil {
 			return nil, fmt.Errorf("farm: %w: %v", ErrFaultPlan, err)
 		}
@@ -134,19 +125,18 @@ func NewMultiSession(cfg MultiConfig) (*MultiSession, error) {
 	ms := &MultiSession{
 		cfg: cfg, gather: gather,
 		engine:       sim.NewEngine(),
-		fabric:       interchip.New(cfg.Board.Chips, cfg.Board.interconnect()),
-		shardBytes:   make([]int64, cfg.Board.Chips),
-		resultBytes:  make([]int64, cfg.Board.Chips),
-		perPairBytes: make([]int64, cfg.Board.Chips),
+		fabric:       interchip.New(cfg.Chips, cfg.interconnect()),
+		shardBytes:   make([]int64, cfg.Chips),
+		resultBytes:  make([]int64, cfg.Chips),
+		perPairBytes: make([]int64, cfg.Chips),
 		gatherLat:    map[int][]float64{},
 	}
 	if cfg.Metrics != nil {
 		ms.fabric.SetMetrics(cfg.Metrics)
 	}
-	for c := 0; c < cfg.Board.Chips; c++ {
+	for c := 0; c < cfg.Chips; c++ {
 		scfg := cfg.Config
-		scfg.Chip = cfg.Board.Chip
-		scfg.Chip.NamePrefix = fmt.Sprintf("c%d.%s", c, cfg.Board.Chip.NamePrefix)
+		scfg.Chip.NamePrefix = fmt.Sprintf("c%d.%s", c, cfg.Chip.NamePrefix)
 		scfg.MasterCore = 0
 		scfg.Trace = rec
 		if plans != nil {
@@ -162,7 +152,7 @@ func NewMultiSession(cfg MultiConfig) (*MultiSession, error) {
 }
 
 // Chips returns the chip count.
-func (ms *MultiSession) Chips() int { return ms.cfg.Board.Chips }
+func (ms *MultiSession) Chips() int { return ms.cfg.Chips }
 
 // ChipSession returns chip c's Session (for slave start, PrepareJobs and
 // placement inspection).
@@ -322,7 +312,7 @@ func (ms *MultiSession) Run(loadResidues int, work []Work, shardBytes []int64) (
 func (ms *MultiSession) finalize() Report {
 	n := ms.Chips()
 	root := ms.sessions[0]
-	coresPerChip := ms.cfg.Board.Chip.NumCores()
+	coresPerChip := ms.cfg.Chip.NumCores()
 
 	rep := Report{
 		Backend:         fmt.Sprintf("multichip-%d", n),
@@ -417,12 +407,8 @@ func (ms *MultiSession) mergeFaults(coresPerChip int) *FaultStats {
 		for _, core := range cf.DeadCores {
 			out.DeadCores = append(out.DeadCores, c*coresPerChip+core)
 		}
-		for _, core := range cf.Blacklisted {
-			out.Blacklisted = append(out.Blacklisted, c*coresPerChip+core)
-		}
 	}
 	sort.Ints(out.DeadCores)
-	sort.Ints(out.Blacklisted)
 	return out
 }
 

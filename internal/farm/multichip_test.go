@@ -19,8 +19,9 @@ func multiChipRun(t *testing.T, chips, slaves int, queues [][]rckskel.Job, reg *
 	t.Helper()
 	var collected []int
 	ms, err := NewMultiSession(MultiConfig{
-		Board: MultiChip{Chips: chips, Chip: scc.DefaultConfig()},
+		Chips: chips,
 		Config: Config{
+			Chip:         scc.DefaultConfig(),
 			Slaves:       slaves,
 			PollingScale: 1,
 			Metrics:      reg,
@@ -216,15 +217,15 @@ func TestMultiChipDeterminism(t *testing.T) {
 
 func TestMultiChipValidation(t *testing.T) {
 	_, err := NewMultiSession(MultiConfig{
-		Board:  MultiChip{Chips: 1, Chip: scc.DefaultConfig()},
-		Config: Config{Slaves: 3},
+		Chips:  1,
+		Config: Config{Chip: scc.DefaultConfig(), Slaves: 3},
 	})
 	if !errors.Is(err, ErrChipCount) {
 		t.Errorf("chips=1 error = %v, want ErrChipCount", err)
 	}
 	ms, err := NewMultiSession(MultiConfig{
-		Board:  MultiChip{Chips: 2, Chip: scc.DefaultConfig()},
-		Config: Config{Slaves: 3},
+		Chips:  2,
+		Config: Config{Chip: scc.DefaultConfig(), Slaves: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,8 +234,8 @@ func TestMultiChipValidation(t *testing.T) {
 		t.Error("expected error for mismatched queue count")
 	}
 	if _, err := NewMultiSession(MultiConfig{
-		Board:  MultiChip{Chips: 2, Chip: scc.DefaultConfig()},
-		Config: Config{Slaves: 48},
+		Chips:  2,
+		Config: Config{Chip: scc.DefaultConfig(), Slaves: 48},
 	}); err == nil {
 		t.Error("expected per-chip slave-count error")
 	}
@@ -245,8 +246,9 @@ func TestMultiChipInterchipProfile(t *testing.T) {
 	// help. Uses the same workload at both profiles.
 	runWith := func(cfg interchip.Config) Report {
 		ms, err := NewMultiSession(MultiConfig{
-			Board:  MultiChip{Chips: 2, Chip: scc.DefaultConfig(), Interchip: cfg},
-			Config: Config{Slaves: 3, PollingScale: 1},
+			Chips:     2,
+			Interchip: cfg,
+			Config:    Config{Chip: scc.DefaultConfig(), Slaves: 3, PollingScale: 1},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 // Package noc models the SCC's packet-switched 2D mesh network-on-chip:
 // XY dimension-order routing over a WxH router grid, per-hop latency, and
-// per-link bandwidth with optional contention (links as FIFO resources).
+// per-link bandwidth with contention (links as FIFO resources, held
+// store-and-forward: one link at a time for the whole message).
 package noc
 
 import (
@@ -26,29 +27,16 @@ type Config struct {
 	HopSeconds float64
 	// BytesPerSecond is the bandwidth of one mesh link.
 	BytesPerSecond float64
-	// PacketBytes is the store-and-forward packetisation unit.
-	PacketBytes int
-	// ModelContention serialises transfers crossing the same link; when
-	// false transfers see only latency + serialisation (infinite links).
-	ModelContention bool
-	// Wormhole switches the contention model from store-and-forward
-	// (each link held for the full message serialisation, hop by hop)
-	// to wormhole switching (all route links held together while the
-	// message streams through once) — the SCC's actual switching mode.
-	// Wormhole is faster for multi-hop messages but couples the links.
-	Wormhole bool
 }
 
 // DefaultConfig returns the SCC mesh: 6x4 routers at 2 GHz with 4-cycle
 // hops and 16-byte flits at 2 bytes/cycle per link.
 func DefaultConfig() Config {
 	return Config{
-		Width:           6,
-		Height:          4,
-		HopSeconds:      4.0 / 2e9, // 4 mesh cycles @ 2 GHz
-		BytesPerSecond:  3.2e9,     // ~2 bytes/cycle/link @ 2 GHz... conservative effective rate
-		PacketBytes:     256,
-		ModelContention: true,
+		Width:          6,
+		Height:         4,
+		HopSeconds:     4.0 / 2e9, // 4 mesh cycles @ 2 GHz
+		BytesPerSecond: 3.2e9,     // ~2 bytes/cycle/link @ 2 GHz... conservative effective rate
 	}
 }
 
@@ -167,7 +155,7 @@ func (m *Mesh) PublishMetrics() {
 }
 
 // recordLinkTraffic attributes one message's bytes to every directed
-// link on its route (any contention mode).
+// link on its route.
 func (m *Mesh) recordLinkTraffic(path []link, bytes int) {
 	if m.linkStats == nil {
 		return
@@ -210,9 +198,6 @@ func (m *Mesh) releaseTimed(p *sim.Process, l link) {
 func New(cfg Config) *Mesh {
 	if cfg.Width < 1 || cfg.Height < 1 {
 		panic("noc: mesh must be at least 1x1")
-	}
-	if cfg.PacketBytes <= 0 {
-		cfg.PacketBytes = 256
 	}
 	routers := cfg.Width * cfg.Height
 	m := &Mesh{cfg: cfg, links: make([][numDirs]*sim.Resource, routers), paths: make([][]link, routers*routers)}
@@ -310,24 +295,11 @@ func (m *Mesh) Hops(a, b Coord) int {
 	return dx + dy
 }
 
-// LatencySeconds returns the no-contention time to move `bytes` from a to
-// b: per-hop latency plus serialisation on each hop (store-and-forward at
-// packet granularity, approximated as route-length * serialisation for
-// the first packet + pipelined remainder).
-func (m *Mesh) LatencySeconds(a, b Coord, bytes int) float64 {
-	hops := m.Hops(a, b)
-	if hops == 0 {
-		hops = 1 // same-tile transfer still crosses the local MIU
-	}
-	ser := float64(bytes) / m.cfg.BytesPerSecond
-	first := float64(minInt(bytes, m.cfg.PacketBytes)) / m.cfg.BytesPerSecond
-	// First packet pays latency on every hop; the rest pipelines behind.
-	return float64(hops)*(m.cfg.HopSeconds+first) + (ser - first)
-}
-
 // Transfer moves `bytes` from a to b within process p, consuming
-// simulated time; with contention modelling it occupies each directed
-// link on the route for its serialisation time, in order.
+// simulated time: store-and-forward, it occupies each directed link on
+// the route for the hop latency plus the whole message's serialisation,
+// in order. (The SCC itself switches wormhole; every calibrated number
+// here was measured with this model.)
 func (m *Mesh) Transfer(p *sim.Process, a, b Coord, bytes int) {
 	if bytes <= 0 {
 		bytes = 1
@@ -335,31 +307,12 @@ func (m *Mesh) Transfer(p *sim.Process, a, b Coord, bytes int) {
 	m.cXfers.Inc()
 	m.cBytes.Add(float64(bytes))
 	m.hHops.Observe(float64(m.Hops(a, b)))
-	if !m.cfg.ModelContention {
-		if m.linkStats != nil {
-			m.recordLinkTraffic(m.path(a, b), bytes)
-		}
-		p.Wait(m.LatencySeconds(a, b, bytes))
-		return
-	}
 	route := m.path(a, b)
 	m.recordLinkTraffic(route, bytes)
+	ser := float64(bytes) / m.cfg.BytesPerSecond
 	if len(route) == 0 {
 		// Same router (e.g. both cores on one tile): local MIU copy.
-		p.Wait(m.cfg.HopSeconds + float64(bytes)/m.cfg.BytesPerSecond)
-		return
-	}
-	ser := float64(bytes) / m.cfg.BytesPerSecond
-	if m.cfg.Wormhole {
-		// Acquire every link on the route in XY order (a total order, so
-		// no deadlock), stream the message once, release.
-		for _, l := range route {
-			m.acquireTimed(p, l)
-		}
-		p.Wait(float64(len(route))*m.cfg.HopSeconds + ser)
-		for _, l := range route {
-			m.releaseTimed(p, l)
-		}
+		p.Wait(m.cfg.HopSeconds + ser)
 		return
 	}
 	for _, l := range route {
@@ -476,11 +429,4 @@ func (m *Mesh) LinkHeatmap() string {
 	}
 	fmt.Fprintf(&b, "peak link busy: %.6gs\n", peak)
 	return b.String()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

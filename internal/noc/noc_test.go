@@ -84,16 +84,27 @@ func TestRouteOutOfBoundsPanics(t *testing.T) {
 }
 
 func TestLatencyMonotonicInBytesAndHops(t *testing.T) {
-	m := New(DefaultConfig())
-	a := Coord{0, 0}
-	if m.LatencySeconds(a, Coord{1, 0}, 100) >= m.LatencySeconds(a, Coord{1, 0}, 10000) {
+	latency := func(b Coord, bytes int) float64 {
+		e := sim.NewEngine()
+		m := New(DefaultConfig())
+		var done float64
+		e.Spawn("xfer", func(p *sim.Process) {
+			m.Transfer(p, Coord{0, 0}, b, bytes)
+			done = p.Now()
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return done
+	}
+	if latency(Coord{1, 0}, 100) >= latency(Coord{1, 0}, 10000) {
 		t.Error("latency not increasing with bytes")
 	}
-	if m.LatencySeconds(a, Coord{1, 0}, 1000) >= m.LatencySeconds(a, Coord{5, 3}, 1000) {
+	if latency(Coord{1, 0}, 1000) >= latency(Coord{5, 3}, 1000) {
 		t.Error("latency not increasing with hops")
 	}
 	// Same-router transfer still costs something.
-	if m.LatencySeconds(a, a, 1000) <= 0 {
+	if latency(Coord{0, 0}, 1000) <= 0 {
 		t.Error("same-tile transfer should cost time")
 	}
 }
@@ -145,22 +156,6 @@ func TestTransferContention(t *testing.T) {
 	disjoint := runPair([2]Coord{{0, 0}, {1, 0}}, [2]Coord{{4, 3}, {5, 3}})
 	if shared <= disjoint*1.5 {
 		t.Errorf("shared-link transfers (%v) should be much slower than disjoint (%v)", shared, disjoint)
-	}
-}
-
-func TestNoContentionMode(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ModelContention = false
-	e := sim.NewEngine()
-	m := New(cfg)
-	var t1, t2 float64
-	e.Spawn("a", func(p *sim.Process) { m.Transfer(p, Coord{0, 0}, Coord{1, 0}, 64*1024); t1 = p.Now() })
-	e.Spawn("b", func(p *sim.Process) { m.Transfer(p, Coord{0, 0}, Coord{1, 0}, 64*1024); t2 = p.Now() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if t1 != t2 {
-		t.Errorf("without contention both transfers should finish together: %v vs %v", t1, t2)
 	}
 }
 
@@ -219,56 +214,5 @@ func TestTopLinksAndHeatmap(t *testing.T) {
 	}
 	if hm := m.LinkHeatmap(); !strings.HasPrefix(hm, "o 9 o") {
 		t.Errorf("hot link not marked:\n%s", hm)
-	}
-}
-
-func TestWormholeFasterThanStoreAndForward(t *testing.T) {
-	measure := func(wormhole bool) float64 {
-		cfg := DefaultConfig()
-		cfg.Wormhole = wormhole
-		e := sim.NewEngine()
-		m := New(cfg)
-		var done float64
-		e.Spawn("x", func(p *sim.Process) {
-			m.Transfer(p, Coord{0, 0}, Coord{5, 3}, 256*1024)
-			done = p.Now()
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return done
-	}
-	snf := measure(false)
-	wh := measure(true)
-	// 8 hops store-and-forward pays serialisation per hop; wormhole once.
-	if wh >= snf {
-		t.Errorf("wormhole (%v) should beat store-and-forward (%v) across 8 hops", wh, snf)
-	}
-	if snf < 6*wh {
-		t.Errorf("expected ~8x gap, got %v vs %v", snf, wh)
-	}
-}
-
-func TestWormholeContentionNoDeadlock(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Wormhole = true
-	e := sim.NewEngine()
-	m := New(cfg)
-	// Many crossing transfers: XY-ordered acquisition must not deadlock.
-	done := 0
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 30; i++ {
-		a := Coord{rng.Intn(6), rng.Intn(4)}
-		b := Coord{rng.Intn(6), rng.Intn(4)}
-		e.Spawn("t", func(p *sim.Process) {
-			m.Transfer(p, a, b, 32*1024)
-			done++
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if done != 30 {
-		t.Errorf("completed %d of 30 transfers", done)
 	}
 }

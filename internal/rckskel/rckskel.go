@@ -97,9 +97,6 @@ const (
 // of a team so a straggler of one farm is not trusted by the next.
 type slaveState struct {
 	state uint8
-	// blacklisted slaves get no further jobs, whatever their state.
-	blacklisted bool
-	fails       int // consecutive failures
 	// job indexes, in the slave's queue, the job last handed to it (-1:
 	// an earlier farm's); deadline is when it is presumed lost.
 	job      int
@@ -380,23 +377,10 @@ func (t *Team) COLLECT(p *sim.Process, expect int, collect func(Result)) Stats {
 	return t.gather(p, expect, nil, collect)
 }
 
-// FTConfig arms FARM's failure detection. The zero value arms nothing:
-// no deadline, no timer, jobs are never presumed lost.
-type FTConfig struct {
-	// JobDeadlineSeconds is how long the master waits after handing a job
-	// to a slave before presuming it lost and re-dispatching (0 = never).
-	JobDeadlineSeconds float64
-	// ResultTimeoutSeconds bounds the result transfer after a slave
-	// rings (covers cores dying mid-transfer). 0 = JobDeadlineSeconds.
-	ResultTimeoutSeconds float64
-	// MaxFailures blacklists a slave after this many consecutive
-	// failures (default 3). Blacklisted slaves get no further jobs, but
-	// a late result from one is still accepted.
-	MaxFailures int
-	// MaxAttempts gives up on a job (counted as lost) after this many
-	// dispatches. 0 = retry for as long as healthy slaves remain.
-	MaxAttempts int
-}
+// maxAttempts is how many times FARM dispatches one job before giving
+// it up as lost: a link that corrupts every result must lose the job,
+// not retry it forever.
+const maxAttempts = 10
 
 // FTStats reports what FARM's failure detection and recovery did; all
 // zero when nothing failed.
@@ -408,9 +392,8 @@ type FTStats struct {
 	Retries, Reassigned int
 	DuplicatesDropped   int // late results for jobs already completed
 	// LostJobs counts jobs never completed (degraded termination or
-	// MaxAttempts exhausted, minus late redemptions).
-	LostJobs    int
-	Blacklisted []int // slaves taken out of rotation, in order
+	// maxAttempts exhausted, minus late redemptions).
+	LostJobs int
 }
 
 // jobState tracks one job of a running FARM.
@@ -444,7 +427,6 @@ func (q *queue) pop() (j int, ok bool) {
 type farm struct {
 	t        *Team
 	p        *sim.Process
-	cfg      FTConfig
 	collect  func(Result)
 	queues   []queue
 	queueOf  []int
@@ -464,19 +446,21 @@ type farm struct {
 // all from queues[0], the paper's single shared queue; several queues
 // partition the farm: one per PSC method, one per cache-affinity worker).
 //
-// cfg arms failure detection: jobs past their deadline are presumed
-// lost and go back to the queue they came from (for another slave of
-// that queue, when one is free), slaves that keep failing are
-// blacklisted, duplicate and corrupt results are discarded, and the farm
-// terminates — degraded, with jobs marked lost — once the queues that
-// still hold work have no healthy slave left. Slave health persists
-// across a team's farms. Call from the master; slaves must be running.
-func (t *Team) FARM(p *sim.Process, queues [][]Job, queueOf []int, cfg FTConfig, collect func(Result)) (Stats, FTStats) {
-	cfg.MaxFailures = cmp.Or(max(cfg.MaxFailures, 0), 3)
-	f := &farm{t: t, p: p, cfg: cfg, collect: collect, queueOf: queueOf, rescan: true,
+// deadline (seconds; 0 = none) arms failure detection: a job whose
+// result has not been collected that long after its dispatch — or whose
+// result transfer takes that long after its ring — is presumed lost and
+// goes back to the queue it came from (for another slave of that queue,
+// when one is free), and its slave is suspect until it rings again.
+// Duplicate and corrupt results are discarded, a job is lost after
+// maxAttempts dispatches, and the farm terminates — degraded, with jobs
+// marked lost — once the queues that still hold work have no healthy
+// slave left. Slave health persists across a team's farms. Call from
+// the master; slaves must be running.
+func (t *Team) FARM(p *sim.Process, queues [][]Job, queueOf []int, deadline float64, collect func(Result)) (Stats, FTStats) {
+	f := &farm{t: t, p: p, collect: collect, queueOf: queueOf, rescan: true,
 		queues: make([]queue, len(queues)), st: Stats{JobsPerSlave: map[int]int{}},
-		deadline: cmp.Or(cfg.JobDeadlineSeconds, math.Inf(1))}
-	t.resultTimeout = cmp.Or(cfg.ResultTimeoutSeconds, f.deadline)
+		deadline: cmp.Or(deadline, math.Inf(1))}
+	t.resultTimeout = f.deadline
 	if queueOf == nil {
 		f.queueOf = make([]int, len(t.Slaves))
 	}
@@ -502,7 +486,7 @@ func (t *Team) FARM(p *sim.Process, queues [][]Job, queueOf []int, cfg FTConfig,
 		// with none in flight, give suspect slaves one more deadline to
 		// redeem their jobs. With nothing armed there is nothing to scan.
 		wait, waiting := math.Inf(1), t.nInflight > 0
-		for i := 0; i < len(t.slaves) && (cfg.JobDeadlineSeconds > 0 || !waiting); i++ {
+		for i := 0; i < len(t.slaves) && (deadline > 0 || !waiting); i++ {
 			switch s := &t.slaves[i]; {
 			case s.state == inflight:
 				wait = min(wait, s.deadline-p.Now())
@@ -530,11 +514,11 @@ func (t *Team) FARM(p *sim.Process, queues [][]Job, queueOf []int, cfg FTConfig,
 
 func (f *farm) queueFor(i int) *queue { return &f.queues[f.queueOf[i]] }
 
-// dispatch hands slave i the next job of its queue, if it is free and
-// trusted and the queue has one.
+// dispatch hands slave i the next job of its queue, if it is idle and
+// the queue has one.
 func (f *farm) dispatch(i int) {
 	s, q := &f.t.slaves[i], f.queueFor(i)
-	if s.state != idle || s.blacklisted {
+	if s.state != idle {
 		return
 	}
 	for j, ok := q.pop(); ok; j, ok = q.pop() {
@@ -542,7 +526,7 @@ func (f *farm) dispatch(i int) {
 		if js.done || js.lost {
 			continue
 		}
-		if f.cfg.MaxAttempts > 0 && js.attempts >= f.cfg.MaxAttempts {
+		if js.attempts >= maxAttempts {
 			js.lost = true
 			f.ft.LostJobs++
 			continue
@@ -570,16 +554,10 @@ func (f *farm) requeue(i, j int) {
 	}
 }
 
-// fail charges slave i one failure and stops trusting it until it rings.
+// fail counts a timeout on slave i and stops trusting it until it rings.
 func (f *farm) fail(i int) {
-	s := &f.t.slaves[i]
 	f.ft.Timeouts++
-	s.fails++
-	if s.fails >= f.cfg.MaxFailures && !s.blacklisted {
-		s.blacklisted = true
-		f.ft.Blacklisted = append(f.ft.Blacklisted, f.t.Slaves[i])
-	}
-	s.state = suspect
+	f.t.slaves[i].state = suspect
 }
 
 // handleRing collects from slave i, which raised its ready flag.
@@ -597,7 +575,7 @@ func (f *farm) handleRing(i int) {
 		f.requeue(i, pending)
 		return
 	}
-	s.state, s.fails = idle, 0
+	s.state = idle
 	if m.Corrupt {
 		// The wire mangled the result: retry without penalising the slave.
 		f.ft.CorruptDetected++

@@ -42,7 +42,7 @@ func intJobs(n int) []Job {
 
 // farmAll runs the paper's plain FARM: one shared queue, nothing armed.
 func farmAll(t *Team, p *sim.Process, jobs []Job, collect func(Result)) Stats {
-	st, _ := t.FARM(p, [][]Job{jobs}, nil, FTConfig{}, collect)
+	st, _ := t.FARM(p, [][]Job{jobs}, nil, 0, collect)
 	return st
 }
 

@@ -25,8 +25,6 @@ type Config struct {
 	MemControllers int
 	// CPU is the per-core cost profile.
 	CPU costmodel.CPU
-	// Mesh is the NoC configuration.
-	Mesh noc.Config
 	// MemBandwidth is each iMC's DRAM bandwidth (bytes/s).
 	MemBandwidth float64
 	// MemLatencySeconds is the fixed DRAM access latency per request.
@@ -48,7 +46,6 @@ func DefaultConfig() Config {
 		MPBBytesPerTile: 16 * 1024,
 		MemControllers:  4,
 		CPU:             costmodel.P54C(),
-		Mesh:            noc.DefaultConfig(),
 		// DDR3-800 per controller, conservative effective rate.
 		MemBandwidth:      5.3e9,
 		MemLatencySeconds: 70e-9,
@@ -82,17 +79,15 @@ type Chip struct {
 	procs  map[int]*sim.Process
 }
 
-// New builds a chip on the given engine.
+// New builds a chip on the given engine. Its mesh has one router per
+// tile, timed as noc.DefaultConfig.
 func New(e *sim.Engine, cfg Config) *Chip {
 	if cfg.TilesX <= 0 || cfg.TilesY <= 0 || cfg.CoresPerTile <= 0 {
 		panic("scc: invalid tile geometry")
 	}
-	if cfg.Mesh.Width != cfg.TilesX || cfg.Mesh.Height != cfg.TilesY {
-		// The mesh routers sit one per tile.
-		cfg.Mesh.Width = cfg.TilesX
-		cfg.Mesh.Height = cfg.TilesY
-	}
-	return &Chip{cfg: cfg, engine: e, mesh: noc.New(cfg.Mesh), procs: map[int]*sim.Process{}}
+	mesh := noc.DefaultConfig()
+	mesh.Width, mesh.Height = cfg.TilesX, cfg.TilesY
+	return &Chip{cfg: cfg, engine: e, mesh: noc.New(mesh), procs: map[int]*sim.Process{}}
 }
 
 // Config returns the chip configuration.

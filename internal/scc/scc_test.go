@@ -128,10 +128,10 @@ func TestTransferBetweenCores(t *testing.T) {
 
 func TestMeshGeometryFollowsTiles(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Mesh.Width = 99 // wrong on purpose; New must fix it
+	cfg.TilesX, cfg.TilesY = 3, 2
 	chip := New(sim.NewEngine(), cfg)
-	if got := chip.Mesh().Config().Width; got != cfg.TilesX {
-		t.Errorf("mesh width = %d, want %d", got, cfg.TilesX)
+	if got := chip.Mesh().Config(); got.Width != 3 || got.Height != 2 {
+		t.Errorf("mesh = %dx%d, want the 3x2 tile grid", got.Width, got.Height)
 	}
 }
 

@@ -11,14 +11,12 @@ import (
 	"rckalign/internal/tmalign"
 )
 
-// BenchmarkServeCoalesce measures what coalescing buys the service: a
+// BenchmarkServeCoalesce measures what batching buys the service: a
 // burst of concurrent one-vs-all requests against the same target,
-// served coalesced (default batching + memoized pair store: each pair
-// computed exactly once per server lifetime) versus uncoalesced
-// (batch size 1, memoization off: every request recomputes every
-// pair). Each iteration uses a fresh server so the coalesced side
-// cannot amortize across iterations; speedup_x reports the per-
-// iteration ratio.
+// served with default batching versus batch size 1 (one flush per
+// pair). Both sides compute each pair exactly once through the server's
+// memoized pair store. Each iteration uses a fresh server so neither
+// side can amortize across iterations.
 func BenchmarkServeCoalesce(b *testing.B) {
 	const n, burst = 10, 8
 	ds := synth.Small(n, 1)
@@ -54,10 +52,9 @@ func BenchmarkServeCoalesce(b *testing.B) {
 	})
 	b.Run("uncoalesced", func(b *testing.B) {
 		run(b, Config{
-			Dataset:     "bench",
-			Options:     opt,
-			DisableMemo: true,
-			Batch:       batcher.Config{BatchSize: 1, Workers: 4},
+			Dataset: "bench",
+			Options: opt,
+			Batch:   batcher.Config{BatchSize: 1, Workers: 4},
 		})
 	})
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"strings"
@@ -219,25 +218,5 @@ func TestInFlightPairStaysSingleFlight(t *testing.T) {
 	if w.Body.String() != ScoreLine(0, 1, want) || s.BatcherStats().Enqueued != burst {
 		t.Errorf("follow-up = %q with %d enqueued, want the same line and still %d",
 			w.Body.String(), s.BatcherStats().Enqueued, burst)
-	}
-}
-
-// TestDisableMemoNeverProbes: without a store there is no residency, so
-// every request — repeats included — rides the coalescer and recomputes.
-func TestDisableMemoNeverProbes(t *testing.T) {
-	s, structs := newTestServer(t, 3, Config{DisableMemo: true})
-	u := fmt.Sprintf("/score?a=%s&b=%s", structs[0].ID, structs[1].ID)
-	for i := 1; i <= 2; i++ {
-		w := do(t, s, "GET", u, nil)
-		var sr ScoreResponse
-		if err := json.Unmarshal(w.Body.Bytes(), &sr); err != nil {
-			t.Fatalf("score = %d: %v", w.Code, err)
-		}
-		if sr.MemoHit || sr.BatchSize == 0 || sr.Trigger == "" {
-			t.Errorf("request %d without a store = %+v, want a coalescer miss", i, sr)
-		}
-		if got := s.BatcherStats().Enqueued; got != int64(i) {
-			t.Errorf("enqueued after request %d = %d", i, got)
-		}
 	}
 }

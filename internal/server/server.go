@@ -65,8 +65,8 @@ const maxUploadBytes = 16 << 20
 // Config tunes a Server.
 type Config struct {
 	// Dataset names the pairstore key namespace (default "serve"). Use
-	// the batch dataset's name when preloading it so a shared store's
-	// entries line up.
+	// the batch dataset's name when preloading it so its keys match a
+	// batch run's (core.PairKeys).
 	Dataset string
 	// Options is the TM-align kernel configuration; its Key() is the
 	// kernel component of every pairstore key.
@@ -75,14 +75,6 @@ type Config struct {
 	// Config.Batch.OnFlush is reserved for the server's own batch-size
 	// histogram and must be nil.
 	Batch batcher.Config
-	// Store memoizes pair results; nil creates a private store sized to
-	// GOMAXPROCS. Every evaluation flows through it, which is what makes
-	// concurrent duplicate queries compute each pair exactly once.
-	Store *pairstore.Store
-	// DisableMemo bypasses the pair store entirely, recomputing every
-	// evaluation inline. It forfeits the exactly-once guarantee and
-	// exists only as the uncoalesced baseline for benchmarks.
-	DisableMemo bool
 	// AccessLog, when non-nil, receives one JSON line per completed
 	// request: request ID, endpoint, status, latency, the coalescer
 	// timing breakdown, batch size/trigger and memo hit/miss counts.
@@ -129,7 +121,7 @@ type Server struct {
 	opt     tmalign.Options
 	kernel  string
 	db      *DB
-	store   *pairstore.Store
+	store   *pairstore.Store // every evaluation flows through it: each pair computed once
 	bat     *batcher.Batcher[pairJob, pairOut]
 	mux     *http.ServeMux
 	start   time.Time
@@ -178,7 +170,7 @@ func New(cfg Config) *Server {
 		opt:       cfg.Options,
 		kernel:    cfg.Options.Key(),
 		db:        NewDB(),
-		store:     cfg.Store,
+		store:     pairstore.New(0),
 		reg:       metrics.New(),
 		start:     time.Now(),
 		accessLog: cfg.AccessLog,
@@ -189,9 +181,6 @@ func New(cfg Config) *Server {
 			latency:  s.reg.Histogram("server.latency_seconds", metrics.TimeBuckets, "endpoint", ep),
 			requests: s.reg.Counter("server.requests", "endpoint", ep),
 		}
-	}
-	if s.store == nil && !cfg.DisableMemo {
-		s.store = pairstore.New(0)
 	}
 	if cfg.PruneTM > 0 {
 		s.pruneTM = cfg.PruneTM
@@ -231,7 +220,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // DB exposes the structure database (tests and preloading).
 func (s *Server) DB() *DB { return s.db }
 
-// Store exposes the pair store (nil when memoization is disabled).
+// Store exposes the pair store.
 func (s *Server) Store() *pairstore.Store { return s.store }
 
 // Batcher exposes the request coalescer's statistics.
@@ -259,11 +248,10 @@ func (s *Server) Preload(structs []*pdb.Structure) error {
 }
 
 // runBatch evaluates one flushed batch. Each pair goes through the
-// memoized store (single-flight, exactly-once); with memoization
-// disabled it computes inline — a nil *pairstore.Store degrades to
-// exactly that. Per pair it reports the memo outcome, and per batch it
-// records how many distinct requests were coalesced into it (the
-// request IDs propagated through the batcher ride on each job).
+// memoized store (single-flight, exactly-once). Per pair it reports the
+// memo outcome, and per batch it records how many distinct requests were
+// coalesced into it (the request IDs propagated through the batcher ride
+// on each job).
 func (s *Server) runBatch(jobs []pairJob) ([]pairOut, error) {
 	out := make([]pairOut, len(jobs))
 	reqs := map[string]struct{}{}
@@ -300,10 +288,9 @@ func outOf(v any, hit bool) pairOut {
 // through one SubmitAll, so batch assembly is paid in proportion to a
 // request's misses, not its width. Results are index-aligned with jobs.
 // An inline result is a memo hit with BatchSize 0, no batch worker (-1),
-// zero timing, and the request's arrival as its enqueue time. With
-// memoization disabled the nil store never probes and every job is a
-// miss. The first pair-level error fails the request; on success the
-// results are folded into the request's trace record (recordItems).
+// zero timing, and the request's arrival as its enqueue time. The first
+// pair-level error fails the request; on success the results are folded
+// into the request's trace record (recordItems).
 func (s *Server) evalPairs(info *reqInfo, jobs []pairJob) ([]batcher.Result[pairOut], error) {
 	if s.closed.Load() {
 		return nil, batcher.ErrClosed

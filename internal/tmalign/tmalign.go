@@ -38,17 +38,6 @@ type Options struct {
 	// SkipLocalInit disables the O(L^2) fragment-pair initial alignment
 	// (the most expensive initial); used by the fast profile.
 	SkipLocalInit bool
-	// NormLength, when > 0, additionally reports a TM-score normalised
-	// by this fixed length (the reference TM-align's -L flag) in
-	// Result.TMNorm.
-	NormLength int
-	// NormAvg, when set, additionally reports a TM-score normalised by
-	// the average chain length (the -a flag) in Result.TMNorm. Ignored
-	// when NormLength is set.
-	NormAvg bool
-	// D0 overrides the automatic d0 for the extra normalisation (the -d
-	// flag); 0 keeps the length-derived value.
-	D0 float64
 }
 
 // DefaultOptions returns TM-align's standard search settings.
@@ -68,8 +57,7 @@ func FastOptions() Options {
 // identically under them.
 func (o Options) Key() string {
 	o = o.withDefaults()
-	return fmt.Sprintf("tmalign/s%d:f%d:i%d:l%t:n%d:a%t:d%g",
-		o.SimplifyStep, o.FinalStep, o.MaxDPIters, o.SkipLocalInit, o.NormLength, o.NormAvg, o.D0)
+	return fmt.Sprintf("tmalign/s%d:f%d:i%d:l%t", o.SimplifyStep, o.FinalStep, o.MaxDPIters, o.SkipLocalInit)
 }
 
 func (o Options) withDefaults() Options {
@@ -99,9 +87,6 @@ type Result struct {
 	SeqID float64
 	// TM1 is the TM-score normalised by Len1; TM2 by Len2.
 	TM1, TM2 float64
-	// TMNorm is the extra user-requested normalisation (Options
-	// NormLength / NormAvg / D0); 0 when not requested.
-	TMNorm float64
 	// Transform superposes chain 1 onto chain 2.
 	Transform geom.Transform
 	// Invmap is the final alignment: Invmap[j] = i aligns residue j of
@@ -353,20 +338,6 @@ func (c *ctx) finalize(invmap []int) *Result {
 	tmB, _ := pB.SearchWS(c.w, c.xtm[:n8], c.ytm[:n8], c.opt.FinalStep, &c.ops)
 	res.TM1 = tmA
 	res.TM2 = tmB
-
-	// Extra user-requested normalisation (-L / -a / -d flags of the
-	// reference implementation).
-	if c.opt.NormLength > 0 || c.opt.NormAvg {
-		l := float64(c.opt.NormLength)
-		if c.opt.NormAvg && c.opt.NormLength <= 0 {
-			l = float64(c.xlen+c.ylen) / 2
-		}
-		pN := tmscore.FinalParams(l)
-		if c.opt.D0 > 0 {
-			pN.D0 = c.opt.D0
-		}
-		res.TMNorm, _ = pN.SearchWS(c.w, c.xtm[:n8], c.ytm[:n8], c.opt.FinalStep, &c.ops)
-	}
 	if c.xlen >= c.ylen {
 		res.Transform = trA
 	} else {

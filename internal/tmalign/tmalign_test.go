@@ -212,6 +212,27 @@ func TestOptionDefaults(t *testing.T) {
 	}
 }
 
+// TestOptionsKey: the key is the pairstore's kernel component, so options
+// that behave alike must share one and options that do not must differ.
+func TestOptionsKey(t *testing.T) {
+	cases := []struct {
+		name  string
+		a, b  Options
+		equal bool
+	}{
+		{"default vs fast", DefaultOptions(), FastOptions(), false},
+		{"zero value is default", Options{}, DefaultOptions(), true},
+		{"partial zero takes defaults", Options{SimplifyStep: 40}, DefaultOptions(), true},
+		{"equal options", FastOptions(), FastOptions(), true},
+		{"one field apart", DefaultOptions(), Options{SimplifyStep: 40, FinalStep: 1, MaxDPIters: 30, SkipLocalInit: true}, false},
+	}
+	for _, tc := range cases {
+		if got := tc.a.Key() == tc.b.Key(); got != tc.equal {
+			t.Errorf("%s: Key %q vs %q, equal = %v, want %v", tc.name, tc.a.Key(), tc.b.Key(), got, tc.equal)
+		}
+	}
+}
+
 func TestResultString(t *testing.T) {
 	a := helixProtein("alpha", 60, 21)
 	r := Compare(a, a, FastOptions())
