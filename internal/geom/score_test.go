@@ -1,0 +1,163 @@
+package geom
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// sameBits reports whether a and b are the same float64 to the last bit.
+// Any NaN matches any NaN: IEEE 754 leaves which operand's payload an
+// operation on two NaNs returns to the implementation, and the Go
+// compiler is free to order the operands of a commutative add either way,
+// so payloads are not part of the kernels' contract.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// kernelValues are the coordinates the equivalence fuzz mixes into
+// ordinary ones: NaN, infinities, denormals, values whose squares
+// overflow or underflow, and signed zeros.
+var kernelValues = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -2.5e-310, 1e300, -1e300,
+	1e-160, 0, math.Copysign(0, -1), 1, -3.8,
+}
+
+// kernelInput turns fuzz bytes into n ordinary coordinates in the range
+// of real CA traces, replacing coordinate k with a special value when
+// byte k of data is >= 128.
+func kernelInput(data []byte, seed int64, n int) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	v := make([]float64, n)
+	for k := range v {
+		v[k] = (rng.Float64() - 0.5) * 120
+		if k < len(data) && data[k] >= 128 {
+			v[k] = kernelValues[int(data[k])%len(kernelValues)]
+		}
+	}
+	return v
+}
+
+// checkScoreKernels runs both kernel shapes through the bodies this
+// GOARCH dispatches to and through the portable Go bodies, on n elements
+// starting at offset off of their buffers (so packed loads see every
+// alignment), and requires equal bits everywhere and untouched memory
+// past the end.
+func checkScoreKernels(t *testing.T, data []byte, seed int64, n, off int, d02, cut2 float64, mask bool) {
+	const guard = 12345.678
+	v := kernelInput(data, seed, 6*n+3)
+	buf := func() []float64 {
+		b := make([]float64, off+n+1)
+		b[off+n] = guard
+		return b
+	}
+	vecs := func(c []float64) []Vec3 {
+		p := make([]Vec3, off+n)
+		for i := 0; i < n; i++ {
+			p[off+i] = Vec3{c[3*i], c[3*i+1], c[3*i+2]}
+		}
+		return p[off:]
+	}
+	yx, yy, yz := buf(), buf(), buf()
+	copy(yx[off:], v[:n])
+	copy(yy[off:], v[n:2*n])
+	copy(yz[off:], v[2*n:3*n])
+	p := Vec3{v[6*n], v[6*n+1], v[6*n+2]}
+
+	got, want := buf(), buf()
+	ScoreRow(got[off:off+n], yx[off:], yy[off:], yz[off:], p, d02)
+	scoreRowGo(want[off:off+n], yx[off:off+n], yy[off:off+n], yz[off:off+n], p[0], p[1], p[2], d02)
+	for j := off; j <= off+n; j++ {
+		if !sameBits(got[j], want[j]) {
+			t.Fatalf("ScoreRow n=%d off=%d: dst[%d] = %x, Go body %x", n, off, j-off, got[j], want[j])
+		}
+	}
+
+	a, b := vecs(v[:3*n]), vecs(v[3*n:6*n])
+	gotD, wantD := buf(), buf()
+	gotS := ScoreSum(gotD[off:off+n], a, b, d02, cut2, mask)
+	wantS := scoreSumGo(wantD[off:off+n], a, b, d02, cut2, mask)
+	if !sameBits(gotS, wantS) {
+		t.Fatalf("ScoreSum n=%d off=%d mask=%t: sum %x, Go body %x", n, off, mask, gotS, wantS)
+	}
+	for i := off; i <= off+n; i++ {
+		if !sameBits(gotD[i], wantD[i]) {
+			t.Fatalf("ScoreSum n=%d off=%d: dis2[%d] = %x, Go body %x", n, off, i-off, gotD[i], wantD[i])
+		}
+	}
+}
+
+// FuzzScoreKernels requires the dispatched ScoreRow and ScoreSum to equal
+// the portable Go bodies bit for bit at lengths 0-300, mask on and off,
+// with NaN, ±Inf, denormal and ±1e300 coordinates mixed in.
+func FuzzScoreKernels(f *testing.F) {
+	f.Add([]byte{}, int64(1), uint16(0), false, 25.0, 64.0)
+	f.Add([]byte{}, int64(2), uint16(1), true, 25.0, 64.0)
+	f.Add([]byte{0, 200}, int64(3), uint16(7), true, 17.3, 30.0)
+	f.Add([]byte{128, 129, 130, 131, 132, 133, 134, 135, 136, 137, 138, 139}, int64(4), uint16(12), true, 25.0, 900.0)
+	f.Add([]byte{255, 1, 140, 141, 250, 3}, int64(5), uint16(300), false, 0.0, math.Inf(1))
+	f.Add([]byte{9, 9, 143}, int64(6), uint16(151), true, math.NaN(), -1.0)
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, n uint16, mask bool, d02, cut2 float64) {
+		checkScoreKernels(t, data, seed, int(n%301), int(seed&1), d02, cut2, mask)
+	})
+}
+
+// TestScoreSumMask pins the mask's meaning on a hand-checked case: only
+// pairs with dis2 <= cut2 are added, and dis2 is written either way.
+func TestScoreSumMask(t *testing.T) {
+	a := []Vec3{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}
+	b := []Vec3{{1, 0, 0}, {0, 2, 0}, {0, 0, 3}}
+	dis2 := make([]float64, 3)
+	if got := ScoreSum(dis2, a, b, 4, 4, true); got != 1/(1+1.0/4)+1/(1+4.0/4) {
+		t.Errorf("masked sum = %v", got)
+	}
+	if dis2[2] != 9 {
+		t.Errorf("dis2 = %v", dis2)
+	}
+	if got := ScoreSum(dis2, a, b, 4, 4, false); got != 1/(1+1.0/4)+1/(1+4.0/4)+1/(1+9.0/4) {
+		t.Errorf("unmasked sum = %v", got)
+	}
+}
+
+// benchBodies runs a kernel benchmark on the dispatched body and on the
+// portable Go body, reporting ns per term.
+func benchBodies(b *testing.B, n int, kernel, goBody func()) {
+	for _, body := range []struct {
+		name string
+		run  func()
+	}{{"kernel", kernel}, {"go", goBody}} {
+		b.Run(body.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				body.run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/cell")
+		})
+	}
+}
+
+// BenchmarkScoreRow fills one 150-residue score-matrix row.
+func BenchmarkScoreRow(b *testing.B) {
+	const n = 150
+	v := kernelInput(nil, 1, 3*n+3)
+	dst := make([]float64, n)
+	yx, yy, yz := v[:n], v[n:2*n], v[2*n:3*n]
+	p := Vec3{v[3*n], v[3*n+1], v[3*n+2]}
+	benchBodies(b, n,
+		func() { ScoreRow(dst, yx, yy, yz, p, 25) },
+		func() { scoreRowGo(dst, yx, yy, yz, p[0], p[1], p[2], 25) })
+}
+
+// BenchmarkScoreSum scores 150 aligned pairs under the d8 mask.
+func BenchmarkScoreSum(b *testing.B) {
+	const n = 150
+	v := kernelInput(nil, 2, 6*n)
+	x, y := make([]Vec3, n), make([]Vec3, n)
+	for i := range x {
+		x[i] = Vec3{v[6*i], v[6*i+1], v[6*i+2]}
+		y[i] = x[i].Add(Vec3{v[6*i+3], v[6*i+4], v[6*i+5]}.Scale(0.1))
+	}
+	dis2 := make([]float64, n)
+	benchBodies(b, n,
+		func() { ScoreSum(dis2, x, y, 25, 64, true) },
+		func() { scoreSumGo(dis2, x, y, 25, 64, true) })
+}

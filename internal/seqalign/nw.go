@@ -9,6 +9,7 @@ package seqalign
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"rckalign/internal/costmodel"
 	"rckalign/internal/ss"
@@ -142,47 +143,56 @@ func (a *Aligner) AlignMatrix(len1, len2 int, mat []float64, gapOpen float64, in
 		path[j] = false
 	}
 
+	// gap[bit(path)] is the cost of a gap move out of a cell: gapOpen
+	// after a match move, else -0. Adding -0 returns any value a cell can
+	// hold (+0 included) unchanged, so this equals the reference's
+	// conditional add bit for bit. Indexing instead of branching keeps the
+	// previous row's path, which predicts poorly, off the branches.
+	gap := [2]float64{math.Copysign(0, -1), gapOpen}
 	for i := 1; i <= len1; i++ {
-		rowVal := val[i*cols : i*cols+cols]
-		rowPath := path[i*cols : i*cols+cols]
-		prevVal := val[(i-1)*cols : i*cols]
-		prevPath := path[(i-1)*cols : i*cols]
-		srow := mat[(i-1)*len2 : (i-1)*len2+len2]
-		vdiag := prevVal[0] // val[prev + (j-1)]
-		vleft := rowVal[0]  // val[row + (j-1)]
-		pleft := rowPath[0]
-		for j := 1; j <= len2; j++ {
-			d := vdiag + srow[j-1]
-			h := prevVal[j]
-			if prevPath[j] {
-				h += gapOpen
-			}
-			v := vleft
-			if pleft {
-				v += gapOpen
-			}
-			var cur float64
-			var curDiag bool
-			if d >= h && d >= v {
-				curDiag = true
-				cur = d
-			} else {
+		// Equal-length views of cells 1..len2 of this row, the row above
+		// and the score row, so the inner loop has no bounds checks.
+		srow := mat[(i-1)*len2 : i*len2]
+		upVal := val[(i-1)*cols+1 : i*cols][:len(srow)]
+		upPath := path[(i-1)*cols+1 : i*cols][:len(srow)]
+		rowVal := val[i*cols+1 : (i+1)*cols][:len(srow)]
+		rowPath := path[i*cols+1 : (i+1)*cols][:len(srow)]
+		// The cells up-left and left of j; column 0 is zero, not diagonal.
+		vdiag, vleft, pleft := 0.0, 0.0, false
+		for j, s := range srow {
+			d := vdiag + s
+			vdiag = upVal[j]
+			h := vdiag + gap[bit(upPath[j])]
+			v := vleft + gap[bit(pleft)]
+			// Written as the negation so a NaN score takes the gap branch,
+			// exactly as the reference's d >= h && d >= v does. The
+			// branches stay: a select here puts the row recurrence on the
+			// latency path (DESIGN.md §17).
+			pleft = true
+			if !(d >= h && d >= v) {
+				pleft = false
+				d = h
 				if v >= h {
-					cur = v
-				} else {
-					cur = h
+					d = v
 				}
 			}
-			rowVal[j] = cur
-			rowPath[j] = curDiag
-			vdiag = prevVal[j]
-			vleft = cur
-			pleft = curDiag
+			rowVal[j] = d
+			rowPath[j] = pleft
+			vleft = d
 		}
 	}
 	ops.AddDP(len1 * len2)
 
 	a.traceback(len1, len2, gapOpen, invmap)
+}
+
+// bit is 1 for true and 0 for false, masked so that indexing a
+// two-entry table with it needs no bounds check.
+func bit(b bool) (n int) {
+	if b {
+		n = 1
+	}
+	return n & 1
 }
 
 // traceback recovers the NWDP_TM alignment from the filled val/path

@@ -1,6 +1,7 @@
 package seqalign
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -118,8 +119,9 @@ func TestGaplessThreadingZeroVisit(t *testing.T) {
 }
 
 // TestAlignMatrixMatchesAlign verifies the dense-matrix fast path is a
-// pure re-expression of Align: identical alignments and identical DP
-// charges on random score matrices, with and without a gap penalty,
+// pure re-expression of Align: identical alignments, DP tables and DP
+// charges on random score matrices, with and without a gap penalty (-0
+// and -Inf included), with NaN and infinite scores sprinkled in,
 // including degenerate empty dimensions.
 func TestAlignMatrixMatchesAlign(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -127,11 +129,14 @@ func TestAlignMatrixMatchesAlign(t *testing.T) {
 		{1, 1}, {1, 7}, {7, 1}, {13, 17}, {40, 40}, {64, 31},
 		{0, 5}, {5, 0}, {0, 0},
 	}
-	for _, gapOpen := range []float64{0, -0.6, -2.5} {
-		for _, d := range dims {
+	for _, gapOpen := range []float64{0, math.Copysign(0, -1), -0.6, -2.5, math.Inf(-1)} {
+		for k, d := range dims {
 			mat := make([]float64, d.len1*d.len2)
 			for i := range mat {
 				mat[i] = rng.NormFloat64()
+				if k%2 == 1 && rng.Intn(8) == 0 {
+					mat[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+				}
 			}
 			score := func(i, j int) float64 { return mat[i*d.len2+j] }
 
@@ -146,6 +151,13 @@ func TestAlignMatrixMatchesAlign(t *testing.T) {
 				if inv1[j] != inv2[j] {
 					t.Fatalf("dims %dx%d gap %g: invmap differs at j=%d: %d vs %d",
 						d.len1, d.len2, gapOpen, j, inv1[j], inv2[j])
+				}
+			}
+			for c := 0; c < (d.len1+1)*(d.len2+1); c++ {
+				v1, v2 := a1.val[c], a2.val[c]
+				if a1.path[c] != a2.path[c] || (v1 != v2 && !(v1 != v1 && v2 != v2)) {
+					t.Fatalf("dims %dx%d gap %g: DP cell %d differs: %v/%t vs %v/%t",
+						d.len1, d.len2, gapOpen, c, v1, a1.path[c], v2, a2.path[c])
 				}
 			}
 			if ops1.DPCells != ops2.DPCells {

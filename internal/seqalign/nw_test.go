@@ -2,11 +2,14 @@ package seqalign
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"rckalign/internal/costmodel"
+	"rckalign/internal/geom"
 	"rckalign/internal/ss"
+	"rckalign/internal/synth"
 )
 
 // bruteForceBest enumerates every global alignment path and scores it with
@@ -321,4 +324,34 @@ func BenchmarkAlign150x150(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a.Align(n, n, score, -0.6, invmap, nil)
 	}
+}
+
+// BenchmarkAlignMatrix times the DP the TM-align refinement loop runs:
+// AlignMatrix on the distance-score matrix of CK34's first pair, with the
+// first chain superposed on the second over their gapless overlap and
+// the search d0 of tmscore.SearchParams.
+func BenchmarkAlignMatrix(b *testing.B) {
+	ck := synth.CK34()
+	x, y := ck.Structures[0].CAs(), ck.Structures[1].CAs()
+	n := min(len(x), len(y))
+	tr, _ := geom.Superpose(x[:n], y[:n])
+	xt := make([]geom.Vec3, len(x))
+	tr.ApplyAll(xt, x)
+	yx, yy, yz := make([]float64, len(y)), make([]float64, len(y)), make([]float64, len(y))
+	for j, p := range y {
+		yx[j], yy[j], yz[j] = p[0], p[1], p[2]
+	}
+	d0 := 1.24*math.Cbrt(float64(n)-15) - 1.8 + 0.8
+	mat := make([]float64, len(x)*len(y))
+	for i, p := range xt {
+		geom.ScoreRow(mat[i*len(y):(i+1)*len(y)], yx, yy, yz, p, d0*d0)
+	}
+	a := NewAligner()
+	invmap := make([]int, len(y))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.AlignMatrix(len(x), len(y), mat, -0.6, invmap, nil)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(x)*len(y)), "ns/cell")
 }

@@ -47,35 +47,19 @@ func (c *ctx) scoreFast(invmap []int) float64 {
 	if n < 3 {
 		return 0
 	}
-	xtm := c.xtm[:n]
-	ytm := c.ytm[:n]
+	xtm, ytm := c.xtm[:n], c.ytm[:n]
 
 	d02 := c.sp.D0 * c.sp.D0
 	d002 := c.sp.D0Search * c.sp.D0Search
 	dis2 := c.dis2[:n]
 
 	// scorePass rotates xtm under tr and accumulates the TM sum, caching
-	// squared distances; the transform is hoisted into scalars in
-	// Apply/Dist2 evaluation order (bit-identical to the method chain).
+	// squared distances.
 	scorePass := func(tr geom.Transform) float64 {
-		r00, r01, r02 := tr.R[0][0], tr.R[0][1], tr.R[0][2]
-		r10, r11, r12 := tr.R[1][0], tr.R[1][1], tr.R[1][2]
-		r20, r21, r22 := tr.R[2][0], tr.R[2][1], tr.R[2][2]
-		tx, ty, tz := tr.T[0], tr.T[1], tr.T[2]
-		s := 0.0
-		for k := 0; k < n; k++ {
-			a, b := &xtm[k], &ytm[k]
-			px, py, pz := a[0], a[1], a[2]
-			dx := r00*px + r01*py + r02*pz + tx - b[0]
-			dy := r10*px + r11*py + r12*pz + ty - b[1]
-			dz := r20*px + r21*py + r22*pz + tz - b[2]
-			di := dx*dx + dy*dy + dz*dz
-			dis2[k] = di
-			s += 1 / (1 + di/d02)
-		}
+		tr.ApplyAll(c.xt, xtm)
 		c.ops.AddScore(n)
 		c.ops.AddRotate(n)
-		return s
+		return geom.ScoreSum(dis2, c.xt[:n], ytm, d02, 0, false)
 	}
 
 	tr, _ := geom.Superpose(xtm, ytm)
@@ -98,11 +82,8 @@ func (c *ctx) scoreFast(invmap []int) float64 {
 				break
 			}
 		}
-		if j == n {
-			return score, false // nothing filtered; no improvement possible
-		}
-		if j < 3 {
-			return score, false
+		if j == n || j < 3 {
+			return score, false // nothing filtered, or too few pairs to fit
 		}
 		tr, _ := geom.Superpose(c.r1[:j], c.r2[:j])
 		c.ops.AddKabsch(j)
@@ -177,7 +158,7 @@ func (c *ctx) dpIter(invmap0 []int, tr geom.Transform, maxIter int) (float64, ge
 				copy(best, c.invTmp)
 			}
 			cur = trNew
-			if iter > 0 && abs(tm-tmOld) < 1e-6 {
+			if iter > 0 && math.Abs(tm-tmOld) < 1e-6 {
 				break
 			}
 			tmOld = tm
@@ -186,46 +167,22 @@ func (c *ctx) dpIter(invmap0 []int, tr geom.Transform, maxIter int) (float64, ge
 	return bestTM, bestTr, best
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // fillDistMatrix fills c.scoreMat with 1/(1+d^2/d2) for every (i, j)
-// pair of the rotated chain xt against the fixed chain, reading the
-// fixed chain through its SoA mirror (one contiguous stream per axis).
+// pair of the rotated chain xt against the fixed chain, one
+// geom.ScoreRow per residue of xt over the fixed chain's SoA mirror.
 // With ssBonus, pairs with matching secondary structure score +0.5
-// (get_initial_ssplus's mixed matrix). The distance arithmetic follows
-// Vec3.Dist2's evaluation order, so the fill is bit-identical to the
-// naive xt[i].Dist2(y[j]) loop.
+// (get_initial_ssplus's mixed matrix).
 func (c *ctx) fillDistMatrix(xt []geom.Vec3, d2 float64, ssBonus bool) {
 	ylen := c.ylen
-	yx := c.w.YX[:ylen]
-	yy := c.w.YY[:ylen]
-	yz := c.w.YZ[:ylen]
-	for i := 0; i < c.xlen; i++ {
-		p := &xt[i]
-		px, py, pz := p[0], p[1], p[2]
+	for i, p := range xt[:c.xlen] {
 		row := c.scoreMat[i*ylen : i*ylen+ylen]
+		geom.ScoreRow(row, c.w.YX, c.w.YY, c.w.YZ, p, d2)
 		if ssBonus {
 			s1 := c.sec1[i]
-			sec2 := c.sec2
-			for j := range row {
-				dx, dy, dz := px-yx[j], py-yy[j], pz-yz[j]
-				di := dx*dx + dy*dy + dz*dz
-				s := 1 / (1 + di/d2)
-				if s1 == sec2[j] {
-					s += 0.5
+			for j, s2 := range c.sec2[:ylen] {
+				if s1 == s2 {
+					row[j] += 0.5
 				}
-				row[j] = s
-			}
-		} else {
-			for j := range row {
-				dx, dy, dz := px-yx[j], py-yy[j], pz-yz[j]
-				di := dx*dx + dy*dy + dz*dz
-				row[j] = 1 / (1 + di/d2)
 			}
 		}
 	}

@@ -96,10 +96,10 @@ type Result struct {
 	Ops costmodel.Counter
 }
 
-// TM returns the conventional headline score max(TM1, TM2)... TM-align
-// reports both; consumers ranking "similarity to the query" typically use
-// the score normalised by the query length. TM here is the mean of the
-// two, a common single-number summary.
+// TM returns the mean of TM1 and TM2, the single-number summary the
+// prune threshold and the benchmark's miss check compare against.
+// TM-align reports both scores; ranking by similarity to a query usually
+// takes the one normalised by the query's length.
 func (r *Result) TM() float64 { return (r.TM1 + r.TM2) / 2 }
 
 // String summarises the result in one line.

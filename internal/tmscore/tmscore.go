@@ -101,40 +101,16 @@ func FinalParams(l float64) Params {
 // 0.5 A steps. It returns the TM-score (sum/LNorm), the number of
 // collected pairs and the score evaluations to charge.
 //
-// The squared distances are computed once into dis2 (the score does not
-// depend on the collection cutoff) and the relaxation rounds re-scan the
-// cached distances only. The d8-cutoff branch is hoisted out of the
-// inner loop and the distance arithmetic is unrolled in Vec3.Dist2's
-// evaluation order, so scores are bit-identical to the reference loop.
+// The squared distances are computed once into dis2 by geom.ScoreSum
+// (the score does not depend on the collection cutoff; the d8 cutoff is
+// its mask) and the relaxation rounds re-scan the cached distances only.
 // The op charge still mirrors the reference score_fun8, which rescans
 // all n pairs (distances and scores) on every relaxation round — the
 // simulated kernel cost is unchanged.
 func (p Params) scoreFun8(xt, y []geom.Vec3, d float64, set []int32, dis2 []float64) (score float64, nCut, evals int) {
 	n := len(xt)
-	d02 := p.D0 * p.D0
-	var scoreSum float64
-	y = y[:n]
 	dis2 = dis2[:n]
-	if p.ScoreD8 > 0 {
-		d8cut2 := p.ScoreD8 * p.ScoreD8
-		for i := range xt {
-			a, b := &xt[i], &y[i]
-			dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
-			di := dx*dx + dy*dy + dz*dz
-			dis2[i] = di
-			if di <= d8cut2 {
-				scoreSum += 1 / (1 + di/d02)
-			}
-		}
-	} else {
-		for i := range xt {
-			a, b := &xt[i], &y[i]
-			dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
-			di := dx*dx + dy*dy + dz*dz
-			dis2[i] = di
-			scoreSum += 1 / (1 + di/d02)
-		}
-	}
+	scoreSum := geom.ScoreSum(dis2, xt, y, p.D0*p.D0, p.ScoreD8*p.ScoreD8, p.ScoreD8 > 0)
 	dTmp := d * d
 	for inc := 0; ; inc++ {
 		clear(set)
@@ -319,34 +295,16 @@ func extend(g *kernel.Table[kernel.SearchNode], cur, n int, c *costmodel.Counter
 
 // ScoreWithTransform returns the TM-score of the fixed alignment under a
 // given transform of x, without searching (pairs beyond ScoreD8 excluded
-// when it is set). The transform is hoisted into scalars, in Apply's
-// evaluation order, so the fused rotate+distance+score pass is
-// bit-identical to the reference loop.
+// when it is set).
 func (p Params) ScoreWithTransform(x, y []geom.Vec3, tr geom.Transform, ops *costmodel.Counter) float64 {
 	if len(x) != len(y) {
 		panic(fmt.Errorf("%w (ScoreWithTransform: %d vs %d)", ErrAlignedLength, len(x), len(y)))
 	}
-	d02 := p.D0 * p.D0
-	d8cut2 := p.ScoreD8 * p.ScoreD8
-	noCut := p.ScoreD8 <= 0
-	r00, r01, r02 := tr.R[0][0], tr.R[0][1], tr.R[0][2]
-	r10, r11, r12 := tr.R[1][0], tr.R[1][1], tr.R[1][2]
-	r20, r21, r22 := tr.R[2][0], tr.R[2][1], tr.R[2][2]
-	tx, ty, tz := tr.T[0], tr.T[1], tr.T[2]
-	y = y[:len(x)]
-	var sum float64
-	for i := range x {
-		a, b := &x[i], &y[i]
-		px, py, pz := a[0], a[1], a[2]
-		dx := r00*px + r01*py + r02*pz + tx - b[0]
-		dy := r10*px + r11*py + r12*pz + ty - b[1]
-		dz := r20*px + r21*py + r22*pz + tz - b[2]
-		di := dx*dx + dy*dy + dz*dz
-		if noCut || di <= d8cut2 {
-			sum += 1 / (1 + di/d02)
-		}
-	}
+	w := kernel.Get()
+	defer kernel.Put(w)
+	w.ReserveSearch(len(x))
+	tr.ApplyAll(w.SearchXt, x)
 	ops.AddScore(len(x))
 	ops.AddRotate(len(x))
-	return sum / p.LNorm
+	return geom.ScoreSum(w.SearchDis2, w.SearchXt, y, p.D0*p.D0, p.ScoreD8*p.ScoreD8, !(p.ScoreD8 <= 0)) / p.LNorm
 }
