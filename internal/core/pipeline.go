@@ -62,7 +62,7 @@ func newPlan(pr *PairResults, slaves int, cfg MultiChipConfig) (*plan, error) {
 	}
 	p.wire = farm.WireModel{
 		StructsOf: func(j rckskel.Job) []int {
-			pair := j.Payload.(sched.Pair)
+			pair := j.Payload.(*sched.Pair)
 			return []int{pair.I, pair.J}
 		},
 		Sizes: sizes,
@@ -113,7 +113,7 @@ func newPlan(pr *PairResults, slaves int, cfg MultiChipConfig) (*plan, error) {
 		p.session.JobDeadlineSeconds = DeriveJobDeadline(pr, cfg.Chip.CPU, opScale) * float64(max(cfg.Batch, 1))
 	}
 	p.handler = func(job rckskel.Job) (any, costmodel.Counter, int) {
-		res := pr.Get(job.Payload.(sched.Pair))
+		res := pr.Get(*job.Payload.(*sched.Pair))
 		return res, res.Ops.Scaled(opScale), ResultBytes(res.Len2)
 	}
 	if cfg.Batch > 1 {

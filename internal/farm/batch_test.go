@@ -18,7 +18,7 @@ func pairWire(n int) WireModel {
 	}
 	return WireModel{
 		StructsOf: func(j rckskel.Job) []int {
-			p := j.Payload.(sched.Pair)
+			p := j.Payload.(*sched.Pair)
 			return []int{p.I, p.J}
 		},
 		Sizes: sizes,
@@ -28,7 +28,7 @@ func pairWire(n int) WireModel {
 func pairJobs(pairs []sched.Pair, wm WireModel) []rckskel.Job {
 	jobs := make([]rckskel.Job, len(pairs))
 	for k, p := range pairs {
-		jobs[k] = rckskel.Job{ID: k, Payload: p, Bytes: wm.Sizes[p.I] + wm.Sizes[p.J]}
+		jobs[k] = rckskel.Job{ID: k, Payload: &pairs[k], Bytes: wm.Sizes[p.I] + wm.Sizes[p.J]}
 	}
 	return jobs
 }
@@ -139,7 +139,7 @@ func TestPrepareJobsCachedSingles(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("cached singles must stay 1:1, got %d", len(out))
 	}
-	if _, ok := out[0].Payload.(sched.Pair); !ok {
+	if _, ok := out[0].Payload.(*sched.Pair); !ok {
 		t.Fatalf("unbatched payload = %#v", out[0].Payload)
 	}
 	// First dispatch to slave 1 is a cold miss on both structures.

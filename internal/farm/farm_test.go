@@ -88,7 +88,7 @@ func TestBuildJobs(t *testing.T) {
 	if jobs[0].ID != 10 || jobs[1].ID != 11 {
 		t.Errorf("IDs = %d,%d, want 10,11", jobs[0].ID, jobs[1].ID)
 	}
-	if jobs[1].Bytes != 2 || jobs[1].Payload.(sched.Pair) != pairs[1] {
+	if jobs[1].Bytes != 2 || jobs[1].Payload.(*sched.Pair) != &pairs[1] {
 		t.Errorf("job 1 = %+v", jobs[1])
 	}
 }

@@ -11,14 +11,16 @@ import (
 )
 
 // BuildJobs converts an ordered pair list into rckskel jobs: job k gets
-// ID idBase+k and the wire size returned by bytes (the request payload
-// the master ships to a slave). A non-positive size is rejected with
+// ID idBase+k, the payload &pairs[k] (pairs must not change while they
+// run) and the wire size returned by bytes (the request payload the
+// master ships to a slave). A non-positive size is rejected with
 // rckskel.ErrJobBytes — it would silently corrupt the NoC transfer
 // model downstream.
 func BuildJobs(pairs []sched.Pair, idBase int, bytes func(p sched.Pair) int) ([]rckskel.Job, error) {
 	jobs := make([]rckskel.Job, len(pairs))
-	for k, p := range pairs {
-		b := bytes(p)
+	for k := range pairs {
+		p := &pairs[k]
+		b := bytes(*p)
 		if b < 1 {
 			return nil, fmt.Errorf("farm: pair (%d,%d): %w (sized %d)", p.I, p.J, rckskel.ErrJobBytes, b)
 		}

@@ -47,7 +47,7 @@ type Mesh struct {
 	// between vertical neighbours. links[r][d] leaves router r (row-major)
 	// in direction d; nil where the mesh ends.
 	links [][numDirs]*sim.Resource
-	// paths[a*routers+b] lists the links of Route(a, b), in order.
+	// paths[a*routers+b] lists the links of Route(a, b), in order (path).
 	paths [][]link
 
 	// Observability (nil/zero unless SetMetrics installed a registry).
@@ -208,19 +208,6 @@ func New(cfg Config) *Mesh {
 			}
 		}
 	}
-	// Every route is walked once here, not once per transfer.
-	for a := 0; a < routers; a++ {
-		for b := 0; b < routers; b++ {
-			cur := m.coord(a)
-			route := m.Route(cur, m.coord(b))
-			path := make([]link, len(route))
-			for i, next := range route {
-				path[i] = m.linkBetween(cur, next)
-				cur = next
-			}
-			m.paths[a*routers+b] = path
-		}
-	}
 	return m
 }
 
@@ -238,12 +225,23 @@ func (m *Mesh) linkBetween(from, to Coord) link {
 	panic("noc: routers are not neighbours")
 }
 
-// path returns the links of Route(a, b) from the table New built.
+// path returns the links of Route(a, b): each route is walked once, on
+// its first transfer, not once per transfer.
 func (m *Mesh) path(a, b Coord) []link {
 	if !m.InBounds(a) || !m.InBounds(b) {
 		panic("noc: route endpoint outside mesh")
 	}
-	return m.paths[m.index(a)*len(m.links)+m.index(b)]
+	k := m.index(a)*len(m.links) + m.index(b)
+	if m.paths[k] == nil {
+		route := m.Route(a, b)
+		path := make([]link, len(route)) // non-nil even when empty
+		for i, next := range route {
+			path[i] = m.linkBetween(a, next)
+			a = next
+		}
+		m.paths[k] = path
+	}
+	return m.paths[k]
 }
 
 // Config returns the mesh configuration.

@@ -39,13 +39,18 @@ type Message struct {
 }
 
 // transfer is a message on the wire: what the sender hands the receiver
-// at rendezvous, one allocation per Send.
+// at rendezvous. Transfers are recycled through their Comm's free list.
 type transfer struct {
 	msg Message
 	// done fires when the chunked transfer completes; the receiver joins
 	// it. A latch (not a rendezvous) so a sender never blocks on a
 	// receiver that died or stalled mid-transfer.
 	done sim.Latch
+	// refs counts the sides still holding the transfer: the sender until
+	// it has set done (or dropped the message), the receiver until it has
+	// copied the message out (or given up waiting). A side whose process
+	// dies holding it never lets go, leaving the transfer to the collector.
+	refs int
 }
 
 // Outcome is an Interposer's verdict on one message.
@@ -74,6 +79,8 @@ type Comm struct {
 	// inter, when non-nil, is consulted for every Send.
 	inter   Interposer
 	barrier *sim.Barrier
+	// free holds transfers both sides have released.
+	free []*transfer
 
 	// Observability handles (nil unless SetMetrics installed a registry).
 	cSendMsgs  *metrics.Counter
@@ -161,10 +168,8 @@ func (c *Comm) Send(p *sim.Process, src, dst, bytes int, payload any) {
 	if bytes < 1 {
 		bytes = 1
 	}
-	t := &transfer{
-		msg:  Message{Src: src, Dst: dst, Bytes: bytes, Payload: payload, SentAt: p.Now()},
-		done: sim.Latch{Name: "rcce.done"},
-	}
+	t := c.newTransfer()
+	t.msg = Message{Src: src, Dst: dst, Bytes: bytes, Payload: payload, SentAt: p.Now()}
 	c.cSendMsgs.Inc()
 	c.cSendBytes.Add(float64(bytes))
 	c.hMsgBytes.Observe(float64(bytes))
@@ -178,10 +183,12 @@ func (c *Comm) Send(p *sim.Process, src, dst, bytes int, payload any) {
 		// (dead destination, or discarded by a faulty link).
 		c.chip.MemAccess(p, src, bytes)
 		c.transferChunks(p, src, dst, bytes)
+		c.release(t)
 		return
 	}
 	t.msg.Corrupt = t.msg.Corrupt || out.Corrupt
 	p.SetBlockDetail("rcce send %d->%d (%d bytes)", src, dst, bytes)
+	t.refs++ // the receiver's
 	c.pair(src, dst).Send(p, t)
 	// Rendezvous reached: the receiver is joined on the message's done
 	// latch. The sender stages the payload out of its DRAM (through its
@@ -192,7 +199,27 @@ func (c *Comm) Send(p *sim.Process, src, dst, bytes int, payload any) {
 	}
 	c.transferChunks(p, src, dst, bytes)
 	t.done.Set()
+	c.release(t)
 	p.SetBlockDetail("")
+}
+
+// newTransfer takes a transfer off the free list, held by the sender.
+func (c *Comm) newTransfer() *transfer {
+	var t *transfer
+	if n := len(c.free); n > 0 {
+		t, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		t = new(transfer)
+	}
+	*t = transfer{done: sim.Latch{Name: "rcce.done"}, refs: 1}
+	return t
+}
+
+// release lets go of one side's hold on t; the last side recycles it.
+func (c *Comm) release(t *transfer) {
+	if t.refs--; t.refs == 0 {
+		c.free = append(c.free, t)
+	}
 }
 
 // RecvTiming decomposes one Recv: WaitSeconds is the time spent blocked
@@ -243,11 +270,14 @@ func (c *Comm) join(p *sim.Process, dst int, v any, ok bool, start, d float64) (
 	}
 	t := v.(*transfer)
 	rdv := p.Now()
-	if !t.done.WaitTimeout(p, d-(rdv-start)) {
+	ok = t.done.WaitTimeout(p, d-(rdv-start))
+	m := t.msg
+	c.release(t)
+	if !ok {
 		return Message{}, RecvTiming{}, false
 	}
-	c.recvBytes[dst].Add(float64(t.msg.Bytes))
-	return t.msg, RecvTiming{WaitSeconds: rdv - start, XferSeconds: p.Now() - rdv}, true
+	c.recvBytes[dst].Add(float64(m.Bytes))
+	return m, RecvTiming{WaitSeconds: rdv - start, XferSeconds: p.Now() - rdv}, true
 }
 
 // Probe reports whether a sender on (src, dst) is already blocked in

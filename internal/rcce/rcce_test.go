@@ -1,6 +1,7 @@
 package rcce
 
 import (
+	"math"
 	"testing"
 
 	"rckalign/internal/scc"
@@ -183,5 +184,51 @@ func TestUnmatchedRecvDeadlocks(t *testing.T) {
 	})
 	if err := e.Run(); err == nil {
 		t.Error("expected deadlock error for unmatched Recv")
+	}
+}
+
+// dropAll is a wire that loses every message.
+type dropAll struct{}
+
+func (dropAll) Deliver(*sim.Process, *Message) Outcome { return Outcome{Drop: true} }
+
+// TestTransferRecycledOnce: a normal send, a dropped message and a
+// receive that times out mid-transfer each hand their transfer back to
+// the free list exactly once — both sides let go, neither twice.
+func TestTransferRecycledOnce(t *testing.T) {
+	cases := []struct {
+		name string
+		wire Interposer
+		d    float64 // the receive's deadline
+		ok   bool
+	}{
+		{"send", nil, math.Inf(1), true},
+		{"dropped", dropAll{}, 1e-3, false},
+		{"timed out", nil, 1e-6, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, c := newComm()
+			c.SetInterposer(tc.wire)
+			ok := !tc.ok
+			c.Chip().SpawnCore(47, func(p *sim.Process) {
+				_, _, ok = c.RecvTimeout(p, 0, 47, tc.d)
+			})
+			c.Chip().SpawnCore(0, func(p *sim.Process) {
+				c.Send(p, 0, 47, 16*1024, nil)
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if ok != tc.ok {
+				t.Errorf("receive ok = %v, want %v", ok, tc.ok)
+			}
+			if len(c.free) != 1 {
+				t.Fatalf("free list holds %d transfers, want 1", len(c.free))
+			}
+			if r := c.free[0].refs; r != 0 {
+				t.Errorf("recycled transfer has %d refs, want 0 (each side released once)", r)
+			}
+		})
 	}
 }

@@ -106,6 +106,10 @@ type slaveState struct {
 	// the master's "mailbox".
 	ringAt float64
 	name   string // core name, for trace tracks and metric labels
+	// result holds the slave's latest result: its message carries a
+	// pointer here, read by the master before the slave's next job can
+	// overwrite it.
+	result Result
 	// Per-slave aggregates, nil unless SetMetrics installed a registry.
 	jobs, compute, wait *metrics.Counter
 }
@@ -232,7 +236,7 @@ func (t *Team) slaveLoop(p *sim.Process, i, core int, h Handler) {
 		t.hDispatchWait.Observe(tm.WaitSeconds)
 		t.hInputXfer.Observe(tm.XferSeconds)
 		s.wait.Add(tm.WaitSeconds)
-		job := m.Payload.(Job)
+		job := *m.Payload.(*Job)
 		payload, ops, resultBytes := h(job)
 		computeStart := p.Now()
 		t.Comm.Chip().Compute(p, ops)
@@ -255,9 +259,8 @@ func (t *Team) slaveLoop(p *sim.Process, i, core int, h Handler) {
 		}
 		t.ring.Put(i)
 		resultBytes = max(resultBytes, 1)
-		t.Comm.Send(p, core, t.Master, resultBytes, Result{
-			JobID: job.ID, Slave: core, Payload: payload, Bytes: resultBytes,
-		})
+		s.result = Result{JobID: job.ID, Slave: core, Payload: payload, Bytes: resultBytes}
+		t.Comm.Send(p, core, t.Master, resultBytes, &s.result)
 	}
 }
 
@@ -286,8 +289,10 @@ func (t *Team) Terminate(p *sim.Process) {
 // sendJob dispatches one job request from the master to a slave. Every
 // dispatch path (SEQ, PAR, FARM) funnels through here, so the per-slave
 // size model and its validation apply uniformly; a non-positive resolved
-// size is a modelling bug and fails loudly instead of being clamped.
-func (t *Team) sendJob(p *sim.Process, slave int, job Job) {
+// size is a modelling bug and fails loudly instead of being clamped. The
+// message carries job itself, so the caller's job list must not change
+// while the slaves run.
+func (t *Team) sendJob(p *sim.Process, slave int, job *Job) {
 	bytes := job.Bytes
 	if job.SizeFor != nil {
 		bytes = job.SizeFor(slave)
@@ -342,7 +347,7 @@ func (t *Team) gather(p *sim.Process, n int, before func(k int), collect func(Re
 		}
 		m, _ := t.collectFrom(p, t.ring.Get(p).(int), math.Inf(1), &st)
 		t.cJobsDone.Inc()
-		res := m.Payload.(Result)
+		res := *m.Payload.(*Result)
 		st.JobsPerSlave[res.Slave]++
 		if collect != nil {
 			collect(res)
@@ -356,7 +361,7 @@ func (t *Team) gather(p *sim.Process, n int, before func(k int), collect func(Re
 // goes to slave k mod len(Slaves), and the master waits for each result
 // before issuing the next (the paper's task sequencing construct).
 func (t *Team) SEQ(p *sim.Process, jobs []Job, collect func(Result)) Stats {
-	return t.gather(p, len(jobs), func(k int) { t.sendJob(p, t.Slaves[k%len(t.Slaves)], jobs[k]) }, collect)
+	return t.gather(p, len(jobs), func(k int) { t.sendJob(p, t.Slaves[k%len(t.Slaves)], &jobs[k]) }, collect)
 }
 
 // PAR assigns jobs[k] to slave k (at most one job per slave) and returns
@@ -366,8 +371,8 @@ func (t *Team) PAR(p *sim.Process, jobs []Job) {
 	if len(jobs) > len(t.Slaves) {
 		panic(fmt.Sprintf("rckskel: PAR got %d jobs for %d slaves", len(jobs), len(t.Slaves)))
 	}
-	for k, job := range jobs {
-		t.sendJob(p, t.Slaves[k], job)
+	for k := range jobs {
+		t.sendJob(p, t.Slaves[k], &jobs[k])
 	}
 }
 
@@ -539,7 +544,7 @@ func (f *farm) dispatch(i int) {
 			}
 		}
 		js.last = i + 1
-		f.t.sendJob(f.p, f.t.Slaves[i], q.jobs[j])
+		f.t.sendJob(f.p, f.t.Slaves[i], &q.jobs[j])
 		s.state, s.job, s.deadline = inflight, j, f.p.Now()+f.deadline
 		f.t.nInflight++
 		return
@@ -580,7 +585,7 @@ func (f *farm) handleRing(i int) {
 		// The wire mangled the result: retry without penalising the slave.
 		f.ft.CorruptDetected++
 		f.requeue(i, pending)
-	} else if q, res := f.queueFor(i), m.Payload.(Result); s.job >= 0 && q.jobs[s.job].ID == res.JobID {
+	} else if q, res := f.queueFor(i), *m.Payload.(*Result); s.job >= 0 && q.jobs[s.job].ID == res.JobID {
 		if js := &q.st[s.job]; js.done {
 			f.ft.DuplicatesDropped++
 		} else {

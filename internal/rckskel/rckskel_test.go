@@ -315,3 +315,26 @@ func TestFarmToleratesStragglerCore(t *testing.T) {
 			stats.JobsPerSlave[straggler], stats.JobsPerSlave[2])
 	}
 }
+
+// TestFarmAllocationsPerJob: past its set-up, a 47-slave FARM costs the
+// host no allocation per job — the job, its result and both messages
+// travel without a heap object.
+func TestFarmAllocationsPerJob(t *testing.T) {
+	const n = 400
+	jobs := make([]Job, 2*n)
+	for i := range jobs {
+		jobs[i] = Job{ID: i, Bytes: 64}
+	}
+	h := func(Job) (any, costmodel.Counter, int) { return nil, costmodel.Counter{DPCells: 1000}, 8 }
+	allocs := func(jobs []Job) float64 {
+		return testing.AllocsPerRun(3, func() {
+			e, team := setup(47, h)
+			if err := runMaster(e, team, func(p *sim.Process) { farmAll(team, p, jobs, nil) }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if perJob := (allocs(jobs) - allocs(jobs[:n])) / n; perJob >= 0.1 {
+		t.Errorf("%.3f allocations per job, want < 0.1", perJob)
+	}
+}

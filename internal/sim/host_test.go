@@ -162,8 +162,8 @@ func steadyAllocs(t *testing.T, e *Engine, stop *bool) float64 {
 }
 
 // TestEngineHostAllocations guards the engine's per-event host cost: in steady
-// state a Wait wake-up allocates nothing, and a channel rendezvous and a
-// contended resource hand-over at most one object each.
+// state a Wait wake-up, a channel rendezvous and a contended resource
+// hand-over allocate nothing.
 func TestEngineHostAllocations(t *testing.T) {
 	t.Run("wait", func(t *testing.T) {
 		e, stop := NewEngine(), false
@@ -191,8 +191,8 @@ func TestEngineHostAllocations(t *testing.T) {
 			}
 			c.Send(p, nil)
 		})
-		if got := steadyAllocs(t, e, &stop); got > 1 {
-			t.Errorf("a rendezvous allocates %v objects, want at most 1", got)
+		if got := steadyAllocs(t, e, &stop); got != 0 {
+			t.Errorf("a rendezvous allocates %v objects, want 0", got)
 		}
 	})
 	t.Run("resource", func(t *testing.T) {
@@ -205,8 +205,122 @@ func TestEngineHostAllocations(t *testing.T) {
 				}
 			})
 		}
-		if got := steadyAllocs(t, e, &stop); got > 1 {
-			t.Errorf("a resource acquire/release allocates %v objects, want at most 1", got)
+		if got := steadyAllocs(t, e, &stop); got != 0 {
+			t.Errorf("a resource acquire/release allocates %v objects, want 0", got)
 		}
 	})
+}
+
+// TestInlineWakeYieldsToEarlierSeq: a process whose own wake-up ties in
+// time with another process's earlier-scheduled one does not take the
+// inline path; the other process runs first, as the heap orders them.
+func TestInlineWakeYieldsToEarlierSeq(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.Spawn("b", func(p *Process) {
+		p.Wait(1) // scheduled at t=0: the lower seq at t=1
+		order = append(order, "b")
+	})
+	e.Spawn("a", func(p *Process) {
+		p.Wait(0.5)
+		p.Wait(0.5) // scheduled at t=0.5, also for t=1
+		order = append(order, "a")
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"b", "a"}; !slices.Equal(order, want) {
+		t.Errorf("order %v, want %v", order, want)
+	}
+}
+
+// TestInlineWakeRespectsHorizon: a Wait past RunUntil's horizon stays
+// queued, and the clock reads the horizon afterwards.
+func TestInlineWakeRespectsHorizon(t *testing.T) {
+	e := NewEngine()
+	var woke []float64
+	e.Spawn("w", func(p *Process) {
+		p.Wait(1)
+		woke = append(woke, p.Now())
+		p.Wait(5)
+		woke = append(woke, p.Now())
+	})
+	e.RunUntil(3)
+	if !slices.Equal(woke, []float64{1}) || e.Now() != 3 {
+		t.Fatalf("after RunUntil(3): woke %v, now %v; want [1], 3", woke, e.Now())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(woke, []float64{1, 6}) {
+		t.Errorf("woke %v, want [1 6]", woke)
+	}
+}
+
+// TestInlineWakeHonoursStallAndKill: a process that wakes itself inline
+// between callbacks is still deferred by StallUntil and unwound by Kill.
+func TestInlineWakeHonoursStallAndKill(t *testing.T) {
+	e := NewEngine()
+	var woke []float64
+	p := e.Spawn("w", func(p *Process) {
+		for {
+			p.Wait(1)
+			woke = append(woke, p.Now())
+		}
+	})
+	e.Schedule(2.5, func() { e.StallUntil(p, 4.5) })
+	e.Schedule(6, func() { e.Kill(p) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{1, 2, 4.5, 5.5}; !slices.Equal(woke, want) || !p.Done() {
+		t.Errorf("woke %v done=%v, want %v and done", woke, p.Done(), want)
+	}
+}
+
+// TestReleaseUnwindsDeferredWait: a deferred Wait in a body that Run's
+// release unwinds switches back to the engine — which unwinds it again —
+// instead of resuming inline, and no goroutine outlives the run.
+func TestReleaseUnwindsDeferredWait(t *testing.T) {
+	before := runtime.NumGoroutine()
+	resumed := false
+	for i := 0; i < 10; i++ {
+		e := NewEngine()
+		e.Spawn("stuck", func(p *Process) {
+			defer func() {
+				p.Wait(1)
+				resumed = true
+			}()
+			NewChan("never").Recv(p)
+		})
+		var dl *DeadlockError
+		if err := e.Run(); !errors.As(err, &dl) {
+			t.Fatalf("Run = %v, want a deadlock", err)
+		}
+	}
+	if resumed {
+		t.Error("a deferred Wait resumed during release")
+	}
+	waitGoroutines(t, before)
+}
+
+// TestWakeBeforeNowPanics: the always-on clock invariant — a process
+// wake-up before Now, or at NaN, is an engine bug and panics.
+func TestWakeBeforeNowPanics(t *testing.T) {
+	e := NewEngine()
+	p := e.Spawn("p", func(p *Process) { p.Wait(1) })
+	e.RunUntil(0.5)
+	for _, at := range []float64{0.25, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("scheduleProc(%v) at now=0.5 did not panic", at)
+				}
+			}()
+			e.scheduleProc(at, p)
+		}()
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
 }

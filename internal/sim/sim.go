@@ -10,7 +10,8 @@
 // moment, and events at equal times fire in schedule order, so runs are
 // fully deterministic. Each process body is a coroutine (iter.Pull): the
 // engine switches into it and it switches back directly, without a trip
-// through the Go scheduler, and a panic in a body surfaces from Run on
+// through the Go scheduler (or not at all when its own wake-up is next:
+// see Process.suspend), and a panic in a body surfaces from Run on
 // the caller's goroutine. Engines share nothing, so independent engines
 // may run on different goroutines at once.
 //
@@ -103,6 +104,10 @@ type Engine struct {
 	now    float64
 	events eventHeap
 	seq    int64
+	// until is the horizon of the dispatch loop in control, -Inf while
+	// release unwinds processes: a process wake-up up to it may be
+	// dispatched inline by the process itself (see Process.suspend).
+	until float64
 	// live holds the processes whose bodies have not finished, in spawn
 	// order.
 	live []*Process
@@ -154,7 +159,13 @@ func (e *Engine) Schedule(t float64, fn func()) {
 // After runs fn after delay d.
 func (e *Engine) After(d float64, fn func()) { e.Schedule(e.now+d, fn) }
 
+// scheduleProc queues a wake-up of p at t. Every caller derives t from
+// Now, so a time before it (or NaN) is an engine bug, not an input to
+// clamp: it would break the clock's monotonicity.
 func (e *Engine) scheduleProc(t float64, p *Process) {
+	if !(t >= e.now) {
+		panic(fmt.Sprintf("sim: %s woken at t=%v before now=%v", p.name, t, e.now))
+	}
 	e.seq++
 	e.events.push(event{t: t, seq: e.seq, p: p})
 }
@@ -281,8 +292,18 @@ func (e *Engine) StallUntil(p *Process, t float64) {
 }
 
 // suspend hands control back to the engine until the next wake-up; a
-// process the engine is releasing unwinds instead.
+// process the engine is releasing unwinds instead. When the next event
+// within the dispatch horizon is this process's own wake-up, the process
+// dispatches it itself: the engine would pop exactly that event and
+// switch straight back, so skipping the round trip moves no event, time
+// or count.
 func (p *Process) suspend() {
+	e := p.e
+	if len(e.events) > 0 && e.events[0].p == p && e.events[0].t <= e.until {
+		e.now = e.events.pop().t
+		e.mWakes.Inc()
+		return
+	}
 	if !p.toEngine(struct{}{}) {
 		panic(killSentinel{})
 	}
@@ -369,6 +390,7 @@ func (e *DeadlockError) Error() string {
 // dispatch executes events with timestamps <= until, in (time, schedule)
 // order.
 func (e *Engine) dispatch(until float64) {
+	e.until = until
 	for len(e.events) > 0 && e.events[0].t <= until {
 		ev := e.events.pop()
 		e.now = ev.t
@@ -414,6 +436,7 @@ func (e *Engine) Run() error {
 
 // release unwinds every process still live, in spawn order.
 func (e *Engine) release() {
+	e.until = math.Inf(-1) // an unwinding body's Wait must not resume it
 	live := e.live
 	e.live = nil
 	for _, p := range live {

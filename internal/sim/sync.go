@@ -69,6 +69,15 @@ func (e *Engine) newWaiter(p *Process) *waiter {
 	return w
 }
 
+// fulfil releases a waiter unless a timeout or a kill claimed it first.
+func (w *waiter) fulfil() {
+	if w.cancelled || w.p.dead() {
+		return
+	}
+	w.fulfilled = true
+	w.p.unblock()
+}
+
 // cancel abandons a still-pending wait and wakes its process.
 func (w *waiter) cancel() {
 	if w.fulfilled || w.cancelled || w.p.dead() {
@@ -148,8 +157,7 @@ func (c *Chan) Send(p *Process, v any) {
 	if c.liveReceiver() {
 		r := c.receivers.pop()
 		r.v = v
-		r.fulfilled = true
-		r.p.unblock()
+		r.fulfil()
 		return
 	}
 	c.senders.push(sendReq{p: p, v: v})
@@ -241,7 +249,10 @@ type Latch struct {
 	// the receiver nor schedules an event).
 	Grace float64
 
-	set     bool
+	set bool
+	// first is the earliest waiter, held inline so a latch with a single
+	// waiter (every rcce transfer's) keeps no list; waiting holds the rest.
+	first   *waiter
 	waiting []*waiter
 	aborts  []*waiter
 }
@@ -256,14 +267,13 @@ func (l *Latch) Set() {
 		return
 	}
 	l.set = true
-	for _, w := range l.waiting {
-		if w.cancelled || w.p.dead() {
-			continue
-		}
-		w.fulfilled = true
-		w.p.unblock()
+	if l.first != nil {
+		l.first.fulfil()
 	}
-	l.waiting = nil
+	for _, w := range l.waiting {
+		w.fulfil()
+	}
+	l.first, l.waiting = nil, nil
 	for _, r := range l.aborts {
 		if l.Grace <= 0 {
 			r.cancel()
@@ -295,7 +305,11 @@ func (l *Latch) WaitTimeout(p *Process, d float64) bool {
 		return true
 	}
 	w := p.e.newWaiter(p)
-	l.waiting = append(l.waiting, w)
+	if l.first == nil {
+		l.first = w
+	} else {
+		l.waiting = append(l.waiting, w)
+	}
 	if !math.IsInf(d, 1) {
 		w.cancelAfter(d)
 	}
