@@ -2,11 +2,27 @@ package geom
 
 // The TM-score term 1/(1+d²/d0²) is the inner loop of every TM-align
 // score matrix and every rotation-search scoring pass. ScoreRow and
-// ScoreSum are its two shapes. On amd64 their bodies are SSE2 assembly
+// ScoreSum are its two shapes, and MaxPlusFill folds it into the value
+// table of a gap-free DP round. On amd64 their bodies are SSE2 assembly
 // that evaluates two terms per packed SUBPD/MULPD/ADDPD/DIVPD in exactly
 // the scalar operation order, so every result is bit-identical to the Go
 // bodies below, which every other GOARCH runs and the tests compare
-// against (DESIGN.md §16, "packed TM terms").
+// against (DESIGN.md §16, "packed TM terms" and "gap-free rounds are
+// max-plus").
+
+// sqDist is |p-q|² as ((dx*dx + dy*dy) + dz*dz), the one operation order
+// of every kernel body. The conversions forbid fused multiply-adds, which
+// the assembly never uses, so every GOARCH rounds alike.
+func sqDist(px, py, pz, qx, qy, qz float64) float64 {
+	dx, dy, dz := px-qx, py-qy, pz-qz
+	return float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
+}
+
+// Term is the TM-score term 1/(1+|p-q|²/d02), bit-identical to the entry
+// ScoreRow writes for p and q.
+func Term(px, py, pz, qx, qy, qz, d02 float64) float64 {
+	return 1 / (1 + sqDist(px, py, pz, qx, qy, qz)/d02)
+}
 
 // ScoreRow sets dst[j] = 1/(1+d/d02) for every j of dst, where d is the
 // squared distance from p to (yx[j], yy[j], yz[j]): one row of a TM score
@@ -26,13 +42,70 @@ func ScoreSum(dis2 []float64, a, b []Vec3, d02, cut2 float64, mask bool) float64
 	return scoreSum(dis2[:n], a, b[:n], d02, cut2, mask)
 }
 
+// MaxPlusFill computes the value table of a gap-free NWDP round without
+// writing its score matrix. With n = len(yx), val holds len(xt)+1 rows of
+// n+1 cells, row 0 and column 0 are +0 on entry, and every other cell
+// becomes, in row-major order,
+//
+//	val[i][j] = max(val[i-1][j-1] + s, val[i-1][j], val[i][j-1])
+//
+// where s is the Term of xt[i-1] against y[j-1], the fixed chain mirrored
+// in yx, yy and yz. Every term must be a number (finite
+// coordinates, 0 < d02 < +Inf): then every cell is a sum of terms in
+// [+0, 1], never −0 or NaN, so the maximum is the same bits in any order.
+// Rows go two at a time, the second two columns behind the first, so the
+// only loop-carried operation is one MAXPD.
+func MaxPlusFill(val []float64, xt []Vec3, yx, yy, yz []float64, d02 float64) {
+	n := len(yx)
+	if n == 0 {
+		return
+	}
+	cols := n + 1
+	val, yy, yz = val[:(len(xt)+1)*cols], yy[:n], yz[:n]
+	i := 0
+	for ; i+1 < len(xt); i += 2 {
+		p, q := &xt[i], &xt[i+1]
+		maxPlusPair(val[i*cols:(i+3)*cols], yx, yy, yz, p[0], p[1], p[2], q[0], q[1], q[2], d02)
+	}
+	if i < len(xt) {
+		maxPlusRow(val[i*cols:(i+2)*cols], yx, yy, yz, xt[i], d02)
+	}
+}
+
+// maxPlusRow fills cells 1..n of the second row of val (two rows of n+1
+// cells, n = len(yx)) from the first: MaxPlusFill for one row, scored
+// against p.
+func maxPlusRow(val, yx, yy, yz []float64, p Vec3, d02 float64) {
+	n := len(yx)
+	up, row := val[:n+1], val[n+1:2*n+2]
+	yy, yz = yy[:n], yz[:n]
+	left := 0.0
+	for j := range yx {
+		v := up[j] + Term(p[0], p[1], p[2], yx[j], yy[j], yz[j], d02)
+		if u := up[j+1]; u > v {
+			v = u
+		}
+		if left > v {
+			v = left
+		}
+		row[j+1] = v
+		left = v
+	}
+}
+
+// maxPlusPairGo is maxPlusPair's portable body: rows 1 and 2 of val
+// (three rows of len(yx)+1 cells), scored against p and q.
+func maxPlusPairGo(val, yx, yy, yz []float64, px, py, pz, qx, qy, qz, d02 float64) {
+	cols := len(yx) + 1
+	maxPlusRow(val[:2*cols], yx, yy, yz, Vec3{px, py, pz}, d02)
+	maxPlusRow(val[cols:3*cols], yx, yy, yz, Vec3{qx, qy, qz}, d02)
+}
+
 // scoreRowGo is ScoreRow's portable body; all slices have len(dst).
 func scoreRowGo(dst, yx, yy, yz []float64, px, py, pz, d02 float64) {
 	yx, yy, yz = yx[:len(dst)], yy[:len(dst)], yz[:len(dst)]
 	for j := range dst {
-		dx, dy, dz := px-yx[j], py-yy[j], pz-yz[j]
-		di := dx*dx + dy*dy + dz*dz
-		dst[j] = 1 / (1 + di/d02)
+		dst[j] = Term(px, py, pz, yx[j], yy[j], yz[j], d02)
 	}
 }
 
@@ -42,8 +115,7 @@ func scoreSumGo(dis2 []float64, a, b []Vec3, d02, cut2 float64, mask bool) float
 	var sum float64
 	for i := range a {
 		p, q := &a[i], &b[i]
-		dx, dy, dz := p[0]-q[0], p[1]-q[1], p[2]-q[2]
-		di := dx*dx + dy*dy + dz*dz
+		di := sqDist(p[0], p[1], p[2], q[0], q[1], q[2])
 		dis2[i] = di
 		if !mask || di <= cut2 {
 			sum += 1 / (1 + di/d02)

@@ -1,9 +1,27 @@
 #include "textflag.h"
 
 // Two TM-score terms per iteration, one per SSE2 lane. Each packed op is
-// the scalar op of scoreRowGo / scoreSumGo in the same order, and IEEE
+// the scalar op of the Go bodies in score.go in the same order, and IEEE
 // packed and scalar arithmetic round alike, so every lane is bit-identical
-// to the Go body; an odd last element takes the same ops in scalar form.
+// to the Go body. A single element (an odd tail, a lone DP cell) takes the
+// same packed ops with a don't-care second lane that is never stored.
+
+// SQDIST sets X0 = (dx*dx + dy*dy) + dz*dz lane-wise from the differences
+// dx, dy, dz in X0, X1 and X2.
+#define SQDIST \
+	MULPD X0, X0; \
+	MULPD X1, X1; \
+	ADDPD X1, X0; \
+	MULPD X2, X2; \
+	ADDPD X2, X0
+
+// TERM sets X3 = 1 / (1 + X0/d02) lane-wise, with d02 in both lanes of
+// X11 and 1.0 in both lanes of X12. X0 is clobbered.
+#define TERM \
+	DIVPD X11, X0; \
+	ADDPD X12, X0; \
+	MOVAPD X12, X3; \
+	DIVPD X0, X3
 
 // func scoreRow(dst, yx, yy, yz []float64, px, py, pz, d02 float64)
 TEXT ·scoreRow(SB), NOSPLIT, $0-128
@@ -39,15 +57,8 @@ rowpair:
 	MOVAPD X10, X2
 	MOVUPD (R10)(AX*8), X3
 	SUBPD X3, X2
-	MULPD X0, X0
-	MULPD X1, X1
-	ADDPD X1, X0 // dx*dx + dy*dy
-	MULPD X2, X2
-	ADDPD X2, X0 // ... + dz*dz
-	DIVPD X11, X0
-	ADDPD X12, X0
-	MOVAPD X12, X3
-	DIVPD X0, X3 // 1 / (1 + di/d02)
+	SQDIST
+	TERM
 	MOVUPD X3, (DI)(AX*8)
 	ADDQ $2, AX
 	JMP rowpair
@@ -56,20 +67,16 @@ rowtail:
 	CMPQ AX, CX
 	JAE rowdone
 	MOVAPD X8, X0
-	SUBSD (R8)(AX*8), X0
+	MOVSD (R8)(AX*8), X3
+	SUBPD X3, X0
 	MOVAPD X9, X1
-	SUBSD (R9)(AX*8), X1
+	MOVSD (R9)(AX*8), X3
+	SUBPD X3, X1
 	MOVAPD X10, X2
-	SUBSD (R10)(AX*8), X2
-	MULSD X0, X0
-	MULSD X1, X1
-	ADDSD X1, X0
-	MULSD X2, X2
-	ADDSD X2, X0
-	DIVSD X11, X0
-	ADDSD X12, X0
-	MOVAPD X12, X3
-	DIVSD X0, X3
+	MOVSD (R10)(AX*8), X3
+	SUBPD X3, X2
+	SQDIST
+	TERM
 	MOVSD X3, (DI)(AX*8)
 
 rowdone:
@@ -123,19 +130,12 @@ sumpair:
 	MOVSD 16(BX), X3
 	MOVHPD 40(BX), X3
 	SUBPD X3, X2
-	MULPD X0, X0
-	MULPD X1, X1
-	ADDPD X1, X0
-	MULPD X2, X2
-	ADDPD X2, X0
+	SQDIST
 	MOVUPD X0, (DI)(AX*8)
 	MOVAPD X0, X4
 	CMPPD X13, X4, $2 // di <= cut2 (false for NaN)
 	ORPD X14, X4
-	DIVPD X11, X0
-	ADDPD X12, X0
-	MOVAPD X12, X3
-	DIVPD X0, X3
+	TERM
 	ANDPD X4, X3
 	ADDSD X3, X7 // pair i, then
 	UNPCKHPD X3, X3
@@ -149,27 +149,129 @@ sumtail:
 	CMPQ AX, CX
 	JAE sumdone
 	MOVSD 0(SI), X0
-	SUBSD 0(BX), X0
+	MOVSD 0(BX), X3
+	SUBPD X3, X0
 	MOVSD 8(SI), X1
-	SUBSD 8(BX), X1
+	MOVSD 8(BX), X3
+	SUBPD X3, X1
 	MOVSD 16(SI), X2
-	SUBSD 16(BX), X2
-	MULSD X0, X0
-	MULSD X1, X1
-	ADDSD X1, X0
-	MULSD X2, X2
-	ADDSD X2, X0
+	MOVSD 16(BX), X3
+	SUBPD X3, X2
+	SQDIST
 	MOVSD X0, (DI)(AX*8)
 	MOVAPD X0, X4
-	CMPSD X13, X4, $2
+	CMPPD X13, X4, $2
 	ORPD X14, X4
-	DIVSD X11, X0
-	ADDSD X12, X0
-	MOVAPD X12, X3
-	DIVSD X0, X3
+	TERM
 	ANDPD X4, X3
 	ADDSD X3, X7
 
 sumdone:
 	MOVSD X7, ret+96(FP)
+	RET
+
+// CELL computes DP cell (row, AX) in lane 0 from the row above, up: the
+// term of the point in lane 0 of X8-X10 against y[AX-1], added to
+// up[AX-1], then the maximum with up[AX] and with the left cell, carried
+// in lane 0 of X13. Lane 1 of X13 is left alone.
+#define CELL(up, row) \
+	MOVAPD X8, X0; \
+	MOVSD -8(R8)(AX*8), X4; \
+	SUBPD X4, X0; \
+	MOVAPD X9, X1; \
+	MOVSD -8(R9)(AX*8), X4; \
+	SUBPD X4, X1; \
+	MOVAPD X10, X2; \
+	MOVSD -8(R10)(AX*8), X4; \
+	SUBPD X4, X2; \
+	SQDIST; \
+	TERM; \
+	ADDSD -8(up)(AX*8), X3; \
+	MAXSD (up)(AX*8), X3; \
+	MAXSD X3, X13; \
+	MOVSD X13, (row)(AX*8)
+
+// func maxPlusPair(val, yx, yy, yz []float64, px, py, pz, qx, qy, qz, d02 float64)
+//
+// Rows 1 and 2 of val (three rows of n+1 cells, n = len(yx) >= 1) from
+// row 0, scored against p and q: maxPlusPairGo. At step t lane 0 computes
+// cell (1, t) and lane 1 cell (2, t-2). Both take their left cell from
+// the previous step's result, so the only loop-carried op is the MAXPD
+// into X13; lane 1's diagonal and up cells are row 1's cells t-3 and t-2,
+// finished two and three steps earlier. Columns 1-2 of row 1 run alone
+// first, the last columns of row 2 alone after.
+TEXT ·maxPlusPair(SB), NOSPLIT, $0-152
+	MOVQ val_base+0(FP), SI // row 0
+	MOVQ yx_base+24(FP), R8
+	MOVQ yx_len+32(FP), CX // n
+	MOVQ yy_base+48(FP), R9
+	MOVQ yz_base+72(FP), R10
+	LEAQ 8(SI)(CX*8), DI // row 1
+	LEAQ 8(DI)(CX*8), BX // row 2
+	MOVSD px+96(FP), X8
+	MOVHPD qx+120(FP), X8
+	MOVSD py+104(FP), X9
+	MOVHPD qy+128(FP), X9
+	MOVSD pz+112(FP), X10
+	MOVHPD qz+136(FP), X10
+	MOVSD d02+144(FP), X11
+	UNPCKLPD X11, X11
+	MOVQ $0x3ff0000000000000, AX // 1.0
+	MOVQ AX, X12
+	UNPCKLPD X12, X12
+	XORPD X13, X13 // both rows' column 0
+
+	MOVQ $1, AX
+	CELL(SI, DI)
+	CMPQ CX, $2
+	JB pairs
+	INCQ AX
+	CELL(SI, DI)
+
+pairs:
+	MOVQ $3, AX
+	CMPQ AX, CX
+	JA last
+
+pair:
+	MOVAPD X8, X0
+	MOVSD -8(R8)(AX*8), X4 // y[t-1] for lane 0
+	MOVHPD -24(R8)(AX*8), X4 // y[t-3] for lane 1
+	SUBPD X4, X0
+	MOVAPD X9, X1
+	MOVSD -8(R9)(AX*8), X4
+	MOVHPD -24(R9)(AX*8), X4
+	SUBPD X4, X1
+	MOVAPD X10, X2
+	MOVSD -8(R10)(AX*8), X4
+	MOVHPD -24(R10)(AX*8), X4
+	SUBPD X4, X2
+	SQDIST
+	TERM
+	MOVSD -8(SI)(AX*8), X5 // diagonal: row 0 at t-1, row 1 at t-3
+	MOVHPD -24(DI)(AX*8), X5
+	ADDPD X5, X3
+	MOVSD (SI)(AX*8), X6 // up: row 0 at t, row 1 at t-2
+	MOVHPD -16(DI)(AX*8), X6
+	MAXPD X6, X3
+	MAXPD X3, X13 // left: the previous step
+	MOVSD X13, (DI)(AX*8)
+	MOVHPD X13, -16(BX)(AX*8)
+	INCQ AX
+	CMPQ AX, CX
+	JBE pair
+
+last:
+	// Row 2 finishes in lane 0: move its point and left cell down.
+	UNPCKHPD X8, X8
+	UNPCKHPD X9, X9
+	UNPCKHPD X10, X10
+	UNPCKHPD X13, X13
+	SUBQ $2, AX
+
+lastcell:
+	CELL(DI, BX)
+	INCQ AX
+	CMPQ AX, CX
+	JBE lastcell
 	RET

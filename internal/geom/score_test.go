@@ -102,6 +102,85 @@ func FuzzScoreKernels(f *testing.F) {
 	})
 }
 
+// maxPlusValues are the coordinates the max-plus fuzz mixes into
+// ordinary ones. All are finite, as the gap-free rounds' guard requires:
+// ±1e300 overflow a squared distance, so their terms are +0; ±1.2e154
+// leave it just below the overflow, so against a unit d02 their terms are
+// subnormal; 5e-324 is a denormal coordinate; and the signed zeros and
+// small integers repeat, so terms and DP cells tie.
+var maxPlusValues = []float64{1e300, -1e300, 1.2e154, -1.2e154, 5e-324, 0, math.Copysign(0, -1), 1, 2}
+
+// maxPlusChain turns fuzz bytes into n points: ordinary coordinates in
+// the range of real CA traces, except that byte k < 64 puts coordinate k
+// on a four-value grid (ties) and byte k >= 192 makes it a maxPlusValues
+// entry.
+func maxPlusChain(data []byte, seed int64, n int) []Vec3 {
+	rng := rand.New(rand.NewSource(seed))
+	p := make([]Vec3, n)
+	for k := 0; k < 3*n; k++ {
+		c := (rng.Float64() - 0.5) * 120
+		if k < len(data) && data[k] < 64 {
+			c = float64(data[k] % 4)
+		} else if k < len(data) && data[k] >= 192 {
+			c = maxPlusValues[int(data[k])%len(maxPlusValues)]
+		}
+		p[k/3][k%3] = c
+	}
+	return p
+}
+
+// checkMaxPlusFill runs MaxPlusFill, whose row pairs go through the body
+// this GOARCH dispatches to, against the same table filled by the
+// portable maxPlusPairGo, and requires equal bits in every cell and an
+// untouched guard past the end.
+func checkMaxPlusFill(t *testing.T, data []byte, seed int64, rows, cols int, d02 float64) {
+	const guard = 12345.678
+	xt := maxPlusChain(data, seed, rows)
+	y := maxPlusChain(data[min(len(data), 3*rows):], seed+1, cols)
+	yx, yy, yz := make([]float64, cols), make([]float64, cols), make([]float64, cols)
+	for j, q := range y {
+		yx[j], yy[j], yz[j] = q[0], q[1], q[2]
+	}
+	cells := (rows + 1) * (cols + 1)
+	got, want := make([]float64, cells+1), make([]float64, cells+1)
+	got[cells], want[cells] = guard, guard
+	MaxPlusFill(got, xt, yx, yy, yz, d02)
+	for i := 0; i < rows && cols > 0; i += 2 {
+		rowsVal := want[i*(cols+1):]
+		if p := xt[i]; i+1 < rows {
+			q := xt[i+1]
+			maxPlusPairGo(rowsVal, yx, yy, yz, p[0], p[1], p[2], q[0], q[1], q[2], d02)
+		} else {
+			maxPlusRow(rowsVal, yx, yy, yz, p, d02)
+		}
+	}
+	for c := range got {
+		if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+			t.Fatalf("%dx%d d02=%g: cell (%d, %d) = %x, Go rows %x", rows, cols, d02, c/(cols+1), c%(cols+1), got[c], want[c])
+		}
+	}
+}
+
+// FuzzMaxPlusKernel requires the gap-free DP fill to equal the portable
+// Go rows bit for bit: 0-300 columns (1 and 2 among the seeds), odd and
+// even row counts, tied terms and cells, huge finite coordinates whose
+// terms underflow to +0 and subnormal terms (under the 1e-304 seed, a
+// distance beyond ~70 A has a subnormal or +0 term).
+func FuzzMaxPlusKernel(f *testing.F) {
+	f.Add([]byte{}, int64(1), uint8(1), uint16(1), 25.0)
+	f.Add([]byte{}, int64(2), uint8(2), uint16(2), 25.0)
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}, int64(3), uint8(5), uint16(3), 4.0)
+	f.Add([]byte{200, 201, 202, 203, 204, 205, 206, 207, 208, 0, 0, 0}, int64(4), uint8(4), uint16(9), 1.0)
+	f.Add([]byte{194, 10, 10, 195, 10, 10, 100, 100}, int64(5), uint8(3), uint16(300), 1e-304)
+	f.Add([]byte{}, int64(6), uint8(7), uint16(151), 17.3)
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, rows uint8, cols uint16, d02 float64) {
+		if !(d02 > 0 && d02 <= math.MaxFloat64) {
+			t.Skip() // a NaN term is outside the kernel's domain
+		}
+		checkMaxPlusFill(t, data, seed, int(rows%10), int(cols%301), d02)
+	})
+}
+
 // TestScoreSumMask pins the mask's meaning on a hand-checked case: only
 // pairs with dis2 <= cut2 are added, and dis2 is written either way.
 func TestScoreSumMask(t *testing.T) {

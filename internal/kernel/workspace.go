@@ -44,7 +44,11 @@ type Workspace struct {
 	// loads).
 	YX, YY, YZ []float64
 
-	// Mat is the xlen x ylen score matrix of the DP refinement loops.
+	// Mat is the xlen x ylen score matrix of the gapped DP rounds
+	// (dpIter's gap open -0.6, get_initial_ssplus). A gap-free round
+	// folds its terms straight into the aligner's value table and never
+	// touches it, unless a non-finite coordinate holds the round on the
+	// general path.
 	Mat []float64
 
 	// SearchXt/SearchR1/SearchR2/SearchDis2/SearchSet are the TM-score

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"rckalign/internal/costmodel"
+	"rckalign/internal/geom"
 	"rckalign/internal/ss"
 )
 
@@ -184,6 +185,54 @@ func (a *Aligner) AlignMatrix(len1, len2 int, mat []float64, gapOpen float64, in
 	ops.AddDP(len1 * len2)
 
 	a.traceback(len1, len2, gapOpen, invmap)
+}
+
+// AlignGapFree is AlignMatrix(len(xt), len(yx), mat, 0, invmap, ops) on
+// the TM-score matrix mat[i*len2+j] = geom.Term of xt[i] against y[j],
+// the fixed chain mirrored in yx, yy and yz, without building mat: the
+// terms go straight into the value table (geom.MaxPlusFill), and the
+// traceback recomputes the one term of each cell it visits.
+//
+// Alignment and DP values are AlignMatrix's bit for bit when every term
+// is a number: coordinates finite, 0 < d02 < +Inf (DESIGN.md §16, "gap-free
+// rounds are max-plus"). Then every score is in [+0, 1], a gap adds +0 or
+// −0 to a value that is never −0, so the up and left candidates are those
+// cells unchanged and each cell is the plain maximum of diagonal, up and
+// left. The caller checks the coordinates.
+func (a *Aligner) AlignGapFree(xt []geom.Vec3, yx, yy, yz []float64, d02 float64, invmap []int, ops *costmodel.Counter) {
+	len1, len2 := len(xt), len(yx)
+	if len(invmap) != len2 {
+		panic(fmt.Errorf("%w (AlignGapFree: %d vs %d)", ErrInvmapLength, len(invmap), len2))
+	}
+	a.grow(len1, len2)
+	cols := a.cols
+	val := a.val
+	for i := 0; i <= len1; i++ {
+		val[i*cols] = 0
+	}
+	clear(val[:cols])
+	geom.MaxPlusFill(val, xt, yx, yy, yz, d02)
+	ops.AddDP(len1 * len2)
+
+	// NWDP_TM's traceback at gap open 0: the cell came diagonally iff
+	// d >= up && d >= left, else from the left iff left >= up.
+	for j := range invmap {
+		invmap[j] = -1
+	}
+	i, j := len1, len2
+	for i > 0 && j > 0 {
+		up, left := val[(i-1)*cols+j], val[i*cols+j-1]
+		p := &xt[i-1]
+		if d := val[(i-1)*cols+j-1] + geom.Term(p[0], p[1], p[2], yx[j-1], yy[j-1], yz[j-1], d02); d >= up && d >= left {
+			invmap[j-1] = i - 1
+			i--
+			j--
+		} else if left >= up {
+			j--
+		} else {
+			i--
+		}
+	}
 }
 
 // bit is 1 for true and 0 for false, masked so that indexing a

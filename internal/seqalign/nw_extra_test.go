@@ -1,11 +1,14 @@
 package seqalign
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"rckalign/internal/costmodel"
+	"rckalign/internal/geom"
+	"rckalign/internal/synth"
 )
 
 // TestGrowSliceGeometric pins the amortised-growth contract of the DP
@@ -168,6 +171,107 @@ func TestAlignMatrixMatchesAlign(t *testing.T) {
 				t.Errorf("dims %dx%d gap %g: non-monotonic alignment", d.len1, d.len2, gapOpen)
 			}
 		}
+	}
+}
+
+// TestAlignGapFreeMatchesAlignMatrix requires the fused gap-free round
+// to leave the value table, alignment and DP charge of the score-matrix
+// fill plus AlignMatrix(…, 0, …), to the last bit. The rounds are real:
+// initialLocal's fragment superpositions (at its d0+1.5) and the gapless
+// overlap superposition (at the search d0) of CK34 and RS119 pairs, the
+// longest RS119 prune survivor among them, plus random rigid motions. One
+// pair of aligners serves every round, so stale cells of a larger earlier
+// table are in play.
+func TestAlignGapFreeMatchesAlignMatrix(t *testing.T) {
+	ck, rs := synth.CK34(), synth.RS119()
+	pairs := []struct {
+		name string
+		x, y []geom.Vec3
+	}{
+		{"CK34 0-1", ck.Structures[0].CAs(), ck.Structures[1].CAs()},
+		{"CK34 3-15", ck.Structures[3].CAs(), ck.Structures[15].CAs()},
+		{"CK34 33-20", ck.Structures[33].CAs(), ck.Structures[20].CAs()},
+		{"RS119 70-73", rs.Structures[70].CAs(), rs.Structures[73].CAs()},
+		{"RS119 0-1", rs.Structures[0].CAs(), rs.Structures[1].CAs()},
+		{"RS119 90-5", rs.Structures[90].CAs(), rs.Structures[5].CAs()},
+	}
+	rng := rand.New(rand.NewSource(28))
+	a1, a2 := NewAligner(), NewAligner()
+	check := func(what string, xt, y []geom.Vec3, d02 float64) {
+		t.Helper()
+		yx, yy, yz := mirror(y)
+		inv1, inv2 := make([]int, len(y)), make([]int, len(y))
+		var ops1, ops2 costmodel.Counter
+		a1.AlignMatrix(len(xt), len(y), scoreMatrix(xt, yx, yy, yz, d02), 0, inv1, &ops1)
+		a2.AlignGapFree(xt, yx, yy, yz, d02, inv2, &ops2)
+		for c := 0; c < (len(xt)+1)*(len(y)+1); c++ {
+			if math.Float64bits(a1.val[c]) != math.Float64bits(a2.val[c]) {
+				t.Fatalf("%s: DP cell (%d, %d) = %x, AlignMatrix %x", what, c/(len(y)+1), c%(len(y)+1), a2.val[c], a1.val[c])
+			}
+		}
+		for j := range inv1 {
+			if inv1[j] != inv2[j] {
+				t.Fatalf("%s: invmap[%d] = %d, AlignMatrix %d", what, j, inv2[j], inv1[j])
+			}
+		}
+		if ops1 != ops2 {
+			t.Fatalf("%s: ops %+v, AlignMatrix %+v", what, ops2, ops1)
+		}
+	}
+	rounds := 0
+	for _, p := range pairs {
+		x, y := p.x, p.y
+		d0 := searchD0(min(len(x), len(y)))
+		check(p.name+" overlap", overlapRound(x, y), y, d0*d0)
+		const frag = 20
+		xt := make([]geom.Vec3, len(x))
+		for i := 0; i+frag <= len(x); i += 3 * frag {
+			for j := 0; j+frag <= len(y); j += 2 * frag {
+				tr, _ := geom.Superpose(x[i:i+frag], y[j:j+frag])
+				tr.ApplyAll(xt, x)
+				check(fmt.Sprintf("%s fragments %d-%d", p.name, i, j), xt, y, (d0+1.5)*(d0+1.5))
+				rounds++
+			}
+		}
+		for k := 0; k < 3; k++ {
+			tr := geom.Transform{R: geom.RotY(rng.Float64() * 6.3).Mul(geom.RotX(rng.Float64() * 6.3)),
+				T: geom.V(rng.NormFloat64()*20, rng.NormFloat64()*20, rng.NormFloat64()*20)}
+			tr.ApplyAll(xt, x)
+			check(fmt.Sprintf("%s random motion %d", p.name, k), xt, y, d0*d0)
+		}
+	}
+	t.Logf("%d fragment rounds, %d overlap rounds, %d random motions", rounds, len(pairs), 3*len(pairs))
+
+	// Tie-breaking: chains on a unit grid score only 1 and 0.5 at d02 = 1,
+	// so DP cells are exact multiples of 0.5 and the traceback meets
+	// diagonal, up and left ties; moved 1e200 away, every term is +0 and
+	// every cell ties at +0. Two points 1e200 apart, alternating out of
+	// phase in the two chains, score 1 off the diagonal and +0 on it, so
+	// up and left tie above a smaller diagonal candidate.
+	p, q := geom.V(0, 0, 0), geom.V(1e200, 0, 0)
+	for _, n := range []int{2, 3, 12} {
+		x, y := make([]geom.Vec3, n), make([]geom.Vec3, n)
+		for i := range x {
+			x[i], y[i] = p, q
+			if i%2 == 1 {
+				x[i], y[i] = q, p
+			}
+		}
+		check(fmt.Sprintf("crossed %d", n), x, y, 1)
+	}
+	for _, d := range []struct{ len1, len2 int }{{1, 1}, {2, 5}, {17, 23}, {40, 31}} {
+		x, y := make([]geom.Vec3, d.len1), make([]geom.Vec3, d.len2)
+		for i := range x {
+			x[i] = geom.V(float64(i%2), 0, 0)
+		}
+		for j := range y {
+			y[j] = geom.V(float64(j/2%2), 0, 0)
+		}
+		check(fmt.Sprintf("grid %dx%d", d.len1, d.len2), x, y, 1)
+		far := geom.Transform{R: geom.Identity(), T: geom.V(1e200, 0, 0)}
+		xt := make([]geom.Vec3, len(x))
+		far.ApplyAll(xt, x)
+		check(fmt.Sprintf("grid %dx%d moved 1e200", d.len1, d.len2), xt, y, 1)
 	}
 }
 

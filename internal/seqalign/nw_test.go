@@ -326,6 +326,46 @@ func BenchmarkAlign150x150(b *testing.B) {
 	}
 }
 
+// mirror returns y as structure-of-arrays, the layout of
+// kernel.Workspace's YX/YY/YZ.
+func mirror(y []geom.Vec3) (yx, yy, yz []float64) {
+	yx, yy, yz = make([]float64, len(y)), make([]float64, len(y)), make([]float64, len(y))
+	for j, p := range y {
+		yx[j], yy[j], yz[j] = p[0], p[1], p[2]
+	}
+	return yx, yy, yz
+}
+
+// searchD0 is the d0 of tmscore.SearchParams for chains of at least n
+// residues (a kernel import would be a cycle).
+func searchD0(n int) float64 {
+	if n <= 19 {
+		return 0.168 + 0.8
+	}
+	return 1.24*math.Cbrt(float64(n)-15) - 1.8 + 0.8
+}
+
+// overlapRound returns x superposed on y over their gapless overlap, the
+// rotated chain of a DP round.
+func overlapRound(x, y []geom.Vec3) []geom.Vec3 {
+	n := min(len(x), len(y))
+	tr, _ := geom.Superpose(x[:n], y[:n])
+	xt := make([]geom.Vec3, len(x))
+	tr.ApplyAll(xt, x)
+	return xt
+}
+
+// scoreMatrix is tmalign's fillDistMatrix: the TM terms of xt against
+// the mirrored chain, row-major.
+func scoreMatrix(xt []geom.Vec3, yx, yy, yz []float64, d02 float64) []float64 {
+	n := len(yx)
+	mat := make([]float64, len(xt)*n)
+	for i, p := range xt {
+		geom.ScoreRow(mat[i*n:(i+1)*n], yx, yy, yz, p, d02)
+	}
+	return mat
+}
+
 // BenchmarkAlignMatrix times the DP the TM-align refinement loop runs:
 // AlignMatrix on the distance-score matrix of CK34's first pair, with the
 // first chain superposed on the second over their gapless overlap and
@@ -333,19 +373,9 @@ func BenchmarkAlign150x150(b *testing.B) {
 func BenchmarkAlignMatrix(b *testing.B) {
 	ck := synth.CK34()
 	x, y := ck.Structures[0].CAs(), ck.Structures[1].CAs()
-	n := min(len(x), len(y))
-	tr, _ := geom.Superpose(x[:n], y[:n])
-	xt := make([]geom.Vec3, len(x))
-	tr.ApplyAll(xt, x)
-	yx, yy, yz := make([]float64, len(y)), make([]float64, len(y)), make([]float64, len(y))
-	for j, p := range y {
-		yx[j], yy[j], yz[j] = p[0], p[1], p[2]
-	}
-	d0 := 1.24*math.Cbrt(float64(n)-15) - 1.8 + 0.8
-	mat := make([]float64, len(x)*len(y))
-	for i, p := range xt {
-		geom.ScoreRow(mat[i*len(y):(i+1)*len(y)], yx, yy, yz, p, d0*d0)
-	}
+	yx, yy, yz := mirror(y)
+	d0 := searchD0(min(len(x), len(y)))
+	mat := scoreMatrix(overlapRound(x, y), yx, yy, yz, d0*d0)
 	a := NewAligner()
 	invmap := make([]int, len(y))
 	b.ReportAllocs()
@@ -354,4 +384,50 @@ func BenchmarkAlignMatrix(b *testing.B) {
 		a.AlignMatrix(len(x), len(y), mat, -0.6, invmap, nil)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(x)*len(y)), "ns/cell")
+}
+
+// BenchmarkGapFreeRound times one gap-open-0 round, the shape of every
+// initialLocal round and half of dpIter's, on CK34's first pair and on the
+// longest RS119 prune survivor (rsh01 vs rsh04, 390 x 390 residues),
+// superposed as in BenchmarkAlignMatrix: /fill+align is the score-matrix
+// fill plus AlignMatrix(0) the round ran as before, /fused is
+// AlignGapFree.
+func BenchmarkGapFreeRound(b *testing.B) {
+	ck, rs := synth.CK34(), synth.RS119()
+	for _, pair := range []struct {
+		name string
+		x, y []geom.Vec3
+	}{
+		{"ck34_0_1", ck.Structures[0].CAs(), ck.Structures[1].CAs()},
+		{"rs119_70_73", rs.Structures[70].CAs(), rs.Structures[73].CAs()},
+	} {
+		x, y := pair.x, pair.y
+		xt := overlapRound(x, y)
+		yx, yy, yz := mirror(y)
+		d0 := searchD0(min(len(x), len(y)))
+		d02 := d0 * d0
+		mat := make([]float64, len(x)*len(y))
+		a := NewAligner()
+		invmap := make([]int, len(y))
+		for _, body := range []struct {
+			name string
+			run  func()
+		}{
+			{"fill+align", func() {
+				for i, p := range xt {
+					geom.ScoreRow(mat[i*len(y):(i+1)*len(y)], yx, yy, yz, p, d02)
+				}
+				a.AlignMatrix(len(x), len(y), mat, 0, invmap, nil)
+			}},
+			{"fused", func() { a.AlignGapFree(xt, yx, yy, yz, d02, invmap, nil) }},
+		} {
+			b.Run(pair.name+"/"+body.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					body.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(x)*len(y)), "ns/cell")
+			})
+		}
+	}
 }

@@ -56,8 +56,9 @@ func (c *ctx) initialSS(invmap []int) {
 
 // initialLocal is get_initial5: superpose pairs of short fragments, score
 // the whole chains under each fragment rotation, run gap-free-opening
-// NWDP on that score matrix, and keep the alignment with the best fast
-// score. Returns false when the chains are too short.
+// NWDP on that score matrix (a fused max-plus round, alignRound), and keep
+// the alignment with the best fast score. Returns false when the chains
+// are too short.
 func (c *ctx) initialLocal(invmap []int) bool {
 	minLen := c.xlen
 	if c.ylen < minLen {
@@ -84,9 +85,7 @@ func (c *ctx) initialLocal(invmap []int) bool {
 			c.ops.AddKabsch(frag)
 			tr.ApplyAll(xt, c.x)
 			c.ops.AddRotate(c.xlen)
-			c.fillDistMatrix(xt, d012, false)
-			c.ops.AddScore(c.xlen * c.ylen)
-			c.nw.AlignMatrix(c.xlen, c.ylen, c.scoreMat, 0, c.invTmp, &c.ops)
+			c.alignRound(xt, d012, 0, c.invTmp)
 			if s := c.scoreFast(c.invTmp); s > bestScore {
 				bestScore = s
 				copy(invmap, c.invTmp)

@@ -110,7 +110,7 @@ func TestFinalizeKeepsUnfilteredAlignment(t *testing.T) {
 			xa, ya = append(xa, x[i]), append(ya, y[j])
 		}
 	}
-	_, tr := c.sp.Search(xa, ya, 1, nil)
+	_, tr := c.sp.SearchWS(new(kernel.Workspace), xa, ya, 1, nil)
 	inside, firstInside := 0, -1
 	for k := range xa {
 		if tr.Apply(xa[k]).Dist(ya[k]) <= c.sp.ScoreD8 {
@@ -131,7 +131,7 @@ func TestFinalizeKeepsUnfilteredAlignment(t *testing.T) {
 	if want := geom.SuperposedRMSD(xa, ya); r.RMSD != want {
 		t.Errorf("RMSD %v, want %v over the alignment's own pairs", r.RMSD, want)
 	}
-	if want, _ := tmscore.FinalParams(6).Search(xa, ya, 1, nil); r.TM1 != want || r.TM2 != want {
+	if want, _ := tmscore.FinalParams(6).SearchWS(new(kernel.Workspace), xa, ya, 1, nil); r.TM1 != want || r.TM2 != want {
 		t.Errorf("TM %v / %v, want %v over the alignment's own pairs", r.TM1, r.TM2, want)
 	}
 	if r.SeqID != 1 {

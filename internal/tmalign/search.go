@@ -142,9 +142,7 @@ func (c *ctx) dpIter(invmap0 []int, tr geom.Transform, maxIter int) (float64, ge
 				before := c.ops
 				cur.ApplyAll(xt, c.x)
 				c.ops.AddRotate(c.xlen)
-				c.fillDistMatrix(xt, d02, false)
-				c.ops.AddScore(c.xlen * c.ylen)
-				c.nw.AlignMatrix(c.xlen, c.ylen, c.scoreMat, gapOpen, c.invTmp, &c.ops)
+				c.alignRound(xt, d02, gapOpen, c.invTmp)
 				if round != nil {
 					*round = c.ops.Sub(before)
 					c.w.DPInvmaps = append(c.w.DPInvmaps, c.invTmp...)
@@ -165,6 +163,34 @@ func (c *ctx) dpIter(invmap0 []int, tr geom.Transform, maxIter int) (float64, ge
 		}
 	}
 	return bestTM, bestTr, best
+}
+
+// alignRound is one NWDP round with gap opening gapOpen over the TM-score
+// matrix of the rotated chain xt against the fixed chain, written into
+// invmap. A gap-open-0 round whose terms are all numbers is one fused
+// max-plus pass that never writes the matrix (seqalign.AlignGapFree); a
+// gapped round, or one with a non-finite coordinate on either side, fills
+// c.scoreMat and runs AlignMatrix. Both bill the same ops.
+func (c *ctx) alignRound(xt []geom.Vec3, d02, gapOpen float64, invmap []int) {
+	c.ops.AddScore(c.xlen * c.ylen)
+	if gapOpen == 0 && c.yFinite && finite(xt) {
+		c.nw.AlignGapFree(xt, c.w.YX[:c.ylen], c.w.YY[:c.ylen], c.w.YZ[:c.ylen], d02, invmap, &c.ops)
+		return
+	}
+	c.fillDistMatrix(xt, d02, false)
+	c.nw.AlignMatrix(c.xlen, c.ylen, c.scoreMat, gapOpen, invmap, &c.ops)
+}
+
+// finite reports whether every coordinate of v is finite. Finite
+// coordinates on both sides and a positive finite d02 (SearchParams' d0
+// is at least 0.968) put every TM term in [+0, 1].
+func finite(v []geom.Vec3) bool {
+	for _, p := range v {
+		if !(math.Abs(p[0]) <= math.MaxFloat64 && math.Abs(p[1]) <= math.MaxFloat64 && math.Abs(p[2]) <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
 }
 
 // fillDistMatrix fills c.scoreMat with 1/(1+d^2/d2) for every (i, j)

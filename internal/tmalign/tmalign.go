@@ -119,6 +119,9 @@ type ctx struct {
 	nw         *seqalign.Aligner
 	ops        costmodel.Counter
 	w          *kernel.Workspace
+	// yFinite is whether every coordinate of y is finite, half of the
+	// guard of the fused gap-free rounds (alignRound).
+	yFinite bool
 
 	// Scratch views into w, sized to the current problem.
 	r1, r2   []geom.Vec3
@@ -197,6 +200,7 @@ func newCtx(w *kernel.Workspace, x, y []geom.Vec3, seq1, seq2 string, opt Option
 		p := &y[j]
 		yx[j], yy[j], yz[j] = p[0], p[1], p[2]
 	}
+	c.yFinite = finite(y)
 	return c
 }
 

@@ -154,25 +154,15 @@ const searchIterations = 20
 // (a variable so the tests can exercise the flush at the bound).
 var maxGraphWords = kernel.MemoWords
 
-// Search finds the rigid transform of x that maximises the TM-score of
+// SearchWS finds the rigid transform of x that maximises the TM-score of
 // the fixed alignment (x[i] <-> y[i]): TM-align's TMscore8_search. Seed
 // fragments of halving lengths slide along the alignment with stride
 // simplifyStep (40 during alignment search, 1 for final scoring); each
 // seed is superposed, scored, and iteratively extended over the pairs
 // within distance cutoffs until convergence. It returns the best score
-// and the transform achieving it.
-//
-// Search checks scratch out of the kernel workspace pool; workers that
-// own a workspace should call SearchWS directly.
-func (p Params) Search(x, y []geom.Vec3, simplifyStep int, ops *costmodel.Counter) (float64, geom.Transform) {
-	w := kernel.Get()
-	defer kernel.Put(w)
-	return p.SearchWS(w, x, y, simplifyStep, ops)
-}
-
-// SearchWS is Search running on the caller's workspace (the Search*
-// buffer group; every other group is left untouched, so a caller may be
-// mid-flight in the comparison layer).
+// and the transform achieving it. Scratch comes from the Search* buffer
+// group of w; every other group is left untouched, so a caller may be
+// mid-flight in the comparison layer.
 //
 // An extension step is a pure function of the aligned-index set it
 // superposes: the same set always yields the same score, transform and

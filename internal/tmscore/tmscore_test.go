@@ -91,7 +91,7 @@ func TestSearchSelfAlignment(t *testing.T) {
 	g.ApplyAll(y, x)
 
 	p := SearchParams(len(x), len(y))
-	tm, tr := p.Search(x, y, 40, nil)
+	tm, tr := p.SearchWS(new(kernel.Workspace), x, y, 40, nil)
 	if tm < 0.999 {
 		t.Fatalf("self TM-score = %v, want ~1", tm)
 	}
@@ -115,7 +115,7 @@ func TestSearchPartialMatch(t *testing.T) {
 		y[i] = y[i].Add(geom.V(rng.NormFloat64()*30, rng.NormFloat64()*30, rng.NormFloat64()*30))
 	}
 	p := FinalParams(float64(n))
-	tm, _ := p.Search(x, y, 1, nil)
+	tm, _ := p.SearchWS(new(kernel.Workspace), x, y, 1, nil)
 	if tm < 0.45 || tm > 0.75 {
 		t.Errorf("half-match TM = %v, want in [0.45, 0.75]", tm)
 	}
@@ -126,7 +126,7 @@ func TestSearchUnrelated(t *testing.T) {
 	x := randomTrace(rng, 80)
 	y := randomTrace(rng, 80)
 	p := SearchParams(80, 80)
-	tm, _ := p.Search(x, y, 40, nil)
+	tm, _ := p.SearchWS(new(kernel.Workspace), x, y, 40, nil)
 	if tm > 0.45 {
 		t.Errorf("unrelated random traces TM = %v, suspiciously high", tm)
 	}
@@ -142,7 +142,7 @@ func TestSearchScoreInUnitRange(t *testing.T) {
 		x := randomTrace(rng, n)
 		y := randomTrace(rng, n)
 		p := FinalParams(float64(n))
-		tm, tr := p.Search(x, y, 40, nil)
+		tm, tr := p.SearchWS(new(kernel.Workspace), x, y, 40, nil)
 		if tm < 0 || tm > 1+1e-9 {
 			t.Fatalf("TM = %v outside [0,1]", tm)
 		}
@@ -165,7 +165,7 @@ func TestSearchBeatsSingleSuperposition(t *testing.T) {
 		y[i] = y[i].Add(geom.V(rng.NormFloat64()*15, rng.NormFloat64()*15, rng.NormFloat64()*15))
 	}
 	p := FinalParams(float64(n))
-	tmSearch, _ := p.Search(x, y, 1, nil)
+	tmSearch, _ := p.SearchWS(new(kernel.Workspace), x, y, 1, nil)
 	one, _ := geom.Superpose(x, y)
 	tmOne := p.ScoreWithTransform(x, y, one, nil)
 	if tmSearch < tmOne-1e-9 {
@@ -179,17 +179,17 @@ func TestSearchBeatsSingleSuperposition(t *testing.T) {
 func TestSearchTinyInputs(t *testing.T) {
 	p := FinalParams(4)
 	x := []geom.Vec3{{0, 0, 0}, {3.8, 0, 0}, {7.6, 0, 0}, {11.4, 0, 0}}
-	tm, _ := p.Search(x, x, 1, nil)
+	tm, _ := p.SearchWS(new(kernel.Workspace), x, x, 1, nil)
 	if tm < 0.99 {
 		t.Errorf("tiny self comparison TM = %v", tm)
 	}
 	// Empty alignment.
-	tm, _ = p.Search(nil, nil, 1, nil)
+	tm, _ = p.SearchWS(new(kernel.Workspace), nil, nil, 1, nil)
 	if tm != 0 {
 		t.Errorf("empty Search TM = %v, want 0", tm)
 	}
 	// Single pair.
-	tm, tr := p.Search(x[:1], x[:1], 1, nil)
+	tm, tr := p.SearchWS(new(kernel.Workspace), x[:1], x[:1], 1, nil)
 	if tm <= 0 {
 		t.Errorf("single-pair TM = %v", tm)
 	}
@@ -200,7 +200,7 @@ func TestSearchTinyInputs(t *testing.T) {
 	// and the cutoff-relaxation guard (nCut < 3 only when n > 3) must
 	// still converge on the identity-superposable pair. Normalise by the
 	// actual length so a perfect match scores ~1.
-	tm, tr = FinalParams(2).Search(x[:2], x[:2], 1, nil)
+	tm, tr = FinalParams(2).SearchWS(new(kernel.Workspace), x[:2], x[:2], 1, nil)
 	if tm < 0.99 {
 		t.Errorf("two-pair self TM = %v, want ~1", tm)
 	}
@@ -211,16 +211,16 @@ func TestSearchTinyInputs(t *testing.T) {
 	y := make([]geom.Vec3, 3)
 	g := geom.Transform{R: geom.RotZ(0.9), T: geom.V(-3, 7, 1)}
 	g.ApplyAll(y, x[:3])
-	tm, _ = FinalParams(3).Search(x[:3], y, 1, nil)
+	tm, _ = FinalParams(3).SearchWS(new(kernel.Workspace), x[:3], y, 1, nil)
 	if tm < 0.99 {
 		t.Errorf("three-pair rigid-copy TM = %v, want ~1", tm)
 	}
 }
 
-// TestSearchWSMatchesSearch verifies the workspace-explicit entry point
-// is the same computation as the pooled wrapper: identical scores,
-// transforms and charged ops, including when one Workspace is reused
-// (dirty) across calls of different sizes.
+// TestSearchWSMatchesSearch verifies that a reused (dirty) workspace is
+// invisible: a search on one Workspace carried across calls of different
+// sizes gives the scores, transforms and charged ops of a search on a
+// fresh one.
 func TestSearchWSMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	w := kernel.Get()
@@ -229,17 +229,17 @@ func TestSearchWSMatchesSearch(t *testing.T) {
 		x := randomTrace(rng, n)
 		y := randomTrace(rng, n)
 		p := SearchParams(n, n)
-		var opsPool, opsWS costmodel.Counter
-		tm1, tr1 := p.Search(x, y, 40, &opsPool)
+		var opsFresh, opsWS costmodel.Counter
+		tm1, tr1 := p.SearchWS(new(kernel.Workspace), x, y, 40, &opsFresh)
 		tm2, tr2 := p.SearchWS(w, x, y, 40, &opsWS)
 		if tm1 != tm2 {
-			t.Errorf("n=%d: Search TM %v != SearchWS TM %v", n, tm1, tm2)
+			t.Errorf("n=%d: fresh TM %v != reused TM %v", n, tm1, tm2)
 		}
 		if tr1 != tr2 {
 			t.Errorf("n=%d: transforms differ:\n%v\n%v", n, tr1, tr2)
 		}
-		if opsPool != opsWS {
-			t.Errorf("n=%d: ops differ: %+v vs %+v", n, opsPool, opsWS)
+		if opsFresh != opsWS {
+			t.Errorf("n=%d: ops differ: %+v vs %+v", n, opsFresh, opsWS)
 		}
 	}
 }
@@ -252,7 +252,7 @@ func TestSearchMismatchedPanic(t *testing.T) {
 			t.Errorf("panic value %v does not wrap ErrAlignedLength", rec)
 		}
 	}()
-	FinalParams(10).Search(make([]geom.Vec3, 3), make([]geom.Vec3, 4), 1, nil)
+	FinalParams(10).SearchWS(new(kernel.Workspace), make([]geom.Vec3, 3), make([]geom.Vec3, 4), 1, nil)
 }
 
 func TestSearchOpsCharged(t *testing.T) {
@@ -260,7 +260,7 @@ func TestSearchOpsCharged(t *testing.T) {
 	x := randomTrace(rng, 50)
 	y := randomTrace(rng, 50)
 	var ops costmodel.Counter
-	SearchParams(50, 50).Search(x, y, 40, &ops)
+	SearchParams(50, 50).SearchWS(new(kernel.Workspace), x, y, 40, &ops)
 	if ops.KabschCalls == 0 || ops.ScoreEvals == 0 || ops.RotationOps == 0 {
 		t.Errorf("search charged no ops: %+v", ops)
 	}
@@ -299,8 +299,8 @@ func TestFinalSimplifyStepNotWorse(t *testing.T) {
 		y[i] = y[i].Add(geom.V(rng.NormFloat64()*8, rng.NormFloat64()*8, rng.NormFloat64()*8))
 	}
 	p := FinalParams(70)
-	tmFast, _ := p.Search(x, y, 40, nil)
-	tmFull, _ := p.Search(x, y, 1, nil)
+	tmFast, _ := p.SearchWS(new(kernel.Workspace), x, y, 40, nil)
+	tmFull, _ := p.SearchWS(new(kernel.Workspace), x, y, 1, nil)
 	if tmFull < tmFast-1e-9 {
 		t.Errorf("step-1 search (%v) must not be worse than step-40 (%v)", tmFull, tmFast)
 	}
@@ -311,9 +311,10 @@ func BenchmarkSearch150Step40(b *testing.B) {
 	x := randomTrace(rng, 150)
 	y := randomTrace(rng, 150)
 	p := SearchParams(150, 150)
+	w := new(kernel.Workspace)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Search(x, y, 40, nil)
+		p.SearchWS(w, x, y, 40, nil)
 	}
 }
