@@ -29,6 +29,33 @@ var (
 // 4x4 matrix built from the covariance of the centred point sets. Unlike
 // plain Kabsch/SVD this never produces a reflection.
 func Superpose(p, q []Vec3) (Transform, float64) {
+	k := newKabsch(p, q)
+	lambda, quat := maxEigen4(k.key)
+	return k.finish(lambda, quat)
+}
+
+// Superpose2 is two independent Superpose calls, (p1, q1) and (p2, q2),
+// with their eigen-solves in flight together: on amd64 the two Jacobi
+// iterations share SSE2 lanes. Each result is bit-identical to Superpose.
+func Superpose2(p1, q1, p2, q2 []Vec3) (t1 Transform, rmsd1 float64, t2 Transform, rmsd2 float64) {
+	k1, k2 := newKabsch(p1, q1), newKabsch(p2, q2)
+	l1, quat1, l2, quat2 := maxEigen4x2(k1.key, k2.key)
+	t1, rmsd1 = k1.finish(l1, quat1)
+	t2, rmsd2 = k2.finish(l2, quat2)
+	return t1, rmsd1, t2, rmsd2
+}
+
+// kabsch is one superposition problem up to its eigen-solve: Horn's key
+// matrix and what finish needs to turn the key's top eigenpair into the
+// transform and the RMSD.
+type kabsch struct {
+	key    [4][4]float64
+	cp, cq Vec3
+	e      float64 // sum |p_i - cp|^2 + sum |q_i - cq|^2
+	n      int
+}
+
+func newKabsch(p, q []Vec3) kabsch {
 	if len(p) != len(q) {
 		panic(fmt.Errorf("%w (Superpose: %d vs %d)", ErrPointMismatch, len(p), len(q)))
 	}
@@ -82,27 +109,33 @@ func Superpose(p, q []Vec3) (Transform, float64) {
 	}
 	s := Mat3{{s00, s01, s02}, {s10, s11, s12}, {s20, s21, s22}}
 
-	// Horn's symmetric 4x4 key matrix.
-	k := [4][4]float64{
-		{s[0][0] + s[1][1] + s[2][2], s[1][2] - s[2][1], s[2][0] - s[0][2], s[0][1] - s[1][0]},
-		{s[1][2] - s[2][1], s[0][0] - s[1][1] - s[2][2], s[0][1] + s[1][0], s[2][0] + s[0][2]},
-		{s[2][0] - s[0][2], s[0][1] + s[1][0], -s[0][0] + s[1][1] - s[2][2], s[1][2] + s[2][1]},
-		{s[0][1] - s[1][0], s[2][0] + s[0][2], s[1][2] + s[2][1], -s[0][0] - s[1][1] + s[2][2]},
+	return kabsch{
+		// Horn's symmetric 4x4 key matrix.
+		key: [4][4]float64{
+			{s[0][0] + s[1][1] + s[2][2], s[1][2] - s[2][1], s[2][0] - s[0][2], s[0][1] - s[1][0]},
+			{s[1][2] - s[2][1], s[0][0] - s[1][1] - s[2][2], s[0][1] + s[1][0], s[2][0] + s[0][2]},
+			{s[2][0] - s[0][2], s[0][1] + s[1][0], -s[0][0] + s[1][1] - s[2][2], s[1][2] + s[2][1]},
+			{s[0][1] - s[1][0], s[2][0] + s[0][2], s[1][2] + s[2][1], -s[0][0] - s[1][1] + s[2][2]},
+		},
+		cp: Vec3{cpx, cpy, cpz},
+		cq: Vec3{cqx, cqy, cqz},
+		e:  ep + eq,
+		n:  n,
 	}
-	lambda, quat := maxEigen4(k)
+}
 
+// finish turns the key's largest eigenvalue and its quaternion into the
+// optimal transform and the minimal RMSD.
+func (k *kabsch) finish(lambda float64, quat [4]float64) (Transform, float64) {
 	r := quatToMat(quat)
 	// Residual: E = ep + eq - 2*lambda (clamped, can go slightly negative
 	// from rounding for exact matches).
-	e := ep + eq - 2*lambda
+	e := k.e - 2*lambda
 	if e < 0 {
 		e = 0
 	}
-	rmsd := math.Sqrt(e / float64(n))
-
-	t := Transform{R: r}
-	t.T = Vec3{cqx, cqy, cqz}.Sub(r.MulVec(Vec3{cpx, cpy, cpz}))
-	return t, rmsd
+	rmsd := math.Sqrt(e / float64(k.n))
+	return Transform{R: r, T: k.cq.Sub(r.MulVec(k.cp))}, rmsd
 }
 
 // RMSD returns the root-mean-square deviation between two equal-length
@@ -148,44 +181,61 @@ func maxEigen4(a [4][4]float64) (float64, [4]float64) {
 	for i := 0; i < 4; i++ {
 		v[i][i] = 1
 	}
-	for sweep := 0; sweep < 64; sweep++ {
-		off := 0.0
-		for i := 0; i < 4; i++ {
-			for j := i + 1; j < 4; j++ {
-				off += a[i][j] * a[i][j]
+	return jacobi(&a, &v, 0, 0)
+}
+
+// jacobiSweeps caps the cyclic sweeps of one eigen-solve.
+const jacobiSweeps = 64
+
+// jacobi runs maxEigen4's sweeps on a, accumulating the rotations into
+// v, from rotation rot of sweep sweep on. A sweep's rotations 0-5 are
+// the pivots (0,1), (0,2), (0,3), (1,2), (1,3), (2,3), after the
+// convergence test, so (sweep, 0) tests before it rotates. It returns
+// maxEigen4's result. maxEigen4x2 hands each lane here at the point its
+// paired run stopped.
+func jacobi(a, v *[4][4]float64, sweep, rot int) (float64, [4]float64) {
+	for ; sweep < jacobiSweeps; sweep, rot = sweep+1, 0 {
+		if rot == 0 {
+			off := 0.0
+			for i := 0; i < 4; i++ {
+				for j := i + 1; j < 4; j++ {
+					off += float64(a[i][j] * a[i][j])
+				}
+			}
+			if off < 1e-24 {
+				break
 			}
 		}
-		if off < 1e-24 {
-			break
-		}
-		for i := 0; i < 4; i++ {
-			for j := i + 1; j < 4; j++ {
-				if a[i][j] == 0 {
+		for i, r := 0, 0; i < 4; i++ {
+			for j := i + 1; j < 4; j, r = j+1, r+1 {
+				if r < rot || a[i][j] == 0 {
 					continue
 				}
-				// Compute the Jacobi rotation (c, s) that zeroes a[i][j].
+				// Compute the Jacobi rotation (c, s) that zeroes a[i][j]. The
+				// float64 conversions forbid fused multiply-adds, which
+				// jacobi2 never uses.
 				theta := (a[j][j] - a[i][i]) / (2 * a[i][j])
-				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+				t := 1 / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
 				if theta < 0 {
 					t = -t
 				}
-				c := 1 / math.Sqrt(t*t+1)
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				s := t * c
 				// Apply rotation: a = J^T a J on rows/cols i, j.
 				for k := 0; k < 4; k++ {
 					aik, ajk := a[i][k], a[j][k]
-					a[i][k] = c*aik - s*ajk
-					a[j][k] = s*aik + c*ajk
+					a[i][k] = float64(c*aik) - float64(s*ajk)
+					a[j][k] = float64(s*aik) + float64(c*ajk)
 				}
 				for k := 0; k < 4; k++ {
 					aki, akj := a[k][i], a[k][j]
-					a[k][i] = c*aki - s*akj
-					a[k][j] = s*aki + c*akj
+					a[k][i] = float64(c*aki) - float64(s*akj)
+					a[k][j] = float64(s*aki) + float64(c*akj)
 				}
 				for k := 0; k < 4; k++ {
 					vki, vkj := v[k][i], v[k][j]
-					v[k][i] = c*vki - s*vkj
-					v[k][j] = s*vki + c*vkj
+					v[k][i] = float64(c*vki) - float64(s*vkj)
+					v[k][j] = float64(s*vki) + float64(c*vkj)
 				}
 			}
 		}

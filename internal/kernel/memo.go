@@ -123,11 +123,14 @@ const MemoWords = 1 << 20
 
 // SearchNode is one aligned-index set in the trajectory graph of a
 // tmscore rotation search: what superposing the set and re-collecting
-// the pairs within the cutoff costs and which set it leads to.
+// the pairs within the cutoff yields and costs, and which set it leads
+// to.
 type SearchNode struct {
-	Next  int32 // the successor set's node; -1 until this set is superposed
-	Size  int32 // pairs in the set: the Kabsch points of its step
-	Evals int64 // score evaluations its step charges (n per relaxation round)
+	Next  int32          // the successor set's node; -1 until this set is superposed
+	Size  int32          // pairs in the set: the Kabsch points of its step
+	Evals int64          // score evaluations its step charges (n per relaxation round)
+	Score float64        // the TM-score of its step
+	Tr    geom.Transform // the superposition of the set
 }
 
 // SearchedAlignment is what tmalign's detailed search returned for one

@@ -53,9 +53,10 @@ type Workspace struct {
 
 	// SearchXt/SearchR1/SearchR2/SearchDis2/SearchSet are the TM-score
 	// rotation search's private scratch (tmscore.SearchWS); SearchSet is
-	// the bitset of the pairs its last scoring pass collected. They are
-	// distinct from the pair buffers because the search runs while the
-	// comparison layer's own buffers hold live data.
+	// the bitset of the pairs its last scoring pass collected, and
+	// SearchR1/SearchR2 hold the gathered pairs of its two walks, n each.
+	// They are distinct from the pair buffers because the search runs
+	// while the comparison layer's own buffers hold live data.
 	SearchXt, SearchR1, SearchR2 []geom.Vec3
 	SearchDis2                   []float64
 	SearchSet                    []int32
@@ -129,8 +130,8 @@ func (w *Workspace) ReserveMat(cells int) {
 // to n pairs.
 func (w *Workspace) ReserveSearch(n int) {
 	w.SearchXt = grow(w.SearchXt, n)
-	w.SearchR1 = grow(w.SearchR1, n)
-	w.SearchR2 = grow(w.SearchR2, n)
+	w.SearchR1 = grow(w.SearchR1, 2*n)
+	w.SearchR2 = grow(w.SearchR2, 2*n)
 	w.SearchDis2 = grow(w.SearchDis2, n)
 	w.SearchSet = grow(w.SearchSet, (n+31)/32)
 }

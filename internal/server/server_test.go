@@ -454,6 +454,20 @@ func TestDegenerateUploadRejected(t *testing.T) {
 	if w := do(t, s, "GET", "/score?a=short&b=nanstruct", nil); w.Code != http.StatusNotFound {
 		t.Errorf("score on rejected uploads = %d, want 404", w.Code)
 	}
+
+	// A finite coordinate no PDB column holds: "1e200" in the x field of
+	// one CA record parses, and once stored would pin a worker in the
+	// kernel's cutoff relaxation.
+	buf.Reset()
+	if err := pdb.Write(&buf, synth.CK34().Structures[2]); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n")
+	lines[5] = lines[5][:30] + fmt.Sprintf("%8s", "1e200") + lines[5][38:]
+	w = do(t, s, "POST", "/structures?id=huge", []byte(strings.Join(lines, "")))
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "degenerate") {
+		t.Errorf("1e200 upload = %d, want 400 naming the cause: %s", w.Code, w.Body.String())
+	}
 }
 
 // TestDegenerateStoredStructureServes422: a degenerate structure that

@@ -19,8 +19,13 @@ import (
 )
 
 // ErrDegenerateStructure reports a structure the kernel cannot align
-// meaningfully: fewer than 3 CA residues or non-finite coordinates.
+// meaningfully: fewer than 3 CA residues, or a coordinate that is not a
+// number a PDB file can hold.
 var ErrDegenerateStructure = errors.New("tmalign: degenerate structure")
+
+// maxCoordinate is the largest CA coordinate magnitude ValidateStructure
+// admits: the widest value of a PDB coordinate column (%8.3f).
+const maxCoordinate = 9999.999
 
 // kernelSentinels are the typed precondition errors the kernels panic
 // with. Anything not wrapping one of these is a genuine bug and must
@@ -46,9 +51,12 @@ func IsKernelError(err error) bool {
 }
 
 // ValidateStructure rejects inputs the kernel cannot align: fewer than
-// 3 CA residues, or any non-finite CA coordinate (PDB files can
-// legally parse "NaN" into a coordinate column). The returned error
-// wraps ErrDegenerateStructure.
+// 3 CA residues, or any CA coordinate that is NaN, infinite or larger in
+// magnitude than maxCoordinate (the PDB parser reads "NaN" and "1e200"
+// from a coordinate column). Past the bound, squared distances overflow
+// or swamp the score's cutoffs, and the cutoff relaxation of a scoring
+// pass could wait forever for three pairs to come within range. The
+// returned error wraps ErrDegenerateStructure.
 func ValidateStructure(st *pdb.Structure) error {
 	cas := st.CAs()
 	if len(cas) < 3 {
@@ -56,8 +64,8 @@ func ValidateStructure(st *pdb.Structure) error {
 	}
 	for i, v := range cas {
 		for _, c := range v {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return fmt.Errorf("%w: %q has a non-finite CA coordinate at residue %d", ErrDegenerateStructure, st.ID, i)
+			if !(math.Abs(c) <= maxCoordinate) {
+				return fmt.Errorf("%w: %q has CA coordinate %g at residue %d, outside ±%g", ErrDegenerateStructure, st.ID, c, i, maxCoordinate)
 			}
 		}
 	}

@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"rckalign/internal/geom"
 	"rckalign/internal/pdb"
 	"rckalign/internal/seqalign"
+	"rckalign/internal/synth"
 	"rckalign/internal/tmscore"
 )
 
@@ -43,6 +45,39 @@ func TestValidateStructure(t *testing.T) {
 	inf.Residues[0].CA[2] = math.Inf(1)
 	if err := ValidateStructure(inf); !errors.Is(err, ErrDegenerateStructure) {
 		t.Errorf("Inf coordinate: err = %v, want ErrDegenerateStructure", err)
+	}
+	// The bound is the PDB column's: its widest value passes, the next
+	// representable one does not, either sign.
+	edge := synthStructure("edge", 10, 5)
+	edge.Residues[3].CA[0], edge.Residues[4].CA[1] = maxCoordinate, -maxCoordinate
+	if err := ValidateStructure(edge); err != nil {
+		t.Errorf("coordinates at ±%v rejected: %v", maxCoordinate, err)
+	}
+	edge.Residues[4].CA[1] = -math.Nextafter(maxCoordinate, math.Inf(1))
+	if err := ValidateStructure(edge); !errors.Is(err, ErrDegenerateStructure) {
+		t.Errorf("coordinate past -%v: err = %v, want ErrDegenerateStructure", maxCoordinate, err)
+	}
+}
+
+// TestTryCompareRejectsHugeCoordinate: a CK34 chain with one CA at a
+// finite 1e200 used to hang TryCompare, whose scoring passes relax their
+// cutoff until three pairs come within it. It is rejected at once.
+func TestTryCompareRejectsHugeCoordinate(t *testing.T) {
+	ds := synth.CK34()
+	huge := ds.Structures[1].Clone()
+	huge.Residues[7].CA[0] = 1e200
+	done := make(chan error, 1)
+	go func() {
+		_, err := TryCompare(ds.Structures[0], huge, DefaultOptions())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrDegenerateStructure) {
+			t.Errorf("err = %v, want ErrDegenerateStructure", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("TryCompare with a 1e200 coordinate did not return")
 	}
 }
 

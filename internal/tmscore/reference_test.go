@@ -271,8 +271,11 @@ func TestSearchResumesOnUnexpandedNode(t *testing.T) {
 }
 
 // TestSearchGraphFlush shrinks the graph's arena until it is flushed
-// between seeds — down to every seed — and requires the same answer:
-// past the cap the search simply computes again.
+// between seeds and requires the same answer: past the cap the search
+// simply computes again. The arena always has room for two seeds' sets.
+// At cap 0 that is all it has, so every new seed after the first two
+// waits for the other walk to drain and then flushes; at 400 words the
+// graph fills partway through a walk, at 2000 a few times a search.
 func TestSearchGraphFlush(t *testing.T) {
 	defer func(v int) { maxGraphWords = v }(maxGraphWords)
 	x, y := alignedPerturbation(90, 1.5, 7)
@@ -280,62 +283,116 @@ func TestSearchGraphFlush(t *testing.T) {
 	const setWords = 3 // ceil(90/32)
 	for _, maxGraphWords = range []int{0, 100, 400, 2000} {
 		checkSearchMatchesReference(t, w, SearchParams(90, 90), x, y, 1)
-		if limit := max(maxGraphWords, (searchIterations+1)*setWords); len(w.SearchGraph.Vals)*setWords > limit {
+		if limit := max(maxGraphWords, 2*(searchIterations+1)*setWords); len(w.SearchGraph.Vals)*setWords > limit {
 			t.Errorf("cap %d words: the graph ends with %d nodes of %d words", maxGraphWords, len(w.SearchGraph.Vals), setWords)
 		}
 	}
 }
 
-// TestExtendChargesRevisitedSteps drives the trajectory walk with
-// synthetic graphs, which geometry produces too rarely to find (a set
-// cycle of period > 1 needs a tie in the trimmed least-squares objective
-// the iteration descends).
+// TestSearchTieGoesToEarlierSeed pins the position tie-break on a
+// straight, evenly spaced chain of 48 residues against a copy in which
+// residues 0-11 are translated 50 A sideways, 24-35 sit in place and the
+// rest repeat a period-6 pattern of offsets, 25-45 A sideways and 0 or
+// 20 A up, past the d8 cutoff under either motion. A fragment of
+// one straight group superposes with the identity rotation exactly, so
+// the translation and the identity each score 12 ones over 48, to the
+// bit. In the sequential order a seed reaches the identity first; in the
+// lockstep one a later seed offers the translation sooner, so a search
+// that let the first offer win instead of the first place would return
+// the translation.
+func TestSearchTieGoesToEarlierSeed(t *testing.T) {
+	const n = 48
+	x, y := make([]geom.Vec3, n), make([]geom.Vec3, n)
+	for i := range x {
+		x[i] = geom.V(3.8*float64(i), 0, 0)
+		y[i] = x[i]
+		switch {
+		case i < 12:
+			y[i][1] = 50
+		case i < 24 || i >= 36:
+			y[i][1], y[i][2] = -25-10*float64(i%3), 20*float64(i%2)
+		}
+	}
+	p := SearchParams(n, n)
+	moved := geom.Transform{R: geom.Identity(), T: geom.V(0, 50, 0)}
+	tie := p.ScoreWithTransform(x, y, moved, nil)
+	for _, step := range []int{1, 40} {
+		got := checkSearchMatchesReference(t, new(kernel.Workspace), p, x, y, step)
+		if math.Float64bits(tie) != got.score || tie != 12.0/n {
+			t.Fatalf("step %d: the fixture has no tie: best %v, translation %v", step, math.Float64frombits(got.score), tie)
+		}
+		if got.tr != geom.IdentityTransform() {
+			t.Errorf("step %d: the tie went to %+v, want the identity", step, got.tr)
+		}
+	}
+}
+
+// TestExtendChargesRevisitedSteps drives a walk through synthetic
+// graphs, which geometry produces too rarely to find (a set cycle of
+// period > 1 needs a tie in the trimmed least-squares objective the
+// iteration descends), and checks what its steps charge and offer.
 func TestExtendChargesRevisitedSteps(t *testing.T) {
 	const n = 10
-	build := func(next ...int32) *kernel.Table[kernel.SearchNode] {
-		g := new(kernel.Table[kernel.SearchNode])
-		g.Reset(kernel.MemoWords)
+	build := func(next ...int32) *search {
+		s := &search{x: make([]geom.Vec3, n), g: new(kernel.Table[kernel.SearchNode]), best: -1}
+		s.g.Reset(kernel.MemoWords)
 		for id, nx := range next {
-			_, v, _ := g.Slot([]int32{int32(id)})
-			*v = kernel.SearchNode{Next: nx, Size: int32(3 + id), Evals: n}
+			_, v, _ := s.g.Slot([]int32{int32(id)})
+			*v = kernel.SearchNode{Next: nx, Size: int32(3 + id), Evals: n, Score: float64(id) / 10}
 		}
-		return g
+		return s
 	}
-	never := func(cur int) { t.Fatalf("expanded node %d, which was already superposed", cur) }
-
-	// A 3-cycle never converges: exactly searchIterations steps.
-	var c costmodel.Counter
-	extend(build(1, 2, 0), 0, n, &c, never)
-	if want := (costmodel.Counter{KabschCalls: 20, KabschPoints: 7*3 + 7*4 + 6*5, RotationOps: 20 * n, ScoreEvals: 20 * n}); c != want {
-		t.Errorf("3-cycle charged %+v, want %+v", c, want)
+	// A 3-cycle never converges: exactly searchIterations steps, and the
+	// best of its steps is node 2's first visit, step 2.
+	s := build(1, 2, 0)
+	wk := &walk{seed: 3}
+	if s.advance(wk) {
+		t.Fatalf("3-cycle stopped for a solve at node %d", wk.cur)
+	}
+	if want := (costmodel.Counter{KabschCalls: 20, KabschPoints: 7*3 + 7*4 + 6*5, RotationOps: 20 * n, ScoreEvals: 20 * n}); s.c != want {
+		t.Errorf("3-cycle charged %+v, want %+v", s.c, want)
+	}
+	if s.best != 0.2 || s.bestPos != place(3, 2) || wk.seed != -1 {
+		t.Errorf("3-cycle: best %v at %d (want 0.2 at %d), slot seed %d", s.best, s.bestPos, place(3, 2), wk.seed)
 	}
 
 	// A chain into a fixed point stops after charging the fixed point once.
-	c = costmodel.Counter{}
-	extend(build(1, 2, 2), 0, n, &c, never)
-	if c.KabschCalls != 3 || c.KabschPoints != 3+4+5 {
-		t.Errorf("chain into a fixed point charged %+v, want 3 solves over 12 points", c)
+	s = build(1, 2, 2)
+	if s.advance(&walk{}) || s.c.KabschCalls != 3 || s.c.KabschPoints != 3+4+5 {
+		t.Errorf("chain into a fixed point charged %+v, want 3 solves over 12 points", s.c)
 	}
 
-	// A chain that ends on a node nobody superposed expands exactly it.
-	c = costmodel.Counter{}
-	g := build(1, 2, -1)
-	var expanded []int
-	extend(g, 0, n, &c, func(cur int) {
-		expanded = append(expanded, cur)
-		g.Vals[cur].Next = int32(cur)
-	})
-	if len(expanded) != 1 || expanded[0] != 2 || c.KabschCalls != 3 {
-		t.Errorf("expanded %v with %d solves, want node 2 only and 3 solves", expanded, c.KabschCalls)
+	// A chain that ends on a node nobody superposed stops there for its
+	// solve, then takes the step once the node is expanded.
+	s = build(1, 2, -1)
+	wk = &walk{}
+	if !s.advance(wk) || wk.cur != 2 || wk.it != 2 || s.c.KabschCalls != 2 {
+		t.Fatalf("stopped at node %d after %d steps and %d solves, want node 2 after 2 and 2", wk.cur, wk.it, s.c.KabschCalls)
+	}
+	s.g.Vals[2].Next = 2
+	if s.advance(wk) || s.c.KabschCalls != 3 {
+		t.Errorf("after the expansion: %d solves, want 3", s.c.KabschCalls)
 	}
 
 	// An empty set is terminal: nothing to superpose, nothing charged.
-	c = costmodel.Counter{}
-	g = build(-1)
-	g.Vals[0].Size = 0
-	extend(g, 0, n, &c, never)
-	if c != (costmodel.Counter{}) {
-		t.Errorf("empty set charged %+v", c)
+	s = build(-1)
+	s.g.Vals[0].Size = 0
+	if s.advance(&walk{}) || s.c != (costmodel.Counter{}) {
+		t.Errorf("empty set charged %+v", s.c)
+	}
+
+	// Offers keep the first best place: an equal score from a later place
+	// does not displace it, one from an earlier place does.
+	s = build()
+	a, b := geom.IdentityTransform(), geom.Transform{R: geom.RotX(1)}
+	s.offer(0.5, &b, place(1, 4))
+	s.offer(0.5, &a, place(2, -1))
+	if s.bestT != b {
+		t.Error("a tie from a later place displaced the incumbent")
+	}
+	s.offer(0.5, &a, place(1, -1))
+	if s.bestT != a || s.bestPos != place(1, -1) {
+		t.Error("a tie from an earlier place did not displace the incumbent")
 	}
 }
 

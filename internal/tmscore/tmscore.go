@@ -171,9 +171,14 @@ var maxGraphWords = kernel.MemoWords
 // superposed once; a seed that reaches a node already expanded walks the
 // recorded chain, charging ops the reference algorithm would have spent
 // (one iteration tick, one Kabsch solve, one rotation and the scoring
-// rounds per node) without redoing them. That is exact: a revisited step
-// would offer scoreMax the very (score, transform) it was already
-// offered, and the comparison is a strict >. DESIGN.md §17.
+// rounds per node) without redoing them.
+//
+// Seeds are independent, so two walks run in lockstep and each round's
+// two solves share one geom.Superpose2. Every step offers the incumbent
+// its score and transform tagged with its place in the sequential order
+// (seed, then step), and ties go to the earlier place: the result is the
+// first best offer of the one-seed-at-a-time loop, whatever order the
+// walks ran in. DESIGN.md §17.
 func (p Params) SearchWS(w *kernel.Workspace, x, y []geom.Vec3, simplifyStep int, ops *costmodel.Counter) (float64, geom.Transform) {
 	n := len(x)
 	if n != len(y) {
@@ -182,104 +187,203 @@ func (p Params) SearchWS(w *kernel.Workspace, x, y []geom.Vec3, simplifyStep int
 	if n == 0 {
 		return 0, geom.IdentityTransform()
 	}
-	if simplifyStep < 1 {
-		simplifyStep = 1
-	}
+	s := search{p: p, x: x, y: y, step: max(simplifyStep, 1), best: -1, bestT: geom.IdentityTransform()}
 
 	// Fragment-length ladder: n, n/2, n/4, ... down to min(n, 4).
-	const nInitMax = 6
 	liniMin := min(n, 4)
-	var ladder [nInitMax]int
-	rungs := 0
-	for ; rungs < nInitMax-1 && n>>uint(rungs) > liniMin; rungs++ {
-		ladder[rungs] = n >> uint(rungs)
+	for ; s.rungs < len(s.ladder)-1 && n>>uint(s.rungs) > liniMin; s.rungs++ {
+		s.ladder[s.rungs] = n >> uint(s.rungs)
 	}
-	ladder[rungs] = liniMin
+	s.ladder[s.rungs] = liniMin
+	s.rungs++
 
-	scoreMax := -1.0
-	bestT := geom.IdentityTransform()
 	w.ReserveSearch(n)
-	xt := w.SearchXt[:n]
-	r1 := w.SearchR1[:n]
-	r2 := w.SearchR2[:n]
-	dis2 := w.SearchDis2[:n]
-	set := w.SearchSet[:(n+31)/32]
-
-	// A seed interns its first set and at most one more per iteration;
-	// the graph is flushed between seeds when it could not hold them, so
-	// interning never fails while node numbers are live.
-	g := &w.SearchGraph
-	seedWords := (searchIterations + 1) * len(set)
-	limit := max(maxGraphWords, seedWords)
-	g.Reset(limit)
-	node := func(size int) int {
-		id, v, hit := g.Slot(set)
-		if !hit {
-			*v = kernel.SearchNode{Next: -1, Size: int32(size)}
-		}
-		return id
+	s.xt, s.dis2, s.set = w.SearchXt[:n], w.SearchDis2[:n], w.SearchSet[:(n+31)/32]
+	for k := range s.r1 {
+		s.r1[k], s.r2[k] = w.SearchR1[k*n:(k+1)*n], w.SearchR2[k*n:(k+1)*n]
 	}
-	// expand takes the extension step of a set for the first time:
-	// superpose it, score with the looser cutoff, offer the result to the
-	// incumbent, record what the step costs and where it leads.
-	expand := func(cur int) {
-		ka := gatherSet(g.Key(cur), x, y, r1, r2)
-		tr, _ := geom.Superpose(r1[:ka], r2[:ka])
-		tr.ApplyAll(xt, x)
-		score, nCut, evals := p.scoreFun8(xt, y, p.D0Search+1, set, dis2)
-		if score > scoreMax {
-			scoreMax = score
-			bestT = tr
-		}
-		next := node(nCut)
-		g.Vals[cur].Next, g.Vals[cur].Evals = int32(next), int64(evals)
-	}
-
-	// Charged locally and added to ops on return, so ops may be nil.
-	var c costmodel.Counter
-	for _, lInit := range ladder[:rungs+1] {
-		iLMax := n - lInit + 1
-		for iL := 0; iL < iLMax; iL += simplifyStep {
-			if g.Free() < seedWords {
-				g.Reset(limit)
-			}
-			tr, _ := geom.Superpose(x[iL:iL+lInit], y[iL:iL+lInit])
-			c.AddKabsch(lInit)
-			tr.ApplyAll(xt, x)
-			c.AddRotate(n)
-
-			score, nCut, evals := p.scoreFun8(xt, y, p.D0Search-1, set, dis2)
-			c.AddScore(evals)
-			if score > scoreMax {
-				scoreMax = score
-				bestT = tr
-			}
-			extend(g, node(nCut), n, &c, expand)
-		}
-	}
-	ops.Add(c)
-	return scoreMax, bestT
+	s.g = &w.SearchGraph
+	s.run()
+	ops.Add(s.c)
+	return s.best, s.bestT
 }
 
-// extend is the iterative extension of one seed: from node cur it takes
-// up to searchIterations steps along the trajectory graph, one node per
-// step, until a set reproduces itself or is empty. A node not superposed
-// yet is expanded first; every step, computed now or by an earlier seed,
-// charges c what the reference algorithm spends on it: one Kabsch solve
-// over the set, one rotation of all n pairs and the scoring rounds.
-func extend(g *kernel.Table[kernel.SearchNode], cur, n int, c *costmodel.Counter, expand func(cur int)) {
-	for it := 0; it < searchIterations && g.Vals[cur].Size > 0; it++ {
-		if g.Vals[cur].Next < 0 {
-			expand(cur)
+// search is one SearchWS call in flight.
+type search struct {
+	p        Params
+	x, y     []geom.Vec3
+	step     int // the seeds' stride
+	xt       []geom.Vec3
+	dis2     []float64
+	set      []int32 // the pairs the last scoring pass collected
+	r1, r2   [2][]geom.Vec3
+	g        *kernel.Table[kernel.SearchNode]
+	c        costmodel.Counter // charged here, added to ops on return
+	ladder   [6]int            // seed lengths, TM-align's n_init_max rungs
+	rungs    int
+	rung, iL int // the next seed fragment
+	seeds    int // seeds started
+	best     float64
+	bestT    geom.Transform
+	bestPos  int
+}
+
+// A walk is one seed's extension through the trajectory graph.
+type walk struct {
+	seed      int // place in the seed order; -1 while the slot is idle
+	iL, lInit int // the seed fragment
+	cur       int // the node the walk stands on; -1 until the fragment is superposed
+	it        int // steps taken
+}
+
+// place is a step's position in the sequential order: a seed's own
+// superposition, then its steps 0, 1, ....
+func place(seed, it int) int { return seed*(searchIterations+1) + it + 1 }
+
+// run drives two walks to the end of the seed ladder. A seed interns its
+// first set and at most one more per step, so a new seed starts only if
+// the graph can hold two seeds' sets; otherwise it waits for the other
+// walk to end and then flushes the graph, so interning never fails while
+// node numbers are live, and past the bound the search recomputes.
+func (s *search) run() {
+	seedWords := (searchIterations + 1) * len(s.set)
+	limit := max(maxGraphWords, 2*seedWords)
+	s.g.Reset(limit)
+	slots := [2]walk{{seed: -1}, {seed: -1}}
+	for {
+		var solve [2]*walk
+		ns := 0
+		for k := range slots {
+			wk, other := &slots[k], &slots[1-k]
+			for {
+				if wk.seed < 0 {
+					if s.rung == s.rungs {
+						break // no seed left
+					}
+					if s.g.Free() < 2*seedWords {
+						if other.seed >= 0 {
+							break // drain the other walk first
+						}
+						s.g.Reset(limit)
+					}
+					s.start(wk)
+				}
+				if !s.advance(wk) {
+					continue // the walk ended: take the next seed
+				}
+				// Two walks at one unexpanded node: the first expands it.
+				if ns == 0 || wk.cur < 0 || wk.cur != solve[0].cur {
+					solve[ns] = wk
+					ns++
+				}
+				break
+			}
 		}
-		nd := g.Vals[cur]
-		c.AddKabsch(int(nd.Size))
-		c.AddRotate(n)
-		c.AddScore(int(nd.Evals))
-		if int(nd.Next) == cur {
-			return // converged
+		switch ns {
+		case 0:
+			return
+		case 1:
+			p, q := s.points(0, solve[0])
+			tr, _ := geom.Superpose(p, q)
+			s.solved(solve[0], tr)
+		case 2:
+			p1, q1 := s.points(0, solve[0])
+			p2, q2 := s.points(1, solve[1])
+			t1, _, t2, _ := geom.Superpose2(p1, q1, p2, q2)
+			s.solved(solve[0], t1)
+			s.solved(solve[1], t2)
 		}
-		cur = int(nd.Next)
+	}
+}
+
+// start puts the next seed fragment on wk.
+func (s *search) start(wk *walk) {
+	lInit := s.ladder[s.rung]
+	*wk = walk{seed: s.seeds, iL: s.iL, lInit: lInit, cur: -1}
+	s.seeds++
+	if s.iL += s.step; s.iL > len(s.x)-lInit {
+		s.rung, s.iL = s.rung+1, 0
+	}
+}
+
+// advance takes wk's steps onto nodes already expanded, charging what
+// the reference algorithm spends on each (one Kabsch solve over the set,
+// one rotation of all n pairs and the scoring rounds) and offering the
+// step's score and transform. It stops with true where wk needs a solve
+// (its seed fragment, or a node nobody expanded yet) and with false when
+// the walk is over: the iteration cap, an empty set, or a set that
+// reproduces itself. An ended walk leaves the slot idle.
+func (s *search) advance(wk *walk) bool {
+	if wk.cur < 0 {
+		return true
+	}
+	for wk.it < searchIterations {
+		nd := &s.g.Vals[wk.cur]
+		if nd.Size == 0 {
+			break
+		}
+		if nd.Next < 0 {
+			return true
+		}
+		s.c.AddKabsch(int(nd.Size))
+		s.c.AddRotate(len(s.x))
+		s.c.AddScore(int(nd.Evals))
+		s.offer(nd.Score, &nd.Tr, place(wk.seed, wk.it))
+		wk.it++
+		if int(nd.Next) == wk.cur {
+			break // converged
+		}
+		wk.cur = int(nd.Next)
+	}
+	wk.seed = -1
+	return false
+}
+
+// points returns the pairs wk's solve superposes: its seed fragment, or
+// its node's set gathered into buffer pair k.
+func (s *search) points(k int, wk *walk) (p, q []geom.Vec3) {
+	if wk.cur < 0 {
+		return s.x[wk.iL : wk.iL+wk.lInit], s.y[wk.iL : wk.iL+wk.lInit]
+	}
+	ka := gatherSet(s.g.Key(wk.cur), s.x, s.y, s.r1[k], s.r2[k])
+	return s.r1[k][:ka], s.r2[k][:ka]
+}
+
+// solved scores the transform of wk's solve. A seed fragment's step is
+// charged and offered here and the walk moves onto the set the tighter
+// cutoff collects; a node records its step's score, transform, cost and
+// successor under the looser cutoff, and advance takes the step.
+func (s *search) solved(wk *walk, tr geom.Transform) {
+	tr.ApplyAll(s.xt, s.x)
+	if wk.cur < 0 {
+		s.c.AddKabsch(wk.lInit)
+		s.c.AddRotate(len(s.x))
+		score, nCut, evals := s.p.scoreFun8(s.xt, s.y, s.p.D0Search-1, s.set, s.dis2)
+		s.c.AddScore(evals)
+		s.offer(score, &tr, place(wk.seed, -1))
+		wk.cur = s.node(nCut)
+		return
+	}
+	score, nCut, evals := s.p.scoreFun8(s.xt, s.y, s.p.D0Search+1, s.set, s.dis2)
+	next := s.node(nCut)
+	nd := &s.g.Vals[wk.cur]
+	nd.Next, nd.Evals, nd.Score, nd.Tr = int32(next), int64(evals), score, tr
+}
+
+// node interns the set the last scoring pass collected (size pairs).
+func (s *search) node(size int) int {
+	id, v, hit := s.g.Slot(s.set)
+	if !hit {
+		*v = kernel.SearchNode{Next: -1, Size: int32(size)}
+	}
+	return id
+}
+
+// offer makes (score, tr), the result of the step at place pos, the
+// incumbent if it scores higher, or as high from an earlier place.
+func (s *search) offer(score float64, tr *geom.Transform, pos int) {
+	if score > s.best || score == s.best && pos < s.bestPos {
+		s.best, s.bestT, s.bestPos = score, *tr, pos
 	}
 }
 
