@@ -16,15 +16,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
 	"rckalign/internal/core"
 	"rckalign/internal/dist"
+	"rckalign/internal/farm"
 	"rckalign/internal/fault"
 	"rckalign/internal/interchip"
 	"rckalign/internal/mcpsc"
+	"rckalign/internal/metrics"
 	"rckalign/internal/pairstore"
 	"rckalign/internal/sched"
 	"rckalign/internal/synth"
@@ -166,6 +169,113 @@ var coreScenarios = []struct {
 	{"core-tiled-s4", func(pr *core.PairResults) (core.RunResult, error) {
 		return flat(4, func(c *core.Config) { c.MemoryBudgetResidues = pr.Dataset.TotalResidues() * 2 / 5 })(pr)
 	}},
+}
+
+// ck34 loads the committed CK34 pair results (no kernel run).
+func ck34(t *testing.T) *core.PairResults {
+	t.Helper()
+	pr, err := core.LoadPairResults(synth.CK34(), filepath.Join("..", "..", "testdata", "paircache", "CK34.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
+
+// boardScenarios pin whole multi-chip Reports — per-chip blocks, the
+// interchip block and the board-level fault, wire and metrics blocks —
+// in testdata/board_golden.json, in this order.
+var boardScenarios = []struct {
+	name string
+	run  func(t *testing.T) farm.Report
+}{
+	// Two chips with the cache/batch wire model and cache-affinity deals.
+	{"board-chips2-wire-affinity", func(t *testing.T) farm.Report {
+		cfg := core.MultiChipConfig{Config: core.DefaultConfig(), Chips: 2}
+		cfg.CacheStructs, cfg.Batch, cfg.Affinity = -1, 8, true
+		return runBoard(t, ck34(t), 12, cfg)
+	}},
+	// Four chips on a binary gather tree, two slaves of chip 0 killed
+	// mid-run, a metrics registry attached.
+	{"board-chips4-tree2-kills-metrics", func(t *testing.T) farm.Report {
+		plan, err := fault.ParseSpec("seed=1;kill=12@10;kill=30@20")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.MultiChipConfig{Config: core.DefaultConfig(), Chips: 4,
+			Gather: farm.GatherConfig{Mode: farm.GatherTree, Arity: 2}}
+		cfg.Faults, cfg.Metrics = plan, metrics.New()
+		return runBoard(t, ck34(t), 47, cfg)
+	}},
+	// Three chips and two pairs: one chip's shard is empty.
+	{"board-chips3-empty-shard", func(t *testing.T) farm.Report {
+		ds := synth.Small(8, 77)
+		pr := core.ComputePairsShared(ds, tmalign.FastOptions(), pairstore.New(0), sched.AllVsAll(ds.Len())[:2])
+		return runBoard(t, pr, 3, core.MultiChipConfig{Config: core.DefaultConfig(), Chips: 3})
+	}},
+}
+
+func runBoard(t *testing.T, pr *core.PairResults, slaves int, cfg core.MultiChipConfig) farm.Report {
+	t.Helper()
+	r, err := core.RunMultiChip(pr, slaves, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Report
+}
+
+type boardRun struct {
+	Name   string      `json:"name"`
+	Report farm.Report `json:"report"`
+}
+
+const boardGoldenPath = "testdata/board_golden.json"
+
+// TestGoldenBoardReports re-runs every board scenario and demands its
+// whole Report, JSON-encoded, byte-equal to the golden.
+func TestGoldenBoardReports(t *testing.T) {
+	var want []boardRun
+	if !*update {
+		buf, err := os.ReadFile(boardGoldenPath)
+		if err != nil {
+			t.Fatalf("read board golden: %v", err)
+		}
+		if err := json.Unmarshal(buf, &want); err != nil {
+			t.Fatalf("parse board golden: %v", err)
+		}
+		if len(want) != len(boardScenarios) {
+			t.Fatalf("board golden has %d runs, the test defines %d", len(want), len(boardScenarios))
+		}
+	}
+	var got []boardRun
+	for i, sc := range boardScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			run := boardRun{Name: sc.name, Report: sc.run(t)}
+			got = append(got, run)
+			if *update {
+				return
+			}
+			g, err := json.MarshalIndent(run, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := json.MarshalIndent(want[i], "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(g) != string(w) {
+				t.Errorf("report diverges from golden:\n got %s\nwant %s", g, w)
+			}
+		})
+	}
+	if *update {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(boardGoldenPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestGoldenCoreRuns re-executes every core scenario on the farm-based
