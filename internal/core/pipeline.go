@@ -6,8 +6,8 @@
 // The plan's pair list is cut into stages (one, unless a memory budget
 // forces a block load schedule), each stage's ordered pairs into shards
 // (one per chip), and each shard becomes a farm.Work farmed by that
-// chip's master. The flat single-master run of the paper is the
-// one-stage, one-shard case by construction.
+// chip's master on one farm board. The flat single-master run of the
+// paper is the one-stage, one-shard, one-chip case by construction.
 package core
 
 import (
@@ -44,8 +44,8 @@ type plan struct {
 	cost    func(sched.Pair) float64
 	// tile is the resolved blocked-ordering tile (0 = no blocking).
 	tile int
-	// session is the farm session template: placement, wire shape
-	// (resolved cache capacity, batch) and fault-tolerance deadline.
+	// session is the farm board's configuration: chips, placement, wire
+	// shape (resolved cache capacity, batch) and fault-tolerance deadline.
 	session farm.Config
 	wire    farm.WireModel
 	handler rckskel.Handler
@@ -99,6 +99,9 @@ func newPlan(pr *PairResults, slaves int, cfg MultiChipConfig) (*plan, error) {
 		CacheStructs:       cacheCap,
 		Faults:             cfg.Faults,
 		JobDeadlineSeconds: cfg.JobDeadlineSeconds,
+		Chips:              cfg.Chips,
+		Interchip:          cfg.Interchip,
+		Gather:             cfg.Gather,
 	}
 	place, err := farm.Place(p.session)
 	if err != nil {
@@ -134,13 +137,13 @@ func (p *plan) order(pairs []sched.Pair) ([]sched.Pair, error) {
 	return ordered, nil
 }
 
-// work turns an ordered pair list into the Work one session's master
-// farms: a single job queue in the session's wire shape (cache sizing,
+// work turns an ordered pair list into the Work chip c's master farms:
+// a single job queue in the session's wire shape (cache sizing,
 // batching), or under Affinity one queue per placed worker with whole
 // tile blocks dealt heaviest-first. Jobs are numbered from idBase in
 // queue order, so IDs stay unique across queues, shards and stages. The
 // classic request size of a pair is both structures' coordinates.
-func (p *plan) work(s *farm.Session, pairs []sched.Pair, idBase int) (farm.Work, error) {
+func (p *plan) work(s *farm.Session, c int, pairs []sched.Pair, idBase int) (farm.Work, error) {
 	if len(pairs) == 0 {
 		return farm.Work{}, nil
 	}
@@ -157,7 +160,7 @@ func (p *plan) work(s *farm.Session, pairs []sched.Pair, idBase int) (farm.Work,
 			return farm.Work{}, err
 		}
 		idBase += len(ps)
-		queues[q] = s.PrepareJobs(jobs, p.wire)
+		queues[q] = s.PrepareJobs(c, jobs, p.wire)
 	}
 	if p.cfg.Affinity {
 		return farm.Work{Queues: queues}, nil
@@ -243,35 +246,21 @@ func (p *plan) stages() ([]stage, *farm.TiledReport, error) {
 	return out, rep, nil
 }
 
-// run executes the plan on one session per chip.
+// run executes the plan on one board: the root master loads, scatters
+// the remote shards (a no-op on one chip) and farms its own, stage by
+// stage; Validate keeps boards to one stage.
 func (p *plan) run() (farm.Report, error) {
 	stages, tiled, err := p.stages()
 	if err != nil {
 		return farm.Report{}, err
 	}
-	chips := max(p.cfg.Chips, 1)
-	sessions := make([]*farm.Session, chips)
-	var ms *farm.MultiSession
-	if chips > 1 {
-		ms, err = farm.NewMultiSession(farm.MultiConfig{
-			Config:    p.session,
-			Chips:     chips,
-			Interchip: p.cfg.Interchip,
-			Gather:    p.cfg.Gather,
-		})
-		if err != nil {
-			return farm.Report{}, err
-		}
-		for c := range sessions {
-			sessions[c] = ms.ChipSession(c)
-		}
-	} else if sessions[0], err = farm.NewSession(p.session); err != nil {
+	s, err := farm.New(p.session)
+	if err != nil {
 		return farm.Report{}, err
 	}
-	for _, s := range sessions {
-		s.StartSlaves(p.handler)
-	}
+	s.StartSlaves(p.handler)
 
+	chips := max(p.cfg.Chips, 1)
 	shardTile := shardTileSize(p.tile)
 	works := make([][]farm.Work, len(stages)) // [stage][chip]
 	shardBytes := make([]int64, chips)
@@ -287,7 +276,7 @@ func (p *plan) run() (farm.Report, error) {
 		}
 		works[k] = make([]farm.Work, chips)
 		for c, shard := range shards {
-			if works[k][c], err = p.work(sessions[c], shard, idBase); err != nil {
+			if works[k][c], err = p.work(s, c, shard, idBase); err != nil {
 				return farm.Report{}, err
 			}
 			idBase += len(shard)
@@ -296,12 +285,8 @@ func (p *plan) run() (farm.Report, error) {
 			}
 		}
 	}
-	if ms != nil {
-		// Validate keeps budgets single-chip, so there is one stage.
-		return ms.Run(stages[0].residues, works[0], shardBytes)
-	}
 
-	rep, err := sessions[0].Run("", func(m *farm.Master) {
+	rep, err := s.Run("", func(m *farm.Master) {
 		for k, st := range stages {
 			if tiled == nil {
 				// One-time load of every structure by the master (the
@@ -311,15 +296,11 @@ func (p *plan) run() (farm.Report, error) {
 				m.P.Wait(float64(st.residues) * reloadSecondsPerResidue)
 				m.Chip().Compute(m.P, costmodel.Counter{ResiduesLoaded: uint64(st.residues)})
 			}
+			m.Scatter(works[k], shardBytes)
 			m.FarmWork(works[k][0], nil)
 		}
 		m.Terminate()
 	})
-	if tiled != nil {
-		// The per-stage farms run back to back; the end-to-end wall clock
-		// is the meaningful makespan for the schedule.
-		rep.FarmStats.MakespanSeconds = rep.TotalSeconds
-		rep.Tiled = tiled
-	}
+	rep.Tiled = tiled
 	return rep, err
 }

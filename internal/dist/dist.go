@@ -68,7 +68,7 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 	if slaves < 1 || slaves > cfg.Chip.NumCores() {
 		return RunResult{}, fmt.Errorf("dist: slave count %d outside [1,%d]", slaves, cfg.Chip.NumCores())
 	}
-	s, err := farm.NewSession(farm.Config{
+	s, err := farm.New(farm.Config{
 		Chip:       cfg.Chip,
 		MasterCore: farm.HostMaster,
 		Slaves:     slaves,
@@ -76,7 +76,7 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	rt := s.Runtime()
+	chip := s.Chip()
 	rec := s.Trace()
 	disk := sim.NewResource("mcpc-disk", 1)
 	jobCh := sim.NewChan("pssh")
@@ -99,7 +99,7 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 	// compute, exit.
 	for _, c := range s.Placement().Cores {
 		c := c
-		rt.Chip.SpawnCore(c, func(p *sim.Process) {
+		chip.SpawnCore(c, func(p *sim.Process) {
 			for {
 				m := jobCh.Recv(p)
 				if _, halt := m.(stop); halt {
@@ -114,8 +114,8 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 				}
 				res := pr.Get(jm.pair)
 				start := p.Now()
-				rt.Chip.Compute(p, res.Ops)
-				rec.Add(rt.Chip.CoreName(c), start, p.Now(), "compute")
+				chip.Compute(p, res.Ops)
+				rec.Add(chip.CoreName(c), start, p.Now(), "compute")
 				doneCh.Send(p, rckskel.Result{JobID: jm.id, Slave: c, Payload: res})
 			}
 		})
@@ -140,7 +140,7 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 		}
 		for collected < len(pr.Pairs) {
 			r := doneCh.Recv(p).(rckskel.Result)
-			m.Session().Collect(r)
+			m.Collect(r)
 			collected++
 			if issued < len(pr.Pairs) {
 				p.Wait(cfg.DispatchSeconds)

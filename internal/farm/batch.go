@@ -12,6 +12,8 @@
 package farm
 
 import (
+	"cmp"
+
 	"rckalign/internal/costmodel"
 	"rckalign/internal/metrics"
 	"rckalign/internal/rckskel"
@@ -82,28 +84,54 @@ type WireModel struct {
 	Sizes     []int
 }
 
-// wireStats accumulates the dispatch-side wire accounting of a
-// prepared session.
+// wireStats accumulates a chip's dispatch-side wire accounting and, with
+// the structure-cache model on, its capacity and statistics; summed over
+// the chips it is the board's.
 type wireStats struct {
-	dispatches    int64
 	batches       int64
 	batchedJobs   int64
 	maxBatchJobs  int64
 	baselineBytes int64
 	shippedBytes  int64
+	capacity      int
+	cache         CacheStats
+}
+
+// wireTotals is chip c's wire accounting, cache model included.
+func (c *chip) wireTotals() wireStats {
+	w := c.wire
+	if c.cache != nil {
+		w.capacity, w.cache = c.cache.Capacity(), c.cache.Stats()
+	}
+	return w
+}
+
+// add folds another chip's accounting in (the first cache capacity
+// stands for the board's).
+func (w *wireStats) add(o wireStats) {
+	w.batches += o.batches
+	w.batchedJobs += o.batchedJobs
+	w.maxBatchJobs = max(w.maxBatchJobs, o.maxBatchJobs)
+	w.baselineBytes += o.baselineBytes
+	w.shippedBytes += o.shippedBytes
+	w.capacity = cmp.Or(w.capacity, o.capacity)
+	w.cache.Hits += o.cache.Hits
+	w.cache.Misses += o.cache.Misses
+	w.cache.Evictions += o.cache.Evictions
+	w.cache.ForcedReships += o.cache.ForcedReships
 }
 
 // PrepareJobs applies the session's configured wire shape to an
-// ordered job list: consecutive jobs are bundled into batches of up to
+// ordered job list bound for chip c's slaves: consecutive jobs are bundled into batches of up to
 // Config.Batch, and every produced job gets a SizeFor hook that
 // resolves its request size per slave at dispatch time (against the
 // structure-cache model when Config.CacheStructs > 0, with batch-level
 // structure dedup either way). With Batch <= 1 and no cache it returns
 // the jobs unchanged — the classic wire model. Call it once per queue;
-// multiple queues of one session share the cache model and the wire
-// accounting. Slaves of a batched session must run a BatchHandler-
-// wrapped handler.
-func (s *Session) PrepareJobs(jobs []rckskel.Job, wm WireModel) []rckskel.Job {
+// multiple queues of one chip share its cache model and wire accounting.
+// Slaves of a batched session must run a BatchHandler-wrapped handler.
+func (s *Session) PrepareJobs(c int, jobs []rckskel.Job, wm WireModel) []rckskel.Job {
+	ch := s.chips[c]
 	batch := s.cfg.Batch
 	if batch < 1 {
 		batch = 1
@@ -144,21 +172,21 @@ func (s *Session) PrepareJobs(jobs []rckskel.Job, wm WireModel) []rckskel.Job {
 		}
 	}
 	if cached {
-		if s.cache == nil {
-			s.cache = NewStructCache(s.cfg.CacheStructs, wm.Sizes, maxRequest, s.cfg.Metrics, s.labels...)
+		if ch.cache == nil {
+			ch.cache = NewStructCache(s.cfg.CacheStructs, wm.Sizes, maxRequest, s.cfg.Metrics, ch.labels...)
 		} else {
-			s.cache.EnsureCapacity(maxRequest)
+			ch.cache.EnsureCapacity(maxRequest)
 		}
 	}
-	if s.hBatchJobs == nil {
-		s.hBatchJobs = s.cfg.Metrics.Histogram("farm.batch.jobs", metrics.CountBuckets, s.labels...)
-		s.cDispatches = s.cfg.Metrics.Counter("farm.wire.dispatches", s.labels...)
-		s.cInputBaseline = s.cfg.Metrics.Counter("farm.wire.input_bytes_baseline", s.labels...)
-		s.cInputShipped = s.cfg.Metrics.Counter("farm.wire.input_bytes_shipped", s.labels...)
+	if ch.hBatchJobs == nil {
+		ch.hBatchJobs = s.cfg.Metrics.Histogram("farm.batch.jobs", metrics.CountBuckets, ch.labels...)
+		ch.cDispatches = s.cfg.Metrics.Counter("farm.wire.dispatches", ch.labels...)
+		ch.cInputBaseline = s.cfg.Metrics.Counter("farm.wire.input_bytes_baseline", ch.labels...)
+		ch.cInputShipped = s.cfg.Metrics.Counter("farm.wire.input_bytes_shipped", ch.labels...)
 	}
 	out := make([]rckskel.Job, 0, len(groups))
 	for g, group := range groups {
-		out = append(out, s.wireJob(group, groupStructs[g], wm))
+		out = append(out, ch.wireJob(group, groupStructs[g], wm, s.cfg.Batch > 1))
 	}
 	return out
 }
@@ -167,8 +195,8 @@ func (s *Session) PrepareJobs(jobs []rckskel.Job, wm WireModel) []rckskel.Job {
 // batching is off) into a dispatch-sized job. structs is the group's
 // deduplicated structure list in first-use order (a batch ships each
 // structure at most once), precomputed by PrepareJobs.
-func (s *Session) wireJob(group []rckskel.Job, structs []int, wm WireModel) rckskel.Job {
-	batched := len(group) > 1 || s.cfg.Batch > 1
+func (c *chip) wireJob(group []rckskel.Job, structs []int, wm WireModel, batching bool) rckskel.Job {
+	batched := len(group) > 1 || batching
 	header := PairHeaderBytes
 	if batched {
 		header = BatchHeaderBytes + BatchJobHeaderBytes*len(group)
@@ -181,12 +209,12 @@ func (s *Session) wireJob(group []rckskel.Job, structs []int, wm WireModel) rcks
 	for _, id := range structs {
 		allBytes += wm.Sizes[id]
 	}
-	s.wire.batches++
-	s.wire.batchedJobs += int64(len(group))
-	if int64(len(group)) > s.wire.maxBatchJobs {
-		s.wire.maxBatchJobs = int64(len(group))
+	c.wire.batches++
+	c.wire.batchedJobs += int64(len(group))
+	if int64(len(group)) > c.wire.maxBatchJobs {
+		c.wire.maxBatchJobs = int64(len(group))
 	}
-	s.hBatchJobs.Observe(float64(len(group)))
+	c.hBatchJobs.Observe(float64(len(group)))
 
 	job := rckskel.Job{ID: group[0].ID, Bytes: header + allBytes}
 	if batched {
@@ -196,17 +224,16 @@ func (s *Session) wireJob(group []rckskel.Job, structs []int, wm WireModel) rcks
 	}
 	job.SizeFor = func(slave int) int {
 		bytes := header
-		if s.cache != nil {
-			bytes += s.cache.Request(slave, structs)
+		if c.cache != nil {
+			bytes += c.cache.Request(slave, structs)
 		} else {
 			bytes += allBytes
 		}
-		s.wire.dispatches++
-		s.wire.baselineBytes += int64(baseline)
-		s.wire.shippedBytes += int64(bytes)
-		s.cDispatches.Inc()
-		s.cInputBaseline.Add(float64(baseline))
-		s.cInputShipped.Add(float64(bytes))
+		c.wire.baselineBytes += int64(baseline)
+		c.wire.shippedBytes += int64(bytes)
+		c.cDispatches.Inc()
+		c.cInputBaseline.Add(float64(baseline))
+		c.cInputShipped.Add(float64(bytes))
 		return bytes
 	}
 	return job
@@ -247,36 +274,31 @@ type WireReport struct {
 	MaxBatchJobs  int64
 }
 
-// wireReport distills the session's wire accounting, or nil when the
-// session dispatched classically.
-func (s *Session) wireReport() *WireReport {
-	if s.wire.batches == 0 {
+// report distills the wire accounting, or nil when nothing went
+// through PrepareJobs.
+func (w wireStats) report() *WireReport {
+	if w.batches == 0 {
 		return nil
 	}
-	w := &WireReport{
-		BaselineInputBytes: s.wire.baselineBytes,
-		ShippedInputBytes:  s.wire.shippedBytes,
-		SavedInputBytes:    s.wire.baselineBytes - s.wire.shippedBytes,
-		Batches:            s.wire.batches,
-		BatchedJobs:        s.wire.batchedJobs,
-		MaxBatchJobs:       s.wire.maxBatchJobs,
+	r := &WireReport{
+		CacheCapacity:      w.capacity,
+		CacheHits:          w.cache.Hits,
+		CacheMisses:        w.cache.Misses,
+		CacheEvictions:     w.cache.Evictions,
+		CacheForcedReships: w.cache.ForcedReships,
+		BaselineInputBytes: w.baselineBytes,
+		ShippedInputBytes:  w.shippedBytes,
+		SavedInputBytes:    w.baselineBytes - w.shippedBytes,
+		Batches:            w.batches,
+		BatchedJobs:        w.batchedJobs,
+		MeanBatchJobs:      float64(w.batchedJobs) / float64(w.batches),
+		MaxBatchJobs:       w.maxBatchJobs,
 	}
-	if s.wire.shippedBytes > 0 {
-		w.InputReduction = float64(s.wire.baselineBytes) / float64(s.wire.shippedBytes)
+	if w.shippedBytes > 0 {
+		r.InputReduction = float64(w.baselineBytes) / float64(w.shippedBytes)
 	}
-	if s.wire.batches > 0 {
-		w.MeanBatchJobs = float64(s.wire.batchedJobs) / float64(s.wire.batches)
+	if w.cache.Hits+w.cache.Misses > 0 {
+		r.CacheHitRate = float64(w.cache.Hits) / float64(w.cache.Hits+w.cache.Misses)
 	}
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		w.CacheCapacity = s.cache.Capacity()
-		w.CacheHits = cs.Hits
-		w.CacheMisses = cs.Misses
-		w.CacheEvictions = cs.Evictions
-		w.CacheForcedReships = cs.ForcedReships
-		if cs.Hits+cs.Misses > 0 {
-			w.CacheHitRate = float64(cs.Hits) / float64(cs.Hits+cs.Misses)
-		}
-	}
-	return w
+	return r
 }

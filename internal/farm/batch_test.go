@@ -72,30 +72,30 @@ func TestBatchHandlerRunsSubJobs(t *testing.T) {
 }
 
 func TestPrepareJobsClassicNoop(t *testing.T) {
-	s, err := NewSession(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3})
+	s, err := New(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wm := pairWire(4)
 	jobs := pairJobs(sched.AllVsAll(4), wm)
-	out := s.PrepareJobs(jobs, wm)
+	out := s.PrepareJobs(0, jobs, wm)
 	if &out[0] != &jobs[0] {
 		t.Error("classic config must return the job slice unchanged")
 	}
-	if s.wireReport() != nil {
+	if s.chips[0].wireTotals().report() != nil {
 		t.Error("classic config must not produce a wire report")
 	}
 }
 
 func TestPrepareJobsBatchAssembly(t *testing.T) {
-	s, err := NewSession(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3, Batch: 4})
+	s, err := New(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3, Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wm := pairWire(5)
 	pairs := sched.AllVsAll(5) // 10 pairs -> batches of 4,4,2
 	jobs := pairJobs(pairs, wm)
-	out := s.PrepareJobs(jobs, wm)
+	out := s.PrepareJobs(0, jobs, wm)
 	if len(out) != 3 {
 		t.Fatalf("got %d wire jobs, want 3", len(out))
 	}
@@ -123,19 +123,19 @@ func TestPrepareJobsBatchAssembly(t *testing.T) {
 		t.Errorf("batch 0 wire size = %d, want %d", got, wantBytes)
 	}
 	// Baseline for the same batch ships both structures per pair.
-	if s.wire.baselineBytes != int64(jobs[0].Bytes+jobs[1].Bytes+jobs[2].Bytes+jobs[3].Bytes) {
-		t.Errorf("baseline accounting = %d", s.wire.baselineBytes)
+	if s.chips[0].wire.baselineBytes != int64(jobs[0].Bytes+jobs[1].Bytes+jobs[2].Bytes+jobs[3].Bytes) {
+		t.Errorf("baseline accounting = %d", s.chips[0].wire.baselineBytes)
 	}
 }
 
 func TestPrepareJobsCachedSingles(t *testing.T) {
-	s, err := NewSession(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3, CacheStructs: 4})
+	s, err := New(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3, CacheStructs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wm := pairWire(3)
 	jobs := pairJobs([]sched.Pair{{I: 0, J: 1}, {I: 0, J: 2}}, wm)
-	out := s.PrepareJobs(jobs, wm)
+	out := s.PrepareJobs(0, jobs, wm)
 	if len(out) != 2 {
 		t.Fatalf("cached singles must stay 1:1, got %d", len(out))
 	}
@@ -154,7 +154,7 @@ func TestPrepareJobsCachedSingles(t *testing.T) {
 	if got := out[1].SizeFor(2); got != PairHeaderBytes+100+300 {
 		t.Errorf("other slave = %d", got)
 	}
-	rep := s.wireReport()
+	rep := s.chips[0].wireTotals().report()
 	if rep == nil || rep.CacheCapacity != 4 || rep.CacheHits != 1 {
 		t.Errorf("wire report = %+v", rep)
 	}
@@ -165,7 +165,7 @@ func TestPrepareJobsCachedSingles(t *testing.T) {
 // with its classic payload, and the report carries the wire block.
 func TestBatchedCachedFarmEndToEnd(t *testing.T) {
 	var collected []int
-	s, err := NewSession(Config{
+	s, err := New(Config{
 		Chip:         scc.DefaultConfig(),
 		MasterCore:   0,
 		Slaves:       3,
@@ -181,7 +181,7 @@ func TestBatchedCachedFarmEndToEnd(t *testing.T) {
 	wm := pairWire(8)
 	pairs := sched.Blocked(sched.AllVsAll(8), 4)
 	jobs := pairJobs(pairs, wm)
-	wired := s.PrepareJobs(jobs, wm)
+	wired := s.PrepareJobs(0, jobs, wm)
 	s.StartSlaves(BatchHandler(func(job rckskel.Job) (any, costmodel.Counter, int) {
 		return job.Payload, costmodel.Counter{ScoreEvals: 1e5}, 64
 	}))

@@ -32,8 +32,8 @@ func TestPlaceTypedErrors(t *testing.T) {
 			if _, err := farm.Place(tc.cfg); !errors.Is(err, tc.want) {
 				t.Errorf("Place error = %v, want errors.Is %v", err, tc.want)
 			}
-			if _, err := farm.NewSession(tc.cfg); !errors.Is(err, tc.want) {
-				t.Errorf("NewSession error = %v, want errors.Is %v", err, tc.want)
+			if _, err := farm.New(tc.cfg); !errors.Is(err, tc.want) {
+				t.Errorf("New error = %v, want errors.Is %v", err, tc.want)
 			}
 		})
 	}
@@ -69,7 +69,7 @@ func TestValidateJobs(t *testing.T) {
 	}
 }
 
-func TestNewSessionRejectsBadFaultPlan(t *testing.T) {
+func TestNewRejectsBadFaultPlan(t *testing.T) {
 	chip := scc.DefaultConfig()
 	for name, plan := range map[string]*fault.Plan{
 		"kill master":       {Kills: []fault.CoreFailure{{Core: 0, At: 1}}},
@@ -78,8 +78,8 @@ func TestNewSessionRejectsBadFaultPlan(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := farm.Config{Chip: chip, MasterCore: 0, Slaves: 4, Faults: plan}
-			if _, err := farm.NewSession(cfg); !errors.Is(err, farm.ErrFaultPlan) {
-				t.Errorf("NewSession error = %v, want errors.Is ErrFaultPlan", err)
+			if _, err := farm.New(cfg); !errors.Is(err, farm.ErrFaultPlan) {
+				t.Errorf("New error = %v, want errors.Is ErrFaultPlan", err)
 			}
 		})
 	}
@@ -92,7 +92,7 @@ func TestNewSessionRejectsBadFaultPlan(t *testing.T) {
 // slaves may not even run the same method.
 func TestPartitionedFarmRecoversInsideItsPartition(t *testing.T) {
 	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
-	s, err := farm.NewSession(farm.Config{
+	s, err := farm.New(farm.Config{
 		Chip:               scc.DefaultConfig(),
 		MasterCore:         0,
 		Slaves:             4,
@@ -136,7 +136,7 @@ func TestPartitionedFarmRecoversInsideItsPartition(t *testing.T) {
 // other partition still completes, and no job crosses over.
 func TestOrphanedQueueIsLost(t *testing.T) {
 	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
-	s, err := farm.NewSession(farm.Config{
+	s, err := farm.New(farm.Config{
 		Chip:               scc.DefaultConfig(),
 		MasterCore:         0,
 		Slaves:             4,
@@ -188,7 +188,7 @@ func intJobs(n int) []rckskel.Job {
 func TestSessionFaultTolerantKillRun(t *testing.T) {
 	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
 	plan := &fault.Plan{Kills: []fault.CoreFailure{{Core: 2, At: 1.5 * js}}}
-	s, err := farm.NewSession(farm.Config{
+	s, err := farm.New(farm.Config{
 		Chip:               scc.DefaultConfig(),
 		MasterCore:         0,
 		Slaves:             4,
@@ -233,7 +233,7 @@ func TestSessionFaultTolerantKillRun(t *testing.T) {
 }
 
 func TestSessionClassicRunHasNoFaultsBlock(t *testing.T) {
-	s, err := farm.NewSession(farm.Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3})
+	s, err := farm.New(farm.Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

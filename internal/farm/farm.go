@@ -9,21 +9,32 @@
 //
 // A path composes a Session instead of copying a 150-line run function:
 //
-//	s, _ := farm.NewSession(farm.Config{Chip: chip, Slaves: n})
+//	s, _ := farm.New(farm.Config{Chip: chip, Slaves: n})
 //	s.StartSlaves(handler)
 //	rep, err := s.Run("", func(m *farm.Master) {
 //	        m.LoadResidues(ds.TotalResidues())
 //	        m.FarmWork(farm.Work{Jobs: jobs}, nil)
 //	        m.Terminate()
 //	})
+//
+// That is a board of one chip: the paper's flat farm. With Config.Chips
+// = N > 1 the same calls build N chips on one engine, joined by the
+// interchip fabric: prepare one Work per chip (PrepareJobs(c, ...)) and
+// let the root body hand the remote shards out with m.Scatter before it
+// farms its own; Run spawns the sub-masters and drains the gather.
 package farm
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 
 	"rckalign/internal/costmodel"
 	"rckalign/internal/fault"
+	"rckalign/internal/interchip"
 	"rckalign/internal/metrics"
 	"rckalign/internal/rcce"
 	"rckalign/internal/rckskel"
@@ -31,14 +42,6 @@ import (
 	"rckalign/internal/sim"
 	"rckalign/internal/trace"
 )
-
-// Runtime bundles the simulated platform objects one chip's farm
-// executes on.
-type Runtime struct {
-	Engine *sim.Engine
-	Chip   *scc.Chip
-	Comm   *rcce.Comm
-}
 
 // Collector receives every result gathered by the master, after the
 // session's own bookkeeping and before the run path's domain logic. It
@@ -59,13 +62,14 @@ func (f CollectorFunc) Collect(r rckskel.Result) { f(r) }
 // core is reserved for it and slave placement starts at core 0.
 const HostMaster = -1
 
-// Config describes one farm session.
+// Config describes one farm session: a board of Chips chips.
 type Config struct {
-	// Chip is the simulated SCC the session runs on.
+	// Chip is the simulated SCC, the same on every chip of the board.
 	Chip scc.Config
-	// MasterCore hosts the master process (HostMaster = off-chip).
+	// MasterCore hosts the master process (HostMaster = off-chip). On
+	// more than one chip every chip's master is its core 0.
 	MasterCore int
-	// Slaves is the number of slave cores to place.
+	// Slaves is the number of slave cores to place on each chip.
 	Slaves int
 	// ThreadsPerWorker groups that many consecutive slave cores into one
 	// worker process (2 = dual-core tile workers). When the slave count
@@ -111,6 +115,19 @@ type Config struct {
 	// a fault plan, whose wire model lets sends to dead cores vanish
 	// instead of hanging.
 	JobDeadlineSeconds float64
+	// Chips is the board's chip count (0 or 1 = one chip, the paper's
+	// flat farm). On more than one, core names are prefixed per chip
+	// ("c1.rck00"), metric keys are labelled "chip"/"cN", every chip owns
+	// its cache model and wire accounting, and Faults carries global core
+	// ids (chip = id / cores per chip), split per chip with
+	// fault.SplitPlan; every chip arms the same JobDeadlineSeconds.
+	Chips int
+	// Interchip is the board-level interconnect profile (zero value =
+	// interchip.DefaultConfig); unused on one chip.
+	Interchip interchip.Config
+	// Gather selects the result-aggregation topology (zero value = a
+	// gather tree of DefaultGatherArity); unused on one chip.
+	Gather GatherConfig
 }
 
 // Report is the uniform outcome of a farm execution.
@@ -327,22 +344,52 @@ type FaultStats struct {
 	LostJobs          int
 }
 
-// Session is a constructed farm: runtime, placement and report
-// bookkeeping. Start slaves (or spawn custom core processes), then call
-// Run with the master body.
+// ErrInvariant reports a run whose own accounting does not add up (see
+// Session.Run): a simulator or harness bug, never a property of the
+// workload.
+var ErrInvariant = errors.New("farm: conservation invariant violated")
+
+// Session is a constructed board: one engine, Config.Chips chips (one,
+// the paper's flat farm, unless configured otherwise), their placement,
+// teams and wire models and, on more than one chip, the fabric joining
+// them. Start slaves (or spawn custom core processes) and prepare each
+// chip's work, then call Run with the root master's body.
 type Session struct {
-	cfg      Config
-	rt       Runtime
-	place    Placement
-	rec      *trace.Recorder
+	cfg    Config
+	engine *sim.Engine
+	place  Placement
+	rec    *trace.Recorder
+	chips  []*chip
+	rep    Report
+
+	// The board tier (more than one chip only): the fabric, the gather
+	// topology and the fabric bytes nobody but the board accounts for.
+	fabric       *interchip.Fabric
+	gather       GatherConfig
+	aggWireBytes int64
+	aggMessages  int64
+	shardWire    int64
+	controlBytes int64
+	levels       map[int]*GatherLevel // blob hops by gather tree level
+}
+
+// chip is one chip of a board with everything it accumulates itself.
+type chip struct {
+	id       int
+	sc       *scc.Chip
+	comm     *rcce.Comm
 	team     *rckskel.Team
-	rep      Report
 	injector *fault.Injector
-	ft       rckskel.FTStats
-	// labels scope this session's fixed metric keys (multi-chip runs
-	// label each chip session "chip"/"cN"; nil on classic sessions, so
-	// their keys stay bit-identical).
+	// labels scope the chip's metric keys ("chip"/"cN" on a board; nil on
+	// one chip, whose keys stay those of the paper's flat farm).
 	labels []string
+
+	stats     rckskel.Stats // chip-local core ids
+	faults    FaultStats    // recovery counts; injected ones are the injector's
+	farms     int
+	collected int
+	total     float64 // when the chip's master finished
+	ledger    ledger
 
 	// Cache/batch wire model state (see batch.go / structcache.go).
 	cache          *StructCache
@@ -351,57 +398,112 @@ type Session struct {
 	cDispatches    *metrics.Counter
 	cInputBaseline *metrics.Counter
 	cInputShipped  *metrics.Counter
+
+	// Fabric bytes of this chip's shard, of the aggregate blobs it
+	// originated, and of the per-pair protocol it replaced (0 on chip 0).
+	shardBytes, resultBytes, perPairBytes int64
 }
 
-// NewSession validates the configuration, builds the runtime, places
-// the slaves and, when a fault plan is configured, arms the injector
-// (kill/stall events scheduled, wire interposer installed).
-func NewSession(cfg Config) (*Session, error) {
-	return newSession(cfg, sim.NewEngine(), nil)
-}
+// ledger balances the jobs a chip's farms were handed against those they
+// delivered or wrote off; a batch is one job of several pairs.
+type ledger struct{ jobs, pairs, doneJobs int }
 
-// newSession is NewSession on a given engine: a multi-chip session
-// builds one chip-level Session per chip, all sharing one engine and
-// trace recorder, each scoped by labels ("chip"/"cN").
-func newSession(cfg Config, engine *sim.Engine, labels []string) (*Session, error) {
-	place, err := Place(cfg)
-	if err != nil {
-		return nil, err
-	}
-	chip := scc.New(engine, cfg.Chip)
-	rt := Runtime{Engine: engine, Chip: chip, Comm: rcce.New(chip)}
-	rec := cfg.Trace
-	if rec == nil {
-		rec = trace.New()
-	}
-	s := &Session{cfg: cfg, rt: rt, place: place, rec: rec, labels: labels}
-	if cfg.Metrics != nil {
-		s.rt.Engine.SetMetrics(cfg.Metrics)
-		s.rt.Chip.Mesh().SetMetrics(cfg.Metrics, labels...)
-		s.rt.Comm.SetMetrics(cfg.Metrics, labels...)
-	}
-	if cfg.Faults != nil {
-		master := cfg.MasterCore
-		if master == HostMaster {
-			// Off-chip master: no core is exempt from faults.
-			master = -1
+func (l *ledger) hand(jobs []rckskel.Job) {
+	l.jobs += len(jobs)
+	for _, j := range jobs {
+		if bp, ok := j.Payload.(BatchPayload); ok {
+			l.pairs += len(bp.Jobs)
+		} else {
+			l.pairs++
 		}
-		if err := cfg.Faults.Validate(cfg.Chip.NumCores(), master); err != nil {
+	}
+}
+
+// New validates the configuration and builds the board: the chips, each
+// with its runtime, metric labels and, under a fault plan, its injector
+// armed with its share of the plan (kill/stall events scheduled, wire
+// interposer installed), and on more than one chip the fabric. A chip
+// count of 0 or 1 builds one chip.
+func New(cfg Config) (*Session, error) {
+	if cfg.Chips < 0 {
+		return nil, fmt.Errorf("farm: chip count %d is negative", cfg.Chips)
+	}
+	n := max(cfg.Chips, 1)
+	s := &Session{engine: sim.NewEngine(), rec: cfg.Trace}
+	if s.rec == nil {
+		s.rec = trace.New()
+	}
+	plans := []*fault.Plan{cfg.Faults} // one per chip
+	if n > 1 {
+		cfg.MasterCore = 0
+		var err error
+		if s.gather, err = cfg.Gather.resolved(); err != nil {
+			return nil, err
+		}
+		if plans, err = fault.SplitPlan(cfg.Faults, n, cfg.Chip.NumCores()); err != nil {
 			return nil, fmt.Errorf("farm: %w: %v", ErrFaultPlan, err)
 		}
-		s.injector = fault.NewInjector(cfg.Faults)
-		s.injector.Arm(s.rt.Chip, rec)
-		s.rt.Comm.SetInterposer(s.injector)
+		ic := cfg.Interchip
+		if ic == (interchip.Config{}) {
+			ic = interchip.DefaultConfig()
+		}
+		s.fabric = interchip.New(n, ic)
+		s.fabric.SetMetrics(cfg.Metrics)
+		s.levels = map[int]*GatherLevel{}
+	}
+	s.cfg = cfg
+	var err error
+	if s.place, err = Place(cfg); err != nil {
+		return nil, err
+	}
+	if cfg.Metrics != nil {
+		s.engine.SetMetrics(cfg.Metrics)
+	}
+	for c := 0; c < n; c++ {
+		chipCfg := cfg.Chip
+		var labels []string
+		if n > 1 {
+			chipCfg.NamePrefix = fmt.Sprintf("c%d.%s", c, cfg.Chip.NamePrefix)
+			labels = []string{"chip", fmt.Sprintf("c%d", c)}
+		}
+		sc := scc.New(s.engine, chipCfg)
+		ch := &chip{id: c, sc: sc, comm: rcce.New(sc), labels: labels, stats: rckskel.Stats{JobsPerSlave: map[int]int{}}}
+		if cfg.Metrics != nil {
+			sc.Mesh().SetMetrics(cfg.Metrics, labels...)
+			ch.comm.SetMetrics(cfg.Metrics, labels...)
+		}
+		if cfg.Faults != nil {
+			if err := plans[c].Validate(chipCfg.NumCores(), cfg.MasterCore); err != nil {
+				return nil, fmt.Errorf("farm: %w: %v", ErrFaultPlan, err)
+			}
+			ch.injector = fault.NewInjector(plans[c])
+			ch.injector.Arm(sc, s.rec)
+			ch.comm.SetInterposer(ch.injector)
+		}
+		if cfg.MasterCore != HostMaster {
+			// The chip's default team: its master plus one slave process
+			// per placed worker.
+			ch.team = rckskel.NewTeam(ch.comm, cfg.MasterCore, s.place.WorkerLeads)
+			if cfg.PollingScale >= 0 {
+				ch.team.DiscoveryCostScale = cfg.PollingScale
+			}
+			ch.team.Trace = s.rec
+			ch.team.SetMetrics(cfg.Metrics, labels...)
+		}
+		s.chips = append(s.chips, ch)
 	}
 	s.rep = Report{
 		Backend:         "scc-sim",
-		Slaves:          cfg.Slaves,
-		Workers:         len(place.WorkerLeads),
-		EffectiveCores:  place.EffectiveCores,
-		DroppedCores:    place.DroppedCores,
+		Slaves:          n * cfg.Slaves,
+		Workers:         n * len(s.place.WorkerLeads),
+		EffectiveCores:  n * s.place.EffectiveCores,
+		DroppedCores:    n * s.place.DroppedCores,
 		FarmStats:       rckskel.Stats{JobsPerSlave: map[int]int{}},
 		CoreBusySeconds: map[string]float64{},
 		CoreUtilization: map[string]float64{},
+	}
+	if n > 1 {
+		s.rep.Backend, s.rep.Chips = fmt.Sprintf("multichip-%d", n), n
 	}
 	return s, nil
 }
@@ -421,167 +523,257 @@ func ValidateJobs(jobs []rckskel.Job) error {
 	return nil
 }
 
-// Runtime returns the session's runtime.
-func (s *Session) Runtime() Runtime { return s.rt }
+// Chip returns the root chip's model.
+func (s *Session) Chip() *scc.Chip { return s.chips[0].sc }
 
-// Placement returns the slave placement.
+// Placement returns the slave placement, the same on every chip
+// (chip-local core ids).
 func (s *Session) Placement() Placement { return s.place }
 
 // Trace returns the effective activity recorder (the configured one, or
-// the session's internal recorder).
+// the session's internal recorder), shared by every chip.
 func (s *Session) Trace() *trace.Recorder { return s.rec }
 
-// Team returns the session's default team: the configured master plus
-// one slave process per placed worker. Built on first use; requires an
-// on-chip master.
-func (s *Session) Team() *rckskel.Team {
-	if s.team == nil {
-		if s.cfg.MasterCore == HostMaster {
-			panic("farm: the default team requires an on-chip master")
-		}
-		t := rckskel.NewTeam(s.rt.Comm, s.cfg.MasterCore, s.place.WorkerLeads)
-		if s.cfg.PollingScale >= 0 {
-			t.DiscoveryCostScale = s.cfg.PollingScale
-		}
-		t.Trace = s.rec
-		t.SetMetrics(s.cfg.Metrics, s.labels...)
-		s.team = t
+// StartSlaves spawns every chip's slave loops with one handler (on-chip
+// masters only).
+func (s *Session) StartSlaves(h rckskel.Handler) {
+	for _, c := range s.chips {
+		c.team.StartSlaves(h)
 	}
-	return s.team
 }
 
-// StartSlaves spawns the default team's slave loops with one handler.
-func (s *Session) StartSlaves(h rckskel.Handler) { s.Team().StartSlaves(h) }
-
-// Collect performs the session's result bookkeeping: batched results
-// are unwrapped into their per-job sub-results, each result is
-// counted, and forwarded to the configured Collector. FarmWork calls it
-// for every result; run paths with bespoke collection loops (the
-// distributed baseline) call it directly.
-func (s *Session) Collect(r rckskel.Result) { s.deliver(r, nil) }
-
 // deliver unwraps BatchResults (attributing sub-results to the
-// collecting slave) and routes every per-job result through the
-// session bookkeeping, the configured Collector, and the per-farm
-// extra callback. Collectors therefore observe exactly the same
-// result stream — same payloads, same order — as on a classic
-// one-message-per-job farm.
-func (s *Session) deliver(r rckskel.Result, extra func(rckskel.Result)) {
+// collecting slave) and routes every per-job result through chip c's
+// bookkeeping, the configured Collector, and the per-farm extra
+// callback; it returns how many per-job results it delivered. Collectors
+// therefore observe exactly the same result stream — same payloads,
+// same order — as on a classic one-message-per-job farm.
+func (s *Session) deliver(c *chip, r rckskel.Result, extra func(rckskel.Result)) int {
 	if br, ok := r.Payload.(BatchResult); ok {
+		n := 0
 		for _, sub := range br.Results {
 			sub.Slave = r.Slave
-			s.deliver(sub, extra)
+			n += s.deliver(c, sub, extra)
 		}
-		return
+		return n
 	}
-	s.rep.Collected++
+	c.collected++
 	if s.cfg.Collector != nil {
 		s.cfg.Collector.Collect(r)
 	}
 	if extra != nil {
 		extra(r)
 	}
+	return 1
 }
 
-// mergeStats folds one farm execution's statistics into the report.
-func (s *Session) mergeStats(st rckskel.Stats) {
-	for core, n := range st.JobsPerSlave {
-		s.rep.FarmStats.JobsPerSlave[core] += n
-	}
-	s.rep.FarmStats.PollProbes += st.PollProbes
-	s.rep.FarmStats.MakespanSeconds += st.MakespanSeconds
-}
-
-// Run spawns the master process (on the configured core, or as a host
-// process when MasterCore is HostMaster), executes the simulation to
-// completion and returns the finalized report. name labels an off-chip
-// master process ("" = "master"); on-chip masters are named after their
-// core. Slaves must have been started (or custom core processes
-// spawned) before Run is called, matching the construction order of the
-// hand-rolled run paths this layer replaces.
+// Run executes the board and returns the finalized report. body is the
+// root master's program, on the configured core or, when MasterCore is
+// HostMaster, as a host process named name ("" = "master"). Slaves must
+// have been started (or custom core processes spawned) before. On more
+// than one chip Run also spawns every remote chip's sub-master (see
+// subMaster), and the root drains the gather after body returns.
+//
+// A run that completes is checked against its own accounting; Run
+// returns a wrapped ErrInvariant when a farmed job was neither collected
+// exactly once nor written off, a traced core was busy longer than the
+// run, or the fabric carried bytes beyond shards, blobs and control.
 func (s *Session) Run(name string, body func(m *Master)) (Report, error) {
-	s.SpawnMaster(name, body)
-	err := s.rt.Engine.Run()
-	s.finalize()
+	for _, c := range s.chips[1:] {
+		s.spawn(c, "", s.subMaster)
+	}
+	s.spawn(s.chips[0], name, func(m *Master) {
+		body(m)
+		s.drainRoot(m)
+	})
+	err := s.engine.Run()
+	if ierr := s.finalize(); err == nil {
+		err = ierr
+	}
 	return s.rep, err
 }
 
-// SpawnMaster schedules the master process without running the engine:
-// multi-chip sessions spawn one master per chip session (sub-masters
-// plus the root) and then drive the shared engine once. Session.Run is
-// SpawnMaster + engine run + finalize.
-func (s *Session) SpawnMaster(name string, body func(m *Master)) {
-	master := &Master{s: s}
-	wrapped := func(p *sim.Process) {
-		master.P = p
-		body(master)
-		s.rep.TotalSeconds = p.Now()
+// spawn schedules chip c's master process running body.
+func (s *Session) spawn(c *chip, name string, body func(m *Master)) {
+	m := &Master{s: s, c: c}
+	run := func(p *sim.Process) {
+		m.P = p
+		body(m)
+		c.total = p.Now()
 	}
 	if s.cfg.MasterCore == HostMaster {
-		if name == "" {
-			name = "master"
-		}
-		s.rt.Engine.Spawn(name, wrapped)
+		s.engine.Spawn(cmp.Or(name, "master"), run)
 	} else {
-		s.rt.Chip.SpawnCore(s.cfg.MasterCore, wrapped)
+		c.sc.SpawnCore(s.cfg.MasterCore, run)
 	}
 }
 
-// finalize derives the per-core busy/utilization columns from the
-// trace and, on fault-tolerant runs, the fault summary block. A chip
-// session of a multi-chip run shares the recorder with its siblings,
-// so it keeps only the tracks matching its own chip's core-name prefix.
-func (s *Session) finalize() {
-	prefix := s.rt.Chip.Config().NamePrefix
-	for _, track := range s.rec.Tracks() {
-		if prefix != "" && !strings.HasPrefix(track, prefix) {
+// finalize writes every chip's contribution into the board report —
+// global core ids (chip*coresPerChip + local, so chip 0's are the flat
+// farm's), busy seconds, wire, fault and metrics counts — appending a
+// ChipReport per chip and the Interchip block on more than one chip, and
+// checks the run's conservation invariants.
+func (s *Session) finalize() error {
+	rep, n := &s.rep, len(s.chips)
+	rep.TotalSeconds = s.chips[0].total
+	tracks := s.rec.Tracks()
+	sort.Strings(tracks) // a fixed float summation order for MeanUtilization
+	if s.cfg.Faults != nil {
+		rep.Faults = &FaultStats{DeadCores: []int{}}
+	}
+	if s.cfg.Metrics != nil {
+		rep.Metrics = &MetricsReport{JobStages: map[string]StageAgg{}}
+	}
+	var wire wireStats
+	var err error
+	for _, c := range s.chips {
+		base := c.id * s.cfg.Chip.NumCores()
+		for core, jobs := range c.stats.JobsPerSlave {
+			rep.FarmStats.JobsPerSlave[base+core] += jobs
+		}
+		rep.FarmStats.PollProbes += c.stats.PollProbes
+		rep.Collected += c.collected
+		cr := ChipReport{
+			Chip:         c.id,
+			Master:       c.sc.CoreName(0),
+			Collected:    c.collected,
+			TotalSeconds: c.total,
+			FarmStats:    c.stats,
+			ShardBytes:   c.shardBytes,
+			ResultBytes:  c.resultBytes,
+		}
+		var uerr error
+		cr.MeanUtilization, uerr = s.utilization(c, tracks)
+		cw := c.wireTotals()
+		wire.add(cw)
+		cr.Wire = cw.report()
+		if c.injector != nil {
+			f := c.faults
+			f.Injected, f.DeadCores = c.injector.Stats(), c.injector.DeadCores()
+			cr.Faults = &f
+			rep.Faults.add(&f, base)
+		}
+		if rep.Metrics != nil {
+			cr.PeakMailboxDepth = s.chipMetrics(c)
+		}
+		l := c.ledger
+		lost, lostPairs := c.faults.LostJobs, l.pairs-c.collected
+		if l.doneJobs+lost != l.jobs || lostPairs < lost || lostPairs > lost*max(s.cfg.Batch, 1) {
+			uerr = cmp.Or(uerr, fmt.Errorf("%w: chip %d farmed %d jobs (%d pairs), collected %d jobs (%d pairs), lost %d",
+				ErrInvariant, c.id, l.jobs, l.pairs, l.doneJobs, c.collected, lost))
+		}
+		err = cmp.Or(err, uerr)
+		if n > 1 {
+			rep.PerChip = append(rep.PerChip, cr)
+		}
+	}
+	rep.Wire = wire.report()
+	if mr := rep.Metrics; mr != nil {
+		for stage, agg := range mr.JobStages {
+			if agg.Count > 0 {
+				agg.MeanSeconds = agg.TotalSeconds / float64(agg.Count)
+			}
+			mr.JobStages[stage] = agg
+		}
+		if rep.TotalSeconds > 0 {
+			mr.WorstLinkUtilization = mr.WorstLinkBusySeconds / rep.TotalSeconds
+		}
+	}
+	// The makespan: one farm on one chip (the paper's runs) is timed by
+	// the farm itself, first dispatch to last collect, so neither the
+	// load nor Terminate is in it. A board — scatter, every chip's farm,
+	// Terminate and the gather — and a master that runs several farms
+	// back to back (the out-of-core schedule, whose block loads replace
+	// LoadResidues) are timed by the root's clock after the load.
+	rep.FarmStats.MakespanSeconds = s.chips[0].stats.MakespanSeconds
+	if n > 1 || s.chips[0].farms > 1 {
+		rep.FarmStats.MakespanSeconds = rep.TotalSeconds - rep.LoadSeconds
+	}
+	if n > 1 {
+		rep.Interchip = s.interchipReport()
+		if ic := rep.Interchip; ic.Bytes != s.shardWire+ic.ResultBytes+s.controlBytes {
+			err = cmp.Or(err, fmt.Errorf("%w: fabric carried %d bytes, shards %d + blobs %d + control %d",
+				ErrInvariant, ic.Bytes, s.shardWire, ic.ResultBytes, s.controlBytes))
+		}
+	}
+	return err
+}
+
+// utilization writes chip c's traced cores into the board's busy and
+// utilization columns and returns their mean busy fraction of the run.
+// A core busy longer than the run is an ErrInvariant, unless the fault
+// injector stalled it: a stalled slave's compute interval spans the
+// stall and may outlast the master that gave up on it.
+func (s *Session) utilization(c *chip, tracks []string) (float64, error) {
+	prefix, total := c.sc.Config().NamePrefix, s.rep.TotalSeconds
+	var err error
+	sum, k := 0.0, 0
+	for _, track := range tracks {
+		if !strings.HasPrefix(track, prefix) {
 			continue
 		}
 		busy := s.rec.BusySeconds(track)
+		if busy < 0 || busy > total && !slices.ContainsFunc(s.rec.Marks(track), func(m trace.Mark) bool { return m.Label == "stall" }) {
+			err = cmp.Or(err, fmt.Errorf("%w: %s busy %v s outside the run's [0, %v] s", ErrInvariant, track, busy, total))
+		}
 		s.rep.CoreBusySeconds[track] = busy
-		if s.rep.TotalSeconds > 0 {
-			s.rep.CoreUtilization[track] = s.rec.Utilization(track, 0, s.rep.TotalSeconds)
+		if total > 0 {
+			s.rep.CoreUtilization[track] = s.rec.Utilization(track, 0, total)
 		}
+		sum += busy
+		k++
 	}
-	if reg := s.cfg.Metrics; reg != nil {
-		mr := &MetricsReport{
-			PeakMailboxDepth: reg.Gauge("farm.master.mailbox_peak", s.labels...).Value(),
-			JobStages:        map[string]StageAgg{},
-		}
-		for _, stage := range jobStageNames {
-			h := reg.Histogram("farm.job."+stage+"_seconds", metrics.TimeBuckets, s.labels...)
-			mr.JobStages[stage] = StageAgg{
-				Count:        h.Count(),
-				TotalSeconds: h.Sum(),
-				MeanSeconds:  h.Mean(),
-				MaxSeconds:   h.MaxValue(),
-			}
-		}
-		mesh := s.rt.Chip.Mesh()
-		mesh.PublishMetrics()
-		if worst := mesh.WorstLink(); worst.BusySeconds > 0 {
-			mr.WorstLink = fmt.Sprintf("%v->%v", worst.From, worst.To)
-			mr.WorstLinkBusySeconds = worst.BusySeconds
-			if s.rep.TotalSeconds > 0 {
-				mr.WorstLinkUtilization = worst.BusySeconds / s.rep.TotalSeconds
-			}
-			mr.LinkHeatmap = mesh.LinkHeatmap()
-		}
-		s.rep.Metrics = mr
+	if k == 0 || total <= 0 {
+		return 0, err
 	}
-	s.rep.Wire = s.wireReport()
-	if s.injector != nil {
-		s.rep.Faults = &FaultStats{
-			Injected:          s.injector.Stats(),
-			DeadCores:         s.injector.DeadCores(),
-			Timeouts:          s.ft.Timeouts,
-			DetectedCorrupt:   s.ft.CorruptDetected,
-			Retries:           s.ft.Retries,
-			Reassigned:        s.ft.Reassigned,
-			DuplicatesDropped: s.ft.DuplicatesDropped,
-			LostJobs:          s.ft.LostJobs,
-		}
+	return sum / (float64(k) * total), err
+}
+
+// add folds a chip's fault block into the board's, its core ids offset
+// by base (chips come in order, so DeadCores stays sorted).
+func (f *FaultStats) add(c *FaultStats, base int) {
+	f.Injected.CoresKilled += c.Injected.CoresKilled
+	f.Injected.CoresStalled += c.Injected.CoresStalled
+	f.Injected.Dropped += c.Injected.Dropped
+	f.Injected.Delayed += c.Injected.Delayed
+	f.Injected.Corrupted += c.Injected.Corrupted
+	f.Timeouts += c.Timeouts
+	f.DetectedCorrupt += c.DetectedCorrupt
+	f.Retries += c.Retries
+	f.Reassigned += c.Reassigned
+	f.DuplicatesDropped += c.DuplicatesDropped
+	f.LostJobs += c.LostJobs
+	for _, core := range c.DeadCores {
+		f.DeadCores = append(f.DeadCores, base+core)
 	}
+}
+
+// chipMetrics folds chip c's metrics into the board's block — deepest
+// mailbox, job stages summed, busiest mesh link (named "cN:(x,y)->(x,y)"
+// on a board) — and returns the chip's mailbox peak.
+func (s *Session) chipMetrics(c *chip) float64 {
+	reg, mr := s.cfg.Metrics, s.rep.Metrics
+	peak := reg.Gauge("farm.master.mailbox_peak", c.labels...).Value()
+	mr.PeakMailboxDepth = max(mr.PeakMailboxDepth, peak)
+	for _, stage := range jobStageNames {
+		h := reg.Histogram("farm.job."+stage+"_seconds", metrics.TimeBuckets, c.labels...)
+		agg := mr.JobStages[stage]
+		agg.Count += h.Count()
+		agg.TotalSeconds += h.Sum()
+		agg.MaxSeconds = max(agg.MaxSeconds, h.MaxValue())
+		mr.JobStages[stage] = agg
+	}
+	mesh := c.sc.Mesh()
+	mesh.PublishMetrics()
+	if worst := mesh.WorstLink(); worst.BusySeconds > mr.WorstLinkBusySeconds {
+		mr.WorstLink = fmt.Sprintf("%v->%v", worst.From, worst.To)
+		if len(s.chips) > 1 {
+			mr.WorstLink = fmt.Sprintf("c%d:%s", c.id, mr.WorstLink)
+		}
+		mr.WorstLinkBusySeconds = worst.BusySeconds
+		mr.LinkHeatmap = mesh.LinkHeatmap()
+	}
+	return peak
 }
 
 // BuildChromeTrace combines an activity recorder and a metrics registry
@@ -604,26 +796,32 @@ func BuildChromeTrace(rec *trace.Recorder, reg *metrics.Registry) *trace.ChromeT
 	return ct
 }
 
-// Master wraps the running master process with report bookkeeping. It
-// is only valid inside the body passed to Session.Run.
+// Master wraps a running master process — the root, or on a board a
+// chip's sub-master — with its chip's bookkeeping. It is only valid
+// inside the body passed to Session.Run.
 type Master struct {
 	// P is the master's simulated process.
 	P *sim.Process
 	s *Session
+	c *chip
 }
 
-// Session returns the owning session.
-func (m *Master) Session() *Session { return m.s }
-
-// Chip returns the runtime's chip model.
-func (m *Master) Chip() *scc.Chip { return m.s.rt.Chip }
+// Chip returns the master's chip model.
+func (m *Master) Chip() *scc.Chip { return m.c.sc }
 
 // LoadResidues charges the one-time cost of parsing n residues into
 // memory and records Report.LoadSeconds.
 func (m *Master) LoadResidues(n int) {
-	m.s.rt.Chip.Compute(m.P, costmodel.Counter{ResiduesLoaded: uint64(n)})
+	m.c.sc.Compute(m.P, costmodel.Counter{ResiduesLoaded: uint64(n)})
 	m.s.rep.LoadSeconds = m.P.Now()
 }
+
+// Collect performs the chip's result bookkeeping for a result gathered
+// by a bespoke protocol (the distributed baseline's) instead of
+// FarmWork: batched results are unwrapped into their per-job
+// sub-results, each is counted and forwarded to the configured
+// Collector.
+func (m *Master) Collect(r rckskel.Result) { m.c.ledger.pairs += m.s.deliver(m.c, r, nil) }
 
 // Work is one master's prepared workload: a single job queue every
 // slave draws from (Jobs: the paper's FARM) or one pull queue per slave
@@ -637,38 +835,59 @@ type Work struct {
 	QueueOf map[int]int
 }
 
-// FarmWork farms w on the default team (the paper's FARM construct, its
-// failure detection armed by Config.JobDeadlineSeconds), routing every
-// result through the session's collection bookkeeping and then collect
-// (may be nil).
+// FarmWork farms w on the chip's default team (the paper's FARM
+// construct, its failure detection armed by Config.JobDeadlineSeconds),
+// routing every result through the chip's collection bookkeeping and
+// then collect (may be nil).
 // The report accumulates the farm's statistics across calls.
 func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) {
+	s, c := m.s, m.c
 	queues, queueOf := w.Queues, []int(nil)
 	if queues == nil {
 		queues = [][]rckskel.Job{w.Jobs}
 	} else {
-		queueOf = make([]int, len(m.s.place.WorkerLeads))
-		for i, lead := range m.s.place.WorkerLeads {
+		queueOf = make([]int, len(s.place.WorkerLeads))
+		for i, lead := range s.place.WorkerLeads {
 			queueOf[i] = i
 			if w.QueueOf != nil {
 				queueOf[i] = w.QueueOf[lead]
 			}
 		}
 	}
-	st, ft := m.s.Team().FARM(m.P, queues, queueOf, m.s.cfg.JobDeadlineSeconds, func(r rckskel.Result) {
-		m.s.deliver(r, collect)
+	for _, q := range queues {
+		c.ledger.hand(q)
+	}
+	st, ft := c.team.FARM(m.P, queues, queueOf, s.cfg.JobDeadlineSeconds, func(r rckskel.Result) {
+		c.ledger.doneJobs++
+		s.deliver(c, r, collect)
 	})
-	m.s.mergeStats(st)
-	m.s.ft.Timeouts += ft.Timeouts
-	m.s.ft.CorruptDetected += ft.CorruptDetected
-	m.s.ft.Retries += ft.Retries
-	m.s.ft.Reassigned += ft.Reassigned
-	m.s.ft.DuplicatesDropped += ft.DuplicatesDropped
-	m.s.ft.LostJobs += ft.LostJobs
+	c.farms++
+	for core, n := range st.JobsPerSlave {
+		c.stats.JobsPerSlave[core] += n
+	}
+	c.stats.PollProbes += st.PollProbes
+	c.stats.MakespanSeconds += st.MakespanSeconds
+	c.faults.Timeouts += ft.Timeouts
+	c.faults.DetectedCorrupt += ft.CorruptDetected
+	c.faults.Retries += ft.Retries
+	c.faults.Reassigned += ft.Reassigned
+	c.faults.DuplicatesDropped += ft.DuplicatesDropped
+	c.faults.LostJobs += ft.LostJobs
 }
 
-// Terminate shuts down the default team's slaves.
-func (m *Master) Terminate() { m.s.Team().Terminate(m.P) }
+// Terminate shuts down the chip's default team's slaves.
+func (m *Master) Terminate() { m.c.team.Terminate(m.P) }
+
+// Scatter, called once by the root before it farms its own shard, sends
+// every remote chip c its shard work[c] over the fabric at bytes[c] wire
+// bytes, in chip order; work[0] stays with the root. On one chip it does
+// nothing.
+func (m *Master) Scatter(work []Work, bytes []int64) {
+	for _, c := range m.s.chips[1:] {
+		c.shardBytes = bytes[c.id]
+		m.s.fabric.Send(m.P, 0, c.id, int(bytes[c.id]), work[c.id])
+	}
+}
 
 // String renders a one-line report summary.
 func (r Report) String() string {

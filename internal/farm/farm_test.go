@@ -164,7 +164,7 @@ func TestSweepConcurrentOrder(t *testing.T) {
 // per-core utilization must all be populated.
 func TestSessionRunsAFarm(t *testing.T) {
 	var collected []int
-	s, err := NewSession(Config{
+	s, err := New(Config{
 		Chip:         scc.DefaultConfig(),
 		MasterCore:   0,
 		Slaves:       3,

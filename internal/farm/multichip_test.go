@@ -3,6 +3,7 @@ package farm
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rckalign/internal/costmodel"
@@ -10,45 +11,48 @@ import (
 	"rckalign/internal/metrics"
 	"rckalign/internal/rckskel"
 	"rckalign/internal/scc"
+	"rckalign/internal/sched"
 )
 
-// multiChipRun builds an N-chip session over the default SCC chip,
-// farms the given per-chip queues of synthetic jobs and returns the
-// combined report plus every collected job id.
+// multiChipRun builds an N-chip board over the default SCC chip, farms
+// the given per-chip queues of synthetic jobs and returns the combined
+// report plus every collected job id.
 func multiChipRun(t *testing.T, chips, slaves int, queues [][]rckskel.Job, reg *metrics.Registry) (Report, []int) {
 	t.Helper()
 	var collected []int
-	ms, err := NewMultiSession(MultiConfig{
-		Chips: chips,
-		Config: Config{
-			Chip:         scc.DefaultConfig(),
-			Slaves:       slaves,
-			PollingScale: 1,
-			Metrics:      reg,
-			Collector:    CollectorFunc(func(r rckskel.Result) { collected = append(collected, r.JobID) }),
-		},
+	s, err := New(Config{
+		Chips:        chips,
+		Chip:         scc.DefaultConfig(),
+		Slaves:       slaves,
+		PollingScale: 1,
+		Metrics:      reg,
+		Collector:    CollectorFunc(func(r rckskel.Result) { collected = append(collected, r.JobID) }),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	startSlaves(ms, func(job rckskel.Job) (any, costmodel.Counter, int) {
+	s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
 		return job.Payload, costmodel.Counter{ScoreEvals: 1e6}, 64
 	})
 	shardBytes := make([]int64, chips)
 	for c := range shardBytes {
 		shardBytes[c] = ShardHeaderBytes + int64(len(queues[c]))*512
 	}
-	rep, err := ms.Run(1000, asWork(queues), shardBytes)
+	rep, err := s.Run("", rootBody(1000, asWork(queues), shardBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rep, collected
 }
 
-// startSlaves starts every chip's slave loops with the same handler.
-func startSlaves(ms *MultiSession, h rckskel.Handler) {
-	for c := 0; c < ms.Chips(); c++ {
-		ms.ChipSession(c).StartSlaves(h)
+// rootBody is the root master of a one-stage board run: load, scatter
+// the remote shards, farm the root's own, terminate.
+func rootBody(residues int, work []Work, shardBytes []int64) func(m *Master) {
+	return func(m *Master) {
+		m.LoadResidues(residues)
+		m.Scatter(work, shardBytes)
+		m.FarmWork(work[0], nil)
+		m.Terminate()
 	}
 }
 
@@ -216,28 +220,14 @@ func TestMultiChipDeterminism(t *testing.T) {
 }
 
 func TestMultiChipValidation(t *testing.T) {
-	_, err := NewMultiSession(MultiConfig{
-		Chips:  1,
-		Config: Config{Chip: scc.DefaultConfig(), Slaves: 3},
-	})
-	if !errors.Is(err, ErrChipCount) {
-		t.Errorf("chips=1 error = %v, want ErrChipCount", err)
+	if _, err := New(Config{Chips: -1, Chip: scc.DefaultConfig(), Slaves: 3}); err == nil {
+		t.Error("expected an error for a negative chip count")
 	}
-	ms, err := NewMultiSession(MultiConfig{
-		Chips:  2,
-		Config: Config{Chip: scc.DefaultConfig(), Slaves: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ms.Run(0, make([]Work, 3), make([]int64, 3)); err == nil {
-		t.Error("expected error for mismatched queue count")
-	}
-	if _, err := NewMultiSession(MultiConfig{
-		Chips:  2,
-		Config: Config{Chip: scc.DefaultConfig(), Slaves: 48},
-	}); err == nil {
+	if _, err := New(Config{Chips: 2, Chip: scc.DefaultConfig(), Slaves: 48}); err == nil {
 		t.Error("expected per-chip slave-count error")
+	}
+	if _, err := New(Config{Chips: 2, Chip: scc.DefaultConfig(), Slaves: 3, Gather: GatherConfig{Mode: "ring"}}); !errors.Is(err, ErrGatherSpec) {
+		t.Errorf("bad gather mode: err = %v, want ErrGatherSpec", err)
 	}
 }
 
@@ -245,19 +235,15 @@ func TestMultiChipInterchipProfile(t *testing.T) {
 	// A slower interconnect must lengthen the run; an ideal one can only
 	// help. Uses the same workload at both profiles.
 	runWith := func(cfg interchip.Config) Report {
-		ms, err := NewMultiSession(MultiConfig{
-			Chips:     2,
-			Interchip: cfg,
-			Config:    Config{Chip: scc.DefaultConfig(), Slaves: 3, PollingScale: 1},
-		})
+		s, err := New(Config{Chips: 2, Interchip: cfg, Chip: scc.DefaultConfig(), Slaves: 3, PollingScale: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		startSlaves(ms, func(job rckskel.Job) (any, costmodel.Counter, int) {
+		s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
 			return nil, costmodel.Counter{ScoreEvals: 1e6}, 64
 		})
 		queues := synthQueues(2, 8)
-		rep, err := ms.Run(1000, asWork(queues), []int64{0, ShardHeaderBytes + 8*512})
+		rep, err := s.Run("", rootBody(1000, asWork(queues), []int64{0, ShardHeaderBytes + 8*512}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,5 +258,97 @@ func TestMultiChipInterchipProfile(t *testing.T) {
 	}
 	if slow.Interchip.Profile == fast.Interchip.Profile {
 		t.Errorf("profiles should differ: %q", slow.Interchip.Profile)
+	}
+}
+
+// TestOneChipBoardIsFlat is the one-chip contract: a board of one chip —
+// chip count 0 or 1 alike — is the paper's flat farm, with no board tier
+// anywhere in its report, its core names or its metric keys.
+func TestOneChipBoardIsFlat(t *testing.T) {
+	var reps []Report
+	var keys [][]string
+	for _, chips := range []int{0, 1} {
+		reg := metrics.New()
+		rep, _ := multiChipRun(t, chips, 3, synthQueues(1, 12), reg)
+		if rep.Backend != "scc-sim" || rep.Chips != 0 || rep.PerChip != nil || rep.Interchip != nil {
+			t.Errorf("chips=%d: Backend %q, Chips %d, PerChip %v, Interchip %v", chips, rep.Backend, rep.Chips, rep.PerChip, rep.Interchip)
+		}
+		for track := range rep.CoreBusySeconds {
+			if !strings.HasPrefix(track, "rck") {
+				t.Errorf("chips=%d: prefixed core name %q", chips, track)
+			}
+		}
+		if strings.Contains(rep.Metrics.WorstLink, ":") {
+			t.Errorf("chips=%d: worst link %q names a chip", chips, rep.Metrics.WorstLink)
+		}
+		snap := reg.Snapshot()
+		var ks []string
+		for _, c := range snap.Counters {
+			ks = append(ks, c.Key)
+		}
+		for _, h := range snap.Histograms {
+			ks = append(ks, h.Key)
+		}
+		for _, k := range ks {
+			if strings.Contains(k, "chip=") || strings.HasPrefix(k, "interchip.") {
+				t.Errorf("chips=%d: metric key %q belongs to a board", chips, k)
+			}
+		}
+		if len(ks) == 0 {
+			t.Fatalf("chips=%d: empty registry", chips)
+		}
+		reps, keys = append(reps, rep), append(keys, ks)
+	}
+	if !reflect.DeepEqual(reps[0], reps[1]) || !reflect.DeepEqual(keys[0], keys[1]) {
+		t.Error("chip counts 0 and 1 build different runs")
+	}
+}
+
+// TestBoardWorstLinkUsesBoardWindow: the worst mesh link of a board on a
+// remote chip is a fraction of the board's run, like every other
+// utilization in the report — not of the remote chip's own (shorter)
+// master lifetime.
+func TestBoardWorstLinkUsesBoardWindow(t *testing.T) {
+	queues := synthQueues(2, 12)
+	queues[0], queues[1] = nil, append(queues[0], queues[1]...) // all work on chip 1
+	rep, _ := multiChipRun(t, 2, 3, queues, metrics.New())
+	mr := rep.Metrics
+	if !strings.HasPrefix(mr.WorstLink, "c1:") {
+		t.Fatalf("worst link %q is not on chip 1", mr.WorstLink)
+	}
+	if rep.PerChip[1].TotalSeconds >= rep.TotalSeconds {
+		t.Fatalf("chip 1 finished at %v, not before the board's %v", rep.PerChip[1].TotalSeconds, rep.TotalSeconds)
+	}
+	if want := mr.WorstLinkBusySeconds / rep.TotalSeconds; mr.WorstLinkUtilization != want {
+		t.Errorf("WorstLinkUtilization = %v, want busy/board total = %v", mr.WorstLinkUtilization, want)
+	}
+}
+
+// TestDoubleDeliveryTripsInvariant: a farm whose bookkeeping collects one
+// result twice fails the run with ErrInvariant; the same farm collecting
+// each result once passes.
+func TestDoubleDeliveryTripsInvariant(t *testing.T) {
+	for _, twice := range []bool{false, true} {
+		s, err := New(Config{Chip: scc.DefaultConfig(), Slaves: 3, Batch: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.StartSlaves(BatchHandler(func(job rckskel.Job) (any, costmodel.Counter, int) {
+			return job.Payload, costmodel.Counter{ScoreEvals: 1e5}, 64
+		}))
+		wm := pairWire(6)
+		jobs := s.PrepareJobs(0, pairJobs(sched.AllVsAll(6), wm), wm)
+		_, err = s.Run("", func(m *Master) {
+			m.FarmWork(Work{Jobs: jobs}, func(r rckskel.Result) {
+				if twice {
+					twice = false
+					m.s.deliver(m.c, r, nil)
+				}
+			})
+			m.Terminate()
+		})
+		if got := errors.Is(err, ErrInvariant); got != (err != nil) || got == (s.chips[0].collected == 15) {
+			t.Errorf("collected %d of 15 pairs: err = %v", s.chips[0].collected, err)
+		}
 	}
 }

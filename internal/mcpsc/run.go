@@ -133,7 +133,7 @@ func Run(sc *Scores, assign []int, cfg RunConfig) (RunResult, error) {
 			sc.Methods[m].Name(), m, len(assign))
 	}
 	chip := scc.DefaultConfig()
-	s, err := farm.NewSession(farm.Config{Chip: chip, Slaves: len(assign), PollingScale: 1})
+	s, err := farm.New(farm.Config{Chip: chip, Slaves: len(assign), PollingScale: 1})
 	if err != nil {
 		return out, err
 	}
