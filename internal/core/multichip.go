@@ -1,9 +1,9 @@
 // Multi-chip rckAlign: shard the all-vs-all pair matrix across N SCC
 // chips and farm each shard on its own chip, coordinated by the root
-// master over the board-level interconnect (see internal/farm's
-// MultiSession and internal/interchip). One chip is one shard on one
-// plain Session, so a 1-chip run is the paper's single-master farm by
-// construction.
+// master over the board-level interconnect (see internal/farm's board
+// and internal/interchip). One chip is one shard on a one-chip board,
+// which has no board tier at all, so a 1-chip run is the paper's
+// single-master farm by construction.
 package core
 
 import (

@@ -443,11 +443,7 @@ func New(cfg Config) (*Session, error) {
 		if plans, err = fault.SplitPlan(cfg.Faults, n, cfg.Chip.NumCores()); err != nil {
 			return nil, fmt.Errorf("farm: %w: %v", ErrFaultPlan, err)
 		}
-		ic := cfg.Interchip
-		if ic == (interchip.Config{}) {
-			ic = interchip.DefaultConfig()
-		}
-		s.fabric = interchip.New(n, ic)
+		s.fabric = interchip.New(n, cmp.Or(cfg.Interchip, interchip.DefaultConfig()))
 		s.fabric.SetMetrics(cfg.Metrics)
 		s.levels = map[int]*GatherLevel{}
 	}

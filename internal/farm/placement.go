@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// Typed configuration errors, matchable with errors.Is. Place and
-// NewSession wrap them with the offending values.
+// Typed configuration errors, matchable with errors.Is. Place and New
+// wrap them with the offending values.
 var (
 	// ErrMasterCore reports an on-chip master core outside the chip.
 	ErrMasterCore = errors.New("master core out of range")
