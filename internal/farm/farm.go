@@ -170,13 +170,13 @@ type Report struct {
 	// Wire summarises the cache/batch wire model: hit rate, input bytes
 	// saved, batch statistics (nil on classic runs).
 	Wire *WireReport
-	// Chips is the chip count of a multi-chip run (0 on the classic
-	// single-chip paths, whose reports stay bit-identical).
+	// Chips is the chip count of a board of more than one chip (0 on one
+	// chip, whose report is the paper's flat farm's).
 	Chips int
-	// PerChip breaks a multi-chip run down chip by chip (nil otherwise).
+	// PerChip breaks a board down chip by chip (nil on one chip).
 	PerChip []ChipReport
 	// Interchip summarises the board-level interconnect traffic of a
-	// multi-chip run (nil otherwise).
+	// board of more than one chip (nil on one chip).
 	Interchip *InterchipReport
 	// Tiled summarises the out-of-core block schedule of a run under a
 	// master memory budget (nil when the whole dataset was resident).
@@ -212,7 +212,7 @@ type ChipReport struct {
 	// (JobsPerSlave keyed by chip-local core id).
 	FarmStats rckskel.Stats
 	// MeanUtilization averages the busy fraction of this chip's traced
-	// cores over the run window.
+	// cores over the board's run window.
 	MeanUtilization float64
 	// PeakMailboxDepth is the chip master's deepest mailbox (0 without
 	// metrics).
@@ -221,7 +221,7 @@ type ChipReport struct {
 	// wire model is off).
 	Wire *WireReport
 	// Faults is the chip-local fault summary (core ids chip-local; nil
-	// on fault-free runs). Report.Faults merges them with global ids.
+	// on fault-free runs). Report.Faults sums them with global ids.
 	Faults *FaultStats
 	// ShardBytes is what crossing the fabric to hand this chip its
 	// shard cost (0 for chip 0, whose shard never leaves the root).

@@ -110,7 +110,7 @@ func NewStructCache(capacity int, sizes []int, maxRequest int, reg *metrics.Regi
 }
 
 // EnsureCapacity raises the modelled per-slave capacity to fit a
-// request of maxRequest distinct structures (sessions preparing
+// request of maxRequest distinct structures (chips preparing
 // multiple job queues size the shared cache to the largest batch seen
 // so far). Capacity never shrinks, so earlier accounting stays valid.
 func (c *StructCache) EnsureCapacity(maxRequest int) {
