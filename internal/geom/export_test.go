@@ -4,10 +4,14 @@ package geom
 // imports geom, so they live in package geom_test and reach the unexported
 // kernels through these.
 var (
-	MaxEigen4   = maxEigen4
-	MaxEigen4x2 = maxEigen4x2
-	SameBits    = sameBits
+	MaxEigen4 = maxEigen4
+	SameBits  = sameBits
 )
+
+// MaxEigen4x2 is maxEigen4x2 on copies of a and b.
+func MaxEigen4x2(a, b [4][4]float64) (float64, [4]float64, float64, [4]float64) {
+	return maxEigen4x2(&a, &b)
+}
 
 // KabschKey is Horn's key matrix Superpose solves for p and q.
 func KabschKey(p, q []Vec3) [4][4]float64 { return newKabsch(p, q).key }

@@ -39,7 +39,7 @@ func Superpose(p, q []Vec3) (Transform, float64) {
 // iterations share SSE2 lanes. Each result is bit-identical to Superpose.
 func Superpose2(p1, q1, p2, q2 []Vec3) (t1 Transform, rmsd1 float64, t2 Transform, rmsd2 float64) {
 	k1, k2 := newKabsch(p1, q1), newKabsch(p2, q2)
-	l1, quat1, l2, quat2 := maxEigen4x2(k1.key, k2.key)
+	l1, quat1, l2, quat2 := maxEigen4x2(&k1.key, &k2.key)
 	t1, rmsd1 = k1.finish(l1, quat1)
 	t2, rmsd2 = k2.finish(l2, quat2)
 	return t1, rmsd1, t2, rmsd2
@@ -63,8 +63,39 @@ func newKabsch(p, q []Vec3) kabsch {
 	if n == 0 {
 		panic(fmt.Errorf("%w (Superpose)", ErrNoPoints))
 	}
-	// Centroids, accumulated axis-wise in Centroid's summation order so
-	// the scalar loop is bit-identical to Centroid(p)/Centroid(q).
+	var m sums
+	kabschSums(p, q[:n], &m)
+	s := &m.s
+	return kabsch{
+		// Horn's symmetric 4x4 key matrix.
+		key: [4][4]float64{
+			{s[0][0] + s[1][1] + s[2][2], s[1][2] - s[2][1], s[2][0] - s[0][2], s[0][1] - s[1][0]},
+			{s[1][2] - s[2][1], s[0][0] - s[1][1] - s[2][2], s[0][1] + s[1][0], s[2][0] + s[0][2]},
+			{s[2][0] - s[0][2], s[0][1] + s[1][0], -s[0][0] + s[1][1] - s[2][2], s[1][2] + s[2][1]},
+			{s[0][1] - s[1][0], s[2][0] + s[0][2], s[1][2] + s[2][1], -s[0][0] - s[1][1] + s[2][2]},
+		},
+		cp: m.cp,
+		cq: m.cq,
+		e:  m.ep + m.eq,
+		n:  n,
+	}
+}
+
+// sums are newKabsch's two passes over the points: the centroids, then
+// the squared spreads and the covariance matrix S = sum (p_i - cp)
+// (q_i - cq)^T about them, in the layout kabsch_amd64.s stores.
+type sums struct {
+	cp, cq Vec3
+	ep, eq float64 // sum |p_i - cp|^2, sum |q_i - cq|^2
+	s      Mat3
+}
+
+// kabschSumsGo is kabschSums' portable body; len(q) == len(p) >= 1.
+// Every sum is one addition chain in index order (the centroids in
+// Centroid's), unrolled into scalars to keep the loops free of array
+// indexing.
+func kabschSumsGo(p, q []Vec3, m *sums) {
+	n := len(p)
 	q = q[:n]
 	var cpx, cpy, cpz, cqx, cqy, cqz float64
 	for i := 0; i < n; i++ {
@@ -84,13 +115,7 @@ func newKabsch(p, q []Vec3) kabsch {
 	cqy *= inv
 	cqz *= inv
 
-	// Covariance matrix S = sum (p_i - cp) (q_i - cq)^T and the squared
-	// spreads, accumulated in one pass. The nine matrix entries are
-	// unrolled into scalar accumulators (each an independent addition
-	// chain in the original's order, so sums are bit-identical) to keep
-	// the hot loop free of array indexing.
-	var s00, s01, s02, s10, s11, s12, s20, s21, s22 float64
-	var ep, eq float64 // sum |p_i - cp|^2, sum |q_i - cq|^2
+	var s00, s01, s02, s10, s11, s12, s20, s21, s22, ep, eq float64
 	for i := 0; i < n; i++ {
 		pi, qi := &p[i], &q[i]
 		ax, ay, az := pi[0]-cpx, pi[1]-cpy, pi[2]-cpz
@@ -107,21 +132,7 @@ func newKabsch(p, q []Vec3) kabsch {
 		s21 += az * by
 		s22 += az * bz
 	}
-	s := Mat3{{s00, s01, s02}, {s10, s11, s12}, {s20, s21, s22}}
-
-	return kabsch{
-		// Horn's symmetric 4x4 key matrix.
-		key: [4][4]float64{
-			{s[0][0] + s[1][1] + s[2][2], s[1][2] - s[2][1], s[2][0] - s[0][2], s[0][1] - s[1][0]},
-			{s[1][2] - s[2][1], s[0][0] - s[1][1] - s[2][2], s[0][1] + s[1][0], s[2][0] + s[0][2]},
-			{s[2][0] - s[0][2], s[0][1] + s[1][0], -s[0][0] + s[1][1] - s[2][2], s[1][2] + s[2][1]},
-			{s[0][1] - s[1][0], s[2][0] + s[0][2], s[1][2] + s[2][1], -s[0][0] - s[1][1] + s[2][2]},
-		},
-		cp: Vec3{cpx, cpy, cpz},
-		cq: Vec3{cqx, cqy, cqz},
-		e:  ep + eq,
-		n:  n,
-	}
+	*m = sums{Vec3{cpx, cpy, cpz}, Vec3{cqx, cqy, cqz}, ep, eq, Mat3{{s00, s01, s02}, {s10, s11, s12}, {s20, s21, s22}}}
 }
 
 // finish turns the key's largest eigenvalue and its quaternion into the
@@ -136,29 +147,6 @@ func (k *kabsch) finish(lambda float64, quat [4]float64) (Transform, float64) {
 	}
 	rmsd := math.Sqrt(e / float64(k.n))
 	return Transform{R: r, T: k.cq.Sub(r.MulVec(k.cp))}, rmsd
-}
-
-// RMSD returns the root-mean-square deviation between two equal-length
-// point sets without superposing them.
-func RMSD(p, q []Vec3) float64 {
-	if len(p) != len(q) {
-		panic(fmt.Errorf("%w (RMSD: %d vs %d)", ErrPointMismatch, len(p), len(q)))
-	}
-	if len(p) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range p {
-		s += p[i].Dist2(q[i])
-	}
-	return math.Sqrt(s / float64(len(p)))
-}
-
-// SuperposedRMSD is a convenience wrapper returning only the minimal RMSD
-// after optimal superposition.
-func SuperposedRMSD(p, q []Vec3) float64 {
-	_, r := Superpose(p, q)
-	return r
 }
 
 // quatToMat converts a unit quaternion (w, x, y, z) to a rotation matrix.

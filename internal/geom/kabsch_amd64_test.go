@@ -9,7 +9,8 @@ import (
 // jacobi2Stop runs the paired kernel alone on keys a and b and returns
 // where it handed the lanes to the scalar loop.
 func jacobi2Stop(a, b [4][4]float64) (sweep, rot int) {
-	m, w := lanes(a, b)
+	var m, w [4][4][2]float64
+	lanes(&m, &w, &a, &b)
 	return jacobi2(&m, &w)
 }
 
@@ -24,7 +25,7 @@ func TestJacobiPairStops(t *testing.T) {
 		if s, r := jacobi2Stop(a, b); s != sweep || r != rot {
 			t.Errorf("%s: stopped at sweep %d rotation %d, want %d %d", name, s, r, sweep, rot)
 		}
-		la, qa, lb, qb := maxEigen4x2(a, b)
+		la, qa, lb, qb := MaxEigen4x2(a, b)
 		for lane, got := range [2]struct {
 			key  [4][4]float64
 			l    float64

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -185,4 +186,27 @@ func BenchmarkSuperpose150(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Superpose(p, q)
 	}
+}
+
+// RMSD returns the root-mean-square deviation between two equal-length
+// point sets without superposing them.
+func RMSD(p, q []Vec3) float64 {
+	if len(p) != len(q) {
+		panic(fmt.Errorf("%w (RMSD: %d vs %d)", ErrPointMismatch, len(p), len(q)))
+	}
+	if len(p) == 0 {
+		return 0
+	}
+	var s float64
+	for i := range p {
+		s += p[i].Dist2(q[i])
+	}
+	return math.Sqrt(s / float64(len(p)))
+}
+
+// SuperposedRMSD is a convenience wrapper returning only the minimal RMSD
+// after optimal superposition.
+func SuperposedRMSD(p, q []Vec3) float64 {
+	_, r := Superpose(p, q)
+	return r
 }

@@ -175,26 +175,23 @@ func IdentityTransform() Transform { return Transform{R: Identity()} }
 func (t Transform) Apply(v Vec3) Vec3 { return t.R.MulVec(v).Add(t.T) }
 
 // ApplyAll maps pts through the transform into dst, which must have the
-// same length as pts (dst may alias pts).
-//
-// The rotation and translation are hoisted into scalars and dst is
-// re-sliced to the input length so the inner loop runs without struct
-// copies or bounds checks; the per-component arithmetic is evaluated in
+// same length as pts (dst may alias pts). Every component is evaluated in
 // exactly Apply's order, so results are bit-identical to mapping Apply
-// over pts.
+// over pts. On amd64 the body is SSE2 assembly, two points per packed
+// op; every other GOARCH runs applyAllGo.
 func (t Transform) ApplyAll(dst, pts []Vec3) {
-	r00, r01, r02 := t.R[0][0], t.R[0][1], t.R[0][2]
-	r10, r11, r12 := t.R[1][0], t.R[1][1], t.R[1][2]
-	r20, r21, r22 := t.R[2][0], t.R[2][1], t.R[2][2]
-	tx, ty, tz := t.T[0], t.T[1], t.T[2]
-	dst = dst[:len(pts)]
+	applyAll(dst[:len(pts)], pts, &t)
+}
+
+// applyAllGo is ApplyAll's portable body; len(dst) == len(pts).
+func applyAllGo(dst, pts []Vec3, t *Transform) {
+	r, u := t.R, t.T
 	for i := range pts {
-		p := &pts[i]
-		x, y, z := p[0], p[1], p[2]
+		x, y, z := pts[i][0], pts[i][1], pts[i][2]
 		dst[i] = Vec3{
-			r00*x + r01*y + r02*z + tx,
-			r10*x + r11*y + r12*z + ty,
-			r20*x + r21*y + r22*z + tz,
+			r[0][0]*x + r[0][1]*y + r[0][2]*z + u[0],
+			r[1][0]*x + r[1][1]*y + r[1][2]*z + u[1],
+			r[2][0]*x + r[2][1]*y + r[2][2]*z + u[2],
 		}
 	}
 }

@@ -29,7 +29,7 @@ type Workspace struct {
 	// PairX/PairY/PairT and the int/float companions are the tmalign
 	// comparison layer's scratch: gathered aligned coordinate pairs,
 	// transformed coordinates, per-pair squared distances and candidate
-	// alignments.
+	// alignments. PairT, R1, R2 and Dis2 hold two fast-score lanes.
 	PairX, PairY, PairT []geom.Vec3
 	R1, R2              []geom.Vec3
 	Dis2                []float64
@@ -108,10 +108,10 @@ func grow[T any](s []T, n int) []T {
 func (w *Workspace) ReservePairs(n int) {
 	w.PairX = grow(w.PairX, n)
 	w.PairY = grow(w.PairY, n)
-	w.PairT = grow(w.PairT, n)
-	w.R1 = grow(w.R1, n)
-	w.R2 = grow(w.R2, n)
-	w.Dis2 = grow(w.Dis2, n)
+	w.PairT = grow(w.PairT, 2*n)
+	w.R1 = grow(w.R1, 2*n)
+	w.R2 = grow(w.R2, 2*n)
+	w.Dis2 = grow(w.Dis2, 2*n)
 	w.InvTmp = grow(w.InvTmp, n)
 	w.InvSeed = grow(w.InvSeed, n)
 	w.InvDP = grow(w.InvDP, n)

@@ -24,7 +24,7 @@ type refAligner struct {
 // penalties are <= 0, a gap of length k costs gapOpen + k*gapExtend. The
 // alignment is written into invmap (invmap[j] = i or -1) and the
 // optimal score is returned.
-func (a *refAligner) alignAffine(len1, len2 int, score seqalign.Scorer, gapOpen, gapExtend float64, invmap []int) float64 {
+func (a *refAligner) alignAffine(len1, len2 int, score func(i, j int) float64, gapOpen, gapExtend float64, invmap []int) float64 {
 	if len(invmap) != len2 {
 		panic("alignAffine: invmap length must equal len2")
 	}
@@ -180,7 +180,7 @@ func (a *refAligner) bound(fa, fb *Features) float64 {
 // bruteForceAffine enumerates all global alignments under the affine
 // objective: match scores plus gapOpen + k*gapExtend per maximal gap run
 // of length k.
-func bruteForceAffine(len1, len2 int, score seqalign.Scorer, gapOpen, gapExtend float64) float64 {
+func bruteForceAffine(len1, len2 int, score func(i, j int) float64, gapOpen, gapExtend float64) float64 {
 	best := -1e18
 	// state: 0 = none/match, 1 = in gap consuming chain1, 2 = chain2.
 	var rec func(i, j, state int, acc float64)

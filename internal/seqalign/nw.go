@@ -22,10 +22,6 @@ import (
 // (tmalign.TryCompare) can surface it as a caller-visible error.
 var ErrInvmapLength = errors.New("seqalign: invmap length must equal len2")
 
-// Scorer returns the match score for aligning position i of chain 1 with
-// position j of chain 2 (0-based).
-type Scorer func(i, j int) float64
-
 // Aligner holds reusable DP buffers for aligning chains up to a given
 // size. It is not safe for concurrent use; each worker owns one.
 type Aligner struct {
@@ -59,71 +55,19 @@ func (a *Aligner) grow(len1, len2 int) {
 	a.cols = len2 + 1
 }
 
-// Align runs global DP over a len1 x len2 score matrix with the given
-// (negative) gap-opening penalty and writes the resulting alignment into
-// invmap: invmap[j] = i if position j of chain 2 is aligned to position i
-// of chain 1, else -1. invmap must have length len2. ops (optional, may
-// be nil) is charged len1*len2 DP cells.
+// AlignMatrix runs global DP over a dense row-major len1 x len2 score
+// matrix with the given (negative) gap-opening penalty and writes the
+// resulting alignment into invmap: invmap[j] = i if position j of chain 2
+// is aligned to position i of chain 1, else -1. invmap must have length
+// len2. ops (optional, may be nil) is charged len1*len2 DP cells.
 //
 // The recurrence and traceback replicate TM-align's NWDP_TM: a gap costs
 // gapOpen only when the previous cell was reached by a match move, and
-// ties prefer the diagonal, then the vertical (j-1) move.
-func (a *Aligner) Align(len1, len2 int, score Scorer, gapOpen float64, invmap []int, ops *costmodel.Counter) {
-	if len(invmap) != len2 {
-		panic(fmt.Errorf("%w (Align: %d vs %d)", ErrInvmapLength, len(invmap), len2))
-	}
-	a.grow(len1, len2)
-	cols := a.cols
-	val, path := a.val, a.path
-
-	for i := 0; i <= len1; i++ {
-		val[i*cols] = 0
-		path[i*cols] = false
-	}
-	for j := 0; j <= len2; j++ {
-		val[j] = 0
-		path[j] = false
-	}
-
-	for i := 1; i <= len1; i++ {
-		row := i * cols
-		prev := row - cols
-		for j := 1; j <= len2; j++ {
-			d := val[prev+j-1] + score(i-1, j-1)
-			h := val[prev+j]
-			if path[prev+j] {
-				h += gapOpen
-			}
-			v := val[row+j-1]
-			if path[row+j-1] {
-				v += gapOpen
-			}
-			if d >= h && d >= v {
-				path[row+j] = true
-				val[row+j] = d
-			} else {
-				path[row+j] = false
-				if v >= h {
-					val[row+j] = v
-				} else {
-					val[row+j] = h
-				}
-			}
-		}
-	}
-	ops.AddDP(len1 * len2)
-
-	a.traceback(len1, len2, gapOpen, invmap)
-}
-
-// AlignMatrix is Align over a dense row-major len1 x len2 score matrix
-// instead of a Scorer callback. It produces exactly the same alignment
-// and DP values as Align with score(i, j) = mat[i*len2+j]; the inner
-// loop reads the matrix row directly and carries the left/diagonal DP
-// cells in registers, so per-cell work has no function call, no
-// multiplication for indexing and no bounds checks. This is the hot
-// path of the TM-align DP refinement loop, where the score matrix is
-// precomputed from distances anyway.
+// ties prefer the diagonal, then the vertical (j-1) move. The inner loop
+// reads the matrix row directly and carries the left/diagonal DP cells
+// in registers, so per-cell work has no function call, no multiplication
+// for indexing and no bounds checks; the tests hold it to the literal
+// recurrence over a score callback, cell by cell.
 func (a *Aligner) AlignMatrix(len1, len2 int, mat []float64, gapOpen float64, invmap []int, ops *costmodel.Counter) {
 	if len(invmap) != len2 {
 		panic(fmt.Errorf("%w (AlignMatrix: %d vs %d)", ErrInvmapLength, len(invmap), len2))
@@ -245,8 +189,8 @@ func bit(b bool) (n int) {
 }
 
 // traceback recovers the NWDP_TM alignment from the filled val/path
-// tables into invmap (shared by Align and AlignMatrix; tie-breaking
-// prefers the diagonal, then the vertical move, as in the reference).
+// tables into invmap (tie-breaking prefers the diagonal, then the
+// vertical move, as in the reference).
 func (a *Aligner) traceback(len1, len2 int, gapOpen float64, invmap []int) {
 	cols := a.cols
 	val, path := a.val, a.path
@@ -278,27 +222,16 @@ func (a *Aligner) traceback(len1, len2 int, gapOpen float64, invmap []int) {
 }
 
 // AlignSS aligns two secondary structure strings (score 1 for identical
-// classes, 0 otherwise) with TM-align's gap opening of -1.
-func (a *Aligner) AlignSS(sec1, sec2 []ss.Type, invmap []int, ops *costmodel.Counter) {
-	a.Align(len(sec1), len(sec2), func(i, j int) float64 {
-		if sec1[i] == sec2[j] {
-			return 1
-		}
-		return 0
-	}, -1.0, invmap, ops)
-}
-
-// Score returns the total DP score of the final alignment stored in
-// invmap under the given scorer (gaps score 0, matching NWDP_TM's model
-// of free extension after opening; opening penalties are not recomputed).
-func Score(invmap []int, score Scorer) float64 {
-	var s float64
-	for j, i := range invmap {
-		if i >= 0 {
-			s += score(i, j)
+// classes, 0 otherwise) with TM-align's gap opening of -1, building the
+// score matrix in mat, which holds at least len(sec1)*len(sec2) cells.
+func (a *Aligner) AlignSS(sec1, sec2 []ss.Type, mat []float64, invmap []int, ops *costmodel.Counter) {
+	mat = mat[:len(sec1)*len(sec2)]
+	for i, s1 := range sec1 {
+		for j, s2 := range sec2 {
+			mat[i*len(sec2)+j] = float64(bit(s1 == s2))
 		}
 	}
-	return s
+	a.AlignMatrix(len(sec1), len(sec2), mat, -1.0, invmap, ops)
 }
 
 // AlignedLen returns the number of aligned pairs in invmap.

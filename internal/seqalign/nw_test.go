@@ -2,6 +2,7 @@ package seqalign
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -163,7 +164,7 @@ func TestAlignChargesOps(t *testing.T) {
 	var ops costmodel.Counter
 	a := NewAligner()
 	invmap := make([]int, 7)
-	a.Align(5, 7, func(i, j int) float64 { return 0 }, -1, invmap, &ops)
+	a.AlignMatrix(5, 7, make([]float64, 35), -1, invmap, &ops)
 	if ops.DPCells != 35 {
 		t.Errorf("DPCells = %d, want 35", ops.DPCells)
 	}
@@ -177,7 +178,7 @@ func TestAlignInvmapLengthPanic(t *testing.T) {
 			t.Errorf("panic value %v does not wrap ErrInvmapLength", rec)
 		}
 	}()
-	NewAligner().Align(3, 4, func(i, j int) float64 { return 0 }, -1, make([]int, 3), nil)
+	NewAligner().AlignMatrix(3, 4, make([]float64, 12), -1, make([]int, 3), nil)
 }
 
 func TestAlignerReuse(t *testing.T) {
@@ -225,7 +226,7 @@ func TestAlignSS(t *testing.T) {
 	sec2 := mk("CHHHHHHCCEEEEC")
 	a := NewAligner()
 	invmap := make([]int, len(sec2))
-	a.AlignSS(sec1, sec2, invmap, nil)
+	a.AlignSS(sec1, sec2, make([]float64, len(sec1)*len(sec2)), invmap, nil)
 	if !IsMonotonic(invmap, len(sec1)) {
 		t.Fatal("SS alignment not monotonic")
 	}
@@ -430,4 +431,74 @@ func BenchmarkGapFreeRound(b *testing.B) {
 			})
 		}
 	}
+}
+
+// Align is NWDP_TM's recurrence as written, over a Scorer callback: the
+// reference AlignMatrix, AlignGapFree and AlignSS are held to, every DP
+// cell and the alignment. A gap costs gapOpen only when the previous
+// cell was reached by a match move, and ties prefer the diagonal, then
+// the vertical (j-1) move.
+func (a *Aligner) Align(len1, len2 int, score Scorer, gapOpen float64, invmap []int, ops *costmodel.Counter) {
+	if len(invmap) != len2 {
+		panic(fmt.Errorf("%w (Align: %d vs %d)", ErrInvmapLength, len(invmap), len2))
+	}
+	a.grow(len1, len2)
+	cols := a.cols
+	val, path := a.val, a.path
+
+	for i := 0; i <= len1; i++ {
+		val[i*cols] = 0
+		path[i*cols] = false
+	}
+	for j := 0; j <= len2; j++ {
+		val[j] = 0
+		path[j] = false
+	}
+
+	for i := 1; i <= len1; i++ {
+		row := i * cols
+		prev := row - cols
+		for j := 1; j <= len2; j++ {
+			d := val[prev+j-1] + score(i-1, j-1)
+			h := val[prev+j]
+			if path[prev+j] {
+				h += gapOpen
+			}
+			v := val[row+j-1]
+			if path[row+j-1] {
+				v += gapOpen
+			}
+			if d >= h && d >= v {
+				path[row+j] = true
+				val[row+j] = d
+			} else {
+				path[row+j] = false
+				if v >= h {
+					val[row+j] = v
+				} else {
+					val[row+j] = h
+				}
+			}
+		}
+	}
+	ops.AddDP(len1 * len2)
+
+	a.traceback(len1, len2, gapOpen, invmap)
+}
+
+// Scorer returns the match score for aligning position i of chain 1 with
+// position j of chain 2 (0-based).
+type Scorer func(i, j int) float64
+
+// Score returns the total DP score of the final alignment stored in
+// invmap under the given scorer (gaps score 0, matching NWDP_TM's model
+// of free extension after opening; opening penalties are not recomputed).
+func Score(invmap []int, score Scorer) float64 {
+	var s float64
+	for j, i := range invmap {
+		if i >= 0 {
+			s += score(i, j)
+		}
+	}
+	return s
 }

@@ -54,9 +54,10 @@ func IsKernelError(err error) bool {
 // 3 CA residues, or any CA coordinate that is NaN, infinite or larger in
 // magnitude than maxCoordinate (the PDB parser reads "NaN" and "1e200"
 // from a coordinate column). Past the bound, squared distances overflow
-// or swamp the score's cutoffs, and the cutoff relaxation of a scoring
-// pass could wait forever for three pairs to come within range. The
-// returned error wraps ErrDegenerateStructure.
+// or swamp the score's cutoffs. Inside it, a scoring pass's cutoff
+// relaxation costs a few passes over its pairs however far apart they
+// are (TestTryCompareFarApartCloudsFinishes). The returned error wraps
+// ErrDegenerateStructure.
 func ValidateStructure(st *pdb.Structure) error {
 	cas := st.CAs()
 	if len(cas) < 3 {

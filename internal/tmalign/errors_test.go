@@ -190,3 +190,44 @@ func TestTryCompareRepanicsOnBugs(t *testing.T) {
 		panic(errors.New("genuine bug"))
 	}()
 }
+
+// TestTryCompareFarApartCloudsFinishes: two random 40-residue clouds
+// spread over ±9999 A, the widest coordinates ValidateStructure admits,
+// leave almost no pair within any cutoff, so every scoring pass relaxes
+// its cutoff over hundreds of millions of 0.5 A² rounds. Those rounds
+// are stepped in closed form rather than scanned, so the comparison
+// finishes within a second.
+func TestTryCompareFarApartCloudsFinishes(t *testing.T) {
+	cloud := func(id string, seed int64) *pdb.Structure {
+		rng := rand.New(rand.NewSource(seed))
+		st := &pdb.Structure{ID: id, Chain: 'A'}
+		for i := 0; i < 40; i++ {
+			ca := geom.V(rng.Float64()*19998-9999, rng.Float64()*19998-9999, rng.Float64()*19998-9999)
+			st.Residues = append(st.Residues, pdb.Residue{Seq: i + 1, Name: "ALA", AA: 'A', CA: ca})
+		}
+		return st
+	}
+	a, b := cloud("a", 1), cloud("b", 2)
+	type outcome struct {
+		r   *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	start := time.Now()
+	go func() {
+		r, err := TryCompare(a, b, DefaultOptions())
+		done <- outcome{r, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if !(o.r.TM1 >= 0 && o.r.TM1 <= 1 && o.r.TM2 >= 0 && o.r.TM2 <= 1) {
+			t.Errorf("TM1 %v TM2 %v outside [0, 1]", o.r.TM1, o.r.TM2)
+		}
+		t.Logf("finished in %v, %d score evaluations charged", time.Since(start), o.r.Ops.ScoreEvals)
+	case <-time.After(time.Second):
+		t.Fatal("TryCompare of two far-apart clouds did not finish within 1 s")
+	}
+}

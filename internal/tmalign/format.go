@@ -56,20 +56,3 @@ func FormatAlignment(r *Result, s1, s2 *pdb.Structure) string {
 	}
 	return a.String() + "\n" + m.String() + "\n" + b.String() + "\n"
 }
-
-// AlignmentColumns counts the (aligned, close) pairs of a formatted
-// alignment: aligned = pairs present in Invmap, close = pairs within
-// 5 A under the result transform.
-func AlignmentColumns(r *Result, s1, s2 *pdb.Structure) (aligned, close int) {
-	x := s1.CAs()
-	for j, pi := range r.Invmap {
-		if pi < 0 || pi >= len(x) || j >= s2.Len() {
-			continue
-		}
-		aligned++
-		if r.Transform.Apply(x[pi]).Dist(s2.Residues[j].CA) < 5 {
-			close++
-		}
-	}
-	return aligned, close
-}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rckalign/internal/pdb"
 	"rckalign/internal/synth"
 )
 
@@ -82,4 +83,21 @@ func TestAlignmentColumnsBounds(t *testing.T) {
 	if aligned == 0 {
 		t.Error("no aligned columns")
 	}
+}
+
+// AlignmentColumns counts the (aligned, close) pairs of a formatted
+// alignment: aligned = pairs present in Invmap, close = pairs within
+// 5 A under the result transform.
+func AlignmentColumns(r *Result, s1, s2 *pdb.Structure) (aligned, close int) {
+	x := s1.CAs()
+	for j, pi := range r.Invmap {
+		if pi < 0 || pi >= len(x) || j >= s2.Len() {
+			continue
+		}
+		aligned++
+		if r.Transform.Apply(x[pi]).Dist(s2.Residues[j].CA) < 5 {
+			close++
+		}
+	}
+	return aligned, close
 }

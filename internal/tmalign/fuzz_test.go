@@ -15,7 +15,7 @@ import (
 // of the next 3.8 A step (so helices, strands, hairpins and straight
 // runs all occur) and the residue type; a byte above 250 jumps 40 A,
 // a chain break. Coordinates stay within a few hundred A, as in a PDB
-// file, which keeps the kernel's cutoff-relaxation loops short.
+// file; the cutoff relaxations cost the same few passes at any spread.
 func fuzzChain(id string, data []byte) *pdb.Structure {
 	if len(data) > 96 {
 		data = data[:96]

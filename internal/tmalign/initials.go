@@ -2,32 +2,70 @@ package tmalign
 
 import (
 	"rckalign/internal/geom"
-	"rckalign/internal/kernel"
-	"rckalign/internal/seqalign"
 	"rckalign/internal/ss"
 )
 
-// scoreDiagonal leaves the full-overlap gapless alignment i = j + k in
-// c.invTmp and returns its fast score. get_initial and get_initial_fgt
-// rank the same diagonals, so each offset is scored once per comparison;
-// a repeat charges the recorded ops.
-func (c *ctx) scoreDiagonal(k int) float64 {
-	for j := range c.invTmp {
-		if i := j + k; i >= 0 && i < c.xlen {
-			c.invTmp[j] = i
-		} else {
-			c.invTmp[j] = -1
+// scoreDiagonals records in the Diagonals memo the fast scores of up to
+// two gapless offsets not scored yet, in flight together, and the ops
+// each charges.
+func (c *ctx) scoreDiagonals(ks ...int) {
+	var ls [2]fastLane
+	for i, k := range ks {
+		lo, hi := max(0, -k), min(c.ylen, c.xlen-k)
+		ls[i] = c.lane(i, c.x[lo+k:hi+k], c.y[lo:hi], &c.w.Diagonals[k+c.ylen].Ops)
+	}
+	c.fastScores(ls[:len(ks)])
+	for i, k := range ks {
+		c.w.Diagonals[k+c.ylen].Known, c.w.Diagonals[k+c.ylen].Score = true, ls[i].score
+	}
+}
+
+// rankDiagonals ranks by fast score the count gapless offsets first,
+// first+step, ... whose overlap holds at least minOverlap pairs, and
+// writes the full-overlap alignment of the first best into dst,
+// reporting whether any offset scored above -1. get_initial and
+// get_initial_fgt rank the same diagonals, so each offset is scored once
+// per comparison, two at a time, and every ranking charges the recorded
+// ops; the ranking reads the scores in order, so the first of equal
+// scores wins.
+func (c *ctx) rankDiagonals(dst []int, first, step, count, minOverlap int) bool {
+	var pend [2]int
+	np := 0
+	for i, k := 0, first; i < count; i, k = i+1, k+step {
+		if c.overlap(k) >= minOverlap && !c.w.Diagonals[k+c.ylen].Known {
+			if pend[np], np = k, np+1; np == 2 {
+				c.scoreDiagonals(pend[:]...)
+				np = 0
+			}
 		}
 	}
-	d := &c.w.Diagonals[k+c.ylen]
-	if d.Known {
-		c.ops.Add(d.Ops)
-		return d.Score
+	c.scoreDiagonals(pend[:np]...)
+	bestScore, best := -1.0, c.xlen // an offset past every residue: no pair
+	for i, k := 0, first; i < count; i, k = i+1, k+step {
+		if c.overlap(k) >= minOverlap {
+			d := &c.w.Diagonals[k+c.ylen]
+			if c.ops.Add(d.Ops); d.Score > bestScore {
+				bestScore, best = d.Score, k
+			}
+		}
 	}
-	before := c.ops
-	s := c.scoreFast(c.invTmp)
-	*d = kernel.DiagonalScore{Known: true, Score: s, Ops: c.ops.Sub(before)}
-	return s
+	diagonal(dst, best, c.xlen)
+	return best != c.xlen
+}
+
+// overlap is the number of pairs in the gapless alignment i = j + k.
+func (c *ctx) overlap(k int) int { return min(c.ylen, c.xlen-k) - max(0, -k) }
+
+// diagonal writes the gapless alignment i = j + k of a chain of xlen
+// residues into invmap.
+func diagonal(invmap []int, k, xlen int) {
+	for j := range invmap {
+		if i := j + k; i >= 0 && i < xlen {
+			invmap[j] = i
+		} else {
+			invmap[j] = -1
+		}
+	}
 }
 
 // initialGapless is TM-align's get_initial: try every diagonal (ungapped)
@@ -35,23 +73,14 @@ func (c *ctx) scoreDiagonal(k int) float64 {
 // into dst (all -1 when no offset qualifies).
 func (c *ctx) initialGapless(dst []int) {
 	minAli := max(min(c.xlen, c.ylen)/2, 5)
-	for j := range dst {
-		dst[j] = -1
-	}
-	bestScore := -1.0
-	seqalign.GaplessThreading(c.xlen, c.ylen, minAli, func(k, lo, hi int) {
-		if s := c.scoreDiagonal(k); s > bestScore {
-			bestScore = s
-			copy(dst, c.invTmp)
-		}
-	})
+	c.rankDiagonals(dst, minAli-c.ylen, 1, c.xlen+c.ylen-2*minAli+1, minAli)
 }
 
 // initialSS is get_initial_ss: Needleman-Wunsch over the secondary
 // structure strings (match=1, mismatch=0, gap open -1). The result is
 // written into invmap.
 func (c *ctx) initialSS(invmap []int) {
-	c.nw.AlignSS(c.sec1, c.sec2, invmap, &c.ops)
+	c.nw.AlignSS(c.sec1, c.sec2, c.scoreMat, invmap, &c.ops)
 }
 
 // initialLocal is get_initial5: superpose pairs of short fragments, score
@@ -86,8 +115,10 @@ func (c *ctx) initialLocal(invmap []int) bool {
 			tr.ApplyAll(xt, c.x)
 			c.ops.AddRotate(c.xlen)
 			c.alignRound(xt, d012, 0, c.invTmp)
-			if s := c.scoreFast(c.invTmp); s > bestScore {
-				bestScore = s
+			n := alignedPairs(c.x, c.y, c.invTmp, c.xtm, c.ytm)
+			ls := [1]fastLane{c.lane(0, c.xtm[:n], c.ytm[:n], &c.ops)}
+			if c.fastScores(ls[:]); ls[0].score > bestScore {
+				bestScore = ls[0].score
 				copy(invmap, c.invTmp)
 				found = true
 			}
@@ -126,22 +157,9 @@ func (c *ctx) initialFragment(invmap []int) bool {
 			return false
 		}
 	}
-	bestScore := -1.0
-	found := false
 	// Slide the fragment over chain 2; offset k aligns x[fs+t] to
 	// y[k+t]. Extend the diagonal i = j + fs - k to the full overlap.
-	for k := 0; k+flen <= c.ylen; k++ {
-		shift := fs - k
-		if min(c.ylen, c.xlen-shift)-max(0, -shift) < 5 {
-			continue
-		}
-		if s := c.scoreDiagonal(shift); s > bestScore {
-			bestScore = s
-			copy(invmap, c.invTmp)
-			found = true
-		}
-	}
-	return found
+	return c.rankDiagonals(invmap, fs, -1, c.ylen-flen+1, 5)
 }
 
 // longestSSElement returns the [start, end) span of the longest run of

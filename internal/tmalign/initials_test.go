@@ -1,6 +1,8 @@
 package tmalign
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"rckalign/internal/geom"
@@ -172,7 +174,7 @@ func TestLongestSSElement(t *testing.T) {
 }
 
 func TestScoreFastRanksCorrectly(t *testing.T) {
-	// scoreFast must rank the true alignment above a wrong diagonal.
+	// The fast score must rank the true alignment above a wrong diagonal.
 	x := testProtein(80, 8)
 	y := shiftedCopy(x, 0)
 	c := testCtx(x, y)
@@ -185,8 +187,14 @@ func TestScoreFastRanksCorrectly(t *testing.T) {
 	for j := 20; j < len(y); j++ {
 		bad[j] = j - 20
 	}
-	if sGood, sBad := c.scoreFast(good), c.scoreFast(bad); sGood <= sBad {
-		t.Errorf("scoreFast: good %v <= bad %v", sGood, sBad)
+	score := func(invmap []int) float64 {
+		n := alignedPairs(c.x, c.y, invmap, c.xtm, c.ytm)
+		ls := [1]fastLane{c.lane(0, c.xtm[:n], c.ytm[:n], &c.ops)}
+		c.fastScores(ls[:])
+		return ls[0].score
+	}
+	if sGood, sBad := score(good), score(bad); sGood <= sBad {
+		t.Errorf("fast score: good %v <= bad %v", sGood, sBad)
 	}
 }
 
@@ -229,5 +237,121 @@ func TestDPIterImproves(t *testing.T) {
 	tmI, _, _ := c.dpIter(ident, trI, 5)
 	if tmI < 0.99 || tmI < tmI0-1e-9 {
 		t.Errorf("dpIter degraded the true alignment: %v -> %v", tmI0, tmI)
+	}
+}
+
+// serialGapless is get_initial one diagonal at a time, the way
+// initialGapless ranked before it scored offsets in pairs: each offset
+// in order, scored alone unless the memo holds it, its ops charged, the
+// first best kept. It returns the best score.
+func serialGapless(c *ctx, dst []int) float64 {
+	diagonal(dst, c.xlen, c.xlen)
+	best := -1.0
+	seqalign.GaplessThreading(c.xlen, c.ylen, max(min(c.xlen, c.ylen)/2, 5), func(k, lo, hi int) {
+		d := &c.w.Diagonals[k+c.ylen]
+		if !d.Known {
+			c.scoreDiagonals(k)
+		}
+		if c.ops.Add(d.Ops); d.Score > best {
+			best = d.Score
+			diagonal(dst, k, c.xlen)
+		}
+	})
+	return best
+}
+
+// checkPairedGapless runs initialGapless on paired and serialGapless on
+// serial, two contexts over the same chains, and requires the same
+// winner, the same best score bits, every Diagonals entry equal and the
+// same ops. Then initialFragment, which reads the memo, must agree on
+// both. It returns how many diagonals the ranking visits.
+func checkPairedGapless(t *testing.T, name string, paired, serial *ctx) int {
+	t.Helper()
+	got, want := make([]int, paired.ylen), make([]int, serial.ylen)
+	paired.initialGapless(got)
+	bestWant := serialGapless(serial, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: paired winner %v, serial %v", name, got, want)
+	}
+	visited := 0
+	bestGot := -1.0
+	for k, d := range paired.w.Diagonals[:paired.xlen+paired.ylen] {
+		if s := serial.w.Diagonals[k]; d.Known != s.Known || math.Float64bits(d.Score) != math.Float64bits(s.Score) || d.Ops != s.Ops {
+			t.Fatalf("%s: diagonal %d paired %+v, serial %+v", name, k-paired.ylen, d, s)
+		}
+		if d.Known {
+			visited++
+			bestGot = max(bestGot, d.Score)
+		}
+	}
+	if math.Float64bits(bestGot) != math.Float64bits(bestWant) || paired.ops != serial.ops {
+		t.Fatalf("%s: paired best %x ops %+v, serial %x ops %+v", name, bestGot, paired.ops, bestWant, serial.ops)
+	}
+
+	// initialFragment's offsets that get_initial already scored.
+	fs, fe := longestSSElement(paired.sec1)
+	if fe-fs < 4 {
+		fs, fe = paired.xlen/3, paired.xlen/3+paired.xlen/3
+	}
+	hits := 0
+	for k := 0; k+fe-fs <= paired.ylen; k++ {
+		if paired.w.Diagonals[fs-k+paired.ylen].Known {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Fatalf("%s: initialFragment reads no diagonal from the paired memo", name)
+	}
+	okGot, okWant := paired.initialFragment(got), serial.initialFragment(want)
+	if okGot != okWant || !slices.Equal(got, want) || paired.ops != serial.ops {
+		t.Fatalf("%s: initialFragment after paired ranking %t %v ops %+v, after serial %t %v ops %+v",
+			name, okGot, got, paired.ops, okWant, want, serial.ops)
+	}
+	return visited
+}
+
+// TestInitialGaplessPairedMatchesSerial: get_initial scores its offsets
+// two at a time, yet its winner, best score, Diagonals memo and ops are
+// those of ranking one offset at a time — on CK34 and RS119 pairs with
+// odd and even diagonal counts, and on a fixture where the two diagonals
+// of one pair tie at the top, so the earlier must win.
+func TestInitialGaplessPairedMatchesSerial(t *testing.T) {
+	parity := [2]bool{}
+	for _, ds := range []*synth.Dataset{synth.CK34(), synth.RS119()} {
+		s := ds.Structures
+		for i := 0; i < 6; i++ {
+			a, b := s[(7*i)%len(s)], s[(7*i+3+i)%len(s)]
+			x, y := a.CAs(), b.CAs()
+			n := checkPairedGapless(t, a.ID+" vs "+b.ID, testCtx(x, y), testCtx(x, y))
+			parity[n%2] = true
+		}
+	}
+	if !parity[0] || !parity[1] {
+		t.Errorf("the pairs rank only even or only odd diagonal counts: %v", parity)
+	}
+
+	// x is y twice over: diagonals 0 and len(y) align the same coordinates,
+	// so they score the same bits, above every partial overlap. Scoring
+	// every other offset first leaves those two to one paired solve.
+	y := synth.CK34().Structures[5].CAs()
+	L := len(y)
+	x := append(append([]geom.Vec3(nil), y...), y...)
+	paired, serial := testCtx(x, y), testCtx(x, y)
+	seqalign.GaplessThreading(len(x), L, max(L/2, 5), func(k, lo, hi int) {
+		if k != 0 && k != L {
+			paired.scoreDiagonals(k)
+		}
+	})
+	checkPairedGapless(t, "tie", paired, serial)
+	d0, dL := paired.w.Diagonals[L], paired.w.Diagonals[2*L]
+	if math.Float64bits(d0.Score) != math.Float64bits(dL.Score) || d0.Ops != dL.Ops {
+		t.Fatalf("tie fixture: diagonals 0 and %d score %x and %x", L, d0.Score, dL.Score)
+	}
+	got := make([]int, L)
+	paired.initialGapless(got)
+	for j, i := range got {
+		if i != j {
+			t.Fatalf("tie fixture: the later diagonal won (invmap[%d] = %d)", j, i)
+		}
 	}
 }

@@ -128,7 +128,7 @@ func TestFinalizeKeepsUnfilteredAlignment(t *testing.T) {
 	if !reflect.DeepEqual(r.Invmap, inv) || r.AlignedLen != len(xa) {
 		t.Fatalf("alignment %v (%d pairs), want the unfiltered %v (%d)", r.Invmap, r.AlignedLen, inv, len(xa))
 	}
-	if want := geom.SuperposedRMSD(xa, ya); r.RMSD != want {
+	if _, want := geom.Superpose(xa, ya); r.RMSD != want {
 		t.Errorf("RMSD %v, want %v over the alignment's own pairs", r.RMSD, want)
 	}
 	if want, _ := tmscore.FinalParams(6).SearchWS(new(kernel.Workspace), xa, ya, 1, nil); r.TM1 != want || r.TM2 != want {

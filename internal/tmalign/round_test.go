@@ -80,11 +80,12 @@ func TestGapFreeRoundGuard(t *testing.T) {
 // TestCompareMatchesGeneralPath: CompareCA, whose gap-free rounds run
 // the fused kernel wherever the guard allows, returns the same result to
 // the last bit as a comparison held on the general path, on CK34 and
-// RS119 pairs (the longest RS119 prune survivor among them). Non-finite
-// chains are compared at three residues: a longer one never finishes on
-// either path, because get_score_fast relaxes its cutoff until three
-// distances pass it and a NaN transform leaves none (TryCompare rejects
-// such chains first).
+// RS119 pairs (the longest RS119 prune survivor among them), and on
+// chains with a non-finite coordinate, at three residues and at CK34
+// length. Those finish on both paths because a cutoff relaxation that
+// no three distances can ever pass, as under a NaN transform, keeps its
+// first round instead of relaxing forever (TryCompare rejects such
+// chains first).
 func TestCompareMatchesGeneralPath(t *testing.T) {
 	ck, rs := synth.CK34(), synth.RS119()
 	type input struct {
@@ -102,10 +103,13 @@ func TestCompareMatchesGeneralPath(t *testing.T) {
 	}
 	x := []geom.Vec3{{0, 0, 0}, {3.8, 0, 0}, {7.6, 1, 0.4}}
 	y := []geom.Vec3{{1, 0, 0}, {3.8, 2, 0}, {7.6, 1, 0.5}}
+	a, b := ck.Structures[0], ck.Structures[1]
 	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		inputs = append(inputs,
 			input{fmt.Sprintf("3 residues, %v in x", c), poison(x, 2, 2, c), y, "AAA", "AAA"},
-			input{fmt.Sprintf("3 residues, %v in y", c), x, poison(y, 1, 0, c), "AAA", "AAA"})
+			input{fmt.Sprintf("3 residues, %v in y", c), x, poison(y, 1, 0, c), "AAA", "AAA"},
+			input{fmt.Sprintf("CK34 pair, %v in x", c), poison(a.CAs(), 7, 0, c), b.CAs(), a.Sequence(), b.Sequence()},
+			input{fmt.Sprintf("CK34 pair, %v in y", c), a.CAs(), poison(b.CAs(), 3, 1, c), a.Sequence(), b.Sequence()})
 	}
 	inputs = append(inputs, input{"3 residues, finite", x, y, "AAA", "AAA"})
 	for _, in := range inputs {

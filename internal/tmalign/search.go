@@ -3,8 +3,10 @@ package tmalign
 import (
 	"math"
 
+	"rckalign/internal/costmodel"
 	"rckalign/internal/geom"
 	"rckalign/internal/kernel"
+	"rckalign/internal/tmscore"
 )
 
 // detailedSearch gathers the aligned pairs of invmap and runs the
@@ -38,67 +40,82 @@ func (c *ctx) detailedSearch(invmap []int) (float64, geom.Transform) {
 	return tm, tr
 }
 
-// scoreFast is TM-align's get_score_fast: a cheap three-round estimate of
-// an alignment's TM-score used to rank candidate alignments (the returned
-// value is un-normalised; only comparisons against other scoreFast values
-// are meaningful).
-func (c *ctx) scoreFast(invmap []int) float64 {
-	n := alignedPairs(c.x, c.y, invmap, c.xtm, c.ytm)
-	if n < 3 {
-		return 0
+// A fastLane is one TM-align get_score_fast in flight, a cheap estimate
+// of an alignment's TM-score that ranks candidate alignments (only
+// comparable to other fast scores): its aligned pairs and scratch, the
+// pairs p, q of its next fit, its score so far and the counter it charges.
+type fastLane struct {
+	xtm, ytm, xt, r1, r2, p, q []geom.Vec3
+	dis2                       []float64
+	score                      float64
+	ops                        *costmodel.Counter
+}
+
+// lane returns a fast score of the pairs xtm, ytm on scratch lane k.
+func (c *ctx) lane(k int, xtm, ytm []geom.Vec3, ops *costmodel.Counter) fastLane {
+	w, n, o := c.w, len(xtm), k*max(c.xlen, c.ylen)
+	return fastLane{xtm: xtm, ytm: ytm, xt: w.PairT[o : o+n], r1: w.R1[o : o+n], r2: w.R2[o : o+n], dis2: w.Dis2[o : o+n], ops: ops}
+}
+
+// fastScores runs get_score_fast on one or two lanes in step. Its rounds
+// fit all pairs; re-fit on the pairs within d0_search², relaxed until
+// three pass; and if that left some out, re-fit within d0_search² + 1.
+// Each round superposes the live lanes' fits together (geom.Superpose2)
+// and scores all of a lane's pairs under its fit, a later round keeping
+// the higher score. Every lane's score and ops are those of running it
+// alone; a lane with fewer than three pairs scores 0 and charges nothing.
+func (c *ctx) fastScores(ls []fastLane) {
+	d02, d002 := c.sp.D0*c.sp.D0, c.sp.D0Search*c.sp.D0Search
+	for i := range ls {
+		ls[i].score, ls[i].p, ls[i].q = 0, ls[i].xtm, ls[i].ytm
 	}
-	xtm, ytm := c.xtm[:n], c.ytm[:n]
-
-	d02 := c.sp.D0 * c.sp.D0
-	d002 := c.sp.D0Search * c.sp.D0Search
-	dis2 := c.dis2[:n]
-
-	// scorePass rotates xtm under tr and accumulates the TM sum, caching
-	// squared distances.
-	scorePass := func(tr geom.Transform) float64 {
-		tr.ApplyAll(c.xt, xtm)
-		c.ops.AddScore(n)
-		c.ops.AddRotate(n)
-		return geom.ScoreSum(dis2, c.xt[:n], ytm, d02, 0, false)
+	for round, cut2 := range [3]float64{0, d002, d002 + 1} {
+		var live [2]*fastLane
+		m := 0
+		for i := range ls {
+			if l := &ls[i]; len(l.p) >= 3 && (round == 0 || l.gather(cut2)) {
+				live[m], m = l, m+1
+			}
+		}
+		var tr [2]geom.Transform
+		switch m {
+		case 1:
+			tr[0], _ = geom.Superpose(live[0].p, live[0].q)
+		case 2:
+			tr[0], _, tr[1], _ = geom.Superpose2(live[0].p, live[0].q, live[1].p, live[1].q)
+		}
+		for i, l := range live[:m] {
+			n := len(l.xtm)
+			l.ops.AddKabsch(len(l.p))
+			l.ops.AddScore(n)
+			l.ops.AddRotate(n)
+			tr[i].ApplyAll(l.xt, l.xtm)
+			if s := geom.ScoreSum(l.dis2, l.xt, l.ytm, d02, 0, false); round == 0 || s > l.score {
+				l.score = s
+			}
+		}
 	}
+}
 
-	tr, _ := geom.Superpose(xtm, ytm)
-	c.ops.AddKabsch(n)
-	score := scorePass(tr)
-
-	// Round 2: re-fit on pairs within d0Search.
-	refit := func(cut2 float64) (float64, bool) {
+// gather makes the pairs within cut2, relaxed until three pass, the
+// lane's next fit, and reports whether there is one: a gather that keeps
+// every pair or fewer than three ends the lane.
+func (l *fastLane) gather(cut2 float64) bool {
+	j, _ := tmscore.RelaxSum(l.dis2, cut2, func(cutoff float64) int {
 		j := 0
-		for cutoff := cut2; ; cutoff += 0.5 {
-			j = 0
-			for k := 0; k < n; k++ {
-				if dis2[k] <= cutoff {
-					c.r1[j] = xtm[k]
-					c.r2[j] = ytm[k]
-					j++
-				}
-			}
-			if j >= 3 || n <= 3 {
-				break
+		for k, dk := range l.dis2 {
+			if dk <= cutoff {
+				l.r1[j], l.r2[j] = l.xtm[k], l.ytm[k]
+				j++
 			}
 		}
-		if j == n || j < 3 {
-			return score, false // nothing filtered, or too few pairs to fit
-		}
-		tr, _ := geom.Superpose(c.r1[:j], c.r2[:j])
-		c.ops.AddKabsch(j)
-		return scorePass(tr), true
+		return j
+	})
+	l.p, l.q = l.r1[:j], l.r2[:j]
+	if j == len(l.xtm) {
+		l.p = nil
 	}
-
-	if s2, improvedPossible := refit(d002); improvedPossible {
-		if s2 > score {
-			score = s2
-		}
-		if s3, _ := refit(d002 + 1); s3 > score {
-			score = s3
-		}
-	}
-	return score
+	return len(l.p) >= 3
 }
 
 // dpIter is TM-align's DP_iter: starting from an alignment and its

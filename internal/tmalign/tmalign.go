@@ -302,9 +302,7 @@ func (c *ctx) finalize(invmap []int) *Result {
 		if i < 0 {
 			continue
 		}
-		a, b := &xt[k], &c.ytm[k]
-		dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
-		if dx*dx+dy*dy+dz*dz <= d8sq {
+		if xt[k].Dist2(c.ytm[k]) <= d8sq {
 			c.xtm[n8] = c.xtm[k]
 			c.ytm[n8] = c.ytm[k]
 			res.Invmap[j] = i

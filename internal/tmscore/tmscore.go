@@ -96,40 +96,104 @@ func FinalParams(l float64) Params {
 
 // scoreFun8 is TM-align's score_fun8: given already-transformed aligned
 // coordinates, it sums 1/(1+(d/d0)^2) (optionally only over pairs with
-// d <= score_d8) and collects into the bitset set the indices with
-// distance < d; if fewer than 3 pairs qualify the cutoff is relaxed by
-// 0.5 A steps. It returns the TM-score (sum/LNorm), the number of
-// collected pairs and the score evaluations to charge.
-//
-// The squared distances are computed once into dis2 by geom.ScoreSum
-// (the score does not depend on the collection cutoff; the d8 cutoff is
-// its mask) and the relaxation rounds re-scan the cached distances only.
-// The op charge still mirrors the reference score_fun8, which rescans
-// all n pairs (distances and scores) on every relaxation round — the
-// simulated kernel cost is unchanged.
+// d <= score_d8; geom.ScoreSum's mask) and collects into the bitset set
+// the indices with distance < d; if fewer than 3 pairs qualify the cutoff
+// is relaxed by 0.5 A steps (relaxSquare). It returns the TM-score
+// (sum/LNorm), the number of collected pairs and the score evaluations
+// to charge: n per round, as the reference rescans all n pairs on each.
 func (p Params) scoreFun8(xt, y []geom.Vec3, d float64, set []int32, dis2 []float64) (score float64, nCut, evals int) {
 	n := len(xt)
 	dis2 = dis2[:n]
 	scoreSum := geom.ScoreSum(dis2, xt, y, p.D0*p.D0, p.ScoreD8*p.ScoreD8, p.ScoreD8 > 0)
-	dTmp := d * d
-	for inc := 0; ; inc++ {
-		clear(set)
-		nCut = 0
-		for i, di := range dis2 {
+	nCut, rounds := relaxSquare(dis2, d, func(c float64) int { return collect(set, dis2, c) })
+	return scoreSum / p.LNorm, nCut, n * rounds
+}
+
+// collect makes the bitset set, ceil(len(dis2)/32) words, hold the
+// indices i with dis2[i] < dTmp and returns how many there are.
+func collect(set []int32, dis2 []float64, dTmp float64) int {
+	nCut := 0
+	for w := range set {
+		var word uint32
+		for b, di := range dis2[w*32 : min(w*32+32, len(dis2))] {
 			if di < dTmp {
-				set[i>>5] |= 1 << uint(i&31)
-				nCut++
+				word |= 1 << (uint(b) & 31)
 			}
 		}
-		evals += n
-		if nCut < 3 && n > 3 {
-			dinc := d + float64(inc+1)*0.5
-			dTmp = dinc * dinc
-			continue
-		}
-		break
+		set[w] = int32(word)
+		nCut += bits.OnesCount32(word)
 	}
-	return scoreSum / p.LNorm, nCut, evals
+	return nCut
+}
+
+// RelaxSum is get_score_fast's relaxation (relax): the cutoff is cut2
+// plus 0.5 per round, each sum rounded, and pairs pass with <=. The adds
+// within one binade below 2^52 are exact, so it jumps to the binade's
+// last cutoff short of the target, then takes the rounded add across.
+func RelaxSum(dis2 []float64, cut2 float64, take func(cutoff float64) int) (nCut, rounds int) {
+	return relax(dis2, cut2, take, func(t float64) (float64, int, bool) {
+		c, r := cut2, 0
+		for !(c >= t) {
+			if 0 < c && c < 1<<52 {
+				hi := math.Float64frombits(math.Float64bits(c)&^(1<<52-1) + 1<<52)
+				s := math.Ceil(2*(min(t, hi)-c)) - 1
+				c, r = c+s*0.5, r+int(s)
+			}
+			if !(c+0.5 > c) {
+				return 0, 0, false
+			}
+			c, r = c+0.5, r+1
+		}
+		return c, r, true
+	})
+}
+
+// relaxSquare is score_fun8's relaxation (relax): round r's cutoff is
+// (d + r*0.5)², and pairs pass with <. Rounds with d + r*0.5 <= 0 cut no
+// deeper than round 0, so passing is monotone in r: double, then bisect.
+func relaxSquare(dis2 []float64, d float64, take func(cutoff float64) int) (nCut, rounds int) {
+	at := func(r float64) float64 { x := d + r*0.5; return x * x }
+	return relax(dis2, at(0), take, func(t float64) (float64, int, bool) {
+		lo, hi := -1.0, 0.0
+		for !(at(hi) > t) {
+			if lo, hi = hi, 2*hi+1; hi > 1<<52 {
+				return 0, 0, false
+			}
+		}
+		for hi-lo > 1 {
+			if mid := math.Floor((lo + hi) / 2); at(mid) > t {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		return at(hi), int(hi), true
+	})
+}
+
+// relax is TM-align's cutoff relaxation: gather the pairs within the
+// cutoff (take returns the count) and, while fewer than three of more
+// than three pass, relax it and gather again. Three pass once the cutoff
+// reaches the third-smallest entry t of dis2, so a short first gather is
+// followed by one pass for t, reach(t) for the first cutoff past it and
+// its round, and one more gather. It returns the last count and the
+// rounds (scans) of the reference loop; where that never ends, reach
+// fails and the first round stands (DESIGN.md §17).
+func relax(dis2 []float64, first float64, take func(float64) int, reach func(t float64) (float64, int, bool)) (nCut, rounds int) {
+	if nCut = take(first); nCut >= 3 || len(dis2) <= 3 {
+		return nCut, 1
+	}
+	m1, m2, t := math.Inf(1), math.Inf(1), math.Inf(1)
+	for _, v := range dis2 {
+		if v < t {
+			m1, m2, t = min(m1, v), max(m1, min(m2, v)), max(m2, v)
+		}
+	}
+	c, r, ok := reach(t)
+	if !ok {
+		return nCut, 1
+	}
+	return take(c), r + 1
 }
 
 // gatherSet copies the pairs whose indices are in the bitset set into
@@ -385,20 +449,4 @@ func (s *search) offer(score float64, tr *geom.Transform, pos int) {
 	if score > s.best || score == s.best && pos < s.bestPos {
 		s.best, s.bestT, s.bestPos = score, *tr, pos
 	}
-}
-
-// ScoreWithTransform returns the TM-score of the fixed alignment under a
-// given transform of x, without searching (pairs beyond ScoreD8 excluded
-// when it is set).
-func (p Params) ScoreWithTransform(x, y []geom.Vec3, tr geom.Transform, ops *costmodel.Counter) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Errorf("%w (ScoreWithTransform: %d vs %d)", ErrAlignedLength, len(x), len(y)))
-	}
-	w := kernel.Get()
-	defer kernel.Put(w)
-	w.ReserveSearch(len(x))
-	tr.ApplyAll(w.SearchXt, x)
-	ops.AddScore(len(x))
-	ops.AddRotate(len(x))
-	return geom.ScoreSum(w.SearchDis2, w.SearchXt, y, p.D0*p.D0, p.ScoreD8*p.ScoreD8, !(p.ScoreD8 <= 0)) / p.LNorm
 }

@@ -2,6 +2,7 @@ package tmscore
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -317,4 +318,21 @@ func BenchmarkSearch150Step40(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.SearchWS(w, x, y, 40, nil)
 	}
+}
+
+// ScoreWithTransform returns the TM-score of the fixed alignment under a
+// given transform of x, without searching (pairs beyond ScoreD8 excluded
+// when it is set): the single-superposition baseline the search tests
+// compare SearchWS with.
+func (p Params) ScoreWithTransform(x, y []geom.Vec3, tr geom.Transform, ops *costmodel.Counter) float64 {
+	if len(x) != len(y) {
+		panic(fmt.Errorf("%w (ScoreWithTransform: %d vs %d)", ErrAlignedLength, len(x), len(y)))
+	}
+	w := kernel.Get()
+	defer kernel.Put(w)
+	w.ReserveSearch(len(x))
+	tr.ApplyAll(w.SearchXt, x)
+	ops.AddScore(len(x))
+	ops.AddRotate(len(x))
+	return geom.ScoreSum(w.SearchDis2, w.SearchXt, y, p.D0*p.D0, p.ScoreD8*p.ScoreD8, !(p.ScoreD8 <= 0)) / p.LNorm
 }
