@@ -145,7 +145,6 @@ func ComputePairsShared(ds *synth.Dataset, opt tmalign.Options, store *pairstore
 	}
 	store.Prefetch(keys, compute)
 	for k := range pairs {
-		k := k
 		pr.Results[k] = store.Get(keys[k], func() any { return compute(k) }).(*tmalign.Result)
 	}
 	return pr

@@ -77,7 +77,7 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 		return RunResult{}, err
 	}
 	chip := s.Chip()
-	rec := s.Trace()
+	rec := s.Activity()
 	disk := sim.NewResource("mcpc-disk", 1)
 	jobCh := sim.NewChan("pssh")
 	doneCh := sim.NewChan("done")
@@ -98,7 +98,6 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 	// Every job is a fresh process: spawn, read both inputs over NFS,
 	// compute, exit.
 	for _, c := range s.Placement().Cores {
-		c := c
 		chip.SpawnCore(c, func(p *sim.Process) {
 			for {
 				m := jobCh.Recv(p)
@@ -129,10 +128,7 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 		collected := 0
 		// Prime every core with one job (each Send hands the job to the
 		// next core that asks), then reissue on each completion.
-		prime := slaves
-		if prime > len(pr.Pairs) {
-			prime = len(pr.Pairs)
-		}
+		prime := min(slaves, len(pr.Pairs))
 		for issued < prime {
 			p.Wait(cfg.DispatchSeconds)
 			jobCh.Send(p, jobMsg{id: issued, pair: pr.Pairs[issued]})

@@ -30,7 +30,6 @@ import (
 	"rckalign/internal/stats"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
-	"rckalign/internal/trace"
 )
 
 // Experiment is one regenerable block of EXPERIMENTS.md.
@@ -533,8 +532,6 @@ func (e *Env) fasterCoresAblation() (string, error) {
 	for _, mult := range []float64{1, 16, 256, 4096, 65536} {
 		cfg := core.DefaultConfig()
 		cfg.Chip.CPU.FreqHz *= mult
-		rec := trace.New()
-		cfg.Trace = rec
 		serial := e.CK34.SerialSeconds(cfg.Chip.CPU)
 		r, err := core.Run(e.CK34, 47, cfg)
 		if err != nil {
@@ -544,9 +541,7 @@ func (e *Env) fasterCoresAblation() (string, error) {
 		if r.TotalSeconds > 0 {
 			masterBusy = r.CoreBusySeconds[cfg.Chip.CoreName(0)] / r.TotalSeconds
 		}
-		tcfg := cfg
-		tcfg.Trace = nil
-		rt, err := masterTree(e.CK34, 44, 4, tcfg)
+		rt, err := masterTree(e.CK34, 44, 4, cfg)
 		if err != nil {
 			return "", err
 		}

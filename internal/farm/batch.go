@@ -64,9 +64,7 @@ func BatchHandler(h rckskel.Handler) rckskel.Handler {
 		for _, sub := range bp.Jobs {
 			payload, subOps, resultBytes := h(sub)
 			ops.Add(subOps)
-			if resultBytes < 1 {
-				resultBytes = 1
-			}
+			resultBytes = max(resultBytes, 1)
 			results = append(results, rckskel.Result{
 				JobID: sub.ID, Payload: payload, Bytes: resultBytes,
 			})
@@ -132,10 +130,7 @@ func (w *wireStats) add(o wireStats) {
 // Slaves of a batched session must run a BatchHandler-wrapped handler.
 func (s *Session) PrepareJobs(c int, jobs []rckskel.Job, wm WireModel) []rckskel.Job {
 	ch := s.chips[c]
-	batch := s.cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
+	batch := max(s.cfg.Batch, 1)
 	cached := s.cfg.CacheStructs > 0
 	if batch == 1 && !cached {
 		return jobs
@@ -147,11 +142,7 @@ func (s *Session) PrepareJobs(c int, jobs []rckskel.Job, wm WireModel) []rckskel
 	// shipped them, re-shipping on every batch).
 	groups := make([][]rckskel.Job, 0, (len(jobs)+batch-1)/batch)
 	for start := 0; start < len(jobs); start += batch {
-		end := start + batch
-		if end > len(jobs) {
-			end = len(jobs)
-		}
-		groups = append(groups, jobs[start:end])
+		groups = append(groups, jobs[start:min(start+batch, len(jobs))])
 	}
 	groupStructs := make([][]int, len(groups))
 	maxRequest := 0
@@ -167,9 +158,7 @@ func (s *Session) PrepareJobs(c int, jobs []rckskel.Job, wm WireModel) []rckskel
 			}
 		}
 		groupStructs[g] = structs
-		if len(structs) > maxRequest {
-			maxRequest = len(structs)
-		}
+		maxRequest = max(maxRequest, len(structs))
 	}
 	if cached {
 		if ch.cache == nil {
@@ -211,9 +200,7 @@ func (c *chip) wireJob(group []rckskel.Job, structs []int, wm WireModel, batchin
 	}
 	c.wire.batches++
 	c.wire.batchedJobs += int64(len(group))
-	if int64(len(group)) > c.wire.maxBatchJobs {
-		c.wire.maxBatchJobs = int64(len(group))
-	}
+	c.wire.maxBatchJobs = max(c.wire.maxBatchJobs, int64(len(group)))
 	c.hBatchJobs.Observe(float64(len(group)))
 
 	job := rckskel.Job{ID: group[0].ID, Bytes: header + allBytes}

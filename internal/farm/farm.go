@@ -29,8 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 
 	"rckalign/internal/costmodel"
 	"rckalign/internal/fault"
@@ -80,9 +78,9 @@ type Config struct {
 	// cost on every team (1 = the paper's busy polling, 0 = ideal
 	// event-driven notification). Values below zero are treated as 1.
 	PollingScale float64
-	// Trace, when non-nil, receives per-core activity intervals. The
-	// session records into an internal recorder when nil, so Report
-	// utilization is always available.
+	// Trace, when non-nil, receives per-core activity intervals and fault
+	// marks. Report utilization does not need it: the session merges
+	// every track's busy time as the intervals arrive.
 	Trace *trace.Recorder
 	// Metrics, when non-nil, receives counters, histograms and time
 	// series from every layer of the run (sim engine, mesh links, rcce
@@ -358,7 +356,7 @@ type Session struct {
 	cfg    Config
 	engine *sim.Engine
 	place  Placement
-	rec    *trace.Recorder
+	act    activity
 	chips  []*chip
 	rep    Report
 
@@ -429,10 +427,7 @@ func New(cfg Config) (*Session, error) {
 		return nil, fmt.Errorf("farm: chip count %d is negative", cfg.Chips)
 	}
 	n := max(cfg.Chips, 1)
-	s := &Session{engine: sim.NewEngine(), rec: cfg.Trace}
-	if s.rec == nil {
-		s.rec = trace.New()
-	}
+	s := &Session{engine: sim.NewEngine(), act: activity{rec: cfg.Trace, busy: map[string]*trace.Busy{}}}
 	plans := []*fault.Plan{cfg.Faults} // one per chip
 	if n > 1 {
 		cfg.MasterCore = 0
@@ -473,7 +468,7 @@ func New(cfg Config) (*Session, error) {
 				return nil, fmt.Errorf("farm: %w: %v", ErrFaultPlan, err)
 			}
 			ch.injector = fault.NewInjector(plans[c])
-			ch.injector.Arm(sc, s.rec)
+			ch.injector.Arm(sc, &s.act)
 			ch.comm.SetInterposer(ch.injector)
 		}
 		if cfg.MasterCore != HostMaster {
@@ -483,7 +478,7 @@ func New(cfg Config) (*Session, error) {
 			if cfg.PollingScale >= 0 {
 				ch.team.DiscoveryCostScale = cfg.PollingScale
 			}
-			ch.team.Trace = s.rec
+			ch.team.Trace = &s.act
 			ch.team.SetMetrics(cfg.Metrics, labels...)
 		}
 		s.chips = append(s.chips, ch)
@@ -526,9 +521,10 @@ func (s *Session) Chip() *scc.Chip { return s.chips[0].sc }
 // (chip-local core ids).
 func (s *Session) Placement() Placement { return s.place }
 
-// Trace returns the effective activity recorder (the configured one, or
-// the session's internal recorder), shared by every chip.
-func (s *Session) Trace() *trace.Recorder { return s.rec }
+// Activity returns the session's activity sink, shared by every chip:
+// its intervals are the report's busy time, and they and its marks reach
+// the configured Trace, if any.
+func (s *Session) Activity() trace.Sink { return &s.act }
 
 // StartSlaves spawns every chip's slave loops with one handler (on-chip
 // masters only).
@@ -612,8 +608,6 @@ func (s *Session) spawn(c *chip, name string, body func(m *Master)) {
 func (s *Session) finalize() error {
 	rep, n := &s.rep, len(s.chips)
 	rep.TotalSeconds = s.chips[0].total
-	tracks := s.rec.Tracks()
-	sort.Strings(tracks) // a fixed float summation order for MeanUtilization
 	if s.cfg.Faults != nil {
 		rep.Faults = &FaultStats{DeadCores: []int{}}
 	}
@@ -621,7 +615,7 @@ func (s *Session) finalize() error {
 		rep.Metrics = &MetricsReport{JobStages: map[string]StageAgg{}}
 	}
 	var wire wireStats
-	var err error
+	err := s.act.err
 	for _, c := range s.chips {
 		base := c.id * s.cfg.Chip.NumCores()
 		for core, jobs := range c.stats.JobsPerSlave {
@@ -639,7 +633,7 @@ func (s *Session) finalize() error {
 			ResultBytes:  c.resultBytes,
 		}
 		var uerr error
-		cr.MeanUtilization, uerr = s.utilization(c, tracks)
+		cr.MeanUtilization, uerr = s.utilization(c)
 		cw := c.wireTotals()
 		wire.add(cw)
 		cr.Wire = cw.report()
@@ -696,25 +690,30 @@ func (s *Session) finalize() error {
 }
 
 // utilization writes chip c's traced cores into the board's busy and
-// utilization columns and returns their mean busy fraction of the run.
+// utilization columns and returns their mean busy fraction of the run,
+// summed in core order (every track is a core's).
 // A core busy longer than the run is an ErrInvariant, unless the fault
 // injector stalled it: a stalled slave's compute interval spans the
-// stall and may outlast the master that gave up on it.
-func (s *Session) utilization(c *chip, tracks []string) (float64, error) {
-	prefix, total := c.sc.Config().NamePrefix, s.rep.TotalSeconds
+// stall and may outlast the master that gave up on it. Only that last
+// span can: the run ends after every chip's Terminate, and no slave
+// starts a job after it. Utilization clips it to the run.
+func (s *Session) utilization(c *chip) (float64, error) {
+	total := s.rep.TotalSeconds
 	var err error
 	sum, k := 0.0, 0
-	for _, track := range tracks {
-		if !strings.HasPrefix(track, prefix) {
+	for core := range c.sc.NumCores() {
+		track := c.sc.CoreName(core)
+		b := s.act.busy[track]
+		if b == nil {
 			continue
 		}
-		busy := s.rec.BusySeconds(track)
-		if busy < 0 || busy > total && !slices.ContainsFunc(s.rec.Marks(track), func(m trace.Mark) bool { return m.Label == "stall" }) {
+		busy := b.Seconds()
+		if busy < 0 || busy > total && !slices.Contains(s.act.stalled, track) {
 			err = cmp.Or(err, fmt.Errorf("%w: %s busy %v s outside the run's [0, %v] s", ErrInvariant, track, busy, total))
 		}
 		s.rep.CoreBusySeconds[track] = busy
 		if total > 0 {
-			s.rep.CoreUtilization[track] = s.rec.Utilization(track, 0, total)
+			s.rep.CoreUtilization[track] = min(b.Before(total)/total, 1)
 		}
 		sum += busy
 		k++
@@ -723,6 +722,47 @@ func (s *Session) utilization(c *chip, tracks []string) (float64, error) {
 		return 0, err
 	}
 	return sum / (float64(k) * total), err
+}
+
+// activity is the session's trace.Sink: each track's busy time, merged
+// as its intervals arrive, and the stalled tracks; intervals and marks
+// also reach the configured recorder, if any. One process writes a
+// track, in time order, so an interval starting before its track's open
+// run is an ErrInvariant.
+type activity struct {
+	rec     *trace.Recorder
+	busy    map[string]*trace.Busy // mark-only tracks too, at zero
+	stalled []string
+	err     error
+}
+
+// Add records an interval; like a Recorder, it ignores one with
+// end <= start, which then creates no track.
+func (a *activity) Add(track string, start, end float64, label string) {
+	if a.rec != nil {
+		a.rec.Add(track, start, end, label)
+	}
+	if end <= start {
+		return
+	} else if a.busy[track] == nil {
+		a.busy[track] = &trace.Busy{}
+	}
+	if !a.busy[track].Add(start, end) {
+		a.err = cmp.Or(a.err, fmt.Errorf("%w: %s interval [%v, %v] starts before the track's open span", ErrInvariant, track, start, end))
+	}
+}
+
+// AddMark records a mark, creating its track.
+func (a *activity) AddMark(track string, t float64, label string) {
+	if a.rec != nil {
+		a.rec.AddMark(track, t, label)
+	}
+	if a.busy[track] == nil {
+		a.busy[track] = &trace.Busy{}
+	}
+	if label == "stall" {
+		a.stalled = append(a.stalled, track)
+	}
 }
 
 // add folds a chip's fault block into the board's, its core ids offset

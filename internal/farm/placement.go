@@ -63,10 +63,7 @@ func Place(cfg Config) (Placement, error) {
 	if cfg.Slaves < 1 || cfg.Slaves > maxSlaves {
 		return Placement{}, fmt.Errorf("farm: %w: %d outside [1,%d]", ErrSlaveCount, cfg.Slaves, maxSlaves)
 	}
-	threads := cfg.ThreadsPerWorker
-	if threads < 1 {
-		threads = 1
-	}
+	threads := max(cfg.ThreadsPerWorker, 1)
 	workers := cfg.Slaves / threads
 	if workers < 1 {
 		return Placement{}, fmt.Errorf("farm: %w: %d cores for a %d-thread worker", ErrWorkerGrouping, cfg.Slaves, threads)

@@ -90,12 +90,7 @@ func (l *slaveLRU) remove(id int) bool {
 // them. reg may be nil. labels are optional extra key/value label pairs
 // on the cache's metric keys (per-chip scoping in multi-chip runs).
 func NewStructCache(capacity int, sizes []int, maxRequest int, reg *metrics.Registry, labels ...string) *StructCache {
-	if capacity < 2 {
-		capacity = 2
-	}
-	if capacity < maxRequest {
-		capacity = maxRequest
-	}
+	capacity = max(capacity, 2, maxRequest)
 	return &StructCache{
 		capacity:       capacity,
 		sizes:          sizes,
@@ -114,9 +109,7 @@ func NewStructCache(capacity int, sizes []int, maxRequest int, reg *metrics.Regi
 // multiple job queues size the shared cache to the largest batch seen
 // so far). Capacity never shrinks, so earlier accounting stays valid.
 func (c *StructCache) EnsureCapacity(maxRequest int) {
-	if maxRequest > c.capacity {
-		c.capacity = maxRequest
-	}
+	c.capacity = max(c.capacity, maxRequest)
 }
 
 // Capacity returns the modelled per-slave capacity in structures.

@@ -274,7 +274,7 @@ type Injector struct {
 	// hits counts matching messages per link rule, for Every periods.
 	hits  []int
 	stats Stats
-	rec   *trace.Recorder
+	rec   trace.Sink
 	host  Host
 }
 
@@ -306,15 +306,14 @@ func (in *Injector) DeadCores() []int {
 }
 
 // Arm schedules the plan's kill and stall events on the host's engine
-// and optionally marks them on a trace recorder (one 'X' per event on
-// the core's track). Call after the core processes are spawned and
-// before the engine runs.
-func (in *Injector) Arm(h Host, rec *trace.Recorder) {
+// and optionally marks them, and every drop, on a trace sink (one 'X'
+// per event on the core's track). Call after the core processes are
+// spawned and before the engine runs.
+func (in *Injector) Arm(h Host, rec trace.Sink) {
 	in.host = h
 	in.rec = rec
 	e := h.Engine()
 	for _, k := range in.plan.Kills {
-		k := k
 		e.Schedule(k.At, func() {
 			p := h.Proc(k.Core)
 			if p == nil || p.Done() {
@@ -329,7 +328,6 @@ func (in *Injector) Arm(h Host, rec *trace.Recorder) {
 		})
 	}
 	for _, s := range in.plan.Stalls {
-		s := s
 		e.Schedule(s.At, func() {
 			p := h.Proc(s.Core)
 			if p == nil || p.Done() {

@@ -243,7 +243,7 @@ func Synthesize(spec SynthSpec) ([]Arrival, error) {
 			}
 		} else {
 			n := int(math.Round(sl.RPS * sl.Dur.Seconds()))
-			gap := sl.Dur / time.Duration(maxInt(n, 1))
+			gap := sl.Dur / time.Duration(max(n, 1))
 			for i := 0; i < n; i++ {
 				out = append(out, Arrival{At: base + time.Duration(i)*gap, Op: pickOp(), Slot: si})
 			}
@@ -251,11 +251,4 @@ func Synthesize(spec SynthSpec) ([]Arrival, error) {
 		base += sl.Dur
 	}
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

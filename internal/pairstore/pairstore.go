@@ -209,7 +209,6 @@ func (s *Store) Prefetch(keys []Key, compute func(i int) any) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				i := i
 				s.Get(keys[i], func() any { return compute(i) })
 			}
 		}()

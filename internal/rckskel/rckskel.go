@@ -124,9 +124,10 @@ type Team struct {
 	// charged per collected result: 1 models the paper's busy polling,
 	// 0 an ideal event-driven notification (the polling ablation).
 	DiscoveryCostScale float64
-	// Trace, when non-nil, records per-core activity intervals ("compute"
-	// on slaves, "collect" on the master) for utilization reports.
-	Trace *trace.Recorder
+	// Trace, when non-nil, receives per-core activity intervals
+	// ("compute" on slaves, "collect" on the master) for utilization
+	// reports.
+	Trace trace.Sink
 
 	// ring carries "result ready" flags (slave positions) to the master:
 	// an async queue, so a flag survives a busy master or a slave dying

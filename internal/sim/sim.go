@@ -11,7 +11,7 @@
 // fully deterministic. Each process body is a coroutine (iter.Pull): the
 // engine switches into it and it switches back directly, without a trip
 // through the Go scheduler (or not at all when its own wake-up is next:
-// see Process.suspend), and a panic in a body surfaces from Run on
+// see Process.Wait), and a panic in a body surfaces from Run on
 // the caller's goroutine. Engines share nothing, so independent engines
 // may run on different goroutines at once.
 //
@@ -99,14 +99,17 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// Engine owns the virtual clock and the event queue.
+// Engine owns the virtual clock and the event queue: a heap and, beside
+// it, a FIFO of the events scheduled at Now, whose seqs only grow — so
+// the earlier by (time, seq) of the two heads is the heap-only order's.
 type Engine struct {
 	now    float64
 	events eventHeap
+	soon   fifo[event]
 	seq    int64
 	// until is the horizon of the dispatch loop in control, -Inf while
-	// release unwinds processes: a process wake-up up to it may be
-	// dispatched inline by the process itself (see Process.suspend).
+	// release unwinds processes: a process wake-up up to it may be taken
+	// by the process itself (see Process.Wait).
 	until float64
 	// live holds the processes whose bodies have not finished, in spawn
 	// order.
@@ -152,8 +155,28 @@ func (e *Engine) Schedule(t float64, fn func()) {
 	if !(t >= e.now) {
 		t = e.now
 	}
+	e.push(event{t: t, fn: fn})
+}
+
+// push queues ev under the next seq, in the FIFO when it is due now.
+func (e *Engine) push(ev event) {
 	e.seq++
-	e.events.push(event{t: t, seq: e.seq, fn: fn})
+	if ev.seq = e.seq; ev.t == e.now {
+		e.soon.push(ev)
+	} else {
+		e.events.push(ev)
+	}
+}
+
+// next pops the next event in dispatch order if it is due by until.
+func (e *Engine) next(until float64) (event, bool) {
+	soon := e.soon.len() > 0 && (len(e.events) == 0 || e.soon.front().before(&e.events[0]))
+	if soon && e.soon.front().t <= until {
+		return e.soon.pop(), true
+	} else if !soon && len(e.events) > 0 && e.events[0].t <= until {
+		return e.events.pop(), true
+	}
+	return event{}, false
 }
 
 // After runs fn after delay d.
@@ -166,8 +189,7 @@ func (e *Engine) scheduleProc(t float64, p *Process) {
 	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: %s woken at t=%v before now=%v", p.name, t, e.now))
 	}
-	e.seq++
-	e.events.push(event{t: t, seq: e.seq, p: p})
+	e.push(event{t: t, p: p})
 }
 
 // killSentinel is the panic value that unwinds a killed process's
@@ -291,45 +313,38 @@ func (e *Engine) StallUntil(p *Process, t float64) {
 	}
 }
 
-// suspend hands control back to the engine until the next wake-up; a
-// process the engine is releasing unwinds instead. When the next event
-// within the dispatch horizon is this process's own wake-up, the process
-// dispatches it itself: the engine would pop exactly that event and
-// switch straight back, so skipping the round trip moves no event, time
-// or count.
-func (p *Process) suspend() {
-	e := p.e
-	if len(e.events) > 0 && e.events[0].p == p && e.events[0].t <= e.until {
-		e.now = e.events.pop().t
-		e.mWakes.Inc()
-		return
-	}
-	if !p.toEngine(struct{}{}) {
-		panic(killSentinel{})
-	}
-}
-
 // yield parks the process until it is resumed. Wake-ups inside a stall
-// window are re-deferred to the stall end; a pending kill unwinds the
-// body via the sentinel panic.
+// window are re-deferred to the stall end; a pending kill, or the engine
+// releasing the process, unwinds the body via the sentinel panic.
 func (p *Process) yield() {
-	p.suspend()
-	for !p.killed && p.stallUntil > p.e.now {
+	for {
+		if !p.toEngine(struct{}{}) || p.killed {
+			panic(killSentinel{})
+		} else if p.stallUntil <= p.e.now {
+			return
+		}
 		p.e.scheduleProc(p.stallUntil, p)
-		p.suspend()
-	}
-	if p.killed {
-		panic(killSentinel{})
 	}
 }
 
 // Wait advances the process's local time by d seconds of simulated time.
-// Negative d is treated as zero.
+// Negative d is treated as zero. A wake-up within the dispatch horizon,
+// strictly before every queued event, that no kill or stall defers is
+// taken in place: queued, it would be popped next and resume this
+// process at once, so only its seq and count are left to take.
 func (p *Process) Wait(d float64) {
 	if d < 0 || math.IsNaN(d) {
 		d = 0
 	}
-	p.e.scheduleProc(p.e.now+d, p)
+	e := p.e
+	t := e.now + d
+	if t <= e.until && e.soon.len() == 0 && (len(e.events) == 0 || t < e.events[0].t) && !p.killed && p.stallUntil <= t {
+		e.seq++
+		e.now = t
+		e.mWakes.Inc()
+		return
+	}
+	e.scheduleProc(t, p)
 	p.yield()
 }
 
@@ -391,8 +406,7 @@ func (e *DeadlockError) Error() string {
 // order.
 func (e *Engine) dispatch(until float64) {
 	e.until = until
-	for len(e.events) > 0 && e.events[0].t <= until {
-		ev := e.events.pop()
+	for ev, ok := e.next(until); ok; ev, ok = e.next(until) {
 		e.now = ev.t
 		if p := ev.p; p != nil {
 			if p.done {

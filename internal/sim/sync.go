@@ -384,10 +384,7 @@ type Barrier struct {
 
 // NewBarrier returns a barrier for n participants (n >= 1).
 func NewBarrier(name string, n int) *Barrier {
-	if n < 1 {
-		n = 1
-	}
-	return &Barrier{name: name, n: n}
+	return &Barrier{name: name, n: max(n, 1)}
 }
 
 // Wait blocks p until all n participants have called Wait.
@@ -424,10 +421,7 @@ type holding struct {
 
 // NewResource returns a resource with the given slot count (>= 1).
 func NewResource(name string, capacity int) *Resource {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Resource{name: name, capacity: capacity}
+	return &Resource{name: name, capacity: max(capacity, 1)}
 }
 
 // hold starts p's busy interval.

@@ -144,7 +144,7 @@ func (p *Plot) Render(width, height int) string {
 	}
 	fmt.Fprintf(&b, "%s +%s\n", strings.Repeat(" ", 8), strings.Repeat("-", width))
 	fmt.Fprintf(&b, "%s  %-8.4g%s%8.4g  (%s)\n", strings.Repeat(" ", 8),
-		xmin, strings.Repeat(" ", maxInt(0, width-16)), xmax, p.XLabel)
+		xmin, strings.Repeat(" ", max(0, width-16)), xmax, p.XLabel)
 	for _, s := range p.series {
 		fmt.Fprintf(&b, "%s   %c = %s\n", strings.Repeat(" ", 8), s.Marker, s.Name)
 	}
@@ -153,11 +153,4 @@ func (p *Plot) Render(width, height int) string {
 			map[bool]string{true: " (log scale)", false: ""}[p.LogY])
 	}
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

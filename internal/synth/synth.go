@@ -141,20 +141,10 @@ func frameAlong(dir geom.Vec3, roll float64) geom.Mat3 {
 			base = geom.RotZ(math.Pi)
 		}
 	} else {
-		angle := math.Acos(clamp(x.Dot(dir), -1, 1))
+		angle := math.Acos(min(max(x.Dot(dir), -1), 1))
 		base = geom.AxisAngle(axis, angle)
 	}
 	return base.Mul(geom.AxisAngle(geom.V(1, 0, 0), roll))
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // PerturbOptions controls family-member generation.

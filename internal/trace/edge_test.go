@@ -15,8 +15,8 @@ func TestUtilizationMergesOverlaps(t *testing.T) {
 	if got := r.Utilization("m", 0, 20); got != 0.5 {
 		t.Errorf("overlapping utilization = %v, want 0.5 (merged 10s / 20s window)", got)
 	}
-	if got := r.BusySeconds("m"); got != 10 {
-		t.Errorf("busy = %v, want 10", got)
+	if got := r.Utilization("m", 0, 10); got != 1 {
+		t.Errorf("utilization of the merged run = %v, want 1", got)
 	}
 	// Clipping: only [5, 10] of the merged run falls in the window.
 	if got := r.Utilization("m", 5, 15); got != 0.5 {

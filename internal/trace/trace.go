@@ -7,7 +7,7 @@ package trace
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -23,6 +23,13 @@ type Interval struct {
 type Mark struct {
 	T     float64
 	Label string
+}
+
+// Sink receives a run's activity by track: a Recorder keeps all of it,
+// other sinks only what they account for.
+type Sink interface {
+	Add(track string, start, end float64, label string)
+	AddMark(track string, t float64, label string)
 }
 
 // Recorder accumulates intervals by track (typically one track per
@@ -106,46 +113,46 @@ func (r *Recorder) Span() (float64, float64) {
 	return lo, hi
 }
 
-// mergedBusy sums the intervals clipped to the window [t0, t1] with
-// overlaps merged: a sorted sweep that extends the current merged run or
-// closes it and starts the next, so double-booked time counts once.
-func mergedBusy(intervals []Interval, t0, t1 float64) float64 {
-	ivs := make([]Interval, 0, len(intervals))
-	for _, iv := range intervals {
-		s, e := iv.Start, iv.End
-		if s < t0 {
-			s = t0
-		}
-		if e > t1 {
-			e = t1
-		}
-		if e > s {
-			ivs = append(ivs, Interval{Start: s, End: e})
-		}
-	}
-	sort.Slice(ivs, func(a, b int) bool { return ivs[a].Start < ivs[b].Start })
-	var busy, curStart, curEnd float64
-	started := false
-	for _, iv := range ivs {
-		if !started || iv.Start > curEnd {
-			if started {
-				busy += curEnd - curStart
-			}
-			curStart, curEnd = iv.Start, iv.End
-			started = true
-		} else if iv.End > curEnd {
-			curEnd = iv.End
-		}
-	}
-	if started {
-		busy += curEnd - curStart
-	}
-	return busy
+// Busy is a track's busy time merged as its intervals arrive: the closed
+// runs' sum and the open run, which an interval starting within it
+// (touching included) extends and one starting after it closes. Fed in
+// order of start, it sums the runs of a sorted sweep over the whole
+// track in the sweep's order, bit for bit. The zero value is ready.
+type Busy struct {
+	sum        float64 // the closed runs
+	start, end float64 // the open run; both 0 until there is one
 }
 
-// BusySeconds returns a track's total busy time (overlaps merged).
-func (r *Recorder) BusySeconds(track string) float64 {
-	return mergedBusy(r.tracks[track], math.Inf(-1), math.Inf(1))
+// Add merges [start, end]; an interval with end <= start is ignored. It
+// returns false, adding nothing, for one that starts before the open run:
+// merged out of order it could bridge closed runs, so the sum would no
+// longer be the sweep's.
+func (b *Busy) Add(start, end float64) bool {
+	switch {
+	case end <= start:
+	case b.end <= b.start: // no open run yet
+		b.start, b.end = start, end
+	case start < b.start:
+		return false
+	case start > b.end:
+		b.sum += b.end - b.start
+		b.start, b.end = start, end
+	case end > b.end:
+		b.end = end
+	}
+	return true
+}
+
+// Seconds returns the busy time.
+func (b *Busy) Seconds() float64 { return b.sum + (b.end - b.start) }
+
+// Before returns the busy time clipped to (-Inf, t] as a sweep over the
+// clipped intervals sums it, provided only the open run reaches past t.
+func (b *Busy) Before(t float64) float64 {
+	if b.start >= t {
+		return b.sum
+	}
+	return b.sum + (min(b.end, t) - b.start)
 }
 
 // Utilization returns a track's busy fraction of the window [t0, t1],
@@ -155,11 +162,13 @@ func (r *Recorder) Utilization(track string, t0, t1 float64) float64 {
 	if t1 <= t0 {
 		return 0
 	}
-	u := mergedBusy(r.tracks[track], t0, t1) / (t1 - t0)
-	if u > 1 {
-		u = 1
+	ivs := slices.Clone(r.tracks[track])
+	sort.Slice(ivs, func(a, b int) bool { return ivs[a].Start < ivs[b].Start })
+	var busy Busy
+	for _, iv := range ivs {
+		busy.Add(max(iv.Start, t0), min(iv.End, t1))
 	}
-	return u
+	return min(busy.Seconds()/(t1-t0), 1)
 }
 
 // nameWidth returns the track-name column width: the longest recorded
@@ -167,9 +176,7 @@ func (r *Recorder) Utilization(track string, t0, t1 float64) float64 {
 func (r *Recorder) nameWidth() int {
 	w := 10
 	for _, track := range r.order {
-		if len(track) > w {
-			w = len(track)
-		}
+		w = max(w, len(track))
 	}
 	return w
 }
@@ -177,9 +184,7 @@ func (r *Recorder) nameWidth() int {
 // UtilizationTable renders per-track utilization over the full span as
 // aligned text with a bar.
 func (r *Recorder) UtilizationTable(width int) string {
-	if width < 10 {
-		width = 10
-	}
+	width = max(width, 10)
 	t0, t1 := r.Span()
 	nw := r.nameWidth()
 	var b strings.Builder

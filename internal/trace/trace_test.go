@@ -23,15 +23,15 @@ func TestAddAndSpan(t *testing.T) {
 }
 
 func TestBusySecondsMergesOverlaps(t *testing.T) {
-	r := New()
-	r.Add("c", 0, 2, "")
-	r.Add("c", 1, 3, "") // overlaps
-	r.Add("c", 5, 6, "")
-	if got := r.BusySeconds("c"); got != 4 {
+	var b Busy
+	b.Add(0, 2)
+	b.Add(1, 3) // overlaps
+	b.Add(5, 6)
+	if got := b.Seconds(); got != 4 {
 		t.Errorf("busy = %v, want 4", got)
 	}
-	if r.BusySeconds("missing") != 0 {
-		t.Error("missing track busy != 0")
+	if (&Busy{}).Seconds() != 0 {
+		t.Error("empty track busy != 0")
 	}
 }
 
