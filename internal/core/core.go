@@ -127,7 +127,8 @@ func ComputeAllPairsShared(ds *synth.Dataset, opt tmalign.Options, store *pairst
 // pair subset: only the listed pairs are evaluated (natively, through
 // the store) and only they appear in the returned PairResults. This is
 // the compute path behind pruning — skipped pairs never reach the
-// TM-align kernel, the farm job builders, or the -scores-out dump.
+// TM-align kernel, the farm job builders, or the -scores-out dump. Each
+// structure is prepared once, by the first comparison that reaches it.
 func ComputePairsShared(ds *synth.Dataset, opt tmalign.Options, store *pairstore.Store, pairs []sched.Pair) *PairResults {
 	pr := &PairResults{
 		Dataset: ds,
@@ -139,9 +140,13 @@ func ComputePairsShared(ds *synth.Dataset, opt tmalign.Options, store *pairstore
 		pr.index[p] = k
 	}
 	keys := PairKeysFor(ds, opt, pairs)
+	lazy := make([]tmalign.Lazy, ds.Len())
+	for i, s := range ds.Structures {
+		lazy[i].Structure = s
+	}
 	compute := func(k int) any {
 		p := pairs[k]
-		return tmalign.Compare(ds.Structures[p.I], ds.Structures[p.J], opt)
+		return tmalign.ComparePrepared(lazy[p.I].Get(), lazy[p.J].Get(), opt)
 	}
 	store.Prefetch(keys, compute)
 	for k := range pairs {

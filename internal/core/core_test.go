@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rckalign/internal/costmodel"
@@ -43,6 +44,27 @@ func TestComputeAllPairsComplete(t *testing.T) {
 		if pr.Get(p) != pr.Results[k] {
 			t.Fatal("index mismatch")
 		}
+	}
+}
+
+// TestComputePairsSharedAllocs budgets a cold CK34 all-vs-all through a
+// two-worker store per pair: the comparison's three objects (context,
+// Result, alignment), the store's entry and read-back, and each
+// structure's one preparation spread over its 33 pairs. Preparing per
+// pair, as the one-shot tmalign.Compare does, costs 8 more.
+func TestComputePairsSharedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties the workspace pool at random")
+	}
+	ds := synth.CK34()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	pr := ComputeAllPairsShared(ds, tmalign.FastOptions(), pairstore.New(2))
+	runtime.ReadMemStats(&m1)
+	perPair := float64(m1.Mallocs-m0.Mallocs) / float64(len(pr.Pairs))
+	t.Logf("%.2f allocations per pair", perPair)
+	if perPair > 7 {
+		t.Errorf("%.2f allocations per pair, budget 7", perPair)
 	}
 }
 

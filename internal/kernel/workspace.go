@@ -38,12 +38,6 @@ type Workspace struct {
 	// InvBest the best alignment across all initials.
 	InvTmp, InvSeed, InvDP, InvBest []int
 
-	// YX/YY/YZ are the SoA (structure-of-arrays) mirror of the second
-	// chain's coordinates, laid out for the fused distance+score matrix
-	// fills (one contiguous stream per axis instead of strided Vec3
-	// loads).
-	YX, YY, YZ []float64
-
 	// Mat is the xlen x ylen score matrix of the gapped DP rounds
 	// (dpIter's gap open -0.6, get_initial_ssplus). A gap-free round
 	// folds its terms straight into the aligner's value table and never
@@ -116,9 +110,6 @@ func (w *Workspace) ReservePairs(n int) {
 	w.InvSeed = grow(w.InvSeed, n)
 	w.InvDP = grow(w.InvDP, n)
 	w.InvBest = grow(w.InvBest, n)
-	w.YX = grow(w.YX, n)
-	w.YY = grow(w.YY, n)
-	w.YZ = grow(w.YZ, n)
 }
 
 // ReserveMat sizes the score matrix for an xlen x ylen problem.

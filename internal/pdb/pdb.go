@@ -53,11 +53,12 @@ func (s *Structure) CAs() []geom.Vec3 {
 
 // Sequence returns the one-letter amino acid sequence.
 func (s *Structure) Sequence() string {
-	b := make([]byte, len(s.Residues))
-	for i, r := range s.Residues {
-		b[i] = r.AA
+	var b strings.Builder
+	b.Grow(len(s.Residues))
+	for _, r := range s.Residues {
+		b.WriteByte(r.AA)
 	}
-	return string(b)
+	return b.String()
 }
 
 // Clone returns a deep copy of the structure.

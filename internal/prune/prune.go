@@ -60,13 +60,10 @@ type Features struct {
 }
 
 // Extract computes the pre-filter features of one CA trace.
-func Extract(ca []geom.Vec3, seq string) Features {
-	sec := ss.Assign(ca)
-	return FromSec(sec, seq)
-}
+func Extract(ca []geom.Vec3, seq string) Features { return FromSec(ss.Assign(ca), seq) }
 
-// FromSec builds Features from an existing secondary structure
-// assignment (callers that already ran ss.Assign avoid repeating it).
+// FromSec builds Features from a secondary structure assignment:
+// Extract's second half, and how tests build features for a chosen one.
 func FromSec(sec []ss.Type, seq string) Features {
 	f := Features{Length: len(sec), Sec: sec, Seq: seq}
 	if len(sec) == 0 {

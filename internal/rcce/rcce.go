@@ -81,6 +81,12 @@ type Comm struct {
 	barrier *sim.Barrier
 	// free holds transfers both sides have released.
 	free []*transfer
+	// chunk is the RCCE chunk size (each core's MPB share) and
+	// chunkOverhead the per-chunk protocol cost beyond raw transfer: MPB
+	// flag write + test&set round trip plus the chunk checksum, a few
+	// hundred core cycles.
+	chunk         int
+	chunkOverhead float64
 
 	// Observability handles (nil unless SetMetrics installed a registry).
 	cSendMsgs  *metrics.Counter
@@ -119,7 +125,8 @@ func (c *Comm) SetMetrics(reg *metrics.Registry, labels ...string) {
 
 // New builds a Comm for the chip.
 func New(chip *scc.Chip) *Comm {
-	return &Comm{chip: chip, pairs: make([]*sim.Chan, chip.NumCores()*chip.NumCores())}
+	cfg := chip.Config()
+	return &Comm{chip: chip, pairs: make([]*sim.Chan, chip.NumCores()*chip.NumCores()), chunk: cfg.MPBPerCore(), chunkOverhead: 600 / cfg.CPU.FreqHz}
 }
 
 // Chip returns the underlying chip.
@@ -136,25 +143,14 @@ func (c *Comm) pair(src, dst int) *sim.Chan {
 	return c.pairs[k]
 }
 
-// chunkOverhead is the per-chunk protocol cost beyond raw transfer: MPB
-// flag write + test&set round trip plus the chunk checksum, a few
-// hundred core cycles.
-func (c *Comm) chunkOverhead() float64 {
-	return 600 / c.chip.Config().CPU.FreqHz
-}
-
 // transferChunks drives the chunked MPB transfer of bytes across the
 // mesh from within process p.
 func (c *Comm) transferChunks(p *sim.Process, src, dst, bytes int) {
-	chunk := c.chip.Config().MPBPerCore()
 	remaining := bytes
 	for remaining > 0 {
-		n := remaining
-		if n > chunk {
-			n = chunk
-		}
+		n := min(remaining, c.chunk)
 		c.chip.Transfer(p, src, dst, n)
-		p.Wait(c.chunkOverhead())
+		p.Wait(c.chunkOverhead)
 		remaining -= n
 	}
 }

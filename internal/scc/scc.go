@@ -75,8 +75,13 @@ type Chip struct {
 	cfg    Config
 	engine *sim.Engine
 	mesh   *noc.Mesh
-	mcRes  []*sim.Resource // lazily built iMC service queues
 	procs  map[int]*sim.Process
+	// The iMCs' routers and service queues, and per core its tile's
+	// router and the index of its iMC: fixed at New, looked up per message.
+	mcs    []noc.Coord
+	mcRes  []*sim.Resource
+	coords []noc.Coord
+	mcOf   []int
 }
 
 // New builds a chip on the given engine. Its mesh has one router per
@@ -87,7 +92,27 @@ func New(e *sim.Engine, cfg Config) *Chip {
 	}
 	mesh := noc.DefaultConfig()
 	mesh.Width, mesh.Height = cfg.TilesX, cfg.TilesY
-	return &Chip{cfg: cfg, engine: e, mesh: noc.New(mesh), procs: map[int]*sim.Process{}}
+	c := &Chip{cfg: cfg, engine: e, mesh: noc.New(mesh), procs: map[int]*sim.Process{}}
+	// The iMCs sit at the corners (fewer take a prefix); a core's is the
+	// nearest, ties to the lowest index: the SCC's quadrant assignment.
+	w, h := cfg.TilesX-1, cfg.TilesY-1
+	c.mcs = []noc.Coord{{X: 0, Y: 0}, {X: w, Y: 0}, {X: 0, Y: h}, {X: w, Y: h}}[:min(max(cfg.MemControllers, 1), 4)]
+	c.mcRes = make([]*sim.Resource, len(c.mcs))
+	for i := range c.mcRes {
+		c.mcRes[i] = sim.NewResource(fmt.Sprintf("imc%d", i), 1)
+	}
+	c.coords, c.mcOf = make([]noc.Coord, cfg.NumCores()), make([]int, cfg.NumCores())
+	for core := range c.coords {
+		tile := core / cfg.CoresPerTile
+		pos := noc.Coord{X: tile % cfg.TilesX, Y: tile / cfg.TilesX}
+		c.coords[core] = pos
+		for i, mc := range c.mcs {
+			if c.mesh.Hops(pos, mc) < c.mesh.Hops(pos, c.mcs[c.mcOf[core]]) {
+				c.mcOf[core] = i
+			}
+		}
+	}
+	return c
 }
 
 // Config returns the chip configuration.
@@ -100,19 +125,13 @@ func (c *Chip) Engine() *sim.Engine { return c.engine }
 func (c *Chip) Mesh() *noc.Mesh { return c.mesh }
 
 // NumCores returns the chip's core count.
-func (c *Chip) NumCores() int { return c.cfg.NumCores() }
+func (c *Chip) NumCores() int { return len(c.coords) }
 
-// TileOf returns the tile index of a core (cores are numbered rck00..;
-// two consecutive core ids share a tile, as on the SCC).
-func (c *Chip) TileOf(core int) int {
-	c.checkCore(core)
-	return core / c.cfg.CoresPerTile
-}
-
-// CoordOf returns the mesh router coordinate of a core's tile.
+// CoordOf returns the mesh router coordinate of a core's tile (two
+// consecutive core ids share a tile, as on the SCC).
 func (c *Chip) CoordOf(core int) noc.Coord {
-	tile := c.TileOf(core)
-	return noc.Coord{X: tile % c.cfg.TilesX, Y: tile / c.cfg.TilesX}
+	c.checkCore(core)
+	return c.coords[core]
 }
 
 // CoreName returns the SCC host name of a core (rck00...rck47).
@@ -122,8 +141,8 @@ func (c *Chip) CoreName(core int) string {
 }
 
 func (c *Chip) checkCore(core int) {
-	if core < 0 || core >= c.cfg.NumCores() {
-		panic(fmt.Sprintf("scc: core %d out of range [0,%d)", core, c.cfg.NumCores()))
+	if uint(core) >= uint(len(c.coords)) {
+		panic(fmt.Sprintf("scc: core %d out of range [0,%d)", core, len(c.coords)))
 	}
 }
 

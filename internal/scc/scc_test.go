@@ -42,14 +42,14 @@ func TestTableI(t *testing.T) {
 
 func TestTileAndCoordMapping(t *testing.T) {
 	chip := New(sim.NewEngine(), DefaultConfig())
-	if chip.TileOf(0) != 0 || chip.TileOf(1) != 0 {
+	if chip.CoordOf(0) != chip.CoordOf(1) {
 		t.Error("cores 0,1 must share tile 0")
 	}
-	if chip.TileOf(2) != 1 {
-		t.Error("core 2 must be tile 1")
+	if got := chip.CoordOf(2); got != (noc.Coord{X: 1, Y: 0}) {
+		t.Errorf("core 2 must be tile 1, at %v", got)
 	}
-	if chip.TileOf(47) != 23 {
-		t.Error("core 47 must be tile 23")
+	if got := chip.CoordOf(13); got != (noc.Coord{X: 0, Y: 1}) {
+		t.Errorf("core 13 must be tile 6, at %v", got)
 	}
 	if got := chip.CoordOf(0); got != (noc.Coord{X: 0, Y: 0}) {
 		t.Errorf("coord of core 0 = %v", got)
@@ -79,7 +79,7 @@ func TestCoreRangePanics(t *testing.T) {
 			t.Error("expected panic for core 48")
 		}
 	}()
-	chip.TileOf(48)
+	chip.CoordOf(48)
 }
 
 func TestComputeCharges(t *testing.T) {

@@ -328,7 +328,7 @@ func BenchmarkAlign150x150(b *testing.B) {
 }
 
 // mirror returns y as structure-of-arrays, the layout of
-// kernel.Workspace's YX/YY/YZ.
+// tmalign.Prepared's mirror.
 func mirror(y []geom.Vec3) (yx, yy, yz []float64) {
 	yx, yy, yz = make([]float64, len(y)), make([]float64, len(y)), make([]float64, len(y))
 	for j, p := range y {

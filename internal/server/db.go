@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"rckalign/internal/pdb"
+	"rckalign/internal/tmalign"
 )
 
 // ErrUnknownStructure is the typed not-found error for structure
@@ -22,11 +23,12 @@ var ErrDuplicateStructure = errors.New("duplicate structure id")
 // Indices are assigned at insertion and never change, so they define
 // the canonical pair orientation (compare index-lower vs index-higher)
 // that keeps served scores bit-identical to a batch run over the same
-// structures in the same order. All methods are safe for concurrent
-// use.
+// structures in the same order. An entry is prepared by the first
+// comparison that needs it, not at Add, so a preloaded dataset pays only
+// for what its queries reach. All methods are safe for concurrent use.
 type DB struct {
 	mu      sync.RWMutex
-	structs []*pdb.Structure
+	structs []*tmalign.Lazy
 	index   map[string]int
 }
 
@@ -48,14 +50,14 @@ func (db *DB) Add(s *pdb.Structure) (int, error) {
 		return i, fmt.Errorf("%w: %q is structure %d", ErrDuplicateStructure, s.ID, i)
 	}
 	i := len(db.structs)
-	db.structs = append(db.structs, s)
+	db.structs = append(db.structs, &tmalign.Lazy{Structure: s})
 	db.index[s.ID] = i
 	return i, nil
 }
 
-// Lookup resolves a structure ID to its index and structure, or returns
-// an error wrapping ErrUnknownStructure.
-func (db *DB) Lookup(id string) (int, *pdb.Structure, error) {
+// Lookup resolves a structure ID to its index and entry, or returns an
+// error wrapping ErrUnknownStructure.
+func (db *DB) Lookup(id string) (int, *tmalign.Lazy, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	i, ok := db.index[id]
@@ -72,10 +74,10 @@ func (db *DB) Len() int {
 	return len(db.structs)
 }
 
-// Snapshot returns the structures in insertion order. The slice is a
-// copy; the structures are shared (and immutable by convention).
-func (db *DB) Snapshot() []*pdb.Structure {
+// Snapshot returns the entries in insertion order. The slice is a copy;
+// the entries are shared (and their structures immutable by convention).
+func (db *DB) Snapshot() []*tmalign.Lazy {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return append([]*pdb.Structure(nil), db.structs...)
+	return append([]*tmalign.Lazy(nil), db.structs...)
 }

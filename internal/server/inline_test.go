@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"rckalign/internal/batcher"
-	"rckalign/internal/pdb"
 	"rckalign/internal/tmalign"
 )
 
@@ -21,9 +20,15 @@ var neverFlush = batcher.Config{BatchSize: 1000, MaxWait: time.Minute}
 
 // seed makes the canonical pair (i, j) resident in the server's store
 // without a request.
-func seed(s *Server, structs []*pdb.Structure, i, j int) {
-	job := canonicalJob("", i, structs[i], j, structs[j])
-	s.store.Get(s.keyFor(job), func() any { return tmalign.Compare(job.a, job.b, s.opt) })
+func seed(s *Server, i, j int) {
+	job := jobOf(s, i, j)
+	s.store.Get(s.keyFor(job), func() any { return tmalign.ComparePrepared(job.a.Get(), job.b.Get(), s.opt) })
+}
+
+// jobOf is the canonical job of database entries i and j.
+func jobOf(s *Server, i, j int) pairJob {
+	e := s.db.Snapshot()
+	return canonicalJob("", i, e[i], j, e[j])
 }
 
 // TestResidentPairsAnswerInline pins the warm path and its tracing
@@ -36,7 +41,7 @@ func TestResidentPairsAnswerInline(t *testing.T) {
 	var log bytes.Buffer
 	s, structs := newTestServer(t, 4, Config{Batch: neverFlush, AccessLog: &log})
 	for o := 1; o < len(structs); o++ {
-		seed(s, structs, 0, o)
+		seed(s, 0, o)
 	}
 	hits0 := s.Store().Stats().Hits
 
@@ -123,7 +128,7 @@ func TestPartlyWarmRowEnqueuesOnlyItsMisses(t *testing.T) {
 	s, _ := newTestServer(t, n, Config{})
 	warm := []int{0, 4, 6} // on both sides of the target's index
 	for _, o := range warm {
-		seed(s, structs, target, o)
+		seed(s, target, o)
 	}
 	w = do(t, s, "POST", "/onevsall?target="+structs[target].ID, nil)
 	var resp OneVsAllResponse
@@ -163,8 +168,8 @@ func TestInFlightPairStaysSingleFlight(t *testing.T) {
 	s, structs := newTestServer(t, 3, Config{
 		Batch: batcher.Config{BatchSize: burst, MaxWait: time.Millisecond, Workers: 2},
 	})
-	job := canonicalJob("", 0, structs[0], 1, structs[1])
-	want := tmalign.Compare(job.a, job.b, s.opt)
+	job := jobOf(s, 0, 1)
+	want := tmalign.Compare(structs[0], structs[1], s.opt)
 
 	begun := make(chan struct{})
 	release := make(chan struct{})

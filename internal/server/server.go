@@ -99,7 +99,7 @@ type Config struct {
 // request-independent).
 type pairJob struct {
 	i, j int
-	a, b *pdb.Structure
+	a, b *tmalign.Lazy
 	req  string
 }
 
@@ -141,12 +141,10 @@ type Server struct {
 	accessMu  sync.Mutex
 	accessLog io.Writer
 
-	// pruneTM is Config.PruneTM (0 = pruning off). Each sweep bounds its
-	// pairs with a prune.Filter of its own; pruneMu guards only the
-	// features cache they share, a plain map.
-	pruneTM    float64
-	pruneMu    sync.Mutex
-	pruneFeats map[*pdb.Structure]*prune.Features
+	// pruneTM is Config.PruneTM (pruning is on when it is positive).
+	// Each sweep bounds its pairs with a prune.Filter of its own over the
+	// entries' prepared features.
+	pruneTM float64
 }
 
 // endpoints instrumented with latency histograms, in /statsz order.
@@ -175,16 +173,13 @@ func New(cfg Config) *Server {
 		start:     time.Now(),
 		accessLog: cfg.AccessLog,
 		endpoints: make(map[string]endpointMetrics, len(observedEndpoints)),
+		pruneTM:   cfg.PruneTM,
 	}
 	for _, ep := range observedEndpoints {
 		s.endpoints[ep] = endpointMetrics{
 			latency:  s.reg.Histogram("server.latency_seconds", metrics.TimeBuckets, "endpoint", ep),
 			requests: s.reg.Counter("server.requests", "endpoint", ep),
 		}
-	}
-	if cfg.PruneTM > 0 {
-		s.pruneTM = cfg.PruneTM
-		s.pruneFeats = map[*pdb.Structure]*prune.Features{}
 	}
 	bcfg := cfg.Batch
 	bcfg.OnFlush = func(size int, trigger batcher.Trigger) {
@@ -257,7 +252,7 @@ func (s *Server) runBatch(jobs []pairJob) ([]pairOut, error) {
 	reqs := map[string]struct{}{}
 	for k, j := range jobs {
 		v, hit := s.store.GetHit(s.keyFor(j), func() any {
-			r, err := tmalign.TryCompare(j.a, j.b, s.opt)
+			r, err := tmalign.TryCompare(j.a.Get(), j.b.Get(), s.opt)
 			if err != nil {
 				return err
 			}
@@ -336,7 +331,7 @@ func (s *Server) keyFor(j pairJob) pairstore.Key {
 
 // canonicalJob orients a pair by database index: lower index first. req
 // is the submitting request's ID.
-func canonicalJob(req string, i int, a *pdb.Structure, j int, b *pdb.Structure) pairJob {
+func canonicalJob(req string, i int, a *tmalign.Lazy, j int, b *tmalign.Lazy) pairJob {
 	if i < j {
 		return pairJob{i: i, j: j, a: a, b: b, req: req}
 	}
@@ -563,8 +558,8 @@ type StructureInfo struct {
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	structs := s.db.Snapshot()
 	infos := make([]StructureInfo, len(structs))
-	for i, st := range structs {
-		infos[i] = StructureInfo{ID: st.ID, Index: i, Residues: st.Len()}
+	for i, e := range structs {
+		infos[i] = StructureInfo{ID: e.ID, Index: i, Residues: e.Len()}
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Count      int             `json:"count"`
@@ -706,7 +701,7 @@ func (s *Server) oneVsAll(info *reqInfo, targetID string) (int, []pairJob, []bat
 		f := prune.New(s.pruneTM)
 		kept := jobs[:0]
 		for _, j := range jobs {
-			if f.Skip(s.featuresOf(j.a), s.featuresOf(j.b)) {
+			if f.Skip(&j.a.Get().Features, &j.b.Get().Features) {
 				pruned++
 				continue
 			}
@@ -724,19 +719,6 @@ func (s *Server) oneVsAll(info *reqInfo, targetID string) (int, []pairJob, []bat
 		return 0, nil, nil, pruned, err
 	}
 	return ti, jobs, results, pruned, nil
-}
-
-// featuresOf returns the cached prune features of a stored structure,
-// extracting them on first use.
-func (s *Server) featuresOf(st *pdb.Structure) *prune.Features {
-	s.pruneMu.Lock()
-	defer s.pruneMu.Unlock()
-	if f, ok := s.pruneFeats[st]; ok {
-		return f
-	}
-	f := prune.Extract(st.CAs(), st.Sequence())
-	s.pruneFeats[st] = &f
-	return &f
 }
 
 // recordItems folds a request's pair results into the trace record:

@@ -8,6 +8,7 @@
 package tmalign
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -58,34 +59,32 @@ func IsKernelError(err error) bool {
 // relaxation costs a few passes over its pairs however far apart they
 // are (TestTryCompareFarApartCloudsFinishes). The returned error wraps
 // ErrDegenerateStructure.
-func ValidateStructure(st *pdb.Structure) error {
-	cas := st.CAs()
+func ValidateStructure(st *pdb.Structure) error { return validate(st.ID, st.CAs()) }
+
+func validate(id string, cas []geom.Vec3) error {
 	if len(cas) < 3 {
-		return fmt.Errorf("%w: %q has %d CA residues, need >= 3", ErrDegenerateStructure, st.ID, len(cas))
+		return fmt.Errorf("%w: %q has %d CA residues, need >= 3", ErrDegenerateStructure, id, len(cas))
 	}
 	for i, v := range cas {
 		for _, c := range v {
 			if !(math.Abs(c) <= maxCoordinate) {
-				return fmt.Errorf("%w: %q has CA coordinate %g at residue %d, outside ±%g", ErrDegenerateStructure, st.ID, c, i, maxCoordinate)
+				return fmt.Errorf("%w: %q has CA coordinate %g at residue %d, outside ±%g", ErrDegenerateStructure, id, c, i, maxCoordinate)
 			}
 		}
 	}
 	return nil
 }
 
-// TryCompare is Compare behind the kernel error boundary: it validates
-// both structures (ErrDegenerateStructure), runs the comparison, and
-// converts kernel-sentinel panics into returned errors. Panics that do
-// not wrap a kernel sentinel — genuine bugs — propagate unchanged.
-func TryCompare(s1, s2 *pdb.Structure, opt Options) (r *Result, err error) {
-	if err := ValidateStructure(s1); err != nil {
+// TryCompare is ComparePrepared behind the kernel error boundary: it
+// returns either structure's verdict from Prepare (ErrDegenerateStructure)
+// and turns kernel-sentinel panics into errors. Panics that do not wrap a
+// kernel sentinel — genuine bugs — propagate unchanged.
+func TryCompare(a, b *Prepared, opt Options) (r *Result, err error) {
+	if err := cmp.Or(a.err, b.err); err != nil {
 		return nil, err
 	}
-	if err := ValidateStructure(s2); err != nil {
-		return nil, err
-	}
-	defer recoverKernel(s1.ID, s2.ID, &err)
-	return Compare(s1, s2, opt), nil
+	defer recoverKernel(a.ID, b.ID, &err)
+	return ComparePrepared(a, b, opt), nil
 }
 
 // recoverKernel converts a kernel-sentinel panic into *err; anything

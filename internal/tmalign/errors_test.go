@@ -68,7 +68,7 @@ func TestTryCompareRejectsHugeCoordinate(t *testing.T) {
 	huge.Residues[7].CA[0] = 1e200
 	done := make(chan error, 1)
 	go func() {
-		_, err := TryCompare(ds.Structures[0], huge, DefaultOptions())
+		_, err := TryCompare(Prepare(ds.Structures[0]), Prepare(huge), DefaultOptions())
 		done <- err
 	}()
 	select {
@@ -117,7 +117,7 @@ func TestTryCompareMatchesCompare(t *testing.T) {
 	b := synthStructure("b", 35, 8)
 	opt := FastOptions()
 	want := Compare(a, b, opt)
-	got, err := TryCompare(a, b, opt)
+	got, err := TryCompare(Prepare(a), Prepare(b), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestTryCompareRejectsDegenerate(t *testing.T) {
 	nan := synthStructure("bad", 30, 10)
 	nan.Residues[12].CA[0] = math.NaN()
 	for _, pair := range [][2]*pdb.Structure{{nan, good}, {good, nan}} {
-		r, err := TryCompare(pair[0], pair[1], DefaultOptions())
+		r, err := TryCompare(Prepare(pair[0]), Prepare(pair[1]), DefaultOptions())
 		if r != nil || !errors.Is(err, ErrDegenerateStructure) {
 			t.Errorf("TryCompare(%s, %s) = %v, %v; want nil, ErrDegenerateStructure",
 				pair[0].ID, pair[1].ID, r, err)
@@ -153,7 +153,7 @@ func TestTryCompareMinimumChain(t *testing.T) {
 	big := synthStructure("big", 60, 13)
 	for _, opt := range []Options{DefaultOptions(), FastOptions()} {
 		for _, pair := range [][2]*pdb.Structure{{tiny, tiny}, {tiny, small}, {tiny, big}, {big, tiny}} {
-			r, err := TryCompare(pair[0], pair[1], opt)
+			r, err := TryCompare(Prepare(pair[0]), Prepare(pair[1]), opt)
 			if err != nil {
 				t.Fatalf("TryCompare(%s, %s): %v", pair[0].ID, pair[1].ID, err)
 			}
@@ -167,7 +167,7 @@ func TestTryCompareMinimumChain(t *testing.T) {
 		}
 	}
 	// Self comparison of the minimal chain is a perfect match.
-	r, err := TryCompare(tiny, tiny, DefaultOptions())
+	r, err := TryCompare(Prepare(tiny), Prepare(tiny), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestTryCompareFarApartCloudsFinishes(t *testing.T) {
 	done := make(chan outcome, 1)
 	start := time.Now()
 	go func() {
-		r, err := TryCompare(a, b, DefaultOptions())
+		r, err := TryCompare(Prepare(a), Prepare(b), DefaultOptions())
 		done <- outcome{r, err}
 	}()
 	select {

@@ -1,6 +1,8 @@
 package tmalign
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -39,7 +41,9 @@ func fuzzChain(id string, data []byte) *pdb.Structure {
 // invariants that are true of every input rather than of typical ones:
 // no panic, scores finite in [0, 1], a monotonic alignment no longer
 // than the shorter chain, a perfect self-comparison, and determinism to
-// the last bit and op.
+// the last bit and op. Prepared values built once and used twice answer
+// as the *pdb.Structure entry does, degenerate inputs and non-finite
+// coordinates included (samePrepared).
 func FuzzCompare(f *testing.F) {
 	f.Add([]byte("MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQ"), []byte("MKTAYIAKQRQISFVKSHFSRQ"), true)
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, []byte{9, 200, 9, 200, 9, 200, 9, 200}, false)
@@ -51,7 +55,8 @@ func FuzzCompare(f *testing.F) {
 		if fast {
 			opt = FastOptions()
 		}
-		r, err := TryCompare(s1, s2, opt)
+		r, err := TryCompare(Prepare(s1), Prepare(s2), opt)
+		samePrepared(t, s1, s2, opt)
 		if err != nil {
 			if (s1.Len() < 3 || s2.Len() < 3) && IsKernelError(err) {
 				return
@@ -72,14 +77,63 @@ func FuzzCompare(f *testing.F) {
 		if r.AlignedLen > min(s1.Len(), s2.Len()) || r.AlignedLen != seqalign.AlignedLen(r.Invmap) {
 			t.Fatalf("AlignedLen %d with chains of %d and %d and alignment %v", r.AlignedLen, s1.Len(), s2.Len(), r.Invmap)
 		}
-		if again, _ := TryCompare(s1, s2, opt); !reflect.DeepEqual(r, again) {
+		if again, _ := TryCompare(Prepare(s1), Prepare(s2), opt); !reflect.DeepEqual(r, again) {
 			t.Fatalf("two calls differ:\n%v %+v\n%v %+v", r, r.Ops, again, again.Ops)
 		}
-		self, err := TryCompare(s1, s1, opt)
+		self, err := TryCompare(Prepare(s1), Prepare(s1), opt)
 		if err != nil || self.TM1 < 0.9999 || self.TM2 < 0.9999 || self.RMSD > selfRMSDBound(s1) {
 			t.Fatalf("self-comparison of %d residues: %v (RMSD %.4g, bound %.4g), %v", s1.Len(), self, self.RMSD, selfRMSDBound(s1), err)
 		}
 	})
+}
+
+// samePrepared checks that Prepared values of s1 and s2, built once and
+// each used twice, answer to the last bit and op as the *pdb.Structure
+// entries do — Compare, and ValidateStructure's verdicts — and so alike.
+// It does so for s2 as given and with one of its coordinates set to NaN,
+// +Inf or 1e200. TryCompare rejects all three; Compare and
+// ComparePrepared also run on the first two, on which the unguarded
+// kernel still finishes (past 1e200's bound a scoring pass relaxes its
+// cutoff for ever).
+func samePrepared(t *testing.T, s1, s2 *pdb.Structure, opt Options) {
+	t.Helper()
+	dump := func(r *Result, err error) string {
+		if r == nil {
+			return fmt.Sprint(err)
+		}
+		return fmt.Sprintf("%+v", *r)
+	}
+	variants := []*pdb.Structure{s2}
+	if n := s2.Len(); n > 0 {
+		for k, c := range []float64{math.NaN(), math.Inf(1), 1e200} {
+			bad := s2.Clone()
+			bad.Residues[(n/2+k)%n].CA[k] = c
+			variants = append(variants, bad)
+		}
+	}
+	p1 := Prepare(s1)
+	for k, s := range variants {
+		p2 := Prepare(s)
+		plain := ""
+		if k < 3 {
+			plain = dump(Compare(s1, s, opt), nil)
+		}
+		want := plain
+		if err := cmp.Or(ValidateStructure(s1), ValidateStructure(s)); err != nil {
+			want = err.Error()
+		}
+		for range 2 {
+			if got := dump(TryCompare(p1, p2, opt)); got != want {
+				t.Fatalf("variant %d: TryCompare %s\nthe *pdb.Structure entries %s", k, got, want)
+			}
+			if plain == "" {
+				continue
+			}
+			if got := dump(ComparePrepared(p1, p2, opt), nil); got != plain {
+				t.Fatalf("variant %d: ComparePrepared %s\nCompare %s", k, got, plain)
+			}
+		}
+	}
 }
 
 // selfRMSDK is k in selfRMSDBound's k·√ε·σ. A self-comparison of n ≤ 96

@@ -80,7 +80,7 @@ func (c *ctx) initialGapless(dst []int) {
 // structure strings (match=1, mismatch=0, gap open -1). The result is
 // written into invmap.
 func (c *ctx) initialSS(invmap []int) {
-	c.nw.AlignSS(c.sec1, c.sec2, c.scoreMat, invmap, &c.ops)
+	c.nw.AlignSS(c.a.Features.Sec, c.b.Features.Sec, c.scoreMat, invmap, &c.ops)
 }
 
 // initialLocal is get_initial5: superpose pairs of short fragments, score
@@ -146,7 +146,7 @@ func (c *ctx) initialSSPlus(invmap []int, tr geom.Transform) {
 // diagonal alignment, and keep the offset with the best fast score.
 // Returns false if no usable fragment exists.
 func (c *ctx) initialFragment(invmap []int) bool {
-	fs, fe := longestSSElement(c.sec1)
+	fs, fe := longestSSElement(c.a.Features.Sec)
 	flen := fe - fs
 	if flen < 4 {
 		// Fall back to the central third of the chain.

@@ -7,16 +7,21 @@ import (
 
 	"rckalign/internal/geom"
 	"rckalign/internal/kernel"
+	"rckalign/internal/pdb"
 	"rckalign/internal/seqalign"
 	"rckalign/internal/ss"
 	"rckalign/internal/synth"
 )
 
-// testCtx builds a comparison context the way CompareCAWS does, for
-// white-box testing of the initial alignment generators.
+// testCtx builds a comparison context the way ComparePrepared does,
+// for white-box testing of the initial alignment generators.
 func testCtx(x, y []geom.Vec3) *ctx {
-	return newCtx(new(kernel.Workspace), x, y, "", "", DefaultOptions())
+	return newCtx(new(kernel.Workspace), prepared(x, ""), prepared(y, ""), DefaultOptions())
 }
+
+// prepared readies a bare CA trace (an empty sequence reads as
+// poly-alanine).
+func prepared(ca []geom.Vec3, seq string) *Prepared { return Prepare(pdb.FromCAs("", ca, seq)) }
 
 func shiftedCopy(x []geom.Vec3, drop int) []geom.Vec3 {
 	// A copy of x missing its first `drop` residues, rigidly moved.
@@ -289,7 +294,7 @@ func checkPairedGapless(t *testing.T, name string, paired, serial *ctx) int {
 	}
 
 	// initialFragment's offsets that get_initial already scored.
-	fs, fe := longestSSElement(paired.sec1)
+	fs, fe := longestSSElement(paired.a.Features.Sec)
 	if fe-fs < 4 {
 		fs, fe = paired.xlen/3, paired.xlen/3+paired.xlen/3
 	}

@@ -6,44 +6,34 @@ import (
 
 	"rckalign/internal/geom"
 	"rckalign/internal/kernel"
-	"rckalign/internal/pdb"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmscore"
 )
 
-// TestCompareAllocs bounds what one comparison allocates on a warm
-// workspace: the Result, its alignment, the context and the secondary
-// structure strings — nothing for the search ladder, the pair index or
-// the memo tables, which must reach a steady state (a second run of the
-// same pair may not allocate more than the first).
+// TestCompareAllocs pins what one comparison of prepared structures
+// allocates on a warm workspace: the context, the Result and its
+// alignment — nothing per chain, nothing for the search ladder, the pair
+// index or the memo tables, which must reach a steady state (a second
+// run of the same pair may not allocate more than the first).
 func TestCompareAllocs(t *testing.T) {
 	ck := synth.CK34()
-	a, b := ck.Structures[0], ck.Structures[16]
-	x, y, seq1, seq2 := a.CAs(), b.CAs(), a.Sequence(), b.Sequence()
+	a, b := Prepare(ck.Structures[0]), Prepare(ck.Structures[16])
 	w := new(kernel.Workspace)
-	CompareCAWS(w, x, y, seq1, seq2, DefaultOptions())
-	run := func() { CompareCAWS(w, x, y, seq1, seq2, DefaultOptions()) }
+	compareWS(w, a, b, DefaultOptions())
+	run := func() { compareWS(w, a, b, DefaultOptions()) }
 	first := testing.AllocsPerRun(1, run)
 	second := testing.AllocsPerRun(1, run)
 	t.Logf("allocations per warm comparison: %v, then %v", first, second)
-	if first > 40 {
-		t.Errorf("a warm comparison allocates %v objects, want <= 40", first)
+	if first > 3 {
+		t.Errorf("a warm comparison allocates %v objects, want <= 3 (ctx, Result, Invmap)", first)
 	}
 	if second > first {
 		t.Errorf("the memo tables have no steady state: %v objects, then %v", first, second)
 	}
 }
 
-// caTrace is a comparison input without the pdb wrapper.
-type caTrace struct {
-	ca  []geom.Vec3
-	seq string
-}
-
-func traceOf(s *pdb.Structure) caTrace { return caTrace{s.CAs(), s.Sequence()} }
-
-func compareOn(w *kernel.Workspace, a, b caTrace) *Result {
-	return CompareCAWS(w, a.ca, b.ca, a.seq, b.seq, DefaultOptions())
+func compareOn(w *kernel.Workspace, a, b *Prepared) *Result {
+	return compareWS(w, a, b, DefaultOptions())
 }
 
 // TestWorkspaceHygiene: whatever a workspace did before — a larger
@@ -53,14 +43,14 @@ func compareOn(w *kernel.Workspace, a, b caTrace) *Result {
 // panics return their pooled workspace in exactly that state.
 func TestWorkspaceHygiene(t *testing.T) {
 	ck := synth.CK34()
-	a1, a2 := traceOf(ck.Structures[0]), traceOf(ck.Structures[1])
-	b1, b2 := traceOf(ck.Structures[24]), traceOf(ck.Structures[10])
+	a1, a2 := Prepare(ck.Structures[0]), Prepare(ck.Structures[1])
+	b1, b2 := Prepare(ck.Structures[24]), Prepare(ck.Structures[10])
 	wantA := compareOn(new(kernel.Workspace), a1, a2)
 	wantB := compareOn(new(kernel.Workspace), b1, b2)
 
 	w := new(kernel.Workspace)
 	for i, step := range []struct {
-		x, y caTrace
+		x, y *Prepared
 		want *Result
 	}{{a1, a2, wantA}, {b1, b2, wantB}, {a1, a2, wantA}, {b2, b1, compareOn(new(kernel.Workspace), b2, b1)}, {a1, a2, wantA}} {
 		if got := compareOn(w, step.x, step.y); !reflect.DeepEqual(got, step.want) {
@@ -74,7 +64,7 @@ func TestWorkspaceHygiene(t *testing.T) {
 				t.Fatal("the truncated pair buffer did not panic")
 			}
 		}()
-		c := newCtx(w, a1.ca, a2.ca, a1.seq, a2.seq, DefaultOptions())
+		c := newCtx(w, a1, a2, DefaultOptions())
 		inv := w.InvSeed[:c.ylen]
 		c.initialGapless(inv)
 		c.ytm = c.ytm[:2] // the detailed search reserves its slot, then gathers past this
@@ -102,7 +92,7 @@ func TestFinalizeKeepsUnfilteredAlignment(t *testing.T) {
 	}
 	seq := "AAAAAA"
 	w := new(kernel.Workspace)
-	c := newCtx(w, x, y, seq, seq, DefaultOptions())
+	c := newCtx(w, prepared(x, seq), prepared(y, seq), DefaultOptions())
 	inv := append([]int(nil), c.run()...)
 	var xa, ya []geom.Vec3
 	for j, i := range inv {
@@ -124,7 +114,7 @@ func TestFinalizeKeepsUnfilteredAlignment(t *testing.T) {
 		t.Fatalf("fixture: %d aligned pairs, %d inside d8 (first at %d); want >= 3 aligned, 1-2 inside, none at the front", len(xa), inside, firstInside)
 	}
 
-	r := CompareCAWS(w, x, y, seq, seq, DefaultOptions())
+	r := compareWS(w, prepared(x, seq), prepared(y, seq), DefaultOptions())
 	if !reflect.DeepEqual(r.Invmap, inv) || r.AlignedLen != len(xa) {
 		t.Fatalf("alignment %v (%d pairs), want the unfiltered %v (%d)", r.Invmap, r.AlignedLen, inv, len(xa))
 	}

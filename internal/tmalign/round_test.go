@@ -44,7 +44,7 @@ func TestGapFreeRoundGuard(t *testing.T) {
 		{"+Inf in y", x, poison(y, 9, 2, math.Inf(1)), false, false},
 		{"NaN transform", x, y, true, false},
 	} {
-		c := newCtx(new(kernel.Workspace), tc.x, tc.y, a.Sequence(), b.Sequence(), DefaultOptions())
+		c := newCtx(new(kernel.Workspace), prepared(tc.x, a.Sequence()), prepared(tc.y, b.Sequence()), DefaultOptions())
 		n := min(c.xlen, c.ylen)
 		tr, _ := geom.Superpose(c.x[:n], c.y[:n])
 		if tc.nanTr {
@@ -77,7 +77,7 @@ func TestGapFreeRoundGuard(t *testing.T) {
 	}
 }
 
-// TestCompareMatchesGeneralPath: CompareCA, whose gap-free rounds run
+// TestCompareMatchesGeneralPath: ComparePrepared, whose gap-free rounds run
 // the fused kernel wherever the guard allows, returns the same result to
 // the last bit as a comparison held on the general path, on CK34 and
 // RS119 pairs (the longest RS119 prune survivor among them), and on
@@ -113,13 +113,14 @@ func TestCompareMatchesGeneralPath(t *testing.T) {
 	}
 	inputs = append(inputs, input{"3 residues, finite", x, y, "AAA", "AAA"})
 	for _, in := range inputs {
-		r := CompareCA(in.x, in.y, in.seq1, in.seq2, DefaultOptions())
-		g := newCtx(new(kernel.Workspace), in.x, in.y, in.seq1, in.seq2, DefaultOptions())
-		g.yFinite = false // every gap-free round takes the general path
+		a, b := prepared(in.x, in.seq1), prepared(in.y, in.seq2)
+		r := ComparePrepared(a, b, DefaultOptions())
+		g := newCtx(new(kernel.Workspace), a, b, DefaultOptions())
+		g.b.finite = false // every gap-free round takes the general path
 		want := g.finalize(g.run())
 		// %v tells every float64 bit pattern apart but for NaN payloads.
 		if fmt.Sprintf("%+v", *r) != fmt.Sprintf("%+v", *want) {
-			t.Errorf("%s: CompareCA %+v\nthe general path %+v", in.name, *r, *want)
+			t.Errorf("%s: ComparePrepared %+v\nthe general path %+v", in.name, *r, *want)
 		}
 	}
 }

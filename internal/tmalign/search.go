@@ -190,8 +190,8 @@ func (c *ctx) dpIter(invmap0 []int, tr geom.Transform, maxIter int) (float64, ge
 // c.scoreMat and runs AlignMatrix. Both bill the same ops.
 func (c *ctx) alignRound(xt []geom.Vec3, d02, gapOpen float64, invmap []int) {
 	c.ops.AddScore(c.xlen * c.ylen)
-	if gapOpen == 0 && c.yFinite && finite(xt) {
-		c.nw.AlignGapFree(xt, c.w.YX[:c.ylen], c.w.YY[:c.ylen], c.w.YZ[:c.ylen], d02, invmap, &c.ops)
+	if gapOpen == 0 && c.b.finite && finite(xt) {
+		c.nw.AlignGapFree(xt, c.b.x, c.b.y, c.b.z, d02, invmap, &c.ops)
 		return
 	}
 	c.fillDistMatrix(xt, d02, false)
@@ -219,10 +219,10 @@ func (c *ctx) fillDistMatrix(xt []geom.Vec3, d2 float64, ssBonus bool) {
 	ylen := c.ylen
 	for i, p := range xt[:c.xlen] {
 		row := c.scoreMat[i*ylen : i*ylen+ylen]
-		geom.ScoreRow(row, c.w.YX, c.w.YY, c.w.YZ, p, d2)
+		geom.ScoreRow(row, c.b.x, c.b.y, c.b.z, p, d2)
 		if ssBonus {
-			s1 := c.sec1[i]
-			for j, s2 := range c.sec2[:ylen] {
+			s1 := c.a.Features.Sec[i]
+			for j, s2 := range c.b.Features.Sec {
 				if s1 == s2 {
 					row[j] += 0.5
 				}

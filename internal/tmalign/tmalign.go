@@ -20,7 +20,6 @@ import (
 	"rckalign/internal/kernel"
 	"rckalign/internal/pdb"
 	"rckalign/internal/seqalign"
-	"rckalign/internal/ss"
 	"rckalign/internal/tmscore"
 )
 
@@ -110,18 +109,14 @@ func (r *Result) String() string {
 
 // ctx holds per-comparison state and reusable buffers.
 type ctx struct {
+	a, b       Prepared // copies of the headers: the slices are shared, only read
 	x, y       []geom.Vec3
-	seq1, seq2 string
-	sec1, sec2 []ss.Type
 	xlen, ylen int
 	sp         tmscore.Params
 	opt        Options
 	nw         *seqalign.Aligner
 	ops        costmodel.Counter
 	w          *kernel.Workspace
-	// yFinite is whether every coordinate of y is finite, half of the
-	// guard of the fused gap-free rounds (alignRound).
-	yFinite bool
 
 	// Scratch views into w, sized to the current problem.
 	r1, r2   []geom.Vec3
@@ -132,52 +127,48 @@ type ctx struct {
 	scoreMat []float64
 }
 
-// Compare aligns two structures with the given options.
+// Compare aligns two structures with the given options, preparing both
+// for this one comparison (Prepare once to compare a structure often).
 func Compare(s1, s2 *pdb.Structure, opt Options) *Result {
-	r := CompareCA(s1.CAs(), s2.CAs(), s1.Sequence(), s2.Sequence(), opt)
-	r.Name1, r.Name2 = s1.ID, s2.ID
-	return r
+	a, b := prepare(s1), prepare(s2)
+	return ComparePrepared(&a, &b, opt)
 }
 
-// CompareCA aligns two CA traces (with one-letter sequences for the
-// sequence-identity report). Scratch comes from the kernel workspace
-// pool; workers that own a Workspace should call CompareCAWS directly.
-func CompareCA(x, y []geom.Vec3, seq1, seq2 string, opt Options) *Result {
+// ComparePrepared aligns two prepared structures on a workspace from the
+// kernel pool. The Result aliases neither.
+func ComparePrepared(a, b *Prepared, opt Options) *Result {
 	w := kernel.Get()
 	defer kernel.Put(w)
-	return CompareCAWS(w, x, y, seq1, seq2, opt)
+	return compareWS(w, a, b, opt)
 }
 
-// CompareCAWS is CompareCA running on the caller's kernel workspace. It
-// is the allocation-honest entry point used by the parallel runners: all
-// O(L) and O(L^2) scratch lives in w and is reused across comparisons.
-// The returned Result does not alias w.
-func CompareCAWS(w *kernel.Workspace, x, y []geom.Vec3, seq1, seq2 string, opt Options) *Result {
-	if len(x) < 3 || len(y) < 3 {
+// compareWS is ComparePrepared on the caller's workspace: all O(L) and
+// O(L^2) scratch lives in w and is reused across comparisons.
+func compareWS(w *kernel.Workspace, a, b *Prepared, opt Options) *Result {
+	if len(a.CA) < 3 || len(b.CA) < 3 {
 		// Degenerate chains cannot be aligned meaningfully; report an
 		// empty alignment rather than guessing.
-		return &Result{Len1: len(x), Len2: len(y), Invmap: emptyInvmap(len(y)), Transform: geom.IdentityTransform()}
+		return &Result{Name1: a.ID, Name2: b.ID, Len1: len(a.CA), Len2: len(b.CA), Invmap: emptyInvmap(len(b.CA)), Transform: geom.IdentityTransform()}
 	}
-	c := newCtx(w, x, y, seq1, seq2, opt)
+	c := newCtx(w, a, b, opt)
 	return c.finalize(c.run())
 }
 
-// newCtx readies w for one comparison of x against y: buffers sized,
-// the fixed chain mirrored, secondary structure assigned, and every
-// compare-scoped memo table emptied — whatever the workspace's last
-// comparison left behind, a panic included, this one starts clean.
-func newCtx(w *kernel.Workspace, x, y []geom.Vec3, seq1, seq2 string, opt Options) *ctx {
-	xlen, ylen := len(x), len(y)
+// newCtx readies w for one comparison of a against b: buffers sized and
+// every compare-scoped memo table emptied — whatever the workspace's
+// last comparison left behind, a panic included, this one starts clean.
+func newCtx(w *kernel.Workspace, a, b *Prepared, opt Options) *ctx {
+	xlen, ylen := len(a.CA), len(b.CA)
 	c := &ctx{
-		x: x, y: y, seq1: seq1, seq2: seq2,
+		a: *a, b: *b, x: a.CA, y: b.CA,
 		xlen: xlen, ylen: ylen,
 		sp:  tmscore.SearchParams(xlen, ylen),
 		opt: opt.withDefaults(),
 		nw:  w.Aligner(),
 		w:   w,
 	}
-	c.sec1 = ss.Assign(x)
-	c.sec2 = ss.Assign(y)
+	// The simulated core assigns both chains' secondary structure per
+	// pair, as TM-align does; the host did it once, in Prepare.
 	c.ops.AddSS(xlen + ylen)
 
 	n := max(xlen, ylen)
@@ -193,14 +184,6 @@ func newCtx(w *kernel.Workspace, x, y []geom.Vec3, seq1, seq2 string, opt Option
 	c.scoreMat = w.Mat[:xlen*ylen]
 
 	w.ReserveMemo(xlen, ylen)
-
-	// SoA mirror of the fixed chain for the fused matrix fills.
-	yx, yy, yz := w.YX[:ylen], w.YY[:ylen], w.YZ[:ylen]
-	for j := 0; j < ylen; j++ {
-		p := &y[j]
-		yx[j], yy[j], yz[j] = p[0], p[1], p[2]
-	}
-	c.yFinite = finite(y)
 	return c
 }
 
@@ -278,6 +261,7 @@ func (c *ctx) run() []int {
 // normalised by each chain length.
 func (c *ctx) finalize(invmap []int) *Result {
 	res := &Result{
+		Name1: c.a.ID, Name2: c.b.ID,
 		Len1: c.xlen, Len2: c.ylen,
 		Transform: geom.IdentityTransform(),
 		Invmap:    emptyInvmap(c.ylen),
@@ -319,7 +303,7 @@ func (c *ctx) finalize(invmap []int) *Result {
 	}
 	identical := 0
 	for j, i := range res.Invmap {
-		if i >= 0 && i < len(c.seq1) && j < len(c.seq2) && c.seq1[i] == c.seq2[j] {
+		if i >= 0 && c.a.Features.Seq[i] == c.b.Features.Seq[j] {
 			identical++
 		}
 	}
