@@ -454,17 +454,14 @@ func main() {
 			// pr.Pairs is already in canonical all-vs-all order, so the dump
 			// is deterministic regardless of collection order; %.17g round-
 			// trips float64 exactly, making files diffable bit-for-bit.
+			var buf []byte
 			for _, p := range pr.Pairs {
-				res, ok := scores[p]
-				if !ok {
-					continue // lost under a degraded fault run
-				}
-				if _, err := fmt.Fprintf(w, "%d %d %.17g %.17g %.17g %d %.17g\n",
-					p.I, p.J, res.TM1, res.TM2, res.RMSD, res.AlignedLen, res.SeqID); err != nil {
-					return err
+				if res, ok := scores[p]; ok { // absent: lost under a degraded fault run
+					buf = tmalign.AppendScoreLine(buf, p.I, p.J, res)
 				}
 			}
-			return nil
+			_, err := w.Write(buf)
+			return err
 		})
 		if err != nil {
 			fatal(err)

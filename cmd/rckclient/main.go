@@ -195,7 +195,7 @@ func (c *client) dump(file string, first, conc int) error {
 			Index int    `json:"index"`
 		} `json:"structures"`
 	}
-	if err := unmarshal(body, &list); err != nil {
+	if err := json.Unmarshal(body, &list); err != nil {
 		return err
 	}
 	ids := make([]string, len(list.Structures))
@@ -234,17 +234,7 @@ func (c *client) dump(file string, first, conc int) error {
 			return err
 		}
 	}
-	f, err := os.Create(file)
-	if err != nil {
-		return err
-	}
-	for _, ln := range lines {
-		if _, err := io.WriteString(f, ln); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(file, []byte(strings.Join(lines, "")), 0o666); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "rckclient: wrote %d pair scores to %s\n", len(lines), file)
@@ -287,8 +277,19 @@ func (c *client) onevsall(target string, burst int) error {
 	return nil
 }
 
-func unmarshal(body []byte, v any) error {
-	return json.Unmarshal(body, v)
+// printJSON fetches a compact JSON reply and prints it indented two
+// spaces a level, for reading at a terminal.
+func (c *client) printJSON(path string) error {
+	body, err := c.do("GET", path, nil)
+	if err != nil {
+		return err
+	}
+	var out bytes.Buffer
+	if err := json.Indent(&out, body, "", "  "); err != nil {
+		return err
+	}
+	_, err = out.WriteTo(os.Stdout)
+	return err
 }
 
 func main() {
@@ -329,17 +330,9 @@ func main() {
 	case "onevsall":
 		err = c.onevsall(f.OneVsAll, f.Burst)
 	case "topk":
-		var body []byte
-		body, err = c.do("GET", fmt.Sprintf("/topk?target=%s&k=%d", url.QueryEscape(f.TopK), f.K), nil)
-		if err == nil {
-			os.Stdout.Write(body)
-		}
+		err = c.printJSON(fmt.Sprintf("/topk?target=%s&k=%d", url.QueryEscape(f.TopK), f.K))
 	case "stats":
-		var body []byte
-		body, err = c.do("GET", "/statsz", nil)
-		if err == nil {
-			os.Stdout.Write(body)
-		}
+		err = c.printJSON("/statsz")
 	case "dump":
 		err = c.dump(f.Dump, f.First, f.Conc)
 	}

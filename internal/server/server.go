@@ -38,12 +38,12 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -212,9 +212,6 @@ func New(cfg Config) *Server {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// DB exposes the structure database (tests and preloading).
-func (s *Server) DB() *DB { return s.db }
-
 // Store exposes the pair store.
 func (s *Server) Store() *pairstore.Store { return s.store }
 
@@ -339,18 +336,18 @@ func canonicalJob(req string, i int, a *tmalign.Lazy, j int, b *tmalign.Lazy) pa
 }
 
 // ScoreLine formats one pair result exactly as cmd/rckalign -scores-out
-// does: indices then TM1 TM2 RMSD AlignedLen SeqID at full float64
-// round-trip precision, newline-terminated.
+// does (tmalign.AppendScoreLine): indices then TM1 TM2 RMSD AlignedLen
+// SeqID at full float64 round-trip precision, newline-terminated.
 func ScoreLine(i, j int, r *tmalign.Result) string {
-	return fmt.Sprintf("%d %d %.17g %.17g %.17g %d %.17g\n",
-		i, j, r.TM1, r.TM2, r.RMSD, r.AlignedLen, r.SeqID)
+	return string(tmalign.AppendScoreLine(make([]byte, 0, 128), i, j, r))
 }
 
-// reqInfo is the per-request trace record: assigned in observe, carried
-// through the handler via the request context, filled in as the request
-// flows through the coalescer, and finally emitted as one access-log
-// line. Handlers mutate it from the single handler goroutine only.
+// reqInfo is the per-request trace record and the handler's writer:
+// assigned in observe, filled in as the request flows through the
+// coalescer, and finally emitted as one access-log line. Handlers
+// mutate it from the single handler goroutine only.
 type reqInfo struct {
+	http.ResponseWriter
 	id       string
 	endpoint string
 	t0       time.Time
@@ -361,6 +358,13 @@ type reqInfo struct {
 	memoHit  int
 	memoMiss int
 	errMsg   string
+	hdr      [3]string // X-Request-Id, Content-Type, Content-Length values: no allocation each
+}
+
+// WriteHeader records the status for the access log.
+func (info *reqInfo) WriteHeader(code int) {
+	info.status = code
+	info.ResponseWriter.WriteHeader(code)
 }
 
 // replyTiming is the timing a reply carries: the coalescer breakdown
@@ -374,27 +378,14 @@ func (info *reqInfo) replyTiming() TimingBreakdown {
 	return info.timing
 }
 
-type reqInfoKey struct{}
-
-// infoFrom returns the request's trace record; handlers are always
-// invoked under observe, so a missing record is a throwaway (it keeps
-// direct handler invocations in tests from panicking).
-func infoFrom(r *http.Request) *reqInfo {
-	if info, ok := r.Context().Value(reqInfoKey{}).(*reqInfo); ok {
-		return info
+// requestID formats the n-th server-assigned request ID as r%08d.
+func requestID(n int64) string {
+	if n >= 1e8 {
+		return "r" + strconv.FormatInt(n, 10)
 	}
-	return &reqInfo{t0: time.Now()}
-}
-
-// statusWriter captures the response status for the access log.
-type statusWriter struct {
-	http.ResponseWriter
-	info *reqInfo
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.info.status = code
-	w.ResponseWriter.WriteHeader(code)
+	b := strconv.AppendInt(make([]byte, 0, 9), 1e8+n, 10) // "1", then n in 8 digits
+	b[0] = 'r'
+	return string(b)
 }
 
 // AccessEntry is one access-log line: the end-to-end record of a
@@ -420,21 +411,19 @@ type AccessEntry struct {
 // echoes it as a response header, threads a trace record through the
 // handler, records the per-endpoint latency histogram, and emits one
 // access-log line when configured.
-func (s *Server) observe(endpoint string, fn http.HandlerFunc) http.HandlerFunc {
+func (s *Server) observe(endpoint string, fn func(*reqInfo, *http.Request)) http.HandlerFunc {
 	m := s.endpoints[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
-		info := &reqInfo{
-			id:       r.Header.Get("X-Request-ID"),
-			endpoint: endpoint,
-			t0:       time.Now(),
-			status:   http.StatusOK,
+		info := &reqInfo{ResponseWriter: w, endpoint: endpoint, t0: time.Now(), status: http.StatusOK}
+		// X-Request-ID as net/http keys it, so it is never re-canonicalised.
+		if v := r.Header["X-Request-Id"]; len(v) > 0 && v[0] != "" {
+			info.id = v[0]
+		} else {
+			info.id = requestID(s.seq.Add(1))
 		}
-		if info.id == "" {
-			info.id = fmt.Sprintf("r%08d", s.seq.Add(1))
-		}
-		w.Header().Set("X-Request-ID", info.id)
-		sw := &statusWriter{ResponseWriter: w, info: info}
-		fn(sw, r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, info)))
+		info.hdr[0] = info.id
+		w.Header()["X-Request-Id"] = info.hdr[0:1:1]
+		fn(info, r)
 		sec := time.Since(info.t0).Seconds()
 		if info.timing.TotalS == 0 {
 			info.timing.TotalS = sec // no reply stamped it (see replyTiming)
@@ -473,40 +462,64 @@ type ErrorResponse struct {
 // counts it. Error taxonomy: typed lookup errors map to 404/409,
 // batcher shutdown to 503, everything explicitly passed stays at the
 // given code.
-func (s *Server) fail(w http.ResponseWriter, r *http.Request, code int, err error) {
+func (s *Server) fail(w *reqInfo, code int, err error) {
 	s.metricsMu.Lock()
 	s.reg.Counter("server.errors", "code", strconv.Itoa(code)).Inc()
 	s.metricsMu.Unlock()
-	info := infoFrom(r)
-	info.errMsg = err.Error()
-	writeJSON(w, code, ErrorResponse{Error: err.Error(), ReqID: info.id, Timing: info.replyTiming()})
+	w.errMsg = err.Error()
+	s.writeJSON(w, code, ErrorResponse{Error: w.errMsg, ReqID: w.id, Timing: w.replyTiming()})
 }
 
 // failErr maps an error to its HTTP status by type.
-func (s *Server) failErr(w http.ResponseWriter, r *http.Request, err error) {
+func (s *Server) failErr(w *reqInfo, err error) {
 	switch {
 	case errors.Is(err, ErrUnknownStructure):
-		s.fail(w, r, http.StatusNotFound, err)
+		s.fail(w, http.StatusNotFound, err)
 	case errors.Is(err, ErrDuplicateStructure):
-		s.fail(w, r, http.StatusConflict, err)
+		s.fail(w, http.StatusConflict, err)
 	case errors.Is(err, batcher.ErrClosed):
-		s.fail(w, r, http.StatusServiceUnavailable, errors.New("server is draining"))
+		s.fail(w, http.StatusServiceUnavailable, errors.New("server is draining"))
 	case tmalign.IsKernelError(err):
 		// The request was well-formed HTTP but the pair cannot be
 		// aligned (degenerate structure, kernel precondition): the
 		// input, not the server, is at fault.
-		s.fail(w, r, http.StatusUnprocessableEntity, err)
+		s.fail(w, http.StatusUnprocessableEntity, err)
 	default:
-		s.fail(w, r, http.StatusInternalServerError, err)
+		s.fail(w, http.StatusInternalServerError, err)
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+// writeJSON marshals v compactly, newline-terminated, before anything
+// is sent, so a value json cannot encode (a NaN score) is a counted 500
+// carrying ErrorResponse (which always encodes) and not an empty 200.
+func (s *Server) writeJSON(w *reqInfo, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, fmt.Errorf("encode reply: %w", err))
+		return
+	}
+	w.send(code, "application/json", append(body, '\n'))
+}
+
+// sendScoreLines sends the -scores-out lines of jobs as one text body.
+func sendScoreLines(w *reqInfo, jobs []pairJob, results []batcher.Result[pairOut]) {
+	body := make([]byte, 0, 96*len(jobs)) // room for typical lines
+	for k, j := range jobs {
+		body = tmalign.AppendScoreLine(body, j.i, j.j, results[k].Value.res)
+	}
+	w.send(http.StatusOK, "text/plain; charset=utf-8", body)
+}
+
+// send writes the whole reply body in one Write with its Content-Length
+// set, so net/http never chunks it.
+func (info *reqInfo) send(code int, contentType string, body []byte) {
+	h := info.Header()
+	info.hdr[1] = contentType
+	h["Content-Type"] = info.hdr[1:2:2]
+	info.hdr[2] = strconv.Itoa(len(body))
+	h["Content-Length"] = info.hdr[2:3:3]
+	info.WriteHeader(code)
+	info.Write(body)
 }
 
 // UploadResponse acknowledges a stored structure.
@@ -517,35 +530,35 @@ type UploadResponse struct {
 	ReqID    string `json:"req_id"`
 }
 
-func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleUpload(w *reqInfo, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes+1))
 	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return
 	}
 	if len(body) > maxUploadBytes {
-		s.fail(w, r, http.StatusRequestEntityTooLarge,
+		s.fail(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("upload exceeds %d bytes", maxUploadBytes))
 		return
 	}
 	st, err := pdb.Parse(bytes.NewReader(body), id)
 	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := tmalign.ValidateStructure(st); err != nil {
 		// Reject degenerate structures at the door: stored once, they
 		// would poison every query touching them.
-		s.fail(w, r, http.StatusBadRequest, err)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	idx, err := s.db.Add(st)
 	if err != nil {
-		s.failErr(w, r, err)
+		s.failErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, UploadResponse{ID: st.ID, Index: idx, Residues: st.Len(), ReqID: infoFrom(r).id})
+	s.writeJSON(w, http.StatusCreated, UploadResponse{ID: st.ID, Index: idx, Residues: st.Len(), ReqID: w.id})
 }
 
 // StructureInfo describes one stored structure in listings.
@@ -555,17 +568,17 @@ type StructureInfo struct {
 	Residues int    `json:"residues"`
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleList(w *reqInfo, r *http.Request) {
 	structs := s.db.Snapshot()
 	infos := make([]StructureInfo, len(structs))
 	for i, e := range structs {
 		infos[i] = StructureInfo{ID: e.ID, Index: i, Residues: e.Len()}
 	}
-	writeJSON(w, http.StatusOK, struct {
+	s.writeJSON(w, http.StatusOK, struct {
 		Count      int             `json:"count"`
 		Structures []StructureInfo `json:"structures"`
 		ReqID      string          `json:"req_id"`
-	}{len(infos), infos, infoFrom(r).id})
+	}{len(infos), infos, w.id})
 }
 
 // ScoreRow is one pair's scores in canonical orientation: I < J are
@@ -630,46 +643,44 @@ type ScoreResponse struct {
 	EnqueueOffsetS float64         `json:"enqueue_offset_s"`
 }
 
-func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	info := infoFrom(r)
+func (s *Server) handleScore(w *reqInfo, r *http.Request) {
 	q := r.URL.Query()
 	aID, bID := q.Get("a"), q.Get("b")
 	if aID == "" || bID == "" {
-		s.fail(w, r, http.StatusBadRequest, errors.New("need a= and b= structure ids"))
+		s.fail(w, http.StatusBadRequest, errors.New("need a= and b= structure ids"))
 		return
 	}
 	ai, a, err := s.db.Lookup(aID)
 	if err != nil {
-		s.failErr(w, r, err)
+		s.failErr(w, err)
 		return
 	}
 	bi, b, err := s.db.Lookup(bID)
 	if err != nil {
-		s.failErr(w, r, err)
+		s.failErr(w, err)
 		return
 	}
 	if ai == bi {
-		s.fail(w, r, http.StatusBadRequest, fmt.Errorf("a and b are both structure %q", aID))
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("a and b are both structure %q", aID))
 		return
 	}
-	job := canonicalJob(info.id, ai, a, bi, b)
-	results, err := s.evalPairs(info, []pairJob{job})
+	jobs := []pairJob{canonicalJob(w.id, ai, a, bi, b)}
+	results, err := s.evalPairs(w, jobs)
 	if err != nil {
-		s.failErr(w, r, err)
+		s.failErr(w, err)
 		return
 	}
-	res := results[0]
 	if q.Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, ScoreLine(job.i, job.j, res.Value.res))
+		sendScoreLines(w, jobs, results)
 		return
 	}
-	writeJSON(w, http.StatusOK, ScoreResponse{
+	job, res := jobs[0], results[0]
+	s.writeJSON(w, http.StatusOK, ScoreResponse{
 		ScoreRow:       rowOf(job, res.Value.res),
-		ReqID:          info.id,
+		ReqID:          w.id,
 		BatchSize:      res.BatchSize,
-		Trigger:        info.trigger,
-		Timing:         info.replyTiming(),
+		Trigger:        w.trigger,
+		Timing:         w.replyTiming(),
 		Worker:         res.Worker,
 		MemoHit:        res.Value.hit,
 		QueueDepth:     res.QueueDepth,
@@ -681,22 +692,27 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 // structure (snapshot at request time), applies the optional prune
 // pre-filter, and evaluates the surviving pairs (evalPairs: resident
 // ones inline, the rest through the coalescer) under the request's ID.
-// Rows come back sorted by canonical pair; the int alongside them
-// counts pairs the pre-filter removed.
-func (s *Server) oneVsAll(info *reqInfo, targetID string) (int, []pairJob, []batcher.Result[pairOut], int, error) {
+// Rows come back sorted by canonical pair, with the target's index ti
+// and the count of pairs the pre-filter removed. On failure it has sent
+// the error reply and ok is false.
+func (s *Server) oneVsAll(info *reqInfo, targetID string) (ti int, jobs []pairJob, results []batcher.Result[pairOut], pruned int, ok bool) {
+	if targetID == "" {
+		s.fail(info, http.StatusBadRequest, errors.New("need target= structure id"))
+		return
+	}
 	ti, _, err := s.db.Lookup(targetID)
 	if err != nil {
-		return 0, nil, nil, 0, err
+		s.failErr(info, err)
+		return
 	}
 	structs := s.db.Snapshot()
-	jobs := make([]pairJob, 0, len(structs)-1)
+	jobs = make([]pairJob, 0, len(structs)-1)
 	for o, st := range structs {
 		if o == ti {
 			continue
 		}
 		jobs = append(jobs, canonicalJob(info.id, ti, structs[ti], o, st))
 	}
-	pruned := 0
 	if s.pruneTM > 0 {
 		f := prune.New(s.pruneTM)
 		kept := jobs[:0]
@@ -714,11 +730,11 @@ func (s *Server) oneVsAll(info *reqInfo, targetID string) (int, []pairJob, []bat
 			s.metricsMu.Unlock()
 		}
 	}
-	results, err := s.evalPairs(info, jobs)
-	if err != nil {
-		return 0, nil, nil, pruned, err
+	if results, err = s.evalPairs(info, jobs); err != nil {
+		s.failErr(info, err)
+		return
 	}
-	return ti, jobs, results, pruned, nil
+	return ti, jobs, results, pruned, true
 }
 
 // recordItems folds a request's pair results into the trace record:
@@ -769,49 +785,33 @@ type OneVsAllResponse struct {
 // distinctWorkers returns the sorted distinct worker indices across a
 // request's batcher results.
 func distinctWorkers(results []batcher.Result[pairOut]) []int {
-	seen := map[int]struct{}{}
 	out := []int{}
 	for _, res := range results {
-		if res.Worker < 0 {
-			continue // answered inline
-		}
-		if _, ok := seen[res.Worker]; !ok {
-			seen[res.Worker] = struct{}{}
+		if res.Worker >= 0 { // -1: answered inline
 			out = append(out, res.Worker)
 		}
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-func (s *Server) handleOneVsAll(w http.ResponseWriter, r *http.Request) {
-	info := infoFrom(r)
-	targetID := r.URL.Query().Get("target")
-	if targetID == "" {
-		s.fail(w, r, http.StatusBadRequest, errors.New("need target= structure id"))
+func (s *Server) handleOneVsAll(w *reqInfo, r *http.Request) {
+	q := r.URL.Query()
+	targetID := q.Get("target")
+	ti, jobs, results, pruned, ok := s.oneVsAll(w, targetID)
+	if !ok {
 		return
 	}
-	ti, jobs, results, pruned, err := s.oneVsAll(info, targetID)
-	if err != nil {
-		s.failErr(w, r, err)
+	if q.Get("format") == "text" {
+		sendScoreLines(w, jobs, results)
 		return
 	}
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for k, job := range jobs {
-			io.WriteString(w, ScoreLine(job.i, job.j, results[k].Value.res))
-		}
-		return
-	}
-	resp := OneVsAllResponse{Target: targetID, Index: ti, Count: len(jobs), ReqID: info.id, Rows: make([]ScoreRow, len(jobs))}
+	rows := make([]ScoreRow, len(jobs))
 	for k, job := range jobs {
-		resp.Rows[k] = rowOf(job, results[k].Value.res)
+		rows[k] = rowOf(job, results[k].Value.res)
 	}
-	resp.MaxTiming = info.replyTiming()
-	resp.MemoHits, resp.MemoMisses = info.memoHit, info.memoMiss
-	resp.Pruned = pruned
-	resp.Workers = distinctWorkers(results)
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, OneVsAllResponse{Target: targetID, Index: ti, Count: len(jobs), ReqID: w.id, Rows: rows,
+		MaxTiming: w.replyTiming(), MemoHits: w.memoHit, MemoMisses: w.memoMiss, Pruned: pruned, Workers: distinctWorkers(results)})
 }
 
 // Neighbor is one /topk hit: TM is the score normalised by the target
@@ -827,25 +827,19 @@ type Neighbor struct {
 	SeqID      float64 `json:"seq_id"`
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	info := infoFrom(r)
+func (s *Server) handleTopK(w *reqInfo, r *http.Request) {
 	q := r.URL.Query()
 	targetID := q.Get("target")
-	if targetID == "" {
-		s.fail(w, r, http.StatusBadRequest, errors.New("need target= structure id"))
-		return
-	}
 	k := 5
 	if ks := q.Get("k"); ks != "" {
 		var err error
 		if k, err = strconv.Atoi(ks); err != nil || k < 1 {
-			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("k=%q is not a positive integer", ks))
+			s.fail(w, http.StatusBadRequest, fmt.Errorf("k=%q is not a positive integer", ks))
 			return
 		}
 	}
-	ti, jobs, results, pruned, err := s.oneVsAll(info, targetID)
-	if err != nil {
-		s.failErr(w, r, err)
+	ti, jobs, results, pruned, ok := s.oneVsAll(w, targetID)
+	if !ok {
 		return
 	}
 	neighbors := make([]Neighbor, len(jobs))
@@ -873,7 +867,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if k > len(neighbors) {
 		k = len(neighbors)
 	}
-	writeJSON(w, http.StatusOK, struct {
+	s.writeJSON(w, http.StatusOK, struct {
 		Target     string          `json:"target"`
 		Index      int             `json:"index"`
 		K          int             `json:"k"`
@@ -883,11 +877,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		MemoHits   int             `json:"memo_hits"`
 		MemoMisses int             `json:"memo_misses"`
 		Pruned     int             `json:"pruned"`
-	}{targetID, ti, k, info.id, neighbors[:k], info.replyTiming(), info.memoHit, info.memoMiss, pruned})
+	}{targetID, ti, k, w.id, neighbors[:k], w.replyTiming(), w.memoHit, w.memoMiss, pruned})
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+func (s *Server) handleHealthz(w *reqInfo, r *http.Request) {
+	s.writeJSON(w, http.StatusOK, struct {
 		Status     string  `json:"status"`
 		Structures int     `json:"structures"`
 		UptimeS    float64 `json:"uptime_s"`
@@ -938,7 +932,7 @@ type Statsz struct {
 	Latency    []LatencyStatsz         `json:"latency"`
 }
 
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStatsz(w *reqInfo, r *http.Request) {
 	bs := s.bat.Stats()
 	st := Statsz{
 		UptimeS:    time.Since(s.start).Seconds(),
@@ -977,5 +971,5 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	s.metricsMu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	s.writeJSON(w, http.StatusOK, st)
 }

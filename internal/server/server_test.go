@@ -237,7 +237,7 @@ func TestUnknownStructureIs404(t *testing.T) {
 		t.Errorf("self-pair = %d, want 400", w.Code)
 	}
 	// The sentinel is matchable by callers.
-	_, _, err := s.DB().Lookup("nope")
+	_, _, err := s.db.Lookup("nope")
 	if !errors.Is(err, ErrUnknownStructure) {
 		t.Errorf("Lookup error = %v, want ErrUnknownStructure", err)
 	}
@@ -341,7 +341,7 @@ func TestConcurrentUploadsAndQueries(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := s.DB().Len(); got != 5+len(extra) {
+	if got := s.db.Len(); got != 5+len(extra) {
 		t.Errorf("db len = %d, want %d", got, 5+len(extra))
 	}
 }

@@ -14,6 +14,7 @@ package tmalign
 
 import (
 	"fmt"
+	"strconv"
 
 	"rckalign/internal/costmodel"
 	"rckalign/internal/geom"
@@ -105,6 +106,20 @@ func (r *Result) TM() float64 { return (r.TM1 + r.TM2) / 2 }
 func (r *Result) String() string {
 	return fmt.Sprintf("%s vs %s: TM1=%.4f TM2=%.4f aligned=%d rmsd=%.2f seqid=%.2f",
 		r.Name1, r.Name2, r.TM1, r.TM2, r.AlignedLen, r.RMSD, r.SeqID)
+}
+
+// AppendScoreLine appends the -scores-out line of pair (i, j) to dst,
+// byte-identical to fmt's "%d %d %.17g %.17g %.17g %d %.17g\n" of i, j,
+// TM1, TM2, RMSD, AlignedLen, SeqID; it allocates only to grow dst.
+func AppendScoreLine(dst []byte, i, j int, r *Result) []byte {
+	dst = strconv.AppendInt(dst, int64(i), 10)
+	dst = strconv.AppendInt(append(dst, ' '), int64(j), 10)
+	for _, f := range [...]float64{r.TM1, r.TM2, r.RMSD} {
+		dst = strconv.AppendFloat(append(dst, ' '), f, 'g', 17, 64)
+	}
+	dst = strconv.AppendInt(append(dst, ' '), int64(r.AlignedLen), 10)
+	dst = strconv.AppendFloat(append(dst, ' '), r.SeqID, 'g', 17, 64)
+	return append(dst, '\n')
 }
 
 // ctx holds per-comparison state and reusable buffers.
