@@ -100,23 +100,15 @@ func LoadPairResults(ds *synth.Dataset, path string) (*PairResults, error) {
 	if len(cf.Results) != len(pairs) {
 		return nil, fmt.Errorf("core: cache %s has %d results, want %d", path, len(cf.Results), len(pairs))
 	}
-	pr := &PairResults{
-		Dataset: ds,
-		Pairs:   pairs,
-		Results: make([]*tmalign.Result, len(pairs)),
-		index:   make(map[sched.Pair]int, len(pairs)),
-	}
-	for k, p := range pairs {
-		pr.index[p] = k
+	return newPairResults(ds, pairs, func(k int) *tmalign.Result {
 		c := cf.Results[k]
-		pr.Results[k] = &tmalign.Result{
+		return &tmalign.Result{
 			Name1: c.Name1, Name2: c.Name2,
 			Len1: c.Len1, Len2: c.Len2, AlignedLen: c.AlignedLen,
 			RMSD: c.RMSD, SeqID: c.SeqID, TM1: c.TM1, TM2: c.TM2,
 			Ops: c.Ops,
 		}
-	}
-	return pr, nil
+	}), nil
 }
 
 // ComputeOrLoadShared returns cached pair results when a valid cache

@@ -130,15 +130,6 @@ func ComputeAllPairsShared(ds *synth.Dataset, opt tmalign.Options, store *pairst
 // TM-align kernel, the farm job builders, or the -scores-out dump. Each
 // structure is prepared once, by the first comparison that reaches it.
 func ComputePairsShared(ds *synth.Dataset, opt tmalign.Options, store *pairstore.Store, pairs []sched.Pair) *PairResults {
-	pr := &PairResults{
-		Dataset: ds,
-		Pairs:   pairs,
-		Results: make([]*tmalign.Result, len(pairs)),
-		index:   make(map[sched.Pair]int, len(pairs)),
-	}
-	for k, p := range pairs {
-		pr.index[p] = k
-	}
 	keys := PairKeysFor(ds, opt, pairs)
 	lazy := make([]tmalign.Lazy, ds.Len())
 	for i, s := range ds.Structures {
@@ -149,8 +140,17 @@ func ComputePairsShared(ds *synth.Dataset, opt tmalign.Options, store *pairstore
 		return tmalign.ComparePrepared(lazy[p.I].Get(), lazy[p.J].Get(), opt)
 	}
 	store.Prefetch(keys, compute)
-	for k := range pairs {
-		pr.Results[k] = store.Get(keys[k], func() any { return compute(k) }).(*tmalign.Result)
+	return newPairResults(ds, pairs, func(k int) *tmalign.Result {
+		return store.Get(keys[k], func() any { return compute(k) }).(*tmalign.Result)
+	})
+}
+
+// newPairResults returns the results of ds's pairs, result(k) those of
+// pairs[k].
+func newPairResults(ds *synth.Dataset, pairs []sched.Pair, result func(k int) *tmalign.Result) *PairResults {
+	pr := &PairResults{Dataset: ds, Pairs: pairs, Results: make([]*tmalign.Result, len(pairs)), index: make(map[sched.Pair]int, len(pairs))}
+	for k, p := range pairs {
+		pr.index[p], pr.Results[k] = k, result(k)
 	}
 	return pr
 }
@@ -164,19 +164,18 @@ func ComputePairsShared(ds *synth.Dataset, opt tmalign.Options, store *pairstore
 // TM-align kernel; the report carries the skip accounting.
 //
 // Pairs are independent, so they are decided on every host core: one
-// prune.Filter per goroutine, blocks of the canonical list claimed in
-// order. Decisions land in a slice indexed by pair and the per-worker
-// reports are sums, so neither the survivors nor the report depends on
-// the worker count.
+// prune.Filter per goroutine, each query's run of the canonical list
+// claimed in order and decided by one Filter.SkipAll. Decisions land in
+// a slice indexed by pair and the per-worker reports are sums, so
+// neither the survivors nor the report depends on the worker count.
 func PrunePairs(ds *synth.Dataset, threshold float64) ([]sched.Pair, *prune.Report) {
 	feats := make([]prune.Features, ds.Len())
 	for i, s := range ds.Structures {
 		feats[i] = prune.Extract(s.CAs(), s.Sequence())
 	}
 	all := sched.AllVsAll(ds.Len())
-	const block = 64
 	skip := make([]bool, len(all))
-	filters := make([]*prune.Filter, max(1, min(runtime.GOMAXPROCS(0), (len(all)+block-1)/block)))
+	filters := make([]*prune.Filter, max(1, min(runtime.GOMAXPROCS(0), ds.Len()-1)))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := range filters {
@@ -185,14 +184,15 @@ func PrunePairs(ds *synth.Dataset, threshold float64) ([]sched.Pair, *prune.Repo
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				lo := int(next.Add(block)) - block
-				if lo >= len(all) {
+			// Query i's pairs (i, i+1..n-1) are one run of the canonical
+			// order, decided together so their DPs share SIMD lanes.
+			for n := len(feats); ; {
+				i := int(next.Add(1)) - 1
+				if i >= n-1 {
 					return
 				}
-				for k := lo; k < min(lo+block, len(all)); k++ {
-					skip[k] = f.Skip(&feats[all[k].I], &feats[all[k].J])
-				}
+				lo := i*n - i*(i+1)/2
+				f.SkipAll(&feats[i], feats[i+1:], skip[lo:lo+n-1-i])
 			}
 		}()
 	}
@@ -243,27 +243,15 @@ func SynthPairResults(name string, lengths []int) *PairResults {
 		})
 	}
 	pairs := sched.AllVsAll(len(lengths))
-	pr := &PairResults{
-		Dataset: ds,
-		Pairs:   pairs,
-		Results: make([]*tmalign.Result, len(pairs)),
-		index:   make(map[sched.Pair]int, len(pairs)),
-	}
-	for k, p := range pairs {
-		pr.index[p] = k
-		l1, l2 := lengths[p.I], lengths[p.J]
+	return newPairResults(ds, pairs, func(k int) *tmalign.Result {
+		l1, l2 := lengths[pairs[k].I], lengths[pairs[k].J]
 		// ~30 DP sweeps over the L1 x L2 matrix approximates TM-align's
 		// iterative refinement; exact magnitude only shifts the time scale.
-		pr.Results[k] = &tmalign.Result{
-			Len1: l1,
-			Len2: l2,
-			Ops: costmodel.Counter{
-				DPCells:    30 * uint64(l1) * uint64(l2),
-				ScoreEvals: 30 * uint64(min(l1, l2)),
-			},
-		}
-	}
-	return pr
+		return &tmalign.Result{Len1: l1, Len2: l2, Ops: costmodel.Counter{
+			DPCells:    30 * uint64(l1) * uint64(l2),
+			ScoreEvals: 30 * uint64(min(l1, l2)),
+		}}
+	})
 }
 
 // Config tunes an rckAlign simulation run. The fields compose freely;

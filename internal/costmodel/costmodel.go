@@ -221,12 +221,5 @@ func StructResidentBytes(residues int) int { return 64 + 32*residues }
 // structures, sized by the dataset's mean chain length. The floor is 2:
 // a pair's two structures must fit or caching is meaningless.
 func CacheCapacityStructs(budgetBytes, meanResidues int) int {
-	if meanResidues < 1 {
-		meanResidues = 1
-	}
-	n := budgetBytes / StructResidentBytes(meanResidues)
-	if n < 2 {
-		n = 2
-	}
-	return n
+	return max(budgetBytes/StructResidentBytes(max(meanResidues, 1)), 2)
 }

@@ -164,11 +164,7 @@ func quatToMat(q [4]float64) Mat3 {
 // enough here (the matrix is tiny and symmetric) and has no numerical
 // failure modes for this use.
 func maxEigen4(a [4][4]float64) (float64, [4]float64) {
-	// v accumulates the rotations; starts as identity.
-	var v [4][4]float64
-	for i := 0; i < 4; i++ {
-		v[i][i] = 1
-	}
+	v := [4][4]float64{{1}, {0, 1}, {0, 0, 1}, {0, 0, 0, 1}} // accumulates the rotations
 	return jacobi(&a, &v, 0, 0)
 }
 
@@ -209,21 +205,19 @@ func jacobi(a, v *[4][4]float64, sweep, rot int) (float64, [4]float64) {
 				}
 				c := 1 / math.Sqrt(float64(t*t)+1)
 				s := t * c
-				// Apply rotation: a = J^T a J on rows/cols i, j.
+				// Apply rotation: a = J^T a J on rows/cols i, j, and v = v J.
 				for k := 0; k < 4; k++ {
 					aik, ajk := a[i][k], a[j][k]
 					a[i][k] = float64(c*aik) - float64(s*ajk)
 					a[j][k] = float64(s*aik) + float64(c*ajk)
+					vki, vkj := v[k][i], v[k][j]
+					v[k][i] = float64(c*vki) - float64(s*vkj)
+					v[k][j] = float64(s*vki) + float64(c*vkj)
 				}
 				for k := 0; k < 4; k++ {
 					aki, akj := a[k][i], a[k][j]
 					a[k][i] = float64(c*aki) - float64(s*akj)
 					a[k][j] = float64(s*aki) + float64(c*akj)
-				}
-				for k := 0; k < 4; k++ {
-					vki, vkj := v[k][i], v[k][j]
-					v[k][i] = float64(c*vki) - float64(s*vkj)
-					v[k][j] = float64(s*vki) + float64(c*vkj)
 				}
 			}
 		}

@@ -42,46 +42,61 @@ func ScoreSum(dis2 []float64, a, b []Vec3, d02, cut2 float64, mask bool) float64
 	return scoreSum(dis2[:n], a, b[:n], d02, cut2, mask)
 }
 
+// PairMirror fills dst, which holds 6*len(y) values, with the fixed
+// chain y interleaved for MaxPlusFill: entry k holds, per axis, y[k] and
+// then y[k-2], so one packed load brings both rows of a row pair their
+// coordinate (entries 0 and 1 have no second value, and no kernel reads
+// it).
+func PairMirror(dst []float64, y []Vec3) {
+	for c := range dst[:6*len(y)] {
+		if k := c / 6; c%2 == 0 {
+			dst[c] = y[k][c%6/2]
+		} else if k >= 2 {
+			dst[c] = y[k-2][c%6/2]
+		}
+	}
+}
+
 // MaxPlusFill computes the value table of a gap-free NWDP round without
-// writing its score matrix. With n = len(yx), val holds len(xt)+1 rows of
-// n+1 cells, row 0 and column 0 are +0 on entry, and every other cell
+// writing its score matrix. With n = len(yp)/6, val holds len(xt)+1 rows
+// of n+1 cells, row 0 and column 0 are +0 on entry, and every other cell
 // becomes, in row-major order,
 //
 //	val[i][j] = max(val[i-1][j-1] + s, val[i-1][j], val[i][j-1])
 //
-// where s is the Term of xt[i-1] against y[j-1], the fixed chain mirrored
-// in yx, yy and yz. Every term must be a number (finite
+// where s is the Term of xt[i-1] against y[j-1], the fixed chain
+// interleaved in yp by PairMirror. Every term must be a number (finite
 // coordinates, 0 < d02 < +Inf): then every cell is a sum of terms in
 // [+0, 1], never −0 or NaN, so the maximum is the same bits in any order.
 // Rows go two at a time, the second two columns behind the first, so the
 // only loop-carried operation is one MAXPD.
-func MaxPlusFill(val []float64, xt []Vec3, yx, yy, yz []float64, d02 float64) {
-	n := len(yx)
+func MaxPlusFill(val []float64, xt []Vec3, yp []float64, d02 float64) {
+	n := len(yp) / 6
 	if n == 0 {
 		return
 	}
 	cols := n + 1
-	val, yy, yz = val[:(len(xt)+1)*cols], yy[:n], yz[:n]
+	val, yp = val[:(len(xt)+1)*cols], yp[:6*n]
 	i := 0
 	for ; i+1 < len(xt); i += 2 {
 		p, q := &xt[i], &xt[i+1]
-		maxPlusPair(val[i*cols:(i+3)*cols], yx, yy, yz, p[0], p[1], p[2], q[0], q[1], q[2], d02)
+		maxPlusPair(val[i*cols:(i+3)*cols], yp, p[0], p[1], p[2], q[0], q[1], q[2], d02)
 	}
 	if i < len(xt) {
-		maxPlusRow(val[i*cols:(i+2)*cols], yx, yy, yz, xt[i], d02)
+		maxPlusRow(val[i*cols:(i+2)*cols], yp, xt[i], d02)
 	}
 }
 
 // maxPlusRow fills cells 1..n of the second row of val (two rows of n+1
-// cells, n = len(yx)) from the first: MaxPlusFill for one row, scored
+// cells, n = len(yp)/6) from the first: MaxPlusFill for one row, scored
 // against p.
-func maxPlusRow(val, yx, yy, yz []float64, p Vec3, d02 float64) {
-	n := len(yx)
+func maxPlusRow(val, yp []float64, p Vec3, d02 float64) {
+	n := len(yp) / 6
 	up, row := val[:n+1], val[n+1:2*n+2]
-	yy, yz = yy[:n], yz[:n]
 	left := 0.0
-	for j := range yx {
-		v := up[j] + Term(p[0], p[1], p[2], yx[j], yy[j], yz[j], d02)
+	for j := range n {
+		e := yp[6*j : 6*j+6]
+		v := up[j] + Term(p[0], p[1], p[2], e[0], e[2], e[4], d02)
 		if u := up[j+1]; u > v {
 			v = u
 		}
@@ -94,11 +109,11 @@ func maxPlusRow(val, yx, yy, yz []float64, p Vec3, d02 float64) {
 }
 
 // maxPlusPairGo is maxPlusPair's portable body: rows 1 and 2 of val
-// (three rows of len(yx)+1 cells), scored against p and q.
-func maxPlusPairGo(val, yx, yy, yz []float64, px, py, pz, qx, qy, qz, d02 float64) {
-	cols := len(yx) + 1
-	maxPlusRow(val[:2*cols], yx, yy, yz, Vec3{px, py, pz}, d02)
-	maxPlusRow(val[cols:3*cols], yx, yy, yz, Vec3{qx, qy, qz}, d02)
+// (three rows of len(yp)/6+1 cells), scored against p and q.
+func maxPlusPairGo(val, yp []float64, px, py, pz, qx, qy, qz, d02 float64) {
+	cols := len(yp)/6 + 1
+	maxPlusRow(val[:2*cols], yp, Vec3{px, py, pz}, d02)
+	maxPlusRow(val[cols:3*cols], yp, Vec3{qx, qy, qz}, d02)
 }
 
 // scoreRowGo is ScoreRow's portable body; all slices have len(dst).

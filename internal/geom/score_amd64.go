@@ -11,4 +11,4 @@ func scoreRow(dst, yx, yy, yz []float64, px, py, pz, d02 float64)
 func scoreSum(dis2 []float64, a, b []Vec3, d02, cut2 float64, mask bool) float64
 
 //go:noescape
-func maxPlusPair(val, yx, yy, yz []float64, px, py, pz, qx, qy, qz, d02 float64)
+func maxPlusPair(val, yp []float64, px, py, pz, qx, qy, qz, d02 float64)

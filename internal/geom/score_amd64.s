@@ -171,19 +171,18 @@ sumdone:
 	RET
 
 // CELL computes DP cell (row, AX) in lane 0 from the row above, up: the
-// term of the point in lane 0 of X8-X10 against y[AX-1], added to
-// up[AX-1], then the maximum with up[AX] and with the left cell, carried
-// in lane 0 of X13. Lane 1 of X13 is left alone.
+// term of the point in lane 0 of X8-X10 against y[AX-1], lane 0 of the
+// pair mirror entry at R11, added to up[AX-1], then the maximum with
+// up[AX] and with the left cell, carried in lane 0 of X13. The
+// differences are y - p: RN(y-p) = -RN(p-y), so every square keeps its
+// bits. Lane 1 of X13 is left alone.
 #define CELL(up, row) \
-	MOVAPD X8, X0; \
-	MOVSD -8(R8)(AX*8), X4; \
-	SUBPD X4, X0; \
-	MOVAPD X9, X1; \
-	MOVSD -8(R9)(AX*8), X4; \
-	SUBPD X4, X1; \
-	MOVAPD X10, X2; \
-	MOVSD -8(R10)(AX*8), X4; \
-	SUBPD X4, X2; \
+	MOVSD 0(R11), X0; \
+	SUBPD X8, X0; \
+	MOVSD 16(R11), X1; \
+	SUBPD X9, X1; \
+	MOVSD 32(R11), X2; \
+	SUBPD X10, X2; \
 	SQDIST; \
 	TERM; \
 	ADDSD -8(up)(AX*8), X3; \
@@ -191,30 +190,35 @@ sumdone:
 	MAXSD X3, X13; \
 	MOVSD X13, (row)(AX*8)
 
-// func maxPlusPair(val, yx, yy, yz []float64, px, py, pz, qx, qy, qz, d02 float64)
+// func maxPlusPair(val, yp []float64, px, py, pz, qx, qy, qz, d02 float64)
 //
-// Rows 1 and 2 of val (three rows of n+1 cells, n = len(yx) >= 1) from
+// Rows 1 and 2 of val (three rows of n+1 cells, n = len(yp)/6 >= 1) from
 // row 0, scored against p and q: maxPlusPairGo. At step t lane 0 computes
 // cell (1, t) and lane 1 cell (2, t-2). Both take their left cell from
 // the previous step's result, so the only loop-carried op is the MAXPD
 // into X13; lane 1's diagonal and up cells are row 1's cells t-3 and t-2,
-// finished two and three steps earlier. Columns 1-2 of row 1 run alone
-// first, the last columns of row 2 alone after.
-TEXT ·maxPlusPair(SB), NOSPLIT, $0-152
+// finished two and three steps earlier. A step's up pair is the next
+// step's diagonal pair, so the diagonal stays in X5, and its y[t-1] and
+// y[t-3] are one packed load per axis from the pair mirror (PairMirror).
+// Columns 1-2 of row 1 run alone first, the last columns of row 2 alone
+// after.
+TEXT ·maxPlusPair(SB), NOSPLIT, $0-104
 	MOVQ val_base+0(FP), SI // row 0
-	MOVQ yx_base+24(FP), R8
-	MOVQ yx_len+32(FP), CX // n
-	MOVQ yy_base+48(FP), R9
-	MOVQ yz_base+72(FP), R10
+	MOVQ yp_base+24(FP), R8
+	MOVQ yp_len+32(FP), AX
+	XORQ DX, DX
+	MOVQ $6, CX
+	DIVQ CX
+	MOVQ AX, CX // n
 	LEAQ 8(SI)(CX*8), DI // row 1
 	LEAQ 8(DI)(CX*8), BX // row 2
-	MOVSD px+96(FP), X8
-	MOVHPD qx+120(FP), X8
-	MOVSD py+104(FP), X9
-	MOVHPD qy+128(FP), X9
-	MOVSD pz+112(FP), X10
-	MOVHPD qz+136(FP), X10
-	MOVSD d02+144(FP), X11
+	MOVSD px+48(FP), X8
+	MOVHPD qx+72(FP), X8
+	MOVSD py+56(FP), X9
+	MOVHPD qy+80(FP), X9
+	MOVSD pz+64(FP), X10
+	MOVHPD qz+88(FP), X10
+	MOVSD d02+96(FP), X11
 	UNPCKLPD X11, X11
 	MOVQ $0x3ff0000000000000, AX // 1.0
 	MOVQ AX, X12
@@ -222,41 +226,39 @@ TEXT ·maxPlusPair(SB), NOSPLIT, $0-152
 	XORPD X13, X13 // both rows' column 0
 
 	MOVQ $1, AX
+	MOVQ R8, R11 // mirror entry AX-1
 	CELL(SI, DI)
 	CMPQ CX, $2
 	JB pairs
 	INCQ AX
+	ADDQ $48, R11
 	CELL(SI, DI)
 
 pairs:
 	MOVQ $3, AX
+	LEAQ 96(R8), R11
 	CMPQ AX, CX
 	JA last
+	MOVSD 16(SI), X5 // diagonal of step 3: row 0 at 2, row 1 at 0
+	MOVHPD 0(DI), X5
 
 pair:
-	MOVAPD X8, X0
-	MOVSD -8(R8)(AX*8), X4 // y[t-1] for lane 0
-	MOVHPD -24(R8)(AX*8), X4 // y[t-3] for lane 1
-	SUBPD X4, X0
-	MOVAPD X9, X1
-	MOVSD -8(R9)(AX*8), X4
-	MOVHPD -24(R9)(AX*8), X4
-	SUBPD X4, X1
-	MOVAPD X10, X2
-	MOVSD -8(R10)(AX*8), X4
-	MOVHPD -24(R10)(AX*8), X4
-	SUBPD X4, X2
+	MOVUPD 0(R11), X0 // y[t-1] for lane 0, y[t-3] for lane 1
+	SUBPD X8, X0
+	MOVUPD 16(R11), X1
+	SUBPD X9, X1
+	MOVUPD 32(R11), X2
+	SUBPD X10, X2
 	SQDIST
 	TERM
-	MOVSD -8(SI)(AX*8), X5 // diagonal: row 0 at t-1, row 1 at t-3
-	MOVHPD -24(DI)(AX*8), X5
-	ADDPD X5, X3
-	MOVSD (SI)(AX*8), X6 // up: row 0 at t, row 1 at t-2
-	MOVHPD -16(DI)(AX*8), X6
-	MAXPD X6, X3
+	ADDPD X5, X3 // diagonal: row 0 at t-1, row 1 at t-3
+	MOVSD (SI)(AX*8), X5 // up: row 0 at t, row 1 at t-2; the next diagonal
+	MOVHPD -16(DI)(AX*8), X5
+	MAXPD X5, X3
 	MAXPD X3, X13 // left: the previous step
 	MOVSD X13, (DI)(AX*8)
 	MOVHPD X13, -16(BX)(AX*8)
+	ADDQ $48, R11
 	INCQ AX
 	CMPQ AX, CX
 	JBE pair
@@ -268,9 +270,11 @@ last:
 	UNPCKHPD X10, X10
 	UNPCKHPD X13, X13
 	SUBQ $2, AX
+	SUBQ $96, R11
 
 lastcell:
 	CELL(DI, BX)
+	ADDQ $48, R11
 	INCQ AX
 	CMPQ AX, CX
 	JBE lastcell

@@ -132,26 +132,32 @@ func maxPlusChain(data []byte, seed int64, n int) []Vec3 {
 // checkMaxPlusFill runs MaxPlusFill, whose row pairs go through the body
 // this GOARCH dispatches to, against the same table filled by the
 // portable maxPlusPairGo, and requires equal bits in every cell and an
-// untouched guard past the end.
+// untouched guard past the end. The Go rows read only each mirror
+// entry's y[k]; the assembly reads its y[k-2] too, so a wrong pair mirror
+// shows here as well.
 func checkMaxPlusFill(t *testing.T, data []byte, seed int64, rows, cols int, d02 float64) {
 	const guard = 12345.678
 	xt := maxPlusChain(data, seed, rows)
 	y := maxPlusChain(data[min(len(data), 3*rows):], seed+1, cols)
-	yx, yy, yz := make([]float64, cols), make([]float64, cols), make([]float64, cols)
-	for j, q := range y {
-		yx[j], yy[j], yz[j] = q[0], q[1], q[2]
+	yp := make([]float64, 6*cols)
+	PairMirror(yp, y)
+	for k, q := range y {
+		if k >= 2 && (yp[6*k+1] != y[k-2][0] || yp[6*k+3] != y[k-2][1] || yp[6*k+5] != y[k-2][2]) ||
+			yp[6*k] != q[0] || yp[6*k+2] != q[1] || yp[6*k+4] != q[2] {
+			t.Fatalf("pair mirror entry %d = %v, chain %v", k, yp[6*k:6*k+6], y[max(0, k-2):k+1])
+		}
 	}
 	cells := (rows + 1) * (cols + 1)
 	got, want := make([]float64, cells+1), make([]float64, cells+1)
 	got[cells], want[cells] = guard, guard
-	MaxPlusFill(got, xt, yx, yy, yz, d02)
+	MaxPlusFill(got, xt, yp, d02)
 	for i := 0; i < rows && cols > 0; i += 2 {
 		rowsVal := want[i*(cols+1):]
 		if p := xt[i]; i+1 < rows {
 			q := xt[i+1]
-			maxPlusPairGo(rowsVal, yx, yy, yz, p[0], p[1], p[2], q[0], q[1], q[2], d02)
+			maxPlusPairGo(rowsVal, yp, p[0], p[1], p[2], q[0], q[1], q[2], d02)
 		} else {
-			maxPlusRow(rowsVal, yx, yy, yz, p, d02)
+			maxPlusRow(rowsVal, yp, p, d02)
 		}
 	}
 	for c := range got {
@@ -162,17 +168,20 @@ func checkMaxPlusFill(t *testing.T, data []byte, seed int64, rows, cols int, d02
 }
 
 // FuzzMaxPlusKernel requires the gap-free DP fill to equal the portable
-// Go rows bit for bit: 0-300 columns (1 and 2 among the seeds), odd and
+// Go rows bit for bit: 0-300 columns (1, 2 and 3 among the seeds: the
+// lone first cells, the lone last cells and one packed step), odd and
 // even row counts, tied terms and cells, huge finite coordinates whose
 // terms underflow to +0 and subnormal terms (under the 1e-304 seed, a
 // distance beyond ~70 A has a subnormal or +0 term).
 func FuzzMaxPlusKernel(f *testing.F) {
 	f.Add([]byte{}, int64(1), uint8(1), uint16(1), 25.0)
 	f.Add([]byte{}, int64(2), uint8(2), uint16(2), 25.0)
+	f.Add([]byte{}, int64(7), uint8(3), uint16(3), 25.0)
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}, int64(3), uint8(5), uint16(3), 4.0)
 	f.Add([]byte{200, 201, 202, 203, 204, 205, 206, 207, 208, 0, 0, 0}, int64(4), uint8(4), uint16(9), 1.0)
 	f.Add([]byte{194, 10, 10, 195, 10, 10, 100, 100}, int64(5), uint8(3), uint16(300), 1e-304)
 	f.Add([]byte{}, int64(6), uint8(7), uint16(151), 17.3)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1}, int64(8), uint8(9), uint16(4), 2.0)
 	f.Fuzz(func(t *testing.T, data []byte, seed int64, rows uint8, cols uint16, d02 float64) {
 		if !(d02 > 0 && d02 <= math.MaxFloat64) {
 			t.Skip() // a NaN term is outside the kernel's domain

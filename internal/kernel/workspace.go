@@ -87,14 +87,10 @@ func (w *Workspace) Aligner() *seqalign.Aligner {
 // least 2x the previous capacity) so ascending problem sizes do not
 // reallocate per call.
 func grow[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
+	if cap(s) < n {
+		s = make([]T, n, max(n, 2*cap(s)))
 	}
-	c := 2 * cap(s)
-	if c < n {
-		c = n
-	}
-	return make([]T, n, c)
+	return s[:n]
 }
 
 // ReservePairs sizes the comparison-layer buffers for chains of up to n

@@ -52,11 +52,7 @@ func Constant(rps float64, total, slot time.Duration) []Slot {
 	}
 	var out []Slot
 	for t := time.Duration(0); t < total; t += slot {
-		d := slot
-		if t+d > total {
-			d = total - t
-		}
-		out = append(out, Slot{RPS: rps, Dur: d})
+		out = append(out, Slot{RPS: rps, Dur: min(slot, total-t)})
 	}
 	return out
 }
@@ -89,19 +85,13 @@ func Burst(base, burst float64, period, burstDur, total time.Duration) []Slot {
 	}
 	var out []Slot
 	for t := time.Duration(0); t < total; {
-		calm := period - burstDur
-		if t+calm > total {
-			calm = total - t
-		}
+		calm := min(period-burstDur, total-t)
 		out = append(out, Slot{RPS: base, Dur: calm})
 		t += calm
 		if t >= total {
 			break
 		}
-		b := burstDur
-		if t+b > total {
-			b = total - t
-		}
+		b := min(burstDur, total-t)
 		out = append(out, Slot{RPS: burst, Dur: b})
 		t += b
 	}
@@ -118,12 +108,8 @@ func Diurnal(mean, amplitude float64, period, slotDur, total time.Duration) []Sl
 	}
 	var out []Slot
 	for t := time.Duration(0); t < total; t += slotDur {
-		d := slotDur
-		if t+d > total {
-			d = total - t
-		}
 		phase := 2 * math.Pi * float64(t) / float64(period)
-		out = append(out, Slot{RPS: mean + amplitude*math.Sin(phase), Dur: d})
+		out = append(out, Slot{RPS: mean + amplitude*math.Sin(phase), Dur: min(slotDur, total-t)})
 	}
 	return out
 }

@@ -198,10 +198,7 @@ func (s *Store) Prefetch(keys []Key, compute func(i int) any) {
 	if s == nil || len(keys) == 0 {
 		return
 	}
-	workers := s.workers
-	if workers > len(keys) {
-		workers = len(keys)
-	}
+	workers := min(s.workers, len(keys))
 	var wg sync.WaitGroup
 	work := make(chan int)
 	for w := 0; w < workers; w++ {

@@ -184,24 +184,13 @@ func Parse(r io.Reader, id string) (*Structure, error) {
 			if haveLast && seq == lastSeq && icode == lastICode {
 				continue // duplicate CA (e.g. altloc variants)
 			}
-			x, err := parseCoord(line[30:38])
-			if err != nil {
-				return nil, &ParseError{lineNo, "bad x coordinate"}
+			var ca geom.Vec3 // columns 31-38, 39-46 and 47-54
+			for k := range ca {
+				if ca[k], err = strconv.ParseFloat(strings.TrimSpace(line[30+8*k:38+8*k]), 64); err != nil {
+					return nil, &ParseError{lineNo, "bad " + "xyz"[k:k+1] + " coordinate"}
+				}
 			}
-			y, err := parseCoord(line[38:46])
-			if err != nil {
-				return nil, &ParseError{lineNo, "bad y coordinate"}
-			}
-			z, err := parseCoord(line[46:54])
-			if err != nil {
-				return nil, &ParseError{lineNo, "bad z coordinate"}
-			}
-			s.Residues = append(s.Residues, Residue{
-				Seq:  seq,
-				Name: resName,
-				AA:   OneLetter(resName),
-				CA:   geom.V(x, y, z),
-			})
+			s.Residues = append(s.Residues, Residue{Seq: seq, Name: resName, AA: OneLetter(resName), CA: ca})
 			lastSeq = seq
 			lastICode = icode
 			haveLast = true
@@ -218,10 +207,6 @@ func finish(s *Structure) (*Structure, error) {
 		return nil, fmt.Errorf("pdb: %s: no CA atoms found", s.ID)
 	}
 	return s, nil
-}
-
-func parseCoord(f string) (float64, error) {
-	return strconv.ParseFloat(strings.TrimSpace(f), 64)
 }
 
 // ParseFile parses the PDB file at path. The structure ID is the file name

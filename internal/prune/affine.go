@@ -1,6 +1,9 @@
 package prune
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // affineScore returns the optimal global affine-gap alignment score
 // (Gotoh 1982) of s1 against s2 in tenths: an identical residue scores
@@ -58,4 +61,54 @@ func affineScore(s1, s2 string, rows []int32) int32 {
 		}
 	}
 	return best[len(s2)]
+}
+
+// lanes is how many pairs one affineLanes call aligns, and laneMaxLen the
+// longest chain it takes: every reachable cell then lies in
+// [-(40 + 2*laneMaxLen), seqMatch*laneMaxLen], inside int16 and above its
+// -32768 sentinel.
+const (
+	lanes      = 8
+	laneMaxLen = math.MaxInt16 / seqMatch
+)
+
+// affine is affineScore on the filter's scratch rows.
+func (f *Filter) affine(s1, s2 string) int32 {
+	if n := 3 * (len(s2) + 1); cap(f.rows) < n {
+		f.rows = make([]int32, n)
+	}
+	return affineScore(s1, s2, f.rows)
+}
+
+// groupScores sets score[k] = affineScore(s1, s2[k]) for every k of s2,
+// which holds at most lanes targets: one affineLanes call with the
+// targets interleaved column by column and padded to the longest, whose
+// padding cells no lane's own cells depend on. A chain past laneMaxLen,
+// or a GOARCH without the kernel, takes affineScore pair by pair.
+func (f *Filter) groupScores(s1 string, s2 []string, score []int32) {
+	n := 0
+	for _, s := range s2 {
+		n = max(n, len(s))
+	}
+	if !haveLanes || max(len(s1), n) > laneMaxLen {
+		for k, s := range s2 {
+			score[k] = f.affine(s1, s)
+		}
+		return
+	}
+	f.lt, f.lr = slices.Grow(f.lt[:0], lanes*n)[:lanes*n], slices.Grow(f.lr[:0], 3*lanes*n)[:3*lanes*n]
+	for c := range f.lt {
+		f.lt[c] = -1 // matches no residue
+		if j, k := c/lanes, c%lanes; k < len(s2) && j < len(s2[k]) {
+			f.lt[c] = int16(s2[k][j])
+		}
+	}
+	affineLanes(s1, f.lt, f.lr)
+	for k, s := range s2 {
+		if len(s) == 0 {
+			score[k] = f.affine(s1, s) // column 0, which the kernel keeps in a register
+		} else {
+			score[k] = int32(f.lr[3*lanes*(len(s)-1)+2*lanes+k])
+		}
+	}
 }

@@ -37,10 +37,13 @@
 // minimum cannot move and Bound returns without running the DP at all:
 // an exact short-circuit (1632 of 7021 RS119 pairs), not an estimate.
 // Pairs are independent, so core.PrunePairs decides them on every host
-// core, one Filter per goroutine.
+// core, one Filter per goroutine, and SkipAll runs one query's DPs eight
+// at a time in int16 SIMD lanes (affineLanes, ~0.5 ns per cell).
 package prune
 
 import (
+	"slices"
+
 	"rckalign/internal/costmodel"
 	"rckalign/internal/geom"
 	"rckalign/internal/ss"
@@ -102,8 +105,8 @@ const (
 )
 
 // Filter prunes pairs whose bound falls below Threshold. It is not safe
-// for concurrent use (it owns the report and three DP rows of scratch);
-// each goroutine needs its own.
+// for concurrent use (it owns the report and the DP scratch); each
+// goroutine needs its own.
 type Filter struct {
 	// Threshold is the -prune-tm value: pairs with Bound < Threshold are
 	// skipped.
@@ -115,7 +118,10 @@ type Filter struct {
 	// Report accumulates the skip/keep accounting across Skip calls.
 	Report Report
 
-	rows []int32
+	rows   []int32   // affineScore's rolling rows
+	lt, lr []int16   // affineLanes' interleaved targets and rows
+	bounds []float64 // SkipAll's bounds, one per pair
+	pend   []int32   // the pairs among them that still need the DP
 }
 
 // New returns a Filter skipping pairs bounded below threshold.
@@ -161,15 +167,29 @@ func (r *Report) SkipFraction() float64 {
 // Bound returns the conservative upper bound on the mean TM-score of
 // the pair (min of the length, sequence and composition caps).
 func (f *Filter) Bound(a, b *Features) float64 {
+	bound, dp := cheapBound(a, b)
+	if dp {
+		bound = f.seqCap(bound, a, b, f.affine(a.Seq[:a.Length], b.Seq[:b.Length]))
+	}
+	return bound
+}
+
+// cheapBound returns the minimum of the length and composition caps, and
+// whether the sequence cap can still lower it: only with full sequence
+// data on both sides (a missing or truncated sequence yields no cap
+// rather than a spuriously low similarity), and only above capFloor,
+// which the sequence cap never goes below, so a bound already there
+// cannot move and the DP is not run.
+func cheapBound(a, b *Features) (bound float64, dp bool) {
 	minL, maxL := a.Length, b.Length
 	if minL > maxL {
 		minL, maxL = maxL, minL
 	}
 	if minL == 0 {
-		return 0
+		return 0, false
 	}
 	// Provable length cap.
-	bound := (float64(minL)/float64(maxL) + 1) / 2
+	bound = (float64(minL)/float64(maxL) + 1) / 2
 
 	// Calibrated composition cap.
 	var compD float64
@@ -184,44 +204,69 @@ func (f *Filter) Bound(a, b *Features) float64 {
 	if c := rampDown(compD, compLo, compHi); c < bound {
 		bound = c
 	}
+	return bound, bound > capFloor && len(a.Seq) >= a.Length && len(b.Seq) >= b.Length
+}
 
-	// Calibrated sequence cap (only with full sequence data on both
-	// sides; a missing or truncated sequence yields no cap rather than a
-	// spuriously low similarity). It is never below capFloor, so a bound
-	// already there cannot move and the DP is not run.
-	if bound > capFloor && len(a.Seq) >= a.Length && len(b.Seq) >= b.Length {
-		if n := 3 * (b.Length + 1); cap(f.rows) < n {
-			f.rows = make([]int32, n)
-		}
-		score := affineScore(a.Seq[:a.Length], b.Seq[:b.Length], f.rows)
-		f.Ops.AddDP(3 * a.Length * b.Length)
-		seqSim := float64(score) / seqMatch / float64(minL)
-		if c := rampUp(seqSim, seqLo, seqHi); c < bound {
-			bound = c
-		}
+// seqCap lowers bound to the calibrated sequence cap of the pair whose
+// sequence DP scored score tenths, and charges the DP.
+func (f *Filter) seqCap(bound float64, a, b *Features, score int32) float64 {
+	f.Ops.AddDP(3 * a.Length * b.Length)
+	seqSim := float64(score) / seqMatch / float64(min(a.Length, b.Length))
+	if c := rampUp(seqSim, seqLo, seqHi); c < bound {
+		bound = c
 	}
 	return bound
 }
 
 // Skip records the pair in the report and reports whether it should be
 // pruned (bound below threshold).
-func (f *Filter) Skip(a, b *Features) bool {
-	bd := f.Bound(a, b)
+func (f *Filter) Skip(a, b *Features) bool { return f.record(f.Bound(a, b)) }
+
+// SkipAll sets skip[k] = Skip(a, &bs[k]) for every k of bs, with the
+// same report and ops, but runs the sequence DPs of the pairs that need
+// one eight at a time (groupScores), shortest targets together so that
+// a group pads little.
+func (f *Filter) SkipAll(a *Features, bs []Features, skip []bool) {
+	f.bounds, f.pend = slices.Grow(f.bounds[:0], len(bs))[:len(bs)], slices.Grow(f.pend[:0], len(bs))
+	for k := range bs {
+		var dp bool
+		if f.bounds[k], dp = cheapBound(a, &bs[k]); dp {
+			f.pend = append(f.pend, int32(k))
+		}
+	}
+	slices.SortFunc(f.pend, func(i, j int32) int { return bs[i].Length - bs[j].Length })
+	if m := len(f.pend); m > 0 { // scratch for the longest group, grown once
+		n := lanes * bs[f.pend[m-1]].Length
+		f.lt, f.lr = slices.Grow(f.lt[:0], n), slices.Grow(f.lr[:0], 3*n)
+	}
+	var seqs [lanes]string
+	var scores [lanes]int32
+	for lo := 0; lo < len(f.pend); lo += lanes {
+		group := f.pend[lo:min(lo+lanes, len(f.pend))]
+		for g, k := range group {
+			seqs[g] = bs[k].Seq[:bs[k].Length]
+		}
+		f.groupScores(a.Seq[:a.Length], seqs[:len(group)], scores[:len(group)])
+		for g, k := range group {
+			f.bounds[k] = f.seqCap(f.bounds[k], a, &bs[k], scores[g])
+		}
+	}
+	for k, bd := range f.bounds {
+		skip[k] = f.record(bd)
+	}
+}
+
+// record counts a pair of bound bd in the report and reports whether it
+// is pruned.
+func (f *Filter) record(bd float64) bool {
 	f.Report.Total++
-	k := int(bd * 10)
-	if k < 0 {
-		k = 0
-	}
-	if k > 10 {
-		k = 10
-	}
-	f.Report.BoundHist[k]++
+	f.Report.BoundHist[min(max(int(bd*10), 0), 10)]++
 	f.Report.DPCells = int64(f.Ops.DPCells)
-	if bd < f.Threshold {
+	skip := bd < f.Threshold
+	if skip {
 		f.Report.Skipped++
-		return true
 	}
-	return false
+	return skip
 }
 
 // rampUp maps x <= lo to capFloor, x >= hi to 1, linear in between.

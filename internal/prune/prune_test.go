@@ -252,6 +252,30 @@ func TestPrunePairsPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestPrunePairsMatchesPerPairSkip: PrunePairs decides each query's
+// pairs together (Filter.SkipAll, sequence DPs in SIMD lanes); one
+// Filter.Skip per pair in canonical order must give the same skip vector
+// and the same report, DP cells included, on CK34 and RS119.
+func TestPrunePairsMatchesPerPairSkip(t *testing.T) {
+	for _, ds := range []*synth.Dataset{synth.CK34(), synth.RS119()} {
+		kept, rep := core.PrunePairs(ds, 0.5)
+		feats := make([]prune.Features, ds.Len())
+		for i, s := range ds.Structures {
+			feats[i] = prune.Extract(s.CAs(), s.Sequence())
+		}
+		f := prune.New(0.5)
+		var want []sched.Pair
+		for _, p := range sched.AllVsAll(ds.Len()) {
+			if !f.Skip(&feats[p.I], &feats[p.J]) {
+				want = append(want, p)
+			}
+		}
+		if !reflect.DeepEqual(kept, want) || *rep != f.Report {
+			t.Errorf("%s: PrunePairs kept %d, report %+v; per-pair Skip kept %d, report %+v", ds.Name, len(kept), *rep, len(want), f.Report)
+		}
+	}
+}
+
 // TestCK34BoundNeverUnderestimates is the central safety property: for
 // every CK34 pair, under both the default and the fast kernel, the
 // pre-filter bound is >= the true mean TM-score. This single invariant

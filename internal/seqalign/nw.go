@@ -38,14 +38,10 @@ func NewAligner() *Aligner { return &Aligner{} }
 // 2x the previous capacity) so a sequence of calls with ascending sizes
 // amortises to O(1) reallocations instead of one per new maximum.
 func growSlice[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
+	if cap(s) < n {
+		s = make([]T, n, max(n, 2*cap(s)))
 	}
-	c := 2 * cap(s)
-	if c < n {
-		c = n
-	}
-	return make([]T, n, c)
+	return s[:n]
 }
 
 func (a *Aligner) grow(len1, len2 int) {
@@ -131,11 +127,11 @@ func (a *Aligner) AlignMatrix(len1, len2 int, mat []float64, gapOpen float64, in
 	a.traceback(len1, len2, gapOpen, invmap)
 }
 
-// AlignGapFree is AlignMatrix(len(xt), len(yx), mat, 0, invmap, ops) on
-// the TM-score matrix mat[i*len2+j] = geom.Term of xt[i] against y[j],
-// the fixed chain mirrored in yx, yy and yz, without building mat: the
-// terms go straight into the value table (geom.MaxPlusFill), and the
-// traceback recomputes the one term of each cell it visits.
+// AlignGapFree is AlignMatrix(len(xt), len(yp)/6, mat, 0, invmap, ops)
+// on the TM-score matrix mat[i*len2+j] = geom.Term of xt[i] against y[j],
+// the fixed chain interleaved in yp by geom.PairMirror, without building
+// mat: the terms go straight into the value table (geom.MaxPlusFill), and
+// the traceback recomputes the one term of each cell it visits.
 //
 // Alignment and DP values are AlignMatrix's bit for bit when every term
 // is a number: coordinates finite, 0 < d02 < +Inf (DESIGN.md §16, "gap-free
@@ -143,8 +139,8 @@ func (a *Aligner) AlignMatrix(len1, len2 int, mat []float64, gapOpen float64, in
 // −0 to a value that is never −0, so the up and left candidates are those
 // cells unchanged and each cell is the plain maximum of diagonal, up and
 // left. The caller checks the coordinates.
-func (a *Aligner) AlignGapFree(xt []geom.Vec3, yx, yy, yz []float64, d02 float64, invmap []int, ops *costmodel.Counter) {
-	len1, len2 := len(xt), len(yx)
+func (a *Aligner) AlignGapFree(xt []geom.Vec3, yp []float64, d02 float64, invmap []int, ops *costmodel.Counter) {
+	len1, len2 := len(xt), len(yp)/6
 	if len(invmap) != len2 {
 		panic(fmt.Errorf("%w (AlignGapFree: %d vs %d)", ErrInvmapLength, len(invmap), len2))
 	}
@@ -155,7 +151,7 @@ func (a *Aligner) AlignGapFree(xt []geom.Vec3, yx, yy, yz []float64, d02 float64
 		val[i*cols] = 0
 	}
 	clear(val[:cols])
-	geom.MaxPlusFill(val, xt, yx, yy, yz, d02)
+	geom.MaxPlusFill(val, xt, yp, d02)
 	ops.AddDP(len1 * len2)
 
 	// NWDP_TM's traceback at gap open 0: the cell came diagonally iff
@@ -166,8 +162,8 @@ func (a *Aligner) AlignGapFree(xt []geom.Vec3, yx, yy, yz []float64, d02 float64
 	i, j := len1, len2
 	for i > 0 && j > 0 {
 		up, left := val[(i-1)*cols+j], val[i*cols+j-1]
-		p := &xt[i-1]
-		if d := val[(i-1)*cols+j-1] + geom.Term(p[0], p[1], p[2], yx[j-1], yy[j-1], yz[j-1], d02); d >= up && d >= left {
+		p, q := &xt[i-1], yp[6*j-6:6*j]
+		if d := val[(i-1)*cols+j-1] + geom.Term(p[0], p[1], p[2], q[0], q[2], q[4], d02); d >= up && d >= left {
 			invmap[j-1] = i - 1
 			i--
 			j--
@@ -277,9 +273,7 @@ func IsMonotonic(invmap []int, len1 int) bool {
 // with a fixed fragment length rely on this zero-visit contract for
 // chains shorter than the fragment.
 func GaplessThreading(len1, len2, minOverlap int, visit func(k, lo, hi int)) {
-	if minOverlap < 1 {
-		minOverlap = 1
-	}
+	minOverlap = max(minOverlap, 1)
 	if minOverlap > len1 || minOverlap > len2 {
 		return
 	}
@@ -288,15 +282,7 @@ func GaplessThreading(len1, len2, minOverlap int, visit func(k, lo, hi int)) {
 	// follows from the range bounds); the guard below is kept as a
 	// defensive invariant check only.
 	for k := -(len2 - minOverlap); k <= len1-minOverlap; k++ {
-		lo := 0
-		if k < 0 {
-			lo = -k
-		}
-		hi := len2
-		if len1-k < hi {
-			hi = len1 - k
-		}
-		if hi-lo >= minOverlap {
+		if lo, hi := max(0, -k), min(len2, len1-k); hi-lo >= minOverlap {
 			visit(k, lo, hi)
 		}
 	}

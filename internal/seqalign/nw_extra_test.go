@@ -203,7 +203,7 @@ func TestAlignGapFreeMatchesAlignMatrix(t *testing.T) {
 		inv1, inv2 := make([]int, len(y)), make([]int, len(y))
 		var ops1, ops2 costmodel.Counter
 		a1.AlignMatrix(len(xt), len(y), scoreMatrix(xt, yx, yy, yz, d02), 0, inv1, &ops1)
-		a2.AlignGapFree(xt, yx, yy, yz, d02, inv2, &ops2)
+		a2.AlignGapFree(xt, pairMirror(y), d02, inv2, &ops2)
 		for c := 0; c < (len(xt)+1)*(len(y)+1); c++ {
 			if math.Float64bits(a1.val[c]) != math.Float64bits(a2.val[c]) {
 				t.Fatalf("%s: DP cell (%d, %d) = %x, AlignMatrix %x", what, c/(len(y)+1), c%(len(y)+1), a2.val[c], a1.val[c])

@@ -337,6 +337,14 @@ func mirror(y []geom.Vec3) (yx, yy, yz []float64) {
 	return yx, yy, yz
 }
 
+// pairMirror returns y interleaved by geom.PairMirror, the layout of
+// tmalign.Prepared's pair mirror.
+func pairMirror(y []geom.Vec3) []float64 {
+	yp := make([]float64, 6*len(y))
+	geom.PairMirror(yp, y)
+	return yp
+}
+
 // searchD0 is the d0 of tmscore.SearchParams for chains of at least n
 // residues (a kernel import would be a cycle).
 func searchD0(n int) float64 {
@@ -392,7 +400,8 @@ func BenchmarkAlignMatrix(b *testing.B) {
 // longest RS119 prune survivor (rsh01 vs rsh04, 390 x 390 residues),
 // superposed as in BenchmarkAlignMatrix: /fill+align is the score-matrix
 // fill plus AlignMatrix(0) the round ran as before, /fused is
-// AlignGapFree.
+// AlignGapFree, and /terms is the score-matrix fill alone (geom.ScoreRow
+// over the same rows), the divider's floor under both.
 func BenchmarkGapFreeRound(b *testing.B) {
 	ck, rs := synth.CK34(), synth.RS119()
 	for _, pair := range []struct {
@@ -405,22 +414,27 @@ func BenchmarkGapFreeRound(b *testing.B) {
 		x, y := pair.x, pair.y
 		xt := overlapRound(x, y)
 		yx, yy, yz := mirror(y)
+		yp := pairMirror(y)
 		d0 := searchD0(min(len(x), len(y)))
 		d02 := d0 * d0
 		mat := make([]float64, len(x)*len(y))
 		a := NewAligner()
 		invmap := make([]int, len(y))
+		fill := func() {
+			for i, p := range xt {
+				geom.ScoreRow(mat[i*len(y):(i+1)*len(y)], yx, yy, yz, p, d02)
+			}
+		}
 		for _, body := range []struct {
 			name string
 			run  func()
 		}{
 			{"fill+align", func() {
-				for i, p := range xt {
-					geom.ScoreRow(mat[i*len(y):(i+1)*len(y)], yx, yy, yz, p, d02)
-				}
+				fill()
 				a.AlignMatrix(len(x), len(y), mat, 0, invmap, nil)
 			}},
-			{"fused", func() { a.AlignGapFree(xt, yx, yy, yz, d02, invmap, nil) }},
+			{"fused", func() { a.AlignGapFree(xt, yp, d02, invmap, nil) }},
+			{"terms", fill},
 		} {
 			b.Run(pair.name+"/"+body.name, func(b *testing.B) {
 				b.ReportAllocs()

@@ -4,6 +4,8 @@
 package ss
 
 import (
+	"math"
+
 	"rckalign/internal/geom"
 )
 
@@ -39,28 +41,21 @@ func (t Type) String() string { return string(t.Char()) }
 // distances among residues i-2, i-1, i, i+1, i+2.
 func classify(d13, d14, d15, d24, d25, d35 float64) Type {
 	const deltaHelix = 2.1
-	if abs(d15-6.37) < deltaHelix && abs(d14-5.18) < deltaHelix &&
-		abs(d25-5.18) < deltaHelix && abs(d13-5.45) < deltaHelix &&
-		abs(d24-5.45) < deltaHelix && abs(d35-5.45) < deltaHelix {
+	if math.Abs(d15-6.37) < deltaHelix && math.Abs(d14-5.18) < deltaHelix &&
+		math.Abs(d25-5.18) < deltaHelix && math.Abs(d13-5.45) < deltaHelix &&
+		math.Abs(d24-5.45) < deltaHelix && math.Abs(d35-5.45) < deltaHelix {
 		return Helix
 	}
 	const deltaStrand = 1.42
-	if abs(d15-13) < deltaStrand && abs(d14-10.4) < deltaStrand &&
-		abs(d25-10.4) < deltaStrand && abs(d13-6.1) < deltaStrand &&
-		abs(d24-6.1) < deltaStrand && abs(d35-6.1) < deltaStrand {
+	if math.Abs(d15-13) < deltaStrand && math.Abs(d14-10.4) < deltaStrand &&
+		math.Abs(d25-10.4) < deltaStrand && math.Abs(d13-6.1) < deltaStrand &&
+		math.Abs(d24-6.1) < deltaStrand && math.Abs(d35-6.1) < deltaStrand {
 		return Strand
 	}
 	if d15 < 8 {
 		return Turn
 	}
 	return Coil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Assign classifies every residue of the CA trace. Residues closer than

@@ -52,12 +52,7 @@ func (p *Plot) Add(s Series) error {
 // Render draws the plot with the given interior width and height in
 // character cells.
 func (p *Plot) Render(width, height int) string {
-	if width < 16 {
-		width = 16
-	}
-	if height < 6 {
-		height = 6
-	}
+	width, height = max(width, 16), max(height, 6)
 	// Data ranges.
 	xmin, xmax := math.Inf(1), math.Inf(-1)
 	ymin, ymax := math.Inf(1), math.Inf(-1)

@@ -73,10 +73,7 @@ func (t *Table) String() string {
 		b.WriteByte('\n')
 	}
 	writeRow(t.Headers)
-	total := len(widths) - 1
-	if total < 0 {
-		total = 0
-	}
+	total := max(len(widths)-1, 0)
 	for _, w := range widths {
 		total += w + 2
 	}

@@ -64,16 +64,14 @@ func Generate(id string, bp Blueprint, seed int64) *pdb.Structure {
 		frame := frameAlong(dir, rng.Float64()*2*math.Pi)
 		for i, p := range local {
 			g := frame.MulVec(p).Add(pos)
+			pts = append(pts, g)
 			if i == len(local)-1 {
 				// Advance the chain to just past the segment end.
 				step := g.Sub(pos)
 				if step.Norm() < 1e-9 {
 					step = dir.Scale(3.8)
 				}
-				pts = append(pts, g)
 				pos = g.Add(step.Unit().Scale(3.8))
-			} else {
-				pts = append(pts, g)
 			}
 			seq = append(seq, aaAlphabet[rng.Intn(len(aaAlphabet))])
 		}
@@ -247,25 +245,20 @@ func family(out []*pdb.Structure, name string, bp Blueprint, count int, seed int
 
 // helixBundle builds a blueprint of nh helices of length hl joined by
 // loops of length ll.
-func helixBundle(nh, hl, ll int) Blueprint {
-	var bp Blueprint
-	for i := 0; i < nh; i++ {
-		if i > 0 {
-			bp = append(bp, Segment{ss.Coil, ll})
-		}
-		bp = append(bp, Segment{ss.Helix, hl})
-	}
-	return bp
-}
+func helixBundle(nh, hl, ll int) Blueprint { return joined(ss.Helix, nh, hl, ll) }
 
 // betaBarrel builds ns strands of length sl joined by short loops.
-func betaBarrel(ns, sl, ll int) Blueprint {
+func betaBarrel(ns, sl, ll int) Blueprint { return joined(ss.Strand, ns, sl, ll) }
+
+// joined builds n segments of type t and length l joined by loops of
+// length ll.
+func joined(t ss.Type, n, l, ll int) Blueprint {
 	var bp Blueprint
-	for i := 0; i < ns; i++ {
+	for i := 0; i < n; i++ {
 		if i > 0 {
 			bp = append(bp, Segment{ss.Coil, ll})
 		}
-		bp = append(bp, Segment{ss.Strand, sl})
+		bp = append(bp, Segment{t, l})
 	}
 	return bp
 }

@@ -89,27 +89,18 @@ func (c *ctx) initialSS(invmap []int) {
 // the alignment with the best fast score. Returns false when the chains
 // are too short.
 func (c *ctx) initialLocal(invmap []int) bool {
-	minLen := c.xlen
-	if c.ylen < minLen {
-		minLen = c.ylen
-	}
-	frag := 20
-	if minLen <= 2*frag {
-		frag = minLen / 2
-	}
+	frag := min(20, min(c.xlen, c.ylen)/2)
 	if frag < 5 {
 		return false
 	}
-	jump := frag // non-overlapping fragment starts
 	d01 := c.sp.D0 + 1.5
 	d012 := d01 * d01
 
 	xt := c.xt[:c.xlen]
-	bestScore := -1.0
-	found := false
-
-	for i := 0; i+frag <= c.xlen; i += jump {
-		for j := 0; j+frag <= c.ylen; j += jump {
+	bestScore := -1.0 // every fast score is >= 0
+	// Non-overlapping fragment starts.
+	for i := 0; i+frag <= c.xlen; i += frag {
+		for j := 0; j+frag <= c.ylen; j += frag {
 			tr, _ := geom.Superpose(c.x[i:i+frag], c.y[j:j+frag])
 			c.ops.AddKabsch(frag)
 			tr.ApplyAll(xt, c.x)
@@ -120,11 +111,10 @@ func (c *ctx) initialLocal(invmap []int) bool {
 			if c.fastScores(ls[:]); ls[0].score > bestScore {
 				bestScore = ls[0].score
 				copy(invmap, c.invTmp)
-				found = true
 			}
 		}
 	}
-	return found
+	return bestScore >= 0
 }
 
 // initialSSPlus is get_initial_ssplus: NWDP over a score matrix mixing
@@ -147,15 +137,12 @@ func (c *ctx) initialSSPlus(invmap []int, tr geom.Transform) {
 // Returns false if no usable fragment exists.
 func (c *ctx) initialFragment(invmap []int) bool {
 	fs, fe := longestSSElement(c.a.Features.Sec)
+	if fe-fs < 4 { // fall back to the central third of the chain
+		fs, fe = c.xlen/3, c.xlen/3+c.xlen/3
+	}
 	flen := fe - fs
 	if flen < 4 {
-		// Fall back to the central third of the chain.
-		fs = c.xlen / 3
-		fe = fs + c.xlen/3
-		flen = fe - fs
-		if flen < 4 {
-			return false
-		}
+		return false
 	}
 	// Slide the fragment over chain 2; offset k aligns x[fs+t] to
 	// y[k+t]. Extend the diagonal i = j + fs - k to the full overlap.

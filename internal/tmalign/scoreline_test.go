@@ -23,9 +23,9 @@ var scoreLineCases = []struct {
 	{0, 1, 57, 0.51234567890123456, 0.4987654321, 2.3456, 0.25},
 	{12, 33, 0, 0, math.Copysign(0, -1), 0, 0},
 	{-1, -2, -3, math.NaN(), math.Inf(1), math.Inf(-1), math.NaN()},
-	{math.MaxInt64, math.MinInt64, math.MaxInt32, 1e300, -1e300, 1e-300, -1e-300},
+	{math.MaxInt, math.MinInt, math.MaxInt32, 1e300, -1e300, 1e-300, -1e-300},
 	{7, 8, 9, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072009e-308, 0x1p-1040},
-	{1 << 40, 3, 1, math.MaxFloat64, -math.MaxFloat64, 1, 1.0 / 3},
+	{1 << 30, 3, 1, math.MaxFloat64, -math.MaxFloat64, 1, 1.0 / 3},
 	{99, 100, 1000, 1e21, 1e-7, 123456789012345678, 0.1},
 }
 

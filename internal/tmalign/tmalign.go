@@ -332,11 +332,18 @@ func (c *ctx) finalize(invmap []int) *Result {
 	res.RMSD = rmsd
 
 	// Final TM-scores normalised by each chain length, searched at the
-	// final (fine) step over the kept pairs.
+	// final (fine) step over the kept pairs. Equal lengths give equal
+	// params and so the same search twice: its score is reused and its
+	// ops charged again, as every repeat is (DESIGN.md §17).
 	pA := tmscore.FinalParams(float64(c.xlen))
+	before := c.ops
 	tmA, trA := pA.SearchWS(c.w, c.xtm[:n8], c.ytm[:n8], c.opt.FinalStep, &c.ops)
-	pB := tmscore.FinalParams(float64(c.ylen))
-	tmB, _ := pB.SearchWS(c.w, c.xtm[:n8], c.ytm[:n8], c.opt.FinalStep, &c.ops)
+	tmB := tmA
+	if pB := tmscore.FinalParams(float64(c.ylen)); pB != pA {
+		tmB, _ = pB.SearchWS(c.w, c.xtm[:n8], c.ytm[:n8], c.opt.FinalStep, &c.ops)
+	} else {
+		c.ops.Add(c.ops.Sub(before))
+	}
 	res.TM1 = tmA
 	res.TM2 = tmB
 	if c.xlen >= c.ylen {

@@ -43,55 +43,29 @@ func d0OfLength(l float64) float64 {
 	return 1.24*math.Cbrt(l-15) - 1.8
 }
 
-func clampSearch(d0 float64) float64 {
-	if d0 > 8 {
-		return 8
-	}
-	if d0 < 4.5 {
-		return 4.5
-	}
-	return d0
-}
-
 // SearchParams returns the parameter set TM-align uses while searching
 // for the optimal alignment of chains with lengths xlen and ylen
 // (normalization by the shorter chain, inflated d0 for robustness,
 // score_d8 long-distance cutoff).
 func SearchParams(xlen, ylen int) Params {
 	lnorm := float64(min(xlen, ylen))
-	var d0 float64
-	if lnorm <= 19 {
-		d0 = 0.168
-	} else {
+	d0 := 0.168
+	if lnorm > 19 {
 		d0 = d0OfLength(lnorm)
 	}
 	d0 += 0.8 // D0_MIN = d0+0.8; d0 = D0_MIN ("best for search")
-	return Params{
-		LNorm:    lnorm,
-		D0:       d0,
-		D0Search: clampSearch(d0),
-		ScoreD8:  1.5*math.Pow(lnorm, 0.3) + 3.5,
-	}
+	return Params{LNorm: lnorm, D0: d0, D0Search: min(max(d0, 4.5), 8), ScoreD8: 1.5*math.Pow(lnorm, 0.3) + 3.5}
 }
 
 // FinalParams returns the parameter set used to report the final TM-score
 // normalised by length l (parameter_set4final). The d8 cutoff is disabled
 // in final scoring.
 func FinalParams(l float64) Params {
-	var d0 float64
-	if l <= 21 {
-		d0 = 0.5
-	} else {
-		d0 = d0OfLength(l)
+	d0 := 0.5
+	if l > 21 {
+		d0 = max(d0OfLength(l), 0.5)
 	}
-	if d0 < 0.5 {
-		d0 = 0.5
-	}
-	return Params{
-		LNorm:    l,
-		D0:       d0,
-		D0Search: clampSearch(d0),
-	}
+	return Params{LNorm: l, D0: d0, D0Search: min(max(d0, 4.5), 8)}
 }
 
 // scoreFun8 is TM-align's score_fun8: given already-transformed aligned
