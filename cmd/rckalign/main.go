@@ -8,7 +8,7 @@
 //
 //	rckalign [-dataset CK34|RS119] [-slaves N | -sweep] [-order FIFO|LPT|Random]
 //	         [-cache DIR] [-fast] [-csv] [-faults SPEC]
-//	         [-structcache N] [-batch K] [-tile T] [-affinity] [-hostpar N]
+//	         [-structcache N] [-batch K] [-tile T] [-affinity]
 //	         [-threads T] [-membudget R] [-chips N]
 //	         [-metrics-out FILE] [-trace-out FILE] [-scores-out FILE] [-heatmap]
 //
@@ -31,10 +31,10 @@
 // by dumping every pair's scores deterministically (sorted by pair, full
 // float64 precision) for a byte-for-byte diff between configurations.
 //
-// -hostpar fans the native TM-align evaluation on a pair-cache miss out
-// over N host worker goroutines via a memoized pair store. It only
+// On a pair-cache miss the native TM-align evaluation fans out over
+// GOMAXPROCS host worker goroutines via a memoized pair store. That only
 // moves host wall-clock time: simulated timings, reports, metrics and
-// -scores-out dumps are bit-identical for every N (0 = serial).
+// -scores-out dumps are bit-identical at every GOMAXPROCS.
 //
 // -prune-tm T enables the opt-in similarity pre-filter (see
 // internal/prune): pairs whose conservative TM upper bound — derived
@@ -88,7 +88,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -120,7 +119,6 @@ type cliFlags struct {
 	StructCache int
 	Batch       int
 	Tile        int
-	HostPar     int
 	Chips       int
 	Interchip   string
 	Gather      string
@@ -176,9 +174,6 @@ func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
 	}
 	if f.Tile < -1 {
 		return cfg, fmt.Errorf("-tile %d below -1 (-1 = force off, 0 = auto)", f.Tile)
-	}
-	if f.HostPar < 0 {
-		return cfg, fmt.Errorf("-hostpar %d is negative (0 = serial host evaluation)", f.HostPar)
 	}
 	if f.PruneTM < 0 || f.PruneTM > 1 {
 		return cfg, fmt.Errorf("-prune-tm %g outside [0,1] (0 = no pruning)", f.PruneTM)
@@ -246,7 +241,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry snapshot of the (last) run as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON of the (last) run to this file")
 	heatmap := flag.Bool("heatmap", false, "print the mesh link heatmap of the (last) run")
-	hostpar := flag.Int("hostpar", runtime.GOMAXPROCS(0), "host worker goroutines for native pair evaluation on a cache miss (0 = serial; simulated results are identical either way)")
 	chips := flag.Int("chips", 1, "shard the pair matrix across this many SCC chips (1 = the classic single-chip run, byte-identical reports and scores)")
 	interchipSpec := flag.String("interchip", "", "inter-chip interconnect profile: board, cluster, ideal, or \"lat=S,bw=B[,recv=S][,ports=N]\" (empty = board; needs -chips > 1)")
 	gatherSpec := flag.String("gather", "", "multi-chip result gather topology: tree, tree:ARITY, or flat (empty = tree of arity 4; needs -chips > 1)")
@@ -257,7 +251,7 @@ func main() {
 		Slaves: *slaves, Sweep: *sweep, Order: *order,
 		Threads: *threads, MemBudget: *memBudget, Deadline: *deadline,
 		Polling: *polling, StructCache: *structCache, Batch: *batch,
-		Tile: *tile, HostPar: *hostpar, Chips: *chips, Interchip: *interchipSpec,
+		Tile: *tile, Chips: *chips, Interchip: *interchipSpec,
 		Gather: *gatherSpec, Affinity: *affinity, FaultSpec: *faultSpec,
 		PruneTM: *pruneTM,
 	})
@@ -277,12 +271,7 @@ func main() {
 	if *cacheDir != "" {
 		cachePath = filepath.Join(*cacheDir, ds.Name+".gob")
 	}
-	// -hostpar 0 means serial host evaluation; the store still memoizes.
-	workers := *hostpar
-	if workers == 0 {
-		workers = 1
-	}
-	store := pairstore.New(workers)
+	store := pairstore.New(0)
 	fmt.Fprintf(os.Stderr, "loading %s (%d chains, %d pairs)...\n", ds.Name, ds.Len(), ds.Pairs())
 	var pr *core.PairResults
 	if *pruneTM > 0 {

@@ -52,8 +52,6 @@ func TestValidateFlags(t *testing.T) {
 		{"batch negative", func(f *cliFlags) { f.Batch = -1 }, "-batch"},
 		{"tile force-off sentinel", func(f *cliFlags) { f.Tile = -1 }, ""},
 		{"tile below sentinel", func(f *cliFlags) { f.Tile = -2 }, "-tile"},
-		{"hostpar zero is serial", func(f *cliFlags) { f.HostPar = 0 }, ""},
-		{"hostpar negative", func(f *cliFlags) { f.HostPar = -4 }, "-hostpar"},
 		{"chips four", func(f *cliFlags) { f.Chips = 4 }, ""},
 		{"chips zero", func(f *cliFlags) { f.Chips = 0 }, "-chips"},
 		{"chips above cap", func(f *cliFlags) { f.Chips = 65 }, "-chips"},
@@ -183,10 +181,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRemovedFlagsAreUndefined: -hierarchy and -float32 are gone with no
-// alias, so the flag package itself rejects them with exit status 2.
+// TestRemovedFlagsAreUndefined: -hierarchy, -float32 and -hostpar are
+// gone with no alias, so the flag package itself rejects them with exit
+// status 2.
 func TestRemovedFlagsAreUndefined(t *testing.T) {
-	for _, args := range [][]string{{"-hierarchy", "2"}, {"-float32"}} {
+	for _, args := range [][]string{{"-hierarchy", "2"}, {"-float32"}, {"-hostpar", "8"}} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "RCKALIGN_TEST_MAIN=1")
 		out, err := cmd.CombinedOutput()

@@ -185,22 +185,9 @@ func (c *client) upload(n int, seed int64, prefix string, conc int) error {
 // so a -first dump of a preloaded dataset stays comparable to the
 // batch dump under concurrent traffic.
 func (c *client) dump(file string, first, conc int) error {
-	body, err := c.do("GET", "/structures", nil)
+	ids, err := (&loadgen.Runner{Base: c.base, Client: c.hc}).FetchIDs()
 	if err != nil {
 		return err
-	}
-	var list struct {
-		Structures []struct {
-			ID    string `json:"id"`
-			Index int    `json:"index"`
-		} `json:"structures"`
-	}
-	if err := json.Unmarshal(body, &list); err != nil {
-		return err
-	}
-	ids := make([]string, len(list.Structures))
-	for _, st := range list.Structures {
-		ids[st.Index] = st.ID
 	}
 	if first > 0 && first < len(ids) {
 		ids = ids[:first]

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -57,5 +60,24 @@ func TestValidateFlags(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestDumpRejectsOutOfRangeIndex: a /structures reply whose index does
+// not fit the list it came in is an error from -dump, not a panic.
+func TestDumpRejectsOutOfRangeIndex(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/structures" {
+			t.Errorf("unexpected request %s", r.URL)
+			http.NotFound(w, r)
+			return
+		}
+		w.Write([]byte(`{"count":2,"structures":[{"id":"a","index":0},{"id":"b","index":7}]}`))
+	}))
+	defer ts.Close()
+	c := &client{base: ts.URL, hc: ts.Client()}
+	err := c.dump(filepath.Join(t.TempDir(), "scores.txt"), 0, 2)
+	if err == nil || !strings.Contains(err.Error(), "index 7 out of range") {
+		t.Errorf("dump over an out-of-range index: err = %v, want one naming index 7", err)
 	}
 }

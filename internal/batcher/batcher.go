@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"rckalign/internal/metrics"
 )
 
 // ErrClosed is returned by Submit/SubmitAll after Close.
@@ -67,11 +69,6 @@ type Config struct {
 	QueueCap int
 	// Workers is the number of concurrent batch executors (default 1).
 	Workers int
-	// OnFlush, when non-nil, is called by the collector goroutine for
-	// every flushed batch with its size and trigger — the hook a server
-	// uses to feed a batch-size histogram. It must be safe to call from
-	// one goroutine and should return quickly (it delays dispatch).
-	OnFlush func(size int, trigger Trigger)
 }
 
 func (c Config) withDefaults() Config {
@@ -134,17 +131,20 @@ type Result[R any] struct {
 // of items submitted whose batch has not finished executing (queue +
 // assembling batch + executing batches); PeakPending is its high-water
 // mark over the batcher's lifetime. An item moves from Pending to
-// Completed just before its result is delivered.
+// Completed just before its result is delivered. BatchSizes is the
+// distribution of flushed batch sizes (metrics.CountBuckets), so its
+// Count is always Batches. The JSON keys are a server's /statsz ones.
 type Stats struct {
-	Enqueued     int64
-	Completed    int64
-	Pending      int64
-	PeakPending  int64
-	Batches      int64
-	SizeFlushes  int64
-	TimerFlushes int64
-	CloseFlushes int64
-	MaxBatch     int
+	Enqueued     int64                     `json:"enqueued"`
+	Completed    int64                     `json:"completed"`
+	Pending      int64                     `json:"queue_depth"`
+	PeakPending  int64                     `json:"queue_depth_peak"`
+	Batches      int64                     `json:"batches"`
+	SizeFlushes  int64                     `json:"size_flushes"`
+	TimerFlushes int64                     `json:"timer_flushes"`
+	CloseFlushes int64                     `json:"close_flushes"`
+	MaxBatch     int                       `json:"max_batch"`
+	BatchSizes   metrics.HistogramSnapshot `json:"-"`
 }
 
 // request is one in-flight item.
@@ -175,6 +175,7 @@ type Batcher[T, R any] struct {
 	mu     sync.Mutex
 	closed bool
 	stats  Stats
+	sizes  *metrics.Histogram // flushed batch sizes, under mu
 
 	submitters    sync.WaitGroup // Submit calls past the closed check
 	workers       sync.WaitGroup
@@ -194,6 +195,7 @@ func New[T, R any](cfg Config, run func([]T) ([]R, error)) (*Batcher[T, R], erro
 		run:           run,
 		queue:         make(chan *request[T, R], cfg.QueueCap),
 		batches:       make(chan batch[T, R], cfg.Workers),
+		sizes:         metrics.NewHistogram(metrics.CountBuckets),
 		collectorDone: make(chan struct{}),
 	}
 	go b.collect()
@@ -261,7 +263,9 @@ func (b *Batcher[T, R]) SubmitAll(items []T) ([]Result[R], error) {
 func (b *Batcher[T, R]) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.stats
+	st := b.stats
+	st.BatchSizes = b.sizes.Snapshot()
+	return st
 }
 
 // Close stops admitting new items, flushes the assembling batch, waits
@@ -315,10 +319,8 @@ func (b *Batcher[T, R]) collect() {
 		if len(pending) > b.stats.MaxBatch {
 			b.stats.MaxBatch = len(pending)
 		}
+		b.sizes.Observe(float64(len(pending)))
 		b.mu.Unlock()
-		if b.cfg.OnFlush != nil {
-			b.cfg.OnFlush(len(pending), tr)
-		}
 		b.batches <- batch[T, R]{reqs: pending, trigger: tr}
 		pending = nil
 	}

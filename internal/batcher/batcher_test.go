@@ -2,9 +2,12 @@ package batcher
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"rckalign/internal/metrics"
 )
 
 // echoRun doubles each item, recording every batch it saw.
@@ -59,6 +62,10 @@ func TestSizeTriggerFlush(t *testing.T) {
 	}
 	if st.MaxBatch != 4 {
 		t.Errorf("max batch %d, want 4", st.MaxBatch)
+	}
+	// Both batches land in CountBuckets' (2, 4] bucket.
+	if h := st.BatchSizes; h.Count != 2 || h.Sum != 8 || !slices.Equal(h.Buckets, metrics.CountBuckets) || h.Counts[2] != 2 {
+		t.Errorf("batch sizes %+v, want two batches of 4", h)
 	}
 }
 
@@ -255,6 +262,9 @@ func TestConcurrentSubmittersAllAnswered(t *testing.T) {
 	}
 	if st.Pending != 0 {
 		t.Errorf("pending %d after drain, want 0", st.Pending)
+	}
+	if h := st.BatchSizes; h.Count != st.Batches || h.Sum != float64(st.Enqueued) {
+		t.Errorf("batch sizes count %d, sum %v; want %d batches holding %d items", h.Count, h.Sum, st.Batches, st.Enqueued)
 	}
 	// Every submitted item appears in exactly one executed batch.
 	seen := map[int]int{}

@@ -14,9 +14,9 @@ import (
 )
 
 // TestHostParGoldenCK34 is the determinism-contract golden test: a CK34
-// run whose pairs were evaluated with 8 host workers (-hostpar 8) must
-// be byte-identical — per-pair results, score dump, report timings and
-// the full metrics snapshot — to one evaluated serially (-hostpar 0).
+// run whose pairs were evaluated by a pair store with 8 host workers
+// must be byte-identical — per-pair results, score dump, report timings
+// and the full metrics snapshot — to one evaluated serially.
 // Host parallelism may only move host wall-clock time.
 func TestHostParGoldenCK34(t *testing.T) {
 	if testing.Short() {

@@ -9,6 +9,7 @@ import (
 	"rckalign/internal/fault"
 	"rckalign/internal/rckskel"
 	"rckalign/internal/scc"
+	"rckalign/internal/sched"
 )
 
 func TestPlaceTypedErrors(t *testing.T) {
@@ -43,29 +44,23 @@ func TestPlaceTypedErrors(t *testing.T) {
 	}
 }
 
+// TestValidateJobs: BuildJobs is where job sizes are checked. Zero or
+// negative request sizes would silently corrupt the NoC transfer model;
+// they are rejected with the rckskel typed error.
 func TestValidateJobs(t *testing.T) {
-	if err := farm.ValidateJobs(nil); !errors.Is(err, farm.ErrNoJobs) {
-		t.Errorf("nil jobs: %v", err)
+	pairs := []sched.Pair{{I: 0, J: 1}, {I: 0, J: 2}}
+	if _, err := farm.BuildJobs(pairs, 0, func(sched.Pair) int { return 64 }); err != nil {
+		t.Errorf("sized jobs rejected: %v", err)
 	}
-	if err := farm.ValidateJobs([]rckskel.Job{}); !errors.Is(err, farm.ErrNoJobs) {
-		t.Errorf("empty jobs: %v", err)
+	for _, size := range []int{0, -3} {
+		if _, err := farm.BuildJobs(pairs, 0, func(sched.Pair) int { return size }); !errors.Is(err, rckskel.ErrJobBytes) {
+			t.Errorf("%d-byte jobs: err = %v, want ErrJobBytes", size, err)
+		}
 	}
-	if err := farm.ValidateJobs([]rckskel.Job{{ID: 1, Bytes: 64}}); err != nil {
-		t.Errorf("one sized job rejected: %v", err)
-	}
-	// Zero or negative request sizes would silently corrupt the NoC
-	// transfer model; they are rejected with the rckskel typed error.
-	if err := farm.ValidateJobs([]rckskel.Job{{ID: 1}}); !errors.Is(err, rckskel.ErrJobBytes) {
-		t.Errorf("zero-byte job: err = %v, want ErrJobBytes", err)
-	}
-	if err := farm.ValidateJobs([]rckskel.Job{{ID: 1, Bytes: 64}, {ID: 2, Bytes: -3}}); !errors.Is(err, rckskel.ErrJobBytes) {
-		t.Errorf("negative-byte job: err = %v, want ErrJobBytes", err)
-	}
-	// A SizeFor job resolves its size per slave at dispatch; its static
-	// Bytes is not validated here.
-	dyn := []rckskel.Job{{ID: 3, SizeFor: func(int) int { return 8 }}}
-	if err := farm.ValidateJobs(dyn); err != nil {
-		t.Errorf("SizeFor job rejected: %v", err)
+	// One bad size anywhere in the list fails the whole list.
+	lastBad := func(p sched.Pair) int { return 2 - p.J }
+	if _, err := farm.BuildJobs(pairs, 0, lastBad); !errors.Is(err, rckskel.ErrJobBytes) {
+		t.Errorf("last pair 0 bytes: err = %v, want ErrJobBytes", err)
 	}
 }
 

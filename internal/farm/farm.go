@@ -499,21 +499,6 @@ func New(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// ValidateJobs rejects nil or empty job lists with ErrNoJobs and jobs
-// with a non-positive static wire size with rckskel.ErrJobBytes; run
-// paths call it before farming so a misconfigured experiment fails
-// loudly instead of simulating nothing (or simulating a corrupted
-// transfer model).
-func ValidateJobs(jobs []rckskel.Job) error {
-	if len(jobs) == 0 {
-		return fmt.Errorf("farm: %w", ErrNoJobs)
-	}
-	if err := rckskel.ValidateJobs(jobs); err != nil {
-		return fmt.Errorf("farm: %w", err)
-	}
-	return nil
-}
-
 // Chip returns the root chip's model.
 func (s *Session) Chip() *scc.Chip { return s.chips[0].sc }
 

@@ -16,8 +16,6 @@ var (
 	// ErrWorkerGrouping reports too few slave cores to form even one
 	// thread-grouped worker.
 	ErrWorkerGrouping = errors.New("cannot form a worker")
-	// ErrNoJobs reports a nil or empty job list handed to a farm.
-	ErrNoJobs = errors.New("no jobs")
 	// ErrFaultPlan reports an invalid fault plan (out-of-range cores,
 	// faults aimed at the master, bad probabilities).
 	ErrFaultPlan = errors.New("invalid fault plan")

@@ -113,7 +113,7 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 	k := Key(name, labels...)
 	h, ok := r.hists[k]
 	if !ok {
-		h = newHistogram(buckets)
+		h = NewHistogram(buckets)
 		r.hists[k] = h
 	}
 	return h
@@ -215,7 +215,11 @@ type Histogram struct {
 	min, max float64
 }
 
-func newHistogram(buckets []float64) *Histogram {
+// NewHistogram returns an empty histogram outside any registry, with
+// the given bucket upper bounds (strictly ascending; an implicit +Inf
+// bucket is appended). It has no lock of its own: a caller that shares
+// it across goroutines guards it.
+func NewHistogram(buckets []float64) *Histogram {
 	for i := 1; i < len(buckets); i++ {
 		if buckets[i] <= buckets[i-1] {
 			panic("metrics: histogram buckets must be strictly ascending")
@@ -377,6 +381,21 @@ type HistogramSnapshot struct {
 	Max     *float64  `json:"max,omitempty"`
 }
 
+// Snapshot copies the histogram's state, with an empty Key.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	hs := HistogramSnapshot{
+		Buckets: append([]float64(nil), h.bounds...),
+		Counts:  append([]int64(nil), h.counts...),
+		Count:   h.count,
+		Sum:     h.sum,
+	}
+	if h.count > 0 {
+		min, max := h.min, h.max
+		hs.Min, hs.Max = &min, &max
+	}
+	return hs
+}
+
 // SeriesSnapshot is one time series in a snapshot.
 type SeriesSnapshot struct {
 	Key    string  `json:"key"`
@@ -419,18 +438,8 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Gauges = append(snap.Gauges, ScalarSnapshot{Key: k, Value: r.gauges[k].v})
 	}
 	for _, k := range sortedKeys(r.hists) {
-		h := r.hists[k]
-		hs := HistogramSnapshot{
-			Key:     k,
-			Buckets: append([]float64(nil), h.bounds...),
-			Counts:  append([]int64(nil), h.counts...),
-			Count:   h.count,
-			Sum:     h.sum,
-		}
-		if h.count > 0 {
-			min, max := h.min, h.max
-			hs.Min, hs.Max = &min, &max
-		}
+		hs := r.hists[k].Snapshot()
+		hs.Key = k
 		snap.Histograms = append(snap.Histograms, hs)
 	}
 	for _, k := range sortedKeys(r.series) {

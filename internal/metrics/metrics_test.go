@@ -155,7 +155,7 @@ func TestHistogramQuantile(t *testing.T) {
 	if got := nilH.Quantile(0.5); got != 0 {
 		t.Errorf("nil histogram quantile = %v, want 0", got)
 	}
-	h := newHistogram([]float64{1, 10, 100})
+	h := NewHistogram([]float64{1, 10, 100})
 	if got := h.Quantile(0.5); got != 0 {
 		t.Errorf("empty histogram quantile = %v, want 0", got)
 	}
@@ -191,7 +191,7 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 
 	// A single observation: every quantile is that value.
-	h1 := newHistogram(TimeBuckets)
+	h1 := NewHistogram(TimeBuckets)
 	h1.Observe(0.042)
 	for _, q := range []float64{0, 0.5, 0.95, 1} {
 		if got := h1.Quantile(q); got != 0.042 {
@@ -200,7 +200,7 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 
 	// Two distinct buckets: p99 lands in the upper one.
-	h2 := newHistogram([]float64{1, 10})
+	h2 := NewHistogram([]float64{1, 10})
 	for i := 0; i < 99; i++ {
 		h2.Observe(0.5)
 	}
@@ -217,7 +217,7 @@ func TestHistogramQuantile(t *testing.T) {
 // mass above the last bound, every quantile stays clamped inside the
 // observed range instead of extrapolating to infinity.
 func TestHistogramQuantileOverflowBucket(t *testing.T) {
-	h := newHistogram([]float64{1, 10})
+	h := NewHistogram([]float64{1, 10})
 	for i := 0; i < 50; i++ {
 		h.Observe(100 + float64(i))
 	}

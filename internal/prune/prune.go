@@ -115,7 +115,7 @@ type Filter struct {
 	// simulated kernel counters so pruning never perturbs simulated
 	// per-job times.
 	Ops costmodel.Counter
-	// Report accumulates the skip/keep accounting across Skip calls.
+	// Report accumulates the skip/keep accounting across SkipAll calls.
 	Report Report
 
 	rows   []int32   // affineScore's rolling rows
@@ -218,14 +218,11 @@ func (f *Filter) seqCap(bound float64, a, b *Features, score int32) float64 {
 	return bound
 }
 
-// Skip records the pair in the report and reports whether it should be
-// pruned (bound below threshold).
-func (f *Filter) Skip(a, b *Features) bool { return f.record(f.Bound(a, b)) }
-
-// SkipAll sets skip[k] = Skip(a, &bs[k]) for every k of bs, with the
-// same report and ops, but runs the sequence DPs of the pairs that need
-// one eight at a time (groupScores), shortest targets together so that
-// a group pads little.
+// SkipAll sets skip[k] to whether the pair (a, bs[k]) is pruned, its
+// Bound below Threshold, for every k of bs, and records each pair in the
+// report. It charges the ops Bound would, but runs the sequence DPs of
+// the pairs that need one eight at a time (groupScores), shortest
+// targets together so that a group pads little.
 func (f *Filter) SkipAll(a *Features, bs []Features, skip []bool) {
 	f.bounds, f.pend = slices.Grow(f.bounds[:0], len(bs))[:len(bs)], slices.Grow(f.pend[:0], len(bs))
 	for k := range bs {

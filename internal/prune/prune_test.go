@@ -104,16 +104,18 @@ func TestBoundCompositionCap(t *testing.T) {
 func TestSkipReportAccounting(t *testing.T) {
 	f := prune.New(0.5)
 	if f.Report.Threshold != 0.5 {
-		t.Errorf("fresh filter reports threshold %v, want 0.5 before any Skip", f.Report.Threshold)
+		t.Errorf("fresh filter reports threshold %v, want 0.5 before any SkipAll", f.Report.Threshold)
 	}
 	a := flatFeatures(40, ss.Helix, strings.Repeat("A", 40))   // vs b: length cap 2/3, kept
 	b := flatFeatures(120, ss.Helix, strings.Repeat("A", 120)) // vs g: seq cap 0.35, skipped
 	g := flatFeatures(120, ss.Helix, strings.Repeat("G", 120))
-	if f.Skip(&a, &b) {
-		t.Error("Skip(a, b) = true, want false (bound 2/3 >= 0.5)")
+	skip := make([]bool, 2)
+	f.SkipAll(&b, []prune.Features{a, g}, skip)
+	if skip[0] {
+		t.Error("skip (b, a) = true, want false (bound 2/3 >= 0.5)")
 	}
-	if !f.Skip(&b, &g) {
-		t.Error("Skip(b, g) = false, want true (bound 0.35 < 0.5)")
+	if !skip[1] {
+		t.Error("skip (b, g) = false, want true (bound 0.35 < 0.5)")
 	}
 	r := f.Report
 	if r.Threshold != 0.5 || r.Total != 2 || r.Skipped != 1 {
@@ -140,8 +142,8 @@ func TestSkipReportAccounting(t *testing.T) {
 	// A pair the composition cap has already floored is decided without
 	// the sequence DP: counted, skipped, and no cells billed.
 	e := flatFeatures(120, ss.Strand, strings.Repeat("A", 120))
-	if !f.Skip(&b, &e) {
-		t.Error("Skip(b, e) = false, want true (opposite composition, bound 0.35)")
+	if f.SkipAll(&b, []prune.Features{e}, skip[:1]); !skip[0] {
+		t.Error("skip (b, e) = false, want true (opposite composition, bound 0.35)")
 	}
 	if r = f.Report; r.Total != 3 || r.Skipped != 2 || r.BoundHist[3] != 2 || r.DPCells != wantCells {
 		t.Errorf("after a floored pair: report %+v, want total 3, skipped 2, two pairs in [0.3,0.4), still %d cells", r, wantCells)
@@ -187,8 +189,8 @@ func TestBoundWarmNoAllocs(t *testing.T) {
 	a := flatFeatures(150, ss.Helix, strings.Repeat("ACDE", 40))
 	b := flatFeatures(120, ss.Helix, strings.Repeat("ADCG", 30))
 	f.Bound(&b, &a)
-	if allocs := testing.AllocsPerRun(10, func() { f.Skip(&a, &b); f.Skip(&b, &a) }); allocs != 0 {
-		t.Errorf("warm Skip: %.1f allocs/run, want 0", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { f.Bound(&a, &b); f.Bound(&b, &a) }); allocs != 0 {
+		t.Errorf("warm Bound: %.1f allocs/run, want 0", allocs)
 	}
 }
 
@@ -254,8 +256,9 @@ func TestPrunePairsPreservesOrder(t *testing.T) {
 
 // TestPrunePairsMatchesPerPairSkip: PrunePairs decides each query's
 // pairs together (Filter.SkipAll, sequence DPs in SIMD lanes); one
-// Filter.Skip per pair in canonical order must give the same skip vector
-// and the same report, DP cells included, on CK34 and RS119.
+// Filter.Bound per pair in canonical order, skipped below the threshold,
+// must give the same survivors and the same report, DP cells included,
+// on CK34 and RS119.
 func TestPrunePairsMatchesPerPairSkip(t *testing.T) {
 	for _, ds := range []*synth.Dataset{synth.CK34(), synth.RS119()} {
 		kept, rep := core.PrunePairs(ds, 0.5)
@@ -265,13 +268,20 @@ func TestPrunePairsMatchesPerPairSkip(t *testing.T) {
 		}
 		f := prune.New(0.5)
 		var want []sched.Pair
+		wantRep := prune.Report{Threshold: 0.5}
 		for _, p := range sched.AllVsAll(ds.Len()) {
-			if !f.Skip(&feats[p.I], &feats[p.J]) {
+			bd := f.Bound(&feats[p.I], &feats[p.J])
+			wantRep.Total++
+			wantRep.BoundHist[min(int(bd*10), 10)]++
+			if bd < 0.5 {
+				wantRep.Skipped++
+			} else {
 				want = append(want, p)
 			}
 		}
-		if !reflect.DeepEqual(kept, want) || *rep != f.Report {
-			t.Errorf("%s: PrunePairs kept %d, report %+v; per-pair Skip kept %d, report %+v", ds.Name, len(kept), *rep, len(want), f.Report)
+		wantRep.DPCells = int64(f.Ops.DPCells)
+		if !reflect.DeepEqual(kept, want) || *rep != wantRep {
+			t.Errorf("%s: PrunePairs kept %d, report %+v; per-pair Bound kept %d, report %+v", ds.Name, len(kept), *rep, len(want), wantRep)
 		}
 	}
 }

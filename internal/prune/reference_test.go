@@ -371,7 +371,7 @@ func FuzzAffineScore(f *testing.F) {
 // TestBoundMatchesReferenceOnDatasets is the exhaustive check behind
 // replacing the aligner: over every CK34 and RS119 pair the bound moves
 // by no more than the reference's own rounding, and at every threshold a
-// caller plausibly sets no Skip decision and no BoundHist bucket moves
+// caller plausibly sets no SkipAll decision and no BoundHist bucket moves
 // at all — including the pairs whose DP the floor short-circuit skips.
 func TestBoundMatchesReferenceOnDatasets(t *testing.T) {
 	datasets := []*synth.Dataset{synth.CK34()}
@@ -412,7 +412,9 @@ func TestBoundMatchesReferenceOnDatasets(t *testing.T) {
 			f := New(thr)
 			want := Report{Threshold: thr}
 			k := 0
+			skip := make([]bool, len(feats))
 			for i := range feats {
+				f.SkipAll(&feats[i], feats[i+1:], skip[:len(feats)-1-i])
 				for j := i + 1; j < len(feats); j++ {
 					rb := refBounds[k]
 					k++
@@ -421,8 +423,8 @@ func TestBoundMatchesReferenceOnDatasets(t *testing.T) {
 					if rb < thr {
 						want.Skipped++
 					}
-					if got := f.Skip(&feats[i], &feats[j]); got != (rb < thr) {
-						t.Errorf("%s T=%v pair (%d, %d): Skip = %v, reference bound %v", ds.Name, thr, i, j, got, rb)
+					if got := skip[j-i-1]; got != (rb < thr) {
+						t.Errorf("%s T=%v pair (%d, %d): SkipAll = %v, reference bound %v", ds.Name, thr, i, j, got, rb)
 					}
 				}
 			}

@@ -58,17 +58,6 @@ type Job struct {
 	SizeFor func(slave int) int
 }
 
-// ValidateJobs rejects jobs whose static wire size is not positive with
-// ErrJobBytes (SizeFor jobs are checked per slave at dispatch instead).
-func ValidateJobs(jobs []Job) error {
-	for _, j := range jobs {
-		if j.SizeFor == nil && j.Bytes < 1 {
-			return fmt.Errorf("%w: job %d has %d bytes", ErrJobBytes, j.ID, j.Bytes)
-		}
-	}
-	return nil
-}
-
 // Result is a slave's answer to one job.
 type Result struct {
 	JobID   int

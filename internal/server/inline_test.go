@@ -28,7 +28,7 @@ func seed(s *Server, i, j int) {
 // jobOf is the canonical job of database entries i and j.
 func jobOf(s *Server, i, j int) pairJob {
 	e := s.db.Snapshot()
-	return canonicalJob("", i, e[i], j, e[j])
+	return canonicalJob(i, e[i], j, e[j])
 }
 
 // TestResidentPairsAnswerInline pins the warm path and its tracing

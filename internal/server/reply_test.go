@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -119,8 +120,9 @@ func TestRepliesAreSingleWriteWithLength(t *testing.T) {
 }
 
 // TestUnencodableReplyIs500: a reply json cannot encode (a NaN score)
-// is a counted 500 with the ErrorResponse body, never a 200 with an
-// empty body; the text format of the same pair still serves it.
+// is a 500 with the ErrorResponse body, counted in /statsz's errors,
+// never a 200 with an empty body; the text format of the same pair
+// still serves it.
 func TestUnencodableReplyIs500(t *testing.T) {
 	var log bytes.Buffer
 	s, structs := newTestServer(t, 2, Config{AccessLog: &log})
@@ -141,12 +143,6 @@ func TestUnencodableReplyIs500(t *testing.T) {
 	if got := w.Header().Get("Content-Length"); got != strconv.Itoa(w.Body.Len()) {
 		t.Errorf("500 Content-Length %q for a %d-byte body", got, w.Body.Len())
 	}
-	s.metricsMu.Lock()
-	n := s.reg.Counter("server.errors", "code", "500").Value()
-	s.metricsMu.Unlock()
-	if n != 1 {
-		t.Errorf("server.errors{code=500} = %v, want 1", n)
-	}
 	var e AccessEntry
 	if err := json.Unmarshal(log.Bytes(), &e); err != nil || e.Status != 500 || e.Error == "" {
 		t.Errorf("access entry = %+v (%v), want status 500 with the error", e, err)
@@ -155,6 +151,13 @@ func TestUnencodableReplyIs500(t *testing.T) {
 	w = do(t, s, "GET", "/score?format=text&a="+structs[0].ID+"&b="+structs[1].ID, nil)
 	if want := "0 1 NaN 0.5 1 10 0.10000000000000001\n"; w.Code != http.StatusOK || w.Body.String() != want {
 		t.Errorf("text score = %d %q, want 200 %q", w.Code, w.Body.String(), want)
+	}
+	var st Statsz
+	if err := json.Unmarshal(do(t, s, "GET", "/statsz", nil).Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[int]int64{500: 1}; !reflect.DeepEqual(st.Errors, want) {
+		t.Errorf("/statsz errors after one 500 and one text reply = %v, want %v", st.Errors, want)
 	}
 }
 

@@ -29,7 +29,8 @@
 //	GET  /topk?target=ID&k=N   the N nearest neighbors by TM-score
 //	GET  /healthz              liveness
 //	GET  /statsz               pairstore hit rate, batch-size histogram,
-//	                           queue depth, per-endpoint p50/p95/p99
+//	                           queue depth, per-endpoint p50/p95/p99,
+//	                           error replies by status code
 //
 // /score and /onevsall accept format=text to emit the exact
 // "-scores-out" line format (full float64 precision) for byte-for-byte
@@ -42,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"slices"
 	"sort"
@@ -72,8 +74,6 @@ type Config struct {
 	// kernel component of every pairstore key.
 	Options tmalign.Options
 	// Batch tunes the request coalescer (see batcher.Config defaults).
-	// Config.Batch.OnFlush is reserved for the server's own batch-size
-	// histogram and must be nil.
 	Batch batcher.Config
 	// AccessLog, when non-nil, receives one JSON line per completed
 	// request: request ID, endpoint, status, latency, the coalescer
@@ -92,15 +92,10 @@ type Config struct {
 
 // pairJob is one canonical pair evaluation: a is the structure with the
 // lower database index, so Compare's argument order — and therefore the
-// exact result bits — match a batch run over the same structures. req
-// is the ID of the HTTP request that submitted the pair; it rides
-// through the batcher so a flushed batch knows which requests it
-// coalesced (it never enters the pairstore key — memoization stays
-// request-independent).
+// exact result bits — match a batch run over the same structures.
 type pairJob struct {
 	i, j int
 	a, b *tmalign.Lazy
-	req  string
 }
 
 // pairOut is one evaluated pair plus its memoization outcome, the unit
@@ -128,13 +123,12 @@ type Server struct {
 	seq     atomic.Int64 // request-ID sequence for requests without one
 	closed  atomic.Bool  // set by Close: queries get 503, resident or not
 
-	// The metrics registry is not internally synchronized (it was built
-	// for the single-goroutine simulator), so every access — through the
-	// registry or through a handle it returned — goes under metricsMu.
-	// endpoints holds the per-endpoint handles, resolved once in New.
-	metricsMu sync.Mutex
-	reg       *metrics.Registry
-	endpoints map[string]endpointMetrics
+	// statsMu guards the statistics only the server keeps: one latency
+	// histogram per endpoint and the error replies by status code. The
+	// batcher and the pair store count everything else /statsz reports.
+	statsMu   sync.Mutex
+	latency   map[string]*metrics.Histogram
+	errCounts map[int]int64
 
 	// accessMu serializes access-log lines (accessLog is nil when
 	// logging is off).
@@ -150,13 +144,6 @@ type Server struct {
 // endpoints instrumented with latency histograms, in /statsz order.
 var observedEndpoints = []string{"healthz", "list", "onevsall", "score", "statsz", "structures", "topk"}
 
-// endpointMetrics is one endpoint's latency histogram and request
-// counter: observe updates them per request, /statsz reads them.
-type endpointMetrics struct {
-	latency  *metrics.Histogram
-	requests *metrics.Counter
-}
-
 // New builds and starts a server (its batcher goroutines run until
 // Close).
 func New(cfg Config) *Server {
@@ -169,29 +156,19 @@ func New(cfg Config) *Server {
 		kernel:    cfg.Options.Key(),
 		db:        NewDB(),
 		store:     pairstore.New(0),
-		reg:       metrics.New(),
 		start:     time.Now(),
 		accessLog: cfg.AccessLog,
-		endpoints: make(map[string]endpointMetrics, len(observedEndpoints)),
+		latency:   make(map[string]*metrics.Histogram, len(observedEndpoints)),
+		errCounts: map[int]int64{},
 		pruneTM:   cfg.PruneTM,
 	}
 	for _, ep := range observedEndpoints {
-		s.endpoints[ep] = endpointMetrics{
-			latency:  s.reg.Histogram("server.latency_seconds", metrics.TimeBuckets, "endpoint", ep),
-			requests: s.reg.Counter("server.requests", "endpoint", ep),
-		}
-	}
-	bcfg := cfg.Batch
-	bcfg.OnFlush = func(size int, trigger batcher.Trigger) {
-		s.metricsMu.Lock()
-		s.reg.Histogram("server.batch.size", metrics.CountBuckets).Observe(float64(size))
-		s.reg.Counter("server.batch.flushes", "trigger", trigger.String()).Inc()
-		s.metricsMu.Unlock()
+		s.latency[ep] = metrics.NewHistogram(metrics.TimeBuckets)
 	}
 	// The run function never fails as a batch: kernel rejections are
 	// carried per pair in pairOut.err (served as 422), and a panic that
 	// escapes TryCompare is a genuine kernel bug that should crash.
-	bat, err := batcher.New(bcfg, s.runBatch)
+	bat, err := batcher.New(cfg.Batch, s.runBatch)
 	if err != nil {
 		panic(err) // unreachable: runBatch is non-nil
 	}
@@ -240,13 +217,10 @@ func (s *Server) Preload(structs []*pdb.Structure) error {
 }
 
 // runBatch evaluates one flushed batch. Each pair goes through the
-// memoized store (single-flight, exactly-once). Per pair it reports the
-// memo outcome, and per batch it records how many distinct requests were
-// coalesced into it (the request IDs propagated through the batcher ride
-// on each job).
+// memoized store (single-flight, exactly-once), and reports its memo
+// outcome.
 func (s *Server) runBatch(jobs []pairJob) ([]pairOut, error) {
 	out := make([]pairOut, len(jobs))
-	reqs := map[string]struct{}{}
 	for k, j := range jobs {
 		v, hit := s.store.GetHit(s.keyFor(j), func() any {
 			r, err := tmalign.TryCompare(j.a.Get(), j.b.Get(), s.opt)
@@ -256,11 +230,7 @@ func (s *Server) runBatch(jobs []pairJob) ([]pairOut, error) {
 			return r
 		})
 		out[k] = outOf(v, hit)
-		reqs[j.req] = struct{}{}
 	}
-	s.metricsMu.Lock()
-	s.reg.Histogram("server.batch.requests", metrics.CountBuckets).Observe(float64(len(reqs)))
-	s.metricsMu.Unlock()
 	return out, nil
 }
 
@@ -326,13 +296,12 @@ func (s *Server) keyFor(j pairJob) pairstore.Key {
 	return pairstore.Key{Dataset: s.dataset, Kernel: s.kernel, A: j.a.ID, B: j.b.ID}
 }
 
-// canonicalJob orients a pair by database index: lower index first. req
-// is the submitting request's ID.
-func canonicalJob(req string, i int, a *tmalign.Lazy, j int, b *tmalign.Lazy) pairJob {
+// canonicalJob orients a pair by database index: lower index first.
+func canonicalJob(i int, a *tmalign.Lazy, j int, b *tmalign.Lazy) pairJob {
 	if i < j {
-		return pairJob{i: i, j: j, a: a, b: b, req: req}
+		return pairJob{i: i, j: j, a: a, b: b}
 	}
-	return pairJob{i: j, j: i, a: b, b: a, req: req}
+	return pairJob{i: j, j: i, a: b, b: a}
 }
 
 // ScoreLine formats one pair result exactly as cmd/rckalign -scores-out
@@ -412,7 +381,7 @@ type AccessEntry struct {
 // handler, records the per-endpoint latency histogram, and emits one
 // access-log line when configured.
 func (s *Server) observe(endpoint string, fn func(*reqInfo, *http.Request)) http.HandlerFunc {
-	m := s.endpoints[endpoint]
+	latency := s.latency[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
 		info := &reqInfo{ResponseWriter: w, endpoint: endpoint, t0: time.Now(), status: http.StatusOK}
 		// X-Request-ID as net/http keys it, so it is never re-canonicalised.
@@ -428,10 +397,9 @@ func (s *Server) observe(endpoint string, fn func(*reqInfo, *http.Request)) http
 		if info.timing.TotalS == 0 {
 			info.timing.TotalS = sec // no reply stamped it (see replyTiming)
 		}
-		s.metricsMu.Lock()
-		m.latency.Observe(sec)
-		m.requests.Inc()
-		s.metricsMu.Unlock()
+		s.statsMu.Lock()
+		latency.Observe(sec)
+		s.statsMu.Unlock()
 		if s.accessLog != nil {
 			line, err := json.Marshal(AccessEntry{
 				TOffsetS: info.t0.Sub(s.start).Seconds(), ReqID: info.id,
@@ -463,9 +431,9 @@ type ErrorResponse struct {
 // batcher shutdown to 503, everything explicitly passed stays at the
 // given code.
 func (s *Server) fail(w *reqInfo, code int, err error) {
-	s.metricsMu.Lock()
-	s.reg.Counter("server.errors", "code", strconv.Itoa(code)).Inc()
-	s.metricsMu.Unlock()
+	s.statsMu.Lock()
+	s.errCounts[code]++
+	s.statsMu.Unlock()
 	w.errMsg = err.Error()
 	s.writeJSON(w, code, ErrorResponse{Error: w.errMsg, ReqID: w.id, Timing: w.replyTiming()})
 }
@@ -664,7 +632,7 @@ func (s *Server) handleScore(w *reqInfo, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("a and b are both structure %q", aID))
 		return
 	}
-	jobs := []pairJob{canonicalJob(w.id, ai, a, bi, b)}
+	jobs := []pairJob{canonicalJob(ai, a, bi, b)}
 	results, err := s.evalPairs(w, jobs)
 	if err != nil {
 		s.failErr(w, err)
@@ -711,24 +679,27 @@ func (s *Server) oneVsAll(info *reqInfo, targetID string) (ti int, jobs []pairJo
 		if o == ti {
 			continue
 		}
-		jobs = append(jobs, canonicalJob(info.id, ti, structs[ti], o, st))
+		jobs = append(jobs, canonicalJob(ti, structs[ti], o, st))
 	}
 	if s.pruneTM > 0 {
-		f := prune.New(s.pruneTM)
-		kept := jobs[:0]
-		for _, j := range jobs {
-			if f.Skip(&j.a.Get().Features, &j.b.Get().Features) {
-				pruned++
-				continue
+		// The target is the query and the others follow in index order:
+		// the one decision path, core.PrunePairs' Filter.SkipAll.
+		others := make([]prune.Features, 0, len(jobs))
+		for o, st := range structs {
+			if o != ti {
+				others = append(others, st.Get().Features)
 			}
-			kept = append(kept, j)
 		}
-		jobs = kept
-		if pruned > 0 {
-			s.metricsMu.Lock()
-			s.reg.Counter("server.pruned_pairs").Add(float64(pruned))
-			s.metricsMu.Unlock()
+		skip := make([]bool, len(others))
+		f := prune.New(s.pruneTM)
+		f.SkipAll(&structs[ti].Get().Features, others, skip)
+		kept := jobs[:0]
+		for k, j := range jobs {
+			if !skip[k] {
+				kept = append(kept, j)
+			}
 		}
+		jobs, pruned = kept, f.Report.Skipped
 	}
 	if results, err = s.evalPairs(info, jobs); err != nil {
 		s.failErr(info, err)
@@ -888,21 +859,6 @@ func (s *Server) handleHealthz(w *reqInfo, r *http.Request) {
 	}{"ok", s.db.Len(), time.Since(s.start).Seconds()})
 }
 
-// BatcherStatsz mirrors batcher.Stats with stable JSON keys.
-// QueueDepthPeak is the high-water mark of pending items over the
-// server's lifetime — the congestion signal a load sweep watches.
-type BatcherStatsz struct {
-	Enqueued       int64 `json:"enqueued"`
-	Completed      int64 `json:"completed"`
-	QueueDepth     int64 `json:"queue_depth"`
-	QueueDepthPeak int64 `json:"queue_depth_peak"`
-	Batches        int64 `json:"batches"`
-	SizeFlushes    int64 `json:"size_flushes"`
-	TimerFlushes   int64 `json:"timer_flushes"`
-	CloseFlushes   int64 `json:"close_flushes"`
-	MaxBatch       int   `json:"max_batch"`
-}
-
 // HistogramStatsz is a histogram rendered for /statsz.
 type HistogramStatsz struct {
 	Buckets []float64 `json:"buckets"`
@@ -922,14 +878,18 @@ type LatencyStatsz struct {
 	MaxS     float64 `json:"max_s"`
 }
 
-// Statsz is the /statsz payload.
+// Statsz is the /statsz payload. Each number has one owner: the pair
+// store and the batcher count theirs (the batcher also the batch
+// sizes), and the server keeps only the per-endpoint latencies and
+// Errors, its error replies by HTTP status code.
 type Statsz struct {
 	UptimeS    float64                 `json:"uptime_s"`
 	Structures int                     `json:"structures"`
 	Pairstore  pairstore.StatsSnapshot `json:"pairstore"`
-	Batcher    BatcherStatsz           `json:"batcher"`
+	Batcher    batcher.Stats           `json:"batcher"`
 	BatchSizes HistogramStatsz         `json:"batch_sizes"`
 	Latency    []LatencyStatsz         `json:"latency"`
+	Errors     map[int]int64           `json:"errors"`
 }
 
 func (s *Server) handleStatsz(w *reqInfo, r *http.Request) {
@@ -938,29 +898,15 @@ func (s *Server) handleStatsz(w *reqInfo, r *http.Request) {
 		UptimeS:    time.Since(s.start).Seconds(),
 		Structures: s.db.Len(),
 		Pairstore:  s.store.StatsSnapshot(),
-		Batcher: BatcherStatsz{
-			Enqueued: bs.Enqueued, Completed: bs.Completed, QueueDepth: bs.Pending,
-			QueueDepthPeak: bs.PeakPending,
-			Batches:        bs.Batches, SizeFlushes: bs.SizeFlushes,
-			TimerFlushes: bs.TimerFlushes, CloseFlushes: bs.CloseFlushes,
-			MaxBatch: bs.MaxBatch,
-		},
+		Batcher:    bs,
+		BatchSizes: HistogramStatsz{Buckets: bs.BatchSizes.Buckets, Counts: bs.BatchSizes.Counts, Count: bs.BatchSizes.Count},
 	}
-	s.metricsMu.Lock()
-	s.reg.Gauge("server.queue.depth").Set(float64(bs.Pending))
-	bh := s.reg.Histogram("server.batch.size", metrics.CountBuckets)
-	snap := s.reg.Snapshot()
-	st.BatchSizes = HistogramStatsz{
-		Count: bh.Count(), Mean: bh.Mean(), Max: bh.MaxValue(),
+	if n := bs.BatchSizes.Count; n > 0 {
+		st.BatchSizes.Mean, st.BatchSizes.Max = bs.BatchSizes.Sum/float64(n), *bs.BatchSizes.Max
 	}
-	for _, hs := range snap.Histograms {
-		if hs.Key == "server.batch.size" {
-			st.BatchSizes.Buckets = hs.Buckets
-			st.BatchSizes.Counts = hs.Counts
-		}
-	}
+	s.statsMu.Lock()
 	for _, ep := range observedEndpoints {
-		lh := s.endpoints[ep].latency
+		lh := s.latency[ep]
 		if lh.Count() == 0 {
 			continue
 		}
@@ -970,6 +916,7 @@ func (s *Server) handleStatsz(w *reqInfo, r *http.Request) {
 			MaxS: lh.MaxValue(),
 		})
 	}
-	s.metricsMu.Unlock()
+	st.Errors = maps.Clone(s.errCounts)
+	s.statsMu.Unlock()
 	s.writeJSON(w, http.StatusOK, st)
 }

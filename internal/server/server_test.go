@@ -17,6 +17,7 @@ import (
 
 	"rckalign/internal/batcher"
 	"rckalign/internal/pdb"
+	"rckalign/internal/prune"
 	"rckalign/internal/sched"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
@@ -567,4 +568,115 @@ func TestConcurrentPrunedOneVsAll(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+}
+
+// TestPrunedSweepMatchesBound: a pruned /onevsall decides with
+// Filter.SkipAll, the target as the query and the others in index
+// order, as core.PrunePairs does. For every CK34 target at two
+// thresholds its rows are exactly the pairs whose canonical Bound(a, b)
+// reaches the threshold, and pruned counts the rest. Every pair is made
+// resident with a stand-in result first, so no kernel runs.
+func TestPrunedSweepMatchesBound(t *testing.T) {
+	ds := synth.CK34()
+	feats := make([]prune.Features, ds.Len())
+	for i, st := range ds.Structures {
+		feats[i] = prune.Extract(st.CAs(), st.Sequence())
+	}
+	stand := &tmalign.Result{TM1: 0.5, TM2: 0.5, RMSD: 1, AlignedLen: 10, SeqID: 0.1}
+	for _, thr := range []float64{0.3, 0.5} {
+		s := New(Config{Dataset: ds.Name, Options: tmalign.FastOptions(), PruneTM: thr})
+		t.Cleanup(s.Close)
+		if err := s.Preload(ds.Structures); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range sched.AllVsAll(ds.Len()) {
+			s.store.Get(s.keyFor(jobOf(s, p.I, p.J)), func() any { return stand })
+		}
+		f := prune.New(thr)
+		prunedTotal := 0
+		for ti, st := range ds.Structures {
+			var want [][2]int
+			pruned := 0
+			for o := range ds.Structures {
+				if o == ti {
+					continue
+				}
+				if i, j := min(ti, o), max(ti, o); f.Bound(&feats[i], &feats[j]) < thr {
+					pruned++
+				} else {
+					want = append(want, [2]int{i, j})
+				}
+			}
+			w := do(t, s, "POST", "/onevsall?target="+st.ID, nil)
+			var resp OneVsAllResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK {
+				t.Fatalf("T=%v onevsall %s = %d (%v): %s", thr, st.ID, w.Code, err, w.Body.String())
+			}
+			var got [][2]int
+			for _, r := range resp.Rows {
+				got = append(got, [2]int{r.I, r.J})
+			}
+			if resp.Pruned != pruned || resp.Count != len(want) || !reflect.DeepEqual(got, want) {
+				t.Errorf("T=%v target %s: rows %v, %d pruned; Bound keeps %v, prunes %d", thr, st.ID, got, resp.Pruned, want, pruned)
+			}
+			prunedTotal += resp.Pruned
+		}
+		if thr == 0.5 && prunedTotal != 2*453 {
+			t.Errorf("T=0.5: sweeps pruned %d pair ends, want 2 x 453 (the batch run's prune line)", prunedTotal)
+		}
+	}
+}
+
+// TestStatszUnderConcurrentTraffic polls /statsz while concurrent
+// /onevsall bursts run. Every snapshot's batch-size histogram counts
+// exactly the batcher's batches, because one lock owns both, and no
+// endpoint's latency count ever goes down. Run under -race.
+func TestStatszUnderConcurrentTraffic(t *testing.T) {
+	const n, clients = 12, 4
+	s, structs := newTestServer(t, n, Config{Batch: batcher.Config{BatchSize: 4, MaxWait: time.Millisecond, Workers: 2}})
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < n; k++ {
+				id := structs[(k+c*n/clients)%n].ID
+				if w := do(t, s, "POST", "/onevsall?target="+id, nil); w.Code != http.StatusOK {
+					t.Errorf("onevsall %s = %d: %s", id, w.Code, w.Body.String())
+					return
+				}
+			}
+		}(c)
+	}
+	go func() { wg.Wait(); close(done) }()
+	last := map[string]int64{}
+	polls, midTraffic := 0, 0
+	for running := true; running; polls++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		var st Statsz
+		if err := json.Unmarshal(do(t, s, "GET", "/statsz", nil).Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.BatchSizes.Count != st.Batcher.Batches {
+			t.Errorf("poll %d: batch_sizes.count %d, batcher.batches %d", polls, st.BatchSizes.Count, st.Batcher.Batches)
+		}
+		for _, l := range st.Latency {
+			if l.Count < last[l.Endpoint] {
+				t.Errorf("poll %d: %s latency count fell from %d to %d", polls, l.Endpoint, last[l.Endpoint], l.Count)
+			}
+			last[l.Endpoint] = l.Count
+		}
+		if running && st.Batcher.Batches > 0 {
+			midTraffic++
+		}
+	}
+	if last["onevsall"] != n*clients {
+		t.Errorf("final onevsall latency count %d, want %d", last["onevsall"], n*clients)
+	}
+	t.Logf("%d polls, %d of them with batches flushed and traffic still running", polls, midTraffic)
 }

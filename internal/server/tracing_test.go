@@ -176,11 +176,11 @@ func TestStatszQueueDepthPeak(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Batcher.QueueDepthPeak < 1 {
-		t.Errorf("queue depth peak = %d, want >= 1", st.Batcher.QueueDepthPeak)
+	if st.Batcher.PeakPending < 1 {
+		t.Errorf("queue depth peak = %d, want >= 1", st.Batcher.PeakPending)
 	}
-	if st.Batcher.QueueDepthPeak < st.Batcher.QueueDepth {
+	if st.Batcher.PeakPending < st.Batcher.Pending {
 		t.Errorf("peak %d below current depth %d",
-			st.Batcher.QueueDepthPeak, st.Batcher.QueueDepth)
+			st.Batcher.PeakPending, st.Batcher.Pending)
 	}
 }
