@@ -8,7 +8,7 @@
 //
 //	rckalign [-dataset CK34|RS119] [-slaves N | -sweep] [-order FIFO|LPT|Random]
 //	         [-cache DIR] [-fast] [-csv] [-faults SPEC]
-//	         [-structcache N] [-batch K] [-tile T] [-affinity]
+//	         [-structcache N] [-batch K] [-affinity]
 //	         [-threads T] [-membudget R] [-chips N]
 //	         [-metrics-out FILE] [-trace-out FILE] [-scores-out FILE] [-heatmap]
 //
@@ -24,12 +24,13 @@
 //
 // -structcache enables the slave-side structure-cache model (-1 derives
 // the per-slave capacity from the default memory budget), -batch bundles
-// up to K jobs per request message, -tile regroups the pair grid into
-// T x T blocks for cache locality, and -affinity pins whole blocks to
-// slaves. All four only re-frame the wire protocol: the TM-align scores
-// are bit-identical to the classic run, which -scores-out lets you check
-// by dumping every pair's scores deterministically (sorted by pair, full
-// float64 precision) for a byte-for-byte diff between configurations.
+// up to K jobs per request message, and -affinity pins whole blocks to
+// slaves; any of the three regroups the pair grid into blocks of
+// sched.DefaultTile structures for cache locality. They only re-frame
+// the wire protocol: the TM-align scores are bit-identical to the
+// classic run, which -scores-out lets you check by dumping every pair's
+// scores deterministically (sorted by pair, full float64 precision) for
+// a byte-for-byte diff between configurations.
 //
 // On a pair-cache miss the native TM-align evaluation fans out over
 // GOMAXPROCS host worker goroutines via a memoized pair store. That only
@@ -70,10 +71,9 @@
 // single master becomes the bottleneck. -chips 1 (the default) is the
 // classic single-chip run, byte-identical in reports and -scores-out
 // dumps; scores stay byte-identical at every chip count and gather mode.
-// -interchip selects the interconnect cost profile: a name (board,
-// cluster, ideal) or "lat=2e-6,bw=1.6e9[,recv=5e-7][,ports=1]" (unset
-// keys inherit the board profile). -faults (global core ids, chip =
-// id/48) and -affinity work per chip.
+// -interchip selects the interconnect cost profile by name (board,
+// cluster, ideal). -faults (global core ids, chip = id/48) and -affinity
+// work per chip.
 //
 // -membudget R caps the residues resident at the master: the dataset is
 // loaded in blocks and farmed stage by stage, and a "tiled" stderr line
@@ -118,7 +118,6 @@ type cliFlags struct {
 	Polling     float64
 	StructCache int
 	Batch       int
-	Tile        int
 	Chips       int
 	Interchip   string
 	Gather      string
@@ -136,7 +135,7 @@ const maxChips = 64
 // one-line diagnostic before the dataset is even loaded, and resolves
 // the flags into the run configuration (job ordering, fault plan,
 // interchip profile, gather topology). Values with documented sentinel
-// semantics (-structcache -1, -tile -1, -batch 0, -polling 0) stay valid.
+// semantics (-structcache -1, -batch 0, -polling 0) stay valid.
 func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
 	cfg := core.MultiChipConfig{Config: core.DefaultConfig(), Chips: f.Chips}
 	ord, ok := map[string]sched.Order{
@@ -172,9 +171,6 @@ func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
 	if f.Batch < 0 {
 		return cfg, fmt.Errorf("-batch %d is negative (0 or 1 = one message per job)", f.Batch)
 	}
-	if f.Tile < -1 {
-		return cfg, fmt.Errorf("-tile %d below -1 (-1 = force off, 0 = auto)", f.Tile)
-	}
 	if f.PruneTM < 0 || f.PruneTM > 1 {
 		return cfg, fmt.Errorf("-prune-tm %g outside [0,1] (0 = no pruning)", f.PruneTM)
 	}
@@ -187,7 +183,6 @@ func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
 	cfg.PollingScale = f.Polling
 	cfg.CacheStructs = f.StructCache
 	cfg.Batch = f.Batch
-	cfg.Tile = f.Tile
 	cfg.Affinity = f.Affinity
 	var err error
 	if f.FaultSpec != "" {
@@ -200,7 +195,7 @@ func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
 	}
 	cfg.Interchip = interchip.DefaultConfig()
 	if f.Interchip != "" {
-		if cfg.Interchip, err = interchip.ParseSpec(f.Interchip); err != nil {
+		if cfg.Interchip, err = interchip.Profile(f.Interchip); err != nil {
 			return cfg, fmt.Errorf("-interchip %q: %v", f.Interchip, err)
 		}
 		if f.Chips == 1 {
@@ -235,14 +230,13 @@ func main() {
 	polling := flag.Float64("polling", 1, "scale the master's per-collection polling discovery cost (0 = ideal event-driven, 1 = the paper's busy polling; large values emulate fine-grained jobs saturating the master)")
 	structCache := flag.Int("structcache", 0, "slave-side structure-cache capacity in structures (0 = off, the paper's wire; -1 = derive from the per-core memory budget)")
 	batch := flag.Int("batch", 0, "bundle up to this many jobs per request message (0 or 1 = one message per job)")
-	tile := flag.Int("tile", 0, "blocked pair-ordering tile size (0 = auto when caching/batching/affinity is on; -1 = force off)")
 	affinity := flag.Bool("affinity", false, "pin whole tile blocks to slaves (max cache reuse, coarser balance; under -faults a dead slave's blocks are lost)")
 	scoresOut := flag.String("scores-out", "", "write the (last) run's per-pair TM-align scores, sorted by pair, to this file")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry snapshot of the (last) run as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON of the (last) run to this file")
 	heatmap := flag.Bool("heatmap", false, "print the mesh link heatmap of the (last) run")
 	chips := flag.Int("chips", 1, "shard the pair matrix across this many SCC chips (1 = the classic single-chip run, byte-identical reports and scores)")
-	interchipSpec := flag.String("interchip", "", "inter-chip interconnect profile: board, cluster, ideal, or \"lat=S,bw=B[,recv=S][,ports=N]\" (empty = board; needs -chips > 1)")
+	interchipSpec := flag.String("interchip", "", "inter-chip interconnect profile: board, cluster or ideal (empty = board; needs -chips > 1)")
 	gatherSpec := flag.String("gather", "", "multi-chip result gather topology: tree, tree:ARITY, or flat (empty = tree of arity 4; needs -chips > 1)")
 	pruneTM := flag.Float64("prune-tm", 0, "skip pairs whose conservative TM upper bound falls below this threshold (0 = compare every pair; pruned pairs are absent from -scores-out)")
 	flag.Parse()
@@ -251,7 +245,7 @@ func main() {
 		Slaves: *slaves, Sweep: *sweep, Order: *order,
 		Threads: *threads, MemBudget: *memBudget, Deadline: *deadline,
 		Polling: *polling, StructCache: *structCache, Batch: *batch,
-		Tile: *tile, Chips: *chips, Interchip: *interchipSpec,
+		Chips: *chips, Interchip: *interchipSpec,
 		Gather: *gatherSpec, Affinity: *affinity, FaultSpec: *faultSpec,
 		PruneTM: *pruneTM,
 	})

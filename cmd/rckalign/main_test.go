@@ -50,13 +50,11 @@ func TestValidateFlags(t *testing.T) {
 		{"structcache below sentinel", func(f *cliFlags) { f.StructCache = -2 }, "-structcache"},
 		{"batch zero is classic wire", func(f *cliFlags) { f.Batch = 0 }, ""},
 		{"batch negative", func(f *cliFlags) { f.Batch = -1 }, "-batch"},
-		{"tile force-off sentinel", func(f *cliFlags) { f.Tile = -1 }, ""},
-		{"tile below sentinel", func(f *cliFlags) { f.Tile = -2 }, "-tile"},
 		{"chips four", func(f *cliFlags) { f.Chips = 4 }, ""},
 		{"chips zero", func(f *cliFlags) { f.Chips = 0 }, "-chips"},
 		{"chips above cap", func(f *cliFlags) { f.Chips = 65 }, "-chips"},
 		{"interchip named profile", func(f *cliFlags) { f.Chips = 2; f.Interchip = "cluster" }, ""},
-		{"interchip key-value spec", func(f *cliFlags) { f.Chips = 2; f.Interchip = "lat=1e-6,bw=2e9" }, ""},
+		{"interchip key-value spec", func(f *cliFlags) { f.Chips = 2; f.Interchip = "lat=1e-6,bw=1e9" }, "unknown profile"},
 		{"interchip unknown profile", func(f *cliFlags) { f.Interchip = "warp" }, "-interchip"},
 		{"interchip bad value", func(f *cliFlags) { f.Interchip = "bw=fast" }, "-interchip"},
 		{"chips with faults", func(f *cliFlags) { f.Chips = 2; f.FaultSpec = "kill=3@10" }, ""},
@@ -115,7 +113,6 @@ func TestValidateFlagsComposeUnderMembudget(t *testing.T) {
 	}{
 		{"-structcache", func(f *cliFlags) { f.StructCache = -1 }, func(c core.MultiChipConfig) bool { return c.CacheStructs == -1 }},
 		{"-batch", func(f *cliFlags) { f.Batch = 8 }, func(c core.MultiChipConfig) bool { return c.Batch == 8 }},
-		{"-tile", func(f *cliFlags) { f.Tile = 4 }, func(c core.MultiChipConfig) bool { return c.Tile == 4 }},
 		{"-affinity", func(f *cliFlags) { f.Affinity = true }, func(c core.MultiChipConfig) bool { return c.Affinity }},
 		{"-order", func(f *cliFlags) { f.Order = "LPT" }, func(c core.MultiChipConfig) bool { return c.Order == sched.LPT }},
 		{"-threads", func(f *cliFlags) { f.Threads = 2 }, func(c core.MultiChipConfig) bool { return c.ThreadsPerWorker == 2 }},
@@ -181,11 +178,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRemovedFlagsAreUndefined: -hierarchy, -float32 and -hostpar are
-// gone with no alias, so the flag package itself rejects them with exit
-// status 2.
+// TestRemovedFlagsAreUndefined: -hierarchy, -float32, -hostpar and -tile
+// are gone with no alias, so the flag package itself rejects them with
+// exit status 2.
 func TestRemovedFlagsAreUndefined(t *testing.T) {
-	for _, args := range [][]string{{"-hierarchy", "2"}, {"-float32"}, {"-hostpar", "8"}} {
+	for _, args := range [][]string{{"-hierarchy", "2"}, {"-float32"}, {"-hostpar", "8"}, {"-tile", "4"}} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "RCKALIGN_TEST_MAIN=1")
 		out, err := cmd.CombinedOutput()

@@ -7,13 +7,15 @@
 //
 // Usage:
 //
-//	rckload -addr HOST:PORT [-shape constant|ramp|burst|diurnal]
-//	        [-rps R] [-start R -step R -target R] [-slot DUR]
-//	        [-duration DUR] [-period DUR] [-burst-rps R -burst-dur DUR]
-//	        [-amplitude R] [-arrival uniform|poisson] [-seed N]
+//	rckload -addr HOST:PORT [-start R -step R -target R] [-slot DUR]
+//	        [-arrival uniform|poisson] [-seed N]
 //	        [-mix "score=0.9,onevsall=0.07,topk=0.03"] [-k N] [-slo DUR]
 //	        [-report-out FILE] [-trace-out FILE] [-sched-out FILE]
-//	rckload -dry-run [-pool N] [shape flags] [-sched-out FILE]
+//	rckload -dry-run [-pool N] [ramp flags] [-sched-out FILE]
+//
+// The offered load is one stepped ramp (loadgen.Ramp): the first -slot
+// offers -start RPS and each following one adds -step until -target.
+// A constant-rate run is -step 0: one slot of -slot at -start RPS.
 //
 // -dry-run synthesizes and prints the schedule without a server (the
 // target pool is -pool placeholder ids); two dry runs with the same
@@ -41,17 +43,10 @@ import (
 
 type cliFlags struct {
 	Addr      string
-	Shape     string
-	RPS       float64
 	Start     float64
 	Step      float64
 	Target    float64
 	Slot      time.Duration
-	Duration  time.Duration
-	Period    time.Duration
-	BurstRPS  float64
-	BurstDur  time.Duration
-	Amplitude float64
 	Arrival   string
 	Seed      int64
 	Mix       string
@@ -67,52 +62,22 @@ type cliFlags struct {
 // validateFlags checks the flag set and returns the selected mode:
 // "dry" or "run".
 func validateFlags(f cliFlags) (string, error) {
-	switch f.Shape {
-	case "constant", "ramp", "burst", "diurnal":
-	default:
-		return "", fmt.Errorf("-shape %q: want constant, ramp, burst or diurnal", f.Shape)
-	}
 	switch f.Arrival {
 	case "uniform", "poisson":
 	default:
 		return "", fmt.Errorf("-arrival %q: want uniform or poisson", f.Arrival)
 	}
-	if f.Shape == "ramp" {
-		if f.Start <= 0 {
-			return "", fmt.Errorf("-start %v: must be > 0", f.Start)
-		}
-		if f.Target < f.Start {
-			return "", fmt.Errorf("-target %v: must be >= -start %v", f.Target, f.Start)
-		}
-		if f.Step < 0 {
-			return "", fmt.Errorf("-step %v: must be >= 0", f.Step)
-		}
-	} else {
-		if f.RPS <= 0 {
-			return "", fmt.Errorf("-rps %v: must be > 0", f.RPS)
-		}
-		if f.Duration <= 0 {
-			return "", fmt.Errorf("-duration %v: must be > 0", f.Duration)
-		}
+	if f.Start <= 0 {
+		return "", fmt.Errorf("-start %v: must be > 0", f.Start)
+	}
+	if f.Target < f.Start {
+		return "", fmt.Errorf("-target %v: must be >= -start %v", f.Target, f.Start)
+	}
+	if f.Step < 0 {
+		return "", fmt.Errorf("-step %v: must be >= 0", f.Step)
 	}
 	if f.Slot <= 0 {
 		return "", fmt.Errorf("-slot %v: must be > 0", f.Slot)
-	}
-	if f.Shape == "burst" {
-		if f.BurstRPS <= 0 {
-			return "", fmt.Errorf("-burst-rps %v: must be > 0", f.BurstRPS)
-		}
-		if f.BurstDur <= 0 || f.Period <= 0 {
-			return "", errors.New("-burst-dur and -period must be > 0")
-		}
-	}
-	if f.Shape == "diurnal" {
-		if f.Period <= 0 {
-			return "", fmt.Errorf("-period %v: must be > 0", f.Period)
-		}
-		if f.Amplitude < 0 {
-			return "", fmt.Errorf("-amplitude %v: must be >= 0", f.Amplitude)
-		}
 	}
 	if _, err := parseMix(f.Mix); err != nil {
 		return "", err
@@ -161,33 +126,12 @@ func parseMix(s string) (loadgen.Mix, error) {
 	return mix, nil
 }
 
-// buildSlots expands the shape flags into the offered-rate schedule.
-func buildSlots(f cliFlags) []loadgen.Slot {
-	switch f.Shape {
-	case "ramp":
-		return loadgen.Ramp(f.Start, f.Step, f.Target, f.Slot)
-	case "burst":
-		return loadgen.Burst(f.RPS, f.BurstRPS, f.Period, f.BurstDur, f.Duration)
-	case "diurnal":
-		return loadgen.Diurnal(f.RPS, f.Amplitude, f.Period, f.Slot, f.Duration)
-	default:
-		return loadgen.Constant(f.RPS, f.Duration, f.Slot)
-	}
-}
-
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8344", "rckserve address")
-	shape := flag.String("shape", "ramp", "trace shape: constant, ramp, burst or diurnal")
-	rps := flag.Float64("rps", 50, "rate for -shape constant (base rate for burst, mean for diurnal)")
 	start := flag.Float64("start", 50, "ramp: first slot's RPS")
-	step := flag.Float64("step", 50, "ramp: RPS added per slot (0 = flat)")
+	step := flag.Float64("step", 50, "ramp: RPS added per slot (0 = one constant-rate slot)")
 	target := flag.Float64("target", 300, "ramp: final RPS (last slot clamps to it)")
 	slot := flag.Duration("slot", 2*time.Second, "slot duration (ramp step length / reporting granularity)")
-	duration := flag.Duration("duration", 10*time.Second, "total trace length for constant, burst and diurnal")
-	period := flag.Duration("period", 4*time.Second, "burst repeat interval / diurnal day length")
-	burstRPS := flag.Float64("burst-rps", 200, "burst: rate during each burst")
-	burstDur := flag.Duration("burst-dur", time.Second, "burst: length of each burst")
-	amplitude := flag.Float64("amplitude", 25, "diurnal: sinusoid amplitude around -rps")
 	arrival := flag.String("arrival", "uniform", "arrival process within a slot: uniform or poisson")
 	seed := flag.Int64("seed", 1, "trace seed (same seed = same schedule, mix and targets)")
 	mix := flag.String("mix", "", "op mix as op=weight pairs (default score=0.90,onevsall=0.07,topk=0.03)")
@@ -200,11 +144,9 @@ func main() {
 	pool := flag.Int("pool", 8, "placeholder structure-id pool size for -dry-run")
 	flag.Parse()
 
-	f := cliFlags{Addr: *addr, Shape: *shape, RPS: *rps, Start: *start,
-		Step: *step, Target: *target, Slot: *slot, Duration: *duration,
-		Period: *period, BurstRPS: *burstRPS, BurstDur: *burstDur,
-		Amplitude: *amplitude, Arrival: *arrival, Seed: *seed, Mix: *mix,
-		K: *k, SLO: *slo, ReportOut: *reportOut, TraceOut: *traceOut,
+	f := cliFlags{Addr: *addr, Start: *start, Step: *step, Target: *target,
+		Slot: *slot, Arrival: *arrival, Seed: *seed, Mix: *mix, K: *k,
+		SLO: *slo, ReportOut: *reportOut, TraceOut: *traceOut,
 		SchedOut: *schedOut, DryRun: *dryRun, Pool: *pool}
 	mode, err := validateFlags(f)
 	if err != nil {
@@ -217,7 +159,7 @@ func main() {
 	}
 	spec := loadgen.SynthSpec{
 		Seed:    f.Seed,
-		Slots:   buildSlots(f),
+		Slots:   loadgen.Ramp(f.Start, f.Step, f.Target, f.Slot),
 		Mix:     mixv,
 		Poisson: f.Arrival == "poisson",
 	}
@@ -251,8 +193,8 @@ func main() {
 			fatal(err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "rckload: %s trace, %d requests over %v (seed %d, %s arrivals)\n",
-		f.Shape, len(reqs), spec.TotalDuration(), f.Seed, f.Arrival)
+	fmt.Fprintf(os.Stderr, "rckload: ramp trace, %d requests over %v (seed %d, %s arrivals)\n",
+		len(reqs), spec.TotalDuration(), f.Seed, f.Arrival)
 	if mode == "dry" {
 		return
 	}

@@ -12,11 +12,9 @@ import (
 // field at a time.
 func valid() cliFlags {
 	return cliFlags{
-		Addr: "127.0.0.1:8344", Shape: "ramp", RPS: 50,
-		Start: 50, Step: 50, Target: 300, Slot: 2 * time.Second,
-		Duration: 10 * time.Second, Period: 4 * time.Second,
-		BurstRPS: 200, BurstDur: time.Second, Amplitude: 25,
-		Arrival: "uniform", K: 5, SLO: 250 * time.Millisecond, Pool: 8,
+		Addr: "127.0.0.1:8344", Start: 50, Step: 50, Target: 300,
+		Slot: 2 * time.Second, Arrival: "uniform", K: 5,
+		SLO: 250 * time.Millisecond, Pool: 8,
 	}
 }
 
@@ -31,21 +29,13 @@ func TestValidateFlags(t *testing.T) {
 		{"dry run", func(f *cliFlags) { f.DryRun = true }, "dry", ""},
 		{"dry run ignores addr", func(f *cliFlags) { f.DryRun = true; f.Addr = "" }, "dry", ""},
 		{"empty addr", func(f *cliFlags) { f.Addr = "" }, "", "-addr"},
-		{"bad shape", func(f *cliFlags) { f.Shape = "sawtooth" }, "", "-shape"},
 		{"bad arrival", func(f *cliFlags) { f.Arrival = "pareto" }, "", "-arrival"},
 		{"poisson ok", func(f *cliFlags) { f.Arrival = "poisson" }, "run", ""},
-		{"constant", func(f *cliFlags) { f.Shape = "constant" }, "run", ""},
-		{"constant zero rps", func(f *cliFlags) { f.Shape = "constant"; f.RPS = 0 }, "", "-rps"},
-		{"constant zero duration", func(f *cliFlags) { f.Shape = "constant"; f.Duration = 0 }, "", "-duration"},
+		{"constant", func(f *cliFlags) { f.Step = 0 }, "run", ""},
 		{"ramp zero start", func(f *cliFlags) { f.Start = 0 }, "", "-start"},
 		{"ramp target below start", func(f *cliFlags) { f.Target = 10 }, "", "-target"},
 		{"ramp negative step", func(f *cliFlags) { f.Step = -1 }, "", "-step"},
 		{"zero slot", func(f *cliFlags) { f.Slot = 0 }, "", "-slot"},
-		{"burst", func(f *cliFlags) { f.Shape = "burst" }, "run", ""},
-		{"burst zero burst rate", func(f *cliFlags) { f.Shape = "burst"; f.BurstRPS = 0 }, "", "-burst-rps"},
-		{"burst zero period", func(f *cliFlags) { f.Shape = "burst"; f.Period = 0 }, "", "-period"},
-		{"diurnal", func(f *cliFlags) { f.Shape = "diurnal" }, "run", ""},
-		{"diurnal negative amplitude", func(f *cliFlags) { f.Shape = "diurnal"; f.Amplitude = -1 }, "", "-amplitude"},
 		{"mix ok", func(f *cliFlags) { f.Mix = "score=0.5,topk=0.5" }, "run", ""},
 		{"mix unknown op", func(f *cliFlags) { f.Mix = "delete=1" }, "", "unknown op"},
 		{"mix bad weight", func(f *cliFlags) { f.Mix = "score=lots" }, "", "bad weight"},
@@ -88,26 +78,5 @@ func TestParseMix(t *testing.T) {
 	}
 	if mix, err := parseMix(""); err != nil || mix != nil {
 		t.Errorf("empty mix = %v, %v; want nil, nil", mix, err)
-	}
-}
-
-func TestBuildSlotsShapes(t *testing.T) {
-	f := valid()
-	if got := buildSlots(f); len(got) != 6 || got[0].RPS != 50 || got[5].RPS != 300 {
-		t.Errorf("ramp slots = %+v", got)
-	}
-	f.Shape = "constant"
-	for _, sl := range buildSlots(f) {
-		if sl.RPS != 50 {
-			t.Errorf("constant slot at %v RPS", sl.RPS)
-		}
-	}
-	f.Shape = "burst"
-	if got := buildSlots(f); len(got) < 2 {
-		t.Errorf("burst produced %d slots", len(got))
-	}
-	f.Shape = "diurnal"
-	if got := buildSlots(f); len(got) != 5 {
-		t.Errorf("diurnal produced %d slots, want 5 (10s / 2s)", len(got))
 	}
 }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	rckserve [-addr HOST:PORT] [-dataset NAME] [-fast]
-//	         [-batch N] [-maxwait DUR] [-workers N] [-queuecap N]
+//	         [-batch N] [-workers N]
 //	         [-access-log FILE] [-prune-tm T] [-debug-addr HOST:PORT]
 //
 // -dataset preloads a built-in synthetic dataset (CK34 or RS119) in
@@ -52,9 +52,7 @@ type cliFlags struct {
 	Addr      string
 	Dataset   string
 	Batch     int
-	MaxWait   time.Duration
 	Workers   int
-	QueueCap  int
 	AccessLog string
 	PruneTM   float64
 	DebugAddr string
@@ -67,14 +65,8 @@ func validateFlags(f cliFlags) error {
 	if f.Batch < 0 {
 		return fmt.Errorf("-batch %d: must be >= 0 (0 = default, 1 = no coalescing)", f.Batch)
 	}
-	if f.MaxWait < 0 {
-		return fmt.Errorf("-maxwait %v: must be >= 0 (0 = default)", f.MaxWait)
-	}
 	if f.Workers < 0 {
 		return fmt.Errorf("-workers %d: must be >= 0 (0 = default)", f.Workers)
-	}
-	if f.QueueCap < 0 {
-		return fmt.Errorf("-queuecap %d: must be >= 0 (0 = default)", f.QueueCap)
 	}
 	if f.PruneTM < 0 || f.PruneTM > 1 {
 		return fmt.Errorf("-prune-tm %g: must be in [0,1] (0 = no pruning)", f.PruneTM)
@@ -108,17 +100,15 @@ func main() {
 	dataset := flag.String("dataset", "", "preload a built-in dataset: CK34 or RS119 (empty = start empty)")
 	fast := flag.Bool("fast", false, "use the fast TM-align profile")
 	batch := flag.Int("batch", 0, "coalescer batch size (0 = default 32; 1 disables coalescing)")
-	maxWait := flag.Duration("maxwait", 0, "coalescer max wait before flushing a partial batch (0 = default 2ms)")
 	workers := flag.Int("workers", 0, "concurrent batch executors (0 = default 1)")
-	queueCap := flag.Int("queuecap", 0, "submission queue capacity (0 = default 4*batch)")
 	accessLog := flag.String("access-log", "", "append one JSON line per request to this file (\"-\" = stderr)")
 	pruneTM := flag.Float64("prune-tm", 0, "pre-filter /onevsall and /topk sweeps: skip pairs whose conservative TM upper bound is below this threshold (0 = off; /score is never pruned)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address, on its own listener (empty = off; never on -addr)")
 	flag.Parse()
 
 	f := cliFlags{Addr: *addr, Dataset: *dataset, Batch: *batch,
-		MaxWait: *maxWait, Workers: *workers, QueueCap: *queueCap,
-		AccessLog: *accessLog, PruneTM: *pruneTM, DebugAddr: *debugAddr}
+		Workers: *workers, AccessLog: *accessLog, PruneTM: *pruneTM,
+		DebugAddr: *debugAddr}
 	if err := validateFlags(f); err != nil {
 		usageFatal(err)
 	}
@@ -134,9 +124,7 @@ func main() {
 		PruneTM: f.PruneTM,
 		Batch: batcher.Config{
 			BatchSize: f.Batch,
-			MaxWait:   f.MaxWait,
 			Workers:   f.Workers,
-			QueueCap:  f.QueueCap,
 		},
 	}
 	if f.Dataset != "" {

@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"rckalign/internal/server"
 )
@@ -30,10 +29,7 @@ func TestValidateFlags(t *testing.T) {
 		{"batch default sentinel", func(f *cliFlags) { f.Batch = 0 }, ""},
 		{"batch one disables coalescing", func(f *cliFlags) { f.Batch = 1 }, ""},
 		{"batch negative", func(f *cliFlags) { f.Batch = -1 }, "-batch"},
-		{"maxwait default sentinel", func(f *cliFlags) { f.MaxWait = 0 }, ""},
-		{"maxwait negative", func(f *cliFlags) { f.MaxWait = -time.Millisecond }, "-maxwait"},
 		{"workers negative", func(f *cliFlags) { f.Workers = -2 }, "-workers"},
-		{"queuecap negative", func(f *cliFlags) { f.QueueCap = -1 }, "-queuecap"},
 		{"debug-addr off", func(f *cliFlags) { f.DebugAddr = "" }, ""},
 		{"debug-addr own listener", func(f *cliFlags) { f.DebugAddr = "127.0.0.1:6060" }, ""},
 		{"debug-addr on the public address", func(f *cliFlags) { f.DebugAddr = f.Addr }, "-debug-addr"},

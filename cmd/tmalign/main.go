@@ -6,6 +6,11 @@
 //
 //	tmalign [-fast] [-matrix] chain1.pdb chain2.pdb
 //	tmalign -demo                 # compare two built-in synthetic chains
+//
+// A chain with fewer than three CA atoms or a CA coordinate that is not
+// finite or lies outside any PDB column (tmalign.ValidateStructure, the
+// check rckserve applies to uploads) exits 1 with a "degenerate
+// structure" error and prints no score.
 package main
 
 import (
@@ -42,6 +47,14 @@ func main() {
 			fatal(err)
 		}
 		if s2, err = pdb.ParseFile(flag.Arg(1)); err != nil {
+			fatal(err)
+		}
+	}
+
+	// The same door check rckserve applies to uploads: a chain the kernel
+	// cannot align is an error, not a score.
+	for _, s := range []*pdb.Structure{s1, s2} {
+		if err := tmalign.ValidateStructure(s); err != nil {
 			fatal(err)
 		}
 	}

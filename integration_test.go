@@ -66,7 +66,7 @@ func TestAllExecutionPathsAgreeOnBiology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := dist.Run(pr, 6, dist.DefaultConfig())
+	d, err := dist.Run(pr, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,9 +64,6 @@ type Config struct {
 	// first item arrived (default 2ms), bounding the latency a lone
 	// request pays for the chance to coalesce.
 	MaxWait time.Duration
-	// QueueCap bounds the submission queue (default 4*BatchSize).
-	// Submitters block when it is full — backpressure, not load shedding.
-	QueueCap int
 	// Workers is the number of concurrent batch executors (default 1).
 	Workers int
 }
@@ -77,9 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxWait <= 0 {
 		c.MaxWait = 2 * time.Millisecond
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 4 * c.BatchSize
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
@@ -169,6 +163,8 @@ type Batcher[T, R any] struct {
 	cfg Config
 	run func([]T) ([]R, error)
 
+	// queue holds four full batches; submitters block when it is full —
+	// backpressure, not load shedding.
 	queue   chan *request[T, R]
 	batches chan batch[T, R]
 
@@ -193,7 +189,7 @@ func New[T, R any](cfg Config, run func([]T) ([]R, error)) (*Batcher[T, R], erro
 	b := &Batcher[T, R]{
 		cfg:           cfg,
 		run:           run,
-		queue:         make(chan *request[T, R], cfg.QueueCap),
+		queue:         make(chan *request[T, R], 4*cfg.BatchSize),
 		batches:       make(chan batch[T, R], cfg.Workers),
 		sizes:         metrics.NewHistogram(metrics.CountBuckets),
 		collectorDone: make(chan struct{}),

@@ -41,7 +41,7 @@ func TestPeakPendingHighWater(t *testing.T) {
 		<-block
 		return make([]int, len(items)), nil
 	}
-	b, err := New(Config{BatchSize: 1, MaxWait: time.Millisecond, QueueCap: 16}, slow)
+	b, err := New(Config{BatchSize: 1, MaxWait: time.Millisecond}, slow)
 	if err != nil {
 		t.Fatal(err)
 	}

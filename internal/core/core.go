@@ -303,12 +303,6 @@ type Config struct {
 	// dispatch/collect overhead (0 or 1 = the paper's one message per
 	// job).
 	Batch int
-	// Tile is the blocked pair-ordering tile size in structures: after
-	// Order is applied, pairs are regrouped into Tile x Tile blocks of
-	// the pair grid so consecutive jobs reuse cached structures. 0 =
-	// sched.DefaultTile when the cache, batching or affinity is
-	// enabled (no blocking otherwise); < 0 forces blocking off.
-	Tile int
 	// Affinity assigns whole tile blocks to slaves (heaviest-first onto
 	// the least-loaded queue) and farms per-slave queues, so each
 	// block's structures ship to exactly one slave — maximum cache

@@ -31,17 +31,6 @@ type MultiChipConfig struct {
 	Gather farm.GatherConfig
 }
 
-// shardTileSize is the block granularity, in structures, for sharding
-// the pair grid across chips — whole Tile x Tile blocks move together so
-// each structure lands on few chips: the run's blocked-ordering tile, or
-// sched.DefaultTile when blocking is off.
-func shardTileSize(orderTile int) int {
-	if orderTile > 1 {
-		return orderTile
-	}
-	return sched.DefaultTile
-}
-
 // shardWireBytes models handing one shard to a remote chip over the
 // interchip fabric: the shard framing, one descriptor per job, and each
 // distinct structure's coordinates exactly once — the board-tier
@@ -63,14 +52,14 @@ func shardWireBytes(shard []sched.Pair, sizes []int) int64 {
 
 // RunMultiChip simulates rckAlign on cfg.Chips SCC chips with
 // slavesPerChip slave cores each. The pair list is ordered once, sharded
-// into whole tile blocks across chips (heaviest block first onto the
-// least loaded chip; one chip gets the list unchanged), and each shard is
-// farmed by its chip's master. At Chips > 1 the root master on chip 0
-// scatters the shards over the interchip fabric and results return as
-// aggregate blobs up the configured gather topology; fault plans (core
-// ids global across the board) are split per chip and affinity deals
-// each shard onto that chip's workers. See Validate for the one feature
-// combination that does not compose.
+// into whole sched.DefaultTile blocks across chips (heaviest block first
+// onto the least loaded chip; one chip gets the list unchanged), and each
+// shard is farmed by its chip's master. At Chips > 1 the root master on
+// chip 0 scatters the shards over the interchip fabric and results
+// return as aggregate blobs up the configured gather topology; fault
+// plans (core ids global across the board) are split per chip and
+// affinity deals each shard onto that chip's workers. See Validate for
+// the one feature combination that does not compose.
 func RunMultiChip(pr *PairResults, slavesPerChip int, cfg MultiChipConfig) (RunResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return RunResult{}, err

@@ -42,8 +42,9 @@ type plan struct {
 	cfg     MultiChipConfig
 	lengths []int
 	cost    func(sched.Pair) float64
-	// tile is the resolved blocked-ordering tile (0 = no blocking).
-	tile int
+	// blocked regroups the ordered pairs into sched.DefaultTile blocks;
+	// it is on whenever the wire model is (cache, batching or affinity).
+	blocked bool
 	// session is the farm board's configuration: chips, placement, wire
 	// shape (resolved cache capacity, batch) and fault-tolerance deadline.
 	session farm.Config
@@ -78,14 +79,7 @@ func newPlan(pr *PairResults, slaves int, cfg MultiChipConfig) (*plan, error) {
 		}
 		cacheCap = costmodel.CacheCapacityStructs(costmodel.DefaultCacheBudgetBytes, mean)
 	}
-	// Tile 0 auto-selects sched.DefaultTile when the wire model is on;
-	// negative forces blocking off.
-	switch {
-	case cfg.Tile > 0:
-		p.tile = cfg.Tile
-	case cfg.Tile == 0 && (cacheCap > 0 || cfg.Batch > 1 || cfg.Affinity):
-		p.tile = sched.DefaultTile
-	}
+	p.blocked = cacheCap > 0 || cfg.Batch > 1 || cfg.Affinity
 
 	p.session = farm.Config{
 		Chip:               cfg.Chip,
@@ -131,8 +125,8 @@ func (p *plan) order(pairs []sched.Pair) ([]sched.Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.tile > 1 {
-		ordered = sched.Blocked(ordered, p.tile)
+	if p.blocked {
+		ordered = sched.Blocked(ordered, sched.DefaultTile)
 	}
 	return ordered, nil
 }
@@ -149,7 +143,7 @@ func (p *plan) work(s *farm.Session, c int, pairs []sched.Pair, idBase int) (far
 	}
 	lists := [][]sched.Pair{pairs}
 	if p.cfg.Affinity {
-		lists = sched.AffinityAssign(pairs, len(s.Placement().WorkerLeads), p.tile, p.cost)
+		lists = sched.AffinityAssign(pairs, len(s.Placement().WorkerLeads), sched.DefaultTile, p.cost)
 	}
 	queues := make([][]rckskel.Job, len(lists))
 	for q, ps := range lists {
@@ -261,7 +255,6 @@ func (p *plan) run() (farm.Report, error) {
 	s.StartSlaves(p.handler)
 
 	chips := max(p.cfg.Chips, 1)
-	shardTile := shardTileSize(p.tile)
 	works := make([][]farm.Work, len(stages)) // [stage][chip]
 	shardBytes := make([]int64, chips)
 	idBase := 0
@@ -270,7 +263,7 @@ func (p *plan) run() (farm.Report, error) {
 		if err != nil {
 			return farm.Report{}, err
 		}
-		shards, err := sched.ShardPairs(ordered, chips, shardTile, p.cost)
+		shards, err := sched.ShardPairs(ordered, chips, sched.DefaultTile, p.cost)
 		if err != nil {
 			return farm.Report{}, err
 		}

@@ -23,36 +23,24 @@ import (
 	"rckalign/internal/sim"
 )
 
-// Config models the MCPC-side costs.
-type Config struct {
-	// Chip provides the slave cores (and their CPU profile).
-	Chip scc.Config
-	// SpawnSeconds is the per-job remote process creation + environment
+// The MCPC-side costs, calibrated so the CK34 curve lands in the region
+// of the paper's Table II (about 2.5x slower than rckAlign at one slave,
+// converging to about 2x at 47; see EXPERIMENTS.md). The slave cores are
+// the default SCC chip's.
+const (
+	// spawnSeconds is the per-job remote process creation + environment
 	// setup cost (ssh exec, loader, f2c runtime init) on the 800 MHz
 	// core; it parallelises across cores.
-	SpawnSeconds float64
-	// DispatchSeconds is the master's per-job pssh issue cost on the
+	spawnSeconds = 5.0
+	// dispatchSeconds is the master's per-job pssh issue cost on the
 	// MCPC (serialised at the master).
-	DispatchSeconds float64
-	// NFSSeekSeconds is the disk-controller service time per file read
+	dispatchSeconds = 0.05
+	// nfsSeekSeconds is the disk-controller service time per file read
 	// (serialised at the single MCPC disk).
-	NFSSeekSeconds float64
-	// NFSBytesPerSecond is the NFS data bandwidth (shared).
-	NFSBytesPerSecond float64
-}
-
-// DefaultConfig returns values calibrated so the CK34 curve lands in the
-// region of the paper's Table II (about 2.5x slower than rckAlign at one
-// slave, converging to about 2x at 47; see EXPERIMENTS.md).
-func DefaultConfig() Config {
-	return Config{
-		Chip:              scc.DefaultConfig(),
-		SpawnSeconds:      5.0,
-		DispatchSeconds:   0.05,
-		NFSSeekSeconds:    0.06,
-		NFSBytesPerSecond: 10e6,
-	}
-}
+	nfsSeekSeconds = 0.06
+	// nfsBytesPerSecond is the NFS data bandwidth (shared).
+	nfsBytesPerSecond = 10e6
+)
 
 // RunResult reports one simulated distributed-TM-align execution.
 type RunResult struct {
@@ -64,12 +52,13 @@ type RunResult struct {
 
 // Run simulates the all-vs-all task on `slaves` SCC cores driven from
 // the MCPC, replaying the native TM-align results in pr.
-func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
-	if slaves < 1 || slaves > cfg.Chip.NumCores() {
-		return RunResult{}, fmt.Errorf("dist: slave count %d outside [1,%d]", slaves, cfg.Chip.NumCores())
+func Run(pr *core.PairResults, slaves int) (RunResult, error) {
+	chipCfg := scc.DefaultConfig()
+	if slaves < 1 || slaves > chipCfg.NumCores() {
+		return RunResult{}, fmt.Errorf("dist: slave count %d outside [1,%d]", slaves, chipCfg.NumCores())
 	}
 	s, err := farm.New(farm.Config{
-		Chip:       cfg.Chip,
+		Chip:       chipCfg,
 		MasterCore: farm.HostMaster,
 		Slaves:     slaves,
 	})
@@ -105,10 +94,10 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 					return
 				}
 				jm := m.(jobMsg)
-				p.Wait(cfg.SpawnSeconds)
+				p.Wait(spawnSeconds)
 				for _, idx := range [2]int{jm.pair.I, jm.pair.J} {
 					disk.Acquire(p)
-					p.Wait(cfg.NFSSeekSeconds + float64(core.FileBytes(lengths[idx]))/cfg.NFSBytesPerSecond)
+					p.Wait(nfsSeekSeconds + float64(core.FileBytes(lengths[idx]))/nfsBytesPerSecond)
 					disk.Release(p)
 				}
 				res := pr.Get(jm.pair)
@@ -130,7 +119,7 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 		// next core that asks), then reissue on each completion.
 		prime := min(slaves, len(pr.Pairs))
 		for issued < prime {
-			p.Wait(cfg.DispatchSeconds)
+			p.Wait(dispatchSeconds)
 			jobCh.Send(p, jobMsg{id: issued, pair: pr.Pairs[issued]})
 			issued++
 		}
@@ -139,7 +128,7 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 			m.Collect(r)
 			collected++
 			if issued < len(pr.Pairs) {
-				p.Wait(cfg.DispatchSeconds)
+				p.Wait(dispatchSeconds)
 				jobCh.Send(p, jobMsg{id: issued, pair: pr.Pairs[issued]})
 				issued++
 			}
@@ -154,8 +143,8 @@ func Run(pr *core.PairResults, slaves int, cfg Config) (RunResult, error) {
 }
 
 // RunSweep simulates the baseline across slave counts.
-func RunSweep(pr *core.PairResults, slaveCounts []int, cfg Config) ([]RunResult, error) {
+func RunSweep(pr *core.PairResults, slaveCounts []int) ([]RunResult, error) {
 	return farm.Sweep(slaveCounts, false, func(n int) (RunResult, error) {
-		return Run(pr, n, cfg)
+		return Run(pr, n)
 	})
 }

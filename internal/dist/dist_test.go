@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"testing"
 
 	"rckalign/internal/core"
@@ -16,7 +17,7 @@ var smallPR = func() *core.PairResults {
 }()
 
 func TestRunCollectsAll(t *testing.T) {
-	r, err := Run(smallPR, 3, DefaultConfig())
+	r, err := Run(smallPR, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestDistributedSlowerThanRckAlign(t *testing.T) {
 	// Experiment I's claim: the on-chip master (rckAlign) beats the
 	// MCPC-driven distributed version at every core count.
 	for _, n := range []int{1, 4, 7} {
-		d, err := Run(smallPR, n, DefaultConfig())
+		d, err := Run(smallPR, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,13 +48,12 @@ func TestDistributedSlowerThanRckAlign(t *testing.T) {
 }
 
 func TestSpawnOverheadDominatesAtOneSlave(t *testing.T) {
-	cfg := DefaultConfig()
-	r1, err := Run(smallPR, 1, cfg)
+	r1, err := Run(smallPR, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serial := smallPR.SerialSeconds(costmodel.P54C())
-	perJob := cfg.SpawnSeconds + 2*cfg.NFSSeekSeconds
+	perJob := spawnSeconds + 2*nfsSeekSeconds
 	expectedMin := serial + float64(len(smallPR.Pairs))*perJob*0.9
 	if r1.TotalSeconds < expectedMin {
 		t.Errorf("1-slave distributed %v below compute+overhead floor %v", r1.TotalSeconds, expectedMin)
@@ -61,12 +61,11 @@ func TestSpawnOverheadDominatesAtOneSlave(t *testing.T) {
 }
 
 func TestScalesWithSlavesButSublinearly(t *testing.T) {
-	cfg := DefaultConfig()
-	r1, err := Run(smallPR, 1, cfg)
+	r1, err := Run(smallPR, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r7, err := Run(smallPR, 7, cfg)
+	r7, err := Run(smallPR, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,41 +78,38 @@ func TestScalesWithSlavesButSublinearly(t *testing.T) {
 	}
 }
 
+// TestNFSContentionVisible: the single MCPC disk serialises every read,
+// so its busy time is exactly the sum over every job's two reads of
+// seek + file bytes / bandwidth, however many slaves wait on it.
 func TestNFSContentionVisible(t *testing.T) {
-	// Crank up NFS service time: with many slaves the single disk must
-	// throttle scaling.
-	cfg := DefaultConfig()
-	cfg.NFSSeekSeconds = 3.0 // absurd disk: contention dominates
-	r1, err := Run(smallPR, 1, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var want float64
+	for _, p := range smallPR.Pairs {
+		for _, idx := range []int{p.I, p.J} {
+			want += nfsSeekSeconds + float64(core.FileBytes(smallPR.Dataset.Structures[idx].Len()))/nfsBytesPerSecond
+		}
 	}
-	r7, err := Run(smallPR, 7, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := r1.TotalSeconds / r7.TotalSeconds
-	if sp > 4 {
-		t.Errorf("speedup %v too high: NFS bottleneck not modelled", sp)
-	}
-	// Disk busy time must be close to jobs * 2 reads * service.
-	wantDisk := float64(len(smallPR.Pairs)) * 2 * cfg.NFSSeekSeconds
-	if r7.DiskBusySeconds < wantDisk {
-		t.Errorf("disk busy %v < %v", r7.DiskBusySeconds, wantDisk)
+	for _, n := range []int{1, 7} {
+		r, err := Run(smallPR, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(r.DiskBusySeconds-want) > 1e-9*want {
+			t.Errorf("slaves=%d: disk busy %v, want %v (every read serialised)", n, r.DiskBusySeconds, want)
+		}
 	}
 }
 
 func TestRunValidatesSlaves(t *testing.T) {
-	if _, err := Run(smallPR, 0, DefaultConfig()); err == nil {
+	if _, err := Run(smallPR, 0); err == nil {
 		t.Error("0 slaves accepted")
 	}
-	if _, err := Run(smallPR, 49, DefaultConfig()); err == nil {
+	if _, err := Run(smallPR, 49); err == nil {
 		t.Error("49 slaves accepted")
 	}
 }
 
 func TestRunSweepMonotone(t *testing.T) {
-	rs, err := RunSweep(smallPR, []int{1, 3, 5}, DefaultConfig())
+	rs, err := RunSweep(smallPR, []int{1, 3, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +121,11 @@ func TestRunSweepMonotone(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a, err := Run(smallPR, 5, DefaultConfig())
+	a, err := Run(smallPR, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(smallPR, 5, DefaultConfig())
+	b, err := Run(smallPR, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,7 +198,7 @@ func (e *Env) sweep(pr *core.PairResults) ([]core.RunResult, error) {
 // Figure 5).
 func (e *Env) distSweep() ([]dist.RunResult, error) {
 	if e.dist == nil {
-		rs, err := dist.RunSweep(e.CK34, sweepCounts, dist.DefaultConfig())
+		rs, err := dist.RunSweep(e.CK34, sweepCounts)
 		if err != nil {
 			return nil, err
 		}

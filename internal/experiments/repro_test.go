@@ -88,7 +88,7 @@ func TestReproductionDistributedGap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst, err := dist.Run(env.CK34, n, dist.DefaultConfig())
+		dst, err := dist.Run(env.CK34, n)
 		if err != nil {
 			t.Fatal(err)
 		}

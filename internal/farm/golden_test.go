@@ -335,7 +335,7 @@ func TestGoldenDistRuns(t *testing.T) {
 	for i, n := range []int{1, 5} {
 		name := fmt.Sprintf("dist-s%d", n)
 		t.Run(name, func(t *testing.T) {
-			r, err := dist.Run(pr, n, dist.DefaultConfig())
+			r, err := dist.Run(pr, n)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,7 +15,6 @@ package interchip
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"rckalign/internal/metrics"
@@ -73,51 +72,7 @@ func Profile(name string) (Config, error) {
 	case "ideal":
 		return Config{LatencySeconds: 0, BytesPerSecond: 1e18, RecvSeconds: 0, PortConcurrency: 1 << 20}, nil
 	}
-	return Config{}, fmt.Errorf("interchip: unknown profile %q (board, cluster, ideal, or lat=S,bw=B[,recv=S][,ports=N])", name)
-}
-
-// ParseSpec resolves an -interchip flag value: a named profile, or a
-// custom "lat=2e-6,bw=1.6e9[,recv=5e-7][,ports=1]" key=value spec
-// (keys: lat, bw, recv, ports; unset custom keys inherit the board
-// profile).
-func ParseSpec(spec string) (Config, error) {
-	if !strings.Contains(spec, "=") {
-		return Profile(spec)
-	}
-	cfg := DefaultConfig()
-	for _, kv := range strings.Split(spec, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return Config{}, fmt.Errorf("interchip: bad spec element %q (want key=value)", kv)
-		}
-		switch key {
-		case "lat", "bw", "recv":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 {
-				return Config{}, fmt.Errorf("interchip: bad %s=%q (want a non-negative number)", key, val)
-			}
-			switch key {
-			case "lat":
-				cfg.LatencySeconds = f
-			case "bw":
-				cfg.BytesPerSecond = f
-			case "recv":
-				cfg.RecvSeconds = f
-			}
-		case "ports":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return Config{}, fmt.Errorf("interchip: bad ports=%q (want an integer >= 1)", val)
-			}
-			cfg.PortConcurrency = n
-		default:
-			return Config{}, fmt.Errorf("interchip: unknown spec key %q (lat, bw, recv, ports)", key)
-		}
-	}
-	if cfg.BytesPerSecond <= 0 {
-		return Config{}, fmt.Errorf("interchip: bw must be positive")
-	}
-	return cfg, nil
+	return Config{}, fmt.Errorf("interchip: unknown profile %q (board, cluster, ideal)", name)
 }
 
 // String renders the profile compactly for reports and -help examples.

@@ -3,6 +3,7 @@ package interchip
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rckalign/internal/metrics"
@@ -18,35 +19,20 @@ func TestTransferSeconds(t *testing.T) {
 	}
 }
 
+// TestProfileAndSpec: the three names resolve (case-insensitively), and
+// anything else, a key=value spec included, is an unknown profile.
 func TestProfileAndSpec(t *testing.T) {
 	for _, name := range []string{"board", "cluster", "ideal", "BOARD"} {
 		if _, err := Profile(name); err != nil {
 			t.Errorf("Profile(%q): %v", name, err)
 		}
 	}
-	if _, err := Profile("warp"); err == nil {
-		t.Error("Profile(warp): want error")
+	if cfg, _ := Profile("board"); cfg != DefaultConfig() {
+		t.Errorf("Profile(board) = %+v, want DefaultConfig", cfg)
 	}
-
-	cfg, err := ParseSpec("lat=5e-6,bw=2e9,recv=1e-6,ports=4")
-	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
-	}
-	want := Config{LatencySeconds: 5e-6, BytesPerSecond: 2e9, RecvSeconds: 1e-6, PortConcurrency: 4}
-	if cfg != want {
-		t.Fatalf("ParseSpec = %+v, want %+v", cfg, want)
-	}
-	// Unset keys inherit the board profile.
-	cfg, err = ParseSpec("lat=0")
-	if err != nil {
-		t.Fatalf("ParseSpec(lat=0): %v", err)
-	}
-	if cfg.BytesPerSecond != DefaultConfig().BytesPerSecond {
-		t.Fatalf("partial spec should inherit board bandwidth, got %g", cfg.BytesPerSecond)
-	}
-	for _, bad := range []string{"lat=-1", "bw=x", "ports=0", "spin=1", "lat"} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("ParseSpec(%q): want error", bad)
+	for _, bad := range []string{"warp", "lat=5e-6,bw=2e9", ""} {
+		if _, err := Profile(bad); err == nil || !strings.Contains(err.Error(), "unknown profile") {
+			t.Errorf("Profile(%q): err = %v, want unknown profile", bad, err)
 		}
 	}
 }

@@ -44,19 +44,6 @@ type Slot struct {
 	Dur time.Duration `json:"dur"`
 }
 
-// Constant returns a single-rate trace: rps for the whole duration,
-// split into slot-sized segments so per-slot reporting still works.
-func Constant(rps float64, total, slot time.Duration) []Slot {
-	if slot <= 0 || slot > total {
-		slot = total
-	}
-	var out []Slot
-	for t := time.Duration(0); t < total; t += slot {
-		out = append(out, Slot{RPS: rps, Dur: min(slot, total-t)})
-	}
-	return out
-}
-
 // Ramp returns a stepped-RPS trace in the invitro trace-synthesizer
 // shape: the first slot offers start RPS, each following slot adds
 // step, and the last slot is the first to reach (or exceed) target.
@@ -75,43 +62,6 @@ func Ramp(start, step, target float64, slotDur time.Duration) []Slot {
 			rps = target
 		}
 	}
-}
-
-// Burst returns a base-rate trace with periodic bursts: every period,
-// the rate jumps to burst RPS for burstDur, then falls back to base.
-func Burst(base, burst float64, period, burstDur, total time.Duration) []Slot {
-	if burstDur >= period {
-		burstDur = period / 2
-	}
-	var out []Slot
-	for t := time.Duration(0); t < total; {
-		calm := min(period-burstDur, total-t)
-		out = append(out, Slot{RPS: base, Dur: calm})
-		t += calm
-		if t >= total {
-			break
-		}
-		b := min(burstDur, total-t)
-		out = append(out, Slot{RPS: burst, Dur: b})
-		t += b
-	}
-	return out
-}
-
-// Diurnal returns a day-curve trace: the rate follows a raised sinusoid
-// around mean with the given amplitude over one period, sampled into
-// slotDur segments. amplitude is clamped to mean so the rate never goes
-// negative.
-func Diurnal(mean, amplitude float64, period, slotDur, total time.Duration) []Slot {
-	if amplitude > mean {
-		amplitude = mean
-	}
-	var out []Slot
-	for t := time.Duration(0); t < total; t += slotDur {
-		phase := 2 * math.Pi * float64(t) / float64(period)
-		out = append(out, Slot{RPS: mean + amplitude*math.Sin(phase), Dur: min(slotDur, total-t)})
-	}
-	return out
 }
 
 // Mix assigns each operation kind a sampling weight. Weights need not
@@ -141,8 +91,7 @@ type SynthSpec struct {
 	// Seed drives every random choice (arrival jitter, op mix); same
 	// seed, same trace.
 	Seed int64
-	// Slots is the offered-rate schedule (see Constant/Ramp/Burst/
-	// Diurnal).
+	// Slots is the offered-rate schedule (see Ramp).
 	Slots []Slot
 	// Mix weights the operation kinds (nil = DefaultMix).
 	Mix Mix

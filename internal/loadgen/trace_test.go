@@ -35,44 +35,6 @@ func TestRampShape(t *testing.T) {
 	}
 }
 
-func TestConstantAndBurstAndDiurnalCoverTotal(t *testing.T) {
-	for name, slots := range map[string][]Slot{
-		"constant": Constant(25, 10*time.Second, 3*time.Second),
-		"burst":    Burst(10, 80, 4*time.Second, time.Second, 10*time.Second),
-		"diurnal":  Diurnal(30, 20, 8*time.Second, time.Second, 10*time.Second),
-	} {
-		var total time.Duration
-		for i, sl := range slots {
-			if sl.Dur <= 0 {
-				t.Errorf("%s slot %d has non-positive duration", name, i)
-			}
-			if sl.RPS < 0 {
-				t.Errorf("%s slot %d has negative rate", name, i)
-			}
-			total += sl.Dur
-		}
-		if total != 10*time.Second {
-			t.Errorf("%s covers %v, want 10s", name, total)
-		}
-	}
-}
-
-func TestBurstAlternates(t *testing.T) {
-	slots := Burst(5, 50, 4*time.Second, time.Second, 12*time.Second)
-	sawBurst := false
-	for _, sl := range slots {
-		if sl.RPS == 50 {
-			sawBurst = true
-			if sl.Dur > time.Second {
-				t.Errorf("burst slot longer than burstDur: %v", sl.Dur)
-			}
-		}
-	}
-	if !sawBurst {
-		t.Error("no burst slot in burst trace")
-	}
-}
-
 func TestSynthesizeDeterministicAndOrdered(t *testing.T) {
 	spec := SynthSpec{Seed: 42, Slots: Ramp(20, 20, 60, time.Second), Poisson: true}
 	a1, err := Synthesize(spec)

@@ -2,8 +2,9 @@ package sched
 
 import "sort"
 
-// DefaultTile is the blocked-ordering tile size used when a run enables
-// the structure cache or batching without choosing a tile explicitly.
+// DefaultTile is the blocked-ordering tile size of every run that
+// enables the structure cache, batching or affinity, and the block size
+// in which a multi-chip run shards the pair grid.
 // Within an off-diagonal tile block every structure is reused by `tile`
 // consecutive pairs, so the block's wire traffic shrinks by roughly the
 // tile size once the slaves cache structures; 6 comfortably beats the
