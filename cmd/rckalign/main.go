@@ -16,7 +16,7 @@
 // ordering, the wire model, threads and faults are properties of the
 // planned workload and apply whether it is farmed flat, in memory-
 // budgeted stages (-membudget) or sharded across chips (-chips). The one
-// combination no run path supports (core's MultiChipConfig.Validate:
+// combination no run path supports (core's Config.Validate:
 // -membudget with -chips > 1) and flags that could not take effect
 // (-deadline without -faults, -interchip or -gather at -chips 1, -slaves
 // below -threads) exit 2 with a one-line diagnostic before the dataset
@@ -136,8 +136,9 @@ const maxChips = 64
 // the flags into the run configuration (job ordering, fault plan,
 // interchip profile, gather topology). Values with documented sentinel
 // semantics (-structcache -1, -batch 0, -polling 0) stay valid.
-func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
-	cfg := core.MultiChipConfig{Config: core.DefaultConfig(), Chips: f.Chips}
+func validateFlags(f cliFlags) (core.Config, error) {
+	cfg := core.DefaultConfig()
+	cfg.Chips = f.Chips
 	ord, ok := map[string]sched.Order{
 		"FIFO": sched.FIFO, "LPT": sched.LPT, "SPT": sched.SPT, "RANDOM": sched.Random,
 	}[strings.ToUpper(f.Order)]
@@ -162,8 +163,8 @@ func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
 	if math.IsNaN(f.Deadline) || math.IsInf(f.Deadline, 0) {
 		return cfg, fmt.Errorf("-deadline %g is not a finite number of seconds", f.Deadline)
 	}
-	if f.Polling < 0 {
-		return cfg, fmt.Errorf("-polling %g is negative", f.Polling)
+	if !(f.Polling >= 0 && f.Polling <= math.MaxFloat64) { // NaN fails both
+		return cfg, fmt.Errorf("-polling %g is not a finite scale >= 0", f.Polling)
 	}
 	if f.StructCache < -1 {
 		return cfg, fmt.Errorf("-structcache %d below -1 (-1 = derive, 0 = off)", f.StructCache)
@@ -171,7 +172,7 @@ func validateFlags(f cliFlags) (core.MultiChipConfig, error) {
 	if f.Batch < 0 {
 		return cfg, fmt.Errorf("-batch %d is negative (0 or 1 = one message per job)", f.Batch)
 	}
-	if f.PruneTM < 0 || f.PruneTM > 1 {
+	if !(f.PruneTM >= 0 && f.PruneTM <= 1) { // NaN fails both
 		return cfg, fmt.Errorf("-prune-tm %g outside [0,1] (0 = no pruning)", f.PruneTM)
 	}
 	if f.Chips < 1 || f.Chips > maxChips {
@@ -334,7 +335,7 @@ func main() {
 		// unchanged) and feed the mailbox/link columns of every run.
 		pt.reg = metrics.New()
 		cfg.Metrics = pt.reg
-		r, err := core.RunMultiChip(pr, n, cfg)
+		r, err := core.Run(pr, n, cfg)
 		pt.rep = r.Report
 		if n != counts[len(counts)-1] {
 			pt.rec, pt.reg, pt.scores = nil, nil, nil

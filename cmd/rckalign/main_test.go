@@ -46,6 +46,10 @@ func TestValidateFlags(t *testing.T) {
 		{"deadline without faults", func(f *cliFlags) { f.Deadline = 5 }, "-deadline 5 without -faults"},
 		{"polling negative", func(f *cliFlags) { f.Polling = -0.5 }, "-polling"},
 		{"polling zero is the event-driven ablation", func(f *cliFlags) { f.Polling = 0 }, ""},
+		{"polling NaN", func(f *cliFlags) { f.Polling = math.NaN() }, "-polling NaN is not a finite"},
+		{"polling infinite", func(f *cliFlags) { f.Polling = math.Inf(1) }, "-polling +Inf is not a finite"},
+		{"prune-tm NaN", func(f *cliFlags) { f.PruneTM = math.NaN() }, "-prune-tm NaN outside [0,1]"},
+		{"prune-tm above one", func(f *cliFlags) { f.PruneTM = 1.5 }, "-prune-tm 1.5 outside [0,1]"},
 		{"structcache derive sentinel", func(f *cliFlags) { f.StructCache = -1 }, ""},
 		{"structcache below sentinel", func(f *cliFlags) { f.StructCache = -2 }, "-structcache"},
 		{"batch zero is classic wire", func(f *cliFlags) { f.Batch = 0 }, ""},
@@ -109,13 +113,13 @@ func TestValidateFlagsComposeUnderMembudget(t *testing.T) {
 	cases := []struct {
 		flag string
 		mut  func(*cliFlags)
-		set  func(core.MultiChipConfig) bool
+		set  func(core.Config) bool
 	}{
-		{"-structcache", func(f *cliFlags) { f.StructCache = -1 }, func(c core.MultiChipConfig) bool { return c.CacheStructs == -1 }},
-		{"-batch", func(f *cliFlags) { f.Batch = 8 }, func(c core.MultiChipConfig) bool { return c.Batch == 8 }},
-		{"-affinity", func(f *cliFlags) { f.Affinity = true }, func(c core.MultiChipConfig) bool { return c.Affinity }},
-		{"-order", func(f *cliFlags) { f.Order = "LPT" }, func(c core.MultiChipConfig) bool { return c.Order == sched.LPT }},
-		{"-threads", func(f *cliFlags) { f.Threads = 2 }, func(c core.MultiChipConfig) bool { return c.ThreadsPerWorker == 2 }},
+		{"-structcache", func(f *cliFlags) { f.StructCache = -1 }, func(c core.Config) bool { return c.CacheStructs == -1 }},
+		{"-batch", func(f *cliFlags) { f.Batch = 8 }, func(c core.Config) bool { return c.Batch == 8 }},
+		{"-affinity", func(f *cliFlags) { f.Affinity = true }, func(c core.Config) bool { return c.Affinity }},
+		{"-order", func(f *cliFlags) { f.Order = "LPT" }, func(c core.Config) bool { return c.Order == sched.LPT }},
+		{"-threads", func(f *cliFlags) { f.Threads = 2 }, func(c core.Config) bool { return c.ThreadsPerWorker == 2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.flag, func(t *testing.T) {
@@ -127,7 +131,7 @@ func TestValidateFlagsComposeUnderMembudget(t *testing.T) {
 				t.Fatalf("-membudget with %s rejected: %v", tc.flag, err)
 			}
 			if cfg.MemoryBudgetResidues != 3000 || !tc.set(cfg) {
-				t.Errorf("-membudget with %s resolved to %+v", tc.flag, cfg.Config)
+				t.Errorf("-membudget with %s resolved to %+v", tc.flag, cfg)
 			}
 		})
 	}

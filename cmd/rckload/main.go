@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -59,6 +60,15 @@ type cliFlags struct {
 	Pool      int
 }
 
+// maxRampSlots and maxRampRequests bound the offered ramp far above any
+// recipe (the CI and EXPERIMENTS.md ramps have at most tens of slots
+// and 10^5 requests), so a tiny -step or a huge -start or -target is a
+// usage error instead of a schedule that never finishes building.
+const (
+	maxRampSlots    = 10_000
+	maxRampRequests = 10_000_000
+)
+
 // validateFlags checks the flag set and returns the selected mode:
 // "dry" or "run".
 func validateFlags(f cliFlags) (string, error) {
@@ -67,17 +77,22 @@ func validateFlags(f cliFlags) (string, error) {
 	default:
 		return "", fmt.Errorf("-arrival %q: want uniform or poisson", f.Arrival)
 	}
-	if f.Start <= 0 {
-		return "", fmt.Errorf("-start %v: must be > 0", f.Start)
+	// NaN fails every comparison, so each rate check rejects it too.
+	if !(f.Start > 0 && f.Start <= math.MaxFloat64) {
+		return "", fmt.Errorf("-start %v: must be a finite rate > 0", f.Start)
 	}
-	if f.Target < f.Start {
-		return "", fmt.Errorf("-target %v: must be >= -start %v", f.Target, f.Start)
+	if !(f.Target >= f.Start && f.Target <= math.MaxFloat64) {
+		return "", fmt.Errorf("-target %v: must be a finite rate >= -start %v", f.Target, f.Start)
 	}
-	if f.Step < 0 {
-		return "", fmt.Errorf("-step %v: must be >= 0", f.Step)
+	if !(f.Step >= 0 && f.Step <= math.MaxFloat64) {
+		return "", fmt.Errorf("-step %v: must be a finite rate >= 0", f.Step)
 	}
 	if f.Slot <= 0 {
 		return "", fmt.Errorf("-slot %v: must be > 0", f.Slot)
+	}
+	if slots, requests := loadgen.RampSize(f.Start, f.Step, f.Target, f.Slot, maxRampSlots); slots > maxRampSlots || requests > maxRampRequests {
+		return "", fmt.Errorf("-start %v -step %v -target %v -slot %v: the ramp exceeds %d slots or %d requests",
+			f.Start, f.Step, f.Target, f.Slot, maxRampSlots, maxRampRequests)
 	}
 	if _, err := parseMix(f.Mix); err != nil {
 		return "", err

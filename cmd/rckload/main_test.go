@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +37,18 @@ func TestValidateFlags(t *testing.T) {
 		{"ramp target below start", func(f *cliFlags) { f.Target = 10 }, "", "-target"},
 		{"ramp negative step", func(f *cliFlags) { f.Step = -1 }, "", "-step"},
 		{"zero slot", func(f *cliFlags) { f.Slot = 0 }, "", "-slot"},
+		{"start NaN", func(f *cliFlags) { f.Start = math.NaN() }, "", "-start NaN: must be a finite rate"},
+		{"step NaN", func(f *cliFlags) { f.Step = math.NaN() }, "", "-step NaN: must be a finite rate"},
+		{"target NaN", func(f *cliFlags) { f.Target = math.NaN() }, "", "-target NaN: must be a finite rate"},
+		{"target infinite", func(f *cliFlags) { f.Target = math.Inf(1) }, "", "-target +Inf: must be a finite rate"},
+		{"dry run start NaN", func(f *cliFlags) { f.DryRun = true; f.Start = math.NaN() }, "", "-start NaN"},
+		{"ramp tiny step", func(f *cliFlags) { f.Step = 1e-9 }, "", "the ramp exceeds 10000 slots"},
+		{"ramp step lost to rounding", func(f *cliFlags) { f.Start, f.Step, f.Target = 1e16, 1, 1e16+2 }, "", "the ramp exceeds"},
+		{"ramp huge target", func(f *cliFlags) { f.Target = 1e12 }, "", "the ramp exceeds"},
+		{"ramp huge start", func(f *cliFlags) { f.Start, f.Step, f.Target = 1e8, 0, 1e8 }, "", "10000000 requests"},
+		{"ramp at the slot bound", func(f *cliFlags) { f.Start, f.Step, f.Target, f.Slot = 1, 1, 10_000, time.Millisecond }, "run", ""},
+		{"ramp one slot past the bound", func(f *cliFlags) { f.Start, f.Step, f.Target, f.Slot = 1, 1, 10_001, time.Millisecond }, "", "10000 slots"},
+		{"constant ignores a huge target", func(f *cliFlags) { f.Step, f.Target = 0, 1e300 }, "run", ""},
 		{"mix ok", func(f *cliFlags) { f.Mix = "score=0.5,topk=0.5" }, "run", ""},
 		{"mix unknown op", func(f *cliFlags) { f.Mix = "delete=1" }, "", "unknown op"},
 		{"mix bad weight", func(f *cliFlags) { f.Mix = "score=lots" }, "", "bad weight"},

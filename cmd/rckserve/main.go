@@ -68,7 +68,7 @@ func validateFlags(f cliFlags) error {
 	if f.Workers < 0 {
 		return fmt.Errorf("-workers %d: must be >= 0 (0 = default)", f.Workers)
 	}
-	if f.PruneTM < 0 || f.PruneTM > 1 {
+	if !(f.PruneTM >= 0 && f.PruneTM <= 1) { // NaN fails both
 		return fmt.Errorf("-prune-tm %g: must be in [0,1] (0 = no pruning)", f.PruneTM)
 	}
 	if f.DebugAddr == f.Addr {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,6 +31,9 @@ func TestValidateFlags(t *testing.T) {
 		{"batch one disables coalescing", func(f *cliFlags) { f.Batch = 1 }, ""},
 		{"batch negative", func(f *cliFlags) { f.Batch = -1 }, "-batch"},
 		{"workers negative", func(f *cliFlags) { f.Workers = -2 }, "-workers"},
+		{"prune-tm in range", func(f *cliFlags) { f.PruneTM = 0.5 }, ""},
+		{"prune-tm NaN", func(f *cliFlags) { f.PruneTM = math.NaN() }, "-prune-tm NaN"},
+		{"prune-tm negative", func(f *cliFlags) { f.PruneTM = -0.1 }, "-prune-tm"},
 		{"debug-addr off", func(f *cliFlags) { f.DebugAddr = "" }, ""},
 		{"debug-addr own listener", func(f *cliFlags) { f.DebugAddr = "127.0.0.1:6060" }, ""},
 		{"debug-addr on the public address", func(f *cliFlags) { f.DebugAddr = f.Addr }, "-debug-addr"},

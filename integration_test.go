@@ -62,7 +62,9 @@ func TestAllExecutionPathsAgreeOnBiology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := core.RunMultiChip(pr, 3, core.MultiChipConfig{Config: core.DefaultConfig(), Chips: 2})
+	treeCfg := core.DefaultConfig()
+	treeCfg.Chips = 2
+	tree, err := core.Run(pr, 3, treeCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,6 @@ import (
 
 	"rckalign/internal/costmodel"
 	"rckalign/internal/farm"
-	"rckalign/internal/fault"
-	"rckalign/internal/metrics"
 	"rckalign/internal/pairstore"
 	"rckalign/internal/pdb"
 	"rckalign/internal/prune"
@@ -33,7 +31,6 @@ import (
 	"rckalign/internal/sched"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
-	"rckalign/internal/trace"
 )
 
 // StructBytes models the wire size of one structure (CA coordinates as
@@ -254,70 +251,30 @@ func SynthPairResults(name string, lengths []int) *PairResults {
 	})
 }
 
-// Config tunes an rckAlign simulation run. The fields compose freely;
-// the one combination no run shape supports is MultiChipConfig.Validate.
+// Config tunes an rckAlign simulation run: the simulated board
+// (farm.Config) plus what the run plans with. The fields compose freely;
+// the one combination no run shape supports is Validate's. Run resolves
+// two farm.Config sentinels per workload:
+//   - CacheStructs < 0 derives the per-slave cache capacity from the
+//     per-core cache budget (costmodel.DefaultCacheBudgetBytes over the
+//     dataset's mean chain size);
+//   - JobDeadlineSeconds == 0 under a fault plan that injects something
+//     derives the deadline from the workload's most expensive job
+//     (DeriveJobDeadline) times Batch; without such a plan nothing is
+//     armed.
 type Config struct {
-	// Chip is the SCC model (DefaultConfig = Table I). The master runs on
-	// its core 0 (paper: "the first core supplied to the program").
-	Chip scc.Config
+	farm.Config
 	// Order is the job ordering policy (paper: FIFO).
 	Order sched.Order
 	// OrderSeed drives sched.Random.
 	OrderSeed int64
-	// PollingScale scales the master's round-robin polling discovery
-	// cost (1 = the paper's busy polling, 0 = ideal event-driven
-	// notification; used by the polling ablation). Values below zero are
-	// treated as 1.
-	PollingScale float64
-	// Trace, when non-nil, receives per-core activity intervals for
-	// utilization/Gantt reports. The farm layer records internally even
-	// when nil, so RunResult always carries per-core utilization.
-	Trace *trace.Recorder
-	// Metrics, when non-nil, receives counters, histograms and time
-	// series from every simulation layer and enables the
-	// Report.Metrics summary block (see farm.Config.Metrics).
-	Metrics *metrics.Registry
-	// Collector, when non-nil, observes every collected result (the
-	// farm layer's pluggable sink).
-	Collector farm.Collector
-	// ThreadsPerWorker is the paper's closing future-work item
-	// ("building support for threading into the base library"): when 2,
-	// each worker process uses both cores of its tile, finishing each
-	// job in 1/(2*0.9) of the serial time (DP and scoring parallelise
-	// well, the Kabsch solves less so) while occupying two cores. 0 or
-	// 1 = the paper's single-threaded slaves. When the slave count is
-	// not a multiple, the leftover cores are not used; the rounding is
-	// reported in RunResult.EffectiveCores and RunResult.DroppedCores.
-	ThreadsPerWorker int
-	// CacheStructs models the slave-side structure cache: the master
-	// ships a structure to a slave only when the slave's bounded LRU
-	// (of this many structures) does not already hold it, so a job's
-	// request size becomes header + miss bytes. < 0 derives the
-	// capacity from the per-core cache budget
-	// (costmodel.DefaultCacheBudgetBytes over the dataset's mean chain
-	// size); 0 disables the model — the paper's ship-both-structures
-	// wire.
-	CacheStructs int
-	// Batch bundles up to Batch consecutive jobs into one request
-	// message with one batched result, amortizing the master's
-	// dispatch/collect overhead (0 or 1 = the paper's one message per
-	// job).
-	Batch int
 	// Affinity assigns whole tile blocks to slaves (heaviest-first onto
 	// the least-loaded queue) and farms per-slave queues, so each
 	// block's structures ship to exactly one slave — maximum cache
-	// reuse at the price of coarser load balance.
+	// reuse at the price of coarser load balance. Under Faults a
+	// slave's work returns to its own queue: a dead worker's remaining
+	// blocks are reported lost.
 	Affinity bool
-	// Faults, when non-nil, arms the deterministic fault injector for
-	// the run (global core ids on a multi-chip run) and adds the Faults
-	// block to the report. Under Affinity a slave's work returns to its
-	// own queue: a dead worker's remaining blocks are reported lost.
-	Faults *fault.Plan
-	// JobDeadlineSeconds is the fault-tolerant per-job deadline (see
-	// rckskel.FARM). Zero under a plan that injects something derives
-	// one from the most expensive job in the workload (see
-	// DeriveJobDeadline); without such a plan, nothing is armed.
-	JobDeadlineSeconds float64
 	// MemoryBudgetResidues, when positive and below the dataset's total,
 	// caps the residues resident at the master — the paper's closing
 	// concern, "datasets too large to be loaded into memory at once".
@@ -336,7 +293,7 @@ const reloadSecondsPerResidue = 4e-6
 
 // DefaultConfig returns the paper's setup.
 func DefaultConfig() Config {
-	return Config{Chip: scc.DefaultConfig(), Order: sched.FIFO, PollingScale: 1}
+	return Config{Config: farm.Config{Chip: scc.DefaultConfig(), PollingScale: 1}, Order: sched.FIFO}
 }
 
 // RunResult reports one simulated rckAlign execution: the unified farm
@@ -346,15 +303,30 @@ type RunResult struct {
 	farm.Report
 }
 
-// Run simulates rckAlign on `slaves` slave cores (1..NumCores-1) and
-// returns the simulated timing. Results are replayed from pr, so the
-// PSC output is identical to the serial baseline by construction.
-// With cfg.ThreadsPerWorker = 2, the `slaves` cores are grouped into
-// slaves/2 dual-threaded tile workers (an odd count leaves one core
-// unused; see RunResult.DroppedCores). It is the one-chip case of
-// RunMultiChip.
+// Run simulates rckAlign on cfg.Chips SCC chips (0 or 1 = the paper's
+// flat farm) with `slaves` slave cores (1..NumCores-1) each and returns
+// the simulated timing. Results are replayed from pr, so the PSC output
+// is identical to the serial baseline by construction.
+//
+// The pair list is ordered once, sharded into whole sched.DefaultTile
+// blocks across chips (heaviest block first onto the least loaded chip;
+// one chip gets the list unchanged), and each shard is farmed by its
+// chip's master. On more than one chip the root master on chip 0
+// scatters the shards over the interchip fabric and results return as
+// aggregate blobs up the configured gather topology; fault plans (core
+// ids global across the board) are split per chip and affinity deals
+// each shard onto that chip's workers. See Validate for the one feature
+// combination that does not compose.
 func Run(pr *PairResults, slaves int, cfg Config) (RunResult, error) {
-	return RunMultiChip(pr, slaves, MultiChipConfig{Config: cfg})
+	if err := cfg.Validate(); err != nil {
+		return RunResult{}, err
+	}
+	p, err := newPlan(pr, slaves, cfg)
+	if err != nil {
+		return RunResult{}, err
+	}
+	rep, err := p.run()
+	return RunResult{Report: rep}, err
 }
 
 // RunSweep simulates rckAlign for each slave count and returns the

@@ -33,7 +33,7 @@ func synthScoredCK34() *PairResults {
 // -scores-out style line at full float precision, sorted by pair so the
 // dump is arrival-order independent (the determinism rule each gather
 // level must honour).
-func scoresRun(t *testing.T, pr *PairResults, cfg MultiChipConfig) (string, RunResult, error) {
+func scoresRun(t *testing.T, pr *PairResults, cfg Config) (string, RunResult, error) {
 	t.Helper()
 	pairOf := map[*tmalign.Result]sched.Pair{}
 	for k, p := range pr.Pairs {
@@ -54,16 +54,17 @@ func scoresRun(t *testing.T, pr *PairResults, cfg MultiChipConfig) (string, RunR
 		lines = append(lines, fmt.Sprintf("%d %d %.17g %.17g %.17g %d\n",
 			p.I, p.J, res.TM1, res.TM2, res.RMSD, res.AlignedLen))
 	})
-	r, err := RunMultiChip(pr, 12, cfg)
+	r, err := Run(pr, 12, cfg)
 	sort.Strings(lines)
 	return strings.Join(lines, ""), r, err
 }
 
 // scoresDump is scoresRun on the default config at the given chip
 // count, for runs that must succeed.
-func scoresDump(t *testing.T, pr *PairResults, chips int, mutate func(*MultiChipConfig)) string {
+func scoresDump(t *testing.T, pr *PairResults, chips int, mutate func(*Config)) string {
 	t.Helper()
-	cfg := MultiChipConfig{Config: DefaultConfig(), Chips: chips}
+	cfg := DefaultConfig()
+	cfg.Chips = chips
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -101,7 +102,7 @@ func TestGatherScoresByteIdenticalToFlat(t *testing.T) {
 			for _, faulted := range []bool{false, true} {
 				name := fmt.Sprintf("chips=%d/%s/faults=%t", chips, g.String(), faulted)
 				t.Run(name, func(t *testing.T) {
-					got := scoresDump(t, pr, chips, func(cfg *MultiChipConfig) {
+					got := scoresDump(t, pr, chips, func(cfg *Config) {
 						cfg.Gather = g
 						if faulted {
 							cfg.Faults = kills
@@ -129,12 +130,9 @@ func TestAggregationBeatsPerPairWire(t *testing.T) {
 		lengths[i] = s.Len()
 	}
 	pr := SynthPairResults("RS119-synth", lengths)
-	cfg := MultiChipConfig{
-		Config: DefaultConfig(),
-		Chips:  8,
-		Gather: farm.GatherConfig{Mode: farm.GatherFlat},
-	}
-	r, err := RunMultiChip(pr, 12, cfg)
+	cfg := DefaultConfig()
+	cfg.Chips, cfg.Gather = 8, farm.GatherConfig{Mode: farm.GatherFlat}
+	r, err := Run(pr, 12, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

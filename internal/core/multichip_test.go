@@ -15,8 +15,8 @@ import (
 )
 
 // TestMultiChipOneChipIsFlat is the contract that makes the multi-chip
-// and memory-budget axes safe to expose everywhere: a 1-chip (or unset)
-// MultiChipConfig reproduces the flat run identically — reports
+// and memory-budget axes safe to expose everywhere: a 1-chip Config
+// reproduces the unset-chips run identically — reports
 // DeepEqual, same collection sequence — in the classic, wire-model and
 // fault-tolerant configurations alike, and so does a budget the whole
 // dataset fits in: flat is the one-stage, one-shard case.
@@ -56,17 +56,13 @@ func TestMultiChipOneChipIsFlat(t *testing.T) {
 			run := func(multi bool) (RunResult, []int) {
 				var order []int
 				cfg := tc.cfg()
-				if !multi {
+				if multi {
+					cfg.Chips = 1
+				} else {
 					cfg.MemoryBudgetResidues = 0
 				}
 				cfg.Collector = farm.CollectorFunc(func(r rckskel.Result) { order = append(order, r.JobID) })
-				var r RunResult
-				var err error
-				if multi {
-					r, err = RunMultiChip(pr, 12, MultiChipConfig{Config: cfg, Chips: 1})
-				} else {
-					r, err = Run(pr, 12, cfg)
-				}
+				r, err := Run(pr, 12, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,10 +83,11 @@ func TestMultiChipOneChipIsFlat(t *testing.T) {
 // multiChipCK34 runs the synthetic CK34 workload at the given chip
 // count, returning the result and how often each pair's replayed
 // tmalign.Result was collected.
-func multiChipCK34(t *testing.T, pr *PairResults, chips, slavesPerChip int, mutate func(*MultiChipConfig)) (RunResult, map[*tmalign.Result]int) {
+func multiChipCK34(t *testing.T, pr *PairResults, chips, slavesPerChip int, mutate func(*Config)) (RunResult, map[*tmalign.Result]int) {
 	t.Helper()
 	seen := map[*tmalign.Result]int{}
-	cfg := MultiChipConfig{Config: DefaultConfig(), Chips: chips}
+	cfg := DefaultConfig()
+	cfg.Chips = chips
 	cfg.Collector = farm.CollectorFunc(func(r rckskel.Result) {
 		if res, ok := r.Payload.(*tmalign.Result); ok {
 			seen[res]++
@@ -99,7 +96,7 @@ func multiChipCK34(t *testing.T, pr *PairResults, chips, slavesPerChip int, muta
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	r, err := RunMultiChip(pr, slavesPerChip, cfg)
+	r, err := Run(pr, slavesPerChip, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +166,7 @@ func TestMultiChipSpeedup(t *testing.T) {
 
 func TestMultiChipWithWireModel(t *testing.T) {
 	pr := synthCK34PR()
-	r, seen := multiChipCK34(t, pr, 2, 12, func(cfg *MultiChipConfig) {
+	r, seen := multiChipCK34(t, pr, 2, 12, func(cfg *Config) {
 		cfg.CacheStructs = 8
 		cfg.Batch = 4
 	})
@@ -195,16 +192,17 @@ func TestMultiChipDeterministic(t *testing.T) {
 
 func TestMultiChipRejections(t *testing.T) {
 	pr := synthCK34PR()
-	reject := func(name string, mutate func(*MultiChipConfig)) {
-		cfg := MultiChipConfig{Config: DefaultConfig(), Chips: 2}
+	reject := func(name string, mutate func(*Config)) {
+		cfg := DefaultConfig()
+		cfg.Chips = 2
 		mutate(&cfg)
-		if _, err := RunMultiChip(pr, 8, cfg); err == nil {
+		if _, err := Run(pr, 8, cfg); err == nil {
 			t.Errorf("%s: expected a rejection at chips > 1", name)
 		}
 	}
-	reject("slaves", func(cfg *MultiChipConfig) { cfg.Config.Chip.TilesX = 1; cfg.Config.Chip.TilesY = 2 })
+	reject("slaves", func(cfg *Config) { cfg.Chip.TilesX = 1; cfg.Chip.TilesY = 2 })
 	// A plan must not kill any chip's master (every chip's local core 0).
-	reject("kill sub-master", func(cfg *MultiChipConfig) {
+	reject("kill sub-master", func(cfg *Config) {
 		cfg.Faults = &fault.Plan{Kills: []fault.CoreFailure{{Core: 48, At: 1}}}
 	})
 }
@@ -218,7 +216,7 @@ func TestMultiChipFaults(t *testing.T) {
 	base, seen := multiChipCK34(t, pr, 2, 12, nil)
 	checkEveryPairOnce(t, pr, seen)
 	at := 0.2 * base.TotalSeconds
-	r, seen := multiChipCK34(t, pr, 2, 12, func(cfg *MultiChipConfig) {
+	r, seen := multiChipCK34(t, pr, 2, 12, func(cfg *Config) {
 		cfg.Faults = &fault.Plan{
 			Seed: 11,
 			// Core 5 lives on chip 0, core 48+7 on chip 1.
@@ -245,7 +243,7 @@ func TestMultiChipFaults(t *testing.T) {
 // still completes every pair exactly once.
 func TestMultiChipAffinity(t *testing.T) {
 	pr := synthCK34PR()
-	r, seen := multiChipCK34(t, pr, 2, 12, func(cfg *MultiChipConfig) {
+	r, seen := multiChipCK34(t, pr, 2, 12, func(cfg *Config) {
 		cfg.Affinity = true
 		cfg.CacheStructs = 8
 	})
@@ -262,7 +260,8 @@ func TestMultiChipAffinity(t *testing.T) {
 
 func TestRunChipSweep(t *testing.T) {
 	pr := synthCK34PR()
-	cfg := MultiChipConfig{Config: DefaultConfig(), Interchip: interchip.DefaultConfig()}
+	cfg := MultiChipConfig{Config: DefaultConfig()}
+	cfg.Interchip = interchip.DefaultConfig()
 	results, err := RunChipSweep(pr, 8, []int{1, 2, 4}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +296,8 @@ func TestSweepHostParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		boards, err = RunChipSweep(pr, 8, chips, MultiChipConfig{Config: cfg, Interchip: interchip.DefaultConfig()})
+		cfg.Interchip = interchip.DefaultConfig()
+		boards, err = RunChipSweep(pr, 8, chips, MultiChipConfig{Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ var ErrBudgetAcrossChips = errors.New("core: MemoryBudgetResidues does not compo
 // every other combination of Config fields composes. A budgeted run's
 // load schedule interleaves block loads with farms on a single master's
 // clock, while a multi-chip run scatters every shard once, up front.
-func (cfg MultiChipConfig) Validate() error {
+func (cfg Config) Validate() error {
 	if cfg.MemoryBudgetResidues > 0 && cfg.Chips > 1 {
 		return ErrBudgetAcrossChips
 	}
@@ -38,22 +38,23 @@ func (cfg MultiChipConfig) Validate() error {
 // plan is everything about a run that does not depend on where a job
 // executes.
 type plan struct {
-	pr      *PairResults
-	cfg     MultiChipConfig
+	pr *PairResults
+	// cfg is the run's configuration with core's two sentinels resolved
+	// (cache capacity, fault-tolerance deadline): its farm.Config is the
+	// board's.
+	cfg     Config
+	slaves  int
 	lengths []int
 	cost    func(sched.Pair) float64
 	// blocked regroups the ordered pairs into sched.DefaultTile blocks;
 	// it is on whenever the wire model is (cache, batching or affinity).
 	blocked bool
-	// session is the farm board's configuration: chips, placement, wire
-	// shape (resolved cache capacity, batch) and fault-tolerance deadline.
-	session farm.Config
 	wire    farm.WireModel
 	handler rckskel.Handler
 }
 
-func newPlan(pr *PairResults, slaves int, cfg MultiChipConfig) (*plan, error) {
-	p := &plan{pr: pr, cfg: cfg, lengths: pr.lengths()}
+func newPlan(pr *PairResults, slaves int, cfg Config) (*plan, error) {
+	p := &plan{pr: pr, cfg: cfg, slaves: slaves, lengths: pr.lengths()}
 	p.cost = sched.LengthProductCost(p.lengths)
 	sizes := make([]int, len(p.lengths))
 	total := 0
@@ -69,35 +70,16 @@ func newPlan(pr *PairResults, slaves int, cfg MultiChipConfig) (*plan, error) {
 		Sizes: sizes,
 	}
 
-	// Negative CacheStructs derives the capacity from the default
-	// per-core cache budget and the dataset's mean chain length.
-	cacheCap := cfg.CacheStructs
-	if cacheCap < 0 {
+	if cfg.CacheStructs < 0 {
 		mean := 0
 		if len(p.lengths) > 0 {
 			mean = total / len(p.lengths)
 		}
-		cacheCap = costmodel.CacheCapacityStructs(costmodel.DefaultCacheBudgetBytes, mean)
+		p.cfg.CacheStructs = costmodel.CacheCapacityStructs(costmodel.DefaultCacheBudgetBytes, mean)
 	}
-	p.blocked = cacheCap > 0 || cfg.Batch > 1 || cfg.Affinity
+	p.blocked = p.cfg.CacheStructs > 0 || cfg.Batch > 1 || cfg.Affinity
 
-	p.session = farm.Config{
-		Chip:               cfg.Chip,
-		Slaves:             slaves,
-		ThreadsPerWorker:   cfg.ThreadsPerWorker,
-		PollingScale:       cfg.PollingScale,
-		Trace:              cfg.Trace,
-		Metrics:            cfg.Metrics,
-		Collector:          cfg.Collector,
-		Batch:              cfg.Batch,
-		CacheStructs:       cacheCap,
-		Faults:             cfg.Faults,
-		JobDeadlineSeconds: cfg.JobDeadlineSeconds,
-		Chips:              cfg.Chips,
-		Interchip:          cfg.Interchip,
-		Gather:             cfg.Gather,
-	}
-	place, err := farm.Place(p.session)
+	place, err := farm.Place(cfg.Config, slaves)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +89,7 @@ func newPlan(pr *PairResults, slaves int, cfg MultiChipConfig) (*plan, error) {
 		// detection; an empty one leaves every timer unscheduled. A batch
 		// is one fault-tolerance unit of up to Batch jobs: its deadline
 		// must cover them back to back.
-		p.session.JobDeadlineSeconds = DeriveJobDeadline(pr, cfg.Chip.CPU, opScale) * float64(max(cfg.Batch, 1))
+		p.cfg.JobDeadlineSeconds = DeriveJobDeadline(pr, cfg.Chip.CPU, opScale) * float64(max(cfg.Batch, 1))
 	}
 	p.handler = func(job rckskel.Job) (any, costmodel.Counter, int) {
 		res := pr.Get(*job.Payload.(*sched.Pair))
@@ -248,7 +230,7 @@ func (p *plan) run() (farm.Report, error) {
 	if err != nil {
 		return farm.Report{}, err
 	}
-	s, err := farm.New(p.session)
+	s, err := farm.New(p.cfg.Config, p.slaves)
 	if err != nil {
 		return farm.Report{}, err
 	}
@@ -279,7 +261,7 @@ func (p *plan) run() (farm.Report, error) {
 		}
 	}
 
-	rep, err := s.Run("", func(m *farm.Master) {
+	rep, err := s.Run(func(m *farm.Master) {
 		for k, st := range stages {
 			if tiled == nil {
 				// One-time load of every structure by the master (the

@@ -38,16 +38,16 @@ func TestCompositionMatrix(t *testing.T) {
 
 	shapes := []struct {
 		name string
-		mut  func(*MultiChipConfig)
+		mut  func(*Config)
 	}{
-		{"flat", func(*MultiChipConfig) {}},
-		{"budget", func(c *MultiChipConfig) { c.MemoryBudgetResidues = pr.Dataset.TotalResidues() / 3 }},
-		{"chips=2", func(c *MultiChipConfig) { c.Chips = 2 }},
+		{"flat", func(*Config) {}},
+		{"budget", func(c *Config) { c.MemoryBudgetResidues = pr.Dataset.TotalResidues() / 3 }},
+		{"chips=2", func(c *Config) { c.Chips = 2 }},
 	}
 	kill := fault.Plan{Seed: 3, Kills: []fault.CoreFailure{{Core: 5, At: 0.25 * base.TotalSeconds}}}
-	affinity := func(c *MultiChipConfig) { c.Affinity = true; c.CacheStructs = 8 }
-	emptyPlan := func(c *MultiChipConfig) { c.Faults = &fault.Plan{} }
-	killPlan := func(c *MultiChipConfig) { plan := kill; c.Faults = &plan }
+	affinity := func(c *Config) { c.Affinity = true; c.CacheStructs = 8 }
+	emptyPlan := func(c *Config) { c.Faults = &fault.Plan{} }
+	killPlan := func(c *Config) { plan := kill; c.Faults = &plan }
 	killed := func(_, r RunResult) bool { return r.Faults != nil && r.Faults.Injected.CoresKilled == 1 }
 	wantLines := map[string]bool{}
 	for _, line := range strings.SplitAfter(want, "\n") {
@@ -55,7 +55,7 @@ func TestCompositionMatrix(t *testing.T) {
 	}
 	features := []struct {
 		name string
-		mut  func(*MultiChipConfig)
+		mut  func(*Config)
 		// invisible marks an empty fault plan: stripped of its Faults
 		// blocks, the report must equal the same run's without the plan.
 		invisible bool
@@ -64,7 +64,7 @@ func TestCompositionMatrix(t *testing.T) {
 		applied func(plain, r RunResult) bool
 	}{
 		{"cache+batch",
-			func(c *MultiChipConfig) { c.CacheStructs = -1; c.Batch = 8 }, false,
+			func(c *Config) { c.CacheStructs = -1; c.Batch = 8 }, false,
 			func(_, r RunResult) bool { return r.Wire != nil && r.Wire.Batches > 0 && r.Wire.CacheHits > 0 }},
 		{"affinity", affinity, false,
 			func(plain, r RunResult) bool {
@@ -74,20 +74,20 @@ func TestCompositionMatrix(t *testing.T) {
 			func(_, r RunResult) bool { return r.Faults != nil }},
 		{"kill plan", killPlan, false, killed},
 		{"affinity+empty fault plan",
-			func(c *MultiChipConfig) { affinity(c); emptyPlan(c) }, true,
+			func(c *Config) { affinity(c); emptyPlan(c) }, true,
 			func(_, r RunResult) bool { return r.Faults != nil && r.Wire != nil }},
 		{"affinity+kill plan",
-			func(c *MultiChipConfig) { affinity(c); killPlan(c) }, false, killed},
+			func(c *Config) { affinity(c); killPlan(c) }, false, killed},
 		{"threads=2",
-			func(c *MultiChipConfig) { c.ThreadsPerWorker = 2 }, false,
+			func(c *Config) { c.ThreadsPerWorker = 2 }, false,
 			func(plain, r RunResult) bool { return r.Workers*2 == plain.Workers }},
 		{"LPT",
-			func(c *MultiChipConfig) { c.Order = sched.LPT }, false,
+			func(c *Config) { c.Order = sched.LPT }, false,
 			func(plain, r RunResult) bool { return r.TotalSeconds != plain.TotalSeconds }},
 	}
 
 	for _, shape := range shapes {
-		cfg := MultiChipConfig{Config: DefaultConfig()}
+		cfg := DefaultConfig()
 		shape.mut(&cfg)
 		dump, plain, err := scoresRun(t, pr, cfg)
 		if err != nil || dump != want {
@@ -141,12 +141,12 @@ func TestCompositionMatrix(t *testing.T) {
 // is decided from the config alone — before any workload exists — which
 // is what lets the CLI reject it before loading a dataset.
 func TestValidateIsConfigOnly(t *testing.T) {
-	cfg := MultiChipConfig{Config: DefaultConfig(), Chips: 2}
-	cfg.MemoryBudgetResidues = 1 << 30 // would cover any dataset
+	cfg := DefaultConfig()
+	cfg.Chips, cfg.MemoryBudgetResidues = 2, 1<<30 // the budget would cover any dataset
 	if err := cfg.Validate(); !errors.Is(err, ErrBudgetAcrossChips) {
 		t.Errorf("Validate() = %v, want ErrBudgetAcrossChips", err)
 	}
-	if _, err := RunMultiChip(nil, 8, cfg); !errors.Is(err, ErrBudgetAcrossChips) {
-		t.Errorf("RunMultiChip did not return Validate's error first: %v", err)
+	if _, err := Run(nil, 8, cfg); !errors.Is(err, ErrBudgetAcrossChips) {
+		t.Errorf("Run did not return Validate's error first: %v", err)
 	}
 }

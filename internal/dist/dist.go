@@ -6,10 +6,9 @@
 // through the MCPC's single disk controller — the two overheads the
 // paper identifies as the reasons rckAlign wins (Section V-C).
 //
-// The baseline runs on the farm harness with an off-chip master
-// (farm.HostMaster): the harness owns runtime construction, slave
-// placement and reporting, while this package keeps its bespoke
-// pssh/NFS job protocol.
+// The baseline runs no FARM: its master is a host process, not a core,
+// so it drives its own engine and chip with a bespoke pssh/NFS job
+// protocol.
 package dist
 
 import (
@@ -17,7 +16,6 @@ import (
 
 	"rckalign/internal/core"
 	"rckalign/internal/farm"
-	"rckalign/internal/rckskel"
 	"rckalign/internal/scc"
 	"rckalign/internal/sched"
 	"rckalign/internal/sim"
@@ -44,100 +42,81 @@ const (
 
 // RunResult reports one simulated distributed-TM-align execution.
 type RunResult struct {
-	farm.Report
+	// TotalSeconds is the simulated end-to-end time: when the MCPC
+	// master has collected every result and stopped every core.
+	TotalSeconds float64
+	// Collected counts results received by the master.
+	Collected int
 	// DiskBusySeconds is the cumulative disk service time (for
 	// utilisation analysis).
 	DiskBusySeconds float64
 }
 
-// Run simulates the all-vs-all task on `slaves` SCC cores driven from
-// the MCPC, replaying the native TM-align results in pr.
+// Run simulates the all-vs-all task on `slaves` SCC cores (0..slaves-1:
+// the master is off-chip) driven from the MCPC, replaying the native
+// TM-align results in pr.
 func Run(pr *core.PairResults, slaves int) (RunResult, error) {
 	chipCfg := scc.DefaultConfig()
 	if slaves < 1 || slaves > chipCfg.NumCores() {
 		return RunResult{}, fmt.Errorf("dist: slave count %d outside [1,%d]", slaves, chipCfg.NumCores())
 	}
-	s, err := farm.New(farm.Config{
-		Chip:       chipCfg,
-		MasterCore: farm.HostMaster,
-		Slaves:     slaves,
-	})
-	if err != nil {
-		return RunResult{}, err
-	}
-	chip := s.Chip()
-	rec := s.Activity()
+	engine := sim.NewEngine()
+	chip := scc.New(engine, chipCfg)
 	disk := sim.NewResource("mcpc-disk", 1)
 	jobCh := sim.NewChan("pssh")
 	doneCh := sim.NewChan("done")
+	structs := pr.Dataset.Structures
 
-	ds := pr.Dataset
-	lengths := make([]int, ds.Len())
-	for i, st := range ds.Structures {
-		lengths[i] = st.Len()
-	}
-
-	type jobMsg struct {
-		id   int
-		pair sched.Pair
-	}
-	type stop struct{}
-
-	// Slave cores: each loops pulling the next job from the MCPC master.
-	// Every job is a fresh process: spawn, read both inputs over NFS,
-	// compute, exit.
-	for _, c := range s.Placement().Cores {
+	// Slave cores: each loops pulling the next job (a sched.Pair; nil
+	// stops it) from the MCPC master. Every job is a fresh process:
+	// spawn, read both inputs over NFS, compute, exit.
+	for c := range slaves {
 		chip.SpawnCore(c, func(p *sim.Process) {
 			for {
-				m := jobCh.Recv(p)
-				if _, halt := m.(stop); halt {
+				pair, ok := jobCh.Recv(p).(sched.Pair)
+				if !ok {
 					return
 				}
-				jm := m.(jobMsg)
 				p.Wait(spawnSeconds)
-				for _, idx := range [2]int{jm.pair.I, jm.pair.J} {
+				for _, idx := range [2]int{pair.I, pair.J} {
 					disk.Acquire(p)
-					p.Wait(nfsSeekSeconds + float64(core.FileBytes(lengths[idx]))/nfsBytesPerSecond)
+					p.Wait(nfsSeekSeconds + float64(core.FileBytes(structs[idx].Len()))/nfsBytesPerSecond)
 					disk.Release(p)
 				}
-				res := pr.Get(jm.pair)
-				start := p.Now()
-				chip.Compute(p, res.Ops)
-				rec.Add(chip.CoreName(c), start, p.Now(), "compute")
-				doneCh.Send(p, rckskel.Result{JobID: jm.id, Slave: c, Payload: res})
+				chip.Compute(p, pr.Get(pair).Ops)
+				doneCh.Send(p, nil)
 			}
 		})
 	}
 
 	// MCPC master: issue jobs to whichever core pulls next (pssh to a
 	// free node), then collect completions.
-	rep, err := s.Run("mcpc-master", func(m *farm.Master) {
-		p := m.P
+	var out RunResult
+	engine.Spawn("mcpc-master", func(p *sim.Process) {
 		issued := 0
-		collected := 0
 		// Prime every core with one job (each Send hands the job to the
 		// next core that asks), then reissue on each completion.
 		prime := min(slaves, len(pr.Pairs))
 		for issued < prime {
 			p.Wait(dispatchSeconds)
-			jobCh.Send(p, jobMsg{id: issued, pair: pr.Pairs[issued]})
+			jobCh.Send(p, pr.Pairs[issued])
 			issued++
 		}
-		for collected < len(pr.Pairs) {
-			r := doneCh.Recv(p).(rckskel.Result)
-			m.Collect(r)
-			collected++
+		for out.Collected < len(pr.Pairs) {
+			doneCh.Recv(p)
+			out.Collected++
 			if issued < len(pr.Pairs) {
 				p.Wait(dispatchSeconds)
-				jobCh.Send(p, jobMsg{id: issued, pair: pr.Pairs[issued]})
+				jobCh.Send(p, pr.Pairs[issued])
 				issued++
 			}
 		}
-		for range s.Placement().Cores {
-			jobCh.Send(p, stop{})
+		for range slaves {
+			jobCh.Send(p, nil)
 		}
+		out.TotalSeconds = p.Now()
 	})
-	out := RunResult{Report: rep}
+	err := engine.Run()
 	out.DiskBusySeconds = disk.BusySeconds()
 	return out, err
 }

@@ -494,7 +494,8 @@ func masterTree(pr *core.PairResults, workers, chips int, cfg core.Config) (core
 	if err != nil {
 		return core.RunResult{}, err
 	}
-	return core.RunMultiChip(pr, workers/chips, core.MultiChipConfig{Config: cfg, Chips: chips, Interchip: ideal})
+	cfg.Chips, cfg.Interchip = chips, ideal
+	return core.Run(pr, workers/chips, cfg)
 }
 
 // masterTreeAblation compares the flat single master against two- and
@@ -672,9 +673,9 @@ func chipScalingSweep(pr *core.PairResults, slavesPerChip int, chipCounts []int)
 	}
 	points, err := farm.Sweep(chipCounts, false, func(n int) (point, error) {
 		reg := metrics.New()
-		cfg := core.MultiChipConfig{Config: core.DefaultConfig(), Chips: n}
-		cfg.Metrics = reg
-		r, err := core.RunMultiChip(pr, slavesPerChip, cfg)
+		cfg := core.DefaultConfig()
+		cfg.Chips, cfg.Metrics = n, reg
+		r, err := core.Run(pr, slavesPerChip, cfg)
 		return point{r, reg.Counter("rcce.send.bytes").Value()}, err
 	})
 	if err != nil {

@@ -72,7 +72,7 @@ func TestBatchHandlerRunsSubJobs(t *testing.T) {
 }
 
 func TestPrepareJobsClassicNoop(t *testing.T) {
-	s, err := New(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3})
+	s, err := New(Config{Chip: scc.DefaultConfig()}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPrepareJobsClassicNoop(t *testing.T) {
 }
 
 func TestPrepareJobsBatchAssembly(t *testing.T) {
-	s, err := New(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3, Batch: 4})
+	s, err := New(Config{Chip: scc.DefaultConfig(), Batch: 4}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestPrepareJobsBatchAssembly(t *testing.T) {
 }
 
 func TestPrepareJobsCachedSingles(t *testing.T) {
-	s, err := New(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3, CacheStructs: 4})
+	s, err := New(Config{Chip: scc.DefaultConfig(), CacheStructs: 4}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +167,12 @@ func TestBatchedCachedFarmEndToEnd(t *testing.T) {
 	var collected []int
 	s, err := New(Config{
 		Chip:         scc.DefaultConfig(),
-		MasterCore:   0,
-		Slaves:       3,
 		Batch:        3,
 		CacheStructs: 6,
 		Collector: CollectorFunc(func(r rckskel.Result) {
 			collected = append(collected, r.JobID)
 		}),
-	})
+	}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +183,7 @@ func TestBatchedCachedFarmEndToEnd(t *testing.T) {
 	s.StartSlaves(BatchHandler(func(job rckskel.Job) (any, costmodel.Counter, int) {
 		return job.Payload, costmodel.Counter{ScoreEvals: 1e5}, 64
 	}))
-	rep, err := s.Run("", func(m *Master) {
+	rep, err := s.Run(func(m *Master) {
 		m.FarmWork(Work{Jobs: wired}, nil)
 		m.Terminate()
 	})

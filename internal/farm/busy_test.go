@@ -114,12 +114,12 @@ func TestBusyRefusesOutOfOrder(t *testing.T) {
 		t.Errorf("a refused interval changed the busy time to %v", b.Seconds())
 	}
 	for _, outOfOrder := range []bool{false, true} {
-		s, err := farm.New(farm.Config{Chip: scc.DefaultConfig(), MasterCore: farm.HostMaster, Slaves: 1})
+		s, err := farm.New(farm.Config{Chip: scc.DefaultConfig()}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		act := s.Activity()
-		_, err = s.Run("", func(m *farm.Master) {
+		act := farm.ActivityOf(s)
+		_, err = s.Run(func(m *farm.Master) {
 			m.P.Wait(3)
 			act.Add("rck00", 1, 2, "compute")
 			if outOfOrder {
@@ -147,7 +147,7 @@ func TestReportBusyMatchesRecorder(t *testing.T) {
 	}
 	runs := []struct {
 		name  string
-		cfg   core.MultiChipConfig
+		cfg   farm.Config // Faults, JobDeadlineSeconds and Chips
 		slave int
 		// stalled and markOnly demand a track of that shape, so the
 		// scenario keeps exercising it.
@@ -155,21 +155,19 @@ func TestReportBusyMatchesRecorder(t *testing.T) {
 	}{
 		{name: "flat-s47", slave: 47},
 		{name: "stall-past-makespan", slave: 6, stalled: true,
-			cfg: core.MultiChipConfig{Config: core.Config{Faults: plan("seed=1;stall=3@5+5000"), JobDeadlineSeconds: 60}}},
+			cfg: farm.Config{Faults: plan("seed=1;stall=3@5+5000"), JobDeadlineSeconds: 60}},
 		{name: "kill-at-start", slave: 6, markOnly: true,
-			cfg: core.MultiChipConfig{Config: core.Config{Faults: plan("seed=1;kill=4@0;kill=5@30")}}},
+			cfg: farm.Config{Faults: plan("seed=1;kill=4@0;kill=5@30")}},
 		{name: "chips4-kills", slave: 12,
-			cfg: core.MultiChipConfig{Chips: 4, Config: core.Config{Faults: plan("seed=1;kill=12@10;kill=30@20")}}},
+			cfg: farm.Config{Chips: 4, Faults: plan("seed=1;kill=12@10;kill=30@20")}},
 	}
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
-			cfg := r.cfg
-			base := core.DefaultConfig()
-			base.Faults, base.JobDeadlineSeconds = cfg.Faults, cfg.JobDeadlineSeconds
-			cfg.Config = base
+			cfg := core.DefaultConfig()
+			cfg.Faults, cfg.JobDeadlineSeconds, cfg.Chips = r.cfg.Faults, r.cfg.JobDeadlineSeconds, r.cfg.Chips
 			rec := trace.New()
 			cfg.Trace = rec
-			res, err := core.RunMultiChip(pr, r.slave, cfg)
+			res, err := core.Run(pr, r.slave, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,32 +15,30 @@ import (
 func TestPlaceTypedErrors(t *testing.T) {
 	chip := scc.DefaultConfig() // 48 cores
 	cases := []struct {
-		name string
-		cfg  farm.Config
-		want error
+		name   string
+		cfg    farm.Config
+		slaves int
+		want   error
 	}{
-		{"no chip", farm.Config{Slaves: 4}, farm.ErrMasterCore},
-		{"master below range", farm.Config{Chip: chip, MasterCore: -2, Slaves: 4}, farm.ErrMasterCore},
-		{"master above range", farm.Config{Chip: chip, MasterCore: 48, Slaves: 4}, farm.ErrMasterCore},
-		{"zero slaves", farm.Config{Chip: chip, Slaves: 0}, farm.ErrSlaveCount},
-		{"negative slaves", farm.Config{Chip: chip, Slaves: -3}, farm.ErrSlaveCount},
-		{"too many slaves", farm.Config{Chip: chip, Slaves: 48}, farm.ErrSlaveCount},
-		{"too many for host master", farm.Config{Chip: chip, MasterCore: farm.HostMaster, Slaves: 49}, farm.ErrSlaveCount},
-		{"incomplete worker", farm.Config{Chip: chip, Slaves: 1, ThreadsPerWorker: 2}, farm.ErrWorkerGrouping},
+		{"no chip", farm.Config{}, 4, farm.ErrSlaveCount},
+		{"zero slaves", farm.Config{Chip: chip}, 0, farm.ErrSlaveCount},
+		{"negative slaves", farm.Config{Chip: chip}, -3, farm.ErrSlaveCount},
+		{"too many slaves", farm.Config{Chip: chip}, 48, farm.ErrSlaveCount},
+		{"incomplete worker", farm.Config{Chip: chip, ThreadsPerWorker: 2}, 1, farm.ErrWorkerGrouping},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := farm.Place(tc.cfg); !errors.Is(err, tc.want) {
+			if _, err := farm.Place(tc.cfg, tc.slaves); !errors.Is(err, tc.want) {
 				t.Errorf("Place error = %v, want errors.Is %v", err, tc.want)
 			}
-			if _, err := farm.New(tc.cfg); !errors.Is(err, tc.want) {
+			if _, err := farm.New(tc.cfg, tc.slaves); !errors.Is(err, tc.want) {
 				t.Errorf("New error = %v, want errors.Is %v", err, tc.want)
 			}
 		})
 	}
-	// Host master allows exactly all cores as slaves.
-	if _, err := farm.Place(farm.Config{Chip: chip, MasterCore: farm.HostMaster, Slaves: 48}); err != nil {
-		t.Errorf("48 slaves under a host master rejected: %v", err)
+	// Every core but the master's may be a slave.
+	if _, err := farm.Place(farm.Config{Chip: chip}, 47); err != nil {
+		t.Errorf("47 slaves rejected: %v", err)
 	}
 }
 
@@ -72,8 +70,7 @@ func TestNewRejectsBadFaultPlan(t *testing.T) {
 		"bad probability":   {Links: []fault.LinkFault{{Src: 1, Dst: 2, DropProb: 2}}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfg := farm.Config{Chip: chip, MasterCore: 0, Slaves: 4, Faults: plan}
-			if _, err := farm.New(cfg); !errors.Is(err, farm.ErrFaultPlan) {
+			if _, err := farm.New(farm.Config{Chip: chip, Faults: plan}, 4); !errors.Is(err, farm.ErrFaultPlan) {
 				t.Errorf("New error = %v, want errors.Is ErrFaultPlan", err)
 			}
 		})
@@ -89,11 +86,9 @@ func TestPartitionedFarmRecoversInsideItsPartition(t *testing.T) {
 	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
 	s, err := farm.New(farm.Config{
 		Chip:               scc.DefaultConfig(),
-		MasterCore:         0,
-		Slaves:             4,
 		Faults:             &fault.Plan{Kills: []fault.CoreFailure{{Core: 1, At: 1.5 * js}}},
 		JobDeadlineSeconds: 3 * js,
-	})
+	}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +96,7 @@ func TestPartitionedFarmRecoversInsideItsPartition(t *testing.T) {
 	all := intJobs(24)
 	queueOf := map[int]int{1: 0, 2: 0, 3: 1, 4: 1}
 	ranOn := map[int]int{}
-	rep, err := s.Run("", func(m *farm.Master) {
+	rep, err := s.Run(func(m *farm.Master) {
 		m.FarmWork(farm.Work{Queues: [][]rckskel.Job{all[:12], all[12:]}, QueueOf: queueOf}, func(r rckskel.Result) {
 			if _, dup := ranOn[r.JobID]; dup {
 				t.Errorf("job %d collected twice", r.JobID)
@@ -133,18 +128,16 @@ func TestOrphanedQueueIsLost(t *testing.T) {
 	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
 	s, err := farm.New(farm.Config{
 		Chip:               scc.DefaultConfig(),
-		MasterCore:         0,
-		Slaves:             4,
 		Faults:             &fault.Plan{Kills: []fault.CoreFailure{{Core: 1, At: 1.5 * js}, {Core: 2, At: 1.5 * js}}},
 		JobDeadlineSeconds: 3 * js,
-	})
+	}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.StartSlaves(countJobs)
 	all := intJobs(24)
 	got := map[int]bool{}
-	rep, err := s.Run("", func(m *farm.Master) {
+	rep, err := s.Run(func(m *farm.Master) {
 		m.FarmWork(farm.Work{Queues: [][]rckskel.Job{all[:12], all[12:]}, QueueOf: map[int]int{1: 0, 2: 0, 3: 1, 4: 1}},
 			func(r rckskel.Result) { got[r.JobID] = true })
 		m.Terminate()
@@ -185,17 +178,15 @@ func TestSessionFaultTolerantKillRun(t *testing.T) {
 	plan := &fault.Plan{Kills: []fault.CoreFailure{{Core: 2, At: 1.5 * js}}}
 	s, err := farm.New(farm.Config{
 		Chip:               scc.DefaultConfig(),
-		MasterCore:         0,
-		Slaves:             4,
 		Faults:             plan,
 		JobDeadlineSeconds: 3 * js,
-	})
+	}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.StartSlaves(countJobs)
 	got := map[int]int{}
-	rep, err := s.Run("", func(m *farm.Master) {
+	rep, err := s.Run(func(m *farm.Master) {
 		m.FarmWork(farm.Work{Jobs: intJobs(24)}, func(r rckskel.Result) { got[r.JobID]++ })
 		m.Terminate()
 	})
@@ -228,12 +219,12 @@ func TestSessionFaultTolerantKillRun(t *testing.T) {
 }
 
 func TestSessionClassicRunHasNoFaultsBlock(t *testing.T) {
-	s, err := farm.New(farm.Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 3})
+	s, err := farm.New(farm.Config{Chip: scc.DefaultConfig()}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.StartSlaves(countJobs)
-	rep, err := s.Run("", func(m *farm.Master) {
+	rep, err := s.Run(func(m *farm.Master) {
 		m.FarmWork(farm.Work{Jobs: intJobs(6)}, nil)
 		m.Terminate()
 	})

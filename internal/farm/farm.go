@@ -1,17 +1,16 @@
-// Package farm is the unified run harness beneath every master–slaves
-// execution path in this repository (core's run pipeline, the
-// distributed MCPC baseline and the multi-criteria PSC farms). It owns
-// the pieces those paths used to duplicate: simulation runtime
-// construction (engine + chip + comm), slave placement (master skip,
-// thread-grouped tile workers), job building, master spawn, result
-// collection through a pluggable Collector, termination, and a uniform
-// Report with per-core utilization derived from trace.
+// Package farm is the unified run harness beneath every FARM execution
+// path in this repository (core's run pipeline and the multi-criteria
+// PSC farms). It owns the pieces those paths used to duplicate:
+// simulation runtime construction (engine + chip + comm), slave placement
+// (master skip, thread-grouped tile workers), job building, master
+// spawn, result collection through a pluggable Collector, termination,
+// and a uniform Report with per-core utilization derived from trace.
 //
 // A path composes a Session instead of copying a 150-line run function:
 //
-//	s, _ := farm.New(farm.Config{Chip: chip, Slaves: n})
+//	s, _ := farm.New(farm.Config{Chip: chip}, n)
 //	s.StartSlaves(handler)
-//	rep, err := s.Run("", func(m *farm.Master) {
+//	rep, err := s.Run(func(m *farm.Master) {
 //	        m.LoadResidues(ds.TotalResidues())
 //	        m.FarmWork(farm.Work{Jobs: jobs}, nil)
 //	        m.Terminate()
@@ -55,24 +54,18 @@ type CollectorFunc func(rckskel.Result)
 // Collect implements Collector.
 func (f CollectorFunc) Collect(r rckskel.Result) { f(r) }
 
-// HostMaster as Config.MasterCore places the master off-chip (an MCPC
-// host process driving the cores, as in the distributed baseline): no
-// core is reserved for it and slave placement starts at core 0.
-const HostMaster = -1
-
-// Config describes one farm session: a board of Chips chips.
+// Config describes one farm session: a board of Chips chips, each with
+// its master on core 0 (paper: "the first core supplied to the program").
 type Config struct {
 	// Chip is the simulated SCC, the same on every chip of the board.
 	Chip scc.Config
-	// MasterCore hosts the master process (HostMaster = off-chip). On
-	// more than one chip every chip's master is its core 0.
-	MasterCore int
-	// Slaves is the number of slave cores to place on each chip.
-	Slaves int
 	// ThreadsPerWorker groups that many consecutive slave cores into one
-	// worker process (2 = dual-core tile workers). When the slave count
-	// is not a multiple, the leftover cores are not used; the rounding is
-	// reported in Report.EffectiveCores / Report.DroppedCores.
+	// worker process, the paper's future work ("building support for
+	// threading into the base library"). At 2 each worker uses both cores
+	// of its tile and finishes a job in 1/(2*0.9) of the serial time (DP
+	// and scoring parallelise well, the Kabsch solves less so). 0 or 1 =
+	// the paper's single-threaded slaves; the leftover cores of a slave
+	// count that is not a multiple are unused (Report.DroppedCores).
 	ThreadsPerWorker int
 	// PollingScale scales the master's round-robin polling discovery
 	// cost on every team (1 = the paper's busy polling, 0 = ideal
@@ -417,12 +410,13 @@ func (l *ledger) hand(jobs []rckskel.Job) {
 	}
 }
 
-// New validates the configuration and builds the board: the chips, each
-// with its runtime, metric labels and, under a fault plan, its injector
-// armed with its share of the plan (kill/stall events scheduled, wire
-// interposer installed), and on more than one chip the fabric. A chip
-// count of 0 or 1 builds one chip.
-func New(cfg Config) (*Session, error) {
+// New validates the configuration and builds the board of slaves slave
+// cores per chip: the chips, each with its runtime, metric labels, its
+// default team and, under a fault plan, its injector armed with its
+// share of the plan (kill/stall events scheduled, wire interposer
+// installed), and on more than one chip the fabric. A chip count of 0 or
+// 1 builds one chip.
+func New(cfg Config, slaves int) (*Session, error) {
 	if cfg.Chips < 0 {
 		return nil, fmt.Errorf("farm: chip count %d is negative", cfg.Chips)
 	}
@@ -430,7 +424,6 @@ func New(cfg Config) (*Session, error) {
 	s := &Session{engine: sim.NewEngine(), act: activity{rec: cfg.Trace, busy: map[string]*trace.Busy{}}}
 	plans := []*fault.Plan{cfg.Faults} // one per chip
 	if n > 1 {
-		cfg.MasterCore = 0
 		var err error
 		if s.gather, err = cfg.Gather.resolved(); err != nil {
 			return nil, err
@@ -444,7 +437,7 @@ func New(cfg Config) (*Session, error) {
 	}
 	s.cfg = cfg
 	var err error
-	if s.place, err = Place(cfg); err != nil {
+	if s.place, err = Place(cfg, slaves); err != nil {
 		return nil, err
 	}
 	if cfg.Metrics != nil {
@@ -464,28 +457,26 @@ func New(cfg Config) (*Session, error) {
 			ch.comm.SetMetrics(cfg.Metrics, labels...)
 		}
 		if cfg.Faults != nil {
-			if err := plans[c].Validate(chipCfg.NumCores(), cfg.MasterCore); err != nil {
+			if err := plans[c].Validate(chipCfg.NumCores(), 0); err != nil {
 				return nil, fmt.Errorf("farm: %w: %v", ErrFaultPlan, err)
 			}
 			ch.injector = fault.NewInjector(plans[c])
 			ch.injector.Arm(sc, &s.act)
 			ch.comm.SetInterposer(ch.injector)
 		}
-		if cfg.MasterCore != HostMaster {
-			// The chip's default team: its master plus one slave process
-			// per placed worker.
-			ch.team = rckskel.NewTeam(ch.comm, cfg.MasterCore, s.place.WorkerLeads)
-			if cfg.PollingScale >= 0 {
-				ch.team.DiscoveryCostScale = cfg.PollingScale
-			}
-			ch.team.Trace = &s.act
-			ch.team.SetMetrics(cfg.Metrics, labels...)
+		// The chip's default team: its master plus one slave process per
+		// placed worker.
+		ch.team = rckskel.NewTeam(ch.comm, 0, s.place.WorkerLeads)
+		if cfg.PollingScale >= 0 {
+			ch.team.DiscoveryCostScale = cfg.PollingScale
 		}
+		ch.team.Trace = &s.act
+		ch.team.SetMetrics(cfg.Metrics, labels...)
 		s.chips = append(s.chips, ch)
 	}
 	s.rep = Report{
 		Backend:         "scc-sim",
-		Slaves:          n * cfg.Slaves,
+		Slaves:          n * slaves,
 		Workers:         n * len(s.place.WorkerLeads),
 		EffectiveCores:  n * s.place.EffectiveCores,
 		DroppedCores:    n * s.place.DroppedCores,
@@ -499,20 +490,11 @@ func New(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// Chip returns the root chip's model.
-func (s *Session) Chip() *scc.Chip { return s.chips[0].sc }
-
 // Placement returns the slave placement, the same on every chip
 // (chip-local core ids).
 func (s *Session) Placement() Placement { return s.place }
 
-// Activity returns the session's activity sink, shared by every chip:
-// its intervals are the report's busy time, and they and its marks reach
-// the configured Trace, if any.
-func (s *Session) Activity() trace.Sink { return &s.act }
-
-// StartSlaves spawns every chip's slave loops with one handler (on-chip
-// masters only).
+// StartSlaves spawns every chip's slave loops with one handler.
 func (s *Session) StartSlaves(h rckskel.Handler) {
 	for _, c := range s.chips {
 		c.team.StartSlaves(h)
@@ -522,17 +504,16 @@ func (s *Session) StartSlaves(h rckskel.Handler) {
 // deliver unwraps BatchResults (attributing sub-results to the
 // collecting slave) and routes every per-job result through chip c's
 // bookkeeping, the configured Collector, and the per-farm extra
-// callback; it returns how many per-job results it delivered. Collectors
-// therefore observe exactly the same result stream — same payloads,
-// same order — as on a classic one-message-per-job farm.
-func (s *Session) deliver(c *chip, r rckskel.Result, extra func(rckskel.Result)) int {
+// callback. Collectors therefore observe exactly the same result stream
+// — same payloads, same order — as on a classic one-message-per-job
+// farm.
+func (s *Session) deliver(c *chip, r rckskel.Result, extra func(rckskel.Result)) {
 	if br, ok := r.Payload.(BatchResult); ok {
-		n := 0
 		for _, sub := range br.Results {
 			sub.Slave = r.Slave
-			n += s.deliver(c, sub, extra)
+			s.deliver(c, sub, extra)
 		}
-		return n
+		return
 	}
 	c.collected++
 	if s.cfg.Collector != nil {
@@ -541,25 +522,23 @@ func (s *Session) deliver(c *chip, r rckskel.Result, extra func(rckskel.Result))
 	if extra != nil {
 		extra(r)
 	}
-	return 1
 }
 
 // Run executes the board and returns the finalized report. body is the
-// root master's program, on the configured core or, when MasterCore is
-// HostMaster, as a host process named name ("" = "master"). Slaves must
-// have been started (or custom core processes spawned) before. On more
-// than one chip Run also spawns every remote chip's sub-master (see
-// subMaster), and the root drains the gather after body returns.
+// root master's program, on chip 0's core 0. Slaves must have been
+// started before. On more than one chip Run also spawns every remote
+// chip's sub-master (see subMaster), and the root drains the gather
+// after body returns.
 //
 // A run that completes is checked against its own accounting; Run
 // returns a wrapped ErrInvariant when a farmed job was neither collected
 // exactly once nor written off, a traced core was busy longer than the
 // run, or the fabric carried bytes beyond shards, blobs and control.
-func (s *Session) Run(name string, body func(m *Master)) (Report, error) {
+func (s *Session) Run(body func(m *Master)) (Report, error) {
 	for _, c := range s.chips[1:] {
-		s.spawn(c, "", s.subMaster)
+		s.spawn(c, s.subMaster)
 	}
-	s.spawn(s.chips[0], name, func(m *Master) {
+	s.spawn(s.chips[0], func(m *Master) {
 		body(m)
 		s.drainRoot(m)
 	})
@@ -570,19 +549,14 @@ func (s *Session) Run(name string, body func(m *Master)) (Report, error) {
 	return s.rep, err
 }
 
-// spawn schedules chip c's master process running body.
-func (s *Session) spawn(c *chip, name string, body func(m *Master)) {
+// spawn schedules chip c's master process, on its core 0, running body.
+func (s *Session) spawn(c *chip, body func(m *Master)) {
 	m := &Master{s: s, c: c}
-	run := func(p *sim.Process) {
+	c.sc.SpawnCore(0, func(p *sim.Process) {
 		m.P = p
 		body(m)
 		c.total = p.Now()
-	}
-	if s.cfg.MasterCore == HostMaster {
-		s.engine.Spawn(cmp.Or(name, "master"), run)
-	} else {
-		c.sc.SpawnCore(s.cfg.MasterCore, run)
-	}
+	})
 }
 
 // finalize writes every chip's contribution into the board report —
@@ -836,13 +810,6 @@ func (m *Master) LoadResidues(n int) {
 	m.c.sc.Compute(m.P, costmodel.Counter{ResiduesLoaded: uint64(n)})
 	m.s.rep.LoadSeconds = m.P.Now()
 }
-
-// Collect performs the chip's result bookkeeping for a result gathered
-// by a bespoke protocol (the distributed baseline's) instead of
-// FarmWork: batched results are unwrapped into their per-job
-// sub-results, each is counted and forwarded to the configured
-// Collector.
-func (m *Master) Collect(r rckskel.Result) { m.c.ledger.pairs += m.s.deliver(m.c, r, nil) }
 
 // Work is one master's prepared workload: a single job queue every
 // slave draws from (Jobs: the paper's FARM) or one pull queue per slave

@@ -13,11 +13,11 @@ import (
 )
 
 func TestPlaceSkipsMaster(t *testing.T) {
-	p, err := Place(Config{Chip: scc.DefaultConfig(), MasterCore: 2, Slaves: 4})
+	p, err := Place(Config{Chip: scc.DefaultConfig()}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{0, 1, 3, 4}
+	want := []int{1, 2, 3, 4}
 	if !reflect.DeepEqual(p.Cores, want) {
 		t.Errorf("Cores = %v, want %v", p.Cores, want)
 	}
@@ -29,22 +29,8 @@ func TestPlaceSkipsMaster(t *testing.T) {
 	}
 }
 
-func TestPlaceHostMaster(t *testing.T) {
-	p, err := Place(Config{Chip: scc.DefaultConfig(), MasterCore: HostMaster, Slaves: 48})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Cores) != 48 || p.Cores[0] != 0 || p.Cores[47] != 47 {
-		t.Errorf("host-master placement should use every core: %v", p.Cores)
-	}
-	// On-chip master caps slaves at NumCores-1.
-	if _, err := Place(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 48}); err == nil {
-		t.Error("expected error for 48 slaves with an on-chip master")
-	}
-}
-
 func TestPlaceThreadGrouping(t *testing.T) {
-	p, err := Place(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 7, ThreadsPerWorker: 2})
+	p, err := Place(Config{Chip: scc.DefaultConfig(), ThreadsPerWorker: 2}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,19 +45,16 @@ func TestPlaceThreadGrouping(t *testing.T) {
 		t.Errorf("OpScale = %v, want %v", p.OpScale, want)
 	}
 	// A single core cannot form a 2-thread worker.
-	if _, err := Place(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 1, ThreadsPerWorker: 2}); err == nil {
+	if _, err := Place(Config{Chip: scc.DefaultConfig(), ThreadsPerWorker: 2}, 1); err == nil {
 		t.Error("expected error for 1 slave with 2-thread workers")
 	}
 }
 
 func TestPlaceValidation(t *testing.T) {
-	if _, err := Place(Config{Chip: scc.DefaultConfig(), MasterCore: 48, Slaves: 1}); err == nil {
-		t.Error("expected error for out-of-range master core")
-	}
-	if _, err := Place(Config{Chip: scc.DefaultConfig(), MasterCore: 0, Slaves: 0}); err == nil {
+	if _, err := Place(Config{Chip: scc.DefaultConfig()}, 0); err == nil {
 		t.Error("expected error for zero slaves")
 	}
-	if _, err := Place(Config{Slaves: 1}); err == nil {
+	if _, err := Place(Config{}, 1); err == nil {
 		t.Error("expected error for a zero-value chip")
 	}
 }
@@ -166,11 +149,9 @@ func TestSessionRunsAFarm(t *testing.T) {
 	var collected []int
 	s, err := New(Config{
 		Chip:         scc.DefaultConfig(),
-		MasterCore:   0,
-		Slaves:       3,
 		PollingScale: 1,
 		Collector:    CollectorFunc(func(r rckskel.Result) { collected = append(collected, r.JobID) }),
-	})
+	}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +162,7 @@ func TestSessionRunsAFarm(t *testing.T) {
 	s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
 		return job.Payload, costmodel.Counter{ScoreEvals: 1e6}, 64
 	})
-	rep, err := s.Run("", func(m *Master) {
+	rep, err := s.Run(func(m *Master) {
 		m.LoadResidues(1000)
 		m.FarmWork(Work{Jobs: jobs}, nil)
 		m.Terminate()

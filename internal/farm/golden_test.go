@@ -1,7 +1,8 @@
 package farm_test
 
-// The golden equivalence test: every run path on the farm harness must
-// reproduce the captured simulated timings bit-for-bit (same seed =>
+// The golden equivalence test: every run path on the farm harness, and
+// the MCPC baseline beside it, must reproduce the captured simulated
+// timings bit-for-bit (same seed =>
 // identical TotalSeconds, farm statistics and similarity matrices).
 // The scenarios below are the golden's one definition — they both check
 // testdata/golden.json and, only when a timing-model change is intended,
@@ -131,8 +132,8 @@ func jobsKey(m map[int]int) map[string]int {
 	return out
 }
 
-// flat runs the one-chip farm with DefaultConfig after mut.
-func flat(slaves int, mut func(*core.Config)) func(*core.PairResults) (core.RunResult, error) {
+// coreRun runs core.Run with DefaultConfig after mut.
+func coreRun(slaves int, mut func(*core.Config)) func(*core.PairResults) (core.RunResult, error) {
 	return func(pr *core.PairResults) (core.RunResult, error) {
 		cfg := core.DefaultConfig()
 		if mut != nil {
@@ -147,27 +148,27 @@ var coreScenarios = []struct {
 	name string
 	run  func(*core.PairResults) (core.RunResult, error)
 }{
-	{"core-flat-s1", flat(1, nil)},
-	{"core-flat-s4", flat(4, nil)},
-	{"core-flat-s7", flat(7, nil)},
-	{"core-lpt-s5", flat(5, func(c *core.Config) { c.Order = sched.LPT })},
-	{"core-random-s5", flat(5, func(c *core.Config) { c.Order, c.OrderSeed = sched.Random, 42 })},
+	{"core-flat-s1", coreRun(1, nil)},
+	{"core-flat-s4", coreRun(4, nil)},
+	{"core-flat-s7", coreRun(7, nil)},
+	{"core-lpt-s5", coreRun(5, func(c *core.Config) { c.Order = sched.LPT })},
+	{"core-random-s5", coreRun(5, func(c *core.Config) { c.Order, c.OrderSeed = sched.Random, 42 })},
 	// Event-driven polling ablation.
-	{"core-poll0-s4", flat(4, func(c *core.Config) { c.PollingScale = 0 })},
+	{"core-poll0-s4", coreRun(4, func(c *core.Config) { c.PollingScale = 0 })},
 	// Dual-threaded tile workers, even and odd (core-dropping) counts.
-	{"core-threads2-s6", flat(6, func(c *core.Config) { c.ThreadsPerWorker = 2 })},
-	{"core-threads2-s7", flat(7, func(c *core.Config) { c.ThreadsPerWorker = 2 })},
+	{"core-threads2-s6", coreRun(6, func(c *core.Config) { c.ThreadsPerWorker = 2 })},
+	{"core-threads2-s7", coreRun(7, func(c *core.Config) { c.ThreadsPerWorker = 2 })},
 	// The master tree: a sub-master per chip, ideal interconnect.
 	{"core-chips2-ideal-s3", func(pr *core.PairResults) (core.RunResult, error) {
 		ideal, err := interchip.Profile("ideal")
 		if err != nil {
 			return core.RunResult{}, err
 		}
-		return core.RunMultiChip(pr, 3, core.MultiChipConfig{Config: core.DefaultConfig(), Chips: 2, Interchip: ideal})
+		return coreRun(3, func(c *core.Config) { c.Chips, c.Interchip = 2, ideal })(pr)
 	}},
 	// Out-of-core tiled run: the budget forces several blocks.
 	{"core-tiled-s4", func(pr *core.PairResults) (core.RunResult, error) {
-		return flat(4, func(c *core.Config) { c.MemoryBudgetResidues = pr.Dataset.TotalResidues() * 2 / 5 })(pr)
+		return coreRun(4, func(c *core.Config) { c.MemoryBudgetResidues = pr.Dataset.TotalResidues() * 2 / 5 })(pr)
 	}},
 }
 
@@ -190,8 +191,8 @@ var boardScenarios = []struct {
 }{
 	// Two chips with the cache/batch wire model and cache-affinity deals.
 	{"board-chips2-wire-affinity", func(t *testing.T) farm.Report {
-		cfg := core.MultiChipConfig{Config: core.DefaultConfig(), Chips: 2}
-		cfg.CacheStructs, cfg.Batch, cfg.Affinity = -1, 8, true
+		cfg := core.DefaultConfig()
+		cfg.Chips, cfg.CacheStructs, cfg.Batch, cfg.Affinity = 2, -1, 8, true
 		return runBoard(t, ck34(t), 12, cfg)
 	}},
 	// Four chips on a binary gather tree, two slaves of chip 0 killed
@@ -201,8 +202,8 @@ var boardScenarios = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := core.MultiChipConfig{Config: core.DefaultConfig(), Chips: 4,
-			Gather: farm.GatherConfig{Mode: farm.GatherTree, Arity: 2}}
+		cfg := core.DefaultConfig()
+		cfg.Chips, cfg.Gather = 4, farm.GatherConfig{Mode: farm.GatherTree, Arity: 2}
 		cfg.Faults, cfg.Metrics = plan, metrics.New()
 		return runBoard(t, ck34(t), 47, cfg)
 	}},
@@ -210,13 +211,15 @@ var boardScenarios = []struct {
 	{"board-chips3-empty-shard", func(t *testing.T) farm.Report {
 		ds := synth.Small(8, 77)
 		pr := core.ComputePairsShared(ds, tmalign.FastOptions(), pairstore.New(0), sched.AllVsAll(ds.Len())[:2])
-		return runBoard(t, pr, 3, core.MultiChipConfig{Config: core.DefaultConfig(), Chips: 3})
+		cfg := core.DefaultConfig()
+		cfg.Chips = 3
+		return runBoard(t, pr, 3, cfg)
 	}},
 }
 
-func runBoard(t *testing.T, pr *core.PairResults, slaves int, cfg core.MultiChipConfig) farm.Report {
+func runBoard(t *testing.T, pr *core.PairResults, slaves int, cfg core.Config) farm.Report {
 	t.Helper()
-	r, err := core.RunMultiChip(pr, slaves, cfg)
+	r, err := core.Run(pr, slaves, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,11 +23,10 @@ func multiChipRun(t *testing.T, chips, slaves int, queues [][]rckskel.Job, reg *
 	s, err := New(Config{
 		Chips:        chips,
 		Chip:         scc.DefaultConfig(),
-		Slaves:       slaves,
 		PollingScale: 1,
 		Metrics:      reg,
 		Collector:    CollectorFunc(func(r rckskel.Result) { collected = append(collected, r.JobID) }),
-	})
+	}, slaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func multiChipRun(t *testing.T, chips, slaves int, queues [][]rckskel.Job, reg *
 	for c := range shardBytes {
 		shardBytes[c] = ShardHeaderBytes + int64(len(queues[c]))*512
 	}
-	rep, err := s.Run("", rootBody(1000, asWork(queues), shardBytes))
+	rep, err := s.Run(rootBody(1000, asWork(queues), shardBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,13 +219,13 @@ func TestMultiChipDeterminism(t *testing.T) {
 }
 
 func TestMultiChipValidation(t *testing.T) {
-	if _, err := New(Config{Chips: -1, Chip: scc.DefaultConfig(), Slaves: 3}); err == nil {
+	if _, err := New(Config{Chips: -1, Chip: scc.DefaultConfig()}, 3); err == nil {
 		t.Error("expected an error for a negative chip count")
 	}
-	if _, err := New(Config{Chips: 2, Chip: scc.DefaultConfig(), Slaves: 48}); err == nil {
+	if _, err := New(Config{Chips: 2, Chip: scc.DefaultConfig()}, 48); err == nil {
 		t.Error("expected per-chip slave-count error")
 	}
-	if _, err := New(Config{Chips: 2, Chip: scc.DefaultConfig(), Slaves: 3, Gather: GatherConfig{Mode: "ring"}}); !errors.Is(err, ErrGatherSpec) {
+	if _, err := New(Config{Chips: 2, Chip: scc.DefaultConfig(), Gather: GatherConfig{Mode: "ring"}}, 3); !errors.Is(err, ErrGatherSpec) {
 		t.Errorf("bad gather mode: err = %v, want ErrGatherSpec", err)
 	}
 }
@@ -235,7 +234,7 @@ func TestMultiChipInterchipProfile(t *testing.T) {
 	// A slower interconnect must lengthen the run; an ideal one can only
 	// help. Uses the same workload at both profiles.
 	runWith := func(cfg interchip.Config) Report {
-		s, err := New(Config{Chips: 2, Interchip: cfg, Chip: scc.DefaultConfig(), Slaves: 3, PollingScale: 1})
+		s, err := New(Config{Chips: 2, Interchip: cfg, Chip: scc.DefaultConfig(), PollingScale: 1}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +242,7 @@ func TestMultiChipInterchipProfile(t *testing.T) {
 			return nil, costmodel.Counter{ScoreEvals: 1e6}, 64
 		})
 		queues := synthQueues(2, 8)
-		rep, err := s.Run("", rootBody(1000, asWork(queues), []int64{0, ShardHeaderBytes + 8*512}))
+		rep, err := s.Run(rootBody(1000, asWork(queues), []int64{0, ShardHeaderBytes + 8*512}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +328,7 @@ func TestBoardWorstLinkUsesBoardWindow(t *testing.T) {
 // each result once passes.
 func TestDoubleDeliveryTripsInvariant(t *testing.T) {
 	for _, twice := range []bool{false, true} {
-		s, err := New(Config{Chip: scc.DefaultConfig(), Slaves: 3, Batch: 4})
+		s, err := New(Config{Chip: scc.DefaultConfig(), Batch: 4}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +338,7 @@ func TestDoubleDeliveryTripsInvariant(t *testing.T) {
 		wm := pairWire(6)
 		jobs := s.PrepareJobs(0, pairJobs(sched.AllVsAll(6), wm), wm)
 		doubled := false
-		_, err = s.Run("", func(m *Master) {
+		_, err = s.Run(func(m *Master) {
 			m.FarmWork(Work{Jobs: jobs}, func(r rckskel.Result) {
 				if twice && !doubled {
 					doubled = true

@@ -8,10 +8,8 @@ import (
 // Typed configuration errors, matchable with errors.Is. Place and New
 // wrap them with the offending values.
 var (
-	// ErrMasterCore reports an on-chip master core outside the chip.
-	ErrMasterCore = errors.New("master core out of range")
 	// ErrSlaveCount reports a slave count below 1 or beyond the cores
-	// the chip can offer.
+	// the chip can offer beside its master.
 	ErrSlaveCount = errors.New("slave count out of range")
 	// ErrWorkerGrouping reports too few slave cores to form even one
 	// thread-grouped worker.
@@ -23,9 +21,8 @@ var (
 
 // Placement assigns slave cores and groups them into worker processes.
 type Placement struct {
-	// Master is the master's core (HostMaster when off-chip).
-	Master int
-	// Cores lists the placed slave cores in id order (master skipped).
+	// Cores lists the placed slave cores in id order: 1, 2, ... (core 0
+	// is the master's).
 	Cores []int
 	// WorkerLeads holds the first core of each worker process; the
 	// worker's thread partners are the following Threads-1 cores.
@@ -46,48 +43,36 @@ type Placement struct {
 // worker: DP and scoring parallelise well, the Kabsch solves less so.
 const threadEfficiency = 0.9
 
-// Place computes the slave placement for a config: cfg.Slaves cores in
-// id order, skipping the master core when it is on-chip, grouped into
+// Place computes the slave placement of slaves cores on a chip of cfg:
+// cores 1..slaves in id order (core 0 is the master's), grouped into
 // workers of cfg.ThreadsPerWorker cores.
-func Place(cfg Config) (Placement, error) {
-	numCores := cfg.Chip.NumCores()
-	maxSlaves := numCores
-	if cfg.MasterCore != HostMaster {
-		if cfg.MasterCore < 0 || cfg.MasterCore >= numCores {
-			return Placement{}, fmt.Errorf("farm: %w: core %d outside [0,%d)", ErrMasterCore, cfg.MasterCore, numCores)
-		}
-		maxSlaves--
-	}
-	if cfg.Slaves < 1 || cfg.Slaves > maxSlaves {
-		return Placement{}, fmt.Errorf("farm: %w: %d outside [1,%d]", ErrSlaveCount, cfg.Slaves, maxSlaves)
+func Place(cfg Config, slaves int) (Placement, error) {
+	if maxSlaves := cfg.Chip.NumCores() - 1; slaves < 1 || slaves > maxSlaves {
+		return Placement{}, fmt.Errorf("farm: %w: %d outside [1,%d]", ErrSlaveCount, slaves, maxSlaves)
 	}
 	threads := max(cfg.ThreadsPerWorker, 1)
-	workers := cfg.Slaves / threads
+	workers := slaves / threads
 	if workers < 1 {
-		return Placement{}, fmt.Errorf("farm: %w: %d cores for a %d-thread worker", ErrWorkerGrouping, cfg.Slaves, threads)
+		return Placement{}, fmt.Errorf("farm: %w: %d cores for a %d-thread worker", ErrWorkerGrouping, slaves, threads)
 	}
 	opScale := 1.0
 	if threads > 1 {
 		opScale = 1.0 / (float64(threads) * threadEfficiency)
 	}
-	cores := make([]int, 0, cfg.Slaves)
-	for c := 0; len(cores) < cfg.Slaves; c++ {
-		if c == cfg.MasterCore {
-			continue
-		}
-		cores = append(cores, c)
+	cores := make([]int, slaves)
+	for i := range cores {
+		cores[i] = i + 1
 	}
 	leads := make([]int, 0, workers)
 	for w := 0; w < workers; w++ {
 		leads = append(leads, cores[w*threads])
 	}
 	return Placement{
-		Master:         cfg.MasterCore,
 		Cores:          cores,
 		WorkerLeads:    leads,
 		Threads:        threads,
 		OpScale:        opScale,
 		EffectiveCores: workers * threads,
-		DroppedCores:   cfg.Slaves - workers*threads,
+		DroppedCores:   slaves - workers*threads,
 	}, nil
 }

@@ -51,17 +51,31 @@ type Slot struct {
 // start slot.
 func Ramp(start, step, target float64, slotDur time.Duration) []Slot {
 	var out []Slot
-	rps := start
-	for {
+	for rps, ok := start, true; ok; rps, ok = rampNext(rps, step, target) {
 		out = append(out, Slot{RPS: rps, Dur: slotDur})
-		if step <= 0 || rps >= target {
-			return out
-		}
-		rps += step
-		if rps > target {
-			rps = target
-		}
 	}
+	return out
+}
+
+// RampSize returns the slot count of Ramp(start, step, target, slotDur)
+// and the requests it schedules (the sum of RPS × slotDur) without
+// building it, stopping once the count passes maxSlots: a tiny step or
+// a step lost to rounding would otherwise ramp forever.
+func RampSize(start, step, target float64, slotDur time.Duration, maxSlots int) (slots int, requests float64) {
+	for rps, ok := start, true; ok && slots <= maxSlots; rps, ok = rampNext(rps, step, target) {
+		slots++
+		requests += rps * slotDur.Seconds()
+	}
+	return slots, requests
+}
+
+// rampNext returns the RPS of the slot after one offering rps, or false
+// after the ramp's last slot.
+func rampNext(rps, step, target float64) (float64, bool) {
+	if step <= 0 || rps >= target {
+		return 0, false
+	}
+	return min(rps+step, target), true
 }
 
 // Mix assigns each operation kind a sampling weight. Weights need not

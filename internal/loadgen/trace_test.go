@@ -35,6 +35,26 @@ func TestRampShape(t *testing.T) {
 	}
 }
 
+// TestRampSizeMatchesRamp: RampSize counts exactly the slots and
+// requests Ramp builds, and stops just past its cap on a ramp that
+// would not end.
+func TestRampSizeMatchesRamp(t *testing.T) {
+	for _, r := range [][3]float64{{10, 10, 50}, {10, 15, 30}, {20, 0, 100}, {0.1, 0.7, 9.3}, {500, 500, 6000}} {
+		slots := Ramp(r[0], r[1], r[2], 1500*time.Millisecond)
+		want := 0.0
+		for _, sl := range slots {
+			want += sl.RPS * sl.Dur.Seconds()
+		}
+		n, requests := RampSize(r[0], r[1], r[2], 1500*time.Millisecond, 100)
+		if n != len(slots) || requests != want {
+			t.Errorf("RampSize%v = %d slots, %v requests; Ramp built %d, %v", r, n, requests, len(slots), want)
+		}
+	}
+	if n, _ := RampSize(1e16, 1, 1e16+2, time.Second, 100); n != 101 {
+		t.Errorf("a step lost to rounding: RampSize stopped at %d slots, want the cap + 1", n)
+	}
+}
+
 func TestSynthesizeDeterministicAndOrdered(t *testing.T) {
 	spec := SynthSpec{Seed: 42, Slots: Ramp(20, 20, 60, time.Second), Poisson: true}
 	a1, err := Synthesize(spec)

@@ -133,7 +133,7 @@ func Run(sc *Scores, assign []int, cfg RunConfig) (RunResult, error) {
 			sc.Methods[m].Name(), m, len(assign))
 	}
 	chip := scc.DefaultConfig()
-	s, err := farm.New(farm.Config{Chip: chip, Slaves: len(assign), PollingScale: 1})
+	s, err := farm.New(farm.Config{Chip: chip, PollingScale: 1}, len(assign))
 	if err != nil {
 		return out, err
 	}
@@ -159,7 +159,7 @@ func Run(sc *Scores, assign []int, cfg RunConfig) (RunResult, error) {
 		score := sc.byJob[job.ID]
 		return score, score.Ops, resultBytes(score)
 	})
-	out.Report, err = s.Run("", func(m *farm.Master) {
+	out.Report, err = s.Run(func(m *farm.Master) {
 		m.LoadResidues(ds.TotalResidues())
 		m.FarmWork(farm.Work{Queues: queues, QueueOf: queueOf}, func(r rckskel.Result) {
 			out.BusySeconds[r.JobID/np] += chip.CPU.Seconds(sc.byJob[r.JobID].Ops)
