@@ -11,12 +11,14 @@ import (
 )
 
 // TestKernelMatchesPairCache recomputes a seeded sample of pairs through
-// tmalign.Compare and requires every cached field — scores with ==, the
-// aligned length and all of Ops — to equal testdata/paircache, which
-// every simulated table is replayed from. The caches predate the
+// tmalign.Compare and requires every cached field — scores to the last
+// bit, the aligned length and all of Ops — to equal testdata/paircache,
+// which every simulated table is replayed from. The caches predate the
 // kernel's compare-scoped memoization (DESIGN.md §17), so this is the
 // in-tree form of rckbench's exactness gate: a kernel change that moves
-// a last bit or an op count fails here first.
+// a last bit or an op count fails here first, with the score-diff report
+// of the sample (scorediff_test.go). After an intended move, regenerate
+// the caches with rckalign -cache and diff them whole with -scorediff.
 func TestKernelMatchesPairCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	sample := func(pairs []sched.Pair, n int) []sched.Pair {
@@ -24,15 +26,13 @@ func TestKernelMatchesPairCache(t *testing.T) {
 		return pairs[:n]
 	}
 	check := func(ds *synth.Dataset, ref *PairResults, what string, pairs []sched.Pair) {
+		want, got := scoreSet{pairs: pairs, ops: true}, scoreSet{pairs: pairs, ops: true}
 		for _, p := range pairs {
-			got := tmalign.Compare(ds.Structures[p.I], ds.Structures[p.J], tmalign.DefaultOptions())
-			want := ref.Get(p)
-			if got.TM1 != want.TM1 || got.TM2 != want.TM2 || got.RMSD != want.RMSD || got.SeqID != want.SeqID ||
-				got.AlignedLen != want.AlignedLen || got.Ops != want.Ops {
-				t.Errorf("%s %s pair %v:\n got TM1=%v TM2=%v RMSD=%v SeqID=%v aligned=%d ops %+v\nwant TM1=%v TM2=%v RMSD=%v SeqID=%v aligned=%d ops %+v",
-					ds.Name, what, p, got.TM1, got.TM2, got.RMSD, got.SeqID, got.AlignedLen, got.Ops,
-					want.TM1, want.TM2, want.RMSD, want.SeqID, want.AlignedLen, want.Ops)
-			}
+			want.results = append(want.results, ref.Get(p))
+			got.results = append(got.results, tmalign.Compare(ds.Structures[p.I], ds.Structures[p.J], tmalign.DefaultOptions()))
+		}
+		if d := diffScores(ds.Name+" "+what+" sample, pair cache -> recompute", want, got); len(d.moved) > 0 {
+			t.Error(d)
 		}
 	}
 	load := func(ds *synth.Dataset) *PairResults {

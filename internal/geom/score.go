@@ -1,14 +1,13 @@
 package geom
 
-// The TM-score term 1/(1+d²/d0²) is the inner loop of every TM-align
-// score matrix and every rotation-search scoring pass. ScoreRow and
+// The TM-score term d0²/(d0²+d²), one divide, is the inner loop of every
+// TM-align score matrix and rotation-search scoring pass. ScoreRow and
 // ScoreSum are its two shapes, and MaxPlusFill folds it into the value
-// table of a gap-free DP round. On amd64 their bodies are SSE2 assembly
-// that evaluates two terms per packed SUBPD/MULPD/ADDPD/DIVPD in exactly
-// the scalar operation order, so every result is bit-identical to the Go
-// bodies below, which every other GOARCH runs and the tests compare
-// against (DESIGN.md §16, "packed TM terms" and "gap-free rounds are
-// max-plus").
+// table of a gap-free DP round. On amd64 their bodies are SSE2 assembly,
+// two terms per packed SUBPD/MULPD/ADDPD/DIVPD in exactly the scalar
+// operation order, bit-identical to the Go bodies below, which every
+// other GOARCH runs and the tests compare against (DESIGN.md §16,
+// "packed TM terms" and "gap-free rounds are max-plus").
 
 // sqDist is |p-q|² as ((dx*dx + dy*dy) + dz*dz), the one operation order
 // of every kernel body. The conversions forbid fused multiply-adds, which
@@ -18,13 +17,14 @@ func sqDist(px, py, pz, qx, qy, qz float64) float64 {
 	return float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 }
 
-// Term is the TM-score term 1/(1+|p-q|²/d02), bit-identical to the entry
-// ScoreRow writes for p and q.
+// Term is the TM-score term d02/(d02+|p-q|²), bit-identical to the entry
+// ScoreRow writes for p and q: in [+0, 1], never −0 or NaN, for finite
+// coordinates and 0 < d02 < +Inf (TestTermOneDivide).
 func Term(px, py, pz, qx, qy, qz, d02 float64) float64 {
-	return 1 / (1 + sqDist(px, py, pz, qx, qy, qz)/d02)
+	return d02 / (d02 + sqDist(px, py, pz, qx, qy, qz))
 }
 
-// ScoreRow sets dst[j] = 1/(1+d/d02) for every j of dst, where d is the
+// ScoreRow sets dst[j] = d02/(d02+d) for every j of dst, where d is the
 // squared distance from p to (yx[j], yy[j], yz[j]): one row of a TM score
 // matrix against a chain mirrored as structure-of-arrays. yx, yy and yz
 // must be at least as long as dst.
@@ -34,7 +34,7 @@ func ScoreRow(dst, yx, yy, yz []float64, p Vec3, d02 float64) {
 }
 
 // ScoreSum sets dis2[i] = |a[i]-b[i]|² for every i of a and returns the
-// sum of 1/(1+dis2[i]/d02), added in index order; with mask, only the
+// sum of d02/(d02+dis2[i]), added in index order; with mask, only the
 // pairs with dis2[i] <= cut2 are added. b and dis2 must be at least as
 // long as a.
 func ScoreSum(dis2 []float64, a, b []Vec3, d02, cut2 float64, mask bool) float64 {
@@ -133,7 +133,7 @@ func scoreSumGo(dis2 []float64, a, b []Vec3, d02, cut2 float64, mask bool) float
 		di := sqDist(p[0], p[1], p[2], q[0], q[1], q[2])
 		dis2[i] = di
 		if !mask || di <= cut2 {
-			sum += 1 / (1 + di/d02)
+			sum += d02 / (d02 + di)
 		}
 	}
 	return sum

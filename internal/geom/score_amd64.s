@@ -15,12 +15,11 @@
 	MULPD X2, X2; \
 	ADDPD X2, X0
 
-// TERM sets X3 = 1 / (1 + X0/d02) lane-wise, with d02 in both lanes of
-// X11 and 1.0 in both lanes of X12. X0 is clobbered.
+// TERM sets X3 = d02 / (X0 + d02) lane-wise, one divide per lane, with
+// d02 in both lanes of X11. X0 is clobbered.
 #define TERM \
-	DIVPD X11, X0; \
-	ADDPD X12, X0; \
-	MOVAPD X12, X3; \
+	ADDPD X11, X0; \
+	MOVAPD X11, X3; \
 	DIVPD X0, X3
 
 // func scoreRow(dst, yx, yy, yz []float64, px, py, pz, d02 float64)
@@ -38,9 +37,6 @@ TEXT ·scoreRow(SB), NOSPLIT, $0-128
 	UNPCKLPD X10, X10
 	MOVSD d02+120(FP), X11
 	UNPCKLPD X11, X11
-	MOVQ $0x3ff0000000000000, AX // 1.0
-	MOVQ AX, X12
-	UNPCKLPD X12, X12
 	XORQ AX, AX
 	MOVQ CX, DX
 	ANDQ $-2, DX
@@ -90,9 +86,6 @@ TEXT ·scoreSum(SB), NOSPLIT, $0-104
 	MOVQ b_base+48(FP), BX
 	MOVSD d02+72(FP), X11
 	UNPCKLPD X11, X11
-	MOVQ $0x3ff0000000000000, AX // 1.0
-	MOVQ AX, X12
-	UNPCKLPD X12, X12
 	MOVSD cut2+80(FP), X13
 	UNPCKLPD X13, X13
 
@@ -197,9 +190,12 @@ sumdone:
 // cell (1, t) and lane 1 cell (2, t-2). Both take their left cell from
 // the previous step's result, so the only loop-carried op is the MAXPD
 // into X13; lane 1's diagonal and up cells are row 1's cells t-3 and t-2,
-// finished two and three steps earlier. A step's up pair is the next
-// step's diagonal pair, so the diagonal stays in X5, and its y[t-1] and
-// y[t-3] are one packed load per axis from the pair mirror (PairMirror).
+// finished three and two steps earlier, and both come from registers.
+// Each step copies X13 to X6 before updating it, so X6 holds row 1 at
+// t-2 in lane 0, not reloaded from the store two steps back. A step's up
+// pair is the next step's diagonal pair, so the diagonal stays in X5.
+// Lane 0's y[t-1] and lane 1's y[t-3] are one packed load per axis from
+// the pair mirror (PairMirror).
 // Columns 1-2 of row 1 run alone first, the last columns of row 2 alone
 // after.
 TEXT ·maxPlusPair(SB), NOSPLIT, $0-104
@@ -220,9 +216,6 @@ TEXT ·maxPlusPair(SB), NOSPLIT, $0-104
 	MOVHPD qz+88(FP), X10
 	MOVSD d02+96(FP), X11
 	UNPCKLPD X11, X11
-	MOVQ $0x3ff0000000000000, AX // 1.0
-	MOVQ AX, X12
-	UNPCKLPD X12, X12
 	XORPD X13, X13 // both rows' column 0
 
 	MOVQ $1, AX
@@ -230,6 +223,7 @@ TEXT ·maxPlusPair(SB), NOSPLIT, $0-104
 	CELL(SI, DI)
 	CMPQ CX, $2
 	JB pairs
+	MOVAPD X13, X6 // row 1 at 1
 	INCQ AX
 	ADDQ $48, R11
 	CELL(SI, DI)
@@ -253,8 +247,9 @@ pair:
 	TERM
 	ADDPD X5, X3 // diagonal: row 0 at t-1, row 1 at t-3
 	MOVSD (SI)(AX*8), X5 // up: row 0 at t, row 1 at t-2; the next diagonal
-	MOVHPD -16(DI)(AX*8), X5
+	UNPCKLPD X6, X5
 	MAXPD X5, X3
+	MOVAPD X13, X6 // row 1 at t-1 in lane 0, lane 1's up cell next step
 	MAXPD X3, X13 // left: the previous step
 	MOVSD X13, (DI)(AX*8)
 	MOVHPD X13, -16(BX)(AX*8)

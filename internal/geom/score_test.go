@@ -196,15 +196,88 @@ func TestScoreSumMask(t *testing.T) {
 	a := []Vec3{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}
 	b := []Vec3{{1, 0, 0}, {0, 2, 0}, {0, 0, 3}}
 	dis2 := make([]float64, 3)
-	if got := ScoreSum(dis2, a, b, 4, 4, true); got != 1/(1+1.0/4)+1/(1+4.0/4) {
+	if got := ScoreSum(dis2, a, b, 4, 4, true); got != 4/(4+1.0)+4/(4+4.0) {
 		t.Errorf("masked sum = %v", got)
 	}
 	if dis2[2] != 9 {
 		t.Errorf("dis2 = %v", dis2)
 	}
-	if got := ScoreSum(dis2, a, b, 4, 4, false); got != 1/(1+1.0/4)+1/(1+4.0/4)+1/(1+9.0/4) {
+	if got := ScoreSum(dis2, a, b, 4, 4, false); got != 4/(4+1.0)+4/(4+4.0)+4/(4+9.0) {
 		t.Errorf("unmasked sum = %v", got)
 	}
+}
+
+// termULPs bounds how far Term's one divide, d02/(d02+d), lands from the
+// two-divide form 1/(1+d/d02) it replaced. Against the exact value T the
+// old form rounds three times (quotient, sum, reciprocal) and the new one
+// twice (sum, quotient), so they differ by at most 5u·T, u = 2^-53. Within
+// T's binade an ulp is more than u·T, so that is under 5 ulps; straddling
+// a power of two it is at most 5 of the lower binade's. The test's sample
+// reaches 3.
+const termULPs = 5
+
+// ulpDist is the number of float64 values from a to b, both >= +0.
+func ulpDist(a, b float64) uint64 {
+	ua, ub := math.Float64bits(a), math.Float64bits(b)
+	return max(ua, ub) - min(ua, ub)
+}
+
+// TestTermOneDivide checks Term's domain contract, which MaxPlusFill's
+// exactness argument rests on, and its distance from the two-divide form.
+// For finite coordinates and 0 < d02 < +Inf a term is in [+0, 1] and is
+// neither −0 nor NaN; d² = 0 gives exactly 1 and an overflowed d² exactly
+// +0. Where the old form's result is a normal number the two forms are
+// within termULPs ulps. Below that, the old form's quotient d/d02 can
+// overflow to a +0 term where the new one keeps a subnormal, so there only
+// both being under the smallest normal is required.
+func TestTermOneDivide(t *testing.T) {
+	coords := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, 1e-160, 1, -3.8, 1.2e154, -1.2e154,
+		1e300, -1e300, math.MaxFloat64, -math.MaxFloat64}
+	d02s := []float64{5e-324, 1e-300, 0.25, 1, 20.25, 64, 1e300, math.MaxFloat64}
+	for _, d02 := range d02s {
+		if got := Term(-3.8, 1e300, 5e-324, -3.8, 1e300, 5e-324, d02); got != 1 {
+			t.Errorf("d² = 0, d02 = %g: term %g, want 1", d02, got)
+		}
+		if got := Term(1e300, 0, 0, -1e300, 0, 0, d02); got != 0 || math.Signbit(got) {
+			t.Errorf("d² = +Inf, d02 = %g: term %g, want +0", d02, got)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	coord := func() float64 {
+		if rng.Intn(4) == 0 {
+			return coords[rng.Intn(len(coords))]
+		}
+		return (rng.Float64() - 0.5) * 120
+	}
+	var worst uint64
+	for k := 0; k < 1_000_000; k++ {
+		px, py, pz, qx, qy, qz := coord(), coord(), coord(), coord(), coord(), coord()
+		d02 := math.Exp(rng.Float64()*40 - 20)
+		if k%8 == 0 {
+			d02 = d02s[rng.Intn(len(d02s))]
+		}
+		got := Term(px, py, pz, qx, qy, qz, d02)
+		d := sqDist(px, py, pz, qx, qy, qz)
+		if !(got >= 0 && got <= 1) || math.Signbit(got) {
+			t.Fatalf("Term(%g, %g, %g; %g, %g, %g; d02 %g) = %g, outside [+0, 1]", px, py, pz, qx, qy, qz, d02, got)
+		}
+		if (d == 0 && got != 1) || (math.IsInf(d, 1) && got != 0) {
+			t.Fatalf("d² = %g, d02 = %g: term %g", d, d02, got)
+		}
+		if d02 > 1e300 || math.IsInf(d, 1) {
+			continue // d02 + d² may overflow where d²/d02 does not; no real d0 is that large
+		}
+		old := 1 / (1 + d/d02)
+		if old < 0x1p-1022 && got < 0x1p-1022 {
+			continue
+		}
+		u := ulpDist(got, old)
+		if u > termULPs {
+			t.Fatalf("d² = %g, d02 = %g: one divide %g, two divides %g, %d ulps apart", d, d02, got, old, u)
+		}
+		worst = max(worst, u)
+	}
+	t.Logf("largest distance from the two-divide form: %d ulps (bound %d)", worst, termULPs)
 }
 
 // benchBodies runs a kernel benchmark on the dispatched body and on the

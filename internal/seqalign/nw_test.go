@@ -401,7 +401,7 @@ func BenchmarkAlignMatrix(b *testing.B) {
 // superposed as in BenchmarkAlignMatrix: /fill+align is the score-matrix
 // fill plus AlignMatrix(0) the round ran as before, /fused is
 // AlignGapFree, and /terms is the score-matrix fill alone (geom.ScoreRow
-// over the same rows), the divider's floor under both.
+// over the same rows), the cost of the terms without the recurrence.
 func BenchmarkGapFreeRound(b *testing.B) {
 	ck, rs := synth.CK34(), synth.RS119()
 	for _, pair := range []struct {

@@ -210,7 +210,7 @@ func finite(v []geom.Vec3) bool {
 	return true
 }
 
-// fillDistMatrix fills c.scoreMat with 1/(1+d^2/d2) for every (i, j)
+// fillDistMatrix fills c.scoreMat with d2/(d2+d^2) for every (i, j)
 // pair of the rotated chain xt against the fixed chain, one
 // geom.ScoreRow per residue of xt over the fixed chain's SoA mirror.
 // With ssBonus, pairs with matching secondary structure score +0.5

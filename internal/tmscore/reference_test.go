@@ -17,9 +17,10 @@ import (
 // stood before the trajectory graph (DESIGN.md §17), kept verbatim as the
 // oracle SearchWS must equal to the last bit and the last op: every seed
 // superposes, rotates and scores every step it takes, sets are index
-// lists, and convergence is an element-wise comparison. The only
-// addition is observe, which the tests use to see the sets a seed walks
-// through.
+// lists, and convergence is an element-wise comparison. The only changes
+// are observe, which the tests use to see the sets a seed walks through,
+// and the TM term, which follows geom.Term's one-divide form
+// d02/(d02+di) so the two searches still agree bit for bit.
 func (p Params) referenceScoreFun8(xt, y []geom.Vec3, d float64, iAli []int, dis2 []float64, ops *costmodel.Counter) (float64, int) {
 	n := len(xt)
 	d02 := p.D0 * p.D0
@@ -28,7 +29,7 @@ func (p Params) referenceScoreFun8(xt, y []geom.Vec3, d float64, iAli []int, dis
 		di := xt[i].Dist2(y[i])
 		dis2[i] = di
 		if p.ScoreD8 <= 0 || di <= p.ScoreD8*p.ScoreD8 {
-			scoreSum += 1 / (1 + di/d02)
+			scoreSum += d02 / (d02 + di)
 		}
 	}
 	dTmp := d * d

@@ -69,7 +69,7 @@ func FinalParams(l float64) Params {
 }
 
 // scoreFun8 is TM-align's score_fun8: given already-transformed aligned
-// coordinates, it sums 1/(1+(d/d0)^2) (optionally only over pairs with
+// coordinates, it sums d0²/(d0²+d²) (optionally only over pairs with
 // d <= score_d8; geom.ScoreSum's mask) and collects into the bitset set
 // the indices with distance < d; if fewer than 3 pairs qualify the cutoff
 // is relaxed by 0.5 A steps (relaxSquare). It returns the TM-score
