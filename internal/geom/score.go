@@ -1,13 +1,17 @@
 package geom
 
+import "unsafe"
+
 // The TM-score term d0²/(d0²+d²), one divide, is the inner loop of every
 // TM-align score matrix and rotation-search scoring pass. ScoreRow and
 // ScoreSum are its two shapes, and MaxPlusFill folds it into the value
-// table of a gap-free DP round. On amd64 their bodies are SSE2 assembly,
-// two terms per packed SUBPD/MULPD/ADDPD/DIVPD in exactly the scalar
-// operation order, bit-identical to the Go bodies below, which every
-// other GOARCH runs and the tests compare against (DESIGN.md §16,
-// "packed TM terms" and "gap-free rounds are max-plus").
+// table of a gap-free DP round. On amd64 the first two are SSE2 assembly,
+// two terms per packed SUBPD/MULPD/ADDPD/DIVPD, and MaxPlusFill is AVX2
+// assembly, four, where the CPU has AVX2. Every lane takes exactly the
+// scalar operation order, bit-identical to the Go bodies below, which
+// every other GOARCH (and an amd64 without AVX2) runs and the tests
+// compare against (DESIGN.md §16, "packed TM terms" and "gap-free rounds
+// are max-plus").
 
 // sqDist is |p-q|² as ((dx*dx + dy*dy) + dz*dz), the one operation order
 // of every kernel body. The conversions forbid fused multiply-adds, which
@@ -42,78 +46,74 @@ func ScoreSum(dis2 []float64, a, b []Vec3, d02, cut2 float64, mask bool) float64
 	return scoreSum(dis2[:n], a, b[:n], d02, cut2, mask)
 }
 
-// PairMirror fills dst, which holds 6*len(y) values, with the fixed
-// chain y interleaved for MaxPlusFill: entry k holds, per axis, y[k] and
-// then y[k-2], so one packed load brings both rows of a row pair their
-// coordinate (entries 0 and 1 have no second value, and no kernel reads
-// it).
-func PairMirror(dst []float64, y []Vec3) {
-	for c := range dst[:6*len(y)] {
-		if k := c / 6; c%2 == 0 {
-			dst[c] = y[k][c%6/2]
-		} else if k >= 2 {
-			dst[c] = y[k-2][c%6/2]
-		}
+// QuadMirror returns the fixed chain y interleaved for MaxPlusFill,
+// carved 32-byte aligned from buf, which holds 12*(len(y)+6)+3 values, so
+// the kernel's loads never straddle a cache line. Entry e holds, per
+// axis, y[e], y[e-2], y[e-4] and y[e-6], so one 32-byte load brings each
+// row of a four-row block its coordinate. The entries run 6 past the
+// chain so the last block's lower rows reach its end; a lane with no
+// residue holds +0.
+func QuadMirror(buf []float64, y []Vec3) []float64 {
+	yq := buf[-uintptr(unsafe.Pointer(unsafe.SliceData(buf)))%32/8:][:12*(len(y)+6)]
+	clear(yq)
+	for c := range 4 * len(y) {
+		r, k := c/4, c%4 // y[r] is lane k of entry r+2k
+		e := 12*(r+2*k) + k
+		yq[e], yq[e+4], yq[e+8] = y[r][0], y[r][1], y[r][2]
 	}
+	return yq
+}
+
+// QuadCell is the index of DP cell (i, j) in MaxPlusFill's table for a
+// fixed chain of n residues. Rows go in blocks of n+7 four-value slots:
+// row i is lane k = (i+3)%4 of block (i+3)/4 (row 0 is lane 3 of block
+// 0), and its column j is slot j+2k, so each slot holds one step of the
+// skewed four-row fill.
+func QuadCell(i, j, n int) int {
+	b, k := (i+3)/4, (i+3)%4
+	return 4*(b*(n+7)+j+2*k) + k
 }
 
 // MaxPlusFill computes the value table of a gap-free NWDP round without
-// writing its score matrix. With n = len(yp)/6, val holds len(xt)+1 rows
-// of n+1 cells, row 0 and column 0 are +0 on entry, and every other cell
-// becomes, in row-major order,
+// writing its score matrix. With n = len(yq)/12-6, val holds at least
+// QuadCell(len(xt)+4, 0, n) values, and cell (i, j), at val[QuadCell(i,
+// j, n)], becomes +0 in row 0 and column 0, and otherwise
 //
-//	val[i][j] = max(val[i-1][j-1] + s, val[i-1][j], val[i][j-1])
+//	max(cell(i-1, j-1) + s, cell(i-1, j), cell(i, j-1))
 //
 // where s is the Term of xt[i-1] against y[j-1], the fixed chain
-// interleaved in yp by PairMirror. Every term must be a number (finite
+// interleaved in yq by QuadMirror. Every cell is written by this call;
+// the rest of val is scratch. Every term must be a number (finite
 // coordinates, 0 < d02 < +Inf): then every cell is a sum of terms in
 // [+0, 1], never −0 or NaN, so the maximum is the same bits in any order.
-// Rows go two at a time, the second two columns behind the first, so the
-// only loop-carried operation is one MAXPD.
-func MaxPlusFill(val []float64, xt []Vec3, yp []float64, d02 float64) {
-	n := len(yp) / 6
-	if n == 0 {
-		return
+func MaxPlusFill(val []float64, xt []Vec3, yq []float64, d02 float64) {
+	n := len(yq)/12 - 6
+	for j := range n + 1 {
+		val[QuadCell(0, j, n)] = 0
 	}
-	cols := n + 1
-	val, yp = val[:(len(xt)+1)*cols], yp[:6*n]
-	i := 0
-	for ; i+1 < len(xt); i += 2 {
-		p, q := &xt[i], &xt[i+1]
-		maxPlusPair(val[i*cols:(i+3)*cols], yp, p[0], p[1], p[2], q[0], q[1], q[2], d02)
-	}
-	if i < len(xt) {
-		maxPlusRow(val[i*cols:(i+2)*cols], yp, xt[i], d02)
-	}
+	maxPlusFill(val, xt, yq, d02)
 }
 
-// maxPlusRow fills cells 1..n of the second row of val (two rows of n+1
-// cells, n = len(yp)/6) from the first: MaxPlusFill for one row, scored
-// against p.
-func maxPlusRow(val, yp []float64, p Vec3, d02 float64) {
-	n := len(yp) / 6
-	up, row := val[:n+1], val[n+1:2*n+2]
-	left := 0.0
-	for j := range n {
-		e := yp[6*j : 6*j+6]
-		v := up[j] + Term(p[0], p[1], p[2], e[0], e[2], e[4], d02)
-		if u := up[j+1]; u > v {
-			v = u
+// maxPlusFillGo is MaxPlusFill's portable body below row 0, row by row.
+func maxPlusFillGo(val []float64, xt []Vec3, yq []float64, d02 float64) {
+	n := len(yq)/12 - 6
+	for i, p := range xt {
+		up, row := val[QuadCell(i, 0, n):][:4*n+1], val[QuadCell(i+1, 0, n):][:4*n+1]
+		row[0] = 0
+		left := 0.0
+		for j := range n {
+			e := yq[12*j : 12*j+9]
+			v := up[4*j] + Term(p[0], p[1], p[2], e[0], e[4], e[8], d02)
+			if u := up[4*j+4]; u > v {
+				v = u
+			}
+			if left > v {
+				v = left
+			}
+			row[4*j+4] = v
+			left = v
 		}
-		if left > v {
-			v = left
-		}
-		row[j+1] = v
-		left = v
 	}
-}
-
-// maxPlusPairGo is maxPlusPair's portable body: rows 1 and 2 of val
-// (three rows of len(yp)/6+1 cells), scored against p and q.
-func maxPlusPairGo(val, yp []float64, px, py, pz, qx, qy, qz, d02 float64) {
-	cols := len(yp)/6 + 1
-	maxPlusRow(val[:2*cols], yp, Vec3{px, py, pz}, d02)
-	maxPlusRow(val[cols:3*cols], yp, Vec3{qx, qy, qz}, d02)
 }
 
 // scoreRowGo is ScoreRow's portable body; all slices have len(dst).

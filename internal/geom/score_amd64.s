@@ -1,10 +1,11 @@
 #include "textflag.h"
 
-// Two TM-score terms per iteration, one per SSE2 lane. Each packed op is
-// the scalar op of the Go bodies in score.go in the same order, and IEEE
-// packed and scalar arithmetic round alike, so every lane is bit-identical
-// to the Go body. A single element (an odd tail, a lone DP cell) takes the
-// same packed ops with a don't-care second lane that is never stored.
+// Two TM-score terms per iteration, one per SSE2 lane (maxPlusQuad, at
+// the end, takes four per AVX2 instruction). Each packed op is the scalar
+// op of the Go bodies in score.go in the same order, and IEEE packed and
+// scalar arithmetic round alike, so every lane is bit-identical to the Go
+// body. A single element (an odd tail) takes the same packed ops with a
+// don't-care second lane that is never stored.
 
 // SQDIST sets X0 = (dx*dx + dy*dy) + dz*dz lane-wise from the differences
 // dx, dy, dz in X0, X1 and X2.
@@ -163,114 +164,128 @@ sumdone:
 	MOVSD X7, ret+96(FP)
 	RET
 
-// CELL computes DP cell (row, AX) in lane 0 from the row above, up: the
-// term of the point in lane 0 of X8-X10 against y[AX-1], lane 0 of the
-// pair mirror entry at R11, added to up[AX-1], then the maximum with
-// up[AX] and with the left cell, carried in lane 0 of X13. The
-// differences are y - p: RN(y-p) = -RN(p-y), so every square keeps its
-// bits. Lane 1 of X13 is left alone.
-#define CELL(up, row) \
-	MOVSD 0(R11), X0; \
-	SUBPD X8, X0; \
-	MOVSD 16(R11), X1; \
-	SUBPD X9, X1; \
-	MOVSD 32(R11), X2; \
-	SUBPD X10, X2; \
-	SQDIST; \
-	TERM; \
-	ADDSD -8(up)(AX*8), X3; \
-	MAXSD (up)(AX*8), X3; \
-	MAXSD X3, X13; \
-	MOVSD X13, (row)(AX*8)
+// quadMask<> is maxPlusQuad's steps 1-6: lane k starts at step 2k+1, and
+// before that its column is <= 0 and its cell +0.
+DATA quadMask<>+0(SB)/8, $-1
+DATA quadMask<>+32(SB)/8, $-1
+DATA quadMask<>+64(SB)/8, $-1
+DATA quadMask<>+72(SB)/8, $-1
+DATA quadMask<>+96(SB)/8, $-1
+DATA quadMask<>+104(SB)/8, $-1
+DATA quadMask<>+128(SB)/8, $-1
+DATA quadMask<>+136(SB)/8, $-1
+DATA quadMask<>+144(SB)/8, $-1
+DATA quadMask<>+160(SB)/8, $-1
+DATA quadMask<>+168(SB)/8, $-1
+DATA quadMask<>+176(SB)/8, $-1
+GLOBL quadMask<>(SB), RODATA|NOPTR, $192
 
-// func maxPlusPair(val, yp []float64, px, py, pz, qx, qy, qz, d02 float64)
+// QUAD is one step t of maxPlusQuad: lane k's term of row k against
+// y[t-1-2k], from mirror entry t-1 at R8 (p - y per axis, then SQDIST's
+// and TERM's order in four lanes), plus the diagonal Y5, then the maximum
+// with the up vector and with the left cells, the previous step in Y13.
+// The up vector is Y6, the step before that, moved up one lane, with
+// lane 0's up cell from the block above at SI; it is the next diagonal.
+// Y6 takes Y13 before the update, so the only loop-carried op is the
+// last VMAXPD.
+#define QUAD \
+	VSUBPD 0(R8), Y8, Y0; \
+	VSUBPD 32(R8), Y9, Y1; \
+	VSUBPD 64(R8), Y10, Y2; \
+	VMULPD Y0, Y0, Y0; \
+	VMULPD Y1, Y1, Y1; \
+	VADDPD Y1, Y0, Y0; \
+	VMULPD Y2, Y2, Y2; \
+	VADDPD Y2, Y0, Y0; \
+	VADDPD Y11, Y0, Y0; \
+	VDIVPD Y0, Y11, Y3; \
+	VADDPD Y5, Y3, Y3; \
+	VPERMPD $0x90, Y6, Y5; \
+	VBROADCASTSD 0(SI), Y4; \
+	VBLENDPD $1, Y4, Y5, Y5; \
+	VMAXPD Y5, Y3, Y3; \
+	VMOVAPD Y13, Y6; \
+	VMAXPD Y3, Y13, Y13
+
+// func maxPlusQuad(blk, yq []float64, p *[12]float64, d02 float64)
 //
-// Rows 1 and 2 of val (three rows of n+1 cells, n = len(yp)/6 >= 1) from
-// row 0, scored against p and q: maxPlusPairGo. At step t lane 0 computes
-// cell (1, t) and lane 1 cell (2, t-2). Both take their left cell from
-// the previous step's result, so the only loop-carried op is the MAXPD
-// into X13; lane 1's diagonal and up cells are row 1's cells t-3 and t-2,
-// finished three and two steps earlier, and both come from registers.
-// Each step copies X13 to X6 before updating it, so X6 holds row 1 at
-// t-2 in lane 0, not reloaded from the store two steps back. A step's up
-// pair is the next step's diagonal pair, so the diagonal stays in X5.
-// Lane 0's y[t-1] and lane 1's y[t-3] are one packed load per axis from
-// the pair mirror (PairMirror).
-// Columns 1-2 of row 1 run alone first, the last columns of row 2 alone
-// after.
-TEXT ·maxPlusPair(SB), NOSPLIT, $0-104
-	MOVQ val_base+0(FP), SI // row 0
-	MOVQ yp_base+24(FP), R8
-	MOVQ yp_len+32(FP), AX
-	XORQ DX, DX
-	MOVQ $6, CX
-	DIVQ CX
-	MOVQ AX, CX // n
-	LEAQ 8(SI)(CX*8), DI // row 1
-	LEAQ 8(DI)(CX*8), BX // row 2
-	MOVSD px+48(FP), X8
-	MOVHPD qx+72(FP), X8
-	MOVSD py+56(FP), X9
-	MOVHPD qy+80(FP), X9
-	MOVSD pz+64(FP), X10
-	MOVHPD qz+88(FP), X10
-	MOVSD d02+96(FP), X11
-	UNPCKLPD X11, X11
-	XORPD X13, X13 // both rows' column 0
+// One block of MaxPlusFill's table, rows k = 0-3 scored against the
+// points p holds per axis (x0-x3, y0-y3, z0-z3), below the block above,
+// blk's first n+7 slots (blk holds 8(n+7) values, n >= 1). At step t,
+// lane k computes the cell at column t-2k and the four are stored at
+// slot t (QuadCell). Slot 0 is +0; steps 1-6 mask the lanes not yet in
+// the table (quadMask<>); steps 7 to n+6 run every lane. Past column n a
+// lane computes cells no one reads, from the mirror's +0 padding and
+// from this block's first slots as the block above's last.
+TEXT ·maxPlusQuad(SB), NOSPLIT, $0-64
+	MOVQ blk_base+0(FP), SI
+	MOVQ blk_len+8(FP), CX
+	SHLQ $2, CX // bytes per block, 32(n+7)
+	LEAQ (SI)(CX*1), DI // this block's slot 0
+	ADDQ $248, SI // lane 3 of the block above at slot 7: lane 0's up at step 1
+	SHRQ $5, CX
+	SUBQ $7, CX // n
+	MOVQ yq_base+24(FP), R8
+	MOVQ p+48(FP), DX
+	VMOVUPD 0(DX), Y8
+	VMOVUPD 32(DX), Y9
+	VMOVUPD 64(DX), Y10
+	VBROADCASTSD d02+56(FP), Y11
+	VXORPD Y13, Y13, Y13
+	VXORPD Y6, Y6, Y6
+	VXORPD Y5, Y5, Y5
+	VMOVUPD Y13, 0(DI)
+	LEAQ quadMask<>(SB), R9
+	MOVQ $6, BX
 
-	MOVQ $1, AX
-	MOVQ R8, R11 // mirror entry AX-1
-	CELL(SI, DI)
-	CMPQ CX, $2
-	JB pairs
-	MOVAPD X13, X6 // row 1 at 1
-	INCQ AX
-	ADDQ $48, R11
-	CELL(SI, DI)
+masked:
+	ADDQ $32, DI
+	QUAD
+	VANDPD 0(R9), Y13, Y13
+	VMOVUPD Y13, 0(DI)
+	ADDQ $96, R8
+	ADDQ $32, SI
+	ADDQ $32, R9
+	DECQ BX
+	JNZ masked
 
-pairs:
-	MOVQ $3, AX
-	LEAQ 96(R8), R11
-	CMPQ AX, CX
-	JA last
-	MOVSD 16(SI), X5 // diagonal of step 3: row 0 at 2, row 1 at 0
-	MOVHPD 0(DI), X5
+full:
+	ADDQ $32, DI
+	QUAD
+	VMOVUPD Y13, 0(DI)
+	ADDQ $96, R8
+	ADDQ $32, SI
+	DECQ CX
+	JNZ full
+	VZEROUPPER
+	RET
 
-pair:
-	MOVUPD 0(R11), X0 // y[t-1] for lane 0, y[t-3] for lane 1
-	SUBPD X8, X0
-	MOVUPD 16(R11), X1
-	SUBPD X9, X1
-	MOVUPD 32(R11), X2
-	SUBPD X10, X2
-	SQDIST
-	TERM
-	ADDPD X5, X3 // diagonal: row 0 at t-1, row 1 at t-3
-	MOVSD (SI)(AX*8), X5 // up: row 0 at t, row 1 at t-2; the next diagonal
-	UNPCKLPD X6, X5
-	MAXPD X5, X3
-	MOVAPD X13, X6 // row 1 at t-1 in lane 0, lane 1's up cell next step
-	MAXPD X3, X13 // left: the previous step
-	MOVSD X13, (DI)(AX*8)
-	MOVHPD X13, -16(BX)(AX*8)
-	ADDQ $48, R11
-	INCQ AX
-	CMPQ AX, CX
-	JBE pair
+// func cpuAVX2() bool
+//
+// AVX2 needs CPUID leaf 7's flag, and YMM state the OS saves: OSXSAVE
+// and AVX in leaf 1, XCR0's SSE and AVX bits.
+TEXT ·cpuAVX2(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JB noavx2
+	MOVL $1, AX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE noavx2
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE noavx2
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $5, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
 
-last:
-	// Row 2 finishes in lane 0: move its point and left cell down.
-	UNPCKHPD X8, X8
-	UNPCKHPD X9, X9
-	UNPCKHPD X10, X10
-	UNPCKHPD X13, X13
-	SUBQ $2, AX
-	SUBQ $96, R11
-
-lastcell:
-	CELL(DI, BX)
-	ADDQ $48, R11
-	INCQ AX
-	CMPQ AX, CX
-	JBE lastcell
+noavx2:
 	RET

@@ -10,6 +10,8 @@ func scoreSum(dis2 []float64, a, b []Vec3, d02, cut2 float64, mask bool) float64
 	return scoreSumGo(dis2, a, b, d02, cut2, mask)
 }
 
-func maxPlusPair(val, yp []float64, px, py, pz, qx, qy, qz, d02 float64) {
-	maxPlusPairGo(val, yp, px, py, pz, qx, qy, qz, d02)
+var hasAVX2 bool // MaxPlusFill's AVX2 kernel is amd64 assembly
+
+func maxPlusFill(val []float64, xt []Vec3, yq []float64, d02 float64) {
+	maxPlusFillGo(val, xt, yq, d02)
 }

@@ -129,54 +129,63 @@ func maxPlusChain(data []byte, seed int64, n int) []Vec3 {
 	return p
 }
 
-// checkMaxPlusFill runs MaxPlusFill, whose row pairs go through the body
-// this GOARCH dispatches to, against the same table filled by the
-// portable maxPlusPairGo, and requires equal bits in every cell and an
-// untouched guard past the end. The Go rows read only each mirror
-// entry's y[k]; the assembly reads its y[k-2] too, so a wrong pair mirror
-// shows here as well.
+// checkMaxPlusFill runs MaxPlusFill through the kernel this CPU
+// dispatches to and through the portable body, and requires equal bits
+// in every cell of the table, read through QuadCell, and an untouched
+// guard past its end. The tables start as NaN and −1, so a cell either
+// body leaves unwritten differs. The Go body reads only each mirror
+// entry's y[k]; the assembly reads every lane, so the quad mirror is
+// checked lane by lane first.
 func checkMaxPlusFill(t *testing.T, data []byte, seed int64, rows, cols int, d02 float64) {
 	const guard = 12345.678
 	xt := maxPlusChain(data, seed, rows)
 	y := maxPlusChain(data[min(len(data), 3*rows):], seed+1, cols)
-	yp := make([]float64, 6*cols)
-	PairMirror(yp, y)
-	for k, q := range y {
-		if k >= 2 && (yp[6*k+1] != y[k-2][0] || yp[6*k+3] != y[k-2][1] || yp[6*k+5] != y[k-2][2]) ||
-			yp[6*k] != q[0] || yp[6*k+2] != q[1] || yp[6*k+4] != q[2] {
-			t.Fatalf("pair mirror entry %d = %v, chain %v", k, yp[6*k:6*k+6], y[max(0, k-2):k+1])
+	yq := QuadMirror(make([]float64, 12*(cols+6)+3), y)
+	for c, v := range yq {
+		e, k, axis, want := c/12, c%4, c%12/4, 0.0
+		if r := e - 2*k; r >= 0 && r < cols {
+			want = y[r][axis]
+		}
+		if math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("quad mirror entry %d lane %d axis %d = %g, want %g", e, k, axis, v, want)
 		}
 	}
-	cells := (rows + 1) * (cols + 1)
-	got, want := make([]float64, cells+1), make([]float64, cells+1)
-	got[cells], want[cells] = guard, guard
-	MaxPlusFill(got, xt, yp, d02)
-	for i := 0; i < rows && cols > 0; i += 2 {
-		rowsVal := want[i*(cols+1):]
-		if p := xt[i]; i+1 < rows {
-			q := xt[i+1]
-			maxPlusPairGo(rowsVal, yp, p[0], p[1], p[2], q[0], q[1], q[2], d02)
-		} else {
-			maxPlusRow(rowsVal, yp, p, d02)
+	size := QuadCell(rows+4, 0, cols)
+	got, want := make([]float64, size+1), make([]float64, size+1)
+	for c := range size {
+		got[c], want[c] = math.NaN(), -1
+	}
+	got[size], want[size] = guard, guard
+	MaxPlusFill(got[:size], xt, yq, d02)
+	avx2 := hasAVX2
+	hasAVX2 = false
+	MaxPlusFill(want[:size], xt, yq, d02)
+	hasAVX2 = avx2
+	for i := range rows + 1 {
+		for j := range cols + 1 {
+			if c := QuadCell(i, j, cols); math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+				t.Fatalf("%dx%d d02=%g: cell (%d, %d) = %x, portable body %x", rows, cols, d02, i, j, got[c], want[c])
+			}
 		}
 	}
-	for c := range got {
-		if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
-			t.Fatalf("%dx%d d02=%g: cell (%d, %d) = %x, Go rows %x", rows, cols, d02, c/(cols+1), c%(cols+1), got[c], want[c])
-		}
+	if got[size] != guard || want[size] != guard {
+		t.Fatalf("%dx%d: guard past the table = %g, %g", rows, cols, got[size], want[size])
 	}
 }
 
 // FuzzMaxPlusKernel requires the gap-free DP fill to equal the portable
-// Go rows bit for bit: 0-300 columns (1, 2 and 3 among the seeds: the
-// lone first cells, the lone last cells and one packed step), odd and
-// even row counts, tied terms and cells, huge finite coordinates whose
-// terms underflow to +0 and subnormal terms (under the 1e-304 seed, a
-// distance beyond ~70 A has a subnormal or +0 term).
+// body bit for bit: 0-13 rows (every residue count mod 4, and a padded
+// last block), 0-300 columns (1-7 among the seeds, shorter than the six
+// masked steps and just past them), tied terms and cells, huge finite
+// coordinates whose terms underflow to +0 and subnormal terms (under the
+// 1e-304 seed, a distance beyond ~70 A has a subnormal or +0 term).
 func FuzzMaxPlusKernel(f *testing.F) {
 	f.Add([]byte{}, int64(1), uint8(1), uint16(1), 25.0)
 	f.Add([]byte{}, int64(2), uint8(2), uint16(2), 25.0)
 	f.Add([]byte{}, int64(7), uint8(3), uint16(3), 25.0)
+	f.Add([]byte{}, int64(9), uint8(13), uint16(5), 25.0)
+	f.Add([]byte{}, int64(10), uint8(12), uint16(6), 9.0)
+	f.Add([]byte{}, int64(11), uint8(11), uint16(7), 30.0)
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}, int64(3), uint8(5), uint16(3), 4.0)
 	f.Add([]byte{200, 201, 202, 203, 204, 205, 206, 207, 208, 0, 0, 0}, int64(4), uint8(4), uint16(9), 1.0)
 	f.Add([]byte{194, 10, 10, 195, 10, 10, 100, 100}, int64(5), uint8(3), uint16(300), 1e-304)
@@ -186,7 +195,7 @@ func FuzzMaxPlusKernel(f *testing.F) {
 		if !(d02 > 0 && d02 <= math.MaxFloat64) {
 			t.Skip() // a NaN term is outside the kernel's domain
 		}
-		checkMaxPlusFill(t, data, seed, int(rows%10), int(cols%301), d02)
+		checkMaxPlusFill(t, data, seed, int(rows%14), int(cols%301), d02)
 	})
 }
 

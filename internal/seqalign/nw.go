@@ -25,9 +25,8 @@ var ErrInvmapLength = errors.New("seqalign: invmap length must equal len2")
 // Aligner holds reusable DP buffers for aligning chains up to a given
 // size. It is not safe for concurrent use; each worker owns one.
 type Aligner struct {
-	val  []float64 // (len1+1) x (len2+1) DP values, row-major
+	val  []float64 // (len1+1) x (len2+1) DP values, row-major; AlignGapFree's geom.QuadCell table
 	path []bool    // true = cell reached by a diagonal (match) move
-	cols int
 }
 
 // NewAligner returns an Aligner with no pre-allocated capacity; buffers
@@ -48,7 +47,6 @@ func (a *Aligner) grow(len1, len2 int) {
 	n := (len1 + 1) * (len2 + 1)
 	a.val = growSlice(a.val, n)
 	a.path = growSlice(a.path, n)
-	a.cols = len2 + 1
 }
 
 // AlignMatrix runs global DP over a dense row-major len1 x len2 score
@@ -72,17 +70,13 @@ func (a *Aligner) AlignMatrix(len1, len2 int, mat []float64, gapOpen float64, in
 		_ = mat[len1*len2-1] // one bounds check up front for the whole fill
 	}
 	a.grow(len1, len2)
-	cols := a.cols
+	cols := len2 + 1
 	val, path := a.val, a.path
-
 	for i := 0; i <= len1; i++ {
-		val[i*cols] = 0
-		path[i*cols] = false
+		val[i*cols], path[i*cols] = 0, false
 	}
-	for j := 0; j <= len2; j++ {
-		val[j] = 0
-		path[j] = false
-	}
+	clear(val[:cols])
+	clear(path[:cols])
 
 	// gap[bit(path)] is the cost of a gap move out of a cell: gapOpen
 	// after a match move, else -0. Adding -0 returns any value a cell can
@@ -127,10 +121,11 @@ func (a *Aligner) AlignMatrix(len1, len2 int, mat []float64, gapOpen float64, in
 	a.traceback(len1, len2, gapOpen, invmap)
 }
 
-// AlignGapFree is AlignMatrix(len(xt), len(yp)/6, mat, 0, invmap, ops)
-// on the TM-score matrix mat[i*len2+j] = geom.Term of xt[i] against y[j],
-// the fixed chain interleaved in yp by geom.PairMirror, without building
-// mat: the terms go straight into the value table (geom.MaxPlusFill), and
+// AlignGapFree is AlignMatrix(len(xt), len2, mat, 0, invmap, ops) on
+// the TM-score matrix mat[i*len2+j] = geom.Term of xt[i] against y[j],
+// the fixed chain of len2 = len(yq)/12-6 residues interleaved in yq by
+// geom.QuadMirror, without building mat: the terms go straight into the
+// value table (geom.MaxPlusFill, laid out by geom.QuadCell in val), and
 // the traceback recomputes the one term of each cell it visits.
 //
 // Alignment and DP values are AlignMatrix's bit for bit when every term
@@ -139,35 +134,31 @@ func (a *Aligner) AlignMatrix(len1, len2 int, mat []float64, gapOpen float64, in
 // −0 to a value that is never −0, so the up and left candidates are those
 // cells unchanged and each cell is the plain maximum of diagonal, up and
 // left. The caller checks the coordinates.
-func (a *Aligner) AlignGapFree(xt []geom.Vec3, yp []float64, d02 float64, invmap []int, ops *costmodel.Counter) {
-	len1, len2 := len(xt), len(yp)/6
+func (a *Aligner) AlignGapFree(xt []geom.Vec3, yq []float64, d02 float64, invmap []int, ops *costmodel.Counter) {
+	len1, len2 := len(xt), len(yq)/12-6
 	if len(invmap) != len2 {
 		panic(fmt.Errorf("%w (AlignGapFree: %d vs %d)", ErrInvmapLength, len(invmap), len2))
 	}
-	a.grow(len1, len2)
-	cols := a.cols
+	a.val = growSlice(a.val, geom.QuadCell(len1+4, 0, len2))
 	val := a.val
-	for i := 0; i <= len1; i++ {
-		val[i*cols] = 0
-	}
-	clear(val[:cols])
-	geom.MaxPlusFill(val, xt, yp, d02)
+	geom.MaxPlusFill(val, xt, yq, d02)
 	ops.AddDP(len1 * len2)
 
 	// NWDP_TM's traceback at gap open 0: the cell came diagonally iff
-	// d >= up && d >= left, else from the left iff left >= up.
+	// d >= up && d >= left, else from the left iff left >= up. A cell's
+	// left neighbour is the slot before it, 4 values back.
 	for j := range invmap {
 		invmap[j] = -1
 	}
 	i, j := len1, len2
 	for i > 0 && j > 0 {
-		up, left := val[(i-1)*cols+j], val[i*cols+j-1]
-		p, q := &xt[i-1], yp[6*j-6:6*j]
-		if d := val[(i-1)*cols+j-1] + geom.Term(p[0], p[1], p[2], q[0], q[2], q[4], d02); d >= up && d >= left {
+		c, u := geom.QuadCell(i, j, len2), geom.QuadCell(i-1, j, len2)
+		p, q := &xt[i-1], yq[12*j-12:12*j-3]
+		if d := val[u-4] + geom.Term(p[0], p[1], p[2], q[0], q[4], q[8], d02); d >= val[u] && d >= val[c-4] {
 			invmap[j-1] = i - 1
 			i--
 			j--
-		} else if left >= up {
+		} else if val[c-4] >= val[u] {
 			j--
 		} else {
 			i--
@@ -186,33 +177,23 @@ func bit(b bool) (n int) {
 
 // traceback recovers the NWDP_TM alignment from the filled val/path
 // tables into invmap (tie-breaking prefers the diagonal, then the
-// vertical move, as in the reference).
+// vertical move, as in the reference), with AlignMatrix's gap costs.
 func (a *Aligner) traceback(len1, len2 int, gapOpen float64, invmap []int) {
-	cols := a.cols
-	val, path := a.val, a.path
+	cols, val, path := len2+1, a.val, a.path
+	gap := [2]float64{math.Copysign(0, -1), gapOpen}
 	for j := range invmap {
 		invmap[j] = -1
 	}
 	i, j := len1, len2
 	for i > 0 && j > 0 {
-		if path[i*cols+j] {
+		if c := i*cols + j; path[c] {
 			invmap[j-1] = i - 1
 			i--
 			j--
+		} else if val[c-1]+gap[bit(path[c-1])] >= val[c-cols]+gap[bit(path[c-cols])] {
+			j--
 		} else {
-			h := val[(i-1)*cols+j]
-			if path[(i-1)*cols+j] {
-				h += gapOpen
-			}
-			v := val[i*cols+j-1]
-			if path[i*cols+j-1] {
-				v += gapOpen
-			}
-			if v >= h {
-				j--
-			} else {
-				i--
-			}
+			i--
 		}
 	}
 }
@@ -277,13 +258,9 @@ func GaplessThreading(len1, len2, minOverlap int, visit func(k, lo, hi int)) {
 	if minOverlap > len1 || minOverlap > len2 {
 		return
 	}
-	// Within the offset range the overlap window [lo, hi) always holds at
-	// least minOverlap pairs (min(len1-k, len2+k, len1, len2) >= minOverlap
-	// follows from the range bounds); the guard below is kept as a
-	// defensive invariant check only.
+	// Within the offset range the overlap window [lo, hi) holds
+	// min(len1-k, len2+k, len1, len2) >= minOverlap pairs.
 	for k := -(len2 - minOverlap); k <= len1-minOverlap; k++ {
-		if lo, hi := max(0, -k), min(len2, len1-k); hi-lo >= minOverlap {
-			visit(k, lo, hi)
-		}
+		visit(k, max(0, -k), min(len2, len1-k))
 	}
 }

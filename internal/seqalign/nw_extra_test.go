@@ -203,10 +203,11 @@ func TestAlignGapFreeMatchesAlignMatrix(t *testing.T) {
 		inv1, inv2 := make([]int, len(y)), make([]int, len(y))
 		var ops1, ops2 costmodel.Counter
 		a1.AlignMatrix(len(xt), len(y), scoreMatrix(xt, yx, yy, yz, d02), 0, inv1, &ops1)
-		a2.AlignGapFree(xt, pairMirror(y), d02, inv2, &ops2)
+		a2.AlignGapFree(xt, quadMirror(y), d02, inv2, &ops2)
 		for c := 0; c < (len(xt)+1)*(len(y)+1); c++ {
-			if math.Float64bits(a1.val[c]) != math.Float64bits(a2.val[c]) {
-				t.Fatalf("%s: DP cell (%d, %d) = %x, AlignMatrix %x", what, c/(len(y)+1), c%(len(y)+1), a2.val[c], a1.val[c])
+			i, j := c/(len(y)+1), c%(len(y)+1)
+			if v := gapFreeCell(a2, i, j, len(y)); math.Float64bits(a1.val[c]) != math.Float64bits(v) {
+				t.Fatalf("%s: DP cell (%d, %d) = %x, AlignMatrix %x", what, i, j, v, a1.val[c])
 			}
 		}
 		for j := range inv1 {
@@ -272,6 +273,50 @@ func TestAlignGapFreeMatchesAlignMatrix(t *testing.T) {
 		xt := make([]geom.Vec3, len(x))
 		far.ApplyAll(xt, x)
 		check(fmt.Sprintf("grid %dx%d moved 1e200", d.len1, d.len2), xt, y, 1)
+	}
+}
+
+// gapFreeCell is DP cell (i, j) of the table a's last AlignGapFree
+// against n residues left in its buffer.
+func gapFreeCell(a *Aligner, i, j, n int) float64 {
+	return a.val[geom.QuadCell(i, j, n)]
+}
+
+// TestAlignGapFreeStaleWorkspace requires AlignGapFree to read only
+// cells its own call wrote: on a buffer full of NaN, and on one holding a
+// larger earlier round's table, the alignment and every DP cell equal a
+// fresh Aligner's.
+func TestAlignGapFreeStaleWorkspace(t *testing.T) {
+	ck, rs := synth.CK34(), synth.RS119()
+	big, bigY := rs.Structures[70].CAs(), rs.Structures[73].CAs()
+	for _, p := range [][2]int{{0, 1}, {3, 15}, {33, 20}, {7, 8}} {
+		x, y := ck.Structures[p[0]].CAs(), ck.Structures[p[1]].CAs()
+		xt, yq := overlapRound(x, y), quadMirror(y)
+		d0 := searchD0(min(len(x), len(y)))
+		want := make([]int, len(y))
+		fresh := NewAligner()
+		fresh.AlignGapFree(xt, yq, d0*d0, want, nil)
+
+		nan, reused := NewAligner(), NewAligner()
+		nan.val = make([]float64, 4*len(big)*len(bigY))
+		for c := range nan.val {
+			nan.val[c] = math.NaN()
+		}
+		reused.AlignGapFree(overlapRound(big, bigY), quadMirror(bigY), 9, make([]int, len(bigY)), nil)
+		for name, a := range map[string]*Aligner{"NaN buffer": nan, "larger earlier table": reused} {
+			got := make([]int, len(y))
+			a.AlignGapFree(xt, yq, d0*d0, got, nil)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("CK34 %d-%d, %s: invmap %v, fresh Aligner %v", p[0], p[1], name, got, want)
+			}
+			for i := range len(x) + 1 {
+				for j := range len(y) + 1 {
+					if g, w := gapFreeCell(a, i, j, len(y)), gapFreeCell(fresh, i, j, len(y)); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("CK34 %d-%d, %s: DP cell (%d, %d) = %x, fresh Aligner %x", p[0], p[1], name, i, j, g, w)
+					}
+				}
+			}
+		}
 	}
 }
 

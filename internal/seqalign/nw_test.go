@@ -337,12 +337,10 @@ func mirror(y []geom.Vec3) (yx, yy, yz []float64) {
 	return yx, yy, yz
 }
 
-// pairMirror returns y interleaved by geom.PairMirror, the layout of
-// tmalign.Prepared's pair mirror.
-func pairMirror(y []geom.Vec3) []float64 {
-	yp := make([]float64, 6*len(y))
-	geom.PairMirror(yp, y)
-	return yp
+// quadMirror returns y interleaved by geom.QuadMirror, the layout of
+// tmalign.Prepared's quad mirror.
+func quadMirror(y []geom.Vec3) []float64 {
+	return geom.QuadMirror(make([]float64, 12*(len(y)+6)+3), y)
 }
 
 // searchD0 is the d0 of tmscore.SearchParams for chains of at least n
@@ -395,58 +393,6 @@ func BenchmarkAlignMatrix(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(x)*len(y)), "ns/cell")
 }
 
-// BenchmarkGapFreeRound times one gap-open-0 round, the shape of every
-// initialLocal round and half of dpIter's, on CK34's first pair and on the
-// longest RS119 prune survivor (rsh01 vs rsh04, 390 x 390 residues),
-// superposed as in BenchmarkAlignMatrix: /fill+align is the score-matrix
-// fill plus AlignMatrix(0) the round ran as before, /fused is
-// AlignGapFree, and /terms is the score-matrix fill alone (geom.ScoreRow
-// over the same rows), the cost of the terms without the recurrence.
-func BenchmarkGapFreeRound(b *testing.B) {
-	ck, rs := synth.CK34(), synth.RS119()
-	for _, pair := range []struct {
-		name string
-		x, y []geom.Vec3
-	}{
-		{"ck34_0_1", ck.Structures[0].CAs(), ck.Structures[1].CAs()},
-		{"rs119_70_73", rs.Structures[70].CAs(), rs.Structures[73].CAs()},
-	} {
-		x, y := pair.x, pair.y
-		xt := overlapRound(x, y)
-		yx, yy, yz := mirror(y)
-		yp := pairMirror(y)
-		d0 := searchD0(min(len(x), len(y)))
-		d02 := d0 * d0
-		mat := make([]float64, len(x)*len(y))
-		a := NewAligner()
-		invmap := make([]int, len(y))
-		fill := func() {
-			for i, p := range xt {
-				geom.ScoreRow(mat[i*len(y):(i+1)*len(y)], yx, yy, yz, p, d02)
-			}
-		}
-		for _, body := range []struct {
-			name string
-			run  func()
-		}{
-			{"fill+align", func() {
-				fill()
-				a.AlignMatrix(len(x), len(y), mat, 0, invmap, nil)
-			}},
-			{"fused", func() { a.AlignGapFree(xt, yp, d02, invmap, nil) }},
-			{"terms", fill},
-		} {
-			b.Run(pair.name+"/"+body.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					body.run()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(x)*len(y)), "ns/cell")
-			})
-		}
-	}
-}
-
 // Align is NWDP_TM's recurrence as written, over a Scorer callback: the
 // reference AlignMatrix, AlignGapFree and AlignSS are held to, every DP
 // cell and the alignment. A gap costs gapOpen only when the previous
@@ -457,7 +403,7 @@ func (a *Aligner) Align(len1, len2 int, score Scorer, gapOpen float64, invmap []
 		panic(fmt.Errorf("%w (Align: %d vs %d)", ErrInvmapLength, len(invmap), len2))
 	}
 	a.grow(len1, len2)
-	cols := a.cols
+	cols := len2 + 1
 	val, path := a.val, a.path
 
 	for i := 0; i <= len1; i++ {

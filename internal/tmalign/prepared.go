@@ -18,7 +18,7 @@ type Prepared struct {
 	// structure the kernel aligns, its Seq the sequence SeqID counts.
 	Features prune.Features
 	x, y, z  []float64 // SoA mirror of CA, streamed when this chain is the fixed one
-	pair     []float64 // geom.PairMirror of CA, the gap-free rounds' fixed chain
+	quad     []float64 // geom.QuadMirror of CA, the gap-free rounds' fixed chain
 	finite   bool      // every coordinate finite: half of alignRound's guard
 	err      error     // ValidateStructure's verdict, which TryCompare returns
 }
@@ -30,20 +30,19 @@ func Prepare(st *pdb.Structure) *Prepared {
 }
 
 // prepare is Prepare by value, so one-shot comparisons keep both sides
-// on the stack. The mirror's three columns and the pair mirror share one
-// allocation, each column padded to an even length so that every part
-// starts 16-byte aligned: the SSE2 kernels' packed loads never straddle a
-// cache line.
+// on the stack. The mirror's three columns and the quad mirror share one
+// allocation, each column padded to an even length so that it starts
+// 16-byte aligned, and the quad mirror 32-byte aligned: the kernels'
+// packed loads never straddle a cache line.
 func prepare(st *pdb.Structure) Prepared {
 	ca := st.CAs()
 	n, m := len(ca), len(ca)+len(ca)&1
-	soa := make([]float64, 3*m+6*n)
+	soa := make([]float64, 3*m+12*(n+6)+3)
 	p := Prepared{ID: st.ID, CA: ca, Features: prune.Extract(ca, st.Sequence()), finite: finite(ca), err: validate(st.ID, ca),
-		x: soa[:n:n], y: soa[m : m+n : m+n], z: soa[2*m : 2*m+n : 2*m+n], pair: soa[3*m:]}
+		x: soa[:n:n], y: soa[m : m+n : m+n], z: soa[2*m : 2*m+n : 2*m+n], quad: geom.QuadMirror(soa[3*m:], ca)}
 	for j, v := range ca {
 		p.x[j], p.y[j], p.z[j] = v[0], v[1], v[2]
 	}
-	geom.PairMirror(p.pair, ca)
 	return p
 }
 

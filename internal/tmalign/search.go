@@ -191,7 +191,7 @@ func (c *ctx) dpIter(invmap0 []int, tr geom.Transform, maxIter int) (float64, ge
 func (c *ctx) alignRound(xt []geom.Vec3, d02, gapOpen float64, invmap []int) {
 	c.ops.AddScore(c.xlen * c.ylen)
 	if gapOpen == 0 && c.b.finite && finite(xt) {
-		c.nw.AlignGapFree(xt, c.b.pair, d02, invmap, &c.ops)
+		c.nw.AlignGapFree(xt, c.b.quad, d02, invmap, &c.ops)
 		return
 	}
 	c.fillDistMatrix(xt, d02, false)
