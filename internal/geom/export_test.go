@@ -18,8 +18,9 @@ func MaxEigen4x2(a, b [4][4]float64) (float64, [4]float64, float64, [4]float64) 
 // KabschKey is Horn's key matrix Superpose solves for p and q.
 func KabschKey(p, q []Vec3) [4][4]float64 { return newKabsch(p, q).key }
 
-// ForcePortable makes MaxPlusFill run its portable body, as on an amd64
-// without AVX2, until tb's test ends.
+// ForcePortable makes the AVX2 kernels' callers, MaxPlusFill and
+// ScorePass, run their portable bodies, as on an amd64 without AVX2,
+// until tb's test ends.
 func ForcePortable(tb testing.TB) {
 	avx2 := hasAVX2
 	hasAVX2 = false

@@ -12,6 +12,7 @@ import (
 	"rckalign/internal/seqalign"
 	"rckalign/internal/synth"
 	"rckalign/internal/tmalign"
+	"rckalign/internal/tmscore"
 )
 
 // The gap-free rounds' portable body is what an amd64 without AVX2 runs.
@@ -199,6 +200,42 @@ func BenchmarkGapFreeRound(b *testing.B) {
 					body.run()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(x)*len(y)), "ns/cell")
+			})
+		}
+	}
+}
+
+// BenchmarkScorePass times one rotation-search step's pass on CK34's
+// first pair and on the longest RS119 prune survivor: the first chain's
+// gapless overlap with the second, superposed on it, under the search
+// parameters, with the d8 mask and the bitset at d0_search-1. /fused is
+// ScorePass on the kernel this CPU dispatches to, /go on the portable
+// body (what an amd64 without AVX2 runs).
+func BenchmarkScorePass(b *testing.B) {
+	for _, p := range gapFreePairs() {
+		if p.name != "ck34_0_1" && p.name != "rs119_70_73" {
+			continue
+		}
+		x, y := p.x.CAs(), p.y.CAs()
+		n := min(len(x), len(y))
+		tr, _ := geom.Superpose(x[:n], y[:n])
+		sp := tmscore.SearchParams(len(x), len(y))
+		xc, yc := geom.ColsOf(make([]float64, 3*n), n, x[:n]), geom.ColsOf(make([]float64, 3*n), n, y[:n])
+		dis2, set := make([]float64, n), make([]int32, (n+31)/32)
+		for _, portable := range []bool{false, true} {
+			name := p.name + "/fused"
+			if portable {
+				name = p.name + "/go"
+			}
+			b.Run(name, func(b *testing.B) {
+				if portable {
+					geom.ForcePortable(b)
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					geom.ScorePass(set, dis2, &tr, xc, yc, sp.D0*sp.D0, sp.ScoreD8*sp.ScoreD8, (sp.D0Search-1)*(sp.D0Search-1), true)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/pair")
 			})
 		}
 	}

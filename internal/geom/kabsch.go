@@ -92,8 +92,7 @@ type sums struct {
 
 // kabschSumsGo is kabschSums' portable body; len(q) == len(p) >= 1.
 // Every sum is one addition chain in index order (the centroids in
-// Centroid's), unrolled into scalars to keep the loops free of array
-// indexing.
+// Centroid's), in scalars, with no fused multiply-add, as in assembly.
 func kabschSumsGo(p, q []Vec3, m *sums) {
 	n := len(p)
 	q = q[:n]
@@ -108,29 +107,25 @@ func kabschSumsGo(p, q []Vec3, m *sums) {
 		cqz += b[2]
 	}
 	inv := 1 / float64(n)
-	cpx *= inv
-	cpy *= inv
-	cpz *= inv
-	cqx *= inv
-	cqy *= inv
-	cqz *= inv
+	cpx, cpy, cpz = float64(cpx*inv), float64(cpy*inv), float64(cpz*inv)
+	cqx, cqy, cqz = float64(cqx*inv), float64(cqy*inv), float64(cqz*inv)
 
 	var s00, s01, s02, s10, s11, s12, s20, s21, s22, ep, eq float64
 	for i := 0; i < n; i++ {
 		pi, qi := &p[i], &q[i]
 		ax, ay, az := pi[0]-cpx, pi[1]-cpy, pi[2]-cpz
 		bx, by, bz := qi[0]-cqx, qi[1]-cqy, qi[2]-cqz
-		ep += ax*ax + ay*ay + az*az
-		eq += bx*bx + by*by + bz*bz
-		s00 += ax * bx
-		s01 += ax * by
-		s02 += ax * bz
-		s10 += ay * bx
-		s11 += ay * by
-		s12 += ay * bz
-		s20 += az * bx
-		s21 += az * by
-		s22 += az * bz
+		ep += float64(ax*ax) + float64(ay*ay) + float64(az*az)
+		eq += float64(bx*bx) + float64(by*by) + float64(bz*bz)
+		s00 += float64(ax * bx)
+		s01 += float64(ax * by)
+		s02 += float64(ax * bz)
+		s10 += float64(ay * bx)
+		s11 += float64(ay * by)
+		s12 += float64(ay * bz)
+		s20 += float64(az * bx)
+		s21 += float64(az * by)
+		s22 += float64(az * bz)
 	}
 	*m = sums{Vec3{cpx, cpy, cpz}, Vec3{cqx, cqy, cqz}, ep, eq, Mat3{{s00, s01, s02}, {s10, s11, s12}, {s20, s21, s22}}}
 }
@@ -151,11 +146,13 @@ func (k *kabsch) finish(lambda float64, quat [4]float64) (Transform, float64) {
 
 // quatToMat converts a unit quaternion (w, x, y, z) to a rotation matrix.
 func quatToMat(q [4]float64) Mat3 {
-	w, x, y, z := q[0], q[1], q[2], q[3]
+	w, x, y, z := q[0], q[1], q[2], q[3] // each product rounded, never fused
+	ww, xx, yy, zz, xy := float64(w*w), float64(x*x), float64(y*y), float64(z*z), float64(x*y)
+	wz, xz, wy, yz, wx := float64(w*z), float64(x*z), float64(w*y), float64(y*z), float64(w*x)
 	return Mat3{
-		{w*w + x*x - y*y - z*z, 2 * (x*y - w*z), 2 * (x*z + w*y)},
-		{2 * (x*y + w*z), w*w - x*x + y*y - z*z, 2 * (y*z - w*x)},
-		{2 * (x*z - w*y), 2 * (y*z + w*x), w*w - x*x - y*y + z*z},
+		{ww + xx - yy - zz, 2 * (xy - wz), 2 * (xz + wy)},
+		{2 * (xy + wz), ww - xx + yy - zz, 2 * (yz - wx)},
+		{2 * (xz - wy), 2 * (yz + wx), ww - xx - yy + zz},
 	}
 }
 
@@ -234,7 +231,7 @@ func jacobi(a, v *[4][4]float64, sweep, rot int) (float64, [4]float64) {
 		vec[k] = v[k][best]
 	}
 	// Normalise (guards against drift over sweeps).
-	n := math.Sqrt(vec[0]*vec[0] + vec[1]*vec[1] + vec[2]*vec[2] + vec[3]*vec[3])
+	n := math.Sqrt(float64(vec[0]*vec[0]) + float64(vec[1]*vec[1]) + float64(vec[2]*vec[2]) + float64(vec[3]*vec[3]))
 	if n > 0 {
 		for k := range vec {
 			vec[k] /= n

@@ -38,10 +38,7 @@ func lanes(m, w *[4][4][2]float64, a, b *[4][4]float64) {
 	}
 }
 
-// kabschSums and applyAll are kabschSumsGo and applyAllGo in SSE2.
+// kabschSums is kabschSumsGo in SSE2.
 //
 //go:noescape
 func kabschSums(p, q []Vec3, m *sums)
-
-//go:noescape
-func applyAll(dst, pts []Vec3, t *Transform)

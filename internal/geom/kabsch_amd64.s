@@ -252,102 +252,3 @@ covariance:
 	MOVUPD X11, sums_s+48(DI)
 	MOVSD X12, sums_s+64(DI)
 	RET
-
-// ROW sets X3 = ((a*x + b*y) + c*z) + t lane-wise: one output axis of
-// two points, with their x, y, z in X0-X2, the row's rotation entries
-// in a, b, c and its translation at t(R10), all broadcast. X4 is
-// clobbered.
-#define ROW(a, b, c, t) \
-	MOVAPD a, X3; \
-	MULPD X0, X3; \
-	MOVAPD b, X4; \
-	MULPD X1, X4; \
-	ADDPD X4, X3; \
-	MOVAPD c, X4; \
-	MULPD X2, X4; \
-	ADDPD X4, X3; \
-	ADDPD t(R10), X3
-
-// LASTROW is ROW for the third axis, into X0: it consumes x, y and z.
-#define LASTROW \
-	MULPD X13, X0; \
-	MULPD X14, X1; \
-	ADDPD X1, X0; \
-	MULPD X15, X2; \
-	ADDPD X2, X0; \
-	ADDPD 32(R10), X0
-
-// BCAST loads the float64 at off(AX) into both lanes of x.
-#define BCAST(off, x) \
-	MOVSD off(AX), x; \
-	UNPCKLPD x, x
-
-// func applyAll(dst, pts []Vec3, t *Transform)
-//
-// applyAllGo two points at a time, point i in lane 0 and point i+1 in
-// lane 1, each lane Apply's operation order; an odd last point runs
-// alone in lane 0. The rotation stays in X7-X15 and the translation in
-// a 16-byte-aligned slot of the frame at R10, which ADDPD reads in
-// place. len(dst) == len(pts).
-TEXT ·applyAll(SB), NOSPLIT, $64-56
-	MOVQ dst_base+0(FP), DI
-	MOVQ pts_base+24(FP), SI
-	MOVQ pts_len+32(FP), CX
-	MOVQ t+48(FP), AX
-	LEAQ 15(SP), R10
-	ANDQ $-16, R10
-	BCAST(0, X7)
-	BCAST(8, X8)
-	BCAST(16, X9)
-	BCAST(24, X10)
-	BCAST(32, X11)
-	BCAST(40, X12)
-	BCAST(48, X13)
-	BCAST(56, X14)
-	BCAST(64, X15)
-	BCAST(72, X0)
-	MOVAPD X0, 0(R10)
-	BCAST(80, X0)
-	MOVAPD X0, 16(R10)
-	BCAST(88, X0)
-	MOVAPD X0, 32(R10)
-	MOVQ CX, DX
-	SHRQ $1, DX
-	JZ tail
-
-pair:
-	MOVSD 0(SI), X0
-	MOVHPD 24(SI), X0
-	MOVSD 8(SI), X1
-	MOVHPD 32(SI), X1
-	MOVSD 16(SI), X2
-	MOVHPD 40(SI), X2
-	ROW(X7, X8, X9, 0)
-	MOVSD X3, 0(DI)
-	MOVHPD X3, 24(DI)
-	ROW(X10, X11, X12, 16)
-	MOVSD X3, 8(DI)
-	MOVHPD X3, 32(DI)
-	LASTROW
-	MOVSD X0, 16(DI)
-	MOVHPD X0, 40(DI)
-	ADDQ $48, SI
-	ADDQ $48, DI
-	DECQ DX
-	JNZ pair
-
-tail:
-	TESTQ $1, CX
-	JEQ done
-	MOVSD 0(SI), X0
-	MOVSD 8(SI), X1
-	MOVSD 16(SI), X2
-	ROW(X7, X8, X9, 0)
-	MOVSD X3, 0(DI)
-	ROW(X10, X11, X12, 16)
-	MOVSD X3, 8(DI)
-	LASTROW
-	MOVSD X0, 16(DI)
-
-done:
-	RET

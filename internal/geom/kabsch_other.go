@@ -9,5 +9,3 @@ func maxEigen4x2(a, b *[4][4]float64) (float64, [4]float64, float64, [4]float64)
 }
 
 func kabschSums(p, q []Vec3, m *sums) { kabschSumsGo(p, q, m) }
-
-func applyAll(dst, pts []Vec3, t *Transform) { applyAllGo(dst, pts, t) }

@@ -1,17 +1,18 @@
 package geom
 
-import "unsafe"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // The TM-score term d0²/(d0²+d²), one divide, is the inner loop of every
-// TM-align score matrix and rotation-search scoring pass. ScoreRow and
-// ScoreSum are its two shapes, and MaxPlusFill folds it into the value
-// table of a gap-free DP round. On amd64 the first two are SSE2 assembly,
-// two terms per packed SUBPD/MULPD/ADDPD/DIVPD, and MaxPlusFill is AVX2
-// assembly, four, where the CPU has AVX2. Every lane takes exactly the
-// scalar operation order, bit-identical to the Go bodies below, which
-// every other GOARCH (and an amd64 without AVX2) runs and the tests
-// compare against (DESIGN.md §16, "packed TM terms" and "gap-free rounds
-// are max-plus").
+// score matrix (ScoreRow), search or fast-score step (ScorePass) and
+// gap-free DP round (MaxPlusFill). On amd64 ScoreRow is SSE2 assembly, two
+// terms per DIVPD, the others AVX2, four, where the CPU has AVX2. Every
+// lane takes the scalar operation order, bit-identical to the Go bodies
+// below, which every other GOARCH (and an amd64 without AVX2) runs and
+// the tests compare against (DESIGN.md §16, "packed TM terms", "gap-free
+// rounds are max-plus" and "one pass per step").
 
 // sqDist is |p-q|² as ((dx*dx + dy*dy) + dz*dz), the one operation order
 // of every kernel body. The conversions forbid fused multiply-adds, which
@@ -37,13 +38,36 @@ func ScoreRow(dst, yx, yy, yz []float64, p Vec3, d02 float64) {
 	scoreRow(dst, yx[:n], yy[:n], yz[:n], p[0], p[1], p[2], d02)
 }
 
-// ScoreSum sets dis2[i] = |a[i]-b[i]|² for every i of a and returns the
-// sum of d02/(d02+dis2[i]), added in index order; with mask, only the
-// pairs with dis2[i] <= cut2 are added. b and dis2 must be at least as
-// long as a.
-func ScoreSum(dis2 []float64, a, b []Vec3, d02, cut2 float64, mask bool) float64 {
-	n := len(a)
-	return scoreSum(dis2[:n], a, b[:n], d02, cut2, mask)
+// ScorePass is one step of the rotation search or of a fast score, one
+// pass over n = len(dis2) aligned pairs: it maps x[i] through t (Apply),
+// sets dis2[i] to its squared distance from y[i] (Term's d²), and returns
+// the sum of d02/(d02+dis2[i]), added in index order (with mask, only
+// over the pairs with dis2[i] <= cut2), and Collect(set, dis2, first).
+// x and y hold at least n points; set holds ceil(n/32) words or none.
+func ScorePass(set []int32, dis2 []float64, t *Transform, x, y Cols, d02, cut2, first float64, mask bool) (sum float64, nCut int) {
+	n := len(dis2)
+	if x, y = x.Slice(0, n), y.Slice(0, n); len(set) > 0 {
+		set = set[:(n+31)/32]
+	}
+	if !hasAVX2 || n < 4 {
+		return scorePassGo(set, dis2, t, &x, &y, d02, cut2, first, mask)
+	}
+	return scorePassQuad(set, dis2, t, &x, &y, d02, cut2, first, mask)
+}
+
+// Collect makes the bitset set, ceil(len(dis2)/32) words, hold the
+// indices i with dis2[i] < cutoff and returns how many there are.
+func Collect(set []int32, dis2 []float64, cutoff float64) (nCut int) {
+	for w := range set {
+		var word uint32
+		for b, di := range dis2[w*32 : min(w*32+32, len(dis2))] {
+			if di < cutoff {
+				word |= 1 << (uint(b) & 31)
+			}
+		}
+		set[w], nCut = int32(word), nCut+bits.OnesCount32(word)
+	}
+	return nCut
 }
 
 // QuadMirror returns the fixed chain y interleaved for MaxPlusFill,
@@ -124,17 +148,17 @@ func scoreRowGo(dst, yx, yy, yz []float64, px, py, pz, d02 float64) {
 	}
 }
 
-// scoreSumGo is ScoreSum's portable body; all slices have len(a).
-func scoreSumGo(dis2 []float64, a, b []Vec3, d02, cut2 float64, mask bool) float64 {
-	b, dis2 = b[:len(a)], dis2[:len(a)]
-	var sum float64
-	for i := range a {
-		p, q := &a[i], &b[i]
-		di := sqDist(p[0], p[1], p[2], q[0], q[1], q[2])
-		dis2[i] = di
-		if !mask || di <= cut2 {
+// scorePassGo is ScorePass's portable body; x and y hold len(dis2)
+// points and set ceil(len(dis2)/32) words or none.
+func scorePassGo(set []int32, dis2 []float64, t *Transform, x, y *Cols, d02, cut2, first float64, mask bool) (sum float64, nCut int) {
+	n, r, u := len(dis2), t.R, t.T
+	xx, xy, xz, yx, yy, yz := x.X[:n], x.Y[:n], x.Z[:n], y.X[:n], y.Y[:n], y.Z[:n]
+	for i, px := range xx {
+		py, pz := xy[i], xz[i]
+		di := sqDist(row(&r[0], u[0], px, py, pz), row(&r[1], u[1], px, py, pz), row(&r[2], u[2], px, py, pz), yx[i], yy[i], yz[i])
+		if dis2[i] = di; !mask || di <= cut2 {
 			sum += d02 / (d02 + di)
 		}
 	}
-	return sum
+	return sum, Collect(set, dis2, first)
 }

@@ -1,14 +1,14 @@
 package geom
 
-// scoreRow and scoreSum are score_amd64.s: scoreRowGo and scoreSumGo two
-// lanes at a time on SSE2, the GOAMD64=v1 baseline. Its AVX2 maxPlusQuad
-// runs where cpuAVX2 finds the instructions and the OS's YMM state.
+// scoreRow is score_amd64.s: scoreRowGo two lanes at a time on SSE2, the
+// GOAMD64=v1 baseline. Its AVX2 scorePassQuad and maxPlusQuad run where
+// cpuAVX2 finds the instructions and the OS's YMM state.
 
 //go:noescape
 func scoreRow(dst, yx, yy, yz []float64, px, py, pz, d02 float64)
 
 //go:noescape
-func scoreSum(dis2 []float64, a, b []Vec3, d02, cut2 float64, mask bool) float64
+func scorePassQuad(set []int32, dis2 []float64, t *Transform, x, y *Cols, d02, cut2, first float64, mask bool) (sum float64, nCut int)
 
 //go:noescape
 func maxPlusQuad(blk, yq []float64, p *[12]float64, d02 float64)

@@ -1,7 +1,8 @@
+#include "go_asm.h"
 #include "textflag.h"
 
-// Two TM-score terms per iteration, one per SSE2 lane (maxPlusQuad, at
-// the end, takes four per AVX2 instruction). Each packed op is the scalar
+// Two TM-score terms per iteration, one per SSE2 lane (scorePassQuad and
+// maxPlusQuad take four per AVX2 instruction). Each packed op is the scalar
 // op of the Go bodies in score.go in the same order, and IEEE packed and
 // scalar arithmetic round alike, so every lane is bit-identical to the Go
 // body. A single element (an odd tail) takes the same packed ops with a
@@ -79,89 +80,195 @@ rowtail:
 rowdone:
 	RET
 
-// func scoreSum(dis2 []float64, a, b []Vec3, d02, cut2 float64, mask bool) float64
-TEXT ·scoreSum(SB), NOSPLIT, $0-104
-	MOVQ dis2_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ a_len+32(FP), CX
-	MOVQ b_base+48(FP), BX
-	MOVSD d02+72(FP), X11
-	UNPCKLPD X11, X11
-	MOVSD cut2+80(FP), X13
-	UNPCKLPD X13, X13
+// PASS is one block of scorePassQuad, pairs i to i+3 for i = AX, one per
+// lane: x's columns at R8, R9, R11 through the rotation (Y15-Y8 and the
+// frame's r22) and the translation in Apply's order, ((a*x + b*y) + c*z)
+// + t, minus y's columns at R12, R13, SI, then sqDist's order, ((dx*dx +
+// dy*dy) + dz*dz), into Y3, stored to dis2 at DI. Y0 becomes the terms
+// d02/(di+d02), one VDIVPD, ANDed with the cut2 mask (ORed with the
+// frame's all-ones when the mask is off), and BX the bits of di < first.
+#define PASS \
+	VMOVUPD (R8)(AX*8), Y0; \
+	VMOVUPD (R9)(AX*8), Y1; \
+	VMOVUPD (R11)(AX*8), Y2; \
+	VMULPD Y15, Y0, Y3; \
+	VMULPD Y14, Y1, Y4; \
+	VADDPD Y4, Y3, Y3; \
+	VMULPD Y13, Y2, Y4; \
+	VADDPD Y4, Y3, Y3; \
+	VADDPD 0(R10), Y3, Y3; \
+	VSUBPD (R12)(AX*8), Y3, Y3; \
+	VMULPD Y3, Y3, Y3; \
+	VMULPD Y12, Y0, Y4; \
+	VMULPD Y11, Y1, Y5; \
+	VADDPD Y5, Y4, Y4; \
+	VMULPD Y10, Y2, Y5; \
+	VADDPD Y5, Y4, Y4; \
+	VADDPD 32(R10), Y4, Y4; \
+	VSUBPD (R13)(AX*8), Y4, Y4; \
+	VMULPD Y4, Y4, Y4; \
+	VADDPD Y4, Y3, Y3; \
+	VMULPD Y9, Y0, Y0; \
+	VMULPD Y8, Y1, Y1; \
+	VADDPD Y1, Y0, Y0; \
+	VMULPD 96(R10), Y2, Y2; \
+	VADDPD Y2, Y0, Y0; \
+	VADDPD 64(R10), Y0, Y0; \
+	VSUBPD (SI)(AX*8), Y0, Y0; \
+	VMULPD Y0, Y0, Y0; \
+	VADDPD Y0, Y3, Y3; \
+	VMOVUPD Y3, (DI)(AX*8); \
+	VADDPD Y6, Y3, Y0; \
+	VDIVPD Y0, Y6, Y0; \
+	VCMPPD $2, 128(R10), Y3, Y1; \
+	VORPD 160(R10), Y1, Y1; \
+	VANDPD Y1, Y0, Y0; \
+	VCMPPD $1, 192(R10), Y3, Y2; \
+	VMOVMSKPD Y2, BX
 
-	// X14 is OR-ed into the cut2 comparison: all ones adds every term,
-	// zero adds those with dis2 <= cut2. A dropped term is ANDed to +0,
-	// and adding +0 leaves the sum's bits alone: the sum starts at +0 and
-	// so never becomes -0.
-	PCMPEQL X14, X14
-	MOVBLZX mask+88(FP), AX
-	TESTQ AX, AX
-	JEQ summed
-	XORPD X14, X14
+// BCAST4 broadcasts the float64 at src into the frame's vector at off.
+#define BCAST4(src, off) \
+	VBROADCASTSD src, Y0; \
+	VMOVAPD Y0, off(R10)
 
-summed:
-	XORPD X7, X7 // sum
+// func scorePassQuad(set []int32, dis2 []float64, t *Transform, x, y *Cols, d02, cut2, first float64, mask bool) (sum float64, nCut int)
+//
+// scorePassGo four pairs per block, len(dis2) >= 4. The lanes' terms are
+// added to the sum in X7 one after another, so it keeps index order; a
+// masked-out term is ANDed to +0, which leaves the sum's bits alone (it
+// starts at +0 and so is never -0). Each block's four bits go into the
+// bitset word in DX at their place, and unless set is empty a full word
+// is stored and counted with POPCNTL (every AVX2 CPU has it). The
+// last n%4 pairs rerun the block ending at pair n-1, whose earlier lanes
+// store the dis2 they stored before and add nothing. The frame at R10,
+// 32-byte aligned, holds t's translation, r22, cut2, the mask's OR, first
+// (vectors at 0-192), set's base, n rounded down to a multiple of 4 and
+// the count.
+TEXT ·scorePassQuad(SB), NOSPLIT, $288-120
+	LEAQ 31(SP), R10
+	ANDQ $-32, R10
+	MOVQ t+48(FP), AX
+	VBROADCASTSD 0(AX), Y15
+	VBROADCASTSD 8(AX), Y14
+	VBROADCASTSD 16(AX), Y13
+	VBROADCASTSD 24(AX), Y12
+	VBROADCASTSD 32(AX), Y11
+	VBROADCASTSD 40(AX), Y10
+	VBROADCASTSD 48(AX), Y9
+	VBROADCASTSD 56(AX), Y8
+	BCAST4(64(AX), 96)
+	BCAST4(72(AX), 0)
+	BCAST4(80(AX), 32)
+	BCAST4(88(AX), 64)
+	VBROADCASTSD d02+72(FP), Y6
+	BCAST4(cut2+80(FP), 128)
+	MOVBLZX mask+96(FP), BX
+	DECQ BX // mask off: all ones, every term added
+	MOVQ BX, 160(R10)
+	BCAST4(160(R10), 160)
+	BCAST4(first+88(FP), 192)
+	MOVQ set_base+0(FP), BX
+	MOVQ set_len+8(FP), CX
+	TESTQ CX, CX
+	JNZ haveset
+	XORQ BX, BX
+
+haveset:
+	MOVQ BX, 224(R10)
+	MOVQ dis2_len+32(FP), CX
+	ANDQ $-4, CX
+	MOVQ CX, 232(R10)
+	MOVQ $0, 240(R10)
+	MOVQ x+56(FP), BX
+	MOVQ Cols_X(BX), R8
+	MOVQ Cols_Y(BX), R9
+	MOVQ Cols_Z(BX), R11
+	MOVQ y+64(FP), BX
+	MOVQ Cols_X(BX), R12
+	MOVQ Cols_Y(BX), R13
+	MOVQ Cols_Z(BX), SI
+	MOVQ dis2_base+24(FP), DI
+	VXORPD X7, X7, X7 // sum
+	XORQ DX, DX // bitset word
 	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-2, DX
 
-sumpair:
-	CMPQ AX, DX
-	JAE sumtail
-	MOVSD 0(SI), X0 // lane 0 is pair i, lane 1 pair i+1 (Vec3 is 24 bytes)
-	MOVHPD 24(SI), X0
-	MOVSD 0(BX), X3
-	MOVHPD 24(BX), X3
-	SUBPD X3, X0 // dx = a[0] - b[0]
-	MOVSD 8(SI), X1
-	MOVHPD 32(SI), X1
-	MOVSD 8(BX), X3
-	MOVHPD 32(BX), X3
-	SUBPD X3, X1
-	MOVSD 16(SI), X2
-	MOVHPD 40(SI), X2
-	MOVSD 16(BX), X3
-	MOVHPD 40(BX), X3
-	SUBPD X3, X2
-	SQDIST
-	MOVUPD X0, (DI)(AX*8)
-	MOVAPD X0, X4
-	CMPPD X13, X4, $2 // di <= cut2 (false for NaN)
-	ORPD X14, X4
-	TERM
-	ANDPD X4, X3
-	ADDSD X3, X7 // pair i, then
-	UNPCKHPD X3, X3
-	ADDSD X3, X7 // pair i+1: the sum stays in index order
-	ADDQ $48, SI
-	ADDQ $48, BX
-	ADDQ $2, AX
-	JMP sumpair
+block:
+	PASS
+	VADDSD X0, X7, X7 // pair i, then i+1, i+2, i+3
+	VUNPCKHPD X0, X0, X1
+	VADDSD X1, X7, X7
+	VEXTRACTF128 $1, Y0, X0
+	VADDSD X0, X7, X7
+	VUNPCKHPD X0, X0, X1
+	VADDSD X1, X7, X7
+	MOVQ AX, CX
+	ANDQ $31, CX
+	SHLQ CL, BX
+	ORQ BX, DX
+	ADDQ $4, AX
+	TESTQ $31, AX
+	JNZ next
+	MOVQ 224(R10), BX
+	TESTQ BX, BX
+	JZ cleared
+	MOVQ AX, CX
+	SHRQ $5, CX
+	MOVL DX, -4(BX)(CX*4)
+	POPCNTL DX, BX
+	ADDQ BX, 240(R10)
 
-sumtail:
-	CMPQ AX, CX
-	JAE sumdone
-	MOVSD 0(SI), X0
-	MOVSD 0(BX), X3
-	SUBPD X3, X0
-	MOVSD 8(SI), X1
-	MOVSD 8(BX), X3
-	SUBPD X3, X1
-	MOVSD 16(SI), X2
-	MOVSD 16(BX), X3
-	SUBPD X3, X2
-	SQDIST
-	MOVSD X0, (DI)(AX*8)
-	MOVAPD X0, X4
-	CMPPD X13, X4, $2
-	ORPD X14, X4
-	TERM
-	ANDPD X4, X3
-	ADDSD X3, X7
+cleared:
+	XORQ DX, DX
 
-sumdone:
-	MOVSD X7, ret+96(FP)
+next:
+	CMPQ AX, 232(R10)
+	JB block
+
+	MOVQ dis2_len+32(FP), CX
+	ANDQ $3, CX
+	JZ last
+	MOVQ dis2_len+32(FP), AX
+	SUBQ $4, AX
+	PASS
+	VEXTRACTF128 $1, Y0, X2
+	CMPQ CX, $2
+	JB lane3
+	JEQ lane2
+	VUNPCKHPD X0, X0, X1
+	VADDSD X1, X7, X7 // lane 1 of 3
+
+lane2:
+	VADDSD X2, X7, X7
+
+lane3:
+	VUNPCKHPD X2, X2, X1
+	VADDSD X1, X7, X7
+	NEGQ CX
+	ADDQ $4, CX
+	SHRQ CL, BX // the n%4 new lanes' bits
+	MOVQ 232(R10), CX
+	ANDQ $31, CX
+	SHLQ CL, BX
+	ORQ BX, DX
+
+last:
+	MOVQ dis2_len+32(FP), AX
+	TESTQ $31, AX
+	JZ done
+	MOVQ 224(R10), BX
+	TESTQ BX, BX
+	JZ done
+	DECQ AX
+	SHRQ $5, AX
+	MOVL DX, (BX)(AX*4)
+	POPCNTL DX, BX
+	ADDQ BX, 240(R10)
+
+done:
+	VZEROUPPER
+	MOVSD X7, sum+104(FP)
+	MOVQ 240(R10), AX
+	MOVQ AX, nCut+112(FP)
 	RET
 
 // quadMask<> is maxPlusQuad's steps 1-6: lane k starts at step 2k+1, and

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -38,25 +39,17 @@ func kernelInput(data []byte, seed int64, n int) []float64 {
 	return v
 }
 
-// checkScoreKernels runs both kernel shapes through the bodies this
-// GOARCH dispatches to and through the portable Go bodies, on n elements
-// starting at offset off of their buffers (so packed loads see every
-// alignment), and requires equal bits everywhere and untouched memory
-// past the end.
-func checkScoreKernels(t *testing.T, data []byte, seed int64, n, off int, d02, cut2 float64, mask bool) {
+// checkScoreRow runs ScoreRow through the body this GOARCH dispatches to
+// and through the portable Go body, on n elements starting at offset off
+// of their buffers (so packed loads see every alignment), and requires
+// equal bits everywhere and untouched memory past the end.
+func checkScoreRow(t *testing.T, data []byte, seed int64, n, off int, d02 float64) {
 	const guard = 12345.678
 	v := kernelInput(data, seed, 6*n+3)
 	buf := func() []float64 {
 		b := make([]float64, off+n+1)
 		b[off+n] = guard
 		return b
-	}
-	vecs := func(c []float64) []Vec3 {
-		p := make([]Vec3, off+n)
-		for i := 0; i < n; i++ {
-			p[off+i] = Vec3{c[3*i], c[3*i+1], c[3*i+2]}
-		}
-		return p[off:]
 	}
 	yx, yy, yz := buf(), buf(), buf()
 	copy(yx[off:], v[:n])
@@ -72,24 +65,13 @@ func checkScoreKernels(t *testing.T, data []byte, seed int64, n, off int, d02, c
 			t.Fatalf("ScoreRow n=%d off=%d: dst[%d] = %x, Go body %x", n, off, j-off, got[j], want[j])
 		}
 	}
-
-	a, b := vecs(v[:3*n]), vecs(v[3*n:6*n])
-	gotD, wantD := buf(), buf()
-	gotS := ScoreSum(gotD[off:off+n], a, b, d02, cut2, mask)
-	wantS := scoreSumGo(wantD[off:off+n], a, b, d02, cut2, mask)
-	if !sameBits(gotS, wantS) {
-		t.Fatalf("ScoreSum n=%d off=%d mask=%t: sum %x, Go body %x", n, off, mask, gotS, wantS)
-	}
-	for i := off; i <= off+n; i++ {
-		if !sameBits(gotD[i], wantD[i]) {
-			t.Fatalf("ScoreSum n=%d off=%d: dis2[%d] = %x, Go body %x", n, off, i-off, gotD[i], wantD[i])
-		}
-	}
 }
 
-// FuzzScoreKernels requires the dispatched ScoreRow and ScoreSum to equal
-// the portable Go bodies bit for bit at lengths 0-300, mask on and off,
-// with NaN, ±Inf, denormal and ±1e300 coordinates mixed in.
+// FuzzScoreKernels requires the dispatched ScoreRow to equal the portable
+// Go body bit for bit at lengths 0-300, with NaN, ±Inf, denormal and
+// ±1e300 coordinates mixed in. The mask and cut2 arguments date from the
+// fused-away ScoreSum and keep the committed corpus readable; ScorePass
+// has its own fuzz, FuzzScorePass.
 func FuzzScoreKernels(f *testing.F) {
 	f.Add([]byte{}, int64(1), uint16(0), false, 25.0, 64.0)
 	f.Add([]byte{}, int64(2), uint16(1), true, 25.0, 64.0)
@@ -97,9 +79,118 @@ func FuzzScoreKernels(f *testing.F) {
 	f.Add([]byte{128, 129, 130, 131, 132, 133, 134, 135, 136, 137, 138, 139}, int64(4), uint16(12), true, 25.0, 900.0)
 	f.Add([]byte{255, 1, 140, 141, 250, 3}, int64(5), uint16(300), false, 0.0, math.Inf(1))
 	f.Add([]byte{9, 9, 143}, int64(6), uint16(151), true, math.NaN(), -1.0)
-	f.Fuzz(func(t *testing.T, data []byte, seed int64, n uint16, mask bool, d02, cut2 float64) {
-		checkScoreKernels(t, data, seed, int(n%301), int(seed&1), d02, cut2, mask)
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, n uint16, _ bool, d02, _ float64) {
+		checkScoreRow(t, data, seed, int(n%301), int(seed&1), d02)
 	})
+}
+
+// scorePassInput turns fuzz bytes into n aligned pairs as columns,
+// starting at offset off of buffers one longer (so packed loads see every
+// alignment), and a transform, each coordinate and entry as kernelInput
+// makes it.
+func scorePassInput(data []byte, seed int64, n, off int) (x, y Cols, tr Transform) {
+	v := kernelInput(data, seed, 6*n+12)
+	cols := func(c []float64) Cols {
+		b := make([]float64, 3*(off+n+1))
+		m := off + n + 1
+		col := Cols{b[off : off+n], b[m+off : m+off+n], b[2*m+off : 2*m+off+n]}
+		for i := 0; i < n; i++ {
+			col.X[i], col.Y[i], col.Z[i] = c[3*i], c[3*i+1], c[3*i+2]
+		}
+		return col
+	}
+	t := v[6*n:]
+	tr = Transform{R: Mat3{{t[0], t[1], t[2]}, {t[3], t[4], t[5]}, {t[6], t[7], t[8]}}, T: Vec3{t[9], t[10], t[11]}}
+	return cols(v[:3*n]), cols(v[3*n : 6*n]), tr
+}
+
+// nudge is v, or for step 1 and 2 the next float64 above or below it.
+func nudge(v float64, step uint8) float64 {
+	switch step % 3 {
+	case 1:
+		return math.Nextafter(v, math.Inf(1))
+	case 2:
+		return math.Nextafter(v, math.Inf(-1))
+	}
+	return v
+}
+
+// checkScorePass runs ScorePass through the kernel this CPU dispatches to
+// and through the portable body on n pairs, and requires equal bits in
+// the sum, the count, every dis2 and every bitset word, and untouched
+// guards past dis2 and set. The cutoffs sit on the distance of pair pick
+// (when there is one) or one ulp either side of it, as the steps say;
+// without withSet both run with no bitset.
+func checkScorePass(t *testing.T, data []byte, seed int64, n int, d02 float64, mask, withSet bool, pick uint16, cutStep, firstStep uint8) {
+	const guard = 12345.678
+	x, y, tr := scorePassInput(data, seed, n, int(seed&3))
+	cut2, first := 64.0, 20.25
+	if n > 0 {
+		probe := make([]float64, n)
+		scorePassGo(nil, probe, &tr, &x, &y, d02, 0, 0, false)
+		d := probe[int(pick)%n]
+		cut2, first = nudge(d, cutStep), nudge(d, firstStep)
+	}
+	words := 0
+	if withSet {
+		words = (n + 31) / 32
+	}
+	gotD, wantD := make([]float64, n+1), make([]float64, n+1)
+	gotSet, wantSet := make([]int32, words+1), make([]int32, words+1)
+	gotD[n], wantD[n], gotSet[words], wantSet[words] = guard, guard, -7, -7
+	gotS, gotN := ScorePass(gotSet[:words], gotD[:n], &tr, x, y, d02, cut2, first, mask)
+	wantS, wantN := scorePassGo(wantSet[:words], wantD[:n], &tr, &x, &y, d02, cut2, first, mask)
+	what := fmt.Sprintf("n=%d mask=%t set=%t d02=%g cut2=%g first=%g", n, mask, withSet, d02, cut2, first)
+	if !sameBits(gotS, wantS) || gotN != wantN {
+		t.Fatalf("%s: sum %x count %d, Go body %x count %d", what, gotS, gotN, wantS, wantN)
+	}
+	for i := range gotD {
+		if !sameBits(gotD[i], wantD[i]) {
+			t.Fatalf("%s: dis2[%d] = %x, Go body %x", what, i, gotD[i], wantD[i])
+		}
+	}
+	for w := range gotSet {
+		if gotSet[w] != wantSet[w] {
+			t.Fatalf("%s: set word %d = %#x, Go body %#x", what, w, gotSet[w], wantSet[w])
+		}
+	}
+	if withSet && wantN != Collect(make([]int32, words), wantD[:n], first) {
+		t.Fatalf("%s: count %d is not Collect's", what, wantN)
+	}
+}
+
+// FuzzScorePass requires the fused rotate-score-collect pass to equal its
+// portable body bit for bit: lengths 0-300 (every n%4 tail, and word
+// edges at 31-33 and 63-65 among the seeds), NaN, ±Inf, ±1e300 and
+// subnormal coordinates and transform entries, the mask on and off, with
+// and without a bitset, and both cutoffs exactly on a pair's distance or
+// one ulp either side of it.
+func FuzzScorePass(f *testing.F) {
+	for _, n := range []uint16{0, 1, 3, 4, 5, 6, 7, 8, 31, 32, 33, 63, 64, 65, 150, 299, 300} {
+		f.Add([]byte{}, int64(n), n, 25.0, n%2 == 0, n != 6, n, uint8(n), uint8(n/2))
+	}
+	f.Add([]byte{128, 129, 130, 131, 132, 133, 134, 135, 136, 137, 138, 139}, int64(4), uint16(12), 25.0, true, true, uint16(3), uint8(0), uint8(1))
+	f.Add([]byte{0, 0, 140, 0, 0, 141, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 128, 129, 133, 134, 0, 0, 0, 0, 0, 0, 131, 130}, int64(5), uint16(5), 17.3, true, true, uint16(1), uint8(2), uint8(0))
+	f.Add([]byte{255, 1, 140, 141, 250, 3}, int64(6), uint16(37), 0.0, false, true, uint16(9), uint8(1), uint8(2))
+	f.Add([]byte{9, 9, 143}, int64(7), uint16(151), math.NaN(), true, true, uint16(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, n uint16, d02 float64, mask, withSet bool, pick uint16, cutStep, firstStep uint8) {
+		checkScorePass(t, data, seed, int(n%301), d02, mask, withSet, pick, cutStep, firstStep)
+	})
+}
+
+// TestScorePassSpecialValues runs every special value through every
+// coordinate of a five-pair problem (a block of four and a tail of one)
+// and every transform entry, with the cutoffs on each distance.
+func TestScorePassSpecialValues(t *testing.T) {
+	for k := 0; k < 42; k++ {
+		for b := 128; b < 128+len(kernelValues); b++ {
+			data := make([]byte, 42)
+			data[k] = byte(b)
+			for pick := uint16(0); pick < 5; pick++ {
+				checkScorePass(t, data, int64(k), 5, 25, k%2 == 0, true, pick, uint8(b), uint8(k))
+			}
+		}
+	}
 }
 
 // maxPlusValues are the coordinates the max-plus fuzz mixes into
@@ -199,20 +290,30 @@ func FuzzMaxPlusKernel(f *testing.F) {
 	})
 }
 
-// TestScoreSumMask pins the mask's meaning on a hand-checked case: only
-// pairs with dis2 <= cut2 are added, and dis2 is written either way.
-func TestScoreSumMask(t *testing.T) {
-	a := []Vec3{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}
-	b := []Vec3{{1, 0, 0}, {0, 2, 0}, {0, 0, 3}}
-	dis2 := make([]float64, 3)
-	if got := ScoreSum(dis2, a, b, 4, 4, true); got != 4/(4+1.0)+4/(4+4.0) {
-		t.Errorf("masked sum = %v", got)
+// TestScorePassMask pins the mask's and the bitset's meaning on a
+// hand-checked case, five pairs so a block and a tail run: only pairs
+// with dis2 <= cut2 are added, only those with dis2 < first are
+// collected, and dis2 is written either way.
+func TestScorePassMask(t *testing.T) {
+	x := ColsOf(make([]float64, 15), 5, make([]Vec3, 5))
+	y := ColsOf(make([]float64, 15), 5, []Vec3{{1, 0, 0}, {0, 2, 0}, {0, 0, 3}, {0, 0, 0}, {4, 0, 0}})
+	tr := IdentityTransform()
+	dis2, set := make([]float64, 5), make([]int32, 1)
+	masked, all := 0.0, 0.0 // the sums in index order, rounded as they run
+	for _, d := range []float64{1, 4, 9, 0, 16} {
+		if all += 4 / (4 + d); d <= 4 {
+			masked += 4 / (4 + d)
+		}
 	}
-	if dis2[2] != 9 {
+	sum, nCut := ScorePass(set, dis2, &tr, x, y, 4, 4, 9, true)
+	if sum != masked || nCut != 3 || set[0] != 0b1011 {
+		t.Errorf("masked: sum %v, %d collected (set %b)", sum, nCut, set[0])
+	}
+	if dis2[2] != 9 || dis2[4] != 16 {
 		t.Errorf("dis2 = %v", dis2)
 	}
-	if got := ScoreSum(dis2, a, b, 4, 4, false); got != 4/(4+1.0)+4/(4+4.0)+4/(4+9.0) {
-		t.Errorf("unmasked sum = %v", got)
+	if sum, nCut := ScorePass(nil, dis2, &tr, x, y, 4, 4, 9, false); sum != all || nCut != 0 {
+		t.Errorf("unmasked: sum %v, %d collected without a set", sum, nCut)
 	}
 }
 
@@ -315,19 +416,4 @@ func BenchmarkScoreRow(b *testing.B) {
 	benchBodies(b, n,
 		func() { ScoreRow(dst, yx, yy, yz, p, 25) },
 		func() { scoreRowGo(dst, yx, yy, yz, p[0], p[1], p[2], 25) })
-}
-
-// BenchmarkScoreSum scores 150 aligned pairs under the d8 mask.
-func BenchmarkScoreSum(b *testing.B) {
-	const n = 150
-	v := kernelInput(nil, 2, 6*n)
-	x, y := make([]Vec3, n), make([]Vec3, n)
-	for i := range x {
-		x[i] = Vec3{v[6*i], v[6*i+1], v[6*i+2]}
-		y[i] = x[i].Add(Vec3{v[6*i+3], v[6*i+4], v[6*i+5]}.Scale(0.1))
-	}
-	dis2 := make([]float64, n)
-	benchBodies(b, n,
-		func() { ScoreSum(dis2, x, y, 25, 64, true) },
-		func() { scoreSumGo(dis2, x, y, 25, 64, true) })
 }

@@ -78,12 +78,12 @@ func Identity() Mat3 {
 	return Mat3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
 }
 
-// MulVec returns m * v.
+// MulVec returns m * v, each row ((a*x + b*y) + c*z), never fused.
 func (m Mat3) MulVec(v Vec3) Vec3 {
 	return Vec3{
-		m[0][0]*v[0] + m[0][1]*v[1] + m[0][2]*v[2],
-		m[1][0]*v[0] + m[1][1]*v[1] + m[1][2]*v[2],
-		m[2][0]*v[0] + m[2][1]*v[1] + m[2][2]*v[2],
+		float64(m[0][0]*v[0]) + float64(m[0][1]*v[1]) + float64(m[0][2]*v[2]),
+		float64(m[1][0]*v[0]) + float64(m[1][1]*v[1]) + float64(m[1][2]*v[2]),
+		float64(m[2][0]*v[0]) + float64(m[2][1]*v[1]) + float64(m[2][2]*v[2]),
 	}
 }
 
@@ -174,24 +174,32 @@ func IdentityTransform() Transform { return Transform{R: Identity()} }
 // Apply maps a single point through the transform.
 func (t Transform) Apply(v Vec3) Vec3 { return t.R.MulVec(v).Add(t.T) }
 
-// ApplyAll maps pts through the transform into dst, which must have the
-// same length as pts (dst may alias pts). Every component is evaluated in
-// exactly Apply's order, so results are bit-identical to mapping Apply
-// over pts. On amd64 the body is SSE2 assembly, two points per packed
-// op; every other GOARCH runs applyAllGo.
-func (t Transform) ApplyAll(dst, pts []Vec3) {
-	applyAll(dst[:len(pts)], pts, &t)
+// row is one axis of Apply, ((a*x + b*y) + c*z) + t, never fused.
+func row(r *[3]float64, t, x, y, z float64) float64 {
+	return float64(r[0]*x) + float64(r[1]*y) + float64(r[2]*z) + t
 }
 
-// applyAllGo is ApplyAll's portable body; len(dst) == len(pts).
-func applyAllGo(dst, pts []Vec3, t *Transform) {
-	r, u := t.R, t.T
-	for i := range pts {
-		x, y, z := pts[i][0], pts[i][1], pts[i][2]
-		dst[i] = Vec3{
-			r[0][0]*x + r[0][1]*y + r[0][2]*z + u[0],
-			r[1][0]*x + r[1][1]*y + r[1][2]*z + u[1],
-			r[2][0]*x + r[2][1]*y + r[2][2]*z + u[2],
-		}
+// ApplyAll is Apply on every point of pts, into dst, as long as pts (it
+// may alias pts). Search and fast-score steps rotate inside ScorePass.
+func (t Transform) ApplyAll(dst, pts []Vec3) {
+	r, u, dst := &t.R, &t.T, dst[:len(pts)]
+	for i, p := range pts {
+		dst[i] = Vec3{row(&r[0], u[0], p[0], p[1], p[2]), row(&r[1], u[1], p[0], p[1], p[2]), row(&r[2], u[2], p[0], p[1], p[2])}
 	}
 }
+
+// Cols is a chain as columns (SoA): point i is (X[i], Y[i], Z[i]).
+type Cols struct{ X, Y, Z []float64 }
+
+// ColsOf copies pts into columns carved from buf at stride m >= len(pts).
+func ColsOf(buf []float64, m int, pts []Vec3) Cols {
+	n := len(pts)
+	c := Cols{buf[:n:n], buf[m : m+n : m+n], buf[2*m : 2*m+n : 2*m+n]}
+	for i, p := range pts {
+		c.X[i], c.Y[i], c.Z[i] = p[0], p[1], p[2]
+	}
+	return c
+}
+
+// Slice returns points lo to hi-1 of c.
+func (c Cols) Slice(lo, hi int) Cols { return Cols{c.X[lo:hi], c.Y[lo:hi], c.Z[lo:hi]} }

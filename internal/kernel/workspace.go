@@ -27,12 +27,12 @@ import (
 // use; buffers grow geometrically and are never shrunk.
 type Workspace struct {
 	// PairX/PairY/PairT and the int/float companions are the tmalign
-	// comparison layer's scratch: gathered aligned coordinate pairs,
-	// transformed coordinates, per-pair squared distances and candidate
-	// alignments. PairT, R1, R2 and Dis2 hold two fast-score lanes.
+	// comparison layer's scratch: gathered aligned pairs (PairCols as
+	// columns), transformed coordinates, per-pair squared distances and
+	// candidate alignments. R1, R2 and Dis2 hold two fast-score lanes.
 	PairX, PairY, PairT []geom.Vec3
 	R1, R2              []geom.Vec3
-	Dis2                []float64
+	Dis2, PairCols      []float64
 	// InvTmp holds innermost candidate alignments, InvSeed the current
 	// initial alignment under refinement, InvDP the DP loop's best, and
 	// InvBest the best alignment across all initials.
@@ -45,15 +45,15 @@ type Workspace struct {
 	// general path.
 	Mat []float64
 
-	// SearchXt/SearchR1/SearchR2/SearchDis2/SearchSet are the TM-score
-	// rotation search's private scratch (tmscore.SearchWS); SearchSet is
-	// the bitset of the pairs its last scoring pass collected, and
-	// SearchR1/SearchR2 hold the gathered pairs of its two walks, n each.
+	// SearchCols/SearchR1/SearchR2/SearchDis2/SearchSet are the TM-score
+	// rotation search's private scratch (tmscore.SearchWS): both chains as
+	// columns, the gathered pairs of its two walks (n each), dis2 and the
+	// bitset of the pairs its last scoring pass collected.
 	// They are distinct from the pair buffers because the search runs
 	// while the comparison layer's own buffers hold live data.
-	SearchXt, SearchR1, SearchR2 []geom.Vec3
-	SearchDis2                   []float64
-	SearchSet                    []int32
+	SearchR1, SearchR2     []geom.Vec3
+	SearchCols, SearchDis2 []float64
+	SearchSet              []int32
 
 	// The compare-scoped memo tables (DESIGN.md §17). SearchGraph belongs
 	// to one SearchWS call, the rest to one comparison, which resets them
@@ -98,7 +98,8 @@ func grow[T any](s []T, n int) []T {
 func (w *Workspace) ReservePairs(n int) {
 	w.PairX = grow(w.PairX, n)
 	w.PairY = grow(w.PairY, n)
-	w.PairT = grow(w.PairT, 2*n)
+	w.PairT = grow(w.PairT, n)
+	w.PairCols = grow(w.PairCols, 6*n)
 	w.R1 = grow(w.R1, 2*n)
 	w.R2 = grow(w.R2, 2*n)
 	w.Dis2 = grow(w.Dis2, 2*n)
@@ -116,7 +117,7 @@ func (w *Workspace) ReserveMat(cells int) {
 // ReserveSearch sizes the TM-score search scratch for alignments of up
 // to n pairs.
 func (w *Workspace) ReserveSearch(n int) {
-	w.SearchXt = grow(w.SearchXt, n)
+	w.SearchCols = grow(w.SearchCols, 6*n)
 	w.SearchR1 = grow(w.SearchR1, 2*n)
 	w.SearchR2 = grow(w.SearchR2, 2*n)
 	w.SearchDis2 = grow(w.SearchDis2, n)

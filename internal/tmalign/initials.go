@@ -12,7 +12,7 @@ func (c *ctx) scoreDiagonals(ks ...int) {
 	var ls [2]fastLane
 	for i, k := range ks {
 		lo, hi := max(0, -k), min(c.ylen, c.xlen-k)
-		ls[i] = c.lane(i, c.x[lo+k:hi+k], c.y[lo:hi], &c.w.Diagonals[k+c.ylen].Ops)
+		ls[i] = c.lane(i, c.x[lo+k:hi+k], c.y[lo:hi], c.a.soa.Slice(lo+k, hi+k), c.b.soa.Slice(lo, hi), &c.w.Diagonals[k+c.ylen].Ops)
 	}
 	c.fastScores(ls[:len(ks)])
 	for i, k := range ks {
@@ -107,7 +107,8 @@ func (c *ctx) initialLocal(invmap []int) bool {
 			c.ops.AddRotate(c.xlen)
 			c.alignRound(xt, d012, 0, c.invTmp)
 			n := alignedPairs(c.x, c.y, c.invTmp, c.xtm, c.ytm)
-			ls := [1]fastLane{c.lane(0, c.xtm[:n], c.ytm[:n], &c.ops)}
+			xc, yc := geom.ColsOf(c.w.PairCols, n, c.xtm[:n]), geom.ColsOf(c.w.PairCols[3*n:], n, c.ytm[:n])
+			ls := [1]fastLane{c.lane(0, c.xtm[:n], c.ytm[:n], xc, yc, &c.ops)}
 			if c.fastScores(ls[:]); ls[0].score > bestScore {
 				bestScore = ls[0].score
 				copy(invmap, c.invTmp)

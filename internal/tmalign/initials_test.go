@@ -194,7 +194,8 @@ func TestScoreFastRanksCorrectly(t *testing.T) {
 	}
 	score := func(invmap []int) float64 {
 		n := alignedPairs(c.x, c.y, invmap, c.xtm, c.ytm)
-		ls := [1]fastLane{c.lane(0, c.xtm[:n], c.ytm[:n], &c.ops)}
+		xc, yc := geom.ColsOf(c.w.PairCols, n, c.xtm[:n]), geom.ColsOf(c.w.PairCols[3*n:], n, c.ytm[:n])
+		ls := [1]fastLane{c.lane(0, c.xtm[:n], c.ytm[:n], xc, yc, &c.ops)}
 		c.fastScores(ls[:])
 		return ls[0].score
 	}

@@ -17,7 +17,7 @@ type Prepared struct {
 	// Features is prune.Extract's summary: its Sec is the secondary
 	// structure the kernel aligns, its Seq the sequence SeqID counts.
 	Features prune.Features
-	x, y, z  []float64 // SoA mirror of CA, streamed when this chain is the fixed one
+	soa      geom.Cols // CA as columns: ScoreRow's fixed chain, ScorePass's pairs
 	quad     []float64 // geom.QuadMirror of CA, the gap-free rounds' fixed chain
 	finite   bool      // every coordinate finite: half of alignRound's guard
 	err      error     // ValidateStructure's verdict, which TryCompare returns
@@ -39,10 +39,7 @@ func prepare(st *pdb.Structure) Prepared {
 	n, m := len(ca), len(ca)+len(ca)&1
 	soa := make([]float64, 3*m+12*(n+6)+3)
 	p := Prepared{ID: st.ID, CA: ca, Features: prune.Extract(ca, st.Sequence()), finite: finite(ca), err: validate(st.ID, ca),
-		x: soa[:n:n], y: soa[m : m+n : m+n], z: soa[2*m : 2*m+n : 2*m+n], quad: geom.QuadMirror(soa[3*m:], ca)}
-	for j, v := range ca {
-		p.x[j], p.y[j], p.z[j] = v[0], v[1], v[2]
-	}
+		soa: geom.ColsOf(soa, m, ca), quad: geom.QuadMirror(soa[3*m:], ca)}
 	return p
 }
 

@@ -22,7 +22,7 @@ func checksum(p *Prepared) uint64 {
 		put(v[1])
 		put(v[2])
 	}
-	for _, col := range [][]float64{p.x, p.y, p.z} {
+	for _, col := range [][]float64{p.soa.X, p.soa.Y, p.soa.Z} {
 		for _, f := range col {
 			put(f)
 		}

@@ -42,19 +42,20 @@ func (c *ctx) detailedSearch(invmap []int) (float64, geom.Transform) {
 
 // A fastLane is one TM-align get_score_fast in flight, a cheap estimate
 // of an alignment's TM-score that ranks candidate alignments (only
-// comparable to other fast scores): its aligned pairs and scratch, the
-// pairs p, q of its next fit, its score so far and the counter it charges.
+// comparable to other fast scores): its aligned pairs (as columns too)
+// and scratch, the pairs p, q of its next fit, its score and its counter.
 type fastLane struct {
-	xtm, ytm, xt, r1, r2, p, q []geom.Vec3
-	dis2                       []float64
-	score                      float64
-	ops                        *costmodel.Counter
+	xtm, ytm, r1, r2, p, q []geom.Vec3
+	xc, yc                 geom.Cols
+	dis2                   []float64
+	score                  float64
+	ops                    *costmodel.Counter
 }
 
-// lane returns a fast score of the pairs xtm, ytm on scratch lane k.
-func (c *ctx) lane(k int, xtm, ytm []geom.Vec3, ops *costmodel.Counter) fastLane {
+// lane returns a fast score of the pairs xtm, ytm, xc, yc on lane k.
+func (c *ctx) lane(k int, xtm, ytm []geom.Vec3, xc, yc geom.Cols, ops *costmodel.Counter) fastLane {
 	w, n, o := c.w, len(xtm), k*max(c.xlen, c.ylen)
-	return fastLane{xtm: xtm, ytm: ytm, xt: w.PairT[o : o+n], r1: w.R1[o : o+n], r2: w.R2[o : o+n], dis2: w.Dis2[o : o+n], ops: ops}
+	return fastLane{xtm: xtm, ytm: ytm, xc: xc, yc: yc, r1: w.R1[o : o+n], r2: w.R2[o : o+n], dis2: w.Dis2[o : o+n], ops: ops}
 }
 
 // fastScores runs get_score_fast on one or two lanes in step. Its rounds
@@ -89,8 +90,7 @@ func (c *ctx) fastScores(ls []fastLane) {
 			l.ops.AddKabsch(len(l.p))
 			l.ops.AddScore(n)
 			l.ops.AddRotate(n)
-			tr[i].ApplyAll(l.xt, l.xtm)
-			if s := geom.ScoreSum(l.dis2, l.xt, l.ytm, d02, 0, false); round == 0 || s > l.score {
+			if s, _ := geom.ScorePass(nil, l.dis2, &tr[i], l.xc, l.yc, d02, 0, 0, false); round == 0 || s > l.score {
 				l.score = s
 			}
 		}
@@ -219,7 +219,7 @@ func (c *ctx) fillDistMatrix(xt []geom.Vec3, d2 float64, ssBonus bool) {
 	ylen := c.ylen
 	for i, p := range xt[:c.xlen] {
 		row := c.scoreMat[i*ylen : i*ylen+ylen]
-		geom.ScoreRow(row, c.b.x, c.b.y, c.b.z, p, d2)
+		geom.ScoreRow(row, c.b.soa.X, c.b.soa.Y, c.b.soa.Z, p, d2)
 		if ssBonus {
 			s1 := c.a.Features.Sec[i]
 			for j, s2 := range c.b.Features.Sec {

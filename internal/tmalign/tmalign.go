@@ -134,10 +134,8 @@ type ctx struct {
 	w          *kernel.Workspace
 
 	// Scratch views into w, sized to the current problem.
-	r1, r2   []geom.Vec3
 	xtm, ytm []geom.Vec3
 	xt       []geom.Vec3
-	dis2     []float64
 	invTmp   []int
 	scoreMat []float64
 }
@@ -189,12 +187,9 @@ func newCtx(w *kernel.Workspace, a, b *Prepared, opt Options) *ctx {
 	n := max(xlen, ylen)
 	w.ReservePairs(n)
 	w.ReserveMat(xlen * ylen)
-	c.r1 = w.R1[:n]
-	c.r2 = w.R2[:n]
 	c.xtm = w.PairX[:n]
 	c.ytm = w.PairY[:n]
 	c.xt = w.PairT[:n]
-	c.dis2 = w.Dis2[:n]
 	c.invTmp = w.InvTmp[:ylen]
 	c.scoreMat = w.Mat[:xlen*ylen]
 

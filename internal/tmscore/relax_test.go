@@ -76,8 +76,11 @@ func passing(dis2 []float64, cutoff float64, strict bool) []int {
 func checkRelax(t *testing.T, name string, dis2 []float64, first float64, square bool) {
 	t.Helper()
 	closed, loop := RelaxSum, loopSum
-	if square {
-		closed, loop = relaxSquare, loopSquare
+	if square { // scoreFun8's first round is geom.ScorePass's count at d*d
+		closed = func(dis2 []float64, d float64, take func(float64) int) (int, int) {
+			return relaxSquare(dis2, d, take(d*d), take)
+		}
+		loop = loopSquare
 	}
 	var cutoff float64
 	var set []int
@@ -235,9 +238,9 @@ func FuzzRelaxedCutoff(f *testing.F) {
 func TestScoreFun8KeepsFirstRoundWhenUnreachable(t *testing.T) {
 	nan := math.NaN()
 	xt := []geom.Vec3{{nan, 0, 0}, {0, 0, 0}, {nan, 0, 0}, {1, 0, 0}, {0, nan, 0}}
-	y := make([]geom.Vec3, len(xt))
-	set, dis2 := make([]int32, 1), make([]float64, len(xt))
-	_, nCut, evals := SearchParams(40, 40).scoreFun8(xt, y, 1, set, dis2)
+	x, y := geom.ColsOf(make([]float64, 15), 5, xt), geom.ColsOf(make([]float64, 15), 5, make([]geom.Vec3, 5))
+	set, dis2, id := make([]int32, 1), make([]float64, len(xt)), geom.IdentityTransform()
+	_, nCut, evals := SearchParams(40, 40).scoreFun8(set, dis2, &id, x, y, 1)
 	if nCut != 1 || set[0] != 1<<1 || evals != len(xt) {
 		t.Errorf("collected %d pairs (set %b), charged %d evaluations; want pair 1 alone and %d", nCut, set[0], evals, len(xt))
 	}

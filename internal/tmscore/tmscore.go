@@ -40,7 +40,7 @@ type Params struct {
 
 // d0OfLength is the canonical TM-score d0 formula.
 func d0OfLength(l float64) float64 {
-	return 1.24*math.Cbrt(l-15) - 1.8
+	return float64(1.24*math.Cbrt(l-15)) - 1.8
 }
 
 // SearchParams returns the parameter set TM-align uses while searching
@@ -54,7 +54,7 @@ func SearchParams(xlen, ylen int) Params {
 		d0 = d0OfLength(lnorm)
 	}
 	d0 += 0.8 // D0_MIN = d0+0.8; d0 = D0_MIN ("best for search")
-	return Params{LNorm: lnorm, D0: d0, D0Search: min(max(d0, 4.5), 8), ScoreD8: 1.5*math.Pow(lnorm, 0.3) + 3.5}
+	return Params{LNorm: lnorm, D0: d0, D0Search: min(max(d0, 4.5), 8), ScoreD8: float64(1.5*math.Pow(lnorm, 0.3)) + 3.5}
 }
 
 // FinalParams returns the parameter set used to report the final TM-score
@@ -68,36 +68,15 @@ func FinalParams(l float64) Params {
 	return Params{LNorm: l, D0: d0, D0Search: min(max(d0, 4.5), 8)}
 }
 
-// scoreFun8 is TM-align's score_fun8: given already-transformed aligned
-// coordinates, it sums d0²/(d0²+d²) (optionally only over pairs with
-// d <= score_d8; geom.ScoreSum's mask) and collects into the bitset set
-// the indices with distance < d; if fewer than 3 pairs qualify the cutoff
-// is relaxed by 0.5 A steps (relaxSquare). It returns the TM-score
-// (sum/LNorm), the number of collected pairs and the score evaluations
-// to charge: n per round, as the reference rescans all n pairs on each.
-func (p Params) scoreFun8(xt, y []geom.Vec3, d float64, set []int32, dis2 []float64) (score float64, nCut, evals int) {
-	n := len(xt)
-	dis2 = dis2[:n]
-	scoreSum := geom.ScoreSum(dis2, xt, y, p.D0*p.D0, p.ScoreD8*p.ScoreD8, p.ScoreD8 > 0)
-	nCut, rounds := relaxSquare(dis2, d, func(c float64) int { return collect(set, dis2, c) })
-	return scoreSum / p.LNorm, nCut, n * rounds
-}
-
-// collect makes the bitset set, ceil(len(dis2)/32) words, hold the
-// indices i with dis2[i] < dTmp and returns how many there are.
-func collect(set []int32, dis2 []float64, dTmp float64) int {
-	nCut := 0
-	for w := range set {
-		var word uint32
-		for b, di := range dis2[w*32 : min(w*32+32, len(dis2))] {
-			if di < dTmp {
-				word |= 1 << (uint(b) & 31)
-			}
-		}
-		set[w] = int32(word)
-		nCut += bits.OnesCount32(word)
-	}
-	return nCut
+// scoreFun8 is TM-align's score_fun8 on x mapped through t, one
+// geom.ScorePass: the TM-score (sum/LNorm; with score_d8, only over pairs
+// within it) and the pairs closer than d, collected into set and relaxed
+// by 0.5 A steps while fewer than 3 qualify (relaxSquare), and the score
+// evaluations to charge: n per round, as the reference rescans all n.
+func (p Params) scoreFun8(set []int32, dis2 []float64, t *geom.Transform, x, y geom.Cols, d float64) (score float64, nCut, evals int) {
+	sum, nCut := geom.ScorePass(set, dis2, t, x, y, p.D0*p.D0, p.ScoreD8*p.ScoreD8, d*d, p.ScoreD8 > 0)
+	nCut, rounds := relaxSquare(dis2, d, nCut, func(c float64) int { return geom.Collect(set, dis2, c) })
+	return sum / p.LNorm, nCut, len(dis2) * rounds
 }
 
 // RelaxSum is get_score_fast's relaxation (relax): the cutoff is cut2
@@ -105,13 +84,13 @@ func collect(set []int32, dis2 []float64, dTmp float64) int {
 // within one binade below 2^52 are exact, so it jumps to the binade's
 // last cutoff short of the target, then takes the rounded add across.
 func RelaxSum(dis2 []float64, cut2 float64, take func(cutoff float64) int) (nCut, rounds int) {
-	return relax(dis2, cut2, take, func(t float64) (float64, int, bool) {
+	return relax(dis2, take(cut2), take, func(t float64) (float64, int, bool) {
 		c, r := cut2, 0
 		for !(c >= t) {
 			if 0 < c && c < 1<<52 {
 				hi := math.Float64frombits(math.Float64bits(c)&^(1<<52-1) + 1<<52)
 				s := math.Ceil(2*(min(t, hi)-c)) - 1
-				c, r = c+s*0.5, r+int(s)
+				c, r = c+float64(s*0.5), r+int(s)
 			}
 			if !(c+0.5 > c) {
 				return 0, 0, false
@@ -122,12 +101,13 @@ func RelaxSum(dis2 []float64, cut2 float64, take func(cutoff float64) int) (nCut
 	})
 }
 
-// relaxSquare is score_fun8's relaxation (relax): round r's cutoff is
-// (d + r*0.5)², and pairs pass with <. Rounds with d + r*0.5 <= 0 cut no
-// deeper than round 0, so passing is monotone in r: double, then bisect.
-func relaxSquare(dis2 []float64, d float64, take func(cutoff float64) int) (nCut, rounds int) {
-	at := func(r float64) float64 { x := d + r*0.5; return x * x }
-	return relax(dis2, at(0), take, func(t float64) (float64, int, bool) {
+// relaxSquare is score_fun8's relaxation (relax) after a first round
+// that let nCut pairs through: round r's cutoff is (d + r*0.5)², and pairs
+// pass with <. Rounds with d + r*0.5 <= 0 cut no deeper than round 0, so
+// passing is monotone in r: double, then bisect.
+func relaxSquare(dis2 []float64, d float64, nCut int, take func(cutoff float64) int) (int, int) {
+	at := func(r float64) float64 { x := d + float64(r*0.5); return x * x }
+	return relax(dis2, nCut, take, func(t float64) (float64, int, bool) {
 		lo, hi := -1.0, 0.0
 		for !(at(hi) > t) {
 			if lo, hi = hi, 2*hi+1; hi > 1<<52 {
@@ -145,16 +125,16 @@ func relaxSquare(dis2 []float64, d float64, take func(cutoff float64) int) (nCut
 	})
 }
 
-// relax is TM-align's cutoff relaxation: gather the pairs within the
-// cutoff (take returns the count) and, while fewer than three of more
-// than three pass, relax it and gather again. Three pass once the cutoff
-// reaches the third-smallest entry t of dis2, so a short first gather is
-// followed by one pass for t, reach(t) for the first cutoff past it and
-// its round, and one more gather. It returns the last count and the
-// rounds (scans) of the reference loop; where that never ends, reach
-// fails and the first round stands (DESIGN.md §17).
-func relax(dis2 []float64, first float64, take func(float64) int, reach func(t float64) (float64, int, bool)) (nCut, rounds int) {
-	if nCut = take(first); nCut >= 3 || len(dis2) <= 3 {
+// relax is TM-align's cutoff relaxation: after a first gather that let
+// nCut pairs through, while fewer than three of more than three pass,
+// relax the cutoff and gather again (take returns the count). Three pass
+// once the cutoff reaches the third-smallest entry t of dis2, so a short
+// first gather is followed by one pass for t, reach(t) for the first
+// cutoff past it and its round, and one more gather. It returns the last
+// count and the rounds (scans) of the reference loop; where that never
+// ends, reach fails and the first round stands (DESIGN.md §17).
+func relax(dis2 []float64, nCut int, take func(float64) int, reach func(t float64) (float64, int, bool)) (int, int) {
+	if nCut >= 3 || len(dis2) <= 3 {
 		return nCut, 1
 	}
 	m1, m2, t := math.Inf(1), math.Inf(1), math.Inf(1)
@@ -236,7 +216,8 @@ func (p Params) SearchWS(w *kernel.Workspace, x, y []geom.Vec3, simplifyStep int
 	s.rungs++
 
 	w.ReserveSearch(n)
-	s.xt, s.dis2, s.set = w.SearchXt[:n], w.SearchDis2[:n], w.SearchSet[:(n+31)/32]
+	s.xc, s.yc = geom.ColsOf(w.SearchCols, n, x), geom.ColsOf(w.SearchCols[3*n:], n, y)
+	s.dis2, s.set = w.SearchDis2[:n], w.SearchSet[:(n+31)/32]
 	for k := range s.r1 {
 		s.r1[k], s.r2[k] = w.SearchR1[k*n:(k+1)*n], w.SearchR2[k*n:(k+1)*n]
 	}
@@ -250,8 +231,8 @@ func (p Params) SearchWS(w *kernel.Workspace, x, y []geom.Vec3, simplifyStep int
 type search struct {
 	p        Params
 	x, y     []geom.Vec3
-	step     int // the seeds' stride
-	xt       []geom.Vec3
+	step     int       // the seeds' stride
+	xc, yc   geom.Cols // x and y as columns, for geom.ScorePass
 	dis2     []float64
 	set      []int32 // the pairs the last scoring pass collected
 	r1, r2   [2][]geom.Vec3
@@ -392,17 +373,16 @@ func (s *search) points(k int, wk *walk) (p, q []geom.Vec3) {
 // cutoff collects; a node records its step's score, transform, cost and
 // successor under the looser cutoff, and advance takes the step.
 func (s *search) solved(wk *walk, tr geom.Transform) {
-	tr.ApplyAll(s.xt, s.x)
 	if wk.cur < 0 {
 		s.c.AddKabsch(wk.lInit)
 		s.c.AddRotate(len(s.x))
-		score, nCut, evals := s.p.scoreFun8(s.xt, s.y, s.p.D0Search-1, s.set, s.dis2)
+		score, nCut, evals := s.p.scoreFun8(s.set, s.dis2, &tr, s.xc, s.yc, s.p.D0Search-1)
 		s.c.AddScore(evals)
 		s.offer(score, &tr, place(wk.seed, -1))
 		wk.cur = s.node(nCut)
 		return
 	}
-	score, nCut, evals := s.p.scoreFun8(s.xt, s.y, s.p.D0Search+1, s.set, s.dis2)
+	score, nCut, evals := s.p.scoreFun8(s.set, s.dis2, &tr, s.xc, s.yc, s.p.D0Search+1)
 	next := s.node(nCut)
 	nd := &s.g.Vals[wk.cur]
 	nd.Next, nd.Evals, nd.Score, nd.Tr = int32(next), int64(evals), score, tr

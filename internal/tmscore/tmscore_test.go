@@ -330,9 +330,11 @@ func (p Params) ScoreWithTransform(x, y []geom.Vec3, tr geom.Transform, ops *cos
 	}
 	w := kernel.Get()
 	defer kernel.Put(w)
-	w.ReserveSearch(len(x))
-	tr.ApplyAll(w.SearchXt, x)
-	ops.AddScore(len(x))
-	ops.AddRotate(len(x))
-	return geom.ScoreSum(w.SearchDis2, w.SearchXt, y, p.D0*p.D0, p.ScoreD8*p.ScoreD8, !(p.ScoreD8 <= 0)) / p.LNorm
+	n := len(x)
+	w.ReserveSearch(n)
+	ops.AddScore(n)
+	ops.AddRotate(n)
+	xc, yc := geom.ColsOf(w.SearchCols, n, x), geom.ColsOf(w.SearchCols[3*n:], n, y)
+	sum, _ := geom.ScorePass(nil, w.SearchDis2, &tr, xc, yc, p.D0*p.D0, p.ScoreD8*p.ScoreD8, 0, !(p.ScoreD8 <= 0))
+	return sum / p.LNorm
 }
