@@ -11,6 +11,9 @@ import (
 	"rckalign/internal/farm"
 	"rckalign/internal/fault"
 	"rckalign/internal/metrics"
+	"rckalign/internal/pairstore"
+	"rckalign/internal/synth"
+	"rckalign/internal/tmalign"
 	"rckalign/internal/trace"
 )
 
@@ -94,36 +97,67 @@ func TestMetricsReportBlock(t *testing.T) {
 	}
 }
 
-// TestMetricsGoldenSnapshot pins byte-identical determinism: the same
-// run serialises to the committed golden, and two identical runs agree
-// byte for byte. Regenerate with UPDATE_GOLDEN=1 go test ./internal/core
-// after an intentional metrics change.
+// TestMetricsGoldenSnapshot pins byte-identical determinism: each run
+// serialises to its committed golden, and two identical runs agree byte
+// for byte. The board runs emit every farm.cache.*, farm.wire.*,
+// interchip.* and interchip.gather.* key: CK34 on four chips relays
+// blobs through chip 1 and hits the slaves' caches, and the second board
+// has a chip whose shard is empty. Regenerate with UPDATE_GOLDEN=1 go test
+// ./internal/core after an intentional metrics change.
 func TestMetricsGoldenSnapshot(t *testing.T) {
-	snapshot := func() []byte {
-		_, reg, _ := metricsRun(t, 7)
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	board := func(c *Config) {
+		c.Chips, c.Gather = 4, farm.GatherConfig{Mode: farm.GatherTree, Arity: 2}
+		c.CacheStructs, c.Batch = -1, 8
 	}
-	got := snapshot()
-	if !bytes.Equal(got, snapshot()) {
-		t.Fatal("two identical runs produced different snapshots")
-	}
-	golden := filepath.Join("testdata", "golden_metrics.json")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("snapshot differs from %s (%d vs %d bytes); run with UPDATE_GOLDEN=1 if the change is intentional",
-			golden, len(got), len(want))
+	for _, tc := range []struct {
+		golden string
+		pr     *PairResults
+		slaves int
+		mut    func(*Config)
+	}{
+		{"golden_metrics.json", smallPR, 7, nil},
+		{"golden_metrics_board.json", ck34PR(t), 1, board},
+		{"golden_metrics_board_empty_shard.json", ComputePairsShared(smallPR.Dataset, tmalign.FastOptions(), pairstore.New(0), smallPR.Pairs[:2]), 3, func(c *Config) {
+			board(c)
+			c.Chips = 3
+		}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			snapshot := func() []byte {
+				cfg := DefaultConfig()
+				cfg.Metrics = metrics.New()
+				cfg.Trace = trace.New()
+				if tc.mut != nil {
+					tc.mut(&cfg)
+				}
+				if _, err := Run(tc.pr, tc.slaves, cfg); err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := cfg.Metrics.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			got := snapshot()
+			if !bytes.Equal(got, snapshot()) {
+				t.Fatal("two identical runs produced different snapshots")
+			}
+			golden := filepath.Join("testdata", tc.golden)
+			if os.Getenv("UPDATE_GOLDEN") != "" {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("snapshot differs from %s (%d vs %d bytes); run with UPDATE_GOLDEN=1 if the change is intentional",
+					golden, len(got), len(want))
+			}
+		})
 	}
 }
 
@@ -162,4 +196,14 @@ func TestMetricsUnderFaultPlans(t *testing.T) {
 	if len(killed.Metrics.JobStages) != 5 {
 		t.Errorf("job stages = %v, want all five", killed.Metrics.JobStages)
 	}
+}
+
+// ck34PR loads the committed CK34 pair results (no kernel run).
+func ck34PR(t *testing.T) *PairResults {
+	t.Helper()
+	pr, err := LoadPairResults(synth.CK34(), filepath.Join("..", "..", "testdata", "paircache", "CK34.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
 }
