@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,20 +34,46 @@ func metricsRun(t *testing.T, slaves int) (RunResult, *metrics.Registry, *trace.
 
 // TestMetricsDoNotPerturbTimings pins the zero-cost-when-observing rule:
 // an instrumented run's report must be identical to an uninstrumented
-// one in every field except the Metrics block itself.
+// one in every field except those distilled from the registry, the
+// Metrics block and each chip's PeakMailboxDepth. The board case has
+// every layer that counts for itself: the wire model, the structure
+// cache, the fabric and the chips' rcce traffic.
 func TestMetricsDoNotPerturbTimings(t *testing.T) {
-	base, err := Run(smallPR, 7, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	instr, _, _ := metricsRun(t, 7)
-	if instr.Report.Metrics == nil {
-		t.Fatal("instrumented run has no Metrics block")
-	}
-	got := instr.Report
-	got.Metrics = nil
-	if !reflect.DeepEqual(got, base.Report) {
-		t.Errorf("instrumentation changed the report:\n got %+v\nwant %+v", got, base.Report)
+	for _, tc := range []struct {
+		name   string
+		slaves int
+		mut    func(*Config)
+	}{
+		{"flat", 7, nil},
+		{"board-chips2-wire", 3, func(c *Config) { c.Chips, c.CacheStructs, c.Batch = 2, -1, 8 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(reg *metrics.Registry) farm.Report {
+				cfg := DefaultConfig()
+				if tc.mut != nil {
+					tc.mut(&cfg)
+				}
+				cfg.Metrics = reg
+				r, err := Run(smallPR, tc.slaves, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r.Report
+			}
+			base, got := run(nil), run(metrics.New())
+			if got.Metrics == nil {
+				t.Fatal("instrumented run has no Metrics block")
+			}
+			got.Metrics = nil
+			for i := range got.PerChip {
+				got.PerChip[i].PeakMailboxDepth = 0
+			}
+			if !reflect.DeepEqual(got, base) {
+				g, _ := json.Marshal(got)
+				w, _ := json.Marshal(base)
+				t.Errorf("instrumentation changed the report:\n got %s\nwant %s", g, w)
+			}
+		})
 	}
 }
 

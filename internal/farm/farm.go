@@ -265,8 +265,7 @@ type InterchipReport struct {
 	// GatherLevels summarises blob-hop latency per tree level (level 1
 	// = hops into the root), deepest senders last.
 	GatherLevels []GatherLevel
-	// IntraChipBytes sums the on-chip RCCE wire volume across all chips
-	// (only available when the run had a metrics registry; 0 otherwise).
+	// IntraChipBytes sums the on-chip RCCE wire volume across all chips.
 	// Comparing it with Bytes gives the inter- vs intra-chip traffic
 	// split.
 	IntraChipBytes int64
@@ -618,6 +617,7 @@ func (s *Session) finalize() error {
 	}
 	rep.Wire = wire.report()
 	if mr := rep.Metrics; mr != nil {
+		s.publishMetrics()
 		for stage, agg := range mr.JobStages {
 			if agg.Count > 0 {
 				agg.MeanSeconds = agg.TotalSeconds / float64(agg.Count)
@@ -759,7 +759,6 @@ func (s *Session) chipMetrics(c *chip) float64 {
 		mr.JobStages[stage] = agg
 	}
 	mesh := c.sc.Mesh()
-	mesh.PublishMetrics()
 	if worst := mesh.WorstLink(); worst.BusySeconds > mr.WorstLinkBusySeconds {
 		mr.WorstLink = fmt.Sprintf("%v->%v", worst.From, worst.To)
 		if len(s.chips) > 1 {
@@ -769,6 +768,16 @@ func (s *Session) chipMetrics(c *chip) float64 {
 		mr.LinkHeatmap = mesh.LinkHeatmap()
 	}
 	return peak
+}
+
+// publishMetrics writes what the board's layers counted themselves into
+// the registry, once, when the run has drained: each of these values has
+// one owner, the layer's own statistic, and the registry copies it.
+func (s *Session) publishMetrics() {
+	for _, c := range s.chips {
+		c.sc.Mesh().PublishMetrics()
+		c.comm.PublishMetrics()
+	}
 }
 
 // BuildChromeTrace combines an activity recorder and a metrics registry

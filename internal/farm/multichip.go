@@ -154,16 +154,12 @@ func (s *Session) interchipReport() *InterchipReport {
 	for _, c := range s.chips {
 		out.ShardBytes += c.shardBytes
 		out.PerPairResultBytes += c.perPairBytes
+		out.IntraChipBytes += c.comm.Sent().Bytes
 	}
 	for _, gl := range s.levels {
 		gl.MeanLatencySeconds /= float64(gl.Blobs)
 		out.GatherLevels = append(out.GatherLevels, *gl)
 	}
 	sort.Slice(out.GatherLevels, func(a, b int) bool { return out.GatherLevels[a].Level < out.GatherLevels[b].Level })
-	if reg := s.cfg.Metrics; reg != nil {
-		for c := 0; c < n; c++ {
-			out.IntraChipBytes += int64(reg.Counter("rcce.send.bytes", "chip", fmt.Sprintf("c%d", c)).Value())
-		}
-	}
 	return out
 }

@@ -88,39 +88,57 @@ type Comm struct {
 	chunk         int
 	chunkOverhead float64
 
-	// Observability handles (nil unless SetMetrics installed a registry).
-	cSendMsgs  *metrics.Counter
-	cSendBytes *metrics.Counter
-	hMsgBytes  *metrics.Histogram
-	sentBytes  map[int]*metrics.Counter
-	recvBytes  map[int]*metrics.Counter
+	// sent counts every Send, dropped ones included, with or without a
+	// registry.
+	sent Sent
+
+	// Observability (nil unless SetMetrics installed a registry).
+	reg       *metrics.Registry
+	labels    []string
+	hMsgBytes *metrics.Histogram
+	coreSent  map[int]*metrics.Counter
+	coreRecv  map[int]*metrics.Counter
 }
 
-// SetMetrics installs a metrics registry: every Send records message
-// count, wire bytes and a size histogram, plus per-core sent/received
-// byte volumes ("rcce.core.sent_bytes{core=rckNN}" and
-// "rcce.core.recv_bytes{core=rckNN}"). Passive — no simulated time is
-// consumed. Passing nil disables recording again.
+// Sent is a Comm's wire accounting: messages sent and their wire bytes.
+type Sent struct {
+	Messages, Bytes int64
+}
+
+// SetMetrics installs a metrics registry: every Send records a size
+// histogram ("rcce.message.bytes") and per-core sent/received byte
+// volumes ("rcce.core.sent_bytes{core=rckNN}" and
+// "rcce.core.recv_bytes{core=rckNN}"), and PublishMetrics copies the
+// comm's own counts in. Passive — no simulated time is consumed.
 //
 // labels are optional extra key/value label pairs appended to every
 // fixed metric key (a multi-chip system scopes each comm with "chip",
 // "cN"); the per-core keys are already distinct through the chip's core
 // name prefix. No labels keeps the classic keys bit-identical.
 func (c *Comm) SetMetrics(reg *metrics.Registry, labels ...string) {
-	c.cSendMsgs = reg.Counter("rcce.send.messages", labels...)
-	c.cSendBytes = reg.Counter("rcce.send.bytes", labels...)
+	c.reg, c.labels = reg, labels
 	c.hMsgBytes = reg.Histogram("rcce.message.bytes", metrics.SizeBuckets, labels...)
-	if reg == nil {
-		c.sentBytes, c.recvBytes = nil, nil
-		return
-	}
-	c.sentBytes = make(map[int]*metrics.Counter, c.chip.NumCores())
-	c.recvBytes = make(map[int]*metrics.Counter, c.chip.NumCores())
+	c.coreSent = make(map[int]*metrics.Counter, c.chip.NumCores())
+	c.coreRecv = make(map[int]*metrics.Counter, c.chip.NumCores())
 	for core := 0; core < c.chip.NumCores(); core++ {
 		name := c.chip.CoreName(core)
-		c.sentBytes[core] = reg.Counter("rcce.core.sent_bytes", "core", name)
-		c.recvBytes[core] = reg.Counter("rcce.core.recv_bytes", "core", name)
+		c.coreSent[core] = reg.Counter("rcce.core.sent_bytes", "core", name)
+		c.coreRecv[core] = reg.Counter("rcce.core.recv_bytes", "core", name)
 	}
+}
+
+// Sent returns the messages and wire bytes sent so far.
+func (c *Comm) Sent() Sent { return c.sent }
+
+// PublishMetrics writes the comm's counts into the registry SetMetrics
+// installed ("rcce.send.messages", "rcce.send.bytes"). Call once, when
+// the simulation has drained; no-op without a registry.
+func (c *Comm) PublishMetrics() {
+	if c.reg == nil {
+		return
+	}
+	c.reg.Counter("rcce.send.messages", c.labels...).Add(float64(c.sent.Messages))
+	c.reg.Counter("rcce.send.bytes", c.labels...).Add(float64(c.sent.Bytes))
 }
 
 // New builds a Comm for the chip.
@@ -166,10 +184,10 @@ func (c *Comm) Send(p *sim.Process, src, dst, bytes int, payload any) {
 	}
 	t := c.newTransfer()
 	t.msg = Message{Src: src, Dst: dst, Bytes: bytes, Payload: payload, SentAt: p.Now()}
-	c.cSendMsgs.Inc()
-	c.cSendBytes.Add(float64(bytes))
+	c.sent.Messages++
+	c.sent.Bytes += int64(bytes)
 	c.hMsgBytes.Observe(float64(bytes))
-	c.sentBytes[src].Add(float64(bytes))
+	c.coreSent[src].Add(float64(bytes))
 	var out Outcome
 	if c.inter != nil {
 		out = c.inter.Deliver(p, &t.msg)
@@ -272,7 +290,7 @@ func (c *Comm) join(p *sim.Process, dst int, v any, ok bool, start, d float64) (
 	if !ok {
 		return Message{}, RecvTiming{}, false
 	}
-	c.recvBytes[dst].Add(float64(m.Bytes))
+	c.coreRecv[dst].Add(float64(m.Bytes))
 	return m, RecvTiming{WaitSeconds: rdv - start, XferSeconds: p.Now() - rdv}, true
 }
 
