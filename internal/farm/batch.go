@@ -86,6 +86,7 @@ type WireModel struct {
 // the structure-cache model on, its capacity and statistics; summed over
 // the chips it is the board's.
 type wireStats struct {
+	dispatches    int64
 	batches       int64
 	batchedJobs   int64
 	maxBatchJobs  int64
@@ -162,16 +163,13 @@ func (s *Session) PrepareJobs(c int, jobs []rckskel.Job, wm WireModel) []rckskel
 	}
 	if cached {
 		if ch.cache == nil {
-			ch.cache = NewStructCache(s.cfg.CacheStructs, wm.Sizes, maxRequest, s.cfg.Metrics, ch.labels...)
+			ch.cache = NewStructCache(s.cfg.CacheStructs, wm.Sizes, maxRequest)
 		} else {
 			ch.cache.EnsureCapacity(maxRequest)
 		}
 	}
 	if ch.hBatchJobs == nil {
 		ch.hBatchJobs = s.cfg.Metrics.Histogram("farm.batch.jobs", metrics.CountBuckets, ch.labels...)
-		ch.cDispatches = s.cfg.Metrics.Counter("farm.wire.dispatches", ch.labels...)
-		ch.cInputBaseline = s.cfg.Metrics.Counter("farm.wire.input_bytes_baseline", ch.labels...)
-		ch.cInputShipped = s.cfg.Metrics.Counter("farm.wire.input_bytes_shipped", ch.labels...)
 	}
 	out := make([]rckskel.Job, 0, len(groups))
 	for g, group := range groups {
@@ -216,11 +214,9 @@ func (c *chip) wireJob(group []rckskel.Job, structs []int, wm WireModel, batchin
 		} else {
 			bytes += allBytes
 		}
+		c.wire.dispatches++
 		c.wire.baselineBytes += int64(baseline)
 		c.wire.shippedBytes += int64(bytes)
-		c.cDispatches.Inc()
-		c.cInputBaseline.Add(float64(baseline))
-		c.cInputShipped.Add(float64(bytes))
 		return bytes
 	}
 	return job

@@ -381,13 +381,12 @@ type chip struct {
 	total     float64 // when the chip's master finished
 	ledger    ledger
 
-	// Cache/batch wire model state (see batch.go / structcache.go).
-	cache          *StructCache
-	wire           wireStats
-	hBatchJobs     *metrics.Histogram
-	cDispatches    *metrics.Counter
-	cInputBaseline *metrics.Counter
-	cInputShipped  *metrics.Counter
+	// Cache/batch wire model state (see batch.go / structcache.go);
+	// hBatchJobs is set once PrepareJobs shaped a queue of the chip under
+	// a registry.
+	cache      *StructCache
+	wire       wireStats
+	hBatchJobs *metrics.Histogram
 
 	// Fabric bytes of this chip's shard, of the aggregate blobs it
 	// originated, and of the per-pair protocol it replaced (0 on chip 0).
@@ -431,7 +430,9 @@ func New(cfg Config, slaves int) (*Session, error) {
 			return nil, fmt.Errorf("farm: %w: %v", ErrFaultPlan, err)
 		}
 		s.fabric = interchip.New(n, cmp.Or(cfg.Interchip, interchip.DefaultConfig()))
-		s.fabric.SetMetrics(cfg.Metrics)
+		if cfg.Metrics != nil {
+			s.fabric.SetMetrics(cfg.Metrics)
+		}
 		s.levels = map[int]*GatherLevel{}
 	}
 	s.cfg = cfg
@@ -774,9 +775,34 @@ func (s *Session) chipMetrics(c *chip) float64 {
 // the registry, once, when the run has drained: each of these values has
 // one owner, the layer's own statistic, and the registry copies it.
 func (s *Session) publishMetrics() {
+	add := func(name string, v int64, labels ...string) {
+		s.cfg.Metrics.Counter(name, labels...).Add(float64(v))
+	}
 	for _, c := range s.chips {
 		c.sc.Mesh().PublishMetrics()
 		c.comm.PublishMetrics()
+		add("farm.jobs.completed", int64(c.ledger.doneJobs), c.labels...)
+		if c.hBatchJobs != nil {
+			add("farm.wire.dispatches", c.wire.dispatches, c.labels...)
+			add("farm.wire.input_bytes_baseline", c.wire.baselineBytes, c.labels...)
+			add("farm.wire.input_bytes_shipped", c.wire.shippedBytes, c.labels...)
+		}
+		if c.cache != nil {
+			cs := c.cache.Stats()
+			add("farm.cache.hits", cs.Hits, c.labels...)
+			add("farm.cache.misses", cs.Misses, c.labels...)
+			add("farm.cache.evictions", cs.Evictions, c.labels...)
+			add("farm.cache.forced_reships", cs.ForcedReships, c.labels...)
+			add("farm.cache.bytes_shipped", cs.BytesShipped, c.labels...)
+			add("farm.cache.bytes_saved", cs.BytesSaved, c.labels...)
+		}
+	}
+	if s.fabric != nil {
+		s.fabric.PublishMetrics()
+	}
+	if s.aggMessages > 0 {
+		add("interchip.gather.messages", s.aggMessages)
+		add("interchip.gather.bytes", s.aggWireBytes)
 	}
 }
 

@@ -108,10 +108,6 @@ func (s *Session) drainRoot(m *Master) {
 func (s *Session) noteAggSend(bytes int) {
 	s.aggWireBytes += int64(bytes)
 	s.aggMessages++
-	if reg := s.cfg.Metrics; reg != nil {
-		reg.Counter("interchip.gather.messages").Inc()
-		reg.Counter("interchip.gather.bytes").Add(float64(bytes))
-	}
 }
 
 // noteGatherHop records one blob hop's latency (send entry to receiver

@@ -1,7 +1,5 @@
 package farm
 
-import "rckalign/internal/metrics"
-
 // StructCache is the master-side model of the slaves' bounded structure
 // caches. Each slave keeps an LRU of up to `capacity` structures in its
 // private memory; when the master dispatches a job it consults this
@@ -23,10 +21,6 @@ type StructCache struct {
 	sizes    []int
 	slaves   map[int]*slaveLRU
 	stats    CacheStats
-
-	cHits, cMisses, cEvictions *metrics.Counter
-	cBytesShipped, cBytesSaved *metrics.Counter
-	cForcedReships             *metrics.Counter
 }
 
 // CacheStats counts what the structure-cache model did over a run.
@@ -87,21 +81,10 @@ func (l *slaveLRU) remove(id int) bool {
 // maxRequest, the largest number of distinct structures any single
 // request will reference — a batch must fit in the cache whole, or the
 // eviction loop would evict structures of the request that just shipped
-// them. reg may be nil. labels are optional extra key/value label pairs
-// on the cache's metric keys (per-chip scoping in multi-chip runs).
-func NewStructCache(capacity int, sizes []int, maxRequest int, reg *metrics.Registry, labels ...string) *StructCache {
+// them.
+func NewStructCache(capacity int, sizes []int, maxRequest int) *StructCache {
 	capacity = max(capacity, 2, maxRequest)
-	return &StructCache{
-		capacity:       capacity,
-		sizes:          sizes,
-		slaves:         map[int]*slaveLRU{},
-		cHits:          reg.Counter("farm.cache.hits", labels...),
-		cMisses:        reg.Counter("farm.cache.misses", labels...),
-		cEvictions:     reg.Counter("farm.cache.evictions", labels...),
-		cForcedReships: reg.Counter("farm.cache.forced_reships", labels...),
-		cBytesShipped:  reg.Counter("farm.cache.bytes_shipped", labels...),
-		cBytesSaved:    reg.Counter("farm.cache.bytes_saved", labels...),
-	}
+	return &StructCache{capacity: capacity, sizes: sizes, slaves: map[int]*slaveLRU{}}
 }
 
 // EnsureCapacity raises the modelled per-slave capacity to fit a
@@ -136,15 +119,11 @@ func (c *StructCache) Request(slave int, structs []int) int {
 		if lru.resident[id] {
 			c.stats.Hits++
 			c.stats.BytesSaved += int64(c.sizes[id])
-			c.cHits.Inc()
-			c.cBytesSaved.Add(float64(c.sizes[id]))
 			lru.touch(id)
 			continue
 		}
 		c.stats.Misses++
 		c.stats.BytesShipped += int64(c.sizes[id])
-		c.cMisses.Inc()
-		c.cBytesShipped.Add(float64(c.sizes[id]))
 		ship += c.sizes[id]
 		lru.ids = append(lru.ids, id)
 		lru.resident[id] = true
@@ -164,11 +143,9 @@ func (c *StructCache) Request(slave int, structs []int) int {
 			// victim will re-ship on its next use. Should not happen
 			// when capacity >= the largest request (see NewStructCache).
 			c.stats.ForcedReships++
-			c.cForcedReships.Inc()
 		}
 		lru.remove(victim)
 		c.stats.Evictions++
-		c.cEvictions.Inc()
 	}
 	return ship
 }

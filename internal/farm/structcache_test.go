@@ -4,7 +4,7 @@ import "testing"
 
 func TestStructCacheMissThenHit(t *testing.T) {
 	sizes := []int{100, 200, 300, 400}
-	c := NewStructCache(3, sizes, 0, nil)
+	c := NewStructCache(3, sizes, 0)
 	if got := c.Request(1, []int{0, 1}); got != 300 {
 		t.Errorf("cold request shipped %d bytes, want 300", got)
 	}
@@ -22,7 +22,7 @@ func TestStructCacheMissThenHit(t *testing.T) {
 
 func TestStructCachePerSlaveIndependence(t *testing.T) {
 	sizes := []int{10, 20}
-	c := NewStructCache(2, sizes, 0, nil)
+	c := NewStructCache(2, sizes, 0)
 	c.Request(0, []int{0, 1})
 	// Slave 3 has its own empty cache: full miss.
 	if got := c.Request(3, []int{0, 1}); got != 30 {
@@ -38,7 +38,7 @@ func TestStructCachePerSlaveIndependence(t *testing.T) {
 
 func TestStructCacheLRUEviction(t *testing.T) {
 	sizes := []int{1, 1, 1, 1, 1}
-	c := NewStructCache(2, sizes, 0, nil)
+	c := NewStructCache(2, sizes, 0)
 	c.Request(0, []int{0, 1}) // resident: {0,1}
 	c.Request(0, []int{2})    // evicts 0 (LRU) -> {1,2}
 	if c.Resident(0, 0) {
@@ -65,7 +65,7 @@ func TestStructCacheEvictionAvoidsCurrentRequest(t *testing.T) {
 	}
 	// Capacity 3, request 3 new structures while 3 others are resident:
 	// the victims must all come from the old set, never the request.
-	c := NewStructCache(3, sizes, 0, nil)
+	c := NewStructCache(3, sizes, 0)
 	c.Request(0, []int{0, 1, 2})
 	c.Request(0, []int{3, 4, 5})
 	for id := 3; id <= 5; id++ {
@@ -81,7 +81,7 @@ func TestStructCacheEvictionAvoidsCurrentRequest(t *testing.T) {
 }
 
 func TestStructCacheCapacityFloor(t *testing.T) {
-	c := NewStructCache(0, []int{1, 1}, 0, nil)
+	c := NewStructCache(0, []int{1, 1}, 0)
 	if c.Capacity() != 2 {
 		t.Errorf("capacity = %d, want floor of 2", c.Capacity())
 	}
@@ -100,7 +100,7 @@ func TestStructCacheCapacityRaisedToMaxRequest(t *testing.T) {
 	// A configured capacity smaller than the largest batch request is
 	// raised so the whole batch stays resident — no structure of the
 	// request is evicted right after shipping.
-	c := NewStructCache(2, sizes, 5, nil)
+	c := NewStructCache(2, sizes, 5)
 	if c.Capacity() != 5 {
 		t.Errorf("capacity = %d, want 5 (raised to max request)", c.Capacity())
 	}
@@ -134,7 +134,7 @@ func TestStructCacheOversizedRequestCountsForcedReships(t *testing.T) {
 	// the capacity directly: every eviction must victimise a structure
 	// of the request itself, and each one is counted as a forced
 	// re-ship instead of silently thrashing.
-	c := NewStructCache(3, sizes, 0, nil)
+	c := NewStructCache(3, sizes, 0)
 	c.Request(0, []int{0, 1, 2, 3, 4})
 	st := c.Stats()
 	if st.Evictions != 2 {

@@ -136,15 +136,10 @@ type Fabric struct {
 
 	stats Stats
 
-	// Observability handles, nil unless SetMetrics installed a registry.
+	// Observability (nil unless SetMetrics installed a registry).
 	reg       *metrics.Registry
-	cXfers    *metrics.Counter
-	cBytes    *metrics.Counter
-	cWait     *metrics.Counter
 	hMsgBytes *metrics.Histogram
-	linkBytes [][]*metrics.Counter
 	sInbox    []*metrics.Series
-	gInbox    []*metrics.Gauge
 }
 
 // New builds a fabric joining n chips (n >= 1).
@@ -173,38 +168,41 @@ func New(n int, cfg Config) *Fabric {
 // Config returns the interconnect profile.
 func (f *Fabric) Config() Config { return f.cfg }
 
-// SetMetrics installs a metrics registry: every Send records transfer
-// count, bytes, a size histogram and port-queueing wait
-// ("interchip.transfers", "interchip.bytes", "interchip.message.bytes",
-// "interchip.send.wait_seconds"), per directed chip pair the byte
-// volume ("interchip.link.bytes{link=c0->c1}"), and per chip an
-// inbox-depth time series with its peak as a gauge
-// ("interchip.inbox_depth{chip=cN}", "interchip.inbox_peak{chip=cN}").
-// Passive — no simulated time is consumed. Passing nil disables
-// recording again.
+// SetMetrics installs a metrics registry: every Send records a size
+// histogram ("interchip.message.bytes"), every chip's inbox its depth as
+// a time series ("interchip.inbox_depth{chip=cN}"), and PublishMetrics
+// copies the fabric's Stats in. Passive — no simulated time is consumed.
 func (f *Fabric) SetMetrics(reg *metrics.Registry) {
 	f.reg = reg
-	f.cXfers = reg.Counter("interchip.transfers")
-	f.cBytes = reg.Counter("interchip.bytes")
-	f.cWait = reg.Counter("interchip.send.wait_seconds")
 	f.hMsgBytes = reg.Histogram("interchip.message.bytes", metrics.SizeBuckets)
-	if reg == nil {
-		f.linkBytes, f.sInbox, f.gInbox = nil, nil, nil
+	f.sInbox = make([]*metrics.Series, f.n)
+	for c := range f.sInbox {
+		f.sInbox[c] = reg.Series("interchip.inbox_depth", "chip", fmt.Sprintf("c%d", c))
+	}
+}
+
+// PublishMetrics writes the fabric's Stats into the registry SetMetrics
+// installed: transfer count, bytes and port-queueing wait
+// ("interchip.transfers", "interchip.bytes",
+// "interchip.send.wait_seconds"), the byte volume of every directed chip
+// pair ("interchip.link.bytes{link=c0->c1}") and every chip's peak inbox
+// depth ("interchip.inbox_peak{chip=cN}"). Call once, when the
+// simulation has drained; no-op without a registry.
+func (f *Fabric) PublishMetrics() {
+	if f.reg == nil {
 		return
 	}
-	f.linkBytes = make([][]*metrics.Counter, f.n)
-	f.sInbox = make([]*metrics.Series, f.n)
-	f.gInbox = make([]*metrics.Gauge, f.n)
-	for s := 0; s < f.n; s++ {
-		f.linkBytes[s] = make([]*metrics.Counter, f.n)
-		for d := 0; d < f.n; d++ {
+	st := &f.stats
+	f.reg.Counter("interchip.transfers").Add(float64(st.Transfers))
+	f.reg.Counter("interchip.bytes").Add(float64(st.Bytes))
+	f.reg.Counter("interchip.send.wait_seconds").Add(st.SendWaitSeconds)
+	for s := range f.n {
+		for d := range f.n {
 			if s != d {
-				f.linkBytes[s][d] = reg.Counter("interchip.link.bytes", "link", fmt.Sprintf("c%d->c%d", s, d))
+				f.reg.Counter("interchip.link.bytes", "link", fmt.Sprintf("c%d->c%d", s, d)).Add(float64(st.LinkBytes[s][d]))
 			}
 		}
-		chip := fmt.Sprintf("c%d", s)
-		f.sInbox[s] = reg.Series("interchip.inbox_depth", "chip", chip)
-		f.gInbox[s] = reg.Gauge("interchip.inbox_peak", "chip", chip)
+		f.reg.Gauge("interchip.inbox_peak", "chip", fmt.Sprintf("c%d", s)).Max(float64(st.PeakInboxDepth[s]))
 	}
 }
 
@@ -243,13 +241,7 @@ func (f *Fabric) Send(p *sim.Process, src, dst, bytes int, payload any) {
 	f.stats.Bytes += int64(bytes)
 	f.stats.SendWaitSeconds += wait
 	f.stats.LinkBytes[src][dst] += int64(bytes)
-	f.cXfers.Inc()
-	f.cBytes.Add(float64(bytes))
-	f.cWait.Add(wait)
 	f.hMsgBytes.Observe(float64(bytes))
-	if f.linkBytes != nil {
-		f.linkBytes[src][dst].Add(float64(bytes))
-	}
 
 	f.inbox[dst].Put(Message{
 		Src: src, Dst: dst, Bytes: bytes, Payload: payload,
@@ -271,16 +263,13 @@ func (f *Fabric) Recv(p *sim.Process, dst int) Message {
 	return m
 }
 
-// noteInbox samples chip dst's inbox depth into the stats/metrics after
-// a put or get.
+// noteInbox samples chip dst's inbox depth into the stats and the depth
+// series after a put or get.
 func (f *Fabric) noteInbox(dst int, now float64) {
 	depth := f.inbox[dst].Len()
-	if depth > f.stats.PeakInboxDepth[dst] {
-		f.stats.PeakInboxDepth[dst] = depth
-	}
+	f.stats.PeakInboxDepth[dst] = max(f.stats.PeakInboxDepth[dst], depth)
 	if f.sInbox != nil {
 		f.sInbox[dst].Append(now, float64(depth))
-		f.gInbox[dst].Max(float64(depth))
 	}
 }
 

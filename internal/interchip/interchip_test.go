@@ -137,34 +137,53 @@ func TestAsyncDelivery(t *testing.T) {
 	}
 }
 
+// TestMetricsAndStats checks that PublishMetrics copies the fabric's
+// Stats into the registry: two chips send into chip 1 at once, so one
+// waits for the ingress port, and every published value, the wait
+// included, carries the stat's bits.
 func TestMetricsAndStats(t *testing.T) {
 	reg := metrics.New()
 	e := sim.NewEngine()
-	f := New(2, DefaultConfig())
+	f := New(3, DefaultConfig())
 	f.SetMetrics(reg)
-	e.Spawn("sender", func(p *sim.Process) {
-		f.Send(p, 0, 1, 5000, nil)
-		f.Send(p, 0, 1, 3000, nil)
-	})
+	for _, m := range []struct{ src, bytes int }{{0, 5000}, {2, 3000}} {
+		e.Spawn("sender", func(p *sim.Process) { f.Send(p, m.src, 1, m.bytes, nil) })
+	}
 	e.Spawn("receiver", func(p *sim.Process) {
+		p.Wait(1e-3)
 		f.Recv(p, 1)
 		f.Recv(p, 1)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("interchip.transfers").Value(); got != 2 {
-		t.Fatalf("interchip.transfers = %g, want 2", got)
-	}
-	if got := reg.Counter("interchip.bytes").Value(); got != 8000 {
-		t.Fatalf("interchip.bytes = %g, want 8000", got)
-	}
-	if got := reg.Counter("interchip.link.bytes", "link", "c0->c1").Value(); got != 8000 {
-		t.Fatalf("link bytes = %g, want 8000", got)
-	}
 	st := f.Stats()
-	if st.Transfers != 2 || st.Bytes != 8000 || st.LinkBytes[0][1] != 8000 {
+	if st.Transfers != 2 || st.Bytes != 8000 || st.LinkBytes[0][1] != 5000 || st.LinkBytes[2][1] != 3000 ||
+		st.SendWaitSeconds <= 0 || st.PeakInboxDepth[1] != 2 {
 		t.Fatalf("stats = %+v", st)
+	}
+	if n := len(reg.Snapshot().Counters); n != 0 {
+		t.Fatalf("%d counters before PublishMetrics, want none", n)
+	}
+	f.PublishMetrics()
+	for _, c := range []struct {
+		key  string
+		got  float64
+		want float64
+	}{
+		{"interchip.transfers", reg.Counter("interchip.transfers").Value(), 2},
+		{"interchip.bytes", reg.Counter("interchip.bytes").Value(), 8000},
+		{"interchip.send.wait_seconds", reg.Counter("interchip.send.wait_seconds").Value(), st.SendWaitSeconds},
+		{"interchip.link.bytes{link=c0->c1}", reg.Counter("interchip.link.bytes", "link", "c0->c1").Value(), 5000},
+		{"interchip.link.bytes{link=c1->c0}", reg.Counter("interchip.link.bytes", "link", "c1->c0").Value(), 0},
+		{"interchip.inbox_peak{chip=c1}", reg.Gauge("interchip.inbox_peak", "chip", "c1").Value(), 2},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Errorf("%s = %v, want %v", c.key, c.got, c.want)
+		}
+	}
+	if n := len(reg.Snapshot().Counters); n != 3+3*2 {
+		t.Errorf("%d counters, want 3 fabric-wide and one per directed chip pair", n)
 	}
 }
 

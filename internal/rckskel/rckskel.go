@@ -135,17 +135,17 @@ type Team struct {
 	// Observability handles, nil unless SetMetrics installed a registry.
 	hDispatchWait, hInputXfer, hCompute, hResultXfer, hCollectWait *metrics.Histogram
 
-	cJobsDone, cMasterCollect *metrics.Counter
-	sMailbox                  *metrics.Series
-	gMailboxPeak              *metrics.Gauge
-	mailboxDepth              int
+	cMasterCollect *metrics.Counter
+	sMailbox       *metrics.Series
+	gMailboxPeak   *metrics.Gauge
+	mailboxDepth   int
 }
 
-// SetMetrics installs a metrics registry (nil disables it): the team
-// then decomposes every job's latency into dispatch-wait, input-transfer,
-// compute, result-transfer and collect-wait histograms
-// ("farm.job.*_seconds"), keeps per-slave aggregates ("farm.slave.*"),
-// and samples the master's mailbox depth — the slaves with a result
+// SetMetrics installs a metrics registry: the team then decomposes
+// every job's latency into dispatch-wait, input-transfer, compute,
+// result-transfer and collect-wait histograms ("farm.job.*_seconds"),
+// keeps per-slave aggregates ("farm.slave.*") and the master's collect
+// time ("farm.master.collect_seconds"), and samples the master's mailbox depth — the slaves with a result
 // ready that the master has not yet started collecting — as a time
 // series with its peak as a gauge. Recording is passive (no simulated
 // time, no events) whatever is armed. labels are appended to every fixed
@@ -157,7 +157,6 @@ func (t *Team) SetMetrics(reg *metrics.Registry, labels ...string) {
 	t.hCompute = reg.Histogram("farm.job.compute_seconds", metrics.TimeBuckets, labels...)
 	t.hResultXfer = reg.Histogram("farm.job.result_xfer_seconds", metrics.TimeBuckets, labels...)
 	t.hCollectWait = reg.Histogram("farm.job.collect_wait_seconds", metrics.TimeBuckets, labels...)
-	t.cJobsDone = reg.Counter("farm.jobs.completed", labels...)
 	t.cMasterCollect = reg.Counter("farm.master.collect_seconds", labels...)
 	t.sMailbox = reg.Series("farm.master.mailbox_depth", labels...)
 	t.gMailboxPeak = reg.Gauge("farm.master.mailbox_peak", labels...)
@@ -336,7 +335,6 @@ func (t *Team) gather(p *sim.Process, n int, before func(k int), collect func(Re
 			before(k)
 		}
 		m, _ := t.collectFrom(p, t.ring.Get(p).(int), math.Inf(1), &st)
-		t.cJobsDone.Inc()
 		res := *m.Payload.(*Result)
 		st.JobsPerSlave[res.Slave]++
 		if collect != nil {
@@ -585,7 +583,6 @@ func (f *farm) handleRing(i int) {
 			}
 			js.done, js.lost = true, false
 			f.completed++
-			t.cJobsDone.Inc()
 			f.st.JobsPerSlave[res.Slave]++
 			if f.collect != nil {
 				f.collect(res)

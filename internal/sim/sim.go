@@ -131,7 +131,7 @@ type Engine struct {
 // SetMetrics installs a metrics registry: the engine then counts event
 // dispatches (process wake-ups vs callbacks), spawns, kills and process
 // blocks, and records block durations as a histogram — all in simulated
-// time. Passing nil disables recording again.
+// time.
 func (e *Engine) SetMetrics(reg *metrics.Registry) {
 	e.mWakes = reg.Counter("sim.events.process_wakeups")
 	e.mCallbacks = reg.Counter("sim.events.callbacks")
