@@ -23,15 +23,18 @@ func (a Vec3) Sub(b Vec3) Vec3 { return Vec3{a[0] - b[0], a[1] - b[1], a[2] - b[
 // Scale returns s*a.
 func (a Vec3) Scale(s float64) Vec3 { return Vec3{s * a[0], s * a[1], s * a[2]} }
 
-// Dot returns the inner product a.b.
-func (a Vec3) Dot(b Vec3) float64 { return a[0]*b[0] + a[1]*b[1] + a[2]*b[2] }
+// Dot returns the inner product a.b, never fused (so Norm, Norm2, Dist,
+// Dist2 and Unit are not either).
+func (a Vec3) Dot(b Vec3) float64 {
+	return float64(a[0]*b[0]) + float64(a[1]*b[1]) + float64(a[2]*b[2])
+}
 
-// Cross returns the vector cross product a x b.
+// Cross returns the vector cross product a x b, never fused.
 func (a Vec3) Cross(b Vec3) Vec3 {
 	return Vec3{
-		a[1]*b[2] - a[2]*b[1],
-		a[2]*b[0] - a[0]*b[2],
-		a[0]*b[1] - a[1]*b[0],
+		float64(a[1]*b[2]) - float64(a[2]*b[1]),
+		float64(a[2]*b[0]) - float64(a[0]*b[2]),
+		float64(a[0]*b[1]) - float64(a[1]*b[0]),
 	}
 }
 
@@ -87,12 +90,12 @@ func (m Mat3) MulVec(v Vec3) Vec3 {
 	}
 }
 
-// Mul returns the matrix product m * n.
+// Mul returns the matrix product m * n, never fused.
 func (m Mat3) Mul(n Mat3) Mat3 {
 	var r Mat3
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			r[i][j] = m[i][0]*n[0][j] + m[i][1]*n[1][j] + m[i][2]*n[2][j]
+			r[i][j] = float64(m[i][0]*n[0][j]) + float64(m[i][1]*n[1][j]) + float64(m[i][2]*n[2][j])
 		}
 	}
 	return r
@@ -109,11 +112,11 @@ func (m Mat3) Transpose() Mat3 {
 	return r
 }
 
-// Det returns the determinant of m.
+// Det returns the determinant of m, never fused.
 func (m Mat3) Det() float64 {
-	return m[0][0]*(m[1][1]*m[2][2]-m[1][2]*m[2][1]) -
-		m[0][1]*(m[1][0]*m[2][2]-m[1][2]*m[2][0]) +
-		m[0][2]*(m[1][0]*m[2][1]-m[1][1]*m[2][0])
+	return float64(m[0][0]*(float64(m[1][1]*m[2][2])-float64(m[1][2]*m[2][1]))) -
+		float64(m[0][1]*(float64(m[1][0]*m[2][2])-float64(m[1][2]*m[2][0]))) +
+		float64(m[0][2]*(float64(m[1][0]*m[2][1])-float64(m[1][1]*m[2][0])))
 }
 
 // IsRotation reports whether m is orthonormal with determinant +1 within
@@ -149,16 +152,17 @@ func RotZ(a float64) Mat3 {
 	return Mat3{{c, -s, 0}, {s, c, 0}, {0, 0, 1}}
 }
 
-// AxisAngle returns the rotation of angle a (radians) about unit axis u.
+// AxisAngle returns the rotation of angle a (radians) about unit axis u,
+// never fused.
 func AxisAngle(u Vec3, a float64) Mat3 {
 	u = u.Unit()
 	c, s := math.Cos(a), math.Sin(a)
 	t := 1 - c
 	x, y, z := u[0], u[1], u[2]
 	return Mat3{
-		{t*x*x + c, t*x*y - s*z, t*x*z + s*y},
-		{t*x*y + s*z, t*y*y + c, t*y*z - s*x},
-		{t*x*z - s*y, t*y*z + s*x, t*z*z + c},
+		{float64(t*x*x) + c, float64(t*x*y) - float64(s*z), float64(t*x*z) + float64(s*y)},
+		{float64(t*x*y) + float64(s*z), float64(t*y*y) + c, float64(t*y*z) - float64(s*x)},
+		{float64(t*x*z) - float64(s*y), float64(t*y*z) + float64(s*x), float64(t*z*z) + c},
 	}
 }
 
