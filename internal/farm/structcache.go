@@ -149,10 +149,3 @@ func (c *StructCache) Request(slave int, structs []int) int {
 	}
 	return ship
 }
-
-// Resident reports whether the model holds the structure for the slave
-// (test hook).
-func (c *StructCache) Resident(slave, id int) bool {
-	lru := c.slaves[slave]
-	return lru != nil && lru.resident[id]
-}
