@@ -559,11 +559,10 @@ func (s *Session) spawn(c *chip, body func(m *Master)) {
 	})
 }
 
-// finalize writes every chip's contribution into the board report —
-// global core ids (chip*coresPerChip + local, so chip 0's are the flat
-// farm's), busy seconds, wire, fault and metrics counts — appending a
-// ChipReport per chip and the Interchip block on more than one chip, and
-// checks the run's conservation invariants.
+// finalize writes every chip's contribution into the board report (core
+// ids chip*coresPerChip + local, busy seconds, wire, fault and metrics
+// counts, a ChipReport per chip and the Interchip block on a board),
+// publishes the layers' statistics and checks the run's invariants.
 func (s *Session) finalize() error {
 	rep, n := &s.rep, len(s.chips)
 	rep.TotalSeconds = s.chips[0].total

@@ -150,7 +150,7 @@ func (s *Session) interchipReport() *InterchipReport {
 	for _, c := range s.chips {
 		out.ShardBytes += c.shardBytes
 		out.PerPairResultBytes += c.perPairBytes
-		out.IntraChipBytes += c.comm.Sent().Bytes
+		out.IntraChipBytes += c.comm.SentBytes()
 	}
 	for _, gl := range s.levels {
 		gl.MeanLatencySeconds /= float64(gl.Blobs)

@@ -88,9 +88,9 @@ type Comm struct {
 	chunk         int
 	chunkOverhead float64
 
-	// sent counts every Send, dropped ones included, with or without a
-	// registry.
-	sent Sent
+	// sentMsgs and sentBytes count every Send, dropped ones included,
+	// with or without a registry.
+	sentMsgs, sentBytes int64
 
 	// Observability (nil unless SetMetrics installed a registry).
 	reg       *metrics.Registry
@@ -98,11 +98,6 @@ type Comm struct {
 	hMsgBytes *metrics.Histogram
 	coreSent  map[int]*metrics.Counter
 	coreRecv  map[int]*metrics.Counter
-}
-
-// Sent is a Comm's wire accounting: messages sent and their wire bytes.
-type Sent struct {
-	Messages, Bytes int64
 }
 
 // SetMetrics installs a metrics registry: every Send records a size
@@ -127,8 +122,8 @@ func (c *Comm) SetMetrics(reg *metrics.Registry, labels ...string) {
 	}
 }
 
-// Sent returns the messages and wire bytes sent so far.
-func (c *Comm) Sent() Sent { return c.sent }
+// SentBytes returns the wire bytes of every Send so far.
+func (c *Comm) SentBytes() int64 { return c.sentBytes }
 
 // PublishMetrics writes the comm's counts into the registry SetMetrics
 // installed ("rcce.send.messages", "rcce.send.bytes"). Call once, when
@@ -137,8 +132,8 @@ func (c *Comm) PublishMetrics() {
 	if c.reg == nil {
 		return
 	}
-	c.reg.Counter("rcce.send.messages", c.labels...).Add(float64(c.sent.Messages))
-	c.reg.Counter("rcce.send.bytes", c.labels...).Add(float64(c.sent.Bytes))
+	c.reg.Counter("rcce.send.messages", c.labels...).Add(float64(c.sentMsgs))
+	c.reg.Counter("rcce.send.bytes", c.labels...).Add(float64(c.sentBytes))
 }
 
 // New builds a Comm for the chip.
@@ -184,8 +179,8 @@ func (c *Comm) Send(p *sim.Process, src, dst, bytes int, payload any) {
 	}
 	t := c.newTransfer()
 	t.msg = Message{Src: src, Dst: dst, Bytes: bytes, Payload: payload, SentAt: p.Now()}
-	c.sent.Messages++
-	c.sent.Bytes += int64(bytes)
+	c.sentMsgs++
+	c.sentBytes += int64(bytes)
 	c.hMsgBytes.Observe(float64(bytes))
 	c.coreSent[src].Add(float64(bytes))
 	var out Outcome
