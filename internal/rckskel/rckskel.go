@@ -145,12 +145,12 @@ type Team struct {
 // every job's latency into dispatch-wait, input-transfer, compute,
 // result-transfer and collect-wait histograms ("farm.job.*_seconds"),
 // keeps per-slave aggregates ("farm.slave.*") and the master's collect
-// time ("farm.master.collect_seconds"), and samples the master's mailbox depth — the slaves with a result
-// ready that the master has not yet started collecting — as a time
-// series with its peak as a gauge. Recording is passive (no simulated
-// time, no events) whatever is armed. labels are appended to every fixed
-// key (a multi-chip system scopes each chip's team with "chip", "cN");
-// per-slave keys are distinct through the chip's core name prefix.
+// time ("farm.master.collect_seconds"), and samples its mailbox depth
+// (slaves with a result ready that it has not yet started collecting)
+// as a time series with its peak as a gauge. Recording is passive (no
+// simulated time, no events) whatever is armed. labels are appended to
+// every fixed key (a multi-chip system scopes each chip's team with
+// "chip", "cN"); per-slave keys are distinct through the core names.
 func (t *Team) SetMetrics(reg *metrics.Registry, labels ...string) {
 	t.hDispatchWait = reg.Histogram("farm.job.dispatch_wait_seconds", metrics.TimeBuckets, labels...)
 	t.hInputXfer = reg.Histogram("farm.job.input_xfer_seconds", metrics.TimeBuckets, labels...)
