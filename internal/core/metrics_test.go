@@ -33,9 +33,10 @@ func metricsRun(t *testing.T, slaves int) (RunResult, *metrics.Registry, *trace.
 }
 
 // TestMetricsDoNotPerturbTimings pins the zero-cost-when-observing rule:
-// an instrumented run's report must be identical to an uninstrumented
-// one in every field except those distilled from the registry, the
-// Metrics block and each chip's PeakMailboxDepth. The board case has
+// a run with a metrics registry and a trace recorder attached must
+// report exactly what a bare run does, in every field except those
+// distilled from the registry, the Metrics block and each chip's
+// PeakMailboxDepth. The board case has
 // every layer that counts for itself: the wire model, the structure
 // cache, the fabric and the chips' rcce traffic.
 func TestMetricsDoNotPerturbTimings(t *testing.T) {
@@ -53,7 +54,9 @@ func TestMetricsDoNotPerturbTimings(t *testing.T) {
 				if tc.mut != nil {
 					tc.mut(&cfg)
 				}
-				cfg.Metrics = reg
+				if reg != nil {
+					cfg.Metrics, cfg.Trace = reg, trace.New()
+				}
 				r, err := Run(smallPR, tc.slaves, cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -430,9 +430,7 @@ func New(cfg Config, slaves int) (*Session, error) {
 			return nil, fmt.Errorf("farm: %w: %v", ErrFaultPlan, err)
 		}
 		s.fabric = interchip.New(n, cmp.Or(cfg.Interchip, interchip.DefaultConfig()))
-		if cfg.Metrics != nil {
-			s.fabric.SetMetrics(cfg.Metrics)
-		}
+		s.fabric.SetMetrics(cfg.Metrics)
 		s.levels = map[int]*GatherLevel{}
 	}
 	s.cfg = cfg
