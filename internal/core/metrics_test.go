@@ -34,11 +34,10 @@ func metricsRun(t *testing.T, slaves int) (RunResult, *metrics.Registry, *trace.
 
 // TestMetricsDoNotPerturbTimings pins the zero-cost-when-observing rule:
 // a run with a metrics registry and a trace recorder attached must
-// report exactly what a bare run does, in every field except those
-// distilled from the registry, the Metrics block and each chip's
-// PeakMailboxDepth. The board case has
+// report exactly what a bare run does, in every field except the one
+// distilled from the registry, the Metrics block. The board case has
 // every layer that counts for itself: the wire model, the structure
-// cache, the fabric and the chips' rcce traffic.
+// cache, the fabric, the chips' rcce traffic and their teams' mailboxes.
 func TestMetricsDoNotPerturbTimings(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -68,9 +67,6 @@ func TestMetricsDoNotPerturbTimings(t *testing.T) {
 				t.Fatal("instrumented run has no Metrics block")
 			}
 			got.Metrics = nil
-			for i := range got.PerChip {
-				got.PerChip[i].PeakMailboxDepth = 0
-			}
 			if !reflect.DeepEqual(got, base) {
 				g, _ := json.Marshal(got)
 				w, _ := json.Marshal(base)

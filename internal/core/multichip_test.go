@@ -283,7 +283,8 @@ func TestRunChipSweep(t *testing.T) {
 // reports (a fault plan rides along: it is shared, read-only); a Metrics
 // registry shared across the points keeps them on one goroutine — under
 // -race a concurrent write to it would be reported — and ends up with the
-// same contents either way.
+// same contents either way. The shared registry shows in no report field
+// but the Metrics block: every point counts its own mailbox.
 func TestSweepHostParallelism(t *testing.T) {
 	pr := synthCK34PR()
 	counts, chips := []int{1, 3, 8, 12, 20, 47}, []int{1, 2, 4}
@@ -307,6 +308,7 @@ func TestSweepHostParallelism(t *testing.T) {
 		}
 		return slaves, boards, buf.String()
 	}
+	var bare []RunResult
 	for _, shared := range []bool{false, true} {
 		newReg := func() *metrics.Registry {
 			if shared {
@@ -324,6 +326,15 @@ func TestSweepHostParallelism(t *testing.T) {
 		}
 		if snap1 != snap4 {
 			t.Errorf("shared registry %v: registry contents differ between GOMAXPROCS 1 and 4", shared)
+		}
+		all := append(slaves1, boards1...)
+		for i := range all {
+			all[i].Metrics = nil
+		}
+		if !shared {
+			bare = all
+		} else if !reflect.DeepEqual(all, bare) {
+			t.Error("a registry shared by the sweep changed a report outside its Metrics block")
 		}
 	}
 }

@@ -103,12 +103,12 @@ func TestWireReductionAcceptance(t *testing.T) {
 // master to collect.
 func TestBatchingRelievesMasterMailbox(t *testing.T) {
 	pr := synthCK34PR()
-	peak := func(mut func(*Config)) float64 {
+	peak := func(mut func(*Config), slaves int) float64 {
 		cfg := DefaultConfig()
 		cfg.PollingScale = 1e5
 		cfg.Metrics = metrics.New()
 		mut(&cfg)
-		res, err := Run(pr, 47, cfg)
+		res, err := Run(pr, slaves, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,13 +117,23 @@ func TestBatchingRelievesMasterMailbox(t *testing.T) {
 		}
 		return res.Metrics.PeakMailboxDepth
 	}
-	base := peak(func(c *Config) {})
-	batched := peak(func(c *Config) { c.CacheStructs = -1; c.Batch = 8 })
+	base := peak(func(c *Config) {}, 47)
+	batched := peak(func(c *Config) { c.CacheStructs = -1; c.Batch = 8 }, 47)
 	if base <= 1 {
 		t.Fatalf("polling 1e5 did not congest the classic master (peak %v); the comparison is vacuous", base)
 	}
 	if batched >= base {
 		t.Errorf("peak mailbox depth: batched %v >= classic %v", batched, base)
+	}
+	// A registry shared by a sweep carries no point's peak into the next.
+	cfg := DefaultConfig()
+	cfg.PollingScale, cfg.Metrics = 1e5, metrics.New()
+	rs, err := RunSweep(pr, []int{47, 3}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p47, p3, own3 := rs[0].Metrics.PeakMailboxDepth, rs[1].Metrics.PeakMailboxDepth, peak(func(c *Config) {}, 3); p47 != base || p3 != own3 {
+		t.Errorf("shared-registry sweep peaks %v and %v, want %v and %v as in runs of their own", p47, p3, base, own3)
 	}
 }
 

@@ -205,8 +205,7 @@ type ChipReport struct {
 	// MeanUtilization averages the busy fraction of this chip's traced
 	// cores over the board's run window.
 	MeanUtilization float64
-	// PeakMailboxDepth is the chip master's deepest mailbox (0 without
-	// metrics).
+	// PeakMailboxDepth is the chip master's deepest mailbox.
 	PeakMailboxDepth float64
 	// Wire is the chip-local cache/batch wire accounting (nil when the
 	// wire model is off).
@@ -599,8 +598,9 @@ func (s *Session) finalize() error {
 			cr.Faults = &f
 			rep.Faults.add(&f, base)
 		}
+		cr.PeakMailboxDepth = float64(c.team.MailboxPeak())
 		if rep.Metrics != nil {
-			cr.PeakMailboxDepth = s.chipMetrics(c)
+			s.chipMetrics(c)
 		}
 		l := c.ledger
 		lost, lostPairs := c.faults.LostJobs, l.pairs-c.collected
@@ -742,12 +742,11 @@ func (f *FaultStats) add(c *FaultStats, base int) {
 }
 
 // chipMetrics folds chip c's metrics into the board's block — deepest
-// mailbox, job stages summed, busiest mesh link (named "cN:(x,y)->(x,y)"
-// on a board) — and returns the chip's mailbox peak.
-func (s *Session) chipMetrics(c *chip) float64 {
+// team mailbox, job stages summed, busiest mesh link (named
+// "cN:(x,y)->(x,y)" on a board).
+func (s *Session) chipMetrics(c *chip) {
 	reg, mr := s.cfg.Metrics, s.rep.Metrics
-	peak := reg.Gauge("farm.master.mailbox_peak", c.labels...).Value()
-	mr.PeakMailboxDepth = max(mr.PeakMailboxDepth, peak)
+	mr.PeakMailboxDepth = max(mr.PeakMailboxDepth, float64(c.team.MailboxPeak()))
 	for _, stage := range jobStageNames {
 		h := reg.Histogram("farm.job."+stage+"_seconds", metrics.TimeBuckets, c.labels...)
 		agg := mr.JobStages[stage]
@@ -765,7 +764,6 @@ func (s *Session) chipMetrics(c *chip) float64 {
 		mr.WorstLinkBusySeconds = worst.BusySeconds
 		mr.LinkHeatmap = mesh.LinkHeatmap()
 	}
-	return peak
 }
 
 // publishMetrics writes what the board's layers counted themselves into
@@ -778,6 +776,7 @@ func (s *Session) publishMetrics() {
 	for _, c := range s.chips {
 		c.sc.Mesh().PublishMetrics()
 		c.comm.PublishMetrics()
+		s.cfg.Metrics.Gauge("farm.master.mailbox_peak", c.labels...).Max(float64(c.team.MailboxPeak()))
 		add("farm.jobs.completed", int64(c.ledger.doneJobs), c.labels...)
 		if c.hBatchJobs != nil {
 			add("farm.wire.dispatches", c.wire.dispatches, c.labels...)

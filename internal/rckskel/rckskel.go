@@ -137,8 +137,11 @@ type Team struct {
 
 	cMasterCollect *metrics.Counter
 	sMailbox       *metrics.Series
-	gMailboxPeak   *metrics.Gauge
-	mailboxDepth   int
+
+	// mailboxDepth counts the slaves with a result ready that the master
+	// has not yet started collecting; mailboxPeak is its deepest, counted
+	// on every run, with or without a registry.
+	mailboxDepth, mailboxPeak int
 }
 
 // SetMetrics installs a metrics registry: the team then decomposes
@@ -147,10 +150,11 @@ type Team struct {
 // keeps per-slave aggregates ("farm.slave.*") and the master's collect
 // time ("farm.master.collect_seconds"), and samples its mailbox depth
 // (slaves with a result ready that it has not yet started collecting)
-// as a time series with its peak as a gauge. Recording is passive (no
-// simulated time, no events) whatever is armed. labels are appended to
-// every fixed key (a multi-chip system scopes each chip's team with
-// "chip", "cN"); per-slave keys are distinct through the core names.
+// as a time series; its peak is the team's own (MailboxPeak). Recording
+// is passive (no simulated time, no events) whatever is armed. labels
+// are appended to every fixed key (a multi-chip system scopes each
+// chip's team with "chip", "cN"); per-slave keys are distinct through
+// the core names.
 func (t *Team) SetMetrics(reg *metrics.Registry, labels ...string) {
 	t.hDispatchWait = reg.Histogram("farm.job.dispatch_wait_seconds", metrics.TimeBuckets, labels...)
 	t.hInputXfer = reg.Histogram("farm.job.input_xfer_seconds", metrics.TimeBuckets, labels...)
@@ -159,7 +163,6 @@ func (t *Team) SetMetrics(reg *metrics.Registry, labels ...string) {
 	t.hCollectWait = reg.Histogram("farm.job.collect_wait_seconds", metrics.TimeBuckets, labels...)
 	t.cMasterCollect = reg.Counter("farm.master.collect_seconds", labels...)
 	t.sMailbox = reg.Series("farm.master.mailbox_depth", labels...)
-	t.gMailboxPeak = reg.Gauge("farm.master.mailbox_peak", labels...)
 	for i := range t.slaves {
 		s := &t.slaves[i]
 		s.jobs = reg.Counter("farm.slave.jobs", "slave", s.name)
@@ -167,6 +170,10 @@ func (t *Team) SetMetrics(reg *metrics.Registry, labels ...string) {
 		s.wait = reg.Counter("farm.slave.dispatch_wait_seconds", "slave", s.name)
 	}
 }
+
+// MailboxPeak returns the most slaves that were ever waiting at once
+// with a ready result for the master to collect.
+func (t *Team) MailboxPeak() int { return t.mailboxPeak }
 
 // NewTeam builds a team with the master on masterCore and the given
 // slaves. Slave cores must be distinct from the master.
@@ -241,11 +248,9 @@ func (t *Team) slaveLoop(p *sim.Process, i, core int, h Handler) {
 		}
 		// Raise the ready flag (the master's poll finds it), post the result.
 		s.ringAt = computeEnd
-		if t.sMailbox != nil {
-			t.mailboxDepth++
-			t.sMailbox.Append(computeEnd, float64(t.mailboxDepth))
-			t.gMailboxPeak.Max(float64(t.mailboxDepth))
-		}
+		t.mailboxDepth++
+		t.mailboxPeak = max(t.mailboxPeak, t.mailboxDepth)
+		t.sMailbox.Append(computeEnd, float64(t.mailboxDepth))
 		t.ring.Put(i)
 		resultBytes = max(resultBytes, 1)
 		s.result = Result{JobID: job.ID, Slave: core, Payload: payload, Bytes: resultBytes}
@@ -307,10 +312,8 @@ type Stats struct {
 func (t *Team) collectFrom(p *sim.Process, i int, timeout float64, st *Stats) (rcce.Message, bool) {
 	slave := t.Slaves[i]
 	collectStart := p.Now()
-	if t.sMailbox != nil {
-		t.mailboxDepth--
-		t.sMailbox.Append(collectStart, float64(t.mailboxDepth))
-	}
+	t.mailboxDepth--
+	t.sMailbox.Append(collectStart, float64(t.mailboxDepth))
 	t.hCollectWait.Observe(collectStart - t.slaves[i].ringAt)
 	p.Wait(t.DiscoveryCostScale * (t.halfSweep + t.Comm.PollCost(t.Master, slave)))
 	st.PollProbes += len(t.Slaves)/2 + 1

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rckalign/internal/costmodel"
+	"rckalign/internal/metrics"
 	"rckalign/internal/rcce"
 	"rckalign/internal/scc"
 	"rckalign/internal/sim"
@@ -84,6 +85,16 @@ func TestFarmProcessesAllJobs(t *testing.T) {
 	}
 	if stats.MakespanSeconds <= 0 || stats.PollProbes == 0 {
 		t.Errorf("stats not recorded: %+v", stats)
+	}
+	// The mailbox peak is the team's own: a registry samples the depth
+	// but leaves the peak as it is.
+	e, metered := setup(5, doubler(1000))
+	metered.SetMetrics(metrics.New())
+	if err := runMaster(e, metered, func(p *sim.Process) { farmAll(metered, p, jobs, nil) }); err != nil {
+		t.Fatal(err)
+	}
+	if team.MailboxPeak() < 1 || team.MailboxPeak() != metered.MailboxPeak() {
+		t.Errorf("mailbox peak %d without a registry, %d with one", team.MailboxPeak(), metered.MailboxPeak())
 	}
 }
 
