@@ -25,7 +25,8 @@ type MultiChipConfig struct {
 // interchip fabric: the shard framing, one descriptor per job, and each
 // distinct structure's coordinates exactly once — the board-tier
 // analogue of the on-chip structure-cache model (a chip never receives
-// the same coordinates twice in one scatter).
+// the same coordinates twice in one scatter). An empty shard costs its
+// framing alone.
 func shardWireBytes(shard []sched.Pair, sizes []int) int64 {
 	bytes := int64(farm.ShardHeaderBytes) + int64(len(shard))*ShardJobHeaderBytes
 	seen := map[int]bool{}

@@ -255,7 +255,7 @@ func (p *plan) run() (farm.Report, error) {
 				return farm.Report{}, err
 			}
 			idBase += len(shard)
-			if c > 0 && len(shard) > 0 {
+			if c > 0 {
 				shardBytes[c] = shardWireBytes(shard, p.wire.Sizes)
 			}
 		}

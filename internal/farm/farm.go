@@ -357,7 +357,6 @@ type Session struct {
 	gather       GatherConfig
 	aggWireBytes int64
 	aggMessages  int64
-	shardWire    int64
 	controlBytes int64
 	levels       map[int]*GatherLevel // blob hops by gather tree level
 }
@@ -638,9 +637,9 @@ func (s *Session) finalize() error {
 	}
 	if n > 1 {
 		rep.Interchip = s.interchipReport()
-		if ic := rep.Interchip; ic.Bytes != s.shardWire+ic.ResultBytes+s.controlBytes {
+		if ic := rep.Interchip; ic.Bytes != ic.ShardBytes+ic.ResultBytes+s.controlBytes {
 			err = cmp.Or(err, fmt.Errorf("%w: fabric carried %d bytes, shards %d + blobs %d + control %d",
-				ErrInvariant, ic.Bytes, s.shardWire, ic.ResultBytes, s.controlBytes))
+				ErrInvariant, ic.Bytes, ic.ShardBytes, ic.ResultBytes, s.controlBytes))
 		}
 	}
 	return err

@@ -207,13 +207,18 @@ var boardScenarios = []struct {
 		cfg.Faults, cfg.Metrics = plan, metrics.New()
 		return runBoard(t, ck34(t), 47, cfg)
 	}},
-	// Three chips and two pairs: one chip's shard is empty.
+	// Three chips and two pairs: one chip's shard is empty, and its
+	// scatter costs the shard framing alone.
 	{"board-chips3-empty-shard", func(t *testing.T) farm.Report {
 		ds := synth.Small(8, 77)
 		pr := core.ComputePairsShared(ds, tmalign.FastOptions(), pairstore.New(0), sched.AllVsAll(ds.Len())[:2])
 		cfg := core.DefaultConfig()
 		cfg.Chips = 3
-		return runBoard(t, pr, 3, cfg)
+		rep := runBoard(t, pr, 3, cfg)
+		if idle := rep.PerChip[2]; idle.Collected != 0 || idle.ShardBytes != farm.ShardHeaderBytes {
+			t.Errorf("idle chip collected %d results over a %d-byte shard, want 0 over %d", idle.Collected, idle.ShardBytes, farm.ShardHeaderBytes)
+		}
+		return rep
 	}},
 }
 

@@ -56,7 +56,6 @@ func (s *Session) subMaster(m *Master) {
 	c := m.c
 	parent, kids := s.gather.Parent(c.id), s.gather.Children(c.id, len(s.chips))
 	shard := s.fabric.Recv(m.P, c.id)
-	s.shardWire += int64(shard.Bytes) // as charged: even an empty shard costs the fabric's 1-byte floor
 	count, payload := 0, int64(0)
 	m.FarmWork(shard.Payload.(Work), func(r rckskel.Result) {
 		c.perPairBytes += int64(r.Bytes + InterchipResultHeaderBytes)
