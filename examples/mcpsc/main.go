@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := mcpsc.Run(sc, mcpsc.RoundRobin(len(methods), 12), mcpsc.RunConfig{})
+	res, err := mcpsc.Run(sc, mcpsc.RoundRobin(len(methods), 12))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -739,7 +739,7 @@ func mcpscPartitionAblation() (string, error) {
 		{"equal", mcpsc.EqualPartition(len(methods), 12)},
 		{"proportional", proportional},
 	} {
-		r, err := mcpsc.Run(sc, mcpsc.Contiguous(strat.part), mcpsc.RunConfig{})
+		r, err := mcpsc.Run(sc, mcpsc.Contiguous(strat.part))
 		if err != nil {
 			return "", err
 		}

@@ -359,11 +359,6 @@ func TestGoldenDistRuns(t *testing.T) {
 	}
 }
 
-// legacyMCPSC pins the pre-refactor flat 64-byte result size, so the
-// golden isolates harness refactors from the content-sized ScoreBytes
-// wire model.
-var legacyMCPSC = mcpsc.RunConfig{ResultBytes: func(mcpsc.Score) int { return 64 }}
-
 // The multi-criteria scenarios run cheap methods (fast native compute)
 // on their own small dataset.
 var (
@@ -422,7 +417,7 @@ func TestGoldenMCPSC(t *testing.T) {
 	var ava mcpscAllVsAll
 	t.Run("mcpsc-allvsall-3+3", func(t *testing.T) {
 		sc := mcpscTable(t, sched.AllVsAll(mcpscDS.Len()))
-		r, err := mcpsc.Run(sc, mcpsc.Contiguous([]int{3, 3}), legacyMCPSC)
+		r, err := mcpsc.Run(sc, mcpsc.Contiguous([]int{3, 3}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +431,7 @@ func TestGoldenMCPSC(t *testing.T) {
 	var ova mcpscOneVsAll
 	t.Run("mcpsc-onevsall-q0-s5", func(t *testing.T) {
 		sc := queryZero(t)
-		r, err := mcpsc.Run(sc, mcpsc.RoundRobin(2, 5), legacyMCPSC)
+		r, err := mcpsc.Run(sc, mcpsc.RoundRobin(2, 5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,30 +449,15 @@ func TestGoldenMCPSC(t *testing.T) {
 	}
 }
 
-// TestScoreBytesChargesContent pins the wire-size fix: the default
-// model must charge more than the old flat 64 bytes (it carries the
-// method label, the value and the full operation-counter block).
+// TestScoreBytesChargesContent pins the wire-size fix: a result must
+// cost more than the old flat 64 bytes (it carries the method label, the
+// value and the full operation-counter block).
 func TestScoreBytesChargesContent(t *testing.T) {
 	sc := queryZero(t)
 	for m, method := range mcpscMethods {
 		if got := mcpsc.ScoreBytes(sc.Row(m)[0]); got <= 64 {
 			t.Errorf("ScoreBytes(%s) = %d, want > 64", method.Name(), got)
 		}
-	}
-	// And the default (nil ResultBytes) run must therefore be slower than
-	// the pinned legacy run: more result bytes on the same mesh.
-	assign := mcpsc.RoundRobin(2, 5)
-	legacy, err := mcpsc.Run(sc, assign, legacyMCPSC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modeled, err := mcpsc.Run(sc, assign, mcpsc.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if modeled.TotalSeconds <= legacy.TotalSeconds {
-		t.Errorf("content-sized results should cost more: modeled %v <= legacy %v",
-			modeled.TotalSeconds, legacy.TotalSeconds)
 	}
 }
 

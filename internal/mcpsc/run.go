@@ -14,14 +14,6 @@ import (
 	"rckalign/internal/sched"
 )
 
-// RunConfig tunes the replay.
-type RunConfig struct {
-	// ResultBytes models the wire size of one result message (nil =
-	// ScoreBytes). Override to study the result-traffic sensitivity or
-	// to pin the legacy flat 64-byte model.
-	ResultBytes func(Score) int
-}
-
 // ScoreBytes models the wire size of one multi-criteria result as a
 // slave returns it to the master: a small header, the method label, the
 // score value and the operation counters that travel with it for the
@@ -119,8 +111,9 @@ func Contiguous(sizes []int) []int {
 // method assign[k], so every method works through the whole pair list on
 // its own cores, concurrently with the others — the paper's MC-PSC
 // proposal. It is a replay: job m*len(Pairs)+k looks its score up and
-// charges the measured operation counts to the simulated core.
-func Run(sc *Scores, assign []int, cfg RunConfig) (RunResult, error) {
+// charges the measured operation counts to the simulated core, and each
+// result crosses the mesh at its ScoreBytes.
+func Run(sc *Scores, assign []int) (RunResult, error) {
 	out := RunResult{Slaves: make([]int, len(sc.Methods)), BusySeconds: make([]float64, len(sc.Methods))}
 	for k, m := range assign {
 		if m < 0 || m >= len(sc.Methods) {
@@ -151,13 +144,9 @@ func Run(sc *Scores, assign []int, cfg RunConfig) (RunResult, error) {
 			return out, err
 		}
 	}
-	resultBytes := cfg.ResultBytes
-	if resultBytes == nil {
-		resultBytes = ScoreBytes
-	}
 	s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
 		score := sc.byJob[job.ID]
-		return score, score.Ops, resultBytes(score)
+		return score, score.Ops, ScoreBytes(score)
 	})
 	out.Report, err = s.Run(func(m *farm.Master) {
 		m.LoadResidues(ds.TotalResidues())

@@ -105,7 +105,7 @@ func TestPartitionsRejectImpossibleSlaveCounts(t *testing.T) {
 			if len(c.sizes) != nm || sum(c.sizes) != slaves || len(c.assign) != slaves {
 				t.Errorf("%s: %d slaves partitioned %v, laid out %v", c.name, slaves, c.sizes, c.assign)
 			}
-			r, err := Run(sc, c.assign, RunConfig{})
+			r, err := Run(sc, c.assign)
 			if slaves < nm {
 				if err == nil {
 					t.Errorf("%s: partition %v of %d slaves was farmed", c.name, c.sizes, slaves)
@@ -146,7 +146,7 @@ func TestRunAllVsAll(t *testing.T) {
 	methods := []Method{GaplessRMSD{}, ContactOverlap{}}
 	store := pairstore.New(2)
 	sc := allVsAll(t, ds, methods, store)
-	r, err := Run(sc, Contiguous([]int{3, 3}), RunConfig{})
+	r, err := Run(sc, Contiguous([]int{3, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRunAllVsAll(t *testing.T) {
 	if warm := store.Stats(); warm.Misses != cold.Misses || warm.Hits <= cold.Hits {
 		t.Errorf("warm store stats %+v after cold %+v, want hits only", warm, cold)
 	}
-	rw, err := Run(warmTable, Contiguous([]int{3, 3}), RunConfig{})
+	rw, err := Run(warmTable, Contiguous([]int{3, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +213,11 @@ func TestRunAllVsAllValidation(t *testing.T) {
 		"zero-slave partition":      {2, 0},
 		"oversized partition":       {98, 1},
 	} {
-		if _, err := Run(sc, Contiguous(sizes), RunConfig{}); err == nil {
+		if _, err := Run(sc, Contiguous(sizes)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	if _, err := Run(sc, []int{0, -1}, RunConfig{}); err == nil {
+	if _, err := Run(sc, []int{0, -1}); err == nil {
 		t.Error("negative method index accepted")
 	}
 }
@@ -228,7 +228,7 @@ func TestProportionalBeatsEqualOnSkewedMethods(t *testing.T) {
 	// partition should finish sooner.
 	ds := synth.Small(6, 74)
 	sc := allVsAll(t, ds, []Method{TMAlign{Opt: tmalign.FastOptions()}, ContactOverlap{}}, pairstore.New(0))
-	equal, err := Run(sc, Contiguous(EqualPartition(2, 8)), RunConfig{})
+	equal, err := Run(sc, Contiguous(EqualPartition(2, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestProportionalBeatsEqualOnSkewedMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prop, err := Run(sc, Contiguous(sizes), RunConfig{})
+	prop, err := Run(sc, Contiguous(sizes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestRunOneVsAll(t *testing.T) {
 	ds := synth.Small(6, 12)
 	methods := []Method{TMAlign{Opt: tmalign.FastOptions()}, GaplessRMSD{}}
 	sc := oneVsAll(t, ds, 0, methods)
-	r, err := Run(sc, RoundRobin(len(methods), 4), RunConfig{})
+	r, err := Run(sc, RoundRobin(len(methods), 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,21 +304,21 @@ func TestRunOneVsAllValidation(t *testing.T) {
 		t.Error("no methods accepted")
 	}
 	sc := oneVsAll(t, ds, 0, methods)
-	if _, err := Run(sc, RoundRobin(len(methods), 2), RunConfig{}); err == nil {
+	if _, err := Run(sc, RoundRobin(len(methods), 2)); err == nil {
 		t.Error("fewer slaves than methods accepted")
 	}
-	if _, err := Run(sc, RoundRobin(len(methods), 99), RunConfig{}); err == nil {
+	if _, err := Run(sc, RoundRobin(len(methods), 99)); err == nil {
 		t.Error("too many slaves accepted")
 	}
 }
 
 func TestRunOneVsAllMoreSlavesFaster(t *testing.T) {
 	sc := oneVsAll(t, synth.Small(6, 14), 0, []Method{GaplessRMSD{}, ContactOverlap{}})
-	slow, err := Run(sc, RoundRobin(2, 2), RunConfig{})
+	slow, err := Run(sc, RoundRobin(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(sc, RoundRobin(2, 8), RunConfig{})
+	fast, err := Run(sc, RoundRobin(2, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestSameNamedMethodsStayApart(t *testing.T) {
 	if reflect.DeepEqual(sc.Values(0), sc.Values(1)) {
 		t.Errorf("fast and default TM-align share one score vector: %v", sc.Values(0))
 	}
-	r, err := Run(sc, Contiguous([]int{2, 2}), RunConfig{})
+	r, err := Run(sc, Contiguous([]int{2, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
