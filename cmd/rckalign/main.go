@@ -321,11 +321,11 @@ func main() {
 		cfg := cfg
 		if *scoresOut != "" {
 			pt.scores = make(map[sched.Pair]*tmalign.Result, len(pr.Pairs))
-			cfg.Collector = farm.CollectorFunc(func(r rckskel.Result) {
+			cfg.Collect = func(r rckskel.Result) {
 				if res, ok := r.Payload.(*tmalign.Result); ok {
 					pt.scores[pairOf[res]] = res
 				}
-			})
+			}
 		}
 		if *util || *traceOut != "" {
 			pt.rec = trace.New()

@@ -332,7 +332,7 @@ func Run(pr *PairResults, slaves int, cfg Config) (RunResult, error) {
 // RunSweep simulates rckAlign for each slave count and returns the
 // results in order (the paper's Experiment II sweep: 1,3,...,47). The
 // points run concurrently (see farm.Sweep) unless cfg hands them all the
-// same Trace, Metrics or Collector.
+// same Trace, Metrics or Collect hook.
 func RunSweep(pr *PairResults, slaveCounts []int, cfg Config) ([]RunResult, error) {
 	return farm.Sweep(slaveCounts, cfg.sharesSinks(), func(n int) (RunResult, error) {
 		return Run(pr, n, cfg)
@@ -342,7 +342,7 @@ func RunSweep(pr *PairResults, slaveCounts []int, cfg Config) ([]RunResult, erro
 // sharesSinks reports whether every run made with cfg writes to a
 // caller-owned sink.
 func (cfg Config) sharesSinks() bool {
-	return cfg.Trace != nil || cfg.Metrics != nil || cfg.Collector != nil
+	return cfg.Trace != nil || cfg.Metrics != nil || cfg.Collect != nil
 }
 
 // OddSlaveCounts returns the paper's sweep 1, 3, 5, ..., max.

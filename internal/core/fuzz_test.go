@@ -41,12 +41,12 @@ func FuzzFaultPlan(f *testing.F) {
 			seen := map[int]bool{}
 			cfg := DefaultConfig()
 			cfg.Faults, cfg.Affinity = plan, affinity
-			cfg.Collector = farm.CollectorFunc(func(r rckskel.Result) {
+			cfg.Collect = func(r rckskel.Result) {
 				if seen[r.JobID] {
 					t.Errorf("affinity=%t: job %d collected twice", affinity, r.JobID)
 				}
 				seen[r.JobID] = true
-			})
+			}
 			r, err := Run(pr, 6, cfg)
 			var deadlock *sim.DeadlockError
 			switch {

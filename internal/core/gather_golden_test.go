@@ -40,7 +40,7 @@ func scoresRun(t *testing.T, pr *PairResults, cfg Config) (string, RunResult, er
 		pairOf[pr.Results[k]] = p
 	}
 	var lines []string
-	cfg.Collector = farm.CollectorFunc(func(r rckskel.Result) {
+	cfg.Collect = func(r rckskel.Result) {
 		res, ok := r.Payload.(*tmalign.Result)
 		if !ok {
 			t.Errorf("collected a non-result payload %T", r.Payload)
@@ -53,7 +53,7 @@ func scoresRun(t *testing.T, pr *PairResults, cfg Config) (string, RunResult, er
 		}
 		lines = append(lines, fmt.Sprintf("%d %d %.17g %.17g %.17g %d\n",
 			p.I, p.J, res.TM1, res.TM2, res.RMSD, res.AlignedLen))
-	})
+	}
 	r, err := Run(pr, 12, cfg)
 	sort.Strings(lines)
 	return strings.Join(lines, ""), r, err

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"rckalign/internal/farm"
 	"rckalign/internal/fault"
 	"rckalign/internal/interchip"
 	"rckalign/internal/metrics"
@@ -61,7 +60,7 @@ func TestMultiChipOneChipIsFlat(t *testing.T) {
 				} else {
 					cfg.MemoryBudgetResidues = 0
 				}
-				cfg.Collector = farm.CollectorFunc(func(r rckskel.Result) { order = append(order, r.JobID) })
+				cfg.Collect = func(r rckskel.Result) { order = append(order, r.JobID) }
 				r, err := Run(pr, 12, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -88,11 +87,11 @@ func multiChipCK34(t *testing.T, pr *PairResults, chips, slavesPerChip int, muta
 	seen := map[*tmalign.Result]int{}
 	cfg := DefaultConfig()
 	cfg.Chips = chips
-	cfg.Collector = farm.CollectorFunc(func(r rckskel.Result) {
+	cfg.Collect = func(r rckskel.Result) {
 		if res, ok := r.Payload.(*tmalign.Result); ok {
 			seen[res]++
 		}
-	})
+	}
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"rckalign/internal/farm"
 	"rckalign/internal/fault"
 	"rckalign/internal/rckskel"
 	"rckalign/internal/synth"
@@ -55,7 +54,7 @@ func TestResilienceAcceptance(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Faults = plan
 		got := map[int]int{}
-		cfg.Collector = farm.CollectorFunc(func(r rckskel.Result) { got[r.JobID]++ })
+		cfg.Collect = func(r rckskel.Result) { got[r.JobID]++ }
 		r, err := Run(pr, slaves, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -127,7 +126,7 @@ func TestResilienceLinkFaults(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Faults = plan
 	got := map[int]int{}
-	cfg.Collector = farm.CollectorFunc(func(r rckskel.Result) { got[r.JobID]++ })
+	cfg.Collect = func(r rckskel.Result) { got[r.JobID]++ }
 	r, err := Run(pr, 47, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"rckalign/internal/farm"
 	"rckalign/internal/fault"
 	"rckalign/internal/metrics"
 	"rckalign/internal/rckskel"
@@ -16,9 +15,9 @@ import (
 func collectPayloads(t *testing.T, pr *PairResults, slaves int, cfg Config) (map[*tmalign.Result]int, RunResult) {
 	t.Helper()
 	got := map[*tmalign.Result]int{}
-	cfg.Collector = farm.CollectorFunc(func(r rckskel.Result) {
+	cfg.Collect = func(r rckskel.Result) {
 		got[r.Payload.(*tmalign.Result)]++
-	})
+	}
 	res, err := Run(pr, slaves, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"rckalign/internal/core"
 	"rckalign/internal/costmodel"
 	"rckalign/internal/dist"
-	"rckalign/internal/farm"
 	"rckalign/internal/fault"
 	"rckalign/internal/metrics"
 	"rckalign/internal/rckskel"
@@ -141,10 +140,10 @@ func runScores(t *testing.T, pr *core.PairResults, mut func(*core.Config)) ([]st
 	}
 	got := map[sched.Pair]*tmalign.Result{}
 	cfg := core.DefaultConfig()
-	cfg.Collector = farm.CollectorFunc(func(r rckskel.Result) {
+	cfg.Collect = func(r rckskel.Result) {
 		res := r.Payload.(*tmalign.Result)
 		got[pairOf[res]] = res
-	})
+	}
 	mut(&cfg)
 	run, err := core.Run(pr, 47, cfg)
 	if err != nil {

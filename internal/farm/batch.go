@@ -41,7 +41,7 @@ type BatchPayload struct {
 }
 
 // BatchResult carries one result per bundled sub-job back to the
-// master; Session collection unwraps it so Collectors only ever see
+// master; Session collection unwraps it so Collect hooks only ever see
 // per-job results.
 type BatchResult struct {
 	// Results correspond to BatchPayload.Jobs.

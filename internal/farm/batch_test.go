@@ -169,9 +169,9 @@ func TestBatchedCachedFarmEndToEnd(t *testing.T) {
 		Chip:         scc.DefaultConfig(),
 		Batch:        3,
 		CacheStructs: 6,
-		Collector: CollectorFunc(func(r rckskel.Result) {
+		Collect: func(r rckskel.Result) {
 			collected = append(collected, r.JobID)
-		}),
+		},
 	}, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@
 // PSC farms). It owns the pieces those paths used to duplicate:
 // simulation runtime construction (engine + chip + comm), slave placement
 // (master skip, thread-grouped tile workers), job building, master
-// spawn, result collection through a pluggable Collector, termination,
+// spawn, result collection through a caller's Collect hook, termination,
 // and a uniform Report with per-core utilization derived from trace.
 //
 // A path composes a Session instead of copying a 150-line run function:
@@ -40,20 +40,6 @@ import (
 	"rckalign/internal/trace"
 )
 
-// Collector receives every result gathered by the master, after the
-// session's own bookkeeping and before the run path's domain logic. It
-// is the plug-in point for experiment instrumentation (histograms,
-// progress streams, custom sinks) that should work across all paths.
-type Collector interface {
-	Collect(r rckskel.Result)
-}
-
-// CollectorFunc adapts a function to the Collector interface.
-type CollectorFunc func(rckskel.Result)
-
-// Collect implements Collector.
-func (f CollectorFunc) Collect(r rckskel.Result) { f(r) }
-
 // Config describes one farm session: a board of Chips chips, each with
 // its master on core 0 (paper: "the first core supplied to the program").
 type Config struct {
@@ -81,8 +67,10 @@ type Config struct {
 	// the Report.Metrics summary block. Recording is passive — it never
 	// changes simulated timings — and nil (the default) is free.
 	Metrics *metrics.Registry
-	// Collector, when non-nil, observes every collected result.
-	Collector Collector
+	// Collect, when non-nil, receives every result gathered by the
+	// master(s), after the session's own bookkeeping and before the run
+	// path's domain logic (the -scores-out dump, test sinks).
+	Collect func(rckskel.Result)
 	// Batch bundles up to this many consecutive jobs into one request
 	// message with one batched result (0 or 1 = one message per job,
 	// the classic protocol). Applied by PrepareJobs; slaves must then
@@ -499,8 +487,8 @@ func (s *Session) StartSlaves(h rckskel.Handler) {
 
 // deliver unwraps BatchResults (attributing sub-results to the
 // collecting slave) and routes every per-job result through chip c's
-// bookkeeping, the configured Collector, and the per-farm extra
-// callback. Collectors therefore observe exactly the same result stream
+// bookkeeping, the configured Collect hook, and the per-farm extra
+// callback. The hook therefore observes exactly the same result stream
 // — same payloads, same order — as on a classic one-message-per-job
 // farm.
 func (s *Session) deliver(c *chip, r rckskel.Result, extra func(rckskel.Result)) {
@@ -512,8 +500,8 @@ func (s *Session) deliver(c *chip, r rckskel.Result, extra func(rckskel.Result))
 		return
 	}
 	c.collected++
-	if s.cfg.Collector != nil {
-		s.cfg.Collector.Collect(r)
+	if s.cfg.Collect != nil {
+		s.cfg.Collect(r)
 	}
 	if extra != nil {
 		extra(r)

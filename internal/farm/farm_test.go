@@ -150,7 +150,7 @@ func TestSessionRunsAFarm(t *testing.T) {
 	s, err := New(Config{
 		Chip:         scc.DefaultConfig(),
 		PollingScale: 1,
-		Collector:    CollectorFunc(func(r rckskel.Result) { collected = append(collected, r.JobID) }),
+		Collect:      func(r rckskel.Result) { collected = append(collected, r.JobID) },
 	}, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func BuildJobs(pairs []sched.Pair, idBase int, bytes func(p sched.Pair) int) ([]
 // Experiment II sweeps (core, dist, the rckalign CLI). Each execution
 // owns its engine, so the points run on up to GOMAXPROCS goroutines
 // unless shared says run writes to something common to them all — a
-// Trace, Metrics registry or Collector, which are ordered and not safe
+// Trace, Metrics registry or Collect hook, which are ordered and not safe
 // for concurrent use — and then they run one after another. The
 // outcome does not depend on which: on failure it is the error of the
 // earliest failing point and the results of the points before it.

@@ -25,7 +25,7 @@ func multiChipRun(t *testing.T, chips, slaves int, queues [][]rckskel.Job, reg *
 		Chip:         scc.DefaultConfig(),
 		PollingScale: 1,
 		Metrics:      reg,
-		Collector:    CollectorFunc(func(r rckskel.Result) { collected = append(collected, r.JobID) }),
+		Collect:      func(r rckskel.Result) { collected = append(collected, r.JobID) },
 	}, slaves)
 	if err != nil {
 		t.Fatal(err)
