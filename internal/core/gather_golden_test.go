@@ -94,16 +94,19 @@ func TestGatherScoresByteIdenticalToFlat(t *testing.T) {
 	kills := &fault.Plan{Seed: 3, Kills: []fault.CoreFailure{{Core: 5, At: 0.25 * base.TotalSeconds}}}
 
 	for _, chips := range []int{1, 2, 4, 8} {
-		for _, g := range []farm.GatherConfig{
-			{Mode: farm.GatherFlat},
-			{Mode: farm.GatherTree, Arity: 2},
-			{Mode: farm.GatherTree, Arity: 4},
+		for _, g := range []struct {
+			name string
+			farm.GatherConfig
+		}{
+			{"flat", farm.GatherConfig{Mode: farm.GatherFlat}},
+			{"tree(arity=2)", farm.GatherConfig{Mode: farm.GatherTree, Arity: 2}},
+			{"tree(arity=4)", farm.GatherConfig{Mode: farm.GatherTree, Arity: 4}},
 		} {
 			for _, faulted := range []bool{false, true} {
-				name := fmt.Sprintf("chips=%d/%s/faults=%t", chips, g.String(), faulted)
+				name := fmt.Sprintf("chips=%d/%s/faults=%t", chips, g.name, faulted)
 				t.Run(name, func(t *testing.T) {
 					got := scoresDump(t, pr, chips, func(cfg *Config) {
-						cfg.Gather = g
+						cfg.Gather = g.GatherConfig
 						if faulted {
 							cfg.Faults = kills
 						}

@@ -240,8 +240,8 @@ type InterchipReport struct {
 	RootFlows int64
 	// GatherMode/GatherArity/GatherDepth/RootFanIn describe the
 	// result-aggregation topology: mode ("tree" or "flat"), tree
-	// fan-in, deepest tree level, and the number of chips reporting
-	// directly to the root.
+	// fan-in (chips-1 for flat), deepest tree level, and the number of
+	// chips reporting directly to the root.
 	GatherMode  string
 	GatherArity int
 	GatherDepth int
@@ -411,6 +411,9 @@ func New(cfg Config, slaves int) (*Session, error) {
 		var err error
 		if s.gather, err = cfg.Gather.resolved(); err != nil {
 			return nil, err
+		}
+		if s.gather.Mode == GatherFlat {
+			s.gather.Arity = n - 1
 		}
 		if plans, err = fault.SplitPlan(cfg.Faults, n, cfg.Chip.NumCores()); err != nil {
 			return nil, fmt.Errorf("farm: %w: %v", ErrFaultPlan, err)

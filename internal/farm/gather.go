@@ -22,7 +22,8 @@ const (
 	// chip 0 (the default): chip c's parent is (c-1)/Arity.
 	GatherTree = "tree"
 	// GatherFlat sends every chip's aggregates straight to the root —
-	// the pre-tree topology, kept for A/B comparison.
+	// the pre-tree topology, kept for A/B comparison. It is the tree
+	// whose arity covers every chip: New resolves it to Arity = chips-1.
 	GatherFlat = "flat"
 )
 
@@ -42,8 +43,8 @@ var ErrGatherSpec = errors.New("farm: bad gather spec (want flat, tree, or tree:
 type GatherConfig struct {
 	// Mode is GatherTree or GatherFlat ("" = GatherTree).
 	Mode string
-	// Arity is the tree fan-in (<= 0 = DefaultGatherArity; ignored in
-	// flat mode).
+	// Arity is the tree fan-in (<= 0 = DefaultGatherArity; New sets a
+	// flat gather's to the chip count - 1).
 	Arity int
 }
 
@@ -59,18 +60,6 @@ func (g GatherConfig) resolved() (GatherConfig, error) {
 		g.Arity = DefaultGatherArity
 	}
 	return g, nil
-}
-
-// String renders the topology for reports ("tree(arity=4)", "flat").
-func (g GatherConfig) String() string {
-	r, err := g.resolved()
-	if err != nil {
-		return g.Mode
-	}
-	if r.Mode == GatherFlat {
-		return GatherFlat
-	}
-	return fmt.Sprintf("tree(arity=%d)", r.Arity)
 }
 
 // ParseGatherSpec resolves a -gather flag value: "flat", "tree", or
@@ -98,11 +87,8 @@ func ParseGatherSpec(spec string) (GatherConfig, error) {
 }
 
 // Parent returns the chip aggregates from chip c flow to next (c > 0;
-// the root has no parent). Callers use a resolved config.
+// the root has no parent). Callers use a config resolved by New.
 func (g GatherConfig) Parent(c int) int {
-	if g.Mode == GatherFlat {
-		return 0
-	}
 	return (c - 1) / g.Arity
 }
 
@@ -110,14 +96,6 @@ func (g GatherConfig) Parent(c int) int {
 // chip c waits for, in ascending order, on an n-chip system.
 func (g GatherConfig) Children(c, n int) []int {
 	var kids []int
-	if g.Mode == GatherFlat {
-		if c == 0 {
-			for d := 1; d < n; d++ {
-				kids = append(kids, d)
-			}
-		}
-		return kids
-	}
 	for d := g.Arity*c + 1; d <= g.Arity*c+g.Arity && d < n; d++ {
 		kids = append(kids, d)
 	}
@@ -127,12 +105,6 @@ func (g GatherConfig) Children(c, n int) []int {
 // DepthOf returns chip c's distance from the root (level 0); a blob hop
 // from chip c to its parent is a level-DepthOf(c) gather hop.
 func (g GatherConfig) DepthOf(c int) int {
-	if g.Mode == GatherFlat {
-		if c == 0 {
-			return 0
-		}
-		return 1
-	}
 	depth := 0
 	for c > 0 {
 		c = g.Parent(c)
