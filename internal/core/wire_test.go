@@ -131,8 +131,9 @@ func TestBatchingRelievesMasterMailbox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p47, p3, own3 := rs[0].Metrics.PeakMailboxDepth, rs[1].Metrics.PeakMailboxDepth, peak(func(c *Config) {}, 3); p47 != base || p3 != own3 {
-		t.Errorf("shared-registry sweep peaks %v and %v, want %v and %v as in runs of their own", p47, p3, base, own3)
+	want := [2]float64{base, peak(func(c *Config) {}, 3)}
+	if got := [2]float64{rs[0].Metrics.PeakMailboxDepth, rs[1].Metrics.PeakMailboxDepth}; got != want {
+		t.Errorf("shared-registry sweep peaks %v, want %v as in runs of their own", got, want)
 	}
 }
 
