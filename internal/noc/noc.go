@@ -6,7 +6,6 @@ package noc
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"rckalign/internal/metrics"
@@ -326,38 +325,21 @@ type LinkLoad struct {
 	BusySeconds float64
 }
 
-// TopLinks returns the n busiest directed links, most loaded first —
-// the mesh hot-spot analysis. Ties break deterministically by
-// coordinate.
-func (m *Mesh) TopLinks(n int) []LinkLoad {
-	loads := make([]LinkLoad, 0, numDirs*len(m.links))
+// WorstLink returns the busiest directed link — the mesh hot-spot — in
+// one scan; ties go to the lowest From, then the lowest To (zero value
+// when the mesh has no links, e.g. a 1x1 grid).
+func (m *Mesh) WorstLink() LinkLoad {
+	var worst LinkLoad
+	found := false
 	m.eachLink(func(l link, res *sim.Resource) {
 		from, to := m.ends(l)
-		loads = append(loads, LinkLoad{From: from, To: to, BusySeconds: res.BusySeconds()})
-	})
-	sort.Slice(loads, func(a, b int) bool {
-		if loads[a].BusySeconds != loads[b].BusySeconds {
-			return loads[a].BusySeconds > loads[b].BusySeconds
+		busy := res.BusySeconds()
+		if !found || busy > worst.BusySeconds || busy == worst.BusySeconds &&
+			(less(from, worst.From) || from == worst.From && less(to, worst.To)) {
+			worst, found = LinkLoad{From: from, To: to, BusySeconds: busy}, true
 		}
-		if loads[a].From != loads[b].From {
-			return less(loads[a].From, loads[b].From)
-		}
-		return less(loads[a].To, loads[b].To)
 	})
-	if n > len(loads) {
-		n = len(loads)
-	}
-	return loads[:n]
-}
-
-// WorstLink returns the single busiest directed link (zero value when
-// the mesh has no links, e.g. a 1x1 grid).
-func (m *Mesh) WorstLink() LinkLoad {
-	top := m.TopLinks(1)
-	if len(top) == 0 {
-		return LinkLoad{}
-	}
-	return top[0]
+	return worst
 }
 
 func less(a, b Coord) bool {

@@ -168,7 +168,7 @@ func TestLinkUtilizationAccounted(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if top := m.TopLinks(1); top[0].BusySeconds <= 0 {
+	if m.WorstLink().BusySeconds <= 0 {
 		t.Error("no link utilisation recorded")
 	}
 }
@@ -182,9 +182,15 @@ func TestBadGeometryPanics(t *testing.T) {
 	New(Config{Width: 0, Height: 0})
 }
 
-func TestTopLinksAndHeatmap(t *testing.T) {
+// TestWorstLinkAndHeatmap: the hammered link is the worst and the
+// heatmap's peak digit; equal busy times go to the lowest From, then the
+// lowest To, whatever order the scan meets them in.
+func TestWorstLinkAndHeatmap(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(DefaultConfig())
+	if w := m.WorstLink(); w != (LinkLoad{From: Coord{0, 0}, To: Coord{1, 0}}) {
+		t.Errorf("idle mesh: worst link = %+v, want (0,0)->(1,0) at 0 s", w)
+	}
 	// Hammer one link with several long transfers.
 	for i := 0; i < 4; i++ {
 		e.Spawn("x", func(p *sim.Process) {
@@ -197,22 +203,25 @@ func TestTopLinksAndHeatmap(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	top := m.TopLinks(3)
-	if len(top) != 3 {
-		t.Fatalf("top = %v", top)
-	}
-	if top[0].From != (Coord{0, 0}) || top[0].To != (Coord{1, 0}) {
-		t.Errorf("hottest link = %v", top[0])
-	}
-	if top[0].BusySeconds <= top[1].BusySeconds-1e-12 {
-		t.Error("top links not sorted")
-	}
-	// Asking for more links than exist is clamped.
-	all := m.TopLinks(10_000)
-	if len(all) != 2*((6-1)*4+(4-1)*6) {
-		t.Errorf("total directed links = %d", len(all))
+	if w := m.WorstLink(); w.From != (Coord{0, 0}) || w.To != (Coord{1, 0}) || w.BusySeconds <= 0 {
+		t.Errorf("hottest link = %+v", w)
 	}
 	if hm := m.LinkHeatmap(); !strings.HasPrefix(hm, "o 9 o") {
 		t.Errorf("hot link not marked:\n%s", hm)
+	}
+
+	// Two links out of (1,1) with the same traffic: the scan meets east
+	// before west, and the tie goes to the lower To, (0,1).
+	e, m = sim.NewEngine(), New(DefaultConfig())
+	for _, to := range []Coord{{2, 1}, {0, 1}} {
+		e.Spawn("tie", func(p *sim.Process) {
+			m.Transfer(p, Coord{1, 1}, to, 4096)
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if w := m.WorstLink(); w.From != (Coord{1, 1}) || w.To != (Coord{0, 1}) || w.BusySeconds <= 0 {
+		t.Errorf("tie: worst link = %+v, want (1,1)->(0,1)", w)
 	}
 }
