@@ -269,8 +269,9 @@ type GatherLevel struct {
 	MaxLatencySeconds  float64
 }
 
-// MetricsReport is the Report block distilled from the metrics registry:
-// the signals that diagnose the paper's master bottleneck at a glance.
+// MetricsReport is the Report block of the signals that diagnose the
+// paper's master bottleneck at a glance, read from the teams and meshes
+// that own them.
 type MetricsReport struct {
 	// PeakMailboxDepth is the most slaves ever simultaneously waiting
 	// with a ready result for the master to collect.
@@ -297,10 +298,6 @@ type StageAgg struct {
 	MeanSeconds  float64
 	MaxSeconds   float64
 }
-
-// jobStageNames are the per-job latency stages mirrored into
-// MetricsReport.JobStages from the "farm.job.<stage>_seconds" histograms.
-var jobStageNames = []string{"dispatch_wait", "input_xfer", "compute", "result_xfer", "collect_wait"}
 
 // FaultStats is the Report block for fault-tolerant runs: what was
 // injected at the wire and cores, and what the farm's detection and
@@ -439,10 +436,6 @@ func New(cfg Config, slaves int) (*Session, error) {
 		}
 		sc := scc.New(s.engine, chipCfg)
 		ch := &chip{id: c, sc: sc, comm: rcce.New(sc), labels: labels, stats: rckskel.Stats{JobsPerSlave: map[int]int{}}}
-		if cfg.Metrics != nil {
-			sc.Mesh().SetMetrics(cfg.Metrics, labels...)
-			ch.comm.SetMetrics(cfg.Metrics, labels...)
-		}
 		if cfg.Faults != nil {
 			if err := plans[c].Validate(chipCfg.NumCores(), 0); err != nil {
 				return nil, fmt.Errorf("farm: %w: %v", ErrFaultPlan, err)
@@ -458,7 +451,11 @@ func New(cfg Config, slaves int) (*Session, error) {
 			ch.team.DiscoveryCostScale = cfg.PollingScale
 		}
 		ch.team.Trace = &s.act
-		ch.team.SetMetrics(cfg.Metrics, labels...)
+		if cfg.Metrics != nil {
+			sc.Mesh().SetMetrics(cfg.Metrics, labels...)
+			ch.comm.SetMetrics(cfg.Metrics, labels...)
+			ch.team.SetMetrics(cfg.Metrics, labels...)
+		}
 		s.chips = append(s.chips, ch)
 	}
 	s.rep = Report{
@@ -731,19 +728,18 @@ func (f *FaultStats) add(c *FaultStats, base int) {
 	}
 }
 
-// chipMetrics folds chip c's metrics into the board's block — deepest
-// team mailbox, job stages summed, busiest mesh link (named
-// "cN:(x,y)->(x,y)" on a board).
+// chipMetrics folds chip c's team and mesh into the board's block —
+// deepest team mailbox, job stages summed in chip order, busiest mesh
+// link (named "cN:(x,y)->(x,y)" on a board).
 func (s *Session) chipMetrics(c *chip) {
-	reg, mr := s.cfg.Metrics, s.rep.Metrics
+	mr := s.rep.Metrics
 	mr.PeakMailboxDepth = max(mr.PeakMailboxDepth, float64(c.team.MailboxPeak()))
-	for _, stage := range jobStageNames {
-		h := reg.Histogram("farm.job."+stage+"_seconds", metrics.TimeBuckets, c.labels...)
-		agg := mr.JobStages[stage]
-		agg.Count += h.Count()
-		agg.TotalSeconds += h.Sum()
-		agg.MaxSeconds = max(agg.MaxSeconds, h.MaxValue())
-		mr.JobStages[stage] = agg
+	for st, tot := range c.team.StageTotals() {
+		agg := mr.JobStages[rckskel.JobStages[st]]
+		agg.Count += tot.Count
+		agg.TotalSeconds += tot.Sum
+		agg.MaxSeconds = max(agg.MaxSeconds, tot.Max)
+		mr.JobStages[rckskel.JobStages[st]] = agg
 	}
 	mesh := c.sc.Mesh()
 	if worst := mesh.WorstLink(); worst.BusySeconds > mr.WorstLinkBusySeconds {

@@ -1,10 +1,12 @@
 package rckskel
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"rckalign/internal/costmodel"
+	"rckalign/internal/metrics"
 	"rckalign/internal/rcce"
 	"rckalign/internal/scc"
 	"rckalign/internal/sim"
@@ -258,5 +260,55 @@ func TestFARMDropsDuplicateFromStalledSlave(t *testing.T) {
 	}
 	if ft.Reassigned == 0 {
 		t.Errorf("stall did not reassign work: %+v", ft)
+	}
+}
+
+// TestStageTotalsMatchHistograms: a team's job-stage totals are its
+// histograms' Count, Sum and MaxValue bit for bit, and a registry changes
+// none of them, on a plain farm and on one that retries a killed slave's
+// jobs.
+func TestStageTotalsMatchHistograms(t *testing.T) {
+	const cost, nJobs = 200000, 30
+	js := jobSeconds(cost)
+	run := func(reg *metrics.Registry, kill bool) [numStages]StageTotal {
+		e, team := setup(4, doubler(cost))
+		if reg != nil {
+			team.SetMetrics(reg)
+		}
+		deadline := 0.0
+		if kill {
+			wire := &deadCoreWire{dead: map[int]bool{}}
+			team.Comm.SetInterposer(wire)
+			wire.kill(e, team.Comm.Chip(), 2, 1.5*js)
+			deadline = 3 * js
+		}
+		var ft FTStats
+		if err := runMaster(e, team, func(p *sim.Process) {
+			_, ft = team.FARM(p, [][]Job{intJobs(nJobs)}, nil, deadline, nil)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if kill && ft.Retries == 0 {
+			t.Fatalf("the kill caused no retry: %+v", ft)
+		}
+		return team.StageTotals()
+	}
+	for _, kill := range []bool{false, true} {
+		reg := metrics.New()
+		with, without := run(reg, kill), run(nil, kill)
+		if with != without {
+			t.Errorf("kill=%v: stage totals %+v with a registry, %+v without", kill, with, without)
+		}
+		for st, name := range JobStages {
+			h, got := reg.Histogram("farm.job."+name+"_seconds", metrics.TimeBuckets), with[st]
+			if got.Count == 0 {
+				t.Errorf("kill=%v: stage %s observed nothing", kill, name)
+			}
+			if got.Count != h.Count() || math.Float64bits(got.Sum) != math.Float64bits(h.Sum()) ||
+				math.Float64bits(got.Max) != math.Float64bits(h.MaxValue()) {
+				t.Errorf("kill=%v: stage %s totals %+v, histogram count %d sum %v max %v",
+					kill, name, got, h.Count(), h.Sum(), h.MaxValue())
+			}
+		}
 	}
 }

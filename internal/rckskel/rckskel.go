@@ -66,6 +66,26 @@ type Result struct {
 	Bytes   int // modelled wire size of the result message
 }
 
+// The five stages of one job's latency a team times, in JobStages order.
+const (
+	stageDispatchWait = iota
+	stageInputXfer
+	stageCompute
+	stageResultXfer
+	stageCollectWait
+	numStages
+)
+
+// JobStages names the job stages, in the order Team.StageTotals reports
+// them; stage s is also the histogram "farm.job.<s>_seconds".
+var JobStages = [numStages]string{"dispatch_wait", "input_xfer", "compute", "result_xfer", "collect_wait"}
+
+// StageTotal is a team's count, sum and max of one job stage's times.
+type StageTotal struct {
+	Count    int64
+	Sum, Max float64
+}
+
 // Handler executes a job's application work on a slave, returning the result
 // payload, the operation counts to charge its core, and the result's wire size.
 type Handler func(job Job) (payload any, ops costmodel.Counter, resultBytes int)
@@ -133,34 +153,32 @@ type Team struct {
 	halfSweep  float64 // half a polling sweep over the slave ring
 
 	// Observability handles, nil unless SetMetrics installed a registry.
-	hDispatchWait, hInputXfer, hCompute, hResultXfer, hCollectWait *metrics.Histogram
-
+	hStages        [numStages]*metrics.Histogram
 	cMasterCollect *metrics.Counter
 	sMailbox       *metrics.Series
 
-	// mailboxDepth counts the slaves with a result ready that the master
-	// has not yet started collecting; mailboxPeak is its deepest, counted
-	// on every run, with or without a registry.
+	// Kept on every run, with or without a registry: each job stage's
+	// totals; mailboxDepth counts the slaves with a result ready that the
+	// master has not yet started collecting, and mailboxPeak is its deepest.
+	stages                    [numStages]StageTotal
 	mailboxDepth, mailboxPeak int
 }
 
-// SetMetrics installs a metrics registry: the team then decomposes
-// every job's latency into dispatch-wait, input-transfer, compute,
-// result-transfer and collect-wait histograms ("farm.job.*_seconds"),
-// keeps per-slave aggregates ("farm.slave.*") and the master's collect
-// time ("farm.master.collect_seconds"), and samples its mailbox depth
-// (slaves with a result ready that it has not yet started collecting)
-// as a time series; its peak is the team's own (MailboxPeak). Recording
-// is passive (no simulated time, no events) whatever is armed. labels
-// are appended to every fixed key (a multi-chip system scopes each
-// chip's team with "chip", "cN"); per-slave keys are distinct through
-// the core names.
+// SetMetrics installs a metrics registry: the team then buckets every
+// job's stage times ("farm.job.<stage>_seconds", JobStages), keeps
+// per-slave aggregates ("farm.slave.*") and the master's collect time
+// ("farm.master.collect_seconds"), and samples its mailbox depth (slaves
+// with a result ready that it has not yet started collecting) as a time
+// series. The stage totals and the mailbox peak are the team's own
+// (StageTotals, MailboxPeak), the same with or without a registry.
+// Recording is passive (no simulated time, no events) whatever is armed.
+// labels are appended to every fixed key (a multi-chip system scopes
+// each chip's team with "chip", "cN"); per-slave keys are distinct
+// through the core names.
 func (t *Team) SetMetrics(reg *metrics.Registry, labels ...string) {
-	t.hDispatchWait = reg.Histogram("farm.job.dispatch_wait_seconds", metrics.TimeBuckets, labels...)
-	t.hInputXfer = reg.Histogram("farm.job.input_xfer_seconds", metrics.TimeBuckets, labels...)
-	t.hCompute = reg.Histogram("farm.job.compute_seconds", metrics.TimeBuckets, labels...)
-	t.hResultXfer = reg.Histogram("farm.job.result_xfer_seconds", metrics.TimeBuckets, labels...)
-	t.hCollectWait = reg.Histogram("farm.job.collect_wait_seconds", metrics.TimeBuckets, labels...)
+	for st, name := range JobStages {
+		t.hStages[st] = reg.Histogram("farm.job."+name+"_seconds", metrics.TimeBuckets, labels...)
+	}
 	t.cMasterCollect = reg.Counter("farm.master.collect_seconds", labels...)
 	t.sMailbox = reg.Series("farm.master.mailbox_depth", labels...)
 	for i := range t.slaves {
@@ -169,6 +187,21 @@ func (t *Team) SetMetrics(reg *metrics.Registry, labels ...string) {
 		s.compute = reg.Counter("farm.slave.compute_seconds", "slave", s.name)
 		s.wait = reg.Counter("farm.slave.dispatch_wait_seconds", "slave", s.name)
 	}
+}
+
+// StageTotals returns every job stage's totals, in JobStages order.
+func (t *Team) StageTotals() [numStages]StageTotal { return t.stages }
+
+// observe records one job's time in stage st: in the team's totals and,
+// under a registry, in the stage's histogram. Both add the same values
+// in the same order, so each sum keeps the histogram's bits; the max
+// starts at 0, which is the histogram's MaxValue for non-negative times.
+func (t *Team) observe(st int, v float64) {
+	agg := &t.stages[st]
+	agg.Count++
+	agg.Sum += v
+	agg.Max = max(agg.Max, v)
+	t.hStages[st].Observe(v)
 }
 
 // MailboxPeak returns the most slaves that were ever waiting at once
@@ -229,8 +262,8 @@ func (t *Team) slaveLoop(p *sim.Process, i, core int, h Handler) {
 		if m.Corrupt {
 			continue
 		}
-		t.hDispatchWait.Observe(tm.WaitSeconds)
-		t.hInputXfer.Observe(tm.XferSeconds)
+		t.observe(stageDispatchWait, tm.WaitSeconds)
+		t.observe(stageInputXfer, tm.XferSeconds)
 		s.wait.Add(tm.WaitSeconds)
 		job := *m.Payload.(*Job)
 		payload, ops, resultBytes := h(job)
@@ -240,7 +273,7 @@ func (t *Team) slaveLoop(p *sim.Process, i, core int, h Handler) {
 		if t.Trace != nil {
 			t.Trace.Add(s.name, computeStart, computeEnd, "compute")
 		}
-		t.hCompute.Observe(computeEnd - computeStart)
+		t.observe(stageCompute, computeEnd-computeStart)
 		s.jobs.Inc()
 		s.compute.Add(computeEnd - computeStart)
 		if t.stop.IsSet() {
@@ -314,7 +347,7 @@ func (t *Team) collectFrom(p *sim.Process, i int, timeout float64, st *Stats) (r
 	collectStart := p.Now()
 	t.mailboxDepth--
 	t.sMailbox.Append(collectStart, float64(t.mailboxDepth))
-	t.hCollectWait.Observe(collectStart - t.slaves[i].ringAt)
+	t.observe(stageCollectWait, collectStart-t.slaves[i].ringAt)
 	p.Wait(t.DiscoveryCostScale * (t.halfSweep + t.Comm.PollCost(t.Master, slave)))
 	st.PollProbes += len(t.Slaves)/2 + 1
 	m, tm, ok := t.Comm.RecvTimeout(p, slave, t.Master, timeout)
@@ -323,7 +356,7 @@ func (t *Team) collectFrom(p *sim.Process, i int, timeout float64, st *Stats) (r
 	}
 	t.cMasterCollect.Add(p.Now() - collectStart)
 	if ok {
-		t.hResultXfer.Observe(tm.XferSeconds)
+		t.observe(stageResultXfer, tm.XferSeconds)
 	}
 	return m, ok
 }
