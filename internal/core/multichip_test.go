@@ -282,8 +282,10 @@ func TestRunChipSweep(t *testing.T) {
 // reports (a fault plan rides along: it is shared, read-only); a Metrics
 // registry shared across the points keeps them on one goroutine — under
 // -race a concurrent write to it would be reported — and ends up with the
-// same contents either way. The shared registry shows in no report field
-// but the Metrics block: every point counts its own mailbox.
+// same contents either way. The shared registry shows in no report
+// field, the Metrics block included: every point's team counts its own
+// mailbox and job stages, so on the CK34 pair cache each point of a
+// shared-registry sweep equals a run of its own.
 func TestSweepHostParallelism(t *testing.T) {
 	pr := synthCK34PR()
 	counts, chips := []int{1, 3, 8, 12, 20, 47}, []int{1, 2, 4}
@@ -327,13 +329,29 @@ func TestSweepHostParallelism(t *testing.T) {
 			t.Errorf("shared registry %v: registry contents differ between GOMAXPROCS 1 and 4", shared)
 		}
 		all := append(slaves1, boards1...)
-		for i := range all {
-			all[i].Metrics = nil
-		}
 		if !shared {
 			bare = all
 		} else if !reflect.DeepEqual(all, bare) {
-			t.Error("a registry shared by the sweep changed a report outside its Metrics block")
+			t.Error("a registry shared by the sweep changed a report")
+		}
+	}
+
+	ck := ck34PR(t)
+	cfg := DefaultConfig()
+	cfg.Metrics = metrics.New()
+	points, err := RunSweep(ck, []int{47, 3}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range []int{47, 3} {
+		cfg.Metrics = metrics.New()
+		own, err := Run(ck, n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(points[i], own) {
+			t.Errorf("%d slaves: shared-registry sweep point differs from a run of its own: compute stage %+v, want %+v",
+				n, points[i].Metrics.JobStages["compute"], own.Metrics.JobStages["compute"])
 		}
 	}
 }

@@ -105,14 +105,10 @@ func TestBatchingRelievesMasterMailbox(t *testing.T) {
 	peak := func(mut func(*Config), slaves int) float64 {
 		cfg := DefaultConfig()
 		cfg.PollingScale = 1e5
-		cfg.Metrics = metrics.New()
 		mut(&cfg)
 		res, err := Run(pr, slaves, cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if res.Metrics == nil {
-			t.Fatal("metrics block missing")
 		}
 		return res.Metrics.PeakMailboxDepth
 	}

@@ -63,9 +63,9 @@ type Config struct {
 	Trace *trace.Recorder
 	// Metrics, when non-nil, receives counters, histograms and time
 	// series from every layer of the run (sim engine, mesh links, rcce
-	// volumes, per-job latency stages, master mailbox depth) and enables
-	// the Report.Metrics summary block. Recording is passive — it never
-	// changes simulated timings — and nil (the default) is free.
+	// volumes, per-job latency stages, master mailbox depth). Recording
+	// is passive — it changes no Report field, Report.Metrics included —
+	// and nil (the default) is free.
 	Metrics *metrics.Registry
 	// Collect, when non-nil, receives every result gathered by the
 	// master(s), after the session's own bookkeeping and before the run
@@ -143,8 +143,8 @@ type Report struct {
 	// Faults summarises fault injection and recovery (nil without a
 	// fault plan).
 	Faults *FaultStats
-	// Metrics summarises the run's key observability signals (nil unless
-	// Config.Metrics was set).
+	// Metrics summarises the run's key observability signals, on every
+	// run, from the layers that count them; a registry changes none of it.
 	Metrics *MetricsReport
 	// Wire summarises the cache/batch wire model: hit rate, input bytes
 	// saved, batch statistics (nil on classic runs).
@@ -271,7 +271,7 @@ type GatherLevel struct {
 
 // MetricsReport is the Report block of the signals that diagnose the
 // paper's master bottleneck at a glance, read from the teams and meshes
-// that own them.
+// that own them (no metrics registry needed).
 type MetricsReport struct {
 	// PeakMailboxDepth is the most slaves ever simultaneously waiting
 	// with a ready result for the master to collect.
@@ -553,9 +553,7 @@ func (s *Session) finalize() error {
 	if s.cfg.Faults != nil {
 		rep.Faults = &FaultStats{DeadCores: []int{}}
 	}
-	if s.cfg.Metrics != nil {
-		rep.Metrics = &MetricsReport{JobStages: map[string]StageAgg{}}
-	}
+	rep.Metrics = &MetricsReport{JobStages: map[string]StageAgg{}}
 	var wire wireStats
 	err := s.act.err
 	for _, c := range s.chips {
@@ -586,9 +584,7 @@ func (s *Session) finalize() error {
 			rep.Faults.add(&f, base)
 		}
 		cr.PeakMailboxDepth = float64(c.team.MailboxPeak())
-		if rep.Metrics != nil {
-			s.chipMetrics(c)
-		}
+		s.chipMetrics(c)
 		l := c.ledger
 		lost, lostPairs := c.faults.LostJobs, l.pairs-c.collected
 		if l.doneJobs+lost != l.jobs || lostPairs < lost || lostPairs > lost*max(s.cfg.Batch, 1) {
@@ -601,17 +597,18 @@ func (s *Session) finalize() error {
 		}
 	}
 	rep.Wire = wire.report()
-	if mr := rep.Metrics; mr != nil {
+	mr := rep.Metrics
+	for stage, agg := range mr.JobStages {
+		if agg.Count > 0 {
+			agg.MeanSeconds = agg.TotalSeconds / float64(agg.Count)
+		}
+		mr.JobStages[stage] = agg
+	}
+	if rep.TotalSeconds > 0 {
+		mr.WorstLinkUtilization = mr.WorstLinkBusySeconds / rep.TotalSeconds
+	}
+	if s.cfg.Metrics != nil {
 		s.publishMetrics()
-		for stage, agg := range mr.JobStages {
-			if agg.Count > 0 {
-				agg.MeanSeconds = agg.TotalSeconds / float64(agg.Count)
-			}
-			mr.JobStages[stage] = agg
-		}
-		if rep.TotalSeconds > 0 {
-			mr.WorstLinkUtilization = mr.WorstLinkBusySeconds / rep.TotalSeconds
-		}
 	}
 	// The makespan: one farm on one chip (the paper's runs) is timed by
 	// the farm itself, first dispatch to last collect, so neither the
