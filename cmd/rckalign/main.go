@@ -330,11 +330,12 @@ func main() {
 		if *util || *traceOut != "" {
 			pt.rec = trace.New()
 		}
-		cfg.Trace = pt.rec
-		// Metrics are always on in the CLI: they are passive (timings are
-		// unchanged) and feed the mailbox/link columns of every run.
-		pt.reg = metrics.New()
-		cfg.Metrics = pt.reg
+		// The mailbox/link columns come from every report's Metrics block;
+		// a registry is attached only for the files that export it.
+		if *metricsOut != "" || *traceOut != "" {
+			pt.reg = metrics.New()
+		}
+		cfg.Trace, cfg.Metrics = pt.rec, pt.reg
 		r, err := core.Run(pr, n, cfg)
 		pt.rep = r.Report
 		if n != counts[len(counts)-1] {
@@ -352,13 +353,8 @@ func main() {
 		}
 		sp := baseline / rep.TotalSeconds
 		// Efficiency counts only the cores that actually form workers.
-		var peakMbox, worstUtil float64
-		if rep.Metrics != nil {
-			peakMbox = rep.Metrics.PeakMailboxDepth
-			worstUtil = rep.Metrics.WorstLinkUtilization
-		}
 		tb.AddRowf(n, rep.TotalSeconds, sp, sp/float64(rep.EffectiveCores),
-			fmt.Sprintf("%.0f", peakMbox), fmt.Sprintf("%.2e", worstUtil))
+			fmt.Sprintf("%.0f", rep.Metrics.PeakMailboxDepth), fmt.Sprintf("%.2e", rep.Metrics.WorstLinkUtilization))
 		if w := rep.Wire; w != nil {
 			fmt.Fprintf(os.Stderr,
 				"wire (%d slaves): input %.2f MB -> %.2f MB (%.2fx reduction); cache cap=%d hit-rate=%.1f%% evictions=%d; "+
@@ -426,7 +422,7 @@ func main() {
 		fmt.Print(rec.UtilizationTable(40))
 	}
 	if *heatmap {
-		if lastRep.Metrics != nil && lastRep.Metrics.LinkHeatmap != "" {
+		if lastRep.Metrics.LinkHeatmap != "" {
 			fmt.Println("\nmesh link heatmap (last run):")
 			fmt.Print(lastRep.Metrics.LinkHeatmap)
 		} else {

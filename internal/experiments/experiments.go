@@ -463,7 +463,6 @@ func (e *Env) pollingAblation() (string, error) {
 	for _, scale := range []float64{0, 1, 2e4, 1e5} {
 		cfg := core.DefaultConfig()
 		cfg.PollingScale = scale
-		cfg.Metrics = metrics.New()
 		r, err := core.Run(e.CK34, slaves, cfg)
 		if err != nil {
 			return "", err
@@ -630,14 +629,9 @@ func cacheBatchAblation(pr *core.PairResults) (string, error) {
 		}
 		cfgP := cfg
 		cfgP.PollingScale = 1e5
-		cfgP.Metrics = metrics.New()
 		rp, err := core.Run(pr, slaves, cfgP)
 		if err != nil {
 			return "", err
-		}
-		peak := 0.0
-		if rp.Metrics != nil {
-			peak = rp.Metrics.PeakMailboxDepth
 		}
 		inputMB := float64(classicBytes) / 1e6
 		reduction, hitRate := 1.0, "-"
@@ -647,7 +641,7 @@ func cacheBatchAblation(pr *core.PairResults) (string, error) {
 			hitRate = fmt.Sprintf("%.1f%%", 100*w.CacheHitRate)
 		}
 		tb.AddRowf(row.name, r.TotalSeconds, rp.TotalSeconds,
-			fmt.Sprintf("%.0f", peak), inputMB, reduction, hitRate)
+			fmt.Sprintf("%.0f", rp.Metrics.PeakMailboxDepth), inputMB, reduction, hitRate)
 	}
 	return tb.String(), nil
 }
@@ -689,10 +683,6 @@ func chipScalingSweep(pr *core.PairResults, slavesPerChip int, chipCounts []int)
 		}
 		speedup := base / r.TotalSeconds
 		efficiency := speedup * float64(baseChips) / float64(n)
-		peakMbox := 0.0
-		if r.Metrics != nil {
-			peakMbox = r.Metrics.PeakMailboxDepth
-		}
 		rootInbox, interMB := "-", "-"
 		intraMB := points[i].sendBytes / 1e6
 		if ic := r.Interchip; ic != nil {
@@ -701,7 +691,7 @@ func chipScalingSweep(pr *core.PairResults, slavesPerChip int, chipCounts []int)
 			intraMB = float64(ic.IntraChipBytes) / 1e6
 		}
 		tb.AddRowf(n, n*slavesPerChip, r.TotalSeconds, speedup, efficiency,
-			fmt.Sprintf("%.0f", peakMbox), rootInbox, interMB, intraMB)
+			fmt.Sprintf("%.0f", r.Metrics.PeakMailboxDepth), rootInbox, interMB, intraMB)
 	}
 	return tb.String(), nil
 }
