@@ -1,10 +1,9 @@
 package main
 
 import (
-	"errors"
 	"math"
 	"os"
-	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -186,33 +185,37 @@ func TestMain(m *testing.M) {
 // are gone with no alias, so the flag package itself rejects them with
 // exit status 2.
 func TestRemovedFlagsAreUndefined(t *testing.T) {
-	for _, args := range [][]string{{"-hierarchy", "2"}, {"-float32"}, {"-hostpar", "8"}, {"-tile", "4"}} {
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Env = append(os.Environ(), "RCKALIGN_TEST_MAIN=1")
-		out, err := cmd.CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("rckalign %v: err = %v, want exit status 2", args, err)
-		}
-		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
-			t.Errorf("rckalign %v printed %q, want %q", args, out, want)
+	for _, args := range []string{"-hierarchy 2", "-float32", "-hostpar 8", "-tile 4"} {
+		r := rckalign(t, "", args)
+		flag, _, _ := strings.Cut(args, " ")
+		if want := "flag provided but not defined: " + flag; r.code != 2 || !strings.Contains(r.stderr, want) {
+			t.Errorf("rckalign %s: exit %d, printed %q; want exit 2 and %q", args, r.code, r.stderr, want)
 		}
 	}
 }
 
-// TestThreadsAboveSlavesExitsBeforeLoading: the usage error comes from
-// validateFlags (exit 2) before the dataset loads, not from the farm
-// (exit 1) after it.
+// TestThreadsAboveSlavesExitsBeforeLoading: a flag set no run can honour
+// — too few slaves for one -threads worker, and every other combination
+// validateFlags rejects — is a one-line usage error (exit 2) printed
+// before the dataset loads, not a farm error (exit 1) after it.
 func TestThreadsAboveSlavesExitsBeforeLoading(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-slaves", "2", "-threads", "3")
-	cmd.Env = append(os.Environ(), "RCKALIGN_TEST_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Errorf("rckalign -slaves 2 -threads 3: err = %v, want exit status 2", err)
-	}
-	if strings.Contains(string(out), "loading") {
-		t.Errorf("rckalign -slaves 2 -threads 3 loaded the dataset before failing:\n%s", out)
+	for _, tc := range []struct{ args, want string }{
+		{"-slaves 2 -threads 3", `-slaves 2 cannot form one -threads 3 worker`},
+		{"-chips 2 -interchip lat=1e-6,bw=1e9", `-interchip "lat=1e-6,bw=1e9": interchip: unknown profile`},
+		{"-deadline 5", `-deadline 5 without -faults`},
+		{"-faults seed=1;kill=12@40 -deadline NaN", `-deadline NaN is not a finite`},
+		{"-interchip cluster", `-interchip "cluster" has no effect at -chips 1`},
+		{"-gather flat", `-gather "flat" has no effect at -chips 1`},
+		{"-polling Inf", `-polling \+Inf is not a finite scale`},
+		{"-prune-tm NaN", `-prune-tm NaN outside \[0,1\]`},
+	} {
+		r := rckalign(t, "", tc.args)
+		if re := regexp.MustCompile("(?m)^rckalign: " + tc.want); r.code != 2 || !re.MatchString(r.stderr) {
+			t.Errorf("rckalign %s: exit %d, printed %q; want exit 2 and %q", tc.args, r.code, r.stderr, re)
+		}
+		if strings.Contains(r.stdout+r.stderr, "loading") {
+			t.Errorf("rckalign %s loaded the dataset before failing:\n%s", tc.args, r.stderr)
+		}
 	}
 }
 

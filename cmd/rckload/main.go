@@ -20,7 +20,7 @@
 // -dry-run synthesizes and prints the schedule without a server (the
 // target pool is -pool placeholder ids); two dry runs with the same
 // flags emit byte-identical -sched-out files — the determinism contract
-// CI pins. (The in-process config-grid sweep EXPERIMENTS.md quotes is
+// its test pins. (The in-process config-grid sweep EXPERIMENTS.md quotes is
 // `benchtables -only serveload`.)
 //
 // Exit status: 0 on success (even if some requests failed — the report
@@ -61,7 +61,7 @@ type cliFlags struct {
 }
 
 // maxRampSlots and maxRampRequests bound the offered ramp far above any
-// recipe (the CI and EXPERIMENTS.md ramps have at most tens of slots
+// recipe (the test and EXPERIMENTS.md ramps have at most tens of slots
 // and 10^5 requests), so a tiny -step or a huge -start or -target is a
 // usage error instead of a schedule that never finishes building.
 const (

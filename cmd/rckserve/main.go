@@ -30,6 +30,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -119,7 +120,7 @@ func main() {
 	}
 	var logClose func() error
 	cfg := server.Config{
-		Dataset: "serve",
+		Dataset: cmp.Or(f.Dataset, "serve"),
 		Options: opt,
 		PruneTM: f.PruneTM,
 		Batch: batcher.Config{
@@ -127,14 +128,9 @@ func main() {
 			Workers:   f.Workers,
 		},
 	}
-	if f.Dataset != "" {
-		cfg.Dataset = f.Dataset
-	}
-	switch f.AccessLog {
-	case "":
-	case "-":
+	if f.AccessLog == "-" {
 		cfg.AccessLog = os.Stderr
-	default:
+	} else if f.AccessLog != "" {
 		lf, err := os.OpenFile(f.AccessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			fatal(err)
@@ -144,10 +140,7 @@ func main() {
 	}
 	srv := server.New(cfg)
 	if f.Dataset != "" {
-		ds, err := synth.ByName(f.Dataset)
-		if err != nil {
-			usageFatal(err) // unreachable: validated above
-		}
+		ds, _ := synth.ByName(f.Dataset) // validated above
 		if err := srv.Preload(ds.Structures); err != nil {
 			fatal(err)
 		}
@@ -155,28 +148,34 @@ func main() {
 			ds.Name, ds.Len(), ds.Pairs())
 	}
 
-	httpSrv := &http.Server{Addr: f.Addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "rckserve: listening on %s (kernel %s, batch %d)\n",
-		f.Addr, opt.Key(), cfg.Batch.BatchSize)
-	if f.DebugAddr != "" {
-		ln, err := net.Listen("tcp", f.DebugAddr)
+	// Bind first: "listening on" names the bound address (-addr :0 too).
+	listen := func(addr string) net.Listener {
+		ln, err := net.Listen("tcp", addr)
 		if err != nil {
 			fatal(err)
 		}
+		return ln
+	}
+	ln := listen(f.Addr)
+	errCh := make(chan error, 1)
+	go func() { errCh <- httpSrv.Serve(ln) }()
+	fmt.Fprintf(os.Stderr, "rckserve: listening on %s (kernel %s, batch %d)\n",
+		ln.Addr(), opt.Key(), cfg.Batch.BatchSize)
+	if f.DebugAddr != "" {
+		dln := listen(f.DebugAddr)
 		debugSrv := &http.Server{Handler: debugHandler()}
-		go debugSrv.Serve(ln) // returns when Close below shuts the listener
+		go debugSrv.Serve(dln) // returns when Close below shuts the listener
 		defer debugSrv.Close()
-		fmt.Fprintf(os.Stderr, "rckserve: pprof on http://%s/debug/pprof/\n", ln.Addr())
+		fmt.Fprintf(os.Stderr, "rckserve: pprof on http://%s/debug/pprof/\n", dln.Addr())
 	}
 
 	select {
 	case err := <-errCh:
-		fatal(err) // bind failure or unexpected listener death
+		fatal(err) // unexpected listener death
 	case <-ctx.Done():
 	}
 	stop()

@@ -19,8 +19,8 @@ import (
 )
 
 // The score-diff report says what a kernel change did to a set of pair
-// results. The exact gates (TestKernelMatchesPairCache, CI's cmp of the
-// CK34 golden and of the pair cache) only say that something moved; the
+// results. The exact gates (TestKernelMatchesPairCache, cmd/rckalign's
+// rows against the CK34 golden and the pair cache) only say that something moved; the
 // report says which pairs moved and in which digit, by how much, whether
 // a mean TM crossed a prune threshold, and whether the op counts, the
 // simulated bill bench/expected replays, moved with them.

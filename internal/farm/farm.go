@@ -344,6 +344,7 @@ type Session struct {
 	aggMessages  int64
 	controlBytes int64
 	levels       map[int]*GatherLevel // blob hops by gather tree level
+	hot          *chip                // busiest mesh link's; finalize names it ("cN:" on a board)
 }
 
 // chip is one chip of a board with everything it accumulates itself.
@@ -604,8 +605,14 @@ func (s *Session) finalize() error {
 		}
 		mr.JobStages[stage] = agg
 	}
-	if rep.TotalSeconds > 0 {
+	if c := s.hot; c != nil && rep.TotalSeconds > 0 {
+		worst := c.sc.Mesh().WorstLink()
+		mr.WorstLink = fmt.Sprintf("%v->%v", worst.From, worst.To)
+		if n > 1 {
+			mr.WorstLink = fmt.Sprintf("c%d:%s", c.id, mr.WorstLink)
+		}
 		mr.WorstLinkUtilization = mr.WorstLinkBusySeconds / rep.TotalSeconds
+		mr.LinkHeatmap = c.sc.Mesh().LinkHeatmap()
 	}
 	if s.cfg.Metrics != nil {
 		s.publishMetrics()
@@ -725,9 +732,8 @@ func (f *FaultStats) add(c *FaultStats, base int) {
 	}
 }
 
-// chipMetrics folds chip c's team and mesh into the board's block —
-// deepest team mailbox, job stages summed in chip order, busiest mesh
-// link (named "cN:(x,y)->(x,y)" on a board).
+// chipMetrics folds chip c's team and mesh into the board's block: deepest
+// mailbox, job stages in chip order, and the busiest link's chip in s.hot.
 func (s *Session) chipMetrics(c *chip) {
 	mr := s.rep.Metrics
 	mr.PeakMailboxDepth = max(mr.PeakMailboxDepth, float64(c.team.MailboxPeak()))
@@ -738,14 +744,8 @@ func (s *Session) chipMetrics(c *chip) {
 		agg.MaxSeconds = max(agg.MaxSeconds, tot.Max)
 		mr.JobStages[rckskel.JobStages[st]] = agg
 	}
-	mesh := c.sc.Mesh()
-	if worst := mesh.WorstLink(); worst.BusySeconds > mr.WorstLinkBusySeconds {
-		mr.WorstLink = fmt.Sprintf("%v->%v", worst.From, worst.To)
-		if len(s.chips) > 1 {
-			mr.WorstLink = fmt.Sprintf("c%d:%s", c.id, mr.WorstLink)
-		}
-		mr.WorstLinkBusySeconds = worst.BusySeconds
-		mr.LinkHeatmap = mesh.LinkHeatmap()
+	if worst := c.sc.Mesh().WorstLink(); worst.BusySeconds > mr.WorstLinkBusySeconds {
+		mr.WorstLinkBusySeconds, s.hot = worst.BusySeconds, c
 	}
 }
 

@@ -71,7 +71,7 @@ func BuildRequests(arrivals []Arrival, ids []string, seed int64, k int) ([]Reque
 }
 
 // WriteSchedule dumps the deterministic schedule as JSON lines (one
-// Request per line) — the artifact a CI job compares across runs to
+// Request per line) — the artifact rckload's test compares across runs to
 // pin the determinism contract.
 func WriteSchedule(w io.Writer, reqs []Request) error {
 	for _, r := range reqs {
