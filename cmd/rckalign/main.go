@@ -10,7 +10,7 @@
 //	         [-cache DIR] [-fast] [-csv] [-faults SPEC]
 //	         [-structcache N] [-batch K] [-affinity]
 //	         [-threads T] [-membudget R] [-chips N]
-//	         [-metrics-out FILE] [-trace-out FILE] [-scores-out FILE] [-heatmap]
+//	         [-metrics-out FILE] [-trace-out FILE] [-scores-out FILE] [-heatmap] [-util]
 //
 // Every run goes through core's one pipeline, so the flags compose:
 // ordering, the wire model, threads and faults are properties of the
@@ -18,9 +18,9 @@
 // budgeted stages (-membudget) or sharded across chips (-chips). The one
 // combination no run path supports (core's Config.Validate:
 // -membudget with -chips > 1) and flags that could not take effect
-// (-deadline without -faults, -interchip or -gather at -chips 1, -slaves
-// below -threads) exit 2 with a one-line diagnostic before the dataset
-// loads; -sweep starts at the first slave count that forms a worker.
+// (-interchip or -gather at -chips 1, -slaves below -threads) exit 2
+// with a one-line diagnostic before the dataset loads; -sweep starts at
+// the first slave count that forms a worker.
 //
 // -structcache enables the slave-side structure-cache model (-1 derives
 // the per-slave capacity from the default memory budget), -batch bundles
@@ -49,15 +49,16 @@
 // time series from every simulation layer) as deterministic JSON;
 // -trace-out writes a Chrome trace-event file loadable in Perfetto
 // (ui.perfetto.dev) with one thread track per core and counter tracks
-// for the master's mailbox depth and mesh link occupancy. On a sweep,
-// both describe the last run.
+// for the master's mailbox depth and mesh link occupancy. -heatmap and
+// -util print the report's mesh link heatmap and each traced core's busy
+// fraction of the run. On a sweep, all four describe the last run.
 //
 // -faults takes a fault-injection spec (see internal/fault.ParseSpec),
 // e.g. "seed=1;kill=12@40;kill=30@90;drop=*>0@p0.01". There is one farm
 // protocol: a spec that injects something arms its per-job deadline
-// (-deadline, or derived from the workload) and retry, while an empty
-// one ("seed=1") leaves the run, its metrics and its scores
-// byte-identical to the plain run's. A failed job returns to the queue
+// (derived from the workload) and retry, while an empty one ("seed=1")
+// leaves the run, its metrics and its scores byte-identical to the
+// plain run's. A failed job returns to the queue
 // it came from, so under -affinity a dead slave's remaining blocks have
 // no other taker and are reported lost.
 //
@@ -114,7 +115,6 @@ type cliFlags struct {
 	Order       string
 	Threads     int
 	MemBudget   int
-	Deadline    float64
 	Polling     float64
 	StructCache int
 	Batch       int
@@ -157,12 +157,6 @@ func validateFlags(f cliFlags) (core.Config, error) {
 	if f.MemBudget < 0 {
 		return cfg, fmt.Errorf("-membudget %d is negative", f.MemBudget)
 	}
-	if f.Deadline < 0 {
-		return cfg, fmt.Errorf("-deadline %g is negative", f.Deadline)
-	}
-	if math.IsNaN(f.Deadline) || math.IsInf(f.Deadline, 0) {
-		return cfg, fmt.Errorf("-deadline %g is not a finite number of seconds", f.Deadline)
-	}
 	if !(f.Polling >= 0 && f.Polling <= math.MaxFloat64) { // NaN fails both
 		return cfg, fmt.Errorf("-polling %g is not a finite scale >= 0", f.Polling)
 	}
@@ -190,9 +184,6 @@ func validateFlags(f cliFlags) (core.Config, error) {
 		if cfg.Faults, err = fault.ParseSpec(f.FaultSpec); err != nil {
 			return cfg, fmt.Errorf("-faults %q: %v", f.FaultSpec, err)
 		}
-		cfg.JobDeadlineSeconds = f.Deadline
-	} else if f.Deadline > 0 {
-		return cfg, fmt.Errorf("-deadline %g without -faults has no effect", f.Deadline)
 	}
 	cfg.Interchip = interchip.DefaultConfig()
 	if f.Interchip != "" {
@@ -223,11 +214,10 @@ func main() {
 	cacheDir := flag.String("cache", "testdata/paircache", "pair-result cache directory (empty = always recompute)")
 	fast := flag.Bool("fast", false, "use the fast TM-align profile: every pair is computed natively (-cache holds default-profile results only)")
 	csv := flag.Bool("csv", false, "emit CSV instead of a text table")
-	util := flag.Bool("util", false, "print the per-core utilization of the (last) run")
+	util := flag.Bool("util", false, "print the per-core utilization of the (last) run, from its report")
 	threads := flag.Int("threads", 1, "threads per worker (2 = dual-core tile workers; paper future work)")
 	memBudget := flag.Int("membudget", 0, "master memory budget in residues (0 = unlimited; >0 = out-of-core tiled run)")
 	faultSpec := flag.String("faults", "", "fault-injection spec, e.g. \"seed=1;kill=12@40;drop=*>0@p0.01\" (empty = no faults)")
-	deadline := flag.Float64("deadline", 0, "fault-tolerant per-job deadline in seconds (0 = derive from workload; needs -faults)")
 	polling := flag.Float64("polling", 1, "scale the master's per-collection polling discovery cost (0 = ideal event-driven, 1 = the paper's busy polling; large values emulate fine-grained jobs saturating the master)")
 	structCache := flag.Int("structcache", 0, "slave-side structure-cache capacity in structures (0 = off, the paper's wire; -1 = derive from the per-core memory budget)")
 	batch := flag.Int("batch", 0, "bundle up to this many jobs per request message (0 or 1 = one message per job)")
@@ -244,7 +234,7 @@ func main() {
 
 	cfg, err := validateFlags(cliFlags{
 		Slaves: *slaves, Sweep: *sweep, Order: *order,
-		Threads: *threads, MemBudget: *memBudget, Deadline: *deadline,
+		Threads: *threads, MemBudget: *memBudget,
 		Polling: *polling, StructCache: *structCache, Batch: *batch,
 		Chips: *chips, Interchip: *interchipSpec,
 		Gather: *gatherSpec, Affinity: *affinity, FaultSpec: *faultSpec,
@@ -309,7 +299,7 @@ func main() {
 	// Every point records into sinks of its own, so the points are
 	// independent and farm.Sweep may run them concurrently; rows, notes and
 	// files are then written in point order. Only the last point's sinks
-	// reach -scores-out, -metrics-out, -trace-out and -util.
+	// reach -scores-out, -metrics-out and -trace-out.
 	type point struct {
 		rep    farm.Report
 		rec    *trace.Recorder
@@ -327,7 +317,7 @@ func main() {
 				}
 			}
 		}
-		if *util || *traceOut != "" {
+		if *traceOut != "" {
 			pt.rec = trace.New()
 		}
 		// The mailbox/link columns come from every report's Metrics block;
@@ -417,9 +407,9 @@ func main() {
 	} else {
 		fmt.Print(tb.String())
 	}
-	if *util && rec != nil {
-		fmt.Println("\nper-core utilization (last run):")
-		fmt.Print(rec.UtilizationTable(40))
+	if *util {
+		fmt.Printf("\nper-core utilization of [0, %.3f] s (last run):\n", lastRep.TotalSeconds)
+		fmt.Print(utilizationTable(lastRep.CoreUtilization))
 	}
 	if *heatmap {
 		if lastRep.Metrics.LinkHeatmap != "" {
@@ -459,6 +449,22 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// utilizationTable renders each traced core's busy fraction, in
+// core-name order, as a percentage and a 40-cell bar.
+func utilizationTable(util map[string]float64) string {
+	cores := make([]string, 0, len(util))
+	for core := range util {
+		cores = append(cores, core)
+	}
+	sort.Strings(cores)
+	var b strings.Builder
+	for _, core := range cores {
+		n := int(util[core]*40 + 0.5)
+		fmt.Fprintf(&b, "%-10s %5.1f%% |%s%s|\n", core, 100*util[core], strings.Repeat("#", n), strings.Repeat(" ", 40-n))
+	}
+	return b.String()
 }
 
 // writeFileWith creates path and streams write into it.

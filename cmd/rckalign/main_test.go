@@ -38,11 +38,6 @@ func TestValidateFlags(t *testing.T) {
 		{"slaves equal threads", func(f *cliFlags) { f.Slaves = 3; f.Threads = 3 }, ""},
 		{"sweep starts at threads", func(f *cliFlags) { f.Slaves = 1; f.Sweep = true; f.Threads = 2 }, ""},
 		{"membudget negative", func(f *cliFlags) { f.MemBudget = -5 }, "-membudget"},
-		{"deadline negative", func(f *cliFlags) { f.Deadline = -1 }, "-deadline"},
-		{"deadline NaN", func(f *cliFlags) { f.Deadline = math.NaN(); f.FaultSpec = "kill=3@10" }, "-deadline NaN is not a finite"},
-		{"deadline infinite", func(f *cliFlags) { f.Deadline = math.Inf(1); f.FaultSpec = "kill=3@10" }, "-deadline +Inf is not a finite"},
-		{"deadline with faults", func(f *cliFlags) { f.Deadline = 5; f.FaultSpec = "kill=3@10" }, ""},
-		{"deadline without faults", func(f *cliFlags) { f.Deadline = 5 }, "-deadline 5 without -faults"},
 		{"polling negative", func(f *cliFlags) { f.Polling = -0.5 }, "-polling"},
 		{"polling zero is the event-driven ablation", func(f *cliFlags) { f.Polling = 0 }, ""},
 		{"polling NaN", func(f *cliFlags) { f.Polling = math.NaN() }, "-polling NaN is not a finite"},
@@ -181,11 +176,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRemovedFlagsAreUndefined: -hierarchy, -float32, -hostpar and -tile
-// are gone with no alias, so the flag package itself rejects them with
-// exit status 2.
+// TestRemovedFlagsAreUndefined: -hierarchy, -float32, -hostpar, -tile
+// and -deadline are gone with no alias, so the flag package itself
+// rejects them with exit status 2.
 func TestRemovedFlagsAreUndefined(t *testing.T) {
-	for _, args := range []string{"-hierarchy 2", "-float32", "-hostpar 8", "-tile 4"} {
+	for _, args := range []string{"-hierarchy 2", "-float32", "-hostpar 8", "-tile 4", "-deadline 5"} {
 		r := rckalign(t, "", args)
 		flag, _, _ := strings.Cut(args, " ")
 		if want := "flag provided but not defined: " + flag; r.code != 2 || !strings.Contains(r.stderr, want) {
@@ -202,8 +197,6 @@ func TestThreadsAboveSlavesExitsBeforeLoading(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-slaves 2 -threads 3", `-slaves 2 cannot form one -threads 3 worker`},
 		{"-chips 2 -interchip lat=1e-6,bw=1e9", `-interchip "lat=1e-6,bw=1e9": interchip: unknown profile`},
-		{"-deadline 5", `-deadline 5 without -faults`},
-		{"-faults seed=1;kill=12@40 -deadline NaN", `-deadline NaN is not a finite`},
 		{"-interchip cluster", `-interchip "cluster" has no effect at -chips 1`},
 		{"-gather flat", `-gather "flat" has no effect at -chips 1`},
 		{"-polling Inf", `-polling \+Inf is not a finite scale`},

@@ -3,11 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
+
+	"rckalign/internal/core"
+	"rckalign/internal/synth"
 )
 
 // result is one rckalign run: its exit status, its output streams, the
@@ -206,6 +212,29 @@ func TestRunArtifacts(t *testing.T) {
 			}},
 		{name: "board metrics again", args: ck34 + "-chips 4 -gather tree:2 -structcache -1 -batch 8 -metrics-out $metrics",
 			like: "board metrics", same: []string{"metrics"}},
+		{name: "util", args: "-dataset CK34 -slaves 5 -util",
+			check: func(t *testing.T, r result) {
+				pr, err := core.LoadPairResults(synth.CK34(), "../../testdata/paircache/CK34.gob")
+				if err != nil {
+					t.Fatal(err)
+				}
+				run, err := core.Run(pr, 5, core.DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []string
+				for track, u := range run.CoreUtilization {
+					want = append(want, fmt.Sprintf("%s %.1f%%", track, 100*u))
+				}
+				sort.Strings(want)
+				var got []string
+				for _, m := range regexp.MustCompile(`(?m)^(\S+) +(\d+\.\d%) \|[# ]{40}\|$`).FindAllStringSubmatch(r.stdout, -1) {
+					got = append(got, m[1]+" "+m[2])
+				}
+				if strings.Join(got, ", ") != strings.Join(want, ", ") {
+					t.Errorf("-util rows %q, want core.Run's CoreUtilization in core order %q\n%s", got, want, r.stdout)
+				}
+			}},
 		{name: "board interconnect", args: ck34 + "-chips 2 -interchip board"},
 		{name: "board interconnect tree kills", args: ck34 + "-chips 4 -gather tree:2 -interchip board" + kills},
 		{name: "sweep GOMAXPROCS=1", env: "GOMAXPROCS=1", args: "-dataset CK34 -sweep -scores-out $scores -metrics-out $metrics"},

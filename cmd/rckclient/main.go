@@ -5,7 +5,7 @@
 //
 // Usage (one operation per invocation):
 //
-//	rckclient -addr HOST:PORT -upload N [-seed S] [-prefix P] [-c N]
+//	rckclient -addr HOST:PORT -upload N [-prefix P] [-c N]
 //	rckclient -addr HOST:PORT -score A,B
 //	rckclient -addr HOST:PORT -onevsall TARGET [-burst N]
 //	rckclient -addr HOST:PORT -topk TARGET [-k N]
@@ -43,7 +43,6 @@ import (
 type cliFlags struct {
 	Addr     string
 	Upload   int
-	Seed     int64
 	Prefix   string
 	Score    string
 	OneVsAll string
@@ -108,6 +107,10 @@ func validateFlags(f cliFlags) (string, error) {
 	return ops[0], nil
 }
 
+// uploadSeed seeds the synthetic structures -upload sends, so every
+// upload of N structures sends the same chains.
+const uploadSeed = 7
+
 type client struct {
 	base string
 	hc   *http.Client
@@ -146,8 +149,8 @@ func (c *client) do(method, path string, body []byte) ([]byte, error) {
 
 // upload sends n synthetic structures (disjoint prefix so repeated runs
 // with different prefixes never collide), conc at a time.
-func (c *client) upload(n int, seed int64, prefix string, conc int) error {
-	ds := synth.Small(n, seed)
+func (c *client) upload(n int, prefix string, conc int) error {
+	ds := synth.Small(n, uploadSeed)
 	sem := make(chan struct{}, conc)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -282,7 +285,6 @@ func (c *client) printJSON(path string) error {
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8344", "rckserve address")
 	upload := flag.Int("upload", 0, "upload this many synthetic structures")
-	seed := flag.Int64("seed", 7, "synthetic structure seed for -upload")
 	prefix := flag.String("prefix", "up", "structure-id prefix for -upload")
 	score := flag.String("score", "", "score one pair: two comma-separated structure ids")
 	onevsall := flag.String("onevsall", "", "one-vs-all query target structure id")
@@ -295,7 +297,7 @@ func main() {
 	conc := flag.Int("c", 4, "concurrent requests for -upload and -dump")
 	flag.Parse()
 
-	f := cliFlags{Addr: *addr, Upload: *upload, Seed: *seed, Prefix: *prefix,
+	f := cliFlags{Addr: *addr, Upload: *upload, Prefix: *prefix,
 		Score: *score, OneVsAll: *onevsall, TopK: *topk, K: *k,
 		Dump: *dump, First: *first, Stats: *stats, Burst: *burst, Conc: *conc}
 	op, err := validateFlags(f)
@@ -306,7 +308,7 @@ func main() {
 
 	switch op {
 	case "upload":
-		err = c.upload(f.Upload, f.Seed, f.Prefix, f.Conc)
+		err = c.upload(f.Upload, f.Prefix, f.Conc)
 	case "score":
 		parts := strings.Split(f.Score, ",")
 		var body []byte

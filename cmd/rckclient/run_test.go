@@ -27,6 +27,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// TestRemovedFlagsAreUndefined: -seed is gone (uploads use uploadSeed),
+// so the flag package itself rejects it with exit status 2.
+func TestRemovedFlagsAreUndefined(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-upload", "2", "-seed", "3")
+	cmd.Env = append(os.Environ(), "RCKCLIENT_TEST_MAIN=1")
+	out, _ := cmd.CombinedOutput()
+	if want := "flag provided but not defined: -seed"; cmd.ProcessState.ExitCode() != 2 || !strings.Contains(string(out), want) {
+		t.Errorf("rckclient -seed 3: exit %d, printed %q; want exit 2 and %q", cmd.ProcessState.ExitCode(), out, want)
+	}
+}
+
 // TestAgainstServer drives the rckclient command against an in-process
 // rckserve of CK34 in the default kernel profile, step by step as an
 // operator would: a coalesced burst, uploads and a top-K query landing

@@ -8,17 +8,17 @@
 // Usage:
 //
 //	rckload -addr HOST:PORT [-start R -step R -target R] [-slot DUR]
-//	        [-arrival uniform|poisson] [-seed N]
-//	        [-mix "score=0.9,onevsall=0.07,topk=0.03"] [-k N] [-slo DUR]
+//	        [-arrival uniform|poisson] [-seed N] [-k N] [-slo DUR]
 //	        [-report-out FILE] [-trace-out FILE] [-sched-out FILE]
-//	rckload -dry-run [-pool N] [ramp flags] [-sched-out FILE]
+//	rckload -dry-run [ramp flags] [-sched-out FILE]
 //
 // The offered load is one stepped ramp (loadgen.Ramp): the first -slot
 // offers -start RPS and each following one adds -step until -target.
 // A constant-rate run is -step 0: one slot of -slot at -start RPS.
+// Requests are 90% score, 7% onevsall and 3% topk (loadgen's mix).
 //
 // -dry-run synthesizes and prints the schedule without a server (the
-// target pool is -pool placeholder ids); two dry runs with the same
+// targets are dryRunPool placeholder ids); two dry runs with the same
 // flags emit byte-identical -sched-out files — the determinism contract
 // its test pins. (The in-process config-grid sweep EXPERIMENTS.md quotes is
 // `benchtables -only serveload`.)
@@ -34,8 +34,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"rckalign/internal/loadgen"
@@ -50,14 +48,12 @@ type cliFlags struct {
 	Slot      time.Duration
 	Arrival   string
 	Seed      int64
-	Mix       string
 	K         int
 	SLO       time.Duration
 	ReportOut string
 	TraceOut  string
 	SchedOut  string
 	DryRun    bool
-	Pool      int
 }
 
 // maxRampSlots and maxRampRequests bound the offered ramp far above any
@@ -68,6 +64,10 @@ const (
 	maxRampSlots    = 10_000
 	maxRampRequests = 10_000_000
 )
+
+// dryRunPool is the number of placeholder structure ids a -dry-run
+// schedule draws its targets from.
+const dryRunPool = 8
 
 // validateFlags checks the flag set and returns the selected mode:
 // "dry" or "run".
@@ -94,9 +94,6 @@ func validateFlags(f cliFlags) (string, error) {
 		return "", fmt.Errorf("-start %v -step %v -target %v -slot %v: the ramp exceeds %d slots or %d requests",
 			f.Start, f.Step, f.Target, f.Slot, maxRampSlots, maxRampRequests)
 	}
-	if _, err := parseMix(f.Mix); err != nil {
-		return "", err
-	}
 	if f.K < 1 {
 		return "", fmt.Errorf("-k %d: must be >= 1", f.K)
 	}
@@ -104,41 +101,12 @@ func validateFlags(f cliFlags) (string, error) {
 		return "", fmt.Errorf("-slo %v: must be > 0", f.SLO)
 	}
 	if f.DryRun {
-		if f.Pool < 2 {
-			return "", fmt.Errorf("-pool %d: must be >= 2", f.Pool)
-		}
 		return "dry", nil
 	}
 	if f.Addr == "" {
 		return "", errors.New("-addr must not be empty")
 	}
 	return "run", nil
-}
-
-// parseMix parses "score=0.9,onevsall=0.07,topk=0.03". An empty string
-// means the default mix.
-func parseMix(s string) (loadgen.Mix, error) {
-	if s == "" {
-		return nil, nil
-	}
-	mix := loadgen.Mix{}
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("-mix %q: want op=weight pairs", s)
-		}
-		w, err := strconv.ParseFloat(kv[1], 64)
-		if err != nil || w < 0 {
-			return nil, fmt.Errorf("-mix %q: bad weight %q", s, kv[1])
-		}
-		switch op := loadgen.Op(kv[0]); op {
-		case loadgen.OpScore, loadgen.OpOneVsAll, loadgen.OpTopK:
-			mix[op] = w
-		default:
-			return nil, fmt.Errorf("-mix %q: unknown op %q", s, kv[0])
-		}
-	}
-	return mix, nil
 }
 
 func main() {
@@ -148,34 +116,27 @@ func main() {
 	target := flag.Float64("target", 300, "ramp: final RPS (last slot clamps to it)")
 	slot := flag.Duration("slot", 2*time.Second, "slot duration (ramp step length / reporting granularity)")
 	arrival := flag.String("arrival", "uniform", "arrival process within a slot: uniform or poisson")
-	seed := flag.Int64("seed", 1, "trace seed (same seed = same schedule, mix and targets)")
-	mix := flag.String("mix", "", "op mix as op=weight pairs (default score=0.90,onevsall=0.07,topk=0.03)")
+	seed := flag.Int64("seed", 1, "trace seed (same seed = same schedule, ops and targets)")
 	k := flag.Int("k", 5, "neighbor count for topk requests")
 	slo := flag.Duration("slo", 250*time.Millisecond, "p99 latency objective for the knee finder")
 	reportOut := flag.String("report-out", "", "write the SLO report JSON here")
 	traceOut := flag.String("trace-out", "", "write the Chrome/Perfetto trace here")
 	schedOut := flag.String("sched-out", "", "write the deterministic schedule (JSON lines) here")
 	dryRun := flag.Bool("dry-run", false, "synthesize the schedule without contacting a server")
-	pool := flag.Int("pool", 8, "placeholder structure-id pool size for -dry-run")
 	flag.Parse()
 
 	f := cliFlags{Addr: *addr, Start: *start, Step: *step, Target: *target,
-		Slot: *slot, Arrival: *arrival, Seed: *seed, Mix: *mix, K: *k,
+		Slot: *slot, Arrival: *arrival, Seed: *seed, K: *k,
 		SLO: *slo, ReportOut: *reportOut, TraceOut: *traceOut,
-		SchedOut: *schedOut, DryRun: *dryRun, Pool: *pool}
+		SchedOut: *schedOut, DryRun: *dryRun}
 	mode, err := validateFlags(f)
 	if err != nil {
 		usageFatal(err)
 	}
 
-	mixv, err := parseMix(f.Mix)
-	if err != nil {
-		usageFatal(err) // unreachable: validated above
-	}
 	spec := loadgen.SynthSpec{
 		Seed:    f.Seed,
 		Slots:   loadgen.Ramp(f.Start, f.Step, f.Target, f.Slot),
-		Mix:     mixv,
 		Poisson: f.Arrival == "poisson",
 	}
 	arrivals, err := loadgen.Synthesize(spec)
@@ -186,7 +147,7 @@ func main() {
 	var ids []string
 	runner := &loadgen.Runner{Base: "http://" + f.Addr}
 	if mode == "dry" {
-		for i := 0; i < f.Pool; i++ {
+		for i := 0; i < dryRunPool; i++ {
 			ids = append(ids, fmt.Sprintf("s%03d", i))
 		}
 	} else {

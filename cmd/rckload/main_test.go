@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"rckalign/internal/loadgen"
 )
 
 // valid returns a flag set that passes validation; tests mutate one
@@ -15,7 +13,7 @@ func valid() cliFlags {
 	return cliFlags{
 		Addr: "127.0.0.1:8344", Start: 50, Step: 50, Target: 300,
 		Slot: 2 * time.Second, Arrival: "uniform", K: 5,
-		SLO: 250 * time.Millisecond, Pool: 8,
+		SLO: 250 * time.Millisecond,
 	}
 }
 
@@ -49,13 +47,8 @@ func TestValidateFlags(t *testing.T) {
 		{"ramp at the slot bound", func(f *cliFlags) { f.Start, f.Step, f.Target, f.Slot = 1, 1, 10_000, time.Millisecond }, "run", ""},
 		{"ramp one slot past the bound", func(f *cliFlags) { f.Start, f.Step, f.Target, f.Slot = 1, 1, 10_001, time.Millisecond }, "", "10000 slots"},
 		{"constant ignores a huge target", func(f *cliFlags) { f.Step, f.Target = 0, 1e300 }, "run", ""},
-		{"mix ok", func(f *cliFlags) { f.Mix = "score=0.5,topk=0.5" }, "run", ""},
-		{"mix unknown op", func(f *cliFlags) { f.Mix = "delete=1" }, "", "unknown op"},
-		{"mix bad weight", func(f *cliFlags) { f.Mix = "score=lots" }, "", "bad weight"},
-		{"mix missing equals", func(f *cliFlags) { f.Mix = "score" }, "", "op=weight"},
 		{"zero k", func(f *cliFlags) { f.K = 0 }, "", "-k"},
 		{"zero slo", func(f *cliFlags) { f.SLO = 0 }, "", "-slo"},
-		{"tiny pool", func(f *cliFlags) { f.DryRun = true; f.Pool = 1 }, "", "-pool"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,18 +71,5 @@ func TestValidateFlags(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
-	}
-}
-
-func TestParseMix(t *testing.T) {
-	mix, err := parseMix("score=0.5, onevsall=0.3,topk=0.2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mix[loadgen.OpScore] != 0.5 || mix[loadgen.OpOneVsAll] != 0.3 || mix[loadgen.OpTopK] != 0.2 {
-		t.Errorf("mix = %v", mix)
-	}
-	if mix, err := parseMix(""); err != nil || mix != nil {
-		t.Errorf("empty mix = %v, %v; want nil, nil", mix, err)
 	}
 }

@@ -46,9 +46,9 @@ func rckload(t *testing.T, args ...string) (string, int) {
 	return stderr.String(), cmd.ProcessState.ExitCode()
 }
 
-// TestUsageErrors: the removed load shapes are undefined flags and a
-// non-finite rate is rejected, each with exit status 2 and before any
-// schedule is built.
+// TestUsageErrors: the removed load shapes, op mix and dry-run pool are
+// undefined flags and a non-finite rate is rejected, each with exit
+// status 2 and before any schedule is built.
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -62,6 +62,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-dry-run", "-burst-rps", "200"}, `flag provided but not defined: -burst-rps`},
 		{[]string{"-dry-run", "-burst-dur", "1s"}, `flag provided but not defined: -burst-dur`},
 		{[]string{"-dry-run", "-amplitude", "25"}, `flag provided but not defined: -amplitude`},
+		{[]string{"-dry-run", "-mix", "score=1"}, `flag provided but not defined: -mix`},
+		{[]string{"-dry-run", "-pool", "8"}, `flag provided but not defined: -pool`},
 		{[]string{"-dry-run", "-start", "NaN"}, `^rckload: -start NaN: must be a finite rate`},
 	} {
 		out, code := rckload(t, tc.args...)

@@ -72,9 +72,6 @@ func validateFlags(f cliFlags) error {
 	if !(f.PruneTM >= 0 && f.PruneTM <= 1) { // NaN fails both
 		return fmt.Errorf("-prune-tm %g: must be in [0,1] (0 = no pruning)", f.PruneTM)
 	}
-	if f.DebugAddr == f.Addr {
-		return fmt.Errorf("-debug-addr %s: must differ from -addr (the profiler gets its own listener)", f.DebugAddr)
-	}
 	if f.Dataset != "" {
 		if _, err := synth.ByName(f.Dataset); err != nil {
 			return err
@@ -152,7 +149,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Bind first: "listening on" names the bound address (-addr :0 too).
+	// Bind both listeners first: "listening on" names the bound address
+	// (-addr :0 too), and a clash between them exits before it.
 	listen := func(addr string) net.Listener {
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
@@ -161,12 +159,15 @@ func main() {
 		return ln
 	}
 	ln := listen(f.Addr)
+	var dln net.Listener
+	if f.DebugAddr != "" {
+		dln = listen(f.DebugAddr)
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "rckserve: listening on %s (kernel %s, batch %d)\n",
 		ln.Addr(), opt.Key(), cfg.Batch.BatchSize)
-	if f.DebugAddr != "" {
-		dln := listen(f.DebugAddr)
+	if dln != nil {
 		debugSrv := &http.Server{Handler: debugHandler()}
 		go debugSrv.Serve(dln) // returns when Close below shuts the listener
 		defer debugSrv.Close()

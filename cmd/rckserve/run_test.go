@@ -51,6 +51,7 @@ func TestExits(t *testing.T) {
 		{[]string{"-queuecap", "64"}, 2, `flag provided but not defined: -queuecap`},
 		{[]string{"-prune-tm", "NaN"}, 2, `^rckserve: -prune-tm NaN: must be in \[0,1\]`},
 		{[]string{"-addr", busy.Addr().String()}, 1, `^rckserve: listen tcp ` + regexp.QuoteMeta(busy.Addr().String())},
+		{[]string{"-addr", "127.0.0.1:0", "-debug-addr", busy.Addr().String()}, 1, `^rckserve: listen tcp ` + regexp.QuoteMeta(busy.Addr().String())},
 	} {
 		var stderr bytes.Buffer
 		cmd := rckserve(tc.args...)
@@ -66,10 +67,11 @@ func TestExits(t *testing.T) {
 	}
 }
 
-// TestServeUntilInterrupt: rckserve on port 0 announces the address it
-// bound, answers /healthz there, and on SIGINT drains and exits 0.
+// TestServeUntilInterrupt: rckserve with both listeners on port 0
+// announces the addresses it bound, answers /healthz on the one and
+// pprof on the other, and on SIGINT drains and exits 0.
 func TestServeUntilInterrupt(t *testing.T) {
-	cmd := rckserve("-addr", "127.0.0.1:0", "-dataset", "CK34", "-fast")
+	cmd := rckserve("-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-dataset", "CK34", "-fast")
 	pipe, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -80,23 +82,28 @@ func TestServeUntilInterrupt(t *testing.T) {
 	defer cmd.Process.Kill()
 	lines := bufio.NewScanner(pipe)
 	var log strings.Builder
-	addr := ""
-	for addr == "" && lines.Scan() {
+	addr, debug := "", ""
+	for (addr == "" || debug == "") && lines.Scan() {
 		log.WriteString(lines.Text() + "\n")
 		if rest, ok := strings.CutPrefix(lines.Text(), "rckserve: listening on "); ok {
 			addr, _, _ = strings.Cut(rest, " ")
 		}
+		if rest, ok := strings.CutPrefix(lines.Text(), "rckserve: pprof on "); ok {
+			debug = rest
+		}
 	}
-	if addr == "" {
-		t.Fatalf("no \"listening on\" line:\n%s", log.String())
+	if addr == "" || debug == "" {
+		t.Fatalf("no \"listening on\" or \"pprof on\" line:\n%s", log.String())
 	}
-	resp, err := http.Get("http://" + addr + "/healthz")
-	if err != nil {
-		t.Fatalf("/healthz on the announced %s: %v", addr, err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/healthz = %d", resp.StatusCode)
+	for _, url := range []string{"http://" + addr + "/healthz", debug} {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("%s: %v", url, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s = %d", url, resp.StatusCode)
+		}
 	}
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)

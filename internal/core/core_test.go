@@ -316,17 +316,12 @@ func TestRunWithTrace(t *testing.T) {
 		t.Fatalf("tracks = %v", rec.Tracks())
 	}
 	// Slaves should be busy most of the run (near-linear speedup claim).
-	lo, hi := rec.Span()
-	if hi <= lo {
-		t.Fatal("empty trace span")
-	}
 	for _, track := range rec.Tracks() {
-		if track == "rck00" {
-			continue // master: mostly idle
-		}
-		if u := rec.Utilization(track, lo, hi); u < 0.5 {
+		u, ok := r.CoreUtilization[track]
+		if !ok {
+			t.Errorf("traced core %s has no utilization in the report", track)
+		} else if track != "rck00" && u < 0.5 { // the master is mostly idle
 			t.Errorf("slave %s utilization %v, want busy cores", track, u)
 		}
 	}
-	_ = r
 }

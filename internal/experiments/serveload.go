@@ -104,7 +104,7 @@ func runServeLoad(cfg serveLoadConfig, spec serveLoadSpec) (*loadgen.Report, err
 			}
 		}
 	}
-	synthSpec := loadgen.SynthSpec{Seed: spec.Seed, Slots: spec.Slots, Mix: loadgen.DefaultMix()}
+	synthSpec := loadgen.SynthSpec{Seed: spec.Seed, Slots: spec.Slots}
 	arr, err := loadgen.Synthesize(synthSpec)
 	if err != nil {
 		return nil, err

@@ -28,11 +28,13 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"rckalign/internal/costmodel"
 	"rckalign/internal/fault"
 	"rckalign/internal/interchip"
 	"rckalign/internal/metrics"
+	"rckalign/internal/noc"
 	"rckalign/internal/rcce"
 	"rckalign/internal/rckskel"
 	"rckalign/internal/scc"
@@ -307,15 +309,9 @@ type FaultStats struct {
 	Injected fault.Stats
 	// DeadCores lists fail-stopped cores, sorted.
 	DeadCores []int
-	// Timeouts, Retries, Reassigned, DetectedCorrupt, Duplicates
-	// Dropped and LostJobs mirror rckskel.FTStats, accumulated over
-	// every farm the master executed.
-	Timeouts          int
-	DetectedCorrupt   int
-	Retries           int
-	Reassigned        int
-	DuplicatesDropped int
-	LostJobs          int
+	// FTStats sums the recovery counters of every farm the master
+	// executed.
+	rckskel.FTStats
 }
 
 // ErrInvariant reports a run whose own accounting does not add up (see
@@ -606,11 +602,7 @@ func (s *Session) finalize() error {
 		mr.JobStages[stage] = agg
 	}
 	if c := s.hot; c != nil && rep.TotalSeconds > 0 {
-		worst := c.sc.Mesh().WorstLink()
-		mr.WorstLink = fmt.Sprintf("%v->%v", worst.From, worst.To)
-		if n > 1 {
-			mr.WorstLink = fmt.Sprintf("c%d:%s", c.id, mr.WorstLink)
-		}
+		mr.WorstLink = linkName(c.sc.Mesh().WorstLink(), n > 1, c.id)
 		mr.WorstLinkUtilization = mr.WorstLinkBusySeconds / rep.TotalSeconds
 		mr.LinkHeatmap = c.sc.Mesh().LinkHeatmap()
 	}
@@ -635,6 +627,29 @@ func (s *Session) finalize() error {
 		}
 	}
 	return err
+}
+
+// linkName renders a link as "(x,y)->(x,y)", prefixed "cN:" with its
+// chip on a board, in one allocation.
+func linkName(l noc.LinkLoad, board bool, chip int) string {
+	var buf [48]byte
+	b := buf[:0]
+	if board {
+		b = append(b, 'c')
+		b = strconv.AppendInt(b, int64(chip), 10)
+		b = append(b, ':')
+	}
+	for i, end := range [2]noc.Coord{l.From, l.To} {
+		if i > 0 {
+			b = append(b, "->"...)
+		}
+		b = append(b, '(')
+		b = strconv.AppendInt(b, int64(end.X), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(end.Y), 10)
+		b = append(b, ')')
+	}
+	return string(b)
 }
 
 // utilization writes chip c's traced cores into the board's busy and
@@ -721,12 +736,7 @@ func (f *FaultStats) add(c *FaultStats, base int) {
 	f.Injected.Dropped += c.Injected.Dropped
 	f.Injected.Delayed += c.Injected.Delayed
 	f.Injected.Corrupted += c.Injected.Corrupted
-	f.Timeouts += c.Timeouts
-	f.DetectedCorrupt += c.DetectedCorrupt
-	f.Retries += c.Retries
-	f.Reassigned += c.Reassigned
-	f.DuplicatesDropped += c.DuplicatesDropped
-	f.LostJobs += c.LostJobs
+	f.FTStats.Add(c.FTStats)
 	for _, core := range c.DeadCores {
 		f.DeadCores = append(f.DeadCores, base+core)
 	}
@@ -869,12 +879,7 @@ func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) {
 	}
 	c.stats.PollProbes += st.PollProbes
 	c.stats.MakespanSeconds += st.MakespanSeconds
-	c.faults.Timeouts += ft.Timeouts
-	c.faults.DetectedCorrupt += ft.CorruptDetected
-	c.faults.Retries += ft.Retries
-	c.faults.Reassigned += ft.Reassigned
-	c.faults.DuplicatesDropped += ft.DuplicatesDropped
-	c.faults.LostJobs += ft.LostJobs
+	c.faults.Add(ft)
 }
 
 // Terminate shuts down the chip's default team's slaves.

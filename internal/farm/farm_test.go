@@ -2,11 +2,13 @@ package farm
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"rckalign/internal/costmodel"
+	"rckalign/internal/noc"
 	"rckalign/internal/rckskel"
 	"rckalign/internal/scc"
 	"rckalign/internal/sched"
@@ -194,5 +196,20 @@ func TestSessionRunsAFarm(t *testing.T) {
 		if u <= 0 || u > 1 {
 			t.Errorf("utilization[%s] = %v outside (0,1]", track, u)
 		}
+	}
+}
+
+// TestLinkNameAllocatesOnce: the worst link's name is fmt's "%v->%v" of
+// its ends, "cN:"-prefixed on a board, built in one allocation.
+func TestLinkNameAllocatesOnce(t *testing.T) {
+	l := noc.LinkLoad{From: noc.Coord{X: 5, Y: 0}, To: noc.Coord{X: 4, Y: 13}}
+	if got, want := linkName(l, false, 0), fmt.Sprintf("%v->%v", l.From, l.To); got != want {
+		t.Errorf("linkName = %q, want %q", got, want)
+	}
+	if got, want := linkName(l, true, 12), fmt.Sprintf("c12:%v->%v", l.From, l.To); got != want {
+		t.Errorf("board linkName = %q, want %q", got, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { linkName(l, true, 63) }); n != 1 {
+		t.Errorf("linkName allocates %v times, want 1", n)
 	}
 }

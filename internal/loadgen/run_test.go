@@ -43,7 +43,6 @@ func TestRunnerEndToEnd(t *testing.T) {
 	spec := SynthSpec{
 		Seed:  3,
 		Slots: []Slot{{RPS: 40, Dur: 500 * time.Millisecond}},
-		Mix:   Mix{OpScore: 0.8, OpOneVsAll: 0.1, OpTopK: 0.1},
 	}
 	arr, err := Synthesize(spec)
 	if err != nil {

@@ -78,20 +78,14 @@ func rampNext(rps, step, target float64) (float64, bool) {
 	return min(rps+step, target), true
 }
 
-// Mix assigns each operation kind a sampling weight. Weights need not
-// sum to 1; zero-weight ops never fire.
-type Mix map[Op]float64
-
-// DefaultMix is a retrieval-heavy workload: mostly single-pair lookups
+// mixOrder lists the operation kinds in sampling order and mixWeights
+// their weights: a retrieval-heavy workload, mostly single-pair lookups
 // with a heavy tail of one-vs-all sweeps and top-K queries whose work
 // grows with the database size.
-func DefaultMix() Mix {
-	return Mix{OpScore: 0.90, OpOneVsAll: 0.07, OpTopK: 0.03}
-}
-
-// mixOps returns the mix's ops in fixed order (score, onevsall, topk)
-// with positive weight, so weighted sampling is deterministic.
-var mixOrder = []Op{OpScore, OpOneVsAll, OpTopK}
+var (
+	mixOrder   = []Op{OpScore, OpOneVsAll, OpTopK}
+	mixWeights = []float64{0.90, 0.07, 0.03}
+)
 
 // Arrival is one scheduled request: fire at offset At from run start.
 type Arrival struct {
@@ -107,8 +101,6 @@ type SynthSpec struct {
 	Seed int64
 	// Slots is the offered-rate schedule (see Ramp).
 	Slots []Slot
-	// Mix weights the operation kinds (nil = DefaultMix).
-	Mix Mix
 	// Poisson draws exponential inter-arrival gaps (a memoryless open
 	// arrival process); false spaces arrivals evenly within each slot.
 	Poisson bool
@@ -126,16 +118,6 @@ func (s SynthSpec) Validate() error {
 		if sl.Dur <= 0 {
 			return fmt.Errorf("loadgen: slot %d has non-positive duration %v", i, sl.Dur)
 		}
-	}
-	total := 0.0
-	for op, w := range s.Mix {
-		if w < 0 {
-			return fmt.Errorf("loadgen: mix weight for %s is negative", op)
-		}
-		total += w
-	}
-	if s.Mix != nil && total == 0 {
-		return fmt.Errorf("loadgen: mix has no positive weight")
 	}
 	return nil
 }
@@ -158,22 +140,18 @@ func Synthesize(spec SynthSpec) ([]Arrival, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	mix := spec.Mix
-	if mix == nil {
-		mix = DefaultMix()
-	}
 	var totalW float64
-	for _, op := range mixOrder {
-		totalW += mix[op]
+	for _, w := range mixWeights {
+		totalW += w
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	pickOp := func() Op {
 		x := rng.Float64() * totalW
-		for _, op := range mixOrder {
-			if x < mix[op] {
-				return op
+		for i, w := range mixWeights {
+			if x < w {
+				return mixOrder[i]
 			}
-			x -= mix[op]
+			x -= w
 		}
 		return mixOrder[len(mixOrder)-1]
 	}

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -115,6 +116,26 @@ func TestLinkHeatmapRender(t *testing.T) {
 	grid := strings.Join(lines[:7], "\n")
 	if strings.Count(grid, "9") != 1 {
 		t.Errorf("expected exactly one peak digit:\n%s", out)
+	}
+}
+
+// TestLinkHeatmapAllocatesOnce: the heatmap is rendered into one
+// pre-sized buffer, legend included, and its legend is fmt's %.6g.
+func TestLinkHeatmapAllocatesOnce(t *testing.T) {
+	e := sim.NewEngine()
+	m := New(DefaultConfig())
+	e.Spawn("x", func(p *sim.Process) {
+		m.Transfer(p, Coord{0, 0}, Coord{3, 2}, 77*1024)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("peak link busy: %.6gs\n", m.WorstLink().BusySeconds)
+	if out := m.LinkHeatmap(); !strings.HasSuffix(out, want) {
+		t.Errorf("legend of\n%s\nis not %q", out, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { m.LinkHeatmap() }); n != 1 {
+		t.Errorf("LinkHeatmap allocates %v times, want 1", n)
 	}
 }
 

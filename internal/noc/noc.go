@@ -6,6 +6,7 @@ package noc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"rckalign/internal/metrics"
@@ -385,7 +386,10 @@ func (m *Mesh) LinkHeatmap() string {
 		}
 		return '0' + byte(9*busy/peak)
 	}
+	// Each of the 2*Height-1 grid lines is 4*Width-2 bytes, newline included.
+	const legend = "peak link busy: "
 	var b strings.Builder
+	b.Grow(max((2*m.cfg.Height-1)*(4*m.cfg.Width-2), 0) + len(legend) + 32)
 	for y := 0; y < m.cfg.Height; y++ {
 		for x := 0; x < m.cfg.Width; x++ {
 			if x > 0 {
@@ -407,6 +411,9 @@ func (m *Mesh) LinkHeatmap() string {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "peak link busy: %.6gs\n", peak)
+	var num [32]byte
+	b.WriteString(legend)
+	b.Write(strconv.AppendFloat(num[:0], peak, 'g', 6, 64)) // fmt's %.6g
+	b.WriteString("s\n")
 	return b.String()
 }

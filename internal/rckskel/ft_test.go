@@ -134,7 +134,7 @@ func TestFARMRetriesCorruptResult(t *testing.T) {
 	if len(got) != nJobs {
 		t.Fatalf("collected %d of %d jobs", len(got), nJobs)
 	}
-	if ft.CorruptDetected != 1 || ft.Retries != 1 {
+	if ft.DetectedCorrupt != 1 || ft.Retries != 1 {
 		t.Errorf("ft stats = %+v, want 1 corrupt / 1 retry", ft)
 	}
 }
@@ -189,7 +189,7 @@ func TestFARMGivesUpAfterMaxAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dispatches != 10 || ft.CorruptDetected != 10 || ft.Retries != 9 || ft.LostJobs != 1 {
+	if dispatches != 10 || ft.DetectedCorrupt != 10 || ft.Retries != 9 || ft.LostJobs != 1 {
 		t.Errorf("%d dispatches, ft stats %+v; want 10 dispatches, 10 corrupt, 9 retries, 1 lost", dispatches, ft)
 	}
 }

@@ -415,7 +415,7 @@ const maxAttempts = 10
 // zero when nothing failed.
 type FTStats struct {
 	Timeouts        int // deadline expiries and result-transfer timeouts
-	CorruptDetected int // results discarded for checksum mismatch
+	DetectedCorrupt int // results discarded for checksum mismatch
 	// Retries counts re-dispatches of jobs already handed to some slave;
 	// Reassigned those of them that moved to a different slave.
 	Retries, Reassigned int
@@ -423,6 +423,16 @@ type FTStats struct {
 	// LostJobs counts jobs never completed (degraded termination or
 	// maxAttempts exhausted, minus late redemptions).
 	LostJobs int
+}
+
+// Add adds o's counts to f's.
+func (f *FTStats) Add(o FTStats) {
+	f.Timeouts += o.Timeouts
+	f.DetectedCorrupt += o.DetectedCorrupt
+	f.Retries += o.Retries
+	f.Reassigned += o.Reassigned
+	f.DuplicatesDropped += o.DuplicatesDropped
+	f.LostJobs += o.LostJobs
 }
 
 // jobState tracks one job of a running FARM.
@@ -607,7 +617,7 @@ func (f *farm) handleRing(i int) {
 	s.state = idle
 	if m.Corrupt {
 		// The wire mangled the result: retry without penalising the slave.
-		f.ft.CorruptDetected++
+		f.ft.DetectedCorrupt++
 		f.requeue(i, pending)
 	} else if q, res := f.queueFor(i), *m.Payload.(*Result); s.job >= 0 && q.jobs[s.job].ID == res.JobID {
 		if js := &q.st[s.job]; js.done {

@@ -1,16 +1,9 @@
 // Package trace records per-core activity intervals from a simulated
-// execution and renders them as utilization summaries or a Chrome /
+// execution, merges them into busy time and renders them as a Chrome /
 // Perfetto trace — the instrumentation behind the "almost linear
 // speedup" analysis: it shows directly whether slave cores sit idle
 // waiting for the master.
 package trace
-
-import (
-	"fmt"
-	"slices"
-	"sort"
-	"strings"
-)
 
 // Interval is one span of activity on a track.
 type Interval struct {
@@ -83,36 +76,6 @@ func (r *Recorder) Marks(track string) []Mark {
 	return append([]Mark(nil), r.marks[track]...)
 }
 
-// Span returns the [min start, max end] across all tracks' intervals
-// and marks (0,0 when empty).
-func (r *Recorder) Span() (float64, float64) {
-	first := true
-	var lo, hi float64
-	for _, ivs := range r.tracks {
-		for _, iv := range ivs {
-			if first || iv.Start < lo {
-				lo = iv.Start
-			}
-			if first || iv.End > hi {
-				hi = iv.End
-			}
-			first = false
-		}
-	}
-	for _, ms := range r.marks {
-		for _, m := range ms {
-			if first || m.T < lo {
-				lo = m.T
-			}
-			if first || m.T > hi {
-				hi = m.T
-			}
-			first = false
-		}
-	}
-	return lo, hi
-}
-
 // Busy is a track's busy time merged as its intervals arrive: the closed
 // runs' sum and the open run, which an interval starting within it
 // (touching included) extends and one starting after it closes. Fed in
@@ -153,47 +116,4 @@ func (b *Busy) Before(t float64) float64 {
 		return b.sum
 	}
 	return b.sum + (min(b.end, t) - b.start)
-}
-
-// Utilization returns a track's busy fraction of the window [t0, t1],
-// with overlapping intervals merged so the fraction never exceeds 1 by
-// double-counting the same span.
-func (r *Recorder) Utilization(track string, t0, t1 float64) float64 {
-	if t1 <= t0 {
-		return 0
-	}
-	ivs := slices.Clone(r.tracks[track])
-	sort.Slice(ivs, func(a, b int) bool { return ivs[a].Start < ivs[b].Start })
-	var busy Busy
-	for _, iv := range ivs {
-		busy.Add(max(iv.Start, t0), min(iv.End, t1))
-	}
-	return min(busy.Seconds()/(t1-t0), 1)
-}
-
-// nameWidth returns the track-name column width: the longest recorded
-// track name, at least 10 so short names keep the historical layout.
-func (r *Recorder) nameWidth() int {
-	w := 10
-	for _, track := range r.order {
-		w = max(w, len(track))
-	}
-	return w
-}
-
-// UtilizationTable renders per-track utilization over the full span as
-// aligned text with a bar.
-func (r *Recorder) UtilizationTable(width int) string {
-	width = max(width, 10)
-	t0, t1 := r.Span()
-	nw := r.nameWidth()
-	var b strings.Builder
-	fmt.Fprintf(&b, "window: %.3f .. %.3f s\n", t0, t1)
-	for _, track := range r.order {
-		u := r.Utilization(track, t0, t1)
-		n := int(u*float64(width) + 0.5)
-		fmt.Fprintf(&b, "%-*s %5.1f%% |%s%s|\n", nw, track, 100*u,
-			strings.Repeat("#", n), strings.Repeat(" ", width-n))
-	}
-	return b.String()
 }
