@@ -11,7 +11,6 @@
 //	benchtables -only serveload      # host-timed entries run only when named
 //	benchtables -list                # names, datasets, host-timed marks
 //	benchtables -cache DIR           # pair-result cache location
-//	benchtables -fast                # fast TM-align profile, every pair computed natively
 //
 // Exit status: 0 on success, 1 on a failed experiment, 2 on bad usage.
 package main
@@ -30,7 +29,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment names (default: every deterministic one)")
 	list := flag.Bool("list", false, "list the experiments and exit")
 	cacheDir := flag.String("cache", "testdata/paircache", "pair-result cache directory")
-	fast := flag.Bool("fast", false, "fast TM-align profile: every pair is computed natively (-cache holds default-profile results only)")
 	flag.Parse()
 
 	if *list {
@@ -56,15 +54,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	opt := tmalign.DefaultOptions()
-	if *fast {
-		opt = tmalign.FastOptions()
-	}
 	var datasets []string
 	for _, x := range exps {
 		datasets = append(datasets, x.Datasets...)
 	}
-	env, err := experiments.Load(*cacheDir, opt, datasets...)
+	env, err := experiments.Load(*cacheDir, tmalign.DefaultOptions(), datasets...)
 	if err == nil {
 		err = experiments.Run(os.Stdout, env, exps)
 	}

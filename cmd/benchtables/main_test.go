@@ -37,6 +37,7 @@ func TestRunArtifacts(t *testing.T) {
 		{"GOMAXPROCS=1", nil, 0, ""}, // TestExperimentsGolden runs at the host's GOMAXPROCS
 		{"", []string{"-table", "2"}, 2, `flag provided but not defined: -table`},
 		{"", []string{"-ablations"}, 2, `flag provided but not defined: -ablations`},
+		{"", []string{"-fast"}, 2, `flag provided but not defined: -fast`},
 		{"", []string{"-only", "tabel2"}, 2, `^benchtables: unknown experiment "tabel2" \(have table1, `},
 	} {
 		if tc.stderr == "" && testing.Short() {

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	rckalign [-dataset CK34|RS119] [-slaves N | -sweep] [-order FIFO|LPT|Random]
-//	         [-cache DIR] [-fast] [-csv] [-faults SPEC]
+//	         [-cache DIR] [-fast] [-faults SPEC]
 //	         [-structcache N] [-batch K] [-affinity]
 //	         [-threads T] [-membudget R] [-chips N]
 //	         [-metrics-out FILE] [-trace-out FILE] [-scores-out FILE] [-heatmap] [-util]
@@ -213,7 +213,6 @@ func main() {
 	order := flag.String("order", "FIFO", "job ordering: FIFO, LPT, SPT or Random")
 	cacheDir := flag.String("cache", "testdata/paircache", "pair-result cache directory (empty = always recompute)")
 	fast := flag.Bool("fast", false, "use the fast TM-align profile: every pair is computed natively (-cache holds default-profile results only)")
-	csv := flag.Bool("csv", false, "emit CSV instead of a text table")
 	util := flag.Bool("util", false, "print the per-core utilization of the (last) run, from its report")
 	threads := flag.Int("threads", 1, "threads per worker (2 = dual-core tile workers; paper future work)")
 	memBudget := flag.Int("membudget", 0, "master memory budget in residues (0 = unlimited; >0 = out-of-core tiled run)")
@@ -402,11 +401,7 @@ func main() {
 	ps := store.StatsSnapshot()
 	fmt.Fprintf(os.Stderr, "pairstore: %d hits / %d misses (%.1f%% hit rate), %d entries resident\n",
 		ps.Hits, ps.Misses, 100*ps.HitRate, ps.Entries)
-	if *csv {
-		fmt.Print(tb.CSV())
-	} else {
-		fmt.Print(tb.String())
-	}
+	fmt.Print(tb.String())
 	if *util {
 		fmt.Printf("\nper-core utilization of [0, %.3f] s (last run):\n", lastRep.TotalSeconds)
 		fmt.Print(utilizationTable(lastRep.CoreUtilization))

@@ -176,11 +176,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRemovedFlagsAreUndefined: -hierarchy, -float32, -hostpar, -tile
-// and -deadline are gone with no alias, so the flag package itself
+// TestRemovedFlagsAreUndefined: -hierarchy, -float32, -hostpar, -tile,
+// -deadline and -csv are gone with no alias, so the flag package itself
 // rejects them with exit status 2.
 func TestRemovedFlagsAreUndefined(t *testing.T) {
-	for _, args := range []string{"-hierarchy 2", "-float32", "-hostpar 8", "-tile 4", "-deadline 5"} {
+	for _, args := range []string{"-hierarchy 2", "-float32", "-hostpar 8", "-tile 4", "-deadline 5", "-csv"} {
 		r := rckalign(t, "", args)
 		flag, _, _ := strings.Cut(args, " ")
 		if want := "flag provided but not defined: " + flag; r.code != 2 || !strings.Contains(r.stderr, want) {

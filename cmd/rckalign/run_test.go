@@ -240,9 +240,9 @@ func TestRunArtifacts(t *testing.T) {
 		{name: "sweep GOMAXPROCS=1", env: "GOMAXPROCS=1", args: "-dataset CK34 -sweep -scores-out $scores -metrics-out $metrics"},
 		{name: "sweep GOMAXPROCS=4", env: "GOMAXPROCS=4", args: "-dataset CK34 -sweep -scores-out $scores -metrics-out $metrics",
 			like: "sweep GOMAXPROCS=1", same: []string{"stdout", "scores", "metrics"}},
-		{name: "sweep threads", args: "-dataset CK34 -sweep -threads 2 -csv",
+		{name: "sweep threads", args: "-dataset CK34 -sweep -threads 2",
 			check: func(t *testing.T, r result) {
-				if lines := strings.Split(r.stdout, "\n"); len(lines) < 2 || !strings.HasPrefix(lines[1], "3,") {
+				if m := regexp.MustCompile(`(?m)^-+\n(\S+) `).FindStringSubmatch(r.stdout); m == nil || m[1] != "3" {
 					t.Errorf("-sweep -threads 2 does not start at 3 slaves:\n%s", r.stdout)
 				}
 			}},

@@ -260,8 +260,8 @@ func SynthPairResults(name string, lengths []int) *PairResults {
 //     dataset's mean chain size);
 //   - JobDeadlineSeconds == 0 under a fault plan that injects something
 //     derives the deadline from the workload's most expensive job
-//     (DeriveJobDeadline) times Batch; without such a plan nothing is
-//     armed.
+//     (DeriveJobDeadline), which the farm scales by the jobs of a batch;
+//     without such a plan nothing is armed.
 type Config struct {
 	farm.Config
 	// Order is the job ordering policy (paper: FIFO).

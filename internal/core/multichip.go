@@ -6,39 +6,12 @@
 // single-master farm by construction.
 package core
 
-import (
-	"rckalign/internal/farm"
-	"rckalign/internal/sched"
-)
-
-// ShardJobHeaderBytes is the per-job descriptor size inside a shard
-// message (job id, structure ids, lengths).
-const ShardJobHeaderBytes = 16
+import "rckalign/internal/farm"
 
 // MultiChipConfig is RunChipSweep's configuration: a Config, whose
 // Chips the sweep sets point by point.
 type MultiChipConfig struct {
 	Config
-}
-
-// shardWireBytes models handing one shard to a remote chip over the
-// interchip fabric: the shard framing, one descriptor per job, and each
-// distinct structure's coordinates exactly once — the board-tier
-// analogue of the on-chip structure-cache model (a chip never receives
-// the same coordinates twice in one scatter). An empty shard costs its
-// framing alone.
-func shardWireBytes(shard []sched.Pair, sizes []int) int64 {
-	bytes := int64(farm.ShardHeaderBytes) + int64(len(shard))*ShardJobHeaderBytes
-	seen := map[int]bool{}
-	for _, p := range shard {
-		for _, i := range []int{p.I, p.J} {
-			if !seen[i] {
-				seen[i] = true
-				bytes += int64(sizes[i])
-			}
-		}
-	}
-	return bytes
 }
 
 // RunChipSweep simulates Run at each chip count and returns the results

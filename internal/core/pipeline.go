@@ -1,8 +1,8 @@
 // The run pipeline: plan → stage → shard → farm → report.
 //
 // Every run builds one plan from (pair results, config): chain sizes,
-// ordering, wire model, replay handler and fault-tolerance deadline are
-// plan properties, so they apply identically wherever the jobs end up.
+// ordering, replay handler and fault-tolerance deadline are plan
+// properties, so they apply identically wherever the jobs end up.
 // The plan's pair list is cut into stages (one, unless a memory budget
 // forces a block load schedule), each stage's ordered pairs into shards
 // (one per chip), and each shard becomes a farm.Work farmed by that
@@ -46,28 +46,22 @@ type plan struct {
 	slaves  int
 	lengths []int
 	cost    func(sched.Pair) float64
+	// sizes[i] is structure i's coordinate wire size (StructBytes).
+	sizes []int
 	// blocked regroups the ordered pairs into sched.DefaultTile blocks;
 	// it is on whenever the wire model is (cache, batching or affinity).
 	blocked bool
-	wire    farm.WireModel
 	handler rckskel.Handler
 }
 
 func newPlan(pr *PairResults, slaves int, cfg Config) (*plan, error) {
 	p := &plan{pr: pr, cfg: cfg, slaves: slaves, lengths: pr.lengths()}
 	p.cost = sched.LengthProductCost(p.lengths)
-	sizes := make([]int, len(p.lengths))
+	p.sizes = make([]int, len(p.lengths))
 	total := 0
 	for i, l := range p.lengths {
-		sizes[i] = StructBytes(l)
+		p.sizes[i] = StructBytes(l)
 		total += l
-	}
-	p.wire = farm.WireModel{
-		StructsOf: func(j rckskel.Job) []int {
-			pair := j.Payload.(*sched.Pair)
-			return []int{pair.I, pair.J}
-		},
-		Sizes: sizes,
 	}
 
 	if cfg.CacheStructs < 0 {
@@ -86,17 +80,13 @@ func newPlan(pr *PairResults, slaves int, cfg Config) (*plan, error) {
 	opScale := place.OpScale
 	if !cfg.Faults.Empty() && cfg.JobDeadlineSeconds == 0 {
 		// Only a plan that injects something arms the farm's failure
-		// detection; an empty one leaves every timer unscheduled. A batch
-		// is one fault-tolerance unit of up to Batch jobs: its deadline
-		// must cover them back to back.
-		p.cfg.JobDeadlineSeconds = DeriveJobDeadline(pr, cfg.Chip.CPU, opScale) * float64(max(cfg.Batch, 1))
+		// detection; an empty one leaves every timer unscheduled. The farm
+		// scales it by the jobs of a batch.
+		p.cfg.JobDeadlineSeconds = DeriveJobDeadline(pr, cfg.Chip.CPU, opScale)
 	}
 	p.handler = func(job rckskel.Job) (any, costmodel.Counter, int) {
 		res := pr.Get(*job.Payload.(*sched.Pair))
 		return res, res.Ops.Scaled(opScale), ResultBytes(res.Len2)
-	}
-	if cfg.Batch > 1 {
-		p.handler = farm.BatchHandler(p.handler)
 	}
 	return p, nil
 }
@@ -114,11 +104,10 @@ func (p *plan) order(pairs []sched.Pair) ([]sched.Pair, error) {
 }
 
 // work turns an ordered pair list into the Work chip c's master farms:
-// a single job queue in the session's wire shape (cache sizing,
-// batching), or under Affinity one queue per placed worker with whole
-// tile blocks dealt heaviest-first. Jobs are numbered from idBase in
-// queue order, so IDs stay unique across queues, shards and stages. The
-// classic request size of a pair is both structures' coordinates.
+// a single job queue shared by every worker, or under Affinity one queue
+// per placed worker with whole tile blocks dealt heaviest-first. Jobs are
+// numbered from idBase in queue order, so IDs stay unique across queues,
+// shards and stages; the farm gives them the session's wire shape.
 func (p *plan) work(s *farm.Session, c int, pairs []sched.Pair, idBase int) (farm.Work, error) {
 	if len(pairs) == 0 {
 		return farm.Work{}, nil
@@ -129,19 +118,13 @@ func (p *plan) work(s *farm.Session, c int, pairs []sched.Pair, idBase int) (far
 	}
 	queues := make([][]rckskel.Job, len(lists))
 	for q, ps := range lists {
-		jobs, err := farm.BuildJobs(ps, idBase, func(pair sched.Pair) int {
-			return p.wire.Sizes[pair.I] + p.wire.Sizes[pair.J]
-		})
-		if err != nil {
+		var err error
+		if queues[q], err = s.PrepareJobs(c, ps, idBase, p.sizes); err != nil {
 			return farm.Work{}, err
 		}
 		idBase += len(ps)
-		queues[q] = s.PrepareJobs(c, jobs, p.wire)
 	}
-	if p.cfg.Affinity {
-		return farm.Work{Queues: queues}, nil
-	}
-	return farm.Work{Jobs: queues[0]}, nil
+	return farm.Work{Queues: queues}, nil
 }
 
 // stage is one step of the master's load schedule: load residues, then
@@ -238,7 +221,6 @@ func (p *plan) run() (farm.Report, error) {
 
 	chips := max(p.cfg.Chips, 1)
 	works := make([][]farm.Work, len(stages)) // [stage][chip]
-	shardBytes := make([]int64, chips)
 	idBase := 0
 	for k, st := range stages {
 		ordered, err := p.order(st.pairs)
@@ -255,9 +237,6 @@ func (p *plan) run() (farm.Report, error) {
 				return farm.Report{}, err
 			}
 			idBase += len(shard)
-			if c > 0 {
-				shardBytes[c] = shardWireBytes(shard, p.wire.Sizes)
-			}
 		}
 	}
 
@@ -271,7 +250,7 @@ func (p *plan) run() (farm.Report, error) {
 				m.P.Wait(float64(st.residues) * reloadSecondsPerResidue)
 				m.Chip().Compute(m.P, costmodel.Counter{ResiduesLoaded: uint64(st.residues)})
 			}
-			m.Scatter(works[k], shardBytes)
+			m.Scatter(works[k])
 			m.FarmWork(works[k][0], nil)
 		}
 		m.Terminate()

@@ -1,5 +1,5 @@
-// Batched and cache-aware dispatch: PrepareJobs transforms an ordered
-// job list into the session's configured wire shape — up to Batch jobs
+// Batched and cache-aware dispatch: PrepareJobs turns an ordered pair
+// list into jobs of the session's configured wire shape — up to Batch jobs
 // bundled per request message, and per-slave request sizes resolved at
 // dispatch time against the StructCache model. The transformation is a
 // pure re-framing of the same work: slaves execute the same handler on
@@ -13,10 +13,12 @@ package farm
 
 import (
 	"cmp"
+	"fmt"
 
 	"rckalign/internal/costmodel"
 	"rckalign/internal/metrics"
 	"rckalign/internal/rckskel"
+	"rckalign/internal/sched"
 )
 
 // Wire-framing constants of the cached/batched request model.
@@ -48,16 +50,13 @@ type BatchResult struct {
 	Results []rckskel.Result
 }
 
-// BatchHandler wraps a per-job handler into one that also executes
-// BatchPayload jobs: the slave runs the sub-jobs back to back (op
-// counts sum), and returns one framed BatchResult. Non-batch jobs pass
-// through untouched, so the wrapped handler is safe on classic farms.
-func BatchHandler(h rckskel.Handler) rckskel.Handler {
+// batchHandler wraps a per-job handler into one that executes a
+// BatchPayload job: the slave runs the sub-jobs back to back (op counts
+// sum), and returns one framed BatchResult. StartSlaves installs it on a
+// batched session, where every job PrepareJobs builds is a batch.
+func batchHandler(h rckskel.Handler) rckskel.Handler {
 	return func(job rckskel.Job) (any, costmodel.Counter, int) {
-		bp, ok := job.Payload.(BatchPayload)
-		if !ok {
-			return h(job)
-		}
+		bp := job.Payload.(BatchPayload)
 		var ops costmodel.Counter
 		results := make([]rckskel.Result, 0, len(bp.Jobs))
 		bytes := BatchResultHeaderBytes
@@ -72,14 +71,6 @@ func BatchHandler(h rckskel.Handler) rckskel.Handler {
 		}
 		return BatchResult{Results: results}, ops, bytes
 	}
-}
-
-// WireModel tells PrepareJobs how jobs map onto structures: StructsOf
-// lists the structure ids a job's request would ship, Sizes[i] is
-// structure i's coordinate wire size.
-type WireModel struct {
-	StructsOf func(j rckskel.Job) []int
-	Sizes     []int
 }
 
 // wireStats accumulates a chip's dispatch-side wire accounting and, with
@@ -120,50 +111,71 @@ func (w *wireStats) add(o wireStats) {
 	w.cache.ForcedReships += o.cache.ForcedReships
 }
 
-// PrepareJobs applies the session's configured wire shape to an
-// ordered job list bound for chip c's slaves: consecutive jobs are bundled into batches of up to
-// Config.Batch, and every produced job gets a SizeFor hook that
-// resolves its request size per slave at dispatch time (against the
-// structure-cache model when Config.CacheStructs > 0, with batch-level
-// structure dedup either way). With Batch <= 1 and no cache it returns
-// the jobs unchanged — the classic wire model. Call it once per queue;
-// multiple queues of one chip share its cache model and wire accounting.
-// Slaves of a batched session must run a BatchHandler-wrapped handler.
-func (s *Session) PrepareJobs(c int, jobs []rckskel.Job, wm WireModel) []rckskel.Job {
+// PrepareJobs is the one way work enters chip c's farm: it turns an
+// ordered pair list into jobs of the session's wire shape. Job k gets ID
+// idBase+k and the payload &pairs[k] (pairs must not change while they
+// run); its classic request ships both structures, sizes[I]+sizes[J]
+// bytes, and a size below 1 is rejected with rckskel.ErrJobBytes — it
+// would silently corrupt the NoC transfer model downstream. With
+// Config.Batch <= 1 and no structure cache those are the jobs; otherwise
+// consecutive jobs are bundled into batches of up to Config.Batch, and
+// every produced job gets a SizeFor hook that resolves its request size
+// per slave at dispatch time (against the structure-cache model when
+// Config.CacheStructs > 0, with batch-level structure dedup either way).
+// Call it once per queue: the queues of one chip share its cache model,
+// its wire accounting and its shard, which Master.Scatter prices from
+// the pairs and structures recorded here.
+func (s *Session) PrepareJobs(c int, pairs []sched.Pair, idBase int, sizes []int) ([]rckskel.Job, error) {
+	if len(pairs) == 0 {
+		return nil, nil
+	}
 	ch := s.chips[c]
+	jobs := make([]rckskel.Job, len(pairs))
+	for k := range pairs {
+		p := &pairs[k]
+		b := sizes[p.I] + sizes[p.J]
+		if b < 1 {
+			return nil, fmt.Errorf("farm: pair (%d,%d): %w (sized %d)", p.I, p.J, rckskel.ErrJobBytes, b)
+		}
+		jobs[k] = rckskel.Job{ID: idBase + k, Payload: p, Bytes: b}
+	}
+	if c > 0 {
+		ch.addShard(pairs, sizes)
+	}
 	batch := max(s.cfg.Batch, 1)
 	cached := s.cfg.CacheStructs > 0
 	if batch == 1 && !cached {
-		return jobs
+		return jobs, nil
 	}
-	// Split into groups and resolve each group's deduplicated structure
-	// list up front: the largest group request must be known before the
-	// cache model exists, so its capacity can be raised to fit it (an
-	// undersized cache would evict structures of the very request that
-	// shipped them, re-shipping on every batch).
-	groups := make([][]rckskel.Job, 0, (len(jobs)+batch-1)/batch)
-	for start := 0; start < len(jobs); start += batch {
-		groups = append(groups, jobs[start:min(start+batch, len(jobs))])
-	}
-	groupStructs := make([][]int, len(groups))
+	// Resolve each group's deduplicated structure list (first-use order)
+	// up front: the largest request must be known before the cache model
+	// exists, so its capacity can be raised to fit it (an undersized cache
+	// would evict structures of the very request that shipped them,
+	// re-shipping on every batch).
+	groups := (len(jobs) + batch - 1) / batch
+	structs := make([]int, 0, 2*len(pairs)) // every group's list, back to back
+	bounds := make([]int, groups+1)         // group g's list is structs[bounds[g]:bounds[g+1]]
+	inGroup := make([]bool, len(sizes))
 	maxRequest := 0
-	for g, group := range groups {
-		var structs []int
-		seen := map[int]bool{}
-		for _, j := range group {
-			for _, id := range wm.StructsOf(j) {
-				if !seen[id] {
-					seen[id] = true
+	for g := range groups {
+		from := bounds[g]
+		for _, p := range pairs[g*batch : min((g+1)*batch, len(pairs))] {
+			for _, id := range [2]int{p.I, p.J} {
+				if !inGroup[id] {
+					inGroup[id] = true
 					structs = append(structs, id)
 				}
 			}
 		}
-		groupStructs[g] = structs
-		maxRequest = max(maxRequest, len(structs))
+		for _, id := range structs[from:] {
+			inGroup[id] = false
+		}
+		bounds[g+1] = len(structs)
+		maxRequest = max(maxRequest, len(structs)-from)
 	}
 	if cached {
 		if ch.cache == nil {
-			ch.cache = NewStructCache(s.cfg.CacheStructs, wm.Sizes, maxRequest)
+			ch.cache = NewStructCache(s.cfg.CacheStructs, sizes, maxRequest)
 		} else {
 			ch.cache.EnsureCapacity(maxRequest)
 		}
@@ -171,18 +183,37 @@ func (s *Session) PrepareJobs(c int, jobs []rckskel.Job, wm WireModel) []rckskel
 	if ch.hBatchJobs == nil {
 		ch.hBatchJobs = s.cfg.Metrics.Histogram("farm.batch.jobs", metrics.CountBuckets, ch.labels...)
 	}
-	out := make([]rckskel.Job, 0, len(groups))
-	for g, group := range groups {
-		out = append(out, ch.wireJob(group, groupStructs[g], wm, s.cfg.Batch > 1))
+	out := make([]rckskel.Job, groups)
+	for g := range out {
+		last, end := min((g+1)*batch, len(jobs)), bounds[g+1]
+		out[g] = ch.wireJob(jobs[g*batch:last:last], structs[bounds[g]:end:end], sizes, s.cfg.Batch > 1)
 	}
-	return out
+	return out, nil
+}
+
+// addShard records what handing a remote chip these pairs costs on the
+// fabric: one ShardJobHeaderBytes descriptor per pair and each structure's
+// coordinates the first time the chip's shard references it.
+func (c *chip) addShard(pairs []sched.Pair, sizes []int) {
+	if c.shipped == nil {
+		c.shipped = make([]bool, len(sizes))
+	}
+	c.shardBytes += int64(len(pairs)) * ShardJobHeaderBytes
+	for _, p := range pairs {
+		for _, id := range [2]int{p.I, p.J} {
+			if !c.shipped[id] {
+				c.shipped[id] = true
+				c.shardBytes += int64(sizes[id])
+			}
+		}
+	}
 }
 
 // wireJob re-frames one group of jobs (a batch, or a single job when
 // batching is off) into a dispatch-sized job. structs is the group's
 // deduplicated structure list in first-use order (a batch ships each
 // structure at most once), precomputed by PrepareJobs.
-func (c *chip) wireJob(group []rckskel.Job, structs []int, wm WireModel, batching bool) rckskel.Job {
+func (c *chip) wireJob(group []rckskel.Job, structs []int, sizes []int, batching bool) rckskel.Job {
 	batched := len(group) > 1 || batching
 	header := PairHeaderBytes
 	if batched {
@@ -194,7 +225,7 @@ func (c *chip) wireJob(group []rckskel.Job, structs []int, wm WireModel, batchin
 	}
 	allBytes := 0
 	for _, id := range structs {
-		allBytes += wm.Sizes[id]
+		allBytes += sizes[id]
 	}
 	c.wire.batches++
 	c.wire.batchedJobs += int64(len(group))
@@ -203,7 +234,7 @@ func (c *chip) wireJob(group []rckskel.Job, structs []int, wm WireModel, batchin
 
 	job := rckskel.Job{ID: group[0].ID, Bytes: header + allBytes}
 	if batched {
-		job.Payload = BatchPayload{Jobs: append([]rckskel.Job(nil), group...)}
+		job.Payload = BatchPayload{Jobs: group}
 	} else {
 		job.Payload = group[0].Payload
 	}

@@ -4,47 +4,33 @@ import (
 	"testing"
 
 	"rckalign/internal/costmodel"
+	"rckalign/internal/fault"
 	"rckalign/internal/rckskel"
 	"rckalign/internal/scc"
 	"rckalign/internal/sched"
 )
 
-// pairWire is the test wire model: structure i weighs 100*(i+1) bytes
-// and a job references the two structures of its sched.Pair payload.
-func pairWire(n int) WireModel {
+// testSizes is the test size table: structure i weighs 100*(i+1) bytes.
+func testSizes(n int) []int {
 	sizes := make([]int, n)
 	for i := range sizes {
 		sizes[i] = 100 * (i + 1)
 	}
-	return WireModel{
-		StructsOf: func(j rckskel.Job) []int {
-			p := j.Payload.(*sched.Pair)
-			return []int{p.I, p.J}
-		},
-		Sizes: sizes,
-	}
+	return sizes
 }
 
-func pairJobs(pairs []sched.Pair, wm WireModel) []rckskel.Job {
-	jobs := make([]rckskel.Job, len(pairs))
-	for k, p := range pairs {
-		jobs[k] = rckskel.Job{ID: k, Payload: &pairs[k], Bytes: wm.Sizes[p.I] + wm.Sizes[p.J]}
+// prepare is PrepareJobs on chip 0, failing the test on an error.
+func prepare(t *testing.T, s *Session, pairs []sched.Pair, sizes []int) []rckskel.Job {
+	t.Helper()
+	jobs, err := s.PrepareJobs(0, pairs, 0, sizes)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return jobs
 }
 
-func TestBatchHandlerPassThrough(t *testing.T) {
-	h := BatchHandler(func(job rckskel.Job) (any, costmodel.Counter, int) {
-		return job.ID * 10, costmodel.Counter{DPCells: 5}, 7
-	})
-	payload, ops, bytes := h(rckskel.Job{ID: 3, Payload: "plain"})
-	if payload != 30 || ops.DPCells != 5 || bytes != 7 {
-		t.Errorf("pass-through = (%v, %+v, %d)", payload, ops, bytes)
-	}
-}
-
 func TestBatchHandlerRunsSubJobs(t *testing.T) {
-	h := BatchHandler(func(job rckskel.Job) (any, costmodel.Counter, int) {
+	h := batchHandler(func(job rckskel.Job) (any, costmodel.Counter, int) {
 		// One sub-result claims zero bytes: must be clamped to 1.
 		b := job.ID
 		return job.ID, costmodel.Counter{DPCells: uint64(10 * (job.ID + 1))}, b
@@ -76,11 +62,17 @@ func TestPrepareJobsClassicNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm := pairWire(4)
-	jobs := pairJobs(sched.AllVsAll(4), wm)
-	out := s.PrepareJobs(0, jobs, wm)
-	if &out[0] != &jobs[0] {
-		t.Error("classic config must return the job slice unchanged")
+	sizes := testSizes(4)
+	pairs := sched.AllVsAll(4)
+	out := prepare(t, s, pairs, sizes)
+	if len(out) != len(pairs) {
+		t.Fatalf("classic config built %d jobs for %d pairs", len(out), len(pairs))
+	}
+	for k, j := range out {
+		p := &pairs[k]
+		if j.ID != k || j.Payload != p || j.Bytes != sizes[p.I]+sizes[p.J] || j.SizeFor != nil {
+			t.Errorf("job %d = %+v, want the classic job of pair %v", k, j, *p)
+		}
 	}
 	if s.chips[0].wireTotals().report() != nil {
 		t.Error("classic config must not produce a wire report")
@@ -92,10 +84,9 @@ func TestPrepareJobsBatchAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm := pairWire(5)
+	sizes := testSizes(5)
 	pairs := sched.AllVsAll(5) // 10 pairs -> batches of 4,4,2
-	jobs := pairJobs(pairs, wm)
-	out := s.PrepareJobs(0, jobs, wm)
+	out := prepare(t, s, pairs, sizes)
 	if len(out) != 3 {
 		t.Fatalf("got %d wire jobs, want 3", len(out))
 	}
@@ -123,8 +114,8 @@ func TestPrepareJobsBatchAssembly(t *testing.T) {
 		t.Errorf("batch 0 wire size = %d, want %d", got, wantBytes)
 	}
 	// Baseline for the same batch ships both structures per pair.
-	if s.chips[0].wire.baselineBytes != int64(jobs[0].Bytes+jobs[1].Bytes+jobs[2].Bytes+jobs[3].Bytes) {
-		t.Errorf("baseline accounting = %d", s.chips[0].wire.baselineBytes)
+	if want := int64(4*100 + 200 + 300 + 400 + 500); s.chips[0].wire.baselineBytes != want {
+		t.Errorf("baseline accounting = %d, want %d", s.chips[0].wire.baselineBytes, want)
 	}
 }
 
@@ -133,9 +124,7 @@ func TestPrepareJobsCachedSingles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm := pairWire(3)
-	jobs := pairJobs([]sched.Pair{{I: 0, J: 1}, {I: 0, J: 2}}, wm)
-	out := s.PrepareJobs(0, jobs, wm)
+	out := prepare(t, s, []sched.Pair{{I: 0, J: 1}, {I: 0, J: 2}}, testSizes(3))
 	if len(out) != 2 {
 		t.Fatalf("cached singles must stay 1:1, got %d", len(out))
 	}
@@ -176,15 +165,13 @@ func TestBatchedCachedFarmEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm := pairWire(8)
 	pairs := sched.Blocked(sched.AllVsAll(8), 4)
-	jobs := pairJobs(pairs, wm)
-	wired := s.PrepareJobs(0, jobs, wm)
-	s.StartSlaves(BatchHandler(func(job rckskel.Job) (any, costmodel.Counter, int) {
+	wired := prepare(t, s, pairs, testSizes(8))
+	s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
 		return job.Payload, costmodel.Counter{ScoreEvals: 1e5}, 64
-	}))
+	})
 	rep, err := s.Run(func(m *Master) {
-		m.FarmWork(Work{Jobs: wired}, nil)
+		m.FarmWork(Work{Queues: [][]rckskel.Job{wired}}, nil)
 		m.Terminate()
 	})
 	if err != nil {
@@ -197,7 +184,7 @@ func TestBatchedCachedFarmEndToEnd(t *testing.T) {
 	for _, id := range collected {
 		seen[id]++
 	}
-	for k := range jobs {
+	for k := range pairs {
 		if seen[k] != 1 {
 			t.Errorf("job %d collected %d times", k, seen[k])
 		}
@@ -213,5 +200,57 @@ func TestBatchedCachedFarmEndToEnd(t *testing.T) {
 	}
 	if rep.Wire.CacheHitRate <= 0 {
 		t.Errorf("hit rate = %v", rep.Wire.CacheHitRate)
+	}
+}
+
+// TestBatchedSessionWrapsHandlerAndScalesDeadline: a batched session
+// takes the per-pair handler as it is, the collector sees each per-pair
+// result once, and a batch of k jobs is armed with k times
+// JobDeadlineSeconds. At 1.1X per X-second job a 4-job batch (4X) never
+// times out, yet one whose slave stalls from 3X to 5X does: the armed
+// deadline lies between 4X and 5X, so the multiplier is 4.
+func TestBatchedSessionWrapsHandlerAndScalesDeadline(t *testing.T) {
+	ops := costmodel.Counter{DPCells: 1e8}
+	x := scc.DefaultConfig().CPU.Seconds(ops)
+	for _, tc := range []struct {
+		stalls   []fault.CoreStall
+		timeouts bool
+	}{{nil, false}, {[]fault.CoreStall{{Core: 1, At: 3 * x, Duration: 2 * x}}, true}} {
+		var collected []int
+		s, err := New(Config{
+			Chip:               scc.DefaultConfig(),
+			Batch:              4,
+			Faults:             &fault.Plan{Stalls: tc.stalls},
+			JobDeadlineSeconds: 1.1 * x,
+			Collect:            func(r rckskel.Result) { collected = append(collected, r.JobID) },
+		}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := sched.AllVsAll(6) // 15 pairs: batches of 4, 4, 4, 3
+		jobs := prepare(t, s, pairs, testSizes(6))
+		s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
+			if _, ok := job.Payload.(*sched.Pair); !ok {
+				t.Errorf("handler got payload %#v, want a *sched.Pair", job.Payload)
+			}
+			return job.ID, ops, 64
+		})
+		rep, err := s.Run(func(m *Master) {
+			m.FarmWork(Work{Queues: [][]rckskel.Job{jobs}}, nil)
+			m.Terminate()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Faults.Timeouts > 0; got != tc.timeouts {
+			t.Errorf("stalls %v: %d timeouts, want timeouts %t", tc.stalls, rep.Faults.Timeouts, tc.timeouts)
+		}
+		seen := map[int]int{}
+		for _, id := range collected {
+			seen[id]++
+		}
+		if len(collected) != len(pairs) || len(seen) != len(pairs) {
+			t.Errorf("stalls %v: collected %d results of %d distinct jobs, want each of %d once", tc.stalls, len(collected), len(seen), len(pairs))
+		}
 	}
 }

@@ -42,22 +42,25 @@ func TestPlaceTypedErrors(t *testing.T) {
 	}
 }
 
-// TestValidateJobs: BuildJobs is where job sizes are checked. Zero or
+// TestValidateJobs: PrepareJobs is where job sizes are checked. Zero or
 // negative request sizes would silently corrupt the NoC transfer model;
 // they are rejected with the rckskel typed error.
 func TestValidateJobs(t *testing.T) {
+	s, err := farm.New(farm.Config{Chip: scc.DefaultConfig()}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pairs := []sched.Pair{{I: 0, J: 1}, {I: 0, J: 2}}
-	if _, err := farm.BuildJobs(pairs, 0, func(sched.Pair) int { return 64 }); err != nil {
+	if _, err := s.PrepareJobs(0, pairs, 0, []int{32, 32, 32}); err != nil {
 		t.Errorf("sized jobs rejected: %v", err)
 	}
 	for _, size := range []int{0, -3} {
-		if _, err := farm.BuildJobs(pairs, 0, func(sched.Pair) int { return size }); !errors.Is(err, rckskel.ErrJobBytes) {
-			t.Errorf("%d-byte jobs: err = %v, want ErrJobBytes", size, err)
+		if _, err := s.PrepareJobs(0, pairs, 0, []int{size, size, size}); !errors.Is(err, rckskel.ErrJobBytes) {
+			t.Errorf("%d-byte structures: err = %v, want ErrJobBytes", size, err)
 		}
 	}
 	// One bad size anywhere in the list fails the whole list.
-	lastBad := func(p sched.Pair) int { return 2 - p.J }
-	if _, err := farm.BuildJobs(pairs, 0, lastBad); !errors.Is(err, rckskel.ErrJobBytes) {
+	if _, err := s.PrepareJobs(0, pairs, 0, []int{1, 32, -1}); !errors.Is(err, rckskel.ErrJobBytes) {
 		t.Errorf("last pair 0 bytes: err = %v, want ErrJobBytes", err)
 	}
 }
@@ -94,7 +97,7 @@ func TestPartitionedFarmRecoversInsideItsPartition(t *testing.T) {
 	}
 	s.StartSlaves(countJobs)
 	all := intJobs(24)
-	queueOf := map[int]int{1: 0, 2: 0, 3: 1, 4: 1}
+	queueOf := []int{0, 0, 1, 1} // by worker; worker w is slave core w+1
 	ranOn := map[int]int{}
 	rep, err := s.Run(func(m *farm.Master) {
 		m.FarmWork(farm.Work{Queues: [][]rckskel.Job{all[:12], all[12:]}, QueueOf: queueOf}, func(r rckskel.Result) {
@@ -112,8 +115,8 @@ func TestPartitionedFarmRecoversInsideItsPartition(t *testing.T) {
 		t.Fatalf("collected %d of 24 jobs, lost %d", len(ranOn), rep.Faults.LostJobs)
 	}
 	for id, slave := range ranOn {
-		if want := id / 12; queueOf[slave] != want {
-			t.Errorf("job %d of queue %d ran on slave %d of queue %d", id, want, slave, queueOf[slave])
+		if want := id / 12; queueOf[slave-1] != want {
+			t.Errorf("job %d of queue %d ran on slave %d of queue %d", id, want, slave, queueOf[slave-1])
 		}
 	}
 	if rep.Faults.Retries == 0 || rep.Faults.Reassigned == 0 {
@@ -138,7 +141,7 @@ func TestOrphanedQueueIsLost(t *testing.T) {
 	all := intJobs(24)
 	got := map[int]bool{}
 	rep, err := s.Run(func(m *farm.Master) {
-		m.FarmWork(farm.Work{Queues: [][]rckskel.Job{all[:12], all[12:]}, QueueOf: map[int]int{1: 0, 2: 0, 3: 1, 4: 1}},
+		m.FarmWork(farm.Work{Queues: [][]rckskel.Job{all[:12], all[12:]}, QueueOf: []int{0, 0, 1, 1}},
 			func(r rckskel.Result) { got[r.JobID] = true })
 		m.Terminate()
 	})
@@ -187,7 +190,7 @@ func TestSessionFaultTolerantKillRun(t *testing.T) {
 	s.StartSlaves(countJobs)
 	got := map[int]int{}
 	rep, err := s.Run(func(m *farm.Master) {
-		m.FarmWork(farm.Work{Jobs: intJobs(24)}, func(r rckskel.Result) { got[r.JobID]++ })
+		m.FarmWork(farm.Work{Queues: [][]rckskel.Job{intJobs(24)}}, func(r rckskel.Result) { got[r.JobID]++ })
 		m.Terminate()
 	})
 	if err != nil {
@@ -225,7 +228,7 @@ func TestSessionClassicRunHasNoFaultsBlock(t *testing.T) {
 	}
 	s.StartSlaves(countJobs)
 	rep, err := s.Run(func(m *farm.Master) {
-		m.FarmWork(farm.Work{Jobs: intJobs(6)}, nil)
+		m.FarmWork(farm.Work{Queues: [][]rckskel.Job{intJobs(6)}}, nil)
 		m.Terminate()
 	})
 	if err != nil {

@@ -4,15 +4,19 @@
 // simulation runtime construction (engine + chip + comm), slave placement
 // (master skip, thread-grouped tile workers), job building, master
 // spawn, result collection through a caller's Collect hook, termination,
-// and a uniform Report with per-core utilization derived from trace.
+// and a uniform Report with per-core utilization derived from trace. It
+// also owns the wire protocol: a caller hands it pairs and a table of
+// structure sizes, and the farm sizes, batches and caches the jobs,
+// prices the shards it scatters and arms batch deadlines itself.
 //
 // A path composes a Session instead of copying a 150-line run function:
 //
 //	s, _ := farm.New(farm.Config{Chip: chip}, n)
 //	s.StartSlaves(handler)
+//	jobs, _ := s.PrepareJobs(0, pairs, 0, structBytes)
 //	rep, err := s.Run(func(m *farm.Master) {
 //	        m.LoadResidues(ds.TotalResidues())
-//	        m.FarmWork(farm.Work{Jobs: jobs}, nil)
+//	        m.FarmWork(farm.Work{Queues: [][]rckskel.Job{jobs}}, nil)
 //	        m.Terminate()
 //	})
 //
@@ -75,8 +79,9 @@ type Config struct {
 	Collect func(rckskel.Result)
 	// Batch bundles up to this many consecutive jobs into one request
 	// message with one batched result (0 or 1 = one message per job,
-	// the classic protocol). Applied by PrepareJobs; slaves must then
-	// run a BatchHandler-wrapped handler.
+	// the classic protocol). PrepareJobs bundles the jobs, StartSlaves
+	// runs a batch's jobs back to back through the per-pair handler, and
+	// a batch of k jobs is armed with k times JobDeadlineSeconds.
 	Batch int
 	// CacheStructs enables the slave-side structure-cache model with
 	// this per-slave LRU capacity in structures: the master ships only
@@ -91,10 +96,10 @@ type Config struct {
 	// report is identical to the plan-free run's but for that block.
 	Faults *fault.Plan
 	// JobDeadlineSeconds arms every farm's failure detection: a job not
-	// collected this long after its dispatch is presumed lost and retried
-	// (see rckskel.FARM). 0 arms nothing; a deadline is only useful under
-	// a fault plan, whose wire model lets sends to dead cores vanish
-	// instead of hanging.
+	// collected this long after its dispatch (a batch: Batch times this
+	// long) is presumed lost and retried (see rckskel.FARM). 0 arms
+	// nothing; a deadline is only useful under a fault plan, whose wire
+	// model lets sends to dead cores vanish instead of hanging.
 	JobDeadlineSeconds float64
 	// Chips is the board's chip count (0 or 1 = one chip, the paper's
 	// flat farm). On more than one, core names are prefixed per chip
@@ -369,8 +374,10 @@ type chip struct {
 	hBatchJobs *metrics.Histogram
 
 	// Fabric bytes of this chip's shard, of the aggregate blobs it
-	// originated, and of the per-pair protocol it replaced (0 on chip 0).
+	// originated, and of the per-pair protocol it replaced (0 on chip 0);
+	// shipped marks the structures the shard already carries.
 	shardBytes, resultBytes, perPairBytes int64
+	shipped                               []bool
 }
 
 // ledger balances the jobs a chip's farms were handed against those they
@@ -475,8 +482,13 @@ func New(cfg Config, slaves int) (*Session, error) {
 // (chip-local core ids).
 func (s *Session) Placement() Placement { return s.place }
 
-// StartSlaves spawns every chip's slave loops with one handler.
+// StartSlaves spawns every chip's slave loops with one per-pair handler;
+// on a batched session each slave runs a batch's jobs through it back to
+// back and returns one BatchResult.
 func (s *Session) StartSlaves(h rckskel.Handler) {
+	if s.cfg.Batch > 1 {
+		h = batchHandler(h)
+	}
 	for _, c := range s.chips {
 		c.team.StartSlaves(h)
 	}
@@ -835,41 +847,39 @@ func (m *Master) LoadResidues(n int) {
 	m.s.rep.LoadSeconds = m.P.Now()
 }
 
-// Work is one master's prepared workload: a single job queue every
-// slave draws from (Jobs: the paper's FARM) or one pull queue per slave
-// group (Queues: cache-affinity deals, per-method partitions). An empty
-// Work farms nothing.
+// Work is one master's prepared workload: pull queues of jobs, one
+// shared by every worker (the paper's FARM) or one per worker group
+// (cache-affinity deals, per-method partitions). A Work without queues
+// farms one empty queue.
 type Work struct {
-	Jobs   []rckskel.Job
 	Queues [][]rckskel.Job
-	// QueueOf maps a slave core to its index in Queues; nil gives worker
-	// w of the placement queue w.
-	QueueOf map[int]int
+	// QueueOf[w] is the queue of worker w, in placement order; nil gives
+	// worker w queue w, or every worker the one queue there is.
+	QueueOf []int
 }
 
 // FarmWork farms w on the chip's default team (the paper's FARM
-// construct, its failure detection armed by Config.JobDeadlineSeconds),
-// routing every result through the chip's collection bookkeeping and
-// then collect (may be nil).
+// construct, its failure detection armed by Config.JobDeadlineSeconds
+// per job of a batch), routing every result through the chip's
+// collection bookkeeping and then collect (may be nil).
 // The report accumulates the farm's statistics across calls.
 func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) {
 	s, c := m.s, m.c
-	queues, queueOf := w.Queues, []int(nil)
-	if queues == nil {
-		queues = [][]rckskel.Job{w.Jobs}
-	} else {
+	queues, queueOf := w.Queues, w.QueueOf
+	switch {
+	case len(queues) == 0:
+		queues = [][]rckskel.Job{nil}
+	case queueOf == nil && len(queues) > 1:
 		queueOf = make([]int, len(s.place.WorkerLeads))
-		for i, lead := range s.place.WorkerLeads {
+		for i := range queueOf {
 			queueOf[i] = i
-			if w.QueueOf != nil {
-				queueOf[i] = w.QueueOf[lead]
-			}
 		}
 	}
 	for _, q := range queues {
 		c.ledger.hand(q)
 	}
-	st, ft := c.team.FARM(m.P, queues, queueOf, s.cfg.JobDeadlineSeconds, func(r rckskel.Result) {
+	deadline := s.cfg.JobDeadlineSeconds * float64(max(s.cfg.Batch, 1))
+	st, ft := c.team.FARM(m.P, queues, queueOf, deadline, func(r rckskel.Result) {
 		c.ledger.doneJobs++
 		s.deliver(c, r, collect)
 	})
@@ -886,18 +896,14 @@ func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) {
 func (m *Master) Terminate() { m.c.team.Terminate(m.P) }
 
 // Scatter, called once by the root before it farms its own shard, sends
-// every remote chip c its shard work[c] over the fabric at bytes[c] wire
-// bytes, in chip order; work[0] stays with the root. On one chip it does
-// nothing.
-func (m *Master) Scatter(work []Work, bytes []int64) {
+// every remote chip c its shard work[c] over the fabric, in chip order;
+// work[0] stays with the root. A shard costs ShardHeaderBytes plus what
+// PrepareJobs recorded for the chip: a ShardJobHeaderBytes descriptor per
+// pair and each distinct structure's coordinates once (an empty shard
+// costs its header alone). On one chip it does nothing.
+func (m *Master) Scatter(work []Work) {
 	for _, c := range m.s.chips[1:] {
-		c.shardBytes = bytes[c.id]
-		m.s.fabric.Send(m.P, 0, c.id, int(bytes[c.id]), work[c.id])
+		c.shardBytes += ShardHeaderBytes
+		m.s.fabric.Send(m.P, 0, c.id, int(c.shardBytes), work[c.id])
 	}
-}
-
-// String renders a one-line report summary.
-func (r Report) String() string {
-	return fmt.Sprintf("farm[%s]: slaves=%d workers=%d effective=%d total=%.3fs load=%.3fs collected=%d",
-		r.Backend, r.Slaves, r.Workers, r.EffectiveCores, r.TotalSeconds, r.LoadSeconds, r.Collected)
 }

@@ -20,9 +20,6 @@ func TestPlaceSkipsMaster(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{1, 2, 3, 4}
-	if !reflect.DeepEqual(p.Cores, want) {
-		t.Errorf("Cores = %v, want %v", p.Cores, want)
-	}
 	if !reflect.DeepEqual(p.WorkerLeads, want) {
 		t.Errorf("WorkerLeads = %v, want %v", p.WorkerLeads, want)
 	}
@@ -61,20 +58,47 @@ func TestPlaceValidation(t *testing.T) {
 	}
 }
 
+// TestBuildJobs: PrepareJobs numbers a chip's jobs from idBase, points
+// each at its pair and sizes it at both structures' bytes; Scatter then
+// prices each remote shard at ShardHeaderBytes, a ShardJobHeaderBytes
+// descriptor per pair and every distinct structure once — an empty
+// shard at its header alone, chip 0's at nothing.
 func TestBuildJobs(t *testing.T) {
-	pairs := []sched.Pair{{I: 0, J: 1}, {I: 0, J: 2}}
-	jobs, err := BuildJobs(pairs, 10, func(p sched.Pair) int { return p.I + p.J })
+	s, err := New(Config{Chips: 3, Chip: scc.DefaultConfig()}, 2)
 	if err != nil {
-		t.Fatalf("BuildJobs: %v", err)
+		t.Fatal(err)
 	}
-	if len(jobs) != 2 {
-		t.Fatalf("got %d jobs", len(jobs))
+	shards := [][]sched.Pair{{{I: 2, J: 3}}, {{I: 0, J: 1}, {I: 0, J: 2}}, nil}
+	work := make([]Work, len(shards))
+	for c, pairs := range shards {
+		jobs, err := s.PrepareJobs(c, pairs, 10*c, testSizes(4))
+		if err != nil {
+			t.Fatalf("PrepareJobs(%d): %v", c, err)
+		}
+		work[c] = Work{Queues: [][]rckskel.Job{jobs}}
 	}
-	if jobs[0].ID != 10 || jobs[1].ID != 11 {
-		t.Errorf("IDs = %d,%d, want 10,11", jobs[0].ID, jobs[1].ID)
+	jobs := work[1].Queues[0]
+	if len(jobs) != 2 || jobs[0].ID != 10 || jobs[1].ID != 11 {
+		t.Fatalf("chip 1 jobs = %+v, want IDs 10, 11", jobs)
 	}
-	if jobs[1].Bytes != 2 || jobs[1].Payload.(*sched.Pair) != &pairs[1] {
-		t.Errorf("job 1 = %+v", jobs[1])
+	if jobs[1].Bytes != 100+300 || jobs[1].Payload.(*sched.Pair) != &shards[1][1] {
+		t.Errorf("job 11 = %+v, want pair (0,2) at 400 bytes", jobs[1])
+	}
+	s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
+		return job.Payload, costmodel.Counter{ScoreEvals: 1e5}, 64
+	})
+	rep, err := s.Run(rootBody(100, work))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int64{0, ShardHeaderBytes + 2*ShardJobHeaderBytes + 100 + 200 + 300, ShardHeaderBytes}
+	for c, cr := range rep.PerChip {
+		if cr.ShardBytes != want[c] {
+			t.Errorf("chip %d shard = %d bytes, want %d", c, cr.ShardBytes, want[c])
+		}
+	}
+	if rep.Collected != 3 {
+		t.Errorf("collected %d results, want 3", rep.Collected)
 	}
 }
 
@@ -166,7 +190,7 @@ func TestSessionRunsAFarm(t *testing.T) {
 	})
 	rep, err := s.Run(func(m *Master) {
 		m.LoadResidues(1000)
-		m.FarmWork(Work{Jobs: jobs}, nil)
+		m.FarmWork(Work{Queues: [][]rckskel.Job{jobs}}, nil)
 		m.Terminate()
 	})
 	if err != nil {

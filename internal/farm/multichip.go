@@ -23,6 +23,9 @@ import (
 const (
 	// ShardHeaderBytes frames one shard descriptor (job table, counts).
 	ShardHeaderBytes = 64
+	// ShardJobHeaderBytes is the per-pair descriptor inside a shard (job
+	// id, structure ids, lengths).
+	ShardJobHeaderBytes = 16
 	// InterchipResultHeaderBytes frames one result were it forwarded to
 	// the root individually — the pre-aggregation protocol. It prices
 	// the per-pair counterfactual (InterchipReport.PerPairResultBytes)

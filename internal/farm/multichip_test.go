@@ -15,9 +15,9 @@ import (
 )
 
 // multiChipRun builds an N-chip board over the default SCC chip, farms
-// the given per-chip queues of synthetic jobs and returns the combined
-// report plus every collected job id.
-func multiChipRun(t *testing.T, chips, slaves int, queues [][]rckskel.Job, reg *metrics.Registry) (Report, []int) {
+// the given per-chip shards of pairs (structure sizes testSizes(8))
+// and returns the combined report plus every collected job id.
+func multiChipRun(t *testing.T, chips, slaves int, shards [][]sched.Pair, reg *metrics.Registry) (Report, []int) {
 	t.Helper()
 	var collected []int
 	s, err := New(Config{
@@ -33,52 +33,55 @@ func multiChipRun(t *testing.T, chips, slaves int, queues [][]rckskel.Job, reg *
 	s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
 		return job.Payload, costmodel.Counter{ScoreEvals: 1e6}, 64
 	})
-	shardBytes := make([]int64, chips)
-	for c := range shardBytes {
-		shardBytes[c] = ShardHeaderBytes + int64(len(queues[c]))*512
-	}
-	rep, err := s.Run(rootBody(1000, asWork(queues), shardBytes))
+	rep, err := s.Run(rootBody(1000, prepareShards(t, s, shards)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rep, collected
 }
 
+// prepareShards builds chip c's Work from shards[c] with PrepareJobs,
+// numbering jobs across the chips in order.
+func prepareShards(t *testing.T, s *Session, shards [][]sched.Pair) []Work {
+	t.Helper()
+	work := make([]Work, len(shards))
+	id := 0
+	for c, pairs := range shards {
+		jobs, err := s.PrepareJobs(c, pairs, id, testSizes(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		work[c] = Work{Queues: [][]rckskel.Job{jobs}}
+		id += len(pairs)
+	}
+	return work
+}
+
 // rootBody is the root master of a one-stage board run: load, scatter
 // the remote shards, farm the root's own, terminate.
-func rootBody(residues int, work []Work, shardBytes []int64) func(m *Master) {
+func rootBody(residues int, work []Work) func(m *Master) {
 	return func(m *Master) {
 		m.LoadResidues(residues)
-		m.Scatter(work, shardBytes)
+		m.Scatter(work)
 		m.FarmWork(work[0], nil)
 		m.Terminate()
 	}
 }
 
-// asWork wraps per-chip job queues as classic single-queue shards.
-func asWork(queues [][]rckskel.Job) []Work {
-	work := make([]Work, len(queues))
-	for c, q := range queues {
-		work[c] = Work{Jobs: q}
+// synthShards deals perChip consecutive pairs of the 8-structure
+// all-vs-all to each chip.
+func synthShards(chips, perChip int) [][]sched.Pair {
+	all := sched.AllVsAll(8)
+	shards := make([][]sched.Pair, chips)
+	for c := range shards {
+		shards[c] = all[c*perChip : (c+1)*perChip : (c+1)*perChip]
 	}
-	return work
-}
-
-func synthQueues(chips, perChip int) [][]rckskel.Job {
-	queues := make([][]rckskel.Job, chips)
-	id := 0
-	for c := range queues {
-		for k := 0; k < perChip; k++ {
-			queues[c] = append(queues[c], rckskel.Job{ID: id, Payload: id, Bytes: 512})
-			id++
-		}
-	}
-	return queues
+	return shards
 }
 
 func TestMultiChipRunsAFarm(t *testing.T) {
 	reg := metrics.New()
-	rep, collected := multiChipRun(t, 2, 3, synthQueues(2, 6), reg)
+	rep, collected := multiChipRun(t, 2, 3, synthShards(2, 6), reg)
 
 	if rep.Chips != 2 || rep.Backend != "multichip-2" {
 		t.Errorf("Chips/Backend = %d/%q", rep.Chips, rep.Backend)
@@ -127,7 +130,8 @@ func TestMultiChipRunsAFarm(t *testing.T) {
 	if c0.ShardBytes != 0 || c0.ResultBytes != 0 {
 		t.Errorf("chip 0 fabric bytes = %d/%d, want 0/0 (its shard never leaves the root)", c0.ShardBytes, c0.ResultBytes)
 	}
-	wantShard := int64(ShardHeaderBytes + 6*512)
+	// Chip 1's pairs (0,7) (1,2) ... (1,6) reference all 8 structures.
+	wantShard := int64(ShardHeaderBytes + 6*ShardJobHeaderBytes + 100*(1+2+3+4+5+6+7+8))
 	// One aggregate blob for the whole shard: header + 6 x 64 B results.
 	wantResults := int64(AggregateHeaderBytes + 6*64)
 	if c1.ShardBytes != wantShard || c1.ResultBytes != wantResults {
@@ -189,14 +193,14 @@ func TestMultiChipRunsAFarm(t *testing.T) {
 }
 
 func TestMultiChipEmptyShard(t *testing.T) {
-	queues := synthQueues(3, 4)
-	queues[2] = nil // chip 2 idles: recv shard, terminate, report done
-	rep, collected := multiChipRun(t, 3, 2, queues, nil)
+	shards := synthShards(3, 4)
+	shards[2] = nil // chip 2 idles: recv shard, terminate, report done
+	rep, collected := multiChipRun(t, 3, 2, shards, nil)
 	if rep.Collected != 8 || len(collected) != 8 {
 		t.Errorf("collected %d/%d, want 8", rep.Collected, len(collected))
 	}
-	if rep.PerChip[2].Collected != 0 || rep.PerChip[2].ResultBytes != 0 {
-		t.Errorf("idle chip report = %+v", rep.PerChip[2])
+	if idle := rep.PerChip[2]; idle.Collected != 0 || idle.ResultBytes != 0 || idle.ShardBytes != ShardHeaderBytes {
+		t.Errorf("idle chip report = %+v, want a %d-byte shard and nothing back", idle, ShardHeaderBytes)
 	}
 	// An idle chip ships no blob: 2 shards, 1 blob (chip 1), 2 dones.
 	if rep.Interchip.Transfers != 2+1+2 {
@@ -206,7 +210,7 @@ func TestMultiChipEmptyShard(t *testing.T) {
 
 func TestMultiChipDeterminism(t *testing.T) {
 	run := func() (Report, []int) {
-		return multiChipRun(t, 4, 3, synthQueues(4, 5), metrics.New())
+		return multiChipRun(t, 4, 3, synthShards(4, 5), metrics.New())
 	}
 	rep1, col1 := run()
 	rep2, col2 := run()
@@ -241,8 +245,7 @@ func TestMultiChipInterchipProfile(t *testing.T) {
 		s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
 			return nil, costmodel.Counter{ScoreEvals: 1e6}, 64
 		})
-		queues := synthQueues(2, 8)
-		rep, err := s.Run(rootBody(1000, asWork(queues), []int64{0, ShardHeaderBytes + 8*512}))
+		rep, err := s.Run(rootBody(1000, prepareShards(t, s, synthShards(2, 8))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +271,7 @@ func TestOneChipBoardIsFlat(t *testing.T) {
 	var keys [][]string
 	for _, chips := range []int{0, 1} {
 		reg := metrics.New()
-		rep, _ := multiChipRun(t, chips, 3, synthQueues(1, 12), reg)
+		rep, _ := multiChipRun(t, chips, 3, synthShards(1, 12), reg)
 		if rep.Backend != "scc-sim" || rep.Chips != 0 || rep.PerChip != nil || rep.Interchip != nil {
 			t.Errorf("chips=%d: Backend %q, Chips %d, PerChip %v, Interchip %v", chips, rep.Backend, rep.Chips, rep.PerChip, rep.Interchip)
 		}
@@ -308,9 +311,9 @@ func TestOneChipBoardIsFlat(t *testing.T) {
 // utilization in the report — not of the remote chip's own (shorter)
 // master lifetime.
 func TestBoardWorstLinkUsesBoardWindow(t *testing.T) {
-	queues := synthQueues(2, 12)
-	queues[0], queues[1] = nil, append(queues[0], queues[1]...) // all work on chip 1
-	rep, _ := multiChipRun(t, 2, 3, queues, metrics.New())
+	shards := synthShards(2, 12)
+	shards[0], shards[1] = nil, append(shards[0], shards[1]...) // all work on chip 1
+	rep, _ := multiChipRun(t, 2, 3, shards, metrics.New())
 	mr := rep.Metrics
 	if !strings.HasPrefix(mr.WorstLink, "c1:") {
 		t.Fatalf("worst link %q is not on chip 1", mr.WorstLink)
@@ -332,14 +335,13 @@ func TestDoubleDeliveryTripsInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.StartSlaves(BatchHandler(func(job rckskel.Job) (any, costmodel.Counter, int) {
+		s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
 			return job.Payload, costmodel.Counter{ScoreEvals: 1e5}, 64
-		}))
-		wm := pairWire(6)
-		jobs := s.PrepareJobs(0, pairJobs(sched.AllVsAll(6), wm), wm)
+		})
+		jobs := prepare(t, s, sched.AllVsAll(6), testSizes(6))
 		doubled := false
 		_, err = s.Run(func(m *Master) {
-			m.FarmWork(Work{Jobs: jobs}, func(r rckskel.Result) {
+			m.FarmWork(Work{Queues: [][]rckskel.Job{jobs}}, func(r rckskel.Result) {
 				if twice && !doubled {
 					doubled = true
 					m.s.deliver(m.c, r, nil)

@@ -21,11 +21,10 @@ var (
 
 // Placement assigns slave cores and groups them into worker processes.
 type Placement struct {
-	// Cores lists the placed slave cores in id order: 1, 2, ... (core 0
-	// is the master's).
-	Cores []int
 	// WorkerLeads holds the first core of each worker process; the
-	// worker's thread partners are the following Threads-1 cores.
+	// worker's thread partners are the following Threads-1 cores. The
+	// placed slave cores are 1, 2, ... in id order (core 0 is the
+	// master's).
 	WorkerLeads []int
 	// Threads is the per-worker thread count (>= 1).
 	Threads int
@@ -59,16 +58,11 @@ func Place(cfg Config, slaves int) (Placement, error) {
 	if threads > 1 {
 		opScale = 1.0 / (float64(threads) * threadEfficiency)
 	}
-	cores := make([]int, slaves)
-	for i := range cores {
-		cores[i] = i + 1
-	}
-	leads := make([]int, 0, workers)
-	for w := 0; w < workers; w++ {
-		leads = append(leads, cores[w*threads])
+	leads := make([]int, workers)
+	for w := range leads {
+		leads[w] = 1 + w*threads
 	}
 	return Placement{
-		Cores:          cores,
 		WorkerLeads:    leads,
 		Threads:        threads,
 		OpScale:        opScale,

@@ -1,33 +1,10 @@
 package farm
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"rckalign/internal/rckskel"
-	"rckalign/internal/sched"
 )
-
-// BuildJobs converts an ordered pair list into rckskel jobs: job k gets
-// ID idBase+k, the payload &pairs[k] (pairs must not change while they
-// run) and the wire size returned by bytes (the request payload the
-// master ships to a slave). A non-positive size is rejected with
-// rckskel.ErrJobBytes — it would silently corrupt the NoC transfer
-// model downstream.
-func BuildJobs(pairs []sched.Pair, idBase int, bytes func(p sched.Pair) int) ([]rckskel.Job, error) {
-	jobs := make([]rckskel.Job, len(pairs))
-	for k := range pairs {
-		p := &pairs[k]
-		b := bytes(*p)
-		if b < 1 {
-			return nil, fmt.Errorf("farm: pair (%d,%d): %w (sized %d)", p.I, p.J, rckskel.ErrJobBytes, b)
-		}
-		jobs[k] = rckskel.Job{ID: idBase + k, Payload: p, Bytes: b}
-	}
-	return jobs, nil
-}
 
 // Sweep runs one farm execution per point (a slave or chip count) and
 // returns the results in point order — the shared shape of the paper's

@@ -130,17 +130,14 @@ func Run(sc *Scores, assign []int) (RunResult, error) {
 	if err != nil {
 		return out, err
 	}
-	queueOf := make(map[int]int, len(assign))
-	for k, c := range s.Placement().Cores {
-		queueOf[c] = assign[k]
-	}
 	ds, np := sc.Dataset, len(sc.Pairs)
+	sizes := make([]int, ds.Len())
+	for i, st := range ds.Structures {
+		sizes[i] = core.StructBytes(st.Len())
+	}
 	queues := make([][]rckskel.Job, len(sc.Methods))
 	for m := range queues {
-		queues[m], err = farm.BuildJobs(sc.Pairs, m*np, func(p sched.Pair) int {
-			return core.StructBytes(ds.Structures[p.I].Len()) + core.StructBytes(ds.Structures[p.J].Len())
-		})
-		if err != nil {
+		if queues[m], err = s.PrepareJobs(0, sc.Pairs, m*np, sizes); err != nil {
 			return out, err
 		}
 	}
@@ -150,7 +147,7 @@ func Run(sc *Scores, assign []int) (RunResult, error) {
 	})
 	out.Report, err = s.Run(func(m *farm.Master) {
 		m.LoadResidues(ds.TotalResidues())
-		m.FarmWork(farm.Work{Queues: queues, QueueOf: queueOf}, func(r rckskel.Result) {
+		m.FarmWork(farm.Work{Queues: queues, QueueOf: assign}, func(r rckskel.Result) {
 			out.BusySeconds[r.JobID/np] += chip.CPU.Seconds(sc.byJob[r.JobID].Ops)
 		})
 		m.Terminate()

@@ -235,14 +235,10 @@ func NewTeam(comm *rcce.Comm, masterCore int, slaves []int) *Team {
 // StartSlaves spawns the slave loop on every slave core: block for a job
 // from the master, execute it (charging its compute time to the core),
 // flag and return the result, repeat until terminated.
-func (t *Team) StartSlaves(h Handler) { t.StartSlavesWith(func(int) Handler { return h }) }
-
-// StartSlavesWith is StartSlaves with a per-core handler (the paper's
-// MC-PSC extension: different slaves run different comparison methods).
-func (t *Team) StartSlavesWith(h func(core int) Handler) {
+func (t *Team) StartSlaves(h Handler) {
 	for i, core := range t.Slaves {
 		t.Comm.Chip().SpawnCore(core, func(p *sim.Process) {
-			t.slaveLoop(p, i, core, h(core))
+			t.slaveLoop(p, i, core, h)
 		})
 	}
 }

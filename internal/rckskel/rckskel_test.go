@@ -300,14 +300,18 @@ func TestFarmToleratesStragglerCore(t *testing.T) {
 		return nil, costmodel.Counter{DPCells: 10_000_000}, 8
 	}
 	// Model the slow core by inflating its per-job ops tenfold.
-	team.StartSlavesWith(func(core int) Handler {
-		if core == straggler {
-			return func(job Job) (any, costmodel.Counter, int) {
-				return nil, costmodel.Counter{DPCells: 100_000_000}, 8
+	slow := func(job Job) (any, costmodel.Counter, int) {
+		return nil, costmodel.Counter{DPCells: 100_000_000}, 8
+	}
+	for i, core := range team.Slaves {
+		chip.SpawnCore(core, func(p *sim.Process) {
+			if core == straggler {
+				team.slaveLoop(p, i, core, slow)
+			} else {
+				team.slaveLoop(p, i, core, h)
 			}
-		}
-		return h
-	})
+		})
+	}
 	var stats Stats
 	if err := runMaster(e, team, func(p *sim.Process) {
 		stats = farmAll(team, p, intJobs(40), nil)

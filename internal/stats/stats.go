@@ -84,16 +84,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// CSV renders the table as comma-separated values (no quoting: the
-// experiment outputs contain no commas).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Headers, ","))
-	b.WriteByte('\n')
-	for _, row := range t.rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

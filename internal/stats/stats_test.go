@@ -39,15 +39,6 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("t", "a", "b")
-	tb.AddRowf(1, 2.5)
-	csv := tb.CSV()
-	if csv != "a,b\n1,2.50\n" {
-		t.Errorf("CSV = %q", csv)
-	}
-}
-
 func TestTableExtraCells(t *testing.T) {
 	tb := NewTable("", "only")
 	tb.AddRow("a", "extra")
