@@ -15,12 +15,11 @@
 // Every run goes through core's one pipeline, so the flags compose:
 // ordering, the wire model, threads and faults are properties of the
 // planned workload and apply whether it is farmed flat, in memory-
-// budgeted stages (-membudget) or sharded across chips (-chips). The one
-// combination no run path supports (core's Config.Validate:
-// -membudget with -chips > 1) and flags that could not take effect
-// (-interchip or -gather at -chips 1, -slaves below -threads) exit 2
-// with a one-line diagnostic before the dataset loads; -sweep starts at
-// the first slave count that forms a worker.
+// budgeted stages (-membudget), sharded across chips (-chips) or both.
+// Flags that could not take effect (-interchip or -gather at -chips 1,
+// -slaves below -threads) exit 2 with a one-line diagnostic before the
+// dataset loads; -sweep starts at the first slave count that forms a
+// worker.
 //
 // -structcache enables the slave-side structure-cache model (-1 derives
 // the per-slave capacity from the default memory budget), -batch bundles
@@ -77,12 +76,12 @@
 // work per chip.
 //
 // -membudget R caps the residues resident at the master: the dataset is
-// loaded in blocks and farmed stage by stage, and a "tiled" stderr line
-// reports the block schedule.
+// loaded in blocks and farmed stage by stage (on a board, each stage's
+// shards are scattered to the chips), and a "tiled" stderr line reports
+// the block schedule.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -130,9 +129,9 @@ type cliFlags struct {
 // whole story and the simulation only burns memory.
 const maxChips = 64
 
-// validateFlags rejects out-of-range flag values, flags that could not
-// take effect and the one combination no run path supports with a
-// one-line diagnostic before the dataset is even loaded, and resolves
+// validateFlags rejects out-of-range flag values and flags that could
+// not take effect with a one-line diagnostic before the dataset is even
+// loaded, and resolves
 // the flags into the run configuration (job ordering, fault plan,
 // interchip profile, gather topology). Values with documented sentinel
 // semantics (-structcache -1, -batch 0, -polling 0) stay valid.
@@ -200,10 +199,7 @@ func validateFlags(f cliFlags) (core.Config, error) {
 	if f.Gather != "" && f.Chips == 1 {
 		return cfg, fmt.Errorf("-gather %q has no effect at -chips 1", f.Gather)
 	}
-	if err = cfg.Validate(); errors.Is(err, core.ErrBudgetAcrossChips) {
-		err = errors.New("-membudget with -chips > 1 is unsupported")
-	}
-	return cfg, err
+	return cfg, nil
 }
 
 func main() {

@@ -62,7 +62,7 @@ func TestValidateFlags(t *testing.T) {
 			f.Affinity = true
 			f.FaultSpec = "kill=3@10"
 		}, ""},
-		{"chips with membudget", func(f *cliFlags) { f.Chips = 2; f.MemBudget = 5000 }, "-membudget with -chips"},
+		{"chips with membudget", func(f *cliFlags) { f.Chips = 2; f.MemBudget = 5000 }, ""},
 		{"interchip at one chip", func(f *cliFlags) { f.Interchip = "cluster" }, "-interchip \"cluster\" has no effect at -chips 1"},
 		{"gather at one chip", func(f *cliFlags) { f.Gather = "flat" }, "-gather \"flat\" has no effect at -chips 1"},
 		{"membudget with faults", func(f *cliFlags) { f.MemBudget = 3000; f.FaultSpec = "seed=1;kill=12@10" }, ""},

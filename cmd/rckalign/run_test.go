@@ -194,6 +194,7 @@ func TestRunArtifacts(t *testing.T) {
 		{name: "four chips tree", args: ck34 + "-chips 4 -gather tree:2 -scores-out $scores", golden: "scores"},
 		{name: "four chips flat gather", args: ck34 + "-chips 4 -gather flat -scores-out $scores", golden: "scores"},
 		{name: "two chips kills", args: ck34 + "-chips 2 -scores-out $scores" + kills, golden: "scores"},
+		{name: "two chips membudget", args: ck34 + "-chips 2 -membudget 3000 -scores-out $scores", golden: "scores"},
 		{name: "board metrics", args: ck34 + "-chips 4 -gather tree:2 -structcache -1 -batch 8 -metrics-out $metrics",
 			check: func(t *testing.T, r result) {
 				keys := counterKeys(t, r.files["metrics"])

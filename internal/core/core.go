@@ -252,9 +252,8 @@ func SynthPairResults(name string, lengths []int) *PairResults {
 }
 
 // Config tunes an rckAlign simulation run: the simulated board
-// (farm.Config) plus what the run plans with. The fields compose freely;
-// the one combination no run shape supports is Validate's. Run resolves
-// two farm.Config sentinels per workload:
+// (farm.Config) plus what the run plans with. Every combination of the
+// fields composes. Run resolves two farm.Config sentinels per workload:
 //   - CacheStructs < 0 derives the per-slave cache capacity from the
 //     per-core cache budget (costmodel.DefaultCacheBudgetBytes over the
 //     dataset's mean chain size);
@@ -282,7 +281,9 @@ type Config struct {
 	// two co-reside, and the budget must hold the two largest chains)
 	// and the run becomes a list of stages, each loading one block and
 	// farming the pairs it completes, each swap costing
-	// reloadSecondsPerResidue; see Report.Tiled.
+	// reloadSecondsPerResidue on the root's clock; see Report.Tiled. On a
+	// board the root scatters each stage's shards, and a sub-master holds
+	// only the shard it was sent, never more than the budget.
 	MemoryBudgetResidues int
 }
 
@@ -308,19 +309,18 @@ type RunResult struct {
 // the simulated timing. Results are replayed from pr, so the PSC output
 // is identical to the serial baseline by construction.
 //
-// The pair list is ordered once, sharded into whole sched.DefaultTile
-// blocks across chips (heaviest block first onto the least loaded chip;
-// one chip gets the list unchanged), and each shard is farmed by its
-// chip's master. On more than one chip the root master on chip 0
-// scatters the shards over the interchip fabric and results return as
-// aggregate blobs up the configured gather topology; fault plans (core
-// ids global across the board) are split per chip and affinity deals
-// each shard onto that chip's workers. See Validate for the one feature
-// combination that does not compose.
+// The pair list is cut into stages (one, unless MemoryBudgetResidues
+// forces a block load schedule), each stage's pairs are ordered and
+// sharded into whole sched.DefaultTile blocks across chips (heaviest
+// block first onto the least loaded chip; one chip gets the list
+// unchanged), and each shard is farmed by its chip's master. On more
+// than one chip the root master on chip 0 scatters each stage's shards
+// over the interchip fabric and results return as aggregate blobs up
+// the configured gather topology; fault plans (core ids global across
+// the board) are split per chip and affinity deals each shard onto that
+// chip's workers. Run returns the farm's typed errors and the plan's
+// input errors (a chain longer than half the memory budget).
 func Run(pr *PairResults, slaves int, cfg Config) (RunResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return RunResult{}, err
-	}
 	p, err := newPlan(pr, slaves, cfg)
 	if err != nil {
 		return RunResult{}, err

@@ -11,7 +11,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"rckalign/internal/costmodel"
@@ -19,21 +18,6 @@ import (
 	"rckalign/internal/rckskel"
 	"rckalign/internal/sched"
 )
-
-// ErrBudgetAcrossChips is Validate's error: a memory budget on a
-// multi-chip run.
-var ErrBudgetAcrossChips = errors.New("core: MemoryBudgetResidues does not compose with Chips > 1")
-
-// Validate rejects the one feature combination that stays unsupported;
-// every other combination of Config fields composes. A budgeted run's
-// load schedule interleaves block loads with farms on a single master's
-// clock, while a multi-chip run scatters every shard once, up front.
-func (cfg Config) Validate() error {
-	if cfg.MemoryBudgetResidues > 0 && cfg.Chips > 1 {
-		return ErrBudgetAcrossChips
-	}
-	return nil
-}
 
 // plan is everything about a run that does not depend on where a job
 // executes.
@@ -207,7 +191,7 @@ func (p *plan) stages() ([]stage, *farm.TiledReport, error) {
 
 // run executes the plan on one board: the root master loads, scatters
 // the remote shards (a no-op on one chip) and farms its own, stage by
-// stage; Validate keeps boards to one stage.
+// stage.
 func (p *plan) run() (farm.Report, error) {
 	stages, tiled, err := p.stages()
 	if err != nil {

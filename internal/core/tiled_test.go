@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -78,21 +79,31 @@ func TestRunTiledCompletesAllPairs(t *testing.T) {
 
 func TestRunTiledUnlimitedBudgetMatchesFlat(t *testing.T) {
 	pr := smallPR
-	flat, err := Run(pr, 4, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 0 = unlimited; a budget the whole dataset fits in is the same run.
-	for _, budget := range []int{0, totalResidues(pr)} {
-		r, err := Run(pr, 4, budgeted(budget))
+	// On one chip and on boards alike, 0 = unlimited and a budget the
+	// whole dataset fits in is the same run, JSON byte for byte.
+	for _, chips := range []int{1, 2, 4} {
+		cfg := DefaultConfig()
+		cfg.Chips = chips
+		flat, err := Run(pr, 4, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Tiled != nil {
-			t.Errorf("budget %d: resident dataset reported a block schedule %+v", budget, r.Tiled)
+		want, err := json.Marshal(flat)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(r, flat) {
-			t.Errorf("budget %d: report differs from flat:\n got %+v\nwant %+v", budget, r.Report, flat.Report)
+		for _, budget := range []int{0, totalResidues(pr)} {
+			cfg.MemoryBudgetResidues = budget
+			r, err := Run(pr, 4, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Tiled != nil {
+				t.Errorf("chips %d, budget %d: resident dataset reported a block schedule %+v", chips, budget, r.Tiled)
+			}
+			if got, err := json.Marshal(r); err != nil || string(got) != string(want) {
+				t.Errorf("chips %d, budget %d: report differs from the unbudgeted run's (err %v):\n got %s\nwant %s", chips, budget, err, got, want)
+			}
 		}
 	}
 }

@@ -122,9 +122,11 @@ func (w *wireStats) add(o wireStats) {
 // every produced job gets a SizeFor hook that resolves its request size
 // per slave at dispatch time (against the structure-cache model when
 // Config.CacheStructs > 0, with batch-level structure dedup either way).
-// Call it once per queue: the queues of one chip share its cache model,
-// its wire accounting and its shard, which Master.Scatter prices from
-// the pairs and structures recorded here.
+// Call it once per queue: the queues of one chip share its cache model
+// and its wire accounting. The chip's ledger is credited here with the
+// jobs and pairs, so the run's finalize finds any prepared job that no
+// master farmed; Master.Scatter prices a shard at the sizes recorded
+// here.
 func (s *Session) PrepareJobs(c int, pairs []sched.Pair, idBase int, sizes []int) ([]rckskel.Job, error) {
 	if len(pairs) == 0 {
 		return nil, nil
@@ -139,12 +141,12 @@ func (s *Session) PrepareJobs(c int, pairs []sched.Pair, idBase int, sizes []int
 		}
 		jobs[k] = rckskel.Job{ID: idBase + k, Payload: p, Bytes: b}
 	}
-	if c > 0 {
-		ch.addShard(pairs, sizes)
-	}
+	s.sizes = sizes
+	ch.ledger.pairs += len(pairs)
 	batch := max(s.cfg.Batch, 1)
 	cached := s.cfg.CacheStructs > 0
 	if batch == 1 && !cached {
+		ch.ledger.jobs += len(jobs)
 		return jobs, nil
 	}
 	// Resolve each group's deduplicated structure list (first-use order)
@@ -188,25 +190,8 @@ func (s *Session) PrepareJobs(c int, pairs []sched.Pair, idBase int, sizes []int
 		last, end := min((g+1)*batch, len(jobs)), bounds[g+1]
 		out[g] = ch.wireJob(jobs[g*batch:last:last], structs[bounds[g]:end:end], sizes, s.cfg.Batch > 1)
 	}
+	ch.ledger.jobs += len(out)
 	return out, nil
-}
-
-// addShard records what handing a remote chip these pairs costs on the
-// fabric: one ShardJobHeaderBytes descriptor per pair and each structure's
-// coordinates the first time the chip's shard references it.
-func (c *chip) addShard(pairs []sched.Pair, sizes []int) {
-	if c.shipped == nil {
-		c.shipped = make([]bool, len(sizes))
-	}
-	c.shardBytes += int64(len(pairs)) * ShardJobHeaderBytes
-	for _, p := range pairs {
-		for _, id := range [2]int{p.I, p.J} {
-			if !c.shipped[id] {
-				c.shipped[id] = true
-				c.shardBytes += int64(sizes[id])
-			}
-		}
-	}
 }
 
 // wireJob re-frames one group of jobs (a batch, or a single job when

@@ -203,6 +203,45 @@ func TestBatchedCachedFarmEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDeadlineBelowABatchWritesOffNoHealthySlave: at 0.9X per X-second
+// job a healthy 4-job batch (4X) outlives its 3.6X deadline, with no
+// fault injected. The farm retries it, collects each pair once, and ends
+// while the written-off slave still computes: its last span outlasts the
+// run and is clipped to it, as a stalled slave's is, instead of failing
+// the run with ErrInvariant.
+func TestDeadlineBelowABatchWritesOffNoHealthySlave(t *testing.T) {
+	ops := costmodel.Counter{DPCells: 1e8}
+	x := scc.DefaultConfig().CPU.Seconds(ops)
+	seen := map[int]int{}
+	s, err := New(Config{
+		Chip:               scc.DefaultConfig(),
+		Batch:              4,
+		JobDeadlineSeconds: 0.9 * x,
+		Collect:            func(r rckskel.Result) { seen[r.JobID]++ },
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := sched.AllVsAll(6)
+	jobs := prepare(t, s, pairs, testSizes(6))
+	s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) { return job.ID, ops, 64 })
+	rep, err := s.Run(func(m *Master) {
+		m.FarmWork(Work{Queues: [][]rckskel.Job{jobs}}, nil)
+		m.Terminate()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Collected != len(pairs) || len(seen) != len(pairs) {
+		t.Errorf("collected %d results of %d distinct jobs, want each of %d once", rep.Collected, len(seen), len(pairs))
+	}
+	for track, u := range rep.CoreUtilization {
+		if u < 0 || u > 1 {
+			t.Errorf("%s utilization %v outside [0, 1]", track, u)
+		}
+	}
+}
+
 // TestBatchedSessionWrapsHandlerAndScalesDeadline: a batched session
 // takes the per-pair handler as it is, the collector sees each per-pair
 // result once, and a batch of k jobs is armed with k times

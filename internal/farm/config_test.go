@@ -96,7 +96,7 @@ func TestPartitionedFarmRecoversInsideItsPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.StartSlaves(countJobs)
-	all := intJobs(24)
+	all := intJobs(t, s, 24)
 	queueOf := []int{0, 0, 1, 1} // by worker; worker w is slave core w+1
 	ranOn := map[int]int{}
 	rep, err := s.Run(func(m *farm.Master) {
@@ -138,7 +138,7 @@ func TestOrphanedQueueIsLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.StartSlaves(countJobs)
-	all := intJobs(24)
+	all := intJobs(t, s, 24)
 	got := map[int]bool{}
 	rep, err := s.Run(func(m *farm.Master) {
 		m.FarmWork(farm.Work{Queues: [][]rckskel.Job{all[:12], all[12:]}, QueueOf: []int{0, 0, 1, 1}},
@@ -168,10 +168,12 @@ func countJobs(job rckskel.Job) (any, costmodel.Counter, int) {
 	return job.ID, costmodel.Counter{DPCells: 200000}, 8
 }
 
-func intJobs(n int) []rckskel.Job {
-	jobs := make([]rckskel.Job, n)
-	for i := range jobs {
-		jobs[i] = rckskel.Job{ID: i, Payload: i, Bytes: 64}
+// intJobs prepares n 64-byte jobs numbered 0..n-1 on chip 0 of s.
+func intJobs(t *testing.T, s *farm.Session, n int) []rckskel.Job {
+	t.Helper()
+	jobs, err := s.PrepareJobs(0, make([]sched.Pair, n), 0, []int{32})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return jobs
 }
@@ -188,9 +190,9 @@ func TestSessionFaultTolerantKillRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.StartSlaves(countJobs)
-	got := map[int]int{}
+	jobs, got := intJobs(t, s, 24), map[int]int{}
 	rep, err := s.Run(func(m *farm.Master) {
-		m.FarmWork(farm.Work{Queues: [][]rckskel.Job{intJobs(24)}}, func(r rckskel.Result) { got[r.JobID]++ })
+		m.FarmWork(farm.Work{Queues: [][]rckskel.Job{jobs}}, func(r rckskel.Result) { got[r.JobID]++ })
 		m.Terminate()
 	})
 	if err != nil {
@@ -227,8 +229,9 @@ func TestSessionClassicRunHasNoFaultsBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.StartSlaves(countJobs)
+	jobs := intJobs(t, s, 6)
 	rep, err := s.Run(func(m *farm.Master) {
-		m.FarmWork(farm.Work{Queues: [][]rckskel.Job{intJobs(6)}}, nil)
+		m.FarmWork(farm.Work{Queues: [][]rckskel.Job{jobs}}, nil)
 		m.Terminate()
 	})
 	if err != nil {

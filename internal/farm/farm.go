@@ -31,7 +31,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 
 	"rckalign/internal/costmodel"
@@ -336,6 +335,7 @@ type Session struct {
 	act    activity
 	chips  []*chip
 	rep    Report
+	sizes  []int // the structure sizes PrepareJobs was handed
 
 	// The board tier (more than one chip only): the fabric, the gather
 	// topology and the fabric bytes nobody but the board accounts for.
@@ -373,27 +373,19 @@ type chip struct {
 	wire       wireStats
 	hBatchJobs *metrics.Histogram
 
-	// Fabric bytes of this chip's shard, of the aggregate blobs it
+	// Fabric bytes of this chip's shards, of the aggregate blobs it
 	// originated, and of the per-pair protocol it replaced (0 on chip 0);
-	// shipped marks the structures the shard already carries.
+	// the shards and jobs Scatter sent, whether the last has gone, and
+	// shipped[id] = the last shard that carried structure id.
 	shardBytes, resultBytes, perPairBytes int64
-	shipped                               []bool
+	shards, scattered                     int
+	lastSent                              bool
+	shipped                               []int
 }
 
-// ledger balances the jobs a chip's farms were handed against those they
-// delivered or wrote off; a batch is one job of several pairs.
+// ledger balances the jobs PrepareJobs made for a chip against those its
+// farms delivered or wrote off; a batch is one job of several pairs.
 type ledger struct{ jobs, pairs, doneJobs int }
-
-func (l *ledger) hand(jobs []rckskel.Job) {
-	l.jobs += len(jobs)
-	for _, j := range jobs {
-		if bp, ok := j.Payload.(BatchPayload); ok {
-			l.pairs += len(bp.Jobs)
-		} else {
-			l.pairs++
-		}
-	}
-}
 
 // New validates the configuration and builds the board of slaves slave
 // cores per chip: the chips, each with its runtime, metric labels, its
@@ -520,7 +512,7 @@ func (s *Session) deliver(c *chip, r rckskel.Result, extra func(rckskel.Result))
 // Run executes the board and returns the finalized report. body is the
 // root master's program, on chip 0's core 0. Slaves must have been
 // started before. On more than one chip Run also spawns every remote
-// chip's sub-master (see subMaster), and the root drains the gather
+// chip's sub-master (see boardLoop), and the root drains the gather
 // after body returns.
 //
 // A run that completes is checked against its own accounting; Run
@@ -529,11 +521,11 @@ func (s *Session) deliver(c *chip, r rckskel.Result, extra func(rckskel.Result))
 // run, or the fabric carried bytes beyond shards, blobs and control.
 func (s *Session) Run(body func(m *Master)) (Report, error) {
 	for _, c := range s.chips[1:] {
-		s.spawn(c, s.subMaster)
+		s.spawn(c, func(m *Master) { s.boardLoop(m, true) })
 	}
 	s.spawn(s.chips[0], func(m *Master) {
 		body(m)
-		s.drainRoot(m)
+		s.boardLoop(m, false)
 	})
 	err := s.engine.Run()
 	if ierr := s.finalize(); err == nil {
@@ -597,7 +589,7 @@ func (s *Session) finalize() error {
 		l := c.ledger
 		lost, lostPairs := c.faults.LostJobs, l.pairs-c.collected
 		if l.doneJobs+lost != l.jobs || lostPairs < lost || lostPairs > lost*max(s.cfg.Batch, 1) {
-			uerr = cmp.Or(uerr, fmt.Errorf("%w: chip %d farmed %d jobs (%d pairs), collected %d jobs (%d pairs), lost %d",
+			uerr = cmp.Or(uerr, fmt.Errorf("%w: chip %d prepared %d jobs (%d pairs), collected %d jobs (%d pairs), lost %d",
 				ErrInvariant, c.id, l.jobs, l.pairs, l.doneJobs, c.collected, lost))
 		}
 		err = cmp.Or(err, uerr)
@@ -667,13 +659,13 @@ func linkName(l noc.LinkLoad, board bool, chip int) string {
 // utilization writes chip c's traced cores into the board's busy and
 // utilization columns and returns their mean busy fraction of the run,
 // summed in core order (every track is a core's).
-// A core busy longer than the run is an ErrInvariant, unless the fault
-// injector stalled it: a stalled slave's compute interval spans the
-// stall and may outlast the master that gave up on it. Only that last
-// span can: the run ends after every chip's Terminate, and no slave
-// starts a job after it. Utilization clips it to the run.
+// A core busy longer than the run is an ErrInvariant, unless the chip's
+// farm timed a job out: its slave, stalled or just slower than the
+// deadline, is written off and goes on computing, so its last span may
+// outlast the master that gave up on it. Only that span can: no slave
+// starts a job after Terminate. Utilization clips it to the run.
 func (s *Session) utilization(c *chip) (float64, error) {
-	total := s.rep.TotalSeconds
+	total, writtenOff := s.rep.TotalSeconds, c.faults.Timeouts > 0
 	var err error
 	sum, k := 0.0, 0
 	for core := range c.sc.NumCores() {
@@ -683,7 +675,7 @@ func (s *Session) utilization(c *chip) (float64, error) {
 			continue
 		}
 		busy := b.Seconds()
-		if busy < 0 || busy > total && !slices.Contains(s.act.stalled, track) {
+		if busy < 0 || busy > total && !writtenOff {
 			err = cmp.Or(err, fmt.Errorf("%w: %s busy %v s outside the run's [0, %v] s", ErrInvariant, track, busy, total))
 		}
 		s.rep.CoreBusySeconds[track] = busy
@@ -700,15 +692,13 @@ func (s *Session) utilization(c *chip) (float64, error) {
 }
 
 // activity is the session's trace.Sink: each track's busy time, merged
-// as its intervals arrive, and the stalled tracks; intervals and marks
-// also reach the configured recorder, if any. One process writes a
-// track, in time order, so an interval starting before its track's open
-// run is an ErrInvariant.
+// as its intervals arrive; intervals and marks also reach the configured
+// recorder, if any. One process writes a track, in time order, so an
+// interval starting before its track's open run is an ErrInvariant.
 type activity struct {
-	rec     *trace.Recorder
-	busy    map[string]*trace.Busy // mark-only tracks too, at zero
-	stalled []string
-	err     error
+	rec  *trace.Recorder
+	busy map[string]*trace.Busy // mark-only tracks too, at zero
+	err  error
 }
 
 // Add records an interval; like a Recorder, it ignores one with
@@ -719,10 +709,13 @@ func (a *activity) Add(track string, start, end float64, label string) {
 	}
 	if end <= start {
 		return
-	} else if a.busy[track] == nil {
-		a.busy[track] = &trace.Busy{}
 	}
-	if !a.busy[track].Add(start, end) {
+	b := a.busy[track]
+	if b == nil {
+		b = &trace.Busy{}
+		a.busy[track] = b
+	}
+	if !b.Add(start, end) {
 		a.err = cmp.Or(a.err, fmt.Errorf("%w: %s interval [%v, %v] starts before the track's open span", ErrInvariant, track, start, end))
 	}
 }
@@ -734,9 +727,6 @@ func (a *activity) AddMark(track string, t float64, label string) {
 	}
 	if a.busy[track] == nil {
 		a.busy[track] = &trace.Busy{}
-	}
-	if label == "stall" {
-		a.stalled = append(a.stalled, track)
 	}
 }
 
@@ -875,9 +865,6 @@ func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) {
 			queueOf[i] = i
 		}
 	}
-	for _, q := range queues {
-		c.ledger.hand(q)
-	}
 	deadline := s.cfg.JobDeadlineSeconds * float64(max(s.cfg.Batch, 1))
 	st, ft := c.team.FARM(m.P, queues, queueOf, deadline, func(r rckskel.Result) {
 		c.ledger.doneJobs++
@@ -895,15 +882,21 @@ func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) {
 // Terminate shuts down the chip's default team's slaves.
 func (m *Master) Terminate() { m.c.team.Terminate(m.P) }
 
-// Scatter, called once by the root before it farms its own shard, sends
-// every remote chip c its shard work[c] over the fabric, in chip order;
-// work[0] stays with the root. A shard costs ShardHeaderBytes plus what
-// PrepareJobs recorded for the chip: a ShardJobHeaderBytes descriptor per
-// pair and each distinct structure's coordinates once (an empty shard
-// costs its header alone). On one chip it does nothing.
+// Scatter, called by the root before it farms its own shard of a stage,
+// sends every remote chip c its shard of the stage, work[c], over the
+// fabric, in chip order. A shard costs ShardHeaderBytes plus a
+// ShardJobHeaderBytes descriptor per pair and each distinct structure
+// once, at the sizes PrepareJobs recorded. Its header says whether
+// another follows: one does while PrepareJobs made jobs for the chip that
+// no shard carried yet, and a chip sent its last is sent no more.
 func (m *Master) Scatter(work []Work) {
 	for _, c := range m.s.chips[1:] {
-		c.shardBytes += ShardHeaderBytes
-		m.s.fabric.Send(m.P, 0, c.id, int(c.shardBytes), work[c.id])
+		if c.lastSent {
+			continue
+		}
+		bytes := m.s.price(c, work[c.id])
+		c.shardBytes += bytes
+		c.lastSent = c.scattered >= c.ledger.jobs
+		m.s.fabric.Send(m.P, 0, c.id, int(bytes), shard{work[c.id], !c.lastSent})
 	}
 }

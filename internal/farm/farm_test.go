@@ -181,10 +181,7 @@ func TestSessionRunsAFarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := make([]rckskel.Job, 12)
-	for k := range jobs {
-		jobs[k] = rckskel.Job{ID: k, Payload: k, Bytes: 512}
-	}
+	jobs := prepare(t, s, make([]sched.Pair, 12), []int{256})
 	s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
 		return job.Payload, costmodel.Counter{ScoreEvals: 1e6}, 64
 	})

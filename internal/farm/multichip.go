@@ -16,6 +16,7 @@ import (
 
 	"rckalign/internal/interchip"
 	"rckalign/internal/rckskel"
+	"rckalign/internal/sched"
 )
 
 // Fabric wire-framing constants for the master→sub-master→master
@@ -36,6 +37,13 @@ const (
 	InterchipControlBytes = 64
 )
 
+// shard is one stage's work for a remote chip as Master.Scatter sends
+// it; more, a flag inside the header, says another shard follows.
+type shard struct {
+	work Work
+	more bool
+}
+
 // aggMsg is one aggregate result blob travelling up the gather topology
 // (its size is the message's; the results were booked at their
 // sub-master). Blobs relay through interior tree chips unmerged, so the
@@ -47,20 +55,47 @@ type aggMsg struct{}
 // (stats travel in the chips' own bookkeeping, host-side).
 type gatherDone struct{}
 
-// subMaster is a remote chip's master program, spawned by Session.Run:
-// it receives its shard from the root's Scatter (always the first
-// message in its FIFO inbox: the root scatters before any result can
-// flow), farms it while booking every result here, at the sub-master,
-// flushes them toward its gather parent as one aggregate blob (pricing
-// the per-pair counterfactual on the way, so the report shows what
-// aggregation saved), then relays its children's blobs upward and
-// forwards a gather-done once every child subtree reported.
-func (s *Session) subMaster(m *Master) {
+// boardLoop is a master's end of the board tier, run by Session.Run: one
+// receive loop over the chip's inbox, in arrival order, until no shard is
+// due (more) and every child subtree reported. A shard (on a one-stage
+// run a sub-master's first message) is farmed, and the chip's slaves stop
+// after the last; a child's blob is relayed upward, or at the root only
+// drained, one transport per blob instead of one per pair; a child's
+// gather-done is counted. A sub-master then sends its own gather-done.
+func (s *Session) boardLoop(m *Master, more bool) {
 	c := m.c
-	parent, kids := s.gather.Parent(c.id), s.gather.Children(c.id, len(s.chips))
-	shard := s.fabric.Recv(m.P, c.id)
+	pending := len(s.gather.Children(c.id, len(s.chips)))
+	for more || pending > 0 {
+		msg := s.fabric.Recv(m.P, c.id)
+		switch pl := msg.Payload.(type) {
+		case shard:
+			s.farmShard(m, pl.work)
+			if more = pl.more; !more {
+				m.Terminate()
+			}
+		case aggMsg:
+			s.noteGatherHop(m.P.Now(), msg)
+			if c.id > 0 {
+				s.noteAggSend(msg.Bytes)
+				s.fabric.Send(m.P, c.id, s.gather.Parent(c.id), msg.Bytes, pl)
+			}
+		case gatherDone:
+			pending--
+		}
+	}
+	if c.id > 0 {
+		s.controlBytes += InterchipControlBytes
+		s.fabric.Send(m.P, c.id, s.gather.Parent(c.id), InterchipControlBytes, gatherDone{})
+	}
+}
+
+// farmShard farms a shard on a sub-master's chip, booking every result
+// here, and sends the parent one aggregate blob of them (if any), pricing
+// the per-pair counterfactual on the way.
+func (s *Session) farmShard(m *Master, w Work) {
+	c := m.c
 	count, payload := 0, int64(0)
-	m.FarmWork(shard.Payload.(Work), func(r rckskel.Result) {
+	m.FarmWork(w, func(r rckskel.Result) {
 		c.perPairBytes += int64(r.Bytes + InterchipResultHeaderBytes)
 		count++
 		payload += int64(r.Bytes)
@@ -69,39 +104,7 @@ func (s *Session) subMaster(m *Master) {
 		b := AggregateHeaderBytes + int(payload)
 		c.resultBytes += int64(b)
 		s.noteAggSend(b)
-		s.fabric.Send(m.P, c.id, parent, b, aggMsg{})
-	}
-	m.Terminate()
-	for pending := len(kids); pending > 0; {
-		msg := s.fabric.Recv(m.P, c.id)
-		switch pl := msg.Payload.(type) {
-		case aggMsg:
-			s.noteGatherHop(m.P.Now(), msg)
-			s.noteAggSend(msg.Bytes)
-			s.fabric.Send(m.P, c.id, parent, msg.Bytes, pl)
-		case gatherDone:
-			pending--
-		}
-	}
-	s.controlBytes += InterchipControlBytes
-	s.fabric.Send(m.P, c.id, parent, InterchipControlBytes, gatherDone{})
-}
-
-// drainRoot is the root's end of the gather: aggregate blobs and
-// gather-done markers arrive through the root inbox from its direct
-// children only (none on one chip). Per-pair results were booked at
-// their sub-master, so the drain pays one transport + handling per blob —
-// the root inbox stays shallow where the per-pair protocol queued
-// thousands of results.
-func (s *Session) drainRoot(m *Master) {
-	for pending := len(s.gather.Children(0, len(s.chips))); pending > 0; {
-		msg := s.fabric.Recv(m.P, 0)
-		switch msg.Payload.(type) {
-		case aggMsg:
-			s.noteGatherHop(m.P.Now(), msg)
-		case gatherDone:
-			pending--
-		}
+		s.fabric.Send(m.P, c.id, s.gather.Parent(c.id), b, aggMsg{})
 	}
 }
 
@@ -160,4 +163,34 @@ func (s *Session) interchipReport() *InterchipReport {
 	}
 	sort.Slice(out.GatherLevels, func(a, b int) bool { return out.GatherLevels[a].Level < out.GatherLevels[b].Level })
 	return out
+}
+
+// price counts shard w as scattered to chip c and returns its fabric
+// cost: the header, a descriptor per pair, each distinct structure once.
+func (s *Session) price(c *chip, w Work) int64 {
+	if c.shipped == nil {
+		c.shipped = make([]int, len(s.sizes))
+	}
+	c.shards++
+	bytes := int64(ShardHeaderBytes)
+	for _, q := range w.Queues {
+		c.scattered += len(q)
+		for _, j := range q {
+			subs := []rckskel.Job{j}
+			if bp, ok := j.Payload.(BatchPayload); ok {
+				subs = bp.Jobs
+			}
+			for _, sub := range subs {
+				p := sub.Payload.(*sched.Pair)
+				bytes += ShardJobHeaderBytes
+				for _, id := range [2]int{p.I, p.J} {
+					if c.shipped[id] != c.shards {
+						c.shipped[id] = c.shards
+						bytes += int64(s.sizes[id])
+					}
+				}
+			}
+		}
+	}
+	return bytes
 }

@@ -3,6 +3,7 @@ package farm
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -205,6 +206,94 @@ func TestMultiChipEmptyShard(t *testing.T) {
 	// An idle chip ships no blob: 2 shards, 1 blob (chip 1), 2 dones.
 	if rep.Interchip.Transfers != 2+1+2 {
 		t.Errorf("transfers = %d, want 5 (2 shards, 1 blob, 2 dones)", rep.Interchip.Transfers)
+	}
+}
+
+// TestMultiStageBoard farms two stages on three chips, each stage's
+// shard priced on its own: chip 1 has work in the first stage only, so
+// its first shard is its last and it is sent no empty second one; chip 2
+// has none in the first stage, so its first shard is an empty header
+// that says another follows. Every pair is collected once, and each
+// remote chip's ShardBytes sums the prices of the shards it was sent.
+func TestMultiStageBoard(t *testing.T) {
+	var collected []int
+	s, err := New(Config{
+		Chips:   3,
+		Chip:    scc.DefaultConfig(),
+		Collect: func(r rckskel.Result) { collected = append(collected, r.JobID) },
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
+		return job.Payload, costmodel.Counter{ScoreEvals: 1e5}, 64
+	})
+	stages := [][][]sched.Pair{
+		{{{I: 0, J: 1}}, {{I: 0, J: 2}, {I: 2, J: 3}}, nil},
+		{{{I: 1, J: 2}}, nil, {{I: 0, J: 3}, {I: 1, J: 3}}},
+	}
+	work := make([][]Work, len(stages))
+	id := 0
+	for k, shards := range stages {
+		work[k] = make([]Work, len(shards))
+		for c, pairs := range shards {
+			jobs, err := s.PrepareJobs(c, pairs, id, testSizes(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			work[k][c], id = Work{Queues: [][]rckskel.Job{jobs}}, id+len(pairs)
+		}
+	}
+	rep, err := s.Run(func(m *Master) {
+		for _, w := range work {
+			m.Scatter(w)
+			m.FarmWork(w[0], nil)
+		}
+		m.Terminate()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(collected)
+	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(collected, want) {
+		t.Errorf("collected jobs %v, want %v", collected, want)
+	}
+	want := []int64{0,
+		ShardHeaderBytes + 2*ShardJobHeaderBytes + 100 + 300 + 400,
+		ShardHeaderBytes + (ShardHeaderBytes + 2*ShardJobHeaderBytes + 100 + 200 + 400)}
+	for c, cr := range rep.PerChip {
+		if cr.ShardBytes != want[c] {
+			t.Errorf("chip %d shards = %d bytes, want %d", c, cr.ShardBytes, want[c])
+		}
+	}
+	// 3 shards, a blob per non-empty shard (chip 1, chip 2's second), 2 dones.
+	if rep.Interchip.Transfers != 3+2+2 {
+		t.Errorf("transfers = %d, want 7 (3 shards, 2 blobs, 2 dones)", rep.Interchip.Transfers)
+	}
+}
+
+// TestUnfarmedShardTripsInvariant: PrepareJobs credits a chip's ledger,
+// so a root that prepares its own shard and never farms it fails the run
+// with ErrInvariant, on one chip and on a board, instead of reporting a
+// run that silently misses those pairs.
+func TestUnfarmedShardTripsInvariant(t *testing.T) {
+	for _, chips := range []int{1, 2} {
+		s, err := New(Config{Chips: chips, Chip: scc.DefaultConfig()}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
+			return job.Payload, costmodel.Counter{ScoreEvals: 1e5}, 64
+		})
+		work := prepareShards(t, s, synthShards(chips, 6))
+		_, err = s.Run(func(m *Master) {
+			m.LoadResidues(1000)
+			m.Scatter(work)
+			m.Terminate()
+		})
+		if !errors.Is(err, ErrInvariant) {
+			t.Errorf("chips=%d: root skipped its shard, err = %v, want ErrInvariant", chips, err)
+		}
 	}
 }
 

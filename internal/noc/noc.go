@@ -304,7 +304,9 @@ func (m *Mesh) Transfer(p *sim.Process, a, b Coord, bytes int) {
 	}
 	m.cXfers.Inc()
 	m.cBytes.Add(float64(bytes))
-	m.hHops.Observe(float64(m.Hops(a, b)))
+	if m.hHops != nil {
+		m.hHops.Observe(float64(m.Hops(a, b)))
+	}
 	route := m.path(a, b)
 	m.recordLinkTraffic(route, bytes)
 	ser := float64(bytes) / m.cfg.BytesPerSecond
