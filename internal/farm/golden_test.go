@@ -220,6 +220,25 @@ var boardScenarios = []struct {
 		}
 		return rep
 	}},
+	// Two chips under a 3000-residue master budget: four blocks, ten
+	// stages, each stage's shard scattered and priced on its own.
+	{"board-chips2-budget", func(t *testing.T) farm.Report {
+		cfg := core.DefaultConfig()
+		cfg.Chips, cfg.MemoryBudgetResidues = 2, 3000
+		return runBoard(t, ck34(t), 47, cfg)
+	}},
+	// Four chips on a binary gather tree under the same budget, a slave
+	// of chip 0 and one of chip 2 killed mid-run.
+	{"board-chips4-tree2-budget-kills", func(t *testing.T) farm.Report {
+		plan, err := fault.ParseSpec("seed=1;kill=12@10;kill=110@20")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.Chips, cfg.Gather = 4, farm.GatherConfig{Mode: farm.GatherTree, Arity: 2}
+		cfg.MemoryBudgetResidues, cfg.Faults = 3000, plan
+		return runBoard(t, ck34(t), 47, cfg)
+	}},
 }
 
 func runBoard(t *testing.T, pr *core.PairResults, slaves int, cfg core.Config) farm.Report {
