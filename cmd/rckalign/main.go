@@ -131,10 +131,10 @@ const maxChips = 64
 
 // validateFlags rejects out-of-range flag values and flags that could
 // not take effect with a one-line diagnostic before the dataset is even
-// loaded, and resolves
-// the flags into the run configuration (job ordering, fault plan,
-// interchip profile, gather topology). Values with documented sentinel
-// semantics (-structcache -1, -batch 0, -polling 0) stay valid.
+// loaded, and resolves the flags into the run configuration (job
+// ordering, fault plan, interchip profile, gather topology). Values with
+// documented sentinel semantics (-structcache -1, -batch 0, -polling 0)
+// stay valid.
 func validateFlags(f cliFlags) (core.Config, error) {
 	cfg := core.DefaultConfig()
 	cfg.Chips = f.Chips

@@ -22,9 +22,10 @@
 //
 // That is a board of one chip: the paper's flat farm. With Config.Chips
 // = N > 1 the same calls build N chips on one engine, joined by the
-// interchip fabric: prepare one Work per chip (PrepareJobs(c, ...)) and
-// let the root body hand the remote shards out with m.Scatter before it
-// farms its own; Run spawns the sub-masters and drains the gather.
+// interchip fabric: prepare one Work per chip and stage (PrepareJobs(c,
+// ...)) and let the root body hand each stage's remote shards out with
+// m.Scatter before it farms its own; Run spawns the sub-masters and
+// drains the gather.
 package farm
 
 import (
@@ -516,9 +517,10 @@ func (s *Session) deliver(c *chip, r rckskel.Result, extra func(rckskel.Result))
 // after body returns.
 //
 // A run that completes is checked against its own accounting; Run
-// returns a wrapped ErrInvariant when a farmed job was neither collected
-// exactly once nor written off, a traced core was busy longer than the
-// run, or the fabric carried bytes beyond shards, blobs and control.
+// returns a wrapped ErrInvariant when a prepared job was neither
+// collected exactly once nor written off, a traced core was busy longer
+// than the run, or the fabric carried bytes beyond shards, blobs and
+// control.
 func (s *Session) Run(body func(m *Master)) (Report, error) {
 	for _, c := range s.chips[1:] {
 		s.spawn(c, func(m *Master) { s.boardLoop(m, true) })
