@@ -516,8 +516,8 @@ func (s *Session) deliver(c *chip, r rckskel.Result, extra func(rckskel.Result))
 // chip's sub-master (see boardLoop), and the root drains the gather
 // after body returns.
 //
-// A run that completes is checked against its own accounting; Run
-// returns a wrapped ErrInvariant when a prepared job was neither
+// Every run is checked against its own accounting, a deadlocked one
+// too; Run joins the engine's error with a wrapped ErrInvariant when a prepared job was neither
 // collected exactly once nor written off, a traced core was busy longer
 // than the run, or the fabric carried bytes beyond shards, blobs and
 // control.
@@ -530,10 +530,7 @@ func (s *Session) Run(body func(m *Master)) (Report, error) {
 		s.boardLoop(m, false)
 	})
 	err := s.engine.Run()
-	if ierr := s.finalize(); err == nil {
-		err = ierr
-	}
-	return s.rep, err
+	return s.rep, errors.Join(err, s.finalize())
 }
 
 // spawn schedules chip c's master process, on its core 0, running body.

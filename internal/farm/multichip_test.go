@@ -13,6 +13,7 @@ import (
 	"rckalign/internal/rckskel"
 	"rckalign/internal/scc"
 	"rckalign/internal/sched"
+	"rckalign/internal/sim"
 )
 
 // multiChipRun builds an N-chip board over the default SCC chip, farms
@@ -294,6 +295,30 @@ func TestUnfarmedShardTripsInvariant(t *testing.T) {
 		if !errors.Is(err, ErrInvariant) {
 			t.Errorf("chips=%d: root skipped its shard, err = %v, want ErrInvariant", chips, err)
 		}
+	}
+}
+
+// TestDeadlockKeepsInvariant: a root that farms its own shard of a
+// 2-chip board and never scatters leaves chip 1's sub-master waiting for
+// a shard (a sim.DeadlockError) and chip 1's prepared jobs neither
+// collected nor written off (an ErrInvariant). Run reports both.
+func TestDeadlockKeepsInvariant(t *testing.T) {
+	s, err := New(Config{Chips: 2, Chip: scc.DefaultConfig()}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
+		return job.Payload, costmodel.Counter{ScoreEvals: 1e5}, 64
+	})
+	work := prepareShards(t, s, synthShards(2, 6))
+	_, err = s.Run(func(m *Master) {
+		m.LoadResidues(1000)
+		m.FarmWork(work[0], nil)
+		m.Terminate()
+	})
+	var d *sim.DeadlockError
+	if !errors.Is(err, ErrInvariant) || !errors.As(err, &d) {
+		t.Errorf("root never scattered: err = %v, want both ErrInvariant and a *sim.DeadlockError", err)
 	}
 }
 
