@@ -355,14 +355,6 @@ func (s *Series) Points() []Point {
 	return append([]Point(nil), s.points...)
 }
 
-// Last returns the most recent value (0 when empty or nil).
-func (s *Series) Last() float64 {
-	if s == nil || len(s.points) == 0 {
-		return 0
-	}
-	return s.points[len(s.points)-1].V
-}
-
 // ScalarSnapshot is one counter or gauge in a snapshot.
 type ScalarSnapshot struct {
 	Key   string  `json:"key"`

@@ -77,8 +77,7 @@ type Comm struct {
 	// completion latch) from src to dst at rendezvous; built on first use.
 	pairs []*sim.Chan
 	// inter, when non-nil, is consulted for every Send.
-	inter   Interposer
-	barrier *sim.Barrier
+	inter Interposer
 	// free holds transfers both sides have released.
 	free []*transfer
 	// chunk is the RCCE chunk size (each core's MPB share) and
@@ -315,18 +314,3 @@ func (c *Comm) PollCost(at, of int) float64 {
 	// Round trip of one flag packet plus the local test.
 	return 2*float64(hops)*cfg.HopSeconds + 32/cfg.BytesPerSecond
 }
-
-// Barrier blocks until every one of n participants has entered
-// (RCCE_barrier over the power-of-two dissemination pattern is modelled
-// as a fixed flag exchange cost per participant).
-func (c *Comm) Barrier(p *sim.Process, n int) {
-	if c.barrier == nil {
-		c.barrier = sim.NewBarrier("rcce", n)
-	}
-	p.Wait(c.PollCost(0, c.chip.NumCores()-1)) // flag exchange cost
-	c.barrier.Wait(p)
-}
-
-// ResetBarrier prepares the barrier for reuse with a new participant
-// count.
-func (c *Comm) ResetBarrier(n int) { c.barrier = sim.NewBarrier("rcce", n) }

@@ -132,35 +132,6 @@ func TestMessagesBetweenPairsIndependent(t *testing.T) {
 	}
 }
 
-func TestBarrierReleasesTogether(t *testing.T) {
-	e, c := newComm()
-	const n = 8
-	c.ResetBarrier(n)
-	var release []float64
-	for i := 0; i < n; i++ {
-		i := i
-		c.Chip().SpawnCore(i, func(p *sim.Process) {
-			p.Wait(float64(i) * 0.01)
-			c.Barrier(p, n)
-			release = append(release, p.Now())
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(release) != n {
-		t.Fatalf("released %d, want %d", len(release), n)
-	}
-	for _, r := range release {
-		if r != release[0] {
-			t.Fatalf("barrier released at different times: %v", release)
-		}
-	}
-	if release[0] < 0.07 {
-		t.Errorf("barrier released at %v, before last arrival", release[0])
-	}
-}
-
 func TestZeroByteSendStillWorks(t *testing.T) {
 	e, c := newComm()
 	ok := false

@@ -172,21 +172,6 @@ func TestChanFIFO(t *testing.T) {
 	}
 }
 
-func TestTrySend(t *testing.T) {
-	e := NewEngine()
-	c := NewChan("c")
-	var sent bool
-	e.Spawn("s", func(p *Process) {
-		sent = c.TrySend(p, 1)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sent {
-		t.Error("TrySend with no receiver should fail")
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
 	c := NewChan("never")

@@ -212,16 +212,6 @@ func (c *Chan) recv(p *Process, d float64, l *Latch) (any, bool) {
 	return req.outcome()
 }
 
-// TrySend delivers v if a receiver is already waiting and reports whether
-// it did; it never blocks.
-func (c *Chan) TrySend(p *Process, v any) bool {
-	if !c.liveReceiver() {
-		return false
-	}
-	c.Send(p, v)
-	return true
-}
-
 // Pending reports waiting senders (>0) or receivers (<0); 0 = idle.
 // Dead waiters are not counted.
 func (c *Chan) Pending() int {
@@ -373,32 +363,6 @@ func (q *Queue) Len() int { return q.items.len() }
 
 // Drain removes and returns all queued items.
 func (q *Queue) Drain() []any { return q.items.drain() }
-
-// Barrier blocks processes until n of them have arrived, then releases
-// all of them at the arrival time of the last.
-type Barrier struct {
-	name    string
-	n       int
-	waiting []*Process
-}
-
-// NewBarrier returns a barrier for n participants (n >= 1).
-func NewBarrier(name string, n int) *Barrier {
-	return &Barrier{name: name, n: max(n, 1)}
-}
-
-// Wait blocks p until all n participants have called Wait.
-func (b *Barrier) Wait(p *Process) {
-	if len(b.waiting)+1 >= b.n {
-		for _, q := range b.waiting {
-			q.unblock()
-		}
-		b.waiting = nil
-		return
-	}
-	b.waiting = append(b.waiting, p)
-	p.block("barrier:", b.name)
-}
 
 // Resource is a counted FIFO resource (disk controller, mesh link, ...):
 // Acquire blocks while all slots are busy; Release hands a slot to the
