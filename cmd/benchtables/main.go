@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"rckalign/internal/experiments"
-	"rckalign/internal/tmalign"
 )
 
 func main() {
@@ -58,7 +57,7 @@ func main() {
 	for _, x := range exps {
 		datasets = append(datasets, x.Datasets...)
 	}
-	env, err := experiments.Load(*cacheDir, tmalign.DefaultOptions(), datasets...)
+	env, err := experiments.Load(*cacheDir, datasets...)
 	if err == nil {
 		err = experiments.Run(os.Stdout, env, exps)
 	}

@@ -87,7 +87,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -98,6 +97,7 @@ import (
 	"rckalign/internal/interchip"
 	"rckalign/internal/metrics"
 	"rckalign/internal/pairstore"
+	"rckalign/internal/prune"
 	"rckalign/internal/rckskel"
 	"rckalign/internal/sched"
 	"rckalign/internal/stats"
@@ -247,27 +247,18 @@ func main() {
 	if *fast {
 		opt = tmalign.FastOptions()
 	}
-	cachePath := ""
-	if *cacheDir != "" {
-		cachePath = filepath.Join(*cacheDir, ds.Name+".gob")
-	}
 	store := pairstore.New(0)
 	fmt.Fprintf(os.Stderr, "loading %s (%d chains, %d pairs)...\n", ds.Name, ds.Len(), ds.Pairs())
-	var pr *core.PairResults
+	pairs := sched.AllVsAll(ds.Len())
 	if *pruneTM > 0 {
-		// Pruning changes the workload, so the full-matrix disk cache does
-		// not apply: survivors are computed through the (memoized) pair
-		// store and skipped pairs never reach the TM-align kernel.
-		kept, rep := core.PrunePairs(ds, *pruneTM)
+		var rep *prune.Report
+		pairs, rep = core.PrunePairs(ds, *pruneTM)
 		fmt.Fprintf(os.Stderr, "prune: %d of %d pairs below TM bound %g (%.1f%% skipped, filter cost %d DP cells)\n",
 			rep.Skipped, rep.Total, rep.Threshold, 100*rep.SkipFraction(), rep.DPCells)
-		pr = core.ComputePairsShared(ds, opt, store, kept)
-	} else {
-		var err error
-		pr, err = core.ComputeOrLoadShared(ds, opt, cachePath, store)
-		if err != nil {
-			fatal(err)
-		}
+	}
+	pr, err := core.ComputeCached(ds, opt, pairs, *cacheDir, store)
+	if err != nil {
+		fatal(err)
 	}
 
 	baseline := pr.SerialSeconds(costmodel.P54C())

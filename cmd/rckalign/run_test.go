@@ -249,11 +249,31 @@ func TestRunArtifacts(t *testing.T) {
 			}},
 		// Host parallelism is invisible to the simulation: the same run
 		// on 1 and 8 pair-store workers is experiments.TestHostParGoldenCK34.
+		// A -fast run never reads or writes default-profile results: a
+		// copy of the committed CK34.gob beside its own file stays byte
+		// for byte, and a second -fast run there loads its own file.
 		{name: "native sweep GOMAXPROCS=8", env: "GOMAXPROCS=8", native: true,
-			args: "-dataset CK34 -sweep -fast -cache $cache/",
+			args: "-dataset CK34 -sweep -fast -cache $cache/ -scores-out $scores",
 			check: func(t *testing.T, r result) {
-				if ents, _ := os.ReadDir(filepath.Join(r.dir, "cache")); len(ents) != 0 {
-					t.Errorf("-fast wrote %d entries into the default-profile pair cache", len(ents))
+				dir := filepath.Join(r.dir, "cache")
+				def, err := os.ReadFile("../../testdata/paircache/CK34.gob")
+				if err == nil {
+					err = os.WriteFile(filepath.Join(dir, "CK34.gob"), def, 0o644)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				again := rckalign(t, "", "-dataset CK34 -slaves 47 -fast -cache "+dir+" -scores-out $scores")
+				if again.code != 0 || !strings.Contains(again.stderr, "pairstore: 0 hits / 0 misses") {
+					t.Errorf("second -fast run did not load its own file (exit %d):\n%s", again.code, again.stderr)
+				}
+				if !bytes.Equal(again.files["scores"], r.files["scores"]) || bytes.Equal(r.files["scores"], golden) {
+					t.Error("second -fast run's scores differ from the first's, or equal the default profile's")
+				}
+				ents, _ := os.ReadDir(dir)
+				got, _ := os.ReadFile(filepath.Join(dir, "CK34.gob"))
+				if len(ents) != 2 || !bytes.Equal(got, def) {
+					t.Errorf("-fast runs left %d entries in the cache dir and changed CK34.gob: %t", len(ents), !bytes.Equal(got, def))
 				}
 			}},
 		{name: "native default profile fills the cache", native: true,
@@ -272,6 +292,15 @@ func TestRunArtifacts(t *testing.T) {
 			check: func(t *testing.T, r result) {
 				if !strings.Contains(r.stderr, "prune: 453 of 561 pairs") {
 					t.Errorf("no \"prune: 453 of 561 pairs\" line in\n%s", r.stderr)
+				}
+				if n := bytes.Count(r.files["scores"], []byte("\n")); n != 108 {
+					t.Errorf("%d survivors, want 108", n)
+				}
+			}},
+		{name: "pruned from the cache", args: ck34 + "-prune-tm 0.5 -scores-out $scores", subset: "scores",
+			check: func(t *testing.T, r result) {
+				if !strings.Contains(r.stderr, "pairstore: 0 hits / 0 misses") {
+					t.Errorf("pruned run computed pairs the committed cache holds:\n%s", r.stderr)
 				}
 				if n := bytes.Count(r.files["scores"], []byte("\n")); n != 108 {
 					t.Errorf("%d survivors, want 108", n)

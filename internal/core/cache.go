@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"rckalign/internal/costmodel"
 	"rckalign/internal/pairstore"
@@ -15,14 +17,20 @@ import (
 
 // The native TM-align pass over a full dataset is expensive (minutes of
 // host CPU for RS119's 7021 pairs), while the simulation sweeps replay
-// it dozens of times. PairResults therefore serialise to a cache file:
-// the experiment drivers compute once and reload afterwards. Results are
-// deterministic, so the cache is a pure memoisation — delete it to force
-// recomputation.
+// it dozens of times. Pair results therefore persist in a cache
+// directory, keyed like the pair store: one file per (dataset, kernel)
+// holding whichever canonical pairs have been computed, rewritten whole
+// after every checkpointPairs computed pairs. Results are deterministic,
+// so the cache is a pure memoisation — delete it to force recomputation.
+
+// checkpointPairs is how many pairs ComputeCached computes between two
+// rewrites of the cache file, so a killed run loses at most that many.
+const checkpointPairs = 256
 
 // cachedResult is the on-disk form of one comparison (the alignment map
 // and transform are not needed by the timing replays and are omitted to
-// keep cache files small).
+// keep cache files small). It is read back as the tmalign.Result fields
+// of the same names.
 type cachedResult struct {
 	Name1, Name2           string
 	Len1, Len2, AlignedLen int
@@ -30,31 +38,163 @@ type cachedResult struct {
 	Ops                    costmodel.Counter
 }
 
-type cacheFile struct {
+// cacheFile is one (dataset, kernel) file, written with R = cachedResult
+// and read with R = tmalign.Result (gob matches fields by name).
+type cacheFile[R any] struct {
 	Dataset string
+	Kernel  string // tmalign.Options.Key()
 	Names   []string
 	Lengths []int
-	Results []cachedResult // in sched.AllVsAll order
+	// Slots[k] is the sched.AllVsAll index of Results[k]'s pair,
+	// strictly increasing.
+	Slots   []int
+	Results []R
 }
 
-// Save writes the pair results to path (gob encoded), creating parent
-// directories as needed.
-func (pr *PairResults) Save(path string) error {
+// cachePath names the (dataset, kernel) file in dir: <ds>.gob for the
+// default kernel, <ds>.<kernel key>.gob for any other (its '/' and ':'
+// made '-': CK34.tmalign-s40-f8-i10-ltrue.gob for the fast profile).
+func cachePath(dir, dataset, kernel string) string {
+	if kernel == tmalign.DefaultOptions().Key() {
+		return filepath.Join(dir, dataset+".gob")
+	}
+	return filepath.Join(dir, dataset+"."+strings.NewReplacer("/", "-", ":", "-").Replace(kernel)+".gob")
+}
+
+// pairSlot is p's index in sched.AllVsAll(n) order.
+func pairSlot(n int, p sched.Pair) int { return p.I*n - p.I*(p.I+1)/2 + p.J - p.I - 1 }
+
+// ComputeCached returns the results of ds's canonical pairs under opt.
+// With a cache dir it loads whatever that (dataset, kernel) file holds,
+// computes only the missing pairs through ComputePairsShared, and
+// rewrites the file (to a temporary name, then renamed over it) after
+// every checkpointPairs of them, so a killed run resumes where its last
+// checkpoint left off. A missing, foreign or damaged file holds nothing
+// and is overwritten. With dir "" every pair is computed in one pass and
+// nothing is written. Loaded results carry no alignment map or transform.
+func ComputeCached(ds *synth.Dataset, opt tmalign.Options, pairs []sched.Pair, dir string, store *pairstore.Store) (*PairResults, error) {
+	if dir == "" {
+		return ComputePairsShared(ds, opt, store, pairs), nil
+	}
+	n, kernel := ds.Len(), opt.Key()
+	path := cachePath(dir, ds.Name, kernel)
+	have, err := readCache(ds, kernel, path)
+	if err != nil {
+		have = make([]*tmalign.Result, n*(n-1)/2)
+	}
+	var missing []sched.Pair
+	for _, p := range pairs {
+		if p.I < 0 || p.I >= p.J || p.J >= n {
+			return nil, fmt.Errorf("core: pair %d-%d is not a canonical pair of %s", p.I, p.J, ds.Name)
+		}
+		if have[pairSlot(n, p)] == nil {
+			missing = append(missing, p)
+		}
+	}
+	for len(missing) > 0 {
+		chunk := missing[:min(checkpointPairs, len(missing))]
+		missing = missing[len(chunk):]
+		for k, r := range ComputePairsShared(ds, opt, store, chunk).Results {
+			have[pairSlot(n, chunk[k])] = r
+		}
+		if err := writeCache(ds, kernel, path, have); err != nil {
+			return nil, fmt.Errorf("core: caching %s results: %w", ds.Name, err)
+		}
+	}
+	return newPairResults(ds, pairs, func(k int) *tmalign.Result { return have[pairSlot(n, pairs[k])] }), nil
+}
+
+// LoadPairResults reads a complete default-kernel cache file of ds's
+// all-vs-all; a file for another dataset or kernel, or one that misses
+// a pair, is an error.
+func LoadPairResults(ds *synth.Dataset, path string) (*PairResults, error) {
+	have, err := readCache(ds, tmalign.DefaultOptions().Key(), path)
+	if err != nil {
+		return nil, err
+	}
+	for k, r := range have {
+		if r == nil {
+			return nil, fmt.Errorf("core: cache %s is partial: pair %d of %d missing", path, k, len(have))
+		}
+	}
+	return newPairResults(ds, sched.AllVsAll(ds.Len()), func(k int) *tmalign.Result { return have[k] }), nil
+}
+
+// readCache reads the (ds, kernel) file at path into slots indexed by
+// pairSlot, nil where the file holds no result.
+func readCache(ds *synth.Dataset, kernel, path string) ([]*tmalign.Result, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	have, err := decodeCache(f, ds, kernel)
+	if err != nil {
+		return nil, fmt.Errorf("core: cache %s: %w", path, err)
+	}
+	return have, nil
+}
+
+// decodeCache decodes one cache file and checks it against the dataset
+// (names and lengths must match exactly) and the kernel; every record
+// must sit in a slot of the all-vs-all, in increasing order, and repeat
+// the names and lengths of that slot's pair.
+func decodeCache(r io.Reader, ds *synth.Dataset, kernel string) ([]*tmalign.Result, error) {
+	var cf cacheFile[tmalign.Result]
+	if err := gob.NewDecoder(r).Decode(&cf); err != nil {
+		return nil, err
+	}
+	n := ds.Len()
+	if cf.Dataset != ds.Name || cf.Kernel != kernel || len(cf.Names) != n || len(cf.Lengths) != n {
+		return nil, fmt.Errorf("holds %s/%d under %q, want %s/%d under %q",
+			cf.Dataset, len(cf.Names), cf.Kernel, ds.Name, n, kernel)
+	}
+	for i, s := range ds.Structures {
+		if cf.Names[i] != s.ID || cf.Lengths[i] != s.Len() {
+			return nil, fmt.Errorf("structure %d is %s/%d, want %s/%d", i, cf.Names[i], cf.Lengths[i], s.ID, s.Len())
+		}
+	}
+	if len(cf.Slots) != len(cf.Results) {
+		return nil, fmt.Errorf("%d slots for %d results", len(cf.Slots), len(cf.Results))
+	}
+	pairs := sched.AllVsAll(n)
+	have := make([]*tmalign.Result, len(pairs))
+	last := -1
+	for k, slot := range cf.Slots {
+		r := &cf.Results[k]
+		if slot <= last || slot >= len(pairs) {
+			return nil, fmt.Errorf("record %d is in slot %d after slot %d of %d", k, slot, last, len(pairs))
+		}
+		if p := pairs[slot]; r.Name1 != cf.Names[p.I] || r.Name2 != cf.Names[p.J] || r.Len1 != cf.Lengths[p.I] || r.Len2 != cf.Lengths[p.J] {
+			return nil, fmt.Errorf("record %d (%s/%d %s/%d) is not pair %d-%d's", k, r.Name1, r.Len1, r.Name2, r.Len2, p.I, p.J)
+		}
+		have[slot], last = r, slot
+	}
+	return have, nil
+}
+
+// writeCache writes the non-nil slots of have as the (ds, kernel) file
+// at path, creating parent directories as needed. The file is written
+// under a temporary name and renamed over path, so a reader never sees
+// it torn.
+func writeCache(ds *synth.Dataset, kernel, path string, have []*tmalign.Result) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	cf := cacheFile{Dataset: pr.Dataset.Name}
-	for _, s := range pr.Dataset.Structures {
+	cf := cacheFile[cachedResult]{Dataset: ds.Name, Kernel: kernel}
+	for _, s := range ds.Structures {
 		cf.Names = append(cf.Names, s.ID)
 		cf.Lengths = append(cf.Lengths, s.Len())
 	}
-	cf.Results = make([]cachedResult, len(pr.Results))
-	for k, r := range pr.Results {
-		cf.Results[k] = cachedResult{
-			Name1: r.Name1, Name2: r.Name2,
-			Len1: r.Len1, Len2: r.Len2, AlignedLen: r.AlignedLen,
-			RMSD: r.RMSD, SeqID: r.SeqID, TM1: r.TM1, TM2: r.TM2,
-			Ops: r.Ops,
+	for slot, r := range have {
+		if r != nil {
+			cf.Slots = append(cf.Slots, slot)
+			cf.Results = append(cf.Results, cachedResult{
+				Name1: r.Name1, Name2: r.Name2,
+				Len1: r.Len1, Len2: r.Len2, AlignedLen: r.AlignedLen,
+				RMSD: r.RMSD, SeqID: r.SeqID, TM1: r.TM1, TM2: r.TM2,
+				Ops: r.Ops,
+			})
 		}
 	}
 	tmp := path + ".tmp"
@@ -72,68 +212,4 @@ func (pr *PairResults) Save(path string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// LoadPairResults reads a cache written by Save and validates it against
-// the dataset (names and lengths must match exactly).
-func LoadPairResults(ds *synth.Dataset, path string) (*PairResults, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var cf cacheFile
-	if err := gob.NewDecoder(f).Decode(&cf); err != nil {
-		return nil, fmt.Errorf("core: cache %s: %w", path, err)
-	}
-	if cf.Dataset != ds.Name || len(cf.Names) != ds.Len() {
-		return nil, fmt.Errorf("core: cache %s is for dataset %s/%d, want %s/%d",
-			path, cf.Dataset, len(cf.Names), ds.Name, ds.Len())
-	}
-	for i, s := range ds.Structures {
-		if cf.Names[i] != s.ID || cf.Lengths[i] != s.Len() {
-			return nil, fmt.Errorf("core: cache %s: structure %d is %s/%d, want %s/%d",
-				path, i, cf.Names[i], cf.Lengths[i], s.ID, s.Len())
-		}
-	}
-	pairs := sched.AllVsAll(ds.Len())
-	if len(cf.Results) != len(pairs) {
-		return nil, fmt.Errorf("core: cache %s has %d results, want %d", path, len(cf.Results), len(pairs))
-	}
-	return newPairResults(ds, pairs, func(k int) *tmalign.Result {
-		c := cf.Results[k]
-		return &tmalign.Result{
-			Name1: c.Name1, Name2: c.Name2,
-			Len1: c.Len1, Len2: c.Len2, AlignedLen: c.AlignedLen,
-			RMSD: c.RMSD, SeqID: c.SeqID, TM1: c.TM1, TM2: c.TM2,
-			Ops: c.Ops,
-		}
-	}), nil
-}
-
-// ComputeOrLoadShared returns cached pair results when a valid cache
-// exists at path, otherwise computes natively and writes the cache. An
-// empty path disables caching, and so do options other than
-// tmalign.DefaultOptions: a cache file records no kernel, so it holds
-// default-profile results only. On a disk-cache miss the pairs are
-// evaluated through the store (see ComputeAllPairsShared), so repeated
-// calls — other datasets' overlapping keys, other option sweeps, other
-// experiment drivers — pay for each native comparison at most once per
-// process.
-func ComputeOrLoadShared(ds *synth.Dataset, opt tmalign.Options, path string, store *pairstore.Store) (*PairResults, error) {
-	if opt.Key() != tmalign.DefaultOptions().Key() {
-		path = ""
-	}
-	if path != "" {
-		if pr, err := LoadPairResults(ds, path); err == nil {
-			return pr, nil
-		}
-	}
-	pr := ComputeAllPairsShared(ds, opt, store)
-	if path != "" {
-		if err := pr.Save(path); err != nil {
-			return pr, fmt.Errorf("core: computed results but failed to cache: %w", err)
-		}
-	}
-	return pr, nil
 }

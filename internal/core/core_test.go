@@ -2,9 +2,6 @@ package core
 
 import (
 	"math"
-	"os"
-	"path/filepath"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -189,95 +186,6 @@ func TestLPTOrderingNotWorse(t *testing.T) {
 	// LPT should not be substantially worse than FIFO.
 	if lpt.TotalSeconds > fifo.TotalSeconds*1.1 {
 		t.Errorf("LPT %v much worse than FIFO %v", lpt.TotalSeconds, fifo.TotalSeconds)
-	}
-}
-
-func TestCacheRoundTrip(t *testing.T) {
-	pr := smallPR
-	path := filepath.Join(t.TempDir(), "cache.gob")
-	if err := pr.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadPairResults(pr.Dataset, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range pr.Results {
-		a, b := pr.Results[k], got.Results[k]
-		if a.TM1 != b.TM1 || a.TM2 != b.TM2 || a.RMSD != b.RMSD || a.Ops != b.Ops {
-			t.Fatalf("cache round trip mismatch at %d", k)
-		}
-	}
-	// Replay must produce identical simulated timings.
-	r1, err := Run(pr, 3, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(got, 3, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.TotalSeconds != r2.TotalSeconds {
-		t.Errorf("cached replay differs: %v vs %v", r1.TotalSeconds, r2.TotalSeconds)
-	}
-}
-
-func TestCacheRejectsWrongDataset(t *testing.T) {
-	pr := smallPR
-	path := filepath.Join(t.TempDir(), "cache.gob")
-	if err := pr.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	other := synth.Small(8, 123) // same size, different structures
-	if _, err := LoadPairResults(other, path); err == nil {
-		t.Error("cache accepted for a different dataset")
-	}
-	ck := synth.CK34()
-	if _, err := LoadPairResults(ck, path); err == nil {
-		t.Error("cache accepted for a different-size dataset")
-	}
-}
-
-// TestComputeOrLoad: the disk cache round-trips default-profile results
-// and is neither read nor written under any other profile, whose results
-// it cannot tell apart.
-func TestComputeOrLoad(t *testing.T) {
-	ds := synth.Small(4, 5)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "c.gob")
-	fast, err := ComputeOrLoadShared(ds, tmalign.FastOptions(), path, pairstore.New(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := ComputeAllPairsShared(ds, tmalign.FastOptions(), nil); !reflect.DeepEqual(fast, want) {
-		t.Error("fast results differ from ComputeAllPairsShared(FastOptions)")
-	}
-	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
-		t.Fatalf("fast run left %v in the cache dir (err %v)", entries, err)
-	}
-
-	a, err := ComputeOrLoadShared(ds, tmalign.DefaultOptions(), path, pairstore.New(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ComputeOrLoadShared(ds, tmalign.DefaultOptions(), path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Results) != len(b.Results) {
-		t.Fatal("reload mismatch")
-	}
-	for k := range a.Results {
-		if a.Results[k].TM1 != b.Results[k].TM1 || a.Results[k].Ops != b.Results[k].Ops {
-			t.Fatal("reload score mismatch")
-		}
-		if b.Results[k].Invmap != nil {
-			t.Fatal("second default run recomputed instead of loading the cache (which omits Invmap)")
-		}
-	}
-	// A fast run must not read the default-profile file back either.
-	if fast2, err := ComputeOrLoadShared(ds, tmalign.FastOptions(), path, nil); err != nil || !reflect.DeepEqual(fast2, fast) {
-		t.Errorf("fast run after a default cache write = %v (err %v), want the fast results", fast2, err)
 	}
 }
 

@@ -55,8 +55,8 @@ type scoreSet struct {
 
 func pairScoreSet(pr *PairResults) scoreSet { return scoreSet{pr.Pairs, pr.Results, true} }
 
-// readScoreSet reads a pair cache written by PairResults.Save (a .gob
-// path) or a -scores-out file.
+// readScoreSet reads a pair cache file (a .gob path, any kernel, whole
+// or partial) or a -scores-out file.
 func readScoreSet(path string) (scoreSet, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -64,13 +64,14 @@ func readScoreSet(path string) (scoreSet, error) {
 	}
 	defer f.Close()
 	if strings.HasSuffix(path, ".gob") {
-		var cf cacheFile
+		var cf cacheFile[tmalign.Result]
 		if err := gob.NewDecoder(f).Decode(&cf); err != nil {
 			return scoreSet{}, fmt.Errorf("%s: %w", path, err)
 		}
-		s := scoreSet{pairs: sched.AllVsAll(len(cf.Names)), ops: true}
-		for _, c := range cf.Results {
-			s.results = append(s.results, &tmalign.Result{AlignedLen: c.AlignedLen, RMSD: c.RMSD, SeqID: c.SeqID, TM1: c.TM1, TM2: c.TM2, Ops: c.Ops})
+		s := scoreSet{ops: true}
+		all := sched.AllVsAll(len(cf.Names))
+		for k, slot := range cf.Slots {
+			s.pairs, s.results = append(s.pairs, all[slot]), append(s.results, &cf.Results[k])
 		}
 		return s, nil
 	}

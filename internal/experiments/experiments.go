@@ -13,7 +13,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"strings"
 
 	"rckalign/internal/core"
@@ -116,10 +115,11 @@ type Env struct {
 	dist   []dist.RunResult
 }
 
-// Load computes or loads the named datasets' pair results ("CK34",
-// "RS119"; repeats are loaded once) into a fresh Env. cacheDir may be
-// empty to force recomputation (slow: minutes of host CPU).
-func Load(cacheDir string, opt tmalign.Options, datasets ...string) (*Env, error) {
+// Load computes or loads the named datasets' default-profile pair
+// results ("CK34", "RS119"; repeats are loaded once) into a fresh Env,
+// through the pair cache in cacheDir (see core.ComputeCached). cacheDir
+// may be empty to force recomputation (slow: minutes of host CPU).
+func Load(cacheDir string, datasets ...string) (*Env, error) {
 	env := &Env{}
 	store := pairstore.New(0)
 	for _, name := range datasets {
@@ -139,11 +139,7 @@ func Load(cacheDir string, opt tmalign.Options, datasets ...string) (*Env, error
 		if err != nil {
 			return nil, err
 		}
-		path := ""
-		if cacheDir != "" {
-			path = filepath.Join(cacheDir, name+".gob")
-		}
-		if *dst, err = core.ComputeOrLoadShared(ds, opt, path, store); err != nil {
+		if *dst, err = core.ComputeCached(ds, tmalign.DefaultOptions(), sched.AllVsAll(ds.Len()), cacheDir, store); err != nil {
 			return nil, err
 		}
 	}

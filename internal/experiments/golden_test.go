@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"rckalign/internal/tmalign"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/experiments.golden.txt from the registry")
@@ -33,7 +31,7 @@ func TestExperimentsGolden(t *testing.T) {
 	for _, x := range exps {
 		datasets = append(datasets, x.Datasets...)
 	}
-	env, err := Load(dir, tmalign.DefaultOptions(), datasets...)
+	env, err := Load(dir, datasets...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func cacheDir(t *testing.T) string {
 }
 
 func TestReproductionCK34Calibration(t *testing.T) {
-	env, err := Load(cacheDir(t), tmalign.DefaultOptions(), "CK34")
+	env, err := Load(cacheDir(t), "CK34")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestReproductionCK34Calibration(t *testing.T) {
 }
 
 func TestReproductionSpeedupShape(t *testing.T) {
-	env, err := Load(cacheDir(t), tmalign.DefaultOptions(), "CK34")
+	env, err := Load(cacheDir(t), "CK34")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestReproductionSpeedupShape(t *testing.T) {
 }
 
 func TestReproductionDistributedGap(t *testing.T) {
-	env, err := Load(cacheDir(t), tmalign.DefaultOptions(), "CK34")
+	env, err := Load(cacheDir(t), "CK34")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestReproductionRS119ScalesBetter(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "RS119.gob")); err != nil {
 		t.Skipf("RS119 cache missing: %v", err)
 	}
-	env, err := Load(dir, tmalign.DefaultOptions(), "CK34", "RS119")
+	env, err := Load(dir, "CK34", "RS119")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func runScores(t *testing.T, pr *core.PairResults, mut func(*core.Config)) ([]st
 // input bytes and relieving the master's mailbox in the heavy-polling
 // regime.
 func TestReproductionWireGoldenScores(t *testing.T) {
-	env, err := Load(cacheDir(t), tmalign.DefaultOptions(), "CK34")
+	env, err := Load(cacheDir(t), "CK34")
 	if err != nil {
 		t.Fatal(err)
 	}
