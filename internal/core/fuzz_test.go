@@ -1,13 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"rckalign/internal/farm"
 	"rckalign/internal/fault"
 	"rckalign/internal/rckskel"
+	"rckalign/internal/sched"
 	"rckalign/internal/sim"
+	"rckalign/internal/synth"
+	"rckalign/internal/tmalign"
 )
 
 // FuzzFaultPlan drives the -faults grammar end to end: whatever the
@@ -59,6 +65,44 @@ func FuzzFaultPlan(f *testing.F) {
 			case r.Collected != len(seen) || r.Collected+r.Faults.LostJobs != len(pr.Pairs):
 				t.Fatalf("affinity=%t: collected %d (%d distinct) + lost %d of %d jobs",
 					affinity, r.Collected, len(seen), r.Faults.LostJobs, len(pr.Pairs))
+			}
+		}
+	})
+}
+
+// FuzzDecodeCache feeds hostile bytes to the pair-cache reader, seeded
+// with both committed caches and truncations of them, read as each
+// dataset under the default kernel. It never panics, and what it accepts
+// holds only pairs of the all-vs-all whose names and lengths are the
+// dataset's.
+func FuzzDecodeCache(f *testing.F) {
+	sets := []*synth.Dataset{synth.CK34(), synth.RS119()}
+	for _, ds := range sets {
+		b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "paircache", ds.Name+".gob"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, n := range []int{len(b), len(b) - 1, len(b) / 2, 200, 64, 0} {
+			f.Add(b[:n])
+		}
+	}
+	kernel := tmalign.DefaultOptions().Key()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, ds := range sets {
+			have, err := decodeCache(bytes.NewReader(b), ds, kernel)
+			if err != nil {
+				continue
+			}
+			pairs := sched.AllVsAll(ds.Len())
+			if len(have) != len(pairs) {
+				t.Fatalf("%s: %d slots, want %d", ds.Name, len(have), len(pairs))
+			}
+			for k, r := range have {
+				a, b := ds.Structures[pairs[k].I], ds.Structures[pairs[k].J]
+				if r != nil && (r.Name1 != a.ID || r.Name2 != b.ID || r.Len1 != a.Len() || r.Len2 != b.Len()) {
+					t.Fatalf("%s: slot %d holds %s/%d %s/%d, pair %d-%d is %s/%d %s/%d",
+						ds.Name, k, r.Name1, r.Len1, r.Name2, r.Len2, pairs[k].I, pairs[k].J, a.ID, a.Len(), b.ID, b.Len())
+				}
 			}
 		}
 	})
