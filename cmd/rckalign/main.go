@@ -31,18 +31,22 @@
 // scores deterministically (sorted by pair, full float64 precision) for
 // a byte-for-byte diff between configurations.
 //
-// On a pair-cache miss the native TM-align evaluation fans out over
-// GOMAXPROCS host worker goroutines via a memoized pair store. That only
-// moves host wall-clock time: simulated timings, reports, metrics and
-// -scores-out dumps are bit-identical at every GOMAXPROCS.
+// -cache DIR keeps pair results on disk, one file per dataset and TM-align
+// profile (-fast never touches the default profile's <dataset>.gob): a
+// run, pruned or not, loads what its file holds, computes the missing
+// pairs and rewrites the file every 256 of them, so a killed run resumes
+// (an empty -cache computes every pair, writes nothing). Native evaluation
+// fans out over GOMAXPROCS host workers via a memoized pair store, which
+// only moves host wall-clock time: simulated timings, reports, metrics
+// and -scores-out dumps are bit-identical at every GOMAXPROCS.
 //
 // -prune-tm T enables the opt-in similarity pre-filter (see
 // internal/prune): pairs whose conservative TM upper bound — derived
 // from chain lengths, secondary-structure composition and a cheap
 // sequence alignment — falls below T are skipped entirely, never
-// reaching the TM-align kernel, the farm or the -scores-out dump. At
-// T=0 (default) every pair is compared and output is byte-identical to
-// previous releases.
+// reaching the TM-align kernel, the farm or the -scores-out dump, and
+// survivors come from -cache where it holds them. At T=0 (default) every
+// pair is compared and output is byte-identical to previous releases.
 //
 // -metrics-out dumps the run's metrics registry (counters, histograms,
 // time series from every simulation layer) as deterministic JSON;
@@ -207,8 +211,8 @@ func main() {
 	slaves := flag.Int("slaves", 47, "number of slave cores (1-47)")
 	sweep := flag.Bool("sweep", false, "sweep slave counts 1,3,...,47 (the paper's Experiment II)")
 	order := flag.String("order", "FIFO", "job ordering: FIFO, LPT, SPT or Random")
-	cacheDir := flag.String("cache", "testdata/paircache", "pair-result cache directory (empty = always recompute)")
-	fast := flag.Bool("fast", false, "use the fast TM-align profile: every pair is computed natively (-cache holds default-profile results only)")
+	cacheDir := flag.String("cache", "testdata/paircache", "pair-result cache directory, one file per dataset and profile (empty = compute every pair, write nothing)")
+	fast := flag.Bool("fast", false, "use the fast TM-align profile (cached in a file of its own under -cache)")
 	util := flag.Bool("util", false, "print the per-core utilization of the (last) run, from its report")
 	threads := flag.Int("threads", 1, "threads per worker (2 = dual-core tile workers; paper future work)")
 	memBudget := flag.Int("membudget", 0, "master memory budget in residues (0 = unlimited; >0 = out-of-core tiled run)")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -197,17 +198,12 @@ func writeCache(ds *synth.Dataset, kernel, path string, have []*tmalign.Result) 
 			})
 		}
 	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&cf); err != nil {
+		return err
+	}
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(f).Encode(&cf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
 		os.Remove(tmp)
 		return err
 	}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"rckalign/internal/farm"
@@ -70,23 +72,60 @@ func FuzzFaultPlan(f *testing.F) {
 	})
 }
 
-// FuzzDecodeCache feeds hostile bytes to the pair-cache reader, seeded
-// with both committed caches and truncations of them, read as each
-// dataset under the default kernel. It never panics, and what it accepts
-// holds only pairs of the all-vs-all whose names and lengths are the
-// dataset's.
+// FuzzDecodeCache feeds hostile bytes to the pair-cache reader, read as
+// each dataset under the default kernel. Seeds: both committed caches,
+// truncations of them, and a file of each dataset's last two pairs
+// (small, so mutations reach the records) with hostile edits. The
+// reader never panics, and what it accepts holds only pairs of the
+// all-vs-all whose names and lengths are the dataset's.
 func FuzzDecodeCache(f *testing.F) {
 	sets := []*synth.Dataset{synth.CK34(), synth.RS119()}
+	kernel := tmalign.DefaultOptions().Key()
 	for _, ds := range sets {
-		b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "paircache", ds.Name+".gob"))
+		path := filepath.Join("..", "..", "testdata", "paircache", ds.Name+".gob")
+		b, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
 		for _, n := range []int{len(b), len(b) - 1, len(b) / 2, 200, 64, 0} {
 			f.Add(b[:n])
 		}
+		ref, err := LoadPairResults(ds, path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		n := len(ref.Results)
+		last := make([]*tmalign.Result, n)
+		copy(last[n-2:], ref.Results[n-2:])
+		small := filepath.Join(f.TempDir(), ds.Name+".gob")
+		var cf cacheFile[cachedResult]
+		if err = writeCache(ds, kernel, small, last); err == nil {
+			b, err = os.ReadFile(small)
+		}
+		if err == nil {
+			err = gob.NewDecoder(bytes.NewReader(b)).Decode(&cf)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		// As written; a slot past the end; slots out of order; a record
+		// in another pair's slot; one slot short.
+		for _, edit := range []func(slots []int) []int{
+			func(s []int) []int { return s },
+			func(s []int) []int { return []int{s[0], n} },
+			func(s []int) []int { return []int{s[1], s[0]} },
+			func(s []int) []int { return []int{0, s[1]} },
+			func(s []int) []int { return s[:1] },
+		} {
+			c := cf
+			c.Slots = edit(slices.Clone(cf.Slots))
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&c); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
 	}
-	kernel := tmalign.DefaultOptions().Key()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, ds := range sets {
 			have, err := decodeCache(bytes.NewReader(b), ds, kernel)
