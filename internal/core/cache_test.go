@@ -68,10 +68,10 @@ func TestCacheRejectsWrongDataset(t *testing.T) {
 	}
 }
 
-// TestComputeCachedKernels: a fast and a default run share a cache dir
+// TestComputeOrLoad: a fast and a default run share a cache dir
 // but not a file; each reloads its own, and the default one keeps the
 // name <dataset>.gob.
-func TestComputeCachedKernels(t *testing.T) {
+func TestComputeOrLoad(t *testing.T) {
 	ds := synth.Small(4, 5)
 	dir := t.TempDir()
 	pairs := sched.AllVsAll(ds.Len())
