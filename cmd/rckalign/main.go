@@ -386,9 +386,9 @@ func main() {
 		fatal(err)
 	}
 	rec, reg, scores, lastRep := last.rec, last.reg, last.scores, last.rep
-	// Host-side pair-store effectiveness: across a sweep every run after
-	// the first replays memoized results, so hits/misses show how much
-	// native TM-align work the store saved this invocation.
+	// Host-side pair-store accounting: every sweep point replays pr and
+	// never touches the store, so misses count the pairs this invocation
+	// computed natively (0 when -cache held them all).
 	ps := store.StatsSnapshot()
 	fmt.Fprintf(os.Stderr, "pairstore: %d hits / %d misses (%.1f%% hit rate), %d entries resident\n",
 		ps.Hits, ps.Misses, 100*ps.HitRate, ps.Entries)

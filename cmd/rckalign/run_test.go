@@ -293,6 +293,10 @@ func TestRunArtifacts(t *testing.T) {
 				if !strings.Contains(r.stderr, "prune: 453 of 561 pairs") {
 					t.Errorf("no \"prune: 453 of 561 pairs\" line in\n%s", r.stderr)
 				}
+				// Each survivor is one miss; nothing reads a pair back.
+				if !strings.Contains(r.stderr, "pairstore: 0 hits / 108 misses") {
+					t.Errorf("no \"pairstore: 0 hits / 108 misses\" line in\n%s", r.stderr)
+				}
 				if n := bytes.Count(r.files["scores"], []byte("\n")); n != 108 {
 					t.Errorf("%d survivors, want 108", n)
 				}

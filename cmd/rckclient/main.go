@@ -116,10 +116,10 @@ type client struct {
 	hc   *http.Client
 }
 
-// get fetches a path and returns the body; HTTP 404 maps to an
-// exit-2 usage error via errNotFound.
+// errNotFound wraps an HTTP 404; main reports it as an exit-2 usage error.
 var errNotFound = errors.New("not found")
 
+// do sends a request to path and returns the body of a 2xx response.
 func (c *client) do(method, path string, body []byte) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {

@@ -67,12 +67,13 @@ func pairSlot(n int, p sched.Pair) int { return p.I*n - p.I*(p.I+1)/2 + p.J - p.
 
 // ComputeCached returns the results of ds's canonical pairs under opt.
 // With a cache dir it loads whatever that (dataset, kernel) file holds,
-// computes only the missing pairs through ComputePairsShared, and
-// rewrites the file (to a temporary name, then renamed over it) after
-// every checkpointPairs of them, so a killed run resumes where its last
-// checkpoint left off. A missing, foreign or damaged file holds nothing
-// and is overwritten. With dir "" every pair is computed in one pass and
-// nothing is written. Loaded results carry no alignment map or transform.
+// computes only the missing pairs through the store (each structure
+// prepared once for all of them), and rewrites the file (to a temporary
+// name, then renamed over it) after every checkpointPairs of them, so a
+// killed run resumes where its last checkpoint left off. A missing,
+// foreign or damaged file holds nothing and is overwritten. With dir ""
+// every pair is computed in one pass and nothing is written. Loaded
+// results carry no alignment map or transform.
 func ComputeCached(ds *synth.Dataset, opt tmalign.Options, pairs []sched.Pair, dir string, store *pairstore.Store) (*PairResults, error) {
 	if dir == "" {
 		return ComputePairsShared(ds, opt, store, pairs), nil
@@ -92,11 +93,12 @@ func ComputeCached(ds *synth.Dataset, opt tmalign.Options, pairs []sched.Pair, d
 			missing = append(missing, p)
 		}
 	}
+	eval := pairEvaluator(ds, opt, store)
 	for len(missing) > 0 {
 		chunk := missing[:min(checkpointPairs, len(missing))]
 		missing = missing[len(chunk):]
-		for k, r := range ComputePairsShared(ds, opt, store, chunk).Results {
-			have[pairSlot(n, chunk[k])] = r
+		for k, v := range eval(chunk) {
+			have[pairSlot(n, chunk[k])] = v.(*tmalign.Result)
 		}
 		if err := writeCache(ds, kernel, path, have); err != nil {
 			return nil, fmt.Errorf("core: caching %s results: %w", ds.Name, err)

@@ -98,7 +98,7 @@ func TestComputeOrLoad(t *testing.T) {
 	}{{tmalign.FastOptions(), fast}, {tmalign.DefaultOptions(), def}} {
 		store := pairstore.New(0)
 		got := run(c.opt, store)
-		if m := store.Stats().Misses; m != 0 {
+		if m := store.StatsSnapshot().Misses; m != 0 {
 			t.Errorf("%s: reload computed %d pairs", c.opt.Key(), m)
 		}
 		for k, r := range got.Results {
@@ -140,7 +140,7 @@ func TestComputeCachedResumes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m := store.Stats().Misses; m != want {
+		if m := store.StatsSnapshot().Misses; m != want {
 			t.Errorf("computed %d pairs, want %d", m, want)
 		}
 		var scores []byte

@@ -109,13 +109,12 @@ func PairKeysFor(ds *synth.Dataset, opt tmalign.Options, pairs []sched.Pair) []p
 	return keys
 }
 
-// ComputeAllPairsShared assembles the dataset's all-vs-all pair results
-// from the store, natively evaluating every missing pair on the store's
-// host worker pool first (the comparisons are deterministic, so the
-// pool size only moves wall-clock time, never results). Pairs already memoized (by a previous sweep point,
-// experiment configuration or dataset pass under the same options) are
-// reused, so N configurations cost one native evaluation per pair
-// instead of N. A nil store computes serially with no memoization.
+// ComputeAllPairsShared evaluates the dataset's all-vs-all pairs
+// through the store, natively on the store's host worker pool (the
+// comparisons are deterministic, so the pool size only moves wall-clock
+// time, never results). Pairs the store already holds under the same
+// options are shared, not recomputed. A nil store computes serially
+// with no memoization.
 func ComputeAllPairsShared(ds *synth.Dataset, opt tmalign.Options, store *pairstore.Store) *PairResults {
 	return ComputePairsShared(ds, opt, store, sched.AllVsAll(ds.Len()))
 }
@@ -124,22 +123,29 @@ func ComputeAllPairsShared(ds *synth.Dataset, opt tmalign.Options, store *pairst
 // pair subset: only the listed pairs are evaluated (natively, through
 // the store) and only they appear in the returned PairResults. This is
 // the compute path behind pruning — skipped pairs never reach the
-// TM-align kernel, the farm job builders, or the -scores-out dump. Each
-// structure is prepared once, by the first comparison that reaches it.
+// TM-align kernel, the farm job builders, or the -scores-out dump.
 func ComputePairsShared(ds *synth.Dataset, opt tmalign.Options, store *pairstore.Store, pairs []sched.Pair) *PairResults {
-	keys := PairKeysFor(ds, opt, pairs)
+	results := pairEvaluator(ds, opt, store)(pairs)
+	return newPairResults(ds, pairs, func(k int) *tmalign.Result { return results[k].(*tmalign.Result) })
+}
+
+// pairEvaluator returns a function that evaluates a list of ds's pairs
+// under opt through the store, value k the *tmalign.Result of pairs[k].
+// Its calls share one lazily prepared form of each structure, so a
+// structure is prepared once, by the first comparison that reaches it,
+// however many calls (ComputeCached's checkpoint chunks) the pairs
+// arrive in.
+func pairEvaluator(ds *synth.Dataset, opt tmalign.Options, store *pairstore.Store) func(pairs []sched.Pair) []any {
 	lazy := make([]tmalign.Lazy, ds.Len())
 	for i, s := range ds.Structures {
 		lazy[i].Structure = s
 	}
-	compute := func(k int) any {
-		p := pairs[k]
-		return tmalign.ComparePrepared(lazy[p.I].Get(), lazy[p.J].Get(), opt)
+	return func(pairs []sched.Pair) []any {
+		return store.Prefetch(PairKeysFor(ds, opt, pairs), func(k int) any {
+			p := pairs[k]
+			return tmalign.ComparePrepared(lazy[p.I].Get(), lazy[p.J].Get(), opt)
+		})
 	}
-	store.Prefetch(keys, compute)
-	return newPairResults(ds, pairs, func(k int) *tmalign.Result {
-		return store.Get(keys[k], func() any { return compute(k) }).(*tmalign.Result)
-	})
 }
 
 // newPairResults returns the results of ds's pairs, result(k) those of

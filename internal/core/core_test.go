@@ -46,9 +46,10 @@ func TestComputeAllPairsComplete(t *testing.T) {
 
 // TestComputePairsSharedAllocs budgets a cold CK34 all-vs-all through a
 // two-worker store per pair: the comparison's three objects (context,
-// Result, alignment), the store's entry and read-back, and each
-// structure's one preparation spread over its 33 pairs. Preparing per
-// pair, as the one-shot tmalign.Compare does, costs 8 more.
+// Result, alignment), the store's entry and its ready channel, and each
+// structure's one preparation and the store's map growth spread over
+// the 561 pairs. Preparing per pair, as the one-shot tmalign.Compare
+// does, costs 8 more.
 func TestComputePairsSharedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector empties the workspace pool at random")

@@ -38,7 +38,7 @@ func TestHostParGoldenCK34(t *testing.T) {
 		}
 		store := pairstore.New(workers)
 		pr := core.ComputeAllPairsShared(ds, opt, store)
-		if st := store.Stats(); st.Misses != int64(len(pr.Pairs)) {
+		if st := store.StatsSnapshot(); st.Misses != int64(len(pr.Pairs)) {
 			t.Fatalf("store computed %d of %d pairs", st.Misses, len(pr.Pairs))
 		}
 		var reg *metrics.Registry

@@ -177,15 +177,15 @@ func TestRunAllVsAll(t *testing.T) {
 		}
 	}
 
-	// The pair store moves host time only: the table computed again
-	// through the now warm store is all hits and replays to the same
-	// report.
-	cold := store.Stats()
-	if cold.Misses != int64(len(methods)*15) {
-		t.Errorf("cold store stats %+v, want one miss per (method, pair)", cold)
+	// The pair store moves host time only: the cold table is one miss
+	// and no hit per (method, pair), and the table computed again through
+	// the now warm store is one hit each and replays to the same report.
+	cold := store.StatsSnapshot()
+	if cold.Hits != 0 || cold.Misses != int64(len(methods)*15) {
+		t.Errorf("cold store stats %+v, want no hit and one miss per (method, pair)", cold)
 	}
 	warmTable := allVsAll(t, ds, methods, store)
-	if warm := store.Stats(); warm.Misses != cold.Misses || warm.Hits <= cold.Hits {
+	if warm := store.StatsSnapshot(); warm.Misses != cold.Misses || warm.Hits != cold.Misses {
 		t.Errorf("warm store stats %+v after cold %+v, want hits only", warm, cold)
 	}
 	rw, err := Run(warmTable, Contiguous([]int{3, 3}))
@@ -355,7 +355,7 @@ func TestSameNamedMethodsStayApart(t *testing.T) {
 	methods := []Method{TMAlign{Opt: tmalign.FastOptions()}, TMAlign{Opt: tmalign.DefaultOptions()}}
 	store := pairstore.New(0)
 	sc := allVsAll(t, ds, methods, store)
-	if st := store.Stats(); st.Misses != int64(2*len(sc.Pairs)) {
+	if st := store.StatsSnapshot(); st.Misses != int64(2*len(sc.Pairs)) {
 		t.Errorf("store stats %+v, want %d misses", st, 2*len(sc.Pairs))
 	}
 	if reflect.DeepEqual(sc.Values(0), sc.Values(1)) {

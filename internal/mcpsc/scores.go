@@ -58,10 +58,9 @@ func Compute(ds *synth.Dataset, pairs []sched.Pair, methods []Method, store *pai
 		p := pairs[i%np]
 		return methods[i/np].Compare(ds.Structures[p.I], ds.Structures[p.J])
 	}
-	store.Prefetch(keys, compute)
 	sc := &Scores{Dataset: ds, Methods: methods, Pairs: pairs, byJob: make([]Score, len(keys))}
-	for i := range keys {
-		sc.byJob[i] = store.Get(keys[i], func() any { return compute(i) }).(Score)
+	for i, v := range store.Prefetch(keys, compute) {
+		sc.byJob[i] = v.(Score)
 	}
 	return sc, nil
 }

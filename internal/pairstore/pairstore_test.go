@@ -15,28 +15,22 @@ func TestGetMemoizes(t *testing.T) {
 	s := New(4)
 	calls := 0
 	for i := 0; i < 3; i++ {
-		v := s.Get(key(1), func() any { calls++; return 42 })
-		if v != 42 {
+		if v, _ := s.Get(key(1), func() any { calls++; return 42 }); v != 42 {
 			t.Fatalf("Get = %v, want 42", v)
 		}
 	}
 	if calls != 1 {
 		t.Errorf("compute ran %d times, want 1", calls)
 	}
-	st := s.Stats()
-	if st.Misses != 1 || st.Hits != 2 {
-		t.Errorf("stats = %+v, want 1 miss / 2 hits", st)
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
+	if st := s.StatsSnapshot(); st.Misses != 1 || st.Hits != 2 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 miss / 2 hits / 1 entry", st)
 	}
 }
 
 func TestKeyOrderSignificant(t *testing.T) {
 	s := New(1)
 	s.Get(Key{Dataset: "d", Kernel: "k", A: "x", B: "y"}, func() any { return "xy" })
-	v := s.Get(Key{Dataset: "d", Kernel: "k", A: "y", B: "x"}, func() any { return "yx" })
-	if v != "yx" {
+	if v, _ := s.Get(Key{Dataset: "d", Kernel: "k", A: "y", B: "x"}, func() any { return "yx" }); v != "yx" {
 		t.Errorf("reversed key shared the entry: got %v", v)
 	}
 }
@@ -55,7 +49,7 @@ func TestGetSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			values[g] = s.Get(key(7), func() any {
+			values[g], _ = s.Get(key(7), func() any {
 				calls.Add(1)
 				return "once"
 			})
@@ -95,7 +89,7 @@ func TestPrefetchParallelDeterministic(t *testing.T) {
 		// Lazy consumers racing the prefetch must see the same values.
 		for i := 0; i < n; i += 7 {
 			i := i
-			if v := s.Get(keys[i], func() any { return compute(i) }); v != i*i {
+			if v, _ := s.Get(keys[i], func() any { return compute(i) }); v != i*i {
 				t.Errorf("workers=%d key %d = %v, want %d", workers, i, v, i*i)
 			}
 		}
@@ -103,11 +97,11 @@ func TestPrefetchParallelDeterministic(t *testing.T) {
 		if computes.Load() != n {
 			t.Errorf("workers=%d: %d computes, want %d", workers, computes.Load(), n)
 		}
-		if s.Len() != n {
-			t.Errorf("workers=%d: Len = %d, want %d", workers, s.Len(), n)
+		if e := s.StatsSnapshot().Entries; e != n {
+			t.Errorf("workers=%d: %d entries, want %d", workers, e, n)
 		}
 		for i := range keys {
-			if v := s.Get(keys[i], func() any { t.Fatal("recompute"); return nil }); v != i*i {
+			if v, _ := s.Get(keys[i], func() any { t.Fatal("recompute"); return nil }); v != i*i {
 				t.Errorf("workers=%d: key %d = %v after prefetch", workers, i, v)
 			}
 		}
@@ -123,30 +117,77 @@ func TestWorkersDefault(t *testing.T) {
 	}
 }
 
-// TestNilStore: a nil *Store computes inline, memoizes nothing, and
-// never panics — call sites can thread an optional store unguarded.
-func TestNilStore(t *testing.T) {
-	var s *Store
-	calls := 0
-	for i := 0; i < 2; i++ {
-		if v := s.Get(key(1), func() any { calls++; return 5 }); v != 5 {
-			t.Fatalf("nil Get = %v", v)
-		}
+// TestPrefetchReturns pins what Prefetch hands back: every key's value,
+// index-aligned, at any worker count and on a nil store. Of the keys
+// below, two are resident before the call and one is listed twice; a
+// store returns the resident values as hits without computing them and
+// computes the twice-listed key once (its second slot is a hit), while
+// a nil store computes every slot and memoizes nothing.
+func TestPrefetchReturns(t *testing.T) {
+	const n = 40
+	keys := make([]Key, 0, n+1)
+	for i := 0; i < n; i++ {
+		keys = append(keys, key(i))
 	}
-	if calls != 2 {
-		t.Errorf("nil store memoized (%d calls)", calls)
-	}
-	s.Prefetch([]Key{key(1)}, func(int) any { t.Fatal("nil Prefetch computed"); return nil })
-	if s.Len() != 0 || (s.Stats() != Stats{}) {
-		t.Error("nil store accessors not zero")
+	keys = append(keys, key(3))
+	value := func(k Key) any { return "v" + k.A }
+	for _, tc := range []struct {
+		name  string
+		store *Store
+	}{
+		{"nil store", nil},
+		{"1 worker", New(1)},
+		{"2 workers", New(2)},
+		{"8 workers", New(8)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resident := map[Key]bool{}
+			if tc.store != nil {
+				for _, k := range keys[:2] {
+					tc.store.Get(k, func() any { return value(k) })
+					resident[k] = true
+				}
+			}
+			var mu sync.Mutex
+			computes := map[Key]int{}
+			out := tc.store.Prefetch(keys, func(i int) any {
+				mu.Lock()
+				computes[keys[i]]++
+				mu.Unlock()
+				return value(keys[i])
+			})
+			if len(out) != len(keys) {
+				t.Fatalf("Prefetch returned %d values for %d keys", len(out), len(keys))
+			}
+			for i, k := range keys {
+				if out[i] != value(k) {
+					t.Errorf("out[%d] = %v, want %v", i, out[i], value(k))
+				}
+			}
+			for i := 0; i < n; i++ {
+				want := 1
+				switch {
+				case resident[key(i)]:
+					want = 0
+				case i == 3 && tc.store == nil:
+					want = 2 // listed twice, memoized nowhere
+				}
+				if got := computes[key(i)]; got != want {
+					t.Errorf("key %d computed %d times, want %d", i, got, want)
+				}
+			}
+			if tc.store == nil {
+				return
+			}
+			// Hits: the two resident keys and the second listing of key 3.
+			if st := tc.store.StatsSnapshot(); st.Hits != 3 || st.Misses != n || st.Entries != n {
+				t.Errorf("stats = %+v, want 3 hits / %d misses / %d entries", st, n, n)
+			}
+		})
 	}
 }
 
 func TestStatsSnapshot(t *testing.T) {
-	var nilStore *Store
-	if snap := nilStore.StatsSnapshot(); snap != (StatsSnapshot{}) {
-		t.Errorf("nil store snapshot = %+v, want zero", snap)
-	}
 	s := New(2)
 	if snap := s.StatsSnapshot(); snap.HitRate != 0 {
 		t.Errorf("unused store hit rate = %v, want 0", snap.HitRate)
@@ -186,55 +227,47 @@ func TestStatsSnapshotConcurrent(t *testing.T) {
 	}
 }
 
-// TestGetHitOutcome pins the memoization outcome GetHit reports: false
-// on first computation, true on every later read — including a reader
-// that waited on another caller's in-flight compute — and false with a
-// miss-like compute on a nil store.
-func TestGetHitOutcome(t *testing.T) {
+// TestGetOutcome pins the memoization outcome Get reports: false on
+// first computation, true on every later read — including a reader that
+// waited on another caller's in-flight compute.
+func TestGetOutcome(t *testing.T) {
 	s := New(2)
-	v, hit := s.GetHit(key(9), func() any { return 7 })
+	v, hit := s.Get(key(9), func() any { return 7 })
 	if v != 7 || hit {
-		t.Fatalf("first GetHit = (%v, %v), want (7, false)", v, hit)
+		t.Fatalf("first Get = (%v, %v), want (7, false)", v, hit)
 	}
-	v, hit = s.GetHit(key(9), func() any { t.Fatal("recomputed"); return nil })
+	v, hit = s.Get(key(9), func() any { t.Fatal("recomputed"); return nil })
 	if v != 7 || !hit {
-		t.Fatalf("second GetHit = (%v, %v), want (7, true)", v, hit)
+		t.Fatalf("second Get = (%v, %v), want (7, true)", v, hit)
 	}
 
 	// A waiter on an in-flight compute counts as a hit.
 	begun := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan bool, 1)
-	go s.GetHit(key(10), func() any { close(begun); <-release; return 1 })
+	go s.Get(key(10), func() any { close(begun); <-release; return 1 })
 	<-begun
 	go func() {
-		_, hit := s.GetHit(key(10), func() any { return 2 })
+		_, hit := s.Get(key(10), func() any { return 2 })
 		done <- hit
 	}()
 	close(release)
 	if hit := <-done; !hit {
 		t.Error("waiter on in-flight compute reported a miss")
 	}
-
-	var nilStore *Store
-	calls := 0
-	v, hit = nilStore.GetHit(key(1), func() any { calls++; return 5 })
-	if v != 5 || hit || calls != 1 {
-		t.Errorf("nil-store GetHit = (%v, %v) after %d calls, want (5, false) after 1", v, hit, calls)
-	}
 }
 
 // TestProbe pins the non-blocking residency probe: it answers only a
-// finished entry, counts that as a hit, and otherwise — absent key,
-// in-flight computation, nil store — reports not-resident without
-// computing, waiting or touching a counter.
+// finished entry, counts that as a hit, and otherwise — absent key or
+// in-flight computation — reports not-resident without computing,
+// waiting or touching a counter.
 func TestProbe(t *testing.T) {
 	s := New(2)
 	if v, ok := s.Probe(key(1)); ok || v != nil {
 		t.Fatalf("Probe of an absent key = (%v, %v), want (nil, false)", v, ok)
 	}
-	if s.Len() != 0 || (s.Stats() != Stats{}) {
-		t.Errorf("failed probe left a trace: len %d, stats %+v", s.Len(), s.Stats())
+	if st := s.StatsSnapshot(); st != (StatsSnapshot{}) {
+		t.Errorf("failed probe left a trace: %+v", st)
 	}
 
 	// In flight: the entry exists but its value is not ready. Probe must
@@ -250,7 +283,7 @@ func TestProbe(t *testing.T) {
 	if v, ok := s.Probe(key(2)); ok || v != nil {
 		t.Errorf("Probe of an in-flight key = (%v, %v), want (nil, false)", v, ok)
 	}
-	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 {
+	if st := s.StatsSnapshot(); st.Hits != 0 || st.Misses != 1 {
 		t.Errorf("stats after in-flight probe = %+v, want 0 hits / 1 miss", st)
 	}
 	close(release)
@@ -261,15 +294,11 @@ func TestProbe(t *testing.T) {
 		if v, ok := s.Probe(key(2)); !ok || v != "slow" {
 			t.Fatalf("Probe of a ready key = (%v, %v), want (slow, true)", v, ok)
 		}
-		if st := s.Stats(); st.Hits != int64(i) || st.Misses != 1 {
+		if st := s.StatsSnapshot(); st.Hits != int64(i) || st.Misses != 1 {
 			t.Errorf("stats after %d ready probes = %+v", i, st)
 		}
 	}
 
-	var nilStore *Store
-	if v, ok := nilStore.Probe(key(2)); ok || v != nil {
-		t.Errorf("nil-store Probe = (%v, %v), want (nil, false)", v, ok)
-	}
 }
 
 // TestProbeRacesGet: probes racing the computation of their key either
@@ -298,7 +327,7 @@ func TestProbeRacesGet(t *testing.T) {
 		s.Get(key(i), func() any { return i })
 	}
 	wg.Wait()
-	if st := s.Stats(); st.Misses != 50 || st.Hits != probeHits.Load() {
+	if st := s.StatsSnapshot(); st.Misses != 50 || st.Hits != probeHits.Load() {
 		t.Errorf("stats = %+v, want 50 misses / %d hits", st, probeHits.Load())
 	}
 }

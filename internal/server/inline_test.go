@@ -43,7 +43,7 @@ func TestResidentPairsAnswerInline(t *testing.T) {
 	for o := 1; o < len(structs); o++ {
 		seed(s, 0, o)
 	}
-	hits0 := s.Store().Stats().Hits
+	hits0 := s.Store().StatsSnapshot().Hits
 
 	w := do(t, s, "GET", "/score?a="+structs[1].ID+"&b="+structs[0].ID, nil)
 	if w.Code != http.StatusOK {
@@ -89,7 +89,7 @@ func TestResidentPairsAnswerInline(t *testing.T) {
 	if bs := s.BatcherStats(); bs.Enqueued != 0 || bs.Batches != 0 {
 		t.Errorf("warm requests reached the coalescer: %+v", bs)
 	}
-	if st := s.Store().Stats(); st.Hits != hits0+7 || st.Misses != 3 {
+	if st := s.Store().StatsSnapshot(); st.Hits != hits0+7 || st.Misses != 3 {
 		t.Errorf("store stats = %+v, want %d hits (1 + 3 + 3 inline lookups) / 3 misses", st, hits0+7)
 	}
 
@@ -215,7 +215,7 @@ func TestInFlightPairStaysSingleFlight(t *testing.T) {
 			t.Errorf("response %d = %q, want %q", i, b, ScoreLine(0, 1, want))
 		}
 	}
-	if st := s.Store().Stats(); st.Misses != 1 || st.Hits != burst {
+	if st := s.Store().StatsSnapshot(); st.Misses != 1 || st.Hits != burst {
 		t.Errorf("store stats = %+v, want 1 miss / %d hits", st, burst)
 	}
 	// Once it has landed the pair is resident: the next request is inline.

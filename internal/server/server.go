@@ -222,7 +222,7 @@ func (s *Server) Preload(structs []*pdb.Structure) error {
 func (s *Server) runBatch(jobs []pairJob) ([]pairOut, error) {
 	out := make([]pairOut, len(jobs))
 	for k, j := range jobs {
-		v, hit := s.store.GetHit(s.keyFor(j), func() any {
+		v, hit := s.store.Get(s.keyFor(j), func() any {
 			r, err := tmalign.TryCompare(j.a.Get(), j.b.Get(), s.opt)
 			if err != nil {
 				return err
