@@ -280,47 +280,41 @@ func main() {
 	tb := stats.NewTable(
 		fmt.Sprintf("rckAlign all-vs-all on %s (serial P54C baseline: %.0f s)", ds.Name, baseline),
 		"Slave Cores", "Time (s)", "Speedup", "Efficiency", "Peak Mbox", "Worst Link Util")
-	// Results travel the simulated farm as *tmalign.Result pointers, so a
-	// reverse index recovers each collected result's pair for -scores-out.
-	pairOf := make(map[*tmalign.Result]sched.Pair, len(pr.Pairs))
-	for k, r := range pr.Results {
-		pairOf[r] = pr.Pairs[k]
-	}
 	// Every point records into sinks of its own, so the points are
 	// independent and farm.Sweep may run them concurrently; rows, notes and
-	// files are then written in point order. Only the last point's sinks
-	// reach -scores-out, -metrics-out and -trace-out.
+	// files are then written in point order. Only the last point's files
+	// are written, so only it gets the sinks: the set of results collected
+	// for -scores-out, the recorder and the registry.
 	type point struct {
-		rep    farm.Report
-		rec    *trace.Recorder
-		reg    *metrics.Registry
-		scores map[sched.Pair]*tmalign.Result
+		rep       farm.Report
+		rec       *trace.Recorder
+		reg       *metrics.Registry
+		collected map[*tmalign.Result]bool
 	}
 	points, err := farm.Sweep(counts, false, func(n int) (point, error) {
 		var pt point
 		cfg := cfg
-		if *scoresOut != "" {
-			pt.scores = make(map[sched.Pair]*tmalign.Result, len(pr.Pairs))
-			cfg.Collect = func(r rckskel.Result) {
-				if res, ok := r.Payload.(*tmalign.Result); ok {
-					pt.scores[pairOf[res]] = res
+		if n == counts[len(counts)-1] {
+			if *scoresOut != "" {
+				pt.collected = make(map[*tmalign.Result]bool, len(pr.Pairs))
+				cfg.Collect = func(r rckskel.Result) {
+					if res, ok := r.Payload.(*tmalign.Result); ok {
+						pt.collected[res] = true
+					}
 				}
 			}
+			if *traceOut != "" {
+				pt.rec = trace.New()
+			}
+			// The mailbox/link columns come from every report's Metrics
+			// block; a registry is attached only for the files that export it.
+			if *metricsOut != "" || *traceOut != "" {
+				pt.reg = metrics.New()
+			}
+			cfg.Trace, cfg.Metrics = pt.rec, pt.reg
 		}
-		if *traceOut != "" {
-			pt.rec = trace.New()
-		}
-		// The mailbox/link columns come from every report's Metrics block;
-		// a registry is attached only for the files that export it.
-		if *metricsOut != "" || *traceOut != "" {
-			pt.reg = metrics.New()
-		}
-		cfg.Trace, cfg.Metrics = pt.rec, pt.reg
 		r, err := core.Run(pr, n, cfg)
 		pt.rep = r.Report
-		if n != counts[len(counts)-1] {
-			pt.rec, pt.reg, pt.scores = nil, nil, nil
-		}
 		return pt, err
 	})
 	var last point
@@ -385,7 +379,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	rec, reg, scores, lastRep := last.rec, last.reg, last.scores, last.rep
+	rec, reg, collected, lastRep := last.rec, last.reg, last.collected, last.rep
 	// Host-side pair-store accounting: every sweep point replays pr and
 	// never touches the store, so misses count the pairs this invocation
 	// computed natively (0 when -cache held them all).
@@ -411,8 +405,8 @@ func main() {
 			// is deterministic regardless of collection order; %.17g round-
 			// trips float64 exactly, making files diffable bit-for-bit.
 			var buf []byte
-			for _, p := range pr.Pairs {
-				if res, ok := scores[p]; ok { // absent: lost under a degraded fault run
+			for k, p := range pr.Pairs {
+				if res := pr.Results[k]; collected[res] { // absent: lost under a degraded fault run
 					buf = tmalign.AppendScoreLine(buf, p.I, p.J, res)
 				}
 			}
@@ -422,7 +416,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d pair scores to %s\n", len(scores), *scoresOut)
+		fmt.Fprintf(os.Stderr, "wrote %d pair scores to %s\n", len(collected), *scoresOut)
 	}
 	if *metricsOut != "" {
 		if err := writeFileWith(*metricsOut, reg.WriteJSON); err != nil {

@@ -213,24 +213,6 @@ func PrunePairs(ds *synth.Dataset, threshold float64) ([]sched.Pair, *prune.Repo
 	return kept, &rep
 }
 
-// DeadlineMargin is the safety factor DeriveJobDeadline applies on top
-// of the most expensive job's compute time, covering staging, transfer
-// and discovery latency so a healthy slave never trips its deadline.
-const DeadlineMargin = 3.0
-
-// DeriveJobDeadline returns the default fault-tolerant job deadline for
-// a workload: DeadlineMargin times the compute seconds of the most
-// expensive pair at the given per-core op scale.
-func DeriveJobDeadline(pr *PairResults, cpu costmodel.CPU, opScale float64) float64 {
-	max := 0.0
-	for _, r := range pr.Results {
-		if s := cpu.Seconds(r.Ops.Scaled(opScale)); s > max {
-			max = s
-		}
-	}
-	return DeadlineMargin * max
-}
-
 // SynthPairResults fabricates a PairResults for timing-only simulations
 // without running native TM-align: structures carry the given chain
 // lengths and each pair's operation count is a length-product DP cost.
@@ -259,14 +241,10 @@ func SynthPairResults(name string, lengths []int) *PairResults {
 
 // Config tunes an rckAlign simulation run: the simulated board
 // (farm.Config) plus what the run plans with. Every combination of the
-// fields composes. Run resolves two farm.Config sentinels per workload:
-//   - CacheStructs < 0 derives the per-slave cache capacity from the
-//     per-core cache budget (costmodel.DefaultCacheBudgetBytes over the
-//     dataset's mean chain size);
-//   - JobDeadlineSeconds == 0 under a fault plan that injects something
-//     derives the deadline from the workload's most expensive job
-//     (DeriveJobDeadline), which the farm scales by the jobs of a batch;
-//     without such a plan nothing is armed.
+// fields composes. Run resolves one farm.Config sentinel per workload:
+// CacheStructs < 0 derives the per-slave cache capacity from the per-core
+// cache budget (costmodel.DefaultCacheBudgetBytes over the dataset's mean
+// chain size). The farm times the jobs: see farm.Config.Faults.
 type Config struct {
 	farm.Config
 	// Order is the job ordering policy (paper: FIFO).
@@ -327,11 +305,7 @@ type RunResult struct {
 // chip's workers. Run returns the farm's typed errors and the plan's
 // input errors (a chain longer than half the memory budget).
 func Run(pr *PairResults, slaves int, cfg Config) (RunResult, error) {
-	p, err := newPlan(pr, slaves, cfg)
-	if err != nil {
-		return RunResult{}, err
-	}
-	rep, err := p.run()
+	rep, err := newPlan(pr, slaves, cfg).run()
 	return RunResult{Report: rep}, err
 }
 

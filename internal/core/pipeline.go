@@ -1,8 +1,9 @@
 // The run pipeline: plan → stage → shard → farm → report.
 //
 // Every run builds one plan from (pair results, config): chain sizes,
-// ordering, replay handler and fault-tolerance deadline are plan
-// properties, so they apply identically wherever the jobs end up.
+// ordering and the replay handler are plan properties, so they apply
+// identically wherever the jobs end up (the farm times the jobs: it
+// scales their ops by the worker's threads and arms the fault deadline).
 // The plan's pair list is cut into stages (one, unless a memory budget
 // forces a block load schedule), each stage's ordered pairs into shards
 // (one per chip), and each shard becomes a farm.Work farmed by that
@@ -23,9 +24,8 @@ import (
 // executes.
 type plan struct {
 	pr *PairResults
-	// cfg is the run's configuration with core's two sentinels resolved
-	// (cache capacity, fault-tolerance deadline): its farm.Config is the
-	// board's.
+	// cfg is the run's configuration with core's sentinel (cache
+	// capacity) resolved: its farm.Config is the board's.
 	cfg     Config
 	slaves  int
 	lengths []int
@@ -38,7 +38,7 @@ type plan struct {
 	handler rckskel.Handler
 }
 
-func newPlan(pr *PairResults, slaves int, cfg Config) (*plan, error) {
+func newPlan(pr *PairResults, slaves int, cfg Config) *plan {
 	p := &plan{pr: pr, cfg: cfg, slaves: slaves, lengths: pr.lengths()}
 	p.cost = sched.LengthProductCost(p.lengths)
 	p.sizes = make([]int, len(p.lengths))
@@ -56,23 +56,11 @@ func newPlan(pr *PairResults, slaves int, cfg Config) (*plan, error) {
 		p.cfg.CacheStructs = costmodel.CacheCapacityStructs(costmodel.DefaultCacheBudgetBytes, mean)
 	}
 	p.blocked = p.cfg.CacheStructs > 0 || cfg.Batch > 1 || cfg.Affinity
-
-	place, err := farm.Place(cfg.Config, slaves)
-	if err != nil {
-		return nil, err
-	}
-	opScale := place.OpScale
-	if !cfg.Faults.Empty() && cfg.JobDeadlineSeconds == 0 {
-		// Only a plan that injects something arms the farm's failure
-		// detection; an empty one leaves every timer unscheduled. The farm
-		// scales it by the jobs of a batch.
-		p.cfg.JobDeadlineSeconds = DeriveJobDeadline(pr, cfg.Chip.CPU, opScale)
-	}
 	p.handler = func(job rckskel.Job) (any, costmodel.Counter, int) {
 		res := pr.Get(*job.Payload.(*sched.Pair))
-		return res, res.Ops.Scaled(opScale), ResultBytes(res.Len2)
+		return res, res.Ops, ResultBytes(res.Len2)
 	}
-	return p, nil
+	return p
 }
 
 // order applies the ordering policy and then the blocked tiling.
@@ -191,13 +179,14 @@ func (p *plan) stages() ([]stage, *farm.TiledReport, error) {
 
 // run executes the plan on one board: the root master loads, scatters
 // the remote shards (a no-op on one chip) and farms its own, stage by
-// stage.
+// stage. The board is built first, so a Config the farm rejects fails
+// with the farm's typed error before the budget schedules anything.
 func (p *plan) run() (farm.Report, error) {
-	stages, tiled, err := p.stages()
+	s, err := farm.New(p.cfg.Config, p.slaves)
 	if err != nil {
 		return farm.Report{}, err
 	}
-	s, err := farm.New(p.cfg.Config, p.slaves)
+	stages, tiled, err := p.stages()
 	if err != nil {
 		return farm.Report{}, err
 	}

@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"math"
-	"reflect"
 	"testing"
 
 	"rckalign/internal/fault"
@@ -148,42 +146,5 @@ func TestResilienceLinkFaults(t *testing.T) {
 	}
 	if f.LostJobs != 0 {
 		t.Errorf("lost %d jobs to transient link faults", f.LostJobs)
-	}
-}
-
-// TestDeadlineBelowAJobWritesOffNoHealthySlave: a deadline shorter than
-// the longest jobs, with no fault plan, times healthy slaves out. The
-// master retries their jobs elsewhere and collects whichever copy comes
-// back first, so the run ends while written-off slaves still compute:
-// their last span outlasts the run, as a stalled slave's does, and is
-// clipped to it. Every pair is collected, within a millisecond of the
-// unarmed makespan (1.769 s; polls shift by microseconds). A deadline
-// above the costliest job (0.7 s here) arms nothing that fires: the
-// report is the unarmed one.
-func TestDeadlineBelowAJobWritesOffNoHealthySlave(t *testing.T) {
-	pr := SynthPairResults("dl", []int{60, 75, 90, 110, 130, 150, 170, 200})
-	base, err := Run(pr, 6, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, deadline := range []float64{0.3, 0.5, 0.6, 0.7} {
-		cfg := DefaultConfig()
-		cfg.JobDeadlineSeconds = deadline
-		r, err := Run(pr, 6, cfg)
-		if err != nil {
-			t.Fatalf("deadline %v s: %v", deadline, err)
-		}
-		if r.Collected != len(pr.Pairs) || math.Abs(r.TotalSeconds-base.TotalSeconds) > 1e-3 {
-			t.Errorf("deadline %v s: collected %d of %d pairs in %v s, want all in the unarmed %v s",
-				deadline, r.Collected, len(pr.Pairs), r.TotalSeconds, base.TotalSeconds)
-		}
-		for track, u := range r.CoreUtilization {
-			if u < 0 || u > 1 {
-				t.Errorf("deadline %v s: %s utilization %v outside [0, 1]", deadline, track, u)
-			}
-		}
-		if deadline == 0.7 && !reflect.DeepEqual(r.Report, base.Report) {
-			t.Errorf("deadline 0.7 s: report differs from the unarmed run's:\n got %+v\nwant %+v", r.Report, base.Report)
-		}
 	}
 }

@@ -126,7 +126,8 @@ func (w *wireStats) add(o wireStats) {
 // and its wire accounting. The chip's ledger is credited here with the
 // jobs and pairs, so the run's finalize finds any prepared job that no
 // master farmed; Master.Scatter prices a shard at the sizes recorded
-// here.
+// here. Under a fault plan that injects something, Run times the jobs to
+// arm the deadline.
 func (s *Session) PrepareJobs(c int, pairs []sched.Pair, idBase int, sizes []int) ([]rckskel.Job, error) {
 	if len(pairs) == 0 {
 		return nil, nil
@@ -143,6 +144,9 @@ func (s *Session) PrepareJobs(c int, pairs []sched.Pair, idBase int, sizes []int
 	}
 	s.sizes = sizes
 	ch.ledger.pairs += len(pairs)
+	if !s.cfg.Faults.Empty() {
+		s.timed = append(s.timed, jobs...)
+	}
 	batch := max(s.cfg.Batch, 1)
 	cached := s.cfg.CacheStructs > 0
 	if batch == 1 && !cached {

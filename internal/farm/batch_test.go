@@ -203,65 +203,27 @@ func TestBatchedCachedFarmEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDeadlineBelowABatchWritesOffNoHealthySlave: at 0.9X per X-second
-// job a healthy 4-job batch (4X) outlives its 3.6X deadline, with no
-// fault injected. The farm retries it, collects each pair once, and ends
-// while the written-off slave still computes: its last span outlasts the
-// run and is clipped to it, as a stalled slave's is, instead of failing
-// the run with ErrInvariant.
-func TestDeadlineBelowABatchWritesOffNoHealthySlave(t *testing.T) {
-	ops := costmodel.Counter{DPCells: 1e8}
-	x := scc.DefaultConfig().CPU.Seconds(ops)
-	seen := map[int]int{}
-	s, err := New(Config{
-		Chip:               scc.DefaultConfig(),
-		Batch:              4,
-		JobDeadlineSeconds: 0.9 * x,
-		Collect:            func(r rckskel.Result) { seen[r.JobID]++ },
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := sched.AllVsAll(6)
-	jobs := prepare(t, s, pairs, testSizes(6))
-	s.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) { return job.ID, ops, 64 })
-	rep, err := s.Run(func(m *Master) {
-		m.FarmWork(Work{Queues: [][]rckskel.Job{jobs}}, nil)
-		m.Terminate()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Collected != len(pairs) || len(seen) != len(pairs) {
-		t.Errorf("collected %d results of %d distinct jobs, want each of %d once", rep.Collected, len(seen), len(pairs))
-	}
-	for track, u := range rep.CoreUtilization {
-		if u < 0 || u > 1 {
-			t.Errorf("%s utilization %v outside [0, 1]", track, u)
-		}
-	}
-}
-
 // TestBatchedSessionWrapsHandlerAndScalesDeadline: a batched session
 // takes the per-pair handler as it is, the collector sees each per-pair
-// result once, and a batch of k jobs is armed with k times
-// JobDeadlineSeconds. At 1.1X per X-second job a 4-job batch (4X) never
-// times out, yet one whose slave stalls from 3X to 5X does: the armed
-// deadline lies between 4X and 5X, so the multiplier is 4.
+// result once, and a batch of k jobs is armed with k times the per-job
+// deadline. Every job costs X seconds, so the injecting plan arms 3X per
+// job and 12X per 4-job batch: a slave stalled from 3X for 7X returns its
+// first batch at 11X, inside the deadline, and one stalled for 10X at
+// 14X, past it. A multiplier of 3 (9X) or 5 (15X) would flip one of the
+// two.
 func TestBatchedSessionWrapsHandlerAndScalesDeadline(t *testing.T) {
 	ops := costmodel.Counter{DPCells: 1e8}
 	x := scc.DefaultConfig().CPU.Seconds(ops)
 	for _, tc := range []struct {
-		stalls   []fault.CoreStall
+		stall    float64
 		timeouts bool
-	}{{nil, false}, {[]fault.CoreStall{{Core: 1, At: 3 * x, Duration: 2 * x}}, true}} {
+	}{{7 * x, false}, {10 * x, true}} {
 		var collected []int
 		s, err := New(Config{
-			Chip:               scc.DefaultConfig(),
-			Batch:              4,
-			Faults:             &fault.Plan{Stalls: tc.stalls},
-			JobDeadlineSeconds: 1.1 * x,
-			Collect:            func(r rckskel.Result) { collected = append(collected, r.JobID) },
+			Chip:    scc.DefaultConfig(),
+			Batch:   4,
+			Faults:  &fault.Plan{Stalls: []fault.CoreStall{{Core: 1, At: 3 * x, Duration: tc.stall}}},
+			Collect: func(r rckskel.Result) { collected = append(collected, r.JobID) },
 		}, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -282,14 +244,14 @@ func TestBatchedSessionWrapsHandlerAndScalesDeadline(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := rep.Faults.Timeouts > 0; got != tc.timeouts {
-			t.Errorf("stalls %v: %d timeouts, want timeouts %t", tc.stalls, rep.Faults.Timeouts, tc.timeouts)
+			t.Errorf("stall %.0fX: %d timeouts, want timeouts %t", tc.stall/x, rep.Faults.Timeouts, tc.timeouts)
 		}
 		seen := map[int]int{}
 		for _, id := range collected {
 			seen[id]++
 		}
 		if len(collected) != len(pairs) || len(seen) != len(pairs) {
-			t.Errorf("stalls %v: collected %d results of %d distinct jobs, want each of %d once", tc.stalls, len(collected), len(seen), len(pairs))
+			t.Errorf("stall %.0fX: collected %d results of %d distinct jobs, want each of %d once", tc.stall/x, len(collected), len(seen), len(pairs))
 		}
 	}
 }

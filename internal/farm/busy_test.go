@@ -147,7 +147,7 @@ func TestReportBusyMatchesRecorder(t *testing.T) {
 	}
 	runs := []struct {
 		name  string
-		cfg   farm.Config // Faults, JobDeadlineSeconds and Chips
+		cfg   farm.Config // Faults and Chips
 		slave int
 		// stalled and markOnly demand a track of that shape, so the
 		// scenario keeps exercising it.
@@ -155,7 +155,7 @@ func TestReportBusyMatchesRecorder(t *testing.T) {
 	}{
 		{name: "flat-s47", slave: 47},
 		{name: "stall-past-makespan", slave: 6, stalled: true,
-			cfg: farm.Config{Faults: plan("seed=1;stall=3@5+5000"), JobDeadlineSeconds: 60}},
+			cfg: farm.Config{Faults: plan("seed=1;stall=3@5+5000")}},
 		{name: "kill-at-start", slave: 6, markOnly: true,
 			cfg: farm.Config{Faults: plan("seed=1;kill=4@0;kill=5@30")}},
 		{name: "chips4-kills", slave: 12,
@@ -164,7 +164,7 @@ func TestReportBusyMatchesRecorder(t *testing.T) {
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
 			cfg := core.DefaultConfig()
-			cfg.Faults, cfg.JobDeadlineSeconds, cfg.Chips = r.cfg.Faults, r.cfg.JobDeadlineSeconds, r.cfg.Chips
+			cfg.Faults, cfg.Chips = r.cfg.Faults, r.cfg.Chips
 			rec := trace.New()
 			cfg.Trace = rec
 			res, err := core.Run(pr, r.slave, cfg)

@@ -28,16 +28,13 @@ func TestPlaceTypedErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := farm.Place(tc.cfg, tc.slaves); !errors.Is(err, tc.want) {
-				t.Errorf("Place error = %v, want errors.Is %v", err, tc.want)
-			}
 			if _, err := farm.New(tc.cfg, tc.slaves); !errors.Is(err, tc.want) {
 				t.Errorf("New error = %v, want errors.Is %v", err, tc.want)
 			}
 		})
 	}
 	// Every core but the master's may be a slave.
-	if _, err := farm.Place(farm.Config{Chip: chip}, 47); err != nil {
+	if _, err := farm.New(farm.Config{Chip: chip}, 47); err != nil {
 		t.Errorf("47 slaves rejected: %v", err)
 	}
 }
@@ -88,9 +85,8 @@ func TestNewRejectsBadFaultPlan(t *testing.T) {
 func TestPartitionedFarmRecoversInsideItsPartition(t *testing.T) {
 	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
 	s, err := farm.New(farm.Config{
-		Chip:               scc.DefaultConfig(),
-		Faults:             &fault.Plan{Kills: []fault.CoreFailure{{Core: 1, At: 1.5 * js}}},
-		JobDeadlineSeconds: 3 * js,
+		Chip:   scc.DefaultConfig(),
+		Faults: &fault.Plan{Kills: []fault.CoreFailure{{Core: 1, At: 1.5 * js}}},
 	}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -130,9 +126,8 @@ func TestPartitionedFarmRecoversInsideItsPartition(t *testing.T) {
 func TestOrphanedQueueIsLost(t *testing.T) {
 	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
 	s, err := farm.New(farm.Config{
-		Chip:               scc.DefaultConfig(),
-		Faults:             &fault.Plan{Kills: []fault.CoreFailure{{Core: 1, At: 1.5 * js}, {Core: 2, At: 1.5 * js}}},
-		JobDeadlineSeconds: 3 * js,
+		Chip:   scc.DefaultConfig(),
+		Faults: &fault.Plan{Kills: []fault.CoreFailure{{Core: 1, At: 1.5 * js}, {Core: 2, At: 1.5 * js}}},
 	}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -182,9 +177,8 @@ func TestSessionFaultTolerantKillRun(t *testing.T) {
 	js := scc.DefaultConfig().CPU.Seconds(costmodel.Counter{DPCells: 200000})
 	plan := &fault.Plan{Kills: []fault.CoreFailure{{Core: 2, At: 1.5 * js}}}
 	s, err := farm.New(farm.Config{
-		Chip:               scc.DefaultConfig(),
-		Faults:             plan,
-		JobDeadlineSeconds: 3 * js,
+		Chip:   scc.DefaultConfig(),
+		Faults: plan,
 	}, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -5,9 +5,10 @@
 // (master skip, thread-grouped tile workers), job building, master
 // spawn, result collection through a caller's Collect hook, termination,
 // and a uniform Report with per-core utilization derived from trace. It
-// also owns the wire protocol: a caller hands it pairs and a table of
-// structure sizes, and the farm sizes, batches and caches the jobs,
-// prices the shards it scatters and arms batch deadlines itself.
+// also owns the wire protocol and job timing: a caller hands it pairs, a
+// table of structure sizes and a per-pair handler, and the farm sizes,
+// batches and caches the jobs, prices the shards it scatters, scales ops
+// by the worker's threads and arms fault deadlines itself.
 //
 // A path composes a Session instead of copying a 150-line run function:
 //
@@ -55,9 +56,10 @@ type Config struct {
 	// worker process, the paper's future work ("building support for
 	// threading into the base library"). At 2 each worker uses both cores
 	// of its tile and finishes a job in 1/(2*0.9) of the serial time (DP
-	// and scoring parallelise well, the Kabsch solves less so). 0 or 1 =
-	// the paper's single-threaded slaves; the leftover cores of a slave
-	// count that is not a multiple are unused (Report.DroppedCores).
+	// and scoring parallelise well, the Kabsch solves less so), which
+	// StartSlaves charges to the handler's ops. 0 or 1 = the paper's
+	// single-threaded slaves; the leftover cores of a slave count that is
+	// not a multiple are unused (Report.DroppedCores).
 	ThreadsPerWorker int
 	// PollingScale scales the master's round-robin polling discovery
 	// cost on every team (1 = the paper's busy polling, 0 = ideal
@@ -81,7 +83,8 @@ type Config struct {
 	// message with one batched result (0 or 1 = one message per job,
 	// the classic protocol). PrepareJobs bundles the jobs, StartSlaves
 	// runs a batch's jobs back to back through the per-pair handler, and
-	// a batch of k jobs is armed with k times JobDeadlineSeconds.
+	// under an injecting Faults plan a batch of k jobs is armed with k
+	// times the per-job deadline.
 	Batch int
 	// CacheStructs enables the slave-side structure-cache model with
 	// this per-slave LRU capacity in structures: the master ships only
@@ -92,21 +95,20 @@ type Config struct {
 	CacheStructs int
 	// Faults, when non-nil, is injected into the run (kills, stalls, link
 	// faults through the wire interposer) and summarised in
-	// Report.Faults. A non-nil but empty plan injects nothing: the
-	// report is identical to the plan-free run's but for that block.
+	// Report.Faults. A plan that injects something also arms every farm's
+	// failure detection (see Session.Run): a job not collected three times
+	// the costliest prepared job's compute time after its dispatch (a
+	// batch: Batch times that) is presumed lost and retried (see
+	// rckskel.FARM), so every timeout lands in Report.Faults. A non-nil
+	// but empty plan injects and arms nothing: the report is identical to
+	// the plan-free run's but for that block.
 	Faults *fault.Plan
-	// JobDeadlineSeconds arms every farm's failure detection: a job not
-	// collected this long after its dispatch (a batch: Batch times this
-	// long) is presumed lost and retried (see rckskel.FARM). 0 arms
-	// nothing; a deadline is only useful under a fault plan, whose wire
-	// model lets sends to dead cores vanish instead of hanging.
-	JobDeadlineSeconds float64
 	// Chips is the board's chip count (0 or 1 = one chip, the paper's
 	// flat farm). On more than one, core names are prefixed per chip
 	// ("c1.rck00"), metric keys are labelled "chip"/"cN", every chip owns
 	// its cache model and wire accounting, and Faults carries global core
 	// ids (chip = id / cores per chip), split per chip with
-	// fault.SplitPlan; every chip arms the same JobDeadlineSeconds.
+	// fault.SplitPlan; every chip arms the same deadline.
 	Chips int
 	// Interchip is the board-level interconnect profile (zero value =
 	// interchip.DefaultConfig); unused on one chip.
@@ -140,7 +142,8 @@ type Report struct {
 	// FarmStats merges the job-distribution statistics of every farm the
 	// master executed.
 	FarmStats rckskel.Stats
-	// Collected counts results received by the master(s).
+	// Collected counts per-pair results received by the master(s): each
+	// sub-result of a batch counts once.
 	Collected int
 	// CoreBusySeconds maps each traced core to its busy time.
 	CoreBusySeconds map[string]float64
@@ -308,7 +311,9 @@ type StageAgg struct {
 
 // FaultStats is the Report block for fault-tolerant runs: what was
 // injected at the wire and cores, and what the farm's detection and
-// recovery machinery did about it.
+// recovery machinery did about it. LostJobs counts farmed jobs, a batch
+// as one; the lost pairs are the pairs handed to PrepareJobs minus
+// Report.Collected.
 type FaultStats struct {
 	// Injected counts the faults the plan actually delivered.
 	Injected fault.Stats
@@ -337,6 +342,10 @@ type Session struct {
 	chips  []*chip
 	rep    Report
 	sizes  []int // the structure sizes PrepareJobs was handed
+
+	handler  rckskel.Handler // StartSlaves' per-pair handler, scaled
+	timed    []rckskel.Job   // under an injecting plan, the per-pair jobs PrepareJobs made
+	deadline float64         // per job, armed by Run from timed
 
 	// The board tier (more than one chip only): the fabric, the gather
 	// topology and the fabric bytes nobody but the board accounts for.
@@ -418,7 +427,7 @@ func New(cfg Config, slaves int) (*Session, error) {
 	}
 	s.cfg = cfg
 	var err error
-	if s.place, err = Place(cfg, slaves); err != nil {
+	if s.place, err = place(cfg, slaves); err != nil {
 		return nil, err
 	}
 	if cfg.Metrics != nil {
@@ -475,10 +484,21 @@ func New(cfg Config, slaves int) (*Session, error) {
 // (chip-local core ids).
 func (s *Session) Placement() Placement { return s.place }
 
-// StartSlaves spawns every chip's slave loops with one per-pair handler;
-// on a batched session each slave runs a batch's jobs through it back to
-// back and returns one BatchResult.
+// StartSlaves spawns every chip's slave loops with one per-pair handler,
+// whose ops it scales by Placement.OpScale on thread-grouped workers; on
+// a batched session each slave runs a batch's jobs through it back to
+// back and returns one BatchResult. The handler must be a pure function
+// of its job: under an injecting fault plan Run evaluates it once more
+// per prepared job to time the costliest.
 func (s *Session) StartSlaves(h rckskel.Handler) {
+	if scale := s.place.OpScale; scale != 1 {
+		unscaled := h
+		h = func(job rckskel.Job) (any, costmodel.Counter, int) {
+			payload, ops, bytes := unscaled(job)
+			return payload, ops.Scaled(scale), bytes
+		}
+	}
+	s.handler = h
 	if s.cfg.Batch > 1 {
 		h = batchHandler(h)
 	}
@@ -516,12 +536,25 @@ func (s *Session) deliver(c *chip, r rckskel.Result, extra func(rckskel.Result))
 // chip's sub-master (see boardLoop), and the root drains the gather
 // after body returns.
 //
+// Under a fault plan that injects something, Run first arms the per-job
+// deadline: three times the compute seconds of the costliest job
+// PrepareJobs made, as the handler charges it, a margin that covers
+// staging, transfer and discovery so a healthy slave never trips it.
+//
 // Every run is checked against its own accounting, a deadlocked one
 // too; Run joins the engine's error with a wrapped ErrInvariant when a prepared job was neither
 // collected exactly once nor written off, a traced core was busy longer
 // than the run, or the fabric carried bytes beyond shards, blobs and
 // control.
 func (s *Session) Run(body func(m *Master)) (Report, error) {
+	if s.handler != nil {
+		worst := 0.0
+		for _, job := range s.timed {
+			_, ops, _ := s.handler(job)
+			worst = max(worst, s.cfg.Chip.CPU.Seconds(ops))
+		}
+		s.deadline = 3 * worst
+	}
 	for _, c := range s.chips[1:] {
 		s.spawn(c, func(m *Master) { s.boardLoop(m, true) })
 	}
@@ -848,8 +881,8 @@ type Work struct {
 }
 
 // FarmWork farms w on the chip's default team (the paper's FARM
-// construct, its failure detection armed by Config.JobDeadlineSeconds
-// per job of a batch), routing every result through the chip's
+// construct, its failure detection armed by Run's per-job deadline per
+// job of a batch), routing every result through the chip's
 // collection bookkeeping and then collect (may be nil).
 // The report accumulates the farm's statistics across calls.
 func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) {
@@ -864,7 +897,7 @@ func (m *Master) FarmWork(w Work, collect func(rckskel.Result)) {
 			queueOf[i] = i
 		}
 	}
-	deadline := s.cfg.JobDeadlineSeconds * float64(max(s.cfg.Batch, 1))
+	deadline := s.deadline * float64(max(s.cfg.Batch, 1))
 	st, ft := c.team.FARM(m.P, queues, queueOf, deadline, func(r rckskel.Result) {
 		c.ledger.doneJobs++
 		s.deliver(c, r, collect)

@@ -15,7 +15,7 @@ import (
 )
 
 func TestPlaceSkipsMaster(t *testing.T) {
-	p, err := Place(Config{Chip: scc.DefaultConfig()}, 4)
+	p, err := place(Config{Chip: scc.DefaultConfig()}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestPlaceSkipsMaster(t *testing.T) {
 }
 
 func TestPlaceThreadGrouping(t *testing.T) {
-	p, err := Place(Config{Chip: scc.DefaultConfig(), ThreadsPerWorker: 2}, 7)
+	p, err := place(Config{Chip: scc.DefaultConfig(), ThreadsPerWorker: 2}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,16 +44,16 @@ func TestPlaceThreadGrouping(t *testing.T) {
 		t.Errorf("OpScale = %v, want %v", p.OpScale, want)
 	}
 	// A single core cannot form a 2-thread worker.
-	if _, err := Place(Config{Chip: scc.DefaultConfig(), ThreadsPerWorker: 2}, 1); err == nil {
+	if _, err := place(Config{Chip: scc.DefaultConfig(), ThreadsPerWorker: 2}, 1); err == nil {
 		t.Error("expected error for 1 slave with 2-thread workers")
 	}
 }
 
 func TestPlaceValidation(t *testing.T) {
-	if _, err := Place(Config{Chip: scc.DefaultConfig()}, 0); err == nil {
+	if _, err := place(Config{Chip: scc.DefaultConfig()}, 0); err == nil {
 		t.Error("expected error for zero slaves")
 	}
-	if _, err := Place(Config{}, 1); err == nil {
+	if _, err := place(Config{}, 1); err == nil {
 		t.Error("expected error for a zero-value chip")
 	}
 }

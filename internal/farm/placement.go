@@ -5,8 +5,7 @@ import (
 	"fmt"
 )
 
-// Typed configuration errors, matchable with errors.Is. Place and New
-// wrap them with the offending values.
+// Typed configuration errors, matchable with errors.Is. New wraps them with the offending values.
 var (
 	// ErrSlaveCount reports a slave count below 1 or beyond the cores
 	// the chip can offer beside its master.
@@ -30,6 +29,7 @@ type Placement struct {
 	Threads int
 	// OpScale scales a job's operation counts on a multi-threaded
 	// worker: 1/(Threads*threadEfficiency), 1 for single-threaded workers.
+	// Session.StartSlaves charges it to the handler's ops.
 	OpScale float64
 	// EffectiveCores = len(WorkerLeads) * Threads.
 	EffectiveCores int
@@ -42,10 +42,10 @@ type Placement struct {
 // worker: DP and scoring parallelise well, the Kabsch solves less so.
 const threadEfficiency = 0.9
 
-// Place computes the slave placement of slaves cores on a chip of cfg:
+// place computes the slave placement of slaves cores on a chip of cfg:
 // cores 1..slaves in id order (core 0 is the master's), grouped into
 // workers of cfg.ThreadsPerWorker cores.
-func Place(cfg Config, slaves int) (Placement, error) {
+func place(cfg Config, slaves int) (Placement, error) {
 	if maxSlaves := cfg.Chip.NumCores() - 1; slaves < 1 || slaves > maxSlaves {
 		return Placement{}, fmt.Errorf("farm: %w: %d outside [1,%d]", ErrSlaveCount, slaves, maxSlaves)
 	}

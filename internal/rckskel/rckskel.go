@@ -88,6 +88,7 @@ type StageTotal struct {
 
 // Handler executes a job's application work on a slave, returning the result
 // payload, the operation counts to charge its core, and the result's wire size.
+// It is a pure function of the job: a harness may evaluate it again to time it.
 type Handler func(job Job) (payload any, ops costmodel.Counter, resultBytes int)
 
 // terminate is the shutdown sentinel the master sends to each slave.
@@ -416,8 +417,9 @@ type FTStats struct {
 	// Reassigned those of them that moved to a different slave.
 	Retries, Reassigned int
 	DuplicatesDropped   int // late results for jobs already completed
-	// LostJobs counts jobs never completed (degraded termination or
-	// maxAttempts exhausted, minus late redemptions).
+	// LostJobs counts farmed jobs never completed (degraded termination
+	// or maxAttempts exhausted, minus late redemptions); under a batched
+	// farm a batch is one job, however many pairs it carries.
 	LostJobs int
 }
 

@@ -11,7 +11,7 @@ import (
 
 // locCeiling bounds the module's non-test Go lines outside bench/. Lower
 // it when code goes; never raise it (ROADMAP aim 2).
-const locCeiling = 17005
+const locCeiling = 17001
 
 // TestNonTestLinesStayUnderCeiling counts the lines of every .go file
 // that is not a _test.go file, skipping bench/ (its own module) and
